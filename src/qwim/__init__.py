@@ -42,8 +42,6 @@ from .model import (
     PotentialSegment,
     SampledPotential,
     Side,
-    potential_at,
-    validate_potential,
 )
 from .analytic import (
     BarrierAmplitudes,
@@ -58,7 +56,6 @@ from .analytic import (
     step_reflection,
 )
 from .riccati import (
-    ImpedanceSample,
     ImpedanceTrajectory,
     IntegrationConfig,
     integrate_impedance,
@@ -72,7 +69,6 @@ from .scattering import (
     current_profile,
     energy_sweep,
     solve_scattering,
-    transmission_phase,
 )
 from .spectral import (
     SpectrumKind,
@@ -104,7 +100,6 @@ __all__ = [
     "EnergyPointError",
     "EvanescentIncidenceError",
     "GapBetweenSegmentsError",
-    "ImpedanceSample",
     "ImpedanceTrajectory",
     "IntegrationConfig",
     "ModelParams",
@@ -145,7 +140,6 @@ __all__ = [
     "load_spec",
     "parse_spec",
     "phase_from_impedance",
-    "potential_at",
     "propagate_impedance",
     "psi_growth_factor",
     "reconstruct_wavefunction",
@@ -157,8 +151,6 @@ __all__ = [
     "square_well_state_count",
     "step_reflection",
     "transfer_matrix_solve",
-    "transmission_phase",
-    "validate_potential",
     "z_minus",
     "z_plus",
 ]

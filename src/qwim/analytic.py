@@ -17,6 +17,12 @@ With that branch the decaying-tail boundary values are Z(a) = -z1 on the
 left and Z(b) = +z2 on the right, and Z = +z / -z are the attractors of
 leftward / rightward integration through an evanescent region.
 
+One slab step, ``_slab``, maps Z(x) to Z(x + dx) and returns the psi
+ratio across the step from the same denominator; ``propagate_impedance``,
+``layer_transform`` and ``psi_growth_factor`` are views of it.  One
+walker, ``_chain``, strings those steps across a piecewise stack; the
+piecewise scattering solve and the spectral mismatch both use it.
+
 Everything here is exact scalar complex arithmetic; the adaptive Riccati
 integrator in :mod:`qwim.riccati` is validated against these formulas.
 """
@@ -33,7 +39,7 @@ from .errors import (
     PoleAtXError,
     TransformPoleError,
 )
-from .model import ModelParams
+from .model import ModelParams, PiecewisePotential
 
 # E is degenerate with U when |E - U| <= EPS_DEGENERATE * max(|E|, |U|).
 EPS_DEGENERATE = 1e-12
@@ -165,28 +171,86 @@ def phase_from_impedance(rc: RegionConstants, x: float, z_val: complex) -> Phase
     return PhaseConstant.finite(phi)
 
 
-def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> complex:
-    """Z(x + dx) given Z(x) inside one constant region (dx of either sign).
+def _slab(rc: RegionConstants, z_at: complex, dx: float) -> tuple[complex, complex]:
+    """One step of dx (either sign) inside a constant region.
 
-    Uses the tanh addition law; switches to the saturated form for thick
-    evanescent slabs so cosh/sinh never overflow.
+    Returns (Z(x + dx), psi(x) / psi(x + dx)) given Z(x).  With
+    g = gamma dx both follow from the tanh addition law and share one
+    denominator,
+
+        Z(x + dx) = z (Z cosh g + z sinh g) / den,
+        psi(x) / psi(x + dx) = z / den,   den = z cosh g + Z sinh g,
+
+    so a vanishing den (a psi-node at x + dx) raises for both.  Thick
+    evanescent steps divide through by the dominant exponential first,
+    so cosh/sinh never overflow.
     """
     g = rc.gamma * dx
     if abs(g.real) > _SATURATION_CUT:
         th = 1.0 if g.real > 0 else -1.0
         t1, t2 = rc.z, z_at * th
         num = rc.z * (z_at + rc.z * th)
+        # this den is the full one times 2 exp(-th g); undo that for psi
+        ratio_num = 2.0 * rc.z * cmath.exp(-th * g)
     else:
         ch = cmath.cosh(g)
         sh = cmath.sinh(g)
         t1, t2 = rc.z * ch, z_at * sh
         num = rc.z * (z_at * ch + rc.z * sh)
+        ratio_num = rc.z
     den = t1 + t2
     if abs(den) < EPS_POLE * max(abs(t1), abs(t2), 1e-300):
         raise TransformPoleError(
             f"impedance pole while propagating across dx={dx}"
         )
-    return num / den
+    return num / den, ratio_num / den
+
+
+def _chain(
+    pot: PiecewisePotential,
+    e: float,
+    z_anchor: complex,
+    x_to: float,
+    from_left: bool,
+    params: ModelParams,
+) -> tuple[complex, complex]:
+    """Carry an impedance anchored at one end of a piecewise stack to x_to.
+
+    The anchor is a (``from_left``) or b; every slab between it and x_to
+    is one ``_slab`` step, the slab holding x_to a partial one.  Returns
+    (Z(x_to), psi(anchor) / psi(x_to)).
+    """
+    z, ratio = z_anchor, 1.0 + 0j
+    if from_left:
+        for seg in pot.segments:
+            if seg.x_end <= x_to:
+                dx = seg.length
+            elif seg.x_start < x_to:
+                dx = x_to - seg.x_start
+            else:
+                break
+            z, f = _slab(region_constants(e, seg.u, params), z, dx)
+            ratio *= f
+    else:
+        for seg in reversed(pot.segments):
+            if seg.x_start >= x_to:
+                dx = -seg.length
+            elif seg.x_end > x_to:
+                dx = x_to - seg.x_end
+            else:
+                break
+            z, f = _slab(region_constants(e, seg.u, params), z, dx)
+            ratio *= f
+    return z, ratio
+
+
+def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> complex:
+    """Z(x + dx) given Z(x) inside one constant region (dx of either sign).
+
+    The impedance half of ``_slab``: tanh addition law, saturated form
+    for thick evanescent slabs.
+    """
+    return _slab(rc, z_at, dx)[0]
 
 
 def layer_transform(rc: RegionConstants, z_far: complex, length: float) -> complex:
@@ -203,7 +267,7 @@ def layer_transform(rc: RegionConstants, z_far: complex, length: float) -> compl
     """
     if not length > 0.0:
         raise ValueError("layer_transform needs a strictly positive length")
-    return propagate_impedance(rc, z_far, -length)
+    return _slab(rc, z_far, -length)[0]
 
 
 def psi_growth_factor(rc: RegionConstants, z_exit: complex, length: float) -> complex:
@@ -214,24 +278,11 @@ def psi_growth_factor(rc: RegionConstants, z_exit: complex, length: float) -> co
 
         psi_exit / psi_entry = z / (z cosh(g l) - Z_exit sinh(g l))
 
-    (the same denominator as the layer transform, so a finite entry
-    impedance guarantees a well-conditioned factor).
+    (the ratio half of ``_slab`` stepping back from the exit, so it shares
+    the layer transform's denominator: a finite entry impedance
+    guarantees a well-conditioned factor).
     """
-    g = rc.gamma * length
-    if abs(g.real) > _SATURATION_CUT:
-        # cosh/sinh would overflow; use their shared dominant exponential
-        sgn = 1.0 if g.real > 0 else -1.0
-        den = rc.z - sgn * z_exit
-        if abs(den) < EPS_POLE * max(abs(rc.z), abs(z_exit), 1e-300):
-            raise TransformPoleError("node at slab entry; psi ratio undefined")
-        return 2.0 * rc.z * cmath.exp(-sgn * g) / den
-    ch = cmath.cosh(g)
-    sh = cmath.sinh(g)
-    t1, t2 = rc.z * ch, z_exit * sh
-    den = t1 - t2
-    if abs(den) < EPS_POLE * max(abs(t1), abs(t2), 1e-300):
-        raise TransformPoleError("node at slab entry; psi ratio undefined")
-    return rc.z / den
+    return _slab(rc, z_exit, -length)[1]
 
 
 def _psi_growth_entry(rc: RegionConstants, z_entry: complex, length: float) -> complex:

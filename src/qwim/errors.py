@@ -69,7 +69,8 @@ class StepSizeUnderflowError(SolverError):
 
 
 class NonFiniteStateError(SolverError):
-    """Integration state left the finite complex plane."""
+    """A solver's state (Riccati integration state, transfer-matrix
+    entries) left the finite complex plane."""
 
 
 class NonPositiveRealPartError(SolverError):
@@ -91,10 +92,6 @@ class BracketingExhaustedError(SolverError):
         super().__init__(message)
         self.energies = energies
         self.mismatches = mismatches
-
-
-class SingularProbePointError(SolverError):
-    """Probe point rejected (reserved; no supported potential triggers it)."""
 
 
 class QuadratureDivergenceError(SolverError):

@@ -203,17 +203,3 @@ class SampledPotential:
 
 Potential = PiecewisePotential | SampledPotential
 
-
-def potential_at(pot: Potential, x: float) -> float:
-    """Potential value at ``x`` (leads outside [a, b], right-value at joins)."""
-    return pot.u_at(x)
-
-
-def validate_potential(pot: Potential) -> Potential:
-    """Re-run the construction checks; returns the potential unchanged.
-
-    Constructors already validate, so this only matters for instances
-    rebuilt through mechanisms that bypass ``__post_init__``.
-    """
-    type(pot)(**{f: getattr(pot, f) for f in pot.__dataclass_fields__})
-    return pot

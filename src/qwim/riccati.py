@@ -23,7 +23,7 @@ off, since S has a logarithmic singularity there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,14 +76,6 @@ class IntegrationConfig:
 
 
 @dataclass(frozen=True)
-class ImpedanceSample:
-    """One accepted step: position and impedance (velocity-like units)."""
-
-    x: float
-    z: complex
-
-
-@dataclass(frozen=True)
 class ImpedanceTrajectory:
     """Accepted-step record of one Riccati integration.
 
@@ -102,10 +94,6 @@ class ImpedanceTrajectory:
     potential: Potential
     params: ModelParams
     z_integral: np.ndarray | None = None
-
-    @property
-    def samples(self) -> list[ImpedanceSample]:
-        return [ImpedanceSample(float(x), complex(z)) for x, z in zip(self.xs, self.zs)]
 
     def z_at_end(self, x: float) -> complex:
         """Impedance at one of the two endpoints of the trajectory."""

@@ -24,18 +24,12 @@ adaptive Riccati integrator with the running integral tracked.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import (
-    layer_transform,
-    psi_growth_factor,
-    region_constants,
-)
+from .analytic import _chain, region_constants
 from .errors import (
-    DegenerateEnergyError,
     EvanescentIncidenceError,
     NonPositiveRealPartError,
     SolverError,
@@ -74,21 +68,6 @@ class EnergyPointError:
     message: str
 
 
-def _chain_entry_impedance(
-    pot: PiecewisePotential, e: float, z_far: complex, params: ModelParams
-) -> tuple[complex, list[complex]]:
-    """Chain the far-side impedance to the entry; also returns the
-    impedance at each segment's right edge (chaining order)."""
-    z = z_far
-    right_edge = []
-    for seg in reversed(pot.segments):
-        right_edge.append(z)
-        rc = region_constants(e, seg.u, params)
-        z = layer_transform(rc, z, seg.length)
-    right_edge.reverse()
-    return z, right_edge
-
-
 def _solve_left(
     pot: Potential,
     e: float,
@@ -107,11 +86,7 @@ def _solve_left(
 
     analytic = isinstance(pot, PiecewisePotential) and not cfg.force_numeric
     if analytic or a == b:
-        z_entry, right_edge = _chain_entry_impedance(pot, e, z_far, params)
-        growth = 1.0 + 0j
-        for seg, z_r in zip(pot.segments, right_edge):
-            rc = region_constants(e, seg.u, params)
-            growth *= psi_growth_factor(rc, z_r, seg.length)
+        z_entry, growth = _chain(pot, e, z_far, a, False, params)
     else:
         traj = integrate_impedance(
             pot, e, b, z_far, a, cfg, params, track_integral=True
@@ -160,33 +135,8 @@ def solve_scattering(
     the moduli are directly comparable between sides.
     """
     if side is Side.RIGHT:
-        res = _solve_left(pot.mirrored(), e, cfg, params)
-        return ScatteringResult(
-            e=e,
-            side=Side.RIGHT,
-            r=res.r,
-            t=res.t,
-            big_r=res.big_r,
-            big_t=res.big_t,
-            z_entry=res.z_entry,
-            evanescent_tail=res.evanescent_tail,
-        )
+        return replace(_solve_left(pot.mirrored(), e, cfg, params), side=Side.RIGHT)
     return _solve_left(pot, e, cfg, params)
-
-
-def transmission_phase(
-    pot: Potential,
-    e: float,
-    side: Side = Side.LEFT,
-    cfg: IntegrationConfig = IntegrationConfig(),
-    params: ModelParams = ModelParams(),
-) -> complex:
-    """Complex transmission amplitude t (see ``solve_scattering``).
-
-    At a bare step the continuity of psi gives t = 1 + r at the step
-    point; across a resonant barrier |t| = 1.
-    """
-    return solve_scattering(pot, e, side, cfg, params).t
 
 
 def energy_sweep(

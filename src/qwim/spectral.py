@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .analytic import propagate_impedance, region_constants
+from .analytic import _chain
 from .errors import (
     BracketingExhaustedError,
     EmptyWindowError,
@@ -65,39 +65,6 @@ class SpectrumResult:
     transparent: bool = False
 
 
-def _chain_to_probe(
-    pot: PiecewisePotential,
-    e: float,
-    x0: float,
-    z_start: complex,
-    from_left: bool,
-    params: ModelParams,
-) -> complex:
-    """Propagate an anchored impedance to the probe point analytically."""
-    z = z_start
-    if from_left:
-        for seg in pot.segments:
-            if seg.x_end <= x0:
-                dx = seg.length
-            elif seg.x_start < x0:
-                dx = x0 - seg.x_start
-            else:
-                break
-            rc = region_constants(e, seg.u, params)
-            z = propagate_impedance(rc, z, dx)
-    else:
-        for seg in reversed(pot.segments):
-            if seg.x_start >= x0:
-                dx = -seg.length
-            elif seg.x_end > x0:
-                dx = x0 - seg.x_end
-            else:
-                break
-            rc = region_constants(e, seg.u, params)
-            z = propagate_impedance(rc, z, dx)
-    return z
-
-
 def impedance_mismatch(
     pot: Potential,
     e: float,
@@ -116,8 +83,8 @@ def impedance_mismatch(
     z_a = left_anchor(pot, e, params)
     z_b = right_anchor(pot, e, params)
     if isinstance(pot, PiecewisePotential) and not cfg.force_numeric:
-        zp = _chain_to_probe(pot, e, probe_x, z_a, True, params)
-        zm = _chain_to_probe(pot, e, probe_x, z_b, False, params)
+        zp = _chain(pot, e, z_a, probe_x, True, params)[0]
+        zm = _chain(pot, e, z_b, probe_x, False, params)[0]
     else:
         zp = complex(
             integrate_impedance(pot, e, a, z_a, probe_x, cfg, params).zs[-1]

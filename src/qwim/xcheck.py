@@ -21,6 +21,7 @@ from .errors import (
     DegenerateEnergyError,
     EvanescentIncidenceError,
     InsufficientSamplesError,
+    NonFiniteStateError,
     QuadratureDivergenceError,
 )
 from .model import ModelParams, PiecewisePotential, Potential, Side
@@ -90,7 +91,14 @@ def _junction(k_from: complex, k_to: complex) -> TransferMatrix:
 
 def _propagation(k: complex, length: float) -> TransferMatrix:
     ph = cmath.exp(1j * k * length)
-    return TransferMatrix(ph, 0j, 0j, 1.0 / ph)
+    # across a thick evanescent slab exp(-kappa l) underflows and the
+    # growing entry 1/ph has no float value
+    inv = 1.0 / ph if ph else math.inf
+    if not cmath.isfinite(inv):
+        raise NonFiniteStateError(
+            f"transfer matrix overflows across a slab of length {length}"
+        )
+    return TransferMatrix(ph, 0j, 0j, inv)
 
 
 def transfer_matrix(
@@ -291,14 +299,14 @@ def reconstruct_wavefunction(
 
         psi(x) = psi_start * exp[(i m / hbar) int Z dx']
 
-    Three sources, best available first.  A trajectory carrying the
+    Two sources, best available first.  A trajectory carrying the
     running integral of Z uses it directly (the ODE solver already
-    accumulated it at its own tolerance).  Otherwise a piecewise
-    potential evolves psi interval by interval with the exact
-    constant-slab growth factor, which also carries the sign flip
-    through psi-nodes; sampled potentials fall back to cumulative
-    quadrature of Z on pole-free stretches with slab bridges across
-    the nodes (treating U as constant per bridged interval).
+    accumulated it at its own tolerance).  Otherwise psi is evolved by
+    cumulative quadrature of Z on pole-free stretches, with the exact
+    constant-slab growth factor bridging the intervals next to nodes
+    (treating U as constant per bridged interval), which also carries
+    the sign flip through psi-nodes.  A piecewise potential, constant on
+    every interval, is bridged throughout.
     """
     xs, zs = traj.xs, traj.zs
     if len(xs) < 5:
@@ -318,17 +326,10 @@ def reconstruct_wavefunction(
     if traj.z_integral is not None:
         s_rel = traj.z_integral - traj.z_integral[0]
         psi = psi_start * np.exp(pref * s_rel)
-    elif isinstance(pot, PiecewisePotential):
-        psi = np.empty(len(xs), dtype=complex)
-        psi[0] = psi_start
-        for i in range(len(xs) - 1):
-            mid = 0.5 * (xs[i] + xs[i + 1])
-            rc = region_constants(e, pot.u_at(mid), params)
-            psi[i + 1] = psi[i] * slab_factor(
-                rc, complex(zs[i]), complex(zs[i + 1]), float(xs[i + 1] - xs[i])
-            )
     else:
         near_pole = np.abs(zs) > _BRIDGE_CUT
+        if isinstance(pot, PiecewisePotential):
+            near_pole[:] = True  # U is exactly constant per interval: bridge all
         psi = np.empty(len(xs), dtype=complex)
         psi[0] = psi_start
         i = 0

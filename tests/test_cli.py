@@ -225,6 +225,18 @@ def test_validate_reports_all_ok(tmp_path):
     assert rows and all(r[-1] == "ok" for r in rows)
 
 
+def test_validate_thick_barrier_is_solver_error(tmp_path):
+    doc = json.loads(json.dumps(BARRIER_DOC))
+    doc["potential"]["segments"][0]["x_end"] = 1e4
+    spec = write_spec(tmp_path, doc)
+    proc = run_cli("validate", "--spec", spec, "--energy", "0.5")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error\t")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tNonFiniteState\t")
+
+
 def test_validate_rejects_sampled(tmp_path):
     doc = {
         "params": {"hbar": 1.0, "mass": 1.0},

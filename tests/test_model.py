@@ -13,8 +13,6 @@ from qwim.model import (
     PiecewisePotential,
     PotentialSegment,
     SampledPotential,
-    potential_at,
-    validate_potential,
 )
 
 
@@ -23,7 +21,6 @@ def test_contiguous_segments_valid():
         0.0, (PotentialSegment(0.0, 1.0, 2.0), PotentialSegment(1.0, 3.0, 0.0)), 0.0
     )
     assert pot.a == 0.0 and pot.b == 3.0
-    assert validate_potential(pot) is pot
 
 
 def test_gap_between_segments_rejected():
@@ -58,20 +55,20 @@ def test_empty_segments_need_step_location():
 
 def test_potential_lookup_step_and_barrier():
     step = PiecewisePotential(0.0, (), 1.0, step_x=0.0)
-    assert potential_at(step, -5.0) == 0.0
-    assert potential_at(step, 5.0) == 1.0
+    assert step.u_at(-5.0) == 0.0
+    assert step.u_at(5.0) == 1.0
     barrier = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0)
-    assert potential_at(barrier, 1.0) == 1.0
-    assert potential_at(barrier, -0.1) == 0.0
-    assert potential_at(barrier, 2.1) == 0.0
+    assert barrier.u_at(1.0) == 1.0
+    assert barrier.u_at(-0.1) == 0.0
+    assert barrier.u_at(2.1) == 0.0
 
 
 def test_sampled_linear_interpolation():
     pot = SampledPotential((0.0, 2.0), (0.0, 4.0), 0.0, 0.0)
-    assert potential_at(pot, 1.0) == pytest.approx(2.0)
+    assert pot.u_at(1.0) == pytest.approx(2.0)
     # outside the table the leads win regardless of edge samples
-    assert potential_at(pot, -1.0) == 0.0
-    assert potential_at(pot, 3.0) == 0.0
+    assert pot.u_at(-1.0) == 0.0
+    assert pot.u_at(3.0) == 0.0
 
 
 def test_sampled_requires_increasing_abscissae():

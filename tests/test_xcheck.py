@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qwim.analytic import barrier_closed_forms, region_constants, step_reflection
-from qwim.errors import InsufficientSamplesError
+from qwim.errors import InsufficientSamplesError, SolverError
 from qwim.model import (
     ModelParams,
     PiecewisePotential,
@@ -108,6 +108,13 @@ def test_transfer_solve_identity_structure():
     res = transfer_matrix_solve(pot, 1.3)
     assert abs(res.r) < 1e-12
     assert abs(res.t - 1.0) < 1e-12
+
+
+def test_transfer_solve_thick_barrier_is_solver_error():
+    # exp(-kappa l) underflows, so the propagation matrix has no float form
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1e4, 1.0),), 0.0)
+    with pytest.raises(SolverError):
+        transfer_matrix_solve(pot, 0.5)
 
 
 def test_transfer_matrix_needs_piecewise():
