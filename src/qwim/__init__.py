@@ -23,6 +23,7 @@ from .errors import (
     EmptyWindowError,
     EvanescentIncidenceError,
     GapBetweenSegmentsError,
+    NonFiniteInputError,
     NonFiniteStateError,
     NonPositiveRealPartError,
     OverlappingSegmentsError,
@@ -103,6 +104,7 @@ __all__ = [
     "ImpedanceTrajectory",
     "IntegrationConfig",
     "ModelParams",
+    "NonFiniteInputError",
     "NonFiniteStateError",
     "NonPositiveRealPartError",
     "Normalization",

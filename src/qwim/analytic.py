@@ -22,9 +22,14 @@ ratio across the step from the same denominator; ``propagate_impedance``,
 ``layer_transform`` and ``psi_growth_factor`` are views of it.  One
 walker, ``_chain``, strings those steps across a piecewise stack; the
 piecewise scattering solve and the spectral mismatch both use it.
+``_chain_many`` is its array twin for a whole energy grid: one array
+pass per slab, with an ``ok`` mask marking the energies where the
+scalar walk would raise; piecewise energy sweeps use it and solve the
+flagged energies again one at a time.
 
-Everything here is exact scalar complex arithmetic; the adaptive Riccati
-integrator in :mod:`qwim.riccati` is validated against these formulas.
+Apart from those array twins everything here is exact scalar complex
+arithmetic; the adaptive Riccati integrator in :mod:`qwim.riccati` is
+validated against these formulas.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DegenerateEnergyError,
@@ -53,6 +60,9 @@ TOL_FLUX = 1e-10
 # |Re(gamma * length)| above which cosh/sinh forms are traded for tanh
 # forms; keeps thick evanescent slabs overflow-free.
 _SATURATION_CUT = 300.0
+
+# Slab-energy pairs per array pass of _chain_many.
+_BATCH_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -242,6 +252,102 @@ def _chain(
             z, f = _slab(region_constants(e, seg.u, params), z, dx)
             ratio *= f
     return z, ratio
+
+
+def _region_constants_many(
+    es: np.ndarray, u, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``region_constants`` over an energy array: (z, gamma, degenerate).
+
+    Same arithmetic and branch as the scalar form; ``u`` may be a column
+    of levels, giving one row per level.  ``degenerate`` marks where the
+    scalar form raises; z and gamma vanish there.
+    """
+    de = es - u
+    degenerate = np.abs(de) <= EPS_DEGENERATE * np.maximum(np.abs(es), np.abs(u))
+    # the principal root of (negative real + 0j) is +i sqrt(|x|): z's branch
+    z = np.sqrt(2.0 * de / params.mass + 0j)
+    return z, 1j * (params.mass / params.hbar) * z, degenerate
+
+
+def _chain_many(
+    pot: PiecewisePotential,
+    es: np.ndarray,
+    z_anchor: np.ndarray,
+    x_to: float,
+    from_left: bool,
+    params: ModelParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_chain`` over an energy array: (Z(x_to), psi(anchor)/psi(x_to), ok).
+
+    The slab constants, cosh/sinh and the saturated-branch factors of
+    every slab crossed come from one array pass; the slab-to-slab
+    recurrence is then a few array operations per slab, with ``_slab``'s
+    numerator and shared denominator.  ``ok`` is False wherever the
+    scalar walk raises (energy degenerate with a crossed slab, pole in a
+    denominator) or gives a non-finite value; those entries mean nothing.
+    Energies are taken in blocks of at most _BATCH_CELLS slab-energy
+    pairs, which bounds the temporaries.
+    """
+    us, dxs = [], []
+    if from_left:
+        for seg in pot.segments:
+            if seg.x_end <= x_to:
+                dx = seg.length
+            elif seg.x_start < x_to:
+                dx = x_to - seg.x_start
+            else:
+                break
+            us.append(seg.u)
+            dxs.append(dx)
+    else:
+        for seg in reversed(pot.segments):
+            if seg.x_start >= x_to:
+                dx = -seg.length
+            elif seg.x_end > x_to:
+                dx = x_to - seg.x_end
+            else:
+                break
+            us.append(seg.u)
+            dxs.append(dx)
+    u = np.array(us, dtype=float)[:, None]
+    dx = np.array(dxs, dtype=float)[:, None]
+    z_anchor = np.broadcast_to(np.asarray(z_anchor, dtype=complex), es.shape)
+    block = max(1, _BATCH_CELLS // max(1, len(us)))
+    parts = [
+        _slabs_many(u, dx, es[i:i + block], z_anchor[i:i + block], params)
+        for i in range(0, max(1, len(es)), block)
+    ]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _slabs_many(u, dx, es, z, params):
+    """The array pass of ``_chain_many`` over one block of energies."""
+    with np.errstate(all="ignore"):
+        zs, gamma, degenerate = _region_constants_many(es, u, params)
+        g = gamma * dx
+        sat = np.abs(g.real) > _SATURATION_CUT
+        th = np.sign(g.real) * sat
+        g_cut = np.where(sat, 0.0, g)  # keeps cosh/sinh finite where unused
+        # _slab's saturated branch divides den through by exp(|Re g|) / 2:
+        # cosh -> 1, sinh -> th, and the psi ratio gains 2 exp(-th g)
+        c1 = np.where(sat, 1.0, np.cosh(g_cut))
+        c2 = np.where(sat, th, np.sinh(g_cut))
+        t1, zc2 = zs * c1, zs * c2
+        ratio_num = np.where(sat, 2.0 * zs * np.exp(-th * g), zs)
+        t2 = np.empty_like(t1)
+        den = np.empty_like(t1)
+        ratio = np.ones(es.shape, dtype=complex)
+        for i in range(len(zs)):
+            np.multiply(z, c2[i], out=t2[i])
+            np.add(t1[i], t2[i], out=den[i])
+            z = zs[i] * (z * c1[i] + zc2[i]) / den[i]
+            ratio *= ratio_num[i] / den[i]
+        pole = np.abs(den) < EPS_POLE * np.maximum(
+            np.maximum(np.abs(t1), np.abs(t2)), 1e-300
+        )
+        ok = ~(degenerate | pole).any(axis=0) & np.isfinite(z) & np.isfinite(ratio)
+    return z, ratio, ok
 
 
 def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> complex:

@@ -43,6 +43,10 @@ class SpecFileError(PotentialInputError):
     """Unparseable or invalid problem file; message carries the field path."""
 
 
+class NonFiniteInputError(PotentialInputError):
+    """A NaN or infinite energy, level, position or sample."""
+
+
 class SolverError(QwimError):
     """Well-posed input that the solver cannot handle; CLI exit code 3."""
 

@@ -16,17 +16,26 @@ construction so an invalid instance can never circulate.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
     EmptyDomainError,
     GapBetweenSegmentsError,
+    NonFiniteInputError,
     OverlappingSegmentsError,
 )
 
 # Geometry comparisons: segment joins must agree to this absolute slack.
 JOIN_TOL = 1e-12
+
+
+def require_finite(what: str, *values: float) -> None:
+    """Raise NonFiniteInputError if any value is NaN or infinite."""
+    for v in values:
+        if not math.isfinite(v):
+            raise NonFiniteInputError(f"{what} must be finite, got {v}")
 
 
 class Side(Enum):
@@ -61,6 +70,7 @@ class PotentialSegment:
     u: float
 
     def __post_init__(self):
+        require_finite("segment bounds and level", self.x_start, self.x_end, self.u)
         if not self.x_start < self.x_end:
             raise OverlappingSegmentsError(
                 f"segment needs x_start < x_end, got [{self.x_start}, {self.x_end}]"
@@ -86,6 +96,9 @@ class PiecewisePotential:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
+        require_finite("lead levels", self.left_level, self.right_level)
+        if self.step_x is not None:
+            require_finite("step_x", self.step_x)
         if not self.segments and self.step_x is None:
             raise EmptyDomainError(
                 "empty segment list requires an explicit step_x location"
@@ -165,6 +178,8 @@ class SampledPotential:
             raise EmptyDomainError("xs and us must have equal length")
         if len(self.xs) < 2:
             raise EmptyDomainError("sampled potential needs at least two samples")
+        require_finite("lead levels", self.left_level, self.right_level)
+        require_finite("samples", *self.xs, *self.us)
         for x0, x1 in zip(self.xs, self.xs[1:]):
             if not x0 < x1:
                 raise OverlappingSegmentsError(

@@ -34,7 +34,7 @@ from .errors import (
     NonFiniteStateError,
     StepSizeUnderflowError,
 )
-from .model import ModelParams, PiecewisePotential, Potential, Side
+from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
 
 # Dormand-Prince 5(4) tableau (the classic ode45 pair).
 _C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
@@ -253,6 +253,7 @@ def integrate_impedance(
     forces accepted steps to land on those points (used to produce
     near-uniform samples for wavefunction reconstruction).
     """
+    require_finite("energy", e)
     if anchor_x == target_x:
         raise ValueError("anchor and target coincide; nothing to integrate")
     span = abs(target_x - anchor_x)

@@ -18,23 +18,27 @@ on the mirrored potential.
 
 Piecewise-constant potentials use exact layer chaining; smooth (sampled)
 potentials, or any potential when ``cfg.force_numeric`` is set, use the
-adaptive Riccati integrator with the running integral tracked.
+adaptive Riccati integrator with the running integral tracked.  An energy
+sweep over a piecewise potential chains the whole grid at once, one array
+pass per slab; points that pass flags (where a single solve raises, or
+its values are not finite) are solved again one at a time.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
-from .analytic import _chain, region_constants
+from .analytic import _chain, _chain_many, _region_constants_many, region_constants
 from .errors import (
     EvanescentIncidenceError,
     NonPositiveRealPartError,
     SolverError,
 )
-from .model import ModelParams, PiecewisePotential, Potential, Side
+from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
 from .riccati import ImpedanceTrajectory, IntegrationConfig, integrate_impedance
 
 
@@ -134,9 +138,46 @@ def solve_scattering(
     amplitudes live in the mirrored (incidence-side) frame, so R, T and
     the moduli are directly comparable between sides.
     """
+    require_finite("energy", e)
     if side is Side.RIGHT:
         return replace(_solve_left(pot.mirrored(), e, cfg, params), side=Side.RIGHT)
     return _solve_left(pot, e, cfg, params)
+
+
+def _sweep_chain(
+    pot: PiecewisePotential, es: list[float], side: Side, params: ModelParams
+) -> list[ScatteringResult | None]:
+    """``_solve_left`` over a piecewise stack for a whole energy grid.
+
+    One ``_chain_many`` pass and the lead formulas as array operations.
+    None marks each point where the scalar solve raises or where the
+    array pass is not finite; the caller solves those one at a time.
+    """
+    work = pot.mirrored() if side is Side.RIGHT else pot
+    e = np.array(es, dtype=float)
+    z1, gamma1, degenerate1 = _region_constants_many(e, work.left_level, params)
+    z2, gamma2, degenerate2 = _region_constants_many(e, work.right_level, params)
+    z_entry, growth, ok = _chain_many(work, e, z2, work.a, False, params)
+    far_propagating = e > work.right_level
+    with np.errstate(all="ignore"):
+        r = (z1 - z_entry) / (z1 + z_entry)
+        psi_b = (1.0 + r) * np.exp(1j * gamma1.imag * work.a) * growth
+        big_r = np.abs(r) ** 2
+        t = np.where(
+            far_propagating, psi_b * np.exp(-1j * gamma2.imag * work.b), psi_b
+        )
+        big_t = np.where(
+            far_propagating, (z2.real / z1.real) * np.abs(t) ** 2, 0.0
+        )
+        ok &= (e >= work.left_level) & ~degenerate1 & ~degenerate2
+        ok &= np.isfinite(r) & np.isfinite(t) & np.isfinite(big_r) & np.isfinite(big_t)
+    # positional fields, in ScatteringResult's order: keywords cost twice
+    # as much per record, which is most of a short sweep
+    rows = zip(
+        es, repeat(side), r.tolist(), t.tolist(), big_r.tolist(),
+        big_t.tolist(), z_entry.tolist(), (~far_propagating).tolist(),
+    )
+    return [ScatteringResult(*row) if good else None for row, good in zip(rows, ok.tolist())]
 
 
 def energy_sweep(
@@ -150,18 +191,28 @@ def energy_sweep(
 
     Points are independent; any point that fails with a solver error
     yields an ``EnergyPointError`` record in place so one bad energy
-    cannot poison the sweep.  Order is preserved.
+    cannot poison the sweep.  Order is preserved.  A piecewise stack
+    (without ``force_numeric``) is solved in one array pass per slab;
+    the points that pass flags are solved again one at a time, so they
+    carry exactly the records ``solve_scattering`` gives.
     """
     es = [float(v) for v in energies]
+    require_finite("energy", *es)
     for e0, e1 in zip(es, es[1:]):
         if not e0 < e1:
             raise ValueError("energy grid must be strictly ascending")
+    if isinstance(pot, PiecewisePotential) and not cfg.force_numeric:
+        batch = _sweep_chain(pot, es, side, params)
+    else:
+        batch = [None] * len(es)
     out: list[ScatteringResult | EnergyPointError] = []
-    for e in es:
-        try:
-            out.append(solve_scattering(pot, e, side, cfg, params))
-        except SolverError as exc:
-            out.append(EnergyPointError(e=e, code=exc.code, message=str(exc)))
+    for e, res in zip(es, batch):
+        if res is None:
+            try:
+                res = solve_scattering(pot, e, side, cfg, params)
+            except SolverError as exc:
+                res = EnergyPointError(e=e, code=exc.code, message=str(exc))
+        out.append(res)
     return out
 
 

@@ -23,6 +23,7 @@ Every parse failure raises SpecFileError with a dotted field path
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .errors import SpecFileError
@@ -63,7 +64,13 @@ def _as_mapping(node, path: str) -> dict:
 def _as_number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise SpecFileError(f"{path}: expected a number, got {type(node).__name__}")
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SpecFileError(f"{path}: expected a finite number, got {value}")
+    return value
 
 
 def _as_list(node, path: str) -> list:

@@ -114,6 +114,13 @@ def transfer_matrix(
     m = _junction(ks[0], ks[1])
     for i, seg in enumerate(pot.segments):
         m = _junction(ks[i + 1], ks[i + 2]) @ (_propagation(ks[i + 1], seg.length) @ m)
+    # each slab's entries can be finite while their product overflows;
+    # inf and nan never turn finite again, so one check at the end covers
+    # the running product
+    if not all(map(cmath.isfinite, (m.m11, m.m12, m.m21, m.m22))):
+        raise NonFiniteStateError(
+            f"transfer matrix product overflows across the stack at energy {e}"
+        )
     return m
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ WELL_DOC = {
         "segments": [{"x_start": 0.0, "x_end": 2.0, "u": -5.0}],
     },
 }
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 def run_cli(*args):
@@ -81,6 +85,21 @@ def test_scatter_below_lead_is_solver_error(tmp_path):
     assert "error\t" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "verb, energy",
+    [("scatter", "nan"), ("scatter", "inf"), ("profile", "nan")],
+)
+def test_non_finite_energy_is_input_error(tmp_path, verb, energy):
+    spec = write_spec(tmp_path, BARRIER_DOC)
+    proc = run_cli(verb, "--spec", spec, "--energy", energy)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error\t")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tNonFiniteInput\t")
+
+
 def test_scatter_evanescent_tail_note(tmp_path):
     doc = json.loads(json.dumps(BARRIER_DOC))
     doc["potential"]["right_level"] = 3.0
@@ -125,6 +144,31 @@ def test_sweep_degenerate_point_carries_sentinel(tmp_path):
     for row in rows[1:]:
         assert row[-1] == "-"
         assert math.isfinite(float(row[5]))
+
+
+def test_sweep_rows_match_scatter():
+    spec = str(DOCS / "barrier.json")
+    proc = run_cli("sweep", "--spec", spec, "--emin", "0.5", "--emax", "1.5",
+                   "--points", "3")
+    assert proc.returncode == 0
+    header, rows = rows_of(proc.stdout)
+    assert [r[0] for r in rows] == ["0.5", "1", "1.5"]
+    # E = 1.0 is the barrier top
+    assert rows[1][-1] == "DegenerateEnergy"
+    # the sweep's array pass rounds differently from a single solve: the
+    # rows agree to the batched-vs-scalar bound, not digit for digit
+    for row in (rows[0], rows[2]):
+        assert row[-1] == "-"
+        one = run_cli("scatter", "--spec", spec, "--energy", row[0])
+        assert one.returncode == 0
+        sheader, srows = rows_of(one.stdout)
+        assert sheader == header[:-1] and len(srows) == 1
+        got, ref = list(map(float, row[:-1])), list(map(float, srows[0]))
+        assert got[0] == ref[0]
+        for i in (1, 3):  # r and t, compared as complex numbers
+            a, b = complex(got[i], got[i + 1]), complex(ref[i], ref[i + 1])
+            assert abs(a - b) <= 1e-12 * abs(b)
+        assert got[5:] == pytest.approx(ref[5:], rel=1e-12, abs=0.0)
 
 
 def test_sweep_rejects_bad_window(tmp_path):
@@ -228,6 +272,21 @@ def test_validate_reports_all_ok(tmp_path):
 def test_validate_thick_barrier_is_solver_error(tmp_path):
     doc = json.loads(json.dumps(BARRIER_DOC))
     doc["potential"]["segments"][0]["x_end"] = 1e4
+    spec = write_spec(tmp_path, doc)
+    proc = run_cli("validate", "--spec", spec, "--energy", "0.5")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error\t")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tNonFiniteState\t")
+
+
+def test_validate_product_overflow_is_solver_error(tmp_path):
+    doc = json.loads(json.dumps(BARRIER_DOC))
+    doc["potential"]["segments"] = [
+        {"x_start": 0.0, "x_end": 500.0, "u": 1.0},
+        {"x_start": 500.0, "x_end": 1000.0, "u": 1.0},
+    ]
     spec = write_spec(tmp_path, doc)
     proc = run_cli("validate", "--spec", spec, "--energy", "0.5")
     assert proc.returncode == 3

@@ -6,6 +6,7 @@ import pytest
 from qwim.errors import (
     EmptyDomainError,
     GapBetweenSegmentsError,
+    NonFiniteInputError,
     OverlappingSegmentsError,
 )
 from qwim.model import (
@@ -122,3 +123,26 @@ def test_params_positive():
         ModelParams(hbar=0.0)
     with pytest.raises(ValueError):
         ModelParams(mass=-1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_numbers_rejected(bad):
+    with pytest.raises(NonFiniteInputError):
+        PotentialSegment(0.0, 1.0, bad)
+    with pytest.raises(NonFiniteInputError):
+        PotentialSegment(0.0, bad, 1.0)
+    with pytest.raises(NonFiniteInputError):
+        PotentialSegment(bad, 1.0, 1.0)
+    seg = PotentialSegment(0.0, 1.0, 1.0)
+    with pytest.raises(NonFiniteInputError):
+        PiecewisePotential(bad, (seg,), 0.0)
+    with pytest.raises(NonFiniteInputError):
+        PiecewisePotential(0.0, (seg,), bad)
+    with pytest.raises(NonFiniteInputError):
+        PiecewisePotential(0.0, (), 1.0, step_x=bad)
+    with pytest.raises(NonFiniteInputError):
+        SampledPotential((0.0, 1.0), (0.5, bad), 0.0, 0.0)
+    with pytest.raises(NonFiniteInputError):
+        SampledPotential((0.0, bad), (0.5, 0.5), 0.0, 0.0)
+    with pytest.raises(NonFiniteInputError):
+        SampledPotential((0.0, 1.0), (0.5, 0.5), bad, 0.0)

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from qwim import analytic, scattering
 from qwim.analytic import barrier_closed_forms, region_constants
 from qwim.errors import (
     EvanescentIncidenceError,
+    NonFiniteInputError,
     NonPositiveRealPartError,
+    SolverError,
 )
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, Side
 from qwim.riccati import IntegrationConfig, z_minus
@@ -199,6 +202,129 @@ def test_sweep_touches_resonances():
     by_e = {r.e: r for r in out if not isinstance(r, EnergyPointError)}
     for e in res_energies:
         assert by_e[e].big_t == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_energy_rejected(bad):
+    pot = barrier()
+    with pytest.raises(NonFiniteInputError):
+        solve_scattering(pot, bad)
+    with pytest.raises(NonFiniteInputError):
+        solve_scattering(pot, bad, Side.RIGHT)
+    with pytest.raises(NonFiniteInputError):
+        energy_sweep(pot, [bad])
+    with pytest.raises(NonFiniteInputError):
+        energy_sweep(pot, [0.5, 1.5, bad])
+
+
+def _deep_stack():
+    rng = np.random.default_rng(61)
+    x, segs = 0.0, []
+    for _ in range(100):
+        dl = float(rng.uniform(0.02, 0.08))
+        segs.append(PotentialSegment(x, x + dl, float(rng.uniform(-3.0, 3.0))))
+        x += dl
+    return PiecewisePotential(0.0, tuple(segs), 1.5)
+
+
+def _node_stack():
+    # at E = 1 the psi-node of the evanescent-tail solution sits exactly
+    # on the left edge: 2 cos(k l) + sqrt(2) sin(k l) = 0 with k = 2
+    length = 0.5 * (math.pi - math.atan(math.sqrt(2.0)))
+    return PiecewisePotential(0.0, (PotentialSegment(0.0, length, -1.0),), 2.0)
+
+
+def _sweep_cases(case, random_stack_instances):
+    unit = ModelParams()
+    if case == "conftest":
+        return [(pot, unit) for pot, _ in random_stack_instances]
+    if case == "deep":
+        return [(_deep_stack(), unit)]
+    if case == "thick":
+        return [(
+            PiecewisePotential(
+                0.0,
+                (
+                    PotentialSegment(0.0, 1.0, -1.0),
+                    PotentialSegment(1.0, 401.0, 2.0),
+                    PotentialSegment(401.0, 402.0, 0.5),
+                ),
+                0.3,
+            ),
+            unit,
+        )]
+    if case == "step":
+        return [(step(1.0), unit)]
+    if case == "units":
+        other = ModelParams(hbar=0.5, mass=2.0)
+        return [(barrier(), other)] + [
+            (pot, other) for pot, _ in random_stack_instances[:5]
+        ]
+    return [(_node_stack(), unit)]
+
+
+@pytest.mark.parametrize(
+    "case", ["conftest", "deep", "thick", "step", "units", "node"]
+)
+def test_energy_sweep_matches_pointwise(case, random_stack_instances, monkeypatch):
+    calls = []
+    pointwise = scattering.solve_scattering
+
+    def counted(pot, e, *args):
+        calls.append(e)
+        return pointwise(pot, e, *args)
+
+    monkeypatch.setattr(scattering, "solve_scattering", counted)
+    for pot, params in _sweep_cases(case, random_stack_instances):
+        levels = [pot.left_level, pot.right_level] + [s.u for s in pot.segments]
+        # every level, just above every level, and the node stack's pole
+        grid = np.unique(np.concatenate(
+            [np.linspace(-3.5, 8.0, 97), levels, np.add(levels, 1e-13), [1.0]]
+        ))
+        for side in (Side.LEFT, Side.RIGHT):
+            lead = pot.left_level if side is Side.LEFT else pot.right_level
+            want = []
+            for e in grid:
+                try:
+                    want.append(pointwise(pot, float(e), side, params=params))
+                except SolverError as exc:
+                    want.append(EnergyPointError(float(e), exc.code, str(exc)))
+            calls.clear()
+            got = energy_sweep(pot, grid, side, params=params)
+            # only the points the scalar solve rejects are solved again
+            assert calls == [w.e for w in want if isinstance(w, EnergyPointError)]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert type(g) is type(w)
+                if isinstance(w, EnergyPointError):
+                    assert g == w
+                    continue
+                assert (g.e, g.side, g.evanescent_tail) == (w.e, w.side, w.evanescent_tail)
+                assert abs(g.r - w.r) <= 1e-12 * abs(w.r)
+                assert abs(g.big_r - w.big_r) <= 1e-12 * w.big_r
+                assert abs(g.big_t - w.big_t) <= 1e-12 * w.big_t
+                # Z(a) passes through zero where psi' vanishes there; its
+                # rounding is relative to the lead impedance, r's scale
+                z1 = math.sqrt(2.0 * (w.e - lead) / params.mass)
+                assert abs(g.z_entry - w.z_entry) <= 1e-12 * max(abs(w.z_entry), z1)
+                # within 1e-9 of a level z = sqrt(2|E - U|/m) is below 1e-4
+                # and t loses digits
+                if min(abs(w.e - u) for u in levels) > 1e-9:
+                    assert abs(g.t - w.t) <= 1e-12 * abs(w.t)
+
+
+def test_energy_sweep_blocks_agree(monkeypatch):
+    # 100 slabs x 300 energies is one array pass; 1000 cells a pass
+    # makes 30 blocks of 10 energies
+    pot, grid = _deep_stack(), np.linspace(1.6, 6.0, 300)
+    whole = energy_sweep(pot, grid, Side.RIGHT)
+    monkeypatch.setattr(analytic, "_BATCH_CELLS", 1000)
+    split = energy_sweep(pot, grid, Side.RIGHT)
+    assert len(split) == len(whole)
+    for a, b in zip(split, whole):
+        assert a.e == b.e
+        assert abs(a.r - b.r) <= 1e-12 * abs(b.r)
+        assert abs(a.t - b.t) <= 1e-12 * abs(b.t)
 
 
 def test_current_diagnostic_free_line():

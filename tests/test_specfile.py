@@ -110,6 +110,21 @@ def test_booleans_are_not_numbers():
         parse_spec(json.dumps(doc))
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+def test_non_finite_numbers_name_the_field(token):
+    # json.loads accepts these tokens (1e999 reads as inf, a 401-digit
+    # integer has no float); the parser must not
+    text = BARRIER.replace('"x_end": 2.0', f'"x_end": {token}')
+    with pytest.raises(SpecFileError, match=r"potential.segments\[0\].x_end"):
+        parse_spec(text)
+    text = BARRIER.replace('"hbar": 1.0', f'"hbar": {token}')
+    with pytest.raises(SpecFileError, match="params.hbar"):
+        parse_spec(text)
+    text = BARRIER.replace('"left_level": 0.0', f'"left_level": {token}')
+    with pytest.raises(SpecFileError, match="potential.left_level"):
+        parse_spec(text)
+
+
 def test_malformed_json_reports_position():
     with pytest.raises(SpecFileError, match="line"):
         parse_spec("{ not json }")

@@ -117,6 +117,17 @@ def test_transfer_solve_thick_barrier_is_solver_error():
         transfer_matrix_solve(pot, 0.5)
 
 
+def test_transfer_solve_product_overflow_is_solver_error():
+    # each slab's entries (e^500) are finite, their product is not
+    pot = PiecewisePotential(
+        0.0,
+        (PotentialSegment(0.0, 500.0, 1.0), PotentialSegment(500.0, 1000.0, 1.0)),
+        0.0,
+    )
+    with pytest.raises(SolverError):
+        transfer_matrix_solve(pot, 0.5)
+
+
 def test_transfer_matrix_needs_piecewise():
     pot = SampledPotential((0.0, 1.0), (0.5, 0.5), 0.0, 0.0)
     with pytest.raises(ValueError):
