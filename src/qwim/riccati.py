@@ -9,19 +9,22 @@ the reciprocal variable W = 1/Z which obeys the regular equation
     dW/dx = i (m/hbar) - i (2/hbar) (E - U(x)) W^2
 
 and switches back (with hysteresis) once |W| has grown again.  Stepping
-is a scalar Dormand-Prince 5(4) embedded pair with standard PI-free
-error control; the potential's jump points split the range so no step
-ever straddles a discontinuity.
+is a Dormand-Prince 5(4) embedded pair with standard PI-free error
+control, unrolled for the one complex state (``_dopri_step``); the
+potential's jump points split the range so no step ever straddles a
+discontinuity.
 
-Optionally the running integral S(x) = int Z dx' from the anchor is
-carried as a second state component (same error control).  It feeds the
-wavefunction phase exp[(i m / hbar) S] and the constant-current
-diagnostic; trajectories expected to cross true poles should leave it
-off, since S has a logarithmic singularity there.
+Optionally the running integral S(x) = int Z dx' from the anchor rides
+along as a second scalar under the same error control.  Its slope at
+each stage is the stage's Z (W's reciprocal in W mode), so it costs no
+extra RHS call.  It feeds the wavefunction phase exp[(i m / hbar) S] and
+the constant-current diagnostic; trajectories expected to cross true
+poles should leave it off, since S has a logarithmic singularity there.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,29 +38,6 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
-
-# Dormand-Prince 5(4) tableau (the classic ode45 pair).
-_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-_A = (
-    (),
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-)
-_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
-# b5 - b4 error weights (7th entry applies to the FSAL stage)
-_ERR = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
-
 
 @dataclass(frozen=True)
 class IntegrationConfig:
@@ -104,32 +84,59 @@ class ImpedanceTrajectory:
         raise ValueError(f"x={x} is not a trajectory endpoint")
 
 
-def _error_norm(err, y_old, y_new, rel_tol, abs_tol) -> float:
-    norm = 0.0
-    for e, a, b in zip(err, y_old, y_new):
-        scale = abs_tol + rel_tol * max(abs(a), abs(b))
-        norm = max(norm, abs(e) / scale)
-    return norm
+def _dopri_step(g, x, y, s, h, k1, q1, track, in_w):
+    """One Dormand-Prince 5(4) step (the classic ode45 pair) of y' = g(x, y).
 
-
-def _dopri_step(f, x, y, h, f0):
-    """One embedded RK step; returns (y5, err, f_new)."""
-    k = [f0]
-    for i in range(1, 6):
-        yi = tuple(
-            y[j] + h * sum(_A[i][m] * k[m][j] for m in range(i))
-            for j in range(len(y))
-        )
-        k.append(f(x + _C[i] * h, yi))
-    y5 = tuple(
-        y[j] + h * sum(_B5[m] * k[m][j] for m in range(6)) for j in range(len(y))
+    ``y`` is the scalar state (Z, or W = 1/Z in W mode) and k1 = g(x, y).
+    With ``track`` set, s = int Z dx rides along: its slope at each stage
+    is Z there (the stage y, or 1/y in W mode), starting from q1, so it
+    costs no RHS call.  Returns (y5, s5, err_y, err_s, k7, q7): the 5th
+    order values, their b5 - b4 error estimates and the slopes at x + h,
+    which start the next step (first same as last).  Each sum runs left
+    to right along its tableau row, zero weights included, so the result
+    is bitwise that of the generic tableau loop.
+    """
+    y2 = y + h * (0.2 * k1)
+    k2 = g(x + 0.2 * h, y2)
+    y3 = y + h * (3.0 / 40.0 * k1 + 9.0 / 40.0 * k2)
+    k3 = g(x + 0.3 * h, y3)
+    y4 = y + h * (44.0 / 45.0 * k1 + -56.0 / 15.0 * k2 + 32.0 / 9.0 * k3)
+    k4 = g(x + 0.8 * h, y4)
+    y5 = y + h * (
+        19372.0 / 6561.0 * k1 + -25360.0 / 2187.0 * k2
+        + 64448.0 / 6561.0 * k3 + -212.0 / 729.0 * k4
     )
-    f_new = f(x + h, y5)
-    k.append(f_new)
-    err = tuple(
-        h * sum(_ERR[m] * k[m][j] for m in range(7)) for j in range(len(y))
+    k5 = g(x + 8.0 / 9.0 * h, y5)
+    y6 = y + h * (
+        9017.0 / 3168.0 * k1 + -355.0 / 33.0 * k2 + 46732.0 / 5247.0 * k3
+        + 49.0 / 176.0 * k4 + -5103.0 / 18656.0 * k5
     )
-    return y5, err, f_new
+    k6 = g(x + h, y6)
+    y_new = y + h * (
+        35.0 / 384.0 * k1 + 0.0 * k2 + 500.0 / 1113.0 * k3 + 125.0 / 192.0 * k4
+        + -2187.0 / 6784.0 * k5 + 11.0 / 84.0 * k6
+    )
+    k7 = g(x + h, y_new)
+    err_y = h * (
+        71.0 / 57600.0 * k1 + 0.0 * k2 + -71.0 / 16695.0 * k3 + 71.0 / 1920.0 * k4
+        + -17253.0 / 339200.0 * k5 + 22.0 / 525.0 * k6 + -1.0 / 40.0 * k7
+    )
+    if not track:
+        return y_new, s, err_y, 0j, k7, None
+    if in_w:
+        q2, q3, q4, q5, q6 = 1.0 / y2, 1.0 / y3, 1.0 / y4, 1.0 / y5, 1.0 / y6
+        q7 = 1.0 / y_new
+    else:
+        q2, q3, q4, q5, q6, q7 = y2, y3, y4, y5, y6, y_new
+    s_new = s + h * (
+        35.0 / 384.0 * q1 + 0.0 * q2 + 500.0 / 1113.0 * q3 + 125.0 / 192.0 * q4
+        + -2187.0 / 6784.0 * q5 + 11.0 / 84.0 * q6
+    )
+    err_s = h * (
+        71.0 / 57600.0 * q1 + 0.0 * q2 + -71.0 / 16695.0 * q3 + 71.0 / 1920.0 * q4
+        + -17253.0 / 339200.0 * q5 + 22.0 / 525.0 * q6 + -1.0 / 40.0 * q7
+    )
+    return y_new, s_new, err_y, err_s, k7, q7
 
 
 class _Recorder:
@@ -165,15 +172,17 @@ def _integrate_piece(
     c_pot = 2.0 / hbar
     c_imp = m / hbar
 
-    def f_z(x, y):
-        z = y[0]
-        dz = 1j * (c_pot * (e - ufunc(x)) - c_imp * z * z)
-        return (dz, z) if track else (dz,)
+    def g_z(x, z):
+        return 1j * (c_pot * (e - ufunc(x)) - c_imp * z * z)
 
-    def f_w(x, y):
-        w = y[0]
-        dw = 1j * (c_imp - c_pot * (e - ufunc(x)) * w * w)
-        return (dw, 1.0 / w) if track else (dw,)
+    def g_w(x, w):
+        return 1j * (c_imp - c_pot * (e - ufunc(x)) * w * w)
+
+    def restart(x, z, in_w):
+        """State, RHS and start slopes (k1, q1) for a fresh step from (x, Z)."""
+        y = 1.0 / z if in_w else z
+        g = g_w if in_w else g_z
+        return y, g, g(x, y), ((1.0 / y if in_w else y) if track else None)
 
     sgn = 1.0 if x1 > x0 else -1.0
     span = abs(x1 - x0)
@@ -182,17 +191,20 @@ def _integrate_piece(
     h = sgn * min(max_step, span)
     h_floor = 1e-14 * max(1.0, abs(x0), abs(x1))
     switch_back = 2.0 / cfg.pole_threshold  # hysteresis: |Z| <= threshold/2
+    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
 
-    y = ((1.0 / z if in_w else z),) + ((s,) if track else ())
-    f = f_w if in_w else f_z
-    f0 = f(x, y)
+    y, g, k1, q1 = restart(x, z, in_w)
 
     while sgn * (x1 - x) > h_floor:
         h = sgn * min(abs(h), max_step, sgn * (x1 - x))
-        y_new, err, f_new = _dopri_step(f, x, y, h, f0)
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in y_new):
+        y_new, s_new, err_y, err_s, k7, q7 = _dopri_step(
+            g, x, y, s, h, k1, q1, track, in_w
+        )
+        if not (cmath.isfinite(y_new) and cmath.isfinite(s_new)):
             raise NonFiniteStateError(f"non-finite state near x={x}")
-        norm = _error_norm(err, y, y_new, cfg.rel_tol, cfg.abs_tol)
+        norm = max(0.0, abs(err_y) / (abs_tol + rel_tol * max(abs(y), abs(y_new))))
+        if track:
+            norm = max(norm, abs(err_s) / (abs_tol + rel_tol * max(abs(s), abs(s_new))))
         if norm > 1.0:
             h *= max(0.2, 0.9 * norm ** -0.2)
             if abs(h) < h_floor:
@@ -202,16 +214,14 @@ def _integrate_piece(
         x += h
         if sgn * (x1 - x) <= h_floor:
             x = x1  # land exactly on the stop so forced grid points match
-        y, f0 = y_new, f_new
-        if in_w and y[0] == 0:
+        if in_w and y_new == 0:
             # landed exactly on a node; nudge the previous step so 1/W exists
             x = x_old
             h *= 0.97
-            y, f0 = _rewind(f, x, z, s, track, in_w)
+            y, g, k1, q1 = restart(x, z, in_w)
             continue
-        z = (1.0 / y[0]) if in_w else y[0]
-        if track:
-            s = y[1]
+        y, s, k1, q1 = y_new, s_new, k7, q7
+        z = (1.0 / y) if in_w else y
         rec.add(x, z, s)
         if norm > 0.0:
             h *= min(5.0, max(0.2, 0.9 * norm ** -0.2))
@@ -219,20 +229,11 @@ def _integrate_piece(
             h *= 5.0
         if not in_w and abs(z) >= cfg.pole_threshold:
             in_w = True
-            y = (1.0 / z,) + ((s,) if track else ())
-            f = f_w
-            f0 = f(x, y)
-        elif in_w and abs(y[0]) >= switch_back:
+            y, g, k1, q1 = restart(x, z, in_w)
+        elif in_w and abs(y) >= switch_back:
             in_w = False
-            y = (z,) + ((s,) if track else ())
-            f = f_z
-            f0 = f(x, y)
+            y, g, k1, q1 = restart(x, z, in_w)
     return z, s
-
-
-def _rewind(f, x, z, s, track, in_w):
-    y = ((1.0 / z if in_w else z),) + ((s,) if track else ())
-    return y, f(x, y)
 
 
 def integrate_impedance(

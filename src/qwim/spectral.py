@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from ._optimize import brentq, load_scipy_optimize, minimize_scalar
 from .analytic import _chain
 from .errors import (
     BracketingExhaustedError,
@@ -35,7 +35,7 @@ from .errors import (
     SolverError,
     TransformPoleError,
 )
-from .model import ModelParams, PiecewisePotential, Potential, Side
+from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
 from .riccati import (
     IntegrationConfig,
     integrate_impedance,
@@ -77,6 +77,7 @@ def impedance_mismatch(
     Bound mode applies automatically for e below both leads; otherwise
     the scattering (left-incidence) anchors are used.
     """
+    require_finite("energy and probe", e, probe_x)
     a, b = pot.a, pot.b
     if not a < probe_x < b:
         raise ValueError(f"probe {probe_x} outside the open interval ({a}, {b})")
@@ -152,6 +153,9 @@ def find_bound_states(
     For a recognizable single square well the count is cross-checked
     against the transcendental branch count.
     """
+    load_scipy_optimize()
+    if probe_x is not None:
+        require_finite("probe", probe_x)
     if isinstance(pot, PiecewisePotential):
         if not pot.segments:
             raise EmptyWindowError("a bare step supports no bound states")
@@ -261,8 +265,12 @@ def find_resonances(
     vanishes identically (no structure at all) is flagged transparent and
     returns no discrete energies.
     """
+    load_scipy_optimize()
     from .scattering import solve_scattering
 
+    require_finite("window bounds", e_min, e_max)
+    if probe_x is not None:
+        require_finite("probe", probe_x)
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
     work = pot.mirrored() if side is Side.RIGHT else pot

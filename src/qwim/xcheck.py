@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._optimize import brentq, load_scipy_optimize
 from .errors import (
     DegenerateEnergyError,
     EvanescentIncidenceError,
@@ -24,7 +24,7 @@ from .errors import (
     NonFiniteStateError,
     QuadratureDivergenceError,
 )
-from .model import ModelParams, PiecewisePotential, Potential, Side
+from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
 from .riccati import ImpedanceTrajectory
 
 # |Z| above which quadrature of Z is abandoned for the exact slab bridge
@@ -106,6 +106,7 @@ def transfer_matrix(
 ) -> TransferMatrix:
     """Full stack matrix mapping left-lead amplitudes (referenced at a)
     to right-lead amplitudes (referenced at b)."""
+    require_finite("energy", e)
     if not isinstance(pot, PiecewisePotential):
         raise ValueError("the transfer matrix needs piecewise-constant segments")
     ks = [_wavevector(e, pot.left_level, params)]
@@ -136,6 +137,7 @@ def transfer_matrix_solve(
     transmitted amplitude, which stays cancellation-free through thick
     evanescent stacks.  Right incidence is solved on the mirror image.
     """
+    require_finite("energy", e)
     if side is Side.RIGHT:
         res = transfer_matrix_solve(pot.mirrored(), e, Side.LEFT, params)
         return TransferResult(
@@ -181,6 +183,7 @@ def square_well_eigenvalues(
     bisection on the monotone branches of theta = k w/2.  Energies are
     measured from the lead level, so each lies in (-depth, 0).
     """
+    load_scipy_optimize()
     if depth <= 0 or width <= 0:
         raise ValueError("depth and width must be positive")
     hbar, m = params.hbar, params.mass

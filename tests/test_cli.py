@@ -315,3 +315,21 @@ def test_missing_spec_file_is_input_error(tmp_path):
     proc = run_cli("scatter", "--spec", str(tmp_path / "gone.json"),
                    "--energy", "2.0")
     assert proc.returncode == 2
+
+
+def test_scatter_does_not_import_scipy_optimize(tmp_path):
+    # scipy.optimize costs more to import than all of qwim; only the
+    # spectral searches and the square-well oracle load it
+    spec = write_spec(tmp_path, BARRIER_DOC)
+    code = (
+        "import sys\n"
+        "import qwim\n"
+        "from qwim import cli\n"
+        f"rc = cli.main(['scatter', '--spec', {spec!r}, '--energy', '2.0'])\n"
+        "print('scipy.optimize' in sys.modules, rc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"

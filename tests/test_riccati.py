@@ -14,15 +14,23 @@ from qwim.analytic import (
     region_constants,
 )
 from qwim.errors import EvanescentIncidenceError
-from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, Side
+from qwim.model import (
+    ModelParams,
+    PiecewisePotential,
+    PotentialSegment,
+    SampledPotential,
+    Side,
+)
 from qwim.riccati import (
     IntegrationConfig,
+    _dopri_step,
     integrate_impedance,
     left_anchor,
     right_anchor,
     z_minus,
     z_plus,
 )
+from qwim.xcheck import _cumulative_nonuniform_simpson
 
 TIGHT = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -194,3 +202,105 @@ def test_sampled_potential_smooth_integration():
     fwd = integrate_impedance(pot, e, 2.0, z2, 0.0, TIGHT)
     back = integrate_impedance(pot, e, 0.0, complex(fwd.zs[0]), 2.0, TIGHT)
     assert abs(back.zs[-1] - z2) < 1e-7
+
+
+# The generic Dormand-Prince 5(4) stepper over a tuple state, as qwim ran it
+# before the step was unrolled: the reference the unrolled step must match.
+_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+_A = (
+    (),
+    (0.2,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+)
+_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
+_ERR = (
+    71.0 / 57600.0,
+    0.0,
+    -71.0 / 16695.0,
+    71.0 / 1920.0,
+    -17253.0 / 339200.0,
+    22.0 / 525.0,
+    -1.0 / 40.0,
+)
+
+
+def _tableau_step(f, x, y, h, f0):
+    k = [f0]
+    for i in range(1, 6):
+        yi = tuple(
+            y[j] + h * sum(_A[i][m] * k[m][j] for m in range(i))
+            for j in range(len(y))
+        )
+        k.append(f(x + _C[i] * h, yi))
+    y5 = tuple(
+        y[j] + h * sum(_B5[m] * k[m][j] for m in range(6)) for j in range(len(y))
+    )
+    f_new = f(x + h, y5)
+    k.append(f_new)
+    err = tuple(
+        h * sum(_ERR[m] * k[m][j] for m in range(7)) for j in range(len(y))
+    )
+    return y5, err, f_new
+
+
+def _same_bits(a, b):
+    return repr(complex(a)) == repr(complex(b))
+
+
+@pytest.mark.parametrize("in_w", [False, True], ids=["Z", "W"])
+@pytest.mark.parametrize("track", [False, True], ids=["plain", "track"])
+@pytest.mark.parametrize("sampled", [False, True], ids=["const", "sampled"])
+def test_unrolled_step_matches_tableau_loop(in_w, track, sampled):
+    if sampled:
+        xs = np.linspace(0.0, 3.0, 31)
+        ufunc = SampledPotential(tuple(xs), tuple(1.5 * np.sin(xs) ** 2), 0.0, 0.0).u_at
+    else:
+        ufunc = lambda _x: 0.7
+    e, c_pot, c_imp = 1.3, 2.0 / 0.9, 1.1 / 0.9
+    if in_w:
+        g = lambda x, w: 1j * (c_imp - c_pot * (e - ufunc(x)) * w * w)
+    else:
+        g = lambda x, z: 1j * (c_pot * (e - ufunc(x)) - c_imp * z * z)
+
+    def f(x, y):  # the tuple RHS: s' = Z, i.e. y or 1/y
+        dy = g(x, y[0])
+        return (dy, 1.0 / y[0] if in_w else y[0]) if track else (dy,)
+
+    x, y, s = 0.4, 0.31 - 1.7j, 0.05 + 0.2j
+    state = (y, s) if track else (y,)
+    f0 = f(x, state)
+    for h in (0.3, 0.01, -0.07, 1e-5):
+        ref_y, ref_err, ref_f = _tableau_step(f, x, state, h, f0)
+        y5, s5, err_y, err_s, k7, q7 = _dopri_step(
+            g, x, y, s, h, f0[0], f0[1] if track else None, track, in_w
+        )
+        assert _same_bits(y5, ref_y[0]) and _same_bits(err_y, ref_err[0])
+        assert _same_bits(k7, ref_f[0])
+        if track:
+            assert _same_bits(s5, ref_y[1]) and _same_bits(err_s, ref_err[1])
+            assert _same_bits(q7, ref_f[1])
+        else:
+            assert s5 == s and q7 is None
+
+
+@pytest.mark.parametrize(
+    "e, pole_threshold", [(0.5, 1e3), (1.5, 1e3), (3.0, 1e3), (3.0, 2.0)]
+)
+def test_tracked_integral_matches_quadrature_of_z(e, pole_threshold):
+    # S(x) = int_b^x Z dx' rides along with the step; check it against an
+    # independent quadrature of the returned Z samples.  At E = 3 a
+    # threshold of 2 puts most of the range in W mode, where S's slope
+    # is 1/W.
+    xs = np.linspace(0.0, 6.0, 101)
+    pot = SampledPotential(tuple(xs), tuple(2.0 * np.exp(-((xs - 3.0) ** 2))), 0.0, 0.0)
+    cfg = IntegrationConfig(pole_threshold=pole_threshold)
+    grid = np.linspace(0.0, 6.0, 241)
+    traj = z_minus(pot, e, cfg=cfg, track_integral=True, grid=grid)
+    cum = _cumulative_nonuniform_simpson(traj.xs, traj.zs)
+    want = cum - cum[-1]  # the anchor is b, the last sample
+    s = traj.z_integral
+    assert s[-1] == 0
+    assert np.max(np.abs(s - want)) < 1e-6 * np.max(np.abs(s))

@@ -10,6 +10,7 @@ from qwim.errors import (
     BracketingExhaustedError,
     EmptyWindowError,
     EvanescentIncidenceError,
+    NonFiniteInputError,
 )
 from qwim.model import PiecewisePotential, PotentialSegment, SampledPotential
 from qwim.riccati import IntegrationConfig
@@ -221,3 +222,34 @@ def test_asymmetric_double_barrier_has_no_exact_resonance():
     res = find_resonances(pot, 0.1, 5.0)
     assert res.energies == []
     assert not res.transparent
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: impedance_mismatch(well(), bad, 1.0),
+        lambda bad: impedance_mismatch(well(), -2.0, bad),
+        lambda bad: impedance_mismatch(
+            well(), bad, 1.0, IntegrationConfig(force_numeric=True)
+        ),
+        lambda bad: find_bound_states(well(), probe_x=bad),
+        lambda bad: find_resonances(barrier(), bad, 5.0),
+        lambda bad: find_resonances(barrier(), 0.5, bad),
+        lambda bad: find_resonances(barrier(), 0.5, 5.0, probe_x=bad),
+    ],
+    ids=[
+        "mismatch-energy",
+        "mismatch-probe",
+        "mismatch-numeric",
+        "bound-probe",
+        "resonance-low",
+        "resonance-high",
+        "resonance-probe",
+    ],
+)
+def test_non_finite_inputs_rejected(call, bad):
+    # a NaN or infinity is an input error, never a NaN mismatch or a raw
+    # ValueError from the window and probe comparisons
+    with pytest.raises(NonFiniteInputError):
+        call(bad)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from qwim.analytic import barrier_closed_forms, region_constants, step_reflection
-from qwim.errors import InsufficientSamplesError, SolverError
+from qwim.errors import InsufficientSamplesError, NonFiniteInputError, SolverError
 from qwim.model import (
     ModelParams,
     PiecewisePotential,
     PotentialSegment,
     SampledPotential,
+    Side,
 )
 from qwim.riccati import IntegrationConfig, z_minus, z_plus
 from qwim.xcheck import (
@@ -306,3 +307,13 @@ def test_residual_reconstructed_scattering_state():
         xs=prof.xs[idx], psi=prof.psi[idx], normalization=prof.normalization
     )
     assert schrodinger_residual(sub, pot, e) < 1e-5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_transfer_matrix_rejects_non_finite_energy(bad):
+    # an input error, not EvanescentIncidence "energy nan below incidence lead"
+    with pytest.raises(NonFiniteInputError):
+        transfer_matrix(well(), bad)
+    for side in Side:
+        with pytest.raises(NonFiniteInputError):
+            transfer_matrix_solve(well(), bad, side)
