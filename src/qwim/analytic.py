@@ -24,8 +24,9 @@ walker, ``_chain``, strings those steps across a piecewise stack; the
 piecewise scattering solve and the spectral mismatch both use it.
 ``_chain_many`` is its array twin for a whole energy grid: one array
 pass per slab, with an ``ok`` mask marking the energies where the
-scalar walk would raise; piecewise energy sweeps use it and solve the
-flagged energies again one at a time.
+scalar walk would raise.  Piecewise energy sweeps and the scan grids of
+the spectral searches use it, and handle the flagged energies again one
+at a time.
 
 Apart from those array twins everything here is exact scalar complex
 arithmetic; the adaptive Riccati integrator in :mod:`qwim.riccati` is

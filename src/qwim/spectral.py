@@ -16,6 +16,9 @@ located as minima of |D|^2.
 Roots and minima are probe-point independent, which the tests exploit.
 Piecewise potentials evaluate D by exact layer chaining; sampled
 potentials (or ``cfg.force_numeric``) integrate the Riccati equation.
+On a piecewise potential the scan grid that brackets roots and minima
+is chained in one array pass per slab (``_mismatch_many``); the
+refinement of each bracket evaluates D one energy at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from ._optimize import brentq, load_scipy_optimize, minimize_scalar
-from .analytic import _chain
+from .analytic import _chain, _chain_many, _region_constants_many
 from .errors import (
     BracketingExhaustedError,
     EmptyWindowError,
@@ -96,6 +99,50 @@ def impedance_mismatch(
     return zp - zm
 
 
+def _mismatch_many(
+    pot: Potential,
+    es,
+    probe_x: float,
+    cfg: IntegrationConfig,
+    params: ModelParams,
+) -> list[complex | None]:
+    """``impedance_mismatch`` at each energy of ``es``; None where it
+    raises a SolverError.
+
+    A piecewise potential (without ``force_numeric``) is chained from
+    both ends to the probe in one array pass per slab.  Every energy
+    where either chain would raise, a lead is degenerate or D is not
+    finite is computed again by ``impedance_mismatch`` itself, so the
+    energies dropped are exactly those a point-by-point scan drops.
+    """
+    out: list[complex | None] = [None] * len(es)
+    redo = range(len(es))
+    # a probe that is not a finite interior point takes the scalar loop,
+    # which raises for it as impedance_mismatch does
+    if (
+        isinstance(pot, PiecewisePotential)
+        and not cfg.force_numeric
+        and pot.a < probe_x < pot.b
+    ):
+        e = np.array(es, dtype=float)
+        z1, _, degenerate1 = _region_constants_many(e, pot.left_level, params)
+        z2, _, degenerate2 = _region_constants_many(e, pot.right_level, params)
+        z_a = np.where(e < pot.left_level, -z1, z1)
+        zp, _, ok_p = _chain_many(pot, e, z_a, probe_x, True, params)
+        zm, _, ok_m = _chain_many(pot, e, z2, probe_x, False, params)
+        with np.errstate(all="ignore"):
+            d = zp - zm
+            ok = ok_p & ok_m & ~degenerate1 & ~degenerate2 & np.isfinite(d)
+        out = d.tolist()
+        redo = np.flatnonzero(~ok).tolist()
+    for i in redo:
+        try:
+            out[i] = impedance_mismatch(pot, es[i], probe_x, cfg, params)
+        except SolverError:
+            out[i] = None
+    return out
+
+
 def _default_probe(pot: Potential) -> float:
     a, b = pot.a, pot.b
     x0 = 0.5 * (a + b)
@@ -147,9 +194,11 @@ def find_bound_states(
 
     Scans Im D(E) on a uniform grid (plus a geometric refinement toward
     the window ceiling, where arbitrarily shallow states accumulate),
-    brackets sign changes, refines each by Brent's method and keeps roots
-    whose mismatch residual is below ROOT_TOL.  Sign flips caused by
-    poles of D rather than roots fail the residual test and are dropped.
+    evaluated in one array pass per slab on a piecewise potential.  It
+    brackets sign changes, refines each by Brent's method, one scalar
+    mismatch per iterate, and keeps roots whose mismatch residual is
+    below ROOT_TOL.  Sign flips caused by poles of D rather than roots
+    fail the residual test and are dropped.
     For a recognizable single square well the count is cross-checked
     against the transcendental branch count.
     """
@@ -174,16 +223,13 @@ def find_bound_states(
     grid.extend(ceil - width * 10.0 ** (-j) for j in range(3, 15))
     grid = sorted(set(grid))
 
-    def eval_d(e: float, probe: float):
-        try:
-            return impedance_mismatch(pot, e, probe, cfg, params).imag
-        except SolverError:
-            return None
-
     probes = _probe_candidates(pot, probe_x)
     probe = probes[0]
-    scan = [(e, eval_d(e, probe)) for e in grid]
-    scan = [(e, d) for e, d in scan if d is not None]
+    scan = [
+        (e, d.imag)
+        for e, d in zip(grid, _mismatch_many(pot, grid, probe, cfg, params))
+        if d is not None
+    ]
 
     roots: list[float] = []
     residuals: list[float] = []
@@ -259,11 +305,12 @@ def find_resonances(
 ) -> SpectrumResult:
     """Full-transmission energies inside (e_min, e_max].
 
-    Scans |D(E)|, refines each strict local minimum by bounded
-    minimization of |D|^2, and accepts energies where |D| < RESONANCE_TOL
-    and, as an independent cross-check, R < 1e-8.  A window in which R
-    vanishes identically (no structure at all) is flagged transparent and
-    returns no discrete energies.
+    Scans |D(E)| (one array pass per slab on a piecewise potential),
+    refines each strict local minimum by bounded minimization of |D|^2,
+    one scalar mismatch per iterate, and accepts energies where
+    |D| < RESONANCE_TOL and, as an independent cross-check, R < 1e-8.
+    A window in which R vanishes identically (no structure at all) is
+    flagged transparent and returns no discrete energies.
     """
     load_scipy_optimize()
     from .scattering import solve_scattering
@@ -310,8 +357,11 @@ def find_resonances(
         )
 
     grid = np.linspace(e_min, e_max, scan_points + 1)[1:]
-    scan = [(e, mismatch(e)) for e in grid]
-    scan = [(e, d) for e, d in scan if d is not None]
+    scan = [
+        (e, abs(d))
+        for e, d in zip(grid, _mismatch_many(work, grid, probe, cfg, params))
+        if d is not None
+    ]
 
     energies: list[float] = []
     residuals: list[float] = []

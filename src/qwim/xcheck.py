@@ -170,6 +170,13 @@ def transfer_matrix_solve(
     )
 
 
+def _check_square_well(depth: float, width: float) -> None:
+    """Both oracles take a finite, positive depth and width."""
+    require_finite("depth and width", depth, width)
+    if depth <= 0 or width <= 0:
+        raise ValueError("depth and width must be positive")
+
+
 def square_well_eigenvalues(
     depth: float, width: float, params: ModelParams = ModelParams()
 ) -> list[float]:
@@ -183,9 +190,8 @@ def square_well_eigenvalues(
     bisection on the monotone branches of theta = k w/2.  Energies are
     measured from the lead level, so each lies in (-depth, 0).
     """
+    _check_square_well(depth, width)
     load_scipy_optimize()
-    if depth <= 0 or width <= 0:
-        raise ValueError("depth and width must be positive")
     hbar, m = params.hbar, params.mass
     theta0 = 0.5 * width * math.sqrt(2.0 * m * depth) / hbar
 
@@ -219,6 +225,7 @@ def square_well_eigenvalues(
 def square_well_state_count(depth: float, width: float,
                             params: ModelParams = ModelParams()) -> int:
     """Number of bound states, counted from the transcendental branches."""
+    _check_square_well(depth, width)
     theta0 = 0.5 * width * math.sqrt(2.0 * params.mass * depth) / params.hbar
     return int(math.floor(2.0 * theta0 / math.pi)) + 1
 

@@ -1,22 +1,28 @@
 """Bound-state and resonance search through the impedance matching condition."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from qwim import spectral
 from qwim.errors import (
     BracketingExhaustedError,
     EmptyWindowError,
     EvanescentIncidenceError,
     NonFiniteInputError,
+    SolverError,
 )
-from qwim.model import PiecewisePotential, PotentialSegment, SampledPotential
+from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential
 from qwim.riccati import IntegrationConfig
+from qwim.specfile import load_spec
 from qwim.spectral import (
     ROOT_TOL,
     SpectrumKind,
+    _mismatch_many,
+    _probe_candidates,
     find_bound_states,
     find_resonances,
     impedance_mismatch,
@@ -149,10 +155,83 @@ def test_sampled_well_close_to_sharp_well():
 
 
 def test_undersampled_scan_reports_miss():
+    pot = well(30.0, 4.0)
     with pytest.raises(BracketingExhaustedError) as exc:
-        find_bound_states(well(30.0, 4.0), scan_points=3)
+        find_bound_states(pot, scan_points=3)
     assert len(exc.value.energies) > 0
     assert len(exc.value.mismatches) == len(exc.value.energies)
+    # the profile is the batched scan; it reads as the scalar Im D would
+    probe = _probe_candidates(pot, None)[0]
+    for e, d in zip(exc.value.energies, exc.value.mismatches):
+        want = impedance_mismatch(pot, e, probe).imag
+        assert abs(d - want) <= 1e-11 * max(abs(want), 1.0)
+
+
+def _scalar_mismatch_many(pot, es, probe_x, cfg, params):
+    """The point-by-point scan that _mismatch_many replaces."""
+    out = []
+    for e in es:
+        try:
+            out.append(impedance_mismatch(pot, e, probe_x, cfg, params))
+        except SolverError:
+            out.append(None)
+    return out
+
+
+def test_mismatch_many_matches_scalar(random_stack_instances):
+    # bound (E < 0) and scattering energies, every level (degenerate
+    # slabs and leads) and level + 1e-13 (nearly so), at each probe
+    cfg, params = IntegrationConfig(), ModelParams()
+    grid = np.linspace(-3.5, 8.0, 401).tolist()
+    for pot, _ in random_stack_instances:
+        levels = {pot.left_level, pot.right_level, *(s.u for s in pot.segments)}
+        es = sorted({*grid, *levels, *(u + 1e-13 for u in levels)})
+        for probe in _probe_candidates(pot, None):
+            got = _mismatch_many(pot, es, probe, cfg, params)
+            want = _scalar_mismatch_many(pot, es, probe, cfg, params)
+            for e, d, w in zip(es, got, want):
+                # None exactly where the scalar mismatch raises
+                assert (d is None) == (w is None), (pot, probe, e, d, w)
+                if w is not None:
+                    assert abs(d - w) <= 1e-11 * max(abs(w), 1.0), (pot, probe, e, d, w)
+
+
+def _outcome(call):
+    try:
+        res = call()
+    except SolverError as exc:
+        return type(exc), str(exc)
+    return res.energies, res.residuals
+
+
+_DOCS = Path(__file__).resolve().parents[1] / "docs"
+
+
+def test_spectra_match_scalar_scan(random_wells, monkeypatch):
+    # the scan only brackets; the scalar refinement picks the digits, so
+    # the batched scan must give the very energies and residuals
+    docs_barrier = load_spec(str(_DOCS / "barrier.json")).potential
+    double_barrier = PiecewisePotential(
+        0.0,
+        (
+            PotentialSegment(0.0, 1.0, 10.0),
+            PotentialSegment(1.0, 3.0, 0.0),
+            PotentialSegment(3.0, 4.0, 10.0),
+        ),
+        0.0,
+    )
+    wells = [well(depth, width) for depth, width in random_wells]
+    wells.append(load_spec(str(_DOCS / "well.json")).potential)
+    calls = [lambda pot=pot: find_bound_states(pot) for pot in wells]
+    calls += [
+        lambda: find_resonances(docs_barrier, 1.0, 13.0),
+        lambda: find_resonances(double_barrier, 1.0, 13.0),
+    ]
+    batched = [_outcome(call) for call in calls]
+    monkeypatch.setattr(spectral, "_mismatch_many", _scalar_mismatch_many)
+    scalar = [_outcome(call) for call in calls]
+    assert batched == scalar
+    assert all(len(energies) > 0 for energies, _ in batched)
 
 
 def test_resonance_comb_single_barrier():

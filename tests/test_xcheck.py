@@ -167,6 +167,26 @@ def test_well_eigenvalues_ordered_inside_window():
     assert all(-12.0 < e < 0.0 for e in got)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["depth", "width"])
+@pytest.mark.parametrize("oracle", [square_well_eigenvalues, square_well_state_count])
+def test_well_oracles_reject_non_finite(oracle, which, bad):
+    # unchecked, a NaN or infinite depth spins the branch scan forever,
+    # and a NaN reaches int() as a raw ValueError in the state count
+    args = {"depth": 5.0, "width": 2.0}
+    args[which] = bad
+    with pytest.raises(NonFiniteInputError):
+        oracle(**args)
+
+
+@pytest.mark.parametrize("depth, width", [(0.0, 2.0), (-5.0, 2.0), (5.0, 0.0), (5.0, -2.0)])
+def test_well_state_count_needs_positive_well(depth, width):
+    with pytest.raises(ValueError, match="positive"):
+        square_well_state_count(depth, width)
+    with pytest.raises(ValueError, match="positive"):
+        square_well_eigenvalues(depth, width)
+
+
 def test_reconstruct_free_line_plane_wave():
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 3.0, 0.0),), 0.0)
     e = 2.0
