@@ -17,12 +17,13 @@ With that branch the decaying-tail boundary values are Z(a) = -z1 on the
 left and Z(b) = +z2 on the right, and Z = +z / -z are the attractors of
 leftward / rightward integration through an evanescent region.
 
-One slab step, ``_slab``, maps Z(x) to Z(x + dx) and returns the psi
-ratio across the step from the same denominator; ``propagate_impedance``,
+One slab step, ``_slab``, maps Z(x) to Z(x + dx) and gives the psi
+ratio across the step over the same denominator; ``propagate_impedance``,
 ``layer_transform`` and ``psi_growth_factor`` are views of it.  One
-walker, ``_chain``, strings those steps across a piecewise stack; the
-piecewise scattering solve and the spectral mismatch both use it.
-``_chain_many`` is its array twin for a whole energy grid: one array
+walker, ``_chain``, strings those steps across a piecewise stack and
+returns its last step undivided, so a psi-node at the end point is no
+error; the piecewise scattering solve and the spectral matching both use
+it.  ``_chain_many`` is its array twin for a whole energy grid: one array
 pass per slab, with an ``ok`` mask marking the energies where the
 scalar walk would raise.  Piecewise energy sweeps and the scan grids of
 the spectral searches use it, and handle the flagged energies again one
@@ -44,14 +45,15 @@ import numpy as np
 from .errors import (
     DegenerateEnergyError,
     EvanescentIncidenceError,
+    NonFiniteStateError,
     PoleAtXError,
     TransformPoleError,
 )
-from .model import ModelParams, PiecewisePotential
+from .model import ModelParams, PiecewisePotential, require_finite
 
 # E is degenerate with U when |E - U| <= EPS_DEGENERATE * max(|E|, |U|).
 EPS_DEGENERATE = 1e-12
-# Pole guards for tanh evaluation and layer-transform denominators.
+# Pole guard for closed-form tanh evaluation.
 EPS_POLE = 1e-10
 # Algebraic identities (composition, closed-form agreement) hold to this.
 TOL_ALG = 1e-10
@@ -131,7 +133,8 @@ def region_constants(e: float, u: float, params: ModelParams = ModelParams()) ->
 
     Raises DegenerateEnergyError when e and u coincide to relative
     EPS_DEGENERATE: both z and gamma vanish there and the tanh family
-    degenerates.
+    degenerates.  Raises NonFiniteStateError when z or gamma overflows
+    (a finite level such as -1e308).
     """
     de = e - u
     if abs(de) <= EPS_DEGENERATE * max(abs(e), abs(u)):
@@ -142,6 +145,9 @@ def region_constants(e: float, u: float, params: ModelParams = ModelParams()) ->
     else:
         z = complex(0.0, math.sqrt(-2.0 * de / m))
     gamma = 1j * (m / params.hbar) * z
+    if not (cmath.isfinite(z) and cmath.isfinite(gamma)):
+        require_finite("energy and level", e, u)
+        raise NonFiniteStateError(f"energy {e} against level {u} overflows z")
     return RegionConstants(z=z, gamma=gamma, e=e, u=u, params=params)
 
 
@@ -182,39 +188,55 @@ def phase_from_impedance(rc: RegionConstants, x: float, z_val: complex) -> Phase
     return PhaseConstant.finite(phi)
 
 
-def _slab(rc: RegionConstants, z_at: complex, dx: float) -> tuple[complex, complex]:
+def _slab(rc: RegionConstants, z_at: complex, dx: float) -> tuple[complex, complex, complex]:
     """One step of dx (either sign) inside a constant region.
 
-    Returns (Z(x + dx), psi(x) / psi(x + dx)) given Z(x).  With
-    g = gamma dx both follow from the tanh addition law and share one
-    denominator,
+    Returns (num, den, f) given Z(x), with Z(x + dx) = num / den and
+    psi(x) / psi(x + dx) = f / den.  With g = gamma dx both follow from
+    the tanh addition law and share one denominator,
 
-        Z(x + dx) = z (Z cosh g + z sinh g) / den,
-        psi(x) / psi(x + dx) = z / den,   den = z cosh g + Z sinh g,
+        num = z (Z cosh g + z sinh g),   den = z cosh g + Z sinh g,
+        f = z,
 
-    so a vanishing den (a psi-node at x + dx) raises for both.  Thick
-    evanescent steps divide through by the dominant exponential first,
-    so cosh/sinh never overflow.
+    so den -> 0 is a psi-node at x + dx; ``_divide`` raises only where
+    den is exactly zero.  Thick evanescent steps divide all three through
+    by the dominant exponential first, so cosh/sinh never overflow.
     """
     g = rc.gamma * dx
     if abs(g.real) > _SATURATION_CUT:
         th = 1.0 if g.real > 0 else -1.0
-        t1, t2 = rc.z, z_at * th
-        num = rc.z * (z_at + rc.z * th)
-        # this den is the full one times 2 exp(-th g); undo that for psi
-        ratio_num = 2.0 * rc.z * cmath.exp(-th * g)
+        c1, c2 = 1.0, th
+        # num, den and f are the full ones times 2 exp(-th g)
+        f = 2.0 * rc.z * cmath.exp(-th * g)
     else:
-        ch = cmath.cosh(g)
-        sh = cmath.sinh(g)
-        t1, t2 = rc.z * ch, z_at * sh
-        num = rc.z * (z_at * ch + rc.z * sh)
-        ratio_num = rc.z
-    den = t1 + t2
-    if abs(den) < EPS_POLE * max(abs(t1), abs(t2), 1e-300):
-        raise TransformPoleError(
-            f"impedance pole while propagating across dx={dx}"
-        )
-    return num / den, ratio_num / den
+        c1, c2 = cmath.cosh(g), cmath.sinh(g)
+        f = rc.z
+    return rc.z * (z_at * c1 + rc.z * c2), rc.z * c1 + z_at * c2, f
+
+
+def _divide(x: complex, den: complex) -> complex:
+    """x / den for a slab step's num or f; raises TransformPoleError only
+    where den is exactly zero (a psi-node at the step's end)."""
+    if den == 0:
+        raise TransformPoleError("impedance pole: psi-node at the end of a slab step")
+    return x / den
+
+
+def _steps(pot: PiecewisePotential, x_to: float, from_left: bool) -> list[tuple[float, float]]:
+    """(level, dx) of each slab step from the anchor (a if ``from_left``,
+    else b) to x_to; the slab holding x_to is a partial step."""
+    steps = []
+    if from_left:
+        for seg in pot.segments:
+            if seg.x_start >= x_to:
+                break
+            steps.append((seg.u, min(seg.x_end, x_to) - seg.x_start))
+    else:
+        for seg in reversed(pot.segments):
+            if seg.x_end <= x_to:
+                break
+            steps.append((seg.u, max(seg.x_start, x_to) - seg.x_end))
+    return steps
 
 
 def _chain(
@@ -224,35 +246,22 @@ def _chain(
     x_to: float,
     from_left: bool,
     params: ModelParams,
-) -> tuple[complex, complex]:
+) -> tuple[complex, complex, complex]:
     """Carry an impedance anchored at one end of a piecewise stack to x_to.
 
-    The anchor is a (``from_left``) or b; every slab between it and x_to
-    is one ``_slab`` step, the slab holding x_to a partial one.  Returns
-    (Z(x_to), psi(anchor) / psi(x_to)).
+    One ``_slab`` step per slab of ``_steps``.  Returns the last step
+    undivided, (num, den, r): Z(x_to) = num / den and
+    psi(anchor) / psi(x_to) = r / den, so a psi-node at x_to is no error.
+    Raises NonFiniteStateError where a value overflows.
     """
-    z, ratio = z_anchor, 1.0 + 0j
-    if from_left:
-        for seg in pot.segments:
-            if seg.x_end <= x_to:
-                dx = seg.length
-            elif seg.x_start < x_to:
-                dx = x_to - seg.x_start
-            else:
-                break
-            z, f = _slab(region_constants(e, seg.u, params), z, dx)
-            ratio *= f
-    else:
-        for seg in reversed(pot.segments):
-            if seg.x_start >= x_to:
-                dx = -seg.length
-            elif seg.x_end > x_to:
-                dx = x_to - seg.x_end
-            else:
-                break
-            z, f = _slab(region_constants(e, seg.u, params), z, dx)
-            ratio *= f
-    return z, ratio
+    num, den, r = z_anchor, 1.0, 1.0
+    for u, dx in _steps(pot, x_to, from_left):
+        z, ratio = _divide(num, den), r / den
+        num, den, f = _slab(region_constants(e, u, params), z, dx)
+        r = ratio * f
+    if not (cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(r)):
+        raise NonFiniteStateError(f"layer chain overflows at energy {e}")
+    return num, den, r
 
 
 def _region_constants_many(
@@ -262,13 +271,15 @@ def _region_constants_many(
 
     Same arithmetic and branch as the scalar form; ``u`` may be a column
     of levels, giving one row per level.  ``degenerate`` marks where the
-    scalar form raises; z and gamma vanish there.
+    scalar form raises DegenerateEnergyError; z and gamma vanish there.
+    Where the scalar form overflows, z and gamma are not finite.
     """
-    de = es - u
-    degenerate = np.abs(de) <= EPS_DEGENERATE * np.maximum(np.abs(es), np.abs(u))
-    # the principal root of (negative real + 0j) is +i sqrt(|x|): z's branch
-    z = np.sqrt(2.0 * de / params.mass + 0j)
-    return z, 1j * (params.mass / params.hbar) * z, degenerate
+    with np.errstate(all="ignore"):
+        de = es - u
+        degenerate = np.abs(de) <= EPS_DEGENERATE * np.maximum(np.abs(es), np.abs(u))
+        # the principal root of (negative real + 0j) is +i sqrt(|x|): z's branch
+        z = np.sqrt(2.0 * de / params.mass + 0j)
+        return z, 1j * (params.mass / params.hbar) * z, degenerate
 
 
 def _chain_many(
@@ -278,43 +289,22 @@ def _chain_many(
     x_to: float,
     from_left: bool,
     params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_chain`` over an energy array: (Z(x_to), psi(anchor)/psi(x_to), ok).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_chain`` over an energy array: (num, den, r, ok).
 
     The slab constants, cosh/sinh and the saturated-branch factors of
     every slab crossed come from one array pass; the slab-to-slab
     recurrence is then a few array operations per slab, with ``_slab``'s
-    numerator and shared denominator.  ``ok`` is False wherever the
-    scalar walk raises (energy degenerate with a crossed slab, pole in a
-    denominator) or gives a non-finite value; those entries mean nothing.
-    Energies are taken in blocks of at most _BATCH_CELLS slab-energy
-    pairs, which bounds the temporaries.
+    arithmetic.  ``ok`` is False wherever the scalar walk raises (energy
+    degenerate with a crossed slab, a zero denominator short of x_to, a
+    value that is not finite); those entries mean nothing.  Energies are
+    taken in blocks of at most _BATCH_CELLS slab-energy pairs, which
+    bounds the temporaries.
     """
-    us, dxs = [], []
-    if from_left:
-        for seg in pot.segments:
-            if seg.x_end <= x_to:
-                dx = seg.length
-            elif seg.x_start < x_to:
-                dx = x_to - seg.x_start
-            else:
-                break
-            us.append(seg.u)
-            dxs.append(dx)
-    else:
-        for seg in reversed(pot.segments):
-            if seg.x_start >= x_to:
-                dx = -seg.length
-            elif seg.x_end > x_to:
-                dx = x_to - seg.x_end
-            else:
-                break
-            us.append(seg.u)
-            dxs.append(dx)
-    u = np.array(us, dtype=float)[:, None]
-    dx = np.array(dxs, dtype=float)[:, None]
+    steps = _steps(pot, x_to, from_left)
+    u, dx = np.array(steps, dtype=float).reshape(-1, 2).T[..., None]
     z_anchor = np.broadcast_to(np.asarray(z_anchor, dtype=complex), es.shape)
-    block = max(1, _BATCH_CELLS // max(1, len(us)))
+    block = max(1, _BATCH_CELLS // max(1, len(steps)))
     parts = [
         _slabs_many(u, dx, es[i:i + block], z_anchor[i:i + block], params)
         for i in range(0, max(1, len(es)), block)
@@ -330,25 +320,21 @@ def _slabs_many(u, dx, es, z, params):
         sat = np.abs(g.real) > _SATURATION_CUT
         th = np.sign(g.real) * sat
         g_cut = np.where(sat, 0.0, g)  # keeps cosh/sinh finite where unused
-        # _slab's saturated branch divides den through by exp(|Re g|) / 2:
-        # cosh -> 1, sinh -> th, and the psi ratio gains 2 exp(-th g)
+        # _slab's saturated branch divides through by exp(|Re g|) / 2:
+        # cosh -> 1, sinh -> th, and f gains 2 exp(-th g)
         c1 = np.where(sat, 1.0, np.cosh(g_cut))
         c2 = np.where(sat, th, np.sinh(g_cut))
-        t1, zc2 = zs * c1, zs * c2
-        ratio_num = np.where(sat, 2.0 * zs * np.exp(-th * g), zs)
-        t2 = np.empty_like(t1)
-        den = np.empty_like(t1)
-        ratio = np.ones(es.shape, dtype=complex)
+        zc1, zc2 = zs * c1, zs * c2
+        f = np.where(sat, 2.0 * zs * np.exp(-th * g), zs)
+        num, den, r = z, np.ones_like(z), np.ones_like(z)
         for i in range(len(zs)):
-            np.multiply(z, c2[i], out=t2[i])
-            np.add(t1[i], t2[i], out=den[i])
-            z = zs[i] * (z * c1[i] + zc2[i]) / den[i]
-            ratio *= ratio_num[i] / den[i]
-        pole = np.abs(den) < EPS_POLE * np.maximum(
-            np.maximum(np.abs(t1), np.abs(t2)), 1e-300
-        )
-        ok = ~(degenerate | pole).any(axis=0) & np.isfinite(z) & np.isfinite(ratio)
-    return z, ratio, ok
+            z, ratio = num / den, r / den
+            num = zs[i] * (z * c1[i] + zc2[i])
+            den = zc1[i] + z * c2[i]
+            r = ratio * f[i]
+        ok = ~degenerate.any(axis=0) & np.isfinite(num) & np.isfinite(den)
+        ok &= np.isfinite(r)
+    return num, den, r, ok
 
 
 def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> complex:
@@ -357,7 +343,7 @@ def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> comple
     The impedance half of ``_slab``: tanh addition law, saturated form
     for thick evanescent slabs.
     """
-    return _slab(rc, z_at, dx)[0]
+    return _divide(*_slab(rc, z_at, dx)[:2])
 
 
 def layer_transform(rc: RegionConstants, z_far: complex, length: float) -> complex:
@@ -374,7 +360,7 @@ def layer_transform(rc: RegionConstants, z_far: complex, length: float) -> compl
     """
     if not length > 0.0:
         raise ValueError("layer_transform needs a strictly positive length")
-    return _slab(rc, z_far, -length)[0]
+    return _divide(*_slab(rc, z_far, -length)[:2])
 
 
 def psi_growth_factor(rc: RegionConstants, z_exit: complex, length: float) -> complex:
@@ -389,7 +375,8 @@ def psi_growth_factor(rc: RegionConstants, z_exit: complex, length: float) -> co
     the layer transform's denominator: a finite entry impedance
     guarantees a well-conditioned factor).
     """
-    return _slab(rc, z_exit, -length)[1]
+    _, den, f = _slab(rc, z_exit, -length)
+    return _divide(f, den)
 
 
 def _psi_growth_entry(rc: RegionConstants, z_entry: complex, length: float) -> complex:

@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="bound-state spectrum")
     add_common(p)
     p.add_argument("--probe-x", type=float, default=None,
-                   help="matching point (defaults to the interval midpoint)")
+                   help="Wronskian matching point (default: the interval midpoint)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("resonances", help="full-transmission energies")

@@ -101,20 +101,19 @@ class PiecewisePotential:
             require_finite("step_x", self.step_x)
         if not self.segments and self.step_x is None:
             raise EmptyDomainError(
-                "empty segment list requires an explicit step_x location"
+                "segments: empty list requires an explicit step_x location"
             )
-        prev = None
-        for seg in self.segments:
-            if prev is not None:
-                if seg.x_start - prev.x_end > JOIN_TOL:
-                    raise GapBetweenSegmentsError(
-                        f"gap between segments at x={prev.x_end} and x={seg.x_start}"
-                    )
-                if prev.x_end - seg.x_start > JOIN_TOL:
-                    raise OverlappingSegmentsError(
-                        f"segments overlap near x={seg.x_start}"
-                    )
-            prev = seg
+        for i, (prev, seg) in enumerate(zip(self.segments, self.segments[1:]), 1):
+            if seg.x_start - prev.x_end > JOIN_TOL:
+                raise GapBetweenSegmentsError(
+                    f"segments[{i}]: gap before this segment (previous ends "
+                    f"at {prev.x_end}, this starts at {seg.x_start})"
+                )
+            if prev.x_end - seg.x_start > JOIN_TOL:
+                raise OverlappingSegmentsError(
+                    f"segments[{i}]: overlaps the previous segment (previous "
+                    f"ends at {prev.x_end}, this starts at {seg.x_start})"
+                )
 
     @property
     def a(self) -> float:

@@ -90,19 +90,21 @@ def _solve_left(
 
     analytic = isinstance(pot, PiecewisePotential) and not cfg.force_numeric
     if analytic or a == b:
-        z_entry, growth = _chain(pot, e, z_far, a, False, params)
+        num, den, ratio = _chain(pot, e, z_far, a, False, params)
     else:
         traj = integrate_impedance(
             pot, e, b, z_far, a, cfg, params, track_integral=True
         )
-        z_entry = complex(traj.zs[0])
+        num, den = complex(traj.zs[0]), 1.0
         # S measured from the anchor at b, so int_a^b Z dx = -S(a)
         s_a = complex(traj.z_integral[0])
-        growth = cmath.exp(-1j * (params.mass / params.hbar) * s_a)
+        ratio = cmath.exp(-1j * (params.mass / params.hbar) * s_a)
 
-    r = (z1 - z_entry) / (z1 + z_entry)
-    psi_a = (1.0 + r) * cmath.exp(1j * k1 * a)
-    psi_b = psi_a * growth
+    # Z(a) = num / den and psi(b) / psi(a) = ratio / den; r and psi(b)
+    # share one division, so a psi-node at a leaves both finite
+    inv = 1.0 / (z1 * den + num)
+    r = (z1 * den - num) * inv
+    psi_b = 2.0 * z1 * ratio * inv * cmath.exp(1j * k1 * a)
     big_r = abs(r) ** 2
     if far_propagating:
         k2 = rc2.gamma.imag
@@ -120,7 +122,7 @@ def _solve_left(
         t=t,
         big_r=big_r,
         big_t=big_t,
-        z_entry=z_entry,
+        z_entry=num / den,
         evanescent_tail=evan,
     )
 
@@ -157,11 +159,13 @@ def _sweep_chain(
     e = np.array(es, dtype=float)
     z1, gamma1, degenerate1 = _region_constants_many(e, work.left_level, params)
     z2, gamma2, degenerate2 = _region_constants_many(e, work.right_level, params)
-    z_entry, growth, ok = _chain_many(work, e, z2, work.a, False, params)
+    num, den, ratio, ok = _chain_many(work, e, z2, work.a, False, params)
     far_propagating = e > work.right_level
     with np.errstate(all="ignore"):
-        r = (z1 - z_entry) / (z1 + z_entry)
-        psi_b = (1.0 + r) * np.exp(1j * gamma1.imag * work.a) * growth
+        z_entry = num / den
+        inv = 1.0 / (z1 * den + num)
+        r = (z1 * den - num) * inv
+        psi_b = 2.0 * z1 * ratio * inv * np.exp(1j * gamma1.imag * work.a)
         big_r = np.abs(r) ** 2
         t = np.where(
             far_propagating, psi_b * np.exp(-1j * gamma2.imag * work.b), psi_b

@@ -26,9 +26,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .errors import SpecFileError
+from .errors import PotentialInputError, SpecFileError
 from .model import (
-    JOIN_TOL,
     ModelParams,
     PiecewisePotential,
     Potential,
@@ -90,27 +89,18 @@ def _parse_piecewise(node: dict, path: str) -> PiecewisePotential:
         x0 = _as_number(_need(seg, "x_start", spath), f"{spath}.x_start")
         x1 = _as_number(_need(seg, "x_end", spath), f"{spath}.x_end")
         u = _as_number(_need(seg, "u", spath), f"{spath}.u")
-        if not x0 < x1:
-            raise SpecFileError(f"{spath}: x_start must be below x_end")
-        if segments:
-            gap = x0 - segments[-1].x_end
-            if gap > JOIN_TOL:
-                raise SpecFileError(
-                    f"{spath}: gap before this segment (previous ends at "
-                    f"{segments[-1].x_end}, this starts at {x0})"
-                )
-            if gap < -JOIN_TOL:
-                raise SpecFileError(
-                    f"{spath}: overlaps the previous segment (previous ends "
-                    f"at {segments[-1].x_end}, this starts at {x0})"
-                )
-        segments.append(PotentialSegment(x0, x1, u))
+        try:
+            segments.append(PotentialSegment(x0, x1, u))
+        except PotentialInputError as exc:
+            raise SpecFileError(f"{spath}: {exc}") from exc
     step = node.get("step_x")
     if step is not None:
         step = _as_number(step, f"{path}.step_x")
-    if not segments and step is None:
-        raise SpecFileError(f"{path}.segments: empty list requires a step_x field")
-    return PiecewisePotential(left, tuple(segments), right, step)
+    # the model's geometry errors start with the segments field they name
+    try:
+        return PiecewisePotential(left, tuple(segments), right, step)
+    except PotentialInputError as exc:
+        raise SpecFileError(f"{path}.{exc}") from exc
 
 
 def _parse_sampled(node: dict, path: str) -> SampledPotential:

@@ -7,25 +7,30 @@ same solution exactly when
     D(E) = Z+(x_probe; E) - Z-(x_probe; E) = 0.
 
 Bound mode anchors the decaying tails (Z(a) = -z1, Z(b) = +z2, both
-purely imaginary); D(E) is then purely imaginary for real potentials and
-its sign changes bracket the eigenvalues.  Scattering (resonance) mode
+purely imaginary).  D has a pole wherever either solution has a node at
+the probe, so bound states are matched instead on W, the Wronskian
+psi+ psi-' - psi- psi+' normalised to [-1, 1]: W = D psi+ psi- up to a
+positive factor, it has no poles, does not depend on the probe, and its
+sign changes bracket the eigenvalues.  Scattering (resonance) mode
 anchors the incident-matched value Z(a) = z1 and the transmitted wave
-Z(b) = z2; D vanishes only at full transmission, so resonances are
-located as minima of |D|^2.
+Z(b) = z2; psi is complex there, D has no poles at real E and vanishes
+only at full transmission, so resonances are located as minima of
+|D|^2.
 
-Roots and minima are probe-point independent, which the tests exploit.
-Piecewise potentials evaluate D by exact layer chaining; sampled
-potentials (or ``cfg.force_numeric``) integrate the Riccati equation.
-On a piecewise potential the scan grid that brackets roots and minima
-is chained in one array pass per slab (``_mismatch_many``); the
-refinement of each bracket evaluates D one energy at a time.
+Piecewise potentials chain the exact layer transforms, which also give
+the psi ratios W needs; sampled potentials (or ``cfg.force_numeric``)
+integrate the Riccati equation.  On a piecewise potential the scan grid
+that brackets roots and minima is chained in one array pass per slab
+(``_scan``); the refinement of each bracket works one energy at a time.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .errors import (
     BracketingExhaustedError,
     EmptyWindowError,
     EvanescentIncidenceError,
+    NonFiniteStateError,
     SolverError,
     TransformPoleError,
 )
@@ -48,7 +54,8 @@ from .riccati import (
 
 # |D| must fall below this at a refined minimum to count as a resonance.
 RESONANCE_TOL = 1e-6
-# Residual bound |D(E_root)| accepted for a refined bound-state root.
+# |W| at a refined bound-state root, relative to the larger |W| at the
+# ends of its bracket, must not exceed this.
 ROOT_TOL = 1e-10
 # Default number of scan-grid points across a search window.
 SCAN_POINTS = 400
@@ -68,6 +75,59 @@ class SpectrumResult:
     transparent: bool = False
 
 
+def _ends(pot, e, probe_x, cfg, params) -> tuple[tuple, tuple]:
+    """(num, den, r) of the left- and of the right-anchored solution at
+    the probe: Z = num / den and psi(anchor) / psi(probe) = r / den.
+
+    Bound mode applies automatically for e below both leads; otherwise
+    the scattering (left-incidence) anchors are used.  The Riccati engine
+    carries no psi ratio and gives (Z, 1, 1).
+    """
+    require_finite("energy and probe", e, probe_x)
+    a, b = pot.a, pot.b
+    if not a < probe_x < b:
+        raise ValueError(f"probe {probe_x} outside the open interval ({a}, {b})")
+    z_a = left_anchor(pot, e, params)
+    z_b = right_anchor(pot, e, params)
+    if isinstance(pot, PiecewisePotential) and not cfg.force_numeric:
+        return (
+            _chain(pot, e, z_a, probe_x, True, params),
+            _chain(pot, e, z_b, probe_x, False, params),
+        )
+    zp = complex(integrate_impedance(pot, e, a, z_a, probe_x, cfg, params).zs[-1])
+    zm = complex(integrate_impedance(pot, e, b, z_b, probe_x, cfg, params).zs[0])
+    return (zp, 1.0, 1.0), (zm, 1.0, 1.0)
+
+
+def _mismatch(plus, minus):
+    """D = Z+ - Z- from the two ends (scalars or arrays); not finite where
+    a solution has a psi-node at the probe."""
+    (n1, d1, _), (n2, d2, _) = plus, minus
+    with np.errstate(all="ignore"):
+        return np.divide(n1, d1) - np.divide(n2, d2)
+
+
+def _wronskian(plus, minus, s):
+    """The bound-state matching function W from the two ends (scalars or
+    arrays): the sine of the angle between the two solutions'
+    (Z psi / s, psi) vectors, signed by psi at the probe.
+
+    W is proportional to the Wronskian psi+ psi-' - psi- psi+', so it
+    does not depend on the probe, has no poles, lies in [-1, 1] and
+    vanishes exactly at the eigenvalues.  With the (Z, 1, 1) ends of the
+    Riccati engine the sign of psi is unknown: W then jumps where one
+    solution alone has a node at the probe.
+    """
+    (n1, d1, r1), (n2, d2, r2) = plus, minus
+    with np.errstate(all="ignore"):
+        # only the phases of the psi ratios count; each is normalised
+        # alone so that their product cannot underflow
+        phase = np.conj(r1) / np.abs(r1) * (np.conj(r2) / np.abs(r2))
+        return s * np.imag((n2 * d1 - n1 * d2) * phase) / (
+            np.hypot(np.abs(n1), s * np.abs(d1)) * np.hypot(np.abs(n2), s * np.abs(d2))
+        )
+
+
 def impedance_mismatch(
     pot: Potential,
     e: float,
@@ -78,47 +138,31 @@ def impedance_mismatch(
     """D(E) = Z+(probe) - Z-(probe) with mode-appropriate anchors.
 
     Bound mode applies automatically for e below both leads; otherwise
-    the scattering (left-incidence) anchors are used.
+    the scattering (left-incidence) anchors are used.  Raises
+    TransformPoleError where a solution has a psi-node exactly at the
+    probe: D has a pole there.
     """
-    require_finite("energy and probe", e, probe_x)
-    a, b = pot.a, pot.b
-    if not a < probe_x < b:
-        raise ValueError(f"probe {probe_x} outside the open interval ({a}, {b})")
-    z_a = left_anchor(pot, e, params)
-    z_b = right_anchor(pot, e, params)
-    if isinstance(pot, PiecewisePotential) and not cfg.force_numeric:
-        zp = _chain(pot, e, z_a, probe_x, True, params)[0]
-        zm = _chain(pot, e, z_b, probe_x, False, params)[0]
-    else:
-        zp = complex(
-            integrate_impedance(pot, e, a, z_a, probe_x, cfg, params).zs[-1]
-        )
-        zm = complex(
-            integrate_impedance(pot, e, b, z_b, probe_x, cfg, params).zs[0]
-        )
-    return zp - zm
+    d = complex(_mismatch(*_ends(pot, e, probe_x, cfg, params)))
+    if not cmath.isfinite(d):
+        raise TransformPoleError(f"psi-node at the probe {probe_x}: D has a pole")
+    return d
 
 
-def _mismatch_many(
-    pot: Potential,
-    es,
-    probe_x: float,
-    cfg: IntegrationConfig,
-    params: ModelParams,
-) -> list[complex | None]:
-    """``impedance_mismatch`` at each energy of ``es``; None where it
-    raises a SolverError.
+def _scan(pot, es, probe_x, cfg, params, match) -> list:
+    """``match(plus, minus)`` of the two solutions' ends at each energy
+    of ``es``; None where the ends raise a SolverError or the value is
+    not finite.
 
     A piecewise potential (without ``force_numeric``) is chained from
     both ends to the probe in one array pass per slab.  Every energy
-    where either chain would raise, a lead is degenerate or D is not
-    finite is computed again by ``impedance_mismatch`` itself, so the
-    energies dropped are exactly those a point-by-point scan drops.
+    where either chain flags, a lead is degenerate or the value is not
+    finite is computed again from the scalar ends, so the energies
+    dropped are exactly those a point-by-point scan drops.
     """
-    out: list[complex | None] = [None] * len(es)
+    out: list = [None] * len(es)
     redo = range(len(es))
     # a probe that is not a finite interior point takes the scalar loop,
-    # which raises for it as impedance_mismatch does
+    # which raises for it as _ends does
     if (
         isinstance(pot, PiecewisePotential)
         and not cfg.force_numeric
@@ -128,46 +172,23 @@ def _mismatch_many(
         z1, _, degenerate1 = _region_constants_many(e, pot.left_level, params)
         z2, _, degenerate2 = _region_constants_many(e, pot.right_level, params)
         z_a = np.where(e < pot.left_level, -z1, z1)
-        zp, _, ok_p = _chain_many(pot, e, z_a, probe_x, True, params)
-        zm, _, ok_m = _chain_many(pot, e, z2, probe_x, False, params)
-        with np.errstate(all="ignore"):
-            d = zp - zm
-            ok = ok_p & ok_m & ~degenerate1 & ~degenerate2 & np.isfinite(d)
-        out = d.tolist()
+        *plus, ok_p = _chain_many(pot, e, z_a, probe_x, True, params)
+        *minus, ok_m = _chain_many(pot, e, z2, probe_x, False, params)
+        v = match(plus, minus)
+        ok = ok_p & ok_m & ~degenerate1 & ~degenerate2 & np.isfinite(v)
+        out = v.tolist()
         redo = np.flatnonzero(~ok).tolist()
     for i in redo:
         try:
-            out[i] = impedance_mismatch(pot, es[i], probe_x, cfg, params)
+            v = match(*_ends(pot, es[i], probe_x, cfg, params))
         except SolverError:
-            out[i] = None
+            v = math.nan
+        out[i] = v if np.isfinite(v) else None
     return out
 
 
 def _default_probe(pot: Potential) -> float:
-    a, b = pot.a, pot.b
-    x0 = 0.5 * (a + b)
-    span = b - a
-    # keep off exact joins so a node sitting on one cannot pin the probe
-    joins = pot.interfaces()
-    if any(abs(x0 - j) < 1e-9 * span for j in joins):
-        x0 += 1e-3 * span
-    return x0
-
-
-def _probe_candidates(pot: Potential, probe_x: float | None) -> list[float]:
-    """Matching points: the requested (or default) probe first, then two
-    alternates at incommensurate fractions of the span.  Alternates matter
-    because an eigenstate with a node at the primary probe turns its D-root
-    into a D-pole there; the eigenvalue is then confirmed at a shifted x."""
-    a, b = pot.a, pot.b
-    span = b - a
-    first = probe_x if probe_x is not None else _default_probe(pot)
-    probes = [first, a + 0.382 * span, a + 0.703 * span]
-    out: list[float] = []
-    for p in probes:
-        if all(abs(p - q) > 1e-9 * span for q in out):
-            out.append(p)
-    return out
+    return 0.5 * (pot.a + pot.b)
 
 
 def _single_square_well(pot: Potential):
@@ -192,13 +213,15 @@ def find_bound_states(
 ) -> SpectrumResult:
     """All bound energies in (min interior U, min lead level).
 
-    Scans Im D(E) on a uniform grid (plus a geometric refinement toward
-    the window ceiling, where arbitrarily shallow states accumulate),
-    evaluated in one array pass per slab on a piecewise potential.  It
-    brackets sign changes, refines each by Brent's method, one scalar
-    mismatch per iterate, and keeps roots whose mismatch residual is
-    below ROOT_TOL.  Sign flips caused by poles of D rather than roots
-    fail the residual test and are dropped.
+    Matches the two decaying solutions at one probe (default: the
+    midpoint) on W, the normalised Wronskian of ``_wronskian``.  Scans W
+    on a uniform grid (plus a geometric refinement toward the window
+    ceiling, where arbitrarily shallow states accumulate), in one array
+    pass per slab on a piecewise potential, and refines each sign change
+    by Brent's method, one scalar W per iterate.  The Riccati engine's
+    W is unsigned and also changes sign at jumps, where |W| stays near
+    one; there a root is kept only when |W(root)| is at most ROOT_TOL
+    times the larger |W| at its bracket's ends.  Residuals are |W(root)|.
     For a recognizable single square well the count is cross-checked
     against the transcendental branch count.
     """
@@ -218,77 +241,65 @@ def find_bound_states(
         )
     width = ceil - floor
 
-    grid = list(np.linspace(floor, ceil, scan_points + 2)[1:-1])
+    grid = np.linspace(floor, ceil, scan_points + 2)[1:-1].tolist()
     # geometric approach to the ceiling catches near-threshold states
     grid.extend(ceil - width * 10.0 ** (-j) for j in range(3, 15))
     grid = sorted(set(grid))
 
-    probes = _probe_candidates(pot, probe_x)
-    probe = probes[0]
+    probe = probe_x if probe_x is not None else _default_probe(pot)
+    # velocity scale of the window: Z / s is of order one
+    s = math.sqrt(2.0 * width / params.mass)
+    if not math.isfinite(s):
+        raise NonFiniteStateError(f"bound window ({floor}, {ceil}) overflows")
+
+    match = partial(_wronskian, s=s)
+
+    def w_at(e: float) -> float:
+        return float(match(*_ends(pot, e, probe, cfg, params)))
+
     scan = [
-        (e, d.imag)
-        for e, d in zip(grid, _mismatch_many(pot, grid, probe, cfg, params))
-        if d is not None
+        (e, w)
+        for e, w in zip(grid, _scan(pot, grid, probe, cfg, params, match))
+        if w is not None
     ]
 
+    # the chain's W is signed and continuous, so every sign change holds
+    # a root, however steep; the Riccati engine's unsigned W also changes
+    # sign at its jumps, where |W| stays near one
+    signed = isinstance(pot, PiecewisePotential) and not cfg.force_numeric
     roots: list[float] = []
     residuals: list[float] = []
-    for (e0, d0), (e1, d1) in zip(scan, scan[1:]):
-        if d0 == 0.0:
-            candidates = [e0]
-        elif d0 * d1 < 0.0:
-            candidates = []
-            for p in probes:
-                try:
-                    f = lambda e, _p=p: impedance_mismatch(pot, e, _p, cfg, params).imag
-                    candidates = [brentq(f, e0, e1, xtol=1e-14, rtol=8.9e-16)]
-                    break
-                except (TransformPoleError, SolverError, ValueError):
-                    continue
+    for (e0, w0), (e1, w1) in zip(scan, scan[1:]):
+        if w0 == 0.0:
+            root = e0
+        elif w0 * w1 < 0.0:
+            try:
+                # to float resolution, where the root test below applies
+                root = brentq(w_at, e0, e1, xtol=1e-300, rtol=8.9e-16)
+            except (SolverError, ValueError):
+                continue
         else:
             continue
-        threshold = ROOT_TOL * max(1.0, math.sqrt(2.0 * width / params.mass))
-        for root in candidates:
-            # a bracketed sign flip is either a root of D or a pole of D;
-            # genuine eigenvalues have D ~ 0 at every probe point, so any
-            # probe reporting a small mismatch confirms the energy
-            res = None
-            for p in probes:
-                try:
-                    val = abs(impedance_mismatch(pot, root, p, cfg, params))
-                except SolverError:
-                    continue
-                if res is None or val < res:
-                    res = val
-                if res <= threshold:
-                    break
-            if res is not None and res <= threshold:
-                roots.append(root)
-                residuals.append(res)
-
-    # deduplicate refined roots that met through adjacent brackets
-    dedup: list[float] = []
-    dedup_res: list[float] = []
-    for root, res in sorted(zip(roots, residuals)):
-        if not dedup or abs(root - dedup[-1]) > 1e-8 * width:
-            dedup.append(root)
-            dedup_res.append(res)
+        res = abs(w_at(root))
+        if signed or res <= ROOT_TOL * max(abs(w0), abs(w1)):
+            roots.append(root)
+            residuals.append(res)
 
     well = _single_square_well(pot)
     if well is not None:
         from .xcheck import square_well_state_count
 
         expected = square_well_state_count(*well, params)
-        if len(dedup) != expected:
+        if len(roots) != expected:
             raise BracketingExhaustedError(
-                f"found {len(dedup)} states, well-count oracle expects {expected}",
+                f"found {len(roots)} states, well-count oracle expects {expected}",
                 energies=[e for e, _ in scan],
-                mismatches=[d for _, d in scan],
+                mismatches=[w for _, w in scan],
             )
     return SpectrumResult(
         kind=SpectrumKind.BOUND,
-        energies=dedup,
-        residuals=dedup_res,
+        energies=roots,
+        residuals=residuals,
         probe_x=probe,
     )
 
@@ -359,7 +370,7 @@ def find_resonances(
     grid = np.linspace(e_min, e_max, scan_points + 1)[1:]
     scan = [
         (e, abs(d))
-        for e, d in zip(grid, _mismatch_many(work, grid, probe, cfg, params))
+        for e, d in zip(grid, _scan(work, grid, probe, cfg, params, _mismatch))
         if d is not None
     ]
 

@@ -170,11 +170,15 @@ def transfer_matrix_solve(
     )
 
 
-def _check_square_well(depth: float, width: float) -> None:
-    """Both oracles take a finite, positive depth and width."""
+def _square_well_theta0(depth: float, width: float, params: ModelParams) -> float:
+    """theta0 = w sqrt(2 m V0) / (2 hbar); both oracles need it finite,
+    from a finite, positive depth and width."""
     require_finite("depth and width", depth, width)
     if depth <= 0 or width <= 0:
         raise ValueError("depth and width must be positive")
+    theta0 = 0.5 * width * math.sqrt(2.0 * params.mass * depth) / params.hbar
+    require_finite("square-well theta0", theta0)
+    return theta0
 
 
 def square_well_eigenvalues(
@@ -190,10 +194,9 @@ def square_well_eigenvalues(
     bisection on the monotone branches of theta = k w/2.  Energies are
     measured from the lead level, so each lies in (-depth, 0).
     """
-    _check_square_well(depth, width)
+    theta0 = _square_well_theta0(depth, width, params)
     load_scipy_optimize()
     hbar, m = params.hbar, params.mass
-    theta0 = 0.5 * width * math.sqrt(2.0 * m * depth) / hbar
 
     def radial(theta):
         return math.sqrt(max(theta0 * theta0 - theta * theta, 0.0))
@@ -225,8 +228,7 @@ def square_well_eigenvalues(
 def square_well_state_count(depth: float, width: float,
                             params: ModelParams = ModelParams()) -> int:
     """Number of bound states, counted from the transcendental branches."""
-    _check_square_well(depth, width)
-    theta0 = 0.5 * width * math.sqrt(2.0 * params.mass * depth) / params.hbar
+    theta0 = _square_well_theta0(depth, width, params)
     return int(math.floor(2.0 * theta0 / math.pi)) + 1
 
 

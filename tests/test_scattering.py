@@ -11,6 +11,7 @@ from qwim.analytic import barrier_closed_forms, region_constants
 from qwim.errors import (
     EvanescentIncidenceError,
     NonFiniteInputError,
+    NonFiniteStateError,
     NonPositiveRealPartError,
     SolverError,
 )
@@ -232,6 +233,25 @@ def _node_stack():
     # on the left edge: 2 cos(k l) + sqrt(2) sin(k l) = 0 with k = 2
     length = 0.5 * (math.pi - math.atan(math.sqrt(2.0)))
     return PiecewisePotential(0.0, (PotentialSegment(0.0, length, -1.0),), 2.0)
+
+
+def test_node_at_entry_interface_is_no_pole():
+    # Z(a) is infinite there; r and t divide once and stay finite
+    res = solve_scattering(_node_stack(), 1.0)
+    tm = transfer_matrix_solve(_node_stack(), 1.0)
+    assert abs(res.r + 1.0) < 1e-12
+    assert abs(res.t - tm.t) < 1e-12 * abs(tm.t)
+    assert res.evanescent_tail and res.big_t == 0.0
+
+
+def test_overflowing_level_raises_typed():
+    # a finite level whose z = sqrt(2 (E - U) / m) overflows: the single
+    # solve raises, and the sweep records that same error
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, -1e308),), 0.0)
+    with pytest.raises(NonFiniteStateError):
+        solve_scattering(pot, 1.0)
+    out = energy_sweep(pot, [0.5, 1.0])
+    assert [r.code for r in out] == ["NonFiniteState", "NonFiniteState"]
 
 
 def _sweep_cases(case, random_stack_instances):

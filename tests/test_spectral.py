@@ -13,6 +13,7 @@ from qwim.errors import (
     EmptyWindowError,
     EvanescentIncidenceError,
     NonFiniteInputError,
+    NonFiniteStateError,
     SolverError,
 )
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential
@@ -21,8 +22,11 @@ from qwim.specfile import load_spec
 from qwim.spectral import (
     ROOT_TOL,
     SpectrumKind,
-    _mismatch_many,
-    _probe_candidates,
+    _default_probe,
+    _ends,
+    _mismatch,
+    _scan,
+    _wronskian,
     find_bound_states,
     find_resonances,
     impedance_mismatch,
@@ -160,40 +164,111 @@ def test_undersampled_scan_reports_miss():
         find_bound_states(pot, scan_points=3)
     assert len(exc.value.energies) > 0
     assert len(exc.value.mismatches) == len(exc.value.energies)
-    # the profile is the batched scan; it reads as the scalar Im D would
-    probe = _probe_candidates(pot, None)[0]
-    for e, d in zip(exc.value.energies, exc.value.mismatches):
-        want = impedance_mismatch(pot, e, probe).imag
-        assert abs(d - want) <= 1e-11 * max(abs(want), 1.0)
+    # the profile is the batched scan; it reads as the scalar W would at
+    # the one probe, with the window's velocity scale
+    probe, s = _default_probe(pot), math.sqrt(2.0 * 30.0)
+    for e, w in zip(exc.value.energies, exc.value.mismatches):
+        want = _wronskian(*_ends(pot, e, probe, IntegrationConfig(), ModelParams()), s)
+        assert abs(w - want) <= 1e-11 * max(abs(want), 1.0)
 
 
-def _scalar_mismatch_many(pot, es, probe_x, cfg, params):
-    """The point-by-point scan that _mismatch_many replaces."""
+def _scalar_scan(pot, es, probe_x, cfg, params, match):
+    """The point-by-point scan that _scan replaces."""
     out = []
     for e in es:
         try:
-            out.append(impedance_mismatch(pot, e, probe_x, cfg, params))
+            v = match(*_ends(pot, e, probe_x, cfg, params))
         except SolverError:
-            out.append(None)
+            v = None
+        out.append(v if v is not None and np.isfinite(v) else None)
     return out
 
 
 def test_mismatch_many_matches_scalar(random_stack_instances):
     # bound (E < 0) and scattering energies, every level (degenerate
-    # slabs and leads) and level + 1e-13 (nearly so), at each probe
+    # slabs and leads) and level + 1e-13 (nearly so), at several probes,
+    # for both matching functions: W and D
     cfg, params = IntegrationConfig(), ModelParams()
     grid = np.linspace(-3.5, 8.0, 401).tolist()
+    matches = [lambda plus, minus: _wronskian(plus, minus, 2.5), _mismatch]
     for pot, _ in random_stack_instances:
         levels = {pot.left_level, pot.right_level, *(s.u for s in pot.segments)}
         es = sorted({*grid, *levels, *(u + 1e-13 for u in levels)})
-        for probe in _probe_candidates(pot, None):
-            got = _mismatch_many(pot, es, probe, cfg, params)
-            want = _scalar_mismatch_many(pot, es, probe, cfg, params)
-            for e, d, w in zip(es, got, want):
-                # None exactly where the scalar mismatch raises
-                assert (d is None) == (w is None), (pot, probe, e, d, w)
-                if w is not None:
-                    assert abs(d - w) <= 1e-11 * max(abs(w), 1.0), (pot, probe, e, d, w)
+        span = pot.b - pot.a
+        for probe in (_default_probe(pot), pot.a + 0.382 * span, pot.a + 0.703 * span):
+            for match in matches:
+                got = _scan(pot, es, probe, cfg, params, match)
+                want = _scalar_scan(pot, es, probe, cfg, params, match)
+                for e, d, w in zip(es, got, want):
+                    # None exactly where the scalar ends raise or the
+                    # value is not finite
+                    assert (d is None) == (w is None), (pot, probe, e, d, w)
+                    if w is not None:
+                        assert abs(d - w) <= 1e-11 * max(abs(w), 1.0), (pot, probe, e, d, w)
+
+
+# Random wells 3, 6, 10 and 11 of the benchmark's spectra pool (segments,
+# then bound energies frozen from an independent Sturm node-count
+# bisection to float resolution).  D has a pole wherever a solution has
+# a node at the probe; matched on D, these came back with 4 / 3 / 2 / 4
+# states.
+RANDOM_WELLS = [
+    (
+        [
+            (0.0, 1.43969351709924, -6.870702848869632),
+            (1.43969351709924, 1.988863656269036, -8.210308947966043),
+            (1.988863656269036, 2.694346450135174, -5.565698105439402),
+            (2.694346450135174, 3.7509170150967703, -8.617902379773897),
+            (3.7509170150967703, 4.470116017115595, -19.075108645204846),
+        ],
+        [-15.15873907996447, -7.399290022305529, -6.644540210631011,
+         -5.131662337655089, -4.184759612673922, -1.856250375693771],
+    ),
+    (
+        [
+            (0.0, 1.303611321773421, -13.978717748578408),
+            (1.303611321773421, 1.86993620508074, -9.77001435865842),
+            (1.86993620508074, 2.9110603993489708, -0.466793089358184),
+            (2.9110603993489708, 4.0777362311299115, 0.7928748011836255),
+        ],
+        [-12.537974109841672, -8.698370270857449, -4.202218703495687,
+         -0.036622450339497396],
+    ),
+    (
+        [
+            (0.0, 0.662584781306984, -15.793278320440908),
+            (0.662584781306984, 1.2721014549172964, -5.841798690324813),
+            (1.2721014549172964, 2.742751090152246, -0.5779693550282374),
+            (2.742751090152246, 3.129147850427191, -1.5641250074098387),
+        ],
+        [-11.655874943403186, -3.2586009574602843, -0.3529487368792504],
+    ),
+    (
+        [
+            (0.0, 0.7589616794741767, -13.595239226198636),
+            (0.7589616794741767, 2.12853011302867, -7.39636311390548),
+            (2.12853011302867, 2.4570081739559715, -9.805858938987468),
+            (2.4570081739559715, 3.026766153923787, -5.086129305295332),
+            (3.026766153923787, 3.5366150180327782, -14.331598127657799),
+        ],
+        [-10.552289393027138, -9.18136925866072, -6.814756535580483,
+         -4.639734634297381, -1.8303851700278553],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "segments, want", RANDOM_WELLS, ids=["well3", "well6", "well10", "well11"]
+)
+def test_random_wells_complete_at_any_probe(segments, want):
+    pot = PiecewisePotential(0.0, tuple(PotentialSegment(*s) for s in segments), 0.0)
+    res = find_bound_states(pot)
+    assert res.probe_x == _default_probe(pot)
+    np.testing.assert_allclose(res.energies, want, rtol=0, atol=1e-9)
+    # the Wronskian does not depend on the matching point: a probe near
+    # one end sees the same states
+    near_end = find_bound_states(pot, probe_x=pot.a + 0.1 * (pot.b - pot.a))
+    np.testing.assert_allclose(near_end.energies, res.energies, rtol=0, atol=1e-9)
 
 
 def _outcome(call):
@@ -228,7 +303,7 @@ def test_spectra_match_scalar_scan(random_wells, monkeypatch):
         lambda: find_resonances(double_barrier, 1.0, 13.0),
     ]
     batched = [_outcome(call) for call in calls]
-    monkeypatch.setattr(spectral, "_mismatch_many", _scalar_mismatch_many)
+    monkeypatch.setattr(spectral, "_scan", _scalar_scan)
     scalar = [_outcome(call) for call in calls]
     assert batched == scalar
     assert all(len(energies) > 0 for energies, _ in batched)
@@ -332,3 +407,12 @@ def test_non_finite_inputs_rejected(call, bad):
     # ValueError from the window and probe comparisons
     with pytest.raises(NonFiniteInputError):
         call(bad)
+
+
+def test_overflowing_level_raises_typed():
+    # a finite level whose z = sqrt(2 (E - U) / m) overflows
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, -1e308),), 0.0)
+    with pytest.raises(NonFiniteStateError):
+        impedance_mismatch(pot, -1.0, 0.5)
+    with pytest.raises(NonFiniteStateError):
+        find_bound_states(pot)

@@ -179,6 +179,15 @@ def test_well_oracles_reject_non_finite(oracle, which, bad):
         oracle(**args)
 
 
+@pytest.mark.parametrize("oracle", [square_well_eigenvalues, square_well_state_count])
+def test_well_oracles_reject_overflowing_theta0(oracle):
+    # finite depth and width whose theta0 = w sqrt(2 m V0) / (2 hbar)
+    # overflows: unchecked, the count's int() overflows and the branch
+    # scan never ends
+    with pytest.raises(NonFiniteInputError):
+        oracle(1e308, 1e308)
+
+
 @pytest.mark.parametrize("depth, width", [(0.0, 2.0), (-5.0, 2.0), (5.0, 0.0), (5.0, -2.0)])
 def test_well_state_count_needs_positive_well(depth, width):
     with pytest.raises(ValueError, match="positive"):
