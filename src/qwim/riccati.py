@@ -37,7 +37,7 @@ from .errors import (
     NonFiniteStateError,
     StepSizeUnderflowError,
 )
-from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
+from .model import ModelParams, Potential, Side, require_finite
 
 @dataclass(frozen=True)
 class IntegrationConfig:
@@ -276,14 +276,9 @@ def integrate_impedance(
     z, s = anchor_z, 0j
     x_prev = anchor_x
     for x_next in ordered + [target_x]:
-        mid = 0.5 * (x_prev + x_next)
-        if isinstance(pot, PiecewisePotential):
-            u_local = pot.u_at(mid)
-            ufunc = lambda _x, _u=u_local: _u
-        else:
-            ufunc = pot.u_at
         z, s = _integrate_piece(
-            ufunc, e, x_prev, x_next, z, s, cfg, params, max_step, track, rec
+            pot.u_piece(0.5 * (x_prev + x_next)),
+            e, x_prev, x_next, z, s, cfg, params, max_step, track, rec,
         )
         x_prev = x_next
 

@@ -21,7 +21,9 @@ Piecewise potentials chain the exact layer transforms, which also give
 the psi ratios W needs; sampled potentials (or ``cfg.force_numeric``)
 integrate the Riccati equation.  On a piecewise potential the scan grid
 that brackets roots and minima is chained in one array pass per slab
-(``_scan``); the refinement of each bracket works one energy at a time.
+(``_scan``); the refinement of each bracket works one energy at a time,
+with qwim's own ports of Brent's root finder and bounded minimiser
+(``_optimize``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from ._optimize import brentq, load_scipy_optimize, minimize_scalar
+from ._optimize import brentq, minimize_scalar
 from .analytic import _chain, _chain_many, _region_constants_many
 from .errors import (
     BracketingExhaustedError,
@@ -225,7 +227,6 @@ def find_bound_states(
     For a recognizable single square well the count is cross-checked
     against the transcendental branch count.
     """
-    load_scipy_optimize()
     if probe_x is not None:
         require_finite("probe", probe_x)
     if isinstance(pot, PiecewisePotential):
@@ -316,14 +317,16 @@ def find_resonances(
 ) -> SpectrumResult:
     """Full-transmission energies inside (e_min, e_max].
 
-    Scans |D(E)| (one array pass per slab on a piecewise potential),
-    refines each strict local minimum by bounded minimization of |D|^2,
-    one scalar mismatch per iterate, and accepts energies where
+    Scans |D(E)| (one array pass per slab on a piecewise potential) and
+    refines each strict local minimum by Brent's bounded minimization of
+    |D|^2, then by Brent's root finder on each component of D that
+    changes sign across the bracket, one scalar mismatch per iterate.  An
+    energy where D cannot be evaluated counts as |D| = inf to the
+    minimiser and drops that component's root.  Accepts energies where
     |D| < RESONANCE_TOL and, as an independent cross-check, R < 1e-8.
     A window in which R vanishes identically (no structure at all) is
     flagged transparent and returns no discrete energies.
     """
-    load_scipy_optimize()
     from .scattering import solve_scattering
 
     require_finite("window bounds", e_min, e_max)
@@ -347,6 +350,15 @@ def find_resonances(
     def mismatch(e: float):
         d = mismatch_c(e)
         return None if d is None else abs(d)
+
+    def squared(e: float) -> float:
+        d = mismatch(e)
+        return math.inf if d is None else d ** 2
+
+    def component(comp, e: float) -> float:
+        # a failed evaluation is NaN, on which brentq gives up
+        d = mismatch_c(e)
+        return math.nan if d is None else comp(d)
 
     def big_r_at(e: float) -> float:
         try:
@@ -381,13 +393,7 @@ def find_resonances(
         if not (d_m < scan[i - 1][1] and d_m < scan[i + 1][1]):
             continue
         lo, hi = scan[i - 1][0], scan[i + 1][0]
-        opt = minimize_scalar(
-            lambda e: (mismatch(e) or np.inf) ** 2,
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        e_star = float(opt.x)
+        e_star = minimize_scalar(squared, lo, hi, xatol=1e-12)
         d_star = mismatch(e_star)
         # both components of D vanish together at a true resonance, so a
         # bracketed root on either one beats the |D|^2 minimizer's accuracy
@@ -397,10 +403,10 @@ def find_resonances(
                 if comp(d_lo) * comp(d_hi) < 0.0:
                     try:
                         e_root = brentq(
-                            lambda e: comp(mismatch_c(e)),
+                            partial(component, comp),
                             lo, hi, xtol=1e-14, rtol=8.9e-16,
                         )
-                    except (SolverError, TypeError, ValueError):
+                    except (SolverError, ValueError):
                         continue
                     d_root = mismatch(e_root)
                     if d_root is not None and (d_star is None or d_root < d_star):

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._optimize import brentq, load_scipy_optimize
+from ._optimize import brentq
 from .errors import (
     DegenerateEnergyError,
     EvanescentIncidenceError,
@@ -195,7 +195,6 @@ def square_well_eigenvalues(
     measured from the lead level, so each lies in (-depth, 0).
     """
     theta0 = _square_well_theta0(depth, width, params)
-    load_scipy_optimize()
     hbar, m = params.hbar, params.mass
 
     def radial(theta):

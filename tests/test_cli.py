@@ -333,3 +333,23 @@ def test_scatter_does_not_import_scipy_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False 0"
+
+
+def test_spectral_commands_import_no_scipy():
+    # the root finder and minimiser are qwim's own: neither the searches
+    # nor the square-well oracle load any part of scipy
+    code = (
+        "import sys\n"
+        "from qwim import cli\n"
+        "from qwim.xcheck import square_well_eigenvalues\n"
+        f"a = cli.main(['bound', '--spec', {str(DOCS / 'well.json')!r}])\n"
+        f"b = cli.main(['resonances', '--spec', {str(DOCS / 'barrier.json')!r},"
+        " '--emin', '1.0', '--emax', '13.0'])\n"
+        "n = len(square_well_eigenvalues(5.0, 2.0))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), a, b, n)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] 0 0 3"

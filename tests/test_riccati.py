@@ -204,6 +204,33 @@ def test_sampled_potential_smooth_integration():
     assert abs(back.zs[-1] - z2) < 1e-7
 
 
+def _seeded_gaussians(n=40):
+    """n sampled Gaussians (21..201 samples, random span and width) with
+    an energy each, drawn from one fixed seed."""
+    rng = np.random.default_rng(3)
+    out = []
+    for _ in range(n):
+        amplitude, q = float(rng.uniform(-3.0, 3.0)), float(rng.uniform())
+        span, sigma = float(rng.uniform(4.0, 8.0)), float(rng.uniform(0.5, 1.5))
+        xs = np.linspace(-0.5 * span, 0.5 * span, 21 + int(181 * q))
+        us = amplitude * np.exp(-xs * xs / (2.0 * sigma * sigma))
+        out.append((SampledPotential(tuple(xs), tuple(us), 0.0, 0.0),
+                    float(rng.uniform(0.2, 5.0))))
+    return out
+
+
+def test_sampled_edge_pieces_follow_their_samples():
+    # the pieces at a and b must see the edge samples, not the lead level
+    # that u_at gives exactly at a and b: that jump cost R up to 2.4e-9
+    from qwim.scattering import solve_scattering
+
+    tight = IntegrationConfig(rel_tol=1e-13)
+    for pot, e in _seeded_gaussians():
+        r = solve_scattering(pot, e).big_r
+        r_tight = solve_scattering(pot, e, Side.LEFT, tight).big_r
+        assert abs(r - r_tight) < 1e-10, (pot.xs[0], len(pot.xs), e)
+
+
 # The generic Dormand-Prince 5(4) stepper over a tuple state, as qwim ran it
 # before the step was unrolled: the reference the unrolled step must match.
 _C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)

@@ -15,6 +15,7 @@ from qwim.errors import (
     NonFiniteInputError,
     NonFiniteStateError,
     SolverError,
+    TransformPoleError,
 )
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential
 from qwim.riccati import IntegrationConfig
@@ -315,6 +316,40 @@ def test_resonance_comb_single_barrier():
     assert res.kind is SpectrumKind.RESONANCE
     np.testing.assert_allclose(res.energies, want, rtol=0, atol=1e-8)
     assert all(r < 1e-6 for r in res.residuals)
+
+
+def test_failed_evaluation_in_resonance_refinement_is_skipped(monkeypatch):
+    # D cannot be evaluated right around the first resonance: the
+    # component root finders drop that bracket instead of raising
+    pot = load_spec(str(_DOCS / "barrier.json")).potential
+    clean = find_resonances(pot, 1.0, 13.0)
+    real = spectral.impedance_mismatch
+
+    def failing(pot, e, *args):
+        if 2.2337 < e < 2.2338:
+            raise TransformPoleError("no D here")
+        return real(pot, e, *args)
+
+    monkeypatch.setattr(spectral, "impedance_mismatch", failing)
+    res = find_resonances(pot, 1.0, 13.0)
+    assert clean.energies[0] == pytest.approx(2.2337005501361697, abs=1e-12)
+    assert res.energies == clean.energies[1:]
+
+
+def test_resonance_objective_keeps_an_exact_zero(monkeypatch):
+    # |D| = 0 exactly is the best value the minimiser can see, not a
+    # failed evaluation
+    pot = load_spec(str(_DOCS / "barrier.json")).potential
+    objectives = []
+
+    def recording(f, lo, hi, xatol):
+        objectives.append(f)
+        return 0.5 * (lo + hi)
+
+    monkeypatch.setattr(spectral, "minimize_scalar", recording)
+    monkeypatch.setattr(spectral, "impedance_mismatch", lambda pot, e, *args: 0j)
+    find_resonances(pot, 1.0, 13.0, scan_points=20)
+    assert objectives and objectives[0](2.0) == 0.0
 
 
 def test_free_line_flagged_transparent():
