@@ -19,11 +19,17 @@ leftward / rightward integration through an evanescent region.
 
 One slab step, ``_slab``, maps Z(x) to Z(x + dx) and gives the psi
 ratio across the step over the same denominator; ``propagate_impedance``,
-``layer_transform`` and ``psi_growth_factor`` are views of it.  One
-walker, ``_chain``, strings those steps across a piecewise stack and
-returns its last step undivided, so a psi-node at the end point is no
-error; the piecewise scattering solve and the spectral matching both use
-it.  ``_chain_many`` is its array twin for a whole energy grid: one array
+``layer_transform`` and ``psi_growth_factor`` are views of it.  Where E
+equals a slab's level psi is linear across it, and the step takes its
+exact limit instead (only a degenerate *lead* is an error).  One walker,
+``_chain(slabs, e, z_anchor, params)``, strings those steps along a slab
+list that ``_steps`` builds once per stack and end point, and returns
+its last step undivided, so a psi-node at the end point is no error; the
+piecewise scattering solve and the spectral matching both use it, the
+spectral searches with one slab list per side for every energy they
+evaluate.  It takes each level's z and gamma from ``_constants``, the
+scalar core of ``region_constants`` without the dataclass.
+``_chain_many`` is its array twin for a whole energy grid: one array
 pass per slab, with an ``ok`` mask marking the energies where the
 scalar walk would raise.  Piecewise energy sweeps and the scan grids of
 the spectral searches use it, and handle the flagged energies again one
@@ -128,14 +134,10 @@ class PhaseConstant:
         return self.sign != 0
 
 
-def region_constants(e: float, u: float, params: ModelParams = ModelParams()) -> RegionConstants:
-    """Characteristic constants of a constant region at energy ``e``.
-
-    Raises DegenerateEnergyError when e and u coincide to relative
-    EPS_DEGENERATE: both z and gamma vanish there and the tanh family
-    degenerates.  Raises NonFiniteStateError when z or gamma overflows
-    (a finite level such as -1e308).
-    """
+def _constants(e: float, u: float, params: ModelParams) -> tuple[complex, complex]:
+    """(z, gamma) of a level u at energy e, with ``region_constants``'
+    checks: DegenerateEnergyError where e and u coincide to relative
+    EPS_DEGENERATE, NonFiniteStateError where z or gamma overflows."""
     de = e - u
     if abs(de) <= EPS_DEGENERATE * max(abs(e), abs(u)):
         raise DegenerateEnergyError(f"energy {e} degenerate with level {u}")
@@ -148,6 +150,18 @@ def region_constants(e: float, u: float, params: ModelParams = ModelParams()) ->
     if not (cmath.isfinite(z) and cmath.isfinite(gamma)):
         require_finite("energy and level", e, u)
         raise NonFiniteStateError(f"energy {e} against level {u} overflows z")
+    return z, gamma
+
+
+def region_constants(e: float, u: float, params: ModelParams = ModelParams()) -> RegionConstants:
+    """Characteristic constants of a constant region at energy ``e``.
+
+    Raises DegenerateEnergyError when e and u coincide to relative
+    EPS_DEGENERATE: both z and gamma vanish there and the tanh family
+    degenerates.  Raises NonFiniteStateError when z or gamma overflows
+    (a finite level such as -1e308).
+    """
+    z, gamma = _constants(e, u, params)
     return RegionConstants(z=z, gamma=gamma, e=e, u=u, params=params)
 
 
@@ -188,8 +202,9 @@ def phase_from_impedance(rc: RegionConstants, x: float, z_val: complex) -> Phase
     return PhaseConstant.finite(phi)
 
 
-def _slab(rc: RegionConstants, z_at: complex, dx: float) -> tuple[complex, complex, complex]:
-    """One step of dx (either sign) inside a constant region.
+def _slab(z: complex, gamma: complex, z_at: complex, dx: float) -> tuple[complex, complex, complex]:
+    """One step of dx (either sign) inside a constant region of
+    characteristic impedance z and propagation constant gamma.
 
     Returns (num, den, f) given Z(x), with Z(x + dx) = num / den and
     psi(x) / psi(x + dx) = f / den.  With g = gamma dx both follow from
@@ -202,16 +217,16 @@ def _slab(rc: RegionConstants, z_at: complex, dx: float) -> tuple[complex, compl
     den is exactly zero.  Thick evanescent steps divide all three through
     by the dominant exponential first, so cosh/sinh never overflow.
     """
-    g = rc.gamma * dx
+    g = gamma * dx
     if abs(g.real) > _SATURATION_CUT:
         th = 1.0 if g.real > 0 else -1.0
         c1, c2 = 1.0, th
         # num, den and f are the full ones times 2 exp(-th g)
-        f = 2.0 * rc.z * cmath.exp(-th * g)
+        f = 2.0 * z * cmath.exp(-th * g)
     else:
         c1, c2 = cmath.cosh(g), cmath.sinh(g)
-        f = rc.z
-    return rc.z * (z_at * c1 + rc.z * c2), rc.z * c1 + z_at * c2, f
+        f = z
+    return z * (z_at * c1 + z * c2), z * c1 + z_at * c2, f
 
 
 def _divide(x: complex, den: complex) -> complex:
@@ -223,8 +238,9 @@ def _divide(x: complex, den: complex) -> complex:
 
 
 def _steps(pot: PiecewisePotential, x_to: float, from_left: bool) -> list[tuple[float, float]]:
-    """(level, dx) of each slab step from the anchor (a if ``from_left``,
-    else b) to x_to; the slab holding x_to is a partial step."""
+    """The slab list of a walk: (level, dx) of each slab step from the
+    anchor (a if ``from_left``, else b) to x_to; the slab holding x_to is
+    a partial step.  ``_chain`` and ``_chain_many`` take it."""
     steps = []
     if from_left:
         for seg in pot.segments:
@@ -240,24 +256,30 @@ def _steps(pot: PiecewisePotential, x_to: float, from_left: bool) -> list[tuple[
 
 
 def _chain(
-    pot: PiecewisePotential,
+    slabs: list[tuple[float, float]],
     e: float,
     z_anchor: complex,
-    x_to: float,
-    from_left: bool,
     params: ModelParams,
 ) -> tuple[complex, complex, complex]:
-    """Carry an impedance anchored at one end of a piecewise stack to x_to.
+    """Carry an impedance anchored at one end of a slab list (``_steps``)
+    across it.
 
-    One ``_slab`` step per slab of ``_steps``.  Returns the last step
-    undivided, (num, den, r): Z(x_to) = num / den and
+    One ``_slab`` step per slab; a slab whose level equals e (to
+    EPS_DEGENERATE) carries psi linearly, the z -> 0 limit of the step
+    divided by z: num = Z, den = 1 + i (m/hbar) Z dx, f = 1.  Returns the
+    last step undivided, (num, den, r): Z(x_to) = num / den and
     psi(anchor) / psi(x_to) = r / den, so a psi-node at x_to is no error.
     Raises NonFiniteStateError where a value overflows.
     """
     num, den, r = z_anchor, 1.0, 1.0
-    for u, dx in _steps(pot, x_to, from_left):
-        z, ratio = _divide(num, den), r / den
-        num, den, f = _slab(region_constants(e, u, params), z, dx)
+    for u, dx in slabs:
+        z_at, ratio = _divide(num, den), r / den
+        try:
+            z, gamma = _constants(e, u, params)
+        except DegenerateEnergyError:
+            num, den, r = z_at, 1.0 + z_at * (1j * (params.mass / params.hbar) * dx), ratio
+            continue
+        num, den, f = _slab(z, gamma, z_at, dx)
         r = ratio * f
     if not (cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(r)):
         raise NonFiniteStateError(f"layer chain overflows at energy {e}")
@@ -283,11 +305,9 @@ def _region_constants_many(
 
 
 def _chain_many(
-    pot: PiecewisePotential,
+    slabs: list[tuple[float, float]],
     es: np.ndarray,
     z_anchor: np.ndarray,
-    x_to: float,
-    from_left: bool,
     params: ModelParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``_chain`` over an energy array: (num, den, r, ok).
@@ -295,16 +315,15 @@ def _chain_many(
     The slab constants, cosh/sinh and the saturated-branch factors of
     every slab crossed come from one array pass; the slab-to-slab
     recurrence is then a few array operations per slab, with ``_slab``'s
-    arithmetic.  ``ok`` is False wherever the scalar walk raises (energy
-    degenerate with a crossed slab, a zero denominator short of x_to, a
-    value that is not finite); those entries mean nothing.  Energies are
-    taken in blocks of at most _BATCH_CELLS slab-energy pairs, which
-    bounds the temporaries.
+    arithmetic and ``_chain``'s limit at a slab level.  ``ok`` is False
+    wherever the scalar walk raises (a zero denominator short of the
+    end, a value that is not finite); those entries mean nothing.
+    Energies are taken in blocks of at most _BATCH_CELLS slab-energy
+    pairs, which bounds the temporaries.
     """
-    steps = _steps(pot, x_to, from_left)
-    u, dx = np.array(steps, dtype=float).reshape(-1, 2).T[..., None]
+    u, dx = np.array(slabs, dtype=float).reshape(-1, 2).T[..., None]
     z_anchor = np.broadcast_to(np.asarray(z_anchor, dtype=complex), es.shape)
-    block = max(1, _BATCH_CELLS // max(1, len(steps)))
+    block = max(1, _BATCH_CELLS // max(1, len(slabs)))
     parts = [
         _slabs_many(u, dx, es[i:i + block], z_anchor[i:i + block], params)
         for i in range(0, max(1, len(es)), block)
@@ -326,14 +345,19 @@ def _slabs_many(u, dx, es, z, params):
         c2 = np.where(sat, th, np.sinh(g_cut))
         zc1, zc2 = zs * c1, zs * c2
         f = np.where(sat, 2.0 * zs * np.exp(-th * g), zs)
+        if degenerate.any():
+            # _chain's linear step at a slab level: num = Z,
+            # den = 1 + Z i (m/hbar) dx, f = 1
+            zs, c1, zc1, f = (np.where(degenerate, 1.0, v) for v in (zs, c1, zc1, f))
+            zc2 = np.where(degenerate, 0.0, zc2)
+            c2 = np.where(degenerate, 1j * (params.mass / params.hbar) * dx, c2)
         num, den, r = z, np.ones_like(z), np.ones_like(z)
         for i in range(len(zs)):
             z, ratio = num / den, r / den
             num = zs[i] * (z * c1[i] + zc2[i])
             den = zc1[i] + z * c2[i]
             r = ratio * f[i]
-        ok = ~degenerate.any(axis=0) & np.isfinite(num) & np.isfinite(den)
-        ok &= np.isfinite(r)
+        ok = np.isfinite(num) & np.isfinite(den) & np.isfinite(r)
     return num, den, r, ok
 
 
@@ -343,7 +367,7 @@ def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> comple
     The impedance half of ``_slab``: tanh addition law, saturated form
     for thick evanescent slabs.
     """
-    return _divide(*_slab(rc, z_at, dx)[:2])
+    return _divide(*_slab(rc.z, rc.gamma, z_at, dx)[:2])
 
 
 def layer_transform(rc: RegionConstants, z_far: complex, length: float) -> complex:
@@ -360,7 +384,7 @@ def layer_transform(rc: RegionConstants, z_far: complex, length: float) -> compl
     """
     if not length > 0.0:
         raise ValueError("layer_transform needs a strictly positive length")
-    return _divide(*_slab(rc, z_far, -length)[:2])
+    return _divide(*_slab(rc.z, rc.gamma, z_far, -length)[:2])
 
 
 def psi_growth_factor(rc: RegionConstants, z_exit: complex, length: float) -> complex:
@@ -375,7 +399,7 @@ def psi_growth_factor(rc: RegionConstants, z_exit: complex, length: float) -> co
     the layer transform's denominator: a finite entry impedance
     guarantees a well-conditioned factor).
     """
-    _, den, f = _slab(rc, z_exit, -length)
+    _, den, f = _slab(rc.z, rc.gamma, z_exit, -length)
     return _divide(f, den)
 
 

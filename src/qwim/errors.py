@@ -52,7 +52,9 @@ class SolverError(QwimError):
 
 
 class DegenerateEnergyError(SolverError):
-    """E coincides with a region potential level; z and gamma vanish."""
+    """E coincides with a level whose z and gamma must not vanish: a lead
+    (it carries no flux there), or a region handed to the closed forms.
+    A slab of a layer chain takes the linear limit instead."""
 
 
 class PoleAtXError(SolverError):

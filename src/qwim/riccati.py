@@ -46,6 +46,8 @@ class IntegrationConfig:
     ``max_step`` of None means (span / 50) is chosen per call.  When
     ``force_numeric`` is set, higher-level solvers integrate the ODE even
     for piecewise-constant potentials instead of chaining closed forms.
+    Every number must be finite; ``rel_tol`` may be zero, ``abs_tol``,
+    ``pole_threshold`` and ``max_step`` must be positive.
     """
 
     rel_tol: float = 1e-10
@@ -53,6 +55,19 @@ class IntegrationConfig:
     max_step: float | None = None
     pole_threshold: float = 1e3
     force_numeric: bool = False
+
+    def __post_init__(self):
+        positive = {"abs_tol": self.abs_tol, "pole_threshold": self.pole_threshold}
+        if self.max_step is not None:
+            positive["max_step"] = self.max_step
+        require_finite(
+            "tolerances, pole threshold and max step", self.rel_tol, *positive.values()
+        )
+        if self.rel_tol < 0.0:
+            raise ValueError(f"rel_tol must be at least 0, got {self.rel_tol}")
+        for name, value in positive.items():
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -259,8 +274,6 @@ def integrate_impedance(
         raise ValueError("anchor and target coincide; nothing to integrate")
     span = abs(target_x - anchor_x)
     max_step = cfg.max_step if cfg.max_step is not None else span / 50.0
-    if not max_step > 0.0:
-        raise ValueError("max_step must be positive")
 
     lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
     stops = set(pot.breakpoints_between(lo, hi))

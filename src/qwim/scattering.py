@@ -32,7 +32,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .analytic import _chain, _chain_many, _region_constants_many, region_constants
+from .analytic import (
+    _chain,
+    _chain_many,
+    _region_constants_many,
+    _steps,
+    region_constants,
+)
 from .errors import (
     EvanescentIncidenceError,
     NonPositiveRealPartError,
@@ -90,7 +96,7 @@ def _solve_left(
 
     analytic = isinstance(pot, PiecewisePotential) and not cfg.force_numeric
     if analytic or a == b:
-        num, den, ratio = _chain(pot, e, z_far, a, False, params)
+        num, den, ratio = _chain(_steps(pot, a, False), e, z_far, params)
     else:
         traj = integrate_impedance(
             pot, e, b, z_far, a, cfg, params, track_integral=True
@@ -159,7 +165,7 @@ def _sweep_chain(
     e = np.array(es, dtype=float)
     z1, gamma1, degenerate1 = _region_constants_many(e, work.left_level, params)
     z2, gamma2, degenerate2 = _region_constants_many(e, work.right_level, params)
-    num, den, ratio, ok = _chain_many(work, e, z2, work.a, False, params)
+    num, den, ratio, ok = _chain_many(_steps(work, work.a, False), e, z2, params)
     far_propagating = e > work.right_level
     with np.errstate(all="ignore"):
         z_entry = num / den

@@ -167,7 +167,10 @@ def parse_spec(text: str) -> ProblemSpec:
                 overrides[key] = value
             else:
                 overrides[key] = _as_number(value, f"defaults.{key}")
-        defaults = replace(defaults, **overrides)
+        try:
+            defaults = replace(defaults, **overrides)
+        except ValueError as exc:
+            raise SpecFileError(f"defaults: {exc}") from exc
     return ProblemSpec(potential=potential, params=params, defaults=defaults)
 
 

@@ -19,11 +19,15 @@ only at full transmission, so resonances are located as minima of
 
 Piecewise potentials chain the exact layer transforms, which also give
 the psi ratios W needs; sampled potentials (or ``cfg.force_numeric``)
-integrate the Riccati equation.  On a piecewise potential the scan grid
-that brackets roots and minima is chained in one array pass per slab
-(``_scan``); the refinement of each bracket works one energy at a time,
-with qwim's own ports of Brent's root finder and bounded minimiser
-(``_optimize``).
+integrate the Riccati equation.  A search sets up its ``_Ends`` once: on
+a piecewise potential, the slab list from each end to the probe and the
+two lead levels.  The scan grid that brackets roots and minima is
+chained along those lists in one array pass per slab (``_scan``).  The
+refinement of each bracket, with qwim's own ports of Brent's root finder
+and bounded minimiser (``_optimize``), walks the same lists one scalar
+energy at a time in plain complex arithmetic, and evaluates no energy
+twice: the value at a returned root or minimum is the one the optimiser
+computed.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from ._optimize import brentq, minimize_scalar
-from .analytic import _chain, _chain_many, _region_constants_many
+from .analytic import _chain, _chain_many, _constants, _region_constants_many, _steps
 from .errors import (
     BracketingExhaustedError,
     EmptyWindowError,
@@ -77,36 +81,66 @@ class SpectrumResult:
     transparent: bool = False
 
 
-def _ends(pot, e, probe_x, cfg, params) -> tuple[tuple, tuple]:
-    """(num, den, r) of the left- and of the right-anchored solution at
-    the probe: Z = num / den and psi(anchor) / psi(probe) = r / den.
+class _Ends:
+    """The left- and the right-anchored solution at one probe, set up
+    once for a whole search.
 
-    Bound mode applies automatically for e below both leads; otherwise
-    the scattering (left-incidence) anchors are used.  The Riccati engine
-    carries no psi ratio and gives (Z, 1, 1).
+    Called with an energy, it gives both solutions' (num, den, r) at the
+    probe: Z = num / den and psi(anchor) / psi(probe) = r / den.  Bound
+    mode applies automatically for e below both leads; otherwise the
+    scattering (left-incidence) anchors are used.  On a piecewise
+    potential (without ``force_numeric``) the slab lists from each end to
+    the probe are built here, and every energy, scalar or array
+    (``many``), is chained along them.  The Riccati engine carries no psi
+    ratio and gives (Z, 1, 1); ``slabs`` is None then.
     """
-    require_finite("energy and probe", e, probe_x)
-    a, b = pot.a, pot.b
-    if not a < probe_x < b:
-        raise ValueError(f"probe {probe_x} outside the open interval ({a}, {b})")
-    z_a = left_anchor(pot, e, params)
-    z_b = right_anchor(pot, e, params)
-    if isinstance(pot, PiecewisePotential) and not cfg.force_numeric:
+
+    def __init__(self, pot, probe_x, cfg, params):
+        if not pot.a < probe_x < pot.b:
+            raise ValueError(f"probe {probe_x} outside the open interval ({pot.a}, {pot.b})")
+        self.pot, self.probe_x, self.cfg, self.params = pot, probe_x, cfg, params
+        self.levels = pot.left_level, pot.right_level
+        self.slabs = None
+        if isinstance(pot, PiecewisePotential) and not cfg.force_numeric:
+            self.slabs = _steps(pot, probe_x, True), _steps(pot, probe_x, False)
+
+    def __call__(self, e):
+        pot, params = self.pot, self.params
+        if self.slabs is None:
+            z_a = left_anchor(pot, e, params)
+            z_b = right_anchor(pot, e, params)
+            zp = integrate_impedance(pot, e, pot.a, z_a, self.probe_x, self.cfg, params).zs[-1]
+            zm = integrate_impedance(pot, e, pot.b, z_b, self.probe_x, self.cfg, params).zs[0]
+            return (complex(zp), 1.0, 1.0), (complex(zm), 1.0, 1.0)
+        (left, right), (u1, u2) = self.slabs, self.levels
+        # the anchors of left_anchor and right_anchor
+        z1 = _constants(e, u1, params)[0]
+        z2 = _constants(e, u2, params)[0]
         return (
-            _chain(pot, e, z_a, probe_x, True, params),
-            _chain(pot, e, z_b, probe_x, False, params),
+            _chain(left, e, -z1 if e < u1 else z1, params),
+            _chain(right, e, z2, params),
         )
-    zp = complex(integrate_impedance(pot, e, a, z_a, probe_x, cfg, params).zs[-1])
-    zm = complex(integrate_impedance(pot, e, b, z_b, probe_x, cfg, params).zs[0])
-    return (zp, 1.0, 1.0), (zm, 1.0, 1.0)
+
+    def many(self, es: np.ndarray):
+        """The ends over an energy array along the slab lists: (plus,
+        minus, ok), with ``ok`` False wherever the scalar call raises."""
+        (left, right), (u1, u2) = self.slabs, self.levels
+        z1, _, degenerate1 = _region_constants_many(es, u1, self.params)
+        z2, _, degenerate2 = _region_constants_many(es, u2, self.params)
+        *plus, ok_p = _chain_many(left, es, np.where(es < u1, -z1, z1), self.params)
+        *minus, ok_m = _chain_many(right, es, z2, self.params)
+        return plus, minus, ok_p & ok_m & ~degenerate1 & ~degenerate2
 
 
 def _mismatch(plus, minus):
     """D = Z+ - Z- from the two ends (scalars or arrays); not finite where
-    a solution has a psi-node at the probe."""
+    a solution has a psi-node at the probe (NaN for a scalar zero
+    divisor)."""
     (n1, d1, _), (n2, d2, _) = plus, minus
-    with np.errstate(all="ignore"):
-        return np.divide(n1, d1) - np.divide(n2, d2)
+    try:
+        return n1 / d1 - n2 / d2
+    except ZeroDivisionError:
+        return math.nan
 
 
 def _wronskian(plus, minus, s):
@@ -118,16 +152,29 @@ def _wronskian(plus, minus, s):
     does not depend on the probe, has no poles, lies in [-1, 1] and
     vanishes exactly at the eigenvalues.  With the (Z, 1, 1) ends of the
     Riccati engine the sign of psi is unknown: W then jumps where one
-    solution alone has a node at the probe.
+    solution alone has a node at the probe.  A scalar zero divisor gives
+    NaN.
     """
     (n1, d1, r1), (n2, d2, r2) = plus, minus
-    with np.errstate(all="ignore"):
+    try:
         # only the phases of the psi ratios count; each is normalised
         # alone so that their product cannot underflow
-        phase = np.conj(r1) / np.abs(r1) * (np.conj(r2) / np.abs(r2))
-        return s * np.imag((n2 * d1 - n1 * d2) * phase) / (
-            np.hypot(np.abs(n1), s * np.abs(d1)) * np.hypot(np.abs(n2), s * np.abs(d2))
+        phase = r1.conjugate() / abs(r1) * (r2.conjugate() / abs(r2))
+        # |x + i y| is hypot(x, y), for scalars and arrays alike
+        return s * ((n2 * d1 - n1 * d2) * phase).imag / (
+            abs(abs(n1) + 1j * (s * abs(d1))) * abs(abs(n2) + 1j * (s * abs(d2)))
         )
+    except ArithmeticError:
+        return math.nan
+
+
+def _at(match, ends: _Ends, e: float):
+    """``match`` of the scalar ends at e; NaN where they raise a
+    SolverError."""
+    try:
+        return match(*ends(e))
+    except SolverError:
+        return math.nan
 
 
 def impedance_mismatch(
@@ -144,48 +191,36 @@ def impedance_mismatch(
     TransformPoleError where a solution has a psi-node exactly at the
     probe: D has a pole there.
     """
-    d = complex(_mismatch(*_ends(pot, e, probe_x, cfg, params)))
+    require_finite("energy and probe", e, probe_x)
+    d = complex(_mismatch(*_Ends(pot, probe_x, cfg, params)(e)))
     if not cmath.isfinite(d):
         raise TransformPoleError(f"psi-node at the probe {probe_x}: D has a pole")
     return d
 
 
-def _scan(pot, es, probe_x, cfg, params, match) -> list:
+def _scan(ends: _Ends, es, match) -> list:
     """``match(plus, minus)`` of the two solutions' ends at each energy
     of ``es``; None where the ends raise a SolverError or the value is
     not finite.
 
-    A piecewise potential (without ``force_numeric``) is chained from
-    both ends to the probe in one array pass per slab.  Every energy
-    where either chain flags, a lead is degenerate or the value is not
-    finite is computed again from the scalar ends, so the energies
-    dropped are exactly those a point-by-point scan drops.
+    Along slab lists the grid is chained from both ends to the probe in
+    one array pass per slab.  Every energy where either chain flags, a
+    lead is degenerate or the value is not finite is computed again from
+    the scalar ends, so the energies dropped are exactly those a
+    point-by-point scan drops.
     """
     out: list = [None] * len(es)
     redo = range(len(es))
-    # a probe that is not a finite interior point takes the scalar loop,
-    # which raises for it as _ends does
-    if (
-        isinstance(pot, PiecewisePotential)
-        and not cfg.force_numeric
-        and pot.a < probe_x < pot.b
-    ):
-        e = np.array(es, dtype=float)
-        z1, _, degenerate1 = _region_constants_many(e, pot.left_level, params)
-        z2, _, degenerate2 = _region_constants_many(e, pot.right_level, params)
-        z_a = np.where(e < pot.left_level, -z1, z1)
-        *plus, ok_p = _chain_many(pot, e, z_a, probe_x, True, params)
-        *minus, ok_m = _chain_many(pot, e, z2, probe_x, False, params)
-        v = match(plus, minus)
-        ok = ok_p & ok_m & ~degenerate1 & ~degenerate2 & np.isfinite(v)
+    if ends.slabs is not None:
+        plus, minus, ok = ends.many(np.array(es, dtype=float))
+        with np.errstate(all="ignore"):
+            v = match(plus, minus)
+        ok &= np.isfinite(v)
         out = v.tolist()
         redo = np.flatnonzero(~ok).tolist()
     for i in redo:
-        try:
-            v = match(*_ends(pot, es[i], probe_x, cfg, params))
-        except SolverError:
-            v = math.nan
-        out[i] = v if np.isfinite(v) else None
+        v = _at(match, ends, es[i])
+        out[i] = v if cmath.isfinite(v) else None
     return out
 
 
@@ -220,15 +255,19 @@ def find_bound_states(
     on a uniform grid (plus a geometric refinement toward the window
     ceiling, where arbitrarily shallow states accumulate), in one array
     pass per slab on a piecewise potential, and refines each sign change
-    by Brent's method, one scalar W per iterate.  The Riccati engine's
+    by Brent's method, one scalar W per iterate along the same slab
+    lists, each energy evaluated once.  The Riccati engine's
     W is unsigned and also changes sign at jumps, where |W| stays near
     one; there a root is kept only when |W(root)| is at most ROOT_TOL
     times the larger |W| at its bracket's ends.  Residuals are |W(root)|.
     For a recognizable single square well the count is cross-checked
-    against the transcendental branch count.
+    against the transcendental branch count.  ``scan_points`` below 3
+    raises ValueError.
     """
     if probe_x is not None:
         require_finite("probe", probe_x)
+    if scan_points < 3:
+        raise ValueError(f"scan_points must be at least 3, got {scan_points}")
     if isinstance(pot, PiecewisePotential):
         if not pot.segments:
             raise EmptyWindowError("a bare step supports no bound states")
@@ -253,16 +292,11 @@ def find_bound_states(
     if not math.isfinite(s):
         raise NonFiniteStateError(f"bound window ({floor}, {ceil}) overflows")
 
+    ends = _Ends(pot, probe, cfg, params)
     match = partial(_wronskian, s=s)
-
-    def w_at(e: float) -> float:
-        return float(match(*_ends(pot, e, probe, cfg, params)))
-
-    scan = [
-        (e, w)
-        for e, w in zip(grid, _scan(pot, grid, probe, cfg, params, match))
-        if w is not None
-    ]
+    # NaN where W cannot be evaluated, on which brentq gives up
+    w_at = cache(partial(_at, match, ends))
+    scan = [(e, w) for e, w in zip(grid, _scan(ends, grid, match)) if w is not None]
 
     # the chain's W is signed and continuous, so every sign change holds
     # a root, however steep; the Riccati engine's unsigned W also changes
@@ -277,11 +311,11 @@ def find_bound_states(
             try:
                 # to float resolution, where the root test below applies
                 root = brentq(w_at, e0, e1, xtol=1e-300, rtol=8.9e-16)
-            except (SolverError, ValueError):
+            except ValueError:
                 continue
         else:
             continue
-        res = abs(w_at(root))
+        res = abs(w_at(root))  # brentq's own value at its root
         if signed or res <= ROOT_TOL * max(abs(w0), abs(w1)):
             roots.append(root)
             residuals.append(res)
@@ -320,12 +354,14 @@ def find_resonances(
     Scans |D(E)| (one array pass per slab on a piecewise potential) and
     refines each strict local minimum by Brent's bounded minimization of
     |D|^2, then by Brent's root finder on each component of D that
-    changes sign across the bracket, one scalar mismatch per iterate.  An
-    energy where D cannot be evaluated counts as |D| = inf to the
+    changes sign across the bracket, one scalar mismatch per iterate
+    along the same slab lists, each energy evaluated once.  An energy
+    where D cannot be evaluated counts as |D| = inf to the
     minimiser and drops that component's root.  Accepts energies where
     |D| < RESONANCE_TOL and, as an independent cross-check, R < 1e-8.
     A window in which R vanishes identically (no structure at all) is
-    flagged transparent and returns no discrete energies.
+    flagged transparent and returns no discrete energies.  ``scan_points``
+    below 3 raises ValueError: no strict minimum fits on fewer points.
     """
     from .scattering import solve_scattering
 
@@ -334,6 +370,8 @@ def find_resonances(
         require_finite("probe", probe_x)
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
+    if scan_points < 3:
+        raise ValueError(f"scan_points must be at least 3, got {scan_points}")
     work = pot.mirrored() if side is Side.RIGHT else pot
     if e_min <= work.left_level:
         raise EvanescentIncidenceError(
@@ -341,11 +379,10 @@ def find_resonances(
         )
     probe = probe_x if probe_x is not None else _default_probe(work)
 
+    @cache
     def mismatch_c(e: float):
-        try:
-            return impedance_mismatch(work, e, probe, cfg, params)
-        except SolverError:
-            return None
+        d = _at(_mismatch, ends, e)
+        return d if cmath.isfinite(d) else None
 
     def mismatch(e: float):
         d = mismatch_c(e)
@@ -379,12 +416,9 @@ def find_resonances(
             transparent=True,
         )
 
-    grid = np.linspace(e_min, e_max, scan_points + 1)[1:]
-    scan = [
-        (e, abs(d))
-        for e, d in zip(grid, _scan(work, grid, probe, cfg, params, _mismatch))
-        if d is not None
-    ]
+    ends = _Ends(work, probe, cfg, params)
+    grid = np.linspace(e_min, e_max, scan_points + 1)[1:].tolist()
+    scan = [(e, abs(d)) for e, d in zip(grid, _scan(ends, grid, _mismatch)) if d is not None]
 
     energies: list[float] = []
     residuals: list[float] = []
@@ -406,7 +440,7 @@ def find_resonances(
                             partial(component, comp),
                             lo, hi, xtol=1e-14, rtol=8.9e-16,
                         )
-                    except (SolverError, ValueError):
+                    except ValueError:
                         continue
                     d_root = mismatch(e_root)
                     if d_root is not None and (d_star is None or d_root < d_star):

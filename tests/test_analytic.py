@@ -8,6 +8,11 @@ import pytest
 
 from qwim.analytic import (
     PhaseConstant,
+    _chain,
+    _chain_many,
+    _constants,
+    _region_constants_many,
+    _steps,
     TOL_ALG,
     TOL_FLUX,
     barrier_closed_forms,
@@ -19,8 +24,13 @@ from qwim.analytic import (
     region_constants,
     step_reflection,
 )
-from qwim.errors import DegenerateEnergyError, EvanescentIncidenceError
-from qwim.model import ModelParams
+from qwim.errors import (
+    DegenerateEnergyError,
+    EvanescentIncidenceError,
+    NonFiniteStateError,
+    TransformPoleError,
+)
+from qwim.model import ModelParams, PiecewisePotential, PotentialSegment
 
 # Entry impedance of the barrier u=1 on a 2-long slab at E=0.5 terminated
 # by the matched load z=1, frozen from a (psi, psi') propagator-matrix
@@ -249,3 +259,83 @@ def test_barrier_amplitudes_consistent():
 def test_barrier_below_leads_rejected():
     with pytest.raises(EvanescentIncidenceError):
         barrier_closed_forms(-0.3, 1.0, 2.0)
+
+
+def _walks(pot):
+    """(slab list, from_left) of whole walks from both ends and of walks
+    from both ends to an interior point."""
+    inner = pot.a + 0.382 * (pot.b - pot.a)
+    return [
+        (_steps(pot, x_to, from_left), from_left)
+        for x_to, from_left in ((pot.b, True), (pot.a, False), (inner, True), (inner, False))
+    ]
+
+
+def test_chain_matches_chain_many(random_stack_instances):
+    # the scalar walker against its array twin on the conftest stacks and
+    # on thick (saturated) slabs, from both ends, at bound (E < 0) and
+    # scattering energies, at every level (the linear limit) and beside it
+    params = ModelParams()
+    stacks = [pot for pot, _ in random_stack_instances]
+    stacks += [
+        PiecewisePotential(
+            0.0,
+            (
+                PotentialSegment(0.0, length, 1.0),
+                PotentialSegment(length, length + 1.0, -2.0),
+                PotentialSegment(length + 1.0, 2.0 * length + 1.0, 1.0),
+            ),
+            0.0,
+        )
+        for length in (50.0, 250.0, 400.0)
+    ]
+    grid = np.linspace(-3.5, 8.0, 93).tolist()
+    for pot in stacks:
+        levels = {pot.left_level, pot.right_level, *(s.u for s in pot.segments)}
+        es = np.array(sorted({*grid, *levels, *(u + 1e-13 for u in levels)}))
+        z = _region_constants_many(es, 0.0, params)[0]  # the leads' z
+        # (num, den) compare as one vector, den scaled by a velocity
+        scale = np.sqrt(2.0 * np.max([np.abs(es - u) for u in levels], axis=0) / params.mass)
+        for slabs, from_left in _walks(pot):
+            anchor = np.where(es < 0.0, -z, z) if from_left else z
+            num, den, r, ok = _chain_many(slabs, es, anchor, params)
+            want = np.array([_chain(slabs, e, complex(a), params) for e, a in zip(es.tolist(), anchor)])
+            assert ok.all()
+            norm = np.hypot(np.abs(want[:, 0]), scale * np.abs(want[:, 1]))
+            # numpy's complex multiply and divide round differently from
+            # CPython's, and a walk that carries a solution into its
+            # growing direction amplifies that: the worst here is 2.2e-13
+            # (r of a 6-slab walk from the left at E = -0.5)
+            bound = 1e-12
+            assert np.all(np.abs(num - want[:, 0]) <= bound * norm), (pot, from_left)
+            assert np.all(scale * np.abs(den - want[:, 1]) <= bound * norm), (pot, from_left)
+            assert np.all(np.abs(r - want[:, 2]) <= bound * np.abs(want[:, 2])), (pot, from_left)
+
+
+def test_chain_many_flags_where_chain_raises():
+    params = ModelParams()
+    # an anchor that puts an exact psi-node at the first interface, and a
+    # level whose z overflows
+    node = PiecewisePotential(0.0, (PotentialSegment(0.0, 0.7, -1.0), PotentialSegment(0.7, 1.5, 0.4)), 0.0)
+    z, gamma = _constants(1.0, -1.0, params)
+    c1, c2 = cmath.cosh(gamma * 0.7), cmath.sinh(gamma * 0.7)
+    z_node = -z * c1 / c2
+    assert _chain(_steps(node, 0.7, True), 1.0, z_node, params)[1] == 0
+    deep = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 0.5), PotentialSegment(1.0, 2.0, -1e308)), 0.0)
+    es = np.array([0.25, 1.0, 1.5])
+    for pot, anchor, error in (
+        (node, z_node, TransformPoleError),
+        (deep, 0.3 - 0.2j, NonFiniteStateError),
+    ):
+        raised = 0
+        for slabs, _ in _walks(pot):
+            ok = _chain_many(slabs, es, anchor, params)[3]
+            for e, good in zip(es.tolist(), ok.tolist()):
+                try:
+                    _chain(slabs, e, anchor, params)
+                except error:
+                    raised += 1
+                    assert not good, (pot, slabs, e)
+                else:
+                    assert good, (pot, slabs, e)
+        assert raised > 0

@@ -100,6 +100,38 @@ def test_non_finite_energy_is_input_error(tmp_path, verb, energy):
     assert errors[0].startswith("error\tNonFiniteInput\t")
 
 
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--rel-tol", "0", "--abs-tol", "0"], "Input"),
+        (["--rel-tol", "-1"], "Input"),
+        (["--abs-tol", "-1"], "Input"),
+        (["--rel-tol", "nan"], "NonFiniteInput"),
+    ],
+)
+def test_bad_tolerance_flags_are_input_errors(flags, code):
+    spec = str(DOCS / "barrier.json")
+    proc = run_cli("scatter", "--spec", spec, "--energy", "2", "--force-numeric", *flags)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error\t")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error\t{code}\t")
+
+
+def test_bad_spec_defaults_are_input_errors(tmp_path):
+    doc = json.loads(json.dumps(BARRIER_DOC))
+    doc["defaults"] = {"rel_tol": 0.0, "abs_tol": 0.0}
+    spec = write_spec(tmp_path, doc)
+    proc = run_cli("scatter", "--spec", spec, "--energy", "2", "--force-numeric")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error\t")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error\tSpecFile\t") and "defaults: abs_tol" in errors[0]
+
+
 def test_scatter_evanescent_tail_note(tmp_path):
     doc = json.loads(json.dumps(BARRIER_DOC))
     doc["potential"]["right_level"] = 3.0
@@ -133,13 +165,17 @@ def test_sweep_two_points_hits_endpoints(tmp_path):
 
 
 def test_sweep_degenerate_point_carries_sentinel(tmp_path):
-    spec = write_spec(tmp_path, BARRIER_DOC)
+    doc = json.loads(json.dumps(BARRIER_DOC))
+    doc["potential"]["segments"][0]["u"] = 0.5
+    doc["potential"]["right_level"] = 1.0
+    spec = write_spec(tmp_path, doc)
     proc = run_cli("sweep", "--spec", spec, "--emin", "1.0", "--emax", "3.0",
                    "--points", "3")
     assert proc.returncode == 0
     _, rows = rows_of(proc.stdout)
     assert len(rows) == 3
-    # E = 1.0 coincides with the barrier top: error sentinel, others numeric
+    # E = 1.0 coincides with the right lead, which then carries no flux:
+    # error sentinel, others numeric
     assert rows[0][-1] != "-" and "nan" in rows[0][1]
     for row in rows[1:]:
         assert row[-1] == "-"
@@ -153,11 +189,11 @@ def test_sweep_rows_match_scatter():
     assert proc.returncode == 0
     header, rows = rows_of(proc.stdout)
     assert [r[0] for r in rows] == ["0.5", "1", "1.5"]
-    # E = 1.0 is the barrier top
-    assert rows[1][-1] == "DegenerateEnergy"
-    # the sweep's array pass rounds differently from a single solve: the
-    # rows agree to the batched-vs-scalar bound, not digit for digit
-    for row in (rows[0], rows[2]):
+    # E = 1.0 is the barrier top, where psi is linear across the barrier:
+    # a finite row like the others.  The sweep's array pass rounds
+    # differently from a single solve: the rows agree to the
+    # batched-vs-scalar bound, not digit for digit
+    for row in rows:
         assert row[-1] == "-"
         one = run_cli("scatter", "--spec", spec, "--energy", row[0])
         assert one.returncode == 0

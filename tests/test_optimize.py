@@ -14,7 +14,7 @@ from qwim._optimize import brentq, minimize_scalar
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment
 from qwim.riccati import IntegrationConfig
 from qwim.specfile import load_spec
-from qwim.spectral import _default_probe, _ends, _wronskian, impedance_mismatch
+from qwim.spectral import _default_probe, _Ends, _wronskian, impedance_mismatch
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -38,9 +38,10 @@ def wronskian_at(pot):
     s = math.sqrt(2.0 * (ceil - floor) / ModelParams().mass)
     probe = _default_probe(pot)
     match = partial(_wronskian, s=s)
+    ends = _Ends(pot, probe, IntegrationConfig(), ModelParams())
 
     def w_at(e):
-        return float(match(*_ends(pot, e, probe, IntegrationConfig(), ModelParams())))
+        return float(match(*ends(e)))
 
     return w_at, floor, ceil
 

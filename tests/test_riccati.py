@@ -13,7 +13,7 @@ from qwim.analytic import (
     phase_from_impedance,
     region_constants,
 )
-from qwim.errors import EvanescentIncidenceError
+from qwim.errors import EvanescentIncidenceError, NonFiniteInputError
 from qwim.model import (
     ModelParams,
     PiecewisePotential,
@@ -33,6 +33,31 @@ from qwim.riccati import (
 from qwim.xcheck import _cumulative_nonuniform_simpson
 
 TIGHT = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rel_tol", -1.0), ("abs_tol", 0.0), ("abs_tol", -1.0), ("pole_threshold", 0.0),
+     ("pole_threshold", -1.0), ("max_step", 0.0), ("max_step", -0.1)],
+)
+def test_config_rejects_out_of_range_values(field, value):
+    # abs_tol = 0 with rel_tol = 0 divided by zero in the error norm;
+    # the others moved results without a word
+    with pytest.raises(ValueError, match=field):
+        IntegrationConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "pole_threshold", "max_step"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(field, bad):
+    with pytest.raises(NonFiniteInputError):
+        IntegrationConfig(**{field: bad})
+
+
+def test_config_allows_zero_rel_tol():
+    cfg = IntegrationConfig(rel_tol=0.0, abs_tol=1e-13, max_step=0.5)
+    traj = integrate_impedance(flat(), 0.5, 2.0, 1.0 + 0j, 0.0, cfg)
+    assert abs(traj.zs[0] - 1.0) < 1e-12
 
 
 def flat(u=0.0, lo=0.0, hi=2.0):

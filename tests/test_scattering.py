@@ -9,6 +9,7 @@ import pytest
 from qwim import analytic, scattering
 from qwim.analytic import barrier_closed_forms, region_constants
 from qwim.errors import (
+    DegenerateEnergyError,
     EvanescentIncidenceError,
     NonFiniteInputError,
     NonFiniteStateError,
@@ -252,6 +253,46 @@ def test_overflowing_level_raises_typed():
         solve_scattering(pot, 1.0)
     out = energy_sweep(pot, [0.5, 1.0])
     assert [r.code for r in out] == ["NonFiniteState", "NonFiniteState"]
+
+
+def test_slab_level_takes_linear_limit():
+    # at E = 1 psi is linear across the unit barrier (0, 1, 1):
+    # 1/Z(x) = 1/Z0 + i (m/hbar)(x - x0), so T = 1 / (1 + m U l^2 / 2 hbar^2)
+    pot = barrier(1.0, 1.0)
+    res = solve_scattering(pot, 1.0)
+    assert res.big_r == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert res.big_t == pytest.approx(2.0 / 3.0, rel=1e-15)
+    numeric = solve_scattering(pot, 1.0, cfg=IntegrationConfig(rel_tol=1e-12, force_numeric=True))
+    assert abs(numeric.big_r - res.big_r) < 1e-12
+    assert abs(numeric.t - res.t) < 1e-12
+    # continuous with the tanh forms on either side of the level
+    for e in (1.0 - 1e-9, 1.0 + 1e-9):
+        near = solve_scattering(pot, e)
+        assert abs(near.r - res.r) < 1e-8 and abs(near.t - res.t) < 1e-8
+    # the sweep's array pass takes the same limit instead of a record
+    sweep = energy_sweep(pot, [0.5, 1.0, 1.5])
+    assert all(not isinstance(rec, EnergyPointError) for rec in sweep)
+    assert abs(sweep[1].r - res.r) <= 1e-12 and abs(sweep[1].t - res.t) <= 1e-12
+
+
+def test_slab_levels_continuous_on_stacks(random_stack_instances):
+    # every interior level above the leads of the conftest stacks
+    for pot, _ in random_stack_instances[:20]:
+        for u in {s.u for s in pot.segments if s.u > 0.0}:
+            at = solve_scattering(pot, u)
+            for e in (u * (1.0 - 1e-9), u * (1.0 + 1e-9)):
+                near = solve_scattering(pot, e)
+                assert abs(near.r - at.r) < 1e-6 and abs(near.t - at.t) < 1e-6, (pot, u)
+
+
+def test_degenerate_lead_stays_an_error():
+    # a lead level equal to E carries no flux
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 0.5),), 1.0)
+    with pytest.raises(DegenerateEnergyError):
+        solve_scattering(pot, 1.0)
+    with pytest.raises(DegenerateEnergyError):
+        solve_scattering(pot, 1.0, Side.RIGHT)
+    assert [rec.code for rec in energy_sweep(pot, [1.0])] == ["DegenerateEnergy"]
 
 
 def _sweep_cases(case, random_stack_instances):

@@ -170,3 +170,15 @@ def test_load_spec_names_missing_file(tmp_path):
     target.write_text(BARRIER)
     spec = load_spec(str(target))
     assert spec.potential.b == 2.0
+
+
+@pytest.mark.parametrize(
+    "defaults, field",
+    [({"rel_tol": 0, "abs_tol": 0}, "abs_tol"), ({"rel_tol": -1e-9}, "rel_tol"),
+     ({"pole_threshold": -5}, "pole_threshold"), ({"max_step": 0}, "max_step")],
+)
+def test_out_of_range_defaults_name_the_block(defaults, field):
+    doc = json.loads(BARRIER)
+    doc["defaults"] = defaults
+    with pytest.raises(SpecFileError, match=f"defaults: {field}"):
+        parse_spec(json.dumps(doc))

@@ -24,7 +24,7 @@ from qwim.spectral import (
     ROOT_TOL,
     SpectrumKind,
     _default_probe,
-    _ends,
+    _Ends,
     _mismatch,
     _scan,
     _wronskian,
@@ -169,16 +169,16 @@ def test_undersampled_scan_reports_miss():
     # the one probe, with the window's velocity scale
     probe, s = _default_probe(pot), math.sqrt(2.0 * 30.0)
     for e, w in zip(exc.value.energies, exc.value.mismatches):
-        want = _wronskian(*_ends(pot, e, probe, IntegrationConfig(), ModelParams()), s)
+        want = _wronskian(*_Ends(pot, probe, IntegrationConfig(), ModelParams())(e), s)
         assert abs(w - want) <= 1e-11 * max(abs(want), 1.0)
 
 
-def _scalar_scan(pot, es, probe_x, cfg, params, match):
+def _scalar_scan(ends, es, match):
     """The point-by-point scan that _scan replaces."""
     out = []
     for e in es:
         try:
-            v = match(*_ends(pot, e, probe_x, cfg, params))
+            v = match(*ends(e))
         except SolverError:
             v = None
         out.append(v if v is not None and np.isfinite(v) else None)
@@ -197,9 +197,10 @@ def test_mismatch_many_matches_scalar(random_stack_instances):
         es = sorted({*grid, *levels, *(u + 1e-13 for u in levels)})
         span = pot.b - pot.a
         for probe in (_default_probe(pot), pot.a + 0.382 * span, pot.a + 0.703 * span):
+            ends = _Ends(pot, probe, cfg, params)
             for match in matches:
-                got = _scan(pot, es, probe, cfg, params, match)
-                want = _scalar_scan(pot, es, probe, cfg, params, match)
+                got = _scan(ends, es, match)
+                want = _scalar_scan(ends, es, match)
                 for e, d, w in zip(es, got, want):
                     # None exactly where the scalar ends raise or the
                     # value is not finite
@@ -323,14 +324,15 @@ def test_failed_evaluation_in_resonance_refinement_is_skipped(monkeypatch):
     # component root finders drop that bracket instead of raising
     pot = load_spec(str(_DOCS / "barrier.json")).potential
     clean = find_resonances(pot, 1.0, 13.0)
-    real = spectral.impedance_mismatch
+    real = _Ends.__call__
 
-    def failing(pot, e, *args):
+    def failing(ends, e):
         if 2.2337 < e < 2.2338:
             raise TransformPoleError("no D here")
-        return real(pot, e, *args)
+        return real(ends, e)
 
-    monkeypatch.setattr(spectral, "impedance_mismatch", failing)
+    # the refinement's scalar ends; the scan grid takes the array pass
+    monkeypatch.setattr(_Ends, "__call__", failing)
     res = find_resonances(pot, 1.0, 13.0)
     assert clean.energies[0] == pytest.approx(2.2337005501361697, abs=1e-12)
     assert res.energies == clean.energies[1:]
@@ -347,7 +349,8 @@ def test_resonance_objective_keeps_an_exact_zero(monkeypatch):
         return 0.5 * (lo + hi)
 
     monkeypatch.setattr(spectral, "minimize_scalar", recording)
-    monkeypatch.setattr(spectral, "impedance_mismatch", lambda pot, e, *args: 0j)
+    # scalar ends with D = 0 - 0 exactly
+    monkeypatch.setattr(_Ends, "__call__", lambda ends, e: ((0j, 1.0, 1.0), (0j, 1.0, 1.0)))
     find_resonances(pot, 1.0, 13.0, scan_points=20)
     assert objectives and objectives[0](2.0) == 0.0
 
@@ -451,3 +454,69 @@ def test_overflowing_level_raises_typed():
         impedance_mismatch(pot, -1.0, 0.5)
     with pytest.raises(NonFiniteStateError):
         find_bound_states(pot)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: find_bound_states(well(), scan_points=-3),
+        lambda: find_bound_states(well(), scan_points=2),
+        lambda: find_resonances(barrier(), 1.0, 13.0, scan_points=0),
+        lambda: find_resonances(barrier(), 1.0, 13.0, scan_points=1),
+    ],
+    ids=["bound-negative", "bound-two", "resonance-zero", "resonance-one"],
+)
+def test_scan_points_below_three_rejected(call):
+    # one or two grid points cannot bracket anything: an empty spectrum
+    # from them would look complete
+    with pytest.raises(ValueError, match="scan_points"):
+        call()
+
+
+def test_search_builds_its_slab_lists_once(monkeypatch):
+    # the refinement chains every energy along the two slab lists the
+    # search built, evaluates each energy once, and makes no dataclass
+    from qwim import analytic, scattering
+
+    counts = {"lists": 0, "scattering lists": 0, "RegionConstants": 0}
+    chained = []
+
+    def counting(key, f):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    def recording(slabs, e, z_anchor, params):
+        chained.append((id(slabs), e))
+        return real_chain(slabs, e, z_anchor, params)
+
+    real_chain = spectral._chain
+    monkeypatch.setattr(spectral, "_steps", counting("lists", spectral._steps))
+    monkeypatch.setattr(spectral, "_chain", recording)
+    monkeypatch.setattr(scattering, "_steps", counting("scattering lists", scattering._steps))
+    monkeypatch.setattr(
+        analytic, "RegionConstants", counting("RegionConstants", analytic.RegionConstants)
+    )
+
+    res = find_bound_states(well())
+    assert len(res.energies) == 3
+    assert counts == {"lists": 2, "scattering lists": 0, "RegionConstants": 0}
+    assert len(chained) > 30
+    # each energy once per side, along one list per side
+    assert len(set(chained)) == len(chained)
+    assert len({slabs for slabs, _ in chained}) == 2
+
+    counts.update(dict.fromkeys(counts, 0))
+    chained.clear()
+    docs_barrier = load_spec(str(_DOCS / "barrier.json")).potential
+    res = find_resonances(docs_barrier, 1.0, 13.0)
+    assert len(res.energies) == 3
+    assert counts["lists"] == 2
+    assert len(chained) > 30
+    assert len(set(chained)) == len(chained)
+    # the R cross-checks (three transparency probes, one per accepted
+    # energy) are scattering solves, each with its own list and two leads
+    assert counts["scattering lists"] == 3 + len(res.energies)
+    assert counts["RegionConstants"] == 2 * counts["scattering lists"]
