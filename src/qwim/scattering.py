@@ -14,7 +14,8 @@ amplitude follows from the accumulated phase integral
 with psi(a) = (1 + r) e^{i k1 a} for a unit incident wave.  Probability
 coefficients are R = |r|^2 and T = (z2 / z1) |t|^2 (current ratio), which
 sum to one whenever the far lead propagates.  Right incidence is solved
-on the mirrored potential.
+on the mirrored potential; an energy sweep walks the stack's own slab
+list backwards instead of building the mirror.
 
 Piecewise-constant potentials use exact layer chaining; smooth (sampled)
 potentials, or any potential when ``cfg.force_numeric`` is set, use the
@@ -48,7 +49,7 @@ from .model import ModelParams, PiecewisePotential, Potential, Side, require_fin
 from .riccati import ImpedanceTrajectory, IntegrationConfig, integrate_impedance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScatteringResult:
     """Amplitudes and probability coefficients at one energy.
 
@@ -67,6 +68,20 @@ class ScatteringResult:
     big_t: float
     z_entry: complex
     evanescent_tail: bool = False
+
+    def __init__(self, e, side, r, t, big_r, big_t, z_entry, evanescent_tail=False):
+        # the generated frozen __init__ makes one object.__setattr__ call
+        # per field, three times this one's cost, and a sweep makes one
+        # record per energy; the fields and their order are the dataclass's
+        d = self.__dict__
+        d["e"] = e
+        d["side"] = side
+        d["r"] = r
+        d["t"] = t
+        d["big_r"] = big_r
+        d["big_t"] = big_t
+        d["z_entry"] = z_entry
+        d["evanescent_tail"] = evanescent_tail
 
 
 @dataclass(frozen=True)
@@ -153,41 +168,49 @@ def solve_scattering(
 
 
 def _sweep_chain(
-    pot: PiecewisePotential, es: list[float], side: Side, params: ModelParams
-) -> list[ScatteringResult | None]:
+    pot: PiecewisePotential, e: np.ndarray, side: Side, params: ModelParams
+) -> tuple[list[ScatteringResult], list[int]]:
     """``_solve_left`` over a piecewise stack for a whole energy grid.
 
     One ``_chain_many`` pass and the lead formulas as array operations.
-    None marks each point where the scalar solve raises or where the
-    array pass is not finite; the caller solves those one at a time.
+    Returns one record per energy and the indices of the flagged points,
+    where the scalar solve raises or the array pass is not finite; their
+    records mean nothing and the caller solves them one at a time.
+    Right incidence walks the stack's own slab list from its left end
+    with each step negated, which is bitwise the walk ``_solve_left``
+    makes on ``pot.mirrored()``, with the leads and edges swapped.
     """
-    work = pot.mirrored() if side is Side.RIGHT else pot
-    e = np.array(es, dtype=float)
-    z1, gamma1, degenerate1 = _region_constants_many(e, work.left_level, params)
-    z2, gamma2, degenerate2 = _region_constants_many(e, work.right_level, params)
-    num, den, ratio, ok = _chain_many(_steps(work, work.a, False), e, z2, params)
-    far_propagating = e > work.right_level
+    if side is Side.RIGHT:
+        slabs = [(u, -dx) for u, dx in _steps(pot, pot.b, True)]
+        u_in, u_far, x_in, x_far = pot.right_level, pot.left_level, -pot.b, -pot.a
+    else:
+        slabs = _steps(pot, pot.a, False)
+        u_in, u_far, x_in, x_far = pot.left_level, pot.right_level, pot.a, pot.b
+    z1, gamma1, degenerate1 = _region_constants_many(e, u_in, params)
+    z2, gamma2, degenerate2 = _region_constants_many(e, u_far, params)
+    num, den, ratio, ok = _chain_many(slabs, e, z2, params)
+    far_propagating = e > u_far
     with np.errstate(all="ignore"):
         z_entry = num / den
         inv = 1.0 / (z1 * den + num)
         r = (z1 * den - num) * inv
-        psi_b = 2.0 * z1 * ratio * inv * np.exp(1j * gamma1.imag * work.a)
+        psi_b = 2.0 * z1 * ratio * inv * np.exp(1j * gamma1.imag * x_in)
         big_r = np.abs(r) ** 2
         t = np.where(
-            far_propagating, psi_b * np.exp(-1j * gamma2.imag * work.b), psi_b
+            far_propagating, psi_b * np.exp(-1j * gamma2.imag * x_far), psi_b
         )
         big_t = np.where(
             far_propagating, (z2.real / z1.real) * np.abs(t) ** 2, 0.0
         )
-        ok &= (e >= work.left_level) & ~degenerate1 & ~degenerate2
+        ok &= (e >= u_in) & ~degenerate1 & ~degenerate2
         ok &= np.isfinite(r) & np.isfinite(t) & np.isfinite(big_r) & np.isfinite(big_t)
-    # positional fields, in ScatteringResult's order: keywords cost twice
-    # as much per record, which is most of a short sweep
-    rows = zip(
-        es, repeat(side), r.tolist(), t.tolist(), big_r.tolist(),
-        big_t.tolist(), z_entry.tolist(), (~far_propagating).tolist(),
-    )
-    return [ScatteringResult(*row) if good else None for row, good in zip(rows, ok.tolist())]
+    # positional fields, in ScatteringResult's order: keywords cost more
+    # per record, and the records are most of a short sweep
+    records = list(map(
+        ScatteringResult, e.tolist(), repeat(side), r.tolist(), t.tolist(),
+        big_r.tolist(), big_t.tolist(), z_entry.tolist(), (~far_propagating).tolist(),
+    ))
+    return records, np.flatnonzero(~ok).tolist()
 
 
 def energy_sweep(
@@ -206,23 +229,26 @@ def energy_sweep(
     the points that pass flags are solved again one at a time, so they
     carry exactly the records ``solve_scattering`` gives.
     """
-    es = [float(v) for v in energies]
-    require_finite("energy", *es)
-    for e0, e1 in zip(es, es[1:]):
-        if not e0 < e1:
-            raise ValueError("energy grid must be strictly ascending")
+    grid = energies if isinstance(energies, np.ndarray) else list(energies)
+    e = np.array(grid, dtype=float)
+    if e.ndim != 1:
+        raise TypeError(f"energies must be a one-dimensional grid, got shape {e.shape}")
+    if not np.isfinite(e).all():
+        # the message names the first value that is not finite, and an
+        # entry numpy read as NaN (None) raises float()'s TypeError
+        require_finite("energy", *map(float, grid))
+    if not (e[1:] > e[:-1]).all():
+        raise ValueError("energy grid must be strictly ascending")
     if isinstance(pot, PiecewisePotential) and not cfg.force_numeric:
-        batch = _sweep_chain(pot, es, side, params)
+        out, redo = _sweep_chain(pot, e, side, params)
     else:
-        batch = [None] * len(es)
-    out: list[ScatteringResult | EnergyPointError] = []
-    for e, res in zip(es, batch):
-        if res is None:
-            try:
-                res = solve_scattering(pot, e, side, cfg, params)
-            except SolverError as exc:
-                res = EnergyPointError(e=e, code=exc.code, message=str(exc))
-        out.append(res)
+        out, redo = [None] * len(e), range(len(e))
+    for i in redo:
+        e_i = float(e[i])
+        try:
+            out[i] = solve_scattering(pot, e_i, side, cfg, params)
+        except SolverError as exc:
+            out[i] = EnergyPointError(e=e_i, code=exc.code, message=str(exc))
     return out
 
 

@@ -101,20 +101,49 @@ def _propagation(k: complex, length: float) -> TransferMatrix:
     return TransferMatrix(ph, 0j, 0j, inv)
 
 
+def _linear_junction(k_from: complex, k_to: complex, gap: float) -> TransferMatrix:
+    """``_junction`` across a gap of slabs at level e, where psi is linear.
+
+    The pair (A, B) at the end of the k_from region gives (psi, psi') =
+    (A + B, i k_from (A - B)); the gap carries it by [[1, gap], [0, 1]]
+    and the k_to basis reads it back.  det = k_from / k_to, as for the
+    plain junction, so det M = k1/k2 still telescopes.
+    """
+    rho, s = k_from / k_to, 1j * k_from * gap
+    return TransferMatrix(
+        0.5 * (1.0 + rho + s), 0.5 * (1.0 - rho - s),
+        0.5 * (1.0 - rho + s), 0.5 * (1.0 + rho - s),
+    )
+
+
 def transfer_matrix(
     pot: PiecewisePotential, e: float, params: ModelParams = ModelParams()
 ) -> TransferMatrix:
     """Full stack matrix mapping left-lead amplitudes (referenced at a)
-    to right-lead amplitudes (referenced at b)."""
+    to right-lead amplitudes (referenced at b).
+
+    A slab whose level equals e has no plane-wave basis (k = 0): psi =
+    A + B (x - x_ref) there, and a run of such slabs joins its two
+    neighbours by ``_linear_junction``.  A lead at e still raises
+    DegenerateEnergyError.
+    """
     require_finite("energy", e)
     if not isinstance(pot, PiecewisePotential):
         raise ValueError("the transfer matrix needs piecewise-constant segments")
-    ks = [_wavevector(e, pot.left_level, params)]
-    ks += [_wavevector(e, s.u, params) for s in pot.segments]
-    ks.append(_wavevector(e, pot.right_level, params))
-    m = _junction(ks[0], ks[1])
-    for i, seg in enumerate(pot.segments):
-        m = _junction(ks[i + 1], ks[i + 2]) @ (_propagation(ks[i + 1], seg.length) @ m)
+    k_from = _wavevector(e, pot.left_level, params)
+    k_right = _wavevector(e, pot.right_level, params)
+    m, gap = None, 0.0
+    for seg in pot.segments:
+        try:
+            k = _wavevector(e, seg.u, params)
+        except DegenerateEnergyError:
+            gap += seg.length
+            continue
+        step = _linear_junction(k_from, k, gap) if gap else _junction(k_from, k)
+        m = _propagation(k, seg.length) @ (step if m is None else step @ m)
+        k_from, gap = k, 0.0
+    step = _linear_junction(k_from, k_right, gap) if gap else _junction(k_from, k_right)
+    m = step if m is None else step @ m
     # each slab's entries can be finite while their product overflows;
     # inf and nan never turn finite again, so one check at the end covers
     # the running product

@@ -305,6 +305,18 @@ def test_validate_reports_all_ok(tmp_path):
     assert rows and all(r[-1] == "ok" for r in rows)
 
 
+def test_validate_at_a_slab_level():
+    # E = 1 is the barrier's level: psi is linear across it, and the
+    # transfer-matrix oracle joins the leads across it as the chain does
+    proc = run_cli("validate", "--spec", str(DOCS / "barrier.json"), "--energy", "1.0")
+    assert proc.returncode == 0, proc.stderr
+    header, rows = rows_of(proc.stdout)
+    assert header == ["check", "value", "tolerance", "status"]
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("delta_R", "ok"), ("delta_T", "ok"), ("residual", "ok")
+    ]
+
+
 def test_validate_thick_barrier_is_solver_error(tmp_path):
     doc = json.loads(json.dumps(BARRIER_DOC))
     doc["potential"]["segments"][0]["x_end"] = 1e4

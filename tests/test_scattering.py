@@ -1,7 +1,10 @@
 """Scattering amplitudes, sweeps, and current bookkeeping."""
 
 import cmath
+import dataclasses
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, Side
 from qwim.riccati import IntegrationConfig, z_minus
 from qwim.scattering import (
     EnergyPointError,
+    ScatteringResult,
     constant_current_diagnostic,
     current_profile,
     energy_sweep,
@@ -181,10 +185,103 @@ def test_forced_numeric_matches_analytic():
 def test_energy_sweep_grid_contracts():
     pot = barrier()
     assert energy_sweep(pot, []) == []
+    assert energy_sweep(pot, np.array([])) == []
     with pytest.raises(ValueError):
         energy_sweep(pot, [1.0, 1.0])
     with pytest.raises(ValueError):
         energy_sweep(pot, [2.0, 1.5])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        energy_sweep(pot, np.array([0.5, 1.5, 1.0]))
+    # finiteness is checked before ascent, and names the bad value
+    with pytest.raises(NonFiniteInputError, match="energy must be finite, got nan"):
+        energy_sweep(pot, [2.0, float("nan"), 1.0])
+    with pytest.raises(NonFiniteInputError, match="got inf"):
+        energy_sweep(pot, np.array([0.5, np.inf]))
+
+
+def test_scattering_result_is_a_frozen_dataclass():
+    # the hand-written __init__ takes the dataclass's fields, in order,
+    # with their defaults, and the generated methods see the same record
+    params = list(inspect.signature(ScatteringResult.__init__).parameters.values())[1:]
+    fields = dataclasses.fields(ScatteringResult)
+    assert [p.name for p in params] == [f.name for f in fields]
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        for f in fields
+    ]
+    values = (1.5, Side.RIGHT, 0.3 - 0.1j, 0.8 + 0.2j, 0.1, 0.9, 1.2 + 0.4j)
+    rec = ScatteringResult(*values)
+    assert rec == ScatteringResult(*values, False)
+    assert rec == ScatteringResult(**dict(zip([f.name for f in fields], values)))
+    assert rec.evanescent_tail is False
+    assert hash(rec) == hash(ScatteringResult(*values))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.big_r = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rec.r
+    moved = dataclasses.replace(rec, big_r=0.2, evanescent_tail=True)
+    assert (moved.big_r, moved.evanescent_tail, moved.r) == (0.2, True, rec.r)
+    assert moved != rec
+    assert dataclasses.asdict(rec) == dict(zip([f.name for f in fields], values + (False,)))
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and type(back) is ScatteringResult
+    assert repr(back) == repr(rec)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (x for x in (0.5, 1.1, 1.5)),
+        lambda: (0.5, 1.1, 1.5),
+        lambda: np.array([0.5, 1.1, 1.5], dtype=np.float32),
+        lambda: [1, 2, 3],
+        lambda: ["0.5", "1.1", "1.5"],
+    ],
+    ids=["generator", "tuple", "float32", "ints", "strings"],
+)
+def test_energy_sweep_accepts_real_grids(make):
+    out = energy_sweep(barrier(), make())
+    # each energy as float() reads it, a Python float
+    assert [rec.e for rec in out] == [float(v) for v in make()]
+    assert all(type(rec.e) is float for rec in out)
+    assert all(type(rec) is ScatteringResult for rec in out)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[0.5, 1.0 + 0.5j], np.array([[0.5, 1.0], [1.5, 2.0]]), 1.5, np.array(1.5)],
+    ids=["complex", "2-D", "scalar", "0-D"],
+)
+def test_energy_sweep_rejects_non_grids(grid):
+    with pytest.raises(TypeError):
+        energy_sweep(barrier(), grid)
+
+
+def test_sweep_builds_no_mirror_and_one_record_a_point(monkeypatch):
+    # right incidence walks the stack's own slab list: no mirrored stack,
+    # no pointwise solve where no point is flagged, one record a point
+    counts = {"mirrored": 0, "solve_scattering": 0, "records": 0}
+
+    def counting(key, f):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        PiecewisePotential, "mirrored", counting("mirrored", PiecewisePotential.mirrored)
+    )
+    monkeypatch.setattr(
+        scattering, "solve_scattering", counting("solve_scattering", scattering.solve_scattering)
+    )
+    monkeypatch.setattr(
+        ScatteringResult, "__init__", counting("records", ScatteringResult.__init__)
+    )
+    stack, grid = _deep_stack(), np.linspace(1.6, 6.0, 137)
+    out = energy_sweep(stack, grid, Side.RIGHT)
+    assert counts == {"mirrored": 0, "solve_scattering": 0, "records": len(grid)}
+    assert all(type(rec) is ScatteringResult and rec.side is Side.RIGHT for rec in out)
 
 
 def test_energy_sweep_isolates_bad_points():

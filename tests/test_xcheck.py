@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from qwim.analytic import barrier_closed_forms, region_constants, step_reflection
-from qwim.errors import InsufficientSamplesError, NonFiniteInputError, SolverError
+from qwim.errors import (
+    DegenerateEnergyError,
+    InsufficientSamplesError,
+    NonFiniteInputError,
+    SolverError,
+)
 from qwim.model import (
     ModelParams,
     PiecewisePotential,
@@ -16,6 +21,7 @@ from qwim.model import (
     Side,
 )
 from qwim.riccati import IntegrationConfig, z_minus, z_plus
+from qwim.scattering import solve_scattering
 from qwim.xcheck import (
     Normalization,
     WavefunctionProfile,
@@ -127,6 +133,44 @@ def test_transfer_solve_product_overflow_is_solver_error():
     )
     with pytest.raises(SolverError):
         transfer_matrix_solve(pot, 0.5)
+
+
+def test_transfer_matrix_takes_linear_slabs():
+    # at E = 1 psi is linear across every slab at level 1: the lone
+    # barrier, a run of two such slabs, and one next to the left lead
+    barrier = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0)
+    run = PiecewisePotential(
+        0.0,
+        (
+            PotentialSegment(0.0, 0.7, -1.0),
+            PotentialSegment(0.7, 1.5, 1.0),
+            PotentialSegment(1.5, 2.0, 1.0),
+            PotentialSegment(2.0, 2.3, 0.3),
+        ),
+        0.5,
+    )
+    edge = PiecewisePotential(
+        0.0, (PotentialSegment(0.0, 1.2, 1.0), PotentialSegment(1.2, 2.0, -0.4)), 0.0
+    )
+    for pot in (barrier, run, edge):
+        k_ratio = math.sqrt(1.0 - pot.left_level) / math.sqrt(1.0 - pot.right_level)
+        assert abs(transfer_matrix(pot, 1.0).det - k_ratio) < 1e-12
+        for side in Side:
+            at = transfer_matrix_solve(pot, 1.0, side)
+            want = solve_scattering(pot, 1.0, side)
+            assert abs(at.r - want.r) < 1e-12 and abs(at.t - want.t) < 1e-12
+            assert abs(at.big_r + at.big_t - 1.0) < 1e-12
+            # continuous with the plane-wave slabs on either side
+            for e in (1.0 - 1e-9, 1.0 + 1e-9):
+                near = transfer_matrix_solve(pot, e, side)
+                assert abs(near.r - at.r) < 1e-8 and abs(near.t - at.t) < 1e-8
+    # a lead at E carries no flux: no basis to join
+    lead = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 0.5),), 1.0)
+    with pytest.raises(DegenerateEnergyError):
+        transfer_matrix(lead, 1.0)
+    for side in Side:
+        with pytest.raises(DegenerateEnergyError):
+            transfer_matrix_solve(lead, 1.0, side)
 
 
 def test_transfer_matrix_needs_piecewise():
