@@ -1,4 +1,4 @@
-"""Closed-form impedance algebra for constant-potential regions.
+"""Closed-form impedance algebra for constant and linear potential slabs.
 
 The quantum wave impedance of a solution psi is
 
@@ -31,18 +31,34 @@ evaluate.  It takes each level's z and gamma from ``_constants``, the
 scalar core of ``region_constants`` without the dataclass.
 ``_chain_many`` is its array twin for a whole energy grid: one array
 pass per slab, with an ``ok`` mask marking the energies where the
-scalar walk would raise.  Piecewise energy sweeps and the scan grids of
-the spectral searches use it, and handle the flagged energies again one
-at a time.
+scalar walk would raise.  Energy sweeps and the scan grids of the
+spectral searches use it, and handle the flagged energies again one at
+a time.
 
-Apart from those array twins everything here is exact scalar complex
+A sampled potential is linear between its samples, U = u0 + F s, and
+there psi'' = (A + B s) psi with A = 2m (u0 - E) / hbar^2 and
+B = 2m F / hbar^2.  Its slab list holds (u_start, slope, dx) per sample
+interval, and the walkers split each interval into sub-slabs of length
+h with h sqrt(max |A|) <= 1 and h |B|^(1/3) <= 1.  There the Taylor
+series of the fundamental pair f, g (f = g' = 1, f' = g = 0 at the
+start) converges in under 30 terms with no cancellation (``_series``),
+and Z maps across the sub-slab exactly as
+
+    Z -> (kappa f' + g' Z) / (f + (g / kappa) Z),   kappa = hbar / (i m),
+
+with psi(start) / psi(end) = 1 / den: the shape of ``_slab``, so the
+same walkers carry it (``_linear_maps``).  The sub-slab maps are real
+at real E, so the bound-state anchors stay purely imaginary.
+
+Apart from the array passes everything here is scalar complex
 arithmetic; the adaptive Riccati integrator in :mod:`qwim.riccati` is
-validated against these formulas.
+validated against these maps.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,7 +71,7 @@ from .errors import (
     PoleAtXError,
     TransformPoleError,
 )
-from .model import ModelParams, PiecewisePotential, require_finite
+from .model import ModelParams, Potential, SampledPotential, require_finite
 
 # E is degenerate with U when |E - U| <= EPS_DEGENERATE * max(|E|, |U|).
 EPS_DEGENERATE = 1e-12
@@ -70,8 +86,12 @@ TOL_FLUX = 1e-10
 # forms; keeps thick evanescent slabs overflow-free.
 _SATURATION_CUT = 300.0
 
-# Slab-energy pairs per array pass of _chain_many.
+# Slab-energy pairs per array pass of _chain_many, and sub-slab-energy
+# pairs per chunk of linear sub-slab maps.
 _BATCH_CELLS = 1 << 15
+# Sub-slabs one walk along linear slabs may take at most (seconds of
+# walking per energy); a split count past it counts as an overflow.
+_MAX_SUBSLABS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -237,11 +257,29 @@ def _divide(x: complex, den: complex) -> complex:
     return x / den
 
 
-def _steps(pot: PiecewisePotential, x_to: float, from_left: bool) -> list[tuple[float, float]]:
-    """The slab list of a walk: (level, dx) of each slab step from the
-    anchor (a if ``from_left``, else b) to x_to; the slab holding x_to is
-    a partial step.  ``_chain`` and ``_chain_many`` take it."""
+def _steps(pot: Potential, x_to: float, from_left: bool) -> list[tuple[float, ...]]:
+    """The slab list of a walk from the anchor (a if ``from_left``, else
+    b) to x_to, one step per slab: (level, dx) of each segment of a
+    piecewise potential, (u_start, slope, dx) of each sample interval of
+    a sampled one, with u_start the potential where the step starts and
+    slope its dU/dx.  The slab holding x_to is a partial step.
+    ``_chain`` and ``_chain_many`` take either form."""
     steps = []
+    if isinstance(pot, SampledPotential):
+        xs, us = pot.xs, pot.us
+        if from_left:
+            for i in range(len(xs) - 1):
+                x0, x1 = xs[i], xs[i + 1]
+                if x0 >= x_to:
+                    break
+                steps.append((us[i], (us[i + 1] - us[i]) / (x1 - x0), min(x1, x_to) - x0))
+        else:
+            for i in range(len(xs) - 2, -1, -1):
+                x0, x1 = xs[i], xs[i + 1]
+                if x1 <= x_to:
+                    break
+                steps.append((us[i + 1], (us[i + 1] - us[i]) / (x1 - x0), max(x0, x_to) - x1))
+        return steps
     if from_left:
         for seg in pot.segments:
             if seg.x_start >= x_to:
@@ -255,8 +293,19 @@ def _steps(pot: PiecewisePotential, x_to: float, from_left: bool) -> list[tuple[
     return steps
 
 
+def _mirrored_steps(pot: Potential) -> list[tuple[float, ...]]:
+    """The slab list of ``pot.mirrored()`` walked from its right end to
+    its left: the walk from a to b with every step, and every slope,
+    negated.  x -> -x is exact, so this is bitwise the mirror's list, and
+    no mirror is built."""
+    steps = _steps(pot, pot.b, True)
+    if isinstance(pot, SampledPotential):
+        return [(u, -slope, -dx) for u, slope, dx in steps]
+    return [(u, -dx) for u, dx in steps]
+
+
 def _chain(
-    slabs: list[tuple[float, float]],
+    slabs: list[tuple[float, ...]],
     e: float,
     z_anchor: complex,
     params: ModelParams,
@@ -264,26 +313,121 @@ def _chain(
     """Carry an impedance anchored at one end of a slab list (``_steps``)
     across it.
 
-    One ``_slab`` step per slab; a slab whose level equals e (to
+    One ``_slab`` step per constant slab; a slab whose level equals e (to
     EPS_DEGENERATE) carries psi linearly, the z -> 0 limit of the step
-    divided by z: num = Z, den = 1 + i (m/hbar) Z dx, f = 1.  Returns the
-    last step undivided, (num, den, r): Z(x_to) = num / den and
-    psi(anchor) / psi(x_to) = r / den, so a psi-node at x_to is no error.
-    Raises NonFiniteStateError where a value overflows.
+    divided by z: num = Z, den = 1 + i (m/hbar) Z dx, f = 1.  A list of
+    linear slabs is walked one sub-slab map of ``_linear_maps`` at a
+    time: num = kappa f' + g' Z and den = f + (g / kappa) Z, with a psi
+    factor of one.  Returns the last step undivided, (num, den, r):
+    Z(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so a
+    psi-node at x_to is no error.  Raises NonFiniteStateError where a
+    value overflows.
     """
     num, den, r = z_anchor, 1.0, 1.0
-    for u, dx in slabs:
-        z_at, ratio = _divide(num, den), r / den
-        try:
-            z, gamma = _constants(e, u, params)
-        except DegenerateEnergyError:
-            num, den, r = z_at, 1.0 + z_at * (1j * (params.mass / params.hbar) * dx), ratio
-            continue
-        num, den, f = _slab(z, gamma, z_at, dx)
-        r = ratio * f
+    if slabs and len(slabs[0]) == 3:
+        flat = np.fromiter(itertools.chain.from_iterable(slabs), float, 3 * len(slabs))
+        for maps in _linear_maps(flat.reshape(-1, 3), np.array([e]), params):
+            for kfp, gp, f, gk in zip(*(m.ravel().tolist() for m in maps)):
+                z_at, r = _divide(num, den), r / den
+                num, den = kfp + gp * z_at, f + gk * z_at
+    else:
+        for u, dx in slabs:
+            z_at, ratio = _divide(num, den), r / den
+            try:
+                z, gamma = _constants(e, u, params)
+            except DegenerateEnergyError:
+                num, den, r = z_at, 1.0 + z_at * (1j * (params.mass / params.hbar) * dx), ratio
+                continue
+            num, den, f = _slab(z, gamma, z_at, dx)
+            r = ratio * f
     if not (cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(r)):
         raise NonFiniteStateError(f"layer chain overflows at energy {e}")
     return num, den, r
+
+
+def _series(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(f, h f', g / h, g') at s = h of the fundamental pair of
+    psi'' = (A + B s) psi, f(0) = g'(0) = 1 and f'(0) = g(0) = 0, given
+    a = A h^2 and b = B h^3 (arrays that broadcast, |a| and |b| at most
+    about one).
+
+    The Taylor coefficients of either solution obey
+    c_{k+2} = (A c_k + B c_{k-1}) / ((k+1)(k+2)), so d_k = c_k h^k obey
+    it with a and b.  The sum stops where three terms in a row of the
+    majorant series (|a| and |b| at their largest, d_0 = d_1 = 1) are
+    below 2^-56 max(|a|, |b|): under 30 terms, with no cancellation
+    beyond that of cos(1).
+    """
+    alpha, beta = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+    tol = 2.0 ** -56 * max(alpha, beta)
+    majorant = [0.0, 1.0, 1.0]
+    while max(majorant[-3:]) > tol:
+        k = len(majorant) - 3
+        majorant.append((alpha * majorant[-2] + beta * majorant[-3]) / ((k + 1) * (k + 2)))
+    # d[k + 1] holds d_k of both solutions side by side; d[0] is d_{-1} = 0
+    d = np.zeros((len(majorant), 2) + np.broadcast(a, b).shape)
+    d[1, 0] = d[2, 1] = 1.0
+    for k in range(len(majorant) - 3):
+        new = np.multiply(a, d[k + 1], out=d[k + 3])
+        new += b * d[k]
+        new *= 1.0 / ((k + 1) * (k + 2))
+    s0 = d.sum(axis=0)
+    s1 = np.tensordot(np.arange(-1.0, len(majorant) - 1), d, axes=1)
+    return s0[0], s1[0], s0[1], s1[1]
+
+
+def _linear_maps(slabs: np.ndarray, es: np.ndarray, params: ModelParams):
+    """The sub-slab maps of a linear slab list (rows (u_start, slope, dx))
+    over an energy array: an iterator over them in walk order, in chunks
+    of at most _BATCH_CELLS sub-slab-energy pairs, (kfp, gp, f, gk), each
+    of shape (sub-slabs, energies).  One sub-slab carries Z to
+    (kfp + gp Z) / (f + gk Z), over the same denominator as the psi
+    ratio psi(start) / psi(end) = 1 / (f + gk Z).
+
+    Each slab is split into n equal sub-slabs of length h, so that
+    h sqrt(max |A|) <= 1 and h |B|^(1/3) <= 1 for every energy, with
+    psi'' = (A + B s) psi, A = 2m (U - E) / hbar^2 at the start of the
+    sub-slab and B = 2m slope / hbar^2.  The fundamental pair f, g comes
+    from ``_series``; with kappa = hbar / (i m), kfp = kappa f',
+    gp = g' and gk = g / kappa.  Raises NonFiniteStateError where the
+    split count is not finite or exceeds _MAX_SUBSLABS.
+    """
+    u0, slope, dx = slabs.T
+    c = 2.0 * params.mass / params.hbar ** 2
+    with np.errstate(all="ignore"):
+        lo, hi = np.min(es), np.max(es)
+        u1 = u0 + slope * dx
+        reach = np.maximum(
+            np.maximum(np.abs(u0 - lo), np.abs(u0 - hi)),
+            np.maximum(np.abs(u1 - lo), np.abs(u1 - hi)),
+        )
+        width = np.abs(dx) * np.maximum(np.sqrt(c * reach), np.cbrt(np.abs(c * slope)))
+        count = np.maximum(np.ceil(width), 1.0)
+        total = float(np.sum(count))
+    if not total <= _MAX_SUBSLABS:  # NaN included
+        raise NonFiniteStateError(
+            f"linear slabs need {total} sub-slabs at energies {lo} to {hi}"
+        )
+    count = count.astype(np.intp)
+    first = np.cumsum(count) - count
+    inv_kappa = 1j * params.mass / params.hbar
+    chunk = max(1, _BATCH_CELLS // len(es))
+
+    # the checks above run at the call; the maps are made as they are used
+    def chunks():
+        with np.errstate(all="ignore"):
+            for k0 in range(0, int(total), chunk):
+                k = np.arange(k0, min(k0 + chunk, int(total)))
+                j = np.searchsorted(first, k, side="right") - 1
+                h = dx[j] / count[j]
+                u = u0[j] + slope[j] * ((k - first[j]) * h)
+                h, hh = h[:, None], (h * h)[:, None]
+                f, hfp, gh, gp = _series(
+                    c * (u[:, None] - es) * hh, (c * slope[j])[:, None] * (hh * h)
+                )
+                yield hfp / (inv_kappa * h), gp, f, (inv_kappa * h) * gh
+
+    return chunks()
 
 
 def _region_constants_many(
@@ -305,7 +449,7 @@ def _region_constants_many(
 
 
 def _chain_many(
-    slabs: list[tuple[float, float]],
+    slabs: list[tuple[float, ...]],
     es: np.ndarray,
     z_anchor: np.ndarray,
     params: ModelParams,
@@ -315,24 +459,48 @@ def _chain_many(
     The slab constants, cosh/sinh and the saturated-branch factors of
     every slab crossed come from one array pass; the slab-to-slab
     recurrence is then a few array operations per slab, with ``_slab``'s
-    arithmetic and ``_chain``'s limit at a slab level.  ``ok`` is False
-    wherever the scalar walk raises (a zero denominator short of the
-    end, a value that is not finite); those entries mean nothing.
-    Energies are taken in blocks of at most _BATCH_CELLS slab-energy
-    pairs, which bounds the temporaries.
+    arithmetic and ``_chain``'s limit at a slab level.  Linear slabs take
+    the sub-slab maps of ``_linear_maps`` instead, split for the range
+    of each block of energies.  ``ok`` is False wherever the scalar walk
+    raises (a zero denominator short of the end, a value that is not
+    finite), and for a whole block whose split count overflows; those
+    entries mean nothing.  Energies are taken in blocks of at most
+    _BATCH_CELLS slab-energy pairs, which bounds the temporaries.
     """
-    u, dx = np.array(slabs, dtype=float).reshape(-1, 2).T[..., None]
     z_anchor = np.broadcast_to(np.asarray(z_anchor, dtype=complex), es.shape)
     block = max(1, _BATCH_CELLS // max(1, len(slabs)))
+    if slabs and len(slabs[0]) == 3:
+        walk, slabs = _linear_many, np.array(slabs, dtype=float)
+    else:
+        walk, slabs = _slabs_many, np.array(slabs, dtype=float).reshape(-1, 2).T[..., None]
     parts = [
-        _slabs_many(u, dx, es[i:i + block], z_anchor[i:i + block], params)
+        walk(slabs, es[i:i + block], z_anchor[i:i + block], params)
         for i in range(0, max(1, len(es)), block)
     ]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _slabs_many(u, dx, es, z, params):
+def _linear_many(slabs, es, z, params):
+    """The pass of ``_chain_many`` along linear slabs over one block of
+    energies: ``_chain``'s sub-slab walk, one array step per sub-slab."""
+    num, den, r = z, np.ones_like(z), np.ones_like(z)
+    try:
+        maps = _linear_maps(slabs, es, params) if len(es) else ()
+    except NonFiniteStateError:
+        nan = np.full_like(z, np.nan)
+        return nan, nan, nan, np.zeros(len(es), dtype=bool)
+    with np.errstate(all="ignore"):
+        for kfp, gp, f, gk in maps:
+            for i in range(len(f)):
+                z, r = num / den, r / den
+                num, den = kfp[i] + gp[i] * z, f[i] + gk[i] * z
+        ok = np.isfinite(num) & np.isfinite(den) & np.isfinite(r)
+    return num, den, r, ok
+
+
+def _slabs_many(slabs, es, z, params):
     """The array pass of ``_chain_many`` over one block of energies."""
+    u, dx = slabs
     with np.errstate(all="ignore"):
         zs, gamma, degenerate = _region_constants_many(es, u, params)
         g = gamma * dx

@@ -44,8 +44,8 @@ class IntegrationConfig:
     """Tolerances and safeguards for the Riccati stepper.
 
     ``max_step`` of None means (span / 50) is chosen per call.  When
-    ``force_numeric`` is set, higher-level solvers integrate the ODE even
-    for piecewise-constant potentials instead of chaining closed forms.
+    ``force_numeric`` is set, higher-level solvers integrate the ODE for
+    any potential instead of chaining the exact slab maps.
     Every number must be finite; ``rel_tol`` may be zero, ``abs_tol``,
     ``pole_threshold`` and ``max_step`` must be positive.
     """

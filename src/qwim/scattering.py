@@ -14,21 +14,23 @@ amplitude follows from the accumulated phase integral
 with psi(a) = (1 + r) e^{i k1 a} for a unit incident wave.  Probability
 coefficients are R = |r|^2 and T = (z2 / z1) |t|^2 (current ratio), which
 sum to one whenever the far lead propagates.  Right incidence is solved
-on the mirrored potential; an energy sweep walks the stack's own slab
-list backwards instead of building the mirror.
+in the mirrored frame: the chain walks the potential's own slab list
+from its left end with every step negated, and builds no mirror.
 
-Piecewise-constant potentials use exact layer chaining; smooth (sampled)
-potentials, or any potential when ``cfg.force_numeric`` is set, use the
-adaptive Riccati integrator with the running integral tracked.  An energy
-sweep over a piecewise potential chains the whole grid at once, one array
-pass per slab; points that pass flags (where a single solve raises, or
-its values are not finite) are solved again one at a time.
+Both kinds of potential use exact layer chaining, sampled ones one
+linear sub-slab map at a time (:mod:`qwim.analytic`); with
+``cfg.force_numeric`` set, any potential uses the adaptive Riccati
+integrator with the running integral tracked, on the mirrored potential
+for right incidence.  An energy sweep chains the whole grid at once, one
+array pass per slab or sub-slab; points that pass flags (where a single
+solve raises, or its values are not finite) are solved again one at a
+time.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -36,6 +38,7 @@ import numpy as np
 from .analytic import (
     _chain,
     _chain_many,
+    _mirrored_steps,
     _region_constants_many,
     _steps,
     region_constants,
@@ -45,7 +48,7 @@ from .errors import (
     NonPositiveRealPartError,
     SolverError,
 )
-from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
+from .model import ModelParams, Potential, Side, require_finite
 from .riccati import ImpedanceTrajectory, IntegrationConfig, integrate_impedance
 
 
@@ -93,13 +96,30 @@ class EnergyPointError:
     message: str
 
 
-def _solve_left(
+def _frame(pot: Potential, side: Side) -> tuple[float, float, float, float]:
+    """Incidence lead, far lead, entry edge and far edge for incidence
+    from ``side``, in the frame of that side: right incidence sees the
+    potential mirrored through x -> -x."""
+    if side is Side.RIGHT:
+        return pot.right_level, pot.left_level, -pot.b, -pot.a
+    return pot.left_level, pot.right_level, pot.a, pot.b
+
+
+def _walk(pot: Potential, side: Side) -> list[tuple[float, ...]]:
+    """The chain's slab list from the far lead to the entry edge, in the
+    frame of ``side``: for right incidence the potential's own list from
+    a, every step negated, which is bitwise that of ``pot.mirrored()``."""
+    return _mirrored_steps(pot) if side is Side.RIGHT else _steps(pot, pot.a, False)
+
+
+def _solve(
     pot: Potential,
     e: float,
+    side: Side,
     cfg: IntegrationConfig,
     params: ModelParams,
 ) -> ScatteringResult:
-    u1, u2 = pot.left_level, pot.right_level
+    u1, u2, a, b = _frame(pot, side)
     if e < u1:
         raise EvanescentIncidenceError(f"energy {e} below incidence lead {u1}")
     rc1 = region_constants(e, u1, params)  # degenerate e == u1 raises here
@@ -107,14 +127,13 @@ def _solve_left(
     z1, k1 = rc1.z, rc1.gamma.imag
     z_far = rc2.z  # +z2: transmitted wave above the lead, decaying tail below
     far_propagating = rc2.is_propagating
-    a, b = pot.a, pot.b
 
-    analytic = isinstance(pot, PiecewisePotential) and not cfg.force_numeric
-    if analytic or a == b:
-        num, den, ratio = _chain(_steps(pot, a, False), e, z_far, params)
+    if not cfg.force_numeric or a == b:
+        num, den, ratio = _chain(_walk(pot, side), e, z_far, params)
     else:
+        work = pot.mirrored() if side is Side.RIGHT else pot
         traj = integrate_impedance(
-            pot, e, b, z_far, a, cfg, params, track_integral=True
+            work, e, b, z_far, a, cfg, params, track_integral=True
         )
         num, den = complex(traj.zs[0]), 1.0
         # S measured from the anchor at b, so int_a^b Z dx = -S(a)
@@ -138,7 +157,7 @@ def _solve_left(
         evan = True
     return ScatteringResult(
         e=e,
-        side=Side.LEFT,
+        side=side,
         r=r,
         t=t,
         big_r=big_r,
@@ -157,38 +176,28 @@ def solve_scattering(
 ) -> ScatteringResult:
     """Scattering amplitudes at energy ``e`` for the given incidence side.
 
-    Right incidence is computed on the mirrored potential; reported
-    amplitudes live in the mirrored (incidence-side) frame, so R, T and
-    the moduli are directly comparable between sides.
+    Right incidence is computed in the mirrored frame; reported
+    amplitudes live in that (incidence-side) frame, so R, T and the
+    moduli are directly comparable between sides.
     """
     require_finite("energy", e)
-    if side is Side.RIGHT:
-        return replace(_solve_left(pot.mirrored(), e, cfg, params), side=Side.RIGHT)
-    return _solve_left(pot, e, cfg, params)
+    return _solve(pot, e, side, cfg, params)
 
 
 def _sweep_chain(
-    pot: PiecewisePotential, e: np.ndarray, side: Side, params: ModelParams
+    pot: Potential, e: np.ndarray, side: Side, params: ModelParams
 ) -> tuple[list[ScatteringResult], list[int]]:
-    """``_solve_left`` over a piecewise stack for a whole energy grid.
+    """``_solve`` along the chain for a whole energy grid.
 
     One ``_chain_many`` pass and the lead formulas as array operations.
     Returns one record per energy and the indices of the flagged points,
     where the scalar solve raises or the array pass is not finite; their
     records mean nothing and the caller solves them one at a time.
-    Right incidence walks the stack's own slab list from its left end
-    with each step negated, which is bitwise the walk ``_solve_left``
-    makes on ``pot.mirrored()``, with the leads and edges swapped.
     """
-    if side is Side.RIGHT:
-        slabs = [(u, -dx) for u, dx in _steps(pot, pot.b, True)]
-        u_in, u_far, x_in, x_far = pot.right_level, pot.left_level, -pot.b, -pot.a
-    else:
-        slabs = _steps(pot, pot.a, False)
-        u_in, u_far, x_in, x_far = pot.left_level, pot.right_level, pot.a, pot.b
+    u_in, u_far, x_in, x_far = _frame(pot, side)
     z1, gamma1, degenerate1 = _region_constants_many(e, u_in, params)
     z2, gamma2, degenerate2 = _region_constants_many(e, u_far, params)
-    num, den, ratio, ok = _chain_many(slabs, e, z2, params)
+    num, den, ratio, ok = _chain_many(_walk(pot, side), e, z2, params)
     far_propagating = e > u_far
     with np.errstate(all="ignore"):
         z_entry = num / den
@@ -224,12 +233,16 @@ def energy_sweep(
 
     Points are independent; any point that fails with a solver error
     yields an ``EnergyPointError`` record in place so one bad energy
-    cannot poison the sweep.  Order is preserved.  A piecewise stack
-    (without ``force_numeric``) is solved in one array pass per slab;
-    the points that pass flags are solved again one at a time, so they
-    carry exactly the records ``solve_scattering`` gives.
+    cannot poison the sweep.  Order is preserved.  Without
+    ``force_numeric`` the grid is chained in one array pass per slab (per
+    sub-slab on a sampled potential); the points that pass flags are
+    solved again one at a time, so they carry exactly the records
+    ``solve_scattering`` gives.  A complex grid raises TypeError, as a
+    Python ``complex`` entry does: its imaginary parts would be dropped.
     """
     grid = energies if isinstance(energies, np.ndarray) else list(energies)
+    if np.iscomplexobj(grid):
+        raise TypeError("energies must be real, got a complex grid")
     e = np.array(grid, dtype=float)
     if e.ndim != 1:
         raise TypeError(f"energies must be a one-dimensional grid, got shape {e.shape}")
@@ -239,7 +252,7 @@ def energy_sweep(
         require_finite("energy", *map(float, grid))
     if not (e[1:] > e[:-1]).all():
         raise ValueError("energy grid must be strictly ascending")
-    if isinstance(pot, PiecewisePotential) and not cfg.force_numeric:
+    if not cfg.force_numeric:
         out, redo = _sweep_chain(pot, e, side, params)
     else:
         out, redo = [None] * len(e), range(len(e))

@@ -17,12 +17,14 @@ Z(b) = z2; psi is complex there, D has no poles at real E and vanishes
 only at full transmission, so resonances are located as minima of
 |D|^2.
 
-Piecewise potentials chain the exact layer transforms, which also give
-the psi ratios W needs; sampled potentials (or ``cfg.force_numeric``)
-integrate the Riccati equation.  A search sets up its ``_Ends`` once: on
-a piecewise potential, the slab list from each end to the probe and the
-two lead levels.  The scan grid that brackets roots and minima is
-chained along those lists in one array pass per slab (``_scan``).  The
+Both kinds of potential chain exact slab maps (constant slabs, or the
+linear sub-slabs of a sampled potential), which also give the psi
+ratios that sign W; with ``cfg.force_numeric`` the Riccati equation is
+integrated instead, and W carries no sign.  A search sets up its
+``_Ends`` once: without ``force_numeric``, the slab list from each end
+to the probe and the two lead levels.  The scan grid that brackets
+roots and minima is chained along those lists in one array pass per
+slab (``_scan``).  The
 refinement of each bracket, with qwim's own ports of Brent's root finder
 and bounded minimiser (``_optimize``), walks the same lists one scalar
 energy at a time in plain complex arithmetic, and evaluates no energy
@@ -88,11 +90,11 @@ class _Ends:
     Called with an energy, it gives both solutions' (num, den, r) at the
     probe: Z = num / den and psi(anchor) / psi(probe) = r / den.  Bound
     mode applies automatically for e below both leads; otherwise the
-    scattering (left-incidence) anchors are used.  On a piecewise
-    potential (without ``force_numeric``) the slab lists from each end to
-    the probe are built here, and every energy, scalar or array
-    (``many``), is chained along them.  The Riccati engine carries no psi
-    ratio and gives (Z, 1, 1); ``slabs`` is None then.
+    scattering (left-incidence) anchors are used.  Without
+    ``force_numeric`` the slab lists from each end to the probe are built
+    here, and every energy, scalar or array (``many``), is chained along
+    them.  The Riccati engine carries no psi ratio and gives (Z, 1, 1);
+    ``slabs`` is None then.
     """
 
     def __init__(self, pot, probe_x, cfg, params):
@@ -101,7 +103,7 @@ class _Ends:
         self.pot, self.probe_x, self.cfg, self.params = pot, probe_x, cfg, params
         self.levels = pot.left_level, pot.right_level
         self.slabs = None
-        if isinstance(pot, PiecewisePotential) and not cfg.force_numeric:
+        if not cfg.force_numeric:
             self.slabs = _steps(pot, probe_x, True), _steps(pot, probe_x, False)
 
     def __call__(self, e):
@@ -254,12 +256,12 @@ def find_bound_states(
     midpoint) on W, the normalised Wronskian of ``_wronskian``.  Scans W
     on a uniform grid (plus a geometric refinement toward the window
     ceiling, where arbitrarily shallow states accumulate), in one array
-    pass per slab on a piecewise potential, and refines each sign change
-    by Brent's method, one scalar W per iterate along the same slab
-    lists, each energy evaluated once.  The Riccati engine's
-    W is unsigned and also changes sign at jumps, where |W| stays near
-    one; there a root is kept only when |W(root)| is at most ROOT_TOL
-    times the larger |W| at its bracket's ends.  Residuals are |W(root)|.
+    pass per slab (or sub-slab, on a sampled potential), and refines each
+    sign change by Brent's method, one scalar W per iterate along the
+    same slab lists, each energy evaluated once.  The Riccati engine's
+    (``force_numeric``) W is unsigned and also changes sign at jumps,
+    where |W| stays near one; there a root is kept only when |W(root)| is
+    at most ROOT_TOL times the larger |W| at its bracket's ends.  Residuals are |W(root)|.
     For a recognizable single square well the count is cross-checked
     against the transcendental branch count.  ``scan_points`` below 3
     raises ValueError.
@@ -301,7 +303,7 @@ def find_bound_states(
     # the chain's W is signed and continuous, so every sign change holds
     # a root, however steep; the Riccati engine's unsigned W also changes
     # sign at its jumps, where |W| stays near one
-    signed = isinstance(pot, PiecewisePotential) and not cfg.force_numeric
+    signed = not cfg.force_numeric
     roots: list[float] = []
     residuals: list[float] = []
     for (e0, w0), (e1, w1) in zip(scan, scan[1:]):
@@ -351,7 +353,7 @@ def find_resonances(
 ) -> SpectrumResult:
     """Full-transmission energies inside (e_min, e_max].
 
-    Scans |D(E)| (one array pass per slab on a piecewise potential) and
+    Scans |D(E)| (one array pass per slab or sub-slab) and
     refines each strict local minimum by Brent's bounded minimization of
     |D|^2, then by Brent's root finder on each component of D that
     changes sign across the bracket, one scalar mismatch per iterate

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from qwim import analytic
 from qwim.analytic import (
     PhaseConstant,
     _chain,
     _chain_many,
     _constants,
+    _mirrored_steps,
     _region_constants_many,
     _steps,
     TOL_ALG,
@@ -30,7 +32,7 @@ from qwim.errors import (
     NonFiniteStateError,
     TransformPoleError,
 )
-from qwim.model import ModelParams, PiecewisePotential, PotentialSegment
+from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential
 
 # Entry impedance of the barrier u=1 on a 2-long slab at E=0.5 terminated
 # by the matched load z=1, frozen from a (psi, psi') propagator-matrix
@@ -339,3 +341,114 @@ def test_chain_many_flags_where_chain_raises():
                 else:
                     assert good, (pot, slabs, e)
         assert raised > 0
+
+
+def _gaussian(n=41, amplitude=-4.0, span=6.0, sigma=1.0):
+    xs = np.linspace(-0.5 * span, 0.5 * span, n)
+    return SampledPotential(tuple(xs), tuple(amplitude * np.exp(-xs * xs / (2.0 * sigma ** 2))), 0.0, 0.0)
+
+
+def _ends(chain):
+    """Z and psi(anchor) / psi(x_to) of a walk's (num, den, r)."""
+    num, den, r = chain
+    return num / den, r / den
+
+
+def test_sampled_slab_lists_cover_the_samples():
+    pot = SampledPotential((0.0, 0.5, 2.0, 3.0), (1.0, -0.5, 2.0, 2.0), 0.3, -0.1)
+    assert _steps(pot, pot.b, True) == [(1.0, -3.0, 0.5), (-0.5, 2.5 / 1.5, 1.5), (2.0, 0.0, 1.0)]
+    assert _steps(pot, pot.a, False) == [(2.0, 0.0, -1.0), (2.0, 2.5 / 1.5, -1.5), (-0.5, -3.0, -0.5)]
+    # a partial step at an interior point, none past a sample it sits on
+    assert _steps(pot, 1.0, True) == [(1.0, -3.0, 0.5), (-0.5, 2.5 / 1.5, 0.5)]
+    assert _steps(pot, 1.0, False) == [(2.0, 0.0, -1.0), (2.0, 2.5 / 1.5, -1.0)]
+    assert _steps(pot, 0.5, True) == [(1.0, -3.0, 0.5)]
+    # the mirror's walk from its right end, without building the mirror
+    for p in (pot, PiecewisePotential(0.2, (PotentialSegment(0.0, 0.7, 1.0), PotentialSegment(0.7, 2.0, -1.0)), 0.0)):
+        mirror = p.mirrored()
+        assert _mirrored_steps(p) == _steps(mirror, mirror.a, False)
+
+
+@pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])
+def test_flat_linear_slabs_match_constant_slabs(params):
+    # slope 0: a flat run of samples walks like one constant slab, through
+    # thick evanescent and propagating runs and at the level itself
+    anchor = 0.8 - 0.3j
+    for level, length in ((1.0, 2.0), (3.0, 9.0), (-2.0, 5.0)):
+        xs = np.linspace(0.0, length, 7)
+        sampled = SampledPotential(tuple(xs), (level,) * 7, 0.0, 0.0)
+        stack = PiecewisePotential(0.0, (PotentialSegment(0.0, length, level),), 0.0)
+        for e in (0.4, 1.7, level):
+            for x_to, from_left in ((length, True), (0.0, False), (0.3 * length, True), (0.3 * length, False)):
+                want = _ends(_chain(_steps(stack, x_to, from_left), e, anchor, params))
+                got = _ends(_chain(_steps(sampled, x_to, from_left), e, anchor, params))
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-13 * abs(w), (level, length, e, x_to, from_left)
+
+
+def test_linear_chain_matches_chain_many():
+    # the scalar sub-slab walk against its array twin, from both ends, at
+    # bound and scattering energies and at a sample level (A = 0)
+    params = ModelParams()
+    for pot in (_gaussian(), _gaussian(n=201, amplitude=2.5, span=8.0), _gaussian(n=9, amplitude=-30.0)):
+        es = np.array(sorted({*np.linspace(-3.9, 8.0, 61).tolist(), pot.us[3], pot.us[4]}))
+        z = _region_constants_many(es, 0.0, params)[0]
+        for slabs, from_left in _walks(pot):
+            anchor = np.where(es < 0.0, -z, z) if from_left else z
+            num, den, r, ok = _chain_many(slabs, es, anchor, params)
+            assert ok.all()
+            for i, e in enumerate(es.tolist()):
+                want = _ends(_chain(slabs, e, complex(anchor[i]), params))
+                got = _ends((num[i], den[i], r[i]))
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-12 * abs(w), (len(pot.xs), from_left, e)
+
+
+def test_linear_maps_are_taken_in_bounded_blocks(monkeypatch):
+    # 600 long and 5 high: thousands of sub-slabs a walk; with 256 cells a
+    # chunk, no series call sees more, and the chained values agree
+    params = ModelParams()
+    xs = np.linspace(0.0, 600.0, 31)
+    pot = SampledPotential(tuple(xs), tuple(5.0 + 0.5 * np.sin(xs)), 0.0, 0.0)
+    slabs = _steps(pot, pot.a, False)
+    es = np.linspace(0.5, 4.0, 40)
+    z = _region_constants_many(es, 0.0, params)[0]
+    whole = _chain_many(slabs, es, z, params)
+    scalar = [_chain(slabs, e, complex(a), params) for e, a in zip(es.tolist(), z)]
+    cells = []
+    series = analytic._series
+
+    def recorded(a, b):
+        cells.append(np.broadcast(a, b).size)
+        return series(a, b)
+
+    monkeypatch.setattr(analytic, "_series", recorded)
+    monkeypatch.setattr(analytic, "_BATCH_CELLS", 256)
+    split = _chain_many(slabs, es, z, params)
+    assert len(cells) > 100 and max(cells) <= 256
+    cells.clear()
+    split_scalar = [_chain(slabs, e, complex(a), params) for e, a in zip(es.tolist()[:3], z)]
+    assert len(cells) > 10 and max(cells) <= 256
+    assert whole[3].all() and split[3].all()
+    # psi across 600 of barrier falls by e^-1600 or more: the ratios
+    # underflow to zero, and only their finiteness and the impedances count
+    pairs = [([v[i] for v in split[:3]], [v[i] for v in whole[:3]]) for i in range(len(es))]
+    for got, want in pairs + list(zip(split_scalar, scalar)):
+        (z_got, r_got), (z_want, r_want) = _ends(got), _ends(want)
+        assert abs(z_got - z_want) <= 1e-12 * abs(z_want)
+        assert abs(r_got) < 1e-300 and abs(r_want) < 1e-300
+
+
+@pytest.mark.parametrize(
+    "xs, us",
+    [((0.0, 1.0, 2.0), (1.0, 1e300, 1.0)), ((0.0, 1e-300, 1.0), (0.0, 1e10, 0.0))],
+    ids=["level", "slope"],
+)
+def test_linear_split_count_overflow_raises_typed(xs, us):
+    # a split count that is not finite, or past any walk a run can take
+    params = ModelParams()
+    pot = SampledPotential(xs, us, 0.0, 0.0)
+    for slabs in (_steps(pot, pot.b, True), _steps(pot, pot.a, False)):
+        with pytest.raises(NonFiniteStateError):
+            _chain(slabs, 0.5, 1.0 + 0j, params)
+        ok = _chain_many(slabs, np.array([0.5, 1.0]), 1.0 + 0j, params)[3]
+        assert not ok.any()

@@ -249,11 +249,25 @@ def test_sampled_edge_pieces_follow_their_samples():
     # that u_at gives exactly at a and b: that jump cost R up to 2.4e-9
     from qwim.scattering import solve_scattering
 
-    tight = IntegrationConfig(rel_tol=1e-13)
+    numeric = IntegrationConfig(force_numeric=True)
+    tight = IntegrationConfig(rel_tol=1e-13, force_numeric=True)
     for pot, e in _seeded_gaussians():
-        r = solve_scattering(pot, e).big_r
+        r = solve_scattering(pot, e, Side.LEFT, numeric).big_r
         r_tight = solve_scattering(pot, e, Side.LEFT, tight).big_r
         assert abs(r - r_tight) < 1e-10, (pot.xs[0], len(pot.xs), e)
+
+
+def test_linear_slab_chain_matches_stepper_on_gaussians():
+    # the exact linear-slab chain against the tight stepper, both sides
+    from qwim.scattering import solve_scattering
+
+    tight = IntegrationConfig(rel_tol=1e-13, force_numeric=True)
+    for pot, e in _seeded_gaussians():
+        for side in Side:
+            chain = solve_scattering(pot, e, side)
+            rk = solve_scattering(pot, e, side, tight)
+            assert abs(chain.big_r - rk.big_r) <= 1e-12, (len(pot.xs), e, side)
+            assert abs(chain.big_t - rk.big_t) <= 1e-12, (len(pot.xs), e, side)
 
 
 # The generic Dormand-Prince 5(4) stepper over a tuple state, as qwim ran it

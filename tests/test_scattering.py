@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qwim.errors import (
     NonPositiveRealPartError,
     SolverError,
 )
-from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, Side
+from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential, Side
 from qwim.riccati import IntegrationConfig, z_minus
 from qwim.scattering import (
     EnergyPointError,
@@ -249,12 +250,22 @@ def test_energy_sweep_accepts_real_grids(make):
 
 @pytest.mark.parametrize(
     "grid",
-    [[0.5, 1.0 + 0.5j], np.array([[0.5, 1.0], [1.5, 2.0]]), 1.5, np.array(1.5)],
-    ids=["complex", "2-D", "scalar", "0-D"],
+    [
+        [0.5, 1.0 + 0.5j],
+        np.array([1.0 + 1.0j, 2.0 + 0.0j]),
+        [np.complex128(0.5), np.complex128(1.0)],
+        np.array([[0.5, 1.0], [1.5, 2.0]]),
+        1.5,
+        np.array(1.5),
+    ],
+    ids=["complex", "complex-array", "complex128-entries", "2-D", "scalar", "0-D"],
 )
 def test_energy_sweep_rejects_non_grids(grid):
-    with pytest.raises(TypeError):
-        energy_sweep(barrier(), grid)
+    # a complex grid raises before numpy can drop its imaginary parts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            energy_sweep(barrier(), grid)
 
 
 def test_sweep_builds_no_mirror_and_one_record_a_point(monkeypatch):
@@ -282,6 +293,126 @@ def test_sweep_builds_no_mirror_and_one_record_a_point(monkeypatch):
     out = energy_sweep(stack, grid, Side.RIGHT)
     assert counts == {"mirrored": 0, "solve_scattering": 0, "records": len(grid)}
     assert all(type(rec) is ScatteringResult and rec.side is Side.RIGHT for rec in out)
+
+
+def _sampled_bump(amplitude=2.0, n=41, left=0.0, right=0.0):
+    xs = np.linspace(-3.0, 3.0, n)
+    return SampledPotential(tuple(xs), tuple(amplitude * np.exp(-xs * xs / 2.0)), left, right)
+
+
+def test_right_solves_build_no_mirror(monkeypatch):
+    # the chain walks each potential's own slab list for right incidence;
+    # only the stepper (force_numeric) still solves on the mirror
+    counts = {PiecewisePotential: 0, SampledPotential: 0}
+    for kind in counts:
+        def counted(self, mirrored=kind.mirrored, kind=kind):
+            counts[kind] += 1
+            return mirrored(self)
+
+        monkeypatch.setattr(kind, "mirrored", counted)
+    stack, sampled = _deep_stack(), _sampled_bump(right=0.4)
+    for pot in (stack, sampled):
+        assert solve_scattering(pot, 2.1, Side.RIGHT).side is Side.RIGHT
+        energy_sweep(pot, [0.2, 2.1, 3.0], Side.RIGHT)
+    assert counts == {PiecewisePotential: 0, SampledPotential: 0}
+    solve_scattering(sampled, 2.1, Side.RIGHT, IntegrationConfig(force_numeric=True))
+    assert counts == {PiecewisePotential: 0, SampledPotential: 1}
+
+
+def test_right_incidence_is_the_mirrors_left_incidence():
+    # bitwise: x -> -x negates every step and slope exactly
+    for pot in (_deep_stack(), _sampled_bump(right=0.4), _sampled_bump(-3.0, 17, 0.2, -0.1)):
+        mirror = pot.mirrored()
+        for e in (1.55, 2.1, 3.7):
+            right = solve_scattering(pot, e, Side.RIGHT)
+            left = solve_scattering(mirror, e)
+            assert repr(right) == repr(dataclasses.replace(left, side=Side.RIGHT))
+
+
+def test_flat_sampled_barrier_matches_stack():
+    # slope 0: the sampled chain against the constant-slab chain, at the
+    # level itself too, and tilted by slopes down to 1e-12 against the
+    # tight stepper
+    tight = IntegrationConfig(rel_tol=1e-13, force_numeric=True)
+    xs = np.linspace(0.0, 3.0, 13)
+    flat = SampledPotential(tuple(xs), (1.0,) * 13, 0.0, 0.0)
+    for e in (0.3, 1.0, 1.6, 4.2):
+        for side in Side:
+            got, want = solve_scattering(flat, e, side), solve_scattering(barrier(1.0, 3.0), e, side)
+            for field in ("r", "t", "z_entry"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert abs(g - w) <= 1e-13 * abs(w), (e, side, field)
+    for slope in (1e-3, 1e-6, 1e-9, 1e-12):
+        tilted = SampledPotential(tuple(xs), tuple(1.0 + slope * xs), 0.0, 0.0)
+        for e in (0.6, 2.3):
+            got, rk = solve_scattering(tilted, e), solve_scattering(tilted, e, Side.LEFT, tight)
+            assert abs(got.big_r - rk.big_r) <= 1e-12 and abs(got.big_t - rk.big_t) <= 1e-12
+
+
+def test_thick_evanescent_sampled_barrier_stays_finite():
+    # psi falls by e^-3000 across: T underflows to 0 with no warning
+    xs = np.linspace(0.0, 600.0, 61)
+    pot = SampledPotential(tuple(xs), tuple(5.0 + 0.5 * np.sin(xs)), 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for side in Side:
+            results = [solve_scattering(pot, 1.0, side)]
+            results += energy_sweep(pot, np.linspace(0.5, 4.0, 9), side)
+            for res in results:
+                assert type(res) is ScatteringResult
+                values = (res.r, res.t, res.z_entry, res.big_r, res.big_t)
+                assert all(cmath.isfinite(v) for v in values)
+                assert abs(res.big_r - 1.0) <= 1e-12 and res.big_t <= 1e-300
+
+
+def test_sampled_split_count_overflow_is_a_point_error():
+    pot = SampledPotential((0.0, 1.0, 2.0), (1.0, 1e300, 1.0), 0.0, 0.0)
+    with pytest.raises(NonFiniteStateError):
+        solve_scattering(pot, 0.5)
+    out = energy_sweep(pot, [0.5, 1.5])
+    assert [rec.code for rec in out] == [NonFiniteStateError().code] * 2
+
+
+def test_sampled_energy_sweep_matches_pointwise(monkeypatch):
+    calls = []
+    pointwise = scattering.solve_scattering
+
+    def counted(pot, e, *args):
+        calls.append(e)
+        return pointwise(pot, e, *args)
+
+    monkeypatch.setattr(scattering, "solve_scattering", counted)
+    units = (ModelParams(), ModelParams(hbar=0.5, mass=2.0))
+    for pot, params in zip((_sampled_bump(-2.0, 61, 0.3, -0.4), _sampled_bump(3.0, 23)), units):
+        levels = [pot.left_level, pot.right_level, *pot.us]
+        grid = np.unique(np.concatenate([np.linspace(-1.5, 8.0, 89), levels]))
+        for side in Side:
+            want = []
+            for e in grid.tolist():
+                try:
+                    want.append(pointwise(pot, e, side, params=params))
+                except SolverError as exc:
+                    want.append(EnergyPointError(e, exc.code, str(exc)))
+            calls.clear()
+            got = energy_sweep(pot, grid, side, params=params)
+            # only the points the scalar solve rejects are solved again
+            assert calls == [w.e for w in want if isinstance(w, EnergyPointError)]
+            assert 0 < len(calls) < len(grid)
+            for g, w in zip(got, want):
+                assert type(g) is type(w)
+                if isinstance(w, EnergyPointError):
+                    assert g == w
+                    continue
+                assert (g.e, g.side, g.evanescent_tail) == (w.e, w.side, w.evanescent_tail)
+                # the array pass splits the slabs for its whole energy
+                # range, the scalar solve for its own energy: the two
+                # round differently, r by up to 1e-15 where |r| is 1e-3
+                for field in ("r", "big_r", "big_t"):
+                    assert abs(getattr(g, field) - getattr(w, field)) <= 1e-12, (side, w.e, field)
+                assert abs(g.t - w.t) <= 1e-12 * abs(w.t), (side, w.e)
+                lead = pot.left_level if side is Side.LEFT else pot.right_level
+                z1 = math.sqrt(2.0 * (w.e - lead) / params.mass)
+                assert abs(g.z_entry - w.z_entry) <= 1e-12 * max(abs(w.z_entry), z1), (side, w.e)
 
 
 def test_energy_sweep_isolates_bad_points():

@@ -209,6 +209,49 @@ def test_mismatch_many_matches_scalar(random_stack_instances):
                         assert abs(d - w) <= 1e-11 * max(abs(w), 1.0), (pot, probe, e, d, w)
 
 
+def _sampled_well(depth=4.0, n=17, left=0.0, right=0.0):
+    xs = np.linspace(-2.0, 2.0, n)
+    return SampledPotential(tuple(xs), tuple(-depth * np.exp(-xs * xs)), left, right)
+
+
+def test_sampled_mismatch_many_matches_scalar():
+    # the array pass along linear slabs against the scalar walk, W and D,
+    # bound and scattering energies, sample levels included
+    cfg, params = IntegrationConfig(), ModelParams()
+    matches = [lambda plus, minus: _wronskian(plus, minus, 2.5), _mismatch]
+    for pot in (_sampled_well(), _sampled_well(9.0, 81, 0.5, -0.3)):
+        es = sorted({*np.linspace(-8.9, 6.0, 151).tolist(), *pot.us})
+        for probe in (0.0, -0.61, 1.37):
+            ends = _Ends(pot, probe, cfg, params)
+            for match in matches:
+                got = _scan(ends, es, match)
+                want = _scalar_scan(ends, es, match)
+                for e, d, w in zip(es, got, want):
+                    assert (d is None) == (w is None), (probe, e, d, w)
+                    if w is not None:
+                        assert abs(d - w) <= 1e-12 * max(abs(w), 1.0), (probe, e, d, w)
+
+
+def test_sampled_bound_mismatch_is_purely_imaginary():
+    # real sub-slab maps carry the imaginary tail anchors: Re D is 0 exactly
+    for pot in (_sampled_well(), _sampled_well(9.0, 81, 0.5, -0.3)):
+        for e in np.linspace(-3.9, -0.35, 8).tolist():
+            for probe in (0.0, -0.61, 1.37):
+                d = impedance_mismatch(pot, e, probe)
+                assert d.real == 0.0 and d.imag != 0.0, (e, probe, d)
+
+
+def test_sampled_bound_states_match_stepper():
+    # the chain's W is signed on sampled potentials too: every sign change
+    # is a state, found to float resolution
+    pot = _sampled_well()
+    chain = find_bound_states(pot)
+    rk = find_bound_states(pot, cfg=IntegrationConfig(force_numeric=True))
+    assert len(chain.energies) == len(rk.energies) == 2
+    np.testing.assert_allclose(chain.energies, rk.energies, rtol=0, atol=1e-9)
+    assert max(chain.residuals) <= 1e-12
+
+
 # Random wells 3, 6, 10 and 11 of the benchmark's spectra pool (segments,
 # then bound energies frozen from an independent Sturm node-count
 # bisection to float resolution).  D has a pole wherever a solution has
