@@ -19,7 +19,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .errors import (
     EmptyDomainError,
@@ -137,10 +136,9 @@ class PiecewisePotential:
                 return seg.u
         return self.right_level
 
-    def u_piece(self, x: float) -> Callable[[float], float]:
+    def u_piece(self, x: float) -> float:
         """U on the smooth piece around x (not an interface): its level."""
-        u = self.u_at(x)
-        return lambda _x: u
+        return self.u_at(x)
 
     def interfaces(self) -> list[float]:
         """All potential jump locations, ordered, including a and b."""
@@ -209,23 +207,18 @@ class SampledPotential:
         w = (x - x0) / (x1 - x0)
         return (1.0 - w) * self.us[i] + w * self.us[i + 1]
 
-    def u_piece(self, x: float) -> Callable[[float], float]:
-        """U on the smooth piece around x (not a sample): the line through
-        the samples on either side, as ``u_at`` has it, or the lead level
-        outside [a, b].  The line holds up to and at the two samples,
-        where ``u_at`` switches to the next line or to the lead level."""
+    def u_piece(self, x: float) -> float | tuple[float, float, float, float]:
+        """U on the smooth piece around x (not a sample): the lead level
+        outside [a, b], else the line (x0, dx, u0, u1) through the samples
+        on either side, which at x' is (1 - w) u0 + w u1 with
+        w = (x' - x0) / dx, as ``u_at`` has it.  The line holds up to and
+        at the two samples, where ``u_at`` switches to the next line or to
+        the lead level."""
         if not self.a < x < self.b:
-            u = self.u_at(x)
-            return lambda _x: u
+            return self.u_at(x)
         i = bisect.bisect_right(self.xs, x) - 1
-        x0, dx = self.xs[i], self.xs[i + 1] - self.xs[i]
-        u0, u1 = self.us[i], self.us[i + 1]
-
-        def line(x):
-            w = (x - x0) / dx
-            return (1.0 - w) * u0 + w * u1
-
-        return line
+        x0 = self.xs[i]
+        return x0, self.xs[i + 1] - x0, self.us[i], self.us[i + 1]
 
     def interfaces(self) -> list[float]:
         return list(self.xs)

@@ -8,11 +8,16 @@ the reciprocal variable W = 1/Z which obeys the regular equation
 
     dW/dx = i (m/hbar) - i (2/hbar) (E - U(x)) W^2
 
-and switches back (with hysteresis) once |W| has grown again.  Stepping
-is a Dormand-Prince 5(4) embedded pair with standard PI-free error
-control, unrolled for the one complex state (``_dopri_step``); the
-potential's jump points split the range so no step ever straddles a
-discontinuity.
+and switches back (with hysteresis) once |W| has grown again.  Both read
+y' = i (a - b y^2), with a and b swapping between the modes.  Stepping
+is the Dormand-Prince 5(4) embedded pair (J. Comput. Appl. Math. 6, 19
+(1980)) with standard PI-free error control, its seven stages written
+out for the one complex state inside ``integrate_impedance``'s single
+loop over pieces.  The potential's jump points (and any forced grid
+points) split the range into pieces, so no step ever straddles a
+discontinuity; on each piece U is a constant level or a sampled line,
+looked up once per interval between breakpoints and evaluated inline at
+the stages.
 
 Optionally the running integral S(x) = int Z dx' from the anchor rides
 along as a second scalar under the same error control.  Its slope at
@@ -27,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -99,158 +103,6 @@ class ImpedanceTrajectory:
         raise ValueError(f"x={x} is not a trajectory endpoint")
 
 
-def _dopri_step(g, x, y, s, h, k1, q1, track, in_w):
-    """One Dormand-Prince 5(4) step (the classic ode45 pair) of y' = g(x, y).
-
-    ``y`` is the scalar state (Z, or W = 1/Z in W mode) and k1 = g(x, y).
-    With ``track`` set, s = int Z dx rides along: its slope at each stage
-    is Z there (the stage y, or 1/y in W mode), starting from q1, so it
-    costs no RHS call.  Returns (y5, s5, err_y, err_s, k7, q7): the 5th
-    order values, their b5 - b4 error estimates and the slopes at x + h,
-    which start the next step (first same as last).  Each sum runs left
-    to right along its tableau row, zero weights included, so the result
-    is bitwise that of the generic tableau loop.
-    """
-    y2 = y + h * (0.2 * k1)
-    k2 = g(x + 0.2 * h, y2)
-    y3 = y + h * (3.0 / 40.0 * k1 + 9.0 / 40.0 * k2)
-    k3 = g(x + 0.3 * h, y3)
-    y4 = y + h * (44.0 / 45.0 * k1 + -56.0 / 15.0 * k2 + 32.0 / 9.0 * k3)
-    k4 = g(x + 0.8 * h, y4)
-    y5 = y + h * (
-        19372.0 / 6561.0 * k1 + -25360.0 / 2187.0 * k2
-        + 64448.0 / 6561.0 * k3 + -212.0 / 729.0 * k4
-    )
-    k5 = g(x + 8.0 / 9.0 * h, y5)
-    y6 = y + h * (
-        9017.0 / 3168.0 * k1 + -355.0 / 33.0 * k2 + 46732.0 / 5247.0 * k3
-        + 49.0 / 176.0 * k4 + -5103.0 / 18656.0 * k5
-    )
-    k6 = g(x + h, y6)
-    y_new = y + h * (
-        35.0 / 384.0 * k1 + 0.0 * k2 + 500.0 / 1113.0 * k3 + 125.0 / 192.0 * k4
-        + -2187.0 / 6784.0 * k5 + 11.0 / 84.0 * k6
-    )
-    k7 = g(x + h, y_new)
-    err_y = h * (
-        71.0 / 57600.0 * k1 + 0.0 * k2 + -71.0 / 16695.0 * k3 + 71.0 / 1920.0 * k4
-        + -17253.0 / 339200.0 * k5 + 22.0 / 525.0 * k6 + -1.0 / 40.0 * k7
-    )
-    if not track:
-        return y_new, s, err_y, 0j, k7, None
-    if in_w:
-        q2, q3, q4, q5, q6 = 1.0 / y2, 1.0 / y3, 1.0 / y4, 1.0 / y5, 1.0 / y6
-        q7 = 1.0 / y_new
-    else:
-        q2, q3, q4, q5, q6, q7 = y2, y3, y4, y5, y6, y_new
-    s_new = s + h * (
-        35.0 / 384.0 * q1 + 0.0 * q2 + 500.0 / 1113.0 * q3 + 125.0 / 192.0 * q4
-        + -2187.0 / 6784.0 * q5 + 11.0 / 84.0 * q6
-    )
-    err_s = h * (
-        71.0 / 57600.0 * q1 + 0.0 * q2 + -71.0 / 16695.0 * q3 + 71.0 / 1920.0 * q4
-        + -17253.0 / 339200.0 * q5 + 22.0 / 525.0 * q6 + -1.0 / 40.0 * q7
-    )
-    return y_new, s_new, err_y, err_s, k7, q7
-
-
-class _Recorder:
-    """Collects accepted samples in integration order."""
-
-    def __init__(self, track: bool):
-        self.xs: list[float] = []
-        self.zs: list[complex] = []
-        self.ss: list[complex] | None = [] if track else None
-
-    def add(self, x: float, z: complex, s: complex):
-        self.xs.append(x)
-        self.zs.append(z)
-        if self.ss is not None:
-            self.ss.append(s)
-
-
-def _integrate_piece(
-    ufunc: Callable[[float], float],
-    e: float,
-    x0: float,
-    x1: float,
-    z0: complex,
-    s0: complex,
-    cfg: IntegrationConfig,
-    params: ModelParams,
-    max_step: float,
-    track: bool,
-    rec: _Recorder,
-) -> tuple[complex, complex]:
-    """Integrate one smooth piece from x0 to x1; returns (Z, S) at x1."""
-    hbar, m = params.hbar, params.mass
-    c_pot = 2.0 / hbar
-    c_imp = m / hbar
-
-    def g_z(x, z):
-        return 1j * (c_pot * (e - ufunc(x)) - c_imp * z * z)
-
-    def g_w(x, w):
-        return 1j * (c_imp - c_pot * (e - ufunc(x)) * w * w)
-
-    def restart(x, z, in_w):
-        """State, RHS and start slopes (k1, q1) for a fresh step from (x, Z)."""
-        y = 1.0 / z if in_w else z
-        g = g_w if in_w else g_z
-        return y, g, g(x, y), ((1.0 / y if in_w else y) if track else None)
-
-    sgn = 1.0 if x1 > x0 else -1.0
-    span = abs(x1 - x0)
-    x, z, s = x0, z0, s0
-    in_w = abs(z) >= cfg.pole_threshold
-    h = sgn * min(max_step, span)
-    h_floor = 1e-14 * max(1.0, abs(x0), abs(x1))
-    switch_back = 2.0 / cfg.pole_threshold  # hysteresis: |Z| <= threshold/2
-    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
-
-    y, g, k1, q1 = restart(x, z, in_w)
-
-    while sgn * (x1 - x) > h_floor:
-        h = sgn * min(abs(h), max_step, sgn * (x1 - x))
-        y_new, s_new, err_y, err_s, k7, q7 = _dopri_step(
-            g, x, y, s, h, k1, q1, track, in_w
-        )
-        if not (cmath.isfinite(y_new) and cmath.isfinite(s_new)):
-            raise NonFiniteStateError(f"non-finite state near x={x}")
-        norm = max(0.0, abs(err_y) / (abs_tol + rel_tol * max(abs(y), abs(y_new))))
-        if track:
-            norm = max(norm, abs(err_s) / (abs_tol + rel_tol * max(abs(s), abs(s_new))))
-        if norm > 1.0:
-            h *= max(0.2, 0.9 * norm ** -0.2)
-            if abs(h) < h_floor:
-                raise StepSizeUnderflowError(f"step underflow near x={x}")
-            continue
-        x_old = x
-        x += h
-        if sgn * (x1 - x) <= h_floor:
-            x = x1  # land exactly on the stop so forced grid points match
-        if in_w and y_new == 0:
-            # landed exactly on a node; nudge the previous step so 1/W exists
-            x = x_old
-            h *= 0.97
-            y, g, k1, q1 = restart(x, z, in_w)
-            continue
-        y, s, k1, q1 = y_new, s_new, k7, q7
-        z = (1.0 / y) if in_w else y
-        rec.add(x, z, s)
-        if norm > 0.0:
-            h *= min(5.0, max(0.2, 0.9 * norm ** -0.2))
-        else:
-            h *= 5.0
-        if not in_w and abs(z) >= cfg.pole_threshold:
-            in_w = True
-            y, g, k1, q1 = restart(x, z, in_w)
-        elif in_w and abs(y) >= switch_back:
-            in_w = False
-            y, g, k1, q1 = restart(x, z, in_w)
-    return z, s
-
-
 def integrate_impedance(
     pot: Potential,
     e: float,
@@ -264,10 +116,17 @@ def integrate_impedance(
 ) -> ImpedanceTrajectory:
     """Integrate Z from (anchor_x, anchor_z) to target_x.
 
-    The range is split at every potential jump or kink so each smooth
-    piece is integrated separately.  An optional ``grid`` of positions
-    forces accepted steps to land on those points (used to produce
-    near-uniform samples for wavefunction reconstruction).
+    The range is cut into pieces at every potential jump or kink and at
+    every point of the optional ``grid`` strictly between anchor and
+    target, so accepted steps land on those points (used to produce
+    near-uniform samples for wavefunction reconstruction).  Each piece
+    starts afresh: a first step of min(max_step, piece length), a first
+    stage at its start, and Z or W mode by |Z| there.  The potential is
+    looked up once per interval between breakpoints: a level fixes the
+    stages' coefficients, a sampled line is evaluated at each stage.
+    ``grid`` must be real and one-dimensional (TypeError otherwise),
+    with finite points (NonFiniteInputError); points outside the range
+    are ignored.
     """
     require_finite("energy", e)
     if anchor_x == target_x:
@@ -276,42 +135,188 @@ def integrate_impedance(
     max_step = cfg.max_step if cfg.max_step is not None else span / 50.0
 
     lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
-    stops = set(pot.breakpoints_between(lo, hi))
-    if grid is not None:
-        stops.update(float(g) for g in np.asarray(grid) if lo < g < hi)
     leftward = target_x < anchor_x
-    ordered = sorted(stops, reverse=leftward)
+    edges = sorted(set(pot.breakpoints_between(lo, hi)), reverse=leftward)
+    stops = set(edges)
+    if grid is not None:
+        if np.iscomplexobj(grid):
+            raise TypeError("grid must be real, got a complex grid")
+        points = np.asarray(grid, dtype=float)
+        if points.ndim != 1:
+            raise TypeError(f"grid must be one-dimensional, got shape {points.shape}")
+        if not np.isfinite(points).all():
+            require_finite("grid points", *points.tolist())
+        stops.update(g for g in points.tolist() if lo < g < hi)
+    stops = sorted(stops, reverse=leftward)
+    stops.append(target_x)
+    edges.append(target_x)
 
+    c_pot = 2.0 / params.hbar
+    c_imp = params.mass / params.hbar
+    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
+    threshold = cfg.pole_threshold
+    switch_back = 2.0 / threshold  # hysteresis: |Z| <= threshold/2
+    sgn = -1.0 if leftward else 1.0
     track = bool(track_integral)
-    rec = _Recorder(track)
-    rec.add(anchor_x, anchor_z, 0j)
+    isfinite = cmath.isfinite
 
+    xs, zs = [anchor_x], [anchor_z]
+    ss = [0j] if track else None
     z, s = anchor_z, 0j
-    x_prev = anchor_x
-    for x_next in ordered + [target_x]:
-        z, s = _integrate_piece(
-            pot.u_piece(0.5 * (x_prev + x_next)),
-            e, x_prev, x_next, z, s, cfg, params, max_step, track, rec,
-        )
-        x_prev = x_next
+    r1 = r7 = None
+    ends = iter(edges)
+    x0 = edge = anchor_x
+    for x1 in stops:
+        if x0 == edge:
+            # U is one level or one line up to the next breakpoint, so
+            # one lookup inside that interval serves all its pieces
+            edge = next(ends)
+            piece = pot.u_piece(0.5 * (x0 + edge))
+            line = isinstance(piece, tuple)
+            if line:
+                xa, dx, ua, ub = piece
+            else:
+                level = c_pot * (e - piece)
+        x = x0
+        h = sgn * min(max_step, abs(x1 - x0))
+        h_floor = 1e-14 * max(1.0, abs(x0), abs(x1))
+        in_w = abs(z) >= threshold
+        fresh = True
+        # y' = i (a - b y^2) at each stage: y = Z with a = c_pot (E - U),
+        # b = c_imp, or y = W with the two swapped
+        while sgn * (x1 - x) > h_floor:
+            if fresh:
+                # restart from (x, Z): the state, its slope and, with the
+                # integral tracked, Z as S's slope
+                fresh = False
+                y = 1.0 / z if in_w else z
+                if line:
+                    w = (x - xa) / dx
+                    p1 = c_pot * (e - ((1.0 - w) * ua + w * ub))
+                else:
+                    p1 = level
+                if in_w:
+                    a1 = a2 = a3 = a4 = a5 = a6 = c_imp
+                    b1 = b2 = b3 = b4 = b5 = b6 = p1
+                else:
+                    a1 = a2 = a3 = a4 = a5 = a6 = p1
+                    b1 = b2 = b3 = b4 = b5 = b6 = c_imp
+                k1 = 1j * (a1 - b1 * y * y)
+                if track:
+                    r1 = 1.0 / y if in_w else y
+            h = sgn * min(abs(h), max_step, sgn * (x1 - x))
+            if line:
+                # the line at the five distinct stage abscissae
+                w = (x + 0.2 * h - xa) / dx
+                p2 = c_pot * (e - ((1.0 - w) * ua + w * ub))
+                w = (x + 0.3 * h - xa) / dx
+                p3 = c_pot * (e - ((1.0 - w) * ua + w * ub))
+                w = (x + 0.8 * h - xa) / dx
+                p4 = c_pot * (e - ((1.0 - w) * ua + w * ub))
+                w = (x + 8.0 / 9.0 * h - xa) / dx
+                p5 = c_pot * (e - ((1.0 - w) * ua + w * ub))
+                w = (x + h - xa) / dx
+                p6 = c_pot * (e - ((1.0 - w) * ua + w * ub))
+                if in_w:
+                    b2, b3, b4, b5, b6 = p2, p3, p4, p5, p6
+                else:
+                    a2, a3, a4, a5, a6 = p2, p3, p4, p5, p6
+            # Dormand-Prince 5(4), the classic ode45 pair; each sum runs
+            # left to right along its tableau row, zero weights included,
+            # so the result is bitwise that of the generic tableau loop.
+            # k7, at x + h, starts the next step (first same as last).
+            y2 = y + h * (0.2 * k1)
+            k2 = 1j * (a2 - b2 * y2 * y2)
+            y3 = y + h * (3.0 / 40.0 * k1 + 9.0 / 40.0 * k2)
+            k3 = 1j * (a3 - b3 * y3 * y3)
+            y4 = y + h * (44.0 / 45.0 * k1 + -56.0 / 15.0 * k2 + 32.0 / 9.0 * k3)
+            k4 = 1j * (a4 - b4 * y4 * y4)
+            y5 = y + h * (
+                19372.0 / 6561.0 * k1 + -25360.0 / 2187.0 * k2
+                + 64448.0 / 6561.0 * k3 + -212.0 / 729.0 * k4
+            )
+            k5 = 1j * (a5 - b5 * y5 * y5)
+            y6 = y + h * (
+                9017.0 / 3168.0 * k1 + -355.0 / 33.0 * k2 + 46732.0 / 5247.0 * k3
+                + 49.0 / 176.0 * k4 + -5103.0 / 18656.0 * k5
+            )
+            k6 = 1j * (a6 - b6 * y6 * y6)
+            y_new = y + h * (
+                35.0 / 384.0 * k1 + 0.0 * k2 + 500.0 / 1113.0 * k3 + 125.0 / 192.0 * k4
+                + -2187.0 / 6784.0 * k5 + 11.0 / 84.0 * k6
+            )
+            k7 = 1j * (a6 - b6 * y_new * y_new)
+            err_y = h * (
+                71.0 / 57600.0 * k1 + 0.0 * k2 + -71.0 / 16695.0 * k3 + 71.0 / 1920.0 * k4
+                + -17253.0 / 339200.0 * k5 + 22.0 / 525.0 * k6 + -1.0 / 40.0 * k7
+            )
+            s_new = s
+            if track:
+                # S's slope at each stage is that stage's Z: no RHS call
+                if in_w:
+                    r2, r3, r4, r5, r6 = 1.0 / y2, 1.0 / y3, 1.0 / y4, 1.0 / y5, 1.0 / y6
+                    r7 = 1.0 / y_new
+                else:
+                    r2, r3, r4, r5, r6, r7 = y2, y3, y4, y5, y6, y_new
+                s_new = s + h * (
+                    35.0 / 384.0 * r1 + 0.0 * r2 + 500.0 / 1113.0 * r3 + 125.0 / 192.0 * r4
+                    + -2187.0 / 6784.0 * r5 + 11.0 / 84.0 * r6
+                )
+                err_s = h * (
+                    71.0 / 57600.0 * r1 + 0.0 * r2 + -71.0 / 16695.0 * r3 + 71.0 / 1920.0 * r4
+                    + -17253.0 / 339200.0 * r5 + 22.0 / 525.0 * r6 + -1.0 / 40.0 * r7
+                )
+            if not (isfinite(y_new) and isfinite(s_new)):
+                raise NonFiniteStateError(f"non-finite state near x={x}")
+            norm = max(0.0, abs(err_y) / (abs_tol + rel_tol * max(abs(y), abs(y_new))))
+            if track:
+                norm = max(norm, abs(err_s) / (abs_tol + rel_tol * max(abs(s), abs(s_new))))
+            if norm > 1.0:
+                h *= max(0.2, 0.9 * norm ** -0.2)
+                if abs(h) < h_floor:
+                    raise StepSizeUnderflowError(f"step underflow near x={x}")
+                continue
+            if in_w and y_new == 0:
+                # landed exactly on a node; nudge the step so 1/W exists
+                h *= 0.97
+                fresh = True
+                continue
+            x += h
+            if sgn * (x1 - x) <= h_floor:
+                x = x1  # land exactly on the stop so forced grid points match
+            y, s, k1, r1 = y_new, s_new, k7, r7
+            z = (1.0 / y) if in_w else y
+            xs.append(x)
+            zs.append(z)
+            if track:
+                ss.append(s)
+            if norm > 0.0:
+                h *= min(5.0, max(0.2, 0.9 * norm ** -0.2))
+            else:
+                h *= 5.0
+            if not in_w and abs(z) >= threshold:
+                in_w = True
+                fresh = True
+            elif in_w and abs(y) >= switch_back:
+                in_w = False
+                fresh = True
+        x0 = x1
 
-    xs = np.array(rec.xs)
-    zs = np.array(rec.zs, dtype=complex)
-    ss = np.array(rec.ss, dtype=complex) if track else None
     if leftward:
-        xs, zs = xs[::-1].copy(), zs[::-1].copy()
-        if ss is not None:
-            ss = ss[::-1].copy()
+        xs.reverse()
+        zs.reverse()
+        if track:
+            ss.reverse()
     return ImpedanceTrajectory(
-        xs=xs,
-        zs=zs,
+        xs=np.array(xs),
+        zs=np.array(zs, dtype=complex),
         direction=Side.LEFT if leftward else Side.RIGHT,
         anchor_x=anchor_x,
         anchor_z=anchor_z,
         energy=e,
         potential=pot,
         params=params,
-        z_integral=ss,
+        z_integral=np.array(ss, dtype=complex) if track else None,
     )
 
 

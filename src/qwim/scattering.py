@@ -45,6 +45,7 @@ from .analytic import (
 )
 from .errors import (
     EvanescentIncidenceError,
+    NonFiniteStateError,
     NonPositiveRealPartError,
     SolverError,
 )
@@ -155,6 +156,9 @@ def _solve(
         t = psi_b  # tail amplitude at b: psi(x >= b) = t exp(-kappa2 (x - b))
         big_t = 0.0
         evan = True
+    z_entry = num / den
+    if not all(map(cmath.isfinite, (r, t, big_r, big_t, z_entry))):
+        raise NonFiniteStateError(f"amplitudes are not finite at energy {e}")
     return ScatteringResult(
         e=e,
         side=side,
@@ -162,7 +166,7 @@ def _solve(
         t=t,
         big_r=big_r,
         big_t=big_t,
-        z_entry=num / den,
+        z_entry=z_entry,
         evanescent_tail=evan,
     )
 
@@ -213,6 +217,7 @@ def _sweep_chain(
         )
         ok &= (e >= u_in) & ~degenerate1 & ~degenerate2
         ok &= np.isfinite(r) & np.isfinite(t) & np.isfinite(big_r) & np.isfinite(big_t)
+        ok &= np.isfinite(z_entry)
     # positional fields, in ScatteringResult's order: keywords cost more
     # per record, and the records are most of a short sweep
     records = list(map(

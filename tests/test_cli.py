@@ -182,6 +182,17 @@ def test_sweep_degenerate_point_carries_sentinel(tmp_path):
         assert math.isfinite(float(row[5]))
 
 
+def test_sweep_huge_energy_row_is_a_point_error():
+    # the E = 5e307 row printed nan amplitudes with error "-"
+    spec = str(DOCS / "barrier.json")
+    proc = run_cli("sweep", "--spec", spec, "--emin", "0.1", "--emax", "1e308",
+                   "--points", "3")
+    assert proc.returncode == 0
+    _, rows = rows_of(proc.stdout)
+    assert float(rows[1][0]) == pytest.approx(5e307)
+    assert [row[-1] for row in rows] == ["-", "NonFiniteState", "NonFiniteState"]
+
+
 def test_sweep_rows_match_scatter():
     spec = str(DOCS / "barrier.json")
     proc = run_cli("sweep", "--spec", spec, "--emin", "0.5", "--emax", "1.5",

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from qwim.analytic import (
     phase_from_impedance,
     region_constants,
 )
-from qwim.errors import EvanescentIncidenceError, NonFiniteInputError
+from qwim.errors import (
+    EvanescentIncidenceError,
+    NonFiniteInputError,
+    NonFiniteStateError,
+    StepSizeUnderflowError,
+)
 from qwim.model import (
     ModelParams,
     PiecewisePotential,
@@ -23,7 +29,6 @@ from qwim.model import (
 )
 from qwim.riccati import (
     IntegrationConfig,
-    _dopri_step,
     integrate_impedance,
     left_anchor,
     right_anchor,
@@ -271,7 +276,7 @@ def test_linear_slab_chain_matches_stepper_on_gaussians():
 
 
 # The generic Dormand-Prince 5(4) stepper over a tuple state, as qwim ran it
-# before the step was unrolled: the reference the unrolled step must match.
+# before the step was unrolled: the reference the stepper must match.
 _C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
 _A = (
     (),
@@ -312,44 +317,173 @@ def _tableau_step(f, x, y, h, f0):
     return y5, err, f_new
 
 
-def _same_bits(a, b):
-    return repr(complex(a)) == repr(complex(b))
+def _reference_piece(ufunc, e, x0, x1, z, s, cfg, params, max_step, track, out):
+    """One smooth piece as qwim integrated it with a separate piece call,
+    RHS closures and a step function; appends the accepted samples to
+    ``out`` and returns (Z, S) at x1."""
+    c_pot, c_imp = 2.0 / params.hbar, params.mass / params.hbar
+    in_w = abs(z) >= cfg.pole_threshold
+
+    def f(x, state):  # the tuple RHS, (y', s') with s' = Z
+        y = state[0]
+        if in_w:
+            dy = 1j * (c_imp - c_pot * (e - ufunc(x)) * y * y)
+        else:
+            dy = 1j * (c_pot * (e - ufunc(x)) - c_imp * y * y)
+        return (dy, 1.0 / y if in_w else y) if track else (dy,)
+
+    def restart():
+        y = 1.0 / z if in_w else z
+        state = (y, s) if track else (y,)
+        return state, f(x, state)
+
+    sgn = 1.0 if x1 > x0 else -1.0
+    x, h = x0, sgn * min(max_step, abs(x1 - x0))
+    h_floor = 1e-14 * max(1.0, abs(x0), abs(x1))
+    state, f0 = restart()
+    while sgn * (x1 - x) > h_floor:
+        h = sgn * min(abs(h), max_step, sgn * (x1 - x))
+        new, err, f_new = _tableau_step(f, x, state, h, f0)
+        s_new = new[1] if track else s
+        if not (cmath.isfinite(new[0]) and cmath.isfinite(s_new)):
+            raise NonFiniteStateError(f"non-finite state near x={x}")
+        tol = cfg.abs_tol + cfg.rel_tol * max(abs(state[0]), abs(new[0]))
+        norm = max(0.0, abs(err[0]) / tol)
+        if track:
+            tol = cfg.abs_tol + cfg.rel_tol * max(abs(s), abs(s_new))
+            norm = max(norm, abs(err[1]) / tol)
+        if norm > 1.0:
+            h *= max(0.2, 0.9 * norm ** -0.2)
+            if abs(h) < h_floor:
+                raise StepSizeUnderflowError(f"step underflow near x={x}")
+            continue
+        if in_w and new[0] == 0:
+            h *= 0.97
+            state, f0 = restart()
+            continue
+        x += h
+        if sgn * (x1 - x) <= h_floor:
+            x = x1
+        state, f0, s = new, f_new, s_new
+        z = 1.0 / new[0] if in_w else new[0]
+        out.append((x, z, s))
+        h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
+        if not in_w and abs(z) >= cfg.pole_threshold:
+            in_w = True
+            state, f0 = restart()
+        elif in_w and abs(state[0]) >= 2.0 / cfg.pole_threshold:
+            in_w = False
+            state, f0 = restart()
+    return z, s
 
 
-@pytest.mark.parametrize("in_w", [False, True], ids=["Z", "W"])
+def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, track, grid):
+    """(xs, zs, S) in integration order from the reference piece loop."""
+    max_step = cfg.max_step if cfg.max_step is not None else abs(target_x - anchor_x) / 50.0
+    lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
+    stops = set(pot.breakpoints_between(lo, hi))
+    if grid is not None:
+        stops.update(float(g) for g in grid if lo < g < hi)
+    out = [(anchor_x, anchor_z, 0j)]
+    z, s, x0 = anchor_z, 0j, anchor_x
+    for x1 in sorted(stops, reverse=target_x < anchor_x) + [target_x]:
+        piece = pot.u_piece(0.5 * (x0 + x1))
+        if isinstance(piece, tuple):
+            xa, dx, ua, ub = piece
+
+            def ufunc(x):
+                w = (x - xa) / dx
+                return (1.0 - w) * ua + w * ub
+        else:
+            ufunc = lambda _x, u=piece: u
+        z, s = _reference_piece(ufunc, e, x0, x1, z, s, cfg, params, max_step, track, out)
+        x0 = x1
+    return out
+
+
+@pytest.mark.parametrize("threshold", [1e9, 1e-3, 2.0], ids=["Z", "W", "switch"])
 @pytest.mark.parametrize("track", [False, True], ids=["plain", "track"])
 @pytest.mark.parametrize("sampled", [False, True], ids=["const", "sampled"])
-def test_unrolled_step_matches_tableau_loop(in_w, track, sampled):
+def test_unrolled_step_matches_tableau_loop(sampled, track, threshold):
+    # the stepper's unrolled stages against the generic tableau step driven
+    # piece by piece, bit for bit over whole trajectories, with and without
+    # a forced grid: samples, Z, S and their number
+    params = ModelParams(hbar=0.9, mass=1.1)
+    cfg = IntegrationConfig(pole_threshold=threshold)
     if sampled:
         xs = np.linspace(0.0, 3.0, 31)
-        ufunc = SampledPotential(tuple(xs), tuple(1.5 * np.sin(xs) ** 2), 0.0, 0.0).u_at
+        pot = SampledPotential(tuple(xs), tuple(1.5 * np.sin(xs) ** 2), 0.0, 0.2)
+        anchor_x, target_x = 3.5, -0.5  # leftward, through both leads' pieces
     else:
-        ufunc = lambda _x: 0.7
-    e, c_pot, c_imp = 1.3, 2.0 / 0.9, 1.1 / 0.9
-    if in_w:
-        g = lambda x, w: 1j * (c_imp - c_pot * (e - ufunc(x)) * w * w)
-    else:
-        g = lambda x, z: 1j * (c_pot * (e - ufunc(x)) - c_imp * z * z)
-
-    def f(x, y):  # the tuple RHS: s' = Z, i.e. y or 1/y
-        dy = g(x, y[0])
-        return (dy, 1.0 / y[0] if in_w else y[0]) if track else (dy,)
-
-    x, y, s = 0.4, 0.31 - 1.7j, 0.05 + 0.2j
-    state = (y, s) if track else (y,)
-    f0 = f(x, state)
-    for h in (0.3, 0.01, -0.07, 1e-5):
-        ref_y, ref_err, ref_f = _tableau_step(f, x, state, h, f0)
-        y5, s5, err_y, err_s, k7, q7 = _dopri_step(
-            g, x, y, s, h, f0[0], f0[1] if track else None, track, in_w
-        )
-        assert _same_bits(y5, ref_y[0]) and _same_bits(err_y, ref_err[0])
-        assert _same_bits(k7, ref_f[0])
+        segs = (PotentialSegment(0.0, 0.7, 1.2), PotentialSegment(0.7, 1.5, -0.6),
+                PotentialSegment(1.5, 2.1, 0.9))
+        pot = PiecewisePotential(0.0, segs, 0.3)
+        anchor_x, target_x = 0.0, 2.1
+    e = 1.9
+    anchor_z = region_constants(e, 0.2, params).z * (1.0 - 0.4j)
+    for grid in (None, np.linspace(-0.5, 3.5, 57)):
+        traj = integrate_impedance(pot, e, anchor_x, anchor_z, target_x, cfg, params,
+                                   track_integral=track, grid=grid)
+        ref = _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params,
+                                    track, grid)
+        if traj.direction is Side.LEFT:
+            ref.reverse()
+        assert repr(traj.xs.tolist()) == repr([float(x) for x, _, _ in ref])
+        assert repr(traj.zs.tolist()) == repr([complex(z) for _, z, _ in ref])
         if track:
-            assert _same_bits(s5, ref_y[1]) and _same_bits(err_s, ref_err[1])
-            assert _same_bits(q7, ref_f[1])
+            assert repr(traj.z_integral.tolist()) == repr([complex(s) for _, _, s in ref])
         else:
-            assert s5 == s and q7 is None
+            assert traj.z_integral is None
+
+
+def test_potential_is_looked_up_once_per_smooth_interval(monkeypatch):
+    # a forced grid multiplies the pieces, not the potential lookups: one
+    # per interval between breakpoints, none per piece, step or stage
+    calls = {"u_at": 0, "u_piece": 0}
+    for name in calls:
+        original = getattr(PiecewisePotential, name)
+
+        def counted(self, x, name=name, original=original):
+            calls[name] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(PiecewisePotential, name, counted)
+    segs = (PotentialSegment(0.0, 0.7, 1.2), PotentialSegment(0.7, 1.5, -0.6),
+            PotentialSegment(1.5, 2.1, 2.4))
+    pot = PiecewisePotential(0.0, segs, 0.0)
+    grid = np.linspace(0.0, 2.1, 400)
+    traj = z_minus(pot, 1.9, grid=grid, track_integral=True)
+    assert len(traj.xs) > 400
+    assert calls == {"u_at": len(segs), "u_piece": len(segs)}
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [np.linspace(0.0, 2.0, 5).reshape(1, 5), np.float64(1.0),
+     np.linspace(0.0, 2.0, 5) + 0.5j, [0.5, 1.0 + 0.0j], [0.5, np.complex128(1.0)]],
+    ids=["2-D", "0-D", "complex-array", "complex-entry", "complex128-entry"],
+)
+def test_grid_must_be_real_and_one_dimensional(grid):
+    # a 2-D grid raised numpy's ambiguous-truth ValueError and a complex
+    # one dropped its imaginary parts with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="grid"):
+            z_minus(flat(), 2.0, grid=grid)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_points_must_be_finite(bad):
+    # non-finite points were dropped without a word, even inside the range
+    with pytest.raises(NonFiniteInputError, match="grid"):
+        z_minus(flat(), 2.0, grid=[0.5, bad, 1.5])
+
+
+def test_grid_points_outside_the_range_are_ignored():
+    inside = z_minus(flat(), 2.0, cfg=TIGHT, grid=[0.5, 1.5])
+    wider = z_minus(flat(), 2.0, cfg=TIGHT, grid=[-3.0, 0.5, 1.5, 0.0, 2.0, 7.0])
+    assert repr(inside.xs.tolist()) == repr(wider.xs.tolist())
+    assert repr(inside.zs.tolist()) == repr(wider.zs.tolist())
 
 
 @pytest.mark.parametrize(

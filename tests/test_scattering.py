@@ -483,6 +483,18 @@ def test_overflowing_level_raises_typed():
     assert [r.code for r in out] == ["NonFiniteState", "NonFiniteState"]
 
 
+@pytest.mark.parametrize("side", list(Side))
+def test_huge_energy_amplitudes_raise_typed(side):
+    # on the docs barrier E = 5e307 returned t = nan and T = nan beside
+    # R = 0 without a word, and the sweep stored that record
+    pot = barrier()
+    with pytest.raises(NonFiniteStateError):
+        solve_scattering(pot, 5e307, side)
+    out = energy_sweep(pot, [1.0, 5e307], side)
+    assert math.isfinite(out[0].big_t)
+    assert out[1].code == "NonFiniteState"
+
+
 def test_slab_level_takes_linear_limit():
     # at E = 1 psi is linear across the unit barrier (0, 1, 1):
     # 1/Z(x) = 1/Z0 + i (m/hbar)(x - x0), so T = 1 / (1 + m U l^2 / 2 hbar^2)
