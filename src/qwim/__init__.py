@@ -14,7 +14,18 @@ Typical use::
     barrier = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0)
     res = solve_scattering(barrier, 2.0)
     print(res.big_r, res.big_t)
+
+``import qwim`` loads the numpy-free layers only: the errors, the
+models, the closed-form slab algebra, scattering and spec files.  A
+piecewise solve at one energy runs on them in plain complex arithmetic.
+The array layer (``qwim._arrays``: energy sweeps, sampled potentials),
+the Riccati stepper (``qwim.riccati``), the spectral searches
+(``qwim.spectral``) and the cross-checks (``qwim.xcheck``) load numpy,
+and are imported when first used; their names here resolve on first
+access.
 """
+
+from importlib import import_module
 
 from .errors import (
     BracketingExhaustedError,
@@ -37,6 +48,7 @@ from .errors import (
     TransformPoleError,
 )
 from .model import (
+    IntegrationConfig,
     ModelParams,
     PiecewisePotential,
     Potential,
@@ -56,13 +68,6 @@ from .analytic import (
     region_constants,
     step_reflection,
 )
-from .riccati import (
-    ImpedanceTrajectory,
-    IntegrationConfig,
-    integrate_impedance,
-    z_minus,
-    z_plus,
-)
 from .scattering import (
     EnergyPointError,
     ScatteringResult,
@@ -71,24 +76,48 @@ from .scattering import (
     energy_sweep,
     solve_scattering,
 )
-from .spectral import (
-    SpectrumKind,
-    SpectrumResult,
-    find_bound_states,
-    find_resonances,
-    impedance_mismatch,
-)
 from .specfile import ProblemSpec, load_spec, parse_spec, render_spec
-from .xcheck import (
-    Normalization,
-    TransferResult,
-    WavefunctionProfile,
-    reconstruct_wavefunction,
-    schrodinger_residual,
-    square_well_eigenvalues,
-    square_well_state_count,
-    transfer_matrix_solve,
-)
+
+# The layers that import numpy at their top and their public names, by
+# home module; a module is imported when it or one of its names is first
+# read, as ``qwim.xcheck`` or ``qwim.find_bound_states``.
+_LAZY = {
+    "riccati": "riccati",
+    "spectral": "spectral",
+    "xcheck": "xcheck",
+    "ImpedanceTrajectory": "riccati",
+    "integrate_impedance": "riccati",
+    "z_minus": "riccati",
+    "z_plus": "riccati",
+    "SpectrumKind": "spectral",
+    "SpectrumResult": "spectral",
+    "find_bound_states": "spectral",
+    "find_resonances": "spectral",
+    "impedance_mismatch": "spectral",
+    "Normalization": "xcheck",
+    "TransferResult": "xcheck",
+    "WavefunctionProfile": "xcheck",
+    "reconstruct_wavefunction": "xcheck",
+    "schrodinger_residual": "xcheck",
+    "square_well_eigenvalues": "xcheck",
+    "square_well_state_count": "xcheck",
+    "transfer_matrix_solve": "xcheck",
+}
+
+
+def __getattr__(name: str):
+    # read through on every access, never stored here: a name patched in
+    # its home module (a test's monkeypatch, a tracer) is seen as patched
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

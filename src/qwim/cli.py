@@ -6,6 +6,10 @@ and write tab-separated tables with a header row to standard output at
 full round-trip precision.  Errors go to standard error as single-line
 records ``error<TAB>code<TAB>message``; the exit status is 0 on success,
 2 for input problems and 3 for solver failures.
+
+Each verb imports the numpy layers it runs (the spectral searches, the
+Riccati stepper, the cross-checks) when it runs: ``scatter`` on a
+piecewise potential loads no numpy.
 """
 
 from __future__ import annotations
@@ -16,11 +20,8 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import PotentialInputError, SolverError
-from .model import ModelParams, PiecewisePotential, Side
-from .riccati import IntegrationConfig, integrate_impedance, right_anchor
+from .model import IntegrationConfig, PiecewisePotential, Side
 from .scattering import (
     EnergyPointError,
     ScatteringResult,
@@ -28,14 +29,6 @@ from .scattering import (
     solve_scattering,
 )
 from .specfile import ProblemSpec, load_spec
-from .spectral import find_bound_states, find_resonances
-from .xcheck import (
-    Normalization,
-    WavefunctionProfile,
-    reconstruct_wavefunction,
-    schrodinger_residual,
-    transfer_matrix_solve,
-)
 
 # validate: agreement bounds between the two solver paths
 VALIDATE_DELTA_TOL = 1e-8
@@ -60,6 +53,17 @@ def _emit_error(code: str, message: str) -> None:
 
 def _emit_note(kind: str, message: str) -> None:
     sys.stderr.write(f"note\t{kind}\t{message}\n")
+
+
+def _linspace(lo: float, hi: float, points: int):
+    """``points`` evenly spaced values from lo to hi; a count whose array
+    numpy refuses to allocate is an input error, not a traceback."""
+    import numpy as np
+
+    try:
+        return np.linspace(lo, hi, points)
+    except MemoryError as exc:
+        raise ValueError(f"--points {points}: too many points to allocate") from exc
 
 
 def _side(args) -> Side:
@@ -111,7 +115,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--points must be at least 2")
     if not args.emin < args.emax:
         raise ValueError("--emin must be below --emax")
-    energies = np.linspace(args.emin, args.emax, args.points)
+    energies = _linspace(args.emin, args.emax, args.points)
     records = energy_sweep(spec.potential, energies, _side(args), cfg, spec.params)
     rows = []
     for rec in records:
@@ -124,6 +128,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .spectral import find_bound_states
+
     spec = load_spec(args.spec)
     cfg = _config(args, spec)
     result = find_bound_states(
@@ -138,6 +144,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_resonances(args) -> int:
+    from .spectral import find_resonances
+
     spec = load_spec(args.spec)
     cfg = _config(args, spec)
     if not args.emin < args.emax:
@@ -163,7 +171,11 @@ def cmd_resonances(args) -> int:
 
 
 def _profile_trajectory(pot, e, cfg, params, points, track):
-    grid = np.linspace(pot.a, pot.b, points)
+    import numpy as np
+
+    from .riccati import integrate_impedance, right_anchor
+
+    grid = _linspace(pot.a, pot.b, points)
     z_far = right_anchor(pot, e, params)
     traj = integrate_impedance(
         pot, e, pot.b, z_far, pot.a, cfg, params,
@@ -198,6 +210,8 @@ def cmd_profile(args) -> int:
         return 0
 
     # wavefunction mode: scattering solution, unit incident amplitude
+    from .xcheck import Normalization, reconstruct_wavefunction
+
     res = solve_scattering(work, args.energy, Side.LEFT, cfg, spec.params)
     traj, grid, idx = _profile_trajectory(
         work, args.energy, cfg, spec.params, args.points, track=False
@@ -218,6 +232,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .xcheck import (
+        Normalization,
+        WavefunctionProfile,
+        reconstruct_wavefunction,
+        schrodinger_residual,
+        transfer_matrix_solve,
+    )
+
     spec = load_spec(args.spec)
     cfg = _config(args, spec)
     pot, params = spec.potential, spec.params

@@ -10,7 +10,9 @@ interval the potential is either piecewise constant (a stack of
 contiguous segments) or piecewise linear through a table of samples.
 
 Potentials are immutable value objects; validation happens eagerly at
-construction so an invalid instance can never circulate.
+construction so an invalid instance can never circulate.  The solver
+settings, ``IntegrationConfig``, live here too, so that a spec file and
+a chained solve can carry them without loading the Riccati stepper.
 """
 
 from __future__ import annotations
@@ -59,6 +61,37 @@ class ModelParams:
     def __post_init__(self):
         if not (self.hbar > 0.0) or not (self.mass > 0.0):
             raise ValueError("hbar and mass must be strictly positive")
+
+
+@dataclass(frozen=True)
+class IntegrationConfig:
+    """Tolerances and safeguards for the Riccati stepper.
+
+    ``max_step`` of None means (span / 50) is chosen per call.  When
+    ``force_numeric`` is set, higher-level solvers integrate the ODE for
+    any potential instead of chaining the exact slab maps.
+    Every number must be finite; ``rel_tol`` may be zero, ``abs_tol``,
+    ``pole_threshold`` and ``max_step`` must be positive.
+    """
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    max_step: float | None = None
+    pole_threshold: float = 1e3
+    force_numeric: bool = False
+
+    def __post_init__(self):
+        positive = {"abs_tol": self.abs_tol, "pole_threshold": self.pole_threshold}
+        if self.max_step is not None:
+            positive["max_step"] = self.max_step
+        require_finite(
+            "tolerances, pole threshold and max step", self.rel_tol, *positive.values()
+        )
+        if self.rel_tol < 0.0:
+            raise ValueError(f"rel_tol must be at least 0, got {self.rel_tol}")
+        for name, value in positive.items():
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

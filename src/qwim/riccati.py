@@ -41,37 +41,7 @@ from .errors import (
     NonFiniteStateError,
     StepSizeUnderflowError,
 )
-from .model import ModelParams, Potential, Side, require_finite
-
-@dataclass(frozen=True)
-class IntegrationConfig:
-    """Tolerances and safeguards for the Riccati stepper.
-
-    ``max_step`` of None means (span / 50) is chosen per call.  When
-    ``force_numeric`` is set, higher-level solvers integrate the ODE for
-    any potential instead of chaining the exact slab maps.
-    Every number must be finite; ``rel_tol`` may be zero, ``abs_tol``,
-    ``pole_threshold`` and ``max_step`` must be positive.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float | None = None
-    pole_threshold: float = 1e3
-    force_numeric: bool = False
-
-    def __post_init__(self):
-        positive = {"abs_tol": self.abs_tol, "pole_threshold": self.pole_threshold}
-        if self.max_step is not None:
-            positive["max_step"] = self.max_step
-        require_finite(
-            "tolerances, pole threshold and max step", self.rel_tol, *positive.values()
-        )
-        if self.rel_tol < 0.0:
-            raise ValueError(f"rel_tol must be at least 0, got {self.rel_tol}")
-        for name, value in positive.items():
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+from .model import IntegrationConfig, ModelParams, Potential, Side, require_finite
 
 
 @dataclass(frozen=True)

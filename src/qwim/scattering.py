@@ -22,9 +22,13 @@ linear sub-slab map at a time (:mod:`qwim.analytic`); with
 ``cfg.force_numeric`` set, any potential uses the adaptive Riccati
 integrator with the running integral tracked, on the mirrored potential
 for right incidence.  An energy sweep chains the whole grid at once, one
-array pass per slab or sub-slab; points that pass flags (where a single
-solve raises, or its values are not finite) are solved again one at a
-time.
+array pass per slab or sub-slab (:mod:`qwim._arrays`); points that pass
+flags (where a single solve raises, or its values are not finite) are
+solved again one at a time.
+
+Only the functions that take or make arrays import numpy, and the
+stepper is imported only by a ``force_numeric`` solve, so one piecewise
+solve loads neither.
 """
 
 from __future__ import annotations
@@ -32,25 +36,21 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analytic import (
-    _chain,
-    _chain_many,
-    _mirrored_steps,
-    _region_constants_many,
-    _steps,
-    region_constants,
-)
+from .analytic import _chain, _mirrored_steps, _steps, region_constants
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
     NonPositiveRealPartError,
     SolverError,
 )
-from .model import ModelParams, Potential, Side, require_finite
-from .riccati import ImpedanceTrajectory, IntegrationConfig, integrate_impedance
+from .model import IntegrationConfig, ModelParams, Potential, Side, require_finite
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .riccati import ImpedanceTrajectory
 
 
 @dataclass(frozen=True, init=False)
@@ -132,6 +132,8 @@ def _solve(
     if not cfg.force_numeric or a == b:
         num, den, ratio = _chain(_walk(pot, side), e, z_far, params)
     else:
+        from .riccati import integrate_impedance
+
         work = pot.mirrored() if side is Side.RIGHT else pot
         traj = integrate_impedance(
             work, e, b, z_far, a, cfg, params, track_integral=True
@@ -198,6 +200,10 @@ def _sweep_chain(
     where the scalar solve raises or the array pass is not finite; their
     records mean nothing and the caller solves them one at a time.
     """
+    import numpy as np
+
+    from ._arrays import _chain_many, _region_constants_many
+
     u_in, u_far, x_in, x_far = _frame(pot, side)
     z1, gamma1, degenerate1 = _region_constants_many(e, u_in, params)
     z2, gamma2, degenerate2 = _region_constants_many(e, u_far, params)
@@ -245,6 +251,8 @@ def energy_sweep(
     ``solve_scattering`` gives.  A complex grid raises TypeError, as a
     Python ``complex`` entry does: its imaginary parts would be dropped.
     """
+    import numpy as np
+
     grid = energies if isinstance(energies, np.ndarray) else list(energies)
     if np.iscomplexobj(grid):
         raise TypeError("energies must be real, got a complex grid")
@@ -283,6 +291,8 @@ def constant_current_diagnostic(
     NonPositiveRealPartError in the no-current (full-reflection or
     bound) regime where Re Z <= 0 somewhere.
     """
+    import numpy as np
+
     if traj.z_integral is None:
         raise ValueError("trajectory lacks the running integral; "
                          "integrate with track_integral=True")
@@ -300,6 +310,8 @@ def current_profile(traj: ImpedanceTrajectory, psi_anchor: complex) -> np.ndarra
 
     ``psi_anchor`` is the wavefunction value at the trajectory anchor.
     """
+    import numpy as np
+
     if traj.z_integral is None:
         raise ValueError("trajectory lacks the running integral")
     m_over_h = traj.params.mass / traj.params.hbar

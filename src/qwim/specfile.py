@@ -28,13 +28,13 @@ from dataclasses import dataclass, replace
 
 from .errors import PotentialInputError, SpecFileError
 from .model import (
+    IntegrationConfig,
     ModelParams,
     PiecewisePotential,
     Potential,
     PotentialSegment,
     SampledPotential,
 )
-from .riccati import IntegrationConfig
 
 _DEFAULT_KEYS = ("rel_tol", "abs_tol", "max_step", "pole_threshold", "force_numeric")
 
@@ -129,6 +129,8 @@ def parse_spec(text: str) -> ProblemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SpecFileError("arrays or objects nested too deeply to parse") from exc
     root = _as_mapping(doc, "$")
 
     params = ModelParams()
@@ -180,6 +182,10 @@ def load_spec(path: str) -> ProblemSpec:
             text = fh.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from exc
     try:
         return parse_spec(text)
     except SpecFileError as exc:

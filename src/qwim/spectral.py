@@ -43,7 +43,8 @@ from functools import cache, partial
 import numpy as np
 
 from ._optimize import brentq, minimize_scalar
-from .analytic import _chain, _chain_many, _constants, _region_constants_many, _steps
+from ._arrays import _chain_many, _region_constants_many
+from .analytic import _chain, _constants, _steps
 from .errors import (
     BracketingExhaustedError,
     EmptyWindowError,
@@ -52,13 +53,15 @@ from .errors import (
     SolverError,
     TransformPoleError,
 )
-from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
-from .riccati import (
+from .model import (
     IntegrationConfig,
-    integrate_impedance,
-    left_anchor,
-    right_anchor,
+    ModelParams,
+    PiecewisePotential,
+    Potential,
+    Side,
+    require_finite,
 )
+from .riccati import integrate_impedance, left_anchor, right_anchor
 
 # |D| must fall below this at a refined minimum to count as a resonance.
 RESONANCE_TOL = 1e-6

@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from qwim import analytic
+from qwim import _arrays
+from qwim._arrays import _chain_many, _region_constants_many
 from qwim.analytic import (
     PhaseConstant,
     _chain,
-    _chain_many,
     _constants,
     _mirrored_steps,
-    _region_constants_many,
     _steps,
     TOL_ALG,
     TOL_FLUX,
@@ -415,14 +414,14 @@ def test_linear_maps_are_taken_in_bounded_blocks(monkeypatch):
     whole = _chain_many(slabs, es, z, params)
     scalar = [_chain(slabs, e, complex(a), params) for e, a in zip(es.tolist(), z)]
     cells = []
-    series = analytic._series
+    series = _arrays._series
 
     def recorded(a, b):
         cells.append(np.broadcast(a, b).size)
         return series(a, b)
 
-    monkeypatch.setattr(analytic, "_series", recorded)
-    monkeypatch.setattr(analytic, "_BATCH_CELLS", 256)
+    monkeypatch.setattr(_arrays, "_series", recorded)
+    monkeypatch.setattr(_arrays, "_BATCH_CELLS", 256)
     split = _chain_many(slabs, es, z, params)
     assert len(cells) > 100 and max(cells) <= 256
     cells.clear()

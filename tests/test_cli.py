@@ -376,6 +376,60 @@ def test_missing_spec_file_is_input_error(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000, b'{"a": ' * 5000 + b"1" + b"}" * 5000, b"\xff\xfe{}"],
+    ids=["deep-arrays", "deep-objects", "not-utf8"],
+)
+def test_unparseable_spec_is_a_spec_file_error(tmp_path, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    proc = run_cli("scatter", "--spec", str(path), "--energy", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error\tSpecFile\t") and "spec.json" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["sweep", "--emin", "0.1", "--emax", "2"], ["profile", "--energy", "1.5"]],
+    ids=["sweep", "profile"],
+)
+def test_unallocatable_point_count_is_input_error(args):
+    # 1e14 points are 728 TiB of float64: numpy refuses the allocation at
+    # once, without touching memory
+    verb, *rest = args
+    proc = run_cli(verb, "--spec", str(DOCS / "barrier.json"), *rest,
+                   "--points", "100000000000000")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error\tInput\t--points 100000000000000")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_piecewise_scatter_loads_no_numpy(side):
+    # the piecewise chain is plain complex arithmetic; numpy and the
+    # numpy layers load only for the verbs that run them
+    argv = ["qwim", "scatter", "--spec", str(DOCS / "barrier.json"),
+            "--energy", "1.5", "--side", side]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('qwim', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "names = ('numpy', 'qwim.riccati', 'qwim.spectral', 'qwim.xcheck', 'qwim._arrays')\n"
+        "print(rc, [m for m in names if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-2].startswith("1.5\t")
+
+
 def test_scatter_does_not_import_scipy_optimize(tmp_path):
     # scipy.optimize costs more to import than all of qwim; only the
     # spectral searches and the square-well oracle load it

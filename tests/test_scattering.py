@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qwim import analytic, scattering
+from qwim import _arrays, scattering
 from qwim.analytic import barrier_closed_forms, region_constants
 from qwim.errors import (
     DegenerateEnergyError,
@@ -619,7 +619,7 @@ def test_energy_sweep_blocks_agree(monkeypatch):
     # makes 30 blocks of 10 energies
     pot, grid = _deep_stack(), np.linspace(1.6, 6.0, 300)
     whole = energy_sweep(pot, grid, Side.RIGHT)
-    monkeypatch.setattr(analytic, "_BATCH_CELLS", 1000)
+    monkeypatch.setattr(_arrays, "_BATCH_CELLS", 1000)
     split = energy_sweep(pot, grid, Side.RIGHT)
     assert len(split) == len(whole)
     for a, b in zip(split, whole):

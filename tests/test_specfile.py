@@ -5,8 +5,7 @@ import json
 import pytest
 
 from qwim.errors import SpecFileError
-from qwim.model import ModelParams, PiecewisePotential, SampledPotential
-from qwim.riccati import IntegrationConfig
+from qwim.model import IntegrationConfig, ModelParams, PiecewisePotential, SampledPotential
 from qwim.specfile import ProblemSpec, load_spec, parse_spec, render_spec
 
 BARRIER = """
@@ -130,6 +129,14 @@ def test_malformed_json_reports_position():
         parse_spec("{ not json }")
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"a": ' * 5000 + "1" + "}" * 5000], ids=["arrays", "objects"]
+)
+def test_deep_nesting_is_a_spec_error(text):
+    with pytest.raises(SpecFileError, match="nested too deeply"):
+        parse_spec(text)
+
+
 def test_sampled_needs_increasing_abscissae():
     doc = {
         "params": {"hbar": 1.0, "mass": 1.0},
@@ -170,6 +177,13 @@ def test_load_spec_names_missing_file(tmp_path):
     target.write_text(BARRIER)
     spec = load_spec(str(target))
     assert spec.potential.b == 2.0
+
+
+def test_load_spec_names_a_file_that_is_not_utf8(tmp_path):
+    target = tmp_path / "utf16.json"
+    target.write_bytes(b"\xff\xfe" + BARRIER.encode("utf-16-le"))
+    with pytest.raises(SpecFileError, match="utf16.json: not UTF-8"):
+        load_spec(str(target))
 
 
 @pytest.mark.parametrize(
