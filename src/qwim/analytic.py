@@ -28,7 +28,9 @@ its last step undivided, so a psi-node at the end point is no error; the
 piecewise scattering solve and the spectral matching both use it, the
 spectral searches with one slab list per side for every energy they
 evaluate.  It takes each level's z and gamma from ``_constants``, the
-scalar core of ``region_constants`` without the dataclass.
+scalar core of ``region_constants`` without the dataclass.  ``_nodes``
+walks a real solution along the same list and counts the psi-nodes it
+crosses: the bound-state search's Sturm count.
 ``_chain_many`` in :mod:`qwim._arrays` is its array twin for a whole
 energy grid: one array pass per slab, with an ``ok`` mask marking the
 energies where the scalar walk would raise.  Energy sweeps and the scan
@@ -333,6 +335,57 @@ def _chain(
     if not (cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(r)):
         raise NonFiniteStateError(f"layer chain overflows at energy {e}")
     return num, den, r
+
+
+def _nodes(
+    slabs: list[tuple[float, ...]],
+    e: float,
+    z_anchor: complex,
+    params: ModelParams,
+) -> tuple[complex, complex, int]:
+    """``_chain``'s walk of a real solution (a purely imaginary anchor at
+    a real e), counting the psi-nodes it crosses: (num, den, nodes), with
+    Z(x_to) = num / den and each node on the half-open step
+    (start, end] counted once.
+
+    With psi'/psi = i (m/hbar) Z and s the distance walked, a propagating
+    slab turns the Pruefer angle theta (tan theta = k psi / (dpsi/ds),
+    theta0 in (0, pi)) by exactly k |dx|, so it crosses
+    floor((theta0 + k |dx|) / pi) nodes.  An evanescent slab, a slab at
+    level e (psi linear) and a linear sub-slab (h sqrt(max |A|) <= 1 < pi)
+    each hold at most one node, there iff psi(end) / psi(start) <= 0:
+    den / z across an evanescent slab (the saturated form divides by a
+    positive factor), den across the others.  Raises as ``_chain`` does.
+    """
+    num, den, nodes = z_anchor, 1.0, 0
+    i_m = 1j * (params.mass / params.hbar)
+    if slabs and len(slabs[0]) == 3:
+        from ._arrays import _linear_steps
+
+        for kfp, gp, f, gk in _linear_steps(slabs, e, params):
+            z_at = _divide(num, den)
+            num, den = kfp + gp * z_at, f + gk * z_at
+            nodes += den.real <= 0.0
+    else:
+        for u, dx in slabs:
+            z_at = _divide(num, den)
+            try:
+                z, gamma = _constants(e, u, params)
+            except DegenerateEnergyError:
+                num, den = z_at, 1.0 + z_at * (i_m * dx)
+                nodes += den.real <= 0.0
+                continue
+            num, den, _ = _slab(z, gamma, z_at, dx)
+            if e > u:
+                k = gamma.imag
+                # psi'/psi in the direction of the walk
+                slope = (i_m * z_at).real if dx > 0.0 else -(i_m * z_at).real
+                nodes += math.floor((math.atan2(k, slope) + k * abs(dx)) / math.pi)
+            else:
+                nodes += (den / z).real <= 0.0
+    if not (cmath.isfinite(num) and cmath.isfinite(den)):
+        raise NonFiniteStateError(f"layer chain overflows at energy {e}")
+    return num, den, nodes
 
 
 def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> complex:

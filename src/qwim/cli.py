@@ -157,7 +157,6 @@ def cmd_resonances(args) -> int:
         _side(args),
         cfg,
         spec.params,
-        probe_x=args.probe_x,
     )
     if result.transparent:
         _emit_note("transparent", "no reflection anywhere in the window; "
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emin", type=float, required=True)
     p.add_argument("--emax", type=float, required=True)
     add_side(p)
-    p.add_argument("--probe-x", type=float, default=None)
     p.set_defaults(func=cmd_resonances)
 
     p = sub.add_parser("profile", help="impedance or wavefunction along x")

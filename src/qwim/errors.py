@@ -89,7 +89,8 @@ class EmptyWindowError(SolverError):
 
 
 class BracketingExhaustedError(SolverError):
-    """Scan grid provably missed eigenvalues (well-count oracle disagrees).
+    """A bound-state search found another number of states than the
+    Sturm node count of its potential gives: its scan grid missed some.
 
     Carries the scan profile for post-mortem inspection.
     """

@@ -113,6 +113,20 @@ def _walk(pot: Potential, side: Side) -> list[tuple[float, ...]]:
     return _mirrored_steps(pot) if side is Side.RIGHT else _steps(pot, pot.a, False)
 
 
+def _trajectory(
+    pot: Potential, e: float, side: Side, z_far: complex,
+    cfg: IntegrationConfig, params: ModelParams, track_integral: bool = False,
+) -> ImpedanceTrajectory:
+    """The Riccati trajectory of the walk from the far edge, where
+    Z = z_far, to the entry edge, in the frame of ``side``: stepped on
+    ``pot.mirrored()`` for right incidence."""
+    from .riccati import integrate_impedance
+
+    _, _, a, b = _frame(pot, side)
+    work = pot.mirrored() if side is Side.RIGHT else pot
+    return integrate_impedance(work, e, b, z_far, a, cfg, params, track_integral=track_integral)
+
+
 def _solve(
     pot: Potential,
     e: float,
@@ -132,12 +146,7 @@ def _solve(
     if not cfg.force_numeric or a == b:
         num, den, ratio = _chain(_walk(pot, side), e, z_far, params)
     else:
-        from .riccati import integrate_impedance
-
-        work = pot.mirrored() if side is Side.RIGHT else pot
-        traj = integrate_impedance(
-            work, e, b, z_far, a, cfg, params, track_integral=True
-        )
+        traj = _trajectory(pot, e, side, z_far, cfg, params, track_integral=True)
         num, den = complex(traj.zs[0]), 1.0
         # S measured from the anchor at b, so int_a^b Z dx = -S(a)
         s_a = complex(traj.z_integral[0])

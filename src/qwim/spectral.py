@@ -1,35 +1,42 @@
 """Bound-state and resonance search via impedance matching.
 
-Both spectra come from the same matching condition: the left-anchored
-trajectory Z+ and the right-anchored trajectory Z- describe one and the
-same solution exactly when
+Bound states.  The left-anchored trajectory Z+ and the right-anchored
+trajectory Z- of the decaying tails (Z(a) = -z1, Z(b) = +z2, both
+purely imaginary) describe one and the same solution exactly when
 
     D(E) = Z+(x_probe; E) - Z-(x_probe; E) = 0.
 
-Bound mode anchors the decaying tails (Z(a) = -z1, Z(b) = +z2, both
-purely imaginary).  D has a pole wherever either solution has a node at
-the probe, so bound states are matched instead on W, the Wronskian
-psi+ psi-' - psi- psi+' normalised to [-1, 1]: W = D psi+ psi- up to a
-positive factor, it has no poles, does not depend on the probe, and its
-sign changes bracket the eigenvalues.  Scattering (resonance) mode
-anchors the incident-matched value Z(a) = z1 and the transmitted wave
-Z(b) = z2; psi is complex there, D has no poles at real E and vanishes
-only at full transmission, so resonances are located as minima of
-|D|^2.
+D has a pole wherever either solution has a node at the probe, so bound
+states are matched instead on W, the Wronskian psi+ psi-' - psi- psi+'
+normalised to [-1, 1]: W = D psi+ psi- up to a positive factor, it has
+no poles, does not depend on the probe, and its sign changes bracket
+the eigenvalues.  How many there are follows from the same two slab
+lists by Sturm oscillation, a node count at the window ceiling
+(``_Ends.state_count``); a search that finds another number raises
+BracketingExhaustedError.
+
+Resonances.  Full transmission is impedance matching at the entry edge.
+The transmitted wave, Z = z2 at the far edge, carried across the
+structure gives Z(a), and
+
+    r(E) = (z1 - Z(a)) / (z1 + Z(a))
+
+vanishes exactly where T = 1.  The search walks the scattering solve's
+own slab list (``scattering._walk``; for right incidence the potential's
+list, negated, which builds no mirror), and locates the zeros of r as
+minima of |r|.
 
 Both kinds of potential chain exact slab maps (constant slabs, or the
 linear sub-slabs of a sampled potential), which also give the psi
 ratios that sign W; with ``cfg.force_numeric`` the Riccati equation is
-integrated instead, and W carries no sign.  A search sets up its
-``_Ends`` once: without ``force_numeric``, the slab list from each end
-to the probe and the two lead levels.  The scan grid that brackets
-roots and minima is chained along those lists in one array pass per
-slab (``_scan``).  The
-refinement of each bracket, with qwim's own ports of Brent's root finder
-and bounded minimiser (``_optimize``), walks the same lists one scalar
-energy at a time in plain complex arithmetic, and evaluates no energy
-twice: the value at a returned root or minimum is the one the optimiser
-computed.
+integrated instead, and W carries no sign.  A search sets up its slab
+lists once (``_Ends``: one from each end to the probe; ``_Entry``: the
+walk), and chains the scan grid that brackets roots and minima along
+them in one array pass per slab (``_scan``).  The refinement of each
+bracket, with qwim's own ports of Brent's root finder and bounded
+minimiser (``_optimize``), walks the same lists one scalar energy at a
+time in plain complex arithmetic, and evaluates no energy twice: the
+value at a returned root or minimum is the one the optimiser computed.
 """
 
 from __future__ import annotations
@@ -44,9 +51,10 @@ import numpy as np
 
 from ._optimize import brentq, minimize_scalar
 from ._arrays import _chain_many, _region_constants_many
-from .analytic import _chain, _constants, _steps
+from .analytic import _chain, _constants, _nodes, _steps
 from .errors import (
     BracketingExhaustedError,
+    DegenerateEnergyError,
     EmptyWindowError,
     EvanescentIncidenceError,
     NonFiniteStateError,
@@ -61,9 +69,9 @@ from .model import (
     Side,
     require_finite,
 )
-from .riccati import integrate_impedance, left_anchor, right_anchor
+from .scattering import _frame, _trajectory, _walk
 
-# |D| must fall below this at a refined minimum to count as a resonance.
+# |r| must fall below this at a refined minimum to count as a resonance.
 RESONANCE_TOL = 1e-6
 # |W| at a refined bound-state root, relative to the larger |W| at the
 # ends of its bracket, must not exceed this.
@@ -79,11 +87,25 @@ class SpectrumKind(Enum):
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """The energies a search found, with the residual at each: |W| for
+    bound states, |r| for resonances.  ``probe_x`` is the matching point
+    of a bound search and the entry edge of a resonance search (a for
+    left incidence, b for right)."""
+
     kind: SpectrumKind
     energies: list[float]
     residuals: list[float]
     probe_x: float
     transparent: bool = False
+
+
+def _lead_z(e: float, u: float, params: ModelParams) -> complex:
+    """z of a lead at e; 0 for a lead at level e, the threshold anchor,
+    where ``_constants`` raises."""
+    try:
+        return _constants(e, u, params)[0]
+    except DegenerateEnergyError:
+        return 0j
 
 
 class _Ends:
@@ -93,11 +115,12 @@ class _Ends:
     Called with an energy, it gives both solutions' (num, den, r) at the
     probe: Z = num / den and psi(anchor) / psi(probe) = r / den.  Bound
     mode applies automatically for e below both leads; otherwise the
-    scattering (left-incidence) anchors are used.  Without
-    ``force_numeric`` the slab lists from each end to the probe are built
-    here, and every energy, scalar or array (``many``), is chained along
-    them.  The Riccati engine carries no psi ratio and gives (Z, 1, 1);
-    ``slabs`` is None then.
+    scattering (left-incidence) anchors are used.  The slab lists from
+    each end to the probe are built here, and every energy, scalar or
+    array (``many``), is chained along them.  With ``force_numeric`` a
+    scalar call integrates the Riccati equation instead, which carries
+    no psi ratio and gives (Z, 1, 1); the lists then serve the state
+    count alone.
     """
 
     def __init__(self, pot, probe_x, cfg, params):
@@ -105,13 +128,13 @@ class _Ends:
             raise ValueError(f"probe {probe_x} outside the open interval ({pot.a}, {pot.b})")
         self.pot, self.probe_x, self.cfg, self.params = pot, probe_x, cfg, params
         self.levels = pot.left_level, pot.right_level
-        self.slabs = None
-        if not cfg.force_numeric:
-            self.slabs = _steps(pot, probe_x, True), _steps(pot, probe_x, False)
+        self.slabs = _steps(pot, probe_x, True), _steps(pot, probe_x, False)
 
     def __call__(self, e):
         pot, params = self.pot, self.params
-        if self.slabs is None:
+        if self.cfg.force_numeric:
+            from .riccati import integrate_impedance, left_anchor, right_anchor
+
             z_a = left_anchor(pot, e, params)
             z_b = right_anchor(pot, e, params)
             zp = integrate_impedance(pot, e, pot.a, z_a, self.probe_x, self.cfg, params).zs[-1]
@@ -136,6 +159,62 @@ class _Ends:
         *minus, ok_m = _chain_many(right, es, z2, self.params)
         return plus, minus, ok_p & ok_m & ~degenerate1 & ~degenerate2
 
+    def state_count(self) -> int:
+        """N, the number of bound states, by Sturm oscillation along the
+        two slab lists.
+
+        At the window ceiling (the lower lead's level, where that lead
+        anchors at threshold, Z = 0) the two decaying solutions cross n+
+        and n- psi-nodes on their way to the probe (``analytic._nodes``).
+        With their Pruefer angles at the probe taken modulo pi in
+        [0, pi) and (0, pi], N = n+ + n- + [left angle > right angle].
+        For two solutions positive at the probe that bracket is the sign
+        of their Wronskian, Im(Z+ - Z-) > 0, taken undivided so that a
+        node at the probe adds nothing.
+        """
+        (left, right), (u1, u2), params = self.slabs, self.levels, self.params
+        ceil = min(u1, u2)
+        n1, d1, nodes1 = _nodes(left, ceil, -_lead_z(ceil, u1, params), params)
+        n2, d2, nodes2 = _nodes(right, ceil, _lead_z(ceil, u2, params), params)
+        return nodes1 + nodes2 + (((n1 * d2 - n2 * d1) * (d1 * d2).conjugate()).imag > 0.0)
+
+
+class _Entry:
+    """The incidence lead and the transmitted wave carried to the entry
+    edge, set up once for a whole resonance search.
+
+    Called with an energy, it gives two ends of ``_Ends``' shape: the
+    incidence lead's (z1, 1, 1) and the walk's (num, den, ratio), with
+    Z(a) = num / den, chained from the far lead's outgoing wave z2 along
+    the scattering solve's slab list (``scattering._walk``), in the frame
+    of ``side``.  ``many`` gives them over an energy array from one
+    ``_chain_many`` pass, with ``ok`` False wherever the scalar call
+    raises.  With ``force_numeric`` a scalar call takes Z(a) from one
+    Riccati trajectory from the far edge instead, as the scattering
+    solve does (``scattering._trajectory``).
+    """
+
+    def __init__(self, pot, side, cfg, params):
+        self.pot, self.side, self.cfg, self.params = pot, side, cfg, params
+        self.levels = _frame(pot, side)[:2]
+        self.walk = _walk(pot, side)
+
+    def __call__(self, e):
+        (u1, u2), params = self.levels, self.params
+        z1 = _constants(e, u1, params)[0]
+        z2 = _constants(e, u2, params)[0]
+        if self.cfg.force_numeric and self.walk:
+            traj = _trajectory(self.pot, e, self.side, z2, self.cfg, params)
+            return (z1, 1.0, 1.0), (complex(traj.zs[0]), 1.0, 1.0)
+        return (z1, 1.0, 1.0), _chain(self.walk, e, z2, params)
+
+    def many(self, es: np.ndarray):
+        (u1, u2), params = self.levels, self.params
+        z1, _, degenerate1 = _region_constants_many(es, u1, params)
+        z2, _, degenerate2 = _region_constants_many(es, u2, params)
+        *walk, ok = _chain_many(self.walk, es, z2, params)
+        return (z1, 1.0, 1.0), walk, ok & ~degenerate1 & ~degenerate2
+
 
 def _mismatch(plus, minus):
     """D = Z+ - Z- from the two ends (scalars or arrays); not finite where
@@ -144,6 +223,17 @@ def _mismatch(plus, minus):
     (n1, d1, _), (n2, d2, _) = plus, minus
     try:
         return n1 / d1 - n2 / d2
+    except ZeroDivisionError:
+        return math.nan
+
+
+def _reflection(lead, walk):
+    """r = (z1 - Z(a)) / (z1 + Z(a)) from ``_Entry``'s two ends (scalars
+    or arrays), in the scattering solve's arithmetic, so a psi-node at the
+    entry edge is no error; NaN for a scalar zero divisor."""
+    (z1, _, _), (num, den, _) = lead, walk
+    try:
+        return (z1 * den - num) * (1.0 / (z1 * den + num))
     except ZeroDivisionError:
         return math.nan
 
@@ -173,7 +263,7 @@ def _wronskian(plus, minus, s):
         return math.nan
 
 
-def _at(match, ends: _Ends, e: float):
+def _at(match, ends, e: float):
     """``match`` of the scalar ends at e; NaN where they raise a
     SolverError."""
     try:
@@ -203,20 +293,20 @@ def impedance_mismatch(
     return d
 
 
-def _scan(ends: _Ends, es, match) -> list:
-    """``match(plus, minus)`` of the two solutions' ends at each energy
+def _scan(ends, es, match) -> list:
+    """``match`` of the two ends (``_Ends`` or ``_Entry``) at each energy
     of ``es``; None where the ends raise a SolverError or the value is
     not finite.
 
-    Along slab lists the grid is chained from both ends to the probe in
-    one array pass per slab.  Every energy where either chain flags, a
-    lead is degenerate or the value is not finite is computed again from
-    the scalar ends, so the energies dropped are exactly those a
-    point-by-point scan drops.
+    Without ``force_numeric`` the grid is chained along the evaluator's
+    slab lists in one array pass per slab (``many``).  Every energy
+    where a chain flags, a lead is degenerate or the value is not finite
+    is computed again from the scalar ends, so the energies dropped are
+    exactly those a point-by-point scan drops.
     """
     out: list = [None] * len(es)
     redo = range(len(es))
-    if ends.slabs is not None:
+    if not ends.cfg.force_numeric:
         plus, minus, ok = ends.many(np.array(es, dtype=float))
         with np.errstate(all="ignore"):
             v = match(plus, minus)
@@ -231,19 +321,6 @@ def _scan(ends: _Ends, es, match) -> list:
 
 def _default_probe(pot: Potential) -> float:
     return 0.5 * (pot.a + pot.b)
-
-
-def _single_square_well(pot: Potential):
-    """(depth, width) when the potential is one square well with equal
-    leads; None otherwise.  Used for the exact state-count cross-check."""
-    if not isinstance(pot, PiecewisePotential) or len(pot.segments) != 1:
-        return None
-    if pot.left_level != pot.right_level:
-        return None
-    seg = pot.segments[0]
-    if seg.u >= pot.left_level:
-        return None
-    return pot.left_level - seg.u, seg.length
 
 
 def find_bound_states(
@@ -264,10 +341,11 @@ def find_bound_states(
     same slab lists, each energy evaluated once.  The Riccati engine's
     (``force_numeric``) W is unsigned and also changes sign at jumps,
     where |W| stays near one; there a root is kept only when |W(root)| is
-    at most ROOT_TOL times the larger |W| at its bracket's ends.  Residuals are |W(root)|.
-    For a recognizable single square well the count is cross-checked
-    against the transcendental branch count.  ``scan_points`` below 3
-    raises ValueError.
+    at most ROOT_TOL times the larger |W| at its bracket's ends.
+    Residuals are |W(root)|.  The number of roots is checked against the
+    Sturm count of ``_Ends.state_count``, for every potential and engine:
+    a search that finds another number raises BracketingExhaustedError
+    with its scan profile.  ``scan_points`` below 3 raises ValueError.
     """
     if probe_x is not None:
         require_finite("probe", probe_x)
@@ -325,17 +403,13 @@ def find_bound_states(
             roots.append(root)
             residuals.append(res)
 
-    well = _single_square_well(pot)
-    if well is not None:
-        from .xcheck import square_well_state_count
-
-        expected = square_well_state_count(*well, params)
-        if len(roots) != expected:
-            raise BracketingExhaustedError(
-                f"found {len(roots)} states, well-count oracle expects {expected}",
-                energies=[e for e, _ in scan],
-                mismatches=[w for _, w in scan],
-            )
+    expected = ends.state_count()
+    if len(roots) != expected:
+        raise BracketingExhaustedError(
+            f"found {len(roots)} states, the node count gives {expected}",
+            energies=[e for e, _ in scan],
+            mismatches=[w for _, w in scan],
+        )
     return SpectrumResult(
         kind=SpectrumKind.BOUND,
         energies=roots,
@@ -352,94 +426,81 @@ def find_resonances(
     cfg: IntegrationConfig = IntegrationConfig(),
     params: ModelParams = ModelParams(),
     scan_points: int = SCAN_POINTS,
-    probe_x: float | None = None,
 ) -> SpectrumResult:
-    """Full-transmission energies inside (e_min, e_max].
+    """Full-transmission energies inside (e_min, e_max], for incidence
+    from ``side``: the zeros of r.
 
-    Scans |D(E)| (one array pass per slab or sub-slab) and
-    refines each strict local minimum by Brent's bounded minimization of
-    |D|^2, then by Brent's root finder on each component of D that
-    changes sign across the bracket, one scalar mismatch per iterate
-    along the same slab lists, each energy evaluated once.  An energy
-    where D cannot be evaluated counts as |D| = inf to the
-    minimiser and drops that component's root.  Accepts energies where
-    |D| < RESONANCE_TOL and, as an independent cross-check, R < 1e-8.
-    A window in which R vanishes identically (no structure at all) is
-    flagged transparent and returns no discrete energies.  ``scan_points``
-    below 3 raises ValueError: no strict minimum fits on fewer points.
+    Scans |r(E)| (one array pass per slab or sub-slab of the walk from
+    the far lead to the entry edge) and refines each strict local
+    minimum by Brent's bounded minimization of |r|^2, then by Brent's
+    root finder on each component of r that changes sign across the
+    bracket, one scalar r per iterate along the same walk, each energy
+    evaluated once.  An energy where r cannot be evaluated counts as
+    |r| = inf to the minimiser and drops that component's root.  Accepts
+    energies where |r| < RESONANCE_TOL, and reports |r| as the residual:
+    R = |r|^2 comes from the same walk.  A window with R < 1e-12 at every
+    scan point (no structure at all) is flagged transparent and returns
+    no discrete energies.  ``probe_x`` of the result is the entry edge.
+    ``scan_points`` below 3 raises ValueError: no strict minimum fits on
+    fewer points.
     """
-    from .scattering import solve_scattering
-
     require_finite("window bounds", e_min, e_max)
-    if probe_x is not None:
-        require_finite("probe", probe_x)
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
     if scan_points < 3:
         raise ValueError(f"scan_points must be at least 3, got {scan_points}")
-    work = pot.mirrored() if side is Side.RIGHT else pot
-    if e_min <= work.left_level:
+    u_in = _frame(pot, side)[0]
+    if e_min <= u_in:
         raise EvanescentIncidenceError(
             f"window starts at {e_min}, at or below incidence lead"
         )
-    probe = probe_x if probe_x is not None else _default_probe(work)
+    edge = pot.b if side is Side.RIGHT else pot.a
+    entry = _Entry(pot, side, cfg, params)
 
     @cache
-    def mismatch_c(e: float):
-        d = _at(_mismatch, ends, e)
-        return d if cmath.isfinite(d) else None
+    def reflection_c(e: float):
+        r = _at(_reflection, entry, e)
+        return r if cmath.isfinite(r) else None
 
-    def mismatch(e: float):
-        d = mismatch_c(e)
-        return None if d is None else abs(d)
+    def reflection(e: float):
+        r = reflection_c(e)
+        return None if r is None else abs(r)
 
     def squared(e: float) -> float:
-        d = mismatch(e)
-        return math.inf if d is None else d ** 2
+        r = reflection(e)
+        return math.inf if r is None else r ** 2
 
     def component(comp, e: float) -> float:
         # a failed evaluation is NaN, on which brentq gives up
-        d = mismatch_c(e)
-        return math.nan if d is None else comp(d)
+        r = reflection_c(e)
+        return math.nan if r is None else comp(r)
 
-    def big_r_at(e: float) -> float:
-        try:
-            return solve_scattering(work, e, Side.LEFT, cfg, params).big_r
-        except SolverError:
-            return 1.0  # degenerate or failed probe: no transparency evidence
-
-    probes_r = [
-        big_r_at(e)
-        for e in (e_min + 1e-9 * (e_max - e_min), 0.5 * (e_min + e_max), e_max)
-    ]
-    if all(r < 1e-12 for r in probes_r):
+    grid = np.linspace(e_min, e_max, scan_points + 1)[1:].tolist()
+    scan = [(e, abs(r)) for e, r in zip(grid, _scan(entry, grid, _reflection)) if r is not None]
+    if len(scan) == len(grid) and all(r ** 2 < 1e-12 for _, r in scan):
         return SpectrumResult(
             kind=SpectrumKind.RESONANCE,
             energies=[],
             residuals=[],
-            probe_x=probe,
+            probe_x=edge,
             transparent=True,
         )
-
-    ends = _Ends(work, probe, cfg, params)
-    grid = np.linspace(e_min, e_max, scan_points + 1)[1:].tolist()
-    scan = [(e, abs(d)) for e, d in zip(grid, _scan(ends, grid, _mismatch)) if d is not None]
 
     energies: list[float] = []
     residuals: list[float] = []
     for i in range(1, len(scan) - 1):
-        e_m, d_m = scan[i]
-        if not (d_m < scan[i - 1][1] and d_m < scan[i + 1][1]):
+        e_m, r_m = scan[i]
+        if not (r_m < scan[i - 1][1] and r_m < scan[i + 1][1]):
             continue
         lo, hi = scan[i - 1][0], scan[i + 1][0]
         e_star = minimize_scalar(squared, lo, hi, xatol=1e-12)
-        d_star = mismatch(e_star)
-        # both components of D vanish together at a true resonance, so a
-        # bracketed root on either one beats the |D|^2 minimizer's accuracy
-        d_lo, d_hi = mismatch_c(lo), mismatch_c(hi)
-        if d_lo is not None and d_hi is not None:
-            for comp in (lambda d: d.imag, lambda d: d.real):
-                if comp(d_lo) * comp(d_hi) < 0.0:
+        r_star = reflection(e_star)
+        # both components of r vanish together at a true resonance, so a
+        # bracketed root on either one beats the |r|^2 minimizer's accuracy
+        r_lo, r_hi = reflection_c(lo), reflection_c(hi)
+        if r_lo is not None and r_hi is not None:
+            for comp in (lambda r: r.imag, lambda r: r.real):
+                if comp(r_lo) * comp(r_hi) < 0.0:
                     try:
                         e_root = brentq(
                             partial(component, comp),
@@ -447,20 +508,18 @@ def find_resonances(
                         )
                     except ValueError:
                         continue
-                    d_root = mismatch(e_root)
-                    if d_root is not None and (d_star is None or d_root < d_star):
-                        e_star, d_star = float(e_root), d_root
-        if d_star is None or d_star >= RESONANCE_TOL:
-            continue
-        if big_r_at(e_star) >= 1e-8:
+                    r_root = reflection(e_root)
+                    if r_root is not None and (r_star is None or r_root < r_star):
+                        e_star, r_star = float(e_root), r_root
+        if r_star is None or r_star >= RESONANCE_TOL:
             continue
         if energies and abs(e_star - energies[-1]) < 1e-8 * (e_max - e_min):
             continue
         energies.append(e_star)
-        residuals.append(d_star)
+        residuals.append(r_star)
     return SpectrumResult(
         kind=SpectrumKind.RESONANCE,
         energies=energies,
         residuals=residuals,
-        probe_x=probe,
+        probe_x=edge,
     )

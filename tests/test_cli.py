@@ -430,6 +430,43 @@ def test_piecewise_scatter_loads_no_numpy(side):
     assert proc.stdout.splitlines()[-2].startswith("1.5\t")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--spec", str(DOCS / "well.json")],
+        ["resonances", "--spec", str(DOCS / "barrier.json"), "--emin", "1.0", "--emax", "13.0"],
+    ],
+    ids=["bound", "resonances"],
+)
+def test_spectral_commands_load_no_stepper(argv):
+    # the searches chain exact slab maps; the Riccati stepper loads only
+    # under --force-numeric, and the square-well oracle not at all
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = {['qwim'] + argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('qwim', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "print(rc, [m for m in ('qwim.riccati', 'qwim.xcheck') if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert len(proc.stdout.splitlines()) == 5  # header and three states or resonances
+
+
+def test_resonances_take_no_probe():
+    # a resonance is a zero of r at the entry edge: there is no matching
+    # point to choose
+    proc = run_cli("resonances", "--spec", str(DOCS / "barrier.json"),
+                   "--emin", "1.0", "--emax", "13.0", "--probe-x", "0.5")
+    assert proc.returncode == 2
+    assert "--probe-x" in proc.stderr
+
+
 def test_scatter_does_not_import_scipy_optimize(tmp_path):
     # scipy.optimize costs more to import than all of qwim; only the
     # spectral searches and the square-well oracle load it

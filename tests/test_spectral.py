@@ -17,7 +17,7 @@ from qwim.errors import (
     SolverError,
     TransformPoleError,
 )
-from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential
+from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential, Side
 from qwim.riccati import IntegrationConfig
 from qwim.specfile import load_spec
 from qwim.spectral import (
@@ -25,6 +25,7 @@ from qwim.spectral import (
     SpectrumKind,
     _default_probe,
     _Ends,
+    _Entry,
     _mismatch,
     _scan,
     _wronskian,
@@ -363,26 +364,26 @@ def test_resonance_comb_single_barrier():
 
 
 def test_failed_evaluation_in_resonance_refinement_is_skipped(monkeypatch):
-    # D cannot be evaluated right around the first resonance: the
+    # r cannot be evaluated right around the first resonance: the
     # component root finders drop that bracket instead of raising
     pot = load_spec(str(_DOCS / "barrier.json")).potential
     clean = find_resonances(pot, 1.0, 13.0)
-    real = _Ends.__call__
+    real = _Entry.__call__
 
     def failing(ends, e):
         if 2.2337 < e < 2.2338:
-            raise TransformPoleError("no D here")
+            raise TransformPoleError("no r here")
         return real(ends, e)
 
     # the refinement's scalar ends; the scan grid takes the array pass
-    monkeypatch.setattr(_Ends, "__call__", failing)
+    monkeypatch.setattr(_Entry, "__call__", failing)
     res = find_resonances(pot, 1.0, 13.0)
     assert clean.energies[0] == pytest.approx(2.2337005501361697, abs=1e-12)
     assert res.energies == clean.energies[1:]
 
 
 def test_resonance_objective_keeps_an_exact_zero(monkeypatch):
-    # |D| = 0 exactly is the best value the minimiser can see, not a
+    # |r| = 0 exactly is the best value the minimiser can see, not a
     # failed evaluation
     pot = load_spec(str(_DOCS / "barrier.json")).potential
     objectives = []
@@ -392,8 +393,9 @@ def test_resonance_objective_keeps_an_exact_zero(monkeypatch):
         return 0.5 * (lo + hi)
 
     monkeypatch.setattr(spectral, "minimize_scalar", recording)
-    # scalar ends with D = 0 - 0 exactly
-    monkeypatch.setattr(_Ends, "__call__", lambda ends, e: ((0j, 1.0, 1.0), (0j, 1.0, 1.0)))
+    # scalar ends with Z(a) = z1, so r = 0 exactly
+    matched = (1 + 0j, 1.0, 1.0)
+    monkeypatch.setattr(_Entry, "__call__", lambda ends, e: (matched, matched))
     find_resonances(pot, 1.0, 13.0, scan_points=20)
     assert objectives and objectives[0](2.0) == 0.0
 
@@ -471,7 +473,6 @@ def test_asymmetric_double_barrier_has_no_exact_resonance():
         lambda bad: find_bound_states(well(), probe_x=bad),
         lambda bad: find_resonances(barrier(), bad, 5.0),
         lambda bad: find_resonances(barrier(), 0.5, bad),
-        lambda bad: find_resonances(barrier(), 0.5, 5.0, probe_x=bad),
     ],
     ids=[
         "mismatch-energy",
@@ -480,7 +481,6 @@ def test_asymmetric_double_barrier_has_no_exact_resonance():
         "bound-probe",
         "resonance-low",
         "resonance-high",
-        "resonance-probe",
     ],
 )
 def test_non_finite_inputs_rejected(call, bad):
@@ -517,11 +517,12 @@ def test_scan_points_below_three_rejected(call):
 
 
 def test_search_builds_its_slab_lists_once(monkeypatch):
-    # the refinement chains every energy along the two slab lists the
-    # search built, evaluates each energy once, and makes no dataclass
+    # the refinement chains every energy along the slab lists the search
+    # built (two for bound states, the scattering walk for resonances),
+    # evaluates each energy once, and makes no dataclass
     from qwim import analytic, scattering
 
-    counts = {"lists": 0, "scattering lists": 0, "RegionConstants": 0}
+    counts = {"lists": 0, "scattering lists": 0, "RegionConstants": 0, "solves": 0}
     chained = []
 
     def counting(key, f):
@@ -539,13 +540,14 @@ def test_search_builds_its_slab_lists_once(monkeypatch):
     monkeypatch.setattr(spectral, "_steps", counting("lists", spectral._steps))
     monkeypatch.setattr(spectral, "_chain", recording)
     monkeypatch.setattr(scattering, "_steps", counting("scattering lists", scattering._steps))
+    monkeypatch.setattr(scattering, "_solve", counting("solves", scattering._solve))
     monkeypatch.setattr(
         analytic, "RegionConstants", counting("RegionConstants", analytic.RegionConstants)
     )
 
     res = find_bound_states(well())
     assert len(res.energies) == 3
-    assert counts == {"lists": 2, "scattering lists": 0, "RegionConstants": 0}
+    assert counts == {"lists": 2, "scattering lists": 0, "RegionConstants": 0, "solves": 0}
     assert len(chained) > 30
     # each energy once per side, along one list per side
     assert len(set(chained)) == len(chained)
@@ -556,10 +558,93 @@ def test_search_builds_its_slab_lists_once(monkeypatch):
     docs_barrier = load_spec(str(_DOCS / "barrier.json")).potential
     res = find_resonances(docs_barrier, 1.0, 13.0)
     assert len(res.energies) == 3
-    assert counts["lists"] == 2
+    # one walk, the scattering solve's, and no scattering solve
+    assert counts == {"lists": 0, "scattering lists": 1, "RegionConstants": 0, "solves": 0}
     assert len(chained) > 30
     assert len(set(chained)) == len(chained)
-    # the R cross-checks (three transparency probes, one per accepted
-    # energy) are scattering solves, each with its own list and two leads
-    assert counts["scattering lists"] == 3 + len(res.energies)
-    assert counts["RegionConstants"] == 2 * counts["scattering lists"]
+    assert len({slabs for slabs, _ in chained}) == 1
+
+
+# The symmetric stack of the benchmark's cli_cold workload, and its
+# full-transmission energies in 0.5..12 from the benchmark's even/odd
+# channel reference, which shares no code with qwim.
+CLI_SYMMETRIC = [
+    (0.0, 0.9238233787429333, 5.633439702153984),
+    (0.9238233787429333, 1.9962929287822062, -1.5989744312943825),
+    (1.9962929287822062, 3.068762478821479, -1.5989744312943825),
+    (3.068762478821479, 3.9925858575644124, 5.633439702153984),
+]
+CLI_SYMMETRIC_RESONANCES = [1.0842076670347653, 4.129274113236176, 7.638663431005715]
+
+
+def _stack(segments, left=0.0, right=0.0):
+    return PiecewisePotential(left, tuple(PotentialSegment(*s) for s in segments), right)
+
+
+def test_resonances_are_the_zeros_of_r_on_a_symmetric_stack():
+    # matched at a midpoint probe on D, the first of the three was lost
+    pot = _stack(CLI_SYMMETRIC)
+    res = find_resonances(pot, 0.5, 12.0)
+    np.testing.assert_allclose(res.energies, CLI_SYMMETRIC_RESONANCES, rtol=0, atol=1e-8)
+    for e in res.energies:
+        assert transfer_matrix_solve(pot, e).big_r < 1e-8
+
+
+@pytest.mark.parametrize(
+    "pot, window",
+    [
+        (_stack(CLI_SYMMETRIC), (0.5, 12.0)),
+        (load_spec(str(_DOCS / "barrier.json")).potential, (1.0, 13.0)),
+    ],
+    ids=["cli-symmetric", "docs-barrier"],
+)
+def test_right_incidence_walks_without_a_mirror(pot, window, monkeypatch):
+    left = find_resonances(pot, *window)
+    calls = []
+    real = PiecewisePotential.mirrored
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PiecewisePotential, "mirrored", counted)
+    right = find_resonances(pot, *window, side=Side.RIGHT)
+    assert calls == []
+    assert left.probe_x == pot.a and right.probe_x == pot.b
+    assert len(right.energies) == len(left.energies) > 0
+    np.testing.assert_allclose(right.energies, left.energies, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_numeric_resonances_agree_with_chain(side):
+    pot = load_spec(str(_DOCS / "barrier.json")).potential
+    chain = find_resonances(pot, 1.0, 13.0, side)
+    rk = find_resonances(pot, 1.0, 13.0, side, IntegrationConfig(force_numeric=True))
+    assert len(rk.energies) == len(chain.energies) == 3
+    np.testing.assert_allclose(rk.energies, chain.energies, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "segments, found, count",
+    [
+        ([(0.0, 2.0, -500.0), (2.0, 3.0, 0.0), (3.0, 5.0, -500.0)], 2, 42),
+        ([(0.0, 2.0, -5.0), (2.0, 102.0, 2.0)], 1, 2),
+    ],
+    ids=["double-well", "well-beside-thick-barrier"],
+)
+def test_short_spectrum_raises(segments, found, count):
+    # the scan misses states here; the node count sees that it did
+    with pytest.raises(BracketingExhaustedError) as exc:
+        find_bound_states(_stack(segments))
+    assert str(exc.value) == f"found {found} states, the node count gives {count}"
+    assert len(exc.value.mismatches) == len(exc.value.energies) > 0
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["chain", "numeric"])
+def test_state_count_matches_square_well_oracle(random_wells, numeric):
+    cfg, params = IntegrationConfig(force_numeric=numeric), ModelParams()
+    for depth, width in random_wells:
+        want = square_well_state_count(depth, width)
+        for frac in (0.07, 0.5, 0.81):
+            ends = _Ends(well(depth, width), frac * width, cfg, params)
+            assert ends.state_count() == want, (depth, width, frac)
