@@ -19,10 +19,11 @@ Typical use::
 models, the closed-form slab algebra, scattering and spec files.  A
 piecewise solve at one energy runs on them in plain complex arithmetic.
 The array layer (``qwim._arrays``: energy sweeps, sampled potentials),
-the Riccati stepper (``qwim.riccati``), the spectral searches
-(``qwim.spectral``) and the cross-checks (``qwim.xcheck``) load numpy,
-and are imported when first used; their names here resolve on first
-access.
+the Riccati stepper (``qwim.riccati``) and the cross-checks
+(``qwim.xcheck``) load numpy.  The spectral searches (``qwim.spectral``)
+load it only for the resonance scan: a bound search on a piecewise
+potential runs without it.  These modules are imported when first used;
+their names here resolve on first access.
 """
 
 from importlib import import_module
@@ -78,8 +79,8 @@ from .scattering import (
 )
 from .specfile import ProblemSpec, load_spec, parse_spec, render_spec
 
-# The layers that import numpy at their top and their public names, by
-# home module; a module is imported when it or one of its names is first
+# The layers that load numpy, or may, and their public names, by home
+# module; a module is imported when it or one of its names is first
 # read, as ``qwim.xcheck`` or ``qwim.find_bound_states``.
 _LAZY = {
     "riccati": "riccati",

@@ -380,7 +380,12 @@ def _nodes(
                 k = gamma.imag
                 # psi'/psi in the direction of the walk
                 slope = (i_m * z_at).real if dx > 0.0 else -(i_m * z_at).real
-                nodes += math.floor((math.atan2(k, slope) + k * abs(dx)) / math.pi)
+                if slope < 0.0:
+                    # theta0 = pi - atan2(k, -slope), which would round to
+                    # pi for k << |slope| and count a node psi never reaches
+                    nodes += 1 + math.floor((k * abs(dx) - math.atan2(k, -slope)) / math.pi)
+                else:
+                    nodes += math.floor((math.atan2(k, slope) + k * abs(dx)) / math.pi)
             else:
                 nodes += (den / z).real <= 0.0
     if not (cmath.isfinite(num) and cmath.isfinite(den)):

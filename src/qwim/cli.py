@@ -7,9 +7,9 @@ full round-trip precision.  Errors go to standard error as single-line
 records ``error<TAB>code<TAB>message``; the exit status is 0 on success,
 2 for input problems and 3 for solver failures.
 
-Each verb imports the numpy layers it runs (the spectral searches, the
-Riccati stepper, the cross-checks) when it runs: ``scatter`` on a
-piecewise potential loads no numpy.
+Each verb imports the layers it runs (the spectral searches, the
+Riccati stepper, the cross-checks) when it runs: ``scatter`` and
+``bound`` on a piecewise potential load no numpy.
 """
 
 from __future__ import annotations

@@ -89,10 +89,13 @@ class EmptyWindowError(SolverError):
 
 
 class BracketingExhaustedError(SolverError):
-    """A bound-state search found another number of states than the
-    Sturm node count of its potential gives: its scan grid missed some.
+    """A bound-state search found fewer states than the Sturm node count
+    of its potential gives: the refinement of some bracket found no root
+    of W there.
 
-    Carries the scan profile for post-mortem inspection.
+    Carries every energy the search evaluated (``energies``, ascending)
+    and W at each (``mismatches``, NaN where W could not be evaluated),
+    for post-mortem inspection.
     """
 
     def __init__(self, message: str, energies=None, mismatches=None):

@@ -9,11 +9,13 @@ purely imaginary) describe one and the same solution exactly when
 D has a pole wherever either solution has a node at the probe, so bound
 states are matched instead on W, the Wronskian psi+ psi-' - psi- psi+'
 normalised to [-1, 1]: W = D psi+ psi- up to a positive factor, it has
-no poles, does not depend on the probe, and its sign changes bracket
-the eigenvalues.  How many there are follows from the same two slab
-lists by Sturm oscillation, a node count at the window ceiling
-(``_Ends.state_count``); a search that finds another number raises
-BracketingExhaustedError.
+no poles, does not depend on the probe, and vanishes exactly at the
+eigenvalues.  Where they lie follows from the same two slab lists by
+Sturm oscillation: a node count N(E) (``_Ends.count``) gives the number
+of states below any E, so bisection on N brackets every state alone
+(Pryce, *Numerical Solution of Sturm-Liouville Problems*, OUP 1993).
+No scan grid is involved, and a search that finds fewer roots than N
+raises BracketingExhaustedError.
 
 Resonances.  Full transmission is impedance matching at the entry edge.
 The transmitted wave, Z = z2 at the far edge, carried across the
@@ -23,20 +25,21 @@ structure gives Z(a), and
 
 vanishes exactly where T = 1.  The search walks the scattering solve's
 own slab list (``scattering._walk``; for right incidence the potential's
-list, negated, which builds no mirror), and locates the zeros of r as
-minima of |r|.
+list, negated, which builds no mirror), scans |r| on a grid in one
+array pass per slab (``_scan``), and locates the zeros of r as minima
+of |r|.
 
 Both kinds of potential chain exact slab maps (constant slabs, or the
 linear sub-slabs of a sampled potential), which also give the psi
 ratios that sign W; with ``cfg.force_numeric`` the Riccati equation is
 integrated instead, and W carries no sign.  A search sets up its slab
 lists once (``_Ends``: one from each end to the probe; ``_Entry``: the
-walk), and chains the scan grid that brackets roots and minima along
-them in one array pass per slab (``_scan``).  The refinement of each
-bracket, with qwim's own ports of Brent's root finder and bounded
-minimiser (``_optimize``), walks the same lists one scalar energy at a
-time in plain complex arithmetic, and evaluates no energy twice: the
-value at a returned root or minimum is the one the optimiser computed.
+walk).  The refinement of each bracket, with qwim's own ports of
+Brent's root finder and bounded minimiser (``_optimize``), walks the
+same lists one scalar energy at a time in plain complex arithmetic, and
+evaluates no energy twice: the value at a returned root or minimum is
+the one the optimiser computed.  Only the resonance scan uses numpy,
+and imports it when it runs.
 """
 
 from __future__ import annotations
@@ -47,10 +50,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 
-import numpy as np
-
 from ._optimize import brentq, minimize_scalar
-from ._arrays import _chain_many, _region_constants_many
 from .analytic import _chain, _constants, _nodes, _steps
 from .errors import (
     BracketingExhaustedError,
@@ -76,7 +76,7 @@ RESONANCE_TOL = 1e-6
 # |W| at a refined bound-state root, relative to the larger |W| at the
 # ends of its bracket, must not exceed this.
 ROOT_TOL = 1e-10
-# Default number of scan-grid points across a search window.
+# Default number of scan-grid points across a resonance search window.
 SCAN_POINTS = 400
 
 
@@ -115,12 +115,12 @@ class _Ends:
     Called with an energy, it gives both solutions' (num, den, r) at the
     probe: Z = num / den and psi(anchor) / psi(probe) = r / den.  Bound
     mode applies automatically for e below both leads; otherwise the
-    scattering (left-incidence) anchors are used.  The slab lists from
-    each end to the probe are built here, and every energy, scalar or
-    array (``many``), is chained along them.  With ``force_numeric`` a
-    scalar call integrates the Riccati equation instead, which carries
-    no psi ratio and gives (Z, 1, 1); the lists then serve the state
-    count alone.
+    scattering (left-incidence) anchors are used.  A lead at level e
+    anchors at threshold, Z = 0 (``_lead_z``).  The slab lists from each
+    end to the probe are built here, and every energy is chained along
+    them; ``count`` walks them too.  With ``force_numeric`` a call
+    integrates the Riccati equation instead, which carries no psi ratio
+    and gives (Z, 1, 1); the lists then serve the node count alone.
     """
 
     def __init__(self, pot, probe_x, cfg, params):
@@ -131,52 +131,45 @@ class _Ends:
         self.slabs = _steps(pot, probe_x, True), _steps(pot, probe_x, False)
 
     def __call__(self, e):
-        pot, params = self.pot, self.params
+        (left, right), (u1, u2), params = self.slabs, self.levels, self.params
+        z1 = _lead_z(e, u1, params)
+        z_a = -z1 if e < u1 else z1
+        z_b = _lead_z(e, u2, params)
         if self.cfg.force_numeric:
-            from .riccati import integrate_impedance, left_anchor, right_anchor
+            from .riccati import integrate_impedance
 
-            z_a = left_anchor(pot, e, params)
-            z_b = right_anchor(pot, e, params)
-            zp = integrate_impedance(pot, e, pot.a, z_a, self.probe_x, self.cfg, params).zs[-1]
-            zm = integrate_impedance(pot, e, pot.b, z_b, self.probe_x, self.cfg, params).zs[0]
+            pot, cfg = self.pot, self.cfg
+            zp = integrate_impedance(pot, e, pot.a, z_a, self.probe_x, cfg, params).zs[-1]
+            zm = integrate_impedance(pot, e, pot.b, z_b, self.probe_x, cfg, params).zs[0]
             return (complex(zp), 1.0, 1.0), (complex(zm), 1.0, 1.0)
-        (left, right), (u1, u2) = self.slabs, self.levels
-        # the anchors of left_anchor and right_anchor
-        z1 = _constants(e, u1, params)[0]
-        z2 = _constants(e, u2, params)[0]
-        return (
-            _chain(left, e, -z1 if e < u1 else z1, params),
-            _chain(right, e, z2, params),
-        )
+        return _chain(left, e, z_a, params), _chain(right, e, z_b, params)
 
-    def many(self, es: np.ndarray):
-        """The ends over an energy array along the slab lists: (plus,
-        minus, ok), with ``ok`` False wherever the scalar call raises."""
-        (left, right), (u1, u2) = self.slabs, self.levels
-        z1, _, degenerate1 = _region_constants_many(es, u1, self.params)
-        z2, _, degenerate2 = _region_constants_many(es, u2, self.params)
-        *plus, ok_p = _chain_many(left, es, np.where(es < u1, -z1, z1), self.params)
-        *minus, ok_m = _chain_many(right, es, z2, self.params)
-        return plus, minus, ok_p & ok_m & ~degenerate1 & ~degenerate2
+    def count(self, e: float) -> int:
+        """N(e) for e in (floor, ceiling]: the number of bound states
+        below e, by Sturm oscillation along the two slab lists.
 
-    def state_count(self) -> int:
-        """N, the number of bound states, by Sturm oscillation along the
-        two slab lists.
-
-        At the window ceiling (the lower lead's level, where that lead
-        anchors at threshold, Z = 0) the two decaying solutions cross n+
-        and n- psi-nodes on their way to the probe (``analytic._nodes``).
-        With their Pruefer angles at the probe taken modulo pi in
-        [0, pi) and (0, pi], N = n+ + n- + [left angle > right angle].
-        For two solutions positive at the probe that bracket is the sign
-        of their Wronskian, Im(Z+ - Z-) > 0, taken undivided so that a
-        node at the probe adds nothing.
+        The two decaying solutions cross n+ and n- psi-nodes on their way
+        to the probe (``analytic._nodes``).  With their Pruefer angles at
+        the probe taken modulo pi in [0, pi) and (0, pi],
+        N = n+ + n- + [left angle > right angle].  For two solutions
+        positive at the probe that bracket is the sign of their
+        Wronskian, Im(Z+ - Z-) > 0, taken undivided so that a node at the
+        probe adds nothing.
         """
         (left, right), (u1, u2), params = self.slabs, self.levels, self.params
-        ceil = min(u1, u2)
-        n1, d1, nodes1 = _nodes(left, ceil, -_lead_z(ceil, u1, params), params)
-        n2, d2, nodes2 = _nodes(right, ceil, _lead_z(ceil, u2, params), params)
+        n1, d1, nodes1 = _nodes(left, e, -_lead_z(e, u1, params), params)
+        n2, d2, nodes2 = _nodes(right, e, _lead_z(e, u2, params), params)
+        # each end scaled to order one, so that the products cannot
+        # underflow (a lead within 1e-300 of e anchors at z ~ 1e-150);
+        # an end that underflowed to 0 / 0 stays so
+        a1, a2 = max(abs(n1), abs(d1)) or 1.0, max(abs(n2), abs(d2)) or 1.0
+        n1, d1, n2, d2 = n1 / a1, d1 / a1, n2 / a2, d2 / a2
         return nodes1 + nodes2 + (((n1 * d2 - n2 * d1) * (d1 * d2).conjugate()).imag > 0.0)
+
+    def state_count(self) -> int:
+        """N at the window ceiling, the lower lead's level: the number of
+        bound states."""
+        return self.count(min(self.levels))
 
 
 class _Entry:
@@ -208,7 +201,9 @@ class _Entry:
             return (z1, 1.0, 1.0), (complex(traj.zs[0]), 1.0, 1.0)
         return (z1, 1.0, 1.0), _chain(self.walk, e, z2, params)
 
-    def many(self, es: np.ndarray):
+    def many(self, es):
+        from ._arrays import _chain_many, _region_constants_many
+
         (u1, u2), params = self.levels, self.params
         z1, _, degenerate1 = _region_constants_many(es, u1, params)
         z2, _, degenerate2 = _region_constants_many(es, u2, params)
@@ -294,16 +289,17 @@ def impedance_mismatch(
 
 
 def _scan(ends, es, match) -> list:
-    """``match`` of the two ends (``_Ends`` or ``_Entry``) at each energy
-    of ``es``; None where the ends raise a SolverError or the value is
-    not finite.
+    """``match`` of the two ends of ``_Entry`` at each energy of ``es``;
+    None where the ends raise a SolverError or the value is not finite.
 
-    Without ``force_numeric`` the grid is chained along the evaluator's
-    slab lists in one array pass per slab (``many``).  Every energy
-    where a chain flags, a lead is degenerate or the value is not finite
-    is computed again from the scalar ends, so the energies dropped are
-    exactly those a point-by-point scan drops.
+    Without ``force_numeric`` the grid is chained along the walk in one
+    array pass per slab (``many``).  Every energy where a chain flags, a
+    lead is degenerate or the value is not finite is computed again from
+    the scalar ends, so the energies dropped are exactly those a
+    point-by-point scan drops.
     """
+    import numpy as np
+
     out: list = [None] * len(es)
     redo = range(len(es))
     if not ends.cfg.force_numeric:
@@ -323,34 +319,85 @@ def _default_probe(pot: Potential) -> float:
     return 0.5 * (pot.a + pot.b)
 
 
+def _isolate(count, lo: float, hi: float, n_lo: int, n_hi: int) -> list:
+    """Brackets (lo, hi, N(lo), N(hi)) in ascending order, each holding
+    one state by ``count`` (N, ``_Ends.count``): bisection of (lo, hi]
+    until N(hi) - N(lo) = 1.  A bracket that float arithmetic cannot
+    halve while N still jumps by k > 1 holds k states closer than the
+    float spacing (a tunnel doublet), and is returned as it is."""
+    out = []
+    stack = [(lo, hi, n_lo, n_hi)]
+    while stack:
+        lo, hi, n_lo, n_hi = stack.pop()
+        if n_hi <= n_lo:
+            continue
+        mid = 0.5 * (lo + hi)
+        if n_hi - n_lo == 1 or not lo < mid < hi:
+            out.append((lo, hi, n_lo, n_hi))
+            continue
+        n_mid = count(mid)
+        stack.append((mid, hi, n_mid, n_hi))
+        stack.append((lo, mid, n_lo, n_mid))
+    return out
+
+
+def _refine(w_at, count, lo: float, hi: float, n_lo: int, signed: bool) -> float | None:
+    """The root of W in a one-state bracket (lo, hi], or None.
+
+    Brent's method on W over the bracket, to float resolution.  The
+    chain's W is signed and continuous, so its one sign change is the
+    state.  The Riccati engine's W is unsigned and also changes sign
+    where one solution alone has a node at the probe, where |W| stays
+    of order one: there a root counts only when |W(root)| is at most
+    ROOT_TOL times the larger |W| at the bracket's ends.  While no root
+    counts, the bracket is halved, keeping the half that holds the state
+    by ``count``, until float arithmetic cannot halve it.
+    """
+    while True:
+        w_lo, w_hi = w_at(lo), w_at(hi)
+        if w_lo * w_hi <= 0.0:
+            try:
+                root = brentq(w_at, lo, hi, xtol=1e-300, rtol=8.9e-16)
+            except ValueError:
+                root = None
+            # brentq's own value at its root
+            tol = ROOT_TOL * max(abs(w_lo), abs(w_hi))
+            if root is not None and (signed or abs(w_at(root)) <= tol):
+                return root
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return None
+        n_mid = count(mid)
+        if n_mid > n_lo:
+            hi = mid
+        else:
+            lo, n_lo = mid, n_mid
+
+
 def find_bound_states(
     pot: Potential,
     cfg: IntegrationConfig = IntegrationConfig(),
     params: ModelParams = ModelParams(),
-    scan_points: int = SCAN_POINTS,
     probe_x: float | None = None,
 ) -> SpectrumResult:
     """All bound energies in (min interior U, min lead level).
 
-    Matches the two decaying solutions at one probe (default: the
-    midpoint) on W, the normalised Wronskian of ``_wronskian``.  Scans W
-    on a uniform grid (plus a geometric refinement toward the window
-    ceiling, where arbitrarily shallow states accumulate), in one array
-    pass per slab (or sub-slab, on a sampled potential), and refines each
-    sign change by Brent's method, one scalar W per iterate along the
-    same slab lists, each energy evaluated once.  The Riccati engine's
-    (``force_numeric``) W is unsigned and also changes sign at jumps,
-    where |W| stays near one; there a root is kept only when |W(root)| is
-    at most ROOT_TOL times the larger |W| at its bracket's ends.
-    Residuals are |W(root)|.  The number of roots is checked against the
-    Sturm count of ``_Ends.state_count``, for every potential and engine:
-    a search that finds another number raises BracketingExhaustedError
-    with its scan profile.  ``scan_points`` below 3 raises ValueError.
+    The Sturm count N(E) of ``_Ends.count`` (N = 0 at the floor) gives
+    every state its own bracket: (floor, ceiling] is bisected on N until
+    each bracket holds one state (``_isolate``).  In each, the two
+    decaying solutions are matched at one probe (default: the midpoint)
+    on W, the normalised Wronskian of ``_wronskian``, by Brent's method
+    (``_refine``): one scalar W per iterate along the same two slab lists
+    (threshold anchors at the ceiling), each energy evaluated once.  The
+    Riccati engine's (``force_numeric``) W is unsigned; its brackets come
+    from the chain's count all the same.  A bracket of k > 1 states that
+    float arithmetic cannot split reports its upper end k times.
+    Residuals are |W| at each energy reported.  A bracket that yields no
+    root raises BracketingExhaustedError with every energy the search
+    evaluated and W there.
     """
     if probe_x is not None:
         require_finite("probe", probe_x)
-    if scan_points < 3:
-        raise ValueError(f"scan_points must be at least 3, got {scan_points}")
     if isinstance(pot, PiecewisePotential):
         if not pot.segments:
             raise EmptyWindowError("a bare step supports no bound states")
@@ -362,60 +409,62 @@ def find_bound_states(
         raise EmptyWindowError(
             f"no interior region below the leads (floor {floor} >= ceiling {ceil})"
         )
-    width = ceil - floor
-
-    grid = np.linspace(floor, ceil, scan_points + 2)[1:-1].tolist()
-    # geometric approach to the ceiling catches near-threshold states
-    grid.extend(ceil - width * 10.0 ** (-j) for j in range(3, 15))
-    grid = sorted(set(grid))
-
     probe = probe_x if probe_x is not None else _default_probe(pot)
     # velocity scale of the window: Z / s is of order one
-    s = math.sqrt(2.0 * width / params.mass)
+    s = math.sqrt(2.0 * (ceil - floor) / params.mass)
     if not math.isfinite(s):
         raise NonFiniteStateError(f"bound window ({floor}, {ceil}) overflows")
 
     ends = _Ends(pot, probe, cfg, params)
     match = partial(_wronskian, s=s)
-    # NaN where W cannot be evaluated, on which brentq gives up
-    w_at = cache(partial(_at, match, ends))
-    scan = [(e, w) for e, w in zip(grid, _scan(ends, grid, match)) if w is not None]
+    seen: dict[float, float] = {}
 
-    # the chain's W is signed and continuous, so every sign change holds
-    # a root, however steep; the Riccati engine's unsigned W also changes
-    # sign at its jumps, where |W| stays near one
-    signed = not cfg.force_numeric
+    def w_at(e: float) -> float:
+        # NaN where W cannot be evaluated, on which brentq gives up
+        w = seen.get(e)
+        if w is None:
+            w = seen[e] = _at(match, ends, e)
+        return w
+
+    expected = ends.count(ceil)
     roots: list[float] = []
-    residuals: list[float] = []
-    for (e0, w0), (e1, w1) in zip(scan, scan[1:]):
-        if w0 == 0.0:
-            root = e0
-        elif w0 * w1 < 0.0:
-            try:
-                # to float resolution, where the root test below applies
-                root = brentq(w_at, e0, e1, xtol=1e-300, rtol=8.9e-16)
-            except ValueError:
-                continue
-        else:
+    for lo, hi, n_lo, n_hi in _isolate(ends.count, floor, ceil, 0, expected):
+        if n_hi - n_lo > 1:
+            roots.extend([hi] * (n_hi - n_lo))
             continue
-        res = abs(w_at(root))  # brentq's own value at its root
-        if signed or res <= ROOT_TOL * max(abs(w0), abs(w1)):
+        root = _refine(w_at, ends.count, lo, hi, n_lo, not cfg.force_numeric)
+        if root is not None:
             roots.append(root)
-            residuals.append(res)
 
-    expected = ends.state_count()
     if len(roots) != expected:
+        evaluated = sorted(seen)
         raise BracketingExhaustedError(
             f"found {len(roots)} states, the node count gives {expected}",
-            energies=[e for e, _ in scan],
-            mismatches=[w for _, w in scan],
+            energies=evaluated,
+            mismatches=[seen[e] for e in evaluated],
         )
     return SpectrumResult(
         kind=SpectrumKind.BOUND,
         energies=roots,
-        residuals=residuals,
+        residuals=[abs(w_at(e)) for e in roots],
         probe_x=probe,
     )
+
+
+def _windows(e: float, lo: float, hi: float, xatol: float):
+    """Where the components of r are tried for a sign change: the scan
+    bracket (lo, hi) first, then, where r circles the origin across it
+    and neither component changes sign there, windows about the bounded
+    minimiser's answer e, from 4 of its tolerances (4 (sqrt(eps) |e| +
+    xatol / 3)) to either side, doubling, inside the bracket."""
+    yield lo, hi
+    w = 4.0 * (math.sqrt(2.2e-16) * abs(e) + xatol / 3.0)
+    while True:
+        a, b = max(lo, e - w), min(hi, e + w)
+        if a == lo and b == hi:
+            return
+        yield a, b
+        w *= 2.0
 
 
 def find_resonances(
@@ -475,6 +524,8 @@ def find_resonances(
         r = reflection_c(e)
         return math.nan if r is None else comp(r)
 
+    import numpy as np
+
     grid = np.linspace(e_min, e_max, scan_points + 1)[1:].tolist()
     scan = [(e, abs(r)) for e, r in zip(grid, _scan(entry, grid, _reflection)) if r is not None]
     if len(scan) == len(grid) and all(r ** 2 < 1e-12 for _, r in scan):
@@ -488,29 +539,36 @@ def find_resonances(
 
     energies: list[float] = []
     residuals: list[float] = []
+    xatol = 1e-12
     for i in range(1, len(scan) - 1):
         e_m, r_m = scan[i]
         if not (r_m < scan[i - 1][1] and r_m < scan[i + 1][1]):
             continue
         lo, hi = scan[i - 1][0], scan[i + 1][0]
-        e_star = minimize_scalar(squared, lo, hi, xatol=1e-12)
+        e_star = minimize_scalar(squared, lo, hi, xatol=xatol)
         r_star = reflection(e_star)
         # both components of r vanish together at a true resonance, so a
         # bracketed root on either one beats the |r|^2 minimizer's accuracy
-        r_lo, r_hi = reflection_c(lo), reflection_c(hi)
-        if r_lo is not None and r_hi is not None:
+        for a, b in _windows(e_star, lo, hi, xatol):
+            r_a, r_b = reflection_c(a), reflection_c(b)
+            if r_a is None or r_b is None:
+                continue
+            changed = False
             for comp in (lambda r: r.imag, lambda r: r.real):
-                if comp(r_lo) * comp(r_hi) < 0.0:
+                if comp(r_a) * comp(r_b) < 0.0:
+                    changed = True
                     try:
                         e_root = brentq(
                             partial(component, comp),
-                            lo, hi, xtol=1e-14, rtol=8.9e-16,
+                            a, b, xtol=1e-14, rtol=8.9e-16,
                         )
                     except ValueError:
                         continue
                     r_root = reflection(e_root)
                     if r_root is not None and (r_star is None or r_root < r_star):
                         e_star, r_star = float(e_root), r_root
+            if changed:
+                break
         if r_star is None or r_star >= RESONANCE_TOL:
             continue
         if energies and abs(e_star - energies[-1]) < 1e-8 * (e_max - e_min):

@@ -430,6 +430,29 @@ def test_piecewise_scatter_loads_no_numpy(side):
     assert proc.stdout.splitlines()[-2].startswith("1.5\t")
 
 
+def test_piecewise_bound_loads_no_numpy():
+    # bound states are bisected on the node count and refined on the
+    # scalar chain: no scan grid, so no numpy
+    argv = ["qwim", "bound", "--spec", str(DOCS / "well.json")]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('qwim', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "names = ('numpy', 'qwim._arrays', 'qwim.riccati', 'qwim.xcheck')\n"
+        "print(rc, [m for m in names if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "0 []"
+    assert lines[0] == "index\tE\tresidual" and len(lines) == 5
+
+
 @pytest.mark.parametrize(
     "argv",
     [

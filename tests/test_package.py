@@ -26,6 +26,17 @@ def test_import_qwim_loads_no_numpy():
     ]
 
 
+def test_import_spectral_loads_no_numpy():
+    # the resonance scan imports numpy when it runs; the bound search
+    # never does
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qwim.spectral; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_every_exported_name_resolves_and_is_listed():
     listed = dir(qwim)
     for name in qwim.__all__:

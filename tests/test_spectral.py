@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from qwim import spectral
@@ -26,7 +28,7 @@ from qwim.spectral import (
     _default_probe,
     _Ends,
     _Entry,
-    _mismatch,
+    _reflection,
     _scan,
     _wronskian,
     find_bound_states,
@@ -75,6 +77,15 @@ def test_mismatch_purely_imaginary_in_bound_window():
 def test_mismatch_probe_must_be_interior():
     with pytest.raises(ValueError):
         impedance_mismatch(well(), -1.0, 2.5)
+
+
+def test_mismatch_at_a_lead_level_takes_the_threshold_anchor():
+    # a lead at level e anchors at Z = 0, the limit of its decaying tail,
+    # on both engines: the bound search's W at the window ceiling
+    d0 = impedance_mismatch(well(), 0.0, 0.77)
+    assert abs(d0 - impedance_mismatch(well(), -1e-12, 0.77)) < 1e-5
+    numeric = impedance_mismatch(well(), 0.0, 0.77, cfg=IntegrationConfig(force_numeric=True))
+    assert abs(numeric - d0) < 1e-8
 
 
 def test_numeric_mismatch_agrees_with_chain():
@@ -160,18 +171,30 @@ def test_sampled_well_close_to_sharp_well():
     np.testing.assert_allclose(res.energies, WELL_5_2, rtol=0, atol=1e-4)
 
 
-def test_undersampled_scan_reports_miss():
-    pot = well(30.0, 4.0)
+def test_count_mismatch_raises(monkeypatch):
+    # a bracket whose refinement finds no root leaves the spectrum short
+    # of the node count: the search raises, with every energy it
+    # evaluated and W there
+    pot = well()
+    real = spectral.brentq
+
+    def failing(f, lo, hi, **kwargs):
+        if lo < WELL_5_2[1] + 1e-3 and hi > WELL_5_2[1] - 1e-3:
+            raise ValueError("no root here")
+        return real(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(spectral, "brentq", failing)
     with pytest.raises(BracketingExhaustedError) as exc:
-        find_bound_states(pot, scan_points=3)
+        find_bound_states(pot)
+    assert str(exc.value) == "found 2 states, the node count gives 3"
     assert len(exc.value.energies) > 0
     assert len(exc.value.mismatches) == len(exc.value.energies)
-    # the profile is the batched scan; it reads as the scalar W would at
-    # the one probe, with the window's velocity scale
-    probe, s = _default_probe(pot), math.sqrt(2.0 * 30.0)
+    assert exc.value.energies == sorted(exc.value.energies)
+    # the profile reads as the scalar W at the one probe, with the
+    # window's velocity scale
+    probe, s = _default_probe(pot), math.sqrt(2.0 * 5.0)
     for e, w in zip(exc.value.energies, exc.value.mismatches):
-        want = _wronskian(*_Ends(pot, probe, IntegrationConfig(), ModelParams())(e), s)
-        assert abs(w - want) <= 1e-11 * max(abs(want), 1.0)
+        assert w == _wronskian(*_Ends(pot, probe, IntegrationConfig(), ModelParams())(e), s)
 
 
 def _scalar_scan(ends, es, match):
@@ -187,27 +210,24 @@ def _scalar_scan(ends, es, match):
 
 
 def test_mismatch_many_matches_scalar(random_stack_instances):
-    # bound (E < 0) and scattering energies, every level (degenerate
-    # slabs and leads) and level + 1e-13 (nearly so), at several probes,
-    # for both matching functions: W and D
+    # scattering and evanescent energies, every level (degenerate slabs
+    # and leads) and level + 1e-13 (nearly so), for incidence from both
+    # sides: the array pass of the resonance scan gives the scalar r
     cfg, params = IntegrationConfig(), ModelParams()
     grid = np.linspace(-3.5, 8.0, 401).tolist()
-    matches = [lambda plus, minus: _wronskian(plus, minus, 2.5), _mismatch]
     for pot, _ in random_stack_instances:
         levels = {pot.left_level, pot.right_level, *(s.u for s in pot.segments)}
         es = sorted({*grid, *levels, *(u + 1e-13 for u in levels)})
-        span = pot.b - pot.a
-        for probe in (_default_probe(pot), pot.a + 0.382 * span, pot.a + 0.703 * span):
-            ends = _Ends(pot, probe, cfg, params)
-            for match in matches:
-                got = _scan(ends, es, match)
-                want = _scalar_scan(ends, es, match)
-                for e, d, w in zip(es, got, want):
-                    # None exactly where the scalar ends raise or the
-                    # value is not finite
-                    assert (d is None) == (w is None), (pot, probe, e, d, w)
-                    if w is not None:
-                        assert abs(d - w) <= 1e-11 * max(abs(w), 1.0), (pot, probe, e, d, w)
+        for side in (Side.LEFT, Side.RIGHT):
+            entry = _Entry(pot, side, cfg, params)
+            got = _scan(entry, es, _reflection)
+            want = _scalar_scan(entry, es, _reflection)
+            for e, d, w in zip(es, got, want):
+                # None exactly where the scalar ends raise or the value
+                # is not finite
+                assert (d is None) == (w is None), (pot, side, e, d, w)
+                if w is not None:
+                    assert abs(d - w) <= 1e-11 * max(abs(w), 1.0), (pot, side, e, d, w)
 
 
 def _sampled_well(depth=4.0, n=17, left=0.0, right=0.0):
@@ -216,21 +236,20 @@ def _sampled_well(depth=4.0, n=17, left=0.0, right=0.0):
 
 
 def test_sampled_mismatch_many_matches_scalar():
-    # the array pass along linear slabs against the scalar walk, W and D,
-    # bound and scattering energies, sample levels included
+    # the array pass along linear slabs against the scalar walk, r for
+    # both sides, evanescent and scattering energies, sample levels
+    # included
     cfg, params = IntegrationConfig(), ModelParams()
-    matches = [lambda plus, minus: _wronskian(plus, minus, 2.5), _mismatch]
     for pot in (_sampled_well(), _sampled_well(9.0, 81, 0.5, -0.3)):
         es = sorted({*np.linspace(-8.9, 6.0, 151).tolist(), *pot.us})
-        for probe in (0.0, -0.61, 1.37):
-            ends = _Ends(pot, probe, cfg, params)
-            for match in matches:
-                got = _scan(ends, es, match)
-                want = _scalar_scan(ends, es, match)
-                for e, d, w in zip(es, got, want):
-                    assert (d is None) == (w is None), (probe, e, d, w)
-                    if w is not None:
-                        assert abs(d - w) <= 1e-12 * max(abs(w), 1.0), (probe, e, d, w)
+        for side in (Side.LEFT, Side.RIGHT):
+            entry = _Entry(pot, side, cfg, params)
+            got = _scan(entry, es, _reflection)
+            want = _scalar_scan(entry, es, _reflection)
+            for e, d, w in zip(es, got, want):
+                assert (d is None) == (w is None), (side, e, d, w)
+                if w is not None:
+                    assert abs(d - w) <= 1e-12 * max(abs(w), 1.0), (side, e, d, w)
 
 
 def test_sampled_bound_mismatch_is_purely_imaginary():
@@ -317,6 +336,18 @@ def test_random_wells_complete_at_any_probe(segments, want):
     np.testing.assert_allclose(near_end.energies, res.energies, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "segments, want", [RANDOM_WELLS[1], RANDOM_WELLS[2]], ids=["well6", "well10"]
+)
+def test_numeric_search_completes_random_wells(segments, want):
+    # the stepper's W is unsigned; in brackets from the node count its
+    # jumps no longer hide these states, which a scan grid missed
+    pot = PiecewisePotential(0.0, tuple(PotentialSegment(*s) for s in segments), 0.0)
+    res = find_bound_states(pot, cfg=IntegrationConfig(force_numeric=True))
+    np.testing.assert_allclose(res.energies, want, rtol=0, atol=1e-9)
+    assert max(res.residuals) <= 1e-10
+
+
 def _outcome(call):
     try:
         res = call()
@@ -328,7 +359,7 @@ def _outcome(call):
 _DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
-def test_spectra_match_scalar_scan(random_wells, monkeypatch):
+def test_spectra_match_scalar_scan(monkeypatch):
     # the scan only brackets; the scalar refinement picks the digits, so
     # the batched scan must give the very energies and residuals
     docs_barrier = load_spec(str(_DOCS / "barrier.json")).potential
@@ -341,10 +372,7 @@ def test_spectra_match_scalar_scan(random_wells, monkeypatch):
         ),
         0.0,
     )
-    wells = [well(depth, width) for depth, width in random_wells]
-    wells.append(load_spec(str(_DOCS / "well.json")).potential)
-    calls = [lambda pot=pot: find_bound_states(pot) for pot in wells]
-    calls += [
+    calls = [
         lambda: find_resonances(docs_barrier, 1.0, 13.0),
         lambda: find_resonances(double_barrier, 1.0, 13.0),
     ]
@@ -502,12 +530,10 @@ def test_overflowing_level_raises_typed():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: find_bound_states(well(), scan_points=-3),
-        lambda: find_bound_states(well(), scan_points=2),
         lambda: find_resonances(barrier(), 1.0, 13.0, scan_points=0),
         lambda: find_resonances(barrier(), 1.0, 13.0, scan_points=1),
     ],
-    ids=["bound-negative", "bound-two", "resonance-zero", "resonance-one"],
+    ids=["resonance-zero", "resonance-one"],
 )
 def test_scan_points_below_three_rejected(call):
     # one or two grid points cannot bracket anything: an empty spectrum
@@ -591,6 +617,31 @@ def test_resonances_are_the_zeros_of_r_on_a_symmetric_stack():
 
 
 @pytest.mark.parametrize(
+    "segments, window, want",
+    [
+        (CLI_SYMMETRIC, (0.5, 12.0), CLI_SYMMETRIC_RESONANCES[0]),
+        (
+            [(0.0, 1.0, 10.0), (1.0, 3.0, 0.0), (3.0, 4.0, 10.0)],
+            (1.0, 13.0),
+            3.2205197387868525,
+        ),
+    ],
+    ids=["cli-symmetric", "double-barrier"],
+)
+def test_resonance_refined_where_r_circles_the_origin(segments, window, want):
+    # across the scan bracket r circles the origin, so neither component
+    # changes sign there and the bounded minimiser stops short (|r| 1.7e-7
+    # and 2e-5); a window about its answer finds the sign change.  The
+    # reference is the even/odd channel overlap of the symmetric stack.
+    pot = _stack(segments)
+    res = find_resonances(pot, *window)
+    (e, r), = [(e, r) for e, r in zip(res.energies, res.residuals) if abs(e - want) < 1e-6]
+    assert abs(e - want) <= 1e-12
+    assert r < 1e-12
+    assert transfer_matrix_solve(pot, e).big_r < 1e-8
+
+
+@pytest.mark.parametrize(
     "pot, window",
     [
         (_stack(CLI_SYMMETRIC), (0.5, 12.0)),
@@ -627,17 +678,162 @@ def test_numeric_resonances_agree_with_chain(side):
 @pytest.mark.parametrize(
     "segments, found, count",
     [
-        ([(0.0, 2.0, -500.0), (2.0, 3.0, 0.0), (3.0, 5.0, -500.0)], 2, 42),
         ([(0.0, 2.0, -5.0), (2.0, 102.0, 2.0)], 1, 2),
     ],
-    ids=["double-well", "well-beside-thick-barrier"],
+    ids=["well-beside-thick-barrier"],
 )
 def test_short_spectrum_raises(segments, found, count):
-    # the scan misses states here; the node count sees that it did
+    # W is 0/0 across the thick barrier at this probe, so one bracket
+    # yields no root; the node count sees the missing state
     with pytest.raises(BracketingExhaustedError) as exc:
         find_bound_states(_stack(segments))
     assert str(exc.value) == f"found {found} states, the node count gives {count}"
     assert len(exc.value.mismatches) == len(exc.value.energies) > 0
+
+
+def _sturm_count(pot, e):
+    """Bound states of a piecewise ``pot`` below e (at most both leads;
+    hbar = m = 1), counted without qwim's impedance path: the zeros on
+    the whole line of the real solution that decays into the left lead.
+
+    (psi, psi') is carried in closed form across pieces of each slab
+    short enough (k h <= 3 < pi) to hold one zero at most, so a sign test
+    counts them, each on its half-open piece (start, end]."""
+    psi, dpsi = 1.0, math.sqrt(2.0 * (pot.left_level - e))
+    zeros = 0
+    for seg in pot.segments:
+        q, length = 2.0 * (e - seg.u), seg.x_end - seg.x_start
+        k = math.sqrt(abs(q))
+        pieces = math.ceil(k * length / 3.0) if q > 0.0 else 1
+        h = length / pieces
+        for _ in range(pieces):
+            if q > 0.0:
+                c, s = math.cos(k * h), math.sin(k * h)
+                p1, d1 = psi * c + dpsi * (s / k), dpsi * c - psi * k * s
+            elif q < 0.0:
+                # cosh and sinh over cosh(k h), which keeps every sign
+                th = math.tanh(k * h)
+                p1, d1 = psi + dpsi * (th / k), dpsi + psi * k * th
+            else:
+                p1, d1 = psi + dpsi * h, dpsi
+            zeros += psi != 0.0 and (p1 == 0.0 or (p1 > 0.0) != (psi > 0.0))
+            scale = max(abs(p1), abs(d1))
+            psi, dpsi = p1 / scale, d1 / scale
+    # the same solution in the right lead, psi cosh(kap s) + dpsi / kap
+    # sinh(kap s), crosses zero on s > 0 iff it heads down faster than kap
+    kap = math.sqrt(2.0 * (pot.right_level - e))
+    zeros += psi != 0.0 and (dpsi > 0.0) != (psi > 0.0) and abs(psi) * kap < abs(dpsi)
+    return zeros
+
+
+def _sturm_levels(pot):
+    """Every bound energy of ``pot``, by bisection on ``_sturm_count`` to
+    float resolution: a doublet closer than the float spacing comes out
+    as two equal energies."""
+    ceil = min(pot.left_level, pot.right_level)
+    lo_known, out = min(seg.u for seg in pot.segments), []
+    for i in range(1, _sturm_count(pot, ceil) + 1):
+        lo, hi = lo_known, ceil
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if _sturm_count(pot, mid) >= i:
+                hi = mid
+            else:
+                lo = mid
+        out.append(hi)
+        lo_known = lo
+    return out
+
+
+def test_double_well_spectrum_is_complete():
+    # two depth-500 wells 1 apart: tunnel doublets from 1e-10 apart down
+    # to far below the float spacing, where N jumps by 2 in a bracket
+    # float arithmetic cannot halve
+    pot = _stack([(0.0, 2.0, -500.0), (2.0, 3.0, 0.0), (3.0, 5.0, -500.0)])
+    res = find_bound_states(pot)
+    want = _sturm_levels(pot)
+    assert len(res.energies) == len(want) == 42
+    np.testing.assert_allclose(res.energies, want, rtol=0, atol=5e-7)
+    assert res.energies == sorted(res.energies)
+    # the deepest doublet tunnels through exp(-2 sqrt(1000)) of barrier,
+    # far below the float spacing: one energy, reported twice
+    assert res.energies[0] == res.energies[1]
+
+
+def _unequal_leads(random_stack_instances):
+    rng = np.random.default_rng(20261018)
+    for pot, _ in random_stack_instances:
+        left, right = rng.uniform(0.0, 3.0, 2).tolist()
+        floor = min(s.u for s in pot.segments)
+        if floor < min(left, right):
+            yield PiecewisePotential(left, pot.segments, right)
+
+
+def test_count_matches_sturm_count_off_the_ceiling(random_stack_instances):
+    # N(E) at interior energies, at the ceiling, and at every slab level
+    # and one ulp to either side of it, where the slab maps degenerate
+    cfg, params = IntegrationConfig(), ModelParams()
+    checked = 0
+    for pot in _unequal_leads(random_stack_instances):
+        floor, ceil = min(s.u for s in pot.segments), min(pot.left_level, pot.right_level)
+        es = np.linspace(floor, ceil, 13)[1:].tolist()
+        for u in {pot.left_level, pot.right_level, *(s.u for s in pot.segments)}:
+            es += [math.nextafter(u, -math.inf), u, math.nextafter(u, math.inf)]
+        es = [e for e in es if floor < e <= ceil]
+        span = pot.b - pot.a
+        for frac in (0.5, 0.382, 0.703):
+            ends = _Ends(pot, pot.a + frac * span, cfg, params)
+            for e in es:
+                assert ends.count(e) == _sturm_count(pot, e), (pot, frac, e)
+                checked += 1
+    assert checked > 1000
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    slabs=st.lists(
+        st.tuples(st.floats(0.1, 3.0), st.floats(-30.0, 3.0)), min_size=1, max_size=6
+    ),
+    leads=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+    where=st.one_of(
+        st.floats(0.0, 1.0),
+        st.tuples(st.integers(0, 5), st.sampled_from([-1, 0, 1])),
+    ),
+    probe=st.floats(0.02, 0.98),
+)
+# one ulp below a level at 0: the leads anchor at z ~ 1e-162, and the
+# Wronskian sign of the count underflowed to 0
+@example(slabs=[(1.0, 0.0), (0.5, -1.0)], leads=(0.0, 0.0), where=(1, -1), probe=0.5)
+# k ~ 1e-70 in the slab at 0: a Pruefer angle just below pi rounded to
+# pi, and the count took a node psi never reaches
+@example(
+    slabs=[(1.0, 5.138828399912613e-140), (1.0, 0.0), (1.0, -1.0)],
+    leads=(1.0, 1.0), where=(2, -1), probe=0.5,
+)
+# the same slab second: a node psi does reach there, which an angle
+# count like the old one's would miss on the reference side
+@example(
+    slabs=[(1.0, 5.138828399912613e-140), (1.0, -1.0), (1.0, 0.0)],
+    leads=(1.0, 1.0), where=(2, -1), probe=0.5,
+)
+def test_count_matches_sturm_count_fuzz(slabs, leads, where, probe):
+    x, segs = 0.0, []
+    for length, u in slabs:
+        segs.append(PotentialSegment(x, x + length, u))
+        x += length
+    pot = PiecewisePotential(leads[0], tuple(segs), leads[1])
+    floor, ceil = min(u for _, u in slabs), min(leads)
+    assume(floor < ceil)
+    if isinstance(where, float):
+        e = floor + where * (ceil - floor)
+    else:
+        # a level, or one ulp beside it
+        levels = sorted({*leads, *(u for _, u in slabs)})
+        u = levels[where[0] % len(levels)]
+        e = u if where[1] == 0 else math.nextafter(u, where[1] * math.inf)
+    assume(floor < e <= ceil)
+    ends = _Ends(pot, pot.a + probe * (pot.b - pot.a), IntegrationConfig(), ModelParams())
+    assert ends.count(e) == _sturm_count(pot, e)
 
 
 @pytest.mark.parametrize("numeric", [False, True], ids=["chain", "numeric"])
