@@ -27,10 +27,10 @@ list that ``_steps`` builds once per stack and end point, and returns
 its last step undivided, so a psi-node at the end point is no error; the
 piecewise scattering solve and the spectral matching both use it, the
 spectral searches with one slab list per side for every energy they
-evaluate.  It takes each level's z and gamma from ``_constants``, the
-scalar core of ``region_constants`` without the dataclass.  ``_nodes``
-walks a real solution along the same list and counts the psi-nodes it
-crosses: the bound-state search's Sturm count.
+evaluate.  It computes each level's z and gamma and the step itself
+inline, in the arithmetic of ``_constants`` (the scalar core of
+``region_constants``) and ``_slab``, and on request also counts the
+psi-nodes a real solution crosses: the bound-state search's Sturm count.
 ``_chain_many`` in :mod:`qwim._arrays` is its array twin for a whole
 energy grid: one array pass per slab, with an ``ok`` mask marking the
 energies where the scalar walk would raise.  Energy sweeps and the scan
@@ -301,82 +301,82 @@ def _chain(
     e: float,
     z_anchor: complex,
     params: ModelParams,
-) -> tuple[complex, complex, complex]:
+    count: bool = False,
+) -> tuple:
     """Carry an impedance anchored at one end of a slab list (``_steps``)
     across it.
 
-    One ``_slab`` step per constant slab; a slab whose level equals e (to
-    EPS_DEGENERATE) carries psi linearly, the z -> 0 limit of the step
-    divided by z: num = Z, den = 1 + i (m/hbar) Z dx, f = 1.  A list of
-    linear slabs is walked one sub-slab map of ``_arrays._linear_maps`` at a
-    time: num = kappa f' + g' Z and den = f + (g / kappa) Z, with a psi
-    factor of one.  Returns the last step undivided, (num, den, r):
+    Each constant slab takes ``_slab``'s step, with ``_constants``' z and
+    gamma and its checks, computed inline; a slab whose level equals e
+    (to EPS_DEGENERATE) carries psi linearly, the z -> 0 limit of the
+    step divided by z: num = Z, den = 1 + i (m/hbar) Z dx, f = 1.  A list
+    of linear slabs is walked one sub-slab map of ``_arrays._linear_maps``
+    at a time: num = kappa f' + g' Z and den = f + (g / kappa) Z, with a
+    psi factor of one.  Returns the last step undivided, (num, den, r):
     Z(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so a
-    psi-node at x_to is no error.  Raises NonFiniteStateError where a
-    value overflows.
+    psi-node at x_to is no error (one before it raises
+    TransformPoleError).  Raises NonFiniteStateError where a value
+    overflows.
+
+    With ``count``, for a real solution (a purely imaginary anchor at a
+    real e), returns (num, den, r, nodes): the psi-nodes crossed, each on
+    the half-open step (start, end] once; the bound-state search's Sturm
+    count.  With psi'/psi = i (m/hbar) Z and s the distance walked, a
+    propagating slab turns the Pruefer angle theta (tan theta =
+    k psi / (dpsi/ds), theta0 in (0, pi)) by exactly k |dx|, so it
+    crosses floor((theta0 + k |dx|) / pi) nodes.  An evanescent slab, a
+    slab at level e (psi linear) and a linear sub-slab
+    (h sqrt(max |A|) <= 1 < pi) each hold at most one node, there iff
+    psi(end) / psi(start) <= 0: den / z across an evanescent slab (the
+    saturated form divides by a positive factor), den across the others.
     """
-    num, den, r = z_anchor, 1.0, 1.0
+    num, den, r, nodes = z_anchor, 1.0, 1.0, 0
+    m = params.mass
+    i_m = 1j * (m / params.hbar)
     if slabs and len(slabs[0]) == 3:
         from ._arrays import _linear_steps
 
         for kfp, gp, f, gk in _linear_steps(slabs, e, params):
             z_at, r = _divide(num, den), r / den
             num, den = kfp + gp * z_at, f + gk * z_at
-    else:
-        for u, dx in slabs:
-            z_at, ratio = _divide(num, den), r / den
-            try:
-                z, gamma = _constants(e, u, params)
-            except DegenerateEnergyError:
-                num, den, r = z_at, 1.0 + z_at * (1j * (params.mass / params.hbar) * dx), ratio
-                continue
-            num, den, f = _slab(z, gamma, z_at, dx)
-            r = ratio * f
-    if not (cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(r)):
-        raise NonFiniteStateError(f"layer chain overflows at energy {e}")
-    return num, den, r
-
-
-def _nodes(
-    slabs: list[tuple[float, ...]],
-    e: float,
-    z_anchor: complex,
-    params: ModelParams,
-) -> tuple[complex, complex, int]:
-    """``_chain``'s walk of a real solution (a purely imaginary anchor at
-    a real e), counting the psi-nodes it crosses: (num, den, nodes), with
-    Z(x_to) = num / den and each node on the half-open step
-    (start, end] counted once.
-
-    With psi'/psi = i (m/hbar) Z and s the distance walked, a propagating
-    slab turns the Pruefer angle theta (tan theta = k psi / (dpsi/ds),
-    theta0 in (0, pi)) by exactly k |dx|, so it crosses
-    floor((theta0 + k |dx|) / pi) nodes.  An evanescent slab, a slab at
-    level e (psi linear) and a linear sub-slab (h sqrt(max |A|) <= 1 < pi)
-    each hold at most one node, there iff psi(end) / psi(start) <= 0:
-    den / z across an evanescent slab (the saturated form divides by a
-    positive factor), den across the others.  Raises as ``_chain`` does.
-    """
-    num, den, nodes = z_anchor, 1.0, 0
-    i_m = 1j * (params.mass / params.hbar)
-    if slabs and len(slabs[0]) == 3:
-        from ._arrays import _linear_steps
-
-        for kfp, gp, f, gk in _linear_steps(slabs, e, params):
-            z_at = _divide(num, den)
-            num, den = kfp + gp * z_at, f + gk * z_at
-            nodes += den.real <= 0.0
-    else:
-        for u, dx in slabs:
-            z_at = _divide(num, den)
-            try:
-                z, gamma = _constants(e, u, params)
-            except DegenerateEnergyError:
-                num, den = z_at, 1.0 + z_at * (i_m * dx)
+            if count:
                 nodes += den.real <= 0.0
+    else:
+        sqrt, cosh, sinh, isfinite = math.sqrt, cmath.cosh, cmath.sinh, cmath.isfinite
+        eps_e = EPS_DEGENERATE * abs(e)
+        for u, dx in slabs:
+            if den == 0:
+                _divide(num, den)  # raises
+            z_at, r = num / den, r / den
+            de = e - u
+            # |de| <= EPS_DEGENERATE * max(|e|, |u|), split in two: the
+            # product rounds monotonically
+            if abs(de) <= eps_e or abs(de) <= EPS_DEGENERATE * abs(u):
+                num, den = z_at, 1.0 + z_at * (i_m * dx)
+                if count:
+                    nodes += den.real <= 0.0
                 continue
-            num, den, _ = _slab(z, gamma, z_at, dx)
-            if e > u:
+            if de > 0.0:
+                z = complex(sqrt(2.0 * de / m), 0.0)
+            else:
+                z = complex(0.0, sqrt(-2.0 * de / m))
+            gamma = i_m * z
+            # gamma is finite only where z is
+            if not isfinite(gamma):
+                _constants(e, u, params)  # raises
+            g = gamma * dx
+            if abs(g.real) > _SATURATION_CUT:
+                th = 1.0 if g.real > 0 else -1.0
+                # _slab's saturated form: all three times 2 exp(-th g)
+                c1, c2 = 1.0, th
+                r *= 2.0 * z * cmath.exp(-th * g)
+            else:
+                c1, c2 = cosh(g), sinh(g)
+                r *= z
+            num, den = z * (z_at * c1 + z * c2), z * c1 + z_at * c2
+            if not count:
+                continue
+            if de > 0.0:
                 k = gamma.imag
                 # psi'/psi in the direction of the walk
                 slope = (i_m * z_at).real if dx > 0.0 else -(i_m * z_at).real
@@ -388,9 +388,9 @@ def _nodes(
                     nodes += math.floor((math.atan2(k, slope) + k * abs(dx)) / math.pi)
             else:
                 nodes += (den / z).real <= 0.0
-    if not (cmath.isfinite(num) and cmath.isfinite(den)):
+    if not (cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(r)):
         raise NonFiniteStateError(f"layer chain overflows at energy {e}")
-    return num, den, nodes
+    return (num, den, r, nodes) if count else (num, den, r)
 
 
 def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> complex:

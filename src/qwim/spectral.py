@@ -26,18 +26,20 @@ structure gives Z(a), and
 vanishes exactly where T = 1.  The search walks the scattering solve's
 own slab list (``scattering._walk``; for right incidence the potential's
 list, negated, which builds no mirror), scans |r| on a grid in one
-array pass per slab (``_scan``), and locates the zeros of r as minima
-of |r|.
+array pass per slab (``_scan``), and refines each minimum of |r| by
+Brent's root finder on the components of r; the bounded minimiser on
+|r|^2 runs only where their roots do not coincide in a zero of r.
 
 Both kinds of potential chain exact slab maps (constant slabs, or the
 linear sub-slabs of a sampled potential), which also give the psi
 ratios that sign W; with ``cfg.force_numeric`` the Riccati equation is
 integrated instead, and W carries no sign.  A search sets up its slab
 lists once (``_Ends``: one from each end to the probe; ``_Entry``: the
-walk).  The refinement of each bracket, with qwim's own ports of
-Brent's root finder and bounded minimiser (``_optimize``), walks the
-same lists one scalar energy at a time in plain complex arithmetic, and
-evaluates no energy twice: the value at a returned root or minimum is
+walk).  The node count and the refinement of each bracket, with qwim's
+own ports of Brent's root finder and bounded minimiser (``_optimize``),
+walk the same lists one scalar energy at a time in plain complex
+arithmetic, and walk no energy twice: W at an energy the count walked
+takes the count's ends, and the value at a returned root or minimum is
 the one the optimiser computed.  Only the resonance scan uses numpy,
 and imports it when it runs.
 """
@@ -51,7 +53,7 @@ from enum import Enum
 from functools import cache, partial
 
 from ._optimize import brentq, minimize_scalar
-from .analytic import _chain, _constants, _nodes, _steps
+from .analytic import _chain, _constants, _steps
 from .errors import (
     BracketingExhaustedError,
     DegenerateEnergyError,
@@ -99,15 +101,6 @@ class SpectrumResult:
     transparent: bool = False
 
 
-def _lead_z(e: float, u: float, params: ModelParams) -> complex:
-    """z of a lead at e; 0 for a lead at level e, the threshold anchor,
-    where ``_constants`` raises."""
-    try:
-        return _constants(e, u, params)[0]
-    except DegenerateEnergyError:
-        return 0j
-
-
 class _Ends:
     """The left- and the right-anchored solution at one probe, set up
     once for a whole search.
@@ -115,12 +108,13 @@ class _Ends:
     Called with an energy, it gives both solutions' (num, den, r) at the
     probe: Z = num / den and psi(anchor) / psi(probe) = r / den.  Bound
     mode applies automatically for e below both leads; otherwise the
-    scattering (left-incidence) anchors are used.  A lead at level e
-    anchors at threshold, Z = 0 (``_lead_z``).  The slab lists from each
-    end to the probe are built here, and every energy is chained along
-    them; ``count`` walks them too.  With ``force_numeric`` a call
-    integrates the Riccati equation instead, which carries no psi ratio
-    and gives (Z, 1, 1); the lists then serve the node count alone.
+    scattering (left-incidence) anchors are used (``_anchors``).  The
+    slab lists from each end to the probe are built here, and every
+    energy is chained along them; ``count`` walks them too, and keeps
+    the ends it walked for a call at the same energy.  With
+    ``force_numeric`` a call integrates the Riccati equation instead,
+    which carries no psi ratio and gives (Z, 1, 1); the lists then serve
+    the node count alone.
     """
 
     def __init__(self, pot, probe_x, cfg, params):
@@ -129,12 +123,26 @@ class _Ends:
         self.pot, self.probe_x, self.cfg, self.params = pot, probe_x, cfg, params
         self.levels = pot.left_level, pot.right_level
         self.slabs = _steps(pot, probe_x, True), _steps(pot, probe_x, False)
+        self.walked = {}
+
+    def _anchors(self, e):
+        """Z at a and at b: the decaying tails below a lead's level, the
+        scattering anchors above it, and the threshold anchor Z = 0 at
+        it, where ``_constants`` raises."""
+        z = []
+        for u in self.levels:
+            try:
+                z.append(_constants(e, u, self.params)[0])
+            except DegenerateEnergyError:
+                z.append(0j)
+        return -z[0] if e < self.levels[0] else z[0], z[1]
 
     def __call__(self, e):
-        (left, right), (u1, u2), params = self.slabs, self.levels, self.params
-        z1 = _lead_z(e, u1, params)
-        z_a = -z1 if e < u1 else z1
-        z_b = _lead_z(e, u2, params)
+        ends = self.walked.get(e)
+        if ends:
+            return ends
+        (left, right), params = self.slabs, self.params
+        z_a, z_b = self._anchors(e)
         if self.cfg.force_numeric:
             from .riccati import integrate_impedance
 
@@ -149,27 +157,25 @@ class _Ends:
         below e, by Sturm oscillation along the two slab lists.
 
         The two decaying solutions cross n+ and n- psi-nodes on their way
-        to the probe (``analytic._nodes``).  With their Pruefer angles at
-        the probe taken modulo pi in [0, pi) and (0, pi],
-        N = n+ + n- + [left angle > right angle].  For two solutions
-        positive at the probe that bracket is the sign of their
+        to the probe (``analytic._chain`` with its count).  With their
+        Pruefer angles at the probe taken modulo pi in [0, pi) and
+        (0, pi], N = n+ + n- + [left angle > right angle].  For two
+        solutions positive at the probe that bracket is the sign of their
         Wronskian, Im(Z+ - Z-) > 0, taken undivided so that a node at the
         probe adds nothing.
         """
-        (left, right), (u1, u2), params = self.slabs, self.levels, self.params
-        n1, d1, nodes1 = _nodes(left, e, -_lead_z(e, u1, params), params)
-        n2, d2, nodes2 = _nodes(right, e, _lead_z(e, u2, params), params)
+        (left, right), params = self.slabs, self.params
+        z_a, z_b = self._anchors(e)
+        n1, d1, r1, nodes1 = _chain(left, e, z_a, params, True)
+        n2, d2, r2, nodes2 = _chain(right, e, z_b, params, True)
+        if not self.cfg.force_numeric:
+            self.walked[e] = (n1, d1, r1), (n2, d2, r2)
         # each end scaled to order one, so that the products cannot
         # underflow (a lead within 1e-300 of e anchors at z ~ 1e-150);
         # an end that underflowed to 0 / 0 stays so
         a1, a2 = max(abs(n1), abs(d1)) or 1.0, max(abs(n2), abs(d2)) or 1.0
         n1, d1, n2, d2 = n1 / a1, d1 / a1, n2 / a2, d2 / a2
         return nodes1 + nodes2 + (((n1 * d2 - n2 * d1) * (d1 * d2).conjugate()).imag > 0.0)
-
-    def state_count(self) -> int:
-        """N at the window ceiling, the lower lead's level: the number of
-        bound states."""
-        return self.count(min(self.levels))
 
 
 class _Entry:
@@ -388,10 +394,11 @@ def find_bound_states(
     decaying solutions are matched at one probe (default: the midpoint)
     on W, the normalised Wronskian of ``_wronskian``, by Brent's method
     (``_refine``): one scalar W per iterate along the same two slab lists
-    (threshold anchors at the ceiling), each energy evaluated once.  The
-    Riccati engine's (``force_numeric``) W is unsigned; its brackets come
-    from the chain's count all the same.  A bracket of k > 1 states that
-    float arithmetic cannot split reports its upper end k times.
+    (threshold anchors at the ceiling), each energy walked once, the
+    count's walks included.  The Riccati engine's (``force_numeric``) W
+    is unsigned; its brackets come from the chain's count all the same.
+    A bracket of k > 1 states that float arithmetic cannot split reports
+    its upper end k times.
     Residuals are |W| at each energy reported.  A bracket that yields no
     root raises BracketingExhaustedError with every energy the search
     evaluated and W there.
@@ -452,12 +459,11 @@ def find_bound_states(
 
 
 def _windows(e: float, lo: float, hi: float, xatol: float):
-    """Where the components of r are tried for a sign change: the scan
-    bracket (lo, hi) first, then, where r circles the origin across it
-    and neither component changes sign there, windows about the bounded
+    """Where the components of r are tried for a sign change after the
+    scan bracket (lo, hi), where r circles the origin across it and
+    neither component changes sign there: windows about the bounded
     minimiser's answer e, from 4 of its tolerances (4 (sqrt(eps) |e| +
     xatol / 3)) to either side, doubling, inside the bracket."""
-    yield lo, hi
     w = 4.0 * (math.sqrt(2.2e-16) * abs(e) + xatol / 3.0)
     while True:
         a, b = max(lo, e - w), min(hi, e + w)
@@ -481,17 +487,22 @@ def find_resonances(
 
     Scans |r(E)| (one array pass per slab or sub-slab of the walk from
     the far lead to the entry edge) and refines each strict local
-    minimum by Brent's bounded minimization of |r|^2, then by Brent's
-    root finder on each component of r that changes sign across the
-    bracket, one scalar r per iterate along the same walk, each energy
-    evaluated once.  An energy where r cannot be evaluated counts as
-    |r| = inf to the minimiser and drops that component's root.  Accepts
-    energies where |r| < RESONANCE_TOL, and reports |r| as the residual:
-    R = |r|^2 comes from the same walk.  A window with R < 1e-12 at every
-    scan point (no structure at all) is flagged transparent and returns
-    no discrete energies.  ``probe_x`` of the result is the entry edge.
-    ``scan_points`` below 3 raises ValueError: no strict minimum fits on
-    fewer points.
+    minimum by Brent's root finder on each component of r that changes
+    sign across its bracket, one scalar r per iterate along the same
+    walk, each energy evaluated once.  Where both components' roots
+    agree to the minimiser's xatol with |r| below RESONANCE_TOL, they
+    are a zero of r, and the least |r| of them is the answer.  Otherwise
+    Brent's bounded minimization of |r|^2 runs too, and the least |r| of
+    its answer and the roots is taken, its answer on a tie; where
+    neither component changes sign across the bracket, windows about
+    its answer are tried for one (``_windows``).  An energy where r
+    cannot be evaluated counts as |r| = inf to the minimiser and drops
+    that component's root.  Accepts energies where |r| < RESONANCE_TOL,
+    and reports |r| as the residual: R = |r|^2 comes from the same walk.
+    A window with R < 1e-12 at every scan point (no structure at all) is
+    flagged transparent and returns no discrete energies.  ``probe_x`` of
+    the result is the entry edge.  ``scan_points`` below 3 raises
+    ValueError: no strict minimum fits on fewer points.
     """
     require_finite("window bounds", e_min, e_max)
     if not e_min < e_max:
@@ -524,6 +535,22 @@ def find_resonances(
         r = reflection_c(e)
         return math.nan if r is None else comp(r)
 
+    def roots(a: float, b: float):
+        # Brent's root, with |r| there, on each component of r that
+        # changes sign across (a, b); None where neither does
+        r_a, r_b = reflection_c(a), reflection_c(b)
+        if r_a is None or r_b is None:
+            return None
+        comps = [c for c in (lambda r: r.imag, lambda r: r.real) if c(r_a) * c(r_b) < 0.0]
+        found = []
+        for comp in comps:
+            try:
+                e_root = brentq(partial(component, comp), a, b, xtol=1e-14, rtol=8.9e-16)
+            except ValueError:
+                continue
+            found.append((float(e_root), reflection(e_root)))
+        return found if comps else None
+
     import numpy as np
 
     grid = np.linspace(e_min, e_max, scan_points + 1)[1:].tolist()
@@ -545,30 +572,25 @@ def find_resonances(
         if not (r_m < scan[i - 1][1] and r_m < scan[i + 1][1]):
             continue
         lo, hi = scan[i - 1][0], scan[i + 1][0]
-        e_star = minimize_scalar(squared, lo, hi, xatol=xatol)
-        r_star = reflection(e_star)
-        # both components of r vanish together at a true resonance, so a
-        # bracketed root on either one beats the |r|^2 minimizer's accuracy
-        for a, b in _windows(e_star, lo, hi, xatol):
-            r_a, r_b = reflection_c(a), reflection_c(b)
-            if r_a is None or r_b is None:
-                continue
-            changed = False
-            for comp in (lambda r: r.imag, lambda r: r.real):
-                if comp(r_a) * comp(r_b) < 0.0:
-                    changed = True
-                    try:
-                        e_root = brentq(
-                            partial(component, comp),
-                            a, b, xtol=1e-14, rtol=8.9e-16,
-                        )
-                    except ValueError:
-                        continue
-                    r_root = reflection(e_root)
-                    if r_root is not None and (r_star is None or r_root < r_star):
-                        e_star, r_star = float(e_root), r_root
-            if changed:
-                break
+        found = roots(lo, hi)
+        # both components of r vanish together at a true resonance: where
+        # their roots agree to xatol, with |r| below RESONANCE_TOL, r is
+        # zero there to float resolution and the minimiser is not run
+        agree = found and len(found) == 2 and abs(found[0][0] - found[1][0]) <= xatol
+        if not (agree and min(r for _, r in found) < RESONANCE_TOL):
+            e_opt = minimize_scalar(squared, lo, hi, xatol=xatol)
+            windows = () if found is not None else _windows(e_opt, lo, hi, xatol)
+            # its answer first: a root replaces it only with a smaller |r|
+            found = [(e_opt, reflection(e_opt))] + (found or [])
+            for a, b in windows:
+                more = roots(a, b)
+                if more is not None:
+                    found += more
+                    break
+        e_star = r_star = None
+        for e, r in found:
+            if r is not None and (r_star is None or r < r_star):
+                e_star, r_star = e, r
         if r_star is None or r_star >= RESONANCE_TOL:
             continue
         if energies and abs(e_star - energies[-1]) < 1e-8 * (e_max - e_min):

@@ -12,7 +12,9 @@ from qwim.analytic import (
     PhaseConstant,
     _chain,
     _constants,
+    _divide,
     _mirrored_steps,
+    _slab,
     _steps,
     TOL_ALG,
     TOL_FLUX,
@@ -340,6 +342,99 @@ def test_chain_many_flags_where_chain_raises():
                 else:
                     assert good, (pot, slabs, e)
         assert raised > 0
+
+
+def _stack(segments, left=0.0, right=0.0):
+    return PiecewisePotential(left, tuple(PotentialSegment(*s) for s in segments), right)
+
+
+def _stepwise_chain(slabs, e, z_anchor, params):
+    """A constant-slab walk one ``_constants`` / ``_slab`` / ``_divide``
+    step at a time, with the psi-nodes it crosses: (num, den, r, nodes).
+    A propagating slab turns the Pruefer angle by k |dx| from its start
+    angle; any other slab holds one node at most, where psi changes sign
+    across it."""
+    num, den, r, nodes = z_anchor, 1.0, 1.0, 0
+    i_m = 1j * (params.mass / params.hbar)
+    for u, dx in slabs:
+        z_at, ratio = _divide(num, den), r / den
+        try:
+            z, gamma = _constants(e, u, params)
+        except DegenerateEnergyError:
+            num, den, r = z_at, 1.0 + z_at * (i_m * dx), ratio
+            nodes += den.real <= 0.0
+            continue
+        num, den, f = _slab(z, gamma, z_at, dx)
+        r = ratio * f
+        if e > u:
+            k, slope = gamma.imag, math.copysign(1.0, dx) * (i_m * z_at).real
+            if slope < 0.0:
+                nodes += 1 + math.floor((k * abs(dx) - math.atan2(k, -slope)) / math.pi)
+            else:
+                nodes += math.floor((math.atan2(k, slope) + k * abs(dx)) / math.pi)
+        else:
+            nodes += (den / z).real <= 0.0
+    if not all(map(cmath.isfinite, (num, den, r))):
+        raise NonFiniteStateError(f"overflow at {e}")
+    return num, den, r, nodes
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) if isinstance(v, complex) else repr(v) for v in values]
+
+
+@pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])
+def test_inline_walk_matches_stepwise_walk(random_stack_instances, params):
+    # the walker's inline slab algebra against the step functions, bit for
+    # bit on (num, den, r) and on the node count: propagating, evanescent,
+    # thick (saturated) and slab-level steps, from both ends, with real
+    # (bound) and complex anchors; the count leaves the walk unchanged
+    stacks = [pot for pot, _ in random_stack_instances[:25]]
+    stacks += [
+        _stack([(0.0, length, 1.0), (length, length + 1.0, -2.0), (length + 1.0, 2.0 * length + 1.0, 1.0)])
+        for length in (50.0, 250.0, 400.0)
+    ]
+    grid = np.linspace(-3.5, 8.0, 29).tolist()
+    saturated = checked = crossed = 0
+    for pot in stacks:
+        levels = {s.u for s in pot.segments}
+        es = sorted({*grid, *levels, *(u + 1e-13 for u in levels)})
+        for slabs, from_left in _walks(pot):
+            for e in es:
+                saturated += any(
+                    math.sqrt(2.0 * params.mass * max(u - e, 0.0)) / params.hbar * abs(dx) > 300.0
+                    for u, dx in slabs
+                )
+                for anchor in (0.8 - 0.3j, (-1j if from_left else 1j) * math.sqrt(abs(e) + 0.1)):
+                    want = _stepwise_chain(slabs, e, anchor, params)
+                    assert _bits(_chain(slabs, e, anchor, params, True)) == _bits(want)
+                    assert _bits(_chain(slabs, e, anchor, params)) == _bits(want[:3])
+                    checked, crossed = checked + 1, crossed + want[3]
+    assert checked > 8000 and saturated > 50 and crossed > 1000
+
+
+def test_inline_walk_raises_as_stepwise_walk():
+    # a psi-node at an interface before the end and a level whose z
+    # overflows raise the same typed errors on both walks, counted or not
+    params = ModelParams()
+    node = _stack([(0.0, 0.7, -1.0), (0.7, 1.5, 0.4)])
+    z, gamma = _constants(1.0, -1.0, params)
+    z_node = -z * cmath.cosh(gamma * 0.7) / cmath.sinh(gamma * 0.7)
+    deep = _stack([(0.0, 1.0, 0.5), (1.0, 2.0, -1e308)])
+    for slabs, anchor, error in (
+        (_steps(node, node.b, True), z_node, TransformPoleError),
+        (_steps(deep, deep.b, True), 0.3 - 0.2j, NonFiniteStateError),
+        (_steps(deep, deep.a, False), 0.3 - 0.2j, NonFiniteStateError),
+    ):
+        with pytest.raises(error):
+            _stepwise_chain(slabs, 1.0, anchor, params)
+        for count in (False, True):
+            with pytest.raises(error):
+                _chain(slabs, 1.0, anchor, params, count)
+    # values that overflow on the way (z ~ 1e150 against an anchor of
+    # 1e300) fail the final check of the walk itself
+    with pytest.raises(NonFiniteStateError):
+        _chain([(0.0, 1.0), (0.2, 1.0)], 1.0, 1e300 + 0j, ModelParams(mass=1e-300))
 
 
 def _gaussian(n=41, amplitude=-4.0, span=6.0, sigma=1.0):

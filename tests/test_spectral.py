@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from qwim import spectral
 from qwim.errors import (
@@ -23,6 +23,7 @@ from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, Sample
 from qwim.riccati import IntegrationConfig
 from qwim.specfile import load_spec
 from qwim.spectral import (
+    RESONANCE_TOL,
     ROOT_TOL,
     SpectrumKind,
     _default_probe,
@@ -543,9 +544,10 @@ def test_scan_points_below_three_rejected(call):
 
 
 def test_search_builds_its_slab_lists_once(monkeypatch):
-    # the refinement chains every energy along the slab lists the search
-    # built (two for bound states, the scattering walk for resonances),
-    # evaluates each energy once, and makes no dataclass
+    # the search walks every energy along the slab lists it built (two
+    # for bound states, the scattering walk for resonances), walks each
+    # energy once, and makes no dataclass; a bound search's W at an
+    # energy its node count walked reuses the count's walk
     from qwim import analytic, scattering
 
     counts = {"lists": 0, "scattering lists": 0, "RegionConstants": 0, "solves": 0}
@@ -558,13 +560,18 @@ def test_search_builds_its_slab_lists_once(monkeypatch):
 
         return wrapped
 
-    def recording(slabs, e, z_anchor, params):
-        chained.append((id(slabs), e))
-        return real_chain(slabs, e, z_anchor, params)
+    def recording(slabs, e, z_anchor, params, count=False):
+        chained.append((id(slabs), e, count))
+        return real_chain(slabs, e, z_anchor, params, count)
 
-    real_chain = spectral._chain
+    def matching(plus, minus, s):
+        matched.append(plus)
+        return _wronskian(plus, minus, s)
+
+    real_chain, matched = spectral._chain, []
     monkeypatch.setattr(spectral, "_steps", counting("lists", spectral._steps))
     monkeypatch.setattr(spectral, "_chain", recording)
+    monkeypatch.setattr(spectral, "_wronskian", matching)
     monkeypatch.setattr(scattering, "_steps", counting("scattering lists", scattering._steps))
     monkeypatch.setattr(scattering, "_solve", counting("solves", scattering._solve))
     monkeypatch.setattr(
@@ -575,9 +582,16 @@ def test_search_builds_its_slab_lists_once(monkeypatch):
     assert len(res.energies) == 3
     assert counts == {"lists": 2, "scattering lists": 0, "RegionConstants": 0, "solves": 0}
     assert len(chained) > 30
-    # each energy once per side, along one list per side
-    assert len(set(chained)) == len(chained)
-    assert len({slabs for slabs, _ in chained}) == 2
+    # node counts and W together: each energy once per side, along one
+    # list per side, both sides at every energy
+    walks = {(slabs, e) for slabs, e, _ in chained}
+    assert len(walks) == len(chained)
+    (left, right) = {slabs for slabs, _ in walks}
+    assert {e for slabs, e in walks if slabs == left} == {e for slabs, e in walks if slabs == right}
+    assert set(res.energies) <= {e for _, e in walks}
+    # W at an energy the count walked took the count's ends
+    assert any(count for _, _, count in chained)
+    assert len(matched) > sum(not count for _, _, count in chained) // 2
 
     counts.update(dict.fromkeys(counts, 0))
     chained.clear()
@@ -587,8 +601,10 @@ def test_search_builds_its_slab_lists_once(monkeypatch):
     # one walk, the scattering solve's, and no scattering solve
     assert counts == {"lists": 0, "scattering lists": 1, "RegionConstants": 0, "solves": 0}
     assert len(chained) > 30
+    # each energy once, along the one walk, each resonance among them
     assert len(set(chained)) == len(chained)
-    assert len({slabs for slabs, _ in chained}) == 1
+    assert len({slabs for slabs, _, _ in chained}) == 1
+    assert set(res.energies) <= {e for _, e, _ in chained}
 
 
 # The symmetric stack of the benchmark's cli_cold workload, and its
@@ -605,6 +621,30 @@ CLI_SYMMETRIC_RESONANCES = [1.0842076670347653, 4.129274113236176, 7.63866343100
 
 def _stack(segments, left=0.0, right=0.0):
     return PiecewisePotential(left, tuple(PotentialSegment(*s) for s in segments), right)
+
+
+# An asymmetric double barrier: its transmission peak near 2.7012483 is
+# not full (min |r| is about 7.9e-7), and the root of Re r beside it
+# also has |r| below RESONANCE_TOL.
+NEAR_MISS = [(0.0, 0.5, 5.0), (0.5, 2.5, 0.0), (2.5, 3.0, 5.0 + 3.6e-6)]
+
+
+def test_resonance_without_a_zero_of_r_is_the_least_r():
+    # r has no zero there, so the bounded minimiser runs, and its answer,
+    # nearer the minimum of |r| than the component root, is reported
+    pot = _stack(NEAR_MISS)
+    res = find_resonances(pot, 0.2, 4.0)
+    e, r = res.energies[-1], res.residuals[-1]
+    entry = _Entry(pot, Side.LEFT, IntegrationConfig(), ModelParams())
+
+    def refl(x):
+        return _reflection(*entry(x))
+
+    root = brentq(lambda x: refl(x).real, e - 1e-4, e + 1e-4, xtol=1e-14, rtol=8.9e-16)
+    assert abs(refl(root)) < RESONANCE_TOL
+    assert abs(root - e) > 1e-9
+    assert r == abs(refl(e)) < abs(refl(root))
+    assert abs(e - 2.701248285765464) < 1e-12
 
 
 def test_resonances_are_the_zeros_of_r_on_a_symmetric_stack():
@@ -760,6 +800,31 @@ def test_double_well_spectrum_is_complete():
     assert res.energies[0] == res.energies[1]
 
 
+# Three depth-300 wells 0.8 apart: the states come in triplets within
+# 1e-9 of each other.
+TRIPLE_WELL = [(0.0, 2.0, -300.0), (2.0, 2.8, 0.0), (2.8, 4.8, -300.0), (4.8, 5.6, 0.0), (5.6, 7.6, -300.0)]
+
+
+def test_triple_well_spectrum_is_complete_or_raises():
+    # a probe in a barrier gives every state.  With the default probe, in
+    # the middle well, N(E) is not monotone within 1e-9 of a triplet
+    # (3 at -298.86123822575314, 2 at -298.8612382256633), and the search
+    # finds more roots than states (54 of 48): it must raise, or give the
+    # same spectrum, and never return another one
+    pot = _stack(TRIPLE_WELL)
+    res = find_bound_states(pot, probe_x=2.4)
+    want = _sturm_levels(pot)
+    assert len(res.energies) == len(want) == _sturm_count(pot, 0.0) == 48
+    np.testing.assert_allclose(res.energies, want, rtol=0, atol=5e-7)
+    assert res.energies == sorted(res.energies)
+    try:
+        default = find_bound_states(pot)
+    except BracketingExhaustedError:
+        return
+    assert len(default.energies) == 48
+    np.testing.assert_allclose(default.energies, res.energies, rtol=0, atol=1e-12 * 300.0)
+
+
 def _unequal_leads(random_stack_instances):
     rng = np.random.default_rng(20261018)
     for pot, _ in random_stack_instances:
@@ -787,6 +852,21 @@ def test_count_matches_sturm_count_off_the_ceiling(random_stack_instances):
                 assert ends.count(e) == _sturm_count(pot, e), (pot, frac, e)
                 checked += 1
     assert checked > 1000
+
+
+def test_count_keeps_the_ends_a_call_walks(random_stack_instances):
+    # W at an energy the node count walked takes the count's ends: they
+    # are bitwise a fresh walk's, with one anchor rule for both, at the
+    # ceiling (threshold anchor) and below it
+    cfg, params = IntegrationConfig(), ModelParams()
+    for pot in _unequal_leads(random_stack_instances):
+        floor, ceil = min(s.u for s in pot.segments), min(pot.left_level, pot.right_level)
+        probe = pot.a + 0.382 * (pot.b - pot.a)
+        for e in (ceil, math.nextafter(ceil, -math.inf), 0.5 * (floor + ceil)):
+            counted, fresh = _Ends(pot, probe, cfg, params), _Ends(pot, probe, cfg, params)
+            counted.count(e)
+            assert e in counted.walked and not fresh.walked
+            assert repr(counted(e)) == repr(fresh(e))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -843,4 +923,4 @@ def test_state_count_matches_square_well_oracle(random_wells, numeric):
         want = square_well_state_count(depth, width)
         for frac in (0.07, 0.5, 0.81):
             ends = _Ends(well(depth, width), frac * width, cfg, params)
-            assert ends.state_count() == want, (depth, width, frac)
+            assert ends.count(min(ends.levels)) == want, (depth, width, frac)
