@@ -35,11 +35,10 @@ from .errors import (
     EmptyWindowError,
     EvanescentIncidenceError,
     GapBetweenSegmentsError,
+    InsufficientSamplesError,
     NonFiniteInputError,
     NonFiniteStateError,
-    NonPositiveRealPartError,
     OverlappingSegmentsError,
-    PoleAtXError,
     PotentialInputError,
     QuadratureDivergenceError,
     QwimError,
@@ -61,19 +60,14 @@ from .analytic import (
     BarrierAmplitudes,
     RegionConstants,
     barrier_closed_forms,
-    impedance_at,
     layer_transform,
-    phase_from_impedance,
     propagate_impedance,
     psi_growth_factor,
     region_constants,
-    step_reflection,
 )
 from .scattering import (
     EnergyPointError,
     ScatteringResult,
-    constant_current_diagnostic,
-    current_profile,
     energy_sweep,
     solve_scattering,
 )
@@ -132,15 +126,14 @@ __all__ = [
     "EvanescentIncidenceError",
     "GapBetweenSegmentsError",
     "ImpedanceTrajectory",
+    "InsufficientSamplesError",
     "IntegrationConfig",
     "ModelParams",
     "NonFiniteInputError",
     "NonFiniteStateError",
-    "NonPositiveRealPartError",
     "Normalization",
     "OverlappingSegmentsError",
     "PiecewisePotential",
-    "PoleAtXError",
     "Potential",
     "PotentialInputError",
     "PotentialSegment",
@@ -160,18 +153,14 @@ __all__ = [
     "TransformPoleError",
     "WavefunctionProfile",
     "barrier_closed_forms",
-    "constant_current_diagnostic",
-    "current_profile",
     "energy_sweep",
     "find_bound_states",
     "find_resonances",
-    "impedance_at",
     "impedance_mismatch",
     "integrate_impedance",
     "layer_transform",
     "load_spec",
     "parse_spec",
-    "phase_from_impedance",
     "propagate_impedance",
     "psi_growth_factor",
     "reconstruct_wavefunction",
@@ -181,7 +170,6 @@ __all__ = [
     "solve_scattering",
     "square_well_eigenvalues",
     "square_well_state_count",
-    "step_reflection",
     "transfer_matrix_solve",
     "z_minus",
     "z_plus",

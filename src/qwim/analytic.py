@@ -67,19 +67,12 @@ from .errors import (
     DegenerateEnergyError,
     EvanescentIncidenceError,
     NonFiniteStateError,
-    PoleAtXError,
     TransformPoleError,
 )
 from .model import ModelParams, Potential, SampledPotential, require_finite
 
 # E is degenerate with U when |E - U| <= EPS_DEGENERATE * max(|E|, |U|).
 EPS_DEGENERATE = 1e-12
-# Pole guard for closed-form tanh evaluation.
-EPS_POLE = 1e-10
-# Algebraic identities (composition, closed-form agreement) hold to this.
-TOL_ALG = 1e-10
-# Flux bookkeeping (R + T = 1 and friends) holds to this.
-TOL_FLUX = 1e-10
 
 # |Re(gamma * length)| above which cosh/sinh forms are traded for tanh
 # forms; keeps thick evanescent slabs overflow-free.
@@ -117,35 +110,6 @@ class RegionConstants:
         return -self.gamma.real
 
 
-@dataclass(frozen=True)
-class PhaseConstant:
-    """Integration constant phi of Z = z tanh(gamma x + phi).
-
-    ``sign`` 0 marks a finite value; +1 / -1 mark phi = +inf / -inf, the
-    saturated pure-traveling-wave solutions Z = +z (pure transmission
-    toward +x) and Z = -z.
-    """
-
-    value: complex = 0j
-    sign: int = 0
-
-    @classmethod
-    def finite(cls, value: complex) -> "PhaseConstant":
-        return cls(complex(value), 0)
-
-    @classmethod
-    def plus_inf(cls) -> "PhaseConstant":
-        return cls(0j, +1)
-
-    @classmethod
-    def minus_inf(cls) -> "PhaseConstant":
-        return cls(0j, -1)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.sign != 0
-
-
 def _constants(e: float, u: float, params: ModelParams) -> tuple[complex, complex]:
     """(z, gamma) of a level u at energy e, with ``region_constants``'
     checks: DegenerateEnergyError where e and u coincide to relative
@@ -175,43 +139,6 @@ def region_constants(e: float, u: float, params: ModelParams = ModelParams()) ->
     """
     z, gamma = _constants(e, u, params)
     return RegionConstants(z=z, gamma=gamma, e=e, u=u, params=params)
-
-
-def _pole_distance(theta: complex) -> float:
-    """Distance from theta to the nearest pole of tanh (i pi/2 + i pi n)."""
-    im = (theta.imag - 0.5 * math.pi) % math.pi
-    return math.hypot(theta.real, min(im, math.pi - im))
-
-
-def impedance_at(rc: RegionConstants, phi: PhaseConstant, x: float) -> complex:
-    """Evaluate Z(x) = z tanh(gamma x + phi) for one constant region.
-
-    The infinite-phi markers return the saturated values +z / -z exactly.
-    """
-    if phi.is_infinite:
-        return rc.z if phi.sign > 0 else -rc.z
-    theta = rc.gamma * x + phi.value
-    if _pole_distance(theta) < EPS_POLE * max(1.0, abs(theta)):
-        raise PoleAtXError(f"impedance pole at x={x} (theta={theta})")
-    return rc.z * cmath.tanh(theta)
-
-
-def phase_from_impedance(rc: RegionConstants, x: float, z_val: complex) -> PhaseConstant:
-    """Invert Z(x) = z tanh(gamma x + phi) for phi.
-
-    The matched values z_val == +z / -z map to the +inf / -inf markers.
-    The imaginary part of a finite phi is reduced to the principal strip
-    (-pi/2, pi/2] (tanh is i-pi periodic).
-    """
-    if z_val == rc.z:
-        return PhaseConstant.plus_inf()
-    if z_val == -rc.z:
-        return PhaseConstant.minus_inf()
-    phi = cmath.atanh(z_val / rc.z) - rc.gamma * x
-    shift = math.ceil((phi.imag - 0.5 * math.pi) / math.pi)
-    if shift:
-        phi = complex(phi.real, phi.imag - shift * math.pi)
-    return PhaseConstant.finite(phi)
 
 
 def _slab(z: complex, gamma: complex, z_at: complex, dx: float) -> tuple[complex, complex, complex]:
@@ -344,50 +271,55 @@ def _chain(
     else:
         sqrt, cosh, sinh, isfinite = math.sqrt, cmath.cosh, cmath.sinh, cmath.isfinite
         eps_e = EPS_DEGENERATE * abs(e)
-        for u, dx in slabs:
-            if den == 0:
-                _divide(num, den)  # raises
-            z_at, r = num / den, r / den
-            de = e - u
-            # |de| <= EPS_DEGENERATE * max(|e|, |u|), split in two: the
-            # product rounds monotonically
-            if abs(de) <= eps_e or abs(de) <= EPS_DEGENERATE * abs(u):
-                num, den = z_at, 1.0 + z_at * (i_m * dx)
-                if count:
-                    nodes += den.real <= 0.0
-                continue
-            if de > 0.0:
-                z = complex(sqrt(2.0 * de / m), 0.0)
-            else:
-                z = complex(0.0, sqrt(-2.0 * de / m))
-            gamma = i_m * z
-            # gamma is finite only where z is
-            if not isfinite(gamma):
-                _constants(e, u, params)  # raises
-            g = gamma * dx
-            if abs(g.real) > _SATURATION_CUT:
-                th = 1.0 if g.real > 0 else -1.0
-                # _slab's saturated form: all three times 2 exp(-th g)
-                c1, c2 = 1.0, th
-                r *= 2.0 * z * cmath.exp(-th * g)
-            else:
-                c1, c2 = cosh(g), sinh(g)
-                r *= z
-            num, den = z * (z_at * c1 + z * c2), z * c1 + z_at * c2
-            if not count:
-                continue
-            if de > 0.0:
-                k = gamma.imag
-                # psi'/psi in the direction of the walk
-                slope = (i_m * z_at).real if dx > 0.0 else -(i_m * z_at).real
-                if slope < 0.0:
-                    # theta0 = pi - atan2(k, -slope), which would round to
-                    # pi for k << |slope| and count a node psi never reaches
-                    nodes += 1 + math.floor((k * abs(dx) - math.atan2(k, -slope)) / math.pi)
+        # an infinite phase k dx (a vast slab, a tiny hbar) raises
+        # ValueError in cmath.cosh / sinh; the try costs nothing otherwise
+        try:
+            for u, dx in slabs:
+                if den == 0:
+                    _divide(num, den)  # raises
+                z_at, r = num / den, r / den
+                de = e - u
+                # |de| <= EPS_DEGENERATE * max(|e|, |u|), split in two: the
+                # product rounds monotonically
+                if abs(de) <= eps_e or abs(de) <= EPS_DEGENERATE * abs(u):
+                    num, den = z_at, 1.0 + z_at * (i_m * dx)
+                    if count:
+                        nodes += den.real <= 0.0
+                    continue
+                if de > 0.0:
+                    z = complex(sqrt(2.0 * de / m), 0.0)
                 else:
-                    nodes += math.floor((math.atan2(k, slope) + k * abs(dx)) / math.pi)
-            else:
-                nodes += (den / z).real <= 0.0
+                    z = complex(0.0, sqrt(-2.0 * de / m))
+                gamma = i_m * z
+                # gamma is finite only where z is
+                if not isfinite(gamma):
+                    _constants(e, u, params)  # raises
+                g = gamma * dx
+                if abs(g.real) > _SATURATION_CUT:
+                    th = 1.0 if g.real > 0 else -1.0
+                    # _slab's saturated form: all three times 2 exp(-th g)
+                    c1, c2 = 1.0, th
+                    r *= 2.0 * z * cmath.exp(-th * g)
+                else:
+                    c1, c2 = cosh(g), sinh(g)
+                    r *= z
+                num, den = z * (z_at * c1 + z * c2), z * c1 + z_at * c2
+                if not count:
+                    continue
+                if de > 0.0:
+                    k = gamma.imag
+                    # psi'/psi in the direction of the walk
+                    slope = (i_m * z_at).real if dx > 0.0 else -(i_m * z_at).real
+                    if slope < 0.0:
+                        # theta0 = pi - atan2(k, -slope), which would round to
+                        # pi for k << |slope| and count a node psi never reaches
+                        nodes += 1 + math.floor((k * abs(dx) - math.atan2(k, -slope)) / math.pi)
+                    else:
+                        nodes += math.floor((math.atan2(k, slope) + k * abs(dx)) / math.pi)
+                else:
+                    nodes += (den / z).real <= 0.0
+        except ValueError:
+            raise NonFiniteStateError(f"slab phase overflows at energy {e}") from None
     if not (cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(r)):
         raise NonFiniteStateError(f"layer chain overflows at energy {e}")
     return (num, den, r, nodes) if count else (num, den, r)
@@ -455,30 +387,6 @@ def _psi_growth_entry(rc: RegionConstants, z_entry: complex, length: float) -> c
             return 0.5 * (1.0 - sgn * z_entry / rc.z) * cmath.exp(-sgn * g)
         return 0.5 * cmath.exp(sgn * g + cmath.log(grow))
     return cmath.cosh(g) + (z_entry / rc.z) * cmath.sinh(g)
-
-
-def step_reflection(
-    e: float,
-    u1: float,
-    u2: float,
-    x0: float = 0.0,
-    params: ModelParams = ModelParams(),
-) -> complex:
-    """Reflection amplitude of a sharp step U1 -> U2 at x0, left incidence.
-
-        r = exp(2 i k1 x0) (1 - z2/z1) / (1 + z2/z1)
-
-    Requires a propagating left lead (e > u1).  For u1 < e < u2 the
-    amplitude is unimodular (total reflection off the evanescent side);
-    matched leads z1 = z2 give r = 0.
-    """
-    if e < u1:
-        raise EvanescentIncidenceError(f"energy {e} below incidence lead {u1}")
-    rc1 = region_constants(e, u1, params)
-    rc2 = region_constants(e, u2, params)
-    k1 = rc1.gamma.imag
-    ratio = rc2.z / rc1.z
-    return cmath.exp(2j * k1 * x0) * (1.0 - ratio) / (1.0 + ratio)
 
 
 @dataclass(frozen=True)

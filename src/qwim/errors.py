@@ -57,10 +57,6 @@ class DegenerateEnergyError(SolverError):
     A slab of a layer chain takes the linear limit instead."""
 
 
-class PoleAtXError(SolverError):
-    """Closed-form impedance evaluated at (or too near) a tanh pole."""
-
-
 class TransformPoleError(SolverError):
     """Layer transform denominator vanished (wavefunction node at the
     requested interface)."""
@@ -77,11 +73,6 @@ class StepSizeUnderflowError(SolverError):
 class NonFiniteStateError(SolverError):
     """A solver's state (Riccati integration state, transfer-matrix
     entries) left the finite complex plane."""
-
-
-class NonPositiveRealPartError(SolverError):
-    """Current diagnostic undefined: Re Z <= 0 somewhere on the trajectory
-    (full-reflection or bound regime carries no net current)."""
 
 
 class EmptyWindowError(SolverError):

@@ -22,15 +22,14 @@ the stages.
 Optionally the running integral S(x) = int Z dx' from the anchor rides
 along as a second scalar under the same error control.  Its slope at
 each stage is the stage's Z (W's reciprocal in W mode), so it costs no
-extra RHS call.  It feeds the wavefunction phase exp[(i m / hbar) S] and
-the constant-current diagnostic; trajectories expected to cross true
-poles should leave it off, since S has a logarithmic singularity there.
+extra RHS call.  It feeds the wavefunction phase exp[(i m / hbar) S];
+trajectories expected to cross true poles should leave it off, since S
+has a logarithmic singularity there.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +62,6 @@ class ImpedanceTrajectory:
     potential: Potential
     params: ModelParams
     z_integral: np.ndarray | None = None
-
-    def z_at_end(self, x: float) -> complex:
-        """Impedance at one of the two endpoints of the trajectory."""
-        if math.isclose(x, self.xs[0], rel_tol=0.0, abs_tol=1e-9 * (1 + abs(x))):
-            return complex(self.zs[0])
-        if math.isclose(x, self.xs[-1], rel_tol=0.0, abs_tol=1e-9 * (1 + abs(x))):
-            return complex(self.zs[-1])
-        raise ValueError(f"x={x} is not a trajectory endpoint")
 
 
 def integrate_impedance(

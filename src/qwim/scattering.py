@@ -42,7 +42,6 @@ from .analytic import _chain, _mirrored_steps, _steps, region_constants
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
-    NonPositiveRealPartError,
     SolverError,
 )
 from .model import IntegrationConfig, ModelParams, Potential, Side, require_finite
@@ -156,17 +155,20 @@ def _solve(
     # share one division, so a psi-node at a leaves both finite
     inv = 1.0 / (z1 * den + num)
     r = (z1 * den - num) * inv
-    psi_b = 2.0 * z1 * ratio * inv * cmath.exp(1j * k1 * a)
     big_r = abs(r) ** 2
-    if far_propagating:
-        k2 = rc2.gamma.imag
-        t = psi_b * cmath.exp(-1j * k2 * b)
-        big_t = (rc2.z.real / z1.real) * abs(t) ** 2
-        evan = False
-    else:
-        t = psi_b  # tail amplitude at b: psi(x >= b) = t exp(-kappa2 (x - b))
-        big_t = 0.0
-        evan = True
+    try:
+        psi_b = 2.0 * z1 * ratio * inv * cmath.exp(1j * k1 * a)
+        if far_propagating:
+            k2 = rc2.gamma.imag
+            t = psi_b * cmath.exp(-1j * k2 * b)
+            big_t = (rc2.z.real / z1.real) * abs(t) ** 2
+            evan = False
+        else:
+            t = psi_b  # tail amplitude at b: psi(x >= b) = t exp(-kappa2 (x - b))
+            big_t = 0.0
+            evan = True
+    except ValueError:  # cmath.exp of an infinite lead phase k x
+        raise NonFiniteStateError(f"lead phase overflows at energy {e}") from None
     z_entry = num / den
     if not all(map(cmath.isfinite, (r, t, big_r, big_t, z_entry))):
         raise NonFiniteStateError(f"amplitudes are not finite at energy {e}")
@@ -286,43 +288,3 @@ def energy_sweep(
             out[i] = EnergyPointError(e=e_i, code=exc.code, message=str(exc))
     return out
 
-
-def constant_current_diagnostic(
-    traj: ImpedanceTrajectory, z_lead: float
-) -> float:
-    """Max deviation of ln(Re Z / z_lead) + (2m/hbar) Im S from constant.
-
-    Along any genuine scattering solution the probability current
-    j = |psi|^2 Re Z is position-independent, which in impedance terms
-    reads ln(Re Z / z0) = (2m/hbar) int Im Z dx + const.  Returns the
-    maximum absolute deviation from the best constant.  Requires a
-    trajectory with the running integral tracked; raises
-    NonPositiveRealPartError in the no-current (full-reflection or
-    bound) regime where Re Z <= 0 somewhere.
-    """
-    import numpy as np
-
-    if traj.z_integral is None:
-        raise ValueError("trajectory lacks the running integral; "
-                         "integrate with track_integral=True")
-    re_z = traj.zs.real
-    if np.any(re_z <= 0.0):
-        raise NonPositiveRealPartError("Re Z <= 0 on the trajectory; "
-                                       "no net current to conserve")
-    m_over_h = traj.params.mass / traj.params.hbar
-    g = np.log(re_z / z_lead) - 2.0 * m_over_h * traj.z_integral.imag
-    return float(np.max(np.abs(g - np.mean(g))))
-
-
-def current_profile(traj: ImpedanceTrajectory, psi_anchor: complex) -> np.ndarray:
-    """Probability current j(x) = |psi|^2 Re Z along a tracked trajectory.
-
-    ``psi_anchor`` is the wavefunction value at the trajectory anchor.
-    """
-    import numpy as np
-
-    if traj.z_integral is None:
-        raise ValueError("trajectory lacks the running integral")
-    m_over_h = traj.params.mass / traj.params.hbar
-    amp2 = abs(psi_anchor) ** 2 * np.exp(-2.0 * m_over_h * traj.z_integral.imag)
-    return amp2 * traj.zs.real

@@ -78,8 +78,12 @@ RESONANCE_TOL = 1e-6
 # |W| at a refined bound-state root, relative to the larger |W| at the
 # ends of its bracket, must not exceed this.
 ROOT_TOL = 1e-10
-# Default number of scan-grid points across a resonance search window.
+# Number of scan-grid points across a resonance search window.
 SCAN_POINTS = 400
+# States one bound search may return at most (at about 0.1 ms a state on
+# a 2-core x86-64 host, two minutes); a node count past it counts as an
+# overflow.
+MAX_STATES = 1 << 20
 
 
 class SpectrumKind(Enum):
@@ -401,7 +405,8 @@ def find_bound_states(
     its upper end k times.
     Residuals are |W| at each energy reported.  A bracket that yields no
     root raises BracketingExhaustedError with every energy the search
-    evaluated and W there.
+    evaluated and W there; a node count above MAX_STATES raises
+    NonFiniteStateError before any bracket is searched.
     """
     if probe_x is not None:
         require_finite("probe", probe_x)
@@ -434,6 +439,11 @@ def find_bound_states(
         return w
 
     expected = ends.count(ceil)
+    if expected > MAX_STATES:
+        raise NonFiniteStateError(
+            f"the node count gives {expected:.3g} bound states below {ceil}, "
+            f"more than {MAX_STATES}"
+        )
     roots: list[float] = []
     for lo, hi, n_lo, n_hi in _isolate(ends.count, floor, ceil, 0, expected):
         if n_hi - n_lo > 1:
@@ -480,35 +490,32 @@ def find_resonances(
     side: Side = Side.LEFT,
     cfg: IntegrationConfig = IntegrationConfig(),
     params: ModelParams = ModelParams(),
-    scan_points: int = SCAN_POINTS,
 ) -> SpectrumResult:
     """Full-transmission energies inside (e_min, e_max], for incidence
     from ``side``: the zeros of r.
 
-    Scans |r(E)| (one array pass per slab or sub-slab of the walk from
-    the far lead to the entry edge) and refines each strict local
-    minimum by Brent's root finder on each component of r that changes
-    sign across its bracket, one scalar r per iterate along the same
-    walk, each energy evaluated once.  Where both components' roots
-    agree to the minimiser's xatol with |r| below RESONANCE_TOL, they
-    are a zero of r, and the least |r| of them is the answer.  Otherwise
-    Brent's bounded minimization of |r|^2 runs too, and the least |r| of
-    its answer and the roots is taken, its answer on a tie; where
-    neither component changes sign across the bracket, windows about
-    its answer are tried for one (``_windows``).  An energy where r
-    cannot be evaluated counts as |r| = inf to the minimiser and drops
-    that component's root.  Accepts energies where |r| < RESONANCE_TOL,
-    and reports |r| as the residual: R = |r|^2 comes from the same walk.
-    A window with R < 1e-12 at every scan point (no structure at all) is
-    flagged transparent and returns no discrete energies.  ``probe_x`` of
-    the result is the entry edge.  ``scan_points`` below 3 raises
-    ValueError: no strict minimum fits on fewer points.
+    Scans |r(E)| at SCAN_POINTS energies (one array pass per slab or
+    sub-slab of the walk from the far lead to the entry edge) and
+    refines each strict local minimum by Brent's root finder on each
+    component of r that changes sign across its bracket, one scalar r
+    per iterate along the same walk, each energy evaluated once.  Where
+    both components' roots agree to the minimiser's xatol with |r|
+    below RESONANCE_TOL, they are a zero of r, and the least |r| of them
+    is the answer.  Otherwise Brent's bounded minimization of |r|^2 runs
+    too, and the least |r| of its answer and the roots is taken, its
+    answer on a tie; where neither component changes sign across the
+    bracket, windows about its answer are tried for one (``_windows``).
+    An energy where r cannot be evaluated counts as |r| = inf to the
+    minimiser and drops that component's root; where r has a value at
+    no scan energy, the walk's error at the first one is raised.
+    Accepts energies where |r| < RESONANCE_TOL, and reports |r| as the
+    residual: R = |r|^2 comes from the same walk.  A window with R < 1e-12 at every scan
+    point (no structure at all) is flagged transparent and returns no
+    discrete energies.  ``probe_x`` of the result is the entry edge.
     """
     require_finite("window bounds", e_min, e_max)
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
-    if scan_points < 3:
-        raise ValueError(f"scan_points must be at least 3, got {scan_points}")
     u_in = _frame(pot, side)[0]
     if e_min <= u_in:
         raise EvanescentIncidenceError(
@@ -553,8 +560,12 @@ def find_resonances(
 
     import numpy as np
 
-    grid = np.linspace(e_min, e_max, scan_points + 1)[1:].tolist()
+    grid = np.linspace(e_min, e_max, SCAN_POINTS + 1)[1:].tolist()
     scan = [(e, abs(r)) for e, r in zip(grid, _scan(entry, grid, _reflection)) if r is not None]
+    if not scan:
+        # r has a value nowhere in the window: the scalar walk at one
+        # energy raises the SolverError that dropped every scan point
+        entry(grid[0])
     if len(scan) == len(grid) and all(r ** 2 < 1e-12 for _, r in scan):
         return SpectrumResult(
             kind=SpectrumKind.RESONANCE,

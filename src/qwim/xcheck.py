@@ -90,7 +90,12 @@ def _junction(k_from: complex, k_to: complex) -> TransferMatrix:
 
 
 def _propagation(k: complex, length: float) -> TransferMatrix:
-    ph = cmath.exp(1j * k * length)
+    try:
+        ph = cmath.exp(1j * k * length)
+    except ValueError:  # an infinite phase k l
+        raise NonFiniteStateError(
+            f"phase overflows across a slab of length {length}"
+        ) from None
     # across a thick evanescent slab exp(-kappa l) underflows and the
     # growing entry 1/ph has no float value
     inv = 1.0 / ph if ph else math.inf
@@ -180,19 +185,22 @@ def transfer_matrix_solve(
     k2 = _wavevector(e, pot.right_level, params)
     m = transfer_matrix(pot, e, params)
 
-    a0 = cmath.exp(1j * k1 * pot.a)  # unit incident plane wave e^{i k1 x}
-    b0 = -(m.m21 / m.m22) * a0
-    a_end = (k1 / k2) / m.m22 * a0  # det(M)/M22, det telescoped exactly
-    r_local = b0 / a0
-    big_r = abs(r_local) ** 2
-    if k2.imag == 0.0:
-        t = a_end * cmath.exp(-1j * k2 * pot.b)
-        big_t = (k2.real / k1.real) * abs(t) ** 2
-        evan = False
-    else:
-        t = a_end  # psi(b): evanescent tail amplitude
-        big_t = 0.0
-        evan = True
+    try:
+        a0 = cmath.exp(1j * k1 * pot.a)  # unit incident plane wave e^{i k1 x}
+        b0 = -(m.m21 / m.m22) * a0
+        a_end = (k1 / k2) / m.m22 * a0  # det(M)/M22, det telescoped exactly
+        r_local = b0 / a0
+        big_r = abs(r_local) ** 2
+        if k2.imag == 0.0:
+            t = a_end * cmath.exp(-1j * k2 * pot.b)
+            big_t = (k2.real / k1.real) * abs(t) ** 2
+            evan = False
+        else:
+            t = a_end  # psi(b): evanescent tail amplitude
+            big_t = 0.0
+            evan = True
+    except ValueError:  # cmath.exp of an infinite lead phase k x
+        raise NonFiniteStateError(f"lead phase overflows at energy {e}") from None
     return TransferResult(
         e=e, side=Side.LEFT, r=r_local, t=t,
         big_r=big_r, big_t=big_t, evanescent_tail=evan,
@@ -258,37 +266,6 @@ def square_well_state_count(depth: float, width: float,
     """Number of bound states, counted from the transcendental branches."""
     theta0 = _square_well_theta0(depth, width, params)
     return int(math.floor(2.0 * theta0 / math.pi)) + 1
-
-
-def square_well_eigenfunction(
-    e: float, depth: float, width: float, xs, params: ModelParams = ModelParams()
-) -> np.ndarray:
-    """Analytic eigenfunction of the square well on [0, width] at energy e.
-
-    Even/odd character is inferred from the interior phase; normalized to
-    unit maximum.  Used only as a comparison oracle.
-    """
-    hbar, m = params.hbar, params.mass
-    k = math.sqrt(2.0 * m * (e + depth)) / hbar
-    kap = math.sqrt(-2.0 * m * e) / hbar
-    c = 0.5 * width
-    even = abs(math.cos(k * c) * kap - k * math.sin(k * c)) < abs(
-        math.sin(k * c) * kap + k * math.cos(k * c)
-    )
-    xs = np.asarray(xs, dtype=float)
-    xi = xs - c  # center the well
-    inside = np.abs(xi) <= c
-    psi = np.empty_like(xi)
-    if even:
-        psi[inside] = np.cos(k * xi[inside])
-        tail_sign = np.ones(np.count_nonzero(~inside))
-        edge = math.cos(k * c)
-    else:
-        psi[inside] = np.sin(k * xi[inside])
-        tail_sign = np.sign(xi[~inside])
-        edge = math.sin(k * c)
-    psi[~inside] = tail_sign * edge * np.exp(-kap * (np.abs(xi[~inside]) - c))
-    return psi / np.max(np.abs(psi))
 
 
 class Normalization(Enum):

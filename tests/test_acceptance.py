@@ -17,7 +17,7 @@ import pytest
 from qwim.analytic import layer_transform, region_constants
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, Side
 from qwim.riccati import IntegrationConfig, right_anchor, z_minus
-from qwim.scattering import constant_current_diagnostic, solve_scattering
+from qwim.scattering import solve_scattering
 from qwim.spectral import find_bound_states, find_resonances, impedance_mismatch
 from qwim.xcheck import (
     WavefunctionProfile,
@@ -26,6 +26,8 @@ from qwim.xcheck import (
     square_well_eigenvalues,
     transfer_matrix_solve,
 )
+
+from oracles import constant_current_diagnostic
 
 TIGHT = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
 

@@ -33,12 +33,12 @@ WELL_DOC = {
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "qwim", *args],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -243,6 +243,30 @@ def test_bound_without_well_fails_cleanly(tmp_path):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "params, x_end, argv",
+    [
+        # k dx of the slab has no float value: a bare ValueError, exit 2
+        ({"hbar": 1e-300, "mass": 1.0}, 1e10, ["bound"]),
+        ({"hbar": 1e-300, "mass": 1.0}, 1e10, ["scatter", "--energy", "1.0"]),
+        ({"hbar": 1e-300, "mass": 1.0}, 1e10, ["validate", "--energy", "1.0"]),
+        ({"hbar": 1e-300, "mass": 1.0}, 1e10, ["resonances", "--emin", "1", "--emax", "2"]),
+        # N(ceiling) = 2.0e150: the bisection ran until killed
+        ({"hbar": 1.0, "mass": 1e300}, 2.0, ["bound"]),
+    ],
+    ids=["bound-phase", "scatter-phase", "validate-phase", "resonances-phase", "bound-count"],
+)
+def test_overflowing_well_is_solver_error(tmp_path, params, x_end, argv):
+    doc = json.loads(json.dumps(WELL_DOC))
+    doc["params"] = params
+    doc["potential"]["segments"][0]["x_end"] = x_end
+    spec = write_spec(tmp_path, doc)
+    proc = run_cli(*argv, "--spec", spec, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error\tNonFiniteState\t")
+
+
 def test_resonances_barrier_comb(tmp_path):
     spec = write_spec(tmp_path, BARRIER_DOC)
     proc = run_cli("resonances", "--spec", spec, "--emin", "1.0", "--emax", "13.0")
@@ -326,6 +350,19 @@ def test_validate_at_a_slab_level():
     assert [(r[0], r[-1]) for r in rows] == [
         ("delta_R", "ok"), ("delta_T", "ok"), ("residual", "ok")
     ]
+
+
+def test_validate_bare_step_checks_the_deltas(tmp_path):
+    # a step has no interior to rebuild psi on; scatter solves it, and
+    # validate stopped with 'anchor and target coincide', exit 2
+    doc = {"potential": {"kind": "piecewise", "left_level": 0.0, "right_level": 1.0,
+                         "segments": [], "step_x": 0.5}}
+    spec = write_spec(tmp_path, doc)
+    proc = run_cli("validate", "--spec", spec, "--energy", "2.0")
+    assert proc.returncode == 0, proc.stderr
+    header, rows = rows_of(proc.stdout)
+    assert header == ["check", "value", "tolerance", "status"]
+    assert [(r[0], r[-1]) for r in rows] == [("delta_R", "ok"), ("delta_T", "ok")]
 
 
 def test_validate_thick_barrier_is_solver_error(tmp_path):

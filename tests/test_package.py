@@ -1,11 +1,15 @@
 """The package namespace: what ``import qwim`` loads and exports."""
 
+import ast
+import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import qwim
+import qwim.errors
 import qwim.riccati
 
 
@@ -56,3 +60,22 @@ def test_every_exported_name_resolves_and_is_listed():
 def test_integration_config_has_one_class():
     assert qwim.riccati.IntegrationConfig is qwim.IntegrationConfig
     assert qwim.model.IntegrationConfig is qwim.IntegrationConfig
+
+
+def test_every_concrete_error_class_is_raised_and_exported():
+    # a class nothing raises is a reserved name callers cannot meet; one
+    # missing from __all__ cannot be caught by name from the package
+    raised = set()
+    for path in Path(qwim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "attr", None) or getattr(exc, "id", None))
+    bases = {qwim.errors.QwimError, qwim.errors.PotentialInputError, qwim.errors.SolverError}
+    concrete = [
+        name for name, cls in inspect.getmembers(qwim.errors, inspect.isclass)
+        if issubclass(cls, qwim.errors.QwimError) and cls not in bases
+    ]
+    assert concrete
+    assert [name for name in concrete if name not in raised] == []
+    assert [name for name in concrete if name not in qwim.__all__] == []

@@ -17,7 +17,6 @@ from qwim.errors import (
     EvanescentIncidenceError,
     NonFiniteInputError,
     NonFiniteStateError,
-    NonPositiveRealPartError,
     SolverError,
 )
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential, Side
@@ -25,12 +24,12 @@ from qwim.riccati import IntegrationConfig, z_minus
 from qwim.scattering import (
     EnergyPointError,
     ScatteringResult,
-    constant_current_diagnostic,
-    current_profile,
     energy_sweep,
     solve_scattering,
 )
 from qwim.xcheck import transfer_matrix_solve
+
+from oracles import NoCurrentError, constant_current_diagnostic, current_profile
 
 
 def barrier(u=1.0, length=2.0):
@@ -483,6 +482,25 @@ def test_overflowing_level_raises_typed():
     assert [r.code for r in out] == ["NonFiniteState", "NonFiniteState"]
 
 
+@pytest.mark.parametrize(
+    "pot, e, params",
+    [
+        # k dx of the slab has no float value: cmath.cosh raised ValueError
+        (PiecewisePotential(0.0, (PotentialSegment(0.0, 1e10, -5.0),), 0.0), 1.0,
+         ModelParams(hbar=1e-300)),
+        # k x of the lead phase at the step has none: cmath.exp raised it
+        (PiecewisePotential(0.0, (), 1.0, step_x=1e308), 100.0, ModelParams()),
+    ],
+    ids=["slab", "lead"],
+)
+@pytest.mark.parametrize("side", list(Side))
+def test_infinite_phase_raises_typed(pot, e, params, side):
+    with pytest.raises(NonFiniteStateError):
+        solve_scattering(pot, e, side, params=params)
+    out = energy_sweep(pot, [e, 2.0 * e], side, params=params)
+    assert [r.code for r in out] == ["NonFiniteState", "NonFiniteState"]
+
+
 @pytest.mark.parametrize("side", list(Side))
 def test_huge_energy_amplitudes_raise_typed(side):
     # on the docs barrier E = 5e307 returned t = nan and T = nan beside
@@ -658,7 +676,7 @@ def test_current_diagnostic_rejects_currentless_run():
     # evanescent far lead: T = 0 exactly, Re Z vanishes at the anchor
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 0.3),), 2.0)
     traj = z_minus(pot, 1.1, cfg=IntegrationConfig(), track_integral=True)
-    with pytest.raises(NonPositiveRealPartError):
+    with pytest.raises(NoCurrentError):
         constant_current_diagnostic(traj, region_constants(1.1, 0.0).z.real)
 
 

@@ -425,7 +425,8 @@ def test_resonance_objective_keeps_an_exact_zero(monkeypatch):
     # scalar ends with Z(a) = z1, so r = 0 exactly
     matched = (1 + 0j, 1.0, 1.0)
     monkeypatch.setattr(_Entry, "__call__", lambda ends, e: (matched, matched))
-    find_resonances(pot, 1.0, 13.0, scan_points=20)
+    monkeypatch.setattr(spectral, "SCAN_POINTS", 20)
+    find_resonances(pot, 1.0, 13.0)
     assert objectives and objectives[0](2.0) == 0.0
 
 
@@ -520,27 +521,34 @@ def test_non_finite_inputs_rejected(call, bad):
 
 
 def test_overflowing_level_raises_typed():
-    # a finite level whose z = sqrt(2 (E - U) / m) overflows
-    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, -1e308),), 0.0)
-    with pytest.raises(NonFiniteStateError):
-        impedance_mismatch(pot, -1.0, 0.5)
-    with pytest.raises(NonFiniteStateError):
-        find_bound_states(pot)
+    # a finite level whose z = sqrt(2 (E - U) / m) overflows, and a slab
+    # whose k dx has no float value (cmath.cosh raised ValueError)
+    for pot, params in [
+        (PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, -1e308),), 0.0), ModelParams()),
+        (PiecewisePotential(0.0, (PotentialSegment(0.0, 1e10, -5.0),), 0.0),
+         ModelParams(hbar=1e-300)),
+    ]:
+        with pytest.raises(NonFiniteStateError):
+            impedance_mismatch(pot, -1.0, 0.5, params=params)
+        with pytest.raises(NonFiniteStateError):
+            find_bound_states(pot, params=params)
+        # r has a value at no scan energy: the search returned an empty
+        # spectrum in place of the error
+        with pytest.raises(NonFiniteStateError):
+            find_resonances(pot, 1.0, 2.0, params=params)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: find_resonances(barrier(), 1.0, 13.0, scan_points=0),
-        lambda: find_resonances(barrier(), 1.0, 13.0, scan_points=1),
-    ],
-    ids=["resonance-zero", "resonance-one"],
-)
-def test_scan_points_below_three_rejected(call):
-    # one or two grid points cannot bracket anything: an empty spectrum
-    # from them would look complete
-    with pytest.raises(ValueError, match="scan_points"):
-        call()
+def test_node_count_past_the_state_bound_raises(monkeypatch):
+    # N(ceiling) = 2.0e150 here: the bisection ran with no bound on its
+    # time or its list of brackets
+    with pytest.raises(NonFiniteStateError, match="2.01e"):
+        find_bound_states(well(), params=ModelParams(mass=1e300))
+    # the bound is inclusive: the three states of the well pass at 3
+    monkeypatch.setattr(spectral, "MAX_STATES", 3)
+    assert len(find_bound_states(well()).energies) == 3
+    monkeypatch.setattr(spectral, "MAX_STATES", 2)
+    with pytest.raises(NonFiniteStateError, match="node count"):
+        find_bound_states(well())
 
 
 def test_search_builds_its_slab_lists_once(monkeypatch):

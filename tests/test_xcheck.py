@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from qwim.analytic import barrier_closed_forms, region_constants, step_reflection
+from qwim.analytic import barrier_closed_forms, region_constants
 from qwim.errors import (
     DegenerateEnergyError,
     InsufficientSamplesError,
     NonFiniteInputError,
+    NonFiniteStateError,
     SolverError,
 )
 from qwim.model import (
@@ -27,12 +28,13 @@ from qwim.xcheck import (
     WavefunctionProfile,
     reconstruct_wavefunction,
     schrodinger_residual,
-    square_well_eigenfunction,
     square_well_eigenvalues,
     square_well_state_count,
     transfer_matrix,
     transfer_matrix_solve,
 )
+
+from oracles import square_well_eigenfunction, step_reflection
 
 TIGHT = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -122,6 +124,17 @@ def test_transfer_solve_thick_barrier_is_solver_error():
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1e4, 1.0),), 0.0)
     with pytest.raises(SolverError):
         transfer_matrix_solve(pot, 0.5)
+
+
+def test_transfer_solve_infinite_phase_is_solver_error():
+    # k l of a slab, and k x of the lead phase at a step, have no float
+    # value: cmath.exp raised a bare ValueError
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1e10, -5.0),), 0.0)
+    with pytest.raises(NonFiniteStateError):
+        transfer_matrix_solve(pot, 1.0, params=ModelParams(hbar=1e-300))
+    step = PiecewisePotential(0.0, (), 1.0, step_x=1e308)
+    with pytest.raises(NonFiniteStateError):
+        transfer_matrix_solve(step, 100.0)
 
 
 def test_transfer_solve_product_overflow_is_solver_error():
