@@ -19,6 +19,14 @@ discontinuity; on each piece U is a constant level or a sampled line,
 looked up once per interval between breakpoints and evaluated inline at
 the stages.
 
+Each stage is evaluated as a' - b' y^2 with the factor i folded into
+the coefficients (a' = i a, b' = i b) where they are set, and each
+tableau weight is scaled by h before it meets its stage, with the zero
+weights left out.  Energy and ends are taken as Python floats and the anchor as
+a Python complex, so every step runs on plain Python scalars whatever
+numeric type the caller passes; a non-finite energy or end raises
+NonFiniteInputError.
+
 Optionally the running integral S(x) = int Z dx' from the anchor rides
 along as a second scalar under the same error control.  Its slope at
 each stage is the stage's Z (W's reciprocal in W mode), so it costs no
@@ -90,6 +98,11 @@ def integrate_impedance(
     are ignored.
     """
     require_finite("energy", e)
+    require_finite("anchor and target", anchor_x, target_x)
+    # plain Python scalars: a numpy scalar would carry numpy's slower
+    # arithmetic into every stage of every step
+    e, anchor_x, target_x = float(e), float(anchor_x), float(target_x)
+    anchor_z = complex(anchor_z)
     if anchor_x == target_x:
         raise ValueError("anchor and target coincide; nothing to integrate")
     span = abs(target_x - anchor_x)
@@ -113,7 +126,7 @@ def integrate_impedance(
     edges.append(target_x)
 
     c_pot = 2.0 / params.hbar
-    c_imp = params.mass / params.hbar
+    i_imp = 1j * (params.mass / params.hbar)
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     threshold = cfg.pole_threshold
     switch_back = 2.0 / threshold  # hysteresis: |Z| <= threshold/2
@@ -124,6 +137,7 @@ def integrate_impedance(
     xs, zs = [anchor_x], [anchor_z]
     ss = [0j] if track else None
     z, s = anchor_z, 0j
+    abs_s = 0.0  # |S|, carried from step to step like |y|
     r1 = r7 = None
     ends = iter(edges)
     x0 = edge = anchor_x
@@ -137,104 +151,121 @@ def integrate_impedance(
             if line:
                 xa, dx, ua, ub = piece
             else:
-                level = c_pot * (e - piece)
+                level = 1j * (c_pot * (e - piece))
         x = x0
         h = sgn * min(max_step, abs(x1 - x0))
         h_floor = 1e-14 * max(1.0, abs(x0), abs(x1))
         in_w = abs(z) >= threshold
         fresh = True
-        # y' = i (a - b y^2) at each stage: y = Z with a = c_pot (E - U),
-        # b = c_imp, or y = W with the two swapped
+        # y' = a - b y^2 at each stage, the factor i folded into a and b:
+        # y = Z with a = i c_pot (E - U), b = i c_imp, or y = W with the
+        # two swapped
         while sgn * (x1 - x) > h_floor:
             if fresh:
                 # restart from (x, Z): the state, its slope and, with the
                 # integral tracked, Z as S's slope
                 fresh = False
                 y = 1.0 / z if in_w else z
+                abs_y = abs(y)
                 if line:
-                    w = (x - xa) / dx
-                    p1 = c_pot * (e - ((1.0 - w) * ua + w * ub))
+                    t = (x - xa) / dx
+                    p1 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
                 else:
                     p1 = level
                 if in_w:
-                    a1 = a2 = a3 = a4 = a5 = a6 = c_imp
+                    a1 = a2 = a3 = a4 = a5 = a6 = i_imp
                     b1 = b2 = b3 = b4 = b5 = b6 = p1
                 else:
                     a1 = a2 = a3 = a4 = a5 = a6 = p1
-                    b1 = b2 = b3 = b4 = b5 = b6 = c_imp
-                k1 = 1j * (a1 - b1 * y * y)
+                    b1 = b2 = b3 = b4 = b5 = b6 = i_imp
+                k1 = a1 - b1 * (y * y)
                 if track:
                     r1 = 1.0 / y if in_w else y
-            h = sgn * min(abs(h), max_step, sgn * (x1 - x))
+            # |h| capped by max_step and by what is left of the piece
+            m = sgn * h
+            if m > max_step:
+                m = max_step
+            rest = sgn * (x1 - x)
+            if m > rest:
+                m = rest
+            h = sgn * m
             if line:
                 # the line at the five distinct stage abscissae
-                w = (x + 0.2 * h - xa) / dx
-                p2 = c_pot * (e - ((1.0 - w) * ua + w * ub))
-                w = (x + 0.3 * h - xa) / dx
-                p3 = c_pot * (e - ((1.0 - w) * ua + w * ub))
-                w = (x + 0.8 * h - xa) / dx
-                p4 = c_pot * (e - ((1.0 - w) * ua + w * ub))
-                w = (x + 8.0 / 9.0 * h - xa) / dx
-                p5 = c_pot * (e - ((1.0 - w) * ua + w * ub))
-                w = (x + h - xa) / dx
-                p6 = c_pot * (e - ((1.0 - w) * ua + w * ub))
+                t = (x + 0.2 * h - xa) / dx
+                p2 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
+                t = (x + 0.3 * h - xa) / dx
+                p3 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
+                t = (x + 0.8 * h - xa) / dx
+                p4 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
+                t = (x + 8.0 / 9.0 * h - xa) / dx
+                p5 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
+                t = (x + h - xa) / dx
+                p6 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
                 if in_w:
                     b2, b3, b4, b5, b6 = p2, p3, p4, p5, p6
                 else:
                     a2, a3, a4, a5, a6 = p2, p3, p4, p5, p6
-            # Dormand-Prince 5(4), the classic ode45 pair; each sum runs
-            # left to right along its tableau row, zero weights included,
-            # so the result is bitwise that of the generic tableau loop.
-            # k7, at x + h, starts the next step (first same as last).
-            y2 = y + h * (0.2 * k1)
-            k2 = 1j * (a2 - b2 * y2 * y2)
-            y3 = y + h * (3.0 / 40.0 * k1 + 9.0 / 40.0 * k2)
-            k3 = 1j * (a3 - b3 * y3 * y3)
-            y4 = y + h * (44.0 / 45.0 * k1 + -56.0 / 15.0 * k2 + 32.0 / 9.0 * k3)
-            k4 = 1j * (a4 - b4 * y4 * y4)
-            y5 = y + h * (
-                19372.0 / 6561.0 * k1 + -25360.0 / 2187.0 * k2
-                + 64448.0 / 6561.0 * k3 + -212.0 / 729.0 * k4
+            # Dormand-Prince 5(4), the classic ode45 pair.  Each sum runs
+            # left to right along its tableau row, every weight scaled by h
+            # before it meets its stage and the two zero weights (on k2 in
+            # the fifth-order and the error row) left out: bitwise the
+            # generic tableau loop evaluated in that order.  k7, at x + h,
+            # starts the next step (first same as last).
+            y2 = y + (h * 0.2) * k1
+            k2 = a2 - b2 * (y2 * y2)
+            y3 = y + ((h * (3.0 / 40.0)) * k1 + (h * (9.0 / 40.0)) * k2)
+            k3 = a3 - b3 * (y3 * y3)
+            y4 = y + (
+                (h * (44.0 / 45.0)) * k1 + (h * (-56.0 / 15.0)) * k2
+                + (h * (32.0 / 9.0)) * k3
             )
-            k5 = 1j * (a5 - b5 * y5 * y5)
-            y6 = y + h * (
-                9017.0 / 3168.0 * k1 + -355.0 / 33.0 * k2 + 46732.0 / 5247.0 * k3
-                + 49.0 / 176.0 * k4 + -5103.0 / 18656.0 * k5
+            k4 = a4 - b4 * (y4 * y4)
+            y5 = y + (
+                (h * (19372.0 / 6561.0)) * k1 + (h * (-25360.0 / 2187.0)) * k2
+                + (h * (64448.0 / 6561.0)) * k3 + (h * (-212.0 / 729.0)) * k4
             )
-            k6 = 1j * (a6 - b6 * y6 * y6)
-            y_new = y + h * (
-                35.0 / 384.0 * k1 + 0.0 * k2 + 500.0 / 1113.0 * k3 + 125.0 / 192.0 * k4
-                + -2187.0 / 6784.0 * k5 + 11.0 / 84.0 * k6
+            k5 = a5 - b5 * (y5 * y5)
+            y6 = y + (
+                (h * (9017.0 / 3168.0)) * k1 + (h * (-355.0 / 33.0)) * k2
+                + (h * (46732.0 / 5247.0)) * k3 + (h * (49.0 / 176.0)) * k4
+                + (h * (-5103.0 / 18656.0)) * k5
             )
-            k7 = 1j * (a6 - b6 * y_new * y_new)
-            err_y = h * (
-                71.0 / 57600.0 * k1 + 0.0 * k2 + -71.0 / 16695.0 * k3 + 71.0 / 1920.0 * k4
-                + -17253.0 / 339200.0 * k5 + 22.0 / 525.0 * k6 + -1.0 / 40.0 * k7
-            )
-            s_new = s
+            k6 = a6 - b6 * (y6 * y6)
+            # the fifth-order weights and the error weights, scaled by h
+            # once for Z and S alike
+            w1, w3, w4 = h * (35.0 / 384.0), h * (500.0 / 1113.0), h * (125.0 / 192.0)
+            w5, w6 = h * (-2187.0 / 6784.0), h * (11.0 / 84.0)
+            v1, v3, v4 = h * (71.0 / 57600.0), h * (-71.0 / 16695.0), h * (71.0 / 1920.0)
+            v5, v6, v7 = h * (-17253.0 / 339200.0), h * (22.0 / 525.0), h * (-1.0 / 40.0)
+            y_new = y + (w1 * k1 + w3 * k3 + w4 * k4 + w5 * k5 + w6 * k6)
+            k7 = a6 - b6 * (y_new * y_new)
+            err_y = v1 * k1 + v3 * k3 + v4 * k4 + v5 * k5 + v6 * k6 + v7 * k7
+            if not isfinite(y_new):
+                raise NonFiniteStateError(f"non-finite state near x={x}")
+            abs_y_new = abs(y_new)
+            big = abs_y_new if abs_y_new > abs_y else abs_y
+            norm = abs(err_y) / (abs_tol + rel_tol * big)
             if track:
                 # S's slope at each stage is that stage's Z: no RHS call
                 if in_w:
-                    r2, r3, r4, r5, r6 = 1.0 / y2, 1.0 / y3, 1.0 / y4, 1.0 / y5, 1.0 / y6
+                    r3, r4, r5, r6 = 1.0 / y3, 1.0 / y4, 1.0 / y5, 1.0 / y6
                     r7 = 1.0 / y_new
                 else:
-                    r2, r3, r4, r5, r6, r7 = y2, y3, y4, y5, y6, y_new
-                s_new = s + h * (
-                    35.0 / 384.0 * r1 + 0.0 * r2 + 500.0 / 1113.0 * r3 + 125.0 / 192.0 * r4
-                    + -2187.0 / 6784.0 * r5 + 11.0 / 84.0 * r6
-                )
-                err_s = h * (
-                    71.0 / 57600.0 * r1 + 0.0 * r2 + -71.0 / 16695.0 * r3 + 71.0 / 1920.0 * r4
-                    + -17253.0 / 339200.0 * r5 + 22.0 / 525.0 * r6 + -1.0 / 40.0 * r7
-                )
-            if not (isfinite(y_new) and isfinite(s_new)):
-                raise NonFiniteStateError(f"non-finite state near x={x}")
-            norm = max(0.0, abs(err_y) / (abs_tol + rel_tol * max(abs(y), abs(y_new))))
-            if track:
-                norm = max(norm, abs(err_s) / (abs_tol + rel_tol * max(abs(s), abs(s_new))))
+                    r3, r4, r5, r6, r7 = y3, y4, y5, y6, y_new
+                s_new = s + (w1 * r1 + w3 * r3 + w4 * r4 + w5 * r5 + w6 * r6)
+                if not isfinite(s_new):
+                    raise NonFiniteStateError(f"non-finite state near x={x}")
+                err_s = v1 * r1 + v3 * r3 + v4 * r4 + v5 * r5 + v6 * r6 + v7 * r7
+                abs_s_new = abs(s_new)
+                big = abs_s_new if abs_s_new > abs_s else abs_s
+                norm_s = abs(err_s) / (abs_tol + rel_tol * big)
+                # a NaN Z norm gives way to S's, as a zero one would
+                if norm_s > norm or norm != norm:
+                    norm = norm_s
             if norm > 1.0:
-                h *= max(0.2, 0.9 * norm ** -0.2)
-                if abs(h) < h_floor:
+                f = 0.9 * norm ** -0.2
+                h *= f if f > 0.2 else 0.2
+                if sgn * h < h_floor:
                     raise StepSizeUnderflowError(f"step underflow near x={x}")
                 continue
             if in_w and y_new == 0:
@@ -245,21 +276,28 @@ def integrate_impedance(
             x += h
             if sgn * (x1 - x) <= h_floor:
                 x = x1  # land exactly on the stop so forced grid points match
-            y, s, k1, r1 = y_new, s_new, k7, r7
+            y, k1, abs_y = y_new, k7, abs_y_new
             z = (1.0 / y) if in_w else y
             xs.append(x)
             zs.append(z)
             if track:
+                s, r1, abs_s = s_new, r7, abs_s_new
                 ss.append(s)
+            # an accepted norm is at most 1, so the growth factor is at
+            # least 0.9 and only its cap of 5 applies; a NaN norm, like 0,
+            # grows the step five-fold
             if norm > 0.0:
-                h *= min(5.0, max(0.2, 0.9 * norm ** -0.2))
+                f = 0.9 * norm ** -0.2
+                h *= f if f < 5.0 else 5.0
             else:
                 h *= 5.0
-            if not in_w and abs(z) >= threshold:
+            # |y| is |Z| in Z mode and |W| in W mode
+            if in_w:
+                if abs_y >= switch_back:
+                    in_w = False
+                    fresh = True
+            elif abs_y >= threshold:
                 in_w = True
-                fresh = True
-            elif in_w and abs(y) >= switch_back:
-                in_w = False
                 fresh = True
         x0 = x1
 

@@ -195,10 +195,11 @@ def solve_scattering(
 
     Right incidence is computed in the mirrored frame; reported
     amplitudes live in that (incidence-side) frame, so R, T and the
-    moduli are directly comparable between sides.
+    moduli are directly comparable between sides.  ``e`` is taken as a
+    Python float, so a numpy scalar gives the same result.
     """
     require_finite("energy", e)
-    return _solve(pot, e, side, cfg, params)
+    return _solve(pot, float(e), side, cfg, params)
 
 
 def _sweep_chain(

@@ -289,10 +289,11 @@ def impedance_mismatch(
     Bound mode applies automatically for e below both leads; otherwise
     the scattering (left-incidence) anchors are used.  Raises
     TransformPoleError where a solution has a psi-node exactly at the
-    probe: D has a pole there.
+    probe: D has a pole there.  ``e`` and ``probe_x`` are taken as
+    Python floats.
     """
     require_finite("energy and probe", e, probe_x)
-    d = complex(_mismatch(*_Ends(pot, probe_x, cfg, params)(e)))
+    d = complex(_mismatch(*_Ends(pot, float(probe_x), cfg, params)(float(e))))
     if not cmath.isfinite(d):
         raise TransformPoleError(f"psi-node at the probe {probe_x}: D has a pole")
     return d

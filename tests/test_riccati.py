@@ -6,12 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwim.analytic import layer_transform, propagate_impedance, region_constants
 from qwim.errors import (
     EvanescentIncidenceError,
     NonFiniteInputError,
     NonFiniteStateError,
+    SolverError,
     StepSizeUnderflowError,
 )
 from qwim.model import (
@@ -29,7 +32,9 @@ from qwim.riccati import (
     z_minus,
     z_plus,
 )
-from qwim.xcheck import _cumulative_nonuniform_simpson
+from qwim.scattering import solve_scattering
+from qwim.spectral import impedance_mismatch
+from qwim.xcheck import _cumulative_nonuniform_simpson, transfer_matrix_solve
 
 TIGHT = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -264,7 +269,9 @@ def test_linear_slab_chain_matches_stepper_on_gaussians():
 
 
 # The generic Dormand-Prince 5(4) stepper over a tuple state, as qwim ran it
-# before the step was unrolled: the reference the stepper must match.
+# before the step was unrolled, in the stepper's order of evaluation: the
+# RHS as i a - i b y^2, each weight scaled by h before it meets its stage,
+# zero weights skipped.  The reference the stepper must match bit for bit.
 _C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
 _A = (
     (),
@@ -286,22 +293,19 @@ _ERR = (
 )
 
 
+def _weighted_sum(weights, k, h, j):
+    return sum((h * c) * k[m][j] for m, c in enumerate(weights) if c != 0.0)
+
+
 def _tableau_step(f, x, y, h, f0):
     k = [f0]
     for i in range(1, 6):
-        yi = tuple(
-            y[j] + h * sum(_A[i][m] * k[m][j] for m in range(i))
-            for j in range(len(y))
-        )
+        yi = tuple(y[j] + _weighted_sum(_A[i], k, h, j) for j in range(len(y)))
         k.append(f(x + _C[i] * h, yi))
-    y5 = tuple(
-        y[j] + h * sum(_B5[m] * k[m][j] for m in range(6)) for j in range(len(y))
-    )
+    y5 = tuple(y[j] + _weighted_sum(_B5, k, h, j) for j in range(len(y)))
     f_new = f(x + h, y5)
     k.append(f_new)
-    err = tuple(
-        h * sum(_ERR[m] * k[m][j] for m in range(7)) for j in range(len(y))
-    )
+    err = tuple(_weighted_sum(_ERR, k, h, j) for j in range(len(y)))
     return y5, err, f_new
 
 
@@ -314,10 +318,11 @@ def _reference_piece(ufunc, e, x0, x1, z, s, cfg, params, max_step, track, out):
 
     def f(x, state):  # the tuple RHS, (y', s') with s' = Z
         y = state[0]
+        i_pot, i_imp = 1j * (c_pot * (e - ufunc(x))), 1j * c_imp
         if in_w:
-            dy = 1j * (c_imp - c_pot * (e - ufunc(x)) * y * y)
+            dy = i_imp - i_pot * (y * y)
         else:
-            dy = 1j * (c_pot * (e - ufunc(x)) - c_imp * y * y)
+            dy = i_pot - i_imp * (y * y)
         return (dy, 1.0 / y if in_w else y) if track else (dy,)
 
     def restart():
@@ -492,3 +497,99 @@ def test_tracked_integral_matches_quadrature_of_z(e, pole_threshold):
     s = traj.z_integral
     assert s[-1] == 0
     assert np.max(np.abs(s - want)) < 1e-6 * np.max(np.abs(s))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [lambda bad: integrate_impedance(flat(), 0.5, bad, 1.0 + 0j, 0.0),
+     lambda bad: integrate_impedance(flat(), 0.5, 2.0, 1.0 + 0j, bad),
+     lambda bad: z_plus(flat(), 0.5, target_x=bad),
+     lambda bad: z_minus(flat(), 0.5, target_x=bad)],
+    ids=["anchor", "target", "z_plus-target", "z_minus-target"],
+)
+def test_non_finite_ends_raise_typed(call, bad):
+    # a NaN end gave a one-sample trajectory, and an infinite target one
+    # that stopped at the last breakpoint
+    with pytest.raises(NonFiniteInputError, match="anchor and target"):
+        call(bad)
+
+
+def test_numpy_scalars_give_the_float_result():
+    # a numpy scalar energy carried numpy's scalar arithmetic through every
+    # stage of every step; taken as floats they give the same answer
+    sampled = SampledPotential((0.0, 1.0, 2.0), (0.0, -1.5, 0.0), 0.0, 0.0)
+    well = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, -5.0),), 0.0)
+    numeric = IntegrationConfig(force_numeric=True)
+    for pot in (sampled, well):
+        for cfg in (IntegrationConfig(), numeric):
+            for side in Side:
+                want = solve_scattering(pot, 1.3, side, cfg)
+                got = solve_scattering(pot, np.float64(1.3), side, cfg)
+                assert type(got.e) is float and repr(got) == repr(want)
+            want = impedance_mismatch(pot, -3.0, 0.7, cfg)
+            got = impedance_mismatch(pot, np.float64(-3.0), np.float64(0.7), cfg)
+            assert type(got) is complex and repr(got) == repr(want)
+        for ends in (z_plus, z_minus):
+            want = ends(pot, 1.3, target_x=1.1, track_integral=True)
+            got = ends(pot, np.float64(1.3), target_x=np.float64(1.1), track_integral=True)
+            assert type(got.energy) is float and type(got.anchor_x) is float
+            for field in ("xs", "zs", "z_integral"):
+                assert repr(getattr(got, field).tolist()) == repr(getattr(want, field).tolist())
+        z = region_constants(1.3, 0.0).z
+        want = integrate_impedance(pot, 1.3, 2.0, z, 0.0)
+        got = integrate_impedance(pot, np.float64(1.3), np.float64(2.0), np.complex128(z),
+                                  np.float64(0.0))
+        assert type(got.anchor_z) is complex
+        assert repr(got.zs.tolist()) == repr(want.zs.tolist())
+
+
+def _both_sides(solve):
+    """{side: (R, T)} for each incidence side the solve returns on."""
+    out = {}
+    for side in Side:
+        try:
+            res = solve(side)
+        except SolverError:
+            continue
+        out[side] = (res.big_r, res.big_t)
+    return out
+
+
+# validate's bound on |delta R| and |delta T|, and unitarity to match
+DIFF_TOL = 1e-8
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    slabs=st.lists(
+        st.tuples(st.floats(0.1, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=5
+    ),
+    leads=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    e=st.floats(0.05, 8.0),
+)
+def test_stepper_chain_and_transfer_matrix_agree_fuzz(slabs, leads, e):
+    # the stepper against the exact chain and the transfer matrix on R
+    # and T from each side where all three return, and each engine's own
+    # unitarity and left-right reciprocity of T
+    x, segs = 0.0, []
+    for length, u in slabs:
+        segs.append(PotentialSegment(x, x + length, u))
+        x += length
+    pot = PiecewisePotential(leads[0], tuple(segs), leads[1])
+    numeric = IntegrationConfig(force_numeric=True)
+    engines = [
+        _both_sides(lambda side: solve_scattering(pot, e, side, numeric)),
+        _both_sides(lambda side: solve_scattering(pot, e, side)),
+        _both_sides(lambda side: transfer_matrix_solve(pot, e, side)),
+    ]
+    sides = set(engines[0]) & set(engines[1]) & set(engines[2])
+    for side in sides:
+        (r_num, t_num), (r_chain, t_chain), (r_tm, t_tm) = (eng[side] for eng in engines)
+        assert abs(r_num - r_chain) <= DIFF_TOL and abs(t_num - t_chain) <= DIFF_TOL
+        assert abs(r_num - r_tm) <= DIFF_TOL and abs(t_num - t_tm) <= DIFF_TOL
+        for big_r, big_t in (eng[side] for eng in engines):
+            assert abs(big_r + big_t - 1.0) <= DIFF_TOL
+    if len(sides) == 2:
+        for eng in engines:
+            assert abs(eng[Side.LEFT][1] - eng[Side.RIGHT][1]) <= DIFF_TOL
