@@ -22,7 +22,8 @@ cancellation (``_series``), and Z maps across the sub-slab exactly as
 
     Z -> (kappa f' + g' Z) / (f + (g / kappa) Z),   kappa = hbar / (i m),
 
-with psi(start) / psi(end) = 1 / den, the shape of ``analytic._slab``.
+with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
+step in ``analytic._chain``.
 ``_linear_steps`` hands those maps to the scalar walker at one energy.
 """
 
@@ -169,7 +170,7 @@ def _chain_many(
     The slab constants, cosh/sinh and the saturated-branch factors of
     every slab crossed come from one array pass; the slab-to-slab
     recurrence is then a few array operations per slab, with
-    ``analytic._slab``'s arithmetic and ``_chain``'s limit at a slab
+    ``analytic._chain``'s step arithmetic and its limit at a slab
     level.  Linear slabs take
     the sub-slab maps of ``_linear_maps`` instead, split for the range
     of each block of energies.  ``ok`` is False wherever the scalar walk
@@ -218,7 +219,7 @@ def _slabs_many(slabs, es, z, params):
         sat = np.abs(g.real) > _SATURATION_CUT
         th = np.sign(g.real) * sat
         g_cut = np.where(sat, 0.0, g)  # keeps cosh/sinh finite where unused
-        # _slab's saturated branch divides through by exp(|Re g|) / 2:
+        # _chain's saturated form divides through by exp(|Re g|) / 2:
         # cosh -> 1, sinh -> th, and f gains 2 exp(-th g)
         c1 = np.where(sat, 1.0, np.cosh(g_cut))
         c2 = np.where(sat, th, np.sinh(g_cut))

@@ -17,20 +17,22 @@ With that branch the decaying-tail boundary values are Z(a) = -z1 on the
 left and Z(b) = +z2 on the right, and Z = +z / -z are the attractors of
 leftward / rightward integration through an evanescent region.
 
-One slab step, ``_slab``, maps Z(x) to Z(x + dx) and gives the psi
-ratio across the step over the same denominator; ``propagate_impedance``,
-``layer_transform`` and ``psi_growth_factor`` are views of it.  Where E
-equals a slab's level psi is linear across it, and the step takes its
-exact limit instead (only a degenerate *lead* is an error).  One walker,
-``_chain(slabs, e, z_anchor, params)``, strings those steps along a slab
-list that ``_steps`` builds once per stack and end point, and returns
-its last step undivided, so a psi-node at the end point is no error; the
-piecewise scattering solve and the spectral matching both use it, the
-spectral searches with one slab list per side for every energy they
-evaluate.  It computes each level's z and gamma and the step itself
-inline, in the arithmetic of ``_constants`` (the scalar core of
-``region_constants``) and ``_slab``, and on request also counts the
-psi-nodes a real solution crosses: the bound-state search's Sturm count.
+One walker, ``_chain(slabs, e, z_anchor, params)``, steps Z and psi
+across a slab list that ``_steps`` builds once per stack and end point.
+Each constant slab is one step of the tanh addition law: it maps Z(x) to
+Z(x + dx) and gives the psi ratio across the step over the same
+denominator.  Where E equals a slab's level psi is linear across it, and
+the step takes its exact limit instead (only a degenerate *lead* is an
+error).  The walker returns its last step undivided, so a psi-node at
+the end point is no error.  ``propagate_impedance``, ``layer_transform``
+and ``psi_growth_factor`` are walks of one slab.  The piecewise
+scattering solve, the spectral matching and the slab bridges of
+``xcheck.reconstruct_wavefunction`` use the walker too, the spectral
+searches with one slab list per side for every energy they evaluate.
+It computes each level's z and gamma and the step itself inline, in the
+arithmetic of ``_constants`` (the scalar core of ``region_constants``),
+and on request also counts the psi-nodes a real solution crosses: the
+bound-state search's Sturm count.
 ``_chain_many`` in :mod:`qwim._arrays` is its array twin for a whole
 energy grid: one array pass per slab, with an ``ok`` mask marking the
 energies where the scalar walk would raise.  Energy sweeps and the scan
@@ -46,9 +48,10 @@ enough that a Taylor series of the fundamental pair converges fast
 
     Z -> (kappa f' + g' Z) / (f + (g / kappa) Z),   kappa = hbar / (i m),
 
-with psi(start) / psi(end) = 1 / den: the shape of ``_slab``, so the
-same walkers carry it (``_arrays._linear_maps``).  The sub-slab maps are
-real at real E, so the bound-state anchors stay purely imaginary.
+with psi(start) / psi(end) = 1 / den: the shape of a constant slab's
+step, so the same walkers carry it (``_arrays._linear_maps``).  The
+sub-slab maps are real at real E, so the bound-state anchors stay purely
+imaginary.
 
 Everything here is scalar complex arithmetic, and this module imports
 no numpy, so a piecewise solve loads none: ``_chain`` imports
@@ -141,33 +144,6 @@ def region_constants(e: float, u: float, params: ModelParams = ModelParams()) ->
     return RegionConstants(z=z, gamma=gamma, e=e, u=u, params=params)
 
 
-def _slab(z: complex, gamma: complex, z_at: complex, dx: float) -> tuple[complex, complex, complex]:
-    """One step of dx (either sign) inside a constant region of
-    characteristic impedance z and propagation constant gamma.
-
-    Returns (num, den, f) given Z(x), with Z(x + dx) = num / den and
-    psi(x) / psi(x + dx) = f / den.  With g = gamma dx both follow from
-    the tanh addition law and share one denominator,
-
-        num = z (Z cosh g + z sinh g),   den = z cosh g + Z sinh g,
-        f = z,
-
-    so den -> 0 is a psi-node at x + dx; ``_divide`` raises only where
-    den is exactly zero.  Thick evanescent steps divide all three through
-    by the dominant exponential first, so cosh/sinh never overflow.
-    """
-    g = gamma * dx
-    if abs(g.real) > _SATURATION_CUT:
-        th = 1.0 if g.real > 0 else -1.0
-        c1, c2 = 1.0, th
-        # num, den and f are the full ones times 2 exp(-th g)
-        f = 2.0 * z * cmath.exp(-th * g)
-    else:
-        c1, c2 = cmath.cosh(g), cmath.sinh(g)
-        f = z
-    return z * (z_at * c1 + z * c2), z * c1 + z_at * c2, f
-
-
 def _divide(x: complex, den: complex) -> complex:
     """x / den for a slab step's num or f; raises TransformPoleError only
     where den is exactly zero (a psi-node at the step's end)."""
@@ -233,15 +209,24 @@ def _chain(
     """Carry an impedance anchored at one end of a slab list (``_steps``)
     across it.
 
-    Each constant slab takes ``_slab``'s step, with ``_constants``' z and
-    gamma and its checks, computed inline; a slab whose level equals e
-    (to EPS_DEGENERATE) carries psi linearly, the z -> 0 limit of the
-    step divided by z: num = Z, den = 1 + i (m/hbar) Z dx, f = 1.  A list
-    of linear slabs is walked one sub-slab map of ``_arrays._linear_maps``
-    at a time: num = kappa f' + g' Z and den = f + (g / kappa) Z, with a
-    psi factor of one.  Returns the last step undivided, (num, den, r):
-    Z(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so a
-    psi-node at x_to is no error (one before it raises
+    A constant slab of characteristic impedance z and propagation
+    constant gamma (``_constants``' values and checks, computed inline)
+    takes one step of dx (either sign).  With g = gamma dx the tanh
+    addition law gives, over one shared denominator,
+
+        num = z (Z cosh g + z sinh g),   den = z cosh g + Z sinh g,   f = z,
+
+    with f the step's psi factor, so den -> 0 is a psi-node at the step's
+    end.  Thick evanescent steps (|Re g| > _SATURATION_CUT) divide all
+    three by the dominant exponential first, so cosh/sinh never overflow.
+    A slab whose level equals e (to EPS_DEGENERATE) carries psi linearly,
+    the z -> 0 limit of the step divided by z: num = Z,
+    den = 1 + i (m/hbar) Z dx, f = 1.  A list of linear slabs is walked
+    one sub-slab map of ``_arrays._linear_maps`` at a time:
+    num = kappa f' + g' Z and den = f + (g / kappa) Z, with f = 1.
+    Returns the last step undivided, (num, den, r), with r the product of
+    the f: Z(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so
+    a psi-node at x_to is no error (one before it raises
     TransformPoleError).  Raises NonFiniteStateError where a value
     overflows.
 
@@ -297,7 +282,7 @@ def _chain(
                 g = gamma * dx
                 if abs(g.real) > _SATURATION_CUT:
                     th = 1.0 if g.real > 0 else -1.0
-                    # _slab's saturated form: all three times 2 exp(-th g)
+                    # the saturated form: num, den and f times 2 exp(-th g)
                     c1, c2 = 1.0, th
                     r *= 2.0 * z * cmath.exp(-th * g)
                 else:
@@ -328,10 +313,10 @@ def _chain(
 def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> complex:
     """Z(x + dx) given Z(x) inside one constant region (dx of either sign).
 
-    The impedance half of ``_slab``: tanh addition law, saturated form
-    for thick evanescent slabs.
+    The impedance half of a one-slab ``_chain`` walk: tanh addition law,
+    saturated form for thick evanescent slabs.
     """
-    return _divide(*_slab(rc.z, rc.gamma, z_at, dx)[:2])
+    return _divide(*_chain([(rc.u, dx)], rc.e, z_at, rc.params)[:2])
 
 
 def layer_transform(rc: RegionConstants, z_far: complex, length: float) -> complex:
@@ -348,7 +333,7 @@ def layer_transform(rc: RegionConstants, z_far: complex, length: float) -> compl
     """
     if not length > 0.0:
         raise ValueError("layer_transform needs a strictly positive length")
-    return _divide(*_slab(rc.z, rc.gamma, z_far, -length)[:2])
+    return _divide(*_chain([(rc.u, -length)], rc.e, z_far, rc.params)[:2])
 
 
 def psi_growth_factor(rc: RegionConstants, z_exit: complex, length: float) -> complex:
@@ -359,12 +344,12 @@ def psi_growth_factor(rc: RegionConstants, z_exit: complex, length: float) -> co
 
         psi_exit / psi_entry = z / (z cosh(g l) - Z_exit sinh(g l))
 
-    (the ratio half of ``_slab`` stepping back from the exit, so it shares
-    the layer transform's denominator: a finite entry impedance
+    (the ratio half of a one-slab ``_chain`` walk back from the exit, so
+    it shares the layer transform's denominator: a finite entry impedance
     guarantees a well-conditioned factor).
     """
-    _, den, f = _slab(rc.z, rc.gamma, z_exit, -length)
-    return _divide(f, den)
+    _, den, r = _chain([(rc.u, -length)], rc.e, z_exit, rc.params)
+    return _divide(r, den)
 
 
 def _psi_growth_entry(rc: RegionConstants, z_entry: complex, length: float) -> complex:
@@ -375,18 +360,12 @@ def _psi_growth_entry(rc: RegionConstants, z_entry: complex, length: float) -> c
     Algebraically the same ratio as psi_growth_factor, but conditioned
     the opposite way: it stays accurate when the slab starts at or near
     a psi-node (|Z_entry| large), where the exit-side denominator would
-    cancel catastrophically.  Chaining both forms so that each factor
-    references the larger-|Z| endpoint makes a near-node sample appear
-    only as 1/Z, which cancels exactly between adjacent slabs.
+    cancel catastrophically.  It is den / r of the one-slab ``_chain``
+    walk from the entry, the step ``reconstruct_wavefunction`` bridges
+    with next to a node.
     """
-    g = rc.gamma * length
-    if abs(g.real) > _SATURATION_CUT:
-        sgn = 1.0 if g.real > 0 else -1.0
-        grow = 1.0 + sgn * z_entry / rc.z
-        if abs(grow) < 1e-280:
-            return 0.5 * (1.0 - sgn * z_entry / rc.z) * cmath.exp(-sgn * g)
-        return 0.5 * cmath.exp(sgn * g + cmath.log(grow))
-    return cmath.cosh(g) + (z_entry / rc.z) * cmath.sinh(g)
+    _, den, r = _chain([(rc.u, length)], rc.e, z_entry, rc.params)
+    return den / r
 
 
 @dataclass(frozen=True)

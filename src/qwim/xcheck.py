@@ -326,11 +326,14 @@ def reconstruct_wavefunction(
     Two sources, best available first.  A trajectory carrying the
     running integral of Z uses it directly (the ODE solver already
     accumulated it at its own tolerance).  Otherwise psi is evolved by
-    cumulative quadrature of Z on pole-free stretches, with the exact
-    constant-slab growth factor bridging the intervals next to nodes
-    (treating U as constant per bridged interval), which also carries
-    the sign flip through psi-nodes.  A piecewise potential, constant on
-    every interval, is bridged throughout.
+    cumulative quadrature of Z on pole-free stretches, and the intervals
+    next to nodes are bridged by one exact constant-slab step of the
+    layer chain (``analytic._chain``) at the interval's mid level, which
+    also carries the sign flip through psi-nodes.  Each bridge walks
+    from the end with the larger |Z|, so a slab next to a psi-node never
+    divides by the vanishing psi there; where the level equals the
+    energy the step is psi's linear limit.  A piecewise potential,
+    constant on every interval, is bridged throughout.
     """
     xs, zs = traj.xs, traj.zs
     if len(xs) < 5:
@@ -338,14 +341,7 @@ def reconstruct_wavefunction(
     pot, params, e = traj.potential, traj.params, traj.energy
     pref = 1j * params.mass / params.hbar
 
-    from .analytic import _psi_growth_entry, psi_growth_factor, region_constants
-
-    def slab_factor(rc, z_in, z_out, dx):
-        # reference whichever endpoint has the larger |Z|, so a slab
-        # adjacent to a psi-node never divides by the vanishing psi there
-        if abs(z_in) > abs(z_out):
-            return _psi_growth_entry(rc, z_in, dx)
-        return psi_growth_factor(rc, z_out, dx)
+    from .analytic import _chain, _divide
 
     if traj.z_integral is not None:
         s_rel = traj.z_integral - traj.z_integral[0]
@@ -366,11 +362,16 @@ def reconstruct_wavefunction(
                 psi[i: j + 1] = psi[i] * np.exp(pref * cum)
                 i = j
             else:
-                mid = 0.5 * (xs[i] + xs[i + 1])
-                rc = region_constants(e, pot.u_at(mid), params)
-                psi[i + 1] = psi[i] * slab_factor(
-                    rc, complex(zs[i]), complex(zs[i + 1]), float(xs[i + 1] - xs[i])
-                )
+                x0, x1 = float(xs[i]), float(xs[i + 1])
+                u = pot.u_at(0.5 * (x0 + x1))
+                z0, z1 = complex(zs[i]), complex(zs[i + 1])
+                # r / den is psi(anchor) / psi(other end)
+                if abs(z0) > abs(z1):
+                    _, den, r = _chain([(u, x1 - x0)], e, z0, params)
+                    psi[i + 1] = psi[i] * (den / r)
+                else:
+                    _, den, r = _chain([(u, x0 - x1)], e, z1, params)
+                    psi[i + 1] = psi[i] * _divide(r, den)
                 i += 1
     if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
         raise QuadratureDivergenceError("reconstructed psi is not finite")

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from qwim.analytic import region_constants
+from qwim.analytic import _SATURATION_CUT, region_constants
 from qwim.errors import EvanescentIncidenceError
 from qwim.model import ModelParams
 from qwim.riccati import ImpedanceTrajectory
@@ -21,6 +21,33 @@ from qwim.riccati import ImpedanceTrajectory
 TOL_ALG = 1e-10
 # Flux bookkeeping (R + T = 1 and friends) holds to this.
 TOL_FLUX = 1e-10
+
+
+def _slab(z: complex, gamma: complex, z_at: complex, dx: float) -> tuple[complex, complex, complex]:
+    """One step of dx (either sign) inside a constant region of
+    characteristic impedance z and propagation constant gamma.
+
+    Returns (num, den, f) given Z(x), with Z(x + dx) = num / den and
+    psi(x) / psi(x + dx) = f / den.  With g = gamma dx both follow from
+    the tanh addition law and share one denominator,
+
+        num = z (Z cosh g + z sinh g),   den = z cosh g + Z sinh g,
+        f = z,
+
+    so den -> 0 is a psi-node at x + dx; ``_divide`` raises only where
+    den is exactly zero.  Thick evanescent steps divide all three through
+    by the dominant exponential first, so cosh/sinh never overflow.
+    """
+    g = gamma * dx
+    if abs(g.real) > _SATURATION_CUT:
+        th = 1.0 if g.real > 0 else -1.0
+        c1, c2 = 1.0, th
+        # num, den and f are the full ones times 2 exp(-th g)
+        f = 2.0 * z * cmath.exp(-th * g)
+    else:
+        c1, c2 = cmath.cosh(g), cmath.sinh(g)
+        f = z
+    return z * (z_at * c1 + z * c2), z * c1 + z_at * c2, f
 
 
 class NoCurrentError(Exception):

@@ -58,8 +58,9 @@ def barrier_rt(e, u_b, length):
 
 def test_criterion_01_barrier_closed_form_grid():
     es = np.linspace(0.0, 4.0, 201)[1:]
-    # the grid hits the barrier top exactly; the closed forms are continuous
-    # there but the impedance algebra is degenerate, so nudge that point
+    # the grid hits the barrier top exactly, where the chain takes psi's
+    # linear limit but barrier_rt's branch forms divide by q = 0, so
+    # nudge that point
     es[np.isclose(es, 1.0)] += 1e-6
     pot = barrier()
     for e in es:

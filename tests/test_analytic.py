@@ -13,7 +13,7 @@ from qwim.analytic import (
     _constants,
     _divide,
     _mirrored_steps,
-    _slab,
+    _psi_growth_entry,
     _steps,
     barrier_closed_forms,
     layer_transform,
@@ -29,7 +29,7 @@ from qwim.errors import (
 )
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential
 
-from oracles import TOL_ALG, TOL_FLUX, step_reflection
+from oracles import TOL_ALG, TOL_FLUX, _slab, step_reflection
 
 # Entry impedance of the barrier u=1 on a 2-long slab at E=0.5 terminated
 # by the matched load z=1, frozen from a (psi, psi') propagator-matrix
@@ -148,6 +148,36 @@ def test_psi_growth_factor_thick_slab_decay():
         f = psi_growth_factor(rc, rc.z, length)
         assert cmath.isfinite(f)
         assert abs(f) == pytest.approx(math.exp(-rc.kappa * length), rel=1e-10)
+
+
+@pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])
+def test_slab_views_match_the_stepwise_slab(params):
+    # each view is a one-slab _chain walk: bit for bit the closed slab
+    # step, propagating and evanescent, thick (saturated) slabs included,
+    # dx of both signs; the entry-side growth factor is the cosh/sinh form
+    rng = np.random.default_rng(47)
+    saturated = 0
+    for _ in range(800):
+        e, u = (float(v) for v in rng.uniform(-4.0, 4.0, 2))
+        rc = region_constants(e, u, params)
+        z_at = complex(rng.normal(), rng.normal())
+        dx = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        length = abs(dx)
+        saturated += abs((rc.gamma * dx).real) > 300.0
+        want = _divide(*_slab(rc.z, rc.gamma, z_at, dx)[:2])
+        assert repr(propagate_impedance(rc, z_at, dx)) == repr(want)
+        num, den, f = _slab(rc.z, rc.gamma, z_at, -length)
+        assert repr(layer_transform(rc, z_at, length)) == repr(_divide(num, den))
+        assert repr(psi_growth_factor(rc, z_at, length)) == repr(_divide(f, den))
+        g = rc.gamma * length
+        if abs(g.real) < 30.0:
+            direct = cmath.cosh(g) + (z_at / rc.z) * cmath.sinh(g)
+            assert abs(_psi_growth_entry(rc, z_at, length) - direct) <= 1e-12 * abs(direct)
+    assert saturated > 30
+    # an infinite phase k dx is the walker's typed error, not cmath's
+    # raw ValueError
+    with pytest.raises(NonFiniteStateError):
+        propagate_impedance(region_constants(1e300, 0.0, params), 1.0, 1e200)
 
 
 def test_step_reflection_matched_is_zero():

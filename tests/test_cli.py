@@ -352,6 +352,44 @@ def test_validate_at_a_slab_level():
     ]
 
 
+def test_profile_wavefunction_at_a_slab_level():
+    # E = 1 is the barrier's level: psi = t (1 + i k (x - 2)) across it,
+    # with t = 1 / (1 - i k) for unit incidence
+    proc = run_cli("profile", "--spec", str(DOCS / "barrier.json"), "--energy", "1.0",
+                   "--mode", "wavefunction")
+    assert proc.returncode == 0, proc.stderr
+    header, rows = rows_of(proc.stdout)
+    assert header == ["x", "re_psi", "im_psi", "abs2_psi"]
+    x, re_psi, im_psi = (np.array([float(r[i]) for r in rows]) for i in range(3))
+    k = math.sqrt(2.0)
+    want = (1.0 + 1j * k * (x - 2.0)) / (1.0 - 1j * k)
+    assert len(x) > 100
+    np.testing.assert_allclose(re_psi + 1j * im_psi, want, rtol=0, atol=1e-12)
+
+
+def test_validate_at_an_interior_level_below_the_far_lead(tmp_path):
+    # E = 1 is the first slab's level and lies below the right lead, so the
+    # residual's psi is bridged slab by slab, across the level linearly
+    doc = {
+        "params": {"hbar": 1.0, "mass": 1.0},
+        "potential": {
+            "kind": "piecewise",
+            "left_level": 0.0,
+            "right_level": 2.0,
+            "segments": [
+                {"x_start": 0.0, "x_end": 1.0, "u": 1.0},
+                {"x_start": 1.0, "x_end": 2.0, "u": -1.0},
+            ],
+        },
+    }
+    proc = run_cli("validate", "--spec", write_spec(tmp_path, doc), "--energy", "1.0")
+    assert proc.returncode == 0, proc.stderr
+    header, rows = rows_of(proc.stdout)
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("delta_R", "ok"), ("delta_T", "ok"), ("residual", "ok")
+    ]
+
+
 def test_validate_bare_step_checks_the_deltas(tmp_path):
     # a step has no interior to rebuild psi on; scatter solves it, and
     # validate stopped with 'anchor and target coincide', exit 2

@@ -1,6 +1,7 @@
 """The package namespace: what ``import qwim`` loads and exports."""
 
 import ast
+import importlib.util
 import inspect
 import subprocess
 import sys
@@ -79,3 +80,24 @@ def test_every_concrete_error_class_is_raised_and_exported():
     assert concrete
     assert [name for name in concrete if name not in raised] == []
     assert [name for name in concrete if name not in qwim.__all__] == []
+
+
+def test_bench_tracer_targets_resolve():
+    # the benchmark's tracer wraps these names by lookup; one that a
+    # change deletes or renames would make its traced runs raise
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name in tracer.MODULES:
+        importlib.import_module(name)
+    missing = []
+    for span, home, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(home)
+        try:
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+        except AttributeError:
+            missing.append(span)
+    assert tracer.TARGETS
+    assert missing == []

@@ -274,9 +274,22 @@ def test_reconstruct_evanescent_tail_decay():
     np.testing.assert_allclose(np.abs(prof.psi), want, rtol=1e-8, atol=0)
 
 
+def test_reconstruct_at_a_slab_level_is_linear():
+    # E = 1 is the barrier's level: psi is linear across it, and each
+    # bridge takes that limit of the slab step
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0)
+    traj = z_minus(pot, 1.0, cfg=TIGHT)
+    assert traj.z_integral is None
+    prof = reconstruct_wavefunction(traj)
+    # psi = t (1 + i k (x - 2)) inside, scaled to psi(0) = 1
+    k = math.sqrt(2.0)
+    want = (1.0 + 1j * k * (prof.xs - 2.0)) / (1.0 - 2j * k)
+    np.testing.assert_allclose(prof.psi, want, rtol=0, atol=1e-11)
+
+
 def _bound_profile(pot, e, n_points):
     # no integral tracking: excited states have nodes where S = int Z dx
-    # diverges, so the piecewise growth-factor reconstruction is used instead
+    # diverges, so the slab-by-slab bridge reconstruction is used instead
     grid = np.linspace(pot.a, pot.b, n_points)
     traj = z_minus(pot, e, cfg=TIGHT, grid=grid)
     prof = reconstruct_wavefunction(traj)
