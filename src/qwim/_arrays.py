@@ -3,8 +3,9 @@ exact maps of linear sub-slabs.
 
 This is the only qwim module that the chain pulls numpy in through, and
 it is imported on first use: by ``analytic._chain`` when it walks linear
-(sampled) slabs, by ``scattering``'s energy sweeps and by the spectral
-scan grids.  A piecewise solve at one energy never loads it.
+(sampled) slabs, by ``scattering``'s energy sweeps, by the spectral
+scan grids and by ``xcheck.reconstruct_wavefunction``.  A piecewise
+solve at one energy never loads it.
 
 ``_chain_many`` is ``analytic._chain`` over an energy array: one array
 pass per slab (``_slabs_many``) or per linear sub-slab
@@ -25,6 +26,10 @@ cancellation (``_series``), and Z maps across the sub-slab exactly as
 with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
 step in ``analytic._chain``.
 ``_linear_steps`` hands those maps to the scalar walker at one energy.
+``_psi_ratios`` walks many rows at one energy instead, each from its
+own Z, all in one array pass: the exact psi ratio across every interval
+of an untracked trajectory, where a constant level is a row of slope 0
+(``xcheck.reconstruct_wavefunction``).
 """
 
 from __future__ import annotations
@@ -78,9 +83,10 @@ def _series(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _linear_maps(slabs: np.ndarray, es: np.ndarray, params: ModelParams):
     """The sub-slab maps of a linear slab list (rows (u_start, slope, dx))
-    over an energy array: an iterator over them in walk order, in chunks
-    of at most _BATCH_CELLS sub-slab-energy pairs, (kfp, gp, f, gk), each
-    of shape (sub-slabs, energies).  One sub-slab carries Z to
+    over an energy array: (count, maps), the sub-slabs of each row and an
+    iterator over their maps in walk order, in chunks of at most
+    _BATCH_CELLS sub-slab-energy pairs, (kfp, gp, f, gk), each of shape
+    (sub-slabs, energies).  One sub-slab carries Z to
     (kfp + gp Z) / (f + gk Z), over the same denominator as the psi
     ratio psi(start) / psi(end) = 1 / (f + gk Z).
 
@@ -127,7 +133,7 @@ def _linear_maps(slabs: np.ndarray, es: np.ndarray, params: ModelParams):
                 )
                 yield hfp / (inv_kappa * h), gp, f, (inv_kappa * h) * gh
 
-    return chunks()
+    return count, chunks()
 
 
 def _linear_steps(slabs: list[tuple[float, float, float]], e: float, params: ModelParams):
@@ -135,10 +141,44 @@ def _linear_steps(slabs: list[tuple[float, float, float]], e: float, params: Mod
     ``analytic._chain``: an iterator of (kfp, gp, f, gk) Python complex
     numbers in walk order.  ``_linear_maps``' checks run at the call."""
     flat = np.fromiter(itertools.chain.from_iterable(slabs), float, 3 * len(slabs))
-    maps = _linear_maps(flat.reshape(-1, 3), np.array([e]), params)
+    _, maps = _linear_maps(flat.reshape(-1, 3), np.array([e]), params)
     return itertools.chain.from_iterable(
         zip(*(m.ravel().tolist() for m in chunk)) for chunk in maps
     )
+
+
+def _psi_ratios(slabs: np.ndarray, z: np.ndarray, e: float, params: ModelParams) -> np.ndarray:
+    """psi(end) / psi(start) across each row of a linear slab array (rows
+    (u_start, slope, dx)) at one energy, each row walked on its own from
+    Z = z[row] at its start, all rows in one array pass.
+
+    Each row's sub-slab maps of ``_linear_maps`` are applied undivided,
+    (num, den) -> (kfp den + gp num, f den + gk num) from (z, 1), so den
+    is the product of the sub-slabs' psi ratios.  A chunk of maps is
+    taken in the order of each sub-slab's place within its row: one
+    array step advances every row that has a sub-slab at that place.
+    ``_linear_maps``' checks run at the call.
+    """
+    count, maps = _linear_maps(slabs, np.array([e]), params)
+    first = np.cumsum(count) - count
+    num, den = z.astype(complex), np.ones(len(count), dtype=complex)
+    k0 = 0
+    with np.errstate(all="ignore"):
+        for chunk in maps:
+            k = np.arange(k0, k0 + len(chunk[0]))
+            k0 += len(k)
+            row = np.searchsorted(first, k, side="right") - 1
+            place = k - first[row]
+            order = np.argsort(place, kind="stable")
+            row, place = row[order], place[order]
+            kfp, gp, f, gk = (m[order, 0] for m in chunk)
+            cuts = (np.flatnonzero(np.diff(place)) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(k)]):
+                j = row[lo:hi]
+                n, d = num[j], den[j]
+                num[j] = kfp[lo:hi] * d + gp[lo:hi] * n
+                den[j] = f[lo:hi] * d + gk[lo:hi] * n
+    return den
 
 
 def _region_constants_many(
@@ -197,7 +237,7 @@ def _linear_many(slabs, es, z, params):
     energies: ``_chain``'s sub-slab walk, one array step per sub-slab."""
     num, den, r = z, np.ones_like(z), np.ones_like(z)
     try:
-        maps = _linear_maps(slabs, es, params) if len(es) else ()
+        maps = _linear_maps(slabs, es, params)[1] if len(es) else ()
     except NonFiniteStateError:
         nan = np.full_like(z, np.nan)
         return nan, nan, nan, np.zeros(len(es), dtype=bool)

@@ -26,9 +26,9 @@ the step takes its exact limit instead (only a degenerate *lead* is an
 error).  The walker returns its last step undivided, so a psi-node at
 the end point is no error.  ``propagate_impedance``, ``layer_transform``
 and ``psi_growth_factor`` are walks of one slab.  The piecewise
-scattering solve, the spectral matching and the slab bridges of
-``xcheck.reconstruct_wavefunction`` use the walker too, the spectral
-searches with one slab list per side for every energy they evaluate.
+scattering solve and the spectral matching use the walker too, the
+spectral searches with one slab list per side for every energy they
+evaluate.
 It computes each level's z and gamma and the step itself inline, in the
 arithmetic of ``_constants`` (the scalar core of ``region_constants``),
 and on request also counts the psi-nodes a real solution crosses: the
@@ -361,8 +361,7 @@ def _psi_growth_entry(rc: RegionConstants, z_entry: complex, length: float) -> c
     the opposite way: it stays accurate when the slab starts at or near
     a psi-node (|Z_entry| large), where the exit-side denominator would
     cancel catastrophically.  It is den / r of the one-slab ``_chain``
-    walk from the entry, the step ``reconstruct_wavefunction`` bridges
-    with next to a node.
+    walk from the entry.
     """
     _, den, r = _chain([(rc.u, length)], rc.e, z_entry, rc.params)
     return den / r

@@ -259,12 +259,7 @@ def cmd_validate(args) -> int:
     if pot.a < pot.b:
         # reconstruction residual on a grid fine enough that the stencil
         # truncation error sits safely under the tolerance
-        u_min = min(
-            [pot.left_level, pot.right_level]
-            + [pot.u_at(0.5 * (x0 + x1))
-               for x0, x1 in zip(pot.interfaces(), pot.interfaces()[1:])]
-            + list(getattr(pot, "us", ()))
-        )
+        u_min = min(pot.left_level, pot.right_level, *(s.u for s in pot.segments))
         k_max = math.sqrt(2.0 * params.mass * max(e - u_min, 1.0)) / params.hbar
         # five-point stencil sweet spot: h^4 truncation ~ roundoff / h^2
         h = (480.0 * 2.3e-16) ** (1.0 / 6.0) / k_max

@@ -330,61 +330,6 @@ def _default_probe(pot: Potential) -> float:
     return 0.5 * (pot.a + pot.b)
 
 
-def _isolate(count, lo: float, hi: float, n_lo: int, n_hi: int) -> list:
-    """Brackets (lo, hi, N(lo), N(hi)) in ascending order, each holding
-    one state by ``count`` (N, ``_Ends.count``): bisection of (lo, hi]
-    until N(hi) - N(lo) = 1.  A bracket that float arithmetic cannot
-    halve while N still jumps by k > 1 holds k states closer than the
-    float spacing (a tunnel doublet), and is returned as it is."""
-    out = []
-    stack = [(lo, hi, n_lo, n_hi)]
-    while stack:
-        lo, hi, n_lo, n_hi = stack.pop()
-        if n_hi <= n_lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        if n_hi - n_lo == 1 or not lo < mid < hi:
-            out.append((lo, hi, n_lo, n_hi))
-            continue
-        n_mid = count(mid)
-        stack.append((mid, hi, n_mid, n_hi))
-        stack.append((lo, mid, n_lo, n_mid))
-    return out
-
-
-def _refine(w_at, count, lo: float, hi: float, n_lo: int, signed: bool) -> float | None:
-    """The root of W in a one-state bracket (lo, hi], or None.
-
-    Brent's method on W over the bracket, to float resolution.  The
-    chain's W is signed and continuous, so its one sign change is the
-    state.  The Riccati engine's W is unsigned and also changes sign
-    where one solution alone has a node at the probe, where |W| stays
-    of order one: there a root counts only when |W(root)| is at most
-    ROOT_TOL times the larger |W| at the bracket's ends.  While no root
-    counts, the bracket is halved, keeping the half that holds the state
-    by ``count``, until float arithmetic cannot halve it.
-    """
-    while True:
-        w_lo, w_hi = w_at(lo), w_at(hi)
-        if w_lo * w_hi <= 0.0:
-            try:
-                root = brentq(w_at, lo, hi, xtol=1e-300, rtol=8.9e-16)
-            except ValueError:
-                root = None
-            # brentq's own value at its root
-            tol = ROOT_TOL * max(abs(w_lo), abs(w_hi))
-            if root is not None and (signed or abs(w_at(root)) <= tol):
-                return root
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return None
-        n_mid = count(mid)
-        if n_mid > n_lo:
-            hi = mid
-        else:
-            lo, n_lo = mid, n_mid
-
-
 def find_bound_states(
     pot: Potential,
     cfg: IntegrationConfig = IntegrationConfig(),
@@ -394,16 +339,22 @@ def find_bound_states(
     """All bound energies in (min interior U, min lead level).
 
     The Sturm count N(E) of ``_Ends.count`` (N = 0 at the floor) gives
-    every state its own bracket: (floor, ceiling] is bisected on N until
-    each bracket holds one state (``_isolate``).  In each, the two
-    decaying solutions are matched at one probe (default: the midpoint)
-    on W, the normalised Wronskian of ``_wronskian``, by Brent's method
-    (``_refine``): one scalar W per iterate along the same two slab lists
-    (threshold anchors at the ceiling), each energy walked once, the
-    count's walks included.  The Riccati engine's (``force_numeric``) W
-    is unsigned; its brackets come from the chain's count all the same.
-    A bracket of k > 1 states that float arithmetic cannot split reports
-    its upper end k times.
+    every state its own bracket, in one loop over a stack of brackets
+    (lo, hi, N(lo), N(hi)), lowest first, starting from (floor, ceiling].
+    A bracket holding one state matches the two decaying solutions at
+    one probe (default: the midpoint) on W, the normalised Wronskian of
+    ``_wronskian``, by Brent's method: one scalar W per iterate along the
+    same two slab lists (threshold anchors at the ceiling), each energy
+    walked once, the count's walks included.  The chain's W is signed
+    and continuous, so its root is the state.  The Riccati engine's
+    (``force_numeric``) W is unsigned and also changes sign where one
+    solution alone has a node at the probe, where |W| stays of order
+    one: there a root counts only when |W(root)| is at most ROOT_TOL
+    times the larger |W| at the bracket's ends.  A bracket with more
+    states, or whose root does not count, is halved by N.  One that
+    float arithmetic cannot halve holds k states closer than the float
+    spacing (a tunnel doublet): it reports its upper end k times if
+    k > 1, and nothing if k = 1.
     Residuals are |W| at each energy reported.  A bracket that yields no
     root raises BracketingExhaustedError with every energy the search
     evaluated and W there; a node count above MAX_STATES raises
@@ -446,13 +397,30 @@ def find_bound_states(
             f"more than {MAX_STATES}"
         )
     roots: list[float] = []
-    for lo, hi, n_lo, n_hi in _isolate(ends.count, floor, ceil, 0, expected):
-        if n_hi - n_lo > 1:
-            roots.extend([hi] * (n_hi - n_lo))
+    stack = [(floor, ceil, 0, expected)]
+    while stack:
+        lo, hi, n_lo, n_hi = stack.pop()
+        if n_hi <= n_lo:
             continue
-        root = _refine(w_at, ends.count, lo, hi, n_lo, not cfg.force_numeric)
-        if root is not None:
-            roots.append(root)
+        if n_hi - n_lo == 1:
+            try:
+                # ValueError for ends of one sign or a NaN W
+                root = brentq(w_at, lo, hi, xtol=1e-300, rtol=8.9e-16)
+            except ValueError:
+                root = None
+            # brentq's own values at the ends and at its root
+            tol = ROOT_TOL * max(abs(w_at(lo)), abs(w_at(hi)))
+            if root is not None and (not cfg.force_numeric or abs(w_at(root)) <= tol):
+                roots.append(root)
+                continue
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            if n_hi - n_lo > 1:
+                roots.extend([hi] * (n_hi - n_lo))
+            continue
+        n_mid = ends.count(mid)
+        stack.append((mid, hi, n_mid, n_hi))
+        stack.append((lo, mid, n_lo, n_mid))
 
     if len(roots) != expected:
         evaluated = sorted(seen)

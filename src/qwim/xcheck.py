@@ -3,8 +3,9 @@
 Scattering is re-derived from 2x2 plane-wave transfer matrices and
 square-well spectra from the textbook transcendental equations, neither
 sharing numeric kernels with the impedance path.  Wavefunctions are
-rebuilt from sampled Z and verified against the Schrodinger equation
-itself by finite differences.
+rebuilt from sampled Z, by its running integral or by one exact slab
+step per sample interval (``_arrays._psi_ratios``), and verified against
+the Schrodinger equation itself by finite differences.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from .errors import (
 )
 from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
 from .riccati import ImpedanceTrajectory
-
-# |Z| above which quadrature of Z is abandoned for the exact slab bridge
-# (the sample sits next to a wavefunction node).
-_BRIDGE_CUT = 100.0
-
 
 @dataclass(frozen=True)
 class TransferMatrix:
@@ -280,38 +276,29 @@ class WavefunctionProfile:
     normalization: Normalization
 
 
-def _cumulative_nonuniform_simpson(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Cumulative integral through (xs, ys) by local parabola fits.
-
-    Each interval's increment integrates the quadratic through the three
-    nearest samples; reduces to composite Simpson on uniform grids.  All
-    coordinates are shifted to the window center before evaluating the
-    antiderivative, otherwise the O(1)-sized cubic terms cancel against
-    each other and the roundoff random-walks along the cumulative sum.
+def _interval_slabs(pot: Potential, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """U at the start and at the end of each interval [xs[i], xs[i+1]],
+    and its slope there: the level or the sampled line of the piece the
+    interval lies on, and a lead's level outside [a, b], as ``u_piece``
+    has it.  No interval straddles a join: the trajectory stops at each.
     """
-    n = len(xs)
-    out = np.zeros(n, dtype=complex)
-    if n == 2:
-        out[1] = 0.5 * (xs[1] - xs[0]) * (ys[0] + ys[1])
-        return out
-    i = np.arange(n - 1)
-    j0 = np.where(i == 0, 0, np.where(i == n - 2, n - 3, np.where(i % 2, i - 1, i)))
-    c = xs[j0 + 1]
-    xa = xs[j0] - c
-    xc = xs[j0 + 2] - c
-    lo = xs[:-1] - c
-    hi = xs[1:] - c
-
-    def prim(t, p, q):
-        # antiderivative of (t - p)(t - q)
-        return t ** 3 / 3.0 - (p + q) * t ** 2 / 2.0 + p * q * t
-
-    wa = (prim(hi, 0.0, xc) - prim(lo, 0.0, xc)) / (xa * (xa - xc))
-    wb = (prim(hi, xa, xc) - prim(lo, xa, xc)) / (-xa * -xc)
-    wc = (prim(hi, xa, 0.0) - prim(lo, xa, 0.0)) / ((xc - xa) * xc)
-    inc = ys[j0] * wa + ys[j0 + 1] * wb + ys[j0 + 2] * wc
-    out[1:] = np.cumsum(inc)
-    return out
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    # 0 is the left lead, len(joins) the right one
+    piece = np.searchsorted(pot.interfaces(), mid, side="right")
+    if isinstance(pot, PiecewisePotential):
+        levels = np.array([pot.left_level, *(s.u for s in pot.segments), pot.right_level])
+        u = levels[piece]
+        return u, u, np.zeros_like(u)
+    sx, su = np.array(pot.xs), np.array(pot.us)
+    i = np.clip(piece - 1, 0, len(sx) - 2)
+    lead = np.where(piece == 0, pot.left_level, pot.right_level)
+    inside = (0 < piece) & (piece < len(sx))
+    x0, dx = sx[i], sx[i + 1] - sx[i]
+    ends = []
+    for x in (xs[:-1], xs[1:]):
+        w = (x - x0) / dx
+        ends.append(np.where(inside, (1.0 - w) * su[i] + w * su[i + 1], lead))
+    return ends[0], ends[1], np.where(inside, (su[i + 1] - su[i]) / dx, 0.0)
 
 
 def reconstruct_wavefunction(
@@ -323,17 +310,17 @@ def reconstruct_wavefunction(
 
         psi(x) = psi_start * exp[(i m / hbar) int Z dx']
 
-    Two sources, best available first.  A trajectory carrying the
-    running integral of Z uses it directly (the ODE solver already
-    accumulated it at its own tolerance).  Otherwise psi is evolved by
-    cumulative quadrature of Z on pole-free stretches, and the intervals
-    next to nodes are bridged by one exact constant-slab step of the
-    layer chain (``analytic._chain``) at the interval's mid level, which
-    also carries the sign flip through psi-nodes.  Each bridge walks
-    from the end with the larger |Z|, so a slab next to a psi-node never
-    divides by the vanishing psi there; where the level equals the
-    energy the step is psi's linear limit.  A piecewise potential,
-    constant on every interval, is bridged throughout.
+    A trajectory carrying the running integral of Z uses it directly
+    (the ODE solver already accumulated it at its own tolerance).
+    Otherwise each interval is one exact step across the slab it lies on
+    (a segment's level, a sampled line, a lead's level): the sub-slab
+    maps of ``_arrays._linear_maps``, for all intervals in one array
+    pass (``_arrays._psi_ratios``), and psi is the running product of
+    the intervals' psi ratios.  Each step walks from the end with the
+    larger |Z|, anchored at the trajectory's Z there, so a step next to
+    a psi-node never divides by the vanishing psi there, and carries the
+    sign flip through the node; where the level equals the energy the
+    step is psi's linear limit.
     """
     xs, zs = traj.xs, traj.zs
     if len(xs) < 5:
@@ -341,38 +328,23 @@ def reconstruct_wavefunction(
     pot, params, e = traj.potential, traj.params, traj.energy
     pref = 1j * params.mass / params.hbar
 
-    from .analytic import _chain, _divide
-
     if traj.z_integral is not None:
         s_rel = traj.z_integral - traj.z_integral[0]
         psi = psi_start * np.exp(pref * s_rel)
     else:
-        near_pole = np.abs(zs) > _BRIDGE_CUT
-        if isinstance(pot, PiecewisePotential):
-            near_pole[:] = True  # U is exactly constant per interval: bridge all
-        psi = np.empty(len(xs), dtype=complex)
-        psi[0] = psi_start
-        i = 0
-        while i < len(xs) - 1:
-            if not (near_pole[i] or near_pole[i + 1]):
-                j = i
-                while j + 1 < len(xs) and not (near_pole[j] or near_pole[j + 1]):
-                    j += 1
-                cum = _cumulative_nonuniform_simpson(xs[i: j + 1], zs[i: j + 1])
-                psi[i: j + 1] = psi[i] * np.exp(pref * cum)
-                i = j
-            else:
-                x0, x1 = float(xs[i]), float(xs[i + 1])
-                u = pot.u_at(0.5 * (x0 + x1))
-                z0, z1 = complex(zs[i]), complex(zs[i + 1])
-                # r / den is psi(anchor) / psi(other end)
-                if abs(z0) > abs(z1):
-                    _, den, r = _chain([(u, x1 - x0)], e, z0, params)
-                    psi[i + 1] = psi[i] * (den / r)
-                else:
-                    _, den, r = _chain([(u, x0 - x1)], e, z1, params)
-                    psi[i + 1] = psi[i] * _divide(r, den)
-                i += 1
+        from ._arrays import _psi_ratios
+
+        u_start, u_end, slope = _interval_slabs(pot, xs)
+        dx = np.diff(xs)
+        forward = np.abs(zs[:-1]) > np.abs(zs[1:])
+        slabs = np.where(
+            forward[:, None],
+            np.stack([u_start, slope, dx], axis=1),
+            np.stack([u_end, slope, -dx], axis=1),
+        )
+        den = _psi_ratios(slabs, np.where(forward, zs[:-1], zs[1:]), e, params)
+        with np.errstate(all="ignore"):
+            psi = np.cumprod(np.concatenate(([psi_start], np.where(forward, den, 1.0 / den))))
     if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
         raise QuadratureDivergenceError("reconstructed psi is not finite")
 

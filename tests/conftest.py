@@ -1,5 +1,8 @@
 """Shared fixtures: physical parameters and seeded random problem sets."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,14 @@ from qwim.model import ModelParams, PiecewisePotential, PotentialSegment
 from qwim.scattering import solve_scattering
 
 SEED = 20260823
+
+# pytest's pythonpath setting reaches this process only: the CLI and
+# import tests start `python -m qwim` children, which find the package
+# through PYTHONPATH when it is not installed
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,9 @@ from qwim.riccati import (
 )
 from qwim.scattering import solve_scattering
 from qwim.spectral import impedance_mismatch
-from qwim.xcheck import _cumulative_nonuniform_simpson, transfer_matrix_solve
+from qwim.xcheck import transfer_matrix_solve
+
+from oracles import _cumulative_nonuniform_simpson
 
 TIGHT = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
 

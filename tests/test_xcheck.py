@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qwim.analytic import barrier_closed_forms, region_constants
+from qwim import _arrays
+from qwim.analytic import _chain, _steps, barrier_closed_forms, region_constants
 from qwim.errors import (
     DegenerateEnergyError,
     InsufficientSamplesError,
@@ -23,6 +24,7 @@ from qwim.model import (
 )
 from qwim.riccati import IntegrationConfig, z_minus, z_plus
 from qwim.scattering import solve_scattering
+from qwim.spectral import find_bound_states
 from qwim.xcheck import (
     Normalization,
     WavefunctionProfile,
@@ -335,6 +337,80 @@ def test_reconstruct_impedance_consistency():
         mask &= np.abs(xs[inner] - j) > 5e-3
     err = np.abs(z_fd - zs[inner])[mask]
     assert np.max(err) < 1e-5
+
+
+def _chain_error(traj, prof):
+    """Largest |psi - exact psi| / max |exact psi| at the trajectory
+    points, the exact psi(x) / psi(b) being den / r of the chain's walk
+    from b (past a, on through the left lead), scaled to prof's psi(b)."""
+    pot, e = traj.potential, traj.energy
+    sampled = isinstance(pot, SampledPotential)
+    exact = []
+    for x in traj.xs.tolist():
+        slabs = _steps(pot, x, False)
+        if x < pot.a:
+            slabs.append((pot.left_level, 0.0, x - pot.a) if sampled else (pot.left_level, x - pot.a))
+        _, den, r = _chain(slabs, e, complex(traj.zs[-1]), traj.params)
+        exact.append(den / r)
+    exact = np.array(exact) * prof.psi[-1]
+    return float(np.max(np.abs(prof.psi - exact)) / np.max(np.abs(exact)))
+
+
+def _gaussian(amplitude, n):
+    xs = np.linspace(-3.0, 3.0, n)
+    return SampledPotential(tuple(xs), tuple(amplitude * np.exp(-xs * xs / 2.0)), 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "amplitude, n, state, energy, points, cfg",
+    [(3.0, 41, None, 2.9, 401, IntegrationConfig()),
+     (-12.0, 61, 2, None, 1001, IntegrationConfig(rel_tol=1e-12))],
+    ids=["barrier", "well-state"],
+)
+def test_untracked_sampled_reconstruction_is_the_chain_psi(amplitude, n, state, energy, points, cfg):
+    # each interval is one exact step along its sampled line, so psi is
+    # the chain's to far below the stepper's own error (quadrature of Z
+    # gave 1e-6 and 2e-7 here)
+    pot = _gaussian(amplitude, n)
+    e = energy if state is None else find_bound_states(pot).energies[state]
+    traj = z_minus(pot, e, cfg=cfg, grid=np.linspace(pot.a, pot.b, points))
+    assert traj.z_integral is None
+    assert _chain_error(traj, reconstruct_wavefunction(traj)) < 1e-9
+
+
+def test_untracked_reconstruction_steps_through_several_sub_slabs(monkeypatch):
+    # Z is the transmitted wave's z between the barrier and b, so the
+    # stepper takes steps of max_step = 1 there, and k = 10 splits each
+    # of those intervals into ten sub-slabs
+    pot = PiecewisePotential(
+        0.0, (PotentialSegment(0.0, 2.0, 30.0), PotentialSegment(2.0, 12.0, 0.0)), 0.0
+    )
+    traj = z_minus(pot, 50.0, cfg=IntegrationConfig(max_step=1.0))
+    counts = []
+    linear_maps = _arrays._linear_maps
+
+    def recorded(*args):
+        count, maps = linear_maps(*args)
+        counts.append(count)
+        return count, maps
+
+    monkeypatch.setattr(_arrays, "_linear_maps", recorded)
+    prof = reconstruct_wavefunction(traj)
+    assert max(counts[0]) == 10
+    assert _chain_error(traj, prof) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0), _gaussian(3.0, 41)],
+    ids=["piecewise", "sampled"],
+)
+def test_untracked_reconstruction_past_a_steps_on_the_lead(pot):
+    # the trajectory runs on past a, where the intervals lie on the left
+    # lead's level
+    traj = z_minus(pot, 0.7, cfg=TIGHT, target_x=pot.a - 2.0)
+    assert traj.xs[0] == pot.a - 2.0 and traj.z_integral is None
+    assert _chain_error(traj, reconstruct_wavefunction(traj)) < 1e-9
 
 
 def test_reconstruct_unit_norm():
