@@ -4,8 +4,8 @@ exact maps of linear sub-slabs.
 This is the only qwim module that the chain pulls numpy in through, and
 it is imported on first use: by ``analytic._chain`` when it walks linear
 (sampled) slabs, by ``scattering``'s energy sweeps, by the spectral
-scan grids and by ``xcheck.reconstruct_wavefunction``.  A piecewise
-solve at one energy never loads it.
+scan grids, and by the psi bridges of Riccati trajectories (``_bridge``).
+A piecewise solve at one energy never loads it.
 
 ``_chain_many`` is ``analytic._chain`` over an energy array: one array
 pass per slab (``_slabs_many``) or per linear sub-slab
@@ -27,9 +27,11 @@ with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
 step in ``analytic._chain``.
 ``_linear_steps`` hands those maps to the scalar walker at one energy.
 ``_psi_ratios`` walks many rows at one energy instead, each from its
-own Z, all in one array pass: the exact psi ratio across every interval
-of an untracked trajectory, where a constant level is a row of slope 0
-(``xcheck.reconstruct_wavefunction``).
+own Z, all in one array pass.  ``_bridge`` gives it every interval of a
+Riccati trajectory, where a constant level is a row of slope 0: the
+exact psi ratio across each interval, from which
+``xcheck.reconstruct_wavefunction`` rebuilds psi and the bound search's
+``spectral._Ends`` signs the stepper's W.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .analytic import _SATURATION_CUT, EPS_DEGENERATE
 from .errors import NonFiniteStateError
-from .model import ModelParams
+from .model import ModelParams, PiecewisePotential
 
 # Slab-energy pairs per array pass of _chain_many, and sub-slab-energy
 # pairs per chunk of linear sub-slab maps.
@@ -179,6 +181,50 @@ def _psi_ratios(slabs: np.ndarray, z: np.ndarray, e: float, params: ModelParams)
                 num[j] = kfp[lo:hi] * d + gp[lo:hi] * n
                 den[j] = f[lo:hi] * d + gk[lo:hi] * n
     return den
+
+
+def _bridge(traj) -> np.ndarray:
+    """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
+    trajectory, from its own Z samples.
+
+    Each interval is one exact step across the slab it lies on: the
+    level or the sampled line of its piece, or a lead's level outside
+    [a, b], as ``u_piece`` has it (no interval straddles a join, as the
+    trajectory stops at each).  All steps run in one ``_psi_ratios``
+    pass.  Each walks from the end with the larger |Z|, anchored at the
+    trajectory's Z there, so a step next to a psi-node never divides by
+    the vanishing psi there, and carries the sign flip through the node;
+    where the level equals the energy the step is psi's linear limit.
+    """
+    pot, xs, zs = traj.potential, traj.xs, traj.zs
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    # 0 is the left lead, len(joins) the right one
+    piece = np.searchsorted(pot.interfaces(), mid, side="right")
+    if isinstance(pot, PiecewisePotential):
+        levels = np.array([pot.left_level, *(s.u for s in pot.segments), pot.right_level])
+        u_start = u_end = levels[piece]
+        slope = np.zeros_like(u_start)
+    else:
+        sx, su = np.array(pot.xs), np.array(pot.us)
+        i = np.clip(piece - 1, 0, len(sx) - 2)
+        lead = np.where(piece == 0, pot.left_level, pot.right_level)
+        inside = (0 < piece) & (piece < len(sx))
+        x0, dx = sx[i], sx[i + 1] - sx[i]
+        u_start, u_end = (
+            np.where(inside, (1.0 - w) * su[i] + w * su[i + 1], lead)
+            for w in ((xs[:-1] - x0) / dx, (xs[1:] - x0) / dx)
+        )
+        slope = np.where(inside, (su[i + 1] - su[i]) / dx, 0.0)
+    dx = np.diff(xs)
+    forward = np.abs(zs[:-1]) > np.abs(zs[1:])
+    slabs = np.where(
+        forward[:, None],
+        np.stack([u_start, slope, dx], axis=1),
+        np.stack([u_end, slope, -dx], axis=1),
+    )
+    den = _psi_ratios(slabs, np.where(forward, zs[:-1], zs[1:]), traj.energy, traj.params)
+    with np.errstate(all="ignore"):
+        return np.where(forward, den, 1.0 / den)
 
 
 def _region_constants_many(

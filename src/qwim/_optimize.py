@@ -2,7 +2,7 @@
 
 The spectral searches refine every bound state with ``brentq`` and
 every resonance with ``minimize_scalar`` (plus ``brentq`` on the
-components of D); the square-well oracle solves its branch equations
+components of r); the square-well oracle solves its branch equations
 with ``brentq``.  Both are ports of scipy's routines, step for step and
 in scipy's operation order, so they visit the same iterates and return
 the same floats: ``brentq`` of the C ``brentq`` in scipy.optimize (Brent's

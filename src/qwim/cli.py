@@ -169,17 +169,14 @@ def cmd_resonances(args) -> int:
     return 0
 
 
-def _profile_trajectory(pot, e, cfg, params, points, track):
+def _profile_trajectory(pot, e, cfg, params, points):
     import numpy as np
 
     from .riccati import integrate_impedance, right_anchor
 
     grid = _linspace(pot.a, pot.b, points)
     z_far = right_anchor(pot, e, params)
-    traj = integrate_impedance(
-        pot, e, pot.b, z_far, pot.a, cfg, params,
-        track_integral=track, grid=grid,
-    )
+    traj = integrate_impedance(pot, e, pot.b, z_far, pot.a, cfg, params, grid=grid)
     idx = np.searchsorted(traj.xs, grid)
     idx = np.clip(idx, 0, len(traj.xs) - 1)
     return traj, grid, idx
@@ -195,9 +192,7 @@ def cmd_profile(args) -> int:
     mirror = side is Side.RIGHT
 
     if args.mode == "impedance":
-        traj, grid, idx = _profile_trajectory(
-            work, args.energy, cfg, spec.params, args.points, track=False
-        )
+        traj, grid, idx = _profile_trajectory(work, args.energy, cfg, spec.params, args.points)
         xs = traj.xs[idx]
         zs = traj.zs[idx]
         if mirror:
@@ -212,9 +207,7 @@ def cmd_profile(args) -> int:
     from .xcheck import Normalization, reconstruct_wavefunction
 
     res = solve_scattering(work, args.energy, Side.LEFT, cfg, spec.params)
-    traj, grid, idx = _profile_trajectory(
-        work, args.energy, cfg, spec.params, args.points, track=False
-    )
+    traj, grid, idx = _profile_trajectory(work, args.energy, cfg, spec.params, args.points)
     k1 = math.sqrt(2.0 * spec.params.mass * (args.energy - work.left_level)) / spec.params.hbar
     psi_a = (1.0 + res.r) * cmath.exp(1j * k1 * work.a)
     profile = reconstruct_wavefunction(traj, psi_a, Normalization.UNIT_INCIDENT)
@@ -265,10 +258,7 @@ def cmd_validate(args) -> int:
         h = (480.0 * 2.3e-16) ** (1.0 / 6.0) / k_max
         points = int(min(max(math.ceil((pot.b - pot.a) / h) + 1, 801), 200001))
         num_cfg = replace(cfg, force_numeric=True)
-        # pole-free when the far lead propagates, so the running integral
-        # of Z is trackable and gives the smoothest psi for the residual
-        track = e > pot.right_level
-        traj, grid, idx = _profile_trajectory(pot, e, num_cfg, params, points, track=track)
+        traj, grid, idx = _profile_trajectory(pot, e, num_cfg, params, points)
         k1 = math.sqrt(2.0 * params.mass * (e - pot.left_level)) / params.hbar
         psi_a = (1.0 + imp.r) * cmath.exp(1j * k1 * pot.a)
         profile = reconstruct_wavefunction(traj, psi_a, Normalization.UNIT_INCIDENT)

@@ -33,15 +33,17 @@ Brent's root finder on the components of r; the bounded minimiser on
 Both kinds of potential chain exact slab maps (constant slabs, or the
 linear sub-slabs of a sampled potential), which also give the psi
 ratios that sign W; with ``cfg.force_numeric`` the Riccati equation is
-integrated instead, and W carries no sign.  A search sets up its slab
+integrated instead, and the exact slab steps across its own intervals
+(``_arrays._bridge``) give the psi ratios, so W is signed for both
+engines and one root rule serves them.  A search sets up its slab
 lists once (``_Ends``: one from each end to the probe; ``_Entry``: the
 walk).  The node count and the refinement of each bracket, with qwim's
 own ports of Brent's root finder and bounded minimiser (``_optimize``),
 walk the same lists one scalar energy at a time in plain complex
 arithmetic, and walk no energy twice: W at an energy the count walked
 takes the count's ends, and the value at a returned root or minimum is
-the one the optimiser computed.  Only the resonance scan uses numpy,
-and imports it when it runs.
+the one the optimiser computed.  Only the resonance scan and the
+``force_numeric`` ends use numpy, and import it when they run.
 """
 
 from __future__ import annotations
@@ -75,9 +77,6 @@ from .scattering import _frame, _trajectory, _walk
 
 # |r| must fall below this at a refined minimum to count as a resonance.
 RESONANCE_TOL = 1e-6
-# |W| at a refined bound-state root, relative to the larger |W| at the
-# ends of its bracket, must not exceed this.
-ROOT_TOL = 1e-10
 # Number of scan-grid points across a resonance search window.
 SCAN_POINTS = 400
 # States one bound search may return at most (at about 0.1 ms a state on
@@ -116,9 +115,12 @@ class _Ends:
     slab lists from each end to the probe are built here, and every
     energy is chained along them; ``count`` walks them too, and keeps
     the ends it walked for a call at the same energy.  With
-    ``force_numeric`` a call integrates the Riccati equation instead,
-    which carries no psi ratio and gives (Z, 1, 1); the lists then serve
-    the node count alone.
+    ``force_numeric`` a call integrates the Riccati equation instead and
+    gives (Z, 1, r): r = psi(anchor) / psi(probe) is the product of the
+    phases of the trajectory's interval psi ratios (``_arrays._bridge``).
+    W reads only the phase of r, and a product of phases cannot
+    underflow across a thick barrier as one of the ratios themselves
+    can.  The lists then serve the node count alone.
     """
 
     def __init__(self, pot, probe_x, cfg, params):
@@ -148,12 +150,18 @@ class _Ends:
         (left, right), params = self.slabs, self.params
         z_a, z_b = self._anchors(e)
         if self.cfg.force_numeric:
+            import numpy as np
+
+            from ._arrays import _bridge
             from .riccati import integrate_impedance
 
             pot, cfg = self.pot, self.cfg
-            zp = integrate_impedance(pot, e, pot.a, z_a, self.probe_x, cfg, params).zs[-1]
-            zm = integrate_impedance(pot, e, pot.b, z_b, self.probe_x, cfg, params).zs[0]
-            return (complex(zp), 1.0, 1.0), (complex(zm), 1.0, 1.0)
+            plus = integrate_impedance(pot, e, pot.a, z_a, self.probe_x, cfg, params)
+            minus = integrate_impedance(pot, e, pot.b, z_b, self.probe_x, cfg, params)
+            with np.errstate(all="ignore"):
+                # psi(probe) / psi(a) and psi(b) / psi(probe), as phases
+                p1, p2 = (complex((q / abs(q)).prod()) for q in (_bridge(plus), _bridge(minus)))
+            return (complex(plus.zs[-1]), 1.0, p1.conjugate()), (complex(minus.zs[0]), 1.0, p2)
         return _chain(left, e, z_a, params), _chain(right, e, z_b, params)
 
     def count(self, e: float) -> int:
@@ -250,10 +258,8 @@ def _wronskian(plus, minus, s):
 
     W is proportional to the Wronskian psi+ psi-' - psi- psi+', so it
     does not depend on the probe, has no poles, lies in [-1, 1] and
-    vanishes exactly at the eigenvalues.  With the (Z, 1, 1) ends of the
-    Riccati engine the sign of psi is unknown: W then jumps where one
-    solution alone has a node at the probe.  A scalar zero divisor gives
-    NaN.
+    vanishes exactly at the eigenvalues, for the ends of both engines.
+    A scalar zero divisor gives NaN.
     """
     (n1, d1, r1), (n2, d2, r2) = plus, minus
     try:
@@ -345,16 +351,12 @@ def find_bound_states(
     one probe (default: the midpoint) on W, the normalised Wronskian of
     ``_wronskian``, by Brent's method: one scalar W per iterate along the
     same two slab lists (threshold anchors at the ceiling), each energy
-    walked once, the count's walks included.  The chain's W is signed
-    and continuous, so its root is the state.  The Riccati engine's
-    (``force_numeric``) W is unsigned and also changes sign where one
-    solution alone has a node at the probe, where |W| stays of order
-    one: there a root counts only when |W(root)| is at most ROOT_TOL
-    times the larger |W| at the bracket's ends.  A bracket with more
-    states, or whose root does not count, is halved by N.  One that
-    float arithmetic cannot halve holds k states closer than the float
-    spacing (a tunnel doublet): it reports its upper end k times if
-    k > 1, and nothing if k = 1.
+    walked once, the count's walks included.  W is signed and continuous
+    on both engines (``_Ends``), so its root is the state.  A bracket
+    with more states, or where Brent's method finds no root, is halved
+    by N.  One that float arithmetic cannot halve holds k states closer
+    than the float spacing (a tunnel doublet): it reports its upper end
+    k times if k > 1, and nothing if k = 1.
     Residuals are |W| at each energy reported.  A bracket that yields no
     root raises BracketingExhaustedError with every energy the search
     evaluated and W there; a node count above MAX_STATES raises
@@ -404,15 +406,11 @@ def find_bound_states(
             continue
         if n_hi - n_lo == 1:
             try:
-                # ValueError for ends of one sign or a NaN W
-                root = brentq(w_at, lo, hi, xtol=1e-300, rtol=8.9e-16)
-            except ValueError:
-                root = None
-            # brentq's own values at the ends and at its root
-            tol = ROOT_TOL * max(abs(w_at(lo)), abs(w_at(hi)))
-            if root is not None and (not cfg.force_numeric or abs(w_at(root)) <= tol):
-                roots.append(root)
+                roots.append(brentq(w_at, lo, hi, xtol=1e-300, rtol=8.9e-16))
                 continue
+            except ValueError:
+                # ends of one sign or a NaN W
+                pass
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             if n_hi - n_lo > 1:

@@ -4,7 +4,7 @@ Scattering is re-derived from 2x2 plane-wave transfer matrices and
 square-well spectra from the textbook transcendental equations, neither
 sharing numeric kernels with the impedance path.  Wavefunctions are
 rebuilt from sampled Z, by its running integral or by one exact slab
-step per sample interval (``_arrays._psi_ratios``), and verified against
+step per sample interval (``_arrays._bridge``), and verified against
 the Schrodinger equation itself by finite differences.
 """
 
@@ -276,31 +276,6 @@ class WavefunctionProfile:
     normalization: Normalization
 
 
-def _interval_slabs(pot: Potential, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """U at the start and at the end of each interval [xs[i], xs[i+1]],
-    and its slope there: the level or the sampled line of the piece the
-    interval lies on, and a lead's level outside [a, b], as ``u_piece``
-    has it.  No interval straddles a join: the trajectory stops at each.
-    """
-    mid = 0.5 * (xs[:-1] + xs[1:])
-    # 0 is the left lead, len(joins) the right one
-    piece = np.searchsorted(pot.interfaces(), mid, side="right")
-    if isinstance(pot, PiecewisePotential):
-        levels = np.array([pot.left_level, *(s.u for s in pot.segments), pot.right_level])
-        u = levels[piece]
-        return u, u, np.zeros_like(u)
-    sx, su = np.array(pot.xs), np.array(pot.us)
-    i = np.clip(piece - 1, 0, len(sx) - 2)
-    lead = np.where(piece == 0, pot.left_level, pot.right_level)
-    inside = (0 < piece) & (piece < len(sx))
-    x0, dx = sx[i], sx[i + 1] - sx[i]
-    ends = []
-    for x in (xs[:-1], xs[1:]):
-        w = (x - x0) / dx
-        ends.append(np.where(inside, (1.0 - w) * su[i] + w * su[i + 1], lead))
-    return ends[0], ends[1], np.where(inside, (su[i + 1] - su[i]) / dx, 0.0)
-
-
 def reconstruct_wavefunction(
     traj: ImpedanceTrajectory,
     psi_start: complex = 1.0 + 0j,
@@ -312,39 +287,24 @@ def reconstruct_wavefunction(
 
     A trajectory carrying the running integral of Z uses it directly
     (the ODE solver already accumulated it at its own tolerance).
-    Otherwise each interval is one exact step across the slab it lies on
-    (a segment's level, a sampled line, a lead's level): the sub-slab
-    maps of ``_arrays._linear_maps``, for all intervals in one array
-    pass (``_arrays._psi_ratios``), and psi is the running product of
-    the intervals' psi ratios.  Each step walks from the end with the
-    larger |Z|, anchored at the trajectory's Z there, so a step next to
-    a psi-node never divides by the vanishing psi there, and carries the
-    sign flip through the node; where the level equals the energy the
-    step is psi's linear limit.
+    Otherwise psi is the running product of the intervals' psi ratios,
+    each one exact step across the slab the interval lies on
+    (``_arrays._bridge``).
     """
-    xs, zs = traj.xs, traj.zs
+    xs = traj.xs
     if len(xs) < 5:
         raise InsufficientSamplesError("need at least 5 trajectory samples")
-    pot, params, e = traj.potential, traj.params, traj.energy
+    params = traj.params
     pref = 1j * params.mass / params.hbar
 
     if traj.z_integral is not None:
         s_rel = traj.z_integral - traj.z_integral[0]
         psi = psi_start * np.exp(pref * s_rel)
     else:
-        from ._arrays import _psi_ratios
+        from ._arrays import _bridge
 
-        u_start, u_end, slope = _interval_slabs(pot, xs)
-        dx = np.diff(xs)
-        forward = np.abs(zs[:-1]) > np.abs(zs[1:])
-        slabs = np.where(
-            forward[:, None],
-            np.stack([u_start, slope, dx], axis=1),
-            np.stack([u_end, slope, -dx], axis=1),
-        )
-        den = _psi_ratios(slabs, np.where(forward, zs[:-1], zs[1:]), e, params)
         with np.errstate(all="ignore"):
-            psi = np.cumprod(np.concatenate(([psi_start], np.where(forward, den, 1.0 / den))))
+            psi = np.cumprod(np.concatenate(([psi_start], _bridge(traj))))
     if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
         raise QuadratureDivergenceError("reconstructed psi is not finite")
 

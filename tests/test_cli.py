@@ -390,6 +390,26 @@ def test_validate_at_an_interior_level_below_the_far_lead(tmp_path):
     ]
 
 
+def test_validate_residual_on_a_bridged_psi(tmp_path, random_stack_instances):
+    # validate checks the psi that profile prints: an untracked
+    # trajectory, bridged slab by slab.  Rebuilt from the tracked integral
+    # of Z instead, conftest stack 30 failed here with residuals 3.15e-6
+    # and 4.19e-6
+    pot = random_stack_instances[30][0]
+    doc = {"potential": {
+        "kind": "piecewise", "left_level": pot.left_level, "right_level": pot.right_level,
+        "segments": [{"x_start": s.x_start, "x_end": s.x_end, "u": s.u} for s in pot.segments],
+    }}
+    spec = write_spec(tmp_path, doc)
+    for energy in ("0.978", "1.0875"):
+        proc = run_cli("validate", "--spec", spec, "--energy", energy)
+        assert proc.returncode == 0, (energy, proc.stdout, proc.stderr)
+        header, rows = rows_of(proc.stdout)
+        assert [(r[0], r[-1]) for r in rows] == [
+            ("delta_R", "ok"), ("delta_T", "ok"), ("residual", "ok")
+        ]
+
+
 def test_validate_bare_step_checks_the_deltas(tmp_path):
     # a step has no interior to rebuild psi on; scatter solves it, and
     # validate stopped with 'anchor and target coincide', exit 2

@@ -82,6 +82,24 @@ def test_every_concrete_error_class_is_raised_and_exported():
     assert [name for name in concrete if name not in qwim.__all__] == []
 
 
+def test_only_the_cli_imports_the_cross_checks():
+    # the solvers reach the psi bridges through _arrays, never through
+    # the cross-check module; __init__ names it for lazy loading only
+    importers = set()
+    for path in Path(qwim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("xcheck" in name.split(".") for name in names):
+                importers.add(path.stem)
+    assert "cli" in importers
+    assert importers <= {"cli", "__init__"}
+
+
 def test_bench_tracer_targets_resolve():
     # the benchmark's tracer wraps these names by lookup; one that a
     # change deletes or renames would make its traced runs raise
