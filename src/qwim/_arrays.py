@@ -40,9 +40,9 @@ import itertools
 
 import numpy as np
 
-from .analytic import _SATURATION_CUT, EPS_DEGENERATE
+from .analytic import _SATURATION_CUT, EPS_DEGENERATE, _steps
 from .errors import NonFiniteStateError
-from .model import ModelParams, PiecewisePotential
+from .model import ModelParams
 
 # Slab-energy pairs per array pass of _chain_many, and sub-slab-energy
 # pairs per chunk of linear sub-slab maps.
@@ -187,34 +187,24 @@ def _bridge(traj) -> np.ndarray:
     """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
     trajectory, from its own Z samples.
 
-    Each interval is one exact step across the slab it lies on: the
-    level or the sampled line of its piece, or a lead's level outside
-    [a, b], as ``u_piece`` has it (no interval straddles a join, as the
-    trajectory stops at each).  All steps run in one ``_psi_ratios``
-    pass.  Each walks from the end with the larger |Z|, anchored at the
-    trajectory's Z there, so a step next to a psi-node never divides by
-    the vanishing psi there, and carries the sign flip through the node;
-    where the level equals the energy the step is psi's linear limit.
+    Each interval is one exact step across the slab it lies on, found by
+    the interval's midpoint in the slab list of the walk from xs[0] to
+    xs[-1] (``analytic._steps``, a constant slab a row of slope 0): a
+    segment's level, a sampled line or a lead's level.  No interval
+    straddles a join, as the trajectory stops at each.  All steps run in
+    one ``_psi_ratios`` pass.  Each walks from the end with the larger
+    |Z|, anchored at the trajectory's Z there, so a step next to a
+    psi-node never divides by the vanishing psi there, and carries the
+    sign flip through the node; where the level equals the energy the
+    step is psi's linear limit.
     """
-    pot, xs, zs = traj.potential, traj.xs, traj.zs
-    mid = 0.5 * (xs[:-1] + xs[1:])
-    # 0 is the left lead, len(joins) the right one
-    piece = np.searchsorted(pot.interfaces(), mid, side="right")
-    if isinstance(pot, PiecewisePotential):
-        levels = np.array([pot.left_level, *(s.u for s in pot.segments), pot.right_level])
-        u_start = u_end = levels[piece]
-        slope = np.zeros_like(u_start)
-    else:
-        sx, su = np.array(pot.xs), np.array(pot.us)
-        i = np.clip(piece - 1, 0, len(sx) - 2)
-        lead = np.where(piece == 0, pot.left_level, pot.right_level)
-        inside = (0 < piece) & (piece < len(sx))
-        x0, dx = sx[i], sx[i + 1] - sx[i]
-        u_start, u_end = (
-            np.where(inside, (1.0 - w) * su[i] + w * su[i + 1], lead)
-            for w in ((xs[:-1] - x0) / dx, (xs[1:] - x0) / dx)
-        )
-        slope = np.where(inside, (su[i + 1] - su[i]) / dx, 0.0)
+    xs, zs = traj.xs, traj.zs
+    rows = np.array(_steps(traj.potential, float(xs[0]), float(xs[-1])), dtype=float)
+    u0, slope, dx = rows.T if rows.shape[1] == 3 else (rows[:, 0], np.zeros(len(rows)), rows[:, 1])
+    start = np.cumsum(np.concatenate(([xs[0]], dx[:-1])))
+    j = np.searchsorted(start, 0.5 * (xs[:-1] + xs[1:]), side="right") - 1
+    u0, slope, start = u0[j], slope[j], start[j]
+    u_start, u_end = u0 + slope * (xs[:-1] - start), u0 + slope * (xs[1:] - start)
     dx = np.diff(xs)
     forward = np.abs(zs[:-1]) > np.abs(zs[1:])
     slabs = np.where(

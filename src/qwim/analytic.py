@@ -18,7 +18,10 @@ left and Z(b) = +z2 on the right, and Z = +z / -z are the attractors of
 leftward / rightward integration through an evanescent region.
 
 One walker, ``_chain(slabs, e, z_anchor, params)``, steps Z and psi
-across a slab list that ``_steps`` builds once per stack and end point.
+across a slab list that ``_steps`` builds once per stack and end point;
+``_steps`` is the only code that cuts a potential into slabs, and the
+Riccati stepper and the psi bridges of :mod:`qwim._arrays` walk its
+lists too.
 Each constant slab is one step of the tanh addition law: it maps Z(x) to
 Z(x + dx) and gives the psi ratio across the step over the same
 denominator.  Where E equals a slab's level psi is linear across it, and
@@ -152,39 +155,42 @@ def _divide(x: complex, den: complex) -> complex:
     return x / den
 
 
-def _steps(pot: Potential, x_to: float, from_left: bool) -> list[tuple[float, ...]]:
-    """The slab list of a walk from the anchor (a if ``from_left``, else
-    b) to x_to, one step per slab: (level, dx) of each segment of a
-    piecewise potential, (u_start, slope, dx) of each sample interval of
-    a sampled one, with u_start the potential where the step starts and
-    slope its dU/dx.  The slab holding x_to is a partial step.
-    ``_chain`` and ``_arrays._chain_many`` take either form."""
-    steps = []
-    if isinstance(pot, SampledPotential):
-        xs, us = pot.xs, pot.us
-        if from_left:
-            for i in range(len(xs) - 1):
-                x0, x1 = xs[i], xs[i + 1]
-                if x0 >= x_to:
-                    break
-                steps.append((us[i], (us[i + 1] - us[i]) / (x1 - x0), min(x1, x_to) - x0))
-        else:
-            for i in range(len(xs) - 2, -1, -1):
-                x0, x1 = xs[i], xs[i + 1]
-                if x1 <= x_to:
-                    break
-                steps.append((us[i + 1], (us[i + 1] - us[i]) / (x1 - x0), max(x0, x_to) - x1))
-        return steps
-    if from_left:
-        for seg in pot.segments:
-            if seg.x_start >= x_to:
-                break
-            steps.append((seg.u, min(seg.x_end, x_to) - seg.x_start))
+def _steps(pot: Potential, x_from: float, x_to: float) -> list[tuple[float, ...]]:
+    """The slab list of a walk from x_from to x_to, one step per slab in
+    walk order: (level, dx) of each segment of a piecewise potential,
+    (u_start, slope, dx) of each sample interval of a sampled one, with
+    u_start the potential where the step starts, slope its dU/dx and dx
+    signed by the walk's direction.  The slabs holding x_from and x_to
+    are partial steps.  Past a or b a lead is one more slab at its
+    level, (level, 0.0, dx) on a sampled potential.  ``_chain``,
+    ``_arrays._chain_many`` and the Riccati stepper take either form."""
+    sampled = isinstance(pot, SampledPotential)
+    forward = x_from < x_to
+    lo, hi = (x_from, x_to) if forward else (x_to, x_from)
+    # cells (x0, x1, u0, u1), a lead's cell reaching only as far as the walk
+    if sampled:
+        cells = list(zip(pot.xs, pot.xs[1:], pot.us, pot.us[1:]))
     else:
-        for seg in reversed(pot.segments):
-            if seg.x_end <= x_to:
-                break
-            steps.append((seg.u, max(seg.x_start, x_to) - seg.x_end))
+        cells = [(s.x_start, s.x_end, s.u, s.u) for s in pot.segments]
+    if lo < pot.a:
+        cells.insert(0, (lo, pot.a, pot.left_level, pot.left_level))
+    if hi > pot.b:
+        cells.append((pot.b, hi, pot.right_level, pot.right_level))
+    steps = []
+    for x0, x1, u0, u1 in cells if forward else reversed(cells):
+        if x1 <= lo or x0 >= hi:
+            continue
+        # the part of the cell on the walk; min and max are written out, a
+        # builtin call per cell costing more than the rest of the cell
+        c0, c1 = x0 if x0 > lo else lo, x1 if x1 < hi else hi
+        if not sampled:
+            steps.append((u0, c1 - c0 if forward else c0 - c1))
+        elif forward:
+            slope = (u1 - u0) / (x1 - x0)
+            steps.append((u0 if c0 == x0 else u0 + slope * (c0 - x0), slope, c1 - c0))
+        else:
+            slope = (u1 - u0) / (x1 - x0)
+            steps.append((u1 if c1 == x1 else u1 + slope * (c1 - x1), slope, c0 - c1))
     return steps
 
 
@@ -193,7 +199,7 @@ def _mirrored_steps(pot: Potential) -> list[tuple[float, ...]]:
     its left: the walk from a to b with every step, and every slope,
     negated.  x -> -x is exact, so this is bitwise the mirror's list, and
     no mirror is built."""
-    steps = _steps(pot, pot.b, True)
+    steps = _steps(pot, pot.a, pot.b)
     if isinstance(pot, SampledPotential):
         return [(u, -slope, -dx) for u, slope, dx in steps]
     return [(u, -dx) for u, dx in steps]

@@ -25,6 +25,8 @@ from .model import IntegrationConfig, PiecewisePotential, Side
 from .scattering import (
     EnergyPointError,
     ScatteringResult,
+    _frame,
+    _trajectory,
     energy_sweep,
     solve_scattering,
 )
@@ -169,17 +171,19 @@ def cmd_resonances(args) -> int:
     return 0
 
 
-def _profile_trajectory(pot, e, cfg, params, points):
+def _profile_trajectory(pot, e, side, cfg, params, points):
+    """The Riccati trajectory of the scattering solve from ``side``, in
+    the potential's own frame (``scattering._trajectory``), forced
+    through ``points`` evenly spaced grid points on [a, b], and the index
+    of each grid point's sample."""
     import numpy as np
 
-    from .riccati import integrate_impedance, right_anchor
+    from .analytic import region_constants
 
     grid = _linspace(pot.a, pot.b, points)
-    z_far = right_anchor(pot, e, params)
-    traj = integrate_impedance(pot, e, pot.b, z_far, pot.a, cfg, params, grid=grid)
-    idx = np.searchsorted(traj.xs, grid)
-    idx = np.clip(idx, 0, len(traj.xs) - 1)
-    return traj, grid, idx
+    z_far = region_constants(e, _frame(pot, side)[1], params).z
+    traj = _trajectory(pot, e, side, z_far, cfg, params, grid=grid)
+    return traj, np.clip(np.searchsorted(traj.xs, grid), 0, len(traj.xs) - 1)
 
 
 def cmd_profile(args) -> int:
@@ -188,36 +192,40 @@ def cmd_profile(args) -> int:
     if args.points < 5:
         raise ValueError("--points must be at least 5")
     side = _side(args)
-    work = spec.potential.mirrored() if side is Side.RIGHT else spec.potential
-    mirror = side is Side.RIGHT
+    pot, params, e = spec.potential, spec.params, args.energy
+    traj, idx = _profile_trajectory(pot, e, side, cfg, params, args.points)
 
     if args.mode == "impedance":
-        traj, grid, idx = _profile_trajectory(work, args.energy, cfg, spec.params, args.points)
-        xs = traj.xs[idx]
-        zs = traj.zs[idx]
-        if mirror:
-            xs, zs = -xs[::-1], -zs[::-1]
         rows = [
-            [_fmt(x), _fmt(z.real), _fmt(z.imag)] for x, z in zip(xs, zs)
+            [_fmt(x), _fmt(z.real), _fmt(z.imag)] for x, z in zip(traj.xs[idx], traj.zs[idx])
         ]
         _print_table(["x", "re_Z", "im_Z"], rows)
         return 0
 
-    # wavefunction mode: scattering solution, unit incident amplitude
+    # wavefunction mode: scattering solution, unit incident amplitude,
+    # psi at the entry edge (1 + r) times the incident wave there
+    import numpy as np
+
+    from ._arrays import _bridge
+    from .errors import QuadratureDivergenceError
     from .xcheck import Normalization, reconstruct_wavefunction
 
-    res = solve_scattering(work, args.energy, Side.LEFT, cfg, spec.params)
-    traj, grid, idx = _profile_trajectory(work, args.energy, cfg, spec.params, args.points)
-    k1 = math.sqrt(2.0 * spec.params.mass * (args.energy - work.left_level)) / spec.params.hbar
-    psi_a = (1.0 + res.r) * cmath.exp(1j * k1 * work.a)
-    profile = reconstruct_wavefunction(traj, psi_a, Normalization.UNIT_INCIDENT)
-    xs = profile.xs[idx]
-    psi = profile.psi[idx]
-    if mirror:
-        xs, psi = -xs[::-1], psi[::-1]
+    res = solve_scattering(pot, e, side, cfg, params)
+    u_in, _, x_in, _ = _frame(pot, side)
+    k1 = math.sqrt(2.0 * params.mass * (e - u_in)) / params.hbar
+    psi_in = (1.0 + res.r) * cmath.exp(1j * k1 * x_in)
+    if side is Side.LEFT:
+        psi = reconstruct_wavefunction(traj, psi_in, Normalization.UNIT_INCIDENT).psi
+    else:
+        # the walk from a ends at the entry edge b: psi(x_i) is psi(b)
+        # over the product of the interval ratios from x_i to b
+        with np.errstate(all="ignore"):
+            psi = psi_in / np.cumprod(np.concatenate(([1.0], _bridge(traj)[::-1])))[::-1]
+        if not np.isfinite(psi).all():
+            raise QuadratureDivergenceError("reconstructed psi is not finite")
     rows = [
         [_fmt(x), _fmt(p.real), _fmt(p.imag), _fmt(abs(p) ** 2)]
-        for x, p in zip(xs, psi)
+        for x, p in zip(traj.xs[idx], psi[idx])
     ]
     _print_table(["x", "re_psi", "im_psi", "abs2_psi"], rows)
     return 0
@@ -258,7 +266,7 @@ def cmd_validate(args) -> int:
         h = (480.0 * 2.3e-16) ** (1.0 / 6.0) / k_max
         points = int(min(max(math.ceil((pot.b - pot.a) / h) + 1, 801), 200001))
         num_cfg = replace(cfg, force_numeric=True)
-        traj, grid, idx = _profile_trajectory(pot, e, num_cfg, params, points)
+        traj, idx = _profile_trajectory(pot, e, Side.LEFT, num_cfg, params, points)
         k1 = math.sqrt(2.0 * params.mass * (e - pot.left_level)) / params.hbar
         psi_a = (1.0 + imp.r) * cmath.exp(1j * k1 * pot.a)
         profile = reconstruct_wavefunction(traj, psi_a, Normalization.UNIT_INCIDENT)

@@ -169,10 +169,6 @@ class PiecewisePotential:
                 return seg.u
         return self.right_level
 
-    def u_piece(self, x: float) -> float:
-        """U on the smooth piece around x (not an interface): its level."""
-        return self.u_at(x)
-
     def interfaces(self) -> list[float]:
         """All potential jump locations, ordered, including a and b."""
         if not self.segments:
@@ -180,10 +176,6 @@ class PiecewisePotential:
         pts = [self.segments[0].x_start]
         pts.extend(seg.x_end for seg in self.segments)
         return pts
-
-    def breakpoints_between(self, lo: float, hi: float) -> list[float]:
-        """Interfaces strictly inside (lo, hi); used to split ODE integration."""
-        return [x for x in self.interfaces() if lo < x < hi]
 
     def mirrored(self) -> "PiecewisePotential":
         """The potential reflected through x -> -x (leads swap)."""
@@ -240,24 +232,8 @@ class SampledPotential:
         w = (x - x0) / (x1 - x0)
         return (1.0 - w) * self.us[i] + w * self.us[i + 1]
 
-    def u_piece(self, x: float) -> float | tuple[float, float, float, float]:
-        """U on the smooth piece around x (not a sample): the lead level
-        outside [a, b], else the line (x0, dx, u0, u1) through the samples
-        on either side, which at x' is (1 - w) u0 + w u1 with
-        w = (x' - x0) / dx, as ``u_at`` has it.  The line holds up to and
-        at the two samples, where ``u_at`` switches to the next line or to
-        the lead level."""
-        if not self.a < x < self.b:
-            return self.u_at(x)
-        i = bisect.bisect_right(self.xs, x) - 1
-        x0 = self.xs[i]
-        return x0, self.xs[i + 1] - x0, self.us[i], self.us[i + 1]
-
     def interfaces(self) -> list[float]:
         return list(self.xs)
-
-    def breakpoints_between(self, lo: float, hi: float) -> list[float]:
-        return [x for x in self.xs if lo < x < hi]
 
     def mirrored(self) -> "SampledPotential":
         xs = tuple(-x for x in reversed(self.xs))

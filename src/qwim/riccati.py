@@ -13,11 +13,11 @@ y' = i (a - b y^2), with a and b swapping between the modes.  Stepping
 is the Dormand-Prince 5(4) embedded pair (J. Comput. Appl. Math. 6, 19
 (1980)) with standard PI-free error control, its seven stages written
 out for the one complex state inside ``integrate_impedance``'s single
-loop over pieces.  The potential's jump points (and any forced grid
-points) split the range into pieces, so no step ever straddles a
-discontinuity; on each piece U is a constant level or a sampled line,
-looked up once per interval between breakpoints and evaluated inline at
-the stages.
+loop over pieces.  The stepper walks the slab list the exact chain
+walks, ``analytic._steps`` from anchor to target: on each slab U is one
+level or one line u_start + slope (x - slab start), evaluated inline at
+the stages.  The slab ends (and any forced grid points) split the range
+into pieces, so no step ever straddles a discontinuity.
 
 Each stage is evaluated as a' - b' y^2 with the factor i folded into
 the coefficients (a' = i a, b' = i b) where they are set, and each
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import region_constants
+from .analytic import _steps, region_constants
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
@@ -85,17 +85,20 @@ def integrate_impedance(
 ) -> ImpedanceTrajectory:
     """Integrate Z from (anchor_x, anchor_z) to target_x.
 
-    The range is cut into pieces at every potential jump or kink and at
-    every point of the optional ``grid`` strictly between anchor and
-    target, so accepted steps land on those points (used to produce
-    near-uniform samples for wavefunction reconstruction).  Each piece
-    starts afresh: a first step of min(max_step, piece length), a first
-    stage at its start, and Z or W mode by |Z| there.  The potential is
-    looked up once per interval between breakpoints: a level fixes the
-    stages' coefficients, a sampled line is evaluated at each stage.
-    ``grid`` must be real and one-dimensional (TypeError otherwise),
-    with finite points (NonFiniteInputError); points outside the range
-    are ignored.
+    The range is walked along the slab list ``analytic._steps(pot,
+    anchor_x, target_x)``, a lead's level included past a or b: a level
+    fixes the stages' coefficients, a line is evaluated at each stage.
+    Each slab's end is accumulated from the anchor (the last one is the
+    target).  The range is cut into pieces at those ends and at every
+    point of the optional ``grid`` strictly between anchor and target, so
+    accepted steps land on those points (used to produce near-uniform
+    samples for wavefunction reconstruction); a grid point within
+    1e-14 max(1, |x|) of a slab end replaces that end, so every grid
+    point is a sample.  Each piece starts afresh: a first step of
+    min(max_step, piece length), a first stage at its start, and Z or W
+    mode by |Z| there.  ``grid`` must be real and one-dimensional
+    (TypeError otherwise), with finite points (NonFiniteInputError);
+    points outside the range are ignored.
     """
     require_finite("energy", e)
     require_finite("anchor and target", anchor_x, target_x)
@@ -108,10 +111,9 @@ def integrate_impedance(
     span = abs(target_x - anchor_x)
     max_step = cfg.max_step if cfg.max_step is not None else span / 50.0
 
-    lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
     leftward = target_x < anchor_x
-    edges = sorted(set(pot.breakpoints_between(lo, hi)), reverse=leftward)
-    stops = set(edges)
+    sgn = -1.0 if leftward else 1.0
+    points = []
     if grid is not None:
         if np.iscomplexobj(grid):
             raise TypeError("grid must be real, got a complex grid")
@@ -120,17 +122,14 @@ def integrate_impedance(
             raise TypeError(f"grid must be one-dimensional, got shape {points.shape}")
         if not np.isfinite(points).all():
             require_finite("grid points", *points.tolist())
-        stops.update(g for g in points.tolist() if lo < g < hi)
-    stops = sorted(stops, reverse=leftward)
-    stops.append(target_x)
-    edges.append(target_x)
+        lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
+        points = sorted((g for g in points.tolist() if lo < g < hi), reverse=leftward)
 
     c_pot = 2.0 / params.hbar
     i_imp = 1j * (params.mass / params.hbar)
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     threshold = cfg.pole_threshold
     switch_back = 2.0 / threshold  # hysteresis: |Z| <= threshold/2
-    sgn = -1.0 if leftward else 1.0
     track = bool(track_integral)
     isfinite = cmath.isfinite
 
@@ -139,19 +138,30 @@ def integrate_impedance(
     z, s = anchor_z, 0j
     abs_s = 0.0  # |S|, carried from step to step like |y|
     r1 = r7 = None
-    ends = iter(edges)
-    x0 = edge = anchor_x
-    for x1 in stops:
-        if x0 == edge:
-            # U is one level or one line up to the next breakpoint, so
-            # one lookup inside that interval serves all its pieces
-            edge = next(ends)
-            piece = pot.u_piece(0.5 * (x0 + edge))
-            line = isinstance(piece, tuple)
-            if line:
-                xa, dx, ua, ub = piece
-            else:
-                level = 1j * (c_pot * (e - piece))
+    # the pieces: each slab's end, accumulated from the anchor (the last
+    # is the target), and the grid points on the slab before it; a grid
+    # point within rounding of the end replaces it, so that every grid
+    # point is a sample.  U on a slab is one level, or the line
+    # u0 + slope (x - xa) from its start xa
+    slabs = _steps(pot, anchor_x, target_x)
+    pieces, g, xa, last = [], 0, anchor_x, len(slabs) - 1
+    for k, slab in enumerate(slabs):
+        u0, slope = slab[0], slab[1] if len(slab) == 3 else 0.0
+        end = target_x if k == last else xa + slab[-1]
+        tol = 1e-14 * max(1.0, abs(end))
+        while g < len(points) and sgn * (end - points[g]) > tol:
+            pieces.append((points[g], xa, u0, slope))
+            g += 1
+        if k < last and g < len(points) and abs(points[g] - end) <= tol:
+            end = points[g]
+            g += 1
+        pieces.append((end, xa, u0, slope))
+        xa = end
+    x0 = anchor_x
+    for x1, xa, u0, slope in pieces:
+        line = slope != 0.0
+        if not line:
+            level = 1j * (c_pot * (e - u0))
         x = x0
         h = sgn * min(max_step, abs(x1 - x0))
         h_floor = 1e-14 * max(1.0, abs(x0), abs(x1))
@@ -168,8 +178,7 @@ def integrate_impedance(
                 y = 1.0 / z if in_w else z
                 abs_y = abs(y)
                 if line:
-                    t = (x - xa) / dx
-                    p1 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
+                    p1 = 1j * (c_pot * (e - (u0 + slope * (x - xa))))
                 else:
                     p1 = level
                 if in_w:
@@ -191,16 +200,11 @@ def integrate_impedance(
             h = sgn * m
             if line:
                 # the line at the five distinct stage abscissae
-                t = (x + 0.2 * h - xa) / dx
-                p2 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
-                t = (x + 0.3 * h - xa) / dx
-                p3 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
-                t = (x + 0.8 * h - xa) / dx
-                p4 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
-                t = (x + 8.0 / 9.0 * h - xa) / dx
-                p5 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
-                t = (x + h - xa) / dx
-                p6 = 1j * (c_pot * (e - ((1.0 - t) * ua + t * ub)))
+                p2 = 1j * (c_pot * (e - (u0 + slope * (x + 0.2 * h - xa))))
+                p3 = 1j * (c_pot * (e - (u0 + slope * (x + 0.3 * h - xa))))
+                p4 = 1j * (c_pot * (e - (u0 + slope * (x + 0.8 * h - xa))))
+                p5 = 1j * (c_pot * (e - (u0 + slope * (x + 8.0 / 9.0 * h - xa))))
+                p6 = 1j * (c_pot * (e - (u0 + slope * (x + h - xa))))
                 if in_w:
                     b2, b3, b4, b5, b6 = p2, p3, p4, p5, p6
                 else:

@@ -20,11 +20,13 @@ from its left end with every step negated, and builds no mirror.
 Both kinds of potential use exact layer chaining, sampled ones one
 linear sub-slab map at a time (:mod:`qwim.analytic`); with
 ``cfg.force_numeric`` set, any potential uses the adaptive Riccati
-integrator with the running integral tracked, on the mirrored potential
-for right incidence.  An energy sweep chains the whole grid at once, one
-array pass per slab or sub-slab (:mod:`qwim._arrays`); points that pass
-flags (where a single solve raises, or its values are not finite) are
-solved again one at a time.
+integrator with the running integral tracked.  It walks the same slab
+list in the potential's own frame, for right incidence from a with Z
+negated, which is bitwise the mirror's walk (``_trajectory``).  An
+energy sweep chains the whole grid at once, one array pass per slab or
+sub-slab (:mod:`qwim._arrays`); points that pass flags (where a single
+solve raises, or its values are not finite) are solved again one at a
+time.
 
 Only the functions that take or make arrays import numpy, and the
 stepper is imported only by a ``force_numeric`` solve, so one piecewise
@@ -109,21 +111,25 @@ def _walk(pot: Potential, side: Side) -> list[tuple[float, ...]]:
     """The chain's slab list from the far lead to the entry edge, in the
     frame of ``side``: for right incidence the potential's own list from
     a, every step negated, which is bitwise that of ``pot.mirrored()``."""
-    return _mirrored_steps(pot) if side is Side.RIGHT else _steps(pot, pot.a, False)
+    return _mirrored_steps(pot) if side is Side.RIGHT else _steps(pot, pot.b, pot.a)
 
 
 def _trajectory(
-    pot: Potential, e: float, side: Side, z_far: complex,
-    cfg: IntegrationConfig, params: ModelParams, track_integral: bool = False,
+    pot: Potential, e: float, side: Side, z_far: complex, cfg: IntegrationConfig,
+    params: ModelParams, track_integral: bool = False, grid: np.ndarray | None = None,
 ) -> ImpedanceTrajectory:
     """The Riccati trajectory of the walk from the far edge, where
-    Z = z_far, to the entry edge, in the frame of ``side``: stepped on
-    ``pot.mirrored()`` for right incidence."""
+    Z = z_far in the frame of ``side``, to the entry edge, in the
+    potential's own frame.  Right incidence walks from a with Z = -z_far:
+    the step is odd under x -> -x, Z -> -Z, so this is bitwise the walk
+    on ``pot.mirrored()`` with every x and Z negated, and no mirror is
+    built.  The entry edge is the trajectory's first sample for left
+    incidence and its last, Z negated, for right."""
     from .riccati import integrate_impedance
 
-    _, _, a, b = _frame(pot, side)
-    work = pot.mirrored() if side is Side.RIGHT else pot
-    return integrate_impedance(work, e, b, z_far, a, cfg, params, track_integral=track_integral)
+    if side is Side.RIGHT:
+        return integrate_impedance(pot, e, pot.a, -z_far, pot.b, cfg, params, track_integral, grid)
+    return integrate_impedance(pot, e, pot.b, z_far, pot.a, cfg, params, track_integral, grid)
 
 
 def _solve(
@@ -146,9 +152,12 @@ def _solve(
         num, den, ratio = _chain(_walk(pot, side), e, z_far, params)
     else:
         traj = _trajectory(pot, e, side, z_far, cfg, params, track_integral=True)
-        num, den = complex(traj.zs[0]), 1.0
-        # S measured from the anchor at b, so int_a^b Z dx = -S(a)
-        s_a = complex(traj.z_integral[0])
+        i = 0 if side is Side.LEFT else -1
+        num, den = complex(traj.zs[i]) if i == 0 else -complex(traj.zs[i]), 1.0
+        # S is measured from the far edge, so the integral of Z from the
+        # entry edge to the far one is -S(entry); S is even under x -> -x,
+        # Z -> -Z, so a right walk's S(b) is S(entry) of the mirror's walk
+        s_a = complex(traj.z_integral[i])
         ratio = cmath.exp(-1j * (params.mass / params.hbar) * s_a)
 
     # Z(a) = num / den and psi(b) / psi(a) = ratio / den; r and psi(b)

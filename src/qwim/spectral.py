@@ -128,7 +128,7 @@ class _Ends:
             raise ValueError(f"probe {probe_x} outside the open interval ({pot.a}, {pot.b})")
         self.pot, self.probe_x, self.cfg, self.params = pot, probe_x, cfg, params
         self.levels = pot.left_level, pot.right_level
-        self.slabs = _steps(pot, probe_x, True), _steps(pot, probe_x, False)
+        self.slabs = _steps(pot, pot.a, probe_x), _steps(pot, pot.b, probe_x)
         self.walked = {}
 
     def _anchors(self, e):
@@ -215,8 +215,9 @@ class _Entry:
         z1 = _constants(e, u1, params)[0]
         z2 = _constants(e, u2, params)[0]
         if self.cfg.force_numeric and self.walk:
-            traj = _trajectory(self.pot, e, self.side, z2, self.cfg, params)
-            return (z1, 1.0, 1.0), (complex(traj.zs[0]), 1.0, 1.0)
+            zs = _trajectory(self.pot, e, self.side, z2, self.cfg, params).zs
+            z_a = complex(zs[0]) if self.side is Side.LEFT else -complex(zs[-1])
+            return (z1, 1.0, 1.0), (z_a, 1.0, 1.0)
         return (z1, 1.0, 1.0), _chain(self.walk, e, z2, params)
 
     def many(self, es):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qwim import _arrays
 from qwim._arrays import _chain_many, _region_constants_many
@@ -258,7 +260,7 @@ def _walks(pot):
     from both ends to an interior point."""
     inner = pot.a + 0.382 * (pot.b - pot.a)
     return [
-        (_steps(pot, x_to, from_left), from_left)
+        (_steps(pot, pot.a if from_left else pot.b, x_to), from_left)
         for x_to, from_left in ((pot.b, True), (pot.a, False), (inner, True), (inner, False))
     ]
 
@@ -312,7 +314,7 @@ def test_chain_many_flags_where_chain_raises():
     z, gamma = _constants(1.0, -1.0, params)
     c1, c2 = cmath.cosh(gamma * 0.7), cmath.sinh(gamma * 0.7)
     z_node = -z * c1 / c2
-    assert _chain(_steps(node, 0.7, True), 1.0, z_node, params)[1] == 0
+    assert _chain(_steps(node, node.a, 0.7), 1.0, z_node, params)[1] == 0
     deep = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 0.5), PotentialSegment(1.0, 2.0, -1e308)), 0.0)
     es = np.array([0.25, 1.0, 1.5])
     for pot, anchor, error in (
@@ -411,9 +413,9 @@ def test_inline_walk_raises_as_stepwise_walk():
     z_node = -z * cmath.cosh(gamma * 0.7) / cmath.sinh(gamma * 0.7)
     deep = _stack([(0.0, 1.0, 0.5), (1.0, 2.0, -1e308)])
     for slabs, anchor, error in (
-        (_steps(node, node.b, True), z_node, TransformPoleError),
-        (_steps(deep, deep.b, True), 0.3 - 0.2j, NonFiniteStateError),
-        (_steps(deep, deep.a, False), 0.3 - 0.2j, NonFiniteStateError),
+        (_steps(node, node.a, node.b), z_node, TransformPoleError),
+        (_steps(deep, deep.a, deep.b), 0.3 - 0.2j, NonFiniteStateError),
+        (_steps(deep, deep.b, deep.a), 0.3 - 0.2j, NonFiniteStateError),
     ):
         with pytest.raises(error):
             _stepwise_chain(slabs, 1.0, anchor, params)
@@ -439,16 +441,68 @@ def _ends(chain):
 
 def test_sampled_slab_lists_cover_the_samples():
     pot = SampledPotential((0.0, 0.5, 2.0, 3.0), (1.0, -0.5, 2.0, 2.0), 0.3, -0.1)
-    assert _steps(pot, pot.b, True) == [(1.0, -3.0, 0.5), (-0.5, 2.5 / 1.5, 1.5), (2.0, 0.0, 1.0)]
-    assert _steps(pot, pot.a, False) == [(2.0, 0.0, -1.0), (2.0, 2.5 / 1.5, -1.5), (-0.5, -3.0, -0.5)]
+    inner = [(1.0, -3.0, 0.5), (-0.5, 2.5 / 1.5, 1.5), (2.0, 0.0, 1.0)]
+    back = [(2.0, 0.0, -1.0), (2.0, 2.5 / 1.5, -1.5), (-0.5, -3.0, -0.5)]
+    assert _steps(pot, pot.a, pot.b) == inner
+    assert _steps(pot, pot.b, pot.a) == back
     # a partial step at an interior point, none past a sample it sits on
-    assert _steps(pot, 1.0, True) == [(1.0, -3.0, 0.5), (-0.5, 2.5 / 1.5, 0.5)]
-    assert _steps(pot, 1.0, False) == [(2.0, 0.0, -1.0), (2.0, 2.5 / 1.5, -1.0)]
-    assert _steps(pot, 0.5, True) == [(1.0, -3.0, 0.5)]
+    assert _steps(pot, pot.a, 1.0) == [(1.0, -3.0, 0.5), (-0.5, 2.5 / 1.5, 0.5)]
+    assert _steps(pot, pot.b, 1.0) == [(2.0, 0.0, -1.0), (2.0, 2.5 / 1.5, -1.0)]
+    assert _steps(pot, pot.a, 0.5) == [(1.0, -3.0, 0.5)]
+    # from an interior point, the first step starts on its line
+    assert _steps(pot, 1.25, 2.5) == [(-0.5 + 2.5 / 1.5 * 0.75, 2.5 / 1.5, 0.75), (2.0, 0.0, 0.5)]
+    assert _steps(pot, 1.25, -1.0) == [
+        (2.0 + 2.5 / 1.5 * -0.75, 2.5 / 1.5, -0.75), (-0.5, -3.0, -0.5), (0.3, 0.0, -1.0)
+    ]
+    # past a or b, a lead is one flat slab at its level
+    assert _steps(pot, -1.0, 4.0) == [(0.3, 0.0, 1.0), *inner, (-0.1, 0.0, 1.0)]
+    assert _steps(pot, 4.5, -0.25) == [(-0.1, 0.0, -1.5), *back, (0.3, 0.0, -0.25)]
+    assert _steps(pot, -2.0, -0.5) == [(0.3, 0.0, 1.5)]
+    assert _steps(pot, 5.0, 3.5) == [(-0.1, 0.0, -1.5)]
+    assert _steps(pot, 3.5, 4.0) == [(-0.1, 0.0, 0.5)]
+    stack = PiecewisePotential(0.2, (PotentialSegment(0.0, 0.7, 1.0), PotentialSegment(0.7, 2.0, -1.0)), 0.0)
+    assert _steps(stack, -1.0, 2.5) == [(0.2, 1.0), (1.0, 0.7), (-1.0, 2.0 - 0.7), (0.0, 0.5)]
+    assert _steps(stack, 1.0, -0.5) == [(-1.0, 0.7 - 1.0), (1.0, -0.7), (0.2, -0.5)]
     # the mirror's walk from its right end, without building the mirror
-    for p in (pot, PiecewisePotential(0.2, (PotentialSegment(0.0, 0.7, 1.0), PotentialSegment(0.7, 2.0, -1.0)), 0.0)):
+    for p in (pot, stack):
         mirror = p.mirrored()
-        assert _mirrored_steps(p) == _steps(mirror, mirror.a, False)
+        assert _mirrored_steps(p) == _steps(mirror, mirror.b, mirror.a)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8),
+    last=st.floats(-3.0, 3.0),
+    leads=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    start=st.floats(-5.0, 5.0),
+    sampled=st.booleans(),
+    ends=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+)
+def test_slab_lists_walk_between_any_two_points(pieces, last, leads, start, sampled, ends):
+    # from and to points inside [a, b] and past either end: the steps share
+    # the walk's direction and sum to its length, and each slab's U inside
+    # it (at its midpoint) is u_at there
+    xs = (start + np.concatenate(([0.0], np.cumsum([length for length, _ in pieces])))).tolist()
+    us = [u for _, u in pieces]
+    if sampled:
+        pot = SampledPotential(tuple(xs), (*us, last), *leads)
+    else:
+        pot = PiecewisePotential(leads[0], tuple(map(PotentialSegment, xs, xs[1:], us)), leads[1])
+    x_from, x_to = (pot.a + t * (pot.b - pot.a) for t in ends)
+    assume(x_from != x_to)
+    slabs = _steps(pot, x_from, x_to)
+    walk = x_to - x_from
+    assert all(len(slab) == (3 if sampled else 2) and slab[-1] * walk > 0.0 for slab in slabs)
+    assert abs(sum(slab[-1] for slab in slabs) - walk) <= 1e-13 * (1.0 + abs(x_from) + abs(x_to))
+    scale = 1.0 + max(map(abs, (*us, last, *leads)))
+    x = x_from
+    for slab in slabs:
+        dx = slab[-1]
+        mid = x + 0.5 * dx
+        if min(x, x + dx) < mid < max(x, x + dx):
+            u_mid = slab[0] + slab[1] * (mid - x) if sampled else slab[0]
+            assert abs(u_mid - pot.u_at(mid)) <= 1e-11 * scale, (slab, mid)
+        x += dx
 
 
 @pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])
@@ -462,8 +516,8 @@ def test_flat_linear_slabs_match_constant_slabs(params):
         stack = PiecewisePotential(0.0, (PotentialSegment(0.0, length, level),), 0.0)
         for e in (0.4, 1.7, level):
             for x_to, from_left in ((length, True), (0.0, False), (0.3 * length, True), (0.3 * length, False)):
-                want = _ends(_chain(_steps(stack, x_to, from_left), e, anchor, params))
-                got = _ends(_chain(_steps(sampled, x_to, from_left), e, anchor, params))
+                want = _ends(_chain(_steps(stack, 0.0 if from_left else length, x_to), e, anchor, params))
+                got = _ends(_chain(_steps(sampled, 0.0 if from_left else length, x_to), e, anchor, params))
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-13 * abs(w), (level, length, e, x_to, from_left)
 
@@ -492,7 +546,7 @@ def test_linear_maps_are_taken_in_bounded_blocks(monkeypatch):
     params = ModelParams()
     xs = np.linspace(0.0, 600.0, 31)
     pot = SampledPotential(tuple(xs), tuple(5.0 + 0.5 * np.sin(xs)), 0.0, 0.0)
-    slabs = _steps(pot, pot.a, False)
+    slabs = _steps(pot, pot.b, pot.a)
     es = np.linspace(0.5, 4.0, 40)
     z = _region_constants_many(es, 0.0, params)[0]
     whole = _chain_many(slabs, es, z, params)
@@ -530,7 +584,7 @@ def test_linear_split_count_overflow_raises_typed(xs, us):
     # a split count that is not finite, or past any walk a run can take
     params = ModelParams()
     pot = SampledPotential(xs, us, 0.0, 0.0)
-    for slabs in (_steps(pot, pot.b, True), _steps(pot, pot.a, False)):
+    for slabs in (_steps(pot, pot.a, pot.b), _steps(pot, pot.b, pot.a)):
         with pytest.raises(NonFiniteStateError):
             _chain(slabs, 0.5, 1.0 + 0j, params)
         ok = _chain_many(slabs, np.array([0.5, 1.0]), 1.0 + 0j, params)[3]

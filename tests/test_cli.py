@@ -352,6 +352,60 @@ def test_validate_at_a_slab_level():
     ]
 
 
+SAMPLED_XS = np.linspace(-3.0, 3.0, 41)
+SAMPLED_DOC = {
+    "params": {"hbar": 1.0, "mass": 1.0},
+    "potential": {
+        "kind": "sampled",
+        "left_level": 0.0,
+        "right_level": 0.4,
+        "samples": [[x, 2.0 * math.exp(-x * x / 2.0) + 0.1 * x] for x in SAMPLED_XS.tolist()],
+    },
+}
+
+
+def _mirrored_doc(doc):
+    """The spec of the potential reflected through x -> -x."""
+    pot = dict(doc["potential"], left_level=doc["potential"]["right_level"],
+               right_level=doc["potential"]["left_level"])
+    if pot["kind"] == "sampled":
+        pot["samples"] = [[-x, u] for x, u in reversed(pot["samples"])]
+    else:
+        pot["segments"] = [
+            {"x_start": -s["x_end"], "x_end": -s["x_start"], "u": s["u"]}
+            for s in reversed(pot["segments"])
+        ]
+    return dict(doc, potential=pot)
+
+
+@pytest.mark.parametrize("mode", ["impedance", "wavefunction"])
+@pytest.mark.parametrize(
+    "doc", [json.loads((DOCS / "barrier.json").read_text()), SAMPLED_DOC], ids=["barrier", "sampled"]
+)
+def test_profile_right_incidence_on_the_potentials_own_grid(tmp_path, doc, mode):
+    # right incidence walks the potential's own frame: its x column is the
+    # grid on [a, b] itself, and its values are the mirror's left profile
+    # at -x, Z negated
+    points = 101
+    spec = write_spec(tmp_path, doc)
+    mirror = write_spec(tmp_path, _mirrored_doc(doc), "mirror.json")
+    common = ("--energy", "2.3", "--mode", mode, "--points", str(points))
+    right = run_cli("profile", "--spec", spec, "--side", "right", *common)
+    left = run_cli("profile", "--spec", mirror, *common)
+    assert right.returncode == 0 and left.returncode == 0, right.stderr + left.stderr
+    (header, rows), (_, mirror_rows) = rows_of(right.stdout), rows_of(left.stdout)
+    got, want = np.array(rows, dtype=float), np.array(mirror_rows, dtype=float)[::-1]
+    if doc is SAMPLED_DOC:
+        a, b = SAMPLED_XS[0], SAMPLED_XS[-1]
+    else:
+        a, b = 0.0, 2.0
+    assert got[:, 0].tolist() == np.linspace(a, b, points).tolist()
+    np.testing.assert_allclose(got[:, 0], -want[:, 0], rtol=0, atol=1e-15)
+    sign = -1.0 if mode == "impedance" else 1.0
+    values, mirrored = got[:, 1:3], sign * want[:, 1:3]
+    assert np.max(np.abs(values - mirrored)) <= 1e-12 * np.max(np.abs(mirrored))
+
+
 def test_profile_wavefunction_at_a_slab_level():
     # E = 1 is the barrier's level: psi = t (1 + i k (x - 2)) across it,
     # with t = 1 / (1 - i k) for unit incidence

@@ -84,8 +84,6 @@ def test_interfaces_and_breakpoints():
         0.0, (PotentialSegment(0.0, 1.0, 2.0), PotentialSegment(1.0, 3.0, -1.0)), 0.5
     )
     assert pot.interfaces() == [0.0, 1.0, 3.0]
-    assert pot.breakpoints_between(0.0, 3.0) == [1.0]
-    assert pot.breakpoints_between(-1.0, 4.0) == [0.0, 1.0, 3.0]
 
 
 def test_mirrored_is_an_involution():

@@ -100,6 +100,22 @@ def test_only_the_cli_imports_the_cross_checks():
     assert importers <= {"cli", "__init__"}
 
 
+def test_only_the_transfer_matrix_builds_a_mirror():
+    # right incidence walks the potential's own slab list, on the chain and
+    # on the stepper alike; only the transfer-matrix oracle solves on the
+    # mirror image
+    callers = set()
+    for path in Path(qwim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "mirrored"
+            ):
+                callers.add(path.stem)
+    assert callers == {"xcheck"}
+
+
 def test_bench_tracer_targets_resolve():
     # the benchmark's tracer wraps these names by lookup; one that a
     # change deletes or renames would make its traced runs raise

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwim.analytic import layer_transform, propagate_impedance, region_constants
+from qwim import riccati
+from qwim.analytic import _steps, layer_transform, propagate_impedance, region_constants
 from qwim.errors import (
     EvanescentIncidenceError,
     NonFiniteInputError,
@@ -257,6 +258,24 @@ def test_sampled_edge_pieces_follow_their_samples():
         assert abs(r - r_tight) < 1e-10, (pot.xs[0], len(pot.xs), e)
 
 
+def test_every_grid_point_is_a_sample():
+    # stacks whose interfaces lie on a decimal grid, as a spec file gives
+    # them, and a uniform grid through them: each slab end, accumulated
+    # from the anchor, lands within rounding of a grid point, which must
+    # take its place; a second stop an ulp beyond it would take no step
+    rng = np.random.default_rng(5)
+    for _ in range(15):
+        n = int(rng.integers(2, 9))
+        edges = (int(rng.integers(-40, 40)) + np.concatenate(([0], np.cumsum(rng.integers(1, 40, n))))) / 20
+        edges = [float(f"{x:.2f}") for x in edges]
+        segs = tuple(PotentialSegment(x0, x1, float(rng.uniform(-3.0, 3.0))) for x0, x1 in zip(edges, edges[1:]))
+        pot = PiecewisePotential(0.0, segs, 0.0)
+        grid = np.linspace(pot.a, pot.b, int(round((pot.b - pot.a) * 100)) + 1)
+        e = float(rng.uniform(0.5, 4.0))
+        for traj in (z_minus(pot, e, grid=grid), z_plus(pot, e, grid=grid)):
+            assert np.isin(grid, traj.xs).all(), (edges, e, traj.direction)
+
+
 def test_linear_slab_chain_matches_stepper_on_gaussians():
     # the exact linear-slab chain against the tight stepper, both sides
     from qwim.scattering import solve_scattering
@@ -373,26 +392,32 @@ def _reference_piece(ufunc, e, x0, x1, z, s, cfg, params, max_step, track, out):
 
 
 def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, track, grid):
-    """(xs, zs, S) in integration order from the reference piece loop."""
+    """(xs, zs, S) in integration order from the reference piece loop: the
+    slabs of ``_steps`` from anchor to target, each ended at its end
+    accumulated from the anchor (the target for the last) or at a grid
+    point within rounding of that, and cut at the grid points on it."""
     max_step = cfg.max_step if cfg.max_step is not None else abs(target_x - anchor_x) / 50.0
+    sgn = 1.0 if target_x > anchor_x else -1.0
     lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
-    stops = set(pot.breakpoints_between(lo, hi))
-    if grid is not None:
-        stops.update(float(g) for g in grid if lo < g < hi)
+    points = [] if grid is None else sorted((float(g) for g in grid if lo < g < hi), key=lambda g: sgn * g)
+    slabs = _steps(pot, anchor_x, target_x)
     out = [(anchor_x, anchor_z, 0j)]
     z, s, x0 = anchor_z, 0j, anchor_x
-    for x1 in sorted(stops, reverse=target_x < anchor_x) + [target_x]:
-        piece = pot.u_piece(0.5 * (x0 + x1))
-        if isinstance(piece, tuple):
-            xa, dx, ua, ub = piece
+    for k, slab in enumerate(slabs):
+        xa, u0, slope = x0, slab[0], slab[1] if len(slab) == 3 else 0.0
+        end = target_x if k == len(slabs) - 1 else xa + slab[-1]
+        tol = 1e-14 * max(1.0, abs(end))
+        stops = [p for p in points if sgn * (end - p) > tol]
+        points = points[len(stops):]
+        if k < len(slabs) - 1 and points and abs(points[0] - end) <= tol:
+            end = points.pop(0)
 
-            def ufunc(x):
-                w = (x - xa) / dx
-                return (1.0 - w) * ua + w * ub
-        else:
-            ufunc = lambda _x, u=piece: u
-        z, s = _reference_piece(ufunc, e, x0, x1, z, s, cfg, params, max_step, track, out)
-        x0 = x1
+        def ufunc(x, u0=u0, slope=slope, xa=xa):
+            return u0 + slope * (x - xa) if slope else u0
+
+        for x1 in stops + [end]:
+            z, s = _reference_piece(ufunc, e, x0, x1, z, s, cfg, params, max_step, track, out)
+            x0 = x1
     return out
 
 
@@ -431,25 +456,31 @@ def test_unrolled_step_matches_tableau_loop(sampled, track, threshold):
             assert traj.z_integral is None
 
 
-def test_potential_is_looked_up_once_per_smooth_interval(monkeypatch):
+def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
     # a forced grid multiplies the pieces, not the potential lookups: one
-    # per interval between breakpoints, none per piece, step or stage
-    calls = {"u_at": 0, "u_piece": 0}
-    for name in calls:
-        original = getattr(PiecewisePotential, name)
+    # slab list per trajectory, and no u_at at any piece, step or stage
+    calls = {"_steps": 0, "u_at": 0}
+    real_steps = riccati._steps
 
-        def counted(self, x, name=name, original=original):
-            calls[name] += 1
+    def steps(*args):
+        calls["_steps"] += 1
+        return real_steps(*args)
+
+    monkeypatch.setattr(riccati, "_steps", steps)
+    for kind in (PiecewisePotential, SampledPotential):
+        def counted(self, x, original=kind.u_at):
+            calls["u_at"] += 1
             return original(self, x)
 
-        monkeypatch.setattr(PiecewisePotential, name, counted)
+        monkeypatch.setattr(kind, "u_at", counted)
     segs = (PotentialSegment(0.0, 0.7, 1.2), PotentialSegment(0.7, 1.5, -0.6),
             PotentialSegment(1.5, 2.1, 2.4))
-    pot = PiecewisePotential(0.0, segs, 0.0)
-    grid = np.linspace(0.0, 2.1, 400)
-    traj = z_minus(pot, 1.9, grid=grid, track_integral=True)
-    assert len(traj.xs) > 400
-    assert calls == {"u_at": len(segs), "u_piece": len(segs)}
+    xs = np.linspace(0.0, 2.1, 9)
+    for pot in (PiecewisePotential(0.0, segs, 0.0),
+                SampledPotential(tuple(xs), tuple(np.cos(3.0 * xs)), 0.0, 0.0)):
+        traj = z_minus(pot, 1.9, grid=np.linspace(0.0, 2.1, 400), track_integral=True)
+        assert len(traj.xs) > 400
+    assert calls == {"_steps": 2, "u_at": 0}
 
 
 @pytest.mark.parametrize(

@@ -300,8 +300,8 @@ def _sampled_bump(amplitude=2.0, n=41, left=0.0, right=0.0):
 
 
 def test_right_solves_build_no_mirror(monkeypatch):
-    # the chain walks each potential's own slab list for right incidence;
-    # only the stepper (force_numeric) still solves on the mirror
+    # the chain walks each potential's own slab list for right incidence,
+    # and the stepper (force_numeric) walks from a in the potential's frame
     counts = {PiecewisePotential: 0, SampledPotential: 0}
     for kind in counts:
         def counted(self, mirrored=kind.mirrored, kind=kind):
@@ -314,18 +314,21 @@ def test_right_solves_build_no_mirror(monkeypatch):
         assert solve_scattering(pot, 2.1, Side.RIGHT).side is Side.RIGHT
         energy_sweep(pot, [0.2, 2.1, 3.0], Side.RIGHT)
     assert counts == {PiecewisePotential: 0, SampledPotential: 0}
-    solve_scattering(sampled, 2.1, Side.RIGHT, IntegrationConfig(force_numeric=True))
-    assert counts == {PiecewisePotential: 0, SampledPotential: 1}
+    for pot in (stack, sampled):
+        solve_scattering(pot, 2.1, Side.RIGHT, IntegrationConfig(force_numeric=True))
+    assert counts == {PiecewisePotential: 0, SampledPotential: 0}
 
 
 def test_right_incidence_is_the_mirrors_left_incidence():
-    # bitwise: x -> -x negates every step and slope exactly
+    # bitwise: x -> -x negates every step and slope exactly, and the
+    # stepper's walk from a with Z negated is odd under it
     for pot in (_deep_stack(), _sampled_bump(right=0.4), _sampled_bump(-3.0, 17, 0.2, -0.1)):
         mirror = pot.mirrored()
         for e in (1.55, 2.1, 3.7):
-            right = solve_scattering(pot, e, Side.RIGHT)
-            left = solve_scattering(mirror, e)
-            assert repr(right) == repr(dataclasses.replace(left, side=Side.RIGHT))
+            for cfg in (IntegrationConfig(), IntegrationConfig(force_numeric=True)):
+                right = solve_scattering(pot, e, Side.RIGHT, cfg)
+                left = solve_scattering(mirror, e, Side.LEFT, cfg)
+                assert repr(right) == repr(dataclasses.replace(left, side=Side.RIGHT))
 
 
 def test_flat_sampled_barrier_matches_stack():

@@ -342,15 +342,12 @@ def test_reconstruct_impedance_consistency():
 def _chain_error(traj, prof):
     """Largest |psi - exact psi| / max |exact psi| at the trajectory
     points, the exact psi(x) / psi(b) being den / r of the chain's walk
-    from b (past a, on through the left lead), scaled to prof's psi(b)."""
+    from b (past a, on through the left lead's slab), scaled to prof's
+    psi(b)."""
     pot, e = traj.potential, traj.energy
-    sampled = isinstance(pot, SampledPotential)
     exact = []
     for x in traj.xs.tolist():
-        slabs = _steps(pot, x, False)
-        if x < pot.a:
-            slabs.append((pot.left_level, 0.0, x - pot.a) if sampled else (pot.left_level, x - pot.a))
-        _, den, r = _chain(slabs, e, complex(traj.zs[-1]), traj.params)
+        _, den, r = _chain(_steps(pot, pot.b, x), e, complex(traj.zs[-1]), traj.params)
         exact.append(den / r)
     exact = np.array(exact) * prof.psi[-1]
     return float(np.max(np.abs(prof.psi - exact)) / np.max(np.abs(exact)))
