@@ -28,10 +28,12 @@ denominator.  Where E equals a slab's level psi is linear across it, and
 the step takes its exact limit instead (only a degenerate *lead* is an
 error).  The walker returns its last step undivided, so a psi-node at
 the end point is no error.  ``propagate_impedance``, ``layer_transform``
-and ``psi_growth_factor`` are walks of one slab.  The piecewise
-scattering solve and the spectral matching use the walker too, the
-spectral searches with one slab list per side for every energy they
-evaluate.
+and ``psi_growth_factor`` are walks of one slab.  The scattering
+solve, its sweep and the resonance search walk one list from the far
+lead to the entry edge, in the potential's own frame from either side
+(``scattering._Incidence``); the bound search walks one from each end
+to its probe.  Each search builds its lists once, for every energy it
+evaluates.
 It computes each level's z and gamma and the step itself inline, in the
 arithmetic of ``_constants`` (the scalar core of ``region_constants``),
 and on request also counts the psi-nodes a real solution crosses: the
@@ -192,17 +194,6 @@ def _steps(pot: Potential, x_from: float, x_to: float) -> list[tuple[float, ...]
             slope = (u1 - u0) / (x1 - x0)
             steps.append((u1 if c1 == x1 else u1 + slope * (c1 - x1), slope, c0 - c1))
     return steps
-
-
-def _mirrored_steps(pot: Potential) -> list[tuple[float, ...]]:
-    """The slab list of ``pot.mirrored()`` walked from its right end to
-    its left: the walk from a to b with every step, and every slope,
-    negated.  x -> -x is exact, so this is bitwise the mirror's list, and
-    no mirror is built."""
-    steps = _steps(pot, pot.a, pot.b)
-    if isinstance(pot, SampledPotential):
-        return [(u, -slope, -dx) for u, slope, dx in steps]
-    return [(u, -dx) for u, dx in steps]
 
 
 def _chain(

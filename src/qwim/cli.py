@@ -25,8 +25,7 @@ from .model import IntegrationConfig, PiecewisePotential, Side
 from .scattering import (
     EnergyPointError,
     ScatteringResult,
-    _frame,
-    _trajectory,
+    _Incidence,
     energy_sweep,
     solve_scattering,
 )
@@ -171,18 +170,18 @@ def cmd_resonances(args) -> int:
     return 0
 
 
-def _profile_trajectory(pot, e, side, cfg, params, points):
-    """The Riccati trajectory of the scattering solve from ``side``, in
-    the potential's own frame (``scattering._trajectory``), forced
+def _profile_trajectory(walk, e, points):
+    """The Riccati trajectory of the scattering solve's incidence walk
+    (``scattering._Incidence``), in the potential's own frame, forced
     through ``points`` evenly spaced grid points on [a, b], and the index
     of each grid point's sample."""
     import numpy as np
 
     from .analytic import region_constants
 
+    pot = walk.pot
     grid = _linspace(pot.a, pot.b, points)
-    z_far = region_constants(e, _frame(pot, side)[1], params).z
-    traj = _trajectory(pot, e, side, z_far, cfg, params, grid=grid)
+    traj = walk.trajectory(e, region_constants(e, walk.u_far, walk.params).z, grid=grid)
     return traj, np.clip(np.searchsorted(traj.xs, grid), 0, len(traj.xs) - 1)
 
 
@@ -193,7 +192,10 @@ def cmd_profile(args) -> int:
         raise ValueError("--points must be at least 5")
     side = _side(args)
     pot, params, e = spec.potential, spec.params, args.energy
-    traj, idx = _profile_trajectory(pot, e, side, cfg, params, args.points)
+    if not pot.a < pot.b:
+        raise ValueError("a bare step has no interior to profile")
+    walk = _Incidence(pot, side, cfg, params)
+    traj, idx = _profile_trajectory(walk, e, args.points)
 
     if args.mode == "impedance":
         rows = [
@@ -211,9 +213,8 @@ def cmd_profile(args) -> int:
     from .xcheck import Normalization, reconstruct_wavefunction
 
     res = solve_scattering(pot, e, side, cfg, params)
-    u_in, _, x_in, _ = _frame(pot, side)
-    k1 = math.sqrt(2.0 * params.mass * (e - u_in)) / params.hbar
-    psi_in = (1.0 + res.r) * cmath.exp(1j * k1 * x_in)
+    k1 = math.sqrt(2.0 * params.mass * (e - walk.u_in)) / params.hbar
+    psi_in = (1.0 + res.r) * cmath.exp(1j * k1 * walk.x_in)
     if side is Side.LEFT:
         psi = reconstruct_wavefunction(traj, psi_in, Normalization.UNIT_INCIDENT).psi
     else:
@@ -266,7 +267,7 @@ def cmd_validate(args) -> int:
         h = (480.0 * 2.3e-16) ** (1.0 / 6.0) / k_max
         points = int(min(max(math.ceil((pot.b - pot.a) / h) + 1, 801), 200001))
         num_cfg = replace(cfg, force_numeric=True)
-        traj, idx = _profile_trajectory(pot, e, Side.LEFT, num_cfg, params, points)
+        traj, idx = _profile_trajectory(_Incidence(pot, Side.LEFT, num_cfg, params), e, points)
         k1 = math.sqrt(2.0 * params.mass * (e - pot.left_level)) / params.hbar
         psi_a = (1.0 + imp.r) * cmath.exp(1j * k1 * pot.a)
         profile = reconstruct_wavefunction(traj, psi_a, Normalization.UNIT_INCIDENT)

@@ -13,20 +13,21 @@ amplitude follows from the accumulated phase integral
 
 with psi(a) = (1 + r) e^{i k1 a} for a unit incident wave.  Probability
 coefficients are R = |r|^2 and T = (z2 / z1) |t|^2 (current ratio), which
-sum to one whenever the far lead propagates.  Right incidence is solved
-in the mirrored frame: the chain walks the potential's own slab list
-from its left end with every step negated, and builds no mirror.
+sum to one whenever the far lead propagates.
 
+One helper, ``_Incidence``, carries the far lead's wave to the entry
+edge for the solve, the energy sweep and the resonance search
+(:mod:`qwim.spectral`).  It walks the potential's own slab list from
+the far edge, on both engines: for right incidence from a with Z
+negated, which is bitwise the mirror's walk, so no mirror is built.
 Both kinds of potential use exact layer chaining, sampled ones one
 linear sub-slab map at a time (:mod:`qwim.analytic`); with
 ``cfg.force_numeric`` set, any potential uses the adaptive Riccati
-integrator with the running integral tracked.  It walks the same slab
-list in the potential's own frame, for right incidence from a with Z
-negated, which is bitwise the mirror's walk (``_trajectory``).  An
-energy sweep chains the whole grid at once, one array pass per slab or
-sub-slab (:mod:`qwim._arrays`); points that pass flags (where a single
-solve raises, or its values are not finite) are solved again one at a
-time.
+integrator, along the same slab list, with the running integral
+tracked.  An energy sweep chains the whole grid at once, one array pass
+per slab or sub-slab (:mod:`qwim._arrays`); points that pass flags
+(where a single solve raises, or its values are not finite) are solved
+again one at a time.
 
 Only the functions that take or make arrays import numpy, and the
 stepper is imported only by a ``force_numeric`` solve, so one piecewise
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .analytic import _chain, _mirrored_steps, _steps, region_constants
+from .analytic import _chain, _steps, region_constants
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
@@ -98,38 +99,89 @@ class EnergyPointError:
     message: str
 
 
-def _frame(pot: Potential, side: Side) -> tuple[float, float, float, float]:
-    """Incidence lead, far lead, entry edge and far edge for incidence
-    from ``side``, in the frame of that side: right incidence sees the
-    potential mirrored through x -> -x."""
-    if side is Side.RIGHT:
-        return pot.right_level, pot.left_level, -pot.b, -pot.a
-    return pot.left_level, pot.right_level, pot.a, pot.b
+class _Incidence:
+    """Incidence from ``side``: the far lead's wave carried to the entry
+    edge, set up once per solve, sweep or resonance search.
 
+    ``u_in`` and ``u_far`` are the incidence and the far lead's levels,
+    ``x_in`` and ``x_far`` the entry and far edges in the frame of
+    ``side``, where the lead phases are taken: right incidence sees the
+    potential mirrored through x -> -x.  The walk runs in the potential's
+    own frame, along one slab list from the far edge to the entry edge
+    (``steps``): from b to a for left incidence, and from a to b for
+    right, anchored at -z_far with the Z it gives negated.  The step is
+    odd under x -> -x, Z -> -Z, so that is the mirror's walk, and no
+    mirror is built.  Signed zeros follow the mirror's walk as well: a
+    zero part of the chain's num comes from a cancellation, +0 on both
+    walks, so num is negated as 0.0 - num, which keeps it +0 where -num
+    gives -0; the stepper's Z takes unary minus.  -1.0 * z would turn a
+    -0.0 imaginary part into +0.0, and an infinite part into NaN.
+    """
 
-def _walk(pot: Potential, side: Side) -> list[tuple[float, ...]]:
-    """The chain's slab list from the far lead to the entry edge, in the
-    frame of ``side``: for right incidence the potential's own list from
-    a, every step negated, which is bitwise that of ``pot.mirrored()``."""
-    return _mirrored_steps(pot) if side is Side.RIGHT else _steps(pot, pot.b, pot.a)
+    def __init__(self, pot: Potential, side: Side, cfg: IntegrationConfig, params: ModelParams):
+        self.pot, self.cfg, self.params = pot, cfg, params
+        self.right = side is Side.RIGHT
+        if self.right:
+            self.u_in, self.u_far = pot.right_level, pot.left_level
+            self.x_in, self.x_far = -pot.b, -pot.a
+            self.ends = pot.a, pot.b
+        else:
+            self.u_in, self.u_far = pot.left_level, pot.right_level
+            self.x_in, self.x_far = pot.a, pot.b
+            self.ends = pot.b, pot.a
+        # the engine: with force_numeric the stepper cuts its own list, and
+        # ``steps`` is None; a bare step, with no slabs, takes the chain
+        numeric = cfg.force_numeric and pot.a < pot.b
+        self.steps = None if numeric else _steps(pot, *self.ends)
 
+    def __call__(self, e: float, z_far: complex, track: bool = False) -> tuple:
+        """(num, den, ratio) at e, the far lead's impedance z_far carried
+        to the entry edge: Z(entry) = num / den in the frame of ``side``,
+        and psi(far) / psi(entry) = ratio / den.  Along the chain
+        (``analytic._chain``), or with ``force_numeric`` from one Riccati
+        trajectory (den = 1), where ``ratio`` is None unless ``track``
+        asks for the running integral S that gives it."""
+        if self.steps is None:
+            traj = self.trajectory(e, z_far, track)
+            i = -1 if self.right else 0
+            z = complex(traj.zs[i])
+            ratio = None
+            if track:
+                # S is measured from the far edge, so the integral of Z
+                # from the entry edge to the far one is -S(entry); S is
+                # even under x -> -x, Z -> -Z
+                s = complex(traj.z_integral[i])
+                ratio = cmath.exp(-1j * (self.params.mass / self.params.hbar) * s)
+            return (-z if self.right else z), 1.0, ratio
+        if self.right:
+            num, den, ratio = _chain(self.steps, e, -z_far, self.params)
+            return 0.0 - num, den, ratio
+        return _chain(self.steps, e, z_far, self.params)
 
-def _trajectory(
-    pot: Potential, e: float, side: Side, z_far: complex, cfg: IntegrationConfig,
-    params: ModelParams, track_integral: bool = False, grid: np.ndarray | None = None,
-) -> ImpedanceTrajectory:
-    """The Riccati trajectory of the walk from the far edge, where
-    Z = z_far in the frame of ``side``, to the entry edge, in the
-    potential's own frame.  Right incidence walks from a with Z = -z_far:
-    the step is odd under x -> -x, Z -> -Z, so this is bitwise the walk
-    on ``pot.mirrored()`` with every x and Z negated, and no mirror is
-    built.  The entry edge is the trajectory's first sample for left
-    incidence and its last, Z negated, for right."""
-    from .riccati import integrate_impedance
+    def many(self, es: np.ndarray, z_far: np.ndarray) -> tuple:
+        """The chain's (num, den, ratio, ok) over an energy array, from
+        one ``_arrays._chain_many`` pass (the chain's engine only, so
+        not under ``force_numeric``): ``ok`` is False wherever the
+        scalar chain raises, and those entries mean nothing."""
+        from ._arrays import _chain_many
 
-    if side is Side.RIGHT:
-        return integrate_impedance(pot, e, pot.a, -z_far, pot.b, cfg, params, track_integral, grid)
-    return integrate_impedance(pot, e, pot.b, z_far, pot.a, cfg, params, track_integral, grid)
+        if self.right:
+            num, den, ratio, ok = _chain_many(self.steps, es, -z_far, self.params)
+            return 0.0 - num, den, ratio, ok
+        return _chain_many(self.steps, es, z_far, self.params)
+
+    def trajectory(
+        self, e: float, z_far: complex, track: bool = False, grid: np.ndarray | None = None
+    ) -> ImpedanceTrajectory:
+        """The Riccati trajectory of the walk, in the potential's own
+        frame: the entry edge is its first sample for left incidence, and
+        its last, Z negated, for right."""
+        from .riccati import integrate_impedance
+
+        (start, end), anchor = self.ends, -z_far if self.right else z_far
+        return integrate_impedance(
+            self.pot, e, start, anchor, end, self.cfg, self.params, track, grid
+        )
 
 
 def _solve(
@@ -139,26 +191,15 @@ def _solve(
     cfg: IntegrationConfig,
     params: ModelParams,
 ) -> ScatteringResult:
-    u1, u2, a, b = _frame(pot, side)
+    walk = _Incidence(pot, side, cfg, params)
+    u1 = walk.u_in
     if e < u1:
         raise EvanescentIncidenceError(f"energy {e} below incidence lead {u1}")
     rc1 = region_constants(e, u1, params)  # degenerate e == u1 raises here
-    rc2 = region_constants(e, u2, params)
+    rc2 = region_constants(e, walk.u_far, params)
     z1, k1 = rc1.z, rc1.gamma.imag
-    z_far = rc2.z  # +z2: transmitted wave above the lead, decaying tail below
-    far_propagating = rc2.is_propagating
-
-    if not cfg.force_numeric or a == b:
-        num, den, ratio = _chain(_walk(pot, side), e, z_far, params)
-    else:
-        traj = _trajectory(pot, e, side, z_far, cfg, params, track_integral=True)
-        i = 0 if side is Side.LEFT else -1
-        num, den = complex(traj.zs[i]) if i == 0 else -complex(traj.zs[i]), 1.0
-        # S is measured from the far edge, so the integral of Z from the
-        # entry edge to the far one is -S(entry); S is even under x -> -x,
-        # Z -> -Z, so a right walk's S(b) is S(entry) of the mirror's walk
-        s_a = complex(traj.z_integral[i])
-        ratio = cmath.exp(-1j * (params.mass / params.hbar) * s_a)
+    # z2 anchors a transmitted wave above the far lead, a decaying tail below
+    num, den, ratio = walk(e, rc2.z, track=True)
 
     # Z(a) = num / den and psi(b) / psi(a) = ratio / den; r and psi(b)
     # share one division, so a psi-node at a leaves both finite
@@ -166,10 +207,10 @@ def _solve(
     r = (z1 * den - num) * inv
     big_r = abs(r) ** 2
     try:
-        psi_b = 2.0 * z1 * ratio * inv * cmath.exp(1j * k1 * a)
-        if far_propagating:
+        psi_b = 2.0 * z1 * ratio * inv * cmath.exp(1j * k1 * walk.x_in)
+        if rc2.is_propagating:
             k2 = rc2.gamma.imag
-            t = psi_b * cmath.exp(-1j * k2 * b)
+            t = psi_b * cmath.exp(-1j * k2 * walk.x_far)
             big_t = (rc2.z.real / z1.real) * abs(t) ** 2
             evan = False
         else:
@@ -202,9 +243,9 @@ def solve_scattering(
 ) -> ScatteringResult:
     """Scattering amplitudes at energy ``e`` for the given incidence side.
 
-    Right incidence is computed in the mirrored frame; reported
-    amplitudes live in that (incidence-side) frame, so R, T and the
-    moduli are directly comparable between sides.  ``e`` is taken as a
+    Right incidence reports its amplitudes in the mirrored
+    (incidence-side) frame, so R, T and the moduli are directly
+    comparable between sides.  ``e`` is taken as a
     Python float, so a numpy scalar gives the same result.
     """
     require_finite("energy", e)
@@ -212,7 +253,7 @@ def solve_scattering(
 
 
 def _sweep_chain(
-    pot: Potential, e: np.ndarray, side: Side, params: ModelParams
+    pot: Potential, e: np.ndarray, side: Side, cfg: IntegrationConfig, params: ModelParams
 ) -> tuple[list[ScatteringResult], list[int]]:
     """``_solve`` along the chain for a whole energy grid.
 
@@ -223,26 +264,26 @@ def _sweep_chain(
     """
     import numpy as np
 
-    from ._arrays import _chain_many, _region_constants_many
+    from ._arrays import _region_constants_many
 
-    u_in, u_far, x_in, x_far = _frame(pot, side)
-    z1, gamma1, degenerate1 = _region_constants_many(e, u_in, params)
-    z2, gamma2, degenerate2 = _region_constants_many(e, u_far, params)
-    num, den, ratio, ok = _chain_many(_walk(pot, side), e, z2, params)
-    far_propagating = e > u_far
+    walk = _Incidence(pot, side, cfg, params)
+    z1, gamma1, degenerate1 = _region_constants_many(e, walk.u_in, params)
+    z2, gamma2, degenerate2 = _region_constants_many(e, walk.u_far, params)
+    num, den, ratio, ok = walk.many(e, z2)
+    far_propagating = e > walk.u_far
     with np.errstate(all="ignore"):
         z_entry = num / den
         inv = 1.0 / (z1 * den + num)
         r = (z1 * den - num) * inv
-        psi_b = 2.0 * z1 * ratio * inv * np.exp(1j * gamma1.imag * x_in)
+        psi_b = 2.0 * z1 * ratio * inv * np.exp(1j * gamma1.imag * walk.x_in)
         big_r = np.abs(r) ** 2
         t = np.where(
-            far_propagating, psi_b * np.exp(-1j * gamma2.imag * x_far), psi_b
+            far_propagating, psi_b * np.exp(-1j * gamma2.imag * walk.x_far), psi_b
         )
         big_t = np.where(
             far_propagating, (z2.real / z1.real) * np.abs(t) ** 2, 0.0
         )
-        ok &= (e >= u_in) & ~degenerate1 & ~degenerate2
+        ok &= (e >= walk.u_in) & ~degenerate1 & ~degenerate2
         ok &= np.isfinite(r) & np.isfinite(t) & np.isfinite(big_r) & np.isfinite(big_t)
         ok &= np.isfinite(z_entry)
     # positional fields, in ScatteringResult's order: keywords cost more
@@ -287,7 +328,7 @@ def energy_sweep(
     if not (e[1:] > e[:-1]).all():
         raise ValueError("energy grid must be strictly ascending")
     if not cfg.force_numeric:
-        out, redo = _sweep_chain(pot, e, side, params)
+        out, redo = _sweep_chain(pot, e, side, cfg, params)
     else:
         out, redo = [None] * len(e), range(len(e))
     for i in redo:

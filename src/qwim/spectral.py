@@ -23,12 +23,13 @@ structure gives Z(a), and
 
     r(E) = (z1 - Z(a)) / (z1 + Z(a))
 
-vanishes exactly where T = 1.  The search walks the scattering solve's
-own slab list (``scattering._walk``; for right incidence the potential's
-list, negated, which builds no mirror), scans |r| on a grid in one
-array pass per slab (``_scan``), and refines each minimum of |r| by
-Brent's root finder on the components of r; the bounded minimiser on
-|r|^2 runs only where their roots do not coincide in a zero of r.
+vanishes exactly where T = 1.  The search carries the far lead's wave
+through the scattering solve's own helper (``scattering._Incidence``:
+one slab list in the potential's own frame, from either side), scans
+|r| on a grid in one array pass per slab, and refines each minimum of
+|r| by Brent's root finder on the components of r; the bounded
+minimiser on |r|^2 runs only where their roots do not coincide in a
+zero of r.
 
 Both kinds of potential chain exact slab maps (constant slabs, or the
 linear sub-slabs of a sampled potential), which also give the psi
@@ -36,11 +37,11 @@ ratios that sign W; with ``cfg.force_numeric`` the Riccati equation is
 integrated instead, and the exact slab steps across its own intervals
 (``_arrays._bridge``) give the psi ratios, so W is signed for both
 engines and one root rule serves them.  A search sets up its slab
-lists once (``_Ends``: one from each end to the probe; ``_Entry``: the
-walk).  The node count and the refinement of each bracket, with qwim's
-own ports of Brent's root finder and bounded minimiser (``_optimize``),
-walk the same lists one scalar energy at a time in plain complex
-arithmetic, and walk no energy twice: W at an energy the count walked
+lists once (``_Ends``: one from each end to the probe; ``_Incidence``:
+the walk to the entry edge).  The node count and the refinement of each
+bracket, with qwim's own ports of Brent's root finder and bounded
+minimiser (``_optimize``), walk the same lists one scalar energy at a
+time in plain complex arithmetic, and walk no energy twice: W at an energy the count walked
 takes the count's ends, and the value at a returned root or minimum is
 the one the optimiser computed.  Only the resonance scan and the
 ``force_numeric`` ends use numpy, and import it when they run.
@@ -73,7 +74,7 @@ from .model import (
     Side,
     require_finite,
 )
-from .scattering import _frame, _trajectory, _walk
+from .scattering import _Incidence
 
 # |r| must fall below this at a refined minimum to count as a resonance.
 RESONANCE_TOL = 1e-6
@@ -190,46 +191,6 @@ class _Ends:
         return nodes1 + nodes2 + (((n1 * d2 - n2 * d1) * (d1 * d2).conjugate()).imag > 0.0)
 
 
-class _Entry:
-    """The incidence lead and the transmitted wave carried to the entry
-    edge, set up once for a whole resonance search.
-
-    Called with an energy, it gives two ends of ``_Ends``' shape: the
-    incidence lead's (z1, 1, 1) and the walk's (num, den, ratio), with
-    Z(a) = num / den, chained from the far lead's outgoing wave z2 along
-    the scattering solve's slab list (``scattering._walk``), in the frame
-    of ``side``.  ``many`` gives them over an energy array from one
-    ``_chain_many`` pass, with ``ok`` False wherever the scalar call
-    raises.  With ``force_numeric`` a scalar call takes Z(a) from one
-    Riccati trajectory from the far edge instead, as the scattering
-    solve does (``scattering._trajectory``).
-    """
-
-    def __init__(self, pot, side, cfg, params):
-        self.pot, self.side, self.cfg, self.params = pot, side, cfg, params
-        self.levels = _frame(pot, side)[:2]
-        self.walk = _walk(pot, side)
-
-    def __call__(self, e):
-        (u1, u2), params = self.levels, self.params
-        z1 = _constants(e, u1, params)[0]
-        z2 = _constants(e, u2, params)[0]
-        if self.cfg.force_numeric and self.walk:
-            zs = _trajectory(self.pot, e, self.side, z2, self.cfg, params).zs
-            z_a = complex(zs[0]) if self.side is Side.LEFT else -complex(zs[-1])
-            return (z1, 1.0, 1.0), (z_a, 1.0, 1.0)
-        return (z1, 1.0, 1.0), _chain(self.walk, e, z2, params)
-
-    def many(self, es):
-        from ._arrays import _chain_many, _region_constants_many
-
-        (u1, u2), params = self.levels, self.params
-        z1, _, degenerate1 = _region_constants_many(es, u1, params)
-        z2, _, degenerate2 = _region_constants_many(es, u2, params)
-        *walk, ok = _chain_many(self.walk, es, z2, params)
-        return (z1, 1.0, 1.0), walk, ok & ~degenerate1 & ~degenerate2
-
-
 def _mismatch(plus, minus):
     """D = Z+ - Z- from the two ends (scalars or arrays); not finite where
     a solution has a psi-node at the probe (NaN for a scalar zero
@@ -237,17 +198,6 @@ def _mismatch(plus, minus):
     (n1, d1, _), (n2, d2, _) = plus, minus
     try:
         return n1 / d1 - n2 / d2
-    except ZeroDivisionError:
-        return math.nan
-
-
-def _reflection(lead, walk):
-    """r = (z1 - Z(a)) / (z1 + Z(a)) from ``_Entry``'s two ends (scalars
-    or arrays), in the scattering solve's arithmetic, so a psi-node at the
-    entry edge is no error; NaN for a scalar zero divisor."""
-    (z1, _, _), (num, den, _) = lead, walk
-    try:
-        return (z1 * den - num) * (1.0 / (z1 * den + num))
     except ZeroDivisionError:
         return math.nan
 
@@ -304,33 +254,6 @@ def impedance_mismatch(
     if not cmath.isfinite(d):
         raise TransformPoleError(f"psi-node at the probe {probe_x}: D has a pole")
     return d
-
-
-def _scan(ends, es, match) -> list:
-    """``match`` of the two ends of ``_Entry`` at each energy of ``es``;
-    None where the ends raise a SolverError or the value is not finite.
-
-    Without ``force_numeric`` the grid is chained along the walk in one
-    array pass per slab (``many``).  Every energy where a chain flags, a
-    lead is degenerate or the value is not finite is computed again from
-    the scalar ends, so the energies dropped are exactly those a
-    point-by-point scan drops.
-    """
-    import numpy as np
-
-    out: list = [None] * len(es)
-    redo = range(len(es))
-    if not ends.cfg.force_numeric:
-        plus, minus, ok = ends.many(np.array(es, dtype=float))
-        with np.errstate(all="ignore"):
-            v = match(plus, minus)
-        ok &= np.isfinite(v)
-        out = v.tolist()
-        redo = np.flatnonzero(~ok).tolist()
-    for i in redo:
-        v = _at(match, ends, es[i])
-        out[i] = v if cmath.isfinite(v) else None
-    return out
 
 
 def _default_probe(pot: Potential) -> float:
@@ -484,17 +407,32 @@ def find_resonances(
     require_finite("window bounds", e_min, e_max)
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
-    u_in = _frame(pot, side)[0]
-    if e_min <= u_in:
+    walk = _Incidence(pot, side, cfg, params)
+    if e_min <= walk.u_in:
         raise EvanescentIncidenceError(
             f"window starts at {e_min}, at or below incidence lead"
         )
     edge = pot.b if side is Side.RIGHT else pot.a
-    entry = _Entry(pot, side, cfg, params)
+
+    def reflection_of(z1, num, den):
+        # r = (z1 - Z(a)) / (z1 + Z(a)) from the walk's undivided Z(a),
+        # scalars or arrays, in the scattering solve's arithmetic, so a
+        # psi-node at the entry edge is no error
+        return (z1 * den - num) * (1.0 / (z1 * den + num))
+
+    def walked(e: float):
+        # z1 and the walk's (num, den) at e; raises where the walk does
+        z1 = _constants(e, walk.u_in, params)[0]
+        num, den, _ = walk(e, _constants(e, walk.u_far, params)[0])
+        return z1, num, den
 
     @cache
     def reflection_c(e: float):
-        r = _at(_reflection, entry, e)
+        # None where r cannot be evaluated or is not finite
+        try:
+            r = reflection_of(*walked(e))
+        except (SolverError, ZeroDivisionError):
+            return None
         return r if cmath.isfinite(r) else None
 
     def reflection(e: float):
@@ -529,11 +467,28 @@ def find_resonances(
     import numpy as np
 
     grid = np.linspace(e_min, e_max, SCAN_POINTS + 1)[1:].tolist()
-    scan = [(e, abs(r)) for e, r in zip(grid, _scan(entry, grid, _reflection)) if r is not None]
+    rs, redo = [None] * len(grid), range(len(grid))
+    if not cfg.force_numeric:
+        # one array pass per slab; every energy where it flags, a lead is
+        # degenerate or r is not finite is walked again alone, so the scan
+        # drops exactly the energies a point-by-point scan drops
+        from ._arrays import _region_constants_many
+
+        es = np.array(grid)
+        z1, _, degenerate1 = _region_constants_many(es, walk.u_in, params)
+        z2, _, degenerate2 = _region_constants_many(es, walk.u_far, params)
+        num, den, _, ok = walk.many(es, z2)
+        with np.errstate(all="ignore"):
+            r = reflection_of(z1, num, den)
+        ok &= ~degenerate1 & ~degenerate2 & np.isfinite(r)
+        rs, redo = r.tolist(), np.flatnonzero(~ok).tolist()
+    for i in redo:
+        rs[i] = reflection_c(grid[i])
+    scan = [(e, abs(r)) for e, r in zip(grid, rs) if r is not None]
     if not scan:
         # r has a value nowhere in the window: the scalar walk at one
         # energy raises the SolverError that dropped every scan point
-        entry(grid[0])
+        walked(grid[0])
     if len(scan) == len(grid) and all(r ** 2 < 1e-12 for _, r in scan):
         return SpectrumResult(
             kind=SpectrumKind.RESONANCE,

@@ -14,7 +14,6 @@ from qwim.analytic import (
     _chain,
     _constants,
     _divide,
-    _mirrored_steps,
     _psi_growth_entry,
     _steps,
     barrier_closed_forms,
@@ -463,10 +462,18 @@ def test_sampled_slab_lists_cover_the_samples():
     stack = PiecewisePotential(0.2, (PotentialSegment(0.0, 0.7, 1.0), PotentialSegment(0.7, 2.0, -1.0)), 0.0)
     assert _steps(stack, -1.0, 2.5) == [(0.2, 1.0), (1.0, 0.7), (-1.0, 2.0 - 0.7), (0.0, 0.5)]
     assert _steps(stack, 1.0, -0.5) == [(-1.0, 0.7 - 1.0), (1.0, -0.7), (0.2, -0.5)]
-    # the mirror's walk from its right end, without building the mirror
+    # the mirror's walk from its right end is the walk from a with every
+    # step and slope negated, and with Z negated it carries the same
+    # values: right incidence builds no mirror
+    params = ModelParams()
     for p in (pot, stack):
         mirror = p.mirrored()
-        assert _mirrored_steps(p) == _steps(mirror, mirror.b, mirror.a)
+        own, theirs = _steps(p, p.a, p.b), _steps(mirror, mirror.b, mirror.a)
+        assert [(s[0], *(-v for v in s[1:])) for s in own] == theirs
+        for e in (-0.7, 0.4, 1.9, 3.3):
+            z = _constants(e, p.left_level, params)[0]
+            num, den, r = _chain(own, e, -z, params)
+            assert (-num, den, r) == _chain(theirs, e, z, params)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -477,6 +477,21 @@ def test_validate_bare_step_checks_the_deltas(tmp_path):
     assert [(r[0], r[-1]) for r in rows] == [("delta_R", "ok"), ("delta_T", "ok")]
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("mode", ["impedance", "wavefunction"])
+def test_profile_bare_step_has_no_interior(tmp_path, mode, side):
+    # as validate skips its residual there, a step has no interior to
+    # profile: an input error that says so, not the stepper's 'anchor and
+    # target coincide'
+    doc = {"potential": {"kind": "piecewise", "left_level": 0.0, "right_level": 1.0,
+                         "segments": [], "step_x": 0.5}}
+    spec = write_spec(tmp_path, doc)
+    proc = run_cli("profile", "--spec", spec, "--energy", "2.0", "--mode", mode, "--side", side)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error\tInput\ta bare step has no interior to profile"]
+
+
 def test_validate_thick_barrier_is_solver_error(tmp_path):
     doc = json.loads(json.dumps(BARRIER_DOC))
     doc["potential"]["segments"][0]["x_end"] = 1e4

@@ -116,6 +116,20 @@ def test_only_the_transfer_matrix_builds_a_mirror():
     assert callers == {"xcheck"}
 
 
+def test_only_the_incidence_helper_leaves_scattering():
+    # the solve, the sweep, the resonance search and the CLI's profiles
+    # carry the far lead's wave through one helper; no other private
+    # name of scattering is imported elsewhere
+    private = {}
+    for stem in ("spectral", "cli"):
+        path = Path(qwim.__file__).parent / f"{stem}.py"
+        private[stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "scattering":
+                private[stem] |= {alias.name for alias in node.names if alias.name.startswith("_")}
+    assert private == {"spectral": {"_Incidence"}, "cli": {"_Incidence"}}
+
+
 def test_bench_tracer_targets_resolve():
     # the benchmark's tracer wraps these names by lookup; one that a
     # change deletes or renames would make its traced runs raise

@@ -27,6 +27,7 @@ from qwim.scattering import (
     energy_sweep,
     solve_scattering,
 )
+from qwim.spectral import find_resonances
 from qwim.xcheck import transfer_matrix_solve
 
 from oracles import NoCurrentError, constant_current_diagnostic, current_profile
@@ -320,15 +321,30 @@ def test_right_solves_build_no_mirror(monkeypatch):
 
 
 def test_right_incidence_is_the_mirrors_left_incidence():
-    # bitwise: x -> -x negates every step and slope exactly, and the
-    # stepper's walk from a with Z negated is odd under it
-    for pot in (_deep_stack(), _sampled_bump(right=0.4), _sampled_bump(-3.0, 17, 0.2, -0.1)):
+    # bitwise, signed zeros included: x -> -x negates every step and
+    # slope exactly, and the walk from a with Z negated is odd under it,
+    # on the chain and the stepper, in the solve, the sweep (evanescent
+    # far leads too) and the resonance search; a bare step's r is real
+    step = PiecewisePotential(0.0, (), 1.0, step_x=0.5)
+    grid = np.linspace(-0.5, 8.0, 120)
+    for pot in (_deep_stack(), _sampled_bump(right=0.4), _sampled_bump(-3.0, 17, 0.2, -0.1), step):
         mirror = pot.mirrored()
         for e in (1.55, 2.1, 3.7):
             for cfg in (IntegrationConfig(), IntegrationConfig(force_numeric=True)):
                 right = solve_scattering(pot, e, Side.RIGHT, cfg)
                 left = solve_scattering(mirror, e, Side.LEFT, cfg)
                 assert repr(right) == repr(dataclasses.replace(left, side=Side.RIGHT))
+        right = energy_sweep(pot, grid, Side.RIGHT)
+        left = [
+            dataclasses.replace(rec, side=Side.RIGHT) if type(rec) is ScatteringResult else rec
+            for rec in energy_sweep(mirror, grid, Side.LEFT)
+        ]
+        assert repr(right) == repr(left)
+        e_min = max(pot.left_level, pot.right_level) + 0.1
+        right = find_resonances(pot, e_min, 9.0, Side.RIGHT)
+        left = find_resonances(mirror, e_min, 9.0, Side.LEFT)
+        assert repr(right) == repr(dataclasses.replace(left, probe_x=-left.probe_x))
+    assert solve_scattering(step, 2.1, Side.RIGHT).r.imag == 0.0
 
 
 def test_flat_sampled_barrier_matches_stack():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from qwim import spectral
+from qwim._arrays import _region_constants_many
+from qwim.analytic import _constants
 from qwim.errors import (
     BracketingExhaustedError,
     EmptyWindowError,
@@ -21,15 +23,13 @@ from qwim.errors import (
 )
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential, Side
 from qwim.riccati import IntegrationConfig
+from qwim.scattering import _Incidence, solve_scattering
 from qwim.specfile import load_spec
 from qwim.spectral import (
     RESONANCE_TOL,
     SpectrumKind,
     _default_probe,
     _Ends,
-    _Entry,
-    _reflection,
-    _scan,
     _wronskian,
     find_bound_states,
     find_resonances,
@@ -197,16 +197,36 @@ def test_count_mismatch_raises(monkeypatch):
         assert w == _wronskian(*_Ends(pot, probe, IntegrationConfig(), ModelParams())(e), s)
 
 
-def _scalar_scan(ends, es, match):
-    """The point-by-point scan that _scan replaces."""
-    out = []
-    for e in es:
-        try:
-            v = match(*ends(e))
-        except SolverError:
-            v = None
-        out.append(v if v is not None and np.isfinite(v) else None)
-    return out
+def _reflection(z1, num, den):
+    """r = (z1 - Z(a)) / (z1 + Z(a)) from an incidence walk's undivided
+    Z(a), scalars or arrays, in the arithmetic of the scattering solve."""
+    return (z1 * den - num) * (1.0 / (z1 * den + num))
+
+
+def _scalar_r(walk, e):
+    """r at e from the walk's scalar call; None where it raises or is not
+    finite."""
+    try:
+        z1 = _constants(e, walk.u_in, walk.params)[0]
+        num, den, _ = walk(e, _constants(e, walk.u_far, walk.params)[0])
+        r = _reflection(z1, num, den)
+    except (SolverError, ZeroDivisionError):
+        return None
+    return r if np.isfinite(r) else None
+
+
+def _batched_r(walk, es):
+    """r at each energy as the resonance scan takes it: the walk's array
+    pass (``many``), each energy where it flags, a lead is degenerate or
+    r is not finite walked again alone."""
+    grid = np.array(es, dtype=float)
+    z1, _, degenerate1 = _region_constants_many(grid, walk.u_in, walk.params)
+    z2, _, degenerate2 = _region_constants_many(grid, walk.u_far, walk.params)
+    num, den, _, ok = walk.many(grid, z2)
+    with np.errstate(all="ignore"):
+        r = _reflection(z1, num, den)
+    ok &= ~degenerate1 & ~degenerate2 & np.isfinite(r)
+    return [v if k else _scalar_r(walk, e) for e, v, k in zip(es, r.tolist(), ok.tolist())]
 
 
 def test_mismatch_many_matches_scalar(random_stack_instances):
@@ -219,9 +239,9 @@ def test_mismatch_many_matches_scalar(random_stack_instances):
         levels = {pot.left_level, pot.right_level, *(s.u for s in pot.segments)}
         es = sorted({*grid, *levels, *(u + 1e-13 for u in levels)})
         for side in (Side.LEFT, Side.RIGHT):
-            entry = _Entry(pot, side, cfg, params)
-            got = _scan(entry, es, _reflection)
-            want = _scalar_scan(entry, es, _reflection)
+            walk = _Incidence(pot, side, cfg, params)
+            got = _batched_r(walk, es)
+            want = [_scalar_r(walk, e) for e in es]
             for e, d, w in zip(es, got, want):
                 # None exactly where the scalar ends raise or the value
                 # is not finite
@@ -243,9 +263,9 @@ def test_sampled_mismatch_many_matches_scalar():
     for pot in (_sampled_well(), _sampled_well(9.0, 81, 0.5, -0.3)):
         es = sorted({*np.linspace(-8.9, 6.0, 151).tolist(), *pot.us})
         for side in (Side.LEFT, Side.RIGHT):
-            entry = _Entry(pot, side, cfg, params)
-            got = _scan(entry, es, _reflection)
-            want = _scalar_scan(entry, es, _reflection)
+            walk = _Incidence(pot, side, cfg, params)
+            got = _batched_r(walk, es)
+            want = [_scalar_r(walk, e) for e in es]
             for e, d, w in zip(es, got, want):
                 assert (d is None) == (w is None), (side, e, d, w)
                 if w is not None:
@@ -405,7 +425,13 @@ def test_spectra_match_scalar_scan(monkeypatch):
         lambda: find_resonances(double_barrier, 1.0, 13.0),
     ]
     batched = [_outcome(call) for call in calls]
-    monkeypatch.setattr(spectral, "_scan", _scalar_scan)
+
+    def flag_all(walk, es, z_far):
+        # an array pass that flags every energy: the scan walks each alone
+        nan = np.full(es.shape, complex("nan+nanj"))
+        return nan, nan, nan, np.zeros(es.shape, dtype=bool)
+
+    monkeypatch.setattr(_Incidence, "many", flag_all)
     scalar = [_outcome(call) for call in calls]
     assert batched == scalar
     assert all(len(energies) > 0 for energies, _ in batched)
@@ -424,15 +450,15 @@ def test_failed_evaluation_in_resonance_refinement_is_skipped(monkeypatch):
     # component root finders drop that bracket instead of raising
     pot = load_spec(str(_DOCS / "barrier.json")).potential
     clean = find_resonances(pot, 1.0, 13.0)
-    real = _Entry.__call__
+    real = _Incidence.__call__
 
-    def failing(ends, e):
+    def failing(walk, e, z_far, track=False):
         if 2.2337 < e < 2.2338:
             raise TransformPoleError("no r here")
-        return real(ends, e)
+        return real(walk, e, z_far, track)
 
-    # the refinement's scalar ends; the scan grid takes the array pass
-    monkeypatch.setattr(_Entry, "__call__", failing)
+    # the refinement's scalar walks; the scan grid takes the array pass
+    monkeypatch.setattr(_Incidence, "__call__", failing)
     res = find_resonances(pot, 1.0, 13.0)
     assert clean.energies[0] == pytest.approx(2.2337005501361697, abs=1e-12)
     assert res.energies == clean.energies[1:]
@@ -449,9 +475,9 @@ def test_resonance_objective_keeps_an_exact_zero(monkeypatch):
         return 0.5 * (lo + hi)
 
     monkeypatch.setattr(spectral, "minimize_scalar", recording)
-    # scalar ends with Z(a) = z1, so r = 0 exactly
-    matched = (1 + 0j, 1.0, 1.0)
-    monkeypatch.setattr(_Entry, "__call__", lambda ends, e: (matched, matched))
+    # scalar walks that give Z(a) = z2, the far lead's impedance, which
+    # is z1 (both leads are at 0), so r = 0 exactly
+    monkeypatch.setattr(_Incidence, "__call__", lambda walk, e, z_far, track=False: (z_far, 1.0, 1.0))
     monkeypatch.setattr(spectral, "SCAN_POINTS", 20)
     find_resonances(pot, 1.0, 13.0)
     assert objectives and objectives[0](2.0) == 0.0
@@ -606,6 +632,7 @@ def test_search_builds_its_slab_lists_once(monkeypatch):
     real_chain, matched = spectral._chain, []
     monkeypatch.setattr(spectral, "_steps", counting("lists", spectral._steps))
     monkeypatch.setattr(spectral, "_chain", recording)
+    monkeypatch.setattr(scattering, "_chain", recording)
     monkeypatch.setattr(spectral, "_wronskian", matching)
     monkeypatch.setattr(scattering, "_steps", counting("scattering lists", scattering._steps))
     monkeypatch.setattr(scattering, "_solve", counting("solves", scattering._solve))
@@ -670,10 +697,9 @@ def test_resonance_without_a_zero_of_r_is_the_least_r():
     pot = _stack(NEAR_MISS)
     res = find_resonances(pot, 0.2, 4.0)
     e, r = res.energies[-1], res.residuals[-1]
-    entry = _Entry(pot, Side.LEFT, IntegrationConfig(), ModelParams())
 
     def refl(x):
-        return _reflection(*entry(x))
+        return solve_scattering(pot, x).r
 
     root = brentq(lambda x: refl(x).real, e - 1e-4, e + 1e-4, xtol=1e-14, rtol=8.9e-16)
     assert abs(refl(root)) < RESONANCE_TOL
