@@ -177,11 +177,9 @@ def _profile_trajectory(walk, e, points):
     of each grid point's sample."""
     import numpy as np
 
-    from .analytic import region_constants
-
     pot = walk.pot
     grid = _linspace(pot.a, pot.b, points)
-    traj = walk.trajectory(e, region_constants(e, walk.u_far, walk.params).z, grid=grid)
+    traj = walk.trajectory(e, grid=grid)
     return traj, np.clip(np.searchsorted(traj.xs, grid), 0, len(traj.xs) - 1)
 
 

@@ -16,8 +16,9 @@ coefficients are R = |r|^2 and T = (z2 / z1) |t|^2 (current ratio), which
 sum to one whenever the far lead propagates.
 
 One helper, ``_Incidence``, carries the far lead's wave to the entry
-edge for the solve, the energy sweep and the resonance search
-(:mod:`qwim.spectral`).  It walks the potential's own slab list from
+edge and takes r there, for one energy or a whole grid, for the solve,
+the energy sweep and the resonance search (:mod:`qwim.spectral`), which
+keep only their own lead phases.  It walks the potential's own slab list from
 the far edge, on both engines: for right incidence from a with Z
 negated, which is bitwise the mirror's walk, so no mirror is built.
 Both kinds of potential use exact layer chaining, sampled ones one
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .analytic import _chain, _steps, region_constants
+from .analytic import _chain, _constants, _steps
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
@@ -113,9 +114,8 @@ class _Incidence:
     odd under x -> -x, Z -> -Z, so that is the mirror's walk, and no
     mirror is built.  Signed zeros follow the mirror's walk as well: a
     zero part of the chain's num comes from a cancellation, +0 on both
-    walks, so num is negated as 0.0 - num, which keeps it +0 where -num
-    gives -0; the stepper's Z takes unary minus.  -1.0 * z would turn a
-    -0.0 imaginary part into +0.0, and an infinite part into NaN.
+    walks, so each part of num is negated as 0.0 minus it, which keeps
+    it +0 where unary minus gives -0; the stepper's Z takes unary minus.
     """
 
     def __init__(self, pot: Potential, side: Side, cfg: IntegrationConfig, params: ModelParams):
@@ -133,55 +133,115 @@ class _Incidence:
         # ``steps`` is None; a bare step, with no slabs, takes the chain
         numeric = cfg.force_numeric and pot.a < pot.b
         self.steps = None if numeric else _steps(pot, *self.ends)
+        self.walked: dict[float, complex | None] = {}
 
-    def __call__(self, e: float, z_far: complex, track: bool = False) -> tuple:
-        """(num, den, ratio) at e, the far lead's impedance z_far carried
-        to the entry edge: Z(entry) = num / den in the frame of ``side``,
-        and psi(far) / psi(entry) = ratio / den.  Along the chain
-        (``analytic._chain``), or with ``force_numeric`` from one Riccati
-        trajectory (den = 1), where ``ratio`` is None unless ``track``
-        asks for the running integral S that gives it."""
+    def __call__(self, e: float, track: bool = False) -> tuple:
+        """The walk at e: (r, tau, num, den, lead_in, lead_far), with
+        ``lead_in`` and ``lead_far`` the (z, gamma) of the two leads
+        (``analytic._constants``, which raises where e is degenerate with
+        either).  The far lead's z is carried to the entry edge along the
+        chain (``analytic._chain``), or with ``force_numeric`` along one
+        Riccati trajectory (den = 1): Z(entry) = num / den in the frame of
+        ``side``.  r and tau are ``_reflect``'s; tau is None on the stepper
+        unless ``track`` asks for the running integral S it needs."""
+        params = self.params
+        lead_in = _constants(e, self.u_in, params)  # degenerate e == u_in raises here
+        lead_far = _constants(e, self.u_far, params)
         if self.steps is None:
-            traj = self.trajectory(e, z_far, track)
+            traj = self.trajectory(e, track=track)
             i = -1 if self.right else 0
             z = complex(traj.zs[i])
-            ratio = None
+            num, den, ratio = (-z if self.right else z), 1.0, None
             if track:
                 # S is measured from the far edge, so the integral of Z
                 # from the entry edge to the far one is -S(entry); S is
                 # even under x -> -x, Z -> -Z
                 s = complex(traj.z_integral[i])
-                ratio = cmath.exp(-1j * (self.params.mass / self.params.hbar) * s)
-            return (-z if self.right else z), 1.0, ratio
-        if self.right:
-            num, den, ratio = _chain(self.steps, e, -z_far, self.params)
-            return 0.0 - num, den, ratio
-        return _chain(self.steps, e, z_far, self.params)
+                ratio = cmath.exp(-1j * (params.mass / params.hbar) * s)
+        elif self.right:
+            num, den, ratio = _chain(self.steps, e, -lead_far[0], params)
+            num = complex(0.0 - num.real, 0.0 - num.imag)
+        else:
+            num, den, ratio = _chain(self.steps, e, lead_far[0], params)
+        return (*_reflect(lead_in[0], num, den, ratio), num, den, lead_in, lead_far)
 
-    def many(self, es: np.ndarray, z_far: np.ndarray) -> tuple:
-        """The chain's (num, den, ratio, ok) over an energy array, from
-        one ``_arrays._chain_many`` pass (the chain's engine only, so
-        not under ``force_numeric``): ``ok`` is False wherever the
-        scalar chain raises, and those entries mean nothing."""
-        from ._arrays import _chain_many
+    def many(self, es: np.ndarray) -> tuple:
+        """The scalar call over an energy array, from one
+        ``_arrays._chain_many`` pass (the chain's engine only, so not
+        under ``force_numeric``): (r, tau, num, den, lead_in, lead_far,
+        ok), with ``ok`` False wherever the scalar call raises or r is not
+        finite; those entries mean nothing."""
+        import numpy as np
 
+        from ._arrays import _chain_many, _region_constants_many
+
+        params = self.params
+        z1, gamma1, degenerate1 = _region_constants_many(es, self.u_in, params)
+        z2, gamma2, degenerate2 = _region_constants_many(es, self.u_far, params)
         if self.right:
-            num, den, ratio, ok = _chain_many(self.steps, es, -z_far, self.params)
-            return 0.0 - num, den, ratio, ok
-        return _chain_many(self.steps, es, z_far, self.params)
+            num, den, ratio, ok = _chain_many(self.steps, es, -z2, params)
+            num = 0.0 - num  # numpy negates each part as 0.0 minus it
+        else:
+            num, den, ratio, ok = _chain_many(self.steps, es, z2, params)
+        with np.errstate(all="ignore"):
+            r, tau = _reflect(z1, num, den, ratio)
+        ok &= ~degenerate1 & ~degenerate2 & np.isfinite(r)
+        return r, tau, num, den, (z1, gamma1), (z2, gamma2), ok
+
+    def reflection(self, e: float) -> complex | None:
+        """r at e from the scalar call; None where it raises a SolverError
+        or divides by zero, or r is not finite.  Each energy is walked
+        once per helper."""
+        if e not in self.walked:
+            try:
+                r = self(e)[0]
+            except (SolverError, ZeroDivisionError):
+                r = None
+            self.walked[e] = r if r is not None and cmath.isfinite(r) else None
+        return self.walked[e]
+
+    def reflections(self, es: list[float]) -> list:
+        """``reflection`` at each energy of ``es``.  Without
+        ``force_numeric`` the grid takes one array pass (``many``), and
+        every energy it flags is walked again alone, so the energies
+        dropped are exactly those a point-by-point scan drops."""
+        rs: list = [None] * len(es)
+        redo = range(len(es))
+        if not self.cfg.force_numeric:
+            import numpy as np
+
+            r, *_, ok = self.many(np.array(es, dtype=float))
+            rs, redo = r.tolist(), np.flatnonzero(~ok).tolist()
+        for i in redo:
+            rs[i] = self.reflection(es[i])
+        return rs
 
     def trajectory(
-        self, e: float, z_far: complex, track: bool = False, grid: np.ndarray | None = None
+        self, e: float, track: bool = False, grid: np.ndarray | None = None
     ) -> ImpedanceTrajectory:
-        """The Riccati trajectory of the walk, in the potential's own
-        frame: the entry edge is its first sample for left incidence, and
-        its last, Z negated, for right."""
+        """The Riccati trajectory of the walk at e, anchored at the far
+        lead's z, in the potential's own frame: the entry edge is its
+        first sample for left incidence, and its last, Z negated, for
+        right."""
         from .riccati import integrate_impedance
 
+        z_far = _constants(e, self.u_far, self.params)[0]
         (start, end), anchor = self.ends, -z_far if self.right else z_far
         return integrate_impedance(
             self.pot, e, start, anchor, end, self.cfg, self.params, track, grid
         )
+
+
+def _reflect(z1, num, den, ratio) -> tuple:
+    """(r, tau) from a walk's undivided Z(entry) = num / den and
+    psi(far) / psi(entry) = ratio / den, scalars or arrays:
+    r = (z1 - Z) / (z1 + Z), and tau = 2 z1 ratio / (z1 den + num) is
+    psi(far) per unit incident wave at the entry edge (None where ratio
+    is).  One division serves both, so a psi-node at the entry edge
+    (den = 0) leaves both finite."""
+    inv = 1.0 / (z1 * den + num)
+    r = (z1 * den - num) * inv
+    return r, None if ratio is None else 2.0 * z1 * ratio * inv
 
 
 def _solve(
@@ -192,26 +252,15 @@ def _solve(
     params: ModelParams,
 ) -> ScatteringResult:
     walk = _Incidence(pot, side, cfg, params)
-    u1 = walk.u_in
-    if e < u1:
-        raise EvanescentIncidenceError(f"energy {e} below incidence lead {u1}")
-    rc1 = region_constants(e, u1, params)  # degenerate e == u1 raises here
-    rc2 = region_constants(e, walk.u_far, params)
-    z1, k1 = rc1.z, rc1.gamma.imag
-    # z2 anchors a transmitted wave above the far lead, a decaying tail below
-    num, den, ratio = walk(e, rc2.z, track=True)
-
-    # Z(a) = num / den and psi(b) / psi(a) = ratio / den; r and psi(b)
-    # share one division, so a psi-node at a leaves both finite
-    inv = 1.0 / (z1 * den + num)
-    r = (z1 * den - num) * inv
+    if e < walk.u_in:
+        raise EvanescentIncidenceError(f"energy {e} below incidence lead {walk.u_in}")
+    r, tau, num, den, (z1, gamma1), (z2, gamma2) = walk(e, track=True)
     big_r = abs(r) ** 2
     try:
-        psi_b = 2.0 * z1 * ratio * inv * cmath.exp(1j * k1 * walk.x_in)
-        if rc2.is_propagating:
-            k2 = rc2.gamma.imag
-            t = psi_b * cmath.exp(-1j * k2 * walk.x_far)
-            big_t = (rc2.z.real / z1.real) * abs(t) ** 2
+        psi_b = tau * cmath.exp(1j * gamma1.imag * walk.x_in)
+        if e > walk.u_far:
+            t = psi_b * cmath.exp(-1j * gamma2.imag * walk.x_far)
+            big_t = (z2.real / z1.real) * abs(t) ** 2
             evan = False
         else:
             t = psi_b  # tail amplitude at b: psi(x >= b) = t exp(-kappa2 (x - b))
@@ -264,18 +313,12 @@ def _sweep_chain(
     """
     import numpy as np
 
-    from ._arrays import _region_constants_many
-
     walk = _Incidence(pot, side, cfg, params)
-    z1, gamma1, degenerate1 = _region_constants_many(e, walk.u_in, params)
-    z2, gamma2, degenerate2 = _region_constants_many(e, walk.u_far, params)
-    num, den, ratio, ok = walk.many(e, z2)
+    r, tau, num, den, (z1, gamma1), (z2, gamma2), ok = walk.many(e)
     far_propagating = e > walk.u_far
     with np.errstate(all="ignore"):
         z_entry = num / den
-        inv = 1.0 / (z1 * den + num)
-        r = (z1 * den - num) * inv
-        psi_b = 2.0 * z1 * ratio * inv * np.exp(1j * gamma1.imag * walk.x_in)
+        psi_b = tau * np.exp(1j * gamma1.imag * walk.x_in)
         big_r = np.abs(r) ** 2
         t = np.where(
             far_propagating, psi_b * np.exp(-1j * gamma2.imag * walk.x_far), psi_b
@@ -283,9 +326,8 @@ def _sweep_chain(
         big_t = np.where(
             far_propagating, (z2.real / z1.real) * np.abs(t) ** 2, 0.0
         )
-        ok &= (e >= walk.u_in) & ~degenerate1 & ~degenerate2
-        ok &= np.isfinite(r) & np.isfinite(t) & np.isfinite(big_r) & np.isfinite(big_t)
-        ok &= np.isfinite(z_entry)
+        ok &= (e >= walk.u_in) & np.isfinite(t) & np.isfinite(big_r)
+        ok &= np.isfinite(big_t) & np.isfinite(z_entry)
     # positional fields, in ScatteringResult's order: keywords cost more
     # per record, and the records are most of a short sweep
     records = list(map(

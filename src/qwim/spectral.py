@@ -53,7 +53,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
+from functools import partial
 
 from ._optimize import brentq, minimize_scalar
 from .analytic import _chain, _constants, _steps
@@ -414,44 +414,23 @@ def find_resonances(
         )
     edge = pot.b if side is Side.RIGHT else pot.a
 
-    def reflection_of(z1, num, den):
-        # r = (z1 - Z(a)) / (z1 + Z(a)) from the walk's undivided Z(a),
-        # scalars or arrays, in the scattering solve's arithmetic, so a
-        # psi-node at the entry edge is no error
-        return (z1 * den - num) * (1.0 / (z1 * den + num))
-
-    def walked(e: float):
-        # z1 and the walk's (num, den) at e; raises where the walk does
-        z1 = _constants(e, walk.u_in, params)[0]
-        num, den, _ = walk(e, _constants(e, walk.u_far, params)[0])
-        return z1, num, den
-
-    @cache
-    def reflection_c(e: float):
-        # None where r cannot be evaluated or is not finite
-        try:
-            r = reflection_of(*walked(e))
-        except (SolverError, ZeroDivisionError):
-            return None
-        return r if cmath.isfinite(r) else None
-
-    def reflection(e: float):
-        r = reflection_c(e)
+    def modulus(e: float):
+        r = walk.reflection(e)
         return None if r is None else abs(r)
 
     def squared(e: float) -> float:
-        r = reflection(e)
+        r = modulus(e)
         return math.inf if r is None else r ** 2
 
     def component(comp, e: float) -> float:
         # a failed evaluation is NaN, on which brentq gives up
-        r = reflection_c(e)
+        r = walk.reflection(e)
         return math.nan if r is None else comp(r)
 
     def roots(a: float, b: float):
         # Brent's root, with |r| there, on each component of r that
         # changes sign across (a, b); None where neither does
-        r_a, r_b = reflection_c(a), reflection_c(b)
+        r_a, r_b = walk.reflection(a), walk.reflection(b)
         if r_a is None or r_b is None:
             return None
         comps = [c for c in (lambda r: r.imag, lambda r: r.real) if c(r_a) * c(r_b) < 0.0]
@@ -461,34 +440,17 @@ def find_resonances(
                 e_root = brentq(partial(component, comp), a, b, xtol=1e-14, rtol=8.9e-16)
             except ValueError:
                 continue
-            found.append((float(e_root), reflection(e_root)))
+            found.append((float(e_root), modulus(e_root)))
         return found if comps else None
 
     import numpy as np
 
     grid = np.linspace(e_min, e_max, SCAN_POINTS + 1)[1:].tolist()
-    rs, redo = [None] * len(grid), range(len(grid))
-    if not cfg.force_numeric:
-        # one array pass per slab; every energy where it flags, a lead is
-        # degenerate or r is not finite is walked again alone, so the scan
-        # drops exactly the energies a point-by-point scan drops
-        from ._arrays import _region_constants_many
-
-        es = np.array(grid)
-        z1, _, degenerate1 = _region_constants_many(es, walk.u_in, params)
-        z2, _, degenerate2 = _region_constants_many(es, walk.u_far, params)
-        num, den, _, ok = walk.many(es, z2)
-        with np.errstate(all="ignore"):
-            r = reflection_of(z1, num, den)
-        ok &= ~degenerate1 & ~degenerate2 & np.isfinite(r)
-        rs, redo = r.tolist(), np.flatnonzero(~ok).tolist()
-    for i in redo:
-        rs[i] = reflection_c(grid[i])
-    scan = [(e, abs(r)) for e, r in zip(grid, rs) if r is not None]
+    scan = [(e, abs(r)) for e, r in zip(grid, walk.reflections(grid)) if r is not None]
     if not scan:
         # r has a value nowhere in the window: the scalar walk at one
         # energy raises the SolverError that dropped every scan point
-        walked(grid[0])
+        walk(grid[0])
     if len(scan) == len(grid) and all(r ** 2 < 1e-12 for _, r in scan):
         return SpectrumResult(
             kind=SpectrumKind.RESONANCE,
@@ -515,7 +477,7 @@ def find_resonances(
             e_opt = minimize_scalar(squared, lo, hi, xatol=xatol)
             windows = () if found is not None else _windows(e_opt, lo, hi, xatol)
             # its answer first: a root replaces it only with a smaller |r|
-            found = [(e_opt, reflection(e_opt))] + (found or [])
+            found = [(e_opt, modulus(e_opt))] + (found or [])
             for a, b in windows:
                 more = roots(a, b)
                 if more is not None:

@@ -9,9 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from qwim import spectral
-from qwim._arrays import _region_constants_many
-from qwim.analytic import _constants
+from qwim import scattering, spectral
 from qwim.errors import (
     BracketingExhaustedError,
     EmptyWindowError,
@@ -197,50 +195,35 @@ def test_count_mismatch_raises(monkeypatch):
         assert w == _wronskian(*_Ends(pot, probe, IntegrationConfig(), ModelParams())(e), s)
 
 
-def _reflection(z1, num, den):
-    """r = (z1 - Z(a)) / (z1 + Z(a)) from an incidence walk's undivided
-    Z(a), scalars or arrays, in the arithmetic of the scattering solve."""
-    return (z1 * den - num) * (1.0 / (z1 * den + num))
-
-
 def _scalar_r(walk, e):
-    """r at e from the walk's scalar call; None where it raises or is not
-    finite."""
+    """r at e from the walk's scalar call, the point-by-point scan: None
+    where it raises or r is not finite."""
     try:
-        z1 = _constants(e, walk.u_in, walk.params)[0]
-        num, den, _ = walk(e, _constants(e, walk.u_far, walk.params)[0])
-        r = _reflection(z1, num, den)
+        r = walk(e)[0]
     except (SolverError, ZeroDivisionError):
         return None
     return r if np.isfinite(r) else None
 
 
-def _batched_r(walk, es):
-    """r at each energy as the resonance scan takes it: the walk's array
-    pass (``many``), each energy where it flags, a lead is degenerate or
-    r is not finite walked again alone."""
-    grid = np.array(es, dtype=float)
-    z1, _, degenerate1 = _region_constants_many(grid, walk.u_in, walk.params)
-    z2, _, degenerate2 = _region_constants_many(grid, walk.u_far, walk.params)
-    num, den, _, ok = walk.many(grid, z2)
-    with np.errstate(all="ignore"):
-        r = _reflection(z1, num, den)
-    ok &= ~degenerate1 & ~degenerate2 & np.isfinite(r)
-    return [v if k else _scalar_r(walk, e) for e, v, k in zip(es, r.tolist(), ok.tolist())]
-
-
 def test_mismatch_many_matches_scalar(random_stack_instances):
     # scattering and evanescent energies, every level (degenerate slabs
     # and leads) and level + 1e-13 (nearly so), for incidence from both
-    # sides: the array pass of the resonance scan gives the scalar r
-    cfg, params = IntegrationConfig(), ModelParams()
+    # sides: the array pass of the resonance scan gives the scalar r.
+    # Unequal leads are degenerate one at a time; with mass 1e-308 a
+    # bare step's z overflows in one lead and not the other between 0.9
+    # and 1.9, where the array r is NaN and no chain flags
+    cfg, default = IntegrationConfig(), ModelParams()
     grid = np.linspace(-3.5, 8.0, 401).tolist()
-    for pot, _ in random_stack_instances:
+    cases = [(pot, default) for pot, _ in random_stack_instances] + [
+        (PiecewisePotential(0.4, (PotentialSegment(0.0, 1.0, 2.0),), -0.3), default),
+        (PiecewisePotential(0.0, (), 1.0, step_x=0.5), ModelParams(mass=1e-308)),
+    ]
+    for pot, params in cases:
         levels = {pot.left_level, pot.right_level, *(s.u for s in pot.segments)}
         es = sorted({*grid, *levels, *(u + 1e-13 for u in levels)})
         for side in (Side.LEFT, Side.RIGHT):
             walk = _Incidence(pot, side, cfg, params)
-            got = _batched_r(walk, es)
+            got = walk.reflections(es)
             want = [_scalar_r(walk, e) for e in es]
             for e, d, w in zip(es, got, want):
                 # None exactly where the scalar ends raise or the value
@@ -264,12 +247,20 @@ def test_sampled_mismatch_many_matches_scalar():
         es = sorted({*np.linspace(-8.9, 6.0, 151).tolist(), *pot.us})
         for side in (Side.LEFT, Side.RIGHT):
             walk = _Incidence(pot, side, cfg, params)
-            got = _batched_r(walk, es)
+            got = walk.reflections(es)
             want = [_scalar_r(walk, e) for e in es]
             for e, d, w in zip(es, got, want):
                 assert (d is None) == (w is None), (side, e, d, w)
                 if w is not None:
                     assert abs(d - w) <= 1e-12 * max(abs(w), 1.0), (side, e, d, w)
+
+
+def test_reflection_drops_an_r_that_is_not_finite(monkeypatch):
+    # a scalar walk that raises nothing but gives Z(a) = NaN
+    nan = complex("nan")
+    monkeypatch.setattr(scattering, "_chain", lambda steps, e, z, params: (nan, 1.0, 1.0))
+    walk = _Incidence(barrier(), Side.LEFT, IntegrationConfig(), ModelParams())
+    assert walk.reflection(2.0) is None
 
 
 def test_sampled_bound_mismatch_is_purely_imaginary():
@@ -426,10 +417,12 @@ def test_spectra_match_scalar_scan(monkeypatch):
     ]
     batched = [_outcome(call) for call in calls]
 
-    def flag_all(walk, es, z_far):
+    real_many = _Incidence.many
+
+    def flag_all(walk, es):
         # an array pass that flags every energy: the scan walks each alone
-        nan = np.full(es.shape, complex("nan+nanj"))
-        return nan, nan, nan, np.zeros(es.shape, dtype=bool)
+        *values, ok = real_many(walk, es)
+        return (*values, np.zeros_like(ok))
 
     monkeypatch.setattr(_Incidence, "many", flag_all)
     scalar = [_outcome(call) for call in calls]
@@ -452,10 +445,10 @@ def test_failed_evaluation_in_resonance_refinement_is_skipped(monkeypatch):
     clean = find_resonances(pot, 1.0, 13.0)
     real = _Incidence.__call__
 
-    def failing(walk, e, z_far, track=False):
+    def failing(walk, e, track=False):
         if 2.2337 < e < 2.2338:
             raise TransformPoleError("no r here")
-        return real(walk, e, z_far, track)
+        return real(walk, e, track)
 
     # the refinement's scalar walks; the scan grid takes the array pass
     monkeypatch.setattr(_Incidence, "__call__", failing)
@@ -475,9 +468,9 @@ def test_resonance_objective_keeps_an_exact_zero(monkeypatch):
         return 0.5 * (lo + hi)
 
     monkeypatch.setattr(spectral, "minimize_scalar", recording)
-    # scalar walks that give Z(a) = z2, the far lead's impedance, which
-    # is z1 (both leads are at 0), so r = 0 exactly
-    monkeypatch.setattr(_Incidence, "__call__", lambda walk, e, z_far, track=False: (z_far, 1.0, 1.0))
+    # scalar chains that leave their anchor as it is: Z(a) = z2, the far
+    # lead's impedance, which is z1 (both leads are at 0), so r = 0 exactly
+    monkeypatch.setattr(scattering, "_chain", lambda steps, e, z, params: (z, 1.0, 1.0))
     monkeypatch.setattr(spectral, "SCAN_POINTS", 20)
     find_resonances(pot, 1.0, 13.0)
     assert objectives and objectives[0](2.0) == 0.0
