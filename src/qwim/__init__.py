@@ -71,7 +71,7 @@ from .scattering import (
     energy_sweep,
     solve_scattering,
 )
-from .specfile import ProblemSpec, load_spec, parse_spec, render_spec
+from .specfile import ProblemSpec, load_spec, parse_spec
 
 # The layers that load numpy, or may, and their public names, by home
 # module; a module is imported when it or one of its names is first
@@ -165,7 +165,6 @@ __all__ = [
     "psi_growth_factor",
     "reconstruct_wavefunction",
     "region_constants",
-    "render_spec",
     "schrodinger_residual",
     "solve_scattering",
     "square_well_eigenvalues",

@@ -208,13 +208,13 @@ def cmd_profile(args) -> int:
 
     from ._arrays import _bridge
     from .errors import QuadratureDivergenceError
-    from .xcheck import Normalization, reconstruct_wavefunction
+    from .xcheck import reconstruct_wavefunction
 
     res = solve_scattering(pot, e, side, cfg, params)
     k1 = math.sqrt(2.0 * params.mass * (e - walk.u_in)) / params.hbar
     psi_in = (1.0 + res.r) * cmath.exp(1j * k1 * walk.x_in)
     if side is Side.LEFT:
-        psi = reconstruct_wavefunction(traj, psi_in, Normalization.UNIT_INCIDENT).psi
+        psi = reconstruct_wavefunction(traj, psi_in).psi
     else:
         # the walk from a ends at the entry edge b: psi(x_i) is psi(b)
         # over the product of the interval ratios from x_i to b
@@ -232,7 +232,6 @@ def cmd_profile(args) -> int:
 
 def cmd_validate(args) -> int:
     from .xcheck import (
-        Normalization,
         WavefunctionProfile,
         reconstruct_wavefunction,
         schrodinger_residual,
@@ -268,7 +267,7 @@ def cmd_validate(args) -> int:
         traj, idx = _profile_trajectory(_Incidence(pot, Side.LEFT, num_cfg, params), e, points)
         k1 = math.sqrt(2.0 * params.mass * (e - pot.left_level)) / params.hbar
         psi_a = (1.0 + imp.r) * cmath.exp(1j * k1 * pot.a)
-        profile = reconstruct_wavefunction(traj, psi_a, Normalization.UNIT_INCIDENT)
+        profile = reconstruct_wavefunction(traj, psi_a)
         # finite differences want the uniform grid subset: adaptive
         # samples wedged between forced stops would degrade the stencil
         # to first order

@@ -348,7 +348,6 @@ def z_plus(
     e: float,
     cfg: IntegrationConfig = IntegrationConfig(),
     params: ModelParams = ModelParams(),
-    target_x: float | None = None,
     track_integral: bool = False,
     grid: np.ndarray | None = None,
 ) -> ImpedanceTrajectory:
@@ -362,9 +361,8 @@ def z_plus(
     if not _bound_mode(pot, e) and e < pot.left_level:
         raise EvanescentIncidenceError(f"energy {e} below left lead")
     z0 = left_anchor(pot, e, params)
-    target = pot.b if target_x is None else target_x
     return integrate_impedance(
-        pot, e, pot.a, z0, target, cfg, params, track_integral, grid
+        pot, e, pot.a, z0, pot.b, cfg, params, track_integral, grid
     )
 
 
@@ -373,7 +371,6 @@ def z_minus(
     e: float,
     cfg: IntegrationConfig = IntegrationConfig(),
     params: ModelParams = ModelParams(),
-    target_x: float | None = None,
     track_integral: bool = False,
     grid: np.ndarray | None = None,
 ) -> ImpedanceTrajectory:
@@ -383,7 +380,6 @@ def z_minus(
     lead, the pure transmitted wave above it.
     """
     z0 = right_anchor(pot, e, params)
-    target = pot.a if target_x is None else target_x
     return integrate_impedance(
-        pot, e, pot.b, z0, target, cfg, params, track_integral, grid
+        pot, e, pot.b, z0, pot.a, cfg, params, track_integral, grid
     )

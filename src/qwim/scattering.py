@@ -244,13 +244,22 @@ def _reflect(z1, num, den, ratio) -> tuple:
     return r, None if ratio is None else 2.0 * z1 * ratio * inv
 
 
-def _solve(
+def solve_scattering(
     pot: Potential,
     e: float,
-    side: Side,
-    cfg: IntegrationConfig,
-    params: ModelParams,
+    side: Side = Side.LEFT,
+    cfg: IntegrationConfig = IntegrationConfig(),
+    params: ModelParams = ModelParams(),
 ) -> ScatteringResult:
+    """Scattering amplitudes at energy ``e`` for the given incidence side.
+
+    Right incidence reports its amplitudes in the mirrored
+    (incidence-side) frame, so R, T and the moduli are directly
+    comparable between sides.  ``e`` is taken as a
+    Python float, so a numpy scalar gives the same result.
+    """
+    require_finite("energy", e)
+    e = float(e)
     walk = _Incidence(pot, side, cfg, params)
     if e < walk.u_in:
         raise EvanescentIncidenceError(f"energy {e} below incidence lead {walk.u_in}")
@@ -283,28 +292,10 @@ def _solve(
     )
 
 
-def solve_scattering(
-    pot: Potential,
-    e: float,
-    side: Side = Side.LEFT,
-    cfg: IntegrationConfig = IntegrationConfig(),
-    params: ModelParams = ModelParams(),
-) -> ScatteringResult:
-    """Scattering amplitudes at energy ``e`` for the given incidence side.
-
-    Right incidence reports its amplitudes in the mirrored
-    (incidence-side) frame, so R, T and the moduli are directly
-    comparable between sides.  ``e`` is taken as a
-    Python float, so a numpy scalar gives the same result.
-    """
-    require_finite("energy", e)
-    return _solve(pot, float(e), side, cfg, params)
-
-
 def _sweep_chain(
     pot: Potential, e: np.ndarray, side: Side, cfg: IntegrationConfig, params: ModelParams
 ) -> tuple[list[ScatteringResult], list[int]]:
-    """``_solve`` along the chain for a whole energy grid.
+    """``solve_scattering`` along the chain for a whole energy grid.
 
     One ``_chain_many`` pass and the lead formulas as array operations.
     Returns one record per energy and the indices of the flagged points,

@@ -1,4 +1,4 @@
-"""Reading and writing potential specification files.
+"""Reading potential specification files.
 
 The on-disk format is JSON with three top-level blocks::
 
@@ -16,8 +16,7 @@ between ``piecewise`` (list of contiguous constant segments) and
 schema is documented in docs/spec_format.md.
 
 Every parse failure raises SpecFileError with a dotted field path
-(``potential.segments[2].x_end``) so broken files are quick to fix, and
-``render_spec(parse_spec(text))`` round-trips exactly.
+(``potential.segments[2].x_end``) so broken files are quick to fix.
 """
 
 from __future__ import annotations
@@ -190,40 +189,3 @@ def load_spec(path: str) -> ProblemSpec:
         return parse_spec(text)
     except SpecFileError as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
-
-
-def render_spec(spec: ProblemSpec) -> str:
-    """Serialize a ProblemSpec; parsing the result reproduces it exactly."""
-    pot = spec.potential
-    if isinstance(pot, PiecewisePotential):
-        pot_node: dict = {
-            "kind": "piecewise",
-            "left_level": pot.left_level,
-            "right_level": pot.right_level,
-            "segments": [
-                {"x_start": s.x_start, "x_end": s.x_end, "u": s.u}
-                for s in pot.segments
-            ],
-        }
-        if pot.step_x is not None:
-            pot_node["step_x"] = pot.step_x
-    else:
-        pot_node = {
-            "kind": "sampled",
-            "left_level": pot.left_level,
-            "right_level": pot.right_level,
-            "samples": [[x, u] for x, u in zip(pot.xs, pot.us)],
-        }
-    doc = {
-        "params": {"hbar": spec.params.hbar, "mass": spec.params.mass},
-        "potential": pot_node,
-        "defaults": {
-            "rel_tol": spec.defaults.rel_tol,
-            "abs_tol": spec.defaults.abs_tol,
-            "pole_threshold": spec.defaults.pole_threshold,
-            "force_numeric": spec.defaults.force_numeric,
-        },
-    }
-    if spec.defaults.max_step is not None:
-        doc["defaults"]["max_step"] = spec.defaults.max_step
-    return json.dumps(doc, indent=2) + "\n"

@@ -191,46 +191,26 @@ class _Ends:
         return nodes1 + nodes2 + (((n1 * d2 - n2 * d1) * (d1 * d2).conjugate()).imag > 0.0)
 
 
-def _mismatch(plus, minus):
-    """D = Z+ - Z- from the two ends (scalars or arrays); not finite where
-    a solution has a psi-node at the probe (NaN for a scalar zero
-    divisor)."""
-    (n1, d1, _), (n2, d2, _) = plus, minus
-    try:
-        return n1 / d1 - n2 / d2
-    except ZeroDivisionError:
-        return math.nan
-
-
 def _wronskian(plus, minus, s):
-    """The bound-state matching function W from the two ends (scalars or
-    arrays): the sine of the angle between the two solutions'
-    (Z psi / s, psi) vectors, signed by psi at the probe.
+    """The bound-state matching function W from the two ends: the sine
+    of the angle between the two solutions' (Z psi / s, psi) vectors,
+    signed by psi at the probe.
 
     W is proportional to the Wronskian psi+ psi-' - psi- psi+', so it
     does not depend on the probe, has no poles, lies in [-1, 1] and
     vanishes exactly at the eigenvalues, for the ends of both engines.
-    A scalar zero divisor gives NaN.
+    A zero divisor gives NaN.
     """
     (n1, d1, r1), (n2, d2, r2) = plus, minus
     try:
         # only the phases of the psi ratios count; each is normalised
         # alone so that their product cannot underflow
         phase = r1.conjugate() / abs(r1) * (r2.conjugate() / abs(r2))
-        # |x + i y| is hypot(x, y), for scalars and arrays alike
+        # |x + i y| is hypot(x, y)
         return s * ((n2 * d1 - n1 * d2) * phase).imag / (
             abs(abs(n1) + 1j * (s * abs(d1))) * abs(abs(n2) + 1j * (s * abs(d2)))
         )
     except ArithmeticError:
-        return math.nan
-
-
-def _at(match, ends, e: float):
-    """``match`` of the scalar ends at e; NaN where they raise a
-    SolverError."""
-    try:
-        return match(*ends(e))
-    except SolverError:
         return math.nan
 
 
@@ -250,7 +230,11 @@ def impedance_mismatch(
     Python floats.
     """
     require_finite("energy and probe", e, probe_x)
-    d = complex(_mismatch(*_Ends(pot, float(probe_x), cfg, params)(float(e))))
+    (n1, d1, _), (n2, d2, _) = _Ends(pot, float(probe_x), cfg, params)(float(e))
+    try:
+        d = complex(n1 / d1 - n2 / d2)
+    except ZeroDivisionError:
+        d = math.nan
     if not cmath.isfinite(d):
         raise TransformPoleError(f"psi-node at the probe {probe_x}: D has a pole")
     return d
@@ -306,14 +290,17 @@ def find_bound_states(
         raise NonFiniteStateError(f"bound window ({floor}, {ceil}) overflows")
 
     ends = _Ends(pot, probe, cfg, params)
-    match = partial(_wronskian, s=s)
     seen: dict[float, float] = {}
 
     def w_at(e: float) -> float:
         # NaN where W cannot be evaluated, on which brentq gives up
         w = seen.get(e)
         if w is None:
-            w = seen[e] = _at(match, ends, e)
+            try:
+                w = _wronskian(*ends(e), s)
+            except SolverError:
+                w = math.nan
+            seen[e] = w
         return w
 
     expected = ends.count(ceil)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -170,11 +170,7 @@ def transfer_matrix_solve(
     require_finite("energy", e)
     if side is Side.RIGHT:
         res = transfer_matrix_solve(pot.mirrored(), e, Side.LEFT, params)
-        return TransferResult(
-            e=e, side=Side.RIGHT, r=res.r, t=res.t,
-            big_r=res.big_r, big_t=res.big_t,
-            evanescent_tail=res.evanescent_tail,
-        )
+        return replace(res, side=Side.RIGHT)
     k1 = _wavevector(e, pot.left_level, params)
     if k1.imag != 0.0:
         raise EvanescentIncidenceError(f"energy {e} below incidence lead")
@@ -266,7 +262,6 @@ def square_well_state_count(depth: float, width: float,
 
 class Normalization(Enum):
     UNIT_INCIDENT = "unit-incident"
-    UNIT_NORM = "unit-norm"
 
 
 @dataclass(frozen=True)
@@ -279,14 +274,16 @@ class WavefunctionProfile:
 def reconstruct_wavefunction(
     traj: ImpedanceTrajectory,
     psi_start: complex = 1.0 + 0j,
-    normalization: Normalization = Normalization.UNIT_INCIDENT,
 ) -> WavefunctionProfile:
     """Rebuild psi on the trajectory grid from sampled Z.
 
         psi(x) = psi_start * exp[(i m / hbar) int Z dx']
 
-    A trajectory carrying the running integral of Z uses it directly
-    (the ODE solver already accumulated it at its own tolerance).
+    psi keeps the scale psi_start sets at the first sample: given psi
+    there per unit incident wave, the profile is psi per unit incident
+    wave (``Normalization.UNIT_INCIDENT``).  A trajectory carrying the
+    running integral of Z uses it directly (the ODE solver already
+    accumulated it at its own tolerance).
     Otherwise psi is the running product of the intervals' psi ratios,
     each one exact step across the slab the interval lies on
     (``_arrays._bridge``).
@@ -307,11 +304,9 @@ def reconstruct_wavefunction(
             psi = np.cumprod(np.concatenate(([psi_start], _bridge(traj))))
     if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
         raise QuadratureDivergenceError("reconstructed psi is not finite")
-
-    if normalization is Normalization.UNIT_NORM:
-        norm2 = np.trapezoid(np.abs(psi) ** 2, xs)
-        psi = psi / math.sqrt(float(norm2.real))
-    return WavefunctionProfile(xs=xs.copy(), psi=psi, normalization=normalization)
+    return WavefunctionProfile(
+        xs=xs.copy(), psi=psi, normalization=Normalization.UNIT_INCIDENT
+    )
 
 
 def schrodinger_residual(

@@ -198,7 +198,7 @@ def test_even_state_impedance_node_at_center():
     # even-parity eigenstate: psi' = 0 at the symmetry point, so Z = 0
     e = -4.296392637614919  # ground state of the 5-deep, 2-wide well
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, -5.0),), 0.0)
-    traj = z_plus(pot, e, cfg=TIGHT, target_x=1.0)
+    traj = integrate_impedance(pot, e, pot.a, left_anchor(pot, e, ModelParams()), 1.0, TIGHT)
     assert abs(traj.zs[-1]) < 1e-6
 
 
@@ -537,13 +537,16 @@ def test_tracked_integral_matches_quadrature_of_z(e, pole_threshold):
     "call",
     [lambda bad: integrate_impedance(flat(), 0.5, bad, 1.0 + 0j, 0.0),
      lambda bad: integrate_impedance(flat(), 0.5, 2.0, 1.0 + 0j, bad),
-     lambda bad: z_plus(flat(), 0.5, target_x=bad),
-     lambda bad: z_minus(flat(), 0.5, target_x=bad)],
+     lambda bad: integrate_impedance(flat(), 0.5, 0.0, left_anchor(flat(), 0.5, ModelParams()),
+                                     bad),
+     lambda bad: integrate_impedance(flat(), 0.5, 2.0, right_anchor(flat(), 0.5, ModelParams()),
+                                     bad)],
     ids=["anchor", "target", "z_plus-target", "z_minus-target"],
 )
 def test_non_finite_ends_raise_typed(call, bad):
     # a NaN end gave a one-sample trajectory, and an infinite target one
-    # that stopped at the last breakpoint
+    # that stopped at the last breakpoint; the last two cases start from
+    # z_plus's and z_minus's anchors
     with pytest.raises(NonFiniteInputError, match="anchor and target"):
         call(bad)
 
@@ -563,9 +566,12 @@ def test_numpy_scalars_give_the_float_result():
             want = impedance_mismatch(pot, -3.0, 0.7, cfg)
             got = impedance_mismatch(pot, np.float64(-3.0), np.float64(0.7), cfg)
             assert type(got) is complex and repr(got) == repr(want)
-        for ends in (z_plus, z_minus):
-            want = ends(pot, 1.3, target_x=1.1, track_integral=True)
-            got = ends(pot, np.float64(1.3), target_x=np.float64(1.1), track_integral=True)
+        for x0, anchor in ((pot.a, left_anchor), (pot.b, right_anchor)):
+            want = integrate_impedance(pot, 1.3, x0, anchor(pot, 1.3, ModelParams()), 1.1,
+                                       track_integral=True)
+            got = integrate_impedance(pot, np.float64(1.3), np.float64(x0),
+                                      anchor(pot, np.float64(1.3), ModelParams()),
+                                      np.float64(1.1), track_integral=True)
             assert type(got.energy) is float and type(got.anchor_x) is float
             for field in ("xs", "zs", "z_integral"):
                 assert repr(getattr(got, field).tolist()) == repr(getattr(want, field).tolist())
@@ -600,11 +606,12 @@ DIFF_TOL = 1e-8
     ),
     leads=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     e=st.floats(0.05, 8.0),
+    params=st.builds(ModelParams, st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
 )
-def test_stepper_chain_and_transfer_matrix_agree_fuzz(slabs, leads, e):
+def test_stepper_chain_and_transfer_matrix_agree_fuzz(slabs, leads, e, params):
     # the stepper against the exact chain and the transfer matrix on R
-    # and T from each side where all three return, and each engine's own
-    # unitarity and left-right reciprocity of T
+    # and T from each side where all three return, in units (hbar, mass),
+    # and each engine's own unitarity and left-right reciprocity of T
     x, segs = 0.0, []
     for length, u in slabs:
         segs.append(PotentialSegment(x, x + length, u))
@@ -612,9 +619,9 @@ def test_stepper_chain_and_transfer_matrix_agree_fuzz(slabs, leads, e):
     pot = PiecewisePotential(leads[0], tuple(segs), leads[1])
     numeric = IntegrationConfig(force_numeric=True)
     engines = [
-        _both_sides(lambda side: solve_scattering(pot, e, side, numeric)),
-        _both_sides(lambda side: solve_scattering(pot, e, side)),
-        _both_sides(lambda side: transfer_matrix_solve(pot, e, side)),
+        _both_sides(lambda side: solve_scattering(pot, e, side, numeric, params)),
+        _both_sides(lambda side: solve_scattering(pot, e, side, IntegrationConfig(), params)),
+        _both_sides(lambda side: transfer_matrix_solve(pot, e, side, params)),
     ]
     sides = set(engines[0]) & set(engines[1]) & set(engines[2])
     for side in sides:

@@ -1,12 +1,18 @@
-"""Problem-spec JSON parsing, validation messages, and round-tripping."""
+"""Problem-spec JSON parsing and validation messages."""
 
 import json
 
 import pytest
 
 from qwim.errors import SpecFileError
-from qwim.model import IntegrationConfig, ModelParams, PiecewisePotential, SampledPotential
-from qwim.specfile import ProblemSpec, load_spec, parse_spec, render_spec
+from qwim.model import (
+    IntegrationConfig,
+    ModelParams,
+    PiecewisePotential,
+    PotentialSegment,
+    SampledPotential,
+)
+from qwim.specfile import ProblemSpec, load_spec, parse_spec
 
 BARRIER = """
 {
@@ -151,23 +157,38 @@ def test_sampled_needs_increasing_abscissae():
         parse_spec(json.dumps(doc))
 
 
-def test_render_parse_round_trip():
-    spec = parse_spec(BARRIER)
-    again = parse_spec(render_spec(spec))
-    assert again == spec
-    # and rendering is stable byte for byte
-    assert render_spec(again) == render_spec(spec)
-
-
-def test_round_trip_with_defaults_and_sampled():
-    pot = SampledPotential((0.0, 0.7, 2.0), (0.0, -3.0, 0.5), 0.0, 0.25)
-    spec = ProblemSpec(
-        potential=pot,
+def test_parse_barrier_gives_the_built_spec():
+    want = ProblemSpec(
+        potential=PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0),
         params=ModelParams(),
-        defaults=IntegrationConfig(rel_tol=1e-9, max_step=0.05),
+        defaults=IntegrationConfig(),
     )
-    again = parse_spec(render_spec(spec))
-    assert again == spec
+    assert parse_spec(BARRIER) == want
+
+
+def test_parse_sampled_with_every_default_gives_the_built_spec():
+    text = """
+    {
+      "params": {"hbar": 0.5, "mass": 2.0},
+      "potential": {
+        "kind": "sampled",
+        "left_level": 0.0,
+        "right_level": 0.25,
+        "samples": [[0.0, 0.0], [0.7, -3.0], [2.0, 0.5]]
+      },
+      "defaults": {"rel_tol": 1e-9, "abs_tol": 1e-11, "max_step": 0.05,
+                   "pole_threshold": 50.0, "force_numeric": true}
+    }
+    """
+    want = ProblemSpec(
+        potential=SampledPotential((0.0, 0.7, 2.0), (0.0, -3.0, 0.5), 0.0, 0.25),
+        params=ModelParams(hbar=0.5, mass=2.0),
+        defaults=IntegrationConfig(
+            rel_tol=1e-9, abs_tol=1e-11, max_step=0.05, pole_threshold=50.0,
+            force_numeric=True,
+        ),
+    )
+    assert parse_spec(text) == want
 
 
 def test_load_spec_names_missing_file(tmp_path):

@@ -628,7 +628,9 @@ def test_search_builds_its_slab_lists_once(monkeypatch):
     monkeypatch.setattr(scattering, "_chain", recording)
     monkeypatch.setattr(spectral, "_wronskian", matching)
     monkeypatch.setattr(scattering, "_steps", counting("scattering lists", scattering._steps))
-    monkeypatch.setattr(scattering, "_solve", counting("solves", scattering._solve))
+    monkeypatch.setattr(
+        scattering, "solve_scattering", counting("solves", scattering.solve_scattering)
+    )
     monkeypatch.setattr(
         analytic, "RegionConstants", counting("RegionConstants", analytic.RegionConstants)
     )

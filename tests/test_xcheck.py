@@ -22,7 +22,13 @@ from qwim.model import (
     SampledPotential,
     Side,
 )
-from qwim.riccati import IntegrationConfig, z_minus, z_plus
+from qwim.riccati import (
+    IntegrationConfig,
+    integrate_impedance,
+    right_anchor,
+    z_minus,
+    z_plus,
+)
 from qwim.scattering import solve_scattering
 from qwim.spectral import find_bound_states
 from qwim.xcheck import (
@@ -405,19 +411,14 @@ def test_untracked_reconstruction_steps_through_several_sub_slabs(monkeypatch):
 def test_untracked_reconstruction_past_a_steps_on_the_lead(pot):
     # the trajectory runs on past a, where the intervals lie on the left
     # lead's level
-    traj = z_minus(pot, 0.7, cfg=TIGHT, target_x=pot.a - 2.0)
+    traj = integrate_impedance(pot, 0.7, pot.b, right_anchor(pot, 0.7, ModelParams()),
+                               pot.a - 2.0, TIGHT)
     assert traj.xs[0] == pot.a - 2.0 and traj.z_integral is None
     assert _chain_error(traj, reconstruct_wavefunction(traj)) < 1e-9
 
 
-def test_reconstruct_unit_norm():
+def test_reconstruct_defaults_to_unit_incident():
     prof = _bound_profile(well(), WELL_5_2[0], 801)
-    traj_norm = reconstruct_wavefunction(
-        z_minus(well(), WELL_5_2[0], cfg=TIGHT),
-        normalization=Normalization.UNIT_NORM,
-    )
-    total = np.trapezoid(np.abs(traj_norm.psi) ** 2, traj_norm.xs)
-    assert total == pytest.approx(1.0, abs=1e-9)
     assert prof.normalization is Normalization.UNIT_INCIDENT
 
 
