@@ -13,11 +13,13 @@ y' = i (a - b y^2), with a and b swapping between the modes.  Stepping
 is the Dormand-Prince 5(4) embedded pair (J. Comput. Appl. Math. 6, 19
 (1980)) with standard PI-free error control, its seven stages written
 out for the one complex state inside ``integrate_impedance``'s single
-loop over pieces.  The stepper walks the slab list the exact chain
+loop over slabs.  The stepper walks the slab list the exact chain
 walks, ``analytic._steps`` from anchor to target: on each slab U is one
 level or one line u_start + slope (x - slab start), evaluated inline at
-the stages.  The slab ends (and any forced grid points) split the range
-into pieces, so no step ever straddles a discontinuity.
+the stages.  The slab ends split the range, so no step ever straddles a
+discontinuity, and each slab starts afresh.  Forced grid points are
+stops inside a slab: steps land on them, and the state, its slope, the
+mode and the step proposal carry on past them.
 
 Each stage is evaluated as a' - b' y^2 with the factor i folded into
 the coefficients (a' = i a, b' = i b) where they are set, and each
@@ -89,14 +91,18 @@ def integrate_impedance(
     anchor_x, target_x)``, a lead's level included past a or b: a level
     fixes the stages' coefficients, a line is evaluated at each stage.
     Each slab's end is accumulated from the anchor (the last one is the
-    target).  The range is cut into pieces at those ends and at every
-    point of the optional ``grid`` strictly between anchor and target, so
-    accepted steps land on those points (used to produce near-uniform
-    samples for wavefunction reconstruction); a grid point within
-    1e-14 max(1, |x|) of a slab end replaces that end, so every grid
-    point is a sample.  Each piece starts afresh: a first step of
-    min(max_step, piece length), a first stage at its start, and Z or W
-    mode by |Z| there.  ``grid`` must be real and one-dimensional
+    target).  Each slab starts afresh: a first step of min(max_step,
+    slab length), a first stage at its start, and Z or W mode by |Z|
+    there.  Every point of the optional ``grid`` strictly between anchor
+    and target is a stop inside its slab, so accepted steps land on it
+    (used to produce near-uniform samples for wavefunction
+    reconstruction); a grid point within 1e-14 max(1, |x|) of a slab end
+    replaces that end, so every grid point is a sample.  A stop restarts
+    nothing: the state, its slope, the Z/W mode, S and the step proposal
+    carry on, and a step cut short to land on the stop leaves its uncut
+    proposal to the next one where that is the larger.  Only slab ends,
+    mode switches and the nudge off an exact node restart the state.
+    ``grid`` must be real and one-dimensional
     (TypeError otherwise), with finite points (NonFiniteInputError);
     points outside the range are ignored.
     """
@@ -123,7 +129,9 @@ def integrate_impedance(
         if not np.isfinite(points).all():
             require_finite("grid points", *points.tolist())
         lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
-        points = sorted((g for g in points.tolist() if lo < g < hi), reverse=leftward)
+        points = np.sort(points[(lo < points) & (points < hi)]).tolist()
+        if leftward:
+            points.reverse()
 
     c_pot = 2.0 / params.hbar
     i_imp = 1j * (params.mass / params.hbar)
@@ -138,172 +146,181 @@ def integrate_impedance(
     z, s = anchor_z, 0j
     abs_s = 0.0  # |S|, carried from step to step like |y|
     r1 = r7 = None
-    # the pieces: each slab's end, accumulated from the anchor (the last
-    # is the target), and the grid points on the slab before it; a grid
-    # point within rounding of the end replaces it, so that every grid
-    # point is a sample.  U on a slab is one level, or the line
+    # the slabs: each one's end, accumulated from the anchor (the last is
+    # the target), and its stops, the grid points on it and then its end;
+    # a grid point within rounding of the end replaces it, so that every
+    # grid point is a sample.  U on a slab is one level, or the line
     # u0 + slope (x - xa) from its start xa
     slabs = _steps(pot, anchor_x, target_x)
-    pieces, g, xa, last = [], 0, anchor_x, len(slabs) - 1
+    runs, g, xa, last = [], 0, anchor_x, len(slabs) - 1
     for k, slab in enumerate(slabs):
         u0, slope = slab[0], slab[1] if len(slab) == 3 else 0.0
         end = target_x if k == last else xa + slab[-1]
         tol = 1e-14 * max(1.0, abs(end))
+        stops = []
         while g < len(points) and sgn * (end - points[g]) > tol:
-            pieces.append((points[g], xa, u0, slope))
+            stops.append(points[g])
             g += 1
         if k < last and g < len(points) and abs(points[g] - end) <= tol:
             end = points[g]
             g += 1
-        pieces.append((end, xa, u0, slope))
+        stops.append(end)
+        runs.append((stops, xa, u0, slope))
         xa = end
-    x0 = anchor_x
-    for x1, xa, u0, slope in pieces:
+    for stops, xa, u0, slope in runs:
         line = slope != 0.0
         if not line:
             level = 1j * (c_pot * (e - u0))
-        x = x0
-        h = sgn * min(max_step, abs(x1 - x0))
-        h_floor = 1e-14 * max(1.0, abs(x0), abs(x1))
+        # U jumps at a slab's start, so each slab starts afresh; its
+        # stops restart nothing
+        x, end = xa, stops[-1]
+        h = sgn * min(max_step, abs(end - xa))
+        h_floor = 1e-14 * max(1.0, abs(xa), abs(end))
         in_w = abs(z) >= threshold
         fresh = True
         # y' = a - b y^2 at each stage, the factor i folded into a and b:
         # y = Z with a = i c_pot (E - U), b = i c_imp, or y = W with the
         # two swapped
-        while sgn * (x1 - x) > h_floor:
-            if fresh:
-                # restart from (x, Z): the state, its slope and, with the
-                # integral tracked, Z as S's slope
-                fresh = False
-                y = 1.0 / z if in_w else z
-                abs_y = abs(y)
+        for x1 in stops:
+            while sgn * (x1 - x) > h_floor:
+                if fresh:
+                    # restart from (x, Z): the state, its slope and, with the
+                    # integral tracked, Z as S's slope
+                    fresh = False
+                    y = 1.0 / z if in_w else z
+                    abs_y = abs(y)
+                    if line:
+                        p1 = 1j * (c_pot * (e - (u0 + slope * (x - xa))))
+                    else:
+                        p1 = level
+                    if in_w:
+                        a1 = a2 = a3 = a4 = a5 = a6 = i_imp
+                        b1 = b2 = b3 = b4 = b5 = b6 = p1
+                    else:
+                        a1 = a2 = a3 = a4 = a5 = a6 = p1
+                        b1 = b2 = b3 = b4 = b5 = b6 = i_imp
+                    k1 = a1 - b1 * (y * y)
+                    if track:
+                        r1 = 1.0 / y if in_w else y
+                # |h| capped by max_step and by what is left to the stop;
+                # want keeps the proposal a cut to the stop shortened
+                m = sgn * h
+                if m > max_step:
+                    m = max_step
+                want = m
+                rest = sgn * (x1 - x)
+                if m > rest:
+                    m = rest
+                h = sgn * m
                 if line:
-                    p1 = 1j * (c_pot * (e - (u0 + slope * (x - xa))))
-                else:
-                    p1 = level
-                if in_w:
-                    a1 = a2 = a3 = a4 = a5 = a6 = i_imp
-                    b1 = b2 = b3 = b4 = b5 = b6 = p1
-                else:
-                    a1 = a2 = a3 = a4 = a5 = a6 = p1
-                    b1 = b2 = b3 = b4 = b5 = b6 = i_imp
-                k1 = a1 - b1 * (y * y)
-                if track:
-                    r1 = 1.0 / y if in_w else y
-            # |h| capped by max_step and by what is left of the piece
-            m = sgn * h
-            if m > max_step:
-                m = max_step
-            rest = sgn * (x1 - x)
-            if m > rest:
-                m = rest
-            h = sgn * m
-            if line:
-                # the line at the five distinct stage abscissae
-                p2 = 1j * (c_pot * (e - (u0 + slope * (x + 0.2 * h - xa))))
-                p3 = 1j * (c_pot * (e - (u0 + slope * (x + 0.3 * h - xa))))
-                p4 = 1j * (c_pot * (e - (u0 + slope * (x + 0.8 * h - xa))))
-                p5 = 1j * (c_pot * (e - (u0 + slope * (x + 8.0 / 9.0 * h - xa))))
-                p6 = 1j * (c_pot * (e - (u0 + slope * (x + h - xa))))
-                if in_w:
-                    b2, b3, b4, b5, b6 = p2, p3, p4, p5, p6
-                else:
-                    a2, a3, a4, a5, a6 = p2, p3, p4, p5, p6
-            # Dormand-Prince 5(4), the classic ode45 pair.  Each sum runs
-            # left to right along its tableau row, every weight scaled by h
-            # before it meets its stage and the two zero weights (on k2 in
-            # the fifth-order and the error row) left out: bitwise the
-            # generic tableau loop evaluated in that order.  k7, at x + h,
-            # starts the next step (first same as last).
-            y2 = y + (h * 0.2) * k1
-            k2 = a2 - b2 * (y2 * y2)
-            y3 = y + ((h * (3.0 / 40.0)) * k1 + (h * (9.0 / 40.0)) * k2)
-            k3 = a3 - b3 * (y3 * y3)
-            y4 = y + (
-                (h * (44.0 / 45.0)) * k1 + (h * (-56.0 / 15.0)) * k2
-                + (h * (32.0 / 9.0)) * k3
-            )
-            k4 = a4 - b4 * (y4 * y4)
-            y5 = y + (
-                (h * (19372.0 / 6561.0)) * k1 + (h * (-25360.0 / 2187.0)) * k2
-                + (h * (64448.0 / 6561.0)) * k3 + (h * (-212.0 / 729.0)) * k4
-            )
-            k5 = a5 - b5 * (y5 * y5)
-            y6 = y + (
-                (h * (9017.0 / 3168.0)) * k1 + (h * (-355.0 / 33.0)) * k2
-                + (h * (46732.0 / 5247.0)) * k3 + (h * (49.0 / 176.0)) * k4
-                + (h * (-5103.0 / 18656.0)) * k5
-            )
-            k6 = a6 - b6 * (y6 * y6)
-            # the fifth-order weights and the error weights, scaled by h
-            # once for Z and S alike
-            w1, w3, w4 = h * (35.0 / 384.0), h * (500.0 / 1113.0), h * (125.0 / 192.0)
-            w5, w6 = h * (-2187.0 / 6784.0), h * (11.0 / 84.0)
-            v1, v3, v4 = h * (71.0 / 57600.0), h * (-71.0 / 16695.0), h * (71.0 / 1920.0)
-            v5, v6, v7 = h * (-17253.0 / 339200.0), h * (22.0 / 525.0), h * (-1.0 / 40.0)
-            y_new = y + (w1 * k1 + w3 * k3 + w4 * k4 + w5 * k5 + w6 * k6)
-            k7 = a6 - b6 * (y_new * y_new)
-            err_y = v1 * k1 + v3 * k3 + v4 * k4 + v5 * k5 + v6 * k6 + v7 * k7
-            if not isfinite(y_new):
-                raise NonFiniteStateError(f"non-finite state near x={x}")
-            abs_y_new = abs(y_new)
-            big = abs_y_new if abs_y_new > abs_y else abs_y
-            norm = abs(err_y) / (abs_tol + rel_tol * big)
-            if track:
-                # S's slope at each stage is that stage's Z: no RHS call
-                if in_w:
-                    r3, r4, r5, r6 = 1.0 / y3, 1.0 / y4, 1.0 / y5, 1.0 / y6
-                    r7 = 1.0 / y_new
-                else:
-                    r3, r4, r5, r6, r7 = y3, y4, y5, y6, y_new
-                s_new = s + (w1 * r1 + w3 * r3 + w4 * r4 + w5 * r5 + w6 * r6)
-                if not isfinite(s_new):
+                    # the line at the five distinct stage abscissae
+                    p2 = 1j * (c_pot * (e - (u0 + slope * (x + 0.2 * h - xa))))
+                    p3 = 1j * (c_pot * (e - (u0 + slope * (x + 0.3 * h - xa))))
+                    p4 = 1j * (c_pot * (e - (u0 + slope * (x + 0.8 * h - xa))))
+                    p5 = 1j * (c_pot * (e - (u0 + slope * (x + 8.0 / 9.0 * h - xa))))
+                    p6 = 1j * (c_pot * (e - (u0 + slope * (x + h - xa))))
+                    if in_w:
+                        b2, b3, b4, b5, b6 = p2, p3, p4, p5, p6
+                    else:
+                        a2, a3, a4, a5, a6 = p2, p3, p4, p5, p6
+                # Dormand-Prince 5(4), the classic ode45 pair.  Each sum runs
+                # left to right along its tableau row, every weight scaled by h
+                # before it meets its stage and the two zero weights (on k2 in
+                # the fifth-order and the error row) left out: bitwise the
+                # generic tableau loop evaluated in that order.  k7, at x + h,
+                # starts the next step (first same as last).
+                y2 = y + (h * 0.2) * k1
+                k2 = a2 - b2 * (y2 * y2)
+                y3 = y + ((h * (3.0 / 40.0)) * k1 + (h * (9.0 / 40.0)) * k2)
+                k3 = a3 - b3 * (y3 * y3)
+                y4 = y + (
+                    (h * (44.0 / 45.0)) * k1 + (h * (-56.0 / 15.0)) * k2
+                    + (h * (32.0 / 9.0)) * k3
+                )
+                k4 = a4 - b4 * (y4 * y4)
+                y5 = y + (
+                    (h * (19372.0 / 6561.0)) * k1 + (h * (-25360.0 / 2187.0)) * k2
+                    + (h * (64448.0 / 6561.0)) * k3 + (h * (-212.0 / 729.0)) * k4
+                )
+                k5 = a5 - b5 * (y5 * y5)
+                y6 = y + (
+                    (h * (9017.0 / 3168.0)) * k1 + (h * (-355.0 / 33.0)) * k2
+                    + (h * (46732.0 / 5247.0)) * k3 + (h * (49.0 / 176.0)) * k4
+                    + (h * (-5103.0 / 18656.0)) * k5
+                )
+                k6 = a6 - b6 * (y6 * y6)
+                # the fifth-order weights and the error weights, scaled by h
+                # once for Z and S alike
+                w1, w3, w4 = h * (35.0 / 384.0), h * (500.0 / 1113.0), h * (125.0 / 192.0)
+                w5, w6 = h * (-2187.0 / 6784.0), h * (11.0 / 84.0)
+                v1, v3, v4 = h * (71.0 / 57600.0), h * (-71.0 / 16695.0), h * (71.0 / 1920.0)
+                v5, v6, v7 = h * (-17253.0 / 339200.0), h * (22.0 / 525.0), h * (-1.0 / 40.0)
+                y_new = y + (w1 * k1 + w3 * k3 + w4 * k4 + w5 * k5 + w6 * k6)
+                k7 = a6 - b6 * (y_new * y_new)
+                err_y = v1 * k1 + v3 * k3 + v4 * k4 + v5 * k5 + v6 * k6 + v7 * k7
+                if not isfinite(y_new):
                     raise NonFiniteStateError(f"non-finite state near x={x}")
-                err_s = v1 * r1 + v3 * r3 + v4 * r4 + v5 * r5 + v6 * r6 + v7 * r7
-                abs_s_new = abs(s_new)
-                big = abs_s_new if abs_s_new > abs_s else abs_s
-                norm_s = abs(err_s) / (abs_tol + rel_tol * big)
-                # a NaN Z norm gives way to S's, as a zero one would
-                if norm_s > norm or norm != norm:
-                    norm = norm_s
-            if norm > 1.0:
-                f = 0.9 * norm ** -0.2
-                h *= f if f > 0.2 else 0.2
-                if sgn * h < h_floor:
-                    raise StepSizeUnderflowError(f"step underflow near x={x}")
-                continue
-            if in_w and y_new == 0:
-                # landed exactly on a node; nudge the step so 1/W exists
-                h *= 0.97
-                fresh = True
-                continue
-            x += h
-            if sgn * (x1 - x) <= h_floor:
-                x = x1  # land exactly on the stop so forced grid points match
-            y, k1, abs_y = y_new, k7, abs_y_new
-            z = (1.0 / y) if in_w else y
-            xs.append(x)
-            zs.append(z)
-            if track:
-                s, r1, abs_s = s_new, r7, abs_s_new
-                ss.append(s)
-            # an accepted norm is at most 1, so the growth factor is at
-            # least 0.9 and only its cap of 5 applies; a NaN norm, like 0,
-            # grows the step five-fold
-            if norm > 0.0:
-                f = 0.9 * norm ** -0.2
-                h *= f if f < 5.0 else 5.0
-            else:
-                h *= 5.0
-            # |y| is |Z| in Z mode and |W| in W mode
-            if in_w:
-                if abs_y >= switch_back:
-                    in_w = False
+                abs_y_new = abs(y_new)
+                big = abs_y_new if abs_y_new > abs_y else abs_y
+                norm = abs(err_y) / (abs_tol + rel_tol * big)
+                if track:
+                    # S's slope at each stage is that stage's Z: no RHS call
+                    if in_w:
+                        r3, r4, r5, r6 = 1.0 / y3, 1.0 / y4, 1.0 / y5, 1.0 / y6
+                        r7 = 1.0 / y_new
+                    else:
+                        r3, r4, r5, r6, r7 = y3, y4, y5, y6, y_new
+                    s_new = s + (w1 * r1 + w3 * r3 + w4 * r4 + w5 * r5 + w6 * r6)
+                    if not isfinite(s_new):
+                        raise NonFiniteStateError(f"non-finite state near x={x}")
+                    err_s = v1 * r1 + v3 * r3 + v4 * r4 + v5 * r5 + v6 * r6 + v7 * r7
+                    abs_s_new = abs(s_new)
+                    big = abs_s_new if abs_s_new > abs_s else abs_s
+                    norm_s = abs(err_s) / (abs_tol + rel_tol * big)
+                    # a NaN Z norm gives way to S's, as a zero one would
+                    if norm_s > norm or norm != norm:
+                        norm = norm_s
+                if norm > 1.0:
+                    f = 0.9 * norm ** -0.2
+                    h *= f if f > 0.2 else 0.2
+                    if sgn * h < h_floor:
+                        raise StepSizeUnderflowError(f"step underflow near x={x}")
+                    continue
+                if in_w and y_new == 0:
+                    # landed exactly on a node; nudge the step so 1/W exists
+                    h *= 0.97
                     fresh = True
-            elif abs_y >= threshold:
-                in_w = True
-                fresh = True
-        x0 = x1
+                    continue
+                x += h
+                if sgn * (x1 - x) <= h_floor:
+                    x = x1  # land exactly on the stop so forced grid points match
+                y, k1, abs_y = y_new, k7, abs_y_new
+                z = (1.0 / y) if in_w else y
+                xs.append(x)
+                zs.append(z)
+                if track:
+                    s, r1, abs_s = s_new, r7, abs_s_new
+                    ss.append(s)
+                # an accepted norm is at most 1, so the growth factor is at
+                # least 0.9 and only its cap of 5 applies; a NaN norm, like 0,
+                # grows the step five-fold
+                if norm > 0.0:
+                    f = 0.9 * norm ** -0.2
+                    h *= f if f < 5.0 else 5.0
+                else:
+                    h *= 5.0
+                if want > m and sgn * h < want:
+                    # landed on the stop by a cut step: the next stop
+                    # resumes from the proposal the cut shortened
+                    h = sgn * want
+                # |y| is |Z| in Z mode and |W| in W mode
+                if in_w:
+                    if abs_y >= switch_back:
+                        in_w = False
+                        fresh = True
+                elif abs_y >= threshold:
+                    in_w = True
+                    fresh = True
 
     if leftward:
         xs.reverse()

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import types
 import warnings
 
 import numpy as np
@@ -330,10 +331,12 @@ def _tableau_step(f, x, y, h, f0):
     return y5, err, f_new
 
 
-def _reference_piece(ufunc, e, x0, x1, z, s, cfg, params, max_step, track, out):
-    """One smooth piece as qwim integrated it with a separate piece call,
-    RHS closures and a step function; appends the accepted samples to
-    ``out`` and returns (Z, S) at x1."""
+def _reference_slab(ufunc, e, x0, stops, z, s, cfg, params, max_step, track, out):
+    """One slab as qwim integrates it, with RHS closures and a step
+    function: one fresh start at x0, then every stop landed on in turn
+    with the state, its slope, the mode and the step carried across, a
+    step cut short to land resuming from its uncut proposal.  Appends the
+    accepted samples to ``out`` and returns (Z, S) at the last stop."""
     c_pot, c_imp = 2.0 / params.hbar, params.mass / params.hbar
     in_w = abs(z) >= cfg.pole_threshold
 
@@ -351,51 +354,57 @@ def _reference_piece(ufunc, e, x0, x1, z, s, cfg, params, max_step, track, out):
         state = (y, s) if track else (y,)
         return state, f(x, state)
 
-    sgn = 1.0 if x1 > x0 else -1.0
-    x, h = x0, sgn * min(max_step, abs(x1 - x0))
-    h_floor = 1e-14 * max(1.0, abs(x0), abs(x1))
+    end = stops[-1]
+    sgn = 1.0 if end > x0 else -1.0
+    x, h = x0, sgn * min(max_step, abs(end - x0))
+    h_floor = 1e-14 * max(1.0, abs(x0), abs(end))
     state, f0 = restart()
-    while sgn * (x1 - x) > h_floor:
-        h = sgn * min(abs(h), max_step, sgn * (x1 - x))
-        new, err, f_new = _tableau_step(f, x, state, h, f0)
-        s_new = new[1] if track else s
-        if not (cmath.isfinite(new[0]) and cmath.isfinite(s_new)):
-            raise NonFiniteStateError(f"non-finite state near x={x}")
-        tol = cfg.abs_tol + cfg.rel_tol * max(abs(state[0]), abs(new[0]))
-        norm = max(0.0, abs(err[0]) / tol)
-        if track:
-            tol = cfg.abs_tol + cfg.rel_tol * max(abs(s), abs(s_new))
-            norm = max(norm, abs(err[1]) / tol)
-        if norm > 1.0:
-            h *= max(0.2, 0.9 * norm ** -0.2)
-            if abs(h) < h_floor:
-                raise StepSizeUnderflowError(f"step underflow near x={x}")
-            continue
-        if in_w and new[0] == 0:
-            h *= 0.97
-            state, f0 = restart()
-            continue
-        x += h
-        if sgn * (x1 - x) <= h_floor:
-            x = x1
-        state, f0, s = new, f_new, s_new
-        z = 1.0 / new[0] if in_w else new[0]
-        out.append((x, z, s))
-        h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
-        if not in_w and abs(z) >= cfg.pole_threshold:
-            in_w = True
-            state, f0 = restart()
-        elif in_w and abs(state[0]) >= 2.0 / cfg.pole_threshold:
-            in_w = False
-            state, f0 = restart()
+    for x1 in stops:
+        while sgn * (x1 - x) > h_floor:
+            want = min(abs(h), max_step)
+            h = sgn * min(want, sgn * (x1 - x))
+            new, err, f_new = _tableau_step(f, x, state, h, f0)
+            s_new = new[1] if track else s
+            if not (cmath.isfinite(new[0]) and cmath.isfinite(s_new)):
+                raise NonFiniteStateError(f"non-finite state near x={x}")
+            tol = cfg.abs_tol + cfg.rel_tol * max(abs(state[0]), abs(new[0]))
+            norm = max(0.0, abs(err[0]) / tol)
+            if track:
+                tol = cfg.abs_tol + cfg.rel_tol * max(abs(s), abs(s_new))
+                norm = max(norm, abs(err[1]) / tol)
+            if norm > 1.0:
+                h *= max(0.2, 0.9 * norm ** -0.2)
+                if abs(h) < h_floor:
+                    raise StepSizeUnderflowError(f"step underflow near x={x}")
+                continue
+            if in_w and new[0] == 0:
+                h *= 0.97
+                state, f0 = restart()
+                continue
+            x += h
+            if sgn * (x1 - x) <= h_floor:
+                x = x1
+            state, f0, s = new, f_new, s_new
+            z = 1.0 / new[0] if in_w else new[0]
+            out.append((x, z, s))
+            cut = want > abs(h)
+            h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
+            if cut:
+                h = sgn * max(abs(h), want)
+            if not in_w and abs(z) >= cfg.pole_threshold:
+                in_w = True
+                state, f0 = restart()
+            elif in_w and abs(state[0]) >= 2.0 / cfg.pole_threshold:
+                in_w = False
+                state, f0 = restart()
     return z, s
 
 
 def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, track, grid):
-    """(xs, zs, S) in integration order from the reference piece loop: the
+    """(xs, zs, S) in integration order from the reference slab loop: the
     slabs of ``_steps`` from anchor to target, each ended at its end
     accumulated from the anchor (the target for the last) or at a grid
-    point within rounding of that, and cut at the grid points on it."""
+    point within rounding of that, with the grid points on it as stops."""
     max_step = cfg.max_step if cfg.max_step is not None else abs(target_x - anchor_x) / 50.0
     sgn = 1.0 if target_x > anchor_x else -1.0
     lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
@@ -415,9 +424,9 @@ def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, tra
         def ufunc(x, u0=u0, slope=slope, xa=xa):
             return u0 + slope * (x - xa) if slope else u0
 
-        for x1 in stops + [end]:
-            z, s = _reference_piece(ufunc, e, x0, x1, z, s, cfg, params, max_step, track, out)
-            x0 = x1
+        z, s = _reference_slab(ufunc, e, x0, stops + [end], z, s, cfg, params, max_step,
+                               track, out)
+        x0 = end
     return out
 
 
@@ -426,7 +435,7 @@ def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, tra
 @pytest.mark.parametrize("sampled", [False, True], ids=["const", "sampled"])
 def test_unrolled_step_matches_tableau_loop(sampled, track, threshold):
     # the stepper's unrolled stages against the generic tableau step driven
-    # piece by piece, bit for bit over whole trajectories, with and without
+    # slab by slab, bit for bit over whole trajectories, with and without
     # a forced grid: samples, Z, S and their number
     params = ModelParams(hbar=0.9, mass=1.1)
     cfg = IntegrationConfig(pole_threshold=threshold)
@@ -457,8 +466,8 @@ def test_unrolled_step_matches_tableau_loop(sampled, track, threshold):
 
 
 def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
-    # a forced grid multiplies the pieces, not the potential lookups: one
-    # slab list per trajectory, and no u_at at any piece, step or stage
+    # a forced grid adds stops, not potential lookups: one slab list per
+    # trajectory, and no u_at at any slab, stop, step or stage
     calls = {"_steps": 0, "u_at": 0}
     real_steps = riccati._steps
 
@@ -481,6 +490,27 @@ def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
         traj = z_minus(pot, 1.9, grid=np.linspace(0.0, 2.1, 400), track_integral=True)
         assert len(traj.xs) > 400
     assert calls == {"_steps": 2, "u_at": 0}
+
+
+def test_forced_grid_adds_no_rejected_steps(monkeypatch):
+    # grid points are stops inside a slab, not restarts: a step cut short
+    # to land on one does not make the next stop start from a step the
+    # length of the whole interval, so the grid adds accepted steps only
+    attempts = [0]
+
+    def isfinite(v):  # called once per attempted step on an untracked run
+        attempts[0] += 1
+        return cmath.isfinite(v)
+
+    monkeypatch.setattr(riccati, "cmath", types.SimpleNamespace(isfinite=isfinite))
+    xs = np.linspace(-3.0, 3.0, 61)
+    pot = SampledPotential(tuple(xs), tuple(-12.0 * np.exp(-xs ** 2 / 2.0)), 0.0, 0.0)
+    wasted = []
+    for grid in (None, np.linspace(-3.0, 3.0, 401)):
+        attempts[0] = 0
+        traj = z_minus(pot, 1.3, grid=grid)
+        wasted.append(attempts[0] - (len(traj.xs) - 1))
+    assert wasted[1] <= wasted[0]
 
 
 @pytest.mark.parametrize(
