@@ -293,17 +293,14 @@ def _slabs_many(slabs, es, z, params):
         zs, gamma, degenerate = _region_constants_many(es, u, params)
         g = gamma * dx
         sat = np.abs(g.real) > _SATURATION_CUT
-        if sat.any():
-            th = np.sign(g.real) * sat
-            g_cut = np.where(sat, 0.0, g)  # keeps cosh/sinh finite where unused
-            # _chain's saturated form divides through by exp(|Re g|) / 2:
-            # cosh -> 1, sinh -> th, and f gains 2 exp(-th g)
-            c1 = np.where(sat, 1.0, np.cosh(g_cut))
-            c2 = np.where(sat, th, np.sinh(g_cut))
-            f = np.where(sat, 2.0 * zs * np.exp(-th * g), zs)
-        else:
-            c1, c2, f = np.cosh(g), np.sinh(g), zs
+        th = np.sign(g.real) * sat
+        g_cut = np.where(sat, 0.0, g)  # keeps cosh/sinh finite where unused
+        # _chain's saturated form divides through by exp(|Re g|) / 2:
+        # cosh -> 1, sinh -> th, and f gains 2 exp(-th g)
+        c1 = np.where(sat, 1.0, np.cosh(g_cut))
+        c2 = np.where(sat, th, np.sinh(g_cut))
         zc1, zc2 = zs * c1, zs * c2
+        f = np.where(sat, 2.0 * zs * np.exp(-th * g), zs)
         if degenerate.any():
             # _chain's linear step at a slab level: num = Z,
             # den = 1 + Z i (m/hbar) dx, f = 1

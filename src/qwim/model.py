@@ -17,10 +17,10 @@ a chained solve can carry them without loading the Riccati stepper.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import (
     EmptyDomainError,
@@ -28,6 +28,9 @@ from .errors import (
     NonFiniteInputError,
     OverlappingSegmentsError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Geometry comparisons: segment joins must agree to this absolute slack.
 JOIN_TOL = 1e-12
@@ -158,16 +161,18 @@ class PiecewisePotential:
         """Right edge of the structured region (the step point if empty)."""
         return self.segments[-1].x_end if self.segments else float(self.step_x)
 
-    def u_at(self, x: float) -> float:
-        if x <= self.a:
-            return self.left_level
-        if x >= self.b:
-            return self.right_level
-        # interior: boundary points take the right segment's value
-        for seg in self.segments:
-            if x < seg.x_end:
-                return seg.u
-        return self.right_level
+    def u_at(self, x: float | np.ndarray) -> float | np.ndarray:
+        """U at x, a float or an array of them (a float for a float): the
+        left lead at x <= a, else the first segment ending past x, the
+        right lead past the last, so a join takes the right segment's
+        value."""
+        import numpy as np
+
+        x = np.asarray(x, dtype=float)
+        ends = [seg.x_end for seg in self.segments]
+        levels = np.array([seg.u for seg in self.segments] + [self.right_level], dtype=float)
+        u = np.where(x <= self.a, self.left_level, levels[np.searchsorted(ends, x, side="right")])
+        return u if u.ndim else float(u)
 
     def interfaces(self) -> list[float]:
         """All potential jump locations, ordered, including a and b."""
@@ -222,15 +227,21 @@ class SampledPotential:
     def b(self) -> float:
         return self.xs[-1]
 
-    def u_at(self, x: float) -> float:
-        if x <= self.a:
-            return self.left_level
-        if x >= self.b:
-            return self.right_level
-        i = bisect.bisect_right(self.xs, x) - 1
-        x0, x1 = self.xs[i], self.xs[i + 1]
-        w = (x - x0) / (x1 - x0)
-        return (1.0 - w) * self.us[i] + w * self.us[i + 1]
+    def u_at(self, x: float | np.ndarray) -> float | np.ndarray:
+        """U at x, a float or an array of them (a float for a float): the
+        leads at x <= a and x >= b, between them (1 - w) u_i + w u_(i+1)
+        on the sample interval [x_i, x_(i+1)) holding x."""
+        import numpy as np
+
+        x = np.asarray(x, dtype=float)
+        xs, us = np.array(self.xs), np.array(self.us)
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+        x0 = xs[i]
+        # x clipped to [a, b] keeps an infinite x's unused line finite
+        w = (np.clip(x, self.a, self.b) - x0) / (xs[i + 1] - x0)
+        u = (1.0 - w) * us[i] + w * us[i + 1]
+        u = np.where(x <= self.a, self.left_level, np.where(x >= self.b, self.right_level, u))
+        return u if u.ndim else float(u)
 
     def interfaces(self) -> list[float]:
         return list(self.xs)

@@ -99,10 +99,8 @@ def integrate_impedance(
     reconstruction); a grid point within 1e-14 max(1, |x|) of a slab end
     replaces that end, so every grid point is a sample.  A stop restarts
     nothing: the state, its slope, the Z/W mode, S and the step proposal
-    carry on, and a step cut short to land on the stop leaves its uncut
-    proposal to the next one where that is the larger.  Only slab ends,
-    mode switches and the nudge off an exact node restart the state.
-    ``grid`` must be real and one-dimensional
+    carry on.  Only slab ends, mode switches and the nudge off an exact
+    node restart the state.  ``grid`` must be real and one-dimensional
     (TypeError otherwise), with finite points (NonFiniteInputError);
     points outside the range are ignored.
     """
@@ -202,12 +200,10 @@ def integrate_impedance(
                     k1 = a1 - b1 * (y * y)
                     if track:
                         r1 = 1.0 / y if in_w else y
-                # |h| capped by max_step and by what is left to the stop;
-                # want keeps the proposal a cut to the stop shortened
+                # |h| capped by max_step and by what is left to the stop
                 m = sgn * h
                 if m > max_step:
                     m = max_step
-                want = m
                 rest = sgn * (x1 - x)
                 if m > rest:
                     m = rest
@@ -309,10 +305,6 @@ def integrate_impedance(
                     h *= f if f < 5.0 else 5.0
                 else:
                     h *= 5.0
-                if want > m and sgn * h < want:
-                    # landed on the stop by a cut step: the next stop
-                    # resumes from the proposal the cut shortened
-                    h = sgn * want
                 # |y| is |Z| in Z mode and |W| in W mode
                 if in_w:
                     if abs_y >= switch_back:

@@ -309,24 +309,6 @@ def reconstruct_wavefunction(
     )
 
 
-def _u_many(pot: Potential, xs: np.ndarray) -> np.ndarray:
-    """``pot.u_at`` at every point of ``xs`` in one array pass, bitwise:
-    the left lead at x <= a, then the first segment whose end exceeds x
-    (the right lead past the last), or the samples' line with the right
-    lead at x >= b."""
-    if isinstance(pot, PiecewisePotential):
-        ends = np.array([seg.x_end for seg in pot.segments], dtype=float)
-        levels = np.array([seg.u for seg in pot.segments] + [pot.right_level])
-        u = levels[np.searchsorted(ends, xs, side="right")]
-    else:
-        sx, su = np.array(pot.xs), np.array(pot.us)
-        i = np.clip(np.searchsorted(sx, xs, side="right") - 1, 0, len(sx) - 2)
-        x0 = sx[i]
-        w = (xs - x0) / (sx[i + 1] - x0)
-        u = np.where(xs >= pot.b, pot.right_level, (1.0 - w) * su[i] + w * su[i + 1])
-    return np.where(xs <= pot.a, pot.left_level, u)
-
-
 def schrodinger_residual(
     profile: WavefunctionProfile,
     pot: Potential,
@@ -369,7 +351,7 @@ def schrodinger_residual(
         )
         x_in = xs[1:-1]
         clearance = 2.0 * np.maximum(h1, h2)
-    u = _u_many(pot, x_in)
+    u = pot.u_at(x_in)
     res = np.abs(
         -(params.hbar ** 2) / (2.0 * params.mass) * d2 + (u - e) * inner
     )

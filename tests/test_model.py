@@ -72,6 +72,40 @@ def test_sampled_linear_interpolation():
     assert pot.u_at(3.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "pot",
+    [
+        PiecewisePotential(0.1, (PotentialSegment(0.0, 0.7, 1.2), PotentialSegment(0.7, 1.5, -0.6),
+                                 PotentialSegment(1.5, 2.1, 0.9)), 0.3),
+        PiecewisePotential(0.1, (), 0.3, step_x=0.5),
+        SampledPotential(tuple(np.linspace(-3.0, 3.0, 41)),
+                         tuple(-12.0 * np.exp(-np.linspace(-3.0, 3.0, 41) ** 2 / 2.0)), 0.0, 0.5),
+    ],
+    ids=["stack", "step", "sampled"],
+)
+def test_u_at_takes_arrays(pot):
+    # an array of points gives bit for bit what one call per point gives,
+    # and a float gives a float: at every join and sample, one ulp either
+    # side of them, at a and b, past both leads (to infinity) and between
+    joins = np.array(pot.interfaces())
+    xs = np.sort(np.concatenate((
+        joins, np.nextafter(joins, -np.inf), np.nextafter(joins, np.inf),
+        [-np.inf, pot.a - 1.0, pot.b + 1.0, np.inf], np.linspace(pot.a - 0.5, pot.b + 0.5, 997),
+    )))
+    one = [pot.u_at(float(x)) for x in xs]
+    assert all(type(u) is float for u in one)
+    assert pot.u_at(xs).tobytes() == np.array(one).tobytes()
+    # the left lead holds at a (a step's b too), the right lead at b, and
+    # an inner join or sample takes the level that starts there
+    assert pot.u_at(pot.a) == pot.left_level
+    assert pot.u_at(pot.b) == (pot.right_level if pot.b > pot.a else pot.left_level)
+    if isinstance(pot, SampledPotential):
+        starts = list(zip(pot.xs[1:-1], pot.us[1:-1]))
+    else:
+        starts = [(seg.x_start, seg.u) for seg in pot.segments[1:]]
+    assert [pot.u_at(x) for x, _ in starts] == [u for _, u in starts]
+
+
 def test_sampled_requires_increasing_abscissae():
     with pytest.raises(OverlappingSegmentsError):
         SampledPotential((0.0, 1.0, 1.0), (0.0, 1.0, 0.0), 0.0, 0.0)

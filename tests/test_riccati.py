@@ -334,9 +334,9 @@ def _tableau_step(f, x, y, h, f0):
 def _reference_slab(ufunc, e, x0, stops, z, s, cfg, params, max_step, track, out):
     """One slab as qwim integrates it, with RHS closures and a step
     function: one fresh start at x0, then every stop landed on in turn
-    with the state, its slope, the mode and the step carried across, a
-    step cut short to land resuming from its uncut proposal.  Appends the
-    accepted samples to ``out`` and returns (Z, S) at the last stop."""
+    with the state, its slope, the mode and the step carried across.
+    Appends the accepted samples to ``out`` and returns (Z, S) at the
+    last stop."""
     c_pot, c_imp = 2.0 / params.hbar, params.mass / params.hbar
     in_w = abs(z) >= cfg.pole_threshold
 
@@ -361,8 +361,7 @@ def _reference_slab(ufunc, e, x0, stops, z, s, cfg, params, max_step, track, out
     state, f0 = restart()
     for x1 in stops:
         while sgn * (x1 - x) > h_floor:
-            want = min(abs(h), max_step)
-            h = sgn * min(want, sgn * (x1 - x))
+            h = sgn * min(abs(h), max_step, sgn * (x1 - x))
             new, err, f_new = _tableau_step(f, x, state, h, f0)
             s_new = new[1] if track else s
             if not (cmath.isfinite(new[0]) and cmath.isfinite(s_new)):
@@ -387,10 +386,7 @@ def _reference_slab(ufunc, e, x0, stops, z, s, cfg, params, max_step, track, out
             state, f0, s = new, f_new, s_new
             z = 1.0 / new[0] if in_w else new[0]
             out.append((x, z, s))
-            cut = want > abs(h)
             h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
-            if cut:
-                h = sgn * max(abs(h), want)
             if not in_w and abs(z) >= cfg.pole_threshold:
                 in_w = True
                 state, f0 = restart()

@@ -34,7 +34,6 @@ from qwim.spectral import find_bound_states
 from qwim.xcheck import (
     Normalization,
     WavefunctionProfile,
-    _u_many,
     reconstruct_wavefunction,
     schrodinger_residual,
     square_well_eigenvalues,
@@ -468,30 +467,6 @@ def test_residual_rejects_noise():
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 3.0, 0.0),), 0.0)
     prof = WavefunctionProfile(xs=xs, psi=psi, normalization=Normalization.UNIT_INCIDENT)
     assert schrodinger_residual(prof, pot, 2.0) > 10.0
-
-
-@pytest.mark.parametrize(
-    "pot",
-    [
-        PiecewisePotential(0.1, (PotentialSegment(0.0, 0.7, 1.2), PotentialSegment(0.7, 1.5, -0.6),
-                                 PotentialSegment(1.5, 2.1, 0.9)), 0.3),
-        PiecewisePotential(0.1, (), 0.3, step_x=0.5),
-        SampledPotential(tuple(np.linspace(-3.0, 3.0, 41)),
-                         tuple(-12.0 * np.exp(-np.linspace(-3.0, 3.0, 41) ** 2 / 2.0)), 0.0, 0.5),
-    ],
-    ids=["stack", "step", "sampled"],
-)
-def test_residual_potential_lookup_is_u_at(pot):
-    # the residual's one array pass over its stencil points gives u_at's
-    # value bit for bit: at every join and sample, at a and b, one ulp
-    # either side of them, past both leads and in between
-    joins = np.array(pot.interfaces())
-    xs = np.sort(np.concatenate((
-        joins, np.nextafter(joins, -np.inf), np.nextafter(joins, np.inf),
-        [pot.a - 1.0, pot.b + 1.0], np.linspace(pot.a - 0.5, pot.b + 0.5, 997),
-    )))
-    u = np.array([pot.u_at(float(x)) for x in xs])
-    assert _u_many(pot, xs).tobytes() == u.tobytes()
 
 
 def test_residual_reconstructed_scattering_state():
