@@ -98,9 +98,7 @@ def _scatter_row(res: ScatteringResult) -> list[str]:
     ]
 
 
-def cmd_scatter(args) -> int:
-    spec = load_spec(args.spec)
-    cfg = _config(args, spec)
+def cmd_scatter(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     res = solve_scattering(spec.potential, args.energy, _side(args), cfg, spec.params)
     if res.evanescent_tail:
         _emit_note("evanescent-tail",
@@ -109,9 +107,7 @@ def cmd_scatter(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    spec = load_spec(args.spec)
-    cfg = _config(args, spec)
+def cmd_sweep(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     if args.points < 2:
         raise ValueError("--points must be at least 2")
     if not args.emin < args.emax:
@@ -128,27 +124,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_bound(args) -> int:
-    from .spectral import find_bound_states
-
-    spec = load_spec(args.spec)
-    cfg = _config(args, spec)
-    result = find_bound_states(
-        spec.potential, cfg, spec.params, probe_x=args.probe_x
-    )
+def _print_spectrum(result) -> None:
     rows = [
         [str(i + 1), _fmt(e), _fmt(res)]
         for i, (e, res) in enumerate(zip(result.energies, result.residuals))
     ]
     _print_table(["index", "E", "residual"], rows)
+
+
+def cmd_bound(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
+    from .spectral import find_bound_states
+
+    _print_spectrum(find_bound_states(spec.potential, cfg, spec.params, probe_x=args.probe_x))
     return 0
 
 
-def cmd_resonances(args) -> int:
+def cmd_resonances(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     from .spectral import find_resonances
 
-    spec = load_spec(args.spec)
-    cfg = _config(args, spec)
     if not args.emin < args.emax:
         raise ValueError("--emin must be below --emax")
     result = find_resonances(
@@ -162,11 +155,7 @@ def cmd_resonances(args) -> int:
     if result.transparent:
         _emit_note("transparent", "no reflection anywhere in the window; "
                    "the whole band transmits fully")
-    rows = [
-        [str(i + 1), _fmt(e), _fmt(res)]
-        for i, (e, res) in enumerate(zip(result.energies, result.residuals))
-    ]
-    _print_table(["index", "E", "residual"], rows)
+    _print_spectrum(result)
     return 0
 
 
@@ -183,9 +172,7 @@ def _profile_trajectory(walk, e, points):
     return traj, np.clip(np.searchsorted(traj.xs, grid), 0, len(traj.xs) - 1)
 
 
-def cmd_profile(args) -> int:
-    spec = load_spec(args.spec)
-    cfg = _config(args, spec)
+def cmd_profile(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     if args.points < 5:
         raise ValueError("--points must be at least 5")
     side = _side(args)
@@ -230,7 +217,7 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     from .xcheck import (
         WavefunctionProfile,
         reconstruct_wavefunction,
@@ -238,8 +225,6 @@ def cmd_validate(args) -> int:
         transfer_matrix_solve,
     )
 
-    spec = load_spec(args.spec)
-    cfg = _config(args, spec)
     pot, params = spec.potential, spec.params
     e = args.energy
     if not isinstance(pot, PiecewisePotential):
@@ -355,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        spec = load_spec(args.spec)
+        return args.func(args, spec, _config(args, spec))
     except PotentialInputError as exc:
         _emit_error(exc.code, str(exc))
         return 2

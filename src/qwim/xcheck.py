@@ -1,8 +1,9 @@
 """Independent cross-checks for the impedance solvers.
 
-Scattering is re-derived from 2x2 plane-wave transfer matrices and
-square-well spectra from the textbook transcendental equations, neither
-sharing numeric kernels with the impedance path.  Wavefunctions are
+Scattering is re-derived from 2x2 transfer matrices, which carry
+(psi, psi') across each slab and read plane waves only in the leads,
+and square-well spectra from the textbook transcendental equations,
+neither sharing numeric kernels with the impedance path.  Wavefunctions are
 rebuilt from sampled Z, by its running integral or by one exact slab
 step per sample interval (``_arrays._bridge``), and verified against
 the Schrodinger equation itself by finite differences.
@@ -30,11 +31,13 @@ from .riccati import ImpedanceTrajectory
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """2x2 map between plane-wave amplitude pairs (A, B).
+    """2x2 matrix acting on column pairs.
 
-    Amplitudes are referenced to each region's own left interface
-    (psi = A e^{ik(x - x_ref)} + B e^{-ik(x - x_ref)}), which keeps the
-    entries bounded by the net evanescent growth of the stack.
+    ``_slab`` maps (psi, psi') from one end of a slab to the other.
+    ``transfer_matrix`` maps the lead amplitude pairs (A, B), each
+    referenced to its lead's interface x_ref (psi = A e^{ik(x - x_ref)}
+    + B e^{-ik(x - x_ref)}), so its entries are bounded by the net
+    evanescent growth of the stack.
     """
 
     m11: complex
@@ -72,49 +75,37 @@ def _wavevector(e: float, u: float, params: ModelParams) -> complex:
     de = e - u
     if abs(de) <= 1e-12 * max(abs(e), abs(u)):
         raise DegenerateEnergyError(f"energy {e} degenerate with level {u}")
-    if de > 0:
-        return complex(math.sqrt(2.0 * params.mass * de) / params.hbar, 0.0)
-    return complex(0.0, math.sqrt(-2.0 * params.mass * de) / params.hbar)
+    k = math.sqrt(2.0 * params.mass * abs(de)) / params.hbar
+    if k == 0.0:  # 2m |e - u| / hbar^2 underflows: no flux in float arithmetic
+        raise DegenerateEnergyError(f"lead wavevector at energy {e} underflows to 0")
+    return complex(k, 0.0) if de > 0 else complex(0.0, k)
 
 
-def _junction(k_from: complex, k_to: complex) -> TransferMatrix:
-    rho = k_from / k_to
-    return TransferMatrix(
-        0.5 * (1.0 + rho), 0.5 * (1.0 - rho),
-        0.5 * (1.0 - rho), 0.5 * (1.0 + rho),
-    )
+def _slab(e: float, u: float, length: float, params: ModelParams) -> TransferMatrix:
+    """Real map of (psi, psi') across a slab of level u.
 
-
-def _propagation(k: complex, length: float) -> TransferMatrix:
+    [[cos kl, sin(kl)/k], [-k sin kl, cos kl]] with k = sqrt(2m (e - u))
+    / hbar, the cosh / sinh form where e < u, and [[1, l], [0, 1]] where
+    kl is 0.  sin(kl)/k is taken as l sin(kl)/(kl): no entry divides by
+    k, so a level near e joins its neighbours as any other.  det = 1.
+    """
+    de = e - u
+    k = math.sqrt(2.0 * params.mass * abs(de)) / params.hbar
+    kl = k * length
+    if kl == 0.0:
+        return TransferMatrix(1.0, length, 0.0, 1.0)
     try:
-        ph = cmath.exp(1j * k * length)
-    except ValueError:  # an infinite phase k l
-        raise NonFiniteStateError(
-            f"phase overflows across a slab of length {length}"
-        ) from None
-    # across a thick evanescent slab exp(-kappa l) underflows and the
-    # growing entry 1/ph has no float value
-    inv = 1.0 / ph if ph else math.inf
-    if not cmath.isfinite(inv):
+        if de > 0:
+            c, sn = math.cos(kl), math.sin(kl)
+            d = -k * sn
+        else:
+            c, sn = math.cosh(kl), math.sinh(kl)
+            d = k * sn
+    except (OverflowError, ValueError):  # cosh past the float range, sin(inf)
         raise NonFiniteStateError(
             f"transfer matrix overflows across a slab of length {length}"
-        )
-    return TransferMatrix(ph, 0j, 0j, inv)
-
-
-def _linear_junction(k_from: complex, k_to: complex, gap: float) -> TransferMatrix:
-    """``_junction`` across a gap of slabs at level e, where psi is linear.
-
-    The pair (A, B) at the end of the k_from region gives (psi, psi') =
-    (A + B, i k_from (A - B)); the gap carries it by [[1, gap], [0, 1]]
-    and the k_to basis reads it back.  det = k_from / k_to, as for the
-    plain junction, so det M = k1/k2 still telescopes.
-    """
-    rho, s = k_from / k_to, 1j * k_from * gap
-    return TransferMatrix(
-        0.5 * (1.0 + rho + s), 0.5 * (1.0 - rho - s),
-        0.5 * (1.0 - rho + s), 0.5 * (1.0 + rho - s),
-    )
+        ) from None
+    return TransferMatrix(c, length * (sn / kl), d, c)
 
 
 def transfer_matrix(
@@ -123,28 +114,20 @@ def transfer_matrix(
     """Full stack matrix mapping left-lead amplitudes (referenced at a)
     to right-lead amplitudes (referenced at b).
 
-    A slab whose level equals e has no plane-wave basis (k = 0): psi =
-    A + B (x - x_ref) there, and a run of such slabs joins its two
-    neighbours by ``_linear_junction``.  A lead at e still raises
-    DegenerateEnergyError.
+    M = P(k2)^-1 S_n ... S_1 P(k1): P(k) = [[1, 1], [ik, -ik]] reads a
+    lead's (A, B) as (psi, psi') at its interface, and each ``_slab``
+    carries (psi, psi') across one segment.  det M = k1/k2.  A lead at e
+    raises DegenerateEnergyError.
     """
     require_finite("energy", e)
     if not isinstance(pot, PiecewisePotential):
         raise ValueError("the transfer matrix needs piecewise-constant segments")
-    k_from = _wavevector(e, pot.left_level, params)
-    k_right = _wavevector(e, pot.right_level, params)
-    m, gap = None, 0.0
+    k1 = _wavevector(e, pot.left_level, params)
+    k2 = _wavevector(e, pot.right_level, params)
+    m = TransferMatrix(1.0, 1.0, 1j * k1, -1j * k1)
     for seg in pot.segments:
-        try:
-            k = _wavevector(e, seg.u, params)
-        except DegenerateEnergyError:
-            gap += seg.length
-            continue
-        step = _linear_junction(k_from, k, gap) if gap else _junction(k_from, k)
-        m = _propagation(k, seg.length) @ (step if m is None else step @ m)
-        k_from, gap = k, 0.0
-    step = _linear_junction(k_from, k_right, gap) if gap else _junction(k_from, k_right)
-    m = step if m is None else step @ m
+        m = _slab(e, seg.u, seg.length, params) @ m
+    m = TransferMatrix(0.5, -0.5j / k2, 0.5, 0.5j / k2) @ m
     # each slab's entries can be finite while their product overflows;
     # inf and nan never turn finite again, so one check at the end covers
     # the running product
@@ -161,7 +144,7 @@ def transfer_matrix_solve(
     side: Side = Side.LEFT,
     params: ModelParams = ModelParams(),
 ) -> TransferResult:
-    """Scattering amplitudes from the plane-wave transfer matrix.
+    """Scattering amplitudes from the transfer matrix.
 
     Uses the analytically telescoped determinant det M = k1/k2 for the
     transmitted amplitude, which stays cancellation-free through thick

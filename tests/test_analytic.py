@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qwim import _arrays
@@ -485,6 +485,9 @@ def test_sampled_slab_lists_cover_the_samples():
     sampled=st.booleans(),
     ends=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
 )
+# a walk so short that slab[-1] * walk underflows to 0.0
+@example(pieces=[(1.0, 0.0)], last=0.0, leads=(0.0, 0.0), start=0.0, sampled=False,
+         ends=(0.0, 3.3191675557788835e-212))
 def test_slab_lists_walk_between_any_two_points(pieces, last, leads, start, sampled, ends):
     # from and to points inside [a, b] and past either end: the steps share
     # the walk's direction and sum to its length, and each slab's U inside
@@ -499,7 +502,10 @@ def test_slab_lists_walk_between_any_two_points(pieces, last, leads, start, samp
     assume(x_from != x_to)
     slabs = _steps(pot, x_from, x_to)
     walk = x_to - x_from
-    assert all(len(slab) == (3 if sampled else 2) and slab[-1] * walk > 0.0 for slab in slabs)
+    assert all(
+        len(slab) == (3 if sampled else 2) and slab[-1] != 0.0 and (slab[-1] > 0.0) == (walk > 0.0)
+        for slab in slabs
+    )
     assert abs(sum(slab[-1] for slab in slabs) - walk) <= 1e-13 * (1.0 + abs(x_from) + abs(x_to))
     scale = 1.0 + max(map(abs, (*us, last, *leads)))
     x = x_from

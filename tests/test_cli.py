@@ -352,6 +352,31 @@ def test_validate_at_a_slab_level():
     ]
 
 
+@pytest.mark.parametrize(
+    "segments",
+    [
+        [{"x_start": 0.0, "x_end": 2.0, "u": 1e-100}],
+        [
+            {"x_start": 0.0, "x_end": 1.0, "u": -5.0},
+            {"x_start": 1.0, "x_end": 2.0, "u": 1e-300},
+            {"x_start": 2.0, "x_end": 3.0, "u": -5.0},
+        ],
+    ],
+    ids=["alone", "between"],
+)
+def test_validate_at_a_slab_level_near_the_energy(tmp_path, segments):
+    # the oracle reported delta_R 0.909 on the lone slab and ended in a
+    # ZeroDivisionError traceback on the stack
+    doc = {"potential": {"kind": "piecewise", "left_level": -5.0, "right_level": -5.0,
+                         "segments": segments}}
+    proc = run_cli("validate", "--spec", write_spec(tmp_path, doc), "--energy", "0")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, rows = rows_of(proc.stdout)
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("delta_R", "ok"), ("delta_T", "ok"), ("residual", "ok")
+    ]
+
+
 SAMPLED_XS = np.linspace(-3.0, 3.0, 41)
 SAMPLED_DOC = {
     "params": {"hbar": 1.0, "mass": 1.0},

@@ -13,6 +13,7 @@ from qwim.errors import (
     InsufficientSamplesError,
     NonFiniteInputError,
     NonFiniteStateError,
+    QwimError,
     SolverError,
 )
 from qwim.model import (
@@ -128,7 +129,7 @@ def test_transfer_solve_identity_structure():
 
 
 def test_transfer_solve_thick_barrier_is_solver_error():
-    # exp(-kappa l) underflows, so the propagation matrix has no float form
+    # cosh(kappa l) overflows, so the slab matrix has no float form
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1e4, 1.0),), 0.0)
     with pytest.raises(SolverError):
         transfer_matrix_solve(pot, 0.5)
@@ -181,17 +182,61 @@ def test_transfer_matrix_takes_linear_slabs():
             want = solve_scattering(pot, 1.0, side)
             assert abs(at.r - want.r) < 1e-12 and abs(at.t - want.t) < 1e-12
             assert abs(at.big_r + at.big_t - 1.0) < 1e-12
-            # continuous with the plane-wave slabs on either side
+            # continuous with the oscillating and evanescent slabs on either side
             for e in (1.0 - 1e-9, 1.0 + 1e-9):
                 near = transfer_matrix_solve(pot, e, side)
                 assert abs(near.r - at.r) < 1e-8 and abs(near.t - at.t) < 1e-8
-    # a lead at E carries no flux: no basis to join
+    # a lead at E carries no flux: no plane wave to read
     lead = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 0.5),), 1.0)
     with pytest.raises(DegenerateEnergyError):
         transfer_matrix(lead, 1.0)
     for side in Side:
         with pytest.raises(DegenerateEnergyError):
             transfer_matrix_solve(lead, 1.0, side)
+
+
+def near_level_stack(level, between):
+    """Leads at -5 and a slab at ``level``: alone on (0, 2), or on (1, 2)
+    between two slabs at -5."""
+    if not between:
+        return PiecewisePotential(-5.0, (PotentialSegment(0.0, 2.0, level),), -5.0)
+    segs = (
+        PotentialSegment(0.0, 1.0, -5.0),
+        PotentialSegment(1.0, 2.0, level),
+        PotentialSegment(2.0, 3.0, -5.0),
+    )
+    return PiecewisePotential(-5.0, segs, -5.0)
+
+
+@pytest.mark.parametrize("between", [False, True], ids=["alone", "between"])
+@pytest.mark.parametrize("level", [1e-300, -1e-300, 1e-100, 1e-30])
+def test_transfer_matrix_at_slab_levels_near_e(level, between):
+    # at E = 0 the slab's level is within 1e-30 of E: joining plane-wave
+    # amplitudes through k_from / k gave R = 0 at 1e-100 where the chain
+    # gives 0.909, and divided by zero between the deep slabs
+    pot = near_level_stack(level, between)
+    for side in Side:
+        got, want = transfer_matrix_solve(pot, 0.0, side), solve_scattering(pot, 0.0, side)
+        assert abs(got.big_r - want.big_r) <= 1e-12 and abs(got.big_t - want.big_t) <= 1e-12
+        assert abs(got.big_r + got.big_t - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "pot, e, params",
+    [
+        (PiecewisePotential(0.0, (), -1.0, step_x=0.0), 1e-300, ModelParams(hbar=1e-3, mass=1e-150)),
+        (PiecewisePotential(0.0, (), 1e-300, step_x=0.0), -1e-300, ModelParams(1e150, 1e-150)),
+        (PiecewisePotential(-1.0, (), 1e-300, step_x=0.0), 0.0, ModelParams(1e-150, 1e-150)),
+    ],
+    ids=["left-lead", "left-lead-evanescent", "right-lead"],
+)
+def test_transfer_solve_underflowing_lead_wavevector_is_qwim_error(pot, e, params):
+    # 2m |e - u| / hbar^2 underflows to 0 although e and u are far apart
+    # relative to their size: the lead's k is 0, and dividing by it raised
+    # a bare ZeroDivisionError
+    for side in Side:
+        with pytest.raises(QwimError):
+            transfer_matrix_solve(pot, e, side, params)
 
 
 def test_transfer_matrix_needs_piecewise():
