@@ -17,13 +17,14 @@ Typical use::
 
 ``import qwim`` loads the numpy-free layers only: the errors, the
 models, the closed-form slab algebra, scattering and spec files.  A
-piecewise solve at one energy runs on them in plain complex arithmetic.
-The array layer (``qwim._arrays``: energy sweeps, sampled potentials),
-the Riccati stepper (``qwim.riccati``) and the cross-checks
-(``qwim.xcheck``) load numpy.  The spectral searches (``qwim.spectral``)
-load it only for the resonance scan: a bound search on a piecewise
-potential runs without it.  These modules are imported when first used;
-their names here resolve on first access.
+piecewise solve at one energy runs on them in plain complex arithmetic,
+and so do a piecewise energy sweep and the spectral searches
+(``qwim.spectral``) on a piecewise potential, one energy at a time,
+unless numpy is loaded already.  The array layer (``qwim._arrays``: the
+array passes over energy grids, sampled potentials), the Riccati
+stepper (``qwim.riccati``) and the cross-checks (``qwim.xcheck``) load
+numpy.  These modules are imported when first used; their names here
+resolve on first access.
 """
 
 from importlib import import_module

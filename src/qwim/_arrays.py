@@ -3,9 +3,11 @@ exact maps of linear sub-slabs.
 
 This is the only qwim module that the chain pulls numpy in through, and
 it is imported on first use: by ``analytic._chain`` when it walks linear
-(sampled) slabs, by ``scattering``'s energy sweeps, by the spectral
-scan grids, and by the psi bridges of Riccati trajectories (``_bridge``).
-A piecewise solve at one energy never loads it.
+(sampled) slabs, by ``scattering``'s energy sweeps and the spectral scan
+grids where they take the array pass (``scattering._array_pass``: where
+numpy is loaded already, or the potential is sampled), and by the psi
+bridges of Riccati trajectories (``_bridge``).  A piecewise solve, and a
+cold piecewise sweep or scan, never loads it.
 
 ``_chain_many`` is ``analytic._chain`` over an energy array: one array
 pass per slab (``_slabs_many``) or per linear sub-slab
@@ -25,7 +27,9 @@ cancellation (``_series``), and Z maps across the sub-slab exactly as
 
 with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
 step in ``analytic._chain``.
-``_linear_steps`` hands those maps to the scalar walker at one energy.
+``_linear_steps`` hands those maps to the scalar walker at one energy,
+and ``_linear_walks`` hands out those of several consecutive walks from
+one pass (a chain profile's pieces).
 ``_psi_ratios`` walks many rows at one energy instead, each from its
 own Z, all in one array pass.  ``_bridge`` gives it every interval of a
 Riccati trajectory, where a constant level is a row of slope 0: the
@@ -140,13 +144,26 @@ def _linear_maps(slabs: np.ndarray, es: np.ndarray, params: ModelParams):
 
 def _linear_steps(slabs: list[tuple[float, float, float]], e: float, params: ModelParams):
     """The sub-slab maps of a linear slab list at one energy, for
-    ``analytic._chain``: an iterator of (kfp, gp, f, gk) Python complex
-    numbers in walk order.  ``_linear_maps``' checks run at the call."""
+    ``analytic._chain``: (count, steps), the sub-slabs of each slab and
+    an iterator of their (kfp, gp, f, gk) Python complex numbers in walk
+    order.  ``_linear_maps``' checks run at the call."""
     flat = np.fromiter(itertools.chain.from_iterable(slabs), float, 3 * len(slabs))
-    _, maps = _linear_maps(flat.reshape(-1, 3), np.array([e]), params)
-    return itertools.chain.from_iterable(
+    count, maps = _linear_maps(flat.reshape(-1, 3), np.array([e]), params)
+    return count, itertools.chain.from_iterable(
         zip(*(m.ravel().tolist() for m in chunk)) for chunk in maps
     )
+
+
+def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, params: ModelParams):
+    """``_linear_steps`` for consecutive linear slab lists at one energy,
+    from one pass: yields each list's maps in turn, as a list that
+    ``analytic._chain`` walks as it walks the slabs.  One
+    ``_linear_maps`` call serves them all, where a walk of each would
+    make one numpy pass per list."""
+    count, steps = _linear_steps([slab for walk in walks for slab in walk], e, params)
+    counts = iter(count.tolist())
+    for walk in walks:
+        yield list(itertools.islice(steps, sum(itertools.islice(counts, len(walk)))))
 
 
 def _psi_ratios(slabs: np.ndarray, z: np.ndarray, e: float, params: ModelParams) -> np.ndarray:

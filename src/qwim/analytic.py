@@ -41,8 +41,10 @@ bound-state search's Sturm count.
 ``_chain_many`` in :mod:`qwim._arrays` is its array twin for a whole
 energy grid: one array pass per slab, with an ``ok`` mask marking the
 energies where the scalar walk would raise.  Energy sweeps and the scan
-grids of the spectral searches use it, and handle the flagged energies
-again one at a time.
+grids of the spectral searches use it where numpy is loaded already or
+the potential is sampled (``scattering._array_pass``), and handle the
+flagged energies again one at a time; elsewhere they walk each energy
+with ``_chain``.
 
 A sampled potential is linear between its samples, U = u0 + F s, and
 there psi'' = (A + B s) psi with A = 2m (u0 - E) / hbar^2 and
@@ -165,7 +167,11 @@ def _steps(pot: Potential, x_from: float, x_to: float) -> list[tuple[float, ...]
     signed by the walk's direction.  The slabs holding x_from and x_to
     are partial steps.  Past a or b a lead is one more slab at its
     level, (level, 0.0, dx) on a sampled potential.  ``_chain``,
-    ``_arrays._chain_many`` and the Riccati stepper take either form."""
+    ``_arrays._chain_many`` and the Riccati stepper take either form.
+    Every step has dx != 0, so a walk of no length has no steps: a linear
+    sub-slab of length 0 would have no map."""
+    if x_from == x_to:
+        return []
     sampled = isinstance(pot, SampledPotential)
     forward = x_from < x_to
     lo, hi = (x_from, x_to) if forward else (x_to, x_from)
@@ -220,7 +226,9 @@ def _chain(
     the z -> 0 limit of the step divided by z: num = Z,
     den = 1 + i (m/hbar) Z dx, f = 1.  A list of linear slabs is walked
     one sub-slab map of ``_arrays._linear_maps`` at a time:
-    num = kappa f' + g' Z and den = f + (g / kappa) Z, with f = 1.
+    num = kappa f' + g' Z and den = f + (g / kappa) Z, with f = 1; a
+    list of those maps themselves at e, (kfp, gp, f, gk), is walked as
+    given (``_arrays._linear_walks``).
     Returns the last step undivided, (num, den, r), with r the product of
     the f: Z(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so
     a psi-node at x_to is no error (one before it raises
@@ -242,10 +250,12 @@ def _chain(
     num, den, r, nodes = z_anchor, 1.0, 1.0, 0
     m = params.mass
     i_m = 1j * (m / params.hbar)
-    if slabs and len(slabs[0]) == 3:
-        from ._arrays import _linear_steps
+    if slabs and len(slabs[0]) > 2:
+        if len(slabs[0]) == 3:
+            from ._arrays import _linear_steps
 
-        for kfp, gp, f, gk in _linear_steps(slabs, e, params):
+            slabs = _linear_steps(slabs, e, params)[1]
+        for kfp, gp, f, gk in slabs:
             z_at, r = _divide(num, den), r / den
             num, den = kfp + gp * z_at, f + gk * z_at
             if count:

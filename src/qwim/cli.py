@@ -8,8 +8,12 @@ records ``error<TAB>code<TAB>message``; the exit status is 0 on success,
 2 for input problems and 3 for solver failures.
 
 Each verb imports the layers it runs (the spectral searches, the
-Riccati stepper, the cross-checks) when it runs: ``scatter`` and
-``bound`` on a piecewise potential load no numpy.
+Riccati stepper, the cross-checks) when it runs.  On a piecewise
+potential, and without ``--force-numeric``, ``scatter``, ``sweep``,
+``bound``, ``resonances`` and ``profile`` load no numpy: their grids are
+plain Python lists, and their energies are walked one at a time along
+the exact chain (``scattering._array_pass``).  ``validate`` runs the
+Riccati stepper, which loads numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import sys
 from dataclasses import replace
 
 from .errors import PotentialInputError, SolverError
-from .model import IntegrationConfig, PiecewisePotential, Side
+from .model import IntegrationConfig, PiecewisePotential, Side, _linspace, require_finite
 from .scattering import (
     EnergyPointError,
     ScatteringResult,
@@ -56,13 +60,12 @@ def _emit_note(kind: str, message: str) -> None:
     sys.stderr.write(f"note\t{kind}\t{message}\n")
 
 
-def _linspace(lo: float, hi: float, points: int):
-    """``points`` evenly spaced values from lo to hi; a count whose array
-    numpy refuses to allocate is an input error, not a traceback."""
-    import numpy as np
-
+def _points(lo: float, hi: float, points: int) -> list[float]:
+    """``points`` evenly spaced values from lo to hi, as numpy.linspace
+    gives them (``model._linspace``); a count whose list cannot be
+    allocated is an input error, not a traceback."""
     try:
-        return np.linspace(lo, hi, points)
+        return _linspace(lo, hi, points)
     except MemoryError as exc:
         raise ValueError(f"--points {points}: too many points to allocate") from exc
 
@@ -108,11 +111,12 @@ def cmd_scatter(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
 
 
 def cmd_sweep(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
+    require_finite("window bounds", args.emin, args.emax)
     if args.points < 2:
         raise ValueError("--points must be at least 2")
     if not args.emin < args.emax:
         raise ValueError("--emin must be below --emax")
-    energies = _linspace(args.emin, args.emax, args.points)
+    energies = _points(args.emin, args.emax, args.points)
     records = energy_sweep(spec.potential, energies, _side(args), cfg, spec.params)
     rows = []
     for rec in records:
@@ -142,6 +146,7 @@ def cmd_bound(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
 def cmd_resonances(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     from .spectral import find_resonances
 
+    require_finite("window bounds", args.emin, args.emax)
     if not args.emin < args.emax:
         raise ValueError("--emin must be below --emax")
     result = find_resonances(
@@ -167,9 +172,29 @@ def _profile_trajectory(walk, e, points):
     import numpy as np
 
     pot = walk.pot
-    grid = _linspace(pot.a, pot.b, points)
+    grid = _points(pot.a, pot.b, points)
     traj = walk.trajectory(e, grid=grid)
     return traj, np.clip(np.searchsorted(traj.xs, grid), 0, len(traj.xs) - 1)
+
+
+def _trajectory_psi(traj, side: Side, psi_in: complex):
+    """psi at every sample of a profile's trajectory, from psi_in at the
+    entry edge and the exact psi ratios across its intervals."""
+    import numpy as np
+
+    from ._arrays import _bridge
+    from .errors import QuadratureDivergenceError
+    from .xcheck import reconstruct_wavefunction
+
+    if side is Side.LEFT:
+        return reconstruct_wavefunction(traj, psi_in).psi
+    # the walk from a ends at the entry edge b: psi(x_i) is psi(b) over
+    # the product of the interval ratios from x_i to b
+    with np.errstate(all="ignore"):
+        psi = psi_in / np.cumprod(np.concatenate(([1.0], _bridge(traj)[::-1])))[::-1]
+    if not np.isfinite(psi).all():
+        raise QuadratureDivergenceError("reconstructed psi is not finite")
+    return psi
 
 
 def cmd_profile(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
@@ -180,38 +205,32 @@ def cmd_profile(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     if not pot.a < pot.b:
         raise ValueError("a bare step has no interior to profile")
     walk = _Incidence(pot, side, cfg, params)
-    traj, idx = _profile_trajectory(walk, e, args.points)
+    # the exact chain cut at the grid points, or with --force-numeric the
+    # Riccati trajectory forced through them
+    if cfg.force_numeric:
+        traj, idx = _profile_trajectory(walk, e, args.points)
+        xs, zs = traj.xs[idx].tolist(), traj.zs[idx].tolist()
+    else:
+        xs = _points(pot.a, pot.b, args.points)
+        zs, psi = walk.profile(e, xs)
 
     if args.mode == "impedance":
-        rows = [
-            [_fmt(x), _fmt(z.real), _fmt(z.imag)] for x, z in zip(traj.xs[idx], traj.zs[idx])
-        ]
+        rows = [[_fmt(x), _fmt(z.real), _fmt(z.imag)] for x, z in zip(xs, zs)]
         _print_table(["x", "re_Z", "im_Z"], rows)
         return 0
 
     # wavefunction mode: scattering solution, unit incident amplitude,
     # psi at the entry edge (1 + r) times the incident wave there
-    import numpy as np
-
-    from ._arrays import _bridge
-    from .errors import QuadratureDivergenceError
-    from .xcheck import reconstruct_wavefunction
-
     res = solve_scattering(pot, e, side, cfg, params)
     k1 = math.sqrt(2.0 * params.mass * (e - walk.u_in)) / params.hbar
     psi_in = (1.0 + res.r) * cmath.exp(1j * k1 * walk.x_in)
-    if side is Side.LEFT:
-        psi = reconstruct_wavefunction(traj, psi_in).psi
+    if cfg.force_numeric:
+        psi = _trajectory_psi(traj, side, psi_in)[idx].tolist()
     else:
-        # the walk from a ends at the entry edge b: psi(x_i) is psi(b)
-        # over the product of the interval ratios from x_i to b
-        with np.errstate(all="ignore"):
-            psi = psi_in / np.cumprod(np.concatenate(([1.0], _bridge(traj)[::-1])))[::-1]
-        if not np.isfinite(psi).all():
-            raise QuadratureDivergenceError("reconstructed psi is not finite")
+        psi = [psi_in * p for p in psi]
     rows = [
         [_fmt(x), _fmt(p.real), _fmt(p.imag), _fmt(abs(p) ** 2)]
-        for x, p in zip(traj.xs[idx], psi[idx])
+        for x, p in zip(xs, psi)
     ]
     _print_table(["x", "re_psi", "im_psi", "abs2_psi"], rows)
     return 0

@@ -43,6 +43,27 @@ def require_finite(what: str, *values: float) -> None:
             raise NonFiniteInputError(f"{what} must be finite, got {v}")
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.linspace(start, stop, num).tolist()`` bit for bit, for
+    num >= 2, without numpy: i * step + start with step = (stop - start)
+    / (num - 1), numpy's branch for a step that underflows to zero
+    (i / (num - 1) * (stop - start) + start), and the last point set to
+    stop.  The list is allocated at once, so a count whose list cannot be
+    had raises MemoryError before any point is computed, as numpy does."""
+    start, stop = float(start), float(stop)
+    ys = [start] * num
+    div, delta = num - 1, stop - start
+    step = delta / div
+    if step == 0.0:
+        for i in range(num):
+            ys[i] = i / div * delta + start
+    else:
+        for i in range(num):
+            ys[i] = i * step + start
+    ys[-1] = stop
+    return ys
+
+
 class Side(Enum):
     """Incidence side for scattering, also used as an integration direction."""
 

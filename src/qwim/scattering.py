@@ -25,30 +25,44 @@ Both kinds of potential use exact layer chaining, sampled ones one
 linear sub-slab map at a time (:mod:`qwim.analytic`); with
 ``cfg.force_numeric`` set, any potential uses the adaptive Riccati
 integrator, along the same slab list, with the running integral
-tracked.  An energy sweep chains the whole grid at once, one array pass
-per slab or sub-slab (:mod:`qwim._arrays`); points that pass flags
-(where a single solve raises, or its values are not finite) are solved
-again one at a time.
+tracked.  An energy grid, of a sweep or of the resonance scan, takes
+one array pass per slab or sub-slab (:mod:`qwim._arrays`) where that
+costs no import the walks would not make anyway (``_array_pass``): where
+numpy is loaded already, or the potential is sampled.  Points that pass
+flags (where a single solve raises, or its values are not finite) are
+solved again one at a time.  Elsewhere each energy is walked alone, by
+the same per-point code.  ``_Incidence.profile`` cuts the walk at a
+grid's points, for Z and psi along the chain.
 
 Only the functions that take or make arrays import numpy, and the
-stepper is imported only by a ``force_numeric`` solve, so one piecewise
-solve loads neither.
+stepper is imported only by a ``force_numeric`` solve, so a piecewise
+solve, sweep, resonance scan or chain profile loads neither, unless
+numpy is loaded already.
 """
 
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .analytic import _chain, _constants, _steps
+from .analytic import _chain, _constants, _divide, _steps
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
+    QuadratureDivergenceError,
     SolverError,
 )
-from .model import IntegrationConfig, ModelParams, Potential, Side, require_finite
+from .model import (
+    IntegrationConfig,
+    ModelParams,
+    Potential,
+    SampledPotential,
+    Side,
+    require_finite,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,9 +114,19 @@ class EnergyPointError:
     message: str
 
 
+def _array_pass(pot: Potential) -> bool:
+    """Whether an energy grid on ``pot`` takes one array pass
+    (``_Incidence.many``) rather than a walk per energy: only where the
+    pass costs no import that the walks would not make anyway, so where
+    numpy is loaded already, or where ``pot`` is sampled, whose sub-slab
+    maps load it in any case.  Warm, the pass is the faster; cold,
+    numpy's import costs more than walking a grid one energy at a time."""
+    return "numpy" in sys.modules or isinstance(pot, SampledPotential)
+
+
 class _Incidence:
     """Incidence from ``side``: the far lead's wave carried to the entry
-    edge, set up once per solve, sweep or resonance search.
+    edge, set up once per solve, sweep, resonance search or profile.
 
     ``u_in`` and ``u_far`` are the incidence and the far lead's levels,
     ``x_in`` and ``x_far`` the entry and far edges in the frame of
@@ -201,13 +225,14 @@ class _Incidence:
         return self.walked[e]
 
     def reflections(self, es: list[float]) -> list:
-        """``reflection`` at each energy of ``es``.  Without
-        ``force_numeric`` the grid takes one array pass (``many``), and
-        every energy it flags is walked again alone, so the energies
-        dropped are exactly those a point-by-point scan drops."""
+        """``reflection`` at each energy of ``es``.  Where ``_array_pass``
+        allows it, and without ``force_numeric``, the grid takes one array
+        pass (``many``), and every energy it flags is walked again alone,
+        so the energies dropped are exactly those a point-by-point scan
+        drops."""
         rs: list = [None] * len(es)
         redo = range(len(es))
-        if not self.cfg.force_numeric:
+        if not self.cfg.force_numeric and _array_pass(self.pot):
             import numpy as np
 
             r, *_, ok = self.many(np.array(es, dtype=float))
@@ -215,6 +240,41 @@ class _Incidence:
         for i in redo:
             rs[i] = self.reflection(es[i])
         return rs
+
+    def profile(self, e: float, grid: list[float]) -> tuple[list[complex], list[complex]]:
+        """Z and psi at each point of ``grid`` (ascending from a to b) on
+        the chain, in the potential's own frame: the walk from the far
+        edge, anchored at the far lead's z as ``trajectory`` is, cut at
+        the grid points (``analytic._steps`` between each two; on a
+        sampled potential the sub-slab maps of all of them come from one
+        pass).  Each interval's (num, den, r) gives Z at its end,
+        num / den, and psi at its start over psi at its end, r / den.
+        psi is relative to psi at the entry edge, which is 1.  A psi-node
+        exactly at a grid point raises TransformPoleError, and a psi that
+        is not finite QuadratureDivergenceError."""
+        params = self.params
+        z = _constants(e, self.u_far, params)[0]
+        stops = grid if self.right else grid[::-1]
+        pieces = [_steps(self.pot, x_from, x_to) for x_from, x_to in zip(stops, stops[1:])]
+        if isinstance(self.pot, SampledPotential):
+            from ._arrays import _linear_walks
+
+            pieces = _linear_walks(pieces, e, params)
+        zs = [-z if self.right else z]
+        ratios = []
+        for piece in pieces:
+            num, den, r = _chain(piece, e, zs[-1], params)
+            zs.append(_divide(num, den))
+            ratios.append(r / den)
+        psi = [1.0 + 0j] * len(zs)
+        for i in range(len(ratios) - 1, -1, -1):
+            psi[i] = psi[i + 1] * ratios[i]
+        if not all(map(cmath.isfinite, psi)):
+            raise QuadratureDivergenceError(f"psi along the chain is not finite at energy {e}")
+        if not self.right:
+            zs.reverse()
+            psi.reverse()
+        return zs, psi
 
     def trajectory(
         self, e: float, track: bool = False, grid: np.ndarray | None = None
@@ -328,24 +388,8 @@ def _sweep_chain(
     return records, np.flatnonzero(~ok).tolist()
 
 
-def energy_sweep(
-    pot: Potential,
-    energies,
-    side: Side = Side.LEFT,
-    cfg: IntegrationConfig = IntegrationConfig(),
-    params: ModelParams = ModelParams(),
-) -> list[ScatteringResult | EnergyPointError]:
-    """Solve scattering on an ascending energy grid.
-
-    Points are independent; any point that fails with a solver error
-    yields an ``EnergyPointError`` record in place so one bad energy
-    cannot poison the sweep.  Order is preserved.  Without
-    ``force_numeric`` the grid is chained in one array pass per slab (per
-    sub-slab on a sampled potential); the points that pass flags are
-    solved again one at a time, so they carry exactly the records
-    ``solve_scattering`` gives.  A complex grid raises TypeError, as a
-    Python ``complex`` entry does: its imaginary parts would be dropped.
-    """
+def _energy_array(energies) -> np.ndarray:
+    """The grid of ``energy_sweep`` as a float array, for the array pass."""
     import numpy as np
 
     grid = energies if isinstance(energies, np.ndarray) else list(energies)
@@ -360,7 +404,46 @@ def energy_sweep(
         require_finite("energy", *map(float, grid))
     if not (e[1:] > e[:-1]).all():
         raise ValueError("energy grid must be strictly ascending")
-    if not cfg.force_numeric:
+    return e
+
+
+def _energy_list(energies) -> list[float]:
+    """The grid of ``energy_sweep`` as Python floats, with
+    ``_energy_array``'s checks and error types, without numpy."""
+    from numbers import Complex, Real
+
+    grid = list(energies)  # a scalar raises TypeError here
+    if any(isinstance(v, Complex) and not isinstance(v, Real) for v in grid):
+        raise TypeError("energies must be real, got a complex grid")
+    e = [float(v) for v in grid]  # so does a row of a nested grid
+    require_finite("energy", *e)
+    if not all(lo < hi for lo, hi in zip(e, e[1:])):
+        raise ValueError("energy grid must be strictly ascending")
+    return e
+
+
+def energy_sweep(
+    pot: Potential,
+    energies,
+    side: Side = Side.LEFT,
+    cfg: IntegrationConfig = IntegrationConfig(),
+    params: ModelParams = ModelParams(),
+) -> list[ScatteringResult | EnergyPointError]:
+    """Solve scattering on an ascending energy grid.
+
+    Points are independent; any point that fails with a solver error
+    yields an ``EnergyPointError`` record in place so one bad energy
+    cannot poison the sweep.  Order is preserved.  Where ``_array_pass``
+    allows it, and without ``force_numeric``, the grid is chained in one
+    array pass per slab (per sub-slab on a sampled potential); the points
+    that pass flags are solved again one at a time, so they carry exactly
+    the records ``solve_scattering`` gives.  Elsewhere every point is
+    solved so, one at a time.  A complex grid raises TypeError, as a
+    Python ``complex`` entry does: its imaginary parts would be dropped.
+    """
+    batched = _array_pass(pot)
+    e = _energy_array(energies) if batched else _energy_list(energies)
+    if batched and not cfg.force_numeric:
         out, redo = _sweep_chain(pot, e, side, cfg, params)
     else:
         out, redo = [None] * len(e), range(len(e))
@@ -371,4 +454,3 @@ def energy_sweep(
         except SolverError as exc:
             out[i] = EnergyPointError(e=e_i, code=exc.code, message=str(exc))
     return out
-

@@ -26,10 +26,11 @@ structure gives Z(a), and
 vanishes exactly where T = 1.  The search carries the far lead's wave
 through the scattering solve's own helper (``scattering._Incidence``:
 one slab list in the potential's own frame, from either side), scans
-|r| on a grid in one array pass per slab, and refines each minimum of
-|r| by Brent's root finder on the components of r; the bounded
-minimiser on |r|^2 runs only where their roots do not coincide in a
-zero of r.
+|r| on a grid, in one array pass per slab where numpy is loaded already
+or the potential is sampled (``scattering._array_pass``) and one energy
+at a time elsewhere, and refines each minimum of |r| by Brent's root
+finder on the components of r; the bounded minimiser on |r|^2 runs only
+where their roots do not coincide in a zero of r.
 
 Both kinds of potential chain exact slab maps (constant slabs, or the
 linear sub-slabs of a sampled potential), which also give the psi
@@ -43,8 +44,9 @@ bracket, with qwim's own ports of Brent's root finder and bounded
 minimiser (``_optimize``), walk the same lists one scalar energy at a
 time in plain complex arithmetic, and walk no energy twice: W at an energy the count walked
 takes the count's ends, and the value at a returned root or minimum is
-the one the optimiser computed.  Only the resonance scan and the
-``force_numeric`` ends use numpy, and import it when they run.
+the one the optimiser computed.  Only the resonance scan's array pass,
+sampled potentials and ``force_numeric`` walks use numpy, and import it
+when they run, so a search on a piecewise potential loads none.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from .model import (
     PiecewisePotential,
     Potential,
     Side,
+    _linspace,
     require_finite,
 )
 from .scattering import _Incidence
@@ -372,8 +375,9 @@ def find_resonances(
     """Full-transmission energies inside (e_min, e_max], for incidence
     from ``side``: the zeros of r.
 
-    Scans |r(E)| at SCAN_POINTS energies (one array pass per slab or
-    sub-slab of the walk from the far lead to the entry edge) and
+    Scans |r(E)| at SCAN_POINTS energies (``_Incidence.reflections``:
+    one array pass per slab or sub-slab of the walk from the far lead to
+    the entry edge where ``scattering._array_pass`` allows it) and
     refines each strict local minimum by Brent's root finder on each
     component of r that changes sign across its bracket, one scalar r
     per iterate along the same walk, each energy evaluated once.  Where
@@ -430,9 +434,7 @@ def find_resonances(
             found.append((float(e_root), modulus(e_root)))
         return found if comps else None
 
-    import numpy as np
-
-    grid = np.linspace(e_min, e_max, SCAN_POINTS + 1)[1:].tolist()
+    grid = _linspace(e_min, e_max, SCAN_POINTS + 1)[1:]
     scan = [(e, abs(r)) for e, r in zip(grid, walk.reflections(grid)) if r is not None]
     if not scan:
         # r has a value nowhere in the window: the scalar walk at one

@@ -1,5 +1,10 @@
-"""End-to-end command-line checks through subprocess."""
+"""End-to-end command-line checks, through subprocesses, and through
+``cli.main`` in-process where what the process has loaded does not
+matter."""
 
+import cmath
+import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -8,6 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from qwim.analytic import region_constants
+from qwim.model import Side
+from qwim.scattering import solve_scattering
+from qwim.specfile import load_spec
+
+from oracles import _slab
 
 BARRIER_DOC = {
     "params": {"hbar": 1.0, "mass": 1.0},
@@ -86,16 +98,22 @@ def test_scatter_below_lead_is_solver_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "verb, energy",
-    [("scatter", "nan"), ("scatter", "inf"), ("profile", "nan")],
+    "verb, args",
+    [
+        pytest.param("scatter", ["--energy", "nan"], id="scatter-nan"),
+        pytest.param("scatter", ["--energy", "inf"], id="scatter-inf"),
+        pytest.param("profile", ["--energy", "nan"], id="profile-nan"),
+        # numpy's grid wrote a RuntimeWarning and its source line first
+        pytest.param("sweep", ["--emin", "0.1", "--emax", "inf", "--points", "5"],
+                     id="sweep-inf"),
+    ],
 )
-def test_non_finite_energy_is_input_error(tmp_path, verb, energy):
+def test_non_finite_energy_is_input_error(tmp_path, verb, args):
     spec = write_spec(tmp_path, BARRIER_DOC)
-    proc = run_cli(verb, "--spec", spec, "--energy", energy)
+    proc = run_cli(verb, "--spec", spec, *args)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error\t")]
+    errors = proc.stderr.splitlines()
     assert len(errors) == 1
     assert errors[0].startswith("error\tNonFiniteInput\t")
 
@@ -152,7 +170,7 @@ def test_sweep_grid_contract(tmp_path):
     assert header[-1] == "error"
     assert len(rows) == 5
     es = [float(r[0]) for r in rows]
-    np.testing.assert_allclose(es, np.linspace(1.0, 4.0, 5), atol=1e-15)
+    assert es == np.linspace(1.0, 4.0, 5).tolist()
     assert all(e1 > e0 for e0, e1 in zip(es, es[1:]))
 
 
@@ -193,29 +211,42 @@ def test_sweep_huge_energy_row_is_a_point_error():
     assert [row[-1] for row in rows] == ["-", "NonFiniteState", "NonFiniteState"]
 
 
-def test_sweep_rows_match_scatter():
-    spec = str(DOCS / "barrier.json")
-    proc = run_cli("sweep", "--spec", spec, "--emin", "0.5", "--emax", "1.5",
-                   "--points", "3")
-    assert proc.returncode == 0
-    header, rows = rows_of(proc.stdout)
-    assert [r[0] for r in rows] == ["0.5", "1", "1.5"]
-    # E = 1.0 is the barrier top, where psi is linear across the barrier:
-    # a finite row like the others.  The sweep's array pass rounds
-    # differently from a single solve: the rows agree to the
-    # batched-vs-scalar bound, not digit for digit
-    for row in rows:
-        assert row[-1] == "-"
-        one = run_cli("scatter", "--spec", spec, "--energy", row[0])
-        assert one.returncode == 0
-        sheader, srows = rows_of(one.stdout)
-        assert sheader == header[:-1] and len(srows) == 1
-        got, ref = list(map(float, row[:-1])), list(map(float, srows[0]))
-        assert got[0] == ref[0]
-        for i in (1, 3):  # r and t, compared as complex numbers
-            a, b = complex(got[i], got[i + 1]), complex(ref[i], ref[i + 1])
-            assert abs(a - b) <= 1e-12 * abs(b)
-        assert got[5:] == pytest.approx(ref[5:], rel=1e-12, abs=0.0)
+def _spec_of(pot):
+    """The spec document of a piecewise potential."""
+    return {"potential": {
+        "kind": "piecewise", "left_level": pot.left_level, "right_level": pot.right_level,
+        "segments": [{"x_start": s.x_start, "x_end": s.x_end, "u": s.u} for s in pot.segments],
+    }}
+
+
+def _main(capsys, *argv):
+    """``qwim`` run in this process: (exit code, stdout, stderr)."""
+    from qwim import cli
+
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_sweep_rows_match_scatter(tmp_path, capsys, random_stack_instances):
+    # a cold sweep on a piecewise spec solves each energy as scatter does,
+    # so its rows are scatter's, digit for digit, from either side.  On
+    # the barrier, E = 1.0 is the barrier top, where psi is linear across
+    # the barrier: a finite row like the others
+    stack = write_spec(tmp_path, _spec_of(random_stack_instances[7][0]))
+    cases = [(str(DOCS / "barrier.json"), "0.5", "1.5"), (stack, "0.5", "4.5")]
+    for (spec, emin, emax), side in itertools.product(cases, ("left", "right")):
+        proc = run_cli("sweep", "--spec", spec, "--emin", emin, "--emax", emax,
+                       "--points", "3", "--side", side)
+        assert proc.returncode == 0, proc.stderr
+        header, rows = rows_of(proc.stdout)
+        assert [r[0] for r in rows][::2] == [emin, emax]
+        for row in rows:
+            assert row[-1] == "-"
+            code, out, _ = _main(capsys, "scatter", "--spec", spec, "--energy", row[0],
+                                 "--side", side)
+            assert code == 0
+            assert out == "\t".join(header[:-1]) + "\n" + "\t".join(row[:-1]) + "\n"
 
 
 def test_sweep_rejects_bad_window(tmp_path):
@@ -431,6 +462,119 @@ def test_profile_right_incidence_on_the_potentials_own_grid(tmp_path, doc, mode)
     assert np.max(np.abs(values - mirrored)) <= 1e-12 * np.max(np.abs(mirrored))
 
 
+def _exact_field(pot, e, side, xs, t):
+    """Z and psi at each x of the scattering state with transmitted
+    amplitude t, in the potential's own frame: each x walked alone from
+    the far edge by the closed-form slab steps of tests/oracles.py."""
+    right = side == "right"
+    u_far, x_far = (pot.left_level, pot.a) if right else (pot.right_level, pot.b)
+    lead = region_constants(e, u_far)
+    psi_far = t * cmath.exp(1j * lead.k * (-x_far if right else x_far)) if e > u_far else t
+    zs, psis = [], []
+    for x in xs:
+        z_at, psi = (-lead.z if right else lead.z), psi_far
+        for seg in pot.segments if right else reversed(pot.segments):
+            length = min(seg.x_end, max(x, x_far)) - max(seg.x_start, min(x, x_far))
+            if length > 0.0:
+                rc = region_constants(e, seg.u)
+                num, den, f = _slab(rc.z, rc.gamma, z_at, length if right else -length)
+                z_at, psi = num / den, psi * den / f
+        zs.append(z_at)
+        psis.append(psi)
+    return np.array(zs), np.array(psis)
+
+
+def test_profile_walks_the_closed_form_field(tmp_path, capsys, random_stack_instances):
+    # without --force-numeric, profile walks the exact chain from the far
+    # edge, cut at the grid points
+    docs = [load_spec(str(DOCS / name)).potential for name in ("barrier.json", "well.json")]
+    stacks = [(pot, energies[::5].tolist()) for pot, energies in random_stack_instances[:10]]
+    asymmetric = dataclasses.replace(random_stack_instances[7][0], right_level=1.2)
+    cases = [(pot, [-2.0, 0.4, 2.3]) for pot in docs] + stacks + [(asymmetric, [0.9, 2.0])]
+    points = 41
+    for pot, energies in cases:
+        spec = write_spec(tmp_path, _spec_of(pot))
+        xs = np.linspace(pot.a, pot.b, points)
+        for e, side in itertools.product(energies, ("left", "right")):
+            u_in = pot.right_level if side == "right" else pot.left_level
+            res = solve_scattering(pot, e, Side(side)) if e > u_in else None
+            want_z, want_psi = _exact_field(pot, e, side, xs, res.t if res else 1.0)
+            for mode in ("impedance", "wavefunction"):
+                code, out, err = _main(capsys, "profile", "--spec", spec, "--energy", repr(e),
+                                       "--mode", mode, "--side", side, "--points", str(points))
+                if mode == "wavefunction" and res is None:
+                    assert code == 3 and err.startswith("error\tEvanescentIncidence\t")
+                    continue
+                assert code == 0 and err == "", err
+                header, rows = rows_of(out)
+                got = np.array(rows, dtype=float)
+                assert got[:, 0].tolist() == xs.tolist()
+                values = got[:, 1] + 1j * got[:, 2]
+                want = want_z if mode == "impedance" else want_psi
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(values - want)) <= 1e-12 * scale, (e, side, mode)
+                if mode == "wavefunction":
+                    # psi at the far edge is scatter's t times its lead phase
+                    far = 0 if side == "right" else -1
+                    assert abs(values[far] - want_psi[far]) <= 1e-13 * scale
+
+
+def test_sampled_profile_agrees_with_a_tight_stepper(tmp_path, capsys):
+    # on a sampled spec the chain walks every piece's sub-slab maps from
+    # one pass; a stepper run at tight tolerances lands within its own
+    # global error of it
+    spec = write_spec(tmp_path, SAMPLED_DOC)
+    tight = ("--force-numeric", "--rel-tol", "1e-12", "--abs-tol", "1e-14")
+    for mode, side in itertools.product(("impedance", "wavefunction"), ("left", "right")):
+        argv = ("profile", "--spec", spec, "--energy", "2.3", "--mode", mode, "--side", side,
+                "--points", "101")
+        (c1, chain, _), (c2, stepper, _) = _main(capsys, *argv), _main(capsys, *argv, *tight)
+        assert c1 == c2 == 0
+        got, want = (np.array(rows_of(out)[1], dtype=float) for out in (chain, stepper))
+        assert got[:, 0].tolist() == want[:, 0].tolist()
+        values, ref = got[:, 1] + 1j * got[:, 2], want[:, 1] + 1j * want[:, 2]
+        assert np.max(np.abs(values - ref)) <= 1e-11 * np.max(np.abs(ref)), (mode, side)
+
+
+def test_profile_through_repeated_grid_points(tmp_path, capsys):
+    # samples 8 apart at 1e16 leave no room for 33 distinct points: the
+    # grid repeats points inside sample cells, and the chain walks no
+    # slab between two equal points (a linear sub-slab of length 0 has no
+    # map)
+    doc = {"potential": {"kind": "sampled", "left_level": 0.0, "right_level": 0.0,
+                         "samples": [[1e16, 0.0], [1e16 + 8.0, 1.0], [1e16 + 16.0, 0.0]]}}
+    spec = write_spec(tmp_path, doc)
+    code, out, err = _main(capsys, "profile", "--spec", spec, "--energy", "2.0", "--points", "33")
+    assert code == 0, err
+    got = np.array(rows_of(out)[1], dtype=float)
+    xs = np.linspace(1e16, 1e16 + 16.0, 33)
+    assert got[:, 0].tolist() == xs.tolist() and len(set(xs.tolist())) < 33
+    assert np.isfinite(got).all()
+    same = np.flatnonzero(np.diff(xs) == 0.0)
+    assert len(same) and (got[same, 1:] == got[same + 1, 1:]).all()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_profile_exit_codes_below_and_at_a_lead(capsys, side):
+    # the barrier's leads are at 0: below them the impedance still has a
+    # profile, the scattering state has none, and at them neither has
+    spec = str(DOCS / "barrier.json")
+    for energy, mode, code, error in [
+        ("-0.3", "impedance", 0, None),
+        ("-0.3", "wavefunction", 3, "EvanescentIncidence"),
+        ("0", "impedance", 3, "DegenerateEnergy"),
+        ("0", "wavefunction", 3, "DegenerateEnergy"),
+    ]:
+        got, out, err = _main(capsys, "profile", "--spec", spec, "--energy", energy,
+                              "--mode", mode, "--side", side)
+        assert got == code
+        if error is None:
+            assert err == "" and len(out.splitlines()) == 402
+        else:
+            assert out == "" and err.startswith(f"error\t{error}\t")
+            assert len(err.splitlines()) == 1
+
+
 def test_profile_wavefunction_at_a_slab_level():
     # E = 1 is the barrier's level: psi = t (1 + i k (x - 2)) across it,
     # with t = 1 / (1 - i k) for unit incidence
@@ -595,51 +739,54 @@ def test_unallocatable_point_count_is_input_error(args):
     assert len(proc.stderr.splitlines()) == 1
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_piecewise_scatter_loads_no_numpy(side):
-    # the piecewise chain is plain complex arithmetic; numpy and the
-    # numpy layers load only for the verbs that run them
-    argv = ["qwim", "scatter", "--spec", str(DOCS / "barrier.json"),
-            "--energy", "1.5", "--side", side]
+def _verb_row(name, argv, loads=False):
+    return pytest.param(argv, loads, id=name)
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        _verb_row("scatter-left", ["scatter", "barrier", "--energy", "1.5"]),
+        _verb_row("scatter-right", ["scatter", "barrier", "--energy", "1.5", "--side", "right"]),
+        _verb_row("sweep-left", ["sweep", "barrier", "--emin", "0.5", "--emax", "1.5"]),
+        _verb_row("sweep-right",
+                  ["sweep", "barrier", "--emin", "0.5", "--emax", "1.5", "--side", "right"]),
+        _verb_row("bound", ["bound", "well"]),
+        _verb_row("resonances-left", ["resonances", "barrier", "--emin", "1", "--emax", "13"]),
+        _verb_row("resonances-right",
+                  ["resonances", "barrier", "--emin", "1", "--emax", "13", "--side", "right"]),
+        *(
+            _verb_row(f"profile-{mode}-{side}",
+                      ["profile", "barrier", "--energy", "1.5", "--mode", mode, "--side", side])
+            for mode in ("impedance", "wavefunction") for side in ("left", "right")
+        ),
+        _verb_row("sweep-sampled", ["sweep", "sampled", "--emin", "0.5", "--emax", "1.5"],
+                  loads=True),
+    ],
+)
+def test_what_each_verb_loads(tmp_path, argv, loads):
+    # on a piecewise spec each verb walks the scalar chain in plain complex
+    # arithmetic, one energy at a time, and loads no numpy; a sampled
+    # spec's sub-slab maps load it, and its sweep then takes the array pass
+    verb, doc, *rest = argv
+    spec = write_spec(tmp_path, SAMPLED_DOC) if doc == "sampled" else str(DOCS / f"{doc}.json")
     code = (
         "import runpy, sys\n"
-        f"sys.argv = {argv!r}\n"
+        f"sys.argv = {['qwim', verb, '--spec', spec, *rest]!r}\n"
         "try:\n"
         "    runpy.run_module('qwim', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
-        "names = ('numpy', 'qwim.riccati', 'qwim.spectral', 'qwim.xcheck', 'qwim._arrays')\n"
+        "names = ('numpy', 'qwim._arrays', 'qwim.riccati')\n"
         "print(rc, [m for m in names if m in sys.modules])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
-    assert proc.stdout.splitlines()[-2].startswith("1.5\t")
-
-
-def test_piecewise_bound_loads_no_numpy():
-    # bound states are bisected on the node count and refined on the
-    # scalar chain: no scan grid, so no numpy
-    argv = ["qwim", "bound", "--spec", str(DOCS / "well.json")]
-    code = (
-        "import runpy, sys\n"
-        f"sys.argv = {argv!r}\n"
-        "try:\n"
-        "    runpy.run_module('qwim', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    rc = exc.code\n"
-        "names = ('numpy', 'qwim._arrays', 'qwim.riccati', 'qwim.xcheck')\n"
-        "print(rc, [m for m in names if m in sys.modules])\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[-1] == "0 []"
-    assert lines[0] == "index\tE\tresidual" and len(lines) == 5
+    *table, last = proc.stdout.splitlines()
+    assert last == ("0 ['numpy', 'qwim._arrays']" if loads else "0 []"), proc.stderr
+    assert len(table) > 1 and proc.stderr == ""
 
 
 @pytest.mark.parametrize(

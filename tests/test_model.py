@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwim.errors import (
     EmptyDomainError,
@@ -14,6 +16,7 @@ from qwim.model import (
     PiecewisePotential,
     PotentialSegment,
     SampledPotential,
+    _linspace,
 )
 
 
@@ -178,3 +181,29 @@ def test_non_finite_numbers_rejected(bad):
         SampledPotential((0.0, bad), (0.5, 0.5), 0.0, 0.0)
     with pytest.raises(NonFiniteInputError):
         SampledPotential((0.0, 1.0), (0.5, 0.5), bad, 0.0)
+
+
+_MAGNITUDES = st.floats(-300.0, 300.0).map(lambda p: 10.0 ** p)
+_SIGNS = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def _spans(draw):
+    """(start, stop): any magnitudes 1e-300..1e300 of either sign, or a
+    span of a few subnormal spacings, where numpy's step underflows."""
+    if draw(st.booleans()):
+        return draw(_SIGNS) * draw(_MAGNITUDES), draw(_SIGNS) * draw(_MAGNITUDES)
+    start = draw(st.integers(-10**6, 10**6)) * 5e-324
+    return start, start + draw(st.integers(1, 2000)) * 5e-324
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_spans(), st.integers(2, 1000))
+@example((0.0, 1e-320), 1000)
+@example((0.0, 1.5e-323), 1000)
+@example((1e300, -1e300), 2)
+@example((0.1, 0.3), 3)
+def test_linspace_is_numpys_bit_for_bit(span, num):
+    got = _linspace(*span, num)
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in np.linspace(*span, num).tolist()]

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import inspect
+import itertools
 import math
 import pickle
 import warnings
@@ -184,6 +185,10 @@ def test_forced_numeric_matches_analytic():
 
 
 def test_energy_sweep_grid_contracts():
+    _assert_grid_contracts()
+
+
+def _assert_grid_contracts():
     pot = barrier()
     assert energy_sweep(pot, []) == []
     assert energy_sweep(pot, np.array([])) == []
@@ -248,24 +253,74 @@ def test_energy_sweep_accepts_real_grids(make):
     assert all(type(rec) is ScatteringResult for rec in out)
 
 
-@pytest.mark.parametrize(
-    "grid",
-    [
-        [0.5, 1.0 + 0.5j],
-        np.array([1.0 + 1.0j, 2.0 + 0.0j]),
-        [np.complex128(0.5), np.complex128(1.0)],
-        np.array([[0.5, 1.0], [1.5, 2.0]]),
-        1.5,
-        np.array(1.5),
-    ],
-    ids=["complex", "complex-array", "complex128-entries", "2-D", "scalar", "0-D"],
-)
+NON_GRIDS = [
+    pytest.param([0.5, 1.0 + 0.5j], id="complex"),
+    pytest.param(np.array([1.0 + 1.0j, 2.0 + 0.0j]), id="complex-array"),
+    pytest.param([np.complex128(0.5), np.complex128(1.0)], id="complex128-entries"),
+    pytest.param(np.array([[0.5, 1.0], [1.5, 2.0]]), id="2-D"),
+    pytest.param(1.5, id="scalar"),
+    pytest.param(np.array(1.5), id="0-D"),
+]
+
+
+@pytest.mark.parametrize("grid", NON_GRIDS)
 def test_energy_sweep_rejects_non_grids(grid):
+    _assert_rejected(grid)
+
+
+def _assert_rejected(grid):
     # a complex grid raises before numpy can drop its imaginary parts
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TypeError):
             energy_sweep(barrier(), grid)
+
+
+@pytest.fixture
+def scalar_sweep(monkeypatch):
+    """Every grid walked one energy at a time, as where numpy is not
+    loaded: the array pass's rule says no."""
+    monkeypatch.setattr(scattering, "_array_pass", lambda pot: False)
+
+
+@pytest.mark.parametrize("grid", NON_GRIDS)
+def test_scalar_sweep_rejects_non_grids(grid, scalar_sweep):
+    _assert_rejected(grid)
+
+
+def test_scalar_sweep_grid_contracts(scalar_sweep):
+    _assert_grid_contracts()
+    # each energy as float() reads it, as the array path reads it
+    grid = (x for x in (1, "1.5", np.float32(2.1)))
+    assert [rec.e for rec in energy_sweep(barrier(), grid)] == [1.0, 1.5, float(np.float32(2.1))]
+
+
+def test_scalar_sweep_is_solve_scattering(scalar_sweep, random_stack_instances, monkeypatch):
+    # the scalar branch solves every energy alone, so each record is
+    # solve_scattering's, or the point error its SolverError gives, exactly
+    calls = []
+    pointwise = scattering.solve_scattering
+
+    def counted(pot, e, *args):
+        calls.append(e)
+        return pointwise(pot, e, *args)
+
+    monkeypatch.setattr(scattering, "solve_scattering", counted)
+    cases = [barrier(), step(1.0)] + [pot for pot, _ in random_stack_instances[::5]]
+    for pot, side in itertools.product(cases, (Side.LEFT, Side.RIGHT)):
+        levels = [pot.left_level, pot.right_level] + [s.u for s in pot.segments]
+        grid = sorted(set(np.linspace(-3.5, 8.0, 41).tolist() + levels))
+        want = []
+        for e in grid:
+            try:
+                want.append(pointwise(pot, e, side))
+            except SolverError as exc:
+                want.append(EnergyPointError(e, exc.code, str(exc)))
+        calls.clear()
+        got = energy_sweep(pot, grid, side)
+        assert calls == grid
+        assert [repr(g) for g in got] == [repr(w) for w in want]
+        assert any(isinstance(w, EnergyPointError) for w in want)
 
 
 def test_sweep_builds_no_mirror_and_one_record_a_point(monkeypatch):

@@ -1,6 +1,8 @@
 """Bound-state and resonance search through the impedance matching condition."""
 
+import itertools
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -387,47 +389,46 @@ def test_numeric_search_signs_w_across_a_thick_barrier():
     )
 
 
-def _outcome(call):
-    try:
-        res = call()
-    except SolverError as exc:
-        return type(exc), str(exc)
-    return res.energies, res.residuals
-
-
 _DOCS = Path(__file__).resolve().parents[1] / "docs"
+
+
+def _spectra_symmetric_stacks():
+    """The 8 seeded symmetric stacks of the benchmark's spectra pool,
+    drawn as it draws them: after its 16 random wells, from one stream."""
+    rng = np.random.default_rng([20260823, 4])
+    for i in range(16):
+        rng.uniform(size=2 * (2 + i % 4))  # a length and a level a well segment
+    stacks = []
+    for i in range(8):
+        half = [(float(rng.uniform(0.3, 1.2)), float(rng.uniform(-2.0, 6.0)))
+                for _ in range(1 + i % 3)]
+        x, segments = 0.0, []
+        for length, u in half + half[::-1]:
+            segments.append((x, x + length, u))
+            x += length
+        stacks.append(_stack(segments))
+    return stacks
 
 
 def test_spectra_match_scalar_scan(monkeypatch):
     # the scan only brackets; the scalar refinement picks the digits, so
-    # the batched scan must give the very energies and residuals
+    # the array pass and a scan that walks each energy alone (as where
+    # numpy is not loaded) give the very same spectra
     docs_barrier = load_spec(str(_DOCS / "barrier.json")).potential
-    double_barrier = PiecewisePotential(
-        0.0,
-        (
-            PotentialSegment(0.0, 1.0, 10.0),
-            PotentialSegment(1.0, 3.0, 0.0),
-            PotentialSegment(3.0, 4.0, 10.0),
-        ),
-        0.0,
-    )
-    calls = [
-        lambda: find_resonances(docs_barrier, 1.0, 13.0),
-        lambda: find_resonances(double_barrier, 1.0, 13.0),
+    double_barrier = _stack([(0.0, 1.0, 10.0), (1.0, 3.0, 0.0), (3.0, 4.0, 10.0)])
+    searches = [(docs_barrier, 1.0, 13.0), (double_barrier, 1.0, 13.0)] + [
+        (pot, 0.5, 12.0) for pot in _spectra_symmetric_stacks()
     ]
-    batched = [_outcome(call) for call in calls]
-
-    real_many = _Incidence.many
-
-    def flag_all(walk, es):
-        # an array pass that flags every energy: the scan walks each alone
-        *values, ok = real_many(walk, es)
-        return (*values, np.zeros_like(ok))
-
-    monkeypatch.setattr(_Incidence, "many", flag_all)
-    scalar = [_outcome(call) for call in calls]
+    calls = [
+        partial(find_resonances, pot, lo, hi, side)
+        for (pot, lo, hi), side in itertools.product(searches, (Side.LEFT, Side.RIGHT))
+    ]
+    batched = [repr(call()) for call in calls]
+    monkeypatch.setattr(scattering, "_array_pass", lambda pot: False)
+    monkeypatch.setattr(_Incidence, "many", None)  # the scan takes no array pass
+    scalar = [repr(call()) for call in calls]
     assert batched == scalar
-    assert all(len(energies) > 0 for energies, _ in batched)
+    assert all("energies=[]" not in out for out in batched)
 
 
 def test_resonance_comb_single_barrier():
