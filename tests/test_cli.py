@@ -379,7 +379,7 @@ def test_validate_at_a_slab_level():
     header, rows = rows_of(proc.stdout)
     assert header == ["check", "value", "tolerance", "status"]
     assert [(r[0], r[-1]) for r in rows] == [
-        ("delta_R", "ok"), ("delta_T", "ok"), ("residual", "ok")
+        ("delta_R", "ok"), ("delta_T", "ok"), ("psi_error", "ok")
     ]
 
 
@@ -404,7 +404,7 @@ def test_validate_at_a_slab_level_near_the_energy(tmp_path, segments):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, rows = rows_of(proc.stdout)
     assert [(r[0], r[-1]) for r in rows] == [
-        ("delta_R", "ok"), ("delta_T", "ok"), ("residual", "ok")
+        ("delta_R", "ok"), ("delta_T", "ok"), ("psi_error", "ok")
     ]
 
 
@@ -609,7 +609,7 @@ def test_validate_at_an_interior_level_below_the_far_lead(tmp_path):
     assert proc.returncode == 0, proc.stderr
     header, rows = rows_of(proc.stdout)
     assert [(r[0], r[-1]) for r in rows] == [
-        ("delta_R", "ok"), ("delta_T", "ok"), ("residual", "ok")
+        ("delta_R", "ok"), ("delta_T", "ok"), ("psi_error", "ok")
     ]
 
 
@@ -629,8 +629,49 @@ def test_validate_residual_on_a_bridged_psi(tmp_path, random_stack_instances):
         assert proc.returncode == 0, (energy, proc.stdout, proc.stderr)
         header, rows = rows_of(proc.stdout)
         assert [(r[0], r[-1]) for r in rows] == [
-            ("delta_R", "ok"), ("delta_T", "ok"), ("residual", "ok")
+            ("delta_R", "ok"), ("delta_T", "ok"), ("psi_error", "ok")
         ]
+
+
+@pytest.mark.parametrize("x_end", [0.01, 0.005, 0.02, 1e-12])
+def test_validate_on_a_short_barrier(tmp_path, x_end):
+    # a five-point Schrodinger residual on an 801-point grid failed here:
+    # roundoff over h^2 gave 2.09e-6 on 0.01 and 6.4e-6 on 0.005, and on
+    # 1e-12 repeated samples gave numpy warnings and nan
+    doc = json.loads(json.dumps(BARRIER_DOC))
+    doc["potential"]["segments"][0]["x_end"] = x_end
+    proc = run_cli("validate", "--spec", write_spec(tmp_path, doc), "--energy", "0.5")
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stderr == ""
+    header, rows = rows_of(proc.stdout)
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("delta_R", "ok"), ("delta_T", "ok"), ("psi_error", "ok")
+    ]
+
+
+def test_validate_fails_on_a_loose_psi(tmp_path, capsys, random_stack_instances):
+    # at rel_tol 1e-6 the stepper's psi is off the chain's by about 1.7e-5
+    spec = write_spec(tmp_path, _spec_of(random_stack_instances[30][0]))
+    code, out, _ = _main(capsys, "validate", "--spec", spec, "--energy", "1.0875",
+                         "--rel-tol", "1e-6")
+    assert code == 3
+    header, rows = rows_of(out)
+    assert [(r[0], r[-1]) for r in rows] == [
+        ("delta_R", "ok"), ("delta_T", "ok"), ("psi_error", "fail")
+    ]
+
+
+def test_validate_readme_example_matches_a_run():
+    # the README prints this run: its checks, tolerances and statuses must
+    # be the command's own
+    lines = (DOCS.parent / "README.md").read_text().splitlines()
+    start = lines.index("    $ qwim validate --spec docs/barrier.json --energy 2.0") + 1
+    shown = [ln.strip().split("\t")
+             for ln in itertools.takewhile(lambda ln: ln.startswith("    "), lines[start:])]
+    proc = run_cli("validate", "--spec", str(DOCS / "barrier.json"), "--energy", "2.0")
+    assert proc.returncode == 0
+    header, rows = rows_of(proc.stdout)
+    assert [[r[0], r[2], r[3]] for r in shown] == [[r[0], r[2], r[3]] for r in [header, *rows]]
 
 
 def test_validate_bare_step_checks_the_deltas(tmp_path):
