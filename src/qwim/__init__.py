@@ -15,16 +15,21 @@ Typical use::
     res = solve_scattering(barrier, 2.0)
     print(res.big_r, res.big_t)
 
-``import qwim`` loads the numpy-free layers only: the errors, the
-models, the closed-form slab algebra, scattering and spec files.  A
-piecewise solve at one energy runs on them in plain complex arithmetic,
-and so do a piecewise energy sweep and the spectral searches
-(``qwim.spectral``) on a piecewise potential, one energy at a time,
-unless numpy is loaded already.  The array layer (``qwim._arrays``: the
-array passes over energy grids, sampled potentials), the Riccati
-stepper (``qwim.riccati``) and the cross-checks (``qwim.xcheck``) load
-numpy.  These modules are imported when first used; their names here
-resolve on first access.
+``import qwim`` loads the core layers only: the errors, the models, the
+closed-form slab algebra, scattering and spec files.  None of qwim's
+modules imports numpy when it is imported, and work at one energy never
+loads it: a solve on a piecewise or a sampled potential, on the chain or
+on the Riccati stepper (``qwim.riccati``), and the transfer-matrix
+oracle (``qwim.xcheck``) run in plain complex arithmetic.  So do a
+piecewise energy sweep and the spectral searches (``qwim.spectral``) on
+a piecewise potential, one energy at a time, unless numpy is loaded
+already.  The array layer (``qwim._arrays``) loads numpy: the array
+passes over energy grids, and the sub-slab series of sampled
+potentials, which work at many energies on them loads at set-up.  So
+do the functions that take or make arrays (``integrate_impedance``,
+``reconstruct_wavefunction``, ``schrodinger_residual``, ``u_at``), when
+they run.  The spectral searches, the stepper and the cross-checks are
+imported when first used; their names here resolve on first access.
 """
 
 from importlib import import_module
@@ -74,9 +79,10 @@ from .scattering import (
 )
 from .specfile import ProblemSpec, load_spec, parse_spec
 
-# The layers that load numpy, or may, and their public names, by home
-# module; a module is imported when it or one of its names is first
-# read, as ``qwim.xcheck`` or ``qwim.find_bound_states``.
+# The layers that only some work needs (the searches, the stepper, the
+# cross-checks), and their public names, by home module; a module is
+# imported when it or one of its names is first read, as ``qwim.xcheck``
+# or ``qwim.find_bound_states``.  None of them imports numpy on import.
 _LAZY = {
     "riccati": "riccati",
     "spectral": "spectral",

@@ -2,12 +2,13 @@
 exact maps of linear sub-slabs.
 
 This is the only qwim module that the chain pulls numpy in through, and
-it is imported on first use: by ``analytic._chain`` when it walks linear
-(sampled) slabs, by ``scattering``'s energy sweeps and the spectral scan
-grids where they take the array pass (``scattering._array_pass``: where
-numpy is loaded already, or the potential is sampled), and by the psi
-bridges of Riccati trajectories (``_bridge``).  A piecewise solve, and a
-cold piecewise sweep or scan, never loads it.
+it is imported on first use: by ``scattering``'s energy sweeps and the
+spectral scan grids where they take the array pass
+(``analytic._array_pass``: where numpy is loaded already, or the
+potential is sampled), and by ``analytic._chain`` when it walks linear
+(sampled) slabs with numpy loaded already.  Work at one energy never
+loads it: cold, the chain takes the plain-Python twin of the sub-slab
+maps (``analytic._linear_twin``).
 
 ``_chain_many`` is ``analytic._chain`` over an energy array: one array
 pass per slab (``_slabs_many``) or per linear sub-slab
@@ -27,15 +28,8 @@ cancellation (``_series``), and Z maps across the sub-slab exactly as
 
 with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
 step in ``analytic._chain``.
-``_linear_steps`` hands those maps to the scalar walker at one energy,
-and ``_linear_walks`` hands out those of several consecutive walks from
-one pass (a chain profile's pieces).
-``_psi_ratios`` walks many rows at one energy instead, each from its
-own Z, all in one array pass.  ``_bridge`` gives it every interval of a
-Riccati trajectory, where a constant level is a row of slope 0: the
-exact psi ratio across each interval, from which
-``xcheck.reconstruct_wavefunction`` rebuilds psi and the bound search's
-``spectral._Ends`` signs the stepper's W.
+``_linear_steps`` hands those maps to the scalar walker at one energy
+(``analytic._linear_steps`` picks it where numpy is loaded).
 """
 
 from __future__ import annotations
@@ -44,16 +38,13 @@ import itertools
 
 import numpy as np
 
-from .analytic import _SATURATION_CUT, EPS_DEGENERATE, _steps
+from .analytic import _MAX_SUBSLABS, _SATURATION_CUT, EPS_DEGENERATE
 from .errors import NonFiniteStateError
 from .model import ModelParams
 
 # Slab-energy pairs per array pass of _chain_many, and sub-slab-energy
 # pairs per chunk of linear sub-slab maps.
 _BATCH_CELLS = 1 << 15
-# Sub-slabs one walk along linear slabs may take at most (seconds of
-# walking per energy); a split count past it counts as an overflow.
-_MAX_SUBSLABS = 1 << 22
 
 
 def _series(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -144,94 +135,15 @@ def _linear_maps(slabs: np.ndarray, es: np.ndarray, params: ModelParams):
 
 def _linear_steps(slabs: list[tuple[float, float, float]], e: float, params: ModelParams):
     """The sub-slab maps of a linear slab list at one energy, for
-    ``analytic._chain``: (count, steps), the sub-slabs of each slab and
-    an iterator of their (kfp, gp, f, gk) Python complex numbers in walk
-    order.  ``_linear_maps``' checks run at the call."""
+    ``analytic._chain`` where numpy is loaded: (count, steps), a list of
+    the sub-slabs of each slab and an iterator of their (kfp, gp, f, gk)
+    as Python numbers in walk order.  ``_linear_maps``' checks run at the
+    call.  ``analytic._linear_twin`` is its plain-Python twin."""
     flat = np.fromiter(itertools.chain.from_iterable(slabs), float, 3 * len(slabs))
     count, maps = _linear_maps(flat.reshape(-1, 3), np.array([e]), params)
-    return count, itertools.chain.from_iterable(
+    return count.tolist(), itertools.chain.from_iterable(
         zip(*(m.ravel().tolist() for m in chunk)) for chunk in maps
     )
-
-
-def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, params: ModelParams):
-    """``_linear_steps`` for consecutive linear slab lists at one energy,
-    from one pass: yields each list's maps in turn, as a list that
-    ``analytic._chain`` walks as it walks the slabs.  One
-    ``_linear_maps`` call serves them all, where a walk of each would
-    make one numpy pass per list."""
-    count, steps = _linear_steps([slab for walk in walks for slab in walk], e, params)
-    counts = iter(count.tolist())
-    for walk in walks:
-        yield list(itertools.islice(steps, sum(itertools.islice(counts, len(walk)))))
-
-
-def _psi_ratios(slabs: np.ndarray, z: np.ndarray, e: float, params: ModelParams) -> np.ndarray:
-    """psi(end) / psi(start) across each row of a linear slab array (rows
-    (u_start, slope, dx)) at one energy, each row walked on its own from
-    Z = z[row] at its start, all rows in one array pass.
-
-    Each row's sub-slab maps of ``_linear_maps`` are applied undivided,
-    (num, den) -> (kfp den + gp num, f den + gk num) from (z, 1), so den
-    is the product of the sub-slabs' psi ratios.  A chunk of maps is
-    taken in the order of each sub-slab's place within its row: one
-    array step advances every row that has a sub-slab at that place.
-    ``_linear_maps``' checks run at the call.
-    """
-    count, maps = _linear_maps(slabs, np.array([e]), params)
-    first = np.cumsum(count) - count
-    num, den = z.astype(complex), np.ones(len(count), dtype=complex)
-    k0 = 0
-    with np.errstate(all="ignore"):
-        for chunk in maps:
-            k = np.arange(k0, k0 + len(chunk[0]))
-            k0 += len(k)
-            row = np.searchsorted(first, k, side="right") - 1
-            place = k - first[row]
-            order = np.argsort(place, kind="stable")
-            row, place = row[order], place[order]
-            kfp, gp, f, gk = (m[order, 0] for m in chunk)
-            cuts = (np.flatnonzero(np.diff(place)) + 1).tolist()
-            for lo, hi in zip([0, *cuts], [*cuts, len(k)]):
-                j = row[lo:hi]
-                n, d = num[j], den[j]
-                num[j] = kfp[lo:hi] * d + gp[lo:hi] * n
-                den[j] = f[lo:hi] * d + gk[lo:hi] * n
-    return den
-
-
-def _bridge(traj) -> np.ndarray:
-    """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
-    trajectory, from its own Z samples.
-
-    Each interval is one exact step across the slab it lies on, found by
-    the interval's midpoint in the slab list of the walk from xs[0] to
-    xs[-1] (``analytic._steps``, a constant slab a row of slope 0): a
-    segment's level, a sampled line or a lead's level.  No interval
-    straddles a join, as the trajectory stops at each.  All steps run in
-    one ``_psi_ratios`` pass.  Each walks from the end with the larger
-    |Z|, anchored at the trajectory's Z there, so a step next to a
-    psi-node never divides by the vanishing psi there, and carries the
-    sign flip through the node; where the level equals the energy the
-    step is psi's linear limit.
-    """
-    xs, zs = traj.xs, traj.zs
-    rows = np.array(_steps(traj.potential, float(xs[0]), float(xs[-1])), dtype=float)
-    u0, slope, dx = rows.T if rows.shape[1] == 3 else (rows[:, 0], np.zeros(len(rows)), rows[:, 1])
-    start = np.cumsum(np.concatenate(([xs[0]], dx[:-1])))
-    j = np.searchsorted(start, 0.5 * (xs[:-1] + xs[1:]), side="right") - 1
-    u0, slope, start = u0[j], slope[j], start[j]
-    u_start, u_end = u0 + slope * (xs[:-1] - start), u0 + slope * (xs[1:] - start)
-    dx = np.diff(xs)
-    forward = np.abs(zs[:-1]) > np.abs(zs[1:])
-    slabs = np.where(
-        forward[:, None],
-        np.stack([u_start, slope, dx], axis=1),
-        np.stack([u_end, slope, -dx], axis=1),
-    )
-    den = _psi_ratios(slabs, np.where(forward, zs[:-1], zs[1:]), traj.energy, traj.params)
-    with np.errstate(all="ignore"):
-        return np.where(forward, den, 1.0 / den)
 
 
 def _region_constants_many(

@@ -20,8 +20,7 @@ leftward / rightward integration through an evanescent region.
 One walker, ``_chain(slabs, e, z_anchor, params)``, steps Z and psi
 across a slab list that ``_steps`` builds once per stack and end point;
 ``_steps`` is the only code that cuts a potential into slabs, and the
-Riccati stepper and the psi bridges of :mod:`qwim._arrays` walk its
-lists too.
+Riccati stepper and the psi bridge (``_bridge``) walk its lists too.
 Each constant slab is one step of the tanh addition law: it maps Z(x) to
 Z(x + dx) and gives the psi ratio across the step over the same
 denominator.  Where E equals a slab's level psi is linear across it, and
@@ -42,36 +41,50 @@ bound-state search's Sturm count.
 energy grid: one array pass per slab, with an ``ok`` mask marking the
 energies where the scalar walk would raise.  Energy sweeps and the scan
 grids of the spectral searches use it where numpy is loaded already or
-the potential is sampled (``scattering._array_pass``), and handle the
-flagged energies again one at a time; elsewhere they walk each energy
-with ``_chain``.
+the potential is sampled (``_array_pass``), and handle the flagged
+energies again one at a time; elsewhere they walk each energy with
+``_chain``.
 
 A sampled potential is linear between its samples, U = u0 + F s, and
 there psi'' = (A + B s) psi with A = 2m (u0 - E) / hbar^2 and
 B = 2m F / hbar^2.  Its slab list holds (u_start, slope, dx) per sample
 interval, and the walkers split each interval into sub-slabs short
 enough that a Taylor series of the fundamental pair converges fast
-(``_arrays._series``); Z maps across each sub-slab as
+(``_series``); Z maps across each sub-slab as
 
     Z -> (kappa f' + g' Z) / (f + (g / kappa) Z),   kappa = hbar / (i m),
 
 with psi(start) / psi(end) = 1 / den: the shape of a constant slab's
-step, so the same walkers carry it (``_arrays._linear_maps``).  The
-sub-slab maps are real at real E, so the bound-state anchors stay purely
-imaginary.
+step, so the same walkers carry it.  The sub-slab maps are real at real
+E, so the bound-state anchors stay purely imaginary.  They come from
+numpy's array series (``_arrays._linear_maps``) where numpy is loaded
+already, and from its plain-Python twin (``_linear_twin``: the same
+split and recurrence, one sub-slab at a time) elsewhere
+(``_linear_steps``); ``_linear_walks`` hands out those of several
+consecutive walks from one call.
+
+``_bridge`` gives the psi ratio across each interval of a Riccati
+trajectory: one ``_chain`` step from the end with the larger |Z|.
+``xcheck.reconstruct_wavefunction``, the CLI's ``profile
+--force-numeric`` and ``validate``, and the ``force_numeric`` bound
+search rebuild or sign psi with it.
 
 Everything here is scalar complex arithmetic, and this module imports
-no numpy, so a piecewise solve loads none: ``_chain`` imports
-:mod:`qwim._arrays`, and numpy with it, only to walk linear slabs.  The
-adaptive Riccati integrator in :mod:`qwim.riccati` is validated against
-these maps.
+no numpy, so work at one energy loads none, on either kind of
+potential: ``_chain`` walks a sampled potential's slabs by the twin
+unless numpy is loaded already.  Work at many energies on a sampled
+potential loads numpy at its set-up (``_array_pass``).  The adaptive
+Riccati integrator in :mod:`qwim.riccati` is validated against these
+maps.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     DegenerateEnergyError,
@@ -87,6 +100,9 @@ EPS_DEGENERATE = 1e-12
 # |Re(gamma * length)| above which cosh/sinh forms are traded for tanh
 # forms; keeps thick evanescent slabs overflow-free.
 _SATURATION_CUT = 300.0
+# Sub-slabs one walk along linear slabs may take at most (seconds of
+# walking per energy); a split count past it counts as an overflow.
+_MAX_SUBSLABS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -225,10 +241,10 @@ def _chain(
     A slab whose level equals e (to EPS_DEGENERATE) carries psi linearly,
     the z -> 0 limit of the step divided by z: num = Z,
     den = 1 + i (m/hbar) Z dx, f = 1.  A list of linear slabs is walked
-    one sub-slab map of ``_arrays._linear_maps`` at a time:
+    one sub-slab map of ``_linear_steps`` at a time:
     num = kappa f' + g' Z and den = f + (g / kappa) Z, with f = 1; a
     list of those maps themselves at e, (kfp, gp, f, gk), is walked as
-    given (``_arrays._linear_walks``).
+    given (``_linear_walks``).
     Returns the last step undivided, (num, den, r), with r the product of
     the f: Z(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so
     a psi-node at x_to is no error (one before it raises
@@ -252,8 +268,6 @@ def _chain(
     i_m = 1j * (m / params.hbar)
     if slabs and len(slabs[0]) > 2:
         if len(slabs[0]) == 3:
-            from ._arrays import _linear_steps
-
             slabs = _linear_steps(slabs, e, params)[1]
         for kfp, gp, f, gk in slabs:
             z_at, r = _divide(num, den), r / den
@@ -315,6 +329,177 @@ def _chain(
     if not (cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(r)):
         raise NonFiniteStateError(f"layer chain overflows at energy {e}")
     return (num, den, r, nodes) if count else (num, den, r)
+
+
+def _cbrt(x: float) -> float:
+    """The cube root of x >= 0: x ** (1/3) and one Newton step, within
+    an ulp of numpy's ``cbrt`` (``math.cbrt`` is newer than Python 3.10,
+    and further from it)."""
+    y = x ** (1.0 / 3.0)
+    return y - (y * y * y - x) / (3.0 * y * y) if 0.0 < y < math.inf else y
+
+
+def _series(a: float, b: float) -> tuple[float, float, float, float]:
+    """``_arrays._series`` for one sub-slab: (f, h f', g / h, g') at s = h
+    of the fundamental pair of psi'' = (A + B s) psi, given a = A h^2 and
+    b = B h^3.  The same recurrence, d_{k+2} = (a d_k + b d_{k-1}) /
+    ((k+1)(k+2)), summed term by term from d_{-1} as numpy sums f and
+    g / h (its h f' and g' come from a dot product), and the same stop:
+    three terms in a row of the majorant series below 2^-56 max(|a|, |b|),
+    with this sub-slab's |a| and |b| where the array form takes a
+    block's largest."""
+    alpha, beta = abs(a), abs(b)
+    tol = 2.0 ** -56 * max(alpha, beta)
+    # the last three terms d_{k-1}, d_k, d_{k+1} of the majorant, f and g
+    m3, m2, m1 = 0.0, 1.0, 1.0
+    f3, f2, f1 = 0.0, 1.0, 0.0
+    g3, g2, g1 = 0.0, 0.0, 1.0
+    # the sums of d_k and of k d_k from d_{-1} on
+    f, hfp, gh, gp = 1.0, 0.0, 1.0, 1.0
+    k = 0
+    while m1 > tol or m2 > tol or m3 > tol:
+        q = (k + 1) * (k + 2)
+        m3, m2, m1 = m2, m1, (alpha * m2 + beta * m3) / q
+        w = 1.0 / q
+        f3, f2, f1 = f2, f1, (a * f2 + b * f3) * w
+        g3, g2, g1 = g2, g1, (a * g2 + b * g3) * w
+        k += 1
+        f += f1
+        hfp += (k + 1) * f1
+        gh += g1
+        gp += (k + 1) * g1
+    return f, hfp, gh, gp
+
+
+def _linear_twin(slabs: list[tuple[float, float, float]], e: float, params: ModelParams):
+    """``_arrays._linear_steps`` in plain Python: (count, steps), the
+    sub-slabs of each linear slab (u_start, slope, dx) at energy e and an
+    iterator of their (kfp, gp, f, gk) in walk order.  The same split
+    (h sqrt(max |A|) <= 1, h |B|^(1/3) <= 1), the same maps from the
+    scalar ``_series``, and the same NonFiniteStateError, raised at the
+    call, where the split count is not finite or exceeds _MAX_SUBSLABS."""
+    c = 2.0 * params.mass / params.hbar ** 2
+    count, total = [], 0.0
+    for u0, slope, dx in slabs:
+        u1 = u0 + slope * dx
+        reach = max(abs(u0 - e), abs(u1 - e))
+        width = abs(dx) * max(math.sqrt(c * reach), _cbrt(abs(c * slope)))
+        try:
+            n = max(math.ceil(width), 1)
+        except (OverflowError, ValueError):  # an infinite or NaN width
+            n = width
+        count.append(n)
+        total += n
+    if not total <= _MAX_SUBSLABS:  # NaN included
+        raise NonFiniteStateError(f"linear slabs need {total} sub-slabs at energy {e}")
+    inv_kappa = 1j * params.mass / params.hbar
+
+    def steps():
+        for (u0, slope, dx), n in zip(slabs, count):
+            h = dx / n
+            hh = h * h
+            b, ih = c * slope * (hh * h), inv_kappa * h
+            if not ih:  # h underflowed to 0: numpy's maps are NaN there
+                raise NonFiniteStateError(f"linear sub-slab map overflows at energy {e}")
+            for i in range(n):
+                f, hfp, gh, gp = _series(c * (u0 + slope * (i * h) - e) * hh, b)
+                yield hfp / ih, gp, f, ih * gh
+
+    return count, steps()
+
+
+def _linear_steps(slabs: list[tuple[float, float, float]], e: float, params: ModelParams):
+    """The sub-slab maps of a linear slab list at one energy, (count,
+    steps) as ``_linear_twin`` gives them: from numpy's array series
+    (``_arrays._linear_steps``) where numpy is loaded already, so warm
+    walks take it, and from the twin elsewhere, so a cold one-energy
+    walk loads no numpy."""
+    if "numpy" in sys.modules:
+        from ._arrays import _linear_steps
+
+        return _linear_steps(slabs, e, params)
+    return _linear_twin(slabs, e, params)
+
+
+def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, params: ModelParams):
+    """``_linear_steps`` for consecutive linear slab lists at one energy,
+    from one pass: yields each list's maps in turn, as a list that
+    ``_chain`` walks as it walks the slabs.  One ``_linear_steps`` call
+    serves them all, where a walk of each would make one numpy pass per
+    list."""
+    count, steps = _linear_steps([slab for walk in walks for slab in walk], e, params)
+    counts = iter(count)
+    for walk in walks:
+        yield list(islice(steps, sum(islice(counts, len(walk)))))
+
+
+def _array_pass(pot: Potential) -> bool:
+    """Whether work at many energies on ``pot`` (an energy grid, a bound
+    search) takes numpy: an energy grid then takes one array pass
+    (``scattering._Incidence.many``) rather than a walk per energy.  Yes
+    where numpy is loaded already, and on a sampled potential, which
+    loads it here: its many walks then take numpy's sub-slab series,
+    not the slower twin.  Warm, the array pass is the faster; cold, on a
+    piecewise potential, numpy's import costs more than walking a grid
+    one energy at a time."""
+    if isinstance(pot, SampledPotential):
+        import numpy  # noqa: F401
+
+        return True
+    return "numpy" in sys.modules
+
+
+def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
+            params: ModelParams) -> list[complex]:
+    """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
+    trajectory's samples (xs ascending, zs its Z there), from its own Z.
+
+    Each interval is one exact ``_chain`` step across the slab it lies
+    on, found by the interval's midpoint in the slab list of the walk
+    from xs[0] to xs[-1] (``_steps``): a segment's level, a sampled line
+    or a lead's level.  No interval straddles a join, as the trajectory
+    stops at each.  Each step walks from the end with the larger |Z|,
+    anchored at the trajectory's Z there, so a step next to a psi-node
+    never divides by the vanishing psi there, and carries the sign flip
+    through the node; where the level equals the energy the step is
+    psi's linear limit.  The intervals of a sampled potential take their
+    sub-slab maps from one ``_linear_walks`` call.  A ratio past the
+    float range is infinite.
+    """
+    if len(xs) < 2:
+        return []
+    slabs = _steps(pot, xs[0], xs[-1])
+    sampled = len(slabs[0]) == 3
+    walks, anchors, forward = [], [], []
+    j, start, last = 0, xs[0], len(slabs) - 1
+    after = start + slabs[0][-1]
+    for x0, x1, z0, z1 in zip(xs, xs[1:], zs, zs[1:]):
+        # the last slab that starts at or before the interval's midpoint
+        mid = 0.5 * (x0 + x1)
+        while j < last and after <= mid:
+            j += 1
+            start, after = after, after + slabs[j][-1]
+        u0 = slabs[j][0]
+        ahead = abs(z0) > abs(z1)
+        if not sampled:
+            walks.append([(u0, x1 - x0) if ahead else (u0, x0 - x1)])
+        else:
+            slope = slabs[j][1]
+            if ahead:
+                walks.append([(u0 + slope * (x0 - start), slope, x1 - x0)])
+            else:
+                walks.append([(u0 + slope * (x1 - start), slope, -(x1 - x0))])
+        anchors.append(z0 if ahead else z1)
+        forward.append(ahead)
+    if sampled:
+        walks = _linear_walks(walks, e, params)
+    ratios = []
+    for walk, z, ahead in zip(walks, anchors, forward):
+        _, den, r = _chain(walk, e, z, params)
+        # psi(anchor) / psi(other end) = r / den
+        top, bottom = (den, r) if ahead else (r, den)
+        ratios.append(top / bottom if bottom else complex(math.inf))
+    return ratios
 
 
 def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> complex:

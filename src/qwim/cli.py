@@ -8,13 +8,17 @@ records ``error<TAB>code<TAB>message``; the exit status is 0 on success,
 2 for input problems and 3 for solver failures.
 
 Each verb imports the layers it runs (the spectral searches, the
-Riccati stepper, the cross-checks) when it runs.  On a piecewise
-potential, and without ``--force-numeric``, ``scatter``, ``sweep``,
-``bound``, ``resonances`` and ``profile`` load no numpy: their grids are
-plain Python lists, and their energies are walked one at a time along
-the exact chain (``scattering._array_pass``).  ``validate`` checks the
-impedance path's R and T against the transfer-matrix oracle's, and the
-psi the Riccati stepper rebuilds (which loads numpy) against the exact
+Riccati stepper, the cross-checks) when it runs.  Work at one energy
+loads no numpy: ``scatter``, ``profile`` and ``validate``, on either
+kind of potential, with ``--force-numeric`` or not, walk in plain
+Python (the chain's steps, a sampled potential's sub-slab maps by their
+plain-Python twin, the Riccati stepper's lists, the psi bridge of
+``analytic._bridge``), and grids are Python lists.  On a piecewise
+potential ``sweep``, ``bound`` and ``resonances`` walk their energies
+one at a time too and load none; on a sampled one they load numpy at
+set-up for its array series (``analytic._array_pass``).  ``validate``
+checks the impedance path's R and T against the transfer-matrix
+oracle's, and the psi the Riccati stepper rebuilds against the exact
 chain's at the stepper's own samples, all to one bound.
 """
 
@@ -24,9 +28,16 @@ import argparse
 import cmath
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import replace
 
-from .errors import PotentialInputError, SolverError
+from .analytic import _bridge
+from .errors import (
+    InsufficientSamplesError,
+    PotentialInputError,
+    QuadratureDivergenceError,
+    SolverError,
+)
 from .model import IntegrationConfig, PiecewisePotential, Side, _linspace, require_finite
 from .scattering import (
     EnergyPointError,
@@ -165,22 +176,24 @@ def cmd_resonances(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     return 0
 
 
-def _trajectory_psi(traj, side: Side, psi_in: complex):
-    """psi at every sample of a profile's trajectory, from psi_in at the
-    entry edge and the exact psi ratios across its intervals."""
-    import numpy as np
-
-    from ._arrays import _bridge
-    from .errors import QuadratureDivergenceError
-    from .xcheck import reconstruct_wavefunction
-
-    if side is Side.LEFT:
-        return reconstruct_wavefunction(traj, psi_in).psi
-    # the walk from a ends at the entry edge b: psi(x_i) is psi(b) over
-    # the product of the interval ratios from x_i to b
-    with np.errstate(all="ignore"):
-        psi = psi_in / np.cumprod(np.concatenate(([1.0], _bridge(traj)[::-1])))[::-1]
-    if not np.isfinite(psi).all():
+def _trajectory_psi(walk: _Incidence, e: float, xs: list[float], zs: list[complex],
+                    psi_in: complex) -> list[complex]:
+    """psi at every sample (xs, zs) of a trajectory of ``walk``, from
+    psi_in at the entry edge and the exact psi ratios across its
+    intervals (``analytic._bridge``)."""
+    ratios = _bridge(walk.pot, e, xs, zs, walk.params)
+    if walk.right:
+        # the walk from a ends at the entry edge b: psi(x_i) is psi(b) over
+        # the product of the interval ratios from x_i to b
+        products = [1.0 + 0j]
+        for q in reversed(ratios):
+            products.append(products[-1] * q)
+        psi = [psi_in / p if p else complex(math.inf) for p in reversed(products)]
+    else:
+        psi = [psi_in]
+        for q in ratios:
+            psi.append(psi[-1] * q)
+    if not all(map(cmath.isfinite, psi)):
         raise QuadratureDivergenceError("reconstructed psi is not finite")
     return psi
 
@@ -198,11 +211,10 @@ def cmd_profile(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     # Riccati trajectory forced through them, read at each grid point's
     # sample
     if cfg.force_numeric:
-        import numpy as np
-
-        traj = walk.trajectory(e, grid=xs)
-        idx = np.clip(np.searchsorted(traj.xs, xs), 0, len(traj.xs) - 1)
-        xs, zs = traj.xs[idx].tolist(), traj.zs[idx].tolist()
+        traj_xs, traj_zs, _ = walk.trajectory(e, grid=xs)
+        last = len(traj_xs) - 1
+        idx = [min(bisect_left(traj_xs, x), last) for x in xs]
+        xs, zs = [traj_xs[i] for i in idx], [traj_zs[i] for i in idx]
     else:
         zs, psi = walk.profile(e, xs)
 
@@ -217,7 +229,8 @@ def cmd_profile(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     k1 = math.sqrt(2.0 * params.mass * (e - walk.u_in)) / params.hbar
     psi_in = (1.0 + res.r) * cmath.exp(1j * k1 * walk.x_in)
     if cfg.force_numeric:
-        psi = _trajectory_psi(traj, side, psi_in)[idx].tolist()
+        psi = _trajectory_psi(walk, e, traj_xs, traj_zs, psi_in)
+        psi = [psi[i] for i in idx]
     else:
         psi = [psi_in * p for p in psi]
     rows = [
@@ -229,7 +242,7 @@ def cmd_profile(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
 
 
 def cmd_validate(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
-    from .xcheck import reconstruct_wavefunction, transfer_matrix_solve
+    from .xcheck import transfer_matrix_solve
 
     pot, params = spec.potential, spec.params
     e = args.energy
@@ -247,9 +260,14 @@ def cmd_validate(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
         # the stepper's psi against the exact chain's at the stepper's own
         # samples, both per unit psi(a), relative to the chain's largest
         walk = _Incidence(pot, Side.LEFT, cfg, params)
-        traj = walk.trajectory(e)
-        exact = walk.profile(e, traj.xs.tolist())[1]
-        psi = reconstruct_wavefunction(traj).psi.tolist()
+        xs, zs, _ = walk.trajectory(e)
+        if len(xs) < 2:
+            # a psi row over one sample would check nothing
+            raise InsufficientSamplesError(
+                "the trajectory has one sample, no interval to rebuild psi on"
+            )
+        exact = walk.profile(e, xs)[1]
+        psi = _trajectory_psi(walk, e, xs, zs, 1.0 + 0j)
         error = max(abs(p - q) for p, q in zip(psi, exact)) / max(map(abs, exact))
         checks.append(("psi_error", error))
 

@@ -12,8 +12,8 @@ and switches back (with hysteresis) once |W| has grown again.  Both read
 y' = i (a - b y^2), with a and b swapping between the modes.  Stepping
 is the Dormand-Prince 5(4) embedded pair (J. Comput. Appl. Math. 6, 19
 (1980)) with standard PI-free error control, its seven stages written
-out for the one complex state inside ``integrate_impedance``'s single
-loop over slabs.  The stepper walks the slab list the exact chain
+out for the one complex state inside ``_trajectory``'s single loop over
+slabs.  The stepper walks the slab list the exact chain
 walks, ``analytic._steps`` from anchor to target: on each slab U is one
 level or one line u_start + slope (x - slab start), evaluated inline at
 the stages.  The slab ends split the range, so no step ever straddles a
@@ -35,14 +35,20 @@ each stage is the stage's Z (W's reciprocal in W mode), so it costs no
 extra RHS call.  It feeds the wavefunction phase exp[(i m / hbar) S];
 trajectories expected to cross true poles should leave it off, since S
 has a logarithmic singularity there.
+
+This module imports no numpy.  ``_trajectory`` returns plain lists, and
+the solver paths read them directly: a ``force_numeric`` solve, the
+bound search's ``force_numeric`` ends, and the CLI's ``profile
+--force-numeric`` and ``validate``.  ``integrate_impedance``, the public
+entry, checks an array grid and wraps the lists as the arrays of an
+``ImpedanceTrajectory``, loading numpy when it is called.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analytic import _steps, region_constants
 from .errors import (
@@ -51,6 +57,9 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from .model import IntegrationConfig, ModelParams, Potential, Side, require_finite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -102,8 +111,50 @@ def integrate_impedance(
     carry on.  Only slab ends, mode switches and the nudge off an exact
     node restart the state.  ``grid`` must be real and one-dimensional
     (TypeError otherwise), with finite points (NonFiniteInputError);
-    points outside the range are ignored.
+    points outside the range are ignored.  The walk itself is
+    ``_trajectory``'s; this wraps its lists as arrays.
     """
+    import numpy as np
+
+    points = ()
+    if grid is not None:
+        if np.iscomplexobj(grid):
+            raise TypeError("grid must be real, got a complex grid")
+        points = np.asarray(grid, dtype=float)
+        if points.ndim != 1:
+            raise TypeError(f"grid must be one-dimensional, got shape {points.shape}")
+        points = points.tolist()
+    xs, zs, ss = _trajectory(
+        pot, e, anchor_x, anchor_z, target_x, cfg, params, track_integral, points
+    )
+    return ImpedanceTrajectory(
+        xs=np.array(xs),
+        zs=np.array(zs, dtype=complex),
+        direction=Side.LEFT if target_x < anchor_x else Side.RIGHT,
+        anchor_x=float(anchor_x),
+        anchor_z=complex(anchor_z),
+        energy=float(e),
+        potential=pot,
+        params=params,
+        z_integral=None if ss is None else np.array(ss, dtype=complex),
+    )
+
+
+def _trajectory(
+    pot: Potential,
+    e: float,
+    anchor_x: float,
+    anchor_z: complex,
+    target_x: float,
+    cfg: IntegrationConfig,
+    params: ModelParams,
+    track: bool = False,
+    grid=(),
+) -> tuple[list[float], list[complex], list[complex] | None]:
+    """The walk of ``integrate_impedance`` in plain Python: (xs, zs, ss),
+    the samples in ascending x, Z there, and S there if ``track`` (else
+    None).  ``grid`` is an iterable of floats, whose points must be
+    finite (NonFiniteInputError)."""
     require_finite("energy", e)
     require_finite("anchor and target", anchor_x, target_x)
     # plain Python scalars: a numpy scalar would carry numpy's slower
@@ -117,17 +168,11 @@ def integrate_impedance(
 
     leftward = target_x < anchor_x
     sgn = -1.0 if leftward else 1.0
-    points = []
-    if grid is not None:
-        if np.iscomplexobj(grid):
-            raise TypeError("grid must be real, got a complex grid")
-        points = np.asarray(grid, dtype=float)
-        if points.ndim != 1:
-            raise TypeError(f"grid must be one-dimensional, got shape {points.shape}")
-        if not np.isfinite(points).all():
-            require_finite("grid points", *points.tolist())
+    points = list(grid)
+    if points:
+        require_finite("grid points", *points)
         lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
-        points = np.sort(points[(lo < points) & (points < hi)]).tolist()
+        points = sorted(p for p in points if lo < p < hi)
         if leftward:
             points.reverse()
 
@@ -136,7 +181,7 @@ def integrate_impedance(
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     threshold = cfg.pole_threshold
     switch_back = 2.0 / threshold  # hysteresis: |Z| <= threshold/2
-    track = bool(track_integral)
+    track = bool(track)
     isfinite = cmath.isfinite
 
     xs, zs = [anchor_x], [anchor_z]
@@ -319,17 +364,7 @@ def integrate_impedance(
         zs.reverse()
         if track:
             ss.reverse()
-    return ImpedanceTrajectory(
-        xs=np.array(xs),
-        zs=np.array(zs, dtype=complex),
-        direction=Side.LEFT if leftward else Side.RIGHT,
-        anchor_x=anchor_x,
-        anchor_z=anchor_z,
-        energy=e,
-        potential=pot,
-        params=params,
-        z_integral=np.array(ss, dtype=complex) if track else None,
-    )
+    return xs, zs, ss
 
 
 def _bound_mode(pot: Potential, e: float) -> bool:

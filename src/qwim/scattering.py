@@ -26,29 +26,31 @@ linear sub-slab map at a time (:mod:`qwim.analytic`); with
 ``cfg.force_numeric`` set, any potential uses the adaptive Riccati
 integrator, along the same slab list, with the running integral
 tracked.  An energy grid, of a sweep or of the resonance scan, takes
-one array pass per slab or sub-slab (:mod:`qwim._arrays`) where that
-costs no import the walks would not make anyway (``_array_pass``): where
-numpy is loaded already, or the potential is sampled.  Points that pass
-flags (where a single solve raises, or its values are not finite) are
-solved again one at a time.  Elsewhere each energy is walked alone, by
-the same per-point code.  ``_Incidence.profile`` cuts the walk at a
-grid's points, for Z and psi along the chain.
+one array pass per slab or sub-slab (:mod:`qwim._arrays`) where numpy
+is loaded already, or the potential is sampled, which loads it then
+(``analytic._array_pass``).  Points that pass flags (where a single
+solve raises, or its values are not finite) are solved again one at a
+time.  Elsewhere each energy is walked alone, by the same per-point
+code.  ``_Incidence.profile`` cuts the walk at a grid's points, for Z
+and psi along the chain, and ``_Incidence.trajectory`` gives the
+stepper's walk as lists.
 
-Only the functions that take or make arrays import numpy, and the
-stepper is imported only by a ``force_numeric`` solve, so a piecewise
-solve, sweep, resonance scan or chain profile loads neither, unless
-numpy is loaded already.
+Only the functions that take or make arrays import numpy, so work at
+one energy loads none on either engine or kind of potential (a sampled
+potential's sub-slab maps come from their plain-Python twin unless
+numpy is loaded already), and neither do a piecewise sweep or
+resonance scan.  The stepper is imported only by ``force_numeric``
+walks.
 """
 
 from __future__ import annotations
 
 import cmath
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .analytic import _chain, _constants, _divide, _steps
+from .analytic import _array_pass, _chain, _constants, _divide, _linear_walks, _steps
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
@@ -66,8 +68,6 @@ from .model import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .riccati import ImpedanceTrajectory
 
 
 @dataclass(frozen=True, init=False)
@@ -112,16 +112,6 @@ class EnergyPointError:
     e: float
     code: str
     message: str
-
-
-def _array_pass(pot: Potential) -> bool:
-    """Whether an energy grid on ``pot`` takes one array pass
-    (``_Incidence.many``) rather than a walk per energy: only where the
-    pass costs no import that the walks would not make anyway, so where
-    numpy is loaded already, or where ``pot`` is sampled, whose sub-slab
-    maps load it in any case.  Warm, the pass is the faster; cold,
-    numpy's import costs more than walking a grid one energy at a time."""
-    return "numpy" in sys.modules or isinstance(pot, SampledPotential)
 
 
 class _Incidence:
@@ -172,15 +162,15 @@ class _Incidence:
         lead_in = _constants(e, self.u_in, params)  # degenerate e == u_in raises here
         lead_far = _constants(e, self.u_far, params)
         if self.steps is None:
-            traj = self.trajectory(e, track=track)
+            _, zs, ss = self.trajectory(e, track=track)
             i = -1 if self.right else 0
-            z = complex(traj.zs[i])
+            z = zs[i]
             num, den, ratio = (-z if self.right else z), 1.0, None
             if track:
                 # S is measured from the far edge, so the integral of Z
                 # from the entry edge to the far one is -S(entry); S is
                 # even under x -> -x, Z -> -Z
-                s = complex(traj.z_integral[i])
+                s = ss[i]
                 ratio = cmath.exp(-1j * (params.mass / params.hbar) * s)
         elif self.right:
             num, den, ratio = _chain(self.steps, e, -lead_far[0], params)
@@ -257,8 +247,6 @@ class _Incidence:
         stops = grid if self.right else grid[::-1]
         pieces = [_steps(self.pot, x_from, x_to) for x_from, x_to in zip(stops, stops[1:])]
         if isinstance(self.pot, SampledPotential):
-            from ._arrays import _linear_walks
-
             pieces = _linear_walks(pieces, e, params)
         zs = [-z if self.right else z]
         ratios = []
@@ -276,20 +264,17 @@ class _Incidence:
             psi.reverse()
         return zs, psi
 
-    def trajectory(
-        self, e: float, track: bool = False, grid: np.ndarray | None = None
-    ) -> ImpedanceTrajectory:
+    def trajectory(self, e: float, track: bool = False, grid=()) -> tuple:
         """The Riccati trajectory of the walk at e, anchored at the far
-        lead's z, in the potential's own frame: the entry edge is its
-        first sample for left incidence, and its last, Z negated, for
-        right."""
-        from .riccati import integrate_impedance
+        lead's z, in the potential's own frame, as the lists (xs, zs, ss)
+        of ``riccati._trajectory``, forced through the points of ``grid``:
+        the entry edge is its first sample for left incidence, and its
+        last, Z negated, for right."""
+        from .riccati import _trajectory
 
         z_far = _constants(e, self.u_far, self.params)[0]
         (start, end), anchor = self.ends, -z_far if self.right else z_far
-        return integrate_impedance(
-            self.pot, e, start, anchor, end, self.cfg, self.params, track, grid
-        )
+        return _trajectory(self.pot, e, start, anchor, end, self.cfg, self.params, track, grid)
 
 
 def _reflect(z1, num, den, ratio) -> tuple:

@@ -27,7 +27,7 @@ vanishes exactly where T = 1.  The search carries the far lead's wave
 through the scattering solve's own helper (``scattering._Incidence``:
 one slab list in the potential's own frame, from either side), scans
 |r| on a grid, in one array pass per slab where numpy is loaded already
-or the potential is sampled (``scattering._array_pass``) and one energy
+or the potential is sampled (``analytic._array_pass``) and one energy
 at a time elsewhere, and refines each minimum of |r| by Brent's root
 finder on the components of r; the bounded minimiser on |r|^2 runs only
 where their roots do not coincide in a zero of r.
@@ -36,7 +36,7 @@ Both kinds of potential chain exact slab maps (constant slabs, or the
 linear sub-slabs of a sampled potential), which also give the psi
 ratios that sign W; with ``cfg.force_numeric`` the Riccati equation is
 integrated instead, and the exact slab steps across its own intervals
-(``_arrays._bridge``) give the psi ratios, so W is signed for both
+(``analytic._bridge``) give the psi ratios, so W is signed for both
 engines and one root rule serves them.  A search sets up its slab
 lists once (``_Ends``: one from each end to the probe; ``_Incidence``:
 the walk to the entry edge).  The node count and the refinement of each
@@ -44,9 +44,11 @@ bracket, with qwim's own ports of Brent's root finder and bounded
 minimiser (``_optimize``), walk the same lists one scalar energy at a
 time in plain complex arithmetic, and walk no energy twice: W at an energy the count walked
 takes the count's ends, and the value at a returned root or minimum is
-the one the optimiser computed.  Only the resonance scan's array pass,
-sampled potentials and ``force_numeric`` walks use numpy, and import it
-when they run, so a search on a piecewise potential loads none.
+the one the optimiser computed.  Only the resonance scan's array pass
+and sampled potentials use numpy: a search on a sampled potential loads
+it at set-up (``analytic._array_pass``), so that its many walks take
+numpy's sub-slab series, and a search on a piecewise potential loads
+none, ``force_numeric`` or not.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from enum import Enum
 from functools import partial
 
 from ._optimize import brentq, minimize_scalar
-from .analytic import _chain, _constants, _steps
+from .analytic import _array_pass, _bridge, _chain, _constants, _steps
 from .errors import (
     BracketingExhaustedError,
     DegenerateEnergyError,
@@ -121,7 +123,7 @@ class _Ends:
     the ends it walked for a call at the same energy.  With
     ``force_numeric`` a call integrates the Riccati equation instead and
     gives (Z, 1, r): r = psi(anchor) / psi(probe) is the product of the
-    phases of the trajectory's interval psi ratios (``_arrays._bridge``).
+    phases of the trajectory's interval psi ratios (``analytic._bridge``).
     W reads only the phase of r, and a product of phases cannot
     underflow across a thick barrier as one of the ratios themselves
     can.  The lists then serve the node count alone.
@@ -134,6 +136,9 @@ class _Ends:
         self.levels = pot.left_level, pot.right_level
         self.slabs = _steps(pot, pot.a, probe_x), _steps(pot, pot.b, probe_x)
         self.walked = {}
+        # a search walks many energies: on a sampled potential, numpy's
+        # sub-slab series serve them
+        _array_pass(pot)
 
     def _anchors(self, e):
         """Z at a and at b: the decaying tails below a lead's level, the
@@ -154,18 +159,14 @@ class _Ends:
         (left, right), params = self.slabs, self.params
         z_a, z_b = self._anchors(e)
         if self.cfg.force_numeric:
-            import numpy as np
-
-            from ._arrays import _bridge
-            from .riccati import integrate_impedance
+            from .riccati import _trajectory
 
             pot, cfg = self.pot, self.cfg
-            plus = integrate_impedance(pot, e, pot.a, z_a, self.probe_x, cfg, params)
-            minus = integrate_impedance(pot, e, pot.b, z_b, self.probe_x, cfg, params)
-            with np.errstate(all="ignore"):
-                # psi(probe) / psi(a) and psi(b) / psi(probe), as phases
-                p1, p2 = (complex((q / abs(q)).prod()) for q in (_bridge(plus), _bridge(minus)))
-            return (complex(plus.zs[-1]), 1.0, p1.conjugate()), (complex(minus.zs[0]), 1.0, p2)
+            plus = _trajectory(pot, e, pot.a, z_a, self.probe_x, cfg, params)
+            minus = _trajectory(pot, e, pot.b, z_b, self.probe_x, cfg, params)
+            # psi(probe) / psi(a) and psi(b) / psi(probe), as phases
+            p1, p2 = (_phase(_bridge(pot, e, xs, zs, params)) for xs, zs, _ in (plus, minus))
+            return (plus[1][-1], 1.0, p1.conjugate()), (minus[1][0], 1.0, p2)
         return _chain(left, e, z_a, params), _chain(right, e, z_b, params)
 
     def count(self, e: float) -> int:
@@ -192,6 +193,17 @@ class _Ends:
         a1, a2 = max(abs(n1), abs(d1)) or 1.0, max(abs(n2), abs(d2)) or 1.0
         n1, d1, n2, d2 = n1 / a1, d1 / a1, n2 / a2, d2 / a2
         return nodes1 + nodes2 + (((n1 * d2 - n2 * d1) * (d1 * d2).conjugate()).imag > 0.0)
+
+
+def _phase(ratios: list[complex]) -> complex:
+    """The product of the phases q / |q| of ``ratios``, NaN where one is
+    0 or not finite: a product of phases cannot underflow across a thick
+    barrier as one of the ratios themselves can."""
+    p = 1.0 + 0j
+    for q in ratios:
+        a = abs(q)
+        p *= q / a if a else complex(math.nan, math.nan)
+    return p
 
 
 def _wronskian(plus, minus, s):
@@ -377,7 +389,7 @@ def find_resonances(
 
     Scans |r(E)| at SCAN_POINTS energies (``_Incidence.reflections``:
     one array pass per slab or sub-slab of the walk from the far lead to
-    the entry edge where ``scattering._array_pass`` allows it) and
+    the entry edge where ``analytic._array_pass`` allows it) and
     refines each strict local minimum by Brent's root finder on each
     component of r that changes sign across its bracket, one scalar r
     per iterate along the same walk, each energy evaluated once.  Where

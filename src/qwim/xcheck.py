@@ -5,8 +5,13 @@ Scattering is re-derived from 2x2 transfer matrices, which carry
 and square-well spectra from the textbook transcendental equations,
 neither sharing numeric kernels with the impedance path.  Wavefunctions are
 rebuilt from sampled Z, by its running integral or by one exact slab
-step per sample interval (``_arrays._bridge``), and verified against
+step per sample interval (``analytic._bridge``), and verified against
 the Schrodinger equation itself by finite differences.
+
+The transfer-matrix and square-well oracles run in plain Python, so
+``qwim validate`` loads no numpy; the two functions that take or make
+arrays, ``reconstruct_wavefunction`` and ``schrodinger_residual``,
+import it when they run.
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._optimize import brentq
+from .analytic import _bridge
 from .errors import (
     DegenerateEnergyError,
     EvanescentIncidenceError,
@@ -28,6 +33,10 @@ from .errors import (
 )
 from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
 from .riccati import ImpedanceTrajectory
+
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True)
 class TransferMatrix:
@@ -269,8 +278,10 @@ def reconstruct_wavefunction(
     accumulated it at its own tolerance).
     Otherwise psi is the running product of the intervals' psi ratios,
     each one exact step across the slab the interval lies on
-    (``_arrays._bridge``).
+    (``analytic._bridge``).
     """
+    import numpy as np
+
     xs = traj.xs
     if len(xs) < 5:
         raise InsufficientSamplesError("need at least 5 trajectory samples")
@@ -281,10 +292,9 @@ def reconstruct_wavefunction(
         s_rel = traj.z_integral - traj.z_integral[0]
         psi = psi_start * np.exp(pref * s_rel)
     else:
-        from ._arrays import _bridge
-
+        ratios = _bridge(traj.potential, traj.energy, xs.tolist(), traj.zs.tolist(), params)
         with np.errstate(all="ignore"):
-            psi = np.cumprod(np.concatenate(([psi_start], _bridge(traj))))
+            psi = np.cumprod(np.array([psi_start, *ratios], dtype=complex))
     if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
         raise QuadratureDivergenceError("reconstructed psi is not finite")
     return WavefunctionProfile(
@@ -307,6 +317,8 @@ def schrodinger_residual(
     stencil footprint are excluded: the true psi'' jumps there and
     finite differences would report a spurious residual.
     """
+    import numpy as np
+
     xs, psi = profile.xs, profile.psi
     n = len(xs)
     if n < 5:

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from qwim.analytic import _SATURATION_CUT, region_constants
+from qwim._arrays import _linear_maps
+from qwim.analytic import _SATURATION_CUT, _steps, region_constants
 from qwim.errors import EvanescentIncidenceError
 from qwim.model import ModelParams
 from qwim.riccati import ImpedanceTrajectory
@@ -179,3 +180,67 @@ def _cumulative_nonuniform_simpson(xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     inc = ys[j0] * wa + ys[j0 + 1] * wb + ys[j0 + 2] * wc
     out[1:] = np.cumsum(inc)
     return out
+
+
+def _psi_ratios(slabs: np.ndarray, z: np.ndarray, e: float, params: ModelParams) -> np.ndarray:
+    """psi(end) / psi(start) across each row of a linear slab array (rows
+    (u_start, slope, dx)) at one energy, each row walked on its own from
+    Z = z[row] at its start, all rows in one array pass.
+
+    Each row's sub-slab maps of ``_arrays._linear_maps`` are applied
+    undivided, (num, den) -> (kfp den + gp num, f den + gk num) from
+    (z, 1), so den is the product of the sub-slabs' psi ratios.  A chunk
+    of maps is taken in the order of each sub-slab's place within its
+    row: one array step advances every row that has a sub-slab at that
+    place.
+    """
+    count, maps = _linear_maps(slabs, np.array([e]), params)
+    first = np.cumsum(count) - count
+    num, den = z.astype(complex), np.ones(len(count), dtype=complex)
+    k0 = 0
+    with np.errstate(all="ignore"):
+        for chunk in maps:
+            k = np.arange(k0, k0 + len(chunk[0]))
+            k0 += len(k)
+            row = np.searchsorted(first, k, side="right") - 1
+            place = k - first[row]
+            order = np.argsort(place, kind="stable")
+            row, place = row[order], place[order]
+            kfp, gp, f, gk = (m[order, 0] for m in chunk)
+            cuts = (np.flatnonzero(np.diff(place)) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(k)]):
+                j = row[lo:hi]
+                n, d = num[j], den[j]
+                num[j] = kfp[lo:hi] * d + gp[lo:hi] * n
+                den[j] = f[lo:hi] * d + gk[lo:hi] * n
+    return den
+
+
+def _bridge(traj: ImpedanceTrajectory) -> np.ndarray:
+    """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
+    trajectory, from its own Z, in one array pass: the psi bridge that
+    ``analytic._bridge`` replaced, kept as its oracle.
+
+    Each interval is one step across the slab it lies on, found by the
+    interval's midpoint in the slab list of the walk from xs[0] to
+    xs[-1], a constant slab a row of slope 0, all taken by the Taylor
+    sub-slab maps of ``_psi_ratios``.  Each walks from the end with the
+    larger |Z|, anchored at the trajectory's Z there.
+    """
+    xs, zs = traj.xs, traj.zs
+    rows = np.array(_steps(traj.potential, float(xs[0]), float(xs[-1])), dtype=float)
+    u0, slope, dx = rows.T if rows.shape[1] == 3 else (rows[:, 0], np.zeros(len(rows)), rows[:, 1])
+    start = np.cumsum(np.concatenate(([xs[0]], dx[:-1])))
+    j = np.searchsorted(start, 0.5 * (xs[:-1] + xs[1:]), side="right") - 1
+    u0, slope, start = u0[j], slope[j], start[j]
+    u_start, u_end = u0 + slope * (xs[:-1] - start), u0 + slope * (xs[1:] - start)
+    dx = np.diff(xs)
+    forward = np.abs(zs[:-1]) > np.abs(zs[1:])
+    slabs = np.where(
+        forward[:, None],
+        np.stack([u_start, slope, dx], axis=1),
+        np.stack([u_end, slope, -dx], axis=1),
+    )
+    den = _psi_ratios(slabs, np.where(forward, zs[:-1], zs[1:]), traj.energy, traj.params)
+    with np.errstate(all="ignore"):
+        return np.where(forward, den, 1.0 / den)

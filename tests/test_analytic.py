@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from qwim import _arrays
 from qwim._arrays import _chain_many, _region_constants_many
 from qwim.analytic import (
+    _MAX_SUBSLABS,
     _chain,
     _constants,
     _divide,
+    _linear_twin,
     _psi_growth_entry,
     _steps,
     barrier_closed_forms,
@@ -600,5 +602,106 @@ def test_linear_split_count_overflow_raises_typed(xs, us):
     for slabs in (_steps(pot, pot.a, pot.b), _steps(pot, pot.b, pot.a)):
         with pytest.raises(NonFiniteStateError):
             _chain(slabs, 0.5, 1.0 + 0j, params)
+        with pytest.raises(NonFiniteStateError):
+            _linear_twin(slabs, 0.5, params)
         ok = _chain_many(slabs, np.array([0.5, 1.0]), 1.0 + 0j, params)[3]
         assert not ok.any()
+
+
+def _twin_potentials():
+    """Seeded sampled potentials of the benchmark's Riccati shapes: bumps
+    and wells of height -3..3 and wells 2..10 deep on 21..201 samples
+    over a span of 4..8, and a line rising by 40 over 1e-3."""
+    rng = np.random.default_rng(20261019)
+    pots = []
+    for amplitude in (*rng.uniform(-3.0, 3.0, 6), *-rng.uniform(2.0, 10.0, 4)):
+        n = 21 + int(181 * rng.uniform())
+        span, sigma = rng.uniform(4.0, 8.0), rng.uniform(0.5, 1.5)
+        xs = np.linspace(-0.5 * span, 0.5 * span, n)
+        us = amplitude * np.exp(-xs * xs / (2.0 * sigma * sigma))
+        pots.append(SampledPotential(tuple(xs), tuple(us), 0.0, 0.0))
+    pots.append(SampledPotential((0.0, 1.0, 1.001, 2.0), (0.0, 0.0, 40.0, 40.0), 0.0, 0.0))
+    return pots
+
+
+def _twin_walks(pot, e, params):
+    """Walks at e with their physical anchors: from the far lead to the
+    entry edge, both ways and from past both ends, above the leads; from
+    the decaying tails to a probe below them."""
+    z = _constants(e, 0.0, params)[0]
+    if e > 0.0:
+        return [(_steps(pot, pot.b, pot.a), z), (_steps(pot, pot.a, pot.b), -z),
+                (_steps(pot, pot.b + 1.0, pot.a - 1.0), z)]
+    probe = pot.a + 0.6 * (pot.b - pot.a)
+    return [(_steps(pot, pot.a, probe), -z), (_steps(pot, pot.b, probe), z),
+            (_steps(pot, pot.a - 1.0, probe), -z)]
+
+
+def _twin_gaps(slabs, e, anchor, params):
+    """The twin against numpy's series on one walk: (counts agree, the
+    largest gap of each map column in ulps of the column's largest entry,
+    the gap of Z at the walk's end relative to the larger of |Z| and the
+    lead's |z|, that of the psi ratio relative to it, the sub-slabs
+    walked)."""
+    eps = np.finfo(float).eps
+    count, twin = _linear_twin(slabs, e, params)
+    want_count, maps = _arrays._linear_steps(slabs, e, params)
+    twin, maps = np.array(list(twin)), np.array(list(maps))
+    columns = np.max(np.abs(twin - maps), axis=0) / (eps * np.max(np.abs(maps), axis=0))
+    (z1, p1), (z2, p2) = (_ends(_chain(list(m), e, anchor, params)) for m in (twin, maps))
+    dz = abs(z1 - z2) / max(abs(z2), abs(anchor))
+    return count == want_count, columns, dz, abs(p1 - p2) / abs(p2), len(maps)
+
+
+@pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])
+def test_linear_twin_matches_numpys_series(params):
+    # the plain-Python sub-slab maps that cold walks take, against numpy's:
+    # scattering energies, at a sample level (A = 0 there) and just beside
+    # it, far above, and for the wells two bound energies; the same split
+    # everywhere, maps within a few ulps, and the chain's Z and psi ratio
+    # within the rounding of the maps walked: an ulp a sub-slab, and 3e-14
+    # at least (the largest gap here is 1.7e-14, over 89 sub-slabs)
+    for pot in _twin_potentials():
+        level = pot.us[(len(pot.us) - 1) * 2 // 3]
+        energies = [0.7, 3.1, level, level * (1.0 + 1e-9) + 1e-12, 300.0]
+        if min(pot.us) < 0.0:
+            energies += [0.5 * min(pot.us), 0.9 * min(pot.us)]
+        for e in energies:
+            for slabs, anchor in _twin_walks(pot, e, params):
+                same, columns, dz, dpsi, walked = _twin_gaps(slabs, e, anchor, params)
+                tol = 2e-16 * max(150, walked)
+                assert same and max(columns) <= 4.0 and dz <= tol and dpsi <= tol, (
+                    len(pot.us), e, columns, dz, dpsi, walked
+                )
+
+
+def test_linear_twin_on_a_deep_steep_line():
+    # a well of -1e4 reached by a line 1e-6 wide: 141 identical sub-slabs
+    # at E = 0.7 repeat one map's rounding, the twin's and numpy's each
+    # their own.  Against a 200-bit walk of the same split, over these
+    # three walks, numpy's Z and psi ratio are off by up to 8.4e-15 and
+    # 2.5e-14, the twin's by up to 3.2e-13 and 3.7e-13; the maps agree to
+    # a few ulps
+    params = ModelParams()
+    pot = SampledPotential((0.0, 1.0, 1.000001, 2.0), (0.0, 0.0, -1e4, -1e4), 0.0, 0.0)
+    for slabs, anchor in _twin_walks(pot, 0.7, params):
+        same, columns, dz, dpsi, walked = _twin_gaps(slabs, 0.7, anchor, params)
+        assert same and max(columns) <= 4.0 and dz <= 1e-12 and dpsi <= 1e-12
+        assert walked > 141
+
+
+def test_linear_twin_split_counts_at_the_cap():
+    # a flat slab split into exactly _MAX_SUBSLABS sub-slabs walks; one
+    # more raises, from numpy's series and from the twin alike, before a
+    # map is made
+    params = ModelParams()
+    e = 0.5
+    for n, raises in ((_MAX_SUBSLABS, False), (_MAX_SUBSLABS + 1, True)):
+        # dx sqrt(2 (u - e)) = n, on a unit-length slab
+        slabs = [(e + 0.5 * float(n) ** 2, 0.0, 1.0)]
+        for split in (_linear_twin, _arrays._linear_steps):
+            if raises:
+                with pytest.raises(NonFiniteStateError):
+                    split(slabs, e, params)
+            else:
+                assert sum(split(slabs, e, params)[0]) == n

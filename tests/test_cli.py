@@ -649,6 +649,28 @@ def test_validate_on_a_short_barrier(tmp_path, x_end):
     ]
 
 
+@pytest.mark.parametrize("x_end", [1e-15, 1e-300])
+def test_validate_below_the_stop_merge_has_no_psi_to_check(tmp_path, x_end):
+    # the stepper merges these barriers' far end into their near one
+    # (ROADMAP item 21), so the trajectory is one sample with no interval
+    # to rebuild psi on: exit 3, and no table whose psi row checks nothing
+    doc = json.loads(json.dumps(BARRIER_DOC))
+    doc["potential"]["segments"][0]["x_end"] = x_end
+    spec = write_spec(tmp_path, doc)
+    proc = run_cli("validate", "--spec", spec, "--energy", "0.5")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error\tInsufficientSamples\tthe trajectory has one sample, no interval to rebuild psi on"
+    ]
+    # the psi profile there is the one sample's: the left walk stopped
+    # with InsufficientSamples, and the right one with a traceback
+    for side in ("left", "right"):
+        proc = run_cli("profile", "--spec", spec, "--energy", "0.5", "--mode", "wavefunction",
+                       "--force-numeric", "--side", side)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 402
+
+
 def test_validate_fails_on_a_loose_psi(tmp_path, capsys, random_stack_instances):
     # at rel_tol 1e-6 the stepper's psi is off the chain's by about 1.7e-5
     spec = write_spec(tmp_path, _spec_of(random_stack_instances[30][0]))
@@ -780,7 +802,17 @@ def test_unallocatable_point_count_is_input_error(args):
     assert len(proc.stderr.splitlines()) == 1
 
 
-def _verb_row(name, argv, loads=False):
+SAMPLED_WELL_DOC = {
+    "potential": {
+        "kind": "sampled",
+        "left_level": 0.0,
+        "right_level": 0.0,
+        "samples": [[x, -4.0 * math.exp(-x * x / 2.0)] for x in SAMPLED_XS.tolist()],
+    },
+}
+
+
+def _verb_row(name, argv, loads=()):
     return pytest.param(argv, loads, id=name)
 
 
@@ -802,15 +834,45 @@ def _verb_row(name, argv, loads=False):
             for mode in ("impedance", "wavefunction") for side in ("left", "right")
         ),
         _verb_row("sweep-sampled", ["sweep", "sampled", "--emin", "0.5", "--emax", "1.5"],
-                  loads=True),
+                  loads=("numpy", "qwim._arrays")),
+        *(
+            _verb_row(f"scatter-sampled-{side}",
+                      ["scatter", "sampled", "--energy", "1.5", "--side", side])
+            for side in ("left", "right")
+        ),
+        *(
+            _verb_row(f"profile-sampled-{mode}-{side}",
+                      ["profile", "sampled", "--energy", "1.5", "--mode", mode, "--side", side])
+            for mode in ("impedance", "wavefunction") for side in ("left", "right")
+        ),
+        _verb_row("validate", ["validate", "barrier", "--energy", "1.5"], loads=("qwim.riccati",)),
+        *(
+            _verb_row(f"scatter-numeric-{side}",
+                      ["scatter", "barrier", "--energy", "1.5", "--side", side, "--force-numeric"],
+                      loads=("qwim.riccati",))
+            for side in ("left", "right")
+        ),
+        *(
+            _verb_row(f"profile-numeric-{mode}-{side}",
+                      ["profile", "barrier", "--energy", "1.5", "--mode", mode, "--side", side,
+                       "--force-numeric"],
+                      loads=("qwim.riccati",))
+            for mode in ("impedance", "wavefunction") for side in ("left", "right")
+        ),
+        # a search walks many energies: on a sampled potential numpy's
+        # series serve them
+        _verb_row("bound-sampled", ["bound", "sampled-well"], loads=("numpy", "qwim._arrays")),
     ],
 )
 def test_what_each_verb_loads(tmp_path, argv, loads):
-    # on a piecewise spec each verb walks the scalar chain in plain complex
-    # arithmetic, one energy at a time, and loads no numpy; a sampled
-    # spec's sub-slab maps load it, and its sweep then takes the array pass
+    # at one energy, and on a piecewise spec at many, each verb walks in
+    # plain Python and loads no numpy: the chain's scalar steps, a sampled
+    # spec's sub-slab maps by their plain-Python twin, and the Riccati
+    # stepper's lists; the grid of a sweep or a search on a sampled spec
+    # loads numpy for its array series
     verb, doc, *rest = argv
-    spec = write_spec(tmp_path, SAMPLED_DOC) if doc == "sampled" else str(DOCS / f"{doc}.json")
+    docs = {"sampled": SAMPLED_DOC, "sampled-well": SAMPLED_WELL_DOC}
+    spec = write_spec(tmp_path, docs[doc]) if doc in docs else str(DOCS / f"{doc}.json")
     code = (
         "import runpy, sys\n"
         f"sys.argv = {['qwim', verb, '--spec', spec, *rest]!r}\n"
@@ -826,7 +888,7 @@ def test_what_each_verb_loads(tmp_path, argv, loads):
     )
     assert proc.returncode == 0, proc.stderr
     *table, last = proc.stdout.splitlines()
-    assert last == ("0 ['numpy', 'qwim._arrays']" if loads else "0 []"), proc.stderr
+    assert last == f"0 {list(loads)}", proc.stderr
     assert len(table) > 1 and proc.stderr == ""
 
 

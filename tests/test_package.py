@@ -27,7 +27,7 @@ def test_import_qwim_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == [
         "False ['qwim.analytic', 'qwim.errors', 'qwim.model', 'qwim.scattering', 'qwim.specfile']",
-        "qwim.xcheck True",
+        "qwim.xcheck False",
     ]
 
 

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from qwim import _arrays
-from qwim.analytic import _chain, _steps, barrier_closed_forms, region_constants
+from qwim.analytic import _bridge, _chain, _steps, barrier_closed_forms, region_constants
 from qwim.errors import (
     DegenerateEnergyError,
     InsufficientSamplesError,
@@ -427,12 +428,11 @@ def test_untracked_sampled_reconstruction_is_the_chain_psi(amplitude, n, state, 
 
 
 def test_untracked_reconstruction_steps_through_several_sub_slabs(monkeypatch):
-    # Z is the transmitted wave's z between the barrier and b, so the
-    # stepper takes steps of max_step = 1 there, and k = 10 splits each
-    # of those intervals into ten sub-slabs
-    pot = PiecewisePotential(
-        0.0, (PotentialSegment(0.0, 2.0, 30.0), PotentialSegment(2.0, 12.0, 0.0)), 0.0
-    )
+    # Z is the transmitted wave's z on the sampled line at level 0 between
+    # the barrier and b, so the stepper takes steps of max_step = 1 there,
+    # and k = 10 splits each of those intervals into ten sub-slabs; all
+    # intervals take their maps from one pass
+    pot = SampledPotential((0.0, 2.0, 2.001, 12.0), (30.0, 30.0, 0.0, 0.0), 0.0, 0.0)
     traj = z_minus(pot, 50.0, cfg=IntegrationConfig(max_step=1.0))
     counts = []
     linear_maps = _arrays._linear_maps
@@ -444,7 +444,7 @@ def test_untracked_reconstruction_steps_through_several_sub_slabs(monkeypatch):
 
     monkeypatch.setattr(_arrays, "_linear_maps", recorded)
     prof = reconstruct_wavefunction(traj)
-    assert max(counts[0]) == 10
+    assert len(counts) == 1 and max(counts[0]) == 10
     assert _chain_error(traj, prof) < 1e-9
 
 
@@ -460,6 +460,55 @@ def test_untracked_reconstruction_past_a_steps_on_the_lead(pot):
                                pot.a - 2.0, TIGHT)
     assert traj.xs[0] == pot.a - 2.0 and traj.z_integral is None
     assert _chain_error(traj, reconstruct_wavefunction(traj)) < 1e-9
+
+
+def _bridge_gap(traj):
+    """The scalar psi bridge against the array oracle it replaced: the
+    largest gap of an interval's psi ratio, in ulps of that ratio, and
+    the number of intervals across which psi changes sign."""
+    want = oracles._bridge(traj)
+    got = np.array(_bridge(traj.potential, traj.energy, traj.xs.tolist(), traj.zs.tolist(),
+                           traj.params))
+    gap = float(np.max(np.abs(got - want) / np.abs(want))) / np.finfo(float).eps
+    return gap, int(np.sum(got.real < 0.0))
+
+
+@pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
+def test_scalar_bridge_matches_the_array_oracle(random_stack_instances, threshold):
+    # one _chain step an interval against the Taylor sub-slab maps of the
+    # array bridge, on every conftest stack from both sides at its lowest
+    # and highest energy, and below the leads, where the real solution
+    # crosses psi-nodes (in W mode with threshold 2)
+    cfg = IntegrationConfig(pole_threshold=threshold)
+    nodes = 0
+    for pot, energies in random_stack_instances:
+        trajs = [z(pot, float(e), cfg) for e in (energies[0], energies[-1]) for z in (z_minus, z_plus)]
+        floor = min(s.u for s in pot.segments)
+        if floor < 0.0:
+            trajs.append(z_minus(pot, 0.5 * floor, cfg))
+        for traj in trajs:
+            gap, crossed = _bridge_gap(traj)
+            assert gap <= 8.0, (pot, traj.energy, traj.direction)
+            nodes += crossed
+    assert nodes > 20
+
+
+@pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
+@pytest.mark.parametrize(
+    "pot, e",
+    [
+        # E at the first slab's level, below the far lead: a linear step
+        (PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 1.0), PotentialSegment(1.0, 2.0, -1.0)),
+                            2.0), 1.0),
+        (_gaussian(3.0, 41), 2.9),
+        (_gaussian(-12.0, 61), -5.0),
+    ],
+    ids=["slab-at-level", "sampled-barrier", "sampled-well"],
+)
+def test_scalar_bridge_matches_the_array_oracle_on_lines_and_levels(pot, e, threshold):
+    cfg = IntegrationConfig(pole_threshold=threshold)
+    for traj in (z_minus(pot, e, cfg), z_plus(pot, e, cfg)):
+        assert _bridge_gap(traj)[0] <= 8.0, traj.direction
 
 
 def test_reconstruct_defaults_to_unit_incident():
