@@ -18,9 +18,9 @@ left and Z(b) = +z2 on the right, and Z = +z / -z are the attractors of
 leftward / rightward integration through an evanescent region.
 
 One walker, ``_chain(slabs, e, z_anchor, params)``, steps Z and psi
-across a slab list that ``_steps`` builds once per stack and end point;
-``_steps`` is the only code that cuts a potential into slabs, and the
-Riccati stepper and the psi bridge (``_bridge``) walk its lists too.
+across a slab list.  ``_cut`` alone cuts a potential into slabs, at any
+monotone points in one pass; ``_steps``, its walk between two points,
+builds the searches' lists, once per stack and end, and the stepper's.
 Each constant slab is one step of the tanh addition law: it maps Z(x) to
 Z(x + dx) and gives the psi ratio across the step over the same
 denominator.  Where E equals a slab's level psi is linear across it, and
@@ -64,10 +64,9 @@ split and recurrence, one sub-slab at a time) elsewhere
 consecutive walks from one call.
 
 ``_bridge`` gives the psi ratio across each interval of a Riccati
-trajectory: one ``_chain`` step from the end with the larger |Z|.
-``xcheck.reconstruct_wavefunction``, the CLI's ``profile
---force-numeric`` and ``validate``, and the ``force_numeric`` bound
-search rebuild or sign psi with it.
+trajectory, walking its piece of a cut of the samples from the end with
+the larger |Z|: ``reconstruct_wavefunction``, ``profile --force-numeric``,
+``validate`` and the ``force_numeric`` bound search rebuild or sign psi.
 
 Everything here is scalar complex arithmetic, and this module imports
 no numpy, so work at one energy loads none, on either kind of
@@ -84,7 +83,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import (
     DegenerateEnergyError,
@@ -175,47 +174,68 @@ def _divide(x: complex, den: complex) -> complex:
     return x / den
 
 
-def _steps(pot: Potential, x_from: float, x_to: float) -> list[tuple[float, ...]]:
-    """The slab list of a walk from x_from to x_to, one step per slab in
-    walk order: (level, dx) of each segment of a piecewise potential,
-    (u_start, slope, dx) of each sample interval of a sampled one, with
-    u_start the potential where the step starts, slope its dU/dx and dx
-    signed by the walk's direction.  The slabs holding x_from and x_to
-    are partial steps.  Past a or b a lead is one more slab at its
-    level, (level, 0.0, dx) on a sampled potential.  ``_chain``,
-    ``_arrays._chain_many`` and the Riccati stepper take either form.
-    Every step has dx != 0, so a walk of no length has no steps: a linear
-    sub-slab of length 0 would have no map."""
-    if x_from == x_to:
+def _cut(pot: Potential, points) -> list[list[tuple[float, ...]]]:
+    """The slab lists of a walk through monotone ``points``: one per
+    consecutive pair, the walk from the one to the next, a step per slab
+    in walk order.  A step is (level, dx) on a segment and (u_start,
+    slope, dx) on a sample interval: u_start is U where the step starts,
+    slope dU/dx, dx signed by the walk's direction.  Past a or b a lead is
+    one more slab at its level, (level, 0.0, dx) when sampled.  No step
+    has dx = 0 (a linear sub-slab of length 0 would have no map), so
+    equal points have none.  One pass over the cells (``pot.cells``, and
+    the leads as far as the walk reaches) cuts every pair, testing once
+    per cell whether the pair's end lies in it, and stops at the last
+    point.  Each list is bitwise the pair's own walk: a flat cell, a lead
+    too, starts each step at its level.  A walk ending where two segments
+    overlap (by up to JOIN_TOL) ends in the first it reaches."""
+    if len(points) < 2:
         return []
+    forward = points[0] < points[-1]
+    lo, hi = (points[0], points[-1]) if forward else (points[-1], points[0])
+    # the cells in walk order, a lead's reaching only as far as the walk
     sampled = isinstance(pot, SampledPotential)
-    forward = x_from < x_to
-    lo, hi = (x_from, x_to) if forward else (x_to, x_from)
-    # cells (x0, x1, u0, u1), a lead's cell reaching only as far as the walk
-    if sampled:
-        cells = list(zip(pot.xs, pot.xs[1:], pot.us, pot.us[1:]))
-    else:
-        cells = [(s.x_start, s.x_end, s.u, s.u) for s in pot.segments]
-    if lo < pot.a:
-        cells.insert(0, (lo, pot.a, pot.left_level, pot.left_level))
-    if hi > pot.b:
-        cells.append((pot.b, hi, pot.right_level, pot.right_level))
-    steps = []
-    for x0, x1, u0, u1 in cells if forward else reversed(cells):
-        if x1 <= lo or x0 >= hi:
-            continue
-        # the part of the cell on the walk; min and max are written out, a
-        # builtin call per cell costing more than the rest of the cell
-        c0, c1 = x0 if x0 > lo else lo, x1 if x1 < hi else hi
-        if not sampled:
-            steps.append((u0, c1 - c0 if forward else c0 - c1))
-        elif forward:
-            slope = (u1 - u0) / (x1 - x0)
-            steps.append((u0 if c0 == x0 else u0 + slope * (c0 - x0), slope, c1 - c0))
-        else:
-            slope = (u1 - u0) / (x1 - x0)
-            steps.append((u1 if c1 == x1 else u1 + slope * (c1 - x1), slope, c0 - c1))
-    return steps
+    cells = pot.cells if forward else reversed(pot.cells)
+    a, b = pot.a, pot.b
+    if lo < a or hi > b:
+        left = ((lo, a, pot.left_level, pot.left_level),) if lo < a else ()
+        right = ((b, hi, pot.right_level, pot.right_level),) if hi > b else ()
+        cells = chain(left, cells, right) if forward else chain(right, cells, left)
+    # the pair being cut, from p to q, and its steps
+    ends = iter(points)
+    p, q = next(ends), next(ends)
+    cuts = [steps := []]
+    for x0, x1, u0, u1 in cells:
+        while True:
+            # the part of the cell on the pair's walk, min and max written
+            # out: a builtin call per cell costs more than the rest of it
+            if forward:
+                c0, c1 = x0 if x0 > p else p, x1 if x1 < q else q
+            else:
+                c0, c1 = x0 if x0 > q else q, x1 if x1 < p else p
+            if c0 < c1:
+                if not sampled:
+                    steps.append((u0, c1 - c0 if forward else c0 - c1))
+                elif forward:
+                    slope = (u1 - u0) / (x1 - x0)
+                    u = u0 if c0 == x0 or not slope else u0 + slope * (c0 - x0)
+                    steps.append((u, slope, c1 - c0))
+                else:
+                    slope = (u1 - u0) / (x1 - x0)
+                    u = u1 if c1 == x1 or not slope else u1 + slope * (c1 - x1)
+                    steps.append((u, slope, c0 - c1))
+            # the walk goes on past the cell, or the next pair starts in it
+            if q > x1 if forward else q < x0:
+                break
+            p, q = q, next(ends, None)
+            if q is None:
+                return cuts
+            cuts.append(steps := [])
+    return cuts
+
+
+def _steps(pot: Potential, x_from: float, x_to: float) -> list[tuple[float, ...]]:
+    """The slab list of the walk from x_from to x_to (``_cut``)."""
+    return _cut(pot, (x_from, x_to))[0]
 
 
 def _chain(
@@ -452,52 +472,23 @@ def _array_pass(pot: Potential) -> bool:
 def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
             params: ModelParams) -> list[complex]:
     """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
-    trajectory's samples (xs ascending, zs its Z there), from its own Z.
-
-    Each interval is one exact ``_chain`` step across the slab it lies
-    on, found by the interval's midpoint in the slab list of the walk
-    from xs[0] to xs[-1] (``_steps``): a segment's level, a sampled line
-    or a lead's level.  No interval straddles a join, as the trajectory
-    stops at each.  Each step walks from the end with the larger |Z|,
-    anchored at the trajectory's Z there, so a step next to a psi-node
-    never divides by the vanishing psi there, and carries the sign flip
-    through the node; where the level equals the energy the step is
-    psi's linear limit.  The intervals of a sampled potential take their
-    sub-slab maps from one ``_linear_walks`` call.  A ratio past the
-    float range is infinite.
-    """
-    if len(xs) < 2:
-        return []
-    slabs = _steps(pot, xs[0], xs[-1])
-    sampled = len(slabs[0]) == 3
-    walks, anchors, forward = [], [], []
-    j, start, last = 0, xs[0], len(slabs) - 1
-    after = start + slabs[0][-1]
-    for x0, x1, z0, z1 in zip(xs, xs[1:], zs, zs[1:]):
-        # the last slab that starts at or before the interval's midpoint
-        mid = 0.5 * (x0 + x1)
-        while j < last and after <= mid:
-            j += 1
-            start, after = after, after + slabs[j][-1]
-        u0 = slabs[j][0]
-        ahead = abs(z0) > abs(z1)
-        if not sampled:
-            walks.append([(u0, x1 - x0) if ahead else (u0, x0 - x1)])
-        else:
-            slope = slabs[j][1]
-            if ahead:
-                walks.append([(u0 + slope * (x0 - start), slope, x1 - x0)])
-            else:
-                walks.append([(u0 + slope * (x1 - start), slope, -(x1 - x0))])
-        anchors.append(z0 if ahead else z1)
-        forward.append(ahead)
-    if sampled:
+    trajectory's samples (xs ascending, zs its Z there): the ``_chain``
+    walk of its piece of a cut of the samples (``_cut``), from the end
+    with the larger |Z|, anchored at the trajectory's Z there, so it
+    never divides by a vanishing psi and carries sign flips through
+    nodes.  A piece crosses any join in its interval; a repeated sample
+    has ratio 1.  A sampled potential's intervals take their maps from
+    one ``_linear_walks`` call.  A ratio past the float range is infinite."""
+    ahead = [abs(z0) > abs(z1) for z0, z1 in zip(zs, zs[1:])]
+    walks = [there if forward else back
+             for there, back, forward in zip(_cut(pot, xs), _cut(pot, xs[::-1])[::-1], ahead)]
+    if isinstance(pot, SampledPotential):
         walks = _linear_walks(walks, e, params)
     ratios = []
-    for walk, z, ahead in zip(walks, anchors, forward):
-        _, den, r = _chain(walk, e, z, params)
+    for walk, z0, z1, forward in zip(walks, zs, zs[1:], ahead):
+        _, den, r = _chain(walk, e, z0 if forward else z1, params)
         # psi(anchor) / psi(other end) = r / den
-        top, bottom = (den, r) if ahead else (r, den)
+        top, bottom = (den, r) if forward else (r, den)
         ratios.append(top / bottom if bottom else complex(math.inf))
     return ratios
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -172,12 +173,12 @@ class PiecewisePotential:
                     f"ends at {prev.x_end}, this starts at {seg.x_start})"
                 )
 
-    @property
+    @cached_property
     def a(self) -> float:
         """Left edge of the structured region (the step point if empty)."""
         return self.segments[0].x_start if self.segments else float(self.step_x)
 
-    @property
+    @cached_property
     def b(self) -> float:
         """Right edge of the structured region (the step point if empty)."""
         return self.segments[-1].x_end if self.segments else float(self.step_x)
@@ -194,6 +195,11 @@ class PiecewisePotential:
         levels = np.array([seg.u for seg in self.segments] + [self.right_level], dtype=float)
         u = np.where(x <= self.a, self.left_level, levels[np.searchsorted(ends, x, side="right")])
         return u if u.ndim else float(u)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(x_start, x_end, u, u) of each segment: the cells a walk cuts."""
+        return tuple((s.x_start, s.x_end, s.u, s.u) for s in self.segments)
 
     def interfaces(self) -> list[float]:
         """All potential jump locations, ordered, including a and b."""
@@ -263,6 +269,11 @@ class SampledPotential:
         u = (1.0 - w) * us[i] + w * us[i + 1]
         u = np.where(x <= self.a, self.left_level, np.where(x >= self.b, self.right_level, u))
         return u if u.ndim else float(u)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(x0, x1, u0, u1) of each sample interval: the cells a walk cuts."""
+        return tuple(zip(self.xs, self.xs[1:], self.us, self.us[1:]))
 
     def interfaces(self) -> list[float]:
         return list(self.xs)

@@ -31,9 +31,9 @@ is loaded already, or the potential is sampled, which loads it then
 (``analytic._array_pass``).  Points that pass flags (where a single
 solve raises, or its values are not finite) are solved again one at a
 time.  Elsewhere each energy is walked alone, by the same per-point
-code.  ``_Incidence.profile`` cuts the walk at a grid's points, for Z
-and psi along the chain, and ``_Incidence.trajectory`` gives the
-stepper's walk as lists.
+code.  ``_Incidence.profile`` cuts the walk at a grid's points in one
+pass (``analytic._cut``), for Z and psi along the chain, and
+``_Incidence.trajectory`` gives the stepper's walk as lists.
 
 Only the functions that take or make arrays import numpy, so work at
 one energy loads none on either engine or kind of potential (a sampled
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .analytic import _array_pass, _chain, _constants, _divide, _linear_walks, _steps
+from .analytic import _array_pass, _chain, _constants, _cut, _divide, _linear_walks, _steps
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
@@ -235,17 +235,15 @@ class _Incidence:
         """Z and psi at each point of ``grid`` (ascending from a to b) on
         the chain, in the potential's own frame: the walk from the far
         edge, anchored at the far lead's z as ``trajectory`` is, cut at
-        the grid points (``analytic._steps`` between each two; on a
-        sampled potential the sub-slab maps of all of them come from one
-        pass).  Each interval's (num, den, r) gives Z at its end,
-        num / den, and psi at its start over psi at its end, r / den.
-        psi is relative to psi at the entry edge, which is 1.  A psi-node
-        exactly at a grid point raises TransformPoleError, and a psi that
-        is not finite QuadratureDivergenceError."""
+        the grid points in one pass (``analytic._cut``), a sampled
+        potential's sub-slab maps from one pass too.  Each piece's (num,
+        den, r) gives Z at its end, num / den, and psi at its start over
+        psi at its end, r / den; psi is relative to psi at the entry edge.
+        A psi-node exactly at a grid point raises TransformPoleError, and
+        a psi that is not finite QuadratureDivergenceError."""
         params = self.params
         z = _constants(e, self.u_far, params)[0]
-        stops = grid if self.right else grid[::-1]
-        pieces = [_steps(self.pot, x_from, x_to) for x_from, x_to in zip(stops, stops[1:])]
+        pieces = _cut(self.pot, grid if self.right else grid[::-1])
         if isinstance(self.pot, SampledPotential):
             pieces = _linear_walks(pieces, e, params)
         zs = [-z if self.right else z]

@@ -277,8 +277,7 @@ def reconstruct_wavefunction(
     running integral of Z uses it directly (the ODE solver already
     accumulated it at its own tolerance).
     Otherwise psi is the running product of the intervals' psi ratios,
-    each one exact step across the slab the interval lies on
-    (``analytic._bridge``).
+    each the exact chain's walk across its interval (``analytic._bridge``).
     """
     import numpy as np
 

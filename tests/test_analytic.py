@@ -14,6 +14,7 @@ from qwim.analytic import (
     _MAX_SUBSLABS,
     _chain,
     _constants,
+    _cut,
     _divide,
     _linear_twin,
     _psi_growth_entry,
@@ -478,6 +479,17 @@ def test_sampled_slab_lists_cover_the_samples():
             assert (-num, den, r) == _chain(theirs, e, z, params)
 
 
+def _drawn_potential(pieces, last, leads, start, sampled):
+    """Segments of the drawn (length, level) pieces from ``start``, or
+    samples at their ends with ``last`` the final level, between the
+    drawn lead levels."""
+    xs = (start + np.concatenate(([0.0], np.cumsum([length for length, _ in pieces])))).tolist()
+    us = [u for _, u in pieces]
+    if sampled:
+        return SampledPotential(tuple(xs), (*us, last), *leads)
+    return PiecewisePotential(leads[0], tuple(map(PotentialSegment, xs, xs[1:], us)), leads[1])
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
     pieces=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8),
@@ -494,12 +506,8 @@ def test_slab_lists_walk_between_any_two_points(pieces, last, leads, start, samp
     # from and to points inside [a, b] and past either end: the steps share
     # the walk's direction and sum to its length, and each slab's U inside
     # it (at its midpoint) is u_at there
-    xs = (start + np.concatenate(([0.0], np.cumsum([length for length, _ in pieces])))).tolist()
+    pot = _drawn_potential(pieces, last, leads, start, sampled)
     us = [u for _, u in pieces]
-    if sampled:
-        pot = SampledPotential(tuple(xs), (*us, last), *leads)
-    else:
-        pot = PiecewisePotential(leads[0], tuple(map(PotentialSegment, xs, xs[1:], us)), leads[1])
     x_from, x_to = (pot.a + t * (pot.b - pot.a) for t in ends)
     assume(x_from != x_to)
     slabs = _steps(pot, x_from, x_to)
@@ -518,6 +526,52 @@ def test_slab_lists_walk_between_any_two_points(pieces, last, leads, start, samp
             u_mid = slab[0] + slab[1] * (mid - x) if sampled else slab[0]
             assert abs(u_mid - pot.u_at(mid)) <= 1e-11 * scale, (slab, mid)
         x += dx
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    pieces=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8),
+    last=st.floats(-3.0, 3.0),
+    leads=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    start=st.floats(-5.0, 5.0),
+    sampled=st.booleans(),
+    # a point at a fraction of [a, b] (past a or b in a lead), on the
+    # i-th join or sample abscissa (a and b among them), or repeated
+    picks=st.lists(st.one_of(st.floats(-0.5, 1.5), st.integers(0, 8), st.none()), max_size=12),
+    backward=st.booleans(),
+)
+# pairs after the first in a lead at level -0.0 start at -0.0 too
+@example(pieces=[(1.0, 1.0)], last=2.0, leads=(-0.0, -0.0), start=0.0, sampled=True,
+         picks=[-0.5, -0.25, -0.1, 0.5, 1.2, 1.4], backward=False)
+def test_cut_is_bitwise_one_walk_per_pair(pieces, last, leads, start, sampled, picks, backward):
+    # one pass through monotone points, either way, gives each pair the
+    # list of its own walk bit for bit (repr is exact and tells -0.0 from
+    # 0.0), and none where a point repeats
+    pot = _drawn_potential(pieces, last, leads, start, sampled)
+    edges = pot.interfaces()
+    points = []
+    for pick in picks:
+        if pick is None:
+            points.append(points[-1] if points else pot.b)
+        elif isinstance(pick, int):
+            points.append(edges[pick % len(edges)])
+        else:
+            points.append(pot.a + pick * (pot.b - pot.a))
+    points.sort(reverse=backward)
+    cut = _cut(pot, points)
+    assert repr(cut) == repr([_steps(pot, p, q) for p, q in zip(points, points[1:])])
+    assert all(steps == [] for steps, p, q in zip(cut, points, points[1:]) if p == q)
+
+
+def test_walk_ending_in_a_join_overlap_ends_in_the_first_segment_it_reaches():
+    # joins may overlap by up to JOIN_TOL: a walk that ends in the overlap
+    # stays in the segment it reached it by
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 2.0), PotentialSegment(1.0 - 5e-13, 2.0, -1.0)),
+                             0.0)
+    x = 1.0 - 2e-13
+    assert _steps(pot, 0.5, x) == [(2.0, x - 0.5)]
+    assert _steps(pot, 1.5, x) == [(-1.0, x - 1.5)]
+    assert _cut(pot, [0.5, x, 1.5]) == [[(2.0, x - 0.5)], [(2.0, 1.0 - x), (-1.0, 1.5 - x)]]
 
 
 @pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])

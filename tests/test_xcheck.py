@@ -1,13 +1,14 @@
 """Independent oracles: transfer matrix, transcendental well, reconstruction."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from qwim import _arrays
+from qwim import _arrays, analytic, scattering
 from qwim.analytic import _bridge, _chain, _steps, barrier_closed_forms, region_constants
 from qwim.errors import (
     DegenerateEnergyError,
@@ -509,6 +510,79 @@ def test_scalar_bridge_matches_the_array_oracle_on_lines_and_levels(pot, e, thre
     cfg = IntegrationConfig(pole_threshold=threshold)
     for traj in (z_minus(pot, e, cfg), z_plus(pot, e, cfg)):
         assert _bridge_gap(traj)[0] <= 8.0, traj.direction
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 3.0), PotentialSegment(1.0, 2.0, -1.0)), 0.0),
+     SampledPotential((0.0, 1.0, 2.0), (3.0, 3.0, -1.0), 0.0, 0.0)],
+    ids=["piecewise", "sampled"],
+)
+def test_bridge_walks_an_interval_across_a_join(pot):
+    # the interval (0.5, 1.5) crosses the join at 1: its psi ratio is the
+    # chain's, with Z at its ends from the chain's walk from b; on the
+    # mirror the ends swap, and so does the end the walk starts from.  A
+    # repeated sample bridges to ratio 1
+    e, params = 0.7, ModelParams()
+    ends = []
+    for x in (0.5, 1.5):
+        num, den, r = _chain(_steps(pot, pot.b, x), e, complex(math.sqrt(2.0 * e)), params)
+        ends.append((num / den, den / r))  # Z(x) and psi(x) / psi(b)
+    (z0, psi0), (z1, psi1) = ends
+    want = psi1 / psi0
+    got = _bridge(pot, e, [0.5, 1.5], [z0, z1], params)[0]
+    assert abs(got - want) <= 1e-14 * abs(want)
+    mirrored = _bridge(pot.mirrored(), e, [-1.5, -0.5], [-z1, -z0], params)[0]
+    assert abs(mirrored - 1.0 / want) <= 1e-14 * abs(1.0 / want)
+    again = _bridge(pot, e, [0.5, 0.5, 1.5], [z0, z0, z1], params)
+    assert again[0] == 1.0 and again[1] == got
+
+
+def test_thinned_reconstruction_matches_the_full_one():
+    # every 7th sample of a trajectory: intervals now cross the joins at 1
+    # and 2, and each walks across its join
+    stack = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 3.0), PotentialSegment(1.0, 2.0, -1.0),
+                                     PotentialSegment(2.0, 3.3, 0.5)), 0.0)
+    traj = z_minus(stack, 0.7)
+    thin = dataclasses.replace(traj, xs=traj.xs[::7], zs=traj.zs[::7])
+    crossed = {j for j in (1.0, 2.0) for x0, x1 in zip(thin.xs, thin.xs[1:]) if x0 < j < x1}
+    assert crossed == {1.0, 2.0}
+    full, part = reconstruct_wavefunction(traj).psi, reconstruct_wavefunction(thin).psi
+    assert np.max(np.abs(part - full[::7])) <= 1e-10 * np.max(np.abs(full))
+
+
+def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
+    # the chain's profile cuts its grid once, and the psi bridge the
+    # trajectory's samples once each way, however many points there are
+    from qwim.model import _linspace
+    from qwim.scattering import _Incidence
+
+    cuts = []
+
+    def counting(real):
+        def cut(pot, points):
+            cuts.append(len(points))
+            return real(pot, points)
+
+        return cut
+
+    monkeypatch.setattr(analytic, "_cut", counting(analytic._cut))
+    monkeypatch.setattr(scattering, "_cut", counting(scattering._cut))
+    params = ModelParams()
+    stack = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 3.0), PotentialSegment(1.0, 2.0, -1.0),
+                                     PotentialSegment(2.0, 3.3, 0.5)), 0.0)
+    for pot in (stack, _gaussian(3.0, 41)):
+        for side in Side:
+            walk = _Incidence(pot, side, IntegrationConfig(), params)
+            for n in (5, 41, 401):
+                grid = _linspace(pot.a, pot.b, n)
+                cuts.clear()
+                walk.profile(0.7, grid)
+                assert cuts == [n]
+                xs, zs, _ = walk.trajectory(0.7, grid=grid)
+                cuts.clear()
+                _bridge(pot, 0.7, xs, zs, params)
+                assert cuts == [len(xs), len(xs)] and len(xs) >= n
 
 
 def test_reconstruct_defaults_to_unit_incident():
