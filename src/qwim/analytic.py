@@ -64,9 +64,11 @@ split and recurrence, one sub-slab at a time) elsewhere
 consecutive walks from one call.
 
 ``_bridge`` gives the psi ratio across each interval of a Riccati
-trajectory, walking its piece of a cut of the samples from the end with
-the larger |Z|: ``reconstruct_wavefunction``, ``profile --force-numeric``,
-``validate`` and the ``force_numeric`` bound search rebuild or sign psi.
+trajectory, walking its piece of one cut of the samples from the end
+with the larger |Z|: ``reconstruct_wavefunction``, ``profile
+--force-numeric`` and ``validate`` rebuild psi from it, the
+``force_numeric`` bound search signs psi, and a ``force_numeric`` solve
+takes t from the product of its ratios.
 
 Everything here is scalar complex arithmetic, and this module imports
 no numpy, so work at one energy loads none, on either kind of
@@ -472,17 +474,25 @@ def _array_pass(pot: Potential) -> bool:
 def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
             params: ModelParams) -> list[complex]:
     """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
-    trajectory's samples (xs ascending, zs its Z there): the ``_chain``
-    walk of its piece of a cut of the samples (``_cut``), from the end
-    with the larger |Z|, anchored at the trajectory's Z there, so it
-    never divides by a vanishing psi and carries sign flips through
-    nodes.  A piece crosses any join in its interval; a repeated sample
-    has ratio 1.  A sampled potential's intervals take their maps from
-    one ``_linear_walks`` call.  A ratio past the float range is infinite."""
+    trajectory's samples (xs monotone, zs its Z there): the ``_chain``
+    walk of its piece of one cut of the samples (``_cut``), reversed if
+    need be, from the end with the larger |Z| (the second at a tie),
+    anchored at the trajectory's Z there, so it never divides by a
+    vanishing psi and carries sign flips through nodes.  A piece crosses
+    any join in its interval; a repeated sample has ratio 1.  A sampled
+    potential's intervals take their maps from one ``_linear_walks``
+    call.  A ratio past the float range is infinite.  Descending samples
+    give bitwise what the mirror's ascending ones give."""
     ahead = [abs(z0) > abs(z1) for z0, z1 in zip(zs, zs[1:])]
-    walks = [there if forward else back
-             for there, back, forward in zip(_cut(pot, xs), _cut(pot, xs[::-1])[::-1], ahead)]
-    if isinstance(pot, SampledPotential):
+    walks = _cut(pot, xs)
+    sampled = isinstance(pot, SampledPotential)
+    for i, forward in enumerate(ahead):
+        if not forward:  # walked back, each step from its other end
+            if sampled:
+                walks[i] = [(u + slope * dx, slope, -dx) for u, slope, dx in reversed(walks[i])]
+            else:
+                walks[i] = [(u, -dx) for u, dx in reversed(walks[i])]
+    if sampled:
         walks = _linear_walks(walks, e, params)
     ratios = []
     for walk, z0, z1, forward in zip(walks, zs, zs[1:], ahead):

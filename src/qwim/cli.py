@@ -211,7 +211,7 @@ def cmd_profile(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     # Riccati trajectory forced through them, read at each grid point's
     # sample
     if cfg.force_numeric:
-        traj_xs, traj_zs, _ = walk.trajectory(e, grid=xs)
+        traj_xs, traj_zs = walk.trajectory(e, grid=xs)
         last = len(traj_xs) - 1
         idx = [min(bisect_left(traj_xs, x), last) for x in xs]
         xs, zs = [traj_xs[i] for i in idx], [traj_zs[i] for i in idx]
@@ -260,7 +260,7 @@ def cmd_validate(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
         # the stepper's psi against the exact chain's at the stepper's own
         # samples, both per unit psi(a), relative to the chain's largest
         walk = _Incidence(pot, Side.LEFT, cfg, params)
-        xs, zs, _ = walk.trajectory(e)
+        xs, zs = walk.trajectory(e)
         if len(xs) < 2:
             # a psi row over one sample would check nothing
             raise InsufficientSamplesError(

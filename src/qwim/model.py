@@ -95,14 +95,17 @@ class IntegrationConfig:
     ``max_step`` of None means (span / 50) is chosen per call.  When
     ``force_numeric`` is set, higher-level solvers integrate the ODE for
     any potential instead of chaining the exact slab maps.
-    Every number must be finite; ``rel_tol`` may be zero, ``abs_tol``,
+    ``pole_threshold`` is a multiple of each slab's characteristic
+    impedance |z| = sqrt(2 max|E - U| / m): the stepper carries W = 1/Z
+    where |Z| passes it, and Z again below half of it.  Every number
+    must be finite; ``rel_tol`` may be zero, ``abs_tol``,
     ``pole_threshold`` and ``max_step`` must be positive.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float | None = None
-    pole_threshold: float = 1e3
+    pole_threshold: float = 2.0
     force_numeric: bool = False
 
     def __post_init__(self):

@@ -3,23 +3,27 @@
     dZ/dx = i (2/hbar) (E - U(x)) - i (m/hbar) Z^2
 
 Z has simple poles at the nodes of the underlying wavefunction.  The
-stepper therefore watches |Z| and, above ``pole_threshold``, switches to
-the reciprocal variable W = 1/Z which obeys the regular equation
+stepper therefore watches |Z| and switches to the reciprocal variable
+W = 1/Z, which obeys the regular equation
 
-    dW/dx = i (m/hbar) - i (2/hbar) (E - U(x)) W^2
+    dW/dx = i (m/hbar) - i (2/hbar) (E - U(x)) W^2,
 
-and switches back (with hysteresis) once |W| has grown again.  Both read
-y' = i (a - b y^2), with a and b swapping between the modes.  Stepping
-is the Dormand-Prince 5(4) embedded pair (J. Comput. Appl. Math. 6, 19
-(1980)) with standard PI-free error control, its seven stages written
-out for the one complex state inside ``_trajectory``'s single loop over
-slabs.  The stepper walks the slab list the exact chain
-walks, ``analytic._steps`` from anchor to target: on each slab U is one
-level or one line u_start + slope (x - slab start), evaluated inline at
-the stages.  The slab ends split the range, so no step ever straddles a
-discontinuity, and each slab starts afresh.  Forced grid points are
-stops inside a slab: steps land on them, and the state, its slope, the
-mode and the step proposal carry on past them.
+where |Z| passes ``pole_threshold`` times the slab's characteristic
+impedance |z| = sqrt(2 max|E - U| / m), and back to Z (with hysteresis)
+where |Z| falls below half of that.  The two terms of Z' balance at
+|Z| = |z|, so the switch sits where Z' turns quadratic in Z, whatever
+the energy scale.  Both read y' = i (a - b y^2), with a and b swapping
+between the modes.  Stepping is the Dormand-Prince 5(4) embedded pair
+(J. Comput. Appl. Math. 6, 19 (1980)) with standard PI-free error
+control, its seven stages written out for the one complex state, Z or
+W, inside ``_trajectory``'s single loop over slabs.  The stepper walks
+the slab list the exact chain walks, ``analytic._steps`` from anchor to
+target: on each slab U is one level or one line u_start + slope (x -
+slab start), evaluated inline at the stages.  Each slab ends on its
+join, so no step ever straddles a discontinuity, and each slab starts
+afresh.  Forced grid points are stops inside a slab: steps land on
+them, and the state, its slope, the mode and the step proposal carry on
+past them.
 
 Each stage is evaluated as a' - b' y^2 with the factor i folded into
 the coefficients (a' = i a, b' = i b) where they are set, and each
@@ -29,12 +33,9 @@ a Python complex, so every step runs on plain Python scalars whatever
 numeric type the caller passes; a non-finite energy or end raises
 NonFiniteInputError.
 
-Optionally the running integral S(x) = int Z dx' from the anchor rides
-along as a second scalar under the same error control.  Its slope at
-each stage is the stage's Z (W's reciprocal in W mode), so it costs no
-extra RHS call.  It feeds the wavefunction phase exp[(i m / hbar) S];
-trajectories expected to cross true poles should leave it off, since S
-has a logarithmic singularity there.
+The trajectory is Z alone.  psi comes back from it exactly, one slab
+step per sample interval (``analytic._bridge``), and R and T from Z at
+the entry edge (``scattering.solve_scattering``).
 
 This module imports no numpy.  ``_trajectory`` returns plain lists, and
 the solver paths read them directly: a ``force_numeric`` solve, the
@@ -47,6 +48,7 @@ entry, checks an array grid and wraps the lists as the arrays of an
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -68,8 +70,7 @@ class ImpedanceTrajectory:
 
     ``xs`` ascend regardless of integration direction; ``direction``
     tells which end holds the anchor (LEFT means integrated toward
-    smaller x, so the anchor is the last sample).  ``z_integral`` is
-    S(x) = int Z dx' measured from the anchor, or None if not tracked.
+    smaller x, so the anchor is the last sample).
     """
 
     xs: np.ndarray
@@ -80,7 +81,6 @@ class ImpedanceTrajectory:
     energy: float
     potential: Potential
     params: ModelParams
-    z_integral: np.ndarray | None = None
 
 
 def integrate_impedance(
@@ -91,7 +91,6 @@ def integrate_impedance(
     target_x: float,
     cfg: IntegrationConfig = IntegrationConfig(),
     params: ModelParams = ModelParams(),
-    track_integral: bool = False,
     grid: np.ndarray | None = None,
 ) -> ImpedanceTrajectory:
     """Integrate Z from (anchor_x, anchor_z) to target_x.
@@ -99,20 +98,20 @@ def integrate_impedance(
     The range is walked along the slab list ``analytic._steps(pot,
     anchor_x, target_x)``, a lead's level included past a or b: a level
     fixes the stages' coefficients, a line is evaluated at each stage.
-    Each slab's end is accumulated from the anchor (the last one is the
-    target).  Each slab starts afresh: a first step of min(max_step,
-    slab length), a first stage at its start, and Z or W mode by |Z|
-    there.  Every point of the optional ``grid`` strictly between anchor
-    and target is a stop inside its slab, so accepted steps land on it
-    (used to produce near-uniform samples for wavefunction
-    reconstruction); a grid point within 1e-14 max(1, |x|) of a slab end
-    replaces that end, so every grid point is a sample.  A stop restarts
-    nothing: the state, its slope, the Z/W mode, S and the step proposal
-    carry on.  Only slab ends, mode switches and the nudge off an exact
-    node restart the state.  ``grid`` must be real and one-dimensional
-    (TypeError otherwise), with finite points (NonFiniteInputError);
-    points outside the range are ignored.  The walk itself is
-    ``_trajectory``'s; this wraps its lists as arrays.
+    Each slab ends on its join (the last one on the target).  Each slab
+    starts afresh: a first step of min(max_step, slab length), a first
+    stage at its start, and Z or W mode by |Z| there against the slab's
+    own switch.  Every point of the optional ``grid`` strictly between
+    anchor and target is a stop inside its slab, so accepted steps land
+    on it (used to produce near-uniform samples for wavefunction
+    reconstruction); a grid point within 1e-14 max(1, |x|) of a join
+    replaces it as the slab's end, so every grid point is a sample.  A
+    stop restarts nothing: the state, its slope, the Z/W mode and the
+    step proposal carry on.  Only slab ends, mode switches and the nudge
+    off an exact node restart the state.  ``grid`` must be real and
+    one-dimensional (TypeError otherwise), with finite points
+    (NonFiniteInputError); points outside the range are ignored.  The
+    walk itself is ``_trajectory``'s; this wraps its lists as arrays.
     """
     import numpy as np
 
@@ -124,9 +123,7 @@ def integrate_impedance(
         if points.ndim != 1:
             raise TypeError(f"grid must be one-dimensional, got shape {points.shape}")
         points = points.tolist()
-    xs, zs, ss = _trajectory(
-        pot, e, anchor_x, anchor_z, target_x, cfg, params, track_integral, points
-    )
+    xs, zs = _trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, points)
     return ImpedanceTrajectory(
         xs=np.array(xs),
         zs=np.array(zs, dtype=complex),
@@ -136,7 +133,6 @@ def integrate_impedance(
         energy=float(e),
         potential=pot,
         params=params,
-        z_integral=None if ss is None else np.array(ss, dtype=complex),
     )
 
 
@@ -148,13 +144,11 @@ def _trajectory(
     target_x: float,
     cfg: IntegrationConfig,
     params: ModelParams,
-    track: bool = False,
     grid=(),
-) -> tuple[list[float], list[complex], list[complex] | None]:
-    """The walk of ``integrate_impedance`` in plain Python: (xs, zs, ss),
-    the samples in ascending x, Z there, and S there if ``track`` (else
-    None).  ``grid`` is an iterable of floats, whose points must be
-    finite (NonFiniteInputError)."""
+) -> tuple[list[float], list[complex]]:
+    """The walk of ``integrate_impedance`` in plain Python: (xs, zs), the
+    samples in ascending x and Z there.  ``grid`` is an iterable of
+    floats, whose points must be finite (NonFiniteInputError)."""
     require_finite("energy", e)
     require_finite("anchor and target", anchor_x, target_x)
     # plain Python scalars: a numpy scalar would carry numpy's slower
@@ -168,10 +162,10 @@ def _trajectory(
 
     leftward = target_x < anchor_x
     sgn = -1.0 if leftward else 1.0
+    lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
     points = list(grid)
     if points:
         require_finite("grid points", *points)
-        lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
         points = sorted(p for p in points if lo < p < hi)
         if leftward:
             points.reverse()
@@ -179,26 +173,28 @@ def _trajectory(
     c_pot = 2.0 / params.hbar
     i_imp = 1j * (params.mass / params.hbar)
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
-    threshold = cfg.pole_threshold
-    switch_back = 2.0 / threshold  # hysteresis: |Z| <= threshold/2
-    track = bool(track)
+    # |Z| over the slab's characteristic |z| at which W takes over
+    switch = cfg.pole_threshold * math.sqrt(2.0 / params.mass)
     isfinite = cmath.isfinite
 
     xs, zs = [anchor_x], [anchor_z]
-    ss = [0j] if track else None
-    z, s = anchor_z, 0j
-    abs_s = 0.0  # |S|, carried from step to step like |y|
-    r1 = r7 = None
-    # the slabs: each one's end, accumulated from the anchor (the last is
-    # the target), and its stops, the grid points on it and then its end;
-    # a grid point within rounding of the end replaces it, so that every
-    # grid point is a sample.  U on a slab is one level, or the line
-    # u0 + slope (x - xa) from its start xa
+    z = anchor_z
+    # the slabs: each one's end, the join where it meets the next (the
+    # cells' right ends walking right, their left ends walking left, the
+    # last on the target), and its stops, the grid points on it and then
+    # its end; a grid point within rounding of a join replaces it, so
+    # that every grid point is a sample.  U on a slab is one level, or
+    # the line u0 + slope (x - xa) from its start xa
     slabs = _steps(pot, anchor_x, target_x)
+    if leftward:
+        joins = [pot.b, *(cell[0] for cell in reversed(pot.cells))]
+    else:
+        joins = [pot.a, *(cell[1] for cell in pot.cells)]
+    ends = [x for x in joins if lo < x < hi][:len(slabs) - 1]
+    ends.append(target_x)
     runs, g, xa, last = [], 0, anchor_x, len(slabs) - 1
-    for k, slab in enumerate(slabs):
+    for k, (slab, end) in enumerate(zip(slabs, ends)):
         u0, slope = slab[0], slab[1] if len(slab) == 3 else 0.0
-        end = target_x if k == last else xa + slab[-1]
         tol = 1e-14 * max(1.0, abs(end))
         stops = []
         while g < len(points) and sgn * (end - points[g]) > tol:
@@ -208,9 +204,13 @@ def _trajectory(
             end = points[g]
             g += 1
         stops.append(end)
-        runs.append((stops, xa, u0, slope))
+        # the switch: pole_threshold sqrt(2 max|E - U| / m) over the slab
+        reach = max(abs(e - u0), abs(e - (u0 + slope * slab[-1])))
+        runs.append((stops, xa, u0, slope, switch * math.sqrt(reach)))
         xa = end
-    for stops, xa, u0, slope in runs:
+    for stops, xa, u0, slope, threshold in runs:
+        # hysteresis: back to Z once |Z| < threshold / 2, |W| > 2 / threshold
+        switch_back = 2.0 / threshold if threshold else math.inf
         line = slope != 0.0
         if not line:
             level = 1j * (c_pot * (e - u0))
@@ -219,7 +219,7 @@ def _trajectory(
         x, end = xa, stops[-1]
         h = sgn * min(max_step, abs(end - xa))
         h_floor = 1e-14 * max(1.0, abs(xa), abs(end))
-        in_w = abs(z) >= threshold
+        in_w = abs(z) > threshold
         fresh = True
         # y' = a - b y^2 at each stage, the factor i folded into a and b:
         # y = Z with a = i c_pot (E - U), b = i c_imp, or y = W with the
@@ -227,8 +227,7 @@ def _trajectory(
         for x1 in stops:
             while sgn * (x1 - x) > h_floor:
                 if fresh:
-                    # restart from (x, Z): the state, its slope and, with the
-                    # integral tracked, Z as S's slope
+                    # restart from (x, Z): the state and its slope
                     fresh = False
                     y = 1.0 / z if in_w else z
                     abs_y = abs(y)
@@ -243,8 +242,6 @@ def _trajectory(
                         a1 = a2 = a3 = a4 = a5 = a6 = p1
                         b1 = b2 = b3 = b4 = b5 = b6 = i_imp
                     k1 = a1 - b1 * (y * y)
-                    if track:
-                        r1 = 1.0 / y if in_w else y
                 # |h| capped by max_step and by what is left to the stop
                 m = sgn * h
                 if m > max_step:
@@ -290,37 +287,22 @@ def _trajectory(
                     + (h * (-5103.0 / 18656.0)) * k5
                 )
                 k6 = a6 - b6 * (y6 * y6)
-                # the fifth-order weights and the error weights, scaled by h
-                # once for Z and S alike
-                w1, w3, w4 = h * (35.0 / 384.0), h * (500.0 / 1113.0), h * (125.0 / 192.0)
-                w5, w6 = h * (-2187.0 / 6784.0), h * (11.0 / 84.0)
-                v1, v3, v4 = h * (71.0 / 57600.0), h * (-71.0 / 16695.0), h * (71.0 / 1920.0)
-                v5, v6, v7 = h * (-17253.0 / 339200.0), h * (22.0 / 525.0), h * (-1.0 / 40.0)
-                y_new = y + (w1 * k1 + w3 * k3 + w4 * k4 + w5 * k5 + w6 * k6)
+                y_new = y + (
+                    (h * (35.0 / 384.0)) * k1 + (h * (500.0 / 1113.0)) * k3
+                    + (h * (125.0 / 192.0)) * k4 + (h * (-2187.0 / 6784.0)) * k5
+                    + (h * (11.0 / 84.0)) * k6
+                )
                 k7 = a6 - b6 * (y_new * y_new)
-                err_y = v1 * k1 + v3 * k3 + v4 * k4 + v5 * k5 + v6 * k6 + v7 * k7
+                err_y = (
+                    (h * (71.0 / 57600.0)) * k1 + (h * (-71.0 / 16695.0)) * k3
+                    + (h * (71.0 / 1920.0)) * k4 + (h * (-17253.0 / 339200.0)) * k5
+                    + (h * (22.0 / 525.0)) * k6 + (h * (-1.0 / 40.0)) * k7
+                )
                 if not isfinite(y_new):
                     raise NonFiniteStateError(f"non-finite state near x={x}")
                 abs_y_new = abs(y_new)
                 big = abs_y_new if abs_y_new > abs_y else abs_y
                 norm = abs(err_y) / (abs_tol + rel_tol * big)
-                if track:
-                    # S's slope at each stage is that stage's Z: no RHS call
-                    if in_w:
-                        r3, r4, r5, r6 = 1.0 / y3, 1.0 / y4, 1.0 / y5, 1.0 / y6
-                        r7 = 1.0 / y_new
-                    else:
-                        r3, r4, r5, r6, r7 = y3, y4, y5, y6, y_new
-                    s_new = s + (w1 * r1 + w3 * r3 + w4 * r4 + w5 * r5 + w6 * r6)
-                    if not isfinite(s_new):
-                        raise NonFiniteStateError(f"non-finite state near x={x}")
-                    err_s = v1 * r1 + v3 * r3 + v4 * r4 + v5 * r5 + v6 * r6 + v7 * r7
-                    abs_s_new = abs(s_new)
-                    big = abs_s_new if abs_s_new > abs_s else abs_s
-                    norm_s = abs(err_s) / (abs_tol + rel_tol * big)
-                    # a NaN Z norm gives way to S's, as a zero one would
-                    if norm_s > norm or norm != norm:
-                        norm = norm_s
                 if norm > 1.0:
                     f = 0.9 * norm ** -0.2
                     h *= f if f > 0.2 else 0.2
@@ -339,9 +321,6 @@ def _trajectory(
                 z = (1.0 / y) if in_w else y
                 xs.append(x)
                 zs.append(z)
-                if track:
-                    s, r1, abs_s = s_new, r7, abs_s_new
-                    ss.append(s)
                 # an accepted norm is at most 1, so the growth factor is at
                 # least 0.9 and only its cap of 5 applies; a NaN norm, like 0,
                 # grows the step five-fold
@@ -352,19 +331,17 @@ def _trajectory(
                     h *= 5.0
                 # |y| is |Z| in Z mode and |W| in W mode
                 if in_w:
-                    if abs_y >= switch_back:
+                    if abs_y > switch_back:
                         in_w = False
                         fresh = True
-                elif abs_y >= threshold:
+                elif abs_y > threshold:
                     in_w = True
                     fresh = True
 
     if leftward:
         xs.reverse()
         zs.reverse()
-        if track:
-            ss.reverse()
-    return xs, zs, ss
+    return xs, zs
 
 
 def _bound_mode(pot: Potential, e: float) -> bool:
@@ -392,7 +369,6 @@ def z_plus(
     e: float,
     cfg: IntegrationConfig = IntegrationConfig(),
     params: ModelParams = ModelParams(),
-    track_integral: bool = False,
     grid: np.ndarray | None = None,
 ) -> ImpedanceTrajectory:
     """Left-anchored trajectory Z+ integrated rightward from a.
@@ -405,9 +381,7 @@ def z_plus(
     if not _bound_mode(pot, e) and e < pot.left_level:
         raise EvanescentIncidenceError(f"energy {e} below left lead")
     z0 = left_anchor(pot, e, params)
-    return integrate_impedance(
-        pot, e, pot.a, z0, pot.b, cfg, params, track_integral, grid
-    )
+    return integrate_impedance(pot, e, pot.a, z0, pot.b, cfg, params, grid)
 
 
 def z_minus(
@@ -421,9 +395,9 @@ def z_minus(
     """Right-anchored trajectory Z- integrated leftward from b.
 
     Anchor Z(b) = +z2 in both regimes: the decaying right tail below the
-    lead, the pure transmitted wave above it.
+    lead, the pure transmitted wave above it.  ``track_integral`` is
+    ignored: the running integral of Z it once asked for is gone, and psi
+    comes from the trajectory's Z alone (``xcheck.reconstruct_wavefunction``).
     """
     z0 = right_anchor(pot, e, params)
-    return integrate_impedance(
-        pot, e, pot.b, z0, pot.a, cfg, params, track_integral, grid
-    )
+    return integrate_impedance(pot, e, pot.b, z0, pot.a, cfg, params, grid)

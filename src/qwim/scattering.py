@@ -6,14 +6,17 @@ propagated back to the entry interface a.  There
 
     r = (z1 - Z(a)) / (z1 + Z(a))
 
-is the reflected/incident amplitude ratio at a, and the transmitted
-amplitude follows from the accumulated phase integral
+is the reflected/incident amplitude ratio at a.  The transmitted
+amplitude is t = psi(b) e^{-i k2 b}, with psi(a) = (1 + r) e^{i k1 a}
+for a unit incident wave and psi(b) / psi(a) from the same walk.
+Probability coefficients are R = |r|^2 and T = (z2 / z1) |t|^2 (current
+ratio), which sum to one whenever the far lead propagates.  On the
+Riccati stepper T is the current at the entry edge,
 
-    psi(x) = psi(a) exp[(i m / hbar) int_a^x Z dx'],   t = psi(b) e^{-i k2 b}
+    T = 4 Re z1 Re Z(a) / |z1 + Z(a)|^2,
 
-with psi(a) = (1 + r) e^{i k1 a} for a unit incident wave.  Probability
-coefficients are R = |r|^2 and T = (z2 / z1) |t|^2 (current ratio), which
-sum to one whenever the far lead propagates.
+which is 1 - R without its cancellation, and psi(b) / psi(a) is the
+product of the trajectory's psi bridges (``analytic._bridge``).
 
 One helper, ``_Incidence``, carries the far lead's wave to the entry
 edge and takes r there, for one energy or a whole grid, for the solve,
@@ -24,16 +27,16 @@ negated, which is bitwise the mirror's walk, so no mirror is built.
 Both kinds of potential use exact layer chaining, sampled ones one
 linear sub-slab map at a time (:mod:`qwim.analytic`); with
 ``cfg.force_numeric`` set, any potential uses the adaptive Riccati
-integrator, along the same slab list, with the running integral
-tracked.  An energy grid, of a sweep or of the resonance scan, takes
-one array pass per slab or sub-slab (:mod:`qwim._arrays`) where numpy
-is loaded already, or the potential is sampled, which loads it then
-(``analytic._array_pass``).  Points that pass flags (where a single
-solve raises, or its values are not finite) are solved again one at a
-time.  Elsewhere each energy is walked alone, by the same per-point
-code.  ``_Incidence.profile`` cuts the walk at a grid's points in one
-pass (``analytic._cut``), for Z and psi along the chain, and
-``_Incidence.trajectory`` gives the stepper's walk as lists.
+integrator, along the same slab list.  An energy grid, of a sweep or
+of the resonance scan, takes one array pass per slab or sub-slab
+(:mod:`qwim._arrays`) where numpy is loaded already, or the potential
+is sampled, which loads it then (``analytic._array_pass``).  Points
+that pass flags (where a single solve raises, or its values are not
+finite) are solved again one at a time.  Elsewhere each energy is
+walked alone, by the same per-point code.  ``_Incidence.profile`` cuts
+the walk at a grid's points in one pass (``analytic._cut``), for Z and
+psi along the chain, and ``_Incidence.trajectory`` gives the stepper's
+walk as lists.
 
 Only the functions that take or make arrays import numpy, so work at
 one energy loads none on either engine or kind of potential (a sampled
@@ -50,7 +53,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .analytic import _array_pass, _chain, _constants, _cut, _divide, _linear_walks, _steps
+from .analytic import (
+    _array_pass, _bridge, _chain, _constants, _cut, _divide, _linear_walks, _steps,
+)
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
@@ -126,7 +131,8 @@ class _Incidence:
     (``steps``): from b to a for left incidence, and from a to b for
     right, anchored at -z_far with the Z it gives negated.  The step is
     odd under x -> -x, Z -> -Z, so that is the mirror's walk, and no
-    mirror is built.  Signed zeros follow the mirror's walk as well: a
+    mirror is built.  On the stepper the walk is one trajectory of Z
+    alone, bridged for psi only where t is asked for.  Signed zeros follow the mirror's walk as well: a
     zero part of the chain's num comes from a cancellation, +0 on both
     walks, so each part of num is negated as 0.0 minus it, which keeps
     it +0 where unary minus gives -0; the stepper's Z takes unary minus.
@@ -149,7 +155,7 @@ class _Incidence:
         self.steps = None if numeric else _steps(pot, *self.ends)
         self.walked: dict[float, complex | None] = {}
 
-    def __call__(self, e: float, track: bool = False) -> tuple:
+    def __call__(self, e: float, bridge: bool = False) -> tuple:
         """The walk at e: (r, tau, num, den, lead_in, lead_far), with
         ``lead_in`` and ``lead_far`` the (z, gamma) of the two leads
         (``analytic._constants``, which raises where e is degenerate with
@@ -157,21 +163,23 @@ class _Incidence:
         chain (``analytic._chain``), or with ``force_numeric`` along one
         Riccati trajectory (den = 1): Z(entry) = num / den in the frame of
         ``side``.  r and tau are ``_reflect``'s; tau is None on the stepper
-        unless ``track`` asks for the running integral S it needs."""
+        unless ``bridge`` asks for psi(far) / psi(entry), the product of
+        the trajectory's psi bridges (``analytic._bridge``), which r
+        does not need."""
         params = self.params
         lead_in = _constants(e, self.u_in, params)  # degenerate e == u_in raises here
         lead_far = _constants(e, self.u_far, params)
         if self.steps is None:
-            _, zs, ss = self.trajectory(e, track=track)
-            i = -1 if self.right else 0
-            z = zs[i]
+            xs, zs = self.trajectory(e)
+            z = zs[-1] if self.right else zs[0]
             num, den, ratio = (-z if self.right else z), 1.0, None
-            if track:
-                # S is measured from the far edge, so the integral of Z
-                # from the entry edge to the far one is -S(entry); S is
-                # even under x -> -x, Z -> -Z
-                s = ss[i]
-                ratio = cmath.exp(-1j * (params.mass / params.hbar) * s)
+            if bridge:
+                # from the entry edge on, bitwise the mirror's bridges
+                if self.right:
+                    xs, zs = xs[::-1], zs[::-1]
+                ratio = 1.0
+                for q in _bridge(self.pot, e, xs, zs, params):
+                    ratio *= q
         elif self.right:
             num, den, ratio = _chain(self.steps, e, -lead_far[0], params)
             num = complex(0.0 - num.real, 0.0 - num.imag)
@@ -262,17 +270,17 @@ class _Incidence:
             psi.reverse()
         return zs, psi
 
-    def trajectory(self, e: float, track: bool = False, grid=()) -> tuple:
+    def trajectory(self, e: float, grid=()) -> tuple:
         """The Riccati trajectory of the walk at e, anchored at the far
-        lead's z, in the potential's own frame, as the lists (xs, zs, ss)
-        of ``riccati._trajectory``, forced through the points of ``grid``:
+        lead's z, in the potential's own frame, as the lists (xs, zs) of
+        ``riccati._trajectory``, forced through the points of ``grid``:
         the entry edge is its first sample for left incidence, and its
         last, Z negated, for right."""
         from .riccati import _trajectory
 
         z_far = _constants(e, self.u_far, self.params)[0]
         (start, end), anchor = self.ends, -z_far if self.right else z_far
-        return _trajectory(self.pot, e, start, anchor, end, self.cfg, self.params, track, grid)
+        return _trajectory(self.pot, e, start, anchor, end, self.cfg, self.params, grid)
 
 
 def _reflect(z1, num, den, ratio) -> tuple:
@@ -299,20 +307,25 @@ def solve_scattering(
     Right incidence reports its amplitudes in the mirrored
     (incidence-side) frame, so R, T and the moduli are directly
     comparable between sides.  ``e`` is taken as a
-    Python float, so a numpy scalar gives the same result.
+    Python float, so a numpy scalar gives the same result.  Under
+    ``force_numeric`` T is the current at the entry edge (0 where the
+    far lead is evanescent), and t the product of the psi bridges.
     """
     require_finite("energy", e)
     e = float(e)
     walk = _Incidence(pot, side, cfg, params)
     if e < walk.u_in:
         raise EvanescentIncidenceError(f"energy {e} below incidence lead {walk.u_in}")
-    r, tau, num, den, (z1, gamma1), (z2, gamma2) = walk(e, track=True)
+    r, tau, num, den, (z1, gamma1), (z2, gamma2) = walk(e, bridge=True)
     big_r = abs(r) ** 2
     try:
         psi_b = tau * cmath.exp(1j * gamma1.imag * walk.x_in)
         if e > walk.u_far:
             t = psi_b * cmath.exp(-1j * gamma2.imag * walk.x_far)
-            big_t = (z2.real / z1.real) * abs(t) ** 2
+            if walk.steps is None:  # the stepper's: the current at Z(entry) = num
+                big_t = 4.0 * z1.real * num.real / abs(z1 + num) ** 2
+            else:
+                big_t = (z2.real / z1.real) * abs(t) ** 2
             evan = False
         else:
             t = psi_b  # tail amplitude at b: psi(x >= b) = t exp(-kappa2 (x - b))

@@ -165,7 +165,7 @@ class _Ends:
             plus = _trajectory(pot, e, pot.a, z_a, self.probe_x, cfg, params)
             minus = _trajectory(pot, e, pot.b, z_b, self.probe_x, cfg, params)
             # psi(probe) / psi(a) and psi(b) / psi(probe), as phases
-            p1, p2 = (_phase(_bridge(pot, e, xs, zs, params)) for xs, zs, _ in (plus, minus))
+            p1, p2 = (_phase(_bridge(pot, e, xs, zs, params)) for xs, zs in (plus, minus))
             return (plus[1][-1], 1.0, p1.conjugate()), (minus[1][0], 1.0, p2)
         return _chain(left, e, z_a, params), _chain(right, e, z_b, params)
 

@@ -4,9 +4,9 @@ Scattering is re-derived from 2x2 transfer matrices, which carry
 (psi, psi') across each slab and read plane waves only in the leads,
 and square-well spectra from the textbook transcendental equations,
 neither sharing numeric kernels with the impedance path.  Wavefunctions are
-rebuilt from sampled Z, by its running integral or by one exact slab
-step per sample interval (``analytic._bridge``), and verified against
-the Schrodinger equation itself by finite differences.
+rebuilt from sampled Z by one exact slab step per sample interval
+(``analytic._bridge``), and verified against the Schrodinger equation
+itself by finite differences.
 
 The transfer-matrix and square-well oracles run in plain Python, so
 ``qwim validate`` loads no numpy; the two functions that take or make
@@ -269,31 +269,21 @@ def reconstruct_wavefunction(
 ) -> WavefunctionProfile:
     """Rebuild psi on the trajectory grid from sampled Z.
 
-        psi(x) = psi_start * exp[(i m / hbar) int Z dx']
-
-    psi keeps the scale psi_start sets at the first sample: given psi
-    there per unit incident wave, the profile is psi per unit incident
-    wave (``Normalization.UNIT_INCIDENT``).  A trajectory carrying the
-    running integral of Z uses it directly (the ODE solver already
-    accumulated it at its own tolerance).
-    Otherwise psi is the running product of the intervals' psi ratios,
-    each the exact chain's walk across its interval (``analytic._bridge``).
+    psi is the running product of the intervals' psi ratios, each the
+    exact chain's walk across its interval, anchored at the trajectory's
+    Z at one end (``analytic._bridge``), so it carries psi through nodes
+    and joins.  psi keeps the scale psi_start sets at the first sample:
+    given psi there per unit incident wave, the profile is psi per unit
+    incident wave (``Normalization.UNIT_INCIDENT``).
     """
     import numpy as np
 
     xs = traj.xs
     if len(xs) < 5:
         raise InsufficientSamplesError("need at least 5 trajectory samples")
-    params = traj.params
-    pref = 1j * params.mass / params.hbar
-
-    if traj.z_integral is not None:
-        s_rel = traj.z_integral - traj.z_integral[0]
-        psi = psi_start * np.exp(pref * s_rel)
-    else:
-        ratios = _bridge(traj.potential, traj.energy, xs.tolist(), traj.zs.tolist(), params)
-        with np.errstate(all="ignore"):
-            psi = np.cumprod(np.array([psi_start, *ratios], dtype=complex))
+    ratios = _bridge(traj.potential, traj.energy, xs.tolist(), traj.zs.tolist(), traj.params)
+    with np.errstate(all="ignore"):
+        psi = np.cumprod(np.array([psi_start, *ratios], dtype=complex))
     if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
         raise QuadratureDivergenceError("reconstructed psi is not finite")
     return WavefunctionProfile(

@@ -15,8 +15,9 @@ import numpy as np
 from qwim._arrays import _linear_maps
 from qwim.analytic import _SATURATION_CUT, _steps, region_constants
 from qwim.errors import EvanescentIncidenceError
-from qwim.model import ModelParams
+from qwim.model import ModelParams, Side
 from qwim.riccati import ImpedanceTrajectory
+from qwim.xcheck import reconstruct_wavefunction
 
 # Algebraic identities (composition, closed-form agreement) hold to this.
 TOL_ALG = 1e-10
@@ -114,37 +115,33 @@ def square_well_eigenfunction(
 def constant_current_diagnostic(
     traj: ImpedanceTrajectory, z_lead: float
 ) -> float:
-    """Max deviation of ln(Re Z / z_lead) + (2m/hbar) Im S from constant.
+    """Max deviation of ln(j / z_lead) from constant, j = |psi|^2 Re Z.
 
     Along any genuine scattering solution the probability current
-    j = |psi|^2 Re Z is position-independent, which in impedance terms
-    reads ln(Re Z / z0) = (2m/hbar) int Im Z dx + const.  Returns the
-    maximum absolute deviation from the best constant.  Requires a
-    trajectory with the running integral tracked; raises
-    NoCurrentError in the no-current (full-reflection or bound) regime
-    where Re Z <= 0 somewhere.
+    j = |psi|^2 Re Z is position-independent.  psi is the trajectory's
+    own, bridged slab by slab from its Z (``reconstruct_wavefunction``).
+    Returns the maximum absolute deviation of ln(j / z_lead) from the best
+    constant.  Raises NoCurrentError in the no-current (full-reflection
+    or bound) regime where Re Z <= 0 somewhere.
     """
-    if traj.z_integral is None:
-        raise ValueError("trajectory lacks the running integral; "
-                         "integrate with track_integral=True")
     re_z = traj.zs.real
     if np.any(re_z <= 0.0):
         raise NoCurrentError("Re Z <= 0 on the trajectory; "
                              "no net current to conserve")
-    m_over_h = traj.params.mass / traj.params.hbar
-    g = np.log(re_z / z_lead) - 2.0 * m_over_h * traj.z_integral.imag
+    psi = reconstruct_wavefunction(traj).psi
+    g = np.log(np.abs(psi) ** 2 * re_z / z_lead)
     return float(np.max(np.abs(g - np.mean(g))))
 
 
 def current_profile(traj: ImpedanceTrajectory, psi_anchor: complex) -> np.ndarray:
-    """Probability current j(x) = |psi|^2 Re Z along a tracked trajectory.
+    """Probability current j(x) = |psi|^2 Re Z along a trajectory, psi
+    bridged slab by slab from its Z.
 
     ``psi_anchor`` is the wavefunction value at the trajectory anchor.
     """
-    if traj.z_integral is None:
-        raise ValueError("trajectory lacks the running integral")
-    m_over_h = traj.params.mass / traj.params.hbar
-    amp2 = abs(psi_anchor) ** 2 * np.exp(-2.0 * m_over_h * traj.z_integral.imag)
+    psi = reconstruct_wavefunction(traj).psi
+    at = -1 if traj.direction is Side.LEFT else 0
+    amp2 = abs(psi_anchor) ** 2 * np.abs(psi / psi[at]) ** 2
     return amp2 * traj.zs.real
 
 

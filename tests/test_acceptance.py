@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwim.analytic import layer_transform, region_constants
+from qwim.analytic import _bridge, _chain, _steps, layer_transform, region_constants
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, Side
 from qwim.riccati import IntegrationConfig, right_anchor, z_minus
 from qwim.scattering import solve_scattering
@@ -128,7 +128,12 @@ def test_criterion_06_riccati_vs_layer_chain():
         traj = z_minus(pot, e, cfg=TIGHT)
         assert abs(traj.zs[0] - z) < 1e-8 * abs(z)
         if wants_pole:
-            assert np.max(np.abs(traj.zs)) > 1e3
+            # through the poles in W: psi changes sign across an interval
+            # of the bridge at each node the chain's Sturm count crosses
+            params = ModelParams()
+            ratios = _bridge(pot, e, traj.xs.tolist(), traj.zs.tolist(), params)
+            nodes = _chain(_steps(pot, pot.b, pot.a), e, right_anchor(pot, e, params), params, True)[3]
+            assert sum(q.real < 0.0 for q in ratios) == nodes == 2
 
 
 def test_criterion_07_bound_states_against_oracle(random_wells):
@@ -182,8 +187,8 @@ def test_criterion_09_reconstruction_and_current():
         h = (480.0 * 2.3e-16) ** (1.0 / 6.0) / max(k_in, 1.0)
         n = int(np.clip(round(2.0 / h), 801, 4001))
         grid = np.linspace(0.0, 2.0, n)
-        # untracked: excited states have interior nodes where the running
-        # phase integral diverges; the piecewise reconstruction handles them
+        # excited states have interior nodes; psi is bridged across them
+        # slab by slab
         traj = z_minus(pot, e, cfg=TIGHT, grid=grid)
         prof = reconstruct_wavefunction(traj)
         idx = np.searchsorted(prof.xs, grid)
@@ -206,7 +211,7 @@ def test_criterion_09_reconstruction_and_current():
         assert abs(traj.zs[0] - (-z1)) < 1e-6
 
     # scattering current: |psi|^2 Re Z constant along the trajectory
-    traj = z_minus(barrier(), 2.0, cfg=TIGHT, track_integral=True)
+    traj = z_minus(barrier(), 2.0, cfg=TIGHT)
     dev = constant_current_diagnostic(traj, region_constants(2.0, 0.0).z.real)
     assert dev < 1e-8
 

@@ -161,6 +161,29 @@ def test_scatter_evanescent_tail_note(tmp_path):
     assert float(dict(zip(header, rows[0]))["T"]) == 0.0
 
 
+def test_force_numeric_scatter_through_an_evanescent_tail(tmp_path, random_stack_instances):
+    # conftest stack 7 with its right lead raised to 1.2, at E = 0.9 from
+    # the left: the stepper's step underflowed near x = 3.689 while it
+    # carried the running integral of Z in its error norm.  R is 1, the
+    # chain's to 1e-8
+    pot = random_stack_instances[7][0]
+    doc = {"potential": {
+        "kind": "piecewise", "left_level": pot.left_level, "right_level": 1.2,
+        "segments": [{"x_start": s.x_start, "x_end": s.x_end, "u": s.u} for s in pot.segments],
+    }}
+    spec = write_spec(tmp_path, doc)
+    got = {}
+    for flags in ((), ("--force-numeric",)):
+        proc = run_cli("scatter", "--spec", spec, "--energy", "0.9", *flags)
+        assert proc.returncode == 0, (flags, proc.stderr)
+        assert "note\tevanescent-tail" in proc.stderr
+        header, rows = rows_of(proc.stdout)
+        got[flags] = dict(zip(header, map(float, rows[0])))
+    chain, numeric = got[()], got[("--force-numeric",)]
+    assert chain["R"] == pytest.approx(1.0, abs=1e-12) and numeric["T"] == 0.0
+    assert abs(numeric["R"] - chain["R"]) <= 1e-8
+
+
 def test_sweep_grid_contract(tmp_path):
     spec = write_spec(tmp_path, BARRIER_DOC)
     proc = run_cli("sweep", "--spec", spec, "--emin", "1.0", "--emax", "4.0",
@@ -614,10 +637,10 @@ def test_validate_at_an_interior_level_below_the_far_lead(tmp_path):
 
 
 def test_validate_residual_on_a_bridged_psi(tmp_path, random_stack_instances):
-    # validate checks the psi that profile prints: an untracked
-    # trajectory, bridged slab by slab.  Rebuilt from the tracked integral
-    # of Z instead, conftest stack 30 failed here with residuals 3.15e-6
-    # and 4.19e-6
+    # validate checks the psi that profile prints: the trajectory's Z,
+    # bridged slab by slab.  Rebuilt from a running integral of Z
+    # instead, conftest stack 30 failed here with residuals 3.15e-6 and
+    # 4.19e-6
     pot = random_stack_instances[30][0]
     doc = {"potential": {
         "kind": "piecewise", "left_level": pot.left_level, "right_level": pot.right_level,

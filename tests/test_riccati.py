@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwim import riccati
-from qwim.analytic import _steps, layer_transform, propagate_impedance, region_constants
+from qwim.analytic import _bridge, _chain, _steps, layer_transform, propagate_impedance, region_constants
 from qwim.errors import (
     EvanescentIncidenceError,
     NonFiniteInputError,
@@ -38,7 +38,6 @@ from qwim.scattering import solve_scattering
 from qwim.spectral import impedance_mismatch
 from qwim.xcheck import transfer_matrix_solve
 
-from oracles import _cumulative_nonuniform_simpson
 
 TIGHT = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -126,8 +125,12 @@ def test_many_pole_crossings_full_reflection():
     traj = integrate_impedance(pot, e, 6.0, z2, 0.0, TIGHT)
     rc = region_constants(e, 0.2)
     want = layer_transform(rc, z2, 6.0)
-    assert np.max(np.abs(traj.zs)) > 1e3  # the switch actually engaged
     assert abs(traj.zs[0] - want) < 1e-8 * (1.0 + abs(want))
+    # the switch engaged: psi changes sign across an interval of the
+    # bridge once per node, as often as the chain's Sturm count crosses
+    ratios = _bridge(pot, e, traj.xs.tolist(), traj.zs.tolist(), ModelParams())
+    nodes = _chain(_steps(pot, 6.0, 0.0), e, z2, ModelParams(), True)[3]
+    assert sum(q.real < 0.0 for q in ratios) == nodes == 2
 
 
 def test_small_impedance_ignores_pole_threshold():
@@ -165,17 +168,6 @@ def test_breakpoints_split_integration():
     )
     traj = z_minus(pot, 2.5, cfg=TIGHT)
     assert np.any(np.abs(traj.xs - 1.0) < 1e-14)
-
-
-def test_tracked_integral_constant_region():
-    # S(x) = int Z dx from the anchor; for a matched region S = z (x - x0)
-    pot = flat(0.0)
-    rc = region_constants(2.0, 0.0)
-    traj = integrate_impedance(
-        pot, 2.0, 0.0, rc.z, 2.0, TIGHT, track_integral=True
-    )
-    want = rc.z * (traj.xs - traj.xs[0])
-    np.testing.assert_allclose(traj.z_integral, want, atol=1e-9)
 
 
 def test_anchor_values_by_regime():
@@ -277,6 +269,26 @@ def test_every_grid_point_is_a_sample():
             assert np.isin(grid, traj.xs).all(), (edges, e, traj.direction)
 
 
+def test_each_slab_ends_on_its_join(random_stack_instances):
+    # a slab's end summed from the anchor put a sample an ulp off the
+    # joins of conftest stack 7, and integrated that ulp on the wrong
+    # level; each slab now ends on the join itself
+    pot = random_stack_instances[7][0]
+    traj = z_minus(pot, 2.0)
+    xs = traj.xs.tolist()
+    assert 1.664807063686054 in xs and 1.8268583857310123 in xs
+    assert set(pot.interfaces()) <= set(xs)
+
+
+def test_sample_count_of_the_stack_30_reconstruction(random_stack_instances):
+    # the (d) input of the Riccati benchmark: conftest stack 30 at
+    # E = 1.0875, forced through its 1627-point grid.  Pinned so that a
+    # change to the W switch or the step control shows up here
+    pot = random_stack_instances[30][0]
+    traj = z_minus(pot, 1.0875, grid=np.linspace(pot.a, pot.b, 1627))
+    assert len(traj.xs) == 1681
+
+
 def test_linear_slab_chain_matches_stepper_on_gaussians():
     # the exact linear-slab chain against the tight stepper, both sides
     from qwim.scattering import solve_scattering
@@ -331,27 +343,26 @@ def _tableau_step(f, x, y, h, f0):
     return y5, err, f_new
 
 
-def _reference_slab(ufunc, e, x0, stops, z, s, cfg, params, max_step, track, out):
+def _reference_slab(ufunc, e, x0, stops, z, threshold, cfg, params, max_step, out):
     """One slab as qwim integrates it, with RHS closures and a step
     function: one fresh start at x0, then every stop landed on in turn
     with the state, its slope, the mode and the step carried across.
-    Appends the accepted samples to ``out`` and returns (Z, S) at the
-    last stop."""
+    W takes over above |Z| = threshold and Z again below half of it.
+    Appends the accepted samples to ``out`` and returns Z at the last
+    stop."""
     c_pot, c_imp = 2.0 / params.hbar, params.mass / params.hbar
-    in_w = abs(z) >= cfg.pole_threshold
+    switch_back = 2.0 / threshold if threshold else math.inf
+    in_w = abs(z) > threshold
 
-    def f(x, state):  # the tuple RHS, (y', s') with s' = Z
+    def f(x, state):  # the tuple RHS, (y',)
         y = state[0]
         i_pot, i_imp = 1j * (c_pot * (e - ufunc(x))), 1j * c_imp
         if in_w:
-            dy = i_imp - i_pot * (y * y)
-        else:
-            dy = i_pot - i_imp * (y * y)
-        return (dy, 1.0 / y if in_w else y) if track else (dy,)
+            return (i_imp - i_pot * (y * y),)
+        return (i_pot - i_imp * (y * y),)
 
     def restart():
-        y = 1.0 / z if in_w else z
-        state = (y, s) if track else (y,)
+        state = (1.0 / z if in_w else z,)
         return state, f(x, state)
 
     end = stops[-1]
@@ -363,14 +374,10 @@ def _reference_slab(ufunc, e, x0, stops, z, s, cfg, params, max_step, track, out
         while sgn * (x1 - x) > h_floor:
             h = sgn * min(abs(h), max_step, sgn * (x1 - x))
             new, err, f_new = _tableau_step(f, x, state, h, f0)
-            s_new = new[1] if track else s
-            if not (cmath.isfinite(new[0]) and cmath.isfinite(s_new)):
+            if not cmath.isfinite(new[0]):
                 raise NonFiniteStateError(f"non-finite state near x={x}")
             tol = cfg.abs_tol + cfg.rel_tol * max(abs(state[0]), abs(new[0]))
             norm = max(0.0, abs(err[0]) / tol)
-            if track:
-                tol = cfg.abs_tol + cfg.rel_tol * max(abs(s), abs(s_new))
-                norm = max(norm, abs(err[1]) / tol)
             if norm > 1.0:
                 h *= max(0.2, 0.9 * norm ** -0.2)
                 if abs(h) < h_floor:
@@ -383,56 +390,61 @@ def _reference_slab(ufunc, e, x0, stops, z, s, cfg, params, max_step, track, out
             x += h
             if sgn * (x1 - x) <= h_floor:
                 x = x1
-            state, f0, s = new, f_new, s_new
+            state, f0 = new, f_new
             z = 1.0 / new[0] if in_w else new[0]
-            out.append((x, z, s))
+            out.append((x, z))
             h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
-            if not in_w and abs(z) >= cfg.pole_threshold:
+            if not in_w and abs(z) > threshold:
                 in_w = True
                 state, f0 = restart()
-            elif in_w and abs(state[0]) >= 2.0 / cfg.pole_threshold:
+            elif in_w and abs(state[0]) > switch_back:
                 in_w = False
                 state, f0 = restart()
-    return z, s
+    return z
 
 
-def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, track, grid):
-    """(xs, zs, S) in integration order from the reference slab loop: the
-    slabs of ``_steps`` from anchor to target, each ended at its end
-    accumulated from the anchor (the target for the last) or at a grid
-    point within rounding of that, with the grid points on it as stops."""
+def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, grid):
+    """(xs, zs) in integration order from the reference slab loop: the
+    slabs of ``_steps`` from anchor to target, each ended at its join,
+    the next interface of the potential the walk meets (the target for
+    the last), or at a grid point within rounding of that, with the grid
+    points on it as stops.  Each slab's switch is pole_threshold times
+    sqrt(2 max|E - U| / m) over the slab."""
     max_step = cfg.max_step if cfg.max_step is not None else abs(target_x - anchor_x) / 50.0
     sgn = 1.0 if target_x > anchor_x else -1.0
     lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
     points = [] if grid is None else sorted((float(g) for g in grid if lo < g < hi), key=lambda g: sgn * g)
+    joins = sorted((x for x in pot.interfaces() if lo < x < hi), key=lambda x: sgn * x)
     slabs = _steps(pot, anchor_x, target_x)
-    out = [(anchor_x, anchor_z, 0j)]
-    z, s, x0 = anchor_z, 0j, anchor_x
-    for k, slab in enumerate(slabs):
+    assert len(joins) == len(slabs) - 1
+    out = [(anchor_x, anchor_z)]
+    z, x0 = anchor_z, anchor_x
+    for slab, end in zip(slabs, joins + [target_x]):
         xa, u0, slope = x0, slab[0], slab[1] if len(slab) == 3 else 0.0
-        end = target_x if k == len(slabs) - 1 else xa + slab[-1]
         tol = 1e-14 * max(1.0, abs(end))
         stops = [p for p in points if sgn * (end - p) > tol]
         points = points[len(stops):]
-        if k < len(slabs) - 1 and points and abs(points[0] - end) <= tol:
+        if end != target_x and points and abs(points[0] - end) <= tol:
             end = points.pop(0)
+        reach = max(abs(e - u0), abs(e - (u0 + slope * slab[-1])))
+        threshold = cfg.pole_threshold * math.sqrt(2.0 / params.mass) * math.sqrt(reach)
 
         def ufunc(x, u0=u0, slope=slope, xa=xa):
             return u0 + slope * (x - xa) if slope else u0
 
-        z, s = _reference_slab(ufunc, e, x0, stops + [end], z, s, cfg, params, max_step,
-                               track, out)
+        z = _reference_slab(ufunc, e, x0, stops + [end], z, threshold, cfg, params, max_step,
+                            out)
         x0 = end
     return out
 
 
 @pytest.mark.parametrize("threshold", [1e9, 1e-3, 2.0], ids=["Z", "W", "switch"])
-@pytest.mark.parametrize("track", [False, True], ids=["plain", "track"])
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "grid"])
 @pytest.mark.parametrize("sampled", [False, True], ids=["const", "sampled"])
-def test_unrolled_step_matches_tableau_loop(sampled, track, threshold):
+def test_unrolled_step_matches_tableau_loop(sampled, forced, threshold):
     # the stepper's unrolled stages against the generic tableau step driven
-    # slab by slab, bit for bit over whole trajectories, with and without
-    # a forced grid: samples, Z, S and their number
+    # slab by slab, bit for bit over whole trajectories, without and with
+    # a forced grid: samples, Z and their number
     params = ModelParams(hbar=0.9, mass=1.1)
     cfg = IntegrationConfig(pole_threshold=threshold)
     if sampled:
@@ -446,19 +458,13 @@ def test_unrolled_step_matches_tableau_loop(sampled, track, threshold):
         anchor_x, target_x = 0.0, 2.1
     e = 1.9
     anchor_z = region_constants(e, 0.2, params).z * (1.0 - 0.4j)
-    for grid in (None, np.linspace(-0.5, 3.5, 57)):
-        traj = integrate_impedance(pot, e, anchor_x, anchor_z, target_x, cfg, params,
-                                   track_integral=track, grid=grid)
-        ref = _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params,
-                                    track, grid)
-        if traj.direction is Side.LEFT:
-            ref.reverse()
-        assert repr(traj.xs.tolist()) == repr([float(x) for x, _, _ in ref])
-        assert repr(traj.zs.tolist()) == repr([complex(z) for _, z, _ in ref])
-        if track:
-            assert repr(traj.z_integral.tolist()) == repr([complex(s) for _, _, s in ref])
-        else:
-            assert traj.z_integral is None
+    grid = np.linspace(-0.5, 3.5, 57) if forced else None
+    traj = integrate_impedance(pot, e, anchor_x, anchor_z, target_x, cfg, params, grid=grid)
+    ref = _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, grid)
+    if traj.direction is Side.LEFT:
+        ref.reverse()
+    assert repr(traj.xs.tolist()) == repr([float(x) for x, _ in ref])
+    assert repr(traj.zs.tolist()) == repr([complex(z) for _, z in ref])
 
 
 def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
@@ -483,7 +489,7 @@ def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
     xs = np.linspace(0.0, 2.1, 9)
     for pot in (PiecewisePotential(0.0, segs, 0.0),
                 SampledPotential(tuple(xs), tuple(np.cos(3.0 * xs)), 0.0, 0.0)):
-        traj = z_minus(pot, 1.9, grid=np.linspace(0.0, 2.1, 400), track_integral=True)
+        traj = z_minus(pot, 1.9, grid=np.linspace(0.0, 2.1, 400))
         assert len(traj.xs) > 400
     assert calls == {"_steps": 2, "u_at": 0}
 
@@ -494,7 +500,7 @@ def test_forced_grid_adds_no_rejected_steps(monkeypatch):
     # length of the whole interval, so the grid adds accepted steps only
     attempts = [0]
 
-    def isfinite(v):  # called once per attempted step on an untracked run
+    def isfinite(v):  # called once per attempted step
         attempts[0] += 1
         return cmath.isfinite(v)
 
@@ -538,26 +544,6 @@ def test_grid_points_outside_the_range_are_ignored():
     assert repr(inside.zs.tolist()) == repr(wider.zs.tolist())
 
 
-@pytest.mark.parametrize(
-    "e, pole_threshold", [(0.5, 1e3), (1.5, 1e3), (3.0, 1e3), (3.0, 2.0)]
-)
-def test_tracked_integral_matches_quadrature_of_z(e, pole_threshold):
-    # S(x) = int_b^x Z dx' rides along with the step; check it against an
-    # independent quadrature of the returned Z samples.  At E = 3 a
-    # threshold of 2 puts most of the range in W mode, where S's slope
-    # is 1/W.
-    xs = np.linspace(0.0, 6.0, 101)
-    pot = SampledPotential(tuple(xs), tuple(2.0 * np.exp(-((xs - 3.0) ** 2))), 0.0, 0.0)
-    cfg = IntegrationConfig(pole_threshold=pole_threshold)
-    grid = np.linspace(0.0, 6.0, 241)
-    traj = z_minus(pot, e, cfg=cfg, track_integral=True, grid=grid)
-    cum = _cumulative_nonuniform_simpson(traj.xs, traj.zs)
-    want = cum - cum[-1]  # the anchor is b, the last sample
-    s = traj.z_integral
-    assert s[-1] == 0
-    assert np.max(np.abs(s - want)) < 1e-6 * np.max(np.abs(s))
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "call",
@@ -593,13 +579,12 @@ def test_numpy_scalars_give_the_float_result():
             got = impedance_mismatch(pot, np.float64(-3.0), np.float64(0.7), cfg)
             assert type(got) is complex and repr(got) == repr(want)
         for x0, anchor in ((pot.a, left_anchor), (pot.b, right_anchor)):
-            want = integrate_impedance(pot, 1.3, x0, anchor(pot, 1.3, ModelParams()), 1.1,
-                                       track_integral=True)
+            want = integrate_impedance(pot, 1.3, x0, anchor(pot, 1.3, ModelParams()), 1.1)
             got = integrate_impedance(pot, np.float64(1.3), np.float64(x0),
                                       anchor(pot, np.float64(1.3), ModelParams()),
-                                      np.float64(1.1), track_integral=True)
+                                      np.float64(1.1))
             assert type(got.energy) is float and type(got.anchor_x) is float
-            for field in ("xs", "zs", "z_integral"):
+            for field in ("xs", "zs"):
                 assert repr(getattr(got, field).tolist()) == repr(getattr(want, field).tolist())
         z = region_constants(1.3, 0.0).z
         want = integrate_impedance(pot, 1.3, 2.0, z, 0.0)

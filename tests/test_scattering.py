@@ -723,16 +723,14 @@ def test_energy_sweep_blocks_agree(monkeypatch):
 def test_current_diagnostic_free_line():
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 3.0, 0.0),), 0.0)
     e = 2.0
-    traj = z_minus(pot, e, cfg=IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13),
-                   track_integral=True)
+    traj = z_minus(pot, e, cfg=IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13))
     dev = constant_current_diagnostic(traj, region_constants(e, 0.0).z.real)
     assert dev < 1e-10
 
 
 def test_current_diagnostic_at_resonance():
     e = 1.0 + math.pi ** 2 / 8.0
-    traj = z_minus(barrier(), e, cfg=IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13),
-                   track_integral=True)
+    traj = z_minus(barrier(), e, cfg=IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13))
     dev = constant_current_diagnostic(traj, region_constants(e, 0.0).z.real)
     assert dev < 1e-6
 
@@ -740,8 +738,7 @@ def test_current_diagnostic_at_resonance():
 def test_current_diagnostic_deep_tunneling_still_conserves():
     # strong reflection is not zero current: the transmitted trickle keeps
     # Re Z > 0 along the whole trajectory and the identity still holds
-    traj = z_minus(barrier(), 0.5, cfg=IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13),
-                   track_integral=True)
+    traj = z_minus(barrier(), 0.5, cfg=IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13))
     dev = constant_current_diagnostic(traj, region_constants(0.5, 0.0).z.real)
     assert dev < 1e-8
 
@@ -749,7 +746,7 @@ def test_current_diagnostic_deep_tunneling_still_conserves():
 def test_current_diagnostic_rejects_currentless_run():
     # evanescent far lead: T = 0 exactly, Re Z vanishes at the anchor
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 0.3),), 2.0)
-    traj = z_minus(pot, 1.1, cfg=IntegrationConfig(), track_integral=True)
+    traj = z_minus(pot, 1.1, cfg=IntegrationConfig())
     with pytest.raises(NoCurrentError):
         constant_current_diagnostic(traj, region_constants(1.1, 0.0).z.real)
 
@@ -761,15 +758,6 @@ def test_current_profile_is_flat():
         0.0,
     )
     e = 2.6
-    traj = z_minus(pot, e, cfg=IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13),
-                   track_integral=True)
+    traj = z_minus(pot, e, cfg=IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13))
     j = current_profile(traj, 1.0 + 0j)
     assert np.max(np.abs(j - np.mean(j))) < 1e-8 * np.mean(j)
-
-
-def test_untracked_trajectory_rejected_by_diagnostics():
-    traj = z_minus(barrier(), 2.0, cfg=IntegrationConfig())
-    with pytest.raises(ValueError):
-        constant_current_diagnostic(traj, 2.0)
-    with pytest.raises(ValueError):
-        current_profile(traj, 1.0)

@@ -446,10 +446,10 @@ def test_failed_evaluation_in_resonance_refinement_is_skipped(monkeypatch):
     clean = find_resonances(pot, 1.0, 13.0)
     real = _Incidence.__call__
 
-    def failing(walk, e, track=False):
+    def failing(walk, e, bridge=False):
         if 2.2337 < e < 2.2338:
             raise TransformPoleError("no r here")
-        return real(walk, e, track)
+        return real(walk, e, bridge)
 
     # the refinement's scalar walks; the scan grid takes the array pass
     monkeypatch.setattr(_Incidence, "__call__", failing)

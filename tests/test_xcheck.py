@@ -312,8 +312,7 @@ def test_reconstruct_free_line_plane_wave():
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 3.0, 0.0),), 0.0)
     e = 2.0
     k = math.sqrt(2.0 * e)
-    traj = z_minus(pot, e, cfg=TIGHT, track_integral=True,
-                   grid=np.linspace(0.0, 3.0, 301))
+    traj = z_minus(pot, e, cfg=TIGHT, grid=np.linspace(0.0, 3.0, 301))
     prof = reconstruct_wavefunction(traj, psi_start=1.0 + 0j)
     want = np.exp(1j * k * (prof.xs - prof.xs[0]))
     np.testing.assert_allclose(prof.psi, want, rtol=0, atol=1e-8)
@@ -323,7 +322,7 @@ def test_reconstruct_evanescent_tail_decay():
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 3.0, 2.0),), 2.0)
     e = 1.0
     kappa = math.sqrt(2.0 * (2.0 - e))
-    traj = z_minus(pot, e, cfg=TIGHT, track_integral=True)
+    traj = z_minus(pot, e, cfg=TIGHT)
     prof = reconstruct_wavefunction(traj, psi_start=1.0 + 0j)
     want = np.exp(-kappa * (prof.xs - prof.xs[0]))
     np.testing.assert_allclose(np.abs(prof.psi), want, rtol=1e-8, atol=0)
@@ -334,7 +333,6 @@ def test_reconstruct_at_a_slab_level_is_linear():
     # bridge takes that limit of the slab step
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0)
     traj = z_minus(pot, 1.0, cfg=TIGHT)
-    assert traj.z_integral is None
     prof = reconstruct_wavefunction(traj)
     # psi = t (1 + i k (x - 2)) inside, scaled to psi(0) = 1
     k = math.sqrt(2.0)
@@ -343,8 +341,7 @@ def test_reconstruct_at_a_slab_level_is_linear():
 
 
 def _bound_profile(pot, e, n_points):
-    # no integral tracking: excited states have nodes where S = int Z dx
-    # diverges, so the slab-by-slab bridge reconstruction is used instead
+    # excited states have nodes, which psi's slab-by-slab bridges cross
     grid = np.linspace(pot.a, pot.b, n_points)
     traj = z_minus(pot, e, cfg=TIGHT, grid=grid)
     prof = reconstruct_wavefunction(traj)
@@ -377,7 +374,7 @@ def test_reconstruct_impedance_consistency():
     )
     e = 2.3
     grid = np.linspace(0.0, 2.0, 2001)
-    traj = z_minus(pot, e, cfg=TIGHT, track_integral=True, grid=grid)
+    traj = z_minus(pot, e, cfg=TIGHT, grid=grid)
     prof = reconstruct_wavefunction(traj)
     xs, psi, zs = prof.xs, prof.psi, traj.zs
     h = np.diff(xs)
@@ -424,7 +421,6 @@ def test_untracked_sampled_reconstruction_is_the_chain_psi(amplitude, n, state, 
     pot = _gaussian(amplitude, n)
     e = energy if state is None else find_bound_states(pot).energies[state]
     traj = z_minus(pot, e, cfg=cfg, grid=np.linspace(pot.a, pot.b, points))
-    assert traj.z_integral is None
     assert _chain_error(traj, reconstruct_wavefunction(traj)) < 1e-9
 
 
@@ -459,7 +455,7 @@ def test_untracked_reconstruction_past_a_steps_on_the_lead(pot):
     # lead's level
     traj = integrate_impedance(pot, 0.7, pot.b, right_anchor(pot, 0.7, ModelParams()),
                                pot.a - 2.0, TIGHT)
-    assert traj.xs[0] == pot.a - 2.0 and traj.z_integral is None
+    assert traj.xs[0] == pot.a - 2.0
     assert _chain_error(traj, reconstruct_wavefunction(traj)) < 1e-9
 
 
@@ -553,7 +549,7 @@ def test_thinned_reconstruction_matches_the_full_one():
 
 def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
     # the chain's profile cuts its grid once, and the psi bridge the
-    # trajectory's samples once each way, however many points there are
+    # trajectory's samples once, however many points there are
     from qwim.model import _linspace
     from qwim.scattering import _Incidence
 
@@ -579,10 +575,10 @@ def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
                 cuts.clear()
                 walk.profile(0.7, grid)
                 assert cuts == [n]
-                xs, zs, _ = walk.trajectory(0.7, grid=grid)
+                xs, zs = walk.trajectory(0.7, grid=grid)
                 cuts.clear()
                 _bridge(pot, 0.7, xs, zs, params)
-                assert cuts == [len(xs), len(xs)] and len(xs) >= n
+                assert cuts == [len(xs)] and len(xs) >= n
 
 
 def test_reconstruct_defaults_to_unit_incident():
@@ -641,7 +637,7 @@ def test_residual_reconstructed_scattering_state():
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0)
     e = 2.0
     grid = np.linspace(0.0, 2.0, 401)
-    traj = z_minus(pot, e, cfg=TIGHT, track_integral=True, grid=grid)
+    traj = z_minus(pot, e, cfg=TIGHT, grid=grid)
     prof = reconstruct_wavefunction(traj)
     idx = np.searchsorted(prof.xs, grid)
     sub = WavefunctionProfile(
