@@ -17,15 +17,18 @@ With that branch the decaying-tail boundary values are Z(a) = -z1 on the
 left and Z(b) = +z2 on the right, and Z = +z / -z are the attractors of
 leftward / rightward integration through an evanescent region.
 
-One walker, ``_chain(slabs, e, z_anchor, params)``, steps Z and psi
-across a slab list.  ``_cut`` alone cuts a potential into slabs, at any
+Two walkers step across a slab list, split by problem.
+``_chain(slabs, e, z_anchor, params)`` steps the complex Z and psi of
+scattering, resonances and ``impedance_mismatch``; ``_real_walk(slabs,
+e, y_anchor, params)`` steps the real solution of the bound-state
+search.  ``_cut`` alone cuts a potential into slabs, at any
 monotone points in one pass; ``_steps``, its walk between two points,
 builds the searches' lists, once per stack and end, and the stepper's.
 Each constant slab is one step of the tanh addition law: it maps Z(x) to
 Z(x + dx) and gives the psi ratio across the step over the same
 denominator.  Where E equals a slab's level psi is linear across it, and
 the step takes its exact limit instead (only a degenerate *lead* is an
-error).  The walker returns its last step undivided, so a psi-node at
+error).  Each walker returns its last step undivided, so a psi-node at
 the end point is no error.  ``propagate_impedance``, ``layer_transform``
 and ``psi_growth_factor`` are walks of one slab.  The scattering
 solve, its sweep and the resonance search walk one list from the far
@@ -33,17 +36,31 @@ lead to the entry edge, in the potential's own frame from either side
 (``scattering._Incidence``); the bound search walks one from each end
 to its probe.  Each search builds its lists once, for every energy it
 evaluates.
-It computes each level's z and gamma and the step itself inline, in the
-arithmetic of ``_constants`` (the scalar core of ``region_constants``),
-and on request also counts the psi-nodes a real solution crosses: the
-bound-state search's Sturm count.
-``_chain_many`` in :mod:`qwim._arrays` is its array twin for a whole
-energy grid: one array pass per slab, with an ``ok`` mask marking the
-energies where the scalar walk would raise.  Energy sweeps and the scan
-grids of the spectral searches use it where numpy is loaded already or
-the potential is sampled (``_array_pass``), and handle the flagged
-energies again one at a time; elsewhere they walk each energy with
-``_chain``.
+``_chain`` computes each level's z and gamma and the step itself
+inline, in the arithmetic of ``_constants`` (the scalar core of
+``region_constants``).
+
+Below both leads a bound state's psi is real, and so is
+psi'/psi = i (m/hbar) Z.  ``_real_walk`` carries (psi, dpsi/ds) there
+in real arithmetic, s the distance walked: cos / sin on a propagating
+slab, the linear limit at a slab's level, the real content of the
+sub-slab maps on a sampled potential, and on an evanescent slab
+cosh / sinh where kappa h <= 1 and otherwise the parts that grow and
+decay along the walk, each to full relative accuracy, so a psi that
+decays across a barrier does not cancel away.  It carries psi's sign,
+not its size, so nothing underflows across a thick barrier, and a
+psi-node on a step's end is counted, not divided by.  It always counts
+the psi-nodes the solution crosses: the bound-state search's Sturm
+count.  One walk per energy and end gives both that count and the
+matching function W (``spectral._Ends``).
+
+``_chain_many`` in :mod:`qwim._arrays` is ``_chain``'s array twin for a
+whole energy grid: one array pass per slab, with an ``ok`` mask marking
+the energies where the scalar walk would raise.  Energy sweeps and the
+scan grids of the spectral searches use it where numpy is loaded
+already or the potential is sampled (``_array_pass``), and handle the
+flagged energies again one at a time; elsewhere they walk each energy
+with ``_chain``.
 
 A sampled potential is linear between its samples, U = u0 + F s, and
 there psi'' = (A + B s) psi with A = 2m (u0 - E) / hbar^2 and
@@ -56,7 +73,7 @@ enough that a Taylor series of the fundamental pair converges fast
 
 with psi(start) / psi(end) = 1 / den: the shape of a constant slab's
 step, so the same walkers carry it.  The sub-slab maps are real at real
-E, so the bound-state anchors stay purely imaginary.  They come from
+E: ``_real_walk`` reads f, f', g and g' off them.  They come from
 numpy's array series (``_arrays._linear_maps``) where numpy is loaded
 already, and from its plain-Python twin (``_linear_twin``: the same
 split and recurrence, one sub-slab at a time) elsewhere
@@ -70,7 +87,7 @@ with the larger |Z|: ``reconstruct_wavefunction``, ``profile
 ``force_numeric`` bound search signs psi, and a ``force_numeric`` solve
 takes t from the product of its ratios.
 
-Everything here is scalar complex arithmetic, and this module imports
+Everything here is scalar arithmetic, and this module imports
 no numpy, so work at one energy loads none, on either kind of
 potential: ``_chain`` walks a sampled potential's slabs by the twin
 unless numpy is loaded already.  Work at many energies on a sampled
@@ -245,10 +262,10 @@ def _chain(
     e: float,
     z_anchor: complex,
     params: ModelParams,
-    count: bool = False,
-) -> tuple:
+) -> tuple[complex, complex, complex]:
     """Carry an impedance anchored at one end of a slab list (``_steps``)
-    across it.
+    across it: the walk of scattering, resonances and
+    ``impedance_mismatch``, at any complex anchor.
 
     A constant slab of characteristic impedance z and propagation
     constant gamma (``_constants``' values and checks, computed inline)
@@ -271,21 +288,10 @@ def _chain(
     the f: Z(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so
     a psi-node at x_to is no error (one before it raises
     TransformPoleError).  Raises NonFiniteStateError where a value
-    overflows.
-
-    With ``count``, for a real solution (a purely imaginary anchor at a
-    real e), returns (num, den, r, nodes): the psi-nodes crossed, each on
-    the half-open step (start, end] once; the bound-state search's Sturm
-    count.  With psi'/psi = i (m/hbar) Z and s the distance walked, a
-    propagating slab turns the Pruefer angle theta (tan theta =
-    k psi / (dpsi/ds), theta0 in (0, pi)) by exactly k |dx|, so it
-    crosses floor((theta0 + k |dx|) / pi) nodes.  An evanescent slab, a
-    slab at level e (psi linear) and a linear sub-slab
-    (h sqrt(max |A|) <= 1 < pi) each hold at most one node, there iff
-    psi(end) / psi(start) <= 0: den / z across an evanescent slab (the
-    saturated form divides by a positive factor), den across the others.
+    overflows.  The bound-state search walks its real solutions, and
+    counts their psi-nodes, with ``_real_walk`` instead.
     """
-    num, den, r, nodes = z_anchor, 1.0, 1.0, 0
+    num, den, r = z_anchor, 1.0, 1.0
     m = params.mass
     i_m = 1j * (m / params.hbar)
     if slabs and len(slabs[0]) > 2:
@@ -294,8 +300,6 @@ def _chain(
         for kfp, gp, f, gk in slabs:
             z_at, r = _divide(num, den), r / den
             num, den = kfp + gp * z_at, f + gk * z_at
-            if count:
-                nodes += den.real <= 0.0
     else:
         sqrt, cosh, sinh, isfinite = math.sqrt, cmath.cosh, cmath.sinh, cmath.isfinite
         eps_e = EPS_DEGENERATE * abs(e)
@@ -311,8 +315,6 @@ def _chain(
                 # product rounds monotonically
                 if abs(de) <= eps_e or abs(de) <= EPS_DEGENERATE * abs(u):
                     num, den = z_at, 1.0 + z_at * (i_m * dx)
-                    if count:
-                        nodes += den.real <= 0.0
                     continue
                 if de > 0.0:
                     z = complex(sqrt(2.0 * de / m), 0.0)
@@ -332,25 +334,140 @@ def _chain(
                     c1, c2 = cosh(g), sinh(g)
                     r *= z
                 num, den = z * (z_at * c1 + z * c2), z * c1 + z_at * c2
-                if not count:
-                    continue
-                if de > 0.0:
-                    k = gamma.imag
-                    # psi'/psi in the direction of the walk
-                    slope = (i_m * z_at).real if dx > 0.0 else -(i_m * z_at).real
-                    if slope < 0.0:
-                        # theta0 = pi - atan2(k, -slope), which would round to
-                        # pi for k << |slope| and count a node psi never reaches
-                        nodes += 1 + math.floor((k * abs(dx) - math.atan2(k, -slope)) / math.pi)
-                    else:
-                        nodes += math.floor((math.atan2(k, slope) + k * abs(dx)) / math.pi)
-                else:
-                    nodes += (den / z).real <= 0.0
         except ValueError:
             raise NonFiniteStateError(f"slab phase overflows at energy {e}") from None
     if not (cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(r)):
         raise NonFiniteStateError(f"layer chain overflows at energy {e}")
-    return (num, den, r, nodes) if count else (num, den, r)
+    return num, den, r
+
+
+def _real_walk(
+    slabs: list[tuple[float, ...]],
+    e: float,
+    y_anchor: float,
+    params: ModelParams,
+) -> tuple[float, float, int]:
+    """Carry a real solution anchored at one end of a slab list
+    (``_steps``) across it, at a real e, and count its psi-nodes: the
+    bound-state search's walk.
+
+    With s the distance walked, the solution starts at psi = 1,
+    dpsi/ds = ``y_anchor`` (a decaying tail's kappa, where
+    psi'/psi = i (m/hbar) Z is real), and each step maps (p, d), a
+    positive multiple of (psi, dpsi/ds), by the slab's real transfer
+    matrix over h = |dx|, times a positive factor:
+
+        den = p c + d s / k,  num = d c - p k s          (c, s = cos, sin of k h)
+        den = p c + d s / kap,  num = d c + p kap s      (cosh, sinh of g = kap h <= 1)
+        den = A + B exp(-2 g),  num = kap (A - B exp(-2 g))      (g > 1)
+        den = p + d h,  num = d                          (a slab at level e)
+        den = p f + d g,  num = p f' + d g'              (a linear sub-slab)
+
+    with k or kap = sqrt(2m |e - u|) / hbar and the linear limit where e
+    equals a slab's level to EPS_DEGENERATE.  Past g = 1 the evanescent
+    step is split into the parts that grow and decay along the walk,
+    A = p + d / kap and B = p - d / kap, over cosh(g) + sinh(g): each
+    part keeps its relative accuracy, where the cosh / sinh form would
+    lose a decaying psi in the cancellation of two terms of order
+    exp(g), and nothing overflows (past _SATURATION_CUT exp(-2 g) is
+    below rounding: the saturated form).  Where A is 0 the step is over
+    cosh(g) - sinh(g) instead, B alone, so that an underflowing
+    exp(-2 g) cannot lose psi.  A linear sub-slab takes the real
+    content of its ``_linear_steps`` map, (f, f', g, g') in the walk's
+    direction.  Each step starts from the last one's (den, num) scaled
+    to p = 1, or to (p, d) = (0, 1) where den is exactly 0 (a psi-node
+    on the step's start), with psi's sign kept aside: nothing is
+    divided by a vanishing psi, and nothing underflows.
+
+    The count takes each psi-node once, on the half-open step
+    (start, end].  A propagating slab turns the Pruefer angle theta
+    (tan theta = k psi / (dpsi/ds), theta0 in [0, pi)) by exactly k h,
+    so it crosses floor((theta0 + k h) / pi) nodes.  An evanescent slab,
+    a slab at level e (psi linear) and a linear sub-slab
+    (h sqrt(max |A|) <= 1 < pi) each hold at most one node, there iff
+    den <= 0 from p = 1.
+
+    Returns (p, d, nodes): the last step undivided, signed so that
+    (p, d) is a positive multiple of (psi, dpsi/ds) at the walk's end.
+    Raises NonFiniteStateError where a value overflows.
+    """
+    m, hbar = params.mass, params.hbar
+    den, num, neg, nodes = 1.0, y_anchor, False, 0
+    if slabs and len(slabs[0]) == 3:
+        # g and f' of a complex map (kfp, gp, f, gk) in the walk's direction
+        fwd = 1.0 if slabs[0][2] > 0.0 else -1.0
+        to_g, to_fp = fwd * hbar / m, -fwd * m / hbar
+        for kfp, gp, f, gk in _linear_steps(slabs, e, params)[1]:
+            if den:
+                p, d = 1.0, num / den
+                if den < 0.0:
+                    neg = not neg
+            else:
+                p, d = 0.0, 1.0
+                if num < 0.0:
+                    neg = not neg
+            den, num = p * f + d * (gk.imag * to_g), p * (kfp.imag * to_fp) + d * gp
+            nodes += den <= 0.0 < p
+    else:
+        sqrt, cos, sin, exp = math.sqrt, math.cos, math.sin, math.exp
+        cosh, sinh = math.cosh, math.sinh
+        atan2, floor, pi = math.atan2, math.floor, math.pi
+        c2 = 2.0 * m / hbar / hbar
+        eps_e = EPS_DEGENERATE * abs(e)
+        # |de| <= EPS_DEGENERATE * |u| implies |de| < 2 eps_e: that test
+        # first spares the second its abs(u)
+        eps_2e = 2.0 * eps_e
+        # an infinite phase k h (a vast slab, a tiny hbar) raises
+        # ValueError in cos / sin, and an overflowed k divides by 0
+        try:
+            for u, dx in slabs:
+                if den:
+                    p, d = 1.0, num / den
+                    if den < 0.0:
+                        neg = not neg
+                else:
+                    p, d = 0.0, 1.0
+                    if num < 0.0:
+                        neg = not neg
+                h = dx if dx > 0.0 else -dx
+                de = e - u
+                ade = de if de > 0.0 else -de
+                # |de| <= EPS_DEGENERATE * max(|e|, |u|), as _chain splits it
+                if ade <= eps_2e and (ade <= eps_e or ade <= EPS_DEGENERATE * abs(u)):
+                    den, num = p + d * h, d
+                    nodes += den <= 0.0 < p
+                elif de > 0.0:
+                    k = sqrt(c2 * de)
+                    kh = k * h
+                    c, s = cos(kh), sin(kh)
+                    if d < 0.0:
+                        # theta0 = pi - atan2(k, -d), which would round to pi
+                        # for k << |d| and count a node psi never reaches
+                        nodes += 1 + floor((kh - atan2(k * p, -d)) / pi)
+                    else:
+                        nodes += floor((atan2(k * p, d) + kh) / pi)
+                    den, num = p * c + d * (s / k), d * c - p * (k * s)
+                else:
+                    kap = sqrt(-c2 * de)
+                    g = kap * h
+                    if g > 1.0:
+                        # the parts that grow and decay along the walk, the
+                        # step divided by cosh(g) + sinh(g), or by cosh(g) -
+                        # sinh(g) where psi only decays (exp(-2 g) may
+                        # underflow)
+                        grow, decay = p + d / kap, p - d / kap
+                        if grow:
+                            decay *= exp(-2.0 * g)
+                        den, num = grow + decay, kap * (grow - decay)
+                    else:
+                        c, s = cosh(g), sinh(g)
+                        den, num = p * c + d * (s / kap), d * c + p * (kap * s)
+                    nodes += den <= 0.0 < p
+        except (ValueError, ArithmeticError):
+            raise NonFiniteStateError(f"slab phase overflows at energy {e}") from None
+    if not (math.isfinite(den) and math.isfinite(num)):
+        raise NonFiniteStateError(f"real walk overflows at energy {e}")
+    return (-den, -num, nodes) if neg else (den, num, nodes)
 
 
 def _cbrt(x: float) -> float:

@@ -10,12 +10,14 @@ D has a pole wherever either solution has a node at the probe, so bound
 states are matched instead on W, the Wronskian psi+ psi-' - psi- psi+'
 normalised to [-1, 1]: W = D psi+ psi- up to a positive factor, it has
 no poles, does not depend on the probe, and vanishes exactly at the
-eigenvalues.  Where they lie follows from the same two slab lists by
-Sturm oscillation: a node count N(E) (``_Ends.count``) gives the number
-of states below any E, so bisection on N brackets every state alone
-(Pryce, *Numerical Solution of Sturm-Liouville Problems*, OUP 1993).
-No scan grid is involved, and a search that finds fewer roots than N
-raises BracketingExhaustedError.
+eigenvalues.  Below both leads both solutions are real, and so is
+psi'/psi = i (m/hbar) Z, so the search walks them in real arithmetic
+(``analytic._real_walk``).  Where the states lie follows from the same
+two walks by Sturm oscillation: a node count N(E) (``_Ends.count``)
+gives the number of states below any E, so bisection on N brackets
+every state alone (Pryce, *Numerical Solution of Sturm-Liouville
+Problems*, OUP 1993).  No scan grid is involved, and a search whose
+roots do not number N(ceiling) raises BracketingExhaustedError.
 
 Resonances.  Full transmission is impedance matching at the entry edge.
 The transmitted wave, Z = z2 at the far edge, carried across the
@@ -32,19 +34,21 @@ at a time elsewhere, and refines each minimum of |r| by Brent's root
 finder on the components of r; the bounded minimiser on |r|^2 runs only
 where their roots do not coincide in a zero of r.
 
-Both kinds of potential chain exact slab maps (constant slabs, or the
-linear sub-slabs of a sampled potential), which also give the psi
-ratios that sign W; with ``cfg.force_numeric`` the Riccati equation is
-integrated instead, and the exact slab steps across its own intervals
-(``analytic._bridge``) give the psi ratios, so W is signed for both
-engines and one root rule serves them.  A search sets up its slab
-lists once (``_Ends``: one from each end to the probe; ``_Incidence``:
-the walk to the entry edge).  The node count and the refinement of each
-bracket, with qwim's own ports of Brent's root finder and bounded
-minimiser (``_optimize``), walk the same lists one scalar energy at a
-time in plain complex arithmetic, and walk no energy twice: W at an energy the count walked
-takes the count's ends, and the value at a returned root or minimum is
-the one the optimiser computed.  Only the resonance scan's array pass
+Both kinds of potential walk exact slab maps (constant slabs, or the
+linear sub-slabs of a sampled potential): the real walk carries psi's
+sign along with psi'/psi, which signs W; with ``cfg.force_numeric`` the
+Riccati equation is integrated instead, and the exact slab steps across
+its own intervals (``analytic._bridge``) give the sign of psi, so W is
+signed for both engines and one root rule serves them.  A search sets
+up its slab lists once (``_Ends``: one from each end to the probe;
+``_Incidence``: the walk to the entry edge).  The node count and the
+refinement of each bracket, with qwim's own ports of Brent's root
+finder and bounded minimiser (``_optimize``), walk the same lists one
+scalar energy at a time in plain real (bound states) or complex
+(resonances) arithmetic, and walk no energy twice: one real walk per
+energy and end serves both the count and W, and the value at a
+returned root or minimum is the one the optimiser computed.  Only the
+resonance scan's array pass
 and sampled potentials use numpy: a search on a sampled potential loads
 it at set-up (``analytic._array_pass``), so that its many walks take
 numpy's sub-slab series, and a search on a piecewise potential loads
@@ -60,10 +64,9 @@ from enum import Enum
 from functools import partial
 
 from ._optimize import brentq, minimize_scalar
-from .analytic import _array_pass, _bridge, _chain, _constants, _steps
+from .analytic import _array_pass, _bridge, _chain, _real_walk, _steps
 from .errors import (
     BracketingExhaustedError,
-    DegenerateEnergyError,
     EmptyWindowError,
     EvanescentIncidenceError,
     NonFiniteStateError,
@@ -114,19 +117,25 @@ class _Ends:
     """The left- and the right-anchored solution at one probe, set up
     once for a whole search.
 
-    Called with an energy, it gives both solutions' (num, den, r) at the
-    probe: Z = num / den and psi(anchor) / psi(probe) = r / den.  Bound
-    mode applies automatically for e below both leads; otherwise the
-    scattering (left-incidence) anchors are used (``_anchors``).  The
-    slab lists from each end to the probe are built here, and every
-    energy is chained along them; ``count`` walks them too, and keeps
-    the ends it walked for a call at the same energy.  With
-    ``force_numeric`` a call integrates the Riccati equation instead and
-    gives (Z, 1, r): r = psi(anchor) / psi(probe) is the product of the
-    phases of the trajectory's interval psi ratios (``analytic._bridge``).
-    W reads only the phase of r, and a product of phases cannot
-    underflow across a thick barrier as one of the ratios themselves
-    can.  The lists then serve the node count alone.
+    The slab lists from each end to the probe are built here.  Below
+    both leads the two decaying solutions are real, and ``walk(e)``
+    carries them along the lists by ``analytic._real_walk``, once per
+    energy: (p, d, nodes) of each, (p, d) a positive multiple of
+    (psi, dpsi/ds) at the probe with s the distance walked from the
+    anchor, psi = 1 and dpsi/ds = kappa = sqrt(2m max(u - e, 0)) / hbar
+    at the lead of level u (kappa = 0, the threshold anchor, at the
+    lead's level).  That one walk serves both the node count and W.
+
+    Called with an energy, it gives the ends W reads (``_wronskian``):
+    the walk's on the chain; with ``force_numeric`` the Riccati
+    equation is integrated instead, and each end is (p, p y, None), y
+    the real psi'/psi = i (m/hbar) Z in the walk's direction at the
+    trajectory's end and p the sign of psi(probe) / psi(anchor), the
+    product of the signs of the trajectory's interval psi ratios
+    (``analytic._bridge``).  A product of signs cannot underflow across
+    a thick barrier as one of the ratios themselves can.  The lists and
+    their walks then serve the node count alone.  ``impedances(e)``
+    gives ``impedance_mismatch`` the complex Z+ and Z- at any energy.
     """
 
     def __init__(self, pot, probe_x, cfg, params):
@@ -143,89 +152,110 @@ class _Ends:
     def _anchors(self, e):
         """Z at a and at b: the decaying tails below a lead's level, the
         scattering anchors above it, and the threshold anchor Z = 0 at
-        it, where ``_constants`` raises."""
-        z = []
-        for u in self.levels:
-            try:
-                z.append(_constants(e, u, self.params)[0])
-            except DegenerateEnergyError:
-                z.append(0j)
-        return -z[0] if e < self.levels[0] else z[0], z[1]
+        it."""
+        (u_a, u_b), m = self.levels, self.params.mass
+        z_a = -complex(0.0, math.sqrt(2.0 * (u_a - e) / m)) if e < u_a else (
+            complex(math.sqrt(2.0 * (e - u_a) / m), 0.0))
+        z_b = complex(0.0, math.sqrt(2.0 * (u_b - e) / m)) if e < u_b else (
+            complex(math.sqrt(2.0 * (e - u_b) / m), 0.0))
+        return z_a, z_b
 
-    def __call__(self, e):
-        ends = self.walked.get(e)
-        if ends:
-            return ends
+    def impedances(self, e):
+        """Z+ and Z- at the probe, the scattering anchors above a lead:
+        each end's (num, den) of ``analytic._chain`` (Z = num / den), or
+        the stepper's (Z, 1) with ``force_numeric``."""
         (left, right), params = self.slabs, self.params
         z_a, z_b = self._anchors(e)
         if self.cfg.force_numeric:
-            from .riccati import _trajectory
+            plus, minus = self._trajectories(e, z_a, z_b)
+            return (plus[1][-1], 1.0), (minus[1][0], 1.0)
+        return _chain(left, e, z_a, params)[:2], _chain(right, e, z_b, params)[:2]
 
-            pot, cfg = self.pot, self.cfg
-            plus = _trajectory(pot, e, pot.a, z_a, self.probe_x, cfg, params)
-            minus = _trajectory(pot, e, pot.b, z_b, self.probe_x, cfg, params)
-            # psi(probe) / psi(a) and psi(b) / psi(probe), as phases
-            p1, p2 = (_phase(_bridge(pot, e, xs, zs, params)) for xs, zs in (plus, minus))
-            return (plus[1][-1], 1.0, p1.conjugate()), (minus[1][0], 1.0, p2)
-        return _chain(left, e, z_a, params), _chain(right, e, z_b, params)
+    def _trajectories(self, e, z_a, z_b):
+        from .riccati import _trajectory
+
+        pot, cfg, params = self.pot, self.cfg, self.params
+        return (_trajectory(pot, e, pot.a, z_a, self.probe_x, cfg, params),
+                _trajectory(pot, e, pot.b, z_b, self.probe_x, cfg, params))
+
+    def walk(self, e):
+        """Both real walks at e (``analytic._real_walk``), each energy
+        walked once."""
+        ends = self.walked.get(e)
+        if ends is None:
+            (left, right), (u_a, u_b), params = self.slabs, self.levels, self.params
+            c2, hbar = 2.0 * params.mass, params.hbar
+            ends = self.walked[e] = (
+                _real_walk(left, e, math.sqrt(c2 * (u_a - e if u_a > e else 0.0)) / hbar, params),
+                _real_walk(right, e, math.sqrt(c2 * (u_b - e if u_b > e else 0.0)) / hbar, params),
+            )
+        return ends
+
+    def __call__(self, e):
+        if not self.cfg.force_numeric:
+            return self.walk(e)
+        plus, minus = self._trajectories(e, *self._anchors(e))
+        pot, params = self.pot, self.params
+        c = params.mass / params.hbar
+        # psi'/psi = i (m/hbar) Z in each walk's direction, and the sign
+        # of psi at the probe
+        y1, y2 = -c * plus[1][-1].imag, c * minus[1][0].imag
+        p1, p2 = (_sign(_bridge(pot, e, xs, zs, params)) for xs, zs in (plus, minus))
+        return (p1, p1 * y1, None), (p2, p2 * y2, None)
 
     def count(self, e: float) -> int:
         """N(e) for e in (floor, ceiling]: the number of bound states
         below e, by Sturm oscillation along the two slab lists.
 
         The two decaying solutions cross n+ and n- psi-nodes on their way
-        to the probe (``analytic._chain`` with its count).  With their
-        Pruefer angles at the probe taken modulo pi in [0, pi) and
-        (0, pi], N = n+ + n- + [left angle > right angle].  For two
-        solutions positive at the probe that bracket is the sign of their
-        Wronskian, Im(Z+ - Z-) > 0, taken undivided so that a node at the
-        probe adds nothing.
+        to the probe (``walk``).  With their Pruefer angles at the probe
+        taken modulo pi in [0, pi) and (0, pi], N = n+ + n- + [left
+        angle > right angle].  That bracket is [y+ + y- < 0], with y+ and y-
+        the two dpsi/ds / psi at the probe, each in its own walk's
+        direction: the sign of (d+ p- + d- p+) p+ p-, taken undivided so
+        that a node at the probe adds nothing.
         """
-        (left, right), params = self.slabs, self.params
-        z_a, z_b = self._anchors(e)
-        n1, d1, r1, nodes1 = _chain(left, e, z_a, params, True)
-        n2, d2, r2, nodes2 = _chain(right, e, z_b, params, True)
-        if not self.cfg.force_numeric:
-            self.walked[e] = (n1, d1, r1), (n2, d2, r2)
-        # each end scaled to order one, so that the products cannot
-        # underflow (a lead within 1e-300 of e anchors at z ~ 1e-150);
-        # an end that underflowed to 0 / 0 stays so
-        a1, a2 = max(abs(n1), abs(d1)) or 1.0, max(abs(n2), abs(d2)) or 1.0
-        n1, d1, n2, d2 = n1 / a1, d1 / a1, n2 / a2, d2 / a2
-        return nodes1 + nodes2 + (((n1 * d2 - n2 * d1) * (d1 * d2).conjugate()).imag > 0.0)
+        (p1, d1, nodes1), (p2, d2, nodes2) = self.walk(e)
+        # each end scaled to order one, so that the products can neither
+        # underflow nor overflow
+        a1, a2 = max(abs(p1), abs(d1)) or 1.0, max(abs(p2), abs(d2)) or 1.0
+        p1, d1, p2, d2 = p1 / a1, d1 / a1, p2 / a2, d2 / a2
+        return nodes1 + nodes2 + ((d1 * p2 + d2 * p1) * (p1 * p2) < 0.0)
 
 
-def _phase(ratios: list[complex]) -> complex:
-    """The product of the phases q / |q| of ``ratios``, NaN where one is
-    0 or not finite: a product of phases cannot underflow across a thick
-    barrier as one of the ratios themselves can."""
-    p = 1.0 + 0j
+def _sign(ratios: list[complex]) -> float:
+    """The sign of the product of the real psi ``ratios``, +-1.0, NaN
+    where one is 0 or not finite: a product of signs cannot underflow
+    across a thick barrier as one of the ratios themselves can."""
+    neg = False
     for q in ratios:
-        a = abs(q)
-        p *= q / a if a else complex(math.nan, math.nan)
-    return p
+        x = q.real
+        if not (x and math.isfinite(x)):
+            return math.nan
+        neg ^= x < 0.0
+    return -1.0 if neg else 1.0
 
 
-def _wronskian(plus, minus, s):
-    """The bound-state matching function W from the two ends: the sine
-    of the angle between the two solutions' (Z psi / s, psi) vectors,
-    signed by psi at the probe.
+def _wronskian(plus, minus, sigma):
+    """The bound-state matching function W from the two real ends
+    (``_Ends``): the sine of the angle between the two solutions'
+    (dpsi/ds / sigma, psi) vectors at the probe, with sigma the window's
+    wavenumber scale,
 
-    W is proportional to the Wronskian psi+ psi-' - psi- psi+', so it
-    does not depend on the probe, has no poles, lies in [-1, 1] and
-    vanishes exactly at the eigenvalues, for the ends of both engines.
-    A zero divisor gives NaN.
+        W = sigma (d+ p- + d- p+) / (|(d+, sigma p+)| |(d-, sigma p-)|).
+
+    Each d is the derivative in its own walk's direction, so
+    d+ p- + d- p+ is the Wronskian psi+ psi-' - psi- psi+' (x
+    derivatives) with its sign turned: W does not depend on the probe,
+    has no poles, lies in [-1, 1] and vanishes exactly at the
+    eigenvalues, for the ends of both engines.  A zero divisor gives
+    NaN.
     """
-    (n1, d1, r1), (n2, d2, r2) = plus, minus
+    (p1, d1, _), (p2, d2, _) = plus, minus
     try:
-        # only the phases of the psi ratios count; each is normalised
-        # alone so that their product cannot underflow
-        phase = r1.conjugate() / abs(r1) * (r2.conjugate() / abs(r2))
-        # |x + i y| is hypot(x, y)
-        return s * ((n2 * d1 - n1 * d2) * phase).imag / (
-            abs(abs(n1) + 1j * (s * abs(d1))) * abs(abs(n2) + 1j * (s * abs(d2)))
-        )
-    except ArithmeticError:
+        norm = math.hypot(d1, sigma * p1) * math.hypot(d2, sigma * p2)
+        return sigma * (d1 * p2 + d2 * p1) / norm
+    except ZeroDivisionError:
         return math.nan
 
 
@@ -245,7 +275,7 @@ def impedance_mismatch(
     Python floats.
     """
     require_finite("energy and probe", e, probe_x)
-    (n1, d1, _), (n2, d2, _) = _Ends(pot, float(probe_x), cfg, params)(float(e))
+    (n1, d1), (n2, d2) = _Ends(pot, float(probe_x), cfg, params).impedances(float(e))
     try:
         d = complex(n1 / d1 - n2 / d2)
     except ZeroDivisionError:
@@ -274,14 +304,17 @@ def find_bound_states(
     one probe (default: the midpoint) on W, the normalised Wronskian of
     ``_wronskian``, by Brent's method: one scalar W per iterate along the
     same two slab lists (threshold anchors at the ceiling), each energy
-    walked once, the count's walks included.  W is signed and continuous
-    on both engines (``_Ends``), so its root is the state.  A bracket
-    with more states, or where Brent's method finds no root, is halved
-    by N.  One that float arithmetic cannot halve holds k states closer
-    than the float spacing (a tunnel doublet): it reports its upper end
-    k times if k > 1, and nothing if k = 1.
-    Residuals are |W| at each energy reported.  A bracket that yields no
-    root raises BracketingExhaustedError with every energy the search
+    walked once, one real walk per end serving the count and W.  W is
+    signed and continuous on both engines (``_Ends``), so its root is
+    the state.  A bracket with more states, or where Brent's method
+    finds no root, is halved by N.  One that float arithmetic cannot
+    halve holds its k states within one float spacing: it reports its
+    upper end k times.  That is a tunnel doublet closer than the spacing
+    for k > 1, and for k = 1 a state that Brent's method could not
+    refine (W NaN or of one sign at the floats beside it).
+    Residuals are |W| at each energy reported.  A search whose roots do
+    not number N(ceiling) (only a node count that is not monotone gives
+    one) raises BracketingExhaustedError with every energy the search
     evaluated and W there; a node count above MAX_STATES raises
     NonFiniteStateError before any bracket is searched.
     """
@@ -299,9 +332,9 @@ def find_bound_states(
             f"no interior region below the leads (floor {floor} >= ceiling {ceil})"
         )
     probe = probe_x if probe_x is not None else _default_probe(pot)
-    # velocity scale of the window: Z / s is of order one
-    s = math.sqrt(2.0 * (ceil - floor) / params.mass)
-    if not math.isfinite(s):
+    # wavenumber scale of the window: psi' / (sigma psi) is of order one
+    sigma = math.sqrt(2.0 * params.mass * (ceil - floor)) / params.hbar
+    if not math.isfinite(sigma):
         raise NonFiniteStateError(f"bound window ({floor}, {ceil}) overflows")
 
     ends = _Ends(pot, probe, cfg, params)
@@ -312,7 +345,7 @@ def find_bound_states(
         w = seen.get(e)
         if w is None:
             try:
-                w = _wronskian(*ends(e), s)
+                w = _wronskian(*ends(e), sigma)
             except SolverError:
                 w = math.nan
             seen[e] = w
@@ -334,13 +367,13 @@ def find_bound_states(
             try:
                 roots.append(brentq(w_at, lo, hi, xtol=1e-300, rtol=8.9e-16))
                 continue
-            except ValueError:
-                # ends of one sign or a NaN W
+            except (ValueError, RuntimeError):
+                # ends of one sign, a NaN W, or no convergence in brentq's
+                # iterations (a window far narrower than the energies)
                 pass
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            if n_hi - n_lo > 1:
-                roots.extend([hi] * (n_hi - n_lo))
+            roots.extend([hi] * (n_hi - n_lo))
             continue
         n_mid = ends.count(mid)
         stack.append((mid, hi, n_mid, n_hi))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwim.analytic import _bridge, _chain, _steps, layer_transform, region_constants
+from qwim.analytic import _bridge, _real_walk, _steps, layer_transform, region_constants
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, Side
 from qwim.riccati import IntegrationConfig, right_anchor, z_minus
 from qwim.scattering import solve_scattering
@@ -129,10 +129,11 @@ def test_criterion_06_riccati_vs_layer_chain():
         assert abs(traj.zs[0] - z) < 1e-8 * abs(z)
         if wants_pole:
             # through the poles in W: psi changes sign across an interval
-            # of the bridge at each node the chain's Sturm count crosses
+            # of the bridge at each node the real walk's Sturm count crosses
             params = ModelParams()
             ratios = _bridge(pot, e, traj.xs.tolist(), traj.zs.tolist(), params)
-            nodes = _chain(_steps(pot, pot.b, pot.a), e, right_anchor(pot, e, params), params, True)[3]
+            kappa = math.sqrt(2.0 * (pot.right_level - e))
+            nodes = _real_walk(_steps(pot, pot.b, pot.a), e, kappa, params)[2]
             assert sum(q.real < 0.0 for q in ratios) == nodes == 2
 
 

@@ -16,8 +16,10 @@ from qwim.analytic import (
     _constants,
     _cut,
     _divide,
+    _linear_steps,
     _linear_twin,
     _psi_growth_entry,
+    _real_walk,
     _steps,
     barrier_closed_forms,
     layer_transform,
@@ -346,9 +348,16 @@ def _stepwise_chain(slabs, e, z_anchor, params):
     step at a time, with the psi-nodes it crosses: (num, den, r, nodes).
     A propagating slab turns the Pruefer angle by k |dx| from its start
     angle; any other slab holds one node at most, where psi changes sign
-    across it."""
+    across it.  A list of sub-slab maps (kfp, gp, f, gk) is walked one
+    ``_divide`` at a time, each map holding one node at most."""
     num, den, r, nodes = z_anchor, 1.0, 1.0, 0
     i_m = 1j * (params.mass / params.hbar)
+    if slabs and len(slabs[0]) == 4:
+        for kfp, gp, f, gk in slabs:
+            z_at, r = _divide(num, den), r / den
+            num, den = kfp + gp * z_at, f + gk * z_at
+            nodes += den.real <= 0.0
+        return num, den, r, nodes
     for u, dx in slabs:
         z_at, ratio = _divide(num, den), r / den
         try:
@@ -379,9 +388,10 @@ def _bits(values):
 @pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])
 def test_inline_walk_matches_stepwise_walk(random_stack_instances, params):
     # the walker's inline slab algebra against the step functions, bit for
-    # bit on (num, den, r) and on the node count: propagating, evanescent,
-    # thick (saturated) and slab-level steps, from both ends, with real
-    # (bound) and complex anchors; the count leaves the walk unchanged
+    # bit on (num, den, r): propagating, evanescent, thick (saturated) and
+    # slab-level steps, from both ends, with real (bound) and complex
+    # anchors; and the real walk of a bound anchor crosses the nodes the
+    # stepwise walk counts
     stacks = [pot for pot, _ in random_stack_instances[:25]]
     stacks += [
         _stack([(0.0, length, 1.0), (length, length + 1.0, -2.0), (length + 1.0, 2.0 * length + 1.0, 1.0)])
@@ -398,17 +408,22 @@ def test_inline_walk_matches_stepwise_walk(random_stack_instances, params):
                     math.sqrt(2.0 * params.mass * max(u - e, 0.0)) / params.hbar * abs(dx) > 300.0
                     for u, dx in slabs
                 )
-                for anchor in (0.8 - 0.3j, (-1j if from_left else 1j) * math.sqrt(abs(e) + 0.1)):
+                tail = math.sqrt(abs(e) + 0.1)
+                for anchor in (0.8 - 0.3j, (-1j if from_left else 1j) * tail):
                     want = _stepwise_chain(slabs, e, anchor, params)
-                    assert _bits(_chain(slabs, e, anchor, params, True)) == _bits(want)
                     assert _bits(_chain(slabs, e, anchor, params)) == _bits(want[:3])
-                    checked, crossed = checked + 1, crossed + want[3]
+                    checked += 1
+                # want is the bound anchor's walk; the real walk starts the
+                # same solution at dpsi/ds / psi = i (m/hbar) Z along the walk
+                nodes = _real_walk(slabs, e, params.mass / params.hbar * tail, params)[2]
+                assert nodes == want[3], (pot, from_left, e)
+                crossed += nodes
     assert checked > 8000 and saturated > 50 and crossed > 1000
 
 
 def test_inline_walk_raises_as_stepwise_walk():
     # a psi-node at an interface before the end and a level whose z
-    # overflows raise the same typed errors on both walks, counted or not
+    # overflows raise the same typed errors on both walks
     params = ModelParams()
     node = _stack([(0.0, 0.7, -1.0), (0.7, 1.5, 0.4)])
     z, gamma = _constants(1.0, -1.0, params)
@@ -421,13 +436,103 @@ def test_inline_walk_raises_as_stepwise_walk():
     ):
         with pytest.raises(error):
             _stepwise_chain(slabs, 1.0, anchor, params)
-        for count in (False, True):
-            with pytest.raises(error):
-                _chain(slabs, 1.0, anchor, params, count)
+        with pytest.raises(error):
+            _chain(slabs, 1.0, anchor, params)
+    # the real walk counts that node (psi = sin(k (0.7 - x)) / sin(0.7 k)
+    # crosses 0 at the interface and once in all), and raises on the
+    # overflowing level whatever its anchor
+    y_node = (1j * z_node).real
+    assert _real_walk(_steps(node, node.a, node.b), 1.0, y_node, params)[2] == 1
+    for slabs in (_steps(deep, deep.a, deep.b), _steps(deep, deep.b, deep.a)):
+        for y in (0.0, 0.3, -1e300):
+            with pytest.raises(NonFiniteStateError):
+                _real_walk(slabs, 1.0, y, params)
     # values that overflow on the way (z ~ 1e150 against an anchor of
     # 1e300) fail the final check of the walk itself
     with pytest.raises(NonFiniteStateError):
         _chain([(0.0, 1.0), (0.2, 1.0)], 1.0, 1e300 + 0j, ModelParams(mass=1e-300))
+
+
+def test_real_walk_keeps_a_psi_that_only_decays():
+    # psi = exp(-2 s) across a barrier 200 long at kappa = 2: the growing
+    # part is exactly 0 and exp(-2 kappa h) underflows, and the step
+    # still ends on psi's own direction, dpsi/ds = -2 psi, not on 0 / 0
+    p, d, nodes = _real_walk([(3.0, 200.0)], 1.0, -2.0, ModelParams())
+    assert p > 0.0 and d == -2.0 * p and nodes == 0
+
+
+def _angle(u, v):
+    """The sine of the angle between the 2-vectors u and v."""
+    return abs(u[0] * v[1] - u[1] * v[0]) / (math.hypot(*u) * math.hypot(*v))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    sampled=st.booleans(),
+    cells=st.lists(
+        st.tuples(st.one_of(st.floats(0.01, 3.0), st.floats(50.0, 400.0)), st.floats(-20.0, 5.0)),
+        min_size=1, max_size=5,
+    ),
+    lead=st.floats(0.0, 5.0),
+    where=st.one_of(
+        st.floats(0.0, 1.0),
+        st.tuples(st.integers(0, 5), st.sampled_from([-1, 0, 1])),
+    ),
+    from_left=st.booleans(),
+    to=st.floats(0.05, 1.0),
+    scaled=st.booleans(),
+)
+# thick sampled cells: a flat run at 3 over 200, walked at E = 0.5
+@example(sampled=True, cells=[(1.0, -2.0), (200.0, 3.0), (1.0, 3.0)], lead=1.0, where=0.7,
+         from_left=True, to=1.0, scaled=False)
+def test_real_walk_matches_chain_and_stepwise_count(sampled, cells, lead, where, from_left, to, scaled):
+    # the real walk against the complex chain of the same anchor, on
+    # piecewise lists (thick, saturated and slab-level slabs) and sampled
+    # ones, from either end, at energies between the floor and the
+    # starting lead (at its level the threshold anchor 0), at a level and
+    # one ulp beside it: dpsi/ds / psi is i (m/hbar) num / den along the
+    # walk to rounding, and the nodes are the stepwise walk's
+    params = ModelParams(hbar=0.7, mass=1.9) if scaled else ModelParams()
+    x, points = 0.0, [0.0]
+    for length, _ in cells:
+        x += length
+        points.append(x)
+    levels = [u for _, u in cells]
+    if sampled:
+        # the cells' levels are the samples, one more at the end
+        pot = SampledPotential(tuple(points), tuple(levels + levels[-1:]), lead, lead)
+    else:
+        pot = _stack([(x0, x1, u) for x0, x1, u in zip(points, points[1:], levels)], lead, lead)
+    floor = min(levels)
+    assume(floor < lead)
+    if isinstance(where, float):
+        e = floor + where * (lead - floor)
+    else:
+        us = sorted({lead, *levels})
+        u = us[where[0] % len(us)]
+        e = u if where[1] == 0 else math.nextafter(u, where[1] * math.inf)
+    assume(floor <= e <= lead)
+    reach = to * (pot.b - pot.a)
+    slabs = _steps(pot, pot.a, pot.a + reach) if from_left else _steps(pot, pot.b, pot.b - reach)
+    m, hbar = params.mass, params.hbar
+    tail = math.sqrt(2.0 * (lead - e) / m)
+    z_anchor = -1j * tail if from_left else 1j * tail
+    p, d, nodes = _real_walk(slabs, e, m / hbar * tail, params)
+    maps = list(_linear_steps(slabs, e, params)[1]) if sampled else slabs
+    try:
+        num, den, _ = _chain(slabs, e, z_anchor, params)
+        want = _stepwise_chain(maps, e, z_anchor, params)[3]
+    except TransformPoleError:
+        # a psi-node exactly on an interior step end: the complex walks
+        # stop there, where the real walk goes on
+        return
+    y = (1j * m / hbar * num / den).real if den else math.inf
+    y = y if from_left else -y
+    # wavenumber scale of the walk, and the psi, dpsi/ds vectors at its end
+    sigma = max(math.sqrt(2.0 * m * max(abs(e - u) for u in [lead, *levels])) / hbar, 1.0 / x)
+    chain_end = (0.0, 1.0) if math.isinf(y) else (1.0, y / sigma)
+    assert _angle((p, d / sigma), chain_end) <= 1e-12
+    assert nodes == want
 
 
 def _gaussian(n=41, amplitude=-4.0, span=6.0, sigma=1.0):

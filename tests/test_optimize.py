@@ -35,9 +35,10 @@ def same(x, y):
 def wronskian_at(pot):
     """find_bound_states' W(E) and its window on a piecewise well."""
     floor, ceil = min(s.u for s in pot.segments), min(pot.left_level, pot.right_level)
-    s = math.sqrt(2.0 * (ceil - floor) / ModelParams().mass)
+    params = ModelParams()
+    sigma = math.sqrt(2.0 * params.mass * (ceil - floor)) / params.hbar
     probe = _default_probe(pot)
-    match = partial(_wronskian, s=s)
+    match = partial(_wronskian, sigma=sigma)
     ends = _Ends(pot, probe, IntegrationConfig(), ModelParams())
 
     def w_at(e):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwim import riccati
-from qwim.analytic import _bridge, _chain, _steps, layer_transform, propagate_impedance, region_constants
+from qwim.analytic import _bridge, _real_walk, _steps, layer_transform, propagate_impedance, region_constants
 from qwim.errors import (
     EvanescentIncidenceError,
     NonFiniteInputError,
@@ -127,9 +127,9 @@ def test_many_pole_crossings_full_reflection():
     want = layer_transform(rc, z2, 6.0)
     assert abs(traj.zs[0] - want) < 1e-8 * (1.0 + abs(want))
     # the switch engaged: psi changes sign across an interval of the
-    # bridge once per node, as often as the chain's Sturm count crosses
+    # bridge once per node, as often as the real walk's Sturm count crosses
     ratios = _bridge(pot, e, traj.xs.tolist(), traj.zs.tolist(), ModelParams())
-    nodes = _chain(_steps(pot, 6.0, 0.0), e, z2, ModelParams(), True)[3]
+    nodes = _real_walk(_steps(pot, 6.0, 0.0), e, math.sqrt(2.0 * (5.0 - e)), ModelParams())[2]
     assert sum(q.real < 0.0 for q in ratios) == nodes == 2
 
 

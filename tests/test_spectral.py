@@ -1,5 +1,6 @@
 """Bound-state and resonance search through the impedance matching condition."""
 
+import functools
 import itertools
 import math
 from functools import partial
@@ -18,6 +19,7 @@ from qwim.errors import (
     EvanescentIncidenceError,
     NonFiniteInputError,
     NonFiniteStateError,
+    QwimError,
     SolverError,
     TransformPoleError,
 )
@@ -172,10 +174,37 @@ def test_sampled_well_close_to_sharp_well():
 
 
 def test_count_mismatch_raises(monkeypatch):
-    # a bracket whose refinement finds no root leaves the spectrum short
-    # of the node count: the search raises, with every energy it
-    # evaluated and W there
+    # a node count that is not monotone (here N jumps by 3 on a window
+    # about the first bisection point, -2.5) hands the bisection brackets
+    # that hold more states than N(ceiling): the search raises, with every
+    # energy it evaluated and W there
     pot = well()
+    real = _Ends.count
+
+    def bumped(ends, e):
+        return real(ends, e) + 3 * (-2.6 < e < -2.4)
+
+    monkeypatch.setattr(_Ends, "count", bumped)
+    with pytest.raises(BracketingExhaustedError) as exc:
+        find_bound_states(pot)
+    assert str(exc.value) == "found 4 states, the node count gives 3"
+    assert len(exc.value.energies) > 0
+    assert len(exc.value.mismatches) == len(exc.value.energies)
+    assert exc.value.energies == sorted(exc.value.energies)
+    # the profile reads as the scalar W at the one probe, with the
+    # window's wavenumber scale
+    probe, sigma = _default_probe(pot), math.sqrt(2.0 * 5.0)
+    ends = _Ends(pot, probe, IntegrationConfig(), ModelParams())
+    for e, w in zip(exc.value.energies, exc.value.mismatches):
+        assert w == _wronskian(*ends(e), sigma)
+
+
+def test_one_state_bracket_is_located_to_an_ulp(monkeypatch):
+    # where Brent's method finds no root in a bracket that holds one
+    # state, halving by N narrows it to one ulp, and the search reports
+    # its upper end: here within 4.4e-16 of the unbroken search's root
+    pot = well()
+    want = find_bound_states(pot).energies
     real = spectral.brentq
 
     def failing(f, lo, hi, **kwargs):
@@ -184,17 +213,9 @@ def test_count_mismatch_raises(monkeypatch):
         return real(f, lo, hi, **kwargs)
 
     monkeypatch.setattr(spectral, "brentq", failing)
-    with pytest.raises(BracketingExhaustedError) as exc:
-        find_bound_states(pot)
-    assert str(exc.value) == "found 2 states, the node count gives 3"
-    assert len(exc.value.energies) > 0
-    assert len(exc.value.mismatches) == len(exc.value.energies)
-    assert exc.value.energies == sorted(exc.value.energies)
-    # the profile reads as the scalar W at the one probe, with the
-    # window's velocity scale
-    probe, s = _default_probe(pot), math.sqrt(2.0 * 5.0)
-    for e, w in zip(exc.value.energies, exc.value.mismatches):
-        assert w == _wronskian(*_Ends(pot, probe, IntegrationConfig(), ModelParams())(e), s)
+    res = find_bound_states(pot)
+    assert res.energies[0] == want[0] and res.energies[2] == want[2]
+    assert abs(res.energies[1] - want[1]) <= 2e-15
 
 
 def _scalar_r(walk, e):
@@ -285,6 +306,21 @@ def test_sampled_bound_states_match_stepper():
     assert max(chain.residuals) <= 1e-12
 
 
+def test_sampled_search_counts_a_node_on_a_sample():
+    # -12 exp(-x^2 / 2) on 41 samples: the odd state's node sits on the
+    # sample at x = 0, so within about 3e-17 of that state a sub-slab
+    # step of the walk from the left to the probe 0.7 ends exactly on a
+    # psi-node; the real walk counts it where the complex walk raised
+    # TransformPoleError.  The probes agree to 8.9e-16
+    xs = np.linspace(-3.0, 3.0, 41)
+    us = -12.0 * np.exp(-xs * xs / 2.0)
+    pot = SampledPotential(tuple(xs.tolist()), tuple(us.tolist()), 0.0, 0.0)
+    default = find_bound_states(pot)
+    assert len(default.energies) == 6
+    res = find_bound_states(pot, probe_x=0.7)
+    np.testing.assert_allclose(res.energies, default.energies, rtol=0, atol=1e-14)
+
+
 # Random wells 3, 6, 10 and 11 of the benchmark's spectra pool (segments,
 # then bound energies frozen from an independent Sturm node-count
 # bisection to float resolution).  D has a pole wherever a solution has
@@ -373,20 +409,39 @@ def test_numeric_search_keeps_every_root_of_the_signed_w():
     np.testing.assert_allclose(res.energies, want, rtol=0, atol=1e-9)
 
 
+def _beside_thick_barrier(length):
+    """A well (0, 2) at -5 beside a barrier (2, 2 + length) at 2, zero leads."""
+    return _stack([(0.0, 2.0, -5.0), (2.0, 2.0 + length, 2.0)])
+
+
+@functools.cache
+def _thick_barrier_numeric():
+    cfg = IntegrationConfig(force_numeric=True)
+    return find_bound_states(_beside_thick_barrier(100.0), cfg=cfg)
+
+
 def test_numeric_search_signs_w_across_a_thick_barrier():
     # a well beside a barrier of length 100: psi falls by more than
-    # e^-280 across it, but W reads only the phases of the bridged psi ratios,
-    # which cannot underflow (the chain still finds one state of two,
-    # ROADMAP item 14).  W changes sign within far less than an ulp of
-    # each state, so |W| is of order one at the roots and only the
-    # energies are checked
-    pot = PiecewisePotential(
-        0.0, (PotentialSegment(0.0, 2.0, -5.0), PotentialSegment(2.0, 102.0, 2.0)), 0.0
-    )
-    res = find_bound_states(pot, cfg=IntegrationConfig(force_numeric=True))
+    # e^-280 across it, but W reads only the signs of the bridged psi
+    # ratios, which cannot underflow.  W changes sign within far less
+    # than an ulp of each state, so |W| is of order one at the roots
+    # and only the energies are checked
+    res = _thick_barrier_numeric()
     np.testing.assert_allclose(
         res.energies, [-4.268116109084615, -2.1831599366644756], rtol=0, atol=1e-9
     )
+
+
+@pytest.mark.parametrize("length", [100.0, 700.0], ids=["L100", "L700"])
+def test_well_beside_thick_barrier_completes_on_the_chain(length):
+    # the real walk carries psi's sign, not its size, so nothing
+    # underflows across the barrier, and W changes sign across one ulp
+    # at each state, where Brent's method finds it.  Past x = 102 the
+    # barrier moves the energies by far less than e^-700, so both
+    # lengths have the stepper's L = 100 states
+    res = find_bound_states(_beside_thick_barrier(length))
+    assert len(res.energies) == 2
+    np.testing.assert_allclose(res.energies, _thick_barrier_numeric().energies, rtol=0, atol=1e-9)
 
 
 _DOCS = Path(__file__).resolve().parents[1] / "docs"
@@ -601,12 +656,12 @@ def test_node_count_past_the_state_bound_raises(monkeypatch):
 def test_search_builds_its_slab_lists_once(monkeypatch):
     # the search walks every energy along the slab lists it built (two
     # for bound states, the scattering walk for resonances), walks each
-    # energy once, and makes no dataclass; a bound search's W at an
-    # energy its node count walked reuses the count's walk
+    # energy once, and makes no dataclass; a bound search takes one real
+    # walk per energy and side, which serves both the node count and W
     from qwim import analytic, scattering
 
     counts = {"lists": 0, "scattering lists": 0, "RegionConstants": 0, "solves": 0}
-    chained = []
+    walked, chained, counted, matched = [], [], [], []
 
     def counting(key, f):
         def wrapped(*args, **kwargs):
@@ -615,19 +670,26 @@ def test_search_builds_its_slab_lists_once(monkeypatch):
 
         return wrapped
 
-    def recording(slabs, e, z_anchor, params, count=False):
-        chained.append((id(slabs), e, count))
-        return real_chain(slabs, e, z_anchor, params, count)
+    def recording(log, f):
+        def wrapped(slabs, e, anchor, params):
+            log.append((id(slabs), e))
+            return f(slabs, e, anchor, params)
 
-    def matching(plus, minus, s):
-        matched.append(plus)
-        return _wronskian(plus, minus, s)
+        return wrapped
 
-    real_chain, matched = spectral._chain, []
+    def logging(log, f):
+        def wrapped(ends, e):
+            log.append(e)
+            return f(ends, e)
+
+        return wrapped
+
     monkeypatch.setattr(spectral, "_steps", counting("lists", spectral._steps))
-    monkeypatch.setattr(spectral, "_chain", recording)
-    monkeypatch.setattr(scattering, "_chain", recording)
-    monkeypatch.setattr(spectral, "_wronskian", matching)
+    monkeypatch.setattr(spectral, "_real_walk", recording(walked, spectral._real_walk))
+    monkeypatch.setattr(spectral, "_chain", recording(chained, spectral._chain))
+    monkeypatch.setattr(scattering, "_chain", recording(chained, scattering._chain))
+    monkeypatch.setattr(_Ends, "count", logging(counted, _Ends.count))
+    monkeypatch.setattr(_Ends, "__call__", logging(matched, _Ends.__call__))
     monkeypatch.setattr(scattering, "_steps", counting("scattering lists", scattering._steps))
     monkeypatch.setattr(
         scattering, "solve_scattering", counting("solves", scattering.solve_scattering)
@@ -639,30 +701,29 @@ def test_search_builds_its_slab_lists_once(monkeypatch):
     res = find_bound_states(well())
     assert len(res.energies) == 3
     assert counts == {"lists": 2, "scattering lists": 0, "RegionConstants": 0, "solves": 0}
-    assert len(chained) > 30
-    # node counts and W together: each energy once per side, along one
-    # list per side, both sides at every energy
-    walks = {(slabs, e) for slabs, e, _ in chained}
-    assert len(walks) == len(chained)
-    (left, right) = {slabs for slabs, _ in walks}
-    assert {e for slabs, e in walks if slabs == left} == {e for slabs, e in walks if slabs == right}
-    assert set(res.energies) <= {e for _, e in walks}
-    # W at an energy the count walked took the count's ends
-    assert any(count for _, _, count in chained)
-    assert len(matched) > sum(not count for _, _, count in chained) // 2
+    assert not chained and len(walked) > 30
+    # each energy once per side, along one list per side, both sides at
+    # every energy: the energies counted and those W was taken at
+    assert len(set(walked)) == len(walked)
+    (left, right) = {slabs for slabs, _ in walked}
+    sides = [{e for slabs, e in walked if slabs == side} for side in (left, right)]
+    assert sides[0] == sides[1] == set(counted) | set(matched)
+    assert set(res.energies) <= sides[0]
+    # W at an energy the count walked took the count's walk
+    assert set(counted) & set(matched)
 
     counts.update(dict.fromkeys(counts, 0))
-    chained.clear()
+    walked.clear()
     docs_barrier = load_spec(str(_DOCS / "barrier.json")).potential
     res = find_resonances(docs_barrier, 1.0, 13.0)
     assert len(res.energies) == 3
     # one walk, the scattering solve's, and no scattering solve
     assert counts == {"lists": 0, "scattering lists": 1, "RegionConstants": 0, "solves": 0}
-    assert len(chained) > 30
+    assert not walked and len(chained) > 30
     # each energy once, along the one walk, each resonance among them
     assert len(set(chained)) == len(chained)
-    assert len({slabs for slabs, _, _ in chained}) == 1
-    assert set(res.energies) <= {e for _, e, _ in chained}
+    assert len({slabs for slabs, _ in chained}) == 1
+    assert set(res.energies) <= {e for _, e in chained}
 
 
 # The symmetric stack of the benchmark's cli_cold workload, and its
@@ -772,22 +833,6 @@ def test_numeric_resonances_agree_with_chain(side):
     np.testing.assert_allclose(rk.energies, chain.energies, rtol=0, atol=1e-8)
 
 
-@pytest.mark.parametrize(
-    "segments, found, count",
-    [
-        ([(0.0, 2.0, -5.0), (2.0, 102.0, 2.0)], 1, 2),
-    ],
-    ids=["well-beside-thick-barrier"],
-)
-def test_short_spectrum_raises(segments, found, count):
-    # W is 0/0 across the thick barrier at this probe, so one bracket
-    # yields no root; the node count sees the missing state
-    with pytest.raises(BracketingExhaustedError) as exc:
-        find_bound_states(_stack(segments))
-    assert str(exc.value) == f"found {found} states, the node count gives {count}"
-    assert len(exc.value.mismatches) == len(exc.value.energies) > 0
-
-
 def _sturm_count(pot, e):
     """Bound states of a piecewise ``pot`` below e (at most both leads;
     hbar = m = 1), counted without qwim's impedance path: the zeros on
@@ -860,26 +905,50 @@ def test_double_well_spectrum_is_complete():
 # Three depth-300 wells 0.8 apart: the states come in triplets within
 # 1e-9 of each other.
 TRIPLE_WELL = [(0.0, 2.0, -300.0), (2.0, 2.8, 0.0), (2.8, 4.8, -300.0), (4.8, 5.6, 0.0), (5.6, 7.6, -300.0)]
+# Its 48 bound energies, frozen from a bisection to 80 halvings on a node
+# count carried in 80-digit arithmetic (mpmath), 64 closed-form pieces a
+# segment, outside qwim: the triplet splittings go down to 4e-10.
+TRIPLE_WELL_LEVELS = [
+    -298.86123822615724, -298.8612382257532, -298.8612382253491,
+    -295.4456367107158, -295.4456367089189, -295.44563670712205,
+    -289.75528088312234, -289.75528087829264, -289.7552808734629,
+    -281.793764114627, -281.7937641035848, -281.79376409254263,
+    -271.56638022311637, -271.5663801991626, -271.56638017520885,
+    -259.0804291160915, -259.08042906419263, -259.0804290122937,
+    -244.34568298798473, -244.34568287219827, -244.3456827564118,
+    -227.37509572141315, -227.3750954494916, -227.37509517757005,
+    -208.18590355955317, -208.18590287441847, -208.18590218928378,
+    -186.80139582989878, -186.8013939418311, -186.80139205376318,
+    -163.25391828032951, -163.25391246110215, -163.2539066418718,
+    -137.590354317944, -137.5903336673347, -137.59031301668145,
+    -109.88321131417003, -109.88312331499462, -109.88303531487735,
+    -80.2567424741027, -80.25626022493118, -80.25577794151725,
+    -48.96650977340211, -48.96263286953475, -48.95875309149529,
+    -16.828742821944434, -16.76521120185844, -16.700390993249158,
+]
 
 
 def test_triple_well_spectrum_is_complete_or_raises():
-    # a probe in a barrier gives every state.  With the default probe, in
-    # the middle well, N(E) is not monotone within 1e-9 of a triplet
-    # (3 at -298.86123822575314, 2 at -298.8612382256633), and the search
-    # finds more roots than states (54 of 48): it must raise, or give the
-    # same spectrum, and never return another one
+    # a probe in a barrier gives every state, and so does the default
+    # probe in the middle well.  There N(E) was not monotone within 1e-9
+    # of a triplet, and the search found 54 roots of 48 and raised, while
+    # the cosh / sinh step lost the psi that decays across a barrier to
+    # cancellation; the real walk keeps it
     pot = _stack(TRIPLE_WELL)
     res = find_bound_states(pot, probe_x=2.4)
     want = _sturm_levels(pot)
     assert len(res.energies) == len(want) == _sturm_count(pot, 0.0) == 48
     np.testing.assert_allclose(res.energies, want, rtol=0, atol=5e-7)
     assert res.energies == sorted(res.energies)
-    try:
-        default = find_bound_states(pot)
-    except BracketingExhaustedError:
-        return
+    default = find_bound_states(pot)
     assert len(default.energies) == 48
     np.testing.assert_allclose(default.energies, res.energies, rtol=0, atol=1e-12 * 300.0)
+    # every member of every triplet, at each probe: within 1.7e-13 of the
+    # high-precision levels at the default probe, 5.1e-14 at 2.4 and 5.2
+    # (a walk that loses the decaying psi is off by up to 7e-9 at 2.4)
+    for probe, energies in ((None, default.energies), (2.4, res.energies),
+                            (5.2, find_bound_states(pot, probe_x=5.2).energies)):
+        np.testing.assert_allclose(energies, TRIPLE_WELL_LEVELS, rtol=0, atol=1e-12, err_msg=str(probe))
 
 
 def _unequal_leads(random_stack_instances):
@@ -909,6 +978,21 @@ def test_count_matches_sturm_count_off_the_ceiling(random_stack_instances):
                 assert ends.count(e) == _sturm_count(pot, e), (pot, frac, e)
                 checked += 1
     assert checked > 1000
+
+
+def test_count_adds_nothing_for_a_node_at_the_probe(monkeypatch):
+    # a walk that ends on a psi-node has counted it on its last step: its
+    # Pruefer angle is 0 from the left and pi from the right, so the
+    # bracket adds nothing, whatever the other end; off the node it is
+    # [y+ + y- < 0]
+    ends = _Ends(well(), 1.0, IntegrationConfig(), ModelParams())
+    for plus, minus, bracket in (
+        ((0.0, 1.0), (1.0, -3.0), 0), ((0.0, -1.0), (1.0, 3.0), 0),
+        ((1.0, -3.0), (0.0, 1.0), 0), ((0.0, 1.0), (0.0, -1.0), 0),
+        ((1.0, -3.0), (1.0, 2.0), 1), ((-1.0, 3.0), (1.0, 2.0), 1), ((1.0, 3.0), (1.0, -2.0), 0),
+    ):
+        monkeypatch.setattr(ends, "walk", lambda e: ((*plus, 2), (*minus, 5)))
+        assert ends.count(-1.0) == 7 + bracket, (plus, minus)
 
 
 def test_count_keeps_the_ends_a_call_walks(random_stack_instances):
@@ -981,3 +1065,56 @@ def test_state_count_matches_square_well_oracle(random_wells, numeric):
         for frac in (0.07, 0.5, 0.81):
             ends = _Ends(well(depth, width), frac * width, cfg, params)
             assert ends.count(min(ends.levels)) == want, (depth, width, frac)
+
+
+# a slab of the bound-search fuzz: ordinary, deep and short, or a thick
+# one no lower than -1 (a thick deep well would hold thousands of states)
+_FUZZ_SLAB = st.one_of(
+    st.tuples(st.floats(0.1, 3.0), st.floats(-30.0, 3.0)),
+    st.tuples(st.floats(0.05, 1.0), st.floats(-400.0, -30.0)),
+    st.tuples(st.floats(30.0, 700.0), st.floats(-1.0, 5.0)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    slabs=st.lists(_FUZZ_SLAB, min_size=1, max_size=5),
+    leads=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+    probe=st.floats(0.02, 0.98),
+    numeric=st.just(False),
+)
+# the engines agree on a deep well beside a shallow one, and on two
+# wells across a thick barrier
+@example(slabs=[(0.5, -200.0), (1.0, 1.0), (0.8, -50.0)], leads=(0.5, 1.0), probe=0.4, numeric=True)
+@example(slabs=[(1.5, -8.0), (40.0, 2.0), (1.0, -3.0)], leads=(1.0, 0.5), probe=0.3, numeric=True)
+# a psi that only decays across the barrier lost its growing part to
+# rounding while exp(-2 kappa h) underflowed: the count met psi = psi' = 0
+# and divided by zero
+@example(slabs=[(0.5, -28.980631787944564), (255.0, 3.0895602444674655)], leads=(0.0, 0.0),
+         probe=0.5, numeric=False)
+# a window 3.7e-141 wide, its state at -6.8e-282: brentq ran out of
+# iterations and raised RuntimeError through the search
+@example(slabs=[(1.0, -3.680333597510656e-141)], leads=(0.0, 0.0), probe=0.5, numeric=False)
+def test_bound_search_gives_the_sturm_count_fuzz(slabs, leads, probe, numeric):
+    # on deep and thick stacks the search returns N(ceiling) states by
+    # the test-local count, sorted inside the window, or raises a typed
+    # error; on the examples marked numeric, force_numeric gives the same
+    # energies
+    x, segs = 0.0, []
+    for length, u in slabs:
+        segs.append((x, x + length, u))
+        x += length
+    pot = _stack(segs, *leads)
+    floor, ceil = min(u for _, u in slabs), min(leads)
+    assume(floor < ceil)
+    probe_x = probe * x
+    try:
+        res = find_bound_states(pot, probe_x=probe_x)
+    except QwimError:
+        return
+    assert len(res.energies) == _sturm_count(pot, ceil)
+    assert res.energies == sorted(res.energies)
+    assert all(floor < e <= ceil for e in res.energies)
+    if numeric:
+        rk = find_bound_states(pot, cfg=IntegrationConfig(force_numeric=True), probe_x=probe_x)
+        np.testing.assert_allclose(rk.energies, res.energies, rtol=0, atol=1e-8)
