@@ -1,14 +1,16 @@
-"""The array layer: the layer chain over whole energy grids, and the
-exact maps of linear sub-slabs.
+"""The array layer: the layer chain over whole energy grids and over a
+trajectory's intervals, and the exact maps of linear sub-slabs.
 
 This is the only qwim module that the chain pulls numpy in through, and
 it is imported on first use: by ``scattering``'s energy sweeps and the
 spectral scan grids where they take the array pass
 (``analytic._array_pass``: where numpy is loaded already, or the
 potential is sampled), and by ``analytic._chain`` when it walks linear
-(sampled) slabs with numpy loaded already.  Work at one energy never
-loads it: cold, the chain takes the plain-Python twin of the sub-slab
-maps (``analytic._linear_twin``).
+(sampled) slabs, and ``analytic._bridge`` when it bridges a piecewise
+potential's trajectory, with numpy loaded already.  Work at one energy
+never loads it: cold, the chain takes the plain-Python twin of the
+sub-slab maps (``analytic._linear_twin``), and the bridge walks each
+interval.
 
 ``_chain_many`` is ``analytic._chain`` over an energy array: one array
 pass per slab (``_slabs_many``) or per linear sub-slab
@@ -30,11 +32,16 @@ with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
 step in ``analytic._chain``.
 ``_linear_steps`` hands those maps to the scalar walker at one energy
 (``analytic._linear_steps`` picks it where numpy is loaded).
+
+``_bridge_many`` is the array pass of ``analytic._bridge``: the
+one-slab intervals of a trajectory step together through
+``_slabs_many``, the intervals on its batch axis.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -244,3 +251,39 @@ def _slabs_many(slabs, es, z, params):
             r = ratio * f[i]
         ok = np.isfinite(num) & np.isfinite(den) & np.isfinite(r)
     return num, den, r, ok
+
+
+def _bridge_many(walks, e, zs, params):
+    """The array pass of ``analytic._bridge`` on a piecewise potential:
+    (ratios, redo).  Every interval whose walk (``_cut``) is one slab
+    takes its ``_chain`` step in one ``_slabs_many`` call, the intervals
+    on its batch axis, anchored at Z of the end with the larger |Z| (the
+    second at a tie, ``_bridge``'s rule) and walked back (dx negated)
+    from the second end.  ``ratios`` holds psi(xs[i + 1]) / psi(xs[i])
+    of each such interval, divided in Python as the walk divides it
+    (numpy's complex division rounds otherwise, and its rounding would
+    add up along psi's running product); ``redo`` lists, in ascending
+    order, the intervals left for the scalar walk: those of zero or
+    several slabs, and those the pass marks not ``ok`` (where the walk
+    raises)."""
+    n = len(walks)
+    count = np.fromiter(map(len, walks), np.intp, n)
+    one = np.flatnonzero(count == 1)
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(walks)), float)
+    # a one-slab interval's slab is the last of those up to its walk's end
+    u, dx = flat.reshape(-1, 2)[np.cumsum(count)[one] - 1].T
+    z = np.fromiter(zs, complex, len(zs))
+    size = np.abs(z)
+    fwd = (size[:-1] > size[1:])[one]
+    anchor = np.where(fwd, z[:-1][one], z[1:][one])
+    slabs = np.stack((u, np.where(fwd, dx, -dx)))[:, None, :]
+    _, den, r, ok = _slabs_many(slabs, e, anchor, params)
+    # psi(anchor) / psi(other end) = r / den
+    top, bottom = (np.where(fwd, p, q)[ok].tolist() for p, q in ((den, r), (r, den)))
+    done = one[ok]
+    ratios = [None] * n
+    for i, t, b in zip(done.tolist(), top, bottom):
+        ratios[i] = t / b if b else complex(math.inf)
+    redo = np.ones(n, dtype=bool)
+    redo[done] = False
+    return ratios, np.flatnonzero(redo).tolist()

@@ -85,7 +85,11 @@ trajectory, walking its piece of one cut of the samples from the end
 with the larger |Z|: ``reconstruct_wavefunction``, ``profile
 --force-numeric`` and ``validate`` rebuild psi from it, the
 ``force_numeric`` bound search signs psi, and a ``force_numeric`` solve
-takes t from the product of its ratios.
+takes t from the product of its ratios.  On a piecewise potential with
+numpy loaded already, the intervals that lie on one slab (all of a
+stepper trajectory's) take that step together in one array pass
+(``_arrays._bridge_many``); the rest, the intervals it flags, a cold
+run's and a sampled potential's walk one at a time with ``_chain``.
 
 Everything here is scalar arithmetic, and this module imports
 no numpy, so work at one energy loads none, on either kind of
@@ -596,27 +600,42 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
     need be, from the end with the larger |Z| (the second at a tie),
     anchored at the trajectory's Z there, so it never divides by a
     vanishing psi and carries sign flips through nodes.  A piece crosses
-    any join in its interval; a repeated sample has ratio 1.  A sampled
-    potential's intervals take their maps from one ``_linear_walks``
-    call.  A ratio past the float range is infinite.  Descending samples
-    give bitwise what the mirror's ascending ones give."""
-    ahead = [abs(z0) > abs(z1) for z0, z1 in zip(zs, zs[1:])]
+    any join in its interval; a repeated sample has ratio 1.  A ratio
+    past the float range is infinite.  Descending samples give bitwise
+    what the mirror's ascending ones give.
+
+    On a piecewise potential with numpy loaded already, the intervals
+    that lie on one slab (every interval of a stepper trajectory, which
+    ends each slab on its join) take one array step together
+    (``_arrays._bridge_many``): the walk's arithmetic, with numpy's
+    complex cosh, sinh and exp for cmath's, and the walk's own division
+    for the ratio.  The rest, and those the array pass flags, walk one
+    at a time, so a cold walk loads no numpy and errors stay the walk's.
+    A sampled potential's intervals walk one at a time, with their maps
+    from one ``_linear_walks`` call."""
     walks = _cut(pot, xs)
     sampled = isinstance(pot, SampledPotential)
-    for i, forward in enumerate(ahead):
+    if sampled or "numpy" not in sys.modules:
+        ratios, redo = [None] * len(walks), range(len(walks))
+    else:
+        from ._arrays import _bridge_many
+
+        ratios, redo = _bridge_many(walks, e, zs, params)
+    ahead = [abs(zs[i]) > abs(zs[i + 1]) for i in redo]
+    for i, forward in zip(redo, ahead):
         if not forward:  # walked back, each step from its other end
             if sampled:
                 walks[i] = [(u + slope * dx, slope, -dx) for u, slope, dx in reversed(walks[i])]
             else:
                 walks[i] = [(u, -dx) for u, dx in reversed(walks[i])]
+    todo = [walks[i] for i in redo]
     if sampled:
-        walks = _linear_walks(walks, e, params)
-    ratios = []
-    for walk, z0, z1, forward in zip(walks, zs, zs[1:], ahead):
-        _, den, r = _chain(walk, e, z0 if forward else z1, params)
+        todo = _linear_walks(todo, e, params)
+    for i, forward, walk in zip(redo, ahead, todo):
+        _, den, r = _chain(walk, e, zs[i] if forward else zs[i + 1], params)
         # psi(anchor) / psi(other end) = r / den
         top, bottom = (den, r) if forward else (r, den)
-        ratios.append(top / bottom if bottom else complex(math.inf))
+        ratios[i] = top / bottom if bottom else complex(math.inf)
     return ratios
 
 

@@ -13,7 +13,8 @@ loads no numpy: ``scatter``, ``profile`` and ``validate``, on either
 kind of potential, with ``--force-numeric`` or not, walk in plain
 Python (the chain's steps, a sampled potential's sub-slab maps by their
 plain-Python twin, the Riccati stepper's lists, the psi bridge of
-``analytic._bridge``), and grids are Python lists.  On a piecewise
+``analytic._bridge`` one interval at a time: its array pass runs only
+where numpy is loaded already), and grids are Python lists.  On a piecewise
 potential ``sweep``, ``bound`` and ``resonances`` walk their energies
 one at a time too and load none; on a sampled one they load numpy at
 set-up for its array series (``analytic._array_pass``).  ``validate``

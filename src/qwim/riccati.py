@@ -34,8 +34,10 @@ numeric type the caller passes; a non-finite energy or end raises
 NonFiniteInputError.
 
 The trajectory is Z alone.  psi comes back from it exactly, one slab
-step per sample interval (``analytic._bridge``), and R and T from Z at
-the entry edge (``scattering.solve_scattering``).
+step per sample interval (``analytic._bridge``: where numpy is loaded
+already, on a piecewise potential, the steps of all intervals in one
+array pass; elsewhere one walk an interval), and R and T from Z at the
+entry edge (``scattering.solve_scattering``).
 
 This module imports no numpy.  ``_trajectory`` returns plain lists, and
 the solver paths read them directly: a ``force_numeric`` solve, the

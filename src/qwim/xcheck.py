@@ -272,7 +272,10 @@ def reconstruct_wavefunction(
     psi is the running product of the intervals' psi ratios, each the
     exact chain's walk across its interval, anchored at the trajectory's
     Z at one end (``analytic._bridge``), so it carries psi through nodes
-    and joins.  psi keeps the scale psi_start sets at the first sample:
+    and joins.  numpy is loaded here, so on a piecewise potential the
+    intervals that lie on one slab take their steps in one array pass,
+    in the walk's arithmetic; the rest, and a sampled potential's, walk
+    one at a time.  psi keeps the scale psi_start sets at the first sample:
     given psi there per unit incident wave, the profile is psi per unit
     incident wave (``Normalization.UNIT_INCIDENT``).
     """

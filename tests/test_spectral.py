@@ -840,7 +840,9 @@ def _sturm_count(pot, e):
 
     (psi, psi') is carried in closed form across pieces of each slab
     short enough (k h <= 3 < pi) to hold one zero at most, so a sign test
-    counts them, each on its half-open piece (start, end]."""
+    counts them, each on its half-open piece (start, end].  An evanescent
+    slab with k h > 1 is carried as its growing and decaying parts, so a
+    psi that decays across a barrier is kept."""
     psi, dpsi = 1.0, math.sqrt(2.0 * (pot.left_level - e))
     zeros = 0
     for seg in pot.segments:
@@ -852,6 +854,15 @@ def _sturm_count(pot, e):
             if q > 0.0:
                 c, s = math.cos(k * h), math.sin(k * h)
                 p1, d1 = psi * c + dpsi * (s / k), dpsi * c - psi * k * s
+            elif k * h > 1.0:
+                # the parts that grow and decay along the piece, over
+                # exp(k h), or over exp(-k h) where psi only decays: each
+                # keeps its relative accuracy, where cosh and sinh would
+                # lose a psi that decays across a barrier to cancellation
+                grow, decay = psi + dpsi / k, psi - dpsi / k
+                if grow:
+                    decay *= math.exp(-2.0 * k * h)
+                p1, d1 = grow + decay, k * (grow - decay)
             elif q < 0.0:
                 # cosh and sinh over cosh(k h), which keeps every sign
                 th = math.tanh(k * h)
@@ -949,6 +960,20 @@ def test_triple_well_spectrum_is_complete_or_raises():
     for probe, energies in ((None, default.energies), (2.4, res.energies),
                             (5.2, find_bound_states(pot, probe_x=5.2).energies)):
         np.testing.assert_allclose(energies, TRIPLE_WELL_LEVELS, rtol=0, atol=1e-12, err_msg=str(probe))
+
+
+def test_sturm_count_keeps_a_psi_that_decays_across_a_barrier():
+    # inside the triple well's first, second, third and fifth triplets the
+    # 80-digit count (mpmath) and the node count of the search give
+    # 1 / 5 / 7 / 14; a cosh / sinh step across each barrier lost the
+    # decaying psi and gave 0 / 6 / 6 / 15.  The levels bisected on the
+    # test-local count then match the 80-digit ones
+    pot = _stack(TRIPLE_WELL)
+    ends = _Ends(pot, 2.4, IntegrationConfig(), ModelParams())
+    for e, want in ((-298.86123822579975, 1), (-295.44563670715434, 5),
+                    (-289.7552808790351, 7), (-271.56638017622754, 14)):
+        assert _sturm_count(pot, e) == ends.count(e) == want, e
+    np.testing.assert_allclose(_sturm_levels(pot), TRIPLE_WELL_LEVELS, rtol=0, atol=1e-12)
 
 
 def _unequal_leads(random_stack_instances):

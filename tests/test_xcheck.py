@@ -534,6 +534,134 @@ def test_bridge_walks_an_interval_across_a_join(pot):
     assert again[0] == 1.0 and again[1] == got
 
 
+def _walk_only(walks, *_):
+    """``_arrays._bridge_many`` that leaves every interval to the walk."""
+    return [None] * len(walks), range(len(walks))
+
+
+def _routes(monkeypatch, pot, e, xs, zs, params=ModelParams()):
+    """``_bridge`` on the same samples by its array pass and by its
+    scalar walk of every interval, and the intervals the array pass left
+    to the walk."""
+    many, left = _arrays._bridge_many, []
+
+    def recorded(*args):
+        ratios, redo = many(*args)
+        left.extend(redo)
+        return ratios, redo
+
+    with monkeypatch.context() as m:
+        m.setattr(_arrays, "_bridge_many", recorded)
+        got = _bridge(pot, e, xs, zs, params)
+        m.setattr(_arrays, "_bridge_many", _walk_only)
+        want = _bridge(pot, e, xs, zs, params)
+    return got, want, left
+
+
+def _ulps(got, want):
+    """The largest gap of a ratio from the walk's, in ulps of the walk's."""
+    eps = np.finfo(float).eps
+    return max((0.0 if g == w else abs(g - w) / abs(w) / eps for g, w in zip(got, want)), default=0.0)
+
+
+@pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
+def test_bridge_array_pass_matches_the_walk(random_stack_instances, threshold, monkeypatch):
+    # the array pass against the scalar walk of every interval, on every
+    # conftest stack from both sides at its lowest and highest energy and
+    # below the leads, where psi crosses nodes: every interval of a
+    # stepper trajectory lies on one slab, and takes the array pass.
+    # Each ratio is within 8 ulps, and psi, their running product over up
+    # to 4000 intervals, within 1e-13 (numpy's complex division in place
+    # of the walk's drifted 1.4e-13 at 1 ulp a ratio)
+    cfg = IntegrationConfig(pole_threshold=threshold)
+    nodes = 0
+    for pot, energies in random_stack_instances:
+        es = [float(energies[0]), float(energies[-1])]
+        floor = min(s.u for s in pot.segments)
+        if floor < 0.0:
+            es.append(0.5 * floor)
+        for traj in (z(pot, e, cfg) for e in es for z in (z_minus, z_plus)):
+            got, want, left = _routes(monkeypatch, pot, traj.energy, traj.xs.tolist(), traj.zs.tolist())
+            psi, ref = np.cumprod(got), np.cumprod(want)
+            drift = np.max(np.abs(psi - ref)) / np.max(np.abs(ref))
+            assert _ulps(got, want) <= 8.0 and drift <= 1e-13 and left == [], (pot, traj.energy)
+            nodes += sum(q.real < 0.0 for q in got)
+    assert nodes > 20
+
+
+@pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
+@pytest.mark.parametrize(
+    "pot, e",
+    [
+        # E at the first slab's level, below the far lead: a linear step
+        (PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 1.0), PotentialSegment(1.0, 2.0, -1.0)),
+                            2.0), 1.0),
+        # a barrier 400 long, where the stepper's steps grow long
+        (PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, -1.0), PotentialSegment(1.0, 401.0, 2.0),
+                                  PotentialSegment(401.0, 402.0, 0.5)), 0.3), 0.7),
+    ],
+    ids=["slab-at-level", "thick-barrier"],
+)
+def test_bridge_array_pass_matches_the_walk_on_levels_and_barriers(pot, e, threshold, monkeypatch):
+    cfg = IntegrationConfig(pole_threshold=threshold)
+    for traj in (z_minus(pot, e, cfg), z_plus(pot, e, cfg)):
+        got, want, left = _routes(monkeypatch, pot, e, traj.xs.tolist(), traj.zs.tolist())
+        assert _ulps(got, want) <= 8.0 and left == [], traj.direction
+
+
+def test_bridge_array_pass_leaves_what_is_not_one_slab(monkeypatch):
+    # hand-picked samples on the thick barrier: the interval (1, 401) is
+    # one saturated step (|Re g| = 645), taken by the array pass both
+    # ways, and (401, 401.5) has |Z| tied at its ends; a repeated sample
+    # (no slab) and intervals across a join (two slabs) are left to the
+    # walk
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, -1.0), PotentialSegment(1.0, 401.0, 2.0),
+                                   PotentialSegment(401.0, 402.0, 0.5)), 0.3)
+    e = 0.7
+    xs = [-0.5, 0.5, 0.5, 1.0, 401.0, 401.5, 402.5]
+    zs = [1.0 + 0.5j, 0.5 - 0.2j, 0.5 - 0.2j, 0.8 + 1.0j, 0.6 + 0.2j, 0.2 + 0.6j, 0.9 + 0j]
+    got, want, left = _routes(monkeypatch, pot, e, xs, zs)
+    assert _ulps(got, want) <= 8.0 and left == [0, 1, 5]
+    back, back_zs = [-x for x in reversed(xs)], [-z for z in reversed(zs)]
+    got, want, left = _routes(monkeypatch, pot.mirrored(), e, back, back_zs)
+    assert _ulps(got, want) <= 8.0 and left == [0, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "xs, zs, message",
+    [
+        # num = z (Z cos + z sin) overflows at Z = 1e308
+        ([0.0, 0.01], [1e308 + 0j, 1.0 + 0j], "layer chain overflows at energy 2.0"),
+        # k dx = 2e10 * 1e300 is infinite: cosh / sinh have no value
+        ([2.0, 2e300], [1.0 + 0j, 0.5 + 0j], "slab phase overflows at energy 2e+20"),
+    ],
+    ids=["state", "phase"],
+)
+def test_bridge_array_pass_leaves_overflows_to_the_walk(xs, zs, message, monkeypatch):
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 0.0), PotentialSegment(1.0, 2.0, 1.0)), 0.0)
+    e = float(message.rsplit(" ", 1)[1])
+    # after an interval on the left lead, which the array pass takes
+    xs, zs = [-1.0, -0.9, *xs], [1.0 + 0j, 1.0 + 0j, *zs]
+    for many in (_arrays._bridge_many, _walk_only):
+        with monkeypatch.context() as m:
+            m.setattr(_arrays, "_bridge_many", many)
+            with pytest.raises(NonFiniteStateError) as err:
+                _bridge(pot, e, xs, zs, ModelParams())
+        assert str(err.value) == message
+
+
+def test_bridge_ratio_over_a_zero_bottom_is_infinite_on_both_routes(monkeypatch):
+    # psi(anchor) / psi(other end) = r / den: r underflows to 0 across
+    # 1000 of lead at kappa = 1 (walked forward), and den is exactly 0
+    # where the anchor is -z past the saturation cut (walked back); both
+    # steps are finite, and both ratios infinite
+    pot = PiecewisePotential(0.5, (PotentialSegment(0.0, 1.0, -1.0),), 0.5)
+    e, z = 0.0, 1j
+    for xs, zs in (([1.0, 1001.0], [2j, 1j]), ([1.0, 1001.0], [0j, -z])):
+        got, want, left = _routes(monkeypatch, pot, e, xs, zs)
+        assert got == want == [complex(math.inf)] and left == []
+
+
 def test_thinned_reconstruction_matches_the_full_one():
     # every 7th sample of a trajectory: intervals now cross the joins at 1
     # and 2, and each walks across its join
