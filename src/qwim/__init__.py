@@ -46,7 +46,6 @@ from .errors import (
     NonFiniteStateError,
     OverlappingSegmentsError,
     PotentialInputError,
-    QuadratureDivergenceError,
     QwimError,
     SolverError,
     SpecFileError,
@@ -145,7 +144,6 @@ __all__ = [
     "PotentialInputError",
     "PotentialSegment",
     "ProblemSpec",
-    "QuadratureDivergenceError",
     "QwimError",
     "RegionConstants",
     "SampledPotential",

@@ -6,11 +6,12 @@ it is imported on first use: by ``scattering``'s energy sweeps and the
 spectral scan grids where they take the array pass
 (``analytic._array_pass``: where numpy is loaded already, or the
 potential is sampled), and by ``analytic._chain`` when it walks linear
-(sampled) slabs, and ``analytic._bridge`` when it bridges a piecewise
-potential's trajectory, with numpy loaded already.  Work at one energy
-never loads it: cold, the chain takes the plain-Python twin of the
-sub-slab maps (``analytic._linear_twin``), and the bridge walks each
-interval.
+(sampled) slabs, and ``analytic._bridge`` and ``analytic._read`` when
+they bridge or read a piecewise potential's trajectory, with numpy
+loaded already.  Work at one energy never loads it: cold, the chain
+takes the plain-Python twin of the sub-slab maps
+(``analytic._linear_twin``), and the bridge and the read walk each
+interval or point.
 
 ``_chain_many`` is ``analytic._chain`` over an energy array: one array
 pass per slab (``_slabs_many``) or per linear sub-slab
@@ -35,7 +36,9 @@ step in ``analytic._chain``.
 
 ``_bridge_many`` is the array pass of ``analytic._bridge``: the
 one-slab intervals of a trajectory step together through
-``_slabs_many``, the intervals on its batch axis.
+``_slabs_many``, the intervals on its batch axis.  ``_read_many`` is
+that of ``analytic._read``: Z at a grid's points, each one step from a
+trajectory sample, the points on the batch axis.
 """
 
 from __future__ import annotations
@@ -287,3 +290,28 @@ def _bridge_many(walks, e, zs, params):
     redo = np.ones(n, dtype=bool)
     redo[done] = False
     return ratios, np.flatnonzero(redo).tolist()
+
+
+def _read_many(walks, e, xs, zs, points, params):
+    """The array pass of ``analytic._read`` on a piecewise potential:
+    (read, redo), as ``_bridge_many`` gives (ratios, redo).  Every point
+    inside an interval of one slab takes its step from the interval's
+    anchor in one ``_slabs_many`` call, Z divided in Python as the walk
+    divides it; ``redo`` lists the points on a sample, in an interval of
+    zero or several slabs, or flagged by the pass (where the walk
+    raises), in ascending order."""
+    x, z, p = np.array(xs), np.array(zs, dtype=complex), np.array(points)
+    i = np.searchsorted(x, p, side="right") - 1  # xs[i] <= p < xs[i + 1]
+    level = np.array([w[0][0] if len(w) == 1 else np.nan for w in walks])
+    size = np.abs(z)
+    j = np.where(size[i] > size[i + 1], i, i + 1)
+    take = np.flatnonzero(~np.isnan(level[i]) & (x[i] != p))
+    slabs = np.stack((level[i[take]], (p - x[j])[take]))[:, None, :]
+    num, den, _, ok = _slabs_many(slabs, e, z[j[take]], params)
+    ok &= den != 0
+    read, done = [None] * len(p), take[ok]
+    for k, a, b in zip(done.tolist(), num[ok].tolist(), den[ok].tolist()):
+        read[k] = a / b
+    redo = np.ones(len(p), dtype=bool)
+    redo[done] = False
+    return read, np.flatnonzero(redo).tolist()

@@ -90,6 +90,11 @@ numpy loaded already, the intervals that lie on one slab (all of a
 stepper trajectory's) take that step together in one array pass
 (``_arrays._bridge_many``); the rest, the intervals it flags, a cold
 run's and a sampled potential's walk one at a time with ``_chain``.
+``_read`` gives Z at a grid's points off a Riccati trajectory by the
+same rule: one step from the end of the point's interval with the
+larger |Z|, in one array pass (``_arrays._read_many``) or one walk a
+point.  The stepper knows no grid: ``integrate_impedance``'s grid and
+``profile --force-numeric`` read theirs here.
 
 Everything here is scalar arithmetic, and this module imports
 no numpy, so work at one energy loads none, on either kind of
@@ -105,6 +110,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -637,6 +643,56 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
         top, bottom = (den, r) if forward else (r, den)
         ratios[i] = top / bottom if bottom else complex(math.inf)
     return ratios
+
+
+def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
+          params: ModelParams) -> tuple[list[float], list[complex]]:
+    """A Riccati trajectory (xs ascending, zs its Z) read at the points
+    of ``grid``: (xs, zs) of its first sample, the grid's points strictly
+    inside it, ascending (its own floats, repeats kept), and its last
+    sample.  A point on a sample takes that sample's Z; elsewhere Z is
+    one exact ``_chain`` step from the end of the point's interval with
+    the larger |Z| (``_bridge``'s rule), on the interval's slab from one
+    cut of the samples.  As in ``_bridge``, the steps take one array pass
+    on a piecewise potential with numpy loaded already
+    (``_arrays._read_many``), and walk one at a time elsewhere.  A
+    psi-node on a point raises TransformPoleError, a point that is not
+    finite NonFiniteInputError."""
+    points = sorted(grid)
+    require_finite("grid points", *points)
+    lo, hi = xs[0], xs[-1]
+    points = points[bisect_right(points, lo):bisect_left(points, hi)]
+    walks = _cut(pot, xs)
+    sampled = isinstance(pot, SampledPotential)
+    if sampled or "numpy" not in sys.modules:
+        read, redo = [None] * len(points), range(len(points))
+    else:
+        from ._arrays import _read_many
+
+        read, redo = _read_many(walks, e, xs, zs, points, params)
+    todo, steps = [], []
+    for k in redo:
+        p = points[k]
+        i = bisect_right(xs, p) - 1
+        if xs[i] == p:
+            read[k] = zs[i]
+            continue
+        j = i if abs(zs[i]) > abs(zs[i + 1]) else i + 1
+        walk = walks[i]
+        if len(walk) != 1:  # not a stepper interval: its own cut
+            walk = _steps(pot, xs[j], p)
+        elif not sampled:
+            walk = [(walk[0][0], p - xs[j])]
+        else:
+            (u, slope, dx), = walk
+            walk = [(u if j == i else u + slope * dx, slope, p - xs[j])]
+        todo.append((k, j))
+        steps.append(walk)
+    if sampled:
+        steps = _linear_walks(steps, e, params)
+    for (k, j), walk in zip(todo, steps):
+        read[k] = _divide(*_chain(walk, e, zs[j], params)[:2])
+    return [lo, *points, hi], [zs[0], *read, zs[-1]]
 
 
 def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> complex:

@@ -12,15 +12,17 @@ Riccati stepper, the cross-checks) when it runs.  Work at one energy
 loads no numpy: ``scatter``, ``profile`` and ``validate``, on either
 kind of potential, with ``--force-numeric`` or not, walk in plain
 Python (the chain's steps, a sampled potential's sub-slab maps by their
-plain-Python twin, the Riccati stepper's lists, the psi bridge of
-``analytic._bridge`` one interval at a time: its array pass runs only
-where numpy is loaded already), and grids are Python lists.  On a piecewise
-potential ``sweep``, ``bound`` and ``resonances`` walk their energies
-one at a time too and load none; on a sampled one they load numpy at
-set-up for its array series (``analytic._array_pass``).  ``validate``
-checks the impedance path's R and T against the transfer-matrix
-oracle's, and the psi the Riccati stepper rebuilds against the exact
-chain's at the stepper's own samples, all to one bound.
+plain-Python twin, the Riccati stepper's lists and their read at a
+profile's grid, ``analytic._read``, and the psi bridge of
+``analytic._bridge``, one point or interval at a time: their array
+passes run only where numpy is loaded already), and grids are Python
+lists.  On a piecewise potential ``sweep``, ``bound`` and
+``resonances`` walk their energies one at a time too and load none; on
+a sampled one they load numpy at set-up for its array series
+(``analytic._array_pass``).  ``validate`` checks the impedance path's R
+and T against the transfer-matrix oracle's, and the psi the Riccati
+stepper rebuilds against the exact chain's at the stepper's own
+samples, all to one bound.
 """
 
 from __future__ import annotations
@@ -29,14 +31,12 @@ import argparse
 import cmath
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import replace
 
 from .analytic import _bridge
 from .errors import (
-    InsufficientSamplesError,
+    NonFiniteStateError,
     PotentialInputError,
-    QuadratureDivergenceError,
     SolverError,
 )
 from .model import IntegrationConfig, PiecewisePotential, Side, _linspace, require_finite
@@ -195,7 +195,7 @@ def _trajectory_psi(walk: _Incidence, e: float, xs: list[float], zs: list[comple
         for q in ratios:
             psi.append(psi[-1] * q)
     if not all(map(cmath.isfinite, psi)):
-        raise QuadratureDivergenceError("reconstructed psi is not finite")
+        raise NonFiniteStateError("reconstructed psi is not finite")
     return psi
 
 
@@ -209,13 +209,9 @@ def cmd_profile(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     walk = _Incidence(pot, side, cfg, params)
     xs = _points(pot.a, pot.b, args.points)
     # the exact chain cut at the grid points, or with --force-numeric the
-    # Riccati trajectory forced through them, read at each grid point's
-    # sample
+    # Riccati trajectory read at them
     if cfg.force_numeric:
-        traj_xs, traj_zs = walk.trajectory(e, grid=xs)
-        last = len(traj_xs) - 1
-        idx = [min(bisect_left(traj_xs, x), last) for x in xs]
-        xs, zs = [traj_xs[i] for i in idx], [traj_zs[i] for i in idx]
+        xs, zs = walk.trajectory(e, xs)
     else:
         zs, psi = walk.profile(e, xs)
 
@@ -230,8 +226,7 @@ def cmd_profile(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     k1 = math.sqrt(2.0 * params.mass * (e - walk.u_in)) / params.hbar
     psi_in = (1.0 + res.r) * cmath.exp(1j * k1 * walk.x_in)
     if cfg.force_numeric:
-        psi = _trajectory_psi(walk, e, traj_xs, traj_zs, psi_in)
-        psi = [psi[i] for i in idx]
+        psi = _trajectory_psi(walk, e, xs, zs, psi_in)
     else:
         psi = [psi_in * p for p in psi]
     rows = [
@@ -262,11 +257,6 @@ def cmd_validate(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
         # samples, both per unit psi(a), relative to the chain's largest
         walk = _Incidence(pot, Side.LEFT, cfg, params)
         xs, zs = walk.trajectory(e)
-        if len(xs) < 2:
-            # a psi row over one sample would check nothing
-            raise InsufficientSamplesError(
-                "the trajectory has one sample, no interval to rebuild psi on"
-            )
         exact = walk.profile(e, xs)[1]
         psi = _trajectory_psi(walk, e, xs, zs, 1.0 + 0j)
         error = max(abs(p - q) for p, q in zip(psi, exact)) / max(map(abs, exact))

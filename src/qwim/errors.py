@@ -95,9 +95,5 @@ class BracketingExhaustedError(SolverError):
         self.mismatches = mismatches
 
 
-class QuadratureDivergenceError(SolverError):
-    """Wavefunction reconstruction produced non-finite values."""
-
-
 class InsufficientSamplesError(SolverError):
     """Too few samples for the requested finite-difference stencil."""

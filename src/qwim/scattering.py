@@ -36,7 +36,7 @@ finite) are solved again one at a time.  Elsewhere each energy is
 walked alone, by the same per-point code.  ``_Incidence.profile`` cuts
 the walk at a grid's points in one pass (``analytic._cut``), for Z and
 psi along the chain, and ``_Incidence.trajectory`` gives the stepper's
-walk as lists.
+walk as lists, read at a grid's points where one is given.
 
 Only the functions that take or make arrays import numpy, so work at
 one energy loads none on either engine or kind of potential (a sampled
@@ -54,12 +54,11 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .analytic import (
-    _array_pass, _bridge, _chain, _constants, _cut, _divide, _linear_walks, _steps,
+    _array_pass, _bridge, _chain, _constants, _cut, _divide, _linear_walks, _read, _steps,
 )
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
-    QuadratureDivergenceError,
     SolverError,
 )
 from .model import (
@@ -248,7 +247,7 @@ class _Incidence:
         den, r) gives Z at its end, num / den, and psi at its start over
         psi at its end, r / den; psi is relative to psi at the entry edge.
         A psi-node exactly at a grid point raises TransformPoleError, and
-        a psi that is not finite QuadratureDivergenceError."""
+        a psi that is not finite NonFiniteStateError."""
         params = self.params
         z = _constants(e, self.u_far, params)[0]
         pieces = _cut(self.pot, grid if self.right else grid[::-1])
@@ -264,23 +263,26 @@ class _Incidence:
         for i in range(len(ratios) - 1, -1, -1):
             psi[i] = psi[i + 1] * ratios[i]
         if not all(map(cmath.isfinite, psi)):
-            raise QuadratureDivergenceError(f"psi along the chain is not finite at energy {e}")
+            raise NonFiniteStateError(f"psi along the chain is not finite at energy {e}")
         if not self.right:
             zs.reverse()
             psi.reverse()
         return zs, psi
 
-    def trajectory(self, e: float, grid=()) -> tuple:
+    def trajectory(self, e: float, grid=None) -> tuple:
         """The Riccati trajectory of the walk at e, anchored at the far
         lead's z, in the potential's own frame, as the lists (xs, zs) of
-        ``riccati._trajectory``, forced through the points of ``grid``:
-        the entry edge is its first sample for left incidence, and its
-        last, Z negated, for right."""
+        ``riccati._trajectory``, read at the points of ``grid`` where one
+        is given (``analytic._read``): the entry edge is its first sample
+        for left incidence, and its last, Z negated, for right."""
         from .riccati import _trajectory
 
         z_far = _constants(e, self.u_far, self.params)[0]
         (start, end), anchor = self.ends, -z_far if self.right else z_far
-        return _trajectory(self.pot, e, start, anchor, end, self.cfg, self.params, grid)
+        xs, zs = _trajectory(self.pot, e, start, anchor, end, self.cfg, self.params)
+        if grid is None:
+            return xs, zs
+        return _read(self.pot, e, xs, zs, grid, self.params)
 
 
 def _reflect(z1, num, den, ratio) -> tuple:

@@ -29,7 +29,6 @@ from .errors import (
     EvanescentIncidenceError,
     InsufficientSamplesError,
     NonFiniteStateError,
-    QuadratureDivergenceError,
 )
 from .model import ModelParams, PiecewisePotential, Potential, Side, require_finite
 from .riccati import ImpedanceTrajectory
@@ -288,7 +287,7 @@ def reconstruct_wavefunction(
     with np.errstate(all="ignore"):
         psi = np.cumprod(np.array([psi_start, *ratios], dtype=complex))
     if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
-        raise QuadratureDivergenceError("reconstructed psi is not finite")
+        raise NonFiniteStateError("reconstructed psi is not finite")
     return WavefunctionProfile(
         xs=xs.copy(), psi=psi, normalization=Normalization.UNIT_INCIDENT
     )

@@ -656,11 +656,14 @@ def test_validate_residual_on_a_bridged_psi(tmp_path, random_stack_instances):
         ]
 
 
-@pytest.mark.parametrize("x_end", [0.01, 0.005, 0.02, 1e-12])
+@pytest.mark.parametrize("x_end", [0.01, 0.005, 0.02, 1e-12, 1e-15, 1e-300])
 def test_validate_on_a_short_barrier(tmp_path, x_end):
     # a five-point Schrodinger residual on an 801-point grid failed here:
     # roundoff over h^2 gave 2.09e-6 on 0.01 and 6.4e-6 on 0.005, and on
-    # 1e-12 repeated samples gave numpy warnings and nan
+    # 1e-12 repeated samples gave numpy warnings and nan.  1e-15 and
+    # 1e-300 are shorter than the stepper's step floor: it crosses them in
+    # one exact slab step, where it took none and left a one-sample
+    # trajectory (InsufficientSamples, exit 3)
     doc = json.loads(json.dumps(BARRIER_DOC))
     doc["potential"]["segments"][0]["x_end"] = x_end
     proc = run_cli("validate", "--spec", write_spec(tmp_path, doc), "--energy", "0.5")
@@ -672,26 +675,60 @@ def test_validate_on_a_short_barrier(tmp_path, x_end):
     ]
 
 
-@pytest.mark.parametrize("x_end", [1e-15, 1e-300])
-def test_validate_below_the_stop_merge_has_no_psi_to_check(tmp_path, x_end):
-    # the stepper merges these barriers' far end into their near one
-    # (ROADMAP item 21), so the trajectory is one sample with no interval
-    # to rebuild psi on: exit 3, and no table whose psi row checks nothing
+@pytest.mark.parametrize("x_end", [1e-12, 1e-15])
+def test_numeric_profile_prints_the_grid(tmp_path, capsys, x_end):
+    # the trajectory is read at the grid's points, so every row is the
+    # grid's own x, none repeated: merged into the stepper's stops, the
+    # grid on 1e-12 gave 83 distinct x in 401 rows, and on 1e-15 one
     doc = json.loads(json.dumps(BARRIER_DOC))
     doc["potential"]["segments"][0]["x_end"] = x_end
     spec = write_spec(tmp_path, doc)
-    proc = run_cli("validate", "--spec", spec, "--energy", "0.5")
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "error\tInsufficientSamples\tthe trajectory has one sample, no interval to rebuild psi on"
-    ]
-    # the psi profile there is the one sample's: the left walk stopped
-    # with InsufficientSamples, and the right one with a traceback
-    for side in ("left", "right"):
-        proc = run_cli("profile", "--spec", spec, "--energy", "0.5", "--mode", "wavefunction",
-                       "--force-numeric", "--side", side)
-        assert proc.returncode == 0 and proc.stderr == ""
-        assert len(proc.stdout.splitlines()) == 402
+    xs = np.linspace(0.0, x_end, 401).tolist()
+    assert len(set(xs)) == 401
+    for mode, side in itertools.product(("impedance", "wavefunction"), ("left", "right")):
+        code, out, err = _main(capsys, "profile", "--spec", spec, "--energy", "0.5", "--mode", mode,
+                               "--side", side, "--force-numeric", "--points", "401")
+        assert code == 0 and err == "", err
+        got = np.array(rows_of(out)[1], dtype=float)
+        assert got[:, 0].tolist() == xs and np.isfinite(got).all(), (mode, side)
+
+
+def test_numeric_profile_reads_the_chain_field(random_stack_instances):
+    # the stepper's trajectory read at 401 points against the chain's
+    # profile there, on docs/*.json and the conftest stacks from both
+    # sides: psi, rebuilt from the read Z, within validate's bound, except
+    # where the stepper's psi at its own samples misses that bound (stack
+    # 21 from the right at E = 1.0875, 3.2e-8), and there within 1 % of
+    # it.  Z is within 1e-6 of max(|Z|, 1) (8.3e-7 at worst; 6.0e-7 read
+    # off a trajectory forced through the grid)
+    from qwim.analytic import _read
+    from qwim.cli import VALIDATE_DELTA_TOL, _trajectory_psi
+    from qwim.model import IntegrationConfig, ModelParams
+    from qwim.scattering import _Incidence
+
+    pots = [load_spec(str(DOCS / name)).potential for name in ("barrier.json", "well.json")]
+    pots += [pot for pot, _ in random_stack_instances]
+    cfg, params = IntegrationConfig(force_numeric=True), ModelParams()
+
+    def errors(walk, e, xs, zs):
+        want_z, want_psi = walk.profile(e, xs)
+        psi = _trajectory_psi(walk, e, xs, zs, 1.0 + 0j)
+        return (max(abs(p - q) for p, q in zip(psi, want_psi)) / max(map(abs, want_psi)),
+                max(abs(p - q) for p, q in zip(zs, want_z)) / max(1.0, max(map(abs, want_z))))
+
+    worst = 0.0
+    for pot in pots:
+        grid = np.linspace(pot.a, pot.b, 401).tolist()
+        for e, side in itertools.product((0.3, 1.0875, 2.0), Side):
+            walk = _Incidence(pot, side, cfg, params)
+            xs, zs = walk.trajectory(e)
+            own = errors(walk, e, xs, zs)[0]
+            read_xs, read_zs = _read(pot, e, xs, zs, grid, params)
+            assert read_xs == grid
+            psi_error, z_error = errors(walk, e, read_xs, read_zs)
+            assert psi_error < VALIDATE_DELTA_TOL or psi_error <= 1.01 * own, (pot, e, side)
+            worst = max(worst, z_error)
+    assert worst < 1e-6
 
 
 def test_validate_fails_on_a_loose_psi(tmp_path, capsys, random_stack_instances):
@@ -882,6 +919,13 @@ def _verb_row(name, argv, loads=()):
                       loads=("qwim.riccati",))
             for mode in ("impedance", "wavefunction") for side in ("left", "right")
         ),
+        *(
+            _verb_row(f"profile-numeric-sampled-{mode}-{side}",
+                      ["profile", "sampled", "--energy", "1.5", "--mode", mode, "--side", side,
+                       "--force-numeric"],
+                      loads=("qwim.riccati",))
+            for mode in ("impedance", "wavefunction") for side in ("left", "right")
+        ),
         # a search walks many energies: on a sampled potential numpy's
         # series serve them
         _verb_row("bound-sampled", ["bound", "sampled-well"], loads=("numpy", "qwim._arrays")),
@@ -890,9 +934,10 @@ def _verb_row(name, argv, loads=()):
 def test_what_each_verb_loads(tmp_path, argv, loads):
     # at one energy, and on a piecewise spec at many, each verb walks in
     # plain Python and loads no numpy: the chain's scalar steps, a sampled
-    # spec's sub-slab maps by their plain-Python twin, and the Riccati
-    # stepper's lists; the grid of a sweep or a search on a sampled spec
-    # loads numpy for its array series
+    # spec's sub-slab maps by their plain-Python twin, the Riccati
+    # stepper's lists and their read at a profile's grid, on either kind
+    # of spec; the grid of a sweep or a search on a sampled spec loads
+    # numpy for its array series
     verb, doc, *rest = argv
     docs = {"sampled": SAMPLED_DOC, "sampled-well": SAMPLED_WELL_DOC}
     spec = write_spec(tmp_path, docs[doc]) if doc in docs else str(DOCS / f"{doc}.json")

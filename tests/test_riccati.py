@@ -1,8 +1,8 @@
 """Adaptive Riccati integration of the impedance ODE."""
 
+import bisect
 import cmath
 import math
-import types
 import warnings
 
 import numpy as np
@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwim import riccati
-from qwim.analytic import _bridge, _real_walk, _steps, layer_transform, propagate_impedance, region_constants
+from qwim import _arrays, analytic
+from qwim.analytic import _bridge, _chain, _real_walk, _steps, layer_transform, propagate_impedance, region_constants
 from qwim.errors import (
     EvanescentIncidenceError,
     NonFiniteInputError,
@@ -34,7 +34,7 @@ from qwim.riccati import (
     z_minus,
     z_plus,
 )
-from qwim.scattering import solve_scattering
+from qwim.scattering import _Incidence, solve_scattering
 from qwim.spectral import impedance_mismatch
 from qwim.xcheck import transfer_matrix_solve
 
@@ -253,9 +253,8 @@ def test_sampled_edge_pieces_follow_their_samples():
 
 def test_every_grid_point_is_a_sample():
     # stacks whose interfaces lie on a decimal grid, as a spec file gives
-    # them, and a uniform grid through them: each slab end, accumulated
-    # from the anchor, lands within rounding of a grid point, which must
-    # take its place; a second stop an ulp beyond it would take no step
+    # them, and a uniform grid through them, some of whose points lie
+    # within rounding of a join: the read keeps each grid point's own x
     rng = np.random.default_rng(5)
     for _ in range(15):
         n = int(rng.integers(2, 9))
@@ -282,11 +281,13 @@ def test_each_slab_ends_on_its_join(random_stack_instances):
 
 def test_sample_count_of_the_stack_30_reconstruction(random_stack_instances):
     # the (d) input of the Riccati benchmark: conftest stack 30 at
-    # E = 1.0875, forced through its 1627-point grid.  Pinned so that a
-    # change to the W switch or the step control shows up here
+    # E = 1.0875.  The stepper's own count is pinned so that a change to
+    # the W switch or the step control shows up here; read at its
+    # 1627-point grid, the trajectory is the grid
     pot = random_stack_instances[30][0]
-    traj = z_minus(pot, 1.0875, grid=np.linspace(pot.a, pot.b, 1627))
-    assert len(traj.xs) == 1681
+    assert len(z_minus(pot, 1.0875).xs) == 719
+    grid = np.linspace(pot.a, pot.b, 1627)
+    assert z_minus(pot, 1.0875, grid=grid).xs.tolist() == grid.tolist()
 
 
 def test_linear_slab_chain_matches_stepper_on_gaussians():
@@ -343,13 +344,11 @@ def _tableau_step(f, x, y, h, f0):
     return y5, err, f_new
 
 
-def _reference_slab(ufunc, e, x0, stops, z, threshold, cfg, params, max_step, out):
+def _reference_slab(ufunc, e, x0, end, z, threshold, cfg, params, max_step, out):
     """One slab as qwim integrates it, with RHS closures and a step
-    function: one fresh start at x0, then every stop landed on in turn
-    with the state, its slope, the mode and the step carried across.
+    function: one fresh start at x0, then steps to the slab's end.
     W takes over above |Z| = threshold and Z again below half of it.
-    Appends the accepted samples to ``out`` and returns Z at the last
-    stop."""
+    Appends the accepted samples to ``out`` and returns Z at the end."""
     c_pot, c_imp = 2.0 / params.hbar, params.mass / params.hbar
     switch_back = 2.0 / threshold if threshold else math.inf
     in_w = abs(z) > threshold
@@ -365,86 +364,96 @@ def _reference_slab(ufunc, e, x0, stops, z, threshold, cfg, params, max_step, ou
         state = (1.0 / z if in_w else z,)
         return state, f(x, state)
 
-    end = stops[-1]
     sgn = 1.0 if end > x0 else -1.0
     x, h = x0, sgn * min(max_step, abs(end - x0))
     h_floor = 1e-14 * max(1.0, abs(x0), abs(end))
     state, f0 = restart()
-    for x1 in stops:
-        while sgn * (x1 - x) > h_floor:
-            h = sgn * min(abs(h), max_step, sgn * (x1 - x))
-            new, err, f_new = _tableau_step(f, x, state, h, f0)
-            if not cmath.isfinite(new[0]):
-                raise NonFiniteStateError(f"non-finite state near x={x}")
-            tol = cfg.abs_tol + cfg.rel_tol * max(abs(state[0]), abs(new[0]))
-            norm = max(0.0, abs(err[0]) / tol)
-            if norm > 1.0:
-                h *= max(0.2, 0.9 * norm ** -0.2)
-                if abs(h) < h_floor:
-                    raise StepSizeUnderflowError(f"step underflow near x={x}")
-                continue
-            if in_w and new[0] == 0:
-                h *= 0.97
-                state, f0 = restart()
-                continue
-            x += h
-            if sgn * (x1 - x) <= h_floor:
-                x = x1
-            state, f0 = new, f_new
-            z = 1.0 / new[0] if in_w else new[0]
-            out.append((x, z))
-            h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
-            if not in_w and abs(z) > threshold:
-                in_w = True
-                state, f0 = restart()
-            elif in_w and abs(state[0]) > switch_back:
-                in_w = False
-                state, f0 = restart()
+    while sgn * (end - x) > h_floor:
+        h = sgn * min(abs(h), max_step, sgn * (end - x))
+        new, err, f_new = _tableau_step(f, x, state, h, f0)
+        if not cmath.isfinite(new[0]):
+            raise NonFiniteStateError(f"non-finite state near x={x}")
+        tol = cfg.abs_tol + cfg.rel_tol * max(abs(state[0]), abs(new[0]))
+        norm = max(0.0, abs(err[0]) / tol)
+        if norm > 1.0:
+            h *= max(0.2, 0.9 * norm ** -0.2)
+            if abs(h) < h_floor:
+                raise StepSizeUnderflowError(f"step underflow near x={x}")
+            continue
+        if in_w and new[0] == 0:
+            h *= 0.97
+            state, f0 = restart()
+            continue
+        x += h
+        if sgn * (end - x) <= h_floor:
+            x = end
+        state, f0 = new, f_new
+        z = 1.0 / new[0] if in_w else new[0]
+        out.append((x, z))
+        h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
+        if not in_w and abs(z) > threshold:
+            in_w = True
+            state, f0 = restart()
+        elif in_w and abs(state[0]) > switch_back:
+            in_w = False
+            state, f0 = restart()
     return z
 
 
-def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, grid):
+def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params):
     """(xs, zs) in integration order from the reference slab loop: the
     slabs of ``_steps`` from anchor to target, each ended at its join,
     the next interface of the potential the walk meets (the target for
-    the last), or at a grid point within rounding of that, with the grid
-    points on it as stops.  Each slab's switch is pole_threshold times
+    the last).  Each slab's switch is pole_threshold times
     sqrt(2 max|E - U| / m) over the slab."""
     max_step = cfg.max_step if cfg.max_step is not None else abs(target_x - anchor_x) / 50.0
     sgn = 1.0 if target_x > anchor_x else -1.0
     lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
-    points = [] if grid is None else sorted((float(g) for g in grid if lo < g < hi), key=lambda g: sgn * g)
     joins = sorted((x for x in pot.interfaces() if lo < x < hi), key=lambda x: sgn * x)
     slabs = _steps(pot, anchor_x, target_x)
     assert len(joins) == len(slabs) - 1
     out = [(anchor_x, anchor_z)]
     z, x0 = anchor_z, anchor_x
     for slab, end in zip(slabs, joins + [target_x]):
-        xa, u0, slope = x0, slab[0], slab[1] if len(slab) == 3 else 0.0
-        tol = 1e-14 * max(1.0, abs(end))
-        stops = [p for p in points if sgn * (end - p) > tol]
-        points = points[len(stops):]
-        if end != target_x and points and abs(points[0] - end) <= tol:
-            end = points.pop(0)
+        u0, slope = slab[0], slab[1] if len(slab) == 3 else 0.0
         reach = max(abs(e - u0), abs(e - (u0 + slope * slab[-1])))
         threshold = cfg.pole_threshold * math.sqrt(2.0 / params.mass) * math.sqrt(reach)
 
-        def ufunc(x, u0=u0, slope=slope, xa=xa):
+        def ufunc(x, u0=u0, slope=slope, xa=x0):
             return u0 + slope * (x - xa) if slope else u0
 
-        z = _reference_slab(ufunc, e, x0, stops + [end], z, threshold, cfg, params, max_step,
-                            out)
+        z = _reference_slab(ufunc, e, x0, end, z, threshold, cfg, params, max_step, out)
         x0 = end
     return out
 
 
+def _reference_read(pot, e, samples, grid, params):
+    """``samples`` ((x, Z) ascending) read at the points of ``grid``
+    strictly inside them, each point walked alone: Z of a sample it lies
+    on, or the chain's walk from the end of its interval with the larger
+    |Z| (the second at a tie)."""
+    xs, zs = [x for x, _ in samples], [z for _, z in samples]
+    out = [samples[0]]
+    for p in sorted(float(g) for g in grid if xs[0] < g < xs[-1]):
+        i = bisect.bisect_right(xs, p) - 1
+        if xs[i] == p:
+            out.append((p, zs[i]))
+            continue
+        j = i if abs(zs[i]) > abs(zs[i + 1]) else i + 1
+        num, den, _ = _chain(_steps(pot, xs[j], p), e, zs[j], params)
+        out.append((p, num / den))
+    return out + [samples[-1]]
+
+
 @pytest.mark.parametrize("threshold", [1e9, 1e-3, 2.0], ids=["Z", "W", "switch"])
-@pytest.mark.parametrize("forced", [False, True], ids=["plain", "grid"])
+@pytest.mark.parametrize("read", [False, True], ids=["plain", "grid"])
 @pytest.mark.parametrize("sampled", [False, True], ids=["const", "sampled"])
-def test_unrolled_step_matches_tableau_loop(sampled, forced, threshold):
+def test_unrolled_step_matches_tableau_loop(sampled, read, threshold):
     # the stepper's unrolled stages against the generic tableau step driven
-    # slab by slab, bit for bit over whole trajectories, without and with
-    # a forced grid: samples, Z and their number
+    # slab by slab, bit for bit over whole trajectories: samples, Z and
+    # their number.  Read at a grid, the samples are the grid's points
+    # inside the range, and Z at each is the walk from the reference
+    # trajectory's sample with the larger |Z| around it, within 8 ulps
     params = ModelParams(hbar=0.9, mass=1.1)
     cfg = IntegrationConfig(pole_threshold=threshold)
     if sampled:
@@ -458,26 +467,34 @@ def test_unrolled_step_matches_tableau_loop(sampled, forced, threshold):
         anchor_x, target_x = 0.0, 2.1
     e = 1.9
     anchor_z = region_constants(e, 0.2, params).z * (1.0 - 0.4j)
-    grid = np.linspace(-0.5, 3.5, 57) if forced else None
+    grid = np.linspace(-0.5, 3.5, 57) if read else None
     traj = integrate_impedance(pot, e, anchor_x, anchor_z, target_x, cfg, params, grid=grid)
-    ref = _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params, grid)
+    ref = _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params)
     if traj.direction is Side.LEFT:
         ref.reverse()
+    if read:
+        ref = _reference_read(pot, e, ref, grid, params)
+        assert len(ref) == 2 + sum(min(anchor_x, target_x) < g < max(anchor_x, target_x) for g in grid)
     assert repr(traj.xs.tolist()) == repr([float(x) for x, _ in ref])
-    assert repr(traj.zs.tolist()) == repr([complex(z) for _, z in ref])
+    want = [complex(z) for _, z in ref]
+    if read:
+        eps = np.finfo(float).eps
+        assert all(abs(g - w) <= 8.0 * eps * abs(w) for g, w in zip(traj.zs.tolist(), want))
+    else:
+        assert repr(traj.zs.tolist()) == repr(want)
 
 
 def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
-    # a forced grid adds stops, not potential lookups: one slab list per
-    # trajectory, and no u_at at any slab, stop, step or stage
-    calls = {"_steps": 0, "u_at": 0}
-    real_steps = riccati._steps
+    # one cut by the stepper, and one by the read of a grid, whatever the
+    # grid's size; no u_at at any slab, step, stage or grid point
+    calls = {"_cut": 0, "u_at": 0}
+    real_cut = analytic._cut
 
-    def steps(*args):
-        calls["_steps"] += 1
-        return real_steps(*args)
+    def cut(*args):
+        calls["_cut"] += 1
+        return real_cut(*args)
 
-    monkeypatch.setattr(riccati, "_steps", steps)
+    monkeypatch.setattr(analytic, "_cut", cut)
     for kind in (PiecewisePotential, SampledPotential):
         def counted(self, x, original=kind.u_at):
             calls["u_at"] += 1
@@ -489,30 +506,93 @@ def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
     xs = np.linspace(0.0, 2.1, 9)
     for pot in (PiecewisePotential(0.0, segs, 0.0),
                 SampledPotential(tuple(xs), tuple(np.cos(3.0 * xs)), 0.0, 0.0)):
+        calls["_cut"] = 0
+        z_minus(pot, 1.9)
+        assert calls["_cut"] == 1
         traj = z_minus(pot, 1.9, grid=np.linspace(0.0, 2.1, 400))
-        assert len(traj.xs) > 400
-    assert calls == {"_steps": 2, "u_at": 0}
+        assert traj.xs.tolist() == np.linspace(0.0, 2.1, 400).tolist()
+        assert calls["_cut"] == 3
+    assert calls["u_at"] == 0
 
 
-def test_forced_grid_adds_no_rejected_steps(monkeypatch):
-    # grid points are stops inside a slab, not restarts: a step cut short
-    # to land on one does not make the next stop start from a step the
-    # length of the whole interval, so the grid adds accepted steps only
-    attempts = [0]
+def _read_routes(monkeypatch, pot, e, xs, zs, grid, params=ModelParams()):
+    """``analytic._read`` of one trajectory by its array pass and by its
+    scalar walk of every point, and the points the array pass left to
+    the walk."""
+    many, left = _arrays._read_many, []
 
-    def isfinite(v):  # called once per attempted step
-        attempts[0] += 1
-        return cmath.isfinite(v)
+    def recorded(*args):
+        read, redo = many(*args)
+        left.extend(redo)
+        return read, redo
 
-    monkeypatch.setattr(riccati, "cmath", types.SimpleNamespace(isfinite=isfinite))
+    def walk_only(walks, e, xs, zs, points, params):
+        return [None] * len(points), range(len(points))
+
+    with monkeypatch.context() as m:
+        m.setattr(_arrays, "_read_many", recorded)
+        got = analytic._read(pot, e, xs, zs, grid, params)
+        m.setattr(_arrays, "_read_many", walk_only)
+        want = analytic._read(pot, e, xs, zs, grid, params)
+    return got, want, left
+
+
+@pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
+def test_read_array_pass_matches_the_walk(random_stack_instances, threshold, monkeypatch):
+    # the array read against the scalar read of every point, on every
+    # conftest stack from both sides at its lowest and highest energy and
+    # below the leads, where Z passes poles (in W mode with threshold 2),
+    # at 401 points: each Z within 8 ulps, and only the points on a
+    # stepper sample left to the walk, which takes that sample's Z
+    cfg = IntegrationConfig(pole_threshold=threshold)
+    eps = np.finfo(float).eps
+    for pot, energies in random_stack_instances:
+        es = [float(energies[0]), float(energies[-1])]
+        floor = min(s.u for s in pot.segments)
+        if floor < 0.0:
+            es.append(0.5 * floor)
+        grid = np.linspace(pot.a, pot.b, 401).tolist()
+        for traj in (z(pot, e, cfg) for e in es for z in (z_minus, z_plus)):
+            xs, zs = traj.xs.tolist(), traj.zs.tolist()
+            (got_xs, got), (want_xs, want), left = _read_routes(
+                monkeypatch, pot, traj.energy, xs, zs, grid)
+            assert got_xs == want_xs == grid
+            assert all(abs(g - w) <= 8.0 * eps * abs(w) for g, w in zip(got, want)), pot
+            on = set(xs)
+            assert left == [k for k, p in enumerate(grid[1:-1]) if p in on]
+            assert all(zs[xs.index(grid[k + 1])] == got[k + 1] for k in left)
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT], ids=["left", "right"])
+def test_sampled_read_walks_each_point_alone(side, monkeypatch):
+    # a sampled potential's read takes no array pass: each point walks
+    # alone, with the sub-slab maps of all points from one _linear_steps
+    # call (a point on a sample takes its Z), and lands within the
+    # stepper's own error of the chain's Z
+    # (4.5e-10 relative to max(|Z|, 1) here)
+    def no_array_pass(*args):
+        raise AssertionError("a sampled read took the array pass")
+
     xs = np.linspace(-3.0, 3.0, 61)
     pot = SampledPotential(tuple(xs), tuple(-12.0 * np.exp(-xs ** 2 / 2.0)), 0.0, 0.0)
-    wasted = []
-    for grid in (None, np.linspace(-3.0, 3.0, 401)):
-        attempts[0] = 0
-        traj = z_minus(pot, 1.3, grid=grid)
-        wasted.append(attempts[0] - (len(traj.xs) - 1))
-    assert wasted[1] <= wasted[0]
+    params, e = ModelParams(), 1.3
+    walk = _Incidence(pot, side, IntegrationConfig(force_numeric=True), params)
+    samples = walk.trajectory(e)
+    calls, real = [], analytic._linear_steps
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(_arrays, "_read_many", no_array_pass)
+    monkeypatch.setattr(analytic, "_linear_steps", counted)
+    grid = np.linspace(-3.0, 3.0, 401).tolist()
+    got_xs, got = analytic._read(pot, e, *samples, grid, params)
+    walked = [p for p in grid[1:-1] if p not in set(samples[0])]
+    assert calls == [len(walked)] and 380 < len(walked) < 399 and got_xs == grid
+    want = walk.profile(e, grid)[0]
+    scale = max(1.0, max(map(abs, want)))
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize(
