@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .analytic import _MAX_SUBSLABS, _SATURATION_CUT, EPS_DEGENERATE
+from .analytic import _BRIDGE_PHASE, _MAX_SUBSLABS, _SATURATION_CUT, EPS_DEGENERATE
 from .errors import NonFiniteStateError
 from .model import ModelParams
 
@@ -267,8 +267,9 @@ def _bridge_many(walks, e, zs, params):
     (numpy's complex division rounds otherwise, and its rounding would
     add up along psi's running product); ``redo`` lists, in ascending
     order, the intervals left for the scalar walk: those of zero or
-    several slabs, and those the pass marks not ``ok`` (where the walk
-    raises)."""
+    several slabs, those the pass marks not ``ok`` (where the walk
+    raises), and those whose evanescent phase passes
+    ``analytic._BRIDGE_PHASE`` (walked from both ends)."""
     n = len(walks)
     count = np.fromiter(map(len, walks), np.intp, n)
     one = np.flatnonzero(count == 1)
@@ -281,6 +282,10 @@ def _bridge_many(walks, e, zs, params):
     anchor = np.where(fwd, z[:-1][one], z[1:][one])
     slabs = np.stack((u, np.where(fwd, dx, -dx)))[:, None, :]
     _, den, r, ok = _slabs_many(slabs, e, anchor, params)
+    # analytic._phase of each interval: past _BRIDGE_PHASE the walk takes
+    # it from both ends
+    c = 2.0 * params.mass / params.hbar ** 2
+    ok &= ~(np.sqrt(c * np.maximum(u - e, 0.0)) * np.abs(dx) > _BRIDGE_PHASE)
     # psi(anchor) / psi(other end) = r / den
     top, bottom = (np.where(fwd, p, q)[ok].tolist() for p, q in ((den, r), (r, den)))
     done = one[ok]

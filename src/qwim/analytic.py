@@ -82,10 +82,13 @@ consecutive walks from one call.
 
 ``_bridge`` gives the psi ratio across each interval of a Riccati
 trajectory, walking its piece of one cut of the samples from the end
-with the larger |Z|: ``reconstruct_wavefunction``, ``profile
---force-numeric`` and ``validate`` rebuild psi from it, the
-``force_numeric`` bound search signs psi, and a ``force_numeric`` solve
-takes t from the product of its ratios.  On a piecewise potential with
+with the larger |Z|, and a long evanescent interval from both ends, of
+which it keeps the walk along which |psi| grows:
+``reconstruct_wavefunction`` and the incidence helper's field
+(``scattering._Incidence.psi``, for ``profile --force-numeric`` and
+``validate``) rebuild psi from it, the ``force_numeric`` bound search
+signs psi, and a ``force_numeric`` solve takes t from the product of
+its ratios.  On a piecewise potential with
 numpy loaded already, the intervals that lie on one slab (all of a
 stepper trajectory's) take that step together in one array pass
 (``_arrays._bridge_many``); the rest, the intervals it flags, a cold
@@ -131,6 +134,11 @@ _SATURATION_CUT = 300.0
 # Sub-slabs one walk along linear slabs may take at most (seconds of
 # walking per energy); a split count past it counts as an overflow.
 _MAX_SUBSLABS = 1 << 22
+# Evanescent phase sum(kappa |dx|) of a bridged interval past which it is
+# walked from both ends: a walk the way psi decays multiplies its
+# anchor's error by up to exp(2 sum(kappa |dx|)), so below this bound an
+# anchor exact to rounding gives at most exp(4) eps, about 1.2e-14.
+_BRIDGE_PHASE = 2.0
 
 
 @dataclass(frozen=True)
@@ -618,7 +626,14 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
     for the ratio.  The rest, and those the array pass flags, walk one
     at a time, so a cold walk loads no numpy and errors stay the walk's.
     A sampled potential's intervals walk one at a time, with their maps
-    from one ``_linear_walks`` call."""
+    from one ``_linear_walks`` call.
+
+    Where psi decays along an evanescent interval, a walk the way it
+    decays multiplies its anchor's error by about exp(2 sum(kappa |dx|)),
+    whichever end has the larger |Z|.  An interval whose evanescent phase
+    passes _BRIDGE_PHASE is therefore walked from both ends, and the walk
+    along which |psi| grows more is kept (the first at a tie); the array
+    pass leaves those intervals to the walk."""
     walks = _cut(pot, xs)
     sampled = isinstance(pot, SampledPotential)
     if sampled or "numpy" not in sys.modules:
@@ -627,22 +642,54 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
         from ._arrays import _bridge_many
 
         ratios, redo = _bridge_many(walks, e, zs, params)
-    ahead = [abs(zs[i]) > abs(zs[i + 1]) for i in redo]
-    for i, forward in zip(redo, ahead):
+    # (interval, walked forward, walked from both ends)
+    runs = []
+    for i in redo:
+        forward = abs(zs[i]) > abs(zs[i + 1])
+        if _phase(walks[i], e, params) > _BRIDGE_PHASE:
+            runs += (i, forward, True), (i, not forward, True)
+        else:
+            runs.append((i, forward, False))
+    todo = []
+    for i, forward, _ in runs:
+        walk = walks[i]
         if not forward:  # walked back, each step from its other end
             if sampled:
-                walks[i] = [(u + slope * dx, slope, -dx) for u, slope, dx in reversed(walks[i])]
+                walk = [(u + slope * dx, slope, -dx) for u, slope, dx in reversed(walk)]
             else:
-                walks[i] = [(u, -dx) for u, dx in reversed(walks[i])]
-    todo = [walks[i] for i in redo]
+                walk = [(u, -dx) for u, dx in reversed(walk)]
+        todo.append(walk)
     if sampled:
         todo = _linear_walks(todo, e, params)
-    for i, forward, walk in zip(redo, ahead, todo):
+    best = None
+    for (i, forward, both), walk in zip(runs, todo):
         _, den, r = _chain(walk, e, zs[i] if forward else zs[i + 1], params)
+        if both:
+            # psi(other end) / psi(anchor) = den / r: |psi|'s growth along
+            # the walk, the first walk's kept unless the second's is larger
+            growth = abs(den) / abs(r) if r else math.inf
+            if ratios[i] is not None and not growth > best:
+                continue
+            best = growth
         # psi(anchor) / psi(other end) = r / den
         top, bottom = (den, r) if forward else (r, den)
         ratios[i] = top / bottom if bottom else complex(math.inf)
     return ratios
+
+
+def _phase(walk: list[tuple[float, ...]], e: float, params: ModelParams) -> float:
+    """sum(kappa |dx|) over the evanescent steps of a ``_cut`` walk, a
+    linear step's kappa taken at its higher end, so the phase is never
+    underestimated."""
+    c = 2.0 * params.mass / params.hbar ** 2
+    phase = 0.0
+    for step in walk:
+        u, dx = step[0], step[-1]
+        if len(step) == 3:
+            u = max(u, u + step[1] * dx)
+        if u > e:
+            phase += math.sqrt(c * (u - e)) * abs(dx)
+    return phase
 
 
 def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,

@@ -19,26 +19,21 @@ passes run only where numpy is loaded already), and grids are Python
 lists.  On a piecewise potential ``sweep``, ``bound`` and
 ``resonances`` walk their energies one at a time too and load none; on
 a sampled one they load numpy at set-up for its array series
-(``analytic._array_pass``).  ``validate`` checks the impedance path's R
-and T against the transfer-matrix oracle's, and the psi the Riccati
-stepper rebuilds against the exact chain's at the stepper's own
-samples, all to one bound.
+(``analytic._array_pass``).  ``profile`` prints the field of one walk
+of ``scattering._Incidence`` on either engine: psi comes from the walk
+that gives Z, so a profile walks once.  ``validate`` checks the
+impedance path's R and T against the transfer-matrix oracle's, and the
+psi of the Riccati stepper's walk against the exact chain's at the
+stepper's own samples, all to one bound.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
-import math
 import sys
 from dataclasses import replace
 
-from .analytic import _bridge
-from .errors import (
-    NonFiniteStateError,
-    PotentialInputError,
-    SolverError,
-)
+from .errors import PotentialInputError, SolverError
 from .model import IntegrationConfig, PiecewisePotential, Side, _linspace, require_finite
 from .scattering import (
     EnergyPointError,
@@ -177,63 +172,22 @@ def cmd_resonances(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     return 0
 
 
-def _trajectory_psi(walk: _Incidence, e: float, xs: list[float], zs: list[complex],
-                    psi_in: complex) -> list[complex]:
-    """psi at every sample (xs, zs) of a trajectory of ``walk``, from
-    psi_in at the entry edge and the exact psi ratios across its
-    intervals (``analytic._bridge``)."""
-    ratios = _bridge(walk.pot, e, xs, zs, walk.params)
-    if walk.right:
-        # the walk from a ends at the entry edge b: psi(x_i) is psi(b) over
-        # the product of the interval ratios from x_i to b
-        products = [1.0 + 0j]
-        for q in reversed(ratios):
-            products.append(products[-1] * q)
-        psi = [psi_in / p if p else complex(math.inf) for p in reversed(products)]
-    else:
-        psi = [psi_in]
-        for q in ratios:
-            psi.append(psi[-1] * q)
-    if not all(map(cmath.isfinite, psi)):
-        raise NonFiniteStateError("reconstructed psi is not finite")
-    return psi
-
-
 def cmd_profile(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
     if args.points < 5:
         raise ValueError("--points must be at least 5")
-    side = _side(args)
-    pot, params, e = spec.potential, spec.params, args.energy
+    pot = spec.potential
     if not pot.a < pot.b:
         raise ValueError("a bare step has no interior to profile")
-    walk = _Incidence(pot, side, cfg, params)
+    walk = _Incidence(pot, _side(args), cfg, spec.params)
     xs = _points(pot.a, pot.b, args.points)
-    # the exact chain cut at the grid points, or with --force-numeric the
-    # Riccati trajectory read at them
-    if cfg.force_numeric:
-        xs, zs = walk.trajectory(e, xs)
-    else:
-        zs, psi = walk.profile(e, xs)
-
     if args.mode == "impedance":
-        rows = [[_fmt(x), _fmt(z.real), _fmt(z.imag)] for x, z in zip(xs, zs)]
+        rows = [[_fmt(x), _fmt(z.real), _fmt(z.imag)]
+                for x, z in zip(xs, walk.impedance(args.energy, xs))]
         _print_table(["x", "re_Z", "im_Z"], rows)
-        return 0
-
-    # wavefunction mode: scattering solution, unit incident amplitude,
-    # psi at the entry edge (1 + r) times the incident wave there
-    res = solve_scattering(pot, e, side, cfg, params)
-    k1 = math.sqrt(2.0 * params.mass * (e - walk.u_in)) / params.hbar
-    psi_in = (1.0 + res.r) * cmath.exp(1j * k1 * walk.x_in)
-    if cfg.force_numeric:
-        psi = _trajectory_psi(walk, e, xs, zs, psi_in)
     else:
-        psi = [psi_in * p for p in psi]
-    rows = [
-        [_fmt(x), _fmt(p.real), _fmt(p.imag), _fmt(abs(p) ** 2)]
-        for x, p in zip(xs, psi)
-    ]
-    _print_table(["x", "re_psi", "im_psi", "abs2_psi"], rows)
+        rows = [[_fmt(x), _fmt(p.real), _fmt(p.imag), _fmt(abs(p) ** 2)]
+                for x, p in zip(xs, walk.wavefunction(args.energy, xs))]
+        _print_table(["x", "re_psi", "im_psi", "abs2_psi"], rows)
     return 0
 
 
@@ -258,7 +212,7 @@ def cmd_validate(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
         walk = _Incidence(pot, Side.LEFT, cfg, params)
         xs, zs = walk.trajectory(e)
         exact = walk.profile(e, xs)[1]
-        psi = _trajectory_psi(walk, e, xs, zs, 1.0 + 0j)
+        psi = walk.psi(e, xs, zs)
         error = max(abs(p - q) for p, q in zip(psi, exact)) / max(map(abs, exact))
         checks.append(("psi_error", error))
 

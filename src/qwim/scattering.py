@@ -33,10 +33,10 @@ of the resonance scan, takes one array pass per slab or sub-slab
 is sampled, which loads it then (``analytic._array_pass``).  Points
 that pass flags (where a single solve raises, or its values are not
 finite) are solved again one at a time.  Elsewhere each energy is
-walked alone, by the same per-point code.  ``_Incidence.profile`` cuts
-the walk at a grid's points in one pass (``analytic._cut``), for Z and
-psi along the chain, and ``_Incidence.trajectory`` gives the stepper's
-walk as lists, read at a grid's points where one is given.
+walked alone, by the same per-point code.  Along x the helper gives the
+field of its own walk, on either engine: ``impedance`` is Z at a
+grid's points, and ``wavefunction`` psi per unit incident wave, from
+the same walk's psi ratios and its own Z(entry), so one walk gives both.
 
 Only the functions that take or make arrays import numpy, so work at
 one energy loads none on either engine or kind of potential (a sampled
@@ -49,6 +49,8 @@ walks.
 from __future__ import annotations
 
 import cmath
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
@@ -131,7 +133,8 @@ class _Incidence:
     right, anchored at -z_far with the Z it gives negated.  The step is
     odd under x -> -x, Z -> -Z, so that is the mirror's walk, and no
     mirror is built.  On the stepper the walk is one trajectory of Z
-    alone, bridged for psi only where t is asked for.  Signed zeros follow the mirror's walk as well: a
+    alone, bridged for psi only where t or psi (``psi``) is asked for.
+    Signed zeros follow the mirror's walk as well: a
     zero part of the chain's num comes from a cancellation, +0 on both
     walks, so each part of num is negated as 0.0 minus it, which keeps
     it +0 where unary minus gives -0; the stepper's Z takes unary minus.
@@ -162,23 +165,16 @@ class _Incidence:
         chain (``analytic._chain``), or with ``force_numeric`` along one
         Riccati trajectory (den = 1): Z(entry) = num / den in the frame of
         ``side``.  r and tau are ``_reflect``'s; tau is None on the stepper
-        unless ``bridge`` asks for psi(far) / psi(entry), the product of
-        the trajectory's psi bridges (``analytic._bridge``), which r
-        does not need."""
+        unless ``bridge`` asks for psi(far) / psi(entry), the far end of
+        the trajectory's own field (``psi``), which r does not need."""
         params = self.params
         lead_in = _constants(e, self.u_in, params)  # degenerate e == u_in raises here
         lead_far = _constants(e, self.u_far, params)
         if self.steps is None:
             xs, zs = self.trajectory(e)
             z = zs[-1] if self.right else zs[0]
-            num, den, ratio = (-z if self.right else z), 1.0, None
-            if bridge:
-                # from the entry edge on, bitwise the mirror's bridges
-                if self.right:
-                    xs, zs = xs[::-1], zs[::-1]
-                ratio = 1.0
-                for q in _bridge(self.pot, e, xs, zs, params):
-                    ratio *= q
+            num, den = (-z if self.right else z), 1.0
+            ratio = self.psi(e, xs, zs)[0 if self.right else -1] if bridge else None
         elif self.right:
             num, den, ratio = _chain(self.steps, e, -lead_far[0], params)
             num = complex(0.0 - num.real, 0.0 - num.imag)
@@ -237,6 +233,50 @@ class _Incidence:
         for i in redo:
             rs[i] = self.reflection(es[i])
         return rs
+
+    def impedance(self, e: float, grid: list[float]) -> list[complex]:
+        """Z at each point of ``grid`` (ascending from a to b, both ends
+        on it): the chain's (``profile``), or with ``force_numeric`` the
+        trajectory read at the grid, whose end samples also stand for the
+        grid's points on a or b."""
+        if self.steps is not None:
+            return self.profile(e, grid)[0]
+        zs = self.trajectory(e, grid)[1]
+        lo, hi = bisect_right(grid, self.pot.a), bisect_left(grid, self.pot.b)
+        return [zs[0]] * lo + zs[1:-1] + [zs[-1]] * (len(grid) - hi)
+
+    def wavefunction(self, e: float, grid: list[float]) -> list[complex]:
+        """psi at each point of ``grid`` (as ``impedance`` takes it) per
+        unit incident wave: psi(entry) = (1 + r) e^{i k1 x_in}, with r
+        from the walk's own Z(entry), carried along the same walk's psi
+        ratios (``profile``'s, or with ``force_numeric`` ``psi``'s).
+        Raises EvanescentIncidenceError below the incidence lead."""
+        if e < self.u_in:
+            raise EvanescentIncidenceError(f"energy {e} below incidence lead {self.u_in}")
+        params = self.params
+        zs, psi = (self.impedance(e, grid), None) if self.steps is None else self.profile(e, grid)
+        z = -zs[-1] if self.right else zs[0]
+        r = _reflect(_constants(e, self.u_in, params)[0], z, 1.0, None)[0]
+        k1 = math.sqrt(2.0 * params.mass * (e - self.u_in)) / params.hbar
+        try:
+            psi_in = (1.0 + r) * cmath.exp(1j * k1 * self.x_in)
+        except ValueError:  # cmath.exp of an infinite lead phase k x
+            raise NonFiniteStateError(f"lead phase overflows at energy {e}") from None
+        return self.psi(e, grid, zs, psi_in) if psi is None else [psi_in * p for p in psi]
+
+    def psi(self, e: float, xs: list[float], zs: list[complex], psi_in=1.0) -> list[complex]:
+        """psi at the samples (xs ascending, zs Z there) of a trajectory of
+        this walk: the product of their psi bridges (``analytic._bridge``)
+        from psi_in at the entry edge, bitwise the mirror's for right
+        incidence.  A psi that is not finite raises NonFiniteStateError."""
+        if self.right:
+            xs, zs = xs[::-1], zs[::-1]
+        psi = [psi_in]
+        for q in _bridge(self.pot, e, xs, zs, self.params):
+            psi.append(psi[-1] * q)
+        if not all(map(cmath.isfinite, psi)):
+            raise NonFiniteStateError(f"psi along the trajectory is not finite at energy {e}")
+        return psi[::-1] if self.right else psi
 
     def profile(self, e: float, grid: list[float]) -> tuple[list[complex], list[complex]]:
         """Z and psi at each point of ``grid`` (ascending from a to b) on

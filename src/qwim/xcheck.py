@@ -276,13 +276,12 @@ def reconstruct_wavefunction(
     in the walk's arithmetic; the rest, and a sampled potential's, walk
     one at a time.  psi keeps the scale psi_start sets at the first sample:
     given psi there per unit incident wave, the profile is psi per unit
-    incident wave (``Normalization.UNIT_INCIDENT``).
+    incident wave (``Normalization.UNIT_INCIDENT``).  Any trajectory has
+    an interval to bridge, so two samples are enough.
     """
     import numpy as np
 
     xs = traj.xs
-    if len(xs) < 5:
-        raise InsufficientSamplesError("need at least 5 trajectory samples")
     ratios = _bridge(traj.potential, traj.energy, xs.tolist(), traj.zs.tolist(), traj.params)
     with np.errstate(all="ignore"):
         psi = np.cumprod(np.array([psi_start, *ratios], dtype=complex))

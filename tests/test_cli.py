@@ -702,7 +702,7 @@ def test_numeric_profile_reads_the_chain_field(random_stack_instances):
     # it.  Z is within 1e-6 of max(|Z|, 1) (8.3e-7 at worst; 6.0e-7 read
     # off a trajectory forced through the grid)
     from qwim.analytic import _read
-    from qwim.cli import VALIDATE_DELTA_TOL, _trajectory_psi
+    from qwim.cli import VALIDATE_DELTA_TOL
     from qwim.model import IntegrationConfig, ModelParams
     from qwim.scattering import _Incidence
 
@@ -712,7 +712,7 @@ def test_numeric_profile_reads_the_chain_field(random_stack_instances):
 
     def errors(walk, e, xs, zs):
         want_z, want_psi = walk.profile(e, xs)
-        psi = _trajectory_psi(walk, e, xs, zs, 1.0 + 0j)
+        psi = walk.psi(e, xs, zs)
         return (max(abs(p - q) for p, q in zip(psi, want_psi)) / max(map(abs, want_psi)),
                 max(abs(p - q) for p, q in zip(zs, want_z)) / max(1.0, max(map(abs, want_z))))
 
@@ -729,6 +729,115 @@ def test_numeric_profile_reads_the_chain_field(random_stack_instances):
             assert psi_error < VALIDATE_DELTA_TOL or psi_error <= 1.01 * own, (pot, e, side)
             worst = max(worst, z_error)
     assert worst < 1e-6
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every qwim module that
+    holds it."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("qwim") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_numeric_profile_walks_once(capsys, monkeypatch, side):
+    # a wavefunction profile takes r from its own walk's Z(entry): one
+    # stepper integration and one psi bridge, where a separate solve for r
+    # made two of each; an impedance profile bridges nothing
+    from qwim import analytic, cli, riccati  # noqa: F401 (cli loaded before the count)
+
+    trajectories = _count_calls(monkeypatch, riccati, "_trajectory")
+    bridges = _count_calls(monkeypatch, analytic, "_bridge")
+    for mode, want in (("wavefunction", 1), ("impedance", 0)):
+        trajectories.clear()
+        bridges.clear()
+        code, out, err = _main(capsys, "profile", "--spec", str(DOCS / "barrier.json"),
+                               "--energy", "1.5", "--mode", mode, "--side", side,
+                               "--force-numeric")
+        assert code == 0 and err == "", err
+        assert len(trajectories) == 1 and len(bridges) == want, mode
+
+
+def test_numeric_right_wavefunction_is_the_mirrors(random_stack_instances):
+    # right incidence on the stepper is bitwise the mirror's left
+    # incidence, rows reversed, read at the negated grid points (the CLI's
+    # two linspace grids differ in their last bits)
+    from qwim.model import IntegrationConfig, ModelParams, SampledPotential
+    from qwim.scattering import _Incidence
+
+    pots = [load_spec(str(DOCS / name)).potential for name in ("barrier.json", "well.json")]
+    pots += [pot for pot, _ in random_stack_instances[:12]]
+    samples, levels = SAMPLED_DOC["potential"]["samples"], SAMPLED_DOC["potential"]
+    pots.append(SampledPotential(tuple(x for x, _ in samples), tuple(u for _, u in samples),
+                                 levels["left_level"], levels["right_level"]))
+    cfg, params = IntegrationConfig(force_numeric=True), ModelParams()
+    for pot in pots:
+        grid = np.linspace(pot.a, pot.b, 101).tolist()
+        back = [-x for x in reversed(grid)]
+        for e in (0.5, 1.0875, 2.3):
+            right = _Incidence(pot, Side.RIGHT, cfg, params).wavefunction(e, grid)
+            left = _Incidence(pot.mirrored(), Side.LEFT, cfg, params).wavefunction(e, back)
+            assert right == left[::-1], (pot, e)
+
+
+def test_numeric_profile_through_repeated_grid_points(tmp_path, capsys):
+    # the stepper crosses each sample cell 8 apart at 1e16 in one exact
+    # step; the grid's points equal to a or b read the trajectory's end
+    # samples, so every grid point gets its row, as on the chain
+    doc = {"potential": {"kind": "sampled", "left_level": 0.0, "right_level": 0.0,
+                         "samples": [[1e16, 0.0], [1e16 + 8.0, 1.0], [1e16 + 16.0, 0.0]]}}
+    spec = write_spec(tmp_path, doc)
+    xs = np.linspace(1e16, 1e16 + 16.0, 33).tolist()
+    for mode, side in itertools.product(("impedance", "wavefunction"), ("left", "right")):
+        argv = ("profile", "--spec", spec, "--energy", "2.0", "--points", "33", "--mode", mode,
+                "--side", side)
+        (c1, chain, _), (c2, stepper, err) = _main(capsys, *argv), _main(capsys, *argv, "--force-numeric")
+        assert c1 == c2 == 0, err
+        got, want = (np.array(rows_of(out)[1], dtype=float) for out in (stepper, chain))
+        assert got[:, 0].tolist() == xs == want[:, 0].tolist()
+        values, ref = got[:, 1] + 1j * got[:, 2], want[:, 1] + 1j * want[:, 2]
+        assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref)), (mode, side)
+
+
+def test_numeric_wavefunction_across_a_long_barrier(tmp_path, capsys):
+    # the barrier (0, 60) at height 2, 7 points at E = 0.7: psi bridged
+    # only from each interval's larger-|Z| end printed |psi|^2 = 4.16e-38
+    # at x = 30 and 2.27e-71 at x = 60, where the chain prints 1.35e-42
+    # and 3.37e-84
+    doc = json.loads(json.dumps(BARRIER_DOC))
+    doc["potential"]["segments"] = [{"x_start": 0.0, "x_end": 60.0, "u": 2.0}]
+    spec = write_spec(tmp_path, doc)
+    argv = ("profile", "--spec", spec, "--energy", "0.7", "--mode", "wavefunction", "--points", "7")
+    (c1, chain, _), (c2, stepper, err) = _main(capsys, *argv), _main(capsys, *argv, "--force-numeric")
+    assert c1 == c2 == 0, err
+    got, want = (np.array(rows_of(out)[1], dtype=float)[:, 3] for out in (stepper, chain))
+    assert abs(want[3] / 1.35e-42 - 1.0) < 0.01 and abs(want[6] / 3.37e-84 - 1.0) < 0.01
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [(("--energy", "0.5", "--rel-tol", "0", "--abs-tol", "1e-300"), "StepSizeUnderflow"),
+     (("--energy", "1e300"), "NonFiniteState")],
+    ids=["underflow", "overflow"],
+)
+@pytest.mark.parametrize("verb", ["scatter", "validate"])
+def test_stepper_guards_exit_3(tmp_path, capsys, verb, flags, code):
+    # on the barrier (0, 2) at height 1: with no relative tolerance and an
+    # absolute one far below rounding, no step is ever accepted; at
+    # E = 1e300 the first trial step's state overflows
+    spec = write_spec(tmp_path, BARRIER_DOC)
+    numeric = ("--force-numeric",) if verb == "scatter" else ()
+    got, out, err = _main(capsys, verb, "--spec", spec, *flags, *numeric)
+    assert got == 3 and out == ""
+    assert err.startswith(f"error\t{code}\t") and len(err.splitlines()) == 1
 
 
 def test_validate_fails_on_a_loose_psi(tmp_path, capsys, random_stack_instances):

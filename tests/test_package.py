@@ -130,6 +130,19 @@ def test_only_the_incidence_helper_leaves_scattering():
     assert private == {"spectral": {"_Incidence"}, "cli": {"_Incidence"}}
 
 
+def test_the_cli_imports_nothing_from_the_chain():
+    # profile and validate ask the incidence helper for Z and psi, so the
+    # engines' internals reach the CLI only through _Incidence
+    path = Path(qwim.__file__).parent / "cli.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "analytic":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names if alias.name.endswith("analytic")}
+    assert imported == set()
+
+
 def test_bench_tracer_targets_resolve():
     # the benchmark's tracer wraps these names by lookup; one that a
     # change deletes or renames would make its traced runs raise

@@ -2,6 +2,7 @@
 
 import bisect
 import cmath
+import itertools
 import math
 import warnings
 
@@ -561,6 +562,65 @@ def test_read_array_pass_matches_the_walk(random_stack_instances, threshold, mon
             on = set(xs)
             assert left == [k for k, p in enumerate(grid[1:-1]) if p in on]
             assert all(zs[xs.index(grid[k + 1])] == got[k + 1] for k in left)
+
+
+@pytest.mark.parametrize("d", [0.9e-12, 5e-13, -0.9e-12, -5e-13], ids=["overlap", "overlap/2", "gap", "gap/2"])
+def test_read_across_joins_within_join_tol(d, monkeypatch):
+    # segments that overlap or gap by up to JOIN_TOL: the samples' cut
+    # (ascending) gives every interval one slab, except on an overlap
+    # walked leftward, where the stepper's join is the right segment's
+    # start and the cut's pair from it starts in the left segment's
+    # overlap: two slabs, the first d long.  A point inside such an
+    # interval is read by its own cut of the walk from its anchor, as the
+    # reference read walks every point, on both routes
+    segs = (PotentialSegment(0.0, 1.0 + d, 1.5), PotentialSegment(1.0, 2.0, -1.0),
+            PotentialSegment(2.0 - d, 3.0, 0.7))
+    pot, params = PiecewisePotential(0.0, segs, 0.0), ModelParams()
+    eps = np.finfo(float).eps
+    for e, z in itertools.product((0.3, 1.2, 2.5), (z_minus, z_plus)):
+        traj = z(pot, e)
+        xs, zs = traj.xs.tolist(), traj.zs.tolist()
+        two = [i for i, walk in enumerate(analytic._cut(pot, xs)) if len(walk) != 1]
+        if d < 0.0 or z is z_plus:
+            assert two == []
+            continue
+        assert len(two) == 2 and {xs[i] for i in two} == {1.0, 2.0 - d}
+        grid = sorted([pot.a, pot.b, *(0.5 * (xs[i] + xs[i + 1]) for i in two)])
+        (got_xs, got), (want_xs, want), left = _read_routes(monkeypatch, pot, e, xs, zs, grid)
+        ref = _reference_read(pot, e, list(zip(xs, zs)), grid, params)
+        assert got_xs == want_xs == grid and left == [0, 1]
+        assert got == want and all(abs(g - r) <= 8.0 * eps * abs(r) for g, (_, r) in zip(got, ref))
+
+
+def test_stepper_guards():
+    # the barrier (0, 2) at height 1: with no relative tolerance and an
+    # absolute one far below rounding no step is accepted, and the step
+    # shrinks past its floor; at E = 1e300 the first trial step's state
+    # overflows
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0)
+    with pytest.raises(StepSizeUnderflowError, match="step underflow near x=2.0"):
+        z_minus(pot, 0.5, cfg=IntegrationConfig(rel_tol=0.0, abs_tol=1e-300))
+    with pytest.raises(NonFiniteStateError, match="non-finite state near x=2.0"):
+        z_minus(pot, 1e300)
+
+
+def test_stepper_nudges_off_an_exact_node():
+    # on a slab at the energy's level W' = i (m / hbar) is constant, W
+    # mode runs from the start (the switch is at |Z| > 0) and each step is
+    # exact: from W(0) = -i h, the sum the first step of h = max_step
+    # adds, that step lands on W = 0 exactly, a psi-node, and is taken
+    # again 0.97 times as long.  W stays 1 / Z(0) + i x all the way
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0)
+    h, k = 0.04, 1j
+    step = ((h * (35.0 / 384.0)) * k + (h * (500.0 / 1113.0)) * k + (h * (125.0 / 192.0)) * k
+            + (h * (-2187.0 / 6784.0)) * k + (h * (11.0 / 84.0)) * k)
+    z0 = 1.0 / -step
+    while 1.0 / z0 != -step:
+        z0 = complex(z0.real, math.nextafter(z0.imag, math.inf))
+    traj = integrate_impedance(pot, 1.0, 0.0, z0, 2.0)
+    assert traj.xs[1] == h * 0.97 and traj.xs[-1] == 2.0
+    w = 1.0 / traj.zs
+    np.testing.assert_allclose(w, -step + 1j * traj.xs, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT], ids=["left", "right"])

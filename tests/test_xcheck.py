@@ -610,21 +610,21 @@ def test_bridge_array_pass_matches_the_walk_on_levels_and_barriers(pot, e, thres
 
 
 def test_bridge_array_pass_leaves_what_is_not_one_slab(monkeypatch):
-    # hand-picked samples on the thick barrier: the interval (1, 401) is
-    # one saturated step (|Re g| = 645), taken by the array pass both
-    # ways, and (401, 401.5) has |Z| tied at its ends; a repeated sample
-    # (no slab) and intervals across a join (two slabs) are left to the
-    # walk
+    # hand-picked samples on the thick barrier: (401, 401.5) has |Z| tied
+    # at its ends, and the array pass takes it both ways; a repeated
+    # sample (no slab), intervals across a join (two slabs) and the
+    # interval (1, 401), one saturated step whose evanescent phase (645)
+    # passes _BRIDGE_PHASE, are left to the walk
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, -1.0), PotentialSegment(1.0, 401.0, 2.0),
                                    PotentialSegment(401.0, 402.0, 0.5)), 0.3)
     e = 0.7
     xs = [-0.5, 0.5, 0.5, 1.0, 401.0, 401.5, 402.5]
     zs = [1.0 + 0.5j, 0.5 - 0.2j, 0.5 - 0.2j, 0.8 + 1.0j, 0.6 + 0.2j, 0.2 + 0.6j, 0.9 + 0j]
     got, want, left = _routes(monkeypatch, pot, e, xs, zs)
-    assert _ulps(got, want) <= 8.0 and left == [0, 1, 5]
+    assert _ulps(got, want) <= 8.0 and left == [0, 1, 3, 5]
     back, back_zs = [-x for x in reversed(xs)], [-z for z in reversed(zs)]
     got, want, left = _routes(monkeypatch, pot.mirrored(), e, back, back_zs)
-    assert _ulps(got, want) <= 8.0 and left == [0, 4, 5]
+    assert _ulps(got, want) <= 8.0 and left == [0, 2, 4, 5]
 
 
 @pytest.mark.parametrize(
@@ -654,12 +654,72 @@ def test_bridge_ratio_over_a_zero_bottom_is_infinite_on_both_routes(monkeypatch)
     # psi(anchor) / psi(other end) = r / den: r underflows to 0 across
     # 1000 of lead at kappa = 1 (walked forward), and den is exactly 0
     # where the anchor is -z past the saturation cut (walked back); both
-    # steps are finite, and both ratios infinite
+    # steps are finite, and both ratios infinite.  The interval's
+    # evanescent phase, 1000, passes _BRIDGE_PHASE, so the array pass
+    # leaves it to the walk, which takes it from both ends
     pot = PiecewisePotential(0.5, (PotentialSegment(0.0, 1.0, -1.0),), 0.5)
     e, z = 0.0, 1j
     for xs, zs in (([1.0, 1001.0], [2j, 1j]), ([1.0, 1001.0], [0j, -z])):
         got, want, left = _routes(monkeypatch, pot, e, xs, zs)
-        assert got == want == [complex(math.inf)] and left == []
+        assert got == want == [complex(math.inf)] and left == [0]
+
+
+@pytest.mark.parametrize("length, n", [(60, 7), (60, 13), (200, 21), (400, 9)])
+def test_bridge_across_long_evanescent_intervals(length, n, monkeypatch):
+    # the barrier (0, L) at height 2, E = 0.7, read at n points: psi decays
+    # by exp(-1.61 dx) across each interval.  Walked only from the end with
+    # the larger |Z|, an interval walked the way psi decays multiplied its
+    # anchor's error by about exp(3.2 dx), for relative errors of 2.6e6,
+    # 1.9e-4, 9.2e20 and 7.8e234.  Each interval's evanescent phase passes
+    # _BRIDGE_PHASE, so both routes walk it from both ends and keep the
+    # walk along which |psi| grows
+    from qwim.scattering import _Incidence
+
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, float(length), 2.0),), 0.0)
+    grid = np.linspace(0.0, length, n)
+    traj = z_minus(pot, 0.7, grid=grid)
+    walk = _Incidence(pot, Side.LEFT, IntegrationConfig(), ModelParams())
+    want = np.array(walk.profile(0.7, grid.tolist())[1])
+    psi = reconstruct_wavefunction(traj).psi
+    assert np.max(np.abs(psi - want) / np.abs(want)) <= 1e-8
+    got, walked, left = _routes(monkeypatch, pot, 0.7, traj.xs.tolist(), traj.zs.tolist())
+    assert got == walked and left == list(range(n - 1))
+
+
+def test_sampled_bridge_across_long_evanescent_intervals():
+    # a sampled trapezoid at height 2 on (0, 60) read at 7 points: its
+    # linear sub-slab walks take the phase at each step's higher end, and
+    # are walked from both ends too (1.9e3 relative from one end)
+    from qwim.scattering import _Incidence
+
+    pot = SampledPotential((0.0, 1.0, 59.0, 60.0), (0.0, 2.0, 2.0, 0.0), 0.0, 0.0)
+    grid = np.linspace(0.0, 60.0, 7)
+    psi = reconstruct_wavefunction(z_minus(pot, 0.7, grid=grid)).psi
+    walk = _Incidence(pot, Side.LEFT, IntegrationConfig(), ModelParams())
+    want = np.array(walk.profile(0.7, grid.tolist())[1])
+    assert np.max(np.abs(psi - want) / np.abs(want)) <= 1e-8
+
+
+@pytest.mark.parametrize("length, want_size", [(200.0, 7.1e-140), (400.0, 6.3e-280)])
+def test_bridge_off_a_saturated_fixed_point(length, want_size, monkeypatch):
+    # samples [1.0, L + 0.5] on the barrier (0, L) at height 2, E = 0.7,
+    # with the chain's Z from the right lead: at 1.0 Z sits on the
+    # saturated step's fixed point, and the walk from there, the way psi
+    # decays, loses psi to the dropped exp(-2 |g|) (2.5e123 or 0 in place
+    # of 2.4e-140).  The walk back from the lead, along which psi grows,
+    # gives the chain's own ratio
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, length, 2.0),), 0.0)
+    e, params = 0.7, ModelParams()
+    xs, zs, psi = [1.0, length + 0.5], [], []
+    for x in xs:
+        num, den, r = _chain(_steps(pot, pot.b, x), e, complex(math.sqrt(2.0 * e)), params)
+        zs.append(num / den)
+        psi.append(den / r)  # psi(x) / psi(b)
+    want = psi[1] / psi[0]
+    assert abs(abs(want) / want_size - 1.0) < 0.01
+    got, walked, left = _routes(monkeypatch, pot, e, xs, zs)
+    assert got == walked and left == [0]
+    assert abs(got[0] - want) <= 1e-12 * abs(want)
 
 
 def test_thinned_reconstruction_matches_the_full_one():
@@ -715,19 +775,21 @@ def test_reconstruct_defaults_to_unit_incident():
 
 
 def test_reconstruct_needs_samples():
-    traj = z_minus(well(), -1.0, cfg=IntegrationConfig())
-    short = type(traj)(
-        xs=traj.xs[:3],
-        zs=traj.zs[:3],
-        direction=traj.direction,
-        anchor_x=traj.anchor_x,
-        anchor_z=traj.anchor_z,
-        energy=traj.energy,
-        potential=traj.potential,
-        params=traj.params,
-    )
-    with pytest.raises(InsufficientSamplesError):
-        reconstruct_wavefunction(short)
+    # a bridge needs two samples: z_minus on the barrier (0, 1e-15) gives
+    # two, or three on a grid, and both reconstruct to the chain's psi;
+    # the stencil of schrodinger_residual still needs five
+    from qwim.scattering import _Incidence
+
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1e-15, 1.0),), 0.0)
+    walk = _Incidence(pot, Side.LEFT, IntegrationConfig(), ModelParams())
+    for grid, n in ((None, 2), ([0.0, 5e-16, 1e-15], 3)):
+        traj = z_minus(pot, 0.5, grid=grid)
+        assert len(traj.xs) == n
+        prof = reconstruct_wavefunction(traj)
+        want = np.array(walk.profile(0.5, traj.xs.tolist())[1])
+        assert np.max(np.abs(prof.psi - want)) <= 1e-15
+        with pytest.raises(InsufficientSamplesError):
+            schrodinger_residual(prof, pot, 0.5)
 
 
 def test_residual_plane_wave_truncation_only():
