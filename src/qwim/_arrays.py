@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .analytic import _BRIDGE_PHASE, _MAX_SUBSLABS, _SATURATION_CUT, EPS_DEGENERATE
+from .analytic import _BRIDGE_PHASE, _MAX_SUBSLABS, _SATURATION_CUT, EPS_DEGENERATE, _scale
 from .errors import NonFiniteStateError
 from .model import ModelParams
 
@@ -106,7 +106,7 @@ def _linear_maps(slabs: np.ndarray, es: np.ndarray, params: ModelParams):
     split count is not finite or exceeds _MAX_SUBSLABS.
     """
     u0, slope, dx = slabs.T
-    c = 2.0 * params.mass / params.hbar ** 2
+    c = _scale(params)
     with np.errstate(all="ignore"):
         lo, hi = np.min(es), np.max(es)
         u1 = u0 + slope * dx
@@ -284,7 +284,7 @@ def _bridge_many(walks, e, zs, params):
     _, den, r, ok = _slabs_many(slabs, e, anchor, params)
     # analytic._phase of each interval: past _BRIDGE_PHASE the walk takes
     # it from both ends
-    c = 2.0 * params.mass / params.hbar ** 2
+    c = _scale(params)
     ok &= ~(np.sqrt(c * np.maximum(u - e, 0.0)) * np.abs(dx) > _BRIDGE_PHASE)
     # psi(anchor) / psi(other end) = r / den
     top, bottom = (np.where(fwd, p, q)[ok].tolist() for p, q in ((den, r), (r, den)))
@@ -300,17 +300,17 @@ def _bridge_many(walks, e, zs, params):
 def _read_many(walks, e, xs, zs, points, params):
     """The array pass of ``analytic._read`` on a piecewise potential:
     (read, redo), as ``_bridge_many`` gives (ratios, redo).  Every point
-    inside an interval of one slab takes its step from the interval's
-    anchor in one ``_slabs_many`` call, Z divided in Python as the walk
-    divides it; ``redo`` lists the points on a sample, in an interval of
-    zero or several slabs, or flagged by the pass (where the walk
-    raises), in ascending order."""
+    inside an interval (one slab, as every interval of a stepper
+    trajectory is) takes its step from the interval's anchor in one
+    ``_slabs_many`` call, Z divided in Python as the walk divides it;
+    ``redo`` lists the points on a sample or flagged by the pass (where
+    the walk raises), in ascending order."""
     x, z, p = np.array(xs), np.array(zs, dtype=complex), np.array(points)
     i = np.searchsorted(x, p, side="right") - 1  # xs[i] <= p < xs[i + 1]
-    level = np.array([w[0][0] if len(w) == 1 else np.nan for w in walks])
+    level = np.array([w[0][0] for w in walks])
     size = np.abs(z)
     j = np.where(size[i] > size[i + 1], i, i + 1)
-    take = np.flatnonzero(~np.isnan(level[i]) & (x[i] != p))
+    take = np.flatnonzero(x[i] != p)
     slabs = np.stack((level[i[take]], (p - x[j])[take]))[:, None, :]
     num, den, _, ok = _slabs_many(slabs, e, z[j[take]], params)
     ok &= den != 0

@@ -172,6 +172,18 @@ class RegionConstants:
         return -self.gamma.real
 
 
+def _scale(params: ModelParams) -> float:
+    """2 m / hbar^2, which turns an energy into a squared wavenumber:
+    ``2.0 * mass / hbar ** 2``, or where hbar ** 2 leaves the float range
+    (hbar below about 1e-162 or above about 1.4e154, where ``**`` raises)
+    ``2.0 * mass / hbar / hbar``, which never raises: inf or 0 past the
+    range, and the walks that use it raise their own typed errors."""
+    try:
+        return 2.0 * params.mass / params.hbar ** 2
+    except (OverflowError, ZeroDivisionError):
+        return 2.0 * params.mass / params.hbar / params.hbar
+
+
 def _constants(e: float, u: float, params: ModelParams) -> tuple[complex, complex]:
     """(z, gamma) of a level u at energy e, with ``region_constants``'
     checks: DegenerateEnergyError where e and u coincide to relative
@@ -223,8 +235,9 @@ def _cut(pot: Potential, points) -> list[list[tuple[float, ...]]]:
     the leads as far as the walk reaches) cuts every pair, testing once
     per cell whether the pair's end lies in it, and stops at the last
     point.  Each list is bitwise the pair's own walk: a flat cell, a lead
-    too, starts each step at its level.  A walk ending where two segments
-    overlap (by up to JOIN_TOL) ends in the first it reaches."""
+    too, starts each step at its level.  The cells are contiguous, each
+    join one float (a join within JOIN_TOL at its midpoint), so a walk and
+    its reverse cross the same slabs."""
     if len(points) < 2:
         return []
     forward = points[0] < points[-1]
@@ -535,7 +548,7 @@ def _linear_twin(slabs: list[tuple[float, float, float]], e: float, params: Mode
     (h sqrt(max |A|) <= 1, h |B|^(1/3) <= 1), the same maps from the
     scalar ``_series``, and the same NonFiniteStateError, raised at the
     call, where the split count is not finite or exceeds _MAX_SUBSLABS."""
-    c = 2.0 * params.mass / params.hbar ** 2
+    c = _scale(params)
     count, total = [], 0.0
     for u0, slope, dx in slabs:
         u1 = u0 + slope * dx
@@ -681,7 +694,7 @@ def _phase(walk: list[tuple[float, ...]], e: float, params: ModelParams) -> floa
     """sum(kappa |dx|) over the evanescent steps of a ``_cut`` walk, a
     linear step's kappa taken at its higher end, so the phase is never
     underestimated."""
-    c = 2.0 * params.mass / params.hbar ** 2
+    c = _scale(params)
     phase = 0.0
     for step in walk:
         u, dx = step[0], step[-1]
@@ -700,11 +713,12 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
     sample.  A point on a sample takes that sample's Z; elsewhere Z is
     one exact ``_chain`` step from the end of the point's interval with
     the larger |Z| (``_bridge``'s rule), on the interval's slab from one
-    cut of the samples.  As in ``_bridge``, the steps take one array pass
-    on a piecewise potential with numpy loaded already
-    (``_arrays._read_many``), and walk one at a time elsewhere.  A
-    psi-node on a point raises TransformPoleError, a point that is not
-    finite NonFiniteInputError."""
+    cut of the samples: the stepper ends each slab on its join, so every
+    interval is one slab, walked from either direction.  As in
+    ``_bridge``, the steps take one array pass on a piecewise potential
+    with numpy loaded already (``_arrays._read_many``), and walk one at a
+    time elsewhere.  A psi-node on a point raises TransformPoleError, a
+    point that is not finite NonFiniteInputError."""
     points = sorted(grid)
     require_finite("grid points", *points)
     lo, hi = xs[0], xs[-1]
@@ -725,16 +739,12 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
             read[k] = zs[i]
             continue
         j = i if abs(zs[i]) > abs(zs[i + 1]) else i + 1
-        walk = walks[i]
-        if len(walk) != 1:  # not a stepper interval: its own cut
-            walk = _steps(pot, xs[j], p)
-        elif not sampled:
-            walk = [(walk[0][0], p - xs[j])]
-        else:
-            (u, slope, dx), = walk
-            walk = [(u if j == i else u + slope * dx, slope, p - xs[j])]
+        # the interval's one step, (level,) or (u_start, slope), and dx
+        (*step, dx), = walks[i]
+        if sampled and j != i:  # a line walked from its other end
+            step[0] += step[1] * dx
         todo.append((k, j))
-        steps.append(walk)
+        steps.append([(*step, p - xs[j])])
     if sampled:
         steps = _linear_walks(steps, e, params)
     for (k, j), walk in zip(todo, steps):
@@ -830,7 +840,10 @@ def barrier_closed_forms(
     with kb' = sqrt(2m(U_b - E))/hbar, kb = sqrt(2m(E - U_b))/hbar.  The
     two routes are algebraically identical, so |r|^2 = R, |t|^2 = T and
     R + T = 1 hold to rounding; full transmission T = 1 occurs exactly at
-    kb l = n pi.
+    kb l = n pi.  Past kb' l = _SATURATION_CUT, where sinh^2 would
+    overflow, each form is divided through by its dominant exponential,
+    as the layer chain's saturated step is, so T decays to 0 and never
+    overflows.
     """
     if not length > 0.0:
         raise ValueError("barrier length must be positive")
@@ -845,6 +858,14 @@ def barrier_closed_forms(
     r = (z0 - z_entry) / (z0 + z_entry)
 
     gl = rcb.gamma * length
+    if abs(gl.real) > _SATURATION_CUT:
+        # the saturated forms (E < U_b, gb l = -kb' l): t's numerator and
+        # denominator divided by exp(kb' l) / 2, R's and T's by
+        # sinh^2(kb' l) = exp(2 kb' l) / 4, exact to rounding past the cut
+        t = 4.0 * z0 * zb * cmath.exp(gl - rc0.gamma * length) / (z0 + zb) ** 2
+        ratio2 = rcb.kappa * rcb.kappa / (k0 * k0)
+        w, q = 16.0 * ratio2 * math.exp(2.0 * gl.real), (1.0 + ratio2) ** 2
+        return BarrierAmplitudes(r=r, t=t, big_r=q / (w + q), big_t=w / (w + q))
     t = (
         2.0 * z0 * zb * cmath.exp(-rc0.gamma * length)
         / (2.0 * z0 * zb * cmath.cosh(gl) - (z0 * z0 + zb * zb) * cmath.sinh(gl))

@@ -147,7 +147,11 @@ class PiecewisePotential:
     """Contiguous stack of constant segments between two semi-infinite leads.
 
     An empty segment tuple degenerates to a sharp potential step located
-    at ``step_x``.
+    at ``step_x``.  Consecutive segments may gap or overlap by up to
+    JOIN_TOL; ``cells`` puts each such join at one float, and ``u_at``,
+    ``interfaces`` and every walk (the chain's cut, the Riccati stepper,
+    the read of its samples) take the joins from there.  Only the
+    transfer-matrix oracle (``xcheck``) takes the segments as given.
     """
 
     left_level: float
@@ -175,6 +179,9 @@ class PiecewisePotential:
                     f"segments[{i}]: overlaps the previous segment (previous "
                     f"ends at {prev.x_end}, this starts at {seg.x_start})"
                 )
+        for i, (x0, x1, _, _) in enumerate(self.cells):
+            if not x0 < x1:  # a segment shorter than its joins' slack
+                raise OverlappingSegmentsError(f"segments[{i}]: no length left between its joins")
 
     @cached_property
     def a(self) -> float:
@@ -188,29 +195,33 @@ class PiecewisePotential:
 
     def u_at(self, x: float | np.ndarray) -> float | np.ndarray:
         """U at x, a float or an array of them (a float for a float): the
-        left lead at x <= a, else the first segment ending past x, the
-        right lead past the last, so a join takes the right segment's
-        value."""
+        left lead at x <= a, else the first cell (``cells``) ending past
+        x, the right lead past the last, so a join takes the right
+        segment's value."""
         import numpy as np
 
         x = np.asarray(x, dtype=float)
-        ends = [seg.x_end for seg in self.segments]
+        ends = [cell[1] for cell in self.cells]
         levels = np.array([seg.u for seg in self.segments] + [self.right_level], dtype=float)
         u = np.where(x <= self.a, self.left_level, levels[np.searchsorted(ends, x, side="right")])
         return u if u.ndim else float(u)
 
     @cached_property
     def cells(self) -> tuple[tuple[float, float, float, float], ...]:
-        """(x_start, x_end, u, u) of each segment: the cells a walk cuts."""
-        return tuple((s.x_start, s.x_end, s.u, s.u) for s in self.segments)
+        """(x_start, x_end, u, u) of each segment: the cells a walk cuts,
+        contiguous, each join one float.  An exact join stays where it
+        is; one within JOIN_TOL is taken at 0.5 x_end + 0.5 x_start of
+        its two segments, a value that is its own mirror image, so the
+        mirror's cells are these reflected bit for bit."""
+        segs = self.segments
+        joins = [s.x_end if s.x_end == t.x_start else 0.5 * s.x_end + 0.5 * t.x_start
+                 for s, t in zip(segs, segs[1:])]
+        return tuple((x0, x1, s.u, s.u) for x0, x1, s in zip([self.a, *joins], [*joins, self.b], segs))
 
     def interfaces(self) -> list[float]:
-        """All potential jump locations, ordered, including a and b."""
-        if not self.segments:
-            return [self.a]
-        pts = [self.segments[0].x_start]
-        pts.extend(seg.x_end for seg in self.segments)
-        return pts
+        """All potential jump locations, ordered, including a and b: the
+        cells' joins."""
+        return [self.a, *(cell[1] for cell in self.cells)]
 
     def mirrored(self) -> "PiecewisePotential":
         """The potential reflected through x -> -x (leads swap)."""

@@ -20,7 +20,10 @@ W, inside ``_trajectory``'s single loop over slabs.  The stepper walks
 the slab list the exact chain walks, ``analytic._steps`` from anchor to
 target: on each slab U is one level or one line u_start + slope (x -
 slab start), evaluated inline at the stages.  Each slab ends on its
-join, so no step ever straddles a discontinuity, and each slab starts
+join, one of the potential's ``interfaces()`` (the joins of its cells,
+one float each, ``PiecewisePotential.cells``), so no step ever straddles
+a discontinuity, and every interval of a trajectory, walked either way,
+is one slab of ``analytic._cut`` of its samples.  Each slab starts
 afresh; a slab shorter than the step floor is crossed in one exact slab
 step (``analytic._chain``).  The stepper knows no output grid: values
 at a grid's points are read off its samples (``analytic._read``).
@@ -179,16 +182,10 @@ def _trajectory(
     xs, zs = [anchor_x], [anchor_z]
     z = anchor_z
     # the slabs: each one's end is the join where it meets the next (the
-    # cells' right ends walking right, their left ends walking left, the
     # last on the target).  U on a slab is one level, or the line
     # u0 + slope (x - xa) from its start xa
     slabs = _steps(pot, anchor_x, target_x)
-    if leftward:
-        joins = [pot.b, *(cell[0] for cell in reversed(pot.cells))]
-    else:
-        joins = [pot.a, *(cell[1] for cell in pot.cells)]
-    ends = [x for x in joins if lo < x < hi][:len(slabs) - 1]
-    ends.append(target_x)
+    ends = [*sorted((x for x in pot.interfaces() if lo < x < hi), reverse=leftward), target_x]
     for slab, xa, end in zip(slabs, [anchor_x, *ends], ends):
         u0, slope = slab[0], slab[1] if len(slab) == 3 else 0.0
         h_floor = 1e-14 * max(1.0, abs(xa), abs(end))

@@ -52,7 +52,8 @@ resonance scan's array pass
 and sampled potentials use numpy: a search on a sampled potential loads
 it at set-up (``analytic._array_pass``), so that its many walks take
 numpy's sub-slab series, and a search on a piecewise potential loads
-none, ``force_numeric`` or not.
+none, ``force_numeric`` or not.  ``impedance_mismatch`` walks one
+energy and loads none on either kind.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from .errors import (
 from .model import (
     IntegrationConfig,
     ModelParams,
-    PiecewisePotential,
     Potential,
     Side,
     _linspace,
@@ -145,9 +145,6 @@ class _Ends:
         self.levels = pot.left_level, pot.right_level
         self.slabs = _steps(pot, pot.a, probe_x), _steps(pot, pot.b, probe_x)
         self.walked = {}
-        # a search walks many energies: on a sampled potential, numpy's
-        # sub-slab series serve them
-        _array_pass(pot)
 
     def _anchors(self, e):
         """Z at a and at b: the decaying tails below a lead's level, the
@@ -320,12 +317,9 @@ def find_bound_states(
     """
     if probe_x is not None:
         require_finite("probe", probe_x)
-    if isinstance(pot, PiecewisePotential):
-        if not pot.segments:
-            raise EmptyWindowError("a bare step supports no bound states")
-        floor = min(s.u for s in pot.segments)
-    else:
-        floor = min(pot.us)
+    if not pot.cells:
+        raise EmptyWindowError("a bare step supports no bound states")
+    floor = min(min(cell[2:]) for cell in pot.cells)
     ceil = min(pot.left_level, pot.right_level)
     if not floor < ceil:
         raise EmptyWindowError(
@@ -338,6 +332,9 @@ def find_bound_states(
         raise NonFiniteStateError(f"bound window ({floor}, {ceil}) overflows")
 
     ends = _Ends(pot, probe, cfg, params)
+    # a search walks many energies: on a sampled potential, numpy's
+    # sub-slab series serve them
+    _array_pass(pot)
     seen: dict[float, float] = {}
 
     def w_at(e: float) -> float:

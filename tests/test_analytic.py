@@ -668,15 +668,27 @@ def test_cut_is_bitwise_one_walk_per_pair(pieces, last, leads, start, sampled, p
     assert all(steps == [] for steps, p, q in zip(cut, points, points[1:]) if p == q)
 
 
-def test_walk_ending_in_a_join_overlap_ends_in_the_first_segment_it_reaches():
-    # joins may overlap by up to JOIN_TOL: a walk that ends in the overlap
-    # stays in the segment it reached it by
-    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 2.0), PotentialSegment(1.0 - 5e-13, 2.0, -1.0)),
+@pytest.mark.parametrize("d", [5e-13, -5e-13], ids=["overlap", "gap"])
+def test_a_join_within_join_tol_is_one_float_for_every_walk(d):
+    # segments may overlap or gap by up to JOIN_TOL: they meet at one
+    # float, 0.5 x_end + 0.5 x_start, so a walk that ends near the join
+    # ends on the same side of it whichever way it comes, u_at changes
+    # value there, and the mirror's join is this one negated
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 2.0), PotentialSegment(1.0 - d, 2.0, -1.0)),
                              0.0)
-    x = 1.0 - 2e-13
-    assert _steps(pot, 0.5, x) == [(2.0, x - 0.5)]
-    assert _steps(pot, 1.5, x) == [(-1.0, x - 1.5)]
-    assert _cut(pot, [0.5, x, 1.5]) == [[(2.0, x - 0.5)], [(2.0, 1.0 - x), (-1.0, 1.5 - x)]]
+    join = 0.5 * 1.0 + 0.5 * (1.0 - d)
+    assert pot.cells == ((0.0, join, 2.0, 2.0), (join, 2.0, -1.0, -1.0))
+    assert pot.interfaces() == [0.0, join, 2.0]
+    assert pot.u_at(math.nextafter(join, -math.inf)) == 2.0 and pot.u_at(join) == -1.0
+    assert pot.mirrored().cells == ((-2.0, -join, -1.0, -1.0), (-join, -0.0, 2.0, 2.0))
+    before, after = join - 2e-13, join + 2e-13
+    assert _steps(pot, 0.5, before) == [(2.0, before - 0.5)]
+    assert _steps(pot, 1.5, before) == [(-1.0, join - 1.5), (2.0, before - join)]
+    assert _steps(pot, 0.5, after) == [(2.0, join - 0.5), (-1.0, after - join)]
+    assert _steps(pot, 1.5, after) == [(-1.0, after - 1.5)]
+    for x in (before, after):
+        assert _cut(pot, [0.5, x, 1.5]) == [_steps(pot, 0.5, x), _steps(pot, x, 1.5)]
+        assert _steps(pot, 1.5, 0.5) == [(u, -dx) for u, dx in reversed(_steps(pot, 0.5, 1.5))]
 
 
 @pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])

@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -1142,3 +1143,28 @@ def test_spectral_commands_import_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] 0 0 3"
+
+
+def test_out_of_range_hbar_never_ends_in_a_traceback(tmp_path):
+    # 2 m / hbar^2 underflows hbar ** 2 to 0 at hbar = 1e-200 and
+    # overflows it at 1e200: every verb raised ZeroDivisionError or
+    # OverflowError (exit 1) on the sampled spec, and scatter / profile
+    # --force-numeric and validate did at 1e200 on the piecewise one
+    sampled = {"kind": "sampled", "left_level": 0.0, "right_level": 0.0,
+               "samples": [[-3.0, 0.0], [0.0, -2.0], [3.0, 0.0]]}
+    verbs = [["scatter", "--energy", "0.5"], ["sweep", "--emin", "0.1", "--emax", "2", "--points", "5"],
+             ["bound"], ["resonances", "--emin", "0.1", "--emax", "2"],
+             ["profile", "--energy", "0.5", "--points", "9", "--mode", "wavefunction"],
+             ["validate", "--energy", "0.5"]]
+    runs = []
+    for hbar, potential in ((1e-200, sampled), (1e200, sampled), (1e200, WELL_DOC["potential"])):
+        spec = write_spec(tmp_path, {"params": {"hbar": hbar, "mass": 1.0}, "potential": potential},
+                          f"{potential['kind']}-{hbar}.json")
+        runs += [[*verb, "--spec", spec, *flag] for verb in verbs for flag in ([], ["--force-numeric"])]
+    # two processes at a time
+    with ThreadPoolExecutor(2) as pool:
+        procs = list(pool.map(lambda args: run_cli(*args), runs))
+    for args, proc in zip(runs, procs):
+        assert proc.returncode in (0, 2, 3) and "Traceback" not in proc.stderr, (args, proc.stderr)
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error\t")]
+        assert len(errors) == (proc.returncode != 0), (args, proc.stderr)

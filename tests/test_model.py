@@ -50,6 +50,21 @@ def test_zero_length_segment_rejected():
         PotentialSegment(1.0, 1.0, 0.5)
 
 
+def test_segment_shorter_than_its_joins_slack_rejected():
+    # each join within JOIN_TOL is taken at its midpoint: a segment 4e-13
+    # long overlapped by 9e-13 on its left and 5e-13 on its right would
+    # run backwards between its joins
+    segs = (PotentialSegment(0.0, 1.0 + 9e-13, 1.0), PotentialSegment(1.0, 1.0 + 4e-13, 2.0),
+            PotentialSegment(1.0 - 1e-13, 2.0, 3.0))
+    with pytest.raises(OverlappingSegmentsError, match=r"segments\[1\]: no length left"):
+        PiecewisePotential(0.0, segs, 0.0)
+    # the same segment overlapped by 1e-13 on each side keeps 2e-13
+    segs = (PotentialSegment(0.0, 1.0 + 1e-13, 1.0), PotentialSegment(1.0, 1.0 + 4e-13, 2.0),
+            PotentialSegment(1.0 + 3e-13, 2.0, 3.0))
+    (_, j1, _, _), (x0, x1, _, _), _ = PiecewisePotential(0.0, segs, 0.0).cells
+    assert j1 == x0 and x1 - x0 == pytest.approx(2e-13, rel=1e-3)
+
+
 def test_empty_segments_need_step_location():
     with pytest.raises(EmptyDomainError):
         PiecewisePotential(0.0, (), 1.0)

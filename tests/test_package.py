@@ -42,6 +42,56 @@ def test_import_spectral_loads_no_numpy():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_one_mismatch_loads_no_numpy_where_a_bound_search_does():
+    # on a sampled potential a search over many energies loads numpy at its
+    # set-up for the array series; one impedance_mismatch walks one energy
+    # by the plain-Python twin
+    code = (
+        "import sys\n"
+        "from qwim import SampledPotential\n"
+        "from qwim.spectral import find_bound_states, impedance_mismatch\n"
+        "pot = SampledPotential((-3.0, 0.0, 3.0), (0.0, -2.0, 0.0), 0.0, 0.0)\n"
+        "impedance_mismatch(pot, -0.5, 0.5)\n"
+        "print('numpy' in sys.modules)\n"
+        "find_bound_states(pot)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True"]
+
+
+def test_every_private_name_is_used():
+    # a top-level private name that nothing in the package uses is dead
+    # code.  _psi_growth_entry is the one exception: the benchmark's
+    # tracer looks it up (bench/tracer.py's TARGETS), and it goes with
+    # the change that may edit bench/ (ROADMAP item 23)
+    allowed = {"_psi_growth_entry"}
+    defined, used = set(), set()
+    for path in Path(qwim.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            names = {n for n in names if n.startswith("_") and not n.startswith("__")}
+            uses = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    uses.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    uses.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    uses.add(node.name)
+            # a use inside a name's own definition (a recursion) is no use
+            defined |= names
+            used |= uses - names
+    assert sorted(defined - used) == sorted(allowed)
+
+
 def test_every_exported_name_resolves_and_is_listed():
     listed = dir(qwim)
     for name in qwim.__all__:

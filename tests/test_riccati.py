@@ -1,6 +1,7 @@
 """Adaptive Riccati integration of the impedance ODE."""
 
 import bisect
+import dataclasses
 import cmath
 import itertools
 import math
@@ -566,30 +567,43 @@ def test_read_array_pass_matches_the_walk(random_stack_instances, threshold, mon
 
 @pytest.mark.parametrize("d", [0.9e-12, 5e-13, -0.9e-12, -5e-13], ids=["overlap", "overlap/2", "gap", "gap/2"])
 def test_read_across_joins_within_join_tol(d, monkeypatch):
-    # segments that overlap or gap by up to JOIN_TOL: the samples' cut
-    # (ascending) gives every interval one slab, except on an overlap
-    # walked leftward, where the stepper's join is the right segment's
-    # start and the cut's pair from it starts in the left segment's
-    # overlap: two slabs, the first d long.  A point inside such an
-    # interval is read by its own cut of the walk from its anchor, as the
-    # reference read walks every point, on both routes
+    # segments that overlap or gap by up to JOIN_TOL meet at one float
+    # (PiecewisePotential.cells), and every walker takes that geometry:
+    # the chain's walks across the stack and back mirror each other and
+    # add up to its length, every interval of the stepper's trajectories
+    # from either end is one slab of the samples' cut, so the array read
+    # leaves only points on samples to the walk, and the chain, the
+    # stepper and the transfer-matrix oracle (on the segments as given)
+    # agree on R and T from both sides, right incidence bitwise the
+    # mirror's left incidence on both engines
     segs = (PotentialSegment(0.0, 1.0 + d, 1.5), PotentialSegment(1.0, 2.0, -1.0),
             PotentialSegment(2.0 - d, 3.0, 0.7))
     pot, params = PiecewisePotential(0.0, segs, 0.0), ModelParams()
     eps = np.finfo(float).eps
+    there, back = _steps(pot, 0.0, 3.0), _steps(pot, 3.0, 0.0)
+    assert back == [(u, -dx) for u, dx in reversed(there)]
+    assert abs(sum(dx for _, dx in there) - 3.0) <= 4.0 * math.ulp(3.0)
+    assert abs(sum(dx for _, dx in back) + 3.0) <= 4.0 * math.ulp(3.0)
+    near = [x + s for x in pot.interfaces() for s in (-1e-13, 1e-13)]
+    grid = sorted([*np.linspace(pot.a, pot.b, 41).tolist(), *near])
     for e, z in itertools.product((0.3, 1.2, 2.5), (z_minus, z_plus)):
         traj = z(pot, e)
         xs, zs = traj.xs.tolist(), traj.zs.tolist()
-        two = [i for i, walk in enumerate(analytic._cut(pot, xs)) if len(walk) != 1]
-        if d < 0.0 or z is z_plus:
-            assert two == []
-            continue
-        assert len(two) == 2 and {xs[i] for i in two} == {1.0, 2.0 - d}
-        grid = sorted([pot.a, pot.b, *(0.5 * (xs[i] + xs[i + 1]) for i in two)])
+        assert all(len(walk) == 1 for walk in analytic._cut(pot, xs))
         (got_xs, got), (want_xs, want), left = _read_routes(monkeypatch, pot, e, xs, zs, grid)
         ref = _reference_read(pot, e, list(zip(xs, zs)), grid, params)
-        assert got_xs == want_xs == grid and left == [0, 1]
+        on = set(xs)
+        assert got_xs == want_xs == [x for x, _ in ref]
+        assert left == [k for k, p in enumerate(got_xs[1:-1]) if p in on]
         assert got == want and all(abs(g - r) <= 8.0 * eps * abs(r) for g, (_, r) in zip(got, ref))
+    for e in (0.3, 1.2, 2.5):
+        for cfg in (IntegrationConfig(), IntegrationConfig(force_numeric=True)):
+            for side in Side:
+                res, tm = solve_scattering(pot, e, side, cfg, params), transfer_matrix_solve(pot, e, side, params)
+                assert abs(res.big_r - tm.big_r) <= 1e-10 and abs(res.big_t - tm.big_t) <= 1e-10
+            right = solve_scattering(pot, e, Side.RIGHT, cfg, params)
+            left = solve_scattering(pot.mirrored(), e, Side.LEFT, cfg, params)
+            assert repr(right) == repr(dataclasses.replace(left, side=Side.RIGHT))
 
 
 def test_stepper_guards():

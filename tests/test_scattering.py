@@ -79,6 +79,22 @@ def test_barrier_matches_closed_forms():
         assert res.big_t == pytest.approx(amp.big_t, abs=1e-10)
 
 
+@pytest.mark.parametrize("length", [300.0, 355.0, 400.0, 700.0, 1000.0])
+def test_thick_barrier_closed_forms_saturate(length):
+    # kappa = 1 at E = 0.5 under the unit barrier: math.sinh(kappa l) ** 2
+    # overflowed past kappa l = 355 (OverflowError at 372 and 400); past
+    # _SATURATION_CUT = 300 the forms divide by the dominant exponential
+    amp = barrier_closed_forms(0.5, 1.0, length)
+    res = solve_scattering(barrier(1.0, length), 0.5)
+    assert all(map(cmath.isfinite, (amp.r, amp.t, amp.big_r, amp.big_t)))
+    assert amp.big_r + amp.big_t == 1.0 and amp.r == res.r
+    if res.big_t > 1e-300:
+        assert abs(amp.t - res.t) <= 1e-12 * abs(res.t)
+        assert abs(amp.big_t - res.big_t) <= 1e-12 * res.big_t
+    else:
+        assert amp.big_t < 1e-300 and abs(amp.t) ** 2 < 1e-300
+
+
 def test_barrier_resonant_transmission():
     e = 1.0 + math.pi ** 2 / 8.0  # k_b l = pi
     res = solve_scattering(barrier(), e)
@@ -546,6 +562,10 @@ def test_node_at_entry_interface_is_no_pole():
     assert res.evanescent_tail and res.big_t == 0.0
 
 
+def _sampled_well():
+    return SampledPotential((-3.0, 0.0, 3.0), (0.0, -2.0, 0.0), 0.0, 0.0)
+
+
 def test_overflowing_level_raises_typed():
     # a finite level whose z = sqrt(2 (E - U) / m) overflows: the single
     # solve raises, and the sweep records that same error
@@ -554,24 +574,42 @@ def test_overflowing_level_raises_typed():
         solve_scattering(pot, 1.0)
     out = energy_sweep(pot, [0.5, 1.0])
     assert [r.code for r in out] == ["NonFiniteState", "NonFiniteState"]
+    # hbar = 1e200 overflows hbar ** 2 in 2 m / hbar^2 (OverflowError on a
+    # sampled potential and on the stepper's bridge): that scale is 0
+    # there, and the walks see no potential, as they nearly do
+    numeric = IntegrationConfig(force_numeric=True)
+    well = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, -1.0),), 0.0)
+    for pot, cfg in ((_sampled_well(), IntegrationConfig()), (_sampled_well(), numeric), (well, numeric)):
+        for side in Side:
+            params = ModelParams(hbar=1e200)
+            res = solve_scattering(pot, 0.5, side, cfg, params)
+            out = energy_sweep(pot, [0.5, 1.0], side, cfg, params)
+            for rec in (res, *out):
+                assert rec.big_r == 0.0 and rec.big_t == 1.0 and abs(rec.t - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize(
-    "pot, e, params",
+    "pot, e, params, cfg",
     [
         # k dx of the slab has no float value: cmath.cosh raised ValueError
         (PiecewisePotential(0.0, (PotentialSegment(0.0, 1e10, -5.0),), 0.0), 1.0,
-         ModelParams(hbar=1e-300)),
+         ModelParams(hbar=1e-300), IntegrationConfig()),
         # k x of the lead phase at the step has none: cmath.exp raised it
-        (PiecewisePotential(0.0, (), 1.0, step_x=1e308), 100.0, ModelParams()),
+        (PiecewisePotential(0.0, (), 1.0, step_x=1e308), 100.0, ModelParams(), IntegrationConfig()),
+        # hbar ** 2 underflows to 0 in 2 m / hbar^2: ZeroDivisionError in
+        # the sub-slab split; the stepper's state overflows
+        (_sampled_well(), 0.5, ModelParams(hbar=1e-200), IntegrationConfig()),
+        (_sampled_well(), 0.5, ModelParams(hbar=1e-200), IntegrationConfig(force_numeric=True)),
+        (PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, -1.0),), 0.0), 0.5, ModelParams(hbar=1e-200),
+         IntegrationConfig(force_numeric=True)),
     ],
-    ids=["slab", "lead"],
+    ids=["slab", "lead", "sampled-tiny-hbar", "sampled-numeric-tiny-hbar", "numeric-tiny-hbar"],
 )
 @pytest.mark.parametrize("side", list(Side))
-def test_infinite_phase_raises_typed(pot, e, params, side):
+def test_infinite_phase_raises_typed(pot, e, params, cfg, side):
     with pytest.raises(NonFiniteStateError):
-        solve_scattering(pot, e, side, params=params)
-    out = energy_sweep(pot, [e, 2.0 * e], side, params=params)
+        solve_scattering(pot, e, side, cfg, params)
+    out = energy_sweep(pot, [e, 2.0 * e], side, cfg, params)
     assert [r.code for r in out] == ["NonFiniteState", "NonFiniteState"]
 
 

@@ -638,6 +638,29 @@ def test_overflowing_level_raises_typed():
         # spectrum in place of the error
         with pytest.raises(NonFiniteStateError):
             find_resonances(pot, 1.0, 2.0, params=params)
+    # hbar ** 2 in 2 m / hbar^2 underflows at hbar = 1e-200
+    # (ZeroDivisionError) and overflows at 1e200 (OverflowError), on a
+    # sampled potential and the stepper's bridge: past 1e-200 every search
+    # raises typed; past 1e200 the scale is 0, D is finite, and the
+    # searches return, or raise typed where the real walk's phase has no
+    # value (the well's one state lies some 1e-400 below the ceiling)
+    sampled = SampledPotential((-3.0, 0.0, 3.0), (0.0, -2.0, 0.0), 0.0, 0.0)
+    numeric = IntegrationConfig(force_numeric=True)
+    for pot, cfg in ((sampled, IntegrationConfig()), (sampled, numeric), (well(1.0), numeric)):
+        params = ModelParams(hbar=1e-200)
+        with pytest.raises(NonFiniteStateError):
+            impedance_mismatch(pot, -0.5, 0.5, cfg, params)
+        with pytest.raises(NonFiniteStateError):
+            find_bound_states(pot, cfg, params)
+        with pytest.raises(NonFiniteStateError):
+            find_resonances(pot, 0.1, 2.0, cfg=cfg, params=params)
+        params = ModelParams(hbar=1e200)
+        assert impedance_mismatch(pot, -0.5, 0.5, cfg, params) == -2j
+        assert find_resonances(pot, 0.1, 2.0, cfg=cfg, params=params).energies == []
+        try:
+            find_bound_states(pot, cfg, params)
+        except NonFiniteStateError:
+            pass
 
 
 def test_node_count_past_the_state_bound_raises(monkeypatch):
