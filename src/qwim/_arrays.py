@@ -34,11 +34,15 @@ step in ``analytic._chain``.
 ``_linear_steps`` hands those maps to the scalar walker at one energy
 (``analytic._linear_steps`` picks it where numpy is loaded).
 
-``_bridge_many`` is the array pass of ``analytic._bridge``: the
-one-slab intervals of a trajectory step together through
-``_slabs_many``, the intervals on its batch axis.  ``_read_many`` is
-that of ``analytic._read``: Z at a grid's points, each one step from a
-trajectory sample, the points on the batch axis.
+``_bridge_many`` is the array pass of ``analytic._bridge`` on a
+piecewise potential: the one-cell intervals of a trajectory step
+together through ``_slabs_many``, the intervals on its batch axis.
+``_read_many`` is that of ``analytic._read``: Z at a grid's points, each
+one step from a trajectory sample, the points on the batch axis.  Both
+take the potential and the samples, and ``_cells`` finds the cell of
+every interval with one ``searchsorted`` of its ends against the
+joins; the interval's slab is that cell's level and its length, bitwise
+the step that ``analytic._cut`` would cut, without building it.
 """
 
 from __future__ import annotations
@@ -256,27 +260,39 @@ def _slabs_many(slabs, es, z, params):
     return num, den, r, ok
 
 
-def _bridge_many(walks, e, zs, params):
+def _cells(pot, lo, hi):
+    """(level, one) of the intervals (lo, hi), lo <= hi, of a piecewise
+    potential: the level of the cell (or lead) that holds each lower
+    end, and whether the interval lies on that cell with some length,
+    so that its ``_cut`` walk is the one step (level, dx).  An end on a
+    join belongs to the interval's own cell: the lower end is searched
+    with side "right", the upper with side "left"."""
+    joins = pot.interfaces()
+    cell = np.searchsorted(joins, lo, side="right")
+    levels = np.array([pot.left_level, *(c[2] for c in pot.cells), pot.right_level])
+    return levels[cell], (cell == np.searchsorted(joins, hi, side="left")) & (lo < hi)
+
+
+def _bridge_many(pot, e, xs, zs, params):
     """The array pass of ``analytic._bridge`` on a piecewise potential:
-    (ratios, redo).  Every interval whose walk (``_cut``) is one slab
+    (ratios, redo).  Every interval that lies on one cell (``_cells``)
     takes its ``_chain`` step in one ``_slabs_many`` call, the intervals
     on its batch axis, anchored at Z of the end with the larger |Z| (the
     second at a tie, ``_bridge``'s rule) and walked back (dx negated)
-    from the second end.  ``ratios`` holds psi(xs[i + 1]) / psi(xs[i])
-    of each such interval, divided in Python as the walk divides it
-    (numpy's complex division rounds otherwise, and its rounding would
-    add up along psi's running product); ``redo`` lists, in ascending
-    order, the intervals left for the scalar walk: those of zero or
-    several slabs, those the pass marks not ``ok`` (where the walk
-    raises), and those whose evanescent phase passes
-    ``analytic._BRIDGE_PHASE`` (walked from both ends)."""
-    n = len(walks)
-    count = np.fromiter(map(len, walks), np.intp, n)
-    one = np.flatnonzero(count == 1)
-    flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(walks)), float)
-    # a one-slab interval's slab is the last of those up to its walk's end
-    u, dx = flat.reshape(-1, 2)[np.cumsum(count)[one] - 1].T
-    z = np.fromiter(zs, complex, len(zs))
+    from the second end.  dx = xs[i + 1] - xs[i] is bitwise the cut's
+    step in either walk direction.  ``ratios`` holds
+    psi(xs[i + 1]) / psi(xs[i]) of each such interval, divided in Python
+    as the walk divides it (numpy's complex division rounds otherwise,
+    and its rounding would add up along psi's running product); ``redo``
+    lists, in ascending order, the intervals left for the scalar walk:
+    repeated samples and those across a join, those the pass marks not
+    ``ok`` (where the walk raises), and those whose evanescent phase
+    passes ``analytic._BRIDGE_PHASE`` (walked from both ends)."""
+    x, z = np.fromiter(xs, float, len(xs)), np.fromiter(zs, complex, len(zs))
+    n = max(len(x) - 1, 0)
+    level, one = _cells(pot, np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:]))
+    one = np.flatnonzero(one)
+    u, dx = level[one], np.diff(x)[one]
     size = np.abs(z)
     fwd = (size[:-1] > size[1:])[one]
     anchor = np.where(fwd, z[:-1][one], z[1:][one])
@@ -297,21 +313,22 @@ def _bridge_many(walks, e, zs, params):
     return ratios, np.flatnonzero(redo).tolist()
 
 
-def _read_many(walks, e, xs, zs, points, params):
+def _read_many(pot, e, xs, zs, points, params):
     """The array pass of ``analytic._read`` on a piecewise potential:
     (read, redo), as ``_bridge_many`` gives (ratios, redo).  Every point
-    inside an interval (one slab, as every interval of a stepper
-    trajectory is) takes its step from the interval's anchor in one
-    ``_slabs_many`` call, Z divided in Python as the walk divides it;
-    ``redo`` lists the points on a sample or flagged by the pass (where
-    the walk raises), in ascending order."""
-    x, z, p = np.array(xs), np.array(zs, dtype=complex), np.array(points)
+    inside an interval that lies on one cell (``_cells``; every interval
+    of a stepper trajectory does) takes its step from the interval's
+    anchor in one ``_slabs_many`` call, Z divided in Python as the walk
+    divides it; ``redo`` lists the points on a sample, in an interval
+    across a join, or flagged by the pass (where the walk raises), in
+    ascending order."""
+    x, z, p = np.fromiter(xs, float, len(xs)), np.fromiter(zs, complex, len(zs)), np.array(points)
     i = np.searchsorted(x, p, side="right") - 1  # xs[i] <= p < xs[i + 1]
-    level = np.array([w[0][0] for w in walks])
+    level, one = _cells(pot, x[i], x[i + 1])
     size = np.abs(z)
     j = np.where(size[i] > size[i + 1], i, i + 1)
-    take = np.flatnonzero(x[i] != p)
-    slabs = np.stack((level[i[take]], (p - x[j])[take]))[:, None, :]
+    take = np.flatnonzero((x[i] != p) & one)
+    slabs = np.stack((level[take], (p - x[j])[take]))[:, None, :]
     num, den, _, ok = _slabs_many(slabs, e, z[j[take]], params)
     ok &= den != 0
     read, done = [None] * len(p), take[ok]

@@ -23,7 +23,9 @@ scattering, resonances and ``impedance_mismatch``; ``_real_walk(slabs,
 e, y_anchor, params)`` steps the real solution of the bound-state
 search.  ``_cut`` alone cuts a potential into slabs, at any
 monotone points in one pass; ``_steps``, its walk between two points,
-builds the searches' lists, once per stack and end, and the stepper's.
+builds the searches' lists, once per stack and end, the stepper's, and
+those of the points that the array pass of ``_read`` leaves to the
+walk.
 Each constant slab is one step of the tanh addition law: it maps Z(x) to
 Z(x + dx) and gives the psi ratio across the step over the same
 denominator.  Where E equals a slab's level psi is linear across it, and
@@ -81,23 +83,24 @@ split and recurrence, one sub-slab at a time) elsewhere
 consecutive walks from one call.
 
 ``_bridge`` gives the psi ratio across each interval of a Riccati
-trajectory, walking its piece of one cut of the samples from the end
-with the larger |Z|, and a long evanescent interval from both ends, of
-which it keeps the walk along which |psi| grows:
-``reconstruct_wavefunction`` and the incidence helper's field
-(``scattering._Incidence.psi``, for ``profile --force-numeric`` and
-``validate``) rebuild psi from it, the ``force_numeric`` bound search
-signs psi, and a ``force_numeric`` solve takes t from the product of
-its ratios.  On a piecewise potential with
-numpy loaded already, the intervals that lie on one slab (all of a
+trajectory, walking the interval's slabs from the end with the larger
+|Z|, and a long evanescent interval from both ends, of which it keeps
+the walk along which |psi| grows: ``reconstruct_wavefunction`` and the
+incidence helper's field (``scattering._Incidence.psi``, for ``profile
+--force-numeric`` and ``validate``) rebuild psi from it, the
+``force_numeric`` bound search signs psi, and a ``force_numeric`` solve
+takes t from the product of its ratios.  On a piecewise potential with
+numpy loaded already, the intervals that lie on one cell (all of a
 stepper trajectory's) take that step together in one array pass
-(``_arrays._bridge_many``); the rest, the intervals it flags, a cold
-run's and a sampled potential's walk one at a time with ``_chain``.
-``_read`` gives Z at a grid's points off a Riccati trajectory by the
-same rule: one step from the end of the point's interval with the
-larger |Z|, in one array pass (``_arrays._read_many``) or one walk a
-point.  The stepper knows no grid: ``integrate_impedance``'s grid and
-``profile --force-numeric`` read theirs here.
+(``_arrays._bridge_many``), which finds every interval's cell with one
+search of the samples against the joins; only the intervals it leaves
+are cut, in one pass over their ends.  A cold run and a sampled
+potential cut all the samples in one pass (``_cut``) and walk each
+interval with ``_chain``.  ``_read`` gives Z at a grid's points off a Riccati
+trajectory by the same rule: one step from the end of the point's
+interval with the larger |Z|, in one array pass (``_arrays._read_many``)
+or one walk a point.  The stepper knows no grid: ``integrate_impedance``'s
+grid and ``profile --force-numeric`` read theirs here.
 
 Everything here is scalar arithmetic, and this module imports
 no numpy, so work at one energy loads none, on either kind of
@@ -623,23 +626,26 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
             params: ModelParams) -> list[complex]:
     """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
     trajectory's samples (xs monotone, zs its Z there): the ``_chain``
-    walk of its piece of one cut of the samples (``_cut``), reversed if
-    need be, from the end with the larger |Z| (the second at a tie),
-    anchored at the trajectory's Z there, so it never divides by a
-    vanishing psi and carries sign flips through nodes.  A piece crosses
+    walk of the interval's slabs (its piece of ``_cut`` of the
+    samples), reversed if need be, from the end with the larger |Z|
+    (the second at a tie), anchored at the trajectory's Z there, so it
+    never divides by a vanishing psi and carries sign flips through
+    nodes.  A piece crosses
     any join in its interval; a repeated sample has ratio 1.  A ratio
     past the float range is infinite.  Descending samples give bitwise
     what the mirror's ascending ones give.
 
     On a piecewise potential with numpy loaded already, the intervals
-    that lie on one slab (every interval of a stepper trajectory, which
+    that lie on one cell (every interval of a stepper trajectory, which
     ends each slab on its join) take one array step together
-    (``_arrays._bridge_many``): the walk's arithmetic, with numpy's
-    complex cosh, sinh and exp for cmath's, and the walk's own division
-    for the ratio.  The rest, and those the array pass flags, walk one
-    at a time, so a cold walk loads no numpy and errors stay the walk's.
-    A sampled potential's intervals walk one at a time, with their maps
-    from one ``_linear_walks`` call.
+    (``_arrays._bridge_many``, which reads each interval's slab off its
+    cell): the walk's arithmetic, with numpy's complex cosh, sinh and
+    exp for cmath's, and the walk's own division for the ratio.  The
+    intervals it leaves are cut in one pass over their ends and walk,
+    so errors stay the walk's.  Cold, and on a sampled potential, one
+    ``_cut`` of the samples gives every interval's walk, so a cold walk
+    loads no numpy; a sampled potential's intervals walk one at a time,
+    with their maps from one ``_linear_walks`` call.
 
     Where psi decays along an evanescent interval, a walk the way it
     decays multiplies its anchor's error by about exp(2 sum(kappa |dx|)),
@@ -647,14 +653,18 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
     passes _BRIDGE_PHASE is therefore walked from both ends, and the walk
     along which |psi| grows more is kept (the first at a tie); the array
     pass leaves those intervals to the walk."""
-    walks = _cut(pot, xs)
     sampled = isinstance(pot, SampledPotential)
     if sampled or "numpy" not in sys.modules:
+        walks = _cut(pot, xs)
         ratios, redo = [None] * len(walks), range(len(walks))
     else:
         from ._arrays import _bridge_many
 
-        ratios, redo = _bridge_many(walks, e, zs, params)
+        ratios, redo = _bridge_many(pot, e, xs, zs, params)
+        # one cut of the intervals left, as (start, end) pairs: every
+        # other piece is one of them, the rest the gaps between them
+        pairs = [x for i in redo for x in xs[i:i + 2]]
+        walks = dict(zip(redo, _cut(pot, pairs)[::2])) if redo else {}
     # (interval, walked forward, walked from both ends)
     runs = []
     for i in redo:
@@ -712,25 +722,28 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
     inside it, ascending (its own floats, repeats kept), and its last
     sample.  A point on a sample takes that sample's Z; elsewhere Z is
     one exact ``_chain`` step from the end of the point's interval with
-    the larger |Z| (``_bridge``'s rule), on the interval's slab from one
-    cut of the samples: the stepper ends each slab on its join, so every
-    interval is one slab, walked from either direction.  As in
-    ``_bridge``, the steps take one array pass on a piecewise potential
-    with numpy loaded already (``_arrays._read_many``), and walk one at a
-    time elsewhere.  A psi-node on a point raises TransformPoleError, a
+    the larger |Z| (``_bridge``'s rule), on the interval's slab: the
+    stepper ends each slab on its join, so every interval is one slab,
+    walked from either direction.  As in ``_bridge``, the steps take one
+    array pass on a piecewise potential with numpy loaded already
+    (``_arrays._read_many``, each slab off its interval's cell), and the
+    points it leaves cut their interval alone (``_steps``); elsewhere
+    one ``_cut`` of the samples gives every slab, and each point walks
+    alone.  A psi-node on a point raises TransformPoleError, a
     point that is not finite NonFiniteInputError."""
     points = sorted(grid)
     require_finite("grid points", *points)
     lo, hi = xs[0], xs[-1]
     points = points[bisect_right(points, lo):bisect_left(points, hi)]
-    walks = _cut(pot, xs)
     sampled = isinstance(pot, SampledPotential)
     if sampled or "numpy" not in sys.modules:
+        walks = _cut(pot, xs)
         read, redo = [None] * len(points), range(len(points))
     else:
         from ._arrays import _read_many
 
-        read, redo = _read_many(walks, e, xs, zs, points, params)
+        walks = None
+        read, redo = _read_many(pot, e, xs, zs, points, params)
     todo, steps = [], []
     for k in redo:
         p = points[k]
@@ -740,7 +753,7 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
             continue
         j = i if abs(zs[i]) > abs(zs[i + 1]) else i + 1
         # the interval's one step, (level,) or (u_start, slope), and dx
-        (*step, dx), = walks[i]
+        (*step, dx), = _steps(pot, xs[i], xs[i + 1]) if walks is None else walks[i]
         if sampled and j != i:  # a line walked from its other end
             step[0] += step[1] * dx
         todo.append((k, j))

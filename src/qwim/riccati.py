@@ -23,7 +23,11 @@ slab start), evaluated inline at the stages.  Each slab ends on its
 join, one of the potential's ``interfaces()`` (the joins of its cells,
 one float each, ``PiecewisePotential.cells``), so no step ever straddles
 a discontinuity, and every interval of a trajectory, walked either way,
-is one slab of ``analytic._cut`` of its samples.  Each slab starts
+lies on one cell: its slab is that cell's level over the interval's
+length, which the bridge and the read of its samples find by one search
+against the joins (``_arrays._bridge_many``, ``_arrays._read_many``)
+where numpy is loaded, and by one cut of the samples
+(``analytic._cut``) elsewhere.  Each slab starts
 afresh; a slab shorter than the step floor is crossed in one exact slab
 step (``analytic._chain``).  The stepper knows no output grid: values
 at a grid's points are read off its samples (``analytic._read``).

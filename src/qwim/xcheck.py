@@ -305,7 +305,8 @@ def schrodinger_residual(
     floor; otherwise the three-point stencil (exact for parabolas on
     nonuniform spacing).  Samples with a potential join inside the
     stencil footprint are excluded: the true psi'' jumps there and
-    finite differences would report a spurious residual.
+    finite differences would report a spurious residual.  Raises
+    NonFiniteStateError where hbar^2 / 2m overflows.
     """
     import numpy as np
 
@@ -336,10 +337,14 @@ def schrodinger_residual(
         )
         x_in = xs[1:-1]
         clearance = 2.0 * np.maximum(h1, h2)
+    try:
+        kinetic = -(params.hbar ** 2) / (2.0 * params.mass)
+    except OverflowError:
+        kinetic = -math.inf
+    if not math.isfinite(kinetic):
+        raise NonFiniteStateError(f"hbar^2 / 2m overflows at hbar {params.hbar}")
     u = pot.u_at(x_in)
-    res = np.abs(
-        -(params.hbar ** 2) / (2.0 * params.mass) * d2 + (u - e) * inner
-    )
+    res = np.abs(kinetic * d2 + (u - e) * inner)
 
     keep = np.ones(len(x_in), dtype=bool)
     for join in pot.interfaces():

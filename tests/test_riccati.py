@@ -487,8 +487,10 @@ def test_unrolled_step_matches_tableau_loop(sampled, read, threshold):
 
 
 def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
-    # one cut by the stepper, and one by the read of a grid, whatever the
-    # grid's size; no u_at at any slab, step, stage or grid point
+    # one cut by the stepper (its _steps), whatever the grid's size, and
+    # one by the read of a grid on a sampled potential; a piecewise read
+    # takes each interval's slab off its cell (_arrays._read_many) and
+    # cuts nothing.  No u_at at any slab, step, stage or grid point
     calls = {"_cut": 0, "u_at": 0}
     real_cut = analytic._cut
 
@@ -506,14 +508,14 @@ def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
     segs = (PotentialSegment(0.0, 0.7, 1.2), PotentialSegment(0.7, 1.5, -0.6),
             PotentialSegment(1.5, 2.1, 2.4))
     xs = np.linspace(0.0, 2.1, 9)
-    for pot in (PiecewisePotential(0.0, segs, 0.0),
-                SampledPotential(tuple(xs), tuple(np.cos(3.0 * xs)), 0.0, 0.0)):
+    for pot, read_cuts in ((PiecewisePotential(0.0, segs, 0.0), 0),
+                           (SampledPotential(tuple(xs), tuple(np.cos(3.0 * xs)), 0.0, 0.0), 1)):
         calls["_cut"] = 0
         z_minus(pot, 1.9)
         assert calls["_cut"] == 1
         traj = z_minus(pot, 1.9, grid=np.linspace(0.0, 2.1, 400))
         assert traj.xs.tolist() == np.linspace(0.0, 2.1, 400).tolist()
-        assert calls["_cut"] == 3
+        assert calls["_cut"] == 2 + read_cuts
     assert calls["u_at"] == 0
 
 
@@ -528,7 +530,7 @@ def _read_routes(monkeypatch, pot, e, xs, zs, grid, params=ModelParams()):
         left.extend(redo)
         return read, redo
 
-    def walk_only(walks, e, xs, zs, points, params):
+    def walk_only(pot, e, xs, zs, points, params):
         return [None] * len(points), range(len(points))
 
     with monkeypatch.context() as m:
@@ -604,6 +606,52 @@ def test_read_across_joins_within_join_tol(d, monkeypatch):
             right = solve_scattering(pot, e, Side.RIGHT, cfg, params)
             left = solve_scattering(pot.mirrored(), e, Side.LEFT, cfg, params)
             assert repr(right) == repr(dataclasses.replace(left, side=Side.RIGHT))
+
+
+_STACK = PiecewisePotential(0.2, (PotentialSegment(0.0, 1.0, 1.5), PotentialSegment(1.0, 2.5, -1.0),
+                                   PotentialSegment(2.5, 3.0, 0.7)), -0.3)
+# segments that overlap by 9e-13 meet at the midpoint of their ends
+_MID = 0.5 * (1.0 + 9e-13) + 0.5 * 1.0
+
+
+@pytest.mark.parametrize(
+    "pot, xs",
+    [
+        # samples on a, b and both joins, in both leads, repeated on a join
+        (_STACK, [-2.0, -1.0, 0.0, 0.5, 1.0, 1.0, 1.7, 2.5, 3.0, 4.0, 5.0]),
+        # a step with no segments, a sample on the step
+        (PiecewisePotential(0.3, (), -0.4, step_x=0.5), [-1.0, 0.0, 0.5, 1.0, 2.0]),
+        # a join within JOIN_TOL, samples on its midpoint
+        (PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0 + 9e-13, 1.5), PotentialSegment(1.0, 2.0, -1.0)),
+                            0.4), [-0.5, 0.0, 0.5, 1.0, _MID, 1.5, 2.0, 2.5]),
+    ],
+    ids=["stack", "step", "near-join"],
+)
+def test_read_array_pass_finds_each_interval_cell(pot, xs, monkeypatch):
+    # samples whose intervals are each one slab, as a stepper's are, read
+    # at points inside every interval, on every sample and on every join:
+    # the array pass takes each point's slab off the cell that holds its
+    # interval, bitwise the walk's Z, and leaves to the walk only the
+    # points on samples.  With intervals across joins added, it leaves
+    # the points inside those too, and takes the rest as before
+    e, params = 0.9, ModelParams()
+    zs = [complex(0.6 + 0.1 * k, 0.3 - 0.07 * k) for k in range(len(xs))]
+    assert all(len(walk) in (0, 1) for walk in analytic._cut(pot, xs))
+    grid = sorted({*xs, *pot.interfaces(), *(0.25 * x0 + 0.75 * x1 for x0, x1 in zip(xs, xs[1:]))})
+    (got_xs, got), (want_xs, want), left = _read_routes(monkeypatch, pot, e, xs, zs, grid)
+    ref = _reference_read(pot, e, list(zip(xs, zs)), grid, params)
+    assert got_xs == want_xs == [x for x, _ in ref] and repr(got) == repr(want) == repr([z for _, z in ref])
+    assert left == [k for k, p in enumerate(got_xs[1:-1]) if p in set(xs)]
+    # every other sample kept: intervals now cross joins
+    thin, thin_zs = xs[1::2], zs[1::2]
+    crossing = [i for i, walk in enumerate(analytic._cut(pot, thin)) if len(walk) > 1]
+    assert crossing
+    points = [p for p in got_xs if thin[0] < p < thin[-1]]
+    read, redo = _arrays._read_many(pot, e, thin, thin_zs, points, params)
+    inside = [bisect.bisect_right(thin, p) - 1 for p in points]
+    assert redo == [k for k, p in enumerate(points) if p in set(thin) or inside[k] in crossing]
+    ref = _reference_read(pot, e, list(zip(thin, thin_zs)), points, params)[1:-1]
+    assert all(read[k] == ref[k][1] for k in range(len(points)) if k not in redo)
 
 
 def test_stepper_guards():

@@ -534,9 +534,9 @@ def test_bridge_walks_an_interval_across_a_join(pot):
     assert again[0] == 1.0 and again[1] == got
 
 
-def _walk_only(walks, *_):
+def _walk_only(pot, e, xs, *_):
     """``_arrays._bridge_many`` that leaves every interval to the walk."""
-    return [None] * len(walks), range(len(walks))
+    return [None] * (len(xs) - 1), range(len(xs) - 1)
 
 
 def _routes(monkeypatch, pot, e, xs, zs, params=ModelParams()):
@@ -625,6 +625,44 @@ def test_bridge_array_pass_leaves_what_is_not_one_slab(monkeypatch):
     back, back_zs = [-x for x in reversed(xs)], [-z for z in reversed(zs)]
     got, want, left = _routes(monkeypatch, pot.mirrored(), e, back, back_zs)
     assert _ulps(got, want) <= 8.0 and left == [0, 2, 4, 5]
+
+
+_STACK = PiecewisePotential(0.2, (PotentialSegment(0.0, 1.0, 1.5), PotentialSegment(1.0, 2.5, -1.0),
+                                   PotentialSegment(2.5, 3.0, 0.7)), -0.3)
+# segments that overlap by 9e-13 meet at the midpoint of their ends
+_NEAR = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0 + 9e-13, 1.5), PotentialSegment(1.0, 2.0, -1.0)), 0.4)
+_MID = 0.5 * (1.0 + 9e-13) + 0.5 * 1.0
+
+
+@pytest.mark.parametrize(
+    "pot, runs",
+    [
+        # samples on a, b and both joins, in both leads, repeated on a
+        # join and on b; a repeated sample inside a cell, and intervals
+        # across a, a join, a join and b, and the whole stack
+        (_STACK, [[-2.0, -1.0, 0.0, 0.5, 1.0, 1.0, 1.7, 2.5, 3.0, 3.0, 4.0, 5.0],
+                  [-0.5, 0.5, 0.5, 2.0, 2.7, 3.5], [-1.0, 4.0]]),
+        # a step with no segments: samples on the step, and across it
+        (PiecewisePotential(0.3, (), -0.4, step_x=0.5), [[-1.0, 0.0, 0.5, 0.5, 1.0, 2.0], [0.0, 1.0]]),
+        # a join within JOIN_TOL: on its midpoint and on either segment's
+        # end, and from one end to the other, across the midpoint
+        (_NEAR, [[0.5, 1.0, _MID, 1.0 + 9e-13, 1.5, 2.0, 2.5], [1.0, 1.0 + 9e-13]]),
+    ],
+    ids=["stack", "step", "near-join"],
+)
+def test_bridge_array_pass_finds_each_interval_cell(pot, runs, monkeypatch):
+    # the array pass takes each interval's slab off the cell that holds
+    # it: bitwise the walk's ratio on every interval, ascending and
+    # descending, and it leaves to the walk exactly the intervals that
+    # are not one slab of the samples' cut (a repeated sample, an
+    # interval across a join)
+    e = 0.9
+    for xs in runs:
+        zs = [complex(0.6 + 0.1 * k, 0.3 - 0.07 * k) for k in range(len(xs))]
+        for x, z in ((xs, zs), (xs[::-1], zs[::-1])):
+            slow = [i for i, walk in enumerate(analytic._cut(pot, x)) if len(walk) != 1]
+            got, want, left = _routes(monkeypatch, pot, e, x, z)
+            assert repr(got) == repr(want) and left == slow, x
 
 
 @pytest.mark.parametrize(
@@ -736,8 +774,12 @@ def test_thinned_reconstruction_matches_the_full_one():
 
 
 def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
-    # the chain's profile cuts its grid once, and the psi bridge the
-    # trajectory's samples once, however many points there are
+    # the chain's profile cuts its grid once, however many points there
+    # are.  The psi bridge cuts a sampled potential's trajectory once; on
+    # a piecewise stack it takes each interval's slab off its cell
+    # (_arrays._bridge_many) and cuts only the intervals it leaves to the
+    # walk, in one pass over their ends: none of a stepper trajectory,
+    # and those of a grid read that cross a join
     from qwim.model import _linspace
     from qwim.scattering import _Incidence
 
@@ -766,7 +808,15 @@ def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
                 xs, zs = walk.trajectory(0.7, grid=grid)
                 cuts.clear()
                 _bridge(pot, 0.7, xs, zs, params)
-                assert cuts == [len(xs)] and len(xs) >= n
+                if pot is stack:
+                    crossing = [x0 for x0, x1 in zip(xs, xs[1:]) if x0 < 1.0 < x1 or x0 < 2.0 < x1]
+                    assert cuts == [4] and len(crossing) == 2 and len(xs) == n
+                else:
+                    assert cuts == [len(xs)] and len(xs) >= n
+            xs, zs = walk.trajectory(0.7)
+            cuts.clear()
+            _bridge(pot, 0.7, xs, zs, params)
+            assert cuts == ([] if pot is stack else [len(xs)])
 
 
 def test_reconstruct_defaults_to_unit_incident():
@@ -821,6 +871,19 @@ def test_residual_rejects_noise():
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 3.0, 0.0),), 0.0)
     prof = WavefunctionProfile(xs=xs, psi=psi, normalization=Normalization.UNIT_INCIDENT)
     assert schrodinger_residual(prof, pot, 2.0) > 10.0
+
+
+def test_residual_overflowing_kinetic_scale_raises_typed():
+    # hbar^2 / 2m has no float value at hbar 1e200 (hbar ** 2 raised a raw
+    # OverflowError), nor at hbar 1e150 with mass 1e-100 (the quotient is
+    # infinite); the reconstruction before it is finite
+    pot = well(depth=1.0)
+    for params in (ModelParams(hbar=1e200), ModelParams(hbar=1e150, mass=1e-100)):
+        traj = z_minus(pot, 0.5, params=params, grid=np.linspace(0.0, 2.0, 41))
+        prof = reconstruct_wavefunction(traj)
+        assert np.all(np.isfinite(prof.psi))
+        with pytest.raises(NonFiniteStateError, match="hbar\\^2 / 2m overflows"):
+            schrodinger_residual(prof, pot, 0.5, params)
 
 
 def test_residual_reconstructed_scattering_state():
