@@ -3,46 +3,39 @@ trajectory's intervals, and the exact maps of linear sub-slabs.
 
 This is the only qwim module that the chain pulls numpy in through, and
 it is imported on first use: by ``scattering``'s energy sweeps and the
-spectral scan grids where they take the array pass
-(``analytic._array_pass``: where numpy is loaded already, or the
-potential is sampled), and by ``analytic._chain`` when it walks linear
-(sampled) slabs, and ``analytic._bridge`` and ``analytic._read`` when
-they bridge or read a piecewise potential's trajectory, with numpy
-loaded already.  Work at one energy never loads it: cold, the chain
-takes the plain-Python twin of the sub-slab maps
-(``analytic._linear_twin``), and the bridge and the read walk each
-interval or point.
+resonance scan where they take the array pass (``analytic._array_pass``),
+by ``analytic._chain`` when it walks linear (sampled) slabs with numpy
+loaded already, and by ``analytic._bridge`` and ``analytic._read`` on a
+piecewise potential's trajectory.  Work at one energy never loads it.
+Like the scalar walkers, every function here walks zeta = (m/hbar) Z
+and takes the units as c = 2m/hbar^2 alone.
 
 ``_chain_many`` is ``analytic._chain`` over an energy array: one array
 pass per slab (``_slabs_many``) or per linear sub-slab
 (``_linear_many``), with an ``ok`` mask marking the energies where the
 scalar walk would raise.  ``_region_constants_many`` is
-``region_constants`` over an array.
+``analytic._constants`` over an array.
 
 A sampled potential is linear between its samples, U = u0 + F s, and
-there psi'' = (A + B s) psi with A = 2m (u0 - E) / hbar^2 and
-B = 2m F / hbar^2.  ``_linear_maps`` splits each sample interval into
-sub-slabs of length h with h sqrt(max |A|) <= 1 and h |B|^(1/3) <= 1.
-There the Taylor series of the fundamental pair f, g (f = g' = 1,
-f' = g = 0 at the start) converges in under 30 terms with no
-cancellation (``_series``), and Z maps across the sub-slab exactly as
+there psi'' = (A + B s) psi with A = c (u0 - E) and B = c F.
+``_linear_maps`` splits each sample interval into sub-slabs of length h
+with h sqrt(max |A|) <= 1 and h |B|^(1/3) <= 1.  There the Taylor
+series of the fundamental pair f, g (f = g' = 1, f' = g = 0 at the
+start) converges in under 30 terms with no cancellation (``_series``),
+and zeta maps across the sub-slab exactly as
 
-    Z -> (kappa f' + g' Z) / (f + (g / kappa) Z),   kappa = hbar / (i m),
+    zeta -> (-i f' + g' zeta) / (f + i g zeta),
 
 with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
-step in ``analytic._chain``.
-``_linear_steps`` hands those maps to the scalar walker at one energy
-(``analytic._linear_steps`` picks it where numpy is loaded).
+step in ``analytic._chain``.  ``_linear_steps`` hands those maps to the
+scalar walker at one energy.
 
-``_bridge_many`` is the array pass of ``analytic._bridge`` on a
-piecewise potential: the one-cell intervals of a trajectory step
-together through ``_slabs_many``, the intervals on its batch axis.
-``_read_many`` is that of ``analytic._read``: Z at a grid's points, each
-one step from a trajectory sample, the points on the batch axis.  Both
-take the potential and the samples, and ``_cells`` finds the cell of
-every interval with one ``searchsorted`` of its ends against the
-joins; the interval's slab is that cell's level and its length, bitwise
-the step that ``analytic._cut`` would cut, without building it.
+``_bridge_many`` and ``_read_many`` are the array passes of
+``analytic._bridge`` and ``analytic._read`` on a piecewise potential:
+the one-cell intervals of a trajectory, or the points inside them, step
+together through ``_slabs_many`` on its batch axis.  ``_cells`` finds
+the cell of every interval with one ``searchsorted`` of its ends
+against the joins, bitwise the step that ``analytic._cut`` would cut.
 """
 
 from __future__ import annotations
@@ -52,9 +45,8 @@ import math
 
 import numpy as np
 
-from .analytic import _BRIDGE_PHASE, _MAX_SUBSLABS, _SATURATION_CUT, EPS_DEGENERATE, _scale
+from .analytic import _BRIDGE_PHASE, _MAX_SUBSLABS, _SATURATION_CUT, EPS_DEGENERATE
 from .errors import NonFiniteStateError
-from .model import ModelParams
 
 # Slab-energy pairs per array pass of _chain_many, and sub-slab-energy
 # pairs per chunk of linear sub-slab maps.
@@ -92,25 +84,24 @@ def _series(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     return s0[0], s1[0], s0[1], s1[1]
 
 
-def _linear_maps(slabs: np.ndarray, es: np.ndarray, params: ModelParams):
+def _linear_maps(slabs: np.ndarray, es: np.ndarray, c: float):
     """The sub-slab maps of a linear slab list (rows (u_start, slope, dx))
     over an energy array: (count, maps), the sub-slabs of each row and an
     iterator over their maps in walk order, in chunks of at most
     _BATCH_CELLS sub-slab-energy pairs, (kfp, gp, f, gk), each of shape
-    (sub-slabs, energies).  One sub-slab carries Z to
-    (kfp + gp Z) / (f + gk Z), over the same denominator as the psi
-    ratio psi(start) / psi(end) = 1 / (f + gk Z).
+    (sub-slabs, energies).  One sub-slab carries zeta to
+    (kfp + gp zeta) / (f + gk zeta), over the same denominator as the psi
+    ratio psi(start) / psi(end) = 1 / (f + gk zeta).
 
     Each slab is split into n equal sub-slabs of length h, so that
     h sqrt(max |A|) <= 1 and h |B|^(1/3) <= 1 for every energy, with
-    psi'' = (A + B s) psi, A = 2m (U - E) / hbar^2 at the start of the
-    sub-slab and B = 2m slope / hbar^2.  The fundamental pair f, g comes
-    from ``_series``; with kappa = hbar / (i m), kfp = kappa f',
-    gp = g' and gk = g / kappa.  Raises NonFiniteStateError where the
-    split count is not finite or exceeds _MAX_SUBSLABS.
+    psi'' = (A + B s) psi, A = c (U - E) at the start of the sub-slab,
+    B = c slope and c = 2m/hbar^2.  The fundamental pair f, g comes from
+    ``_series``; kfp = -i f', gp = g' and gk = i g.  Raises
+    NonFiniteStateError where the split count is not finite or exceeds
+    _MAX_SUBSLABS.
     """
     u0, slope, dx = slabs.T
-    c = _scale(params)
     with np.errstate(all="ignore"):
         lo, hi = np.min(es), np.max(es)
         u1 = u0 + slope * dx
@@ -127,7 +118,6 @@ def _linear_maps(slabs: np.ndarray, es: np.ndarray, params: ModelParams):
         )
     count = count.astype(np.intp)
     first = np.cumsum(count) - count
-    inv_kappa = 1j * params.mass / params.hbar
     chunk = max(1, _BATCH_CELLS // len(es))
 
     # the checks above run at the call; the maps are made as they are used
@@ -142,47 +132,44 @@ def _linear_maps(slabs: np.ndarray, es: np.ndarray, params: ModelParams):
                 f, hfp, gh, gp = _series(
                     c * (u[:, None] - es) * hh, (c * slope[j])[:, None] * (hh * h)
                 )
-                yield hfp / (inv_kappa * h), gp, f, (inv_kappa * h) * gh
+                yield hfp / (1j * h), gp, f, (1j * h) * gh
 
     return count, chunks()
 
 
-def _linear_steps(slabs: list[tuple[float, float, float]], e: float, params: ModelParams):
+def _linear_steps(slabs: list[tuple[float, float, float]], e: float, c: float):
     """The sub-slab maps of a linear slab list at one energy, for
     ``analytic._chain`` where numpy is loaded: (count, steps), a list of
     the sub-slabs of each slab and an iterator of their (kfp, gp, f, gk)
     as Python numbers in walk order.  ``_linear_maps``' checks run at the
     call.  ``analytic._linear_twin`` is its plain-Python twin."""
     flat = np.fromiter(itertools.chain.from_iterable(slabs), float, 3 * len(slabs))
-    count, maps = _linear_maps(flat.reshape(-1, 3), np.array([e]), params)
+    count, maps = _linear_maps(flat.reshape(-1, 3), np.array([e]), c)
     return count.tolist(), itertools.chain.from_iterable(
         zip(*(m.ravel().tolist() for m in chunk)) for chunk in maps
     )
 
 
-def _region_constants_many(
-    es: np.ndarray, u, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``analytic.region_constants`` over an energy array: (z, gamma, degenerate).
+def _region_constants_many(es: np.ndarray, u, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """``analytic._constants`` over an energy array: (k, degenerate).
 
     Same arithmetic and branch as the scalar form; ``u`` may be a column
     of levels, giving one row per level.  ``degenerate`` marks where the
-    scalar form raises DegenerateEnergyError; z and gamma vanish there.
-    Where the scalar form overflows, z and gamma are not finite.
+    scalar form raises DegenerateEnergyError; k vanishes there.  Where
+    the scalar form overflows, k is not finite.
     """
     with np.errstate(all="ignore"):
         de = es - u
         degenerate = np.abs(de) <= EPS_DEGENERATE * np.maximum(np.abs(es), np.abs(u))
-        # the principal root of (negative real + 0j) is +i sqrt(|x|): z's branch
-        z = np.sqrt(2.0 * de / params.mass + 0j)
-        return z, 1j * (params.mass / params.hbar) * z, degenerate
+        # the principal root of (negative real + 0j) is +i sqrt(|x|): k's branch
+        return np.sqrt(c * de + 0j), degenerate
 
 
 def _chain_many(
     slabs: list[tuple[float, ...]],
     es: np.ndarray,
     z_anchor: np.ndarray,
-    params: ModelParams,
+    c: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``analytic._chain`` over an energy array: (num, den, r, ok).
 
@@ -205,18 +192,18 @@ def _chain_many(
     else:
         walk, slabs = _slabs_many, np.array(slabs, dtype=float).reshape(-1, 2).T[..., None]
     parts = [
-        walk(slabs, es[i:i + block], z_anchor[i:i + block], params)
+        walk(slabs, es[i:i + block], z_anchor[i:i + block], c)
         for i in range(0, max(1, len(es)), block)
     ]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _linear_many(slabs, es, z, params):
+def _linear_many(slabs, es, z, c):
     """The pass of ``_chain_many`` along linear slabs over one block of
     energies: ``_chain``'s sub-slab walk, one array step per sub-slab."""
     num, den, r = z, np.ones_like(z), np.ones_like(z)
     try:
-        maps = _linear_maps(slabs, es, params)[1] if len(es) else ()
+        maps = _linear_maps(slabs, es, c)[1] if len(es) else ()
     except NonFiniteStateError:
         nan = np.full_like(z, np.nan)
         return nan, nan, nan, np.zeros(len(es), dtype=bool)
@@ -229,12 +216,12 @@ def _linear_many(slabs, es, z, params):
     return num, den, r, ok
 
 
-def _slabs_many(slabs, es, z, params):
+def _slabs_many(slabs, es, z, c):
     """The array pass of ``_chain_many`` over one block of energies."""
     u, dx = slabs
     with np.errstate(all="ignore"):
-        zs, gamma, degenerate = _region_constants_many(es, u, params)
-        g = gamma * dx
+        zs, degenerate = _region_constants_many(es, u, c)
+        g = (1j * zs) * dx
         sat = np.abs(g.real) > _SATURATION_CUT
         th = np.sign(g.real) * sat
         g_cut = np.where(sat, 0.0, g)  # keeps cosh/sinh finite where unused
@@ -245,11 +232,11 @@ def _slabs_many(slabs, es, z, params):
         zc1, zc2 = zs * c1, zs * c2
         f = np.where(sat, 2.0 * zs * np.exp(-th * g), zs)
         if degenerate.any():
-            # _chain's linear step at a slab level: num = Z,
-            # den = 1 + Z i (m/hbar) dx, f = 1
+            # _chain's linear step at a slab level: num = zeta,
+            # den = 1 + zeta i dx, f = 1
             zs, c1, zc1, f = (np.where(degenerate, 1.0, v) for v in (zs, c1, zc1, f))
             zc2 = np.where(degenerate, 0.0, zc2)
-            c2 = np.where(degenerate, 1j * (params.mass / params.hbar) * dx, c2)
+            c2 = np.where(degenerate, 1j * dx, c2)
         num, den, r = z, np.ones_like(z), np.ones_like(z)
         for i in range(len(zs)):
             z, ratio = num / den, r / den
@@ -273,7 +260,7 @@ def _cells(pot, lo, hi):
     return levels[cell], (cell == np.searchsorted(joins, hi, side="left")) & (lo < hi)
 
 
-def _bridge_many(pot, e, xs, zs, params):
+def _bridge_many(pot, e, xs, zs, c):
     """The array pass of ``analytic._bridge`` on a piecewise potential:
     (ratios, redo).  Every interval that lies on one cell (``_cells``)
     takes its ``_chain`` step in one ``_slabs_many`` call, the intervals
@@ -297,10 +284,9 @@ def _bridge_many(pot, e, xs, zs, params):
     fwd = (size[:-1] > size[1:])[one]
     anchor = np.where(fwd, z[:-1][one], z[1:][one])
     slabs = np.stack((u, np.where(fwd, dx, -dx)))[:, None, :]
-    _, den, r, ok = _slabs_many(slabs, e, anchor, params)
+    _, den, r, ok = _slabs_many(slabs, e, anchor, c)
     # analytic._phase of each interval: past _BRIDGE_PHASE the walk takes
     # it from both ends
-    c = _scale(params)
     ok &= ~(np.sqrt(c * np.maximum(u - e, 0.0)) * np.abs(dx) > _BRIDGE_PHASE)
     # psi(anchor) / psi(other end) = r / den
     top, bottom = (np.where(fwd, p, q)[ok].tolist() for p, q in ((den, r), (r, den)))
@@ -313,7 +299,7 @@ def _bridge_many(pot, e, xs, zs, params):
     return ratios, np.flatnonzero(redo).tolist()
 
 
-def _read_many(pot, e, xs, zs, points, params):
+def _read_many(pot, e, xs, zs, points, c):
     """The array pass of ``analytic._read`` on a piecewise potential:
     (read, redo), as ``_bridge_many`` gives (ratios, redo).  Every point
     inside an interval that lies on one cell (``_cells``; every interval
@@ -329,7 +315,7 @@ def _read_many(pot, e, xs, zs, points, params):
     j = np.where(size[i] > size[i + 1], i, i + 1)
     take = np.flatnonzero((x[i] != p) & one)
     slabs = np.stack((level[take], (p - x[j])[take]))[:, None, :]
-    num, den, _, ok = _slabs_many(slabs, e, z[j[take]], params)
+    num, den, _, ok = _slabs_many(slabs, e, z[j[take]], c)
     ok &= den != 0
     read, done = [None] * len(p), take[ok]
     for k, a, b in zip(done.tolist(), num[ok].tolist(), den[ok].tolist()):

@@ -1,114 +1,95 @@
 """Closed-form impedance algebra for constant and linear potential slabs.
 
-The quantum wave impedance of a solution psi is
+The quantum wave impedance of a solution psi is Z = (hbar / i m) psi'/psi.
+The walks here carry zeta = (m/hbar) Z = psi' / (i psi), which obeys
 
-    Z(x) = (hbar / i m) psi'(x) / psi(x)
+    dzeta/dx = i (c (E - U(x)) - zeta^2),   c = 2m / hbar^2,
 
-and satisfies the Riccati equation
+so they depend on the units only through c.  ``_units`` takes c and
+w = m/hbar from the ``ModelParams`` once, at the edge of every public
+solve, sweep, search, trajectory, slab view and reconstruction, and
+raises NonFiniteStateError where either is not a positive normal float;
+only the impedances a public call returns are turned back into
+Z = zeta / w, part by part (``_from_zeta``).
 
-    dZ/dx + i (m/hbar) Z^2 = i (2/hbar) (E - U(x)).
-
-Where U is constant the general solution is Z(x) = z * tanh(gamma x + phi)
-with the characteristic impedance z = sqrt(2 (E - U) / m) and propagation
-constant gamma = i (m/hbar) z.  Branch convention: for E > U the root is
-real positive (gamma = i k purely imaginary); for E < U we take
-z = +i sqrt(2 (U - E) / m), which makes gamma real negative (gamma = -kappa).
-With that branch the decaying-tail boundary values are Z(a) = -z1 on the
-left and Z(b) = +z2 on the right, and Z = +z / -z are the attractors of
-leftward / rightward integration through an evanescent region.
+Where U is constant zeta = k tanh(i k x + phi), with the characteristic
+impedance k = sqrt(c (E - U)) real positive above the level and
+k = +i sqrt(c (U - E)) below it, where the propagation constant i k is
+real negative.  With that branch the decaying tails are zeta(a) = -k1
+on the left and zeta(b) = +k2 on the right, and +k / -k are the
+attractors of leftward / rightward integration through an evanescent
+region.
 
 Two walkers step across a slab list, split by problem.
-``_chain(slabs, e, z_anchor, params)`` steps the complex Z and psi of
+``_chain(slabs, e, z_anchor, c)`` steps the complex zeta and psi of
 scattering, resonances and ``impedance_mismatch``; ``_real_walk(slabs,
-e, y_anchor, params)`` steps the real solution of the bound-state
-search.  ``_cut`` alone cuts a potential into slabs, at any
-monotone points in one pass; ``_steps``, its walk between two points,
-builds the searches' lists, once per stack and end, the stepper's, and
-those of the points that the array pass of ``_read`` leaves to the
-walk.
-Each constant slab is one step of the tanh addition law: it maps Z(x) to
-Z(x + dx) and gives the psi ratio across the step over the same
-denominator.  Where E equals a slab's level psi is linear across it, and
-the step takes its exact limit instead (only a degenerate *lead* is an
-error).  Each walker returns its last step undivided, so a psi-node at
-the end point is no error.  ``propagate_impedance``, ``layer_transform``
-and ``psi_growth_factor`` are walks of one slab.  The scattering
-solve, its sweep and the resonance search walk one list from the far
-lead to the entry edge, in the potential's own frame from either side
-(``scattering._Incidence``); the bound search walks one from each end
-to its probe.  Each search builds its lists once, for every energy it
-evaluates.
-``_chain`` computes each level's z and gamma and the step itself
-inline, in the arithmetic of ``_constants`` (the scalar core of
-``region_constants``).
+e, y_anchor, c)`` steps the real solution of the bound-state search.
+``_cut`` alone cuts a potential into slabs, at any monotone points in
+one pass; ``_steps``, its walk between two points, builds the searches'
+lists, once per stack and end, the stepper's, and those of the points
+that the array pass of ``_read`` leaves to the walk.  Each constant
+slab is one step of the tanh addition law: it maps zeta(x) to
+zeta(x + dx) and gives the psi ratio across the step over the same
+denominator.  Where E equals a slab's level psi is linear across it,
+and the step takes its exact limit instead (only a degenerate *lead* is
+an error).  Each walker returns its last step undivided, so a psi-node
+at the end point is no error.  ``propagate_impedance``,
+``layer_transform`` and ``psi_growth_factor`` are walks of one slab.
+The scattering solve, its sweep and the resonance search walk one list
+from the far lead to the entry edge, in the potential's own frame from
+either side (``scattering._Incidence``); the bound search walks one
+from each end to its probe.  Each search builds its lists once, for
+every energy it evaluates.
 
 Below both leads a bound state's psi is real, and so is
-psi'/psi = i (m/hbar) Z.  ``_real_walk`` carries (psi, dpsi/ds) there
-in real arithmetic, s the distance walked: cos / sin on a propagating
-slab, the linear limit at a slab's level, the real content of the
-sub-slab maps on a sampled potential, and on an evanescent slab
-cosh / sinh where kappa h <= 1 and otherwise the parts that grow and
-decay along the walk, each to full relative accuracy, so a psi that
-decays across a barrier does not cancel away.  It carries psi's sign,
-not its size, so nothing underflows across a thick barrier, and a
-psi-node on a step's end is counted, not divided by.  It always counts
-the psi-nodes the solution crosses: the bound-state search's Sturm
-count.  One walk per energy and end gives both that count and the
-matching function W (``spectral._Ends``).
+psi'/psi = i zeta.  ``_real_walk`` carries (psi, dpsi/ds) there in real
+arithmetic, s the distance walked: cos / sin on a propagating slab, the
+linear limit at a slab's level, the real content of the sub-slab maps
+on a sampled potential, and on an evanescent slab cosh / sinh where
+kappa h <= 1 and otherwise the parts that grow and decay along the
+walk, each to full relative accuracy, so a psi that decays across a
+barrier does not cancel away.  It carries psi's sign, not its size, so
+nothing underflows across a thick barrier, and it counts the psi-nodes
+the solution crosses: the bound-state search's Sturm count.  One walk
+per energy and end gives both that count and the matching function W
+(``spectral._Ends``).
 
 ``_chain_many`` in :mod:`qwim._arrays` is ``_chain``'s array twin for a
-whole energy grid: one array pass per slab, with an ``ok`` mask marking
-the energies where the scalar walk would raise.  Energy sweeps and the
-scan grids of the spectral searches use it where numpy is loaded
-already or the potential is sampled (``_array_pass``), and handle the
-flagged energies again one at a time; elsewhere they walk each energy
-with ``_chain``.
+whole energy grid, with an ``ok`` mask marking the energies where the
+scalar walk would raise.  Energy sweeps and the resonance scan use it
+where numpy is loaded already or the potential is sampled
+(``_array_pass``), and walk the flagged energies again one at a time.
 
 A sampled potential is linear between its samples, U = u0 + F s, and
-there psi'' = (A + B s) psi with A = 2m (u0 - E) / hbar^2 and
-B = 2m F / hbar^2.  Its slab list holds (u_start, slope, dx) per sample
-interval, and the walkers split each interval into sub-slabs short
-enough that a Taylor series of the fundamental pair converges fast
-(``_series``); Z maps across each sub-slab as
+there psi'' = (A + B s) psi with A = c (u0 - E) and B = c F.  Its slab
+list holds (u_start, slope, dx) per sample interval, and the walkers
+split each interval into sub-slabs short enough that a Taylor series
+of the fundamental pair converges fast (``_series``); zeta maps across
+each sub-slab as
 
-    Z -> (kappa f' + g' Z) / (f + (g / kappa) Z),   kappa = hbar / (i m),
+    zeta -> (-i f' + g' zeta) / (f + i g zeta),
 
 with psi(start) / psi(end) = 1 / den: the shape of a constant slab's
-step, so the same walkers carry it.  The sub-slab maps are real at real
-E: ``_real_walk`` reads f, f', g and g' off them.  They come from
-numpy's array series (``_arrays._linear_maps``) where numpy is loaded
-already, and from its plain-Python twin (``_linear_twin``: the same
-split and recurrence, one sub-slab at a time) elsewhere
-(``_linear_steps``); ``_linear_walks`` hands out those of several
-consecutive walks from one call.
+step, so the same walkers carry it.  The maps are real at real E apart
+from the factors i: ``_real_walk`` reads f, f', g and g' off them.
+They come from numpy's array series (``_arrays._linear_maps``) where
+numpy is loaded already, and from its plain-Python twin
+(``_linear_twin``) elsewhere (``_linear_steps``); ``_linear_walks``
+hands out those of several consecutive walks from one call.
 
 ``_bridge`` gives the psi ratio across each interval of a Riccati
 trajectory, walking the interval's slabs from the end with the larger
-|Z|, and a long evanescent interval from both ends, of which it keeps
-the walk along which |psi| grows: ``reconstruct_wavefunction`` and the
-incidence helper's field (``scattering._Incidence.psi``, for ``profile
---force-numeric`` and ``validate``) rebuild psi from it, the
-``force_numeric`` bound search signs psi, and a ``force_numeric`` solve
-takes t from the product of its ratios.  On a piecewise potential with
-numpy loaded already, the intervals that lie on one cell (all of a
-stepper trajectory's) take that step together in one array pass
-(``_arrays._bridge_many``), which finds every interval's cell with one
-search of the samples against the joins; only the intervals it leaves
-are cut, in one pass over their ends.  A cold run and a sampled
-potential cut all the samples in one pass (``_cut``) and walk each
-interval with ``_chain``.  ``_read`` gives Z at a grid's points off a Riccati
-trajectory by the same rule: one step from the end of the point's
-interval with the larger |Z|, in one array pass (``_arrays._read_many``)
-or one walk a point.  The stepper knows no grid: ``integrate_impedance``'s
-grid and ``profile --force-numeric`` read theirs here.
+|zeta|, and a long evanescent interval from both ends, of which it
+keeps the walk along which |psi| grows; ``_read`` gives zeta at a
+grid's points by the same rule.  On a piecewise potential with numpy
+loaded already, the intervals that lie on one cell (all of a stepper
+trajectory's) take their steps in one array pass
+(``_arrays._bridge_many``, ``_arrays._read_many``); elsewhere one cut of
+the samples gives every interval's walk.
 
-Everything here is scalar arithmetic, and this module imports
-no numpy, so work at one energy loads none, on either kind of
-potential: ``_chain`` walks a sampled potential's slabs by the twin
-unless numpy is loaded already.  Work at many energies on a sampled
-potential loads numpy at its set-up (``_array_pass``).  The adaptive
-Riccati integrator in :mod:`qwim.riccati` is validated against these
-maps.
+This module imports no numpy, so work at one energy loads none, on
+either kind of potential.  The adaptive Riccati integrator in
+:mod:`qwim.riccati` is validated against these maps.
 """
 
 from __future__ import annotations
@@ -175,35 +156,38 @@ class RegionConstants:
         return -self.gamma.real
 
 
-def _scale(params: ModelParams) -> float:
-    """2 m / hbar^2, which turns an energy into a squared wavenumber:
-    ``2.0 * mass / hbar ** 2``, or where hbar ** 2 leaves the float range
-    (hbar below about 1e-162 or above about 1.4e154, where ``**`` raises)
-    ``2.0 * mass / hbar / hbar``, which never raises: inf or 0 past the
-    range, and the walks that use it raise their own typed errors."""
-    try:
-        return 2.0 * params.mass / params.hbar ** 2
-    except (OverflowError, ZeroDivisionError):
-        return 2.0 * params.mass / params.hbar / params.hbar
+def _units(params: ModelParams) -> tuple[float, float]:
+    """(c, w) = (2 m / hbar^2, m / hbar), taken once at the edge of every
+    public solve: c turns an energy into a squared wavenumber, w the
+    impedance Z into zeta = w Z = psi' / (i psi), and results depend on
+    the units only through them.  Raises NonFiniteStateError where either
+    is not a positive normal float (at m = 1, hbar past about 1e154 or
+    below about 1e-154), so no walk sees units it cannot carry."""
+    w = params.mass / params.hbar
+    c = 2.0 * w / params.hbar
+    if not all(sys.float_info.min <= v <= sys.float_info.max for v in (c, w)):
+        raise NonFiniteStateError(f"units hbar {params.hbar}, mass {params.mass} put 2m/hbar^2 "
+                                  f"= {c} or m/hbar = {w} outside the normal float range")
+    return c, w
 
 
-def _constants(e: float, u: float, params: ModelParams) -> tuple[complex, complex]:
-    """(z, gamma) of a level u at energy e, with ``region_constants``'
-    checks: DegenerateEnergyError where e and u coincide to relative
-    EPS_DEGENERATE, NonFiniteStateError where z or gamma overflows."""
+def _constants(e: float, u: float, c: float) -> complex:
+    """The characteristic impedance in zeta of a level u at energy e,
+    k = sqrt(c (e - u)), or i sqrt(c (u - e)) below the level (its
+    propagation constant is i k), with ``region_constants``' checks:
+    DegenerateEnergyError where e and u coincide to relative
+    EPS_DEGENERATE, NonFiniteStateError where k overflows."""
     de = e - u
     if abs(de) <= EPS_DEGENERATE * max(abs(e), abs(u)):
         raise DegenerateEnergyError(f"energy {e} degenerate with level {u}")
-    m = params.mass
     if de > 0.0:
-        z = complex(math.sqrt(2.0 * de / m), 0.0)
+        k = complex(math.sqrt(c * de), 0.0)
     else:
-        z = complex(0.0, math.sqrt(-2.0 * de / m))
-    gamma = 1j * (m / params.hbar) * z
-    if not (cmath.isfinite(z) and cmath.isfinite(gamma)):
+        k = complex(0.0, math.sqrt(-c * de))
+    if not cmath.isfinite(k):
         require_finite("energy and level", e, u)
         raise NonFiniteStateError(f"energy {e} against level {u} overflows z")
-    return z, gamma
+    return k
 
 
 def region_constants(e: float, u: float, params: ModelParams = ModelParams()) -> RegionConstants:
@@ -212,10 +196,18 @@ def region_constants(e: float, u: float, params: ModelParams = ModelParams()) ->
     Raises DegenerateEnergyError when e and u coincide to relative
     EPS_DEGENERATE: both z and gamma vanish there and the tanh family
     degenerates.  Raises NonFiniteStateError when z or gamma overflows
-    (a finite level such as -1e308).
+    (a finite level such as -1e308), or the units do (``_units``).
     """
-    z, gamma = _constants(e, u, params)
-    return RegionConstants(z=z, gamma=gamma, e=e, u=u, params=params)
+    c, w = _units(params)
+    k = _constants(e, u, c)
+    return RegionConstants(z=_from_zeta(k, w), gamma=1j * k, e=e, u=u, params=params)
+
+
+def _from_zeta(zeta: complex, w: float) -> complex:
+    """Z = zeta / w, part by part, as zeta = w Z is taken: Python's complex
+    times or over a float is a full complex product or quotient, which
+    turns -0.0 parts to 0.0 and inf parts to NaN."""
+    return complex(zeta.real / w, zeta.imag / w)
 
 
 def _divide(x: complex, den: complex) -> complex:
@@ -295,42 +287,40 @@ def _chain(
     slabs: list[tuple[float, ...]],
     e: float,
     z_anchor: complex,
-    params: ModelParams,
+    c: float,
 ) -> tuple[complex, complex, complex]:
-    """Carry an impedance anchored at one end of a slab list (``_steps``)
-    across it: the walk of scattering, resonances and
-    ``impedance_mismatch``, at any complex anchor.
+    """Carry an impedance zeta anchored at one end of a slab list
+    (``_steps``) across it: the walk of scattering, resonances and
+    ``impedance_mismatch``, at any complex anchor, with c = 2m/hbar^2.
 
-    A constant slab of characteristic impedance z and propagation
-    constant gamma (``_constants``' values and checks, computed inline)
-    takes one step of dx (either sign).  With g = gamma dx the tanh
-    addition law gives, over one shared denominator,
+    A constant slab of characteristic impedance k (``_constants``' value
+    and checks, computed inline) and propagation constant i k takes one
+    step of dx (either sign).  With g = i k dx the tanh addition law
+    gives, over one shared denominator,
 
-        num = z (Z cosh g + z sinh g),   den = z cosh g + Z sinh g,   f = z,
+        num = k (zeta cosh g + k sinh g),   den = k cosh g + zeta sinh g,   f = k,
 
     with f the step's psi factor, so den -> 0 is a psi-node at the step's
     end.  Thick evanescent steps (|Re g| > _SATURATION_CUT) divide all
     three by the dominant exponential first, so cosh/sinh never overflow.
     A slab whose level equals e (to EPS_DEGENERATE) carries psi linearly,
-    the z -> 0 limit of the step divided by z: num = Z,
-    den = 1 + i (m/hbar) Z dx, f = 1.  A list of linear slabs is walked
-    one sub-slab map of ``_linear_steps`` at a time:
-    num = kappa f' + g' Z and den = f + (g / kappa) Z, with f = 1; a
-    list of those maps themselves at e, (kfp, gp, f, gk), is walked as
-    given (``_linear_walks``).
+    the k -> 0 limit of the step divided by k: num = zeta,
+    den = 1 + i zeta dx, f = 1.  A list of linear slabs is walked one
+    sub-slab map of ``_linear_steps`` at a time:
+    num = -i f' + g' zeta and den = f + i g zeta, with f = 1; a list of
+    those maps themselves at e, (kfp, gp, f, gk), is walked as given
+    (``_linear_walks``).
     Returns the last step undivided, (num, den, r), with r the product of
-    the f: Z(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so
+    the f: zeta(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so
     a psi-node at x_to is no error (one before it raises
     TransformPoleError).  Raises NonFiniteStateError where a value
     overflows.  The bound-state search walks its real solutions, and
     counts their psi-nodes, with ``_real_walk`` instead.
     """
     num, den, r = z_anchor, 1.0, 1.0
-    m = params.mass
-    i_m = 1j * (m / params.hbar)
     if slabs and len(slabs[0]) > 2:
         if len(slabs[0]) == 3:
-            slabs = _linear_steps(slabs, e, params)[1]
+            slabs = _linear_steps(slabs, e, c)[1]
         for kfp, gp, f, gk in slabs:
             z_at, r = _divide(num, den), r / den
             num, den = kfp + gp * z_at, f + gk * z_at
@@ -348,26 +338,26 @@ def _chain(
                 # |de| <= EPS_DEGENERATE * max(|e|, |u|), split in two: the
                 # product rounds monotonically
                 if abs(de) <= eps_e or abs(de) <= EPS_DEGENERATE * abs(u):
-                    num, den = z_at, 1.0 + z_at * (i_m * dx)
+                    num, den = z_at, 1.0 + z_at * (1j * dx)
                     continue
                 if de > 0.0:
-                    z = complex(sqrt(2.0 * de / m), 0.0)
+                    k = complex(sqrt(c * de), 0.0)
                 else:
-                    z = complex(0.0, sqrt(-2.0 * de / m))
-                gamma = i_m * z
-                # gamma is finite only where z is
+                    k = complex(0.0, sqrt(-c * de))
+                gamma = 1j * k
+                # gamma is finite only where k is
                 if not isfinite(gamma):
-                    _constants(e, u, params)  # raises
+                    _constants(e, u, c)  # raises
                 g = gamma * dx
                 if abs(g.real) > _SATURATION_CUT:
                     th = 1.0 if g.real > 0 else -1.0
                     # the saturated form: num, den and f times 2 exp(-th g)
                     c1, c2 = 1.0, th
-                    r *= 2.0 * z * cmath.exp(-th * g)
+                    r *= 2.0 * k * cmath.exp(-th * g)
                 else:
                     c1, c2 = cosh(g), sinh(g)
-                    r *= z
-                num, den = z * (z_at * c1 + z * c2), z * c1 + z_at * c2
+                    r *= k
+                num, den = k * (z_at * c1 + k * c2), k * c1 + z_at * c2
         except ValueError:
             raise NonFiniteStateError(f"slab phase overflows at energy {e}") from None
     if not (cmath.isfinite(num) and cmath.isfinite(den) and cmath.isfinite(r)):
@@ -379,25 +369,25 @@ def _real_walk(
     slabs: list[tuple[float, ...]],
     e: float,
     y_anchor: float,
-    params: ModelParams,
+    c: float,
 ) -> tuple[float, float, int]:
     """Carry a real solution anchored at one end of a slab list
-    (``_steps``) across it, at a real e, and count its psi-nodes: the
-    bound-state search's walk.
+    (``_steps``) across it, at a real e, with c = 2m/hbar^2, and count
+    its psi-nodes: the bound-state search's walk.
 
     With s the distance walked, the solution starts at psi = 1,
     dpsi/ds = ``y_anchor`` (a decaying tail's kappa, where
-    psi'/psi = i (m/hbar) Z is real), and each step maps (p, d), a
+    psi'/psi = i zeta is real), and each step maps (p, d), a
     positive multiple of (psi, dpsi/ds), by the slab's real transfer
     matrix over h = |dx|, times a positive factor:
 
-        den = p c + d s / k,  num = d c - p k s          (c, s = cos, sin of k h)
-        den = p c + d s / kap,  num = d c + p kap s      (cosh, sinh of g = kap h <= 1)
+        den = p cs + d sn / k,  num = d cs - p k sn      (cs, sn = cos, sin of k h)
+        den = p cs + d sn / kap,  num = d cs + p kap sn  (cosh, sinh of g = kap h <= 1)
         den = A + B exp(-2 g),  num = kap (A - B exp(-2 g))      (g > 1)
         den = p + d h,  num = d                          (a slab at level e)
         den = p f + d g,  num = p f' + d g'              (a linear sub-slab)
 
-    with k or kap = sqrt(2m |e - u|) / hbar and the linear limit where e
+    with k or kap = sqrt(c |e - u|) and the linear limit where e
     equals a slab's level to EPS_DEGENERATE.  Past g = 1 the evanescent
     step is split into the parts that grow and decay along the walk,
     A = p + d / kap and B = p - d / kap, over cosh(g) + sinh(g): each
@@ -425,13 +415,12 @@ def _real_walk(
     (p, d) is a positive multiple of (psi, dpsi/ds) at the walk's end.
     Raises NonFiniteStateError where a value overflows.
     """
-    m, hbar = params.mass, params.hbar
     den, num, neg, nodes = 1.0, y_anchor, False, 0
     if slabs and len(slabs[0]) == 3:
-        # g and f' of a complex map (kfp, gp, f, gk) in the walk's direction
+        # g and f' of a complex map (kfp, gp, f, gk) = (-i f', g', f, i g)
+        # in the walk's direction
         fwd = 1.0 if slabs[0][2] > 0.0 else -1.0
-        to_g, to_fp = fwd * hbar / m, -fwd * m / hbar
-        for kfp, gp, f, gk in _linear_steps(slabs, e, params)[1]:
+        for kfp, gp, f, gk in _linear_steps(slabs, e, c)[1]:
             if den:
                 p, d = 1.0, num / den
                 if den < 0.0:
@@ -440,13 +429,12 @@ def _real_walk(
                 p, d = 0.0, 1.0
                 if num < 0.0:
                     neg = not neg
-            den, num = p * f + d * (gk.imag * to_g), p * (kfp.imag * to_fp) + d * gp
+            den, num = p * f + d * (gk.imag * fwd), p * (kfp.imag * -fwd) + d * gp
             nodes += den <= 0.0 < p
     else:
         sqrt, cos, sin, exp = math.sqrt, math.cos, math.sin, math.exp
         cosh, sinh = math.cosh, math.sinh
         atan2, floor, pi = math.atan2, math.floor, math.pi
-        c2 = 2.0 * m / hbar / hbar
         eps_e = EPS_DEGENERATE * abs(e)
         # |de| <= EPS_DEGENERATE * |u| implies |de| < 2 eps_e: that test
         # first spares the second its abs(u)
@@ -471,18 +459,18 @@ def _real_walk(
                     den, num = p + d * h, d
                     nodes += den <= 0.0 < p
                 elif de > 0.0:
-                    k = sqrt(c2 * de)
+                    k = sqrt(c * de)
                     kh = k * h
-                    c, s = cos(kh), sin(kh)
+                    cs, sn = cos(kh), sin(kh)
                     if d < 0.0:
                         # theta0 = pi - atan2(k, -d), which would round to pi
                         # for k << |d| and count a node psi never reaches
                         nodes += 1 + floor((kh - atan2(k * p, -d)) / pi)
                     else:
                         nodes += floor((atan2(k * p, d) + kh) / pi)
-                    den, num = p * c + d * (s / k), d * c - p * (k * s)
+                    den, num = p * cs + d * (sn / k), d * cs - p * (k * sn)
                 else:
-                    kap = sqrt(-c2 * de)
+                    kap = sqrt(-c * de)
                     g = kap * h
                     if g > 1.0:
                         # the parts that grow and decay along the walk, the
@@ -494,8 +482,8 @@ def _real_walk(
                             decay *= exp(-2.0 * g)
                         den, num = grow + decay, kap * (grow - decay)
                     else:
-                        c, s = cosh(g), sinh(g)
-                        den, num = p * c + d * (s / kap), d * c + p * (kap * s)
+                        cs, sn = cosh(g), sinh(g)
+                        den, num = p * cs + d * (sn / kap), d * cs + p * (kap * sn)
                     nodes += den <= 0.0 < p
         except (ValueError, ArithmeticError):
             raise NonFiniteStateError(f"slab phase overflows at energy {e}") from None
@@ -516,19 +504,21 @@ def _series(a: float, b: float) -> tuple[float, float, float, float]:
     """``_arrays._series`` for one sub-slab: (f, h f', g / h, g') at s = h
     of the fundamental pair of psi'' = (A + B s) psi, given a = A h^2 and
     b = B h^3.  The same recurrence, d_{k+2} = (a d_k + b d_{k-1}) /
-    ((k+1)(k+2)), summed term by term from d_{-1} as numpy sums f and
-    g / h (its h f' and g' come from a dot product), and the same stop:
-    three terms in a row of the majorant series below 2^-56 max(|a|, |b|),
-    with this sub-slab's |a| and |b| where the array form takes a
-    block's largest."""
+    ((k+1)(k+2)), f and g / h summed term by term from d_{-1} as numpy
+    sums them, h f' and g' (numpy's dot product) rounded once by
+    ``math.fsum``, and the same stop: three terms in a row of the
+    majorant series below 2^-56 max(|a|, |b|), with this sub-slab's |a|
+    and |b| where the array form takes a block's largest.  A sum in term
+    order there would round each term, and its bias, repeated across the
+    sub-slabs of a walk, would carry a walk further from numpy's."""
     alpha, beta = abs(a), abs(b)
     tol = 2.0 ** -56 * max(alpha, beta)
     # the last three terms d_{k-1}, d_k, d_{k+1} of the majorant, f and g
     m3, m2, m1 = 0.0, 1.0, 1.0
     f3, f2, f1 = 0.0, 1.0, 0.0
     g3, g2, g1 = 0.0, 0.0, 1.0
-    # the sums of d_k and of k d_k from d_{-1} on
-    f, hfp, gh, gp = 1.0, 0.0, 1.0, 1.0
+    # the sums of d_k from d_{-1} on, and the terms of those of k d_k
+    f, gh, hfp, gp = 1.0, 1.0, [], [1.0]
     k = 0
     while m1 > tol or m2 > tol or m3 > tol:
         q = (k + 1) * (k + 2)
@@ -538,20 +528,20 @@ def _series(a: float, b: float) -> tuple[float, float, float, float]:
         g3, g2, g1 = g2, g1, (a * g2 + b * g3) * w
         k += 1
         f += f1
-        hfp += (k + 1) * f1
+        hfp.append((k + 1) * f1)
         gh += g1
-        gp += (k + 1) * g1
-    return f, hfp, gh, gp
+        gp.append((k + 1) * g1)
+    return f, math.fsum(hfp), gh, math.fsum(gp)
 
 
-def _linear_twin(slabs: list[tuple[float, float, float]], e: float, params: ModelParams):
+def _linear_twin(slabs: list[tuple[float, float, float]], e: float, c: float):
     """``_arrays._linear_steps`` in plain Python: (count, steps), the
-    sub-slabs of each linear slab (u_start, slope, dx) at energy e and an
-    iterator of their (kfp, gp, f, gk) in walk order.  The same split
+    sub-slabs of each linear slab (u_start, slope, dx) at energy e, with
+    c = 2m/hbar^2, and an iterator of their (kfp, gp, f, gk) in walk
+    order.  The same split
     (h sqrt(max |A|) <= 1, h |B|^(1/3) <= 1), the same maps from the
     scalar ``_series``, and the same NonFiniteStateError, raised at the
     call, where the split count is not finite or exceeds _MAX_SUBSLABS."""
-    c = _scale(params)
     count, total = [], 0.0
     for u0, slope, dx in slabs:
         u1 = u0 + slope * dx
@@ -565,13 +555,12 @@ def _linear_twin(slabs: list[tuple[float, float, float]], e: float, params: Mode
         total += n
     if not total <= _MAX_SUBSLABS:  # NaN included
         raise NonFiniteStateError(f"linear slabs need {total} sub-slabs at energy {e}")
-    inv_kappa = 1j * params.mass / params.hbar
 
     def steps():
         for (u0, slope, dx), n in zip(slabs, count):
             h = dx / n
             hh = h * h
-            b, ih = c * slope * (hh * h), inv_kappa * h
+            b, ih = c * slope * (hh * h), 1j * h
             if not ih:  # h underflowed to 0: numpy's maps are NaN there
                 raise NonFiniteStateError(f"linear sub-slab map overflows at energy {e}")
             for i in range(n):
@@ -581,7 +570,7 @@ def _linear_twin(slabs: list[tuple[float, float, float]], e: float, params: Mode
     return count, steps()
 
 
-def _linear_steps(slabs: list[tuple[float, float, float]], e: float, params: ModelParams):
+def _linear_steps(slabs: list[tuple[float, float, float]], e: float, c: float):
     """The sub-slab maps of a linear slab list at one energy, (count,
     steps) as ``_linear_twin`` gives them: from numpy's array series
     (``_arrays._linear_steps``) where numpy is loaded already, so warm
@@ -590,17 +579,17 @@ def _linear_steps(slabs: list[tuple[float, float, float]], e: float, params: Mod
     if "numpy" in sys.modules:
         from ._arrays import _linear_steps
 
-        return _linear_steps(slabs, e, params)
-    return _linear_twin(slabs, e, params)
+        return _linear_steps(slabs, e, c)
+    return _linear_twin(slabs, e, c)
 
 
-def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, params: ModelParams):
+def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, c: float):
     """``_linear_steps`` for consecutive linear slab lists at one energy,
     from one pass: yields each list's maps in turn, as a list that
     ``_chain`` walks as it walks the slabs.  One ``_linear_steps`` call
     serves them all, where a walk of each would make one numpy pass per
     list."""
-    count, steps = _linear_steps([slab for walk in walks for slab in walk], e, params)
+    count, steps = _linear_steps([slab for walk in walks for slab in walk], e, c)
     counts = iter(count)
     for walk in walks:
         yield list(islice(steps, sum(islice(counts, len(walk)))))
@@ -623,36 +612,30 @@ def _array_pass(pot: Potential) -> bool:
 
 
 def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
-            params: ModelParams) -> list[complex]:
+            c: float) -> list[complex]:
     """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
-    trajectory's samples (xs monotone, zs its Z there): the ``_chain``
-    walk of the interval's slabs (its piece of ``_cut`` of the
-    samples), reversed if need be, from the end with the larger |Z|
-    (the second at a tie), anchored at the trajectory's Z there, so it
-    never divides by a vanishing psi and carries sign flips through
-    nodes.  A piece crosses
-    any join in its interval; a repeated sample has ratio 1.  A ratio
-    past the float range is infinite.  Descending samples give bitwise
-    what the mirror's ascending ones give.
+    trajectory's samples (xs monotone, zs its zeta there, c = 2m/hbar^2):
+    the ``_chain`` walk of the interval's slabs (its piece of ``_cut`` of
+    the samples, across any join in it), from the end with the larger
+    |zeta| (the second at a tie), anchored at the trajectory's zeta
+    there, so it never divides by a vanishing psi and carries sign flips
+    through nodes.  A repeated sample has ratio 1, a ratio past the float
+    range is infinite, and descending samples give bitwise what the
+    mirror's ascending ones give.
 
     On a piecewise potential with numpy loaded already, the intervals
-    that lie on one cell (every interval of a stepper trajectory, which
-    ends each slab on its join) take one array step together
-    (``_arrays._bridge_many``, which reads each interval's slab off its
-    cell): the walk's arithmetic, with numpy's complex cosh, sinh and
-    exp for cmath's, and the walk's own division for the ratio.  The
-    intervals it leaves are cut in one pass over their ends and walk,
-    so errors stay the walk's.  Cold, and on a sampled potential, one
-    ``_cut`` of the samples gives every interval's walk, so a cold walk
-    loads no numpy; a sampled potential's intervals walk one at a time,
-    with their maps from one ``_linear_walks`` call.
+    that lie on one cell take one array step together
+    (``_arrays._bridge_many``: the walk's arithmetic, with numpy's
+    complex cosh, sinh and exp, and the walk's own division); those it
+    leaves are cut in one pass over their ends and walk, so errors stay
+    the walk's.  Elsewhere one ``_cut`` of the samples gives every
+    interval's walk, a sampled potential's maps from one
+    ``_linear_walks`` call.
 
-    Where psi decays along an evanescent interval, a walk the way it
-    decays multiplies its anchor's error by about exp(2 sum(kappa |dx|)),
-    whichever end has the larger |Z|.  An interval whose evanescent phase
-    passes _BRIDGE_PHASE is therefore walked from both ends, and the walk
-    along which |psi| grows more is kept (the first at a tie); the array
-    pass leaves those intervals to the walk."""
+    A walk the way psi decays multiplies its anchor's error by about
+    exp(2 sum(kappa |dx|)), so an interval whose evanescent phase passes
+    _BRIDGE_PHASE is walked from both ends, and the walk along which
+    |psi| grows more is kept (the first at a tie)."""
     sampled = isinstance(pot, SampledPotential)
     if sampled or "numpy" not in sys.modules:
         walks = _cut(pot, xs)
@@ -660,7 +643,7 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
     else:
         from ._arrays import _bridge_many
 
-        ratios, redo = _bridge_many(pot, e, xs, zs, params)
+        ratios, redo = _bridge_many(pot, e, xs, zs, c)
         # one cut of the intervals left, as (start, end) pairs: every
         # other piece is one of them, the rest the gaps between them
         pairs = [x for i in redo for x in xs[i:i + 2]]
@@ -669,7 +652,7 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
     runs = []
     for i in redo:
         forward = abs(zs[i]) > abs(zs[i + 1])
-        if _phase(walks[i], e, params) > _BRIDGE_PHASE:
+        if _phase(walks[i], e, c) > _BRIDGE_PHASE:
             runs += (i, forward, True), (i, not forward, True)
         else:
             runs.append((i, forward, False))
@@ -683,10 +666,10 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
                 walk = [(u, -dx) for u, dx in reversed(walk)]
         todo.append(walk)
     if sampled:
-        todo = _linear_walks(todo, e, params)
+        todo = _linear_walks(todo, e, c)
     best = None
     for (i, forward, both), walk in zip(runs, todo):
-        _, den, r = _chain(walk, e, zs[i] if forward else zs[i + 1], params)
+        _, den, r = _chain(walk, e, zs[i] if forward else zs[i + 1], c)
         if both:
             # psi(other end) / psi(anchor) = den / r: |psi|'s growth along
             # the walk, the first walk's kept unless the second's is larger
@@ -700,11 +683,10 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
     return ratios
 
 
-def _phase(walk: list[tuple[float, ...]], e: float, params: ModelParams) -> float:
-    """sum(kappa |dx|) over the evanescent steps of a ``_cut`` walk, a
-    linear step's kappa taken at its higher end, so the phase is never
-    underestimated."""
-    c = _scale(params)
+def _phase(walk: list[tuple[float, ...]], e: float, c: float) -> float:
+    """sum(kappa |dx|) over the evanescent steps of a ``_cut`` walk,
+    kappa = sqrt(c (u - e)), a linear step's kappa taken at its higher
+    end, so the phase is never underestimated."""
     phase = 0.0
     for step in walk:
         u, dx = step[0], step[-1]
@@ -716,21 +698,20 @@ def _phase(walk: list[tuple[float, ...]], e: float, params: ModelParams) -> floa
 
 
 def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
-          params: ModelParams) -> tuple[list[float], list[complex]]:
-    """A Riccati trajectory (xs ascending, zs its Z) read at the points
-    of ``grid``: (xs, zs) of its first sample, the grid's points strictly
-    inside it, ascending (its own floats, repeats kept), and its last
-    sample.  A point on a sample takes that sample's Z; elsewhere Z is
-    one exact ``_chain`` step from the end of the point's interval with
-    the larger |Z| (``_bridge``'s rule), on the interval's slab: the
-    stepper ends each slab on its join, so every interval is one slab,
-    walked from either direction.  As in ``_bridge``, the steps take one
-    array pass on a piecewise potential with numpy loaded already
-    (``_arrays._read_many``, each slab off its interval's cell), and the
-    points it leaves cut their interval alone (``_steps``); elsewhere
-    one ``_cut`` of the samples gives every slab, and each point walks
-    alone.  A psi-node on a point raises TransformPoleError, a
-    point that is not finite NonFiniteInputError."""
+          c: float) -> tuple[list[float], list[complex]]:
+    """A Riccati trajectory (xs ascending, zs its zeta, c = 2m/hbar^2)
+    read at the points of ``grid``: (xs, zs) of its first sample, the
+    grid's points strictly inside it, ascending (its own floats, repeats
+    kept), and its last sample.  A point on a sample takes that sample's
+    zeta; elsewhere zeta is one exact ``_chain`` step on the interval's
+    one slab (the stepper ends each slab on its join) from the end with
+    the larger |zeta| (``_bridge``'s rule).  As in ``_bridge``, the steps
+    take one array pass on a piecewise potential with numpy loaded
+    already (``_arrays._read_many``), and the points it leaves cut their
+    interval alone (``_steps``); elsewhere one ``_cut`` of the samples
+    gives every slab, and each point walks alone.  A psi-node on a point
+    raises TransformPoleError, a point that is not finite
+    NonFiniteInputError."""
     points = sorted(grid)
     require_finite("grid points", *points)
     lo, hi = xs[0], xs[-1]
@@ -743,7 +724,7 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
         from ._arrays import _read_many
 
         walks = None
-        read, redo = _read_many(pot, e, xs, zs, points, params)
+        read, redo = _read_many(pot, e, xs, zs, points, c)
     todo, steps = [], []
     for k in redo:
         p = points[k]
@@ -759,10 +740,17 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
         todo.append((k, j))
         steps.append([(*step, p - xs[j])])
     if sampled:
-        steps = _linear_walks(steps, e, params)
+        steps = _linear_walks(steps, e, c)
     for (k, j), walk in zip(todo, steps):
-        read[k] = _divide(*_chain(walk, e, zs[j], params)[:2])
+        read[k] = _divide(*_chain(walk, e, zs[j], c)[:2])
     return [lo, *points, hi], [zs[0], *read, zs[-1]]
+
+
+def _view(rc: RegionConstants, z_at: complex, dx: float) -> tuple[complex, complex, complex, float]:
+    """The one-slab ``_chain`` walk of a view across dx from Z = z_at, in
+    the units of ``rc.params``: (num, den, r, w), zeta = num / den."""
+    c, w = _units(rc.params)
+    return (*_chain([(rc.u, dx)], rc.e, complex(z_at.real * w, z_at.imag * w), c), w)
 
 
 def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> complex:
@@ -771,7 +759,8 @@ def propagate_impedance(rc: RegionConstants, z_at: complex, dx: float) -> comple
     The impedance half of a one-slab ``_chain`` walk: tanh addition law,
     saturated form for thick evanescent slabs.
     """
-    return _divide(*_chain([(rc.u, dx)], rc.e, z_at, rc.params)[:2])
+    num, den, _, w = _view(rc, z_at, dx)
+    return _from_zeta(_divide(num, den), w)
 
 
 def layer_transform(rc: RegionConstants, z_far: complex, length: float) -> complex:
@@ -788,7 +777,8 @@ def layer_transform(rc: RegionConstants, z_far: complex, length: float) -> compl
     """
     if not length > 0.0:
         raise ValueError("layer_transform needs a strictly positive length")
-    return _divide(*_chain([(rc.u, -length)], rc.e, z_far, rc.params)[:2])
+    num, den, _, w = _view(rc, z_far, -length)
+    return _from_zeta(_divide(num, den), w)
 
 
 def psi_growth_factor(rc: RegionConstants, z_exit: complex, length: float) -> complex:
@@ -803,7 +793,7 @@ def psi_growth_factor(rc: RegionConstants, z_exit: complex, length: float) -> co
     it shares the layer transform's denominator: a finite entry impedance
     guarantees a well-conditioned factor).
     """
-    _, den, r = _chain([(rc.u, -length)], rc.e, z_exit, rc.params)
+    _, den, r, _ = _view(rc, z_exit, -length)
     return _divide(r, den)
 
 
@@ -818,7 +808,7 @@ def _psi_growth_entry(rc: RegionConstants, z_entry: complex, length: float) -> c
     cancel catastrophically.  It is den / r of the one-slab ``_chain``
     walk from the entry.
     """
-    _, den, r = _chain([(rc.u, length)], rc.e, z_entry, rc.params)
+    _, den, r, _ = _view(rc, z_entry, length)
     return den / r
 
 

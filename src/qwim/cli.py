@@ -196,13 +196,14 @@ def cmd_validate(args, spec: ProblemSpec, cfg: IntegrationConfig) -> int:
 
     pot, params = spec.potential, spec.params
     e = args.energy
+    # the solve first, so that units no walk can carry fail alike on
+    # either kind of potential
+    imp = solve_scattering(pot, e, Side.LEFT, cfg, params)
     if not isinstance(pot, PiecewisePotential):
         raise ValueError(
             "validate needs a piecewise potential; the transfer-matrix "
             "comparison is defined for constant segments only"
         )
-
-    imp = solve_scattering(pot, e, Side.LEFT, cfg, params)
     tm = transfer_matrix_solve(pot, e, Side.LEFT, params)
     checks = [("delta_R", abs(imp.big_r - tm.big_r)), ("delta_T", abs(imp.big_t - tm.big_t))]
     # a bare step has no interior, so no wavefunction to rebuild there

@@ -1,58 +1,58 @@
 """Adaptive integration of the impedance Riccati equation.
 
-    dZ/dx = i (2/hbar) (E - U(x)) - i (m/hbar) Z^2
+The stepper carries zeta = (m/hbar) Z = psi' / (i psi), with
+c = 2m/hbar^2 (``analytic._units``, taken once by each public entry):
 
-Z has simple poles at the nodes of the underlying wavefunction.  The
-stepper therefore watches |Z| and switches to the reciprocal variable
-W = 1/Z, which obeys the regular equation
+    dzeta/dx = i (c (E - U(x)) - zeta^2).
 
-    dW/dx = i (m/hbar) - i (2/hbar) (E - U(x)) W^2,
+zeta has simple poles at the nodes of the underlying wavefunction.  The
+stepper therefore watches |zeta| and switches to the reciprocal
+variable W = 1/zeta, which obeys the regular equation
 
-where |Z| passes ``pole_threshold`` times the slab's characteristic
-impedance |z| = sqrt(2 max|E - U| / m), and back to Z (with hysteresis)
-where |Z| falls below half of that.  The two terms of Z' balance at
-|Z| = |z|, so the switch sits where Z' turns quadratic in Z, whatever
+    dW/dx = i (1 - c (E - U(x)) W^2),
+
+where |zeta| passes ``pole_threshold`` times the slab's characteristic
+impedance |k| = sqrt(c max|E - U|), and back to zeta (with hysteresis)
+where |zeta| falls below half of that.  The two terms of zeta' balance
+at |zeta| = |k|, so the switch sits where zeta' turns quadratic, whatever
 the energy scale.  Both read y' = i (a - b y^2), with a and b swapping
-between the modes.  Stepping is the Dormand-Prince 5(4) embedded pair
-(J. Comput. Appl. Math. 6, 19 (1980)) with standard PI-free error
-control, its seven stages written out for the one complex state, Z or
-W, inside ``_trajectory``'s single loop over slabs.  The stepper walks
-the slab list the exact chain walks, ``analytic._steps`` from anchor to
-target: on each slab U is one level or one line u_start + slope (x -
-slab start), evaluated inline at the stages.  Each slab ends on its
-join, one of the potential's ``interfaces()`` (the joins of its cells,
-one float each, ``PiecewisePotential.cells``), so no step ever straddles
-a discontinuity, and every interval of a trajectory, walked either way,
-lies on one cell: its slab is that cell's level over the interval's
-length, which the bridge and the read of its samples find by one search
-against the joins (``_arrays._bridge_many``, ``_arrays._read_many``)
-where numpy is loaded, and by one cut of the samples
-(``analytic._cut``) elsewhere.  Each slab starts
-afresh; a slab shorter than the step floor is crossed in one exact slab
-step (``analytic._chain``).  The stepper knows no output grid: values
-at a grid's points are read off its samples (``analytic._read``).
+between the modes.  ``abs_tol`` is a tolerance on Z and on 1/Z, so it
+enters as abs_tol w and abs_tol / w.  Stepping is the Dormand-Prince
+5(4) embedded pair (J. Comput. Appl. Math. 6, 19 (1980)) with standard
+PI-free error control, its seven stages written out for the one complex
+state inside ``_trajectory``'s single loop over slabs.  The stepper
+walks the slab list the exact chain walks, ``analytic._steps`` from
+anchor to target: on each slab U is one level or one line, evaluated
+inline at the stages.  Each slab ends on its join, one of the
+potential's ``interfaces()``, so no step straddles a discontinuity, and
+every interval of a trajectory lies on one cell, which the bridge and
+the read of its samples find by one search against the joins where
+numpy is loaded (``_arrays._bridge_many``, ``_arrays._read_many``).  On
+an evanescent slab a step's phase stays below ``analytic._BRIDGE_PHASE``,
+so no interval is bridged from both ends.  Each slab starts afresh; a
+slab shorter than the step floor is crossed in one exact slab step
+(``analytic._chain``).  The stepper knows no output grid: values at a
+grid's points are read off its samples (``analytic._read``).
 
 Each stage is evaluated as a' - b' y^2 with the factor i folded into
 the coefficients (a' = i a, b' = i b) where they are set, and each
 tableau weight is scaled by h before it meets its stage, with the zero
-weights left out.  Energy and ends are taken as Python floats and the anchor as
-a Python complex, so every step runs on plain Python scalars whatever
-numeric type the caller passes; a non-finite energy or end raises
-NonFiniteInputError.
+weights left out.  Energy and ends are taken as Python floats and the
+anchor as a Python complex, so every step runs on plain Python scalars
+whatever numeric type the caller passes; a non-finite energy or end
+raises NonFiniteInputError.
 
-The trajectory is Z alone.  psi comes back from it exactly, one slab
-step per sample interval (``analytic._bridge``: where numpy is loaded
-already, on a piecewise potential, the steps of all intervals in one
-array pass; elsewhere one walk an interval), and R and T from Z at the
-entry edge (``scattering.solve_scattering``).
+The trajectory is zeta alone.  psi comes back from it exactly, one slab
+step per sample interval (``analytic._bridge``), and R and T from zeta
+at the entry edge (``scattering.solve_scattering``).
 
-This module imports no numpy.  ``_trajectory`` returns plain lists, and
-the solver paths read them directly: a ``force_numeric`` solve, the
-bound search's ``force_numeric`` ends, and the CLI's ``profile
---force-numeric`` (read at its grid) and ``validate``.
-``integrate_impedance``, the public entry, checks an array grid, reads
-the trajectory at it, and wraps the lists as the arrays of an
-``ImpedanceTrajectory``, loading numpy when it is called.
+This module imports no numpy.  ``_trajectory`` returns plain lists of
+zeta, and the solver paths read them directly: a ``force_numeric``
+solve, the bound search's ``force_numeric`` ends, and the CLI's
+``profile --force-numeric`` and ``validate``.  ``integrate_impedance``,
+the public entry, checks an array grid, reads the trajectory at it, and
+wraps the lists as the arrays of an ``ImpedanceTrajectory`` of Z,
+loading numpy when it is called.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .analytic import _chain, _divide, _read, _steps, region_constants
+from .analytic import _BRIDGE_PHASE, _chain, _divide, _read, _steps, _units, region_constants
 from .errors import (
     EvanescentIncidenceError,
     NonFiniteStateError,
@@ -104,18 +104,9 @@ def integrate_impedance(
     params: ModelParams = ModelParams(),
     grid: np.ndarray | None = None,
 ) -> ImpedanceTrajectory:
-    """Integrate Z from (anchor_x, anchor_z) to target_x.
-
-    The range is walked along the slab list ``analytic._steps(pot,
-    anchor_x, target_x)``, a lead's level included past a or b: a level
-    fixes the stages' coefficients, a line is evaluated at each stage.
-    Each slab is one run from its start to its join (the last one to the
-    target), and starts afresh: a first step of min(max_step, slab
-    length), a first stage at its start, and Z or W mode by |Z| there
-    against the slab's own switch.  A slab shorter than the step floor
-    takes one exact slab step (``analytic._chain``) to its join.  Only
-    slab ends, mode switches and the nudge off an exact node restart the
-    state.
+    """Integrate Z from (anchor_x, anchor_z) to target_x: the walk of
+    ``_trajectory`` in zeta = (m/hbar) Z, the units taken here
+    (``analytic._units``), its samples turned back into Z.
 
     With a ``grid``, the trajectory is read at its points
     (``analytic._read``): its samples are the anchor, the grid points
@@ -123,8 +114,7 @@ def integrate_impedance(
     point is one exact slab step from whichever of the two stepper
     samples around it has the larger |Z|.  ``grid`` must be real and
     one-dimensional (TypeError otherwise), with finite points
-    (NonFiniteInputError); points outside the range are ignored.  The
-    walk itself is ``_trajectory``'s; this wraps its lists as arrays.
+    (NonFiniteInputError); points outside the range are ignored.
     """
     import numpy as np
 
@@ -135,12 +125,14 @@ def integrate_impedance(
         points = np.asarray(grid, dtype=float)
         if points.ndim != 1:
             raise TypeError(f"grid must be one-dimensional, got shape {points.shape}")
-    xs, zs = _trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params)
+    c, w = _units(params)
+    z = complex(anchor_z)
+    xs, zs = _trajectory(pot, e, anchor_x, complex(z.real * w, z.imag * w), target_x, cfg, c, w)
     if points is not None:
-        xs, zs = _read(pot, float(e), xs, zs, points.tolist(), params)
+        xs, zs = _read(pot, float(e), xs, zs, points.tolist(), c)
     return ImpedanceTrajectory(
         xs=np.array(xs),
-        zs=np.array(zs, dtype=complex),
+        zs=(np.array(zs, dtype=complex).view(float) / w).view(complex),  # Z = zeta / w by parts
         direction=Side.LEFT if target_x < anchor_x else Side.RIGHT,
         anchor_x=float(anchor_x),
         anchor_z=complex(anchor_z),
@@ -157,10 +149,17 @@ def _trajectory(
     anchor_z: complex,
     target_x: float,
     cfg: IntegrationConfig,
-    params: ModelParams,
+    c: float,
+    w: float,
 ) -> tuple[list[float], list[complex]]:
-    """The walk of ``integrate_impedance`` in plain Python: (xs, zs), the
-    samples in ascending x and Z there."""
+    """The walk of ``integrate_impedance`` in plain Python, in zeta = w Z
+    from a zeta anchor, with c = 2m/hbar^2 and w = m/hbar: (xs, zs), the
+    samples in ascending x and zeta there.  The range is walked along the
+    slab list ``analytic._steps(pot, anchor_x, target_x)``, each slab one
+    run to its join that starts afresh: a first step of min(cap, slab
+    length), a first stage at its start, and zeta or W mode by |zeta|
+    there against the slab's own switch.  Only slab ends, mode switches
+    and the nudge off an exact node restart the state."""
     require_finite("energy", e)
     require_finite("anchor and target", anchor_x, target_x)
     # plain Python scalars: a numpy scalar would carry numpy's slower
@@ -176,11 +175,11 @@ def _trajectory(
     sgn = -1.0 if leftward else 1.0
     lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
 
-    c_pot = 2.0 / params.hbar
-    i_imp = 1j * (params.mass / params.hbar)
-    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
-    # |Z| over the slab's characteristic |z| at which W takes over
-    switch = cfg.pole_threshold * math.sqrt(2.0 / params.mass)
+    rel_tol = cfg.rel_tol
+    # abs_tol bounds the error of Z and of 1/Z: on zeta = w Z and W = 1/zeta
+    tol_z, tol_w = cfg.abs_tol * w, cfg.abs_tol / w
+    # |zeta| over the slab's characteristic |k| at which W takes over
+    switch = cfg.pole_threshold * math.sqrt(c)
     isfinite = cmath.isfinite
 
     xs, zs = [anchor_x], [anchor_z]
@@ -195,57 +194,69 @@ def _trajectory(
         h_floor = 1e-14 * max(1.0, abs(xa), abs(end))
         if sgn * (end - xa) <= h_floor:
             # a slab shorter than the step floor: one exact step across it
-            z = _divide(*_chain([slab], e, z, params)[:2])
+            z = _divide(*_chain([slab], e, z, c)[:2])
             xs.append(end)
             zs.append(z)
             continue
-        # the switch: pole_threshold sqrt(2 max|E - U| / m) over the slab
-        threshold = switch * math.sqrt(max(abs(e - u0), abs(e - (u0 + slope * slab[-1]))))
-        # hysteresis: back to Z once |Z| < threshold / 2, |W| > 2 / threshold
+        # the switch: pole_threshold sqrt(c max|E - U|) over the slab
+        u1 = u0 + slope * slab[-1]
+        threshold = switch * math.sqrt(max(abs(e - u0), abs(e - u1)))
+        # an evanescent slab's steps keep their phase below _BRIDGE_PHASE,
+        # a thousandth to spare for rounding in x, so that no interval is
+        # bridged from both ends (``analytic._bridge``); a cap below the
+        # step floor caps nothing
+        top, cap = max(u0, u1) - e, max_step
+        if top > 0.0:
+            cap = min(max_step, 0.999 * _BRIDGE_PHASE / math.sqrt(c * top))
+            if cap < h_floor:
+                cap = max_step
+        # hysteresis: back to zeta once |zeta| < threshold / 2, |W| > 2 / threshold
         switch_back = 2.0 / threshold if threshold else math.inf
         line = slope != 0.0
         if not line:
-            level = 1j * (c_pot * (e - u0))
+            level = 1j * (c * (e - u0))
         # U jumps at a slab's start, so each slab starts afresh
         x = xa
-        h = sgn * min(max_step, abs(end - xa))
+        h = sgn * min(cap, abs(end - xa))
         in_w = abs(z) > threshold
         fresh = True
         # y' = a - b y^2 at each stage, the factor i folded into a and b:
-        # y = Z with a = i c_pot (E - U), b = i c_imp, or y = W with the
-        # two swapped
+        # y = zeta with a = i c (E - U), b = i, or y = W = 1 / zeta with
+        # the two swapped
         while sgn * (end - x) > h_floor:
             if fresh:
-                # restart from (x, Z): the state and its slope
+                # restart from (x, zeta): the state and its slope
                 fresh = False
                 y = 1.0 / z if in_w else z
                 abs_y = abs(y)
                 if line:
-                    p1 = 1j * (c_pot * (e - (u0 + slope * (x - xa))))
+                    p1 = 1j * (c * (e - (u0 + slope * (x - xa))))
                 else:
                     p1 = level
                 if in_w:
-                    a1 = a2 = a3 = a4 = a5 = a6 = i_imp
+                    a1 = a2 = a3 = a4 = a5 = a6 = 1j
                     b1 = b2 = b3 = b4 = b5 = b6 = p1
+                    abs_tol = tol_w
                 else:
                     a1 = a2 = a3 = a4 = a5 = a6 = p1
-                    b1 = b2 = b3 = b4 = b5 = b6 = i_imp
+                    b1 = b2 = b3 = b4 = b5 = b6 = 1j
+                    abs_tol = tol_z
                 k1 = a1 - b1 * (y * y)
-            # |h| capped by max_step and by what is left of the slab
+            # |h| capped by the slab's cap and by what is left of the slab
             m = sgn * h
-            if m > max_step:
-                m = max_step
+            if m > cap:
+                m = cap
             rest = sgn * (end - x)
             if m > rest:
                 m = rest
             h = sgn * m
             if line:
                 # the line at the five distinct stage abscissae
-                p2 = 1j * (c_pot * (e - (u0 + slope * (x + 0.2 * h - xa))))
-                p3 = 1j * (c_pot * (e - (u0 + slope * (x + 0.3 * h - xa))))
-                p4 = 1j * (c_pot * (e - (u0 + slope * (x + 0.8 * h - xa))))
-                p5 = 1j * (c_pot * (e - (u0 + slope * (x + 8.0 / 9.0 * h - xa))))
-                p6 = 1j * (c_pot * (e - (u0 + slope * (x + h - xa))))
+                p2 = 1j * (c * (e - (u0 + slope * (x + 0.2 * h - xa))))
+                p3 = 1j * (c * (e - (u0 + slope * (x + 0.3 * h - xa))))
+                p4 = 1j * (c * (e - (u0 + slope * (x + 0.8 * h - xa))))
+                p5 = 1j * (c * (e - (u0 + slope * (x + 8.0 / 9.0 * h - xa))))
+                p6 = 1j * (c * (e - (u0 + slope * (x + h - xa))))
                 if in_w:
                     b2, b3, b4, b5, b6 = p2, p3, p4, p5, p6
                 else:
@@ -318,7 +329,7 @@ def _trajectory(
                 h *= f if f < 5.0 else 5.0
             else:
                 h *= 5.0
-            # |y| is |Z| in Z mode and |W| in W mode
+            # |y| is |zeta| in zeta mode and |W| in W mode
             if in_w:
                 if abs_y > switch_back:
                     in_w = False

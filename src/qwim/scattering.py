@@ -6,57 +6,50 @@ propagated back to the entry interface a.  There
 
     r = (z1 - Z(a)) / (z1 + Z(a))
 
-is the reflected/incident amplitude ratio at a.  The transmitted
-amplitude is t = psi(b) e^{-i k2 b}, with psi(a) = (1 + r) e^{i k1 a}
-for a unit incident wave and psi(b) / psi(a) from the same walk.
-Probability coefficients are R = |r|^2 and T = (z2 / z1) |t|^2 (current
-ratio), which sum to one whenever the far lead propagates.  On the
-Riccati stepper T is the current at the entry edge,
+is the reflected/incident amplitude ratio at a, the same in
+zeta = (m/hbar) Z, which the walks carry.  The transmitted amplitude is
+t = psi(b) e^{-i k2 b}, with psi(a) = (1 + r) e^{i k1 a} for a unit
+incident wave and psi(b) / psi(a) from the same walk.  Probability
+coefficients are R = |r|^2 and T = (z2 / z1) |t|^2 (current ratio),
+which sum to one whenever the far lead propagates.  On the Riccati
+stepper T is the current at the entry edge,
 
     T = 4 Re z1 Re Z(a) / |z1 + Z(a)|^2,
 
 which is 1 - R without its cancellation, and psi(b) / psi(a) is the
 product of the trajectory's psi bridges (``analytic._bridge``).
 
-One helper, ``_Incidence``, carries the far lead's wave to the entry
-edge and takes r there, for one energy or a whole grid, for the solve,
-the energy sweep and the resonance search (:mod:`qwim.spectral`), which
-keep only their own lead phases.  It walks the potential's own slab list from
-the far edge, on both engines: for right incidence from a with Z
-negated, which is bitwise the mirror's walk, so no mirror is built.
-Both kinds of potential use exact layer chaining, sampled ones one
-linear sub-slab map at a time (:mod:`qwim.analytic`); with
-``cfg.force_numeric`` set, any potential uses the adaptive Riccati
-integrator, along the same slab list.  An energy grid, of a sweep or
-of the resonance scan, takes one array pass per slab or sub-slab
-(:mod:`qwim._arrays`) where numpy is loaded already, or the potential
-is sampled, which loads it then (``analytic._array_pass``).  Points
-that pass flags (where a single solve raises, or its values are not
-finite) are solved again one at a time.  Elsewhere each energy is
-walked alone, by the same per-point code.  Along x the helper gives the
-field of its own walk, on either engine: ``impedance`` is Z at a
-grid's points, and ``wavefunction`` psi per unit incident wave, from
-the same walk's psi ratios and its own Z(entry), so one walk gives both.
+One helper, ``_Incidence``, takes the units (``analytic._units``),
+carries the far lead's wave to the entry edge and takes r there, for
+one energy or a whole grid, for the solve, the energy sweep and the
+resonance search (:mod:`qwim.spectral`).  It walks the potential's own
+slab list from the far edge, on both engines: for right incidence from
+a with zeta negated, which is bitwise the mirror's walk.  Both kinds of
+potential use exact layer chaining (:mod:`qwim.analytic`); with
+``cfg.force_numeric`` set, the adaptive Riccati integrator walks the
+same slab list.  An energy grid takes one array pass per slab or
+sub-slab (:mod:`qwim._arrays`) where ``analytic._array_pass`` allows
+it, and the points that pass flags are solved again one at a time.
+Along x the helper gives the field of its own walk: ``impedance`` is Z
+at a grid's points, and ``wavefunction`` psi per unit incident wave.
 
 Only the functions that take or make arrays import numpy, so work at
-one energy loads none on either engine or kind of potential (a sampled
-potential's sub-slab maps come from their plain-Python twin unless
-numpy is loaded already), and neither do a piecewise sweep or
-resonance scan.  The stepper is imported only by ``force_numeric``
-walks.
+one energy loads none, and neither do a piecewise sweep or resonance
+scan.  The stepper is imported only by ``force_numeric`` walks.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .analytic import (
-    _array_pass, _bridge, _chain, _constants, _cut, _divide, _linear_walks, _read, _steps,
+    _array_pass, _bridge, _chain, _constants, _cut, _divide, _from_zeta, _linear_walks, _read,
+    _steps, _units,
 )
 from .errors import (
     EvanescentIncidenceError,
@@ -130,18 +123,21 @@ class _Incidence:
     potential mirrored through x -> -x.  The walk runs in the potential's
     own frame, along one slab list from the far edge to the entry edge
     (``steps``): from b to a for left incidence, and from a to b for
-    right, anchored at -z_far with the Z it gives negated.  The step is
-    odd under x -> -x, Z -> -Z, so that is the mirror's walk, and no
-    mirror is built.  On the stepper the walk is one trajectory of Z
-    alone, bridged for psi only where t or psi (``psi``) is asked for.
-    Signed zeros follow the mirror's walk as well: a
-    zero part of the chain's num comes from a cancellation, +0 on both
-    walks, so each part of num is negated as 0.0 minus it, which keeps
-    it +0 where unary minus gives -0; the stepper's Z takes unary minus.
+    right, anchored at -k_far with the zeta it gives negated.  The walks
+    carry zeta = (m/hbar) Z, the units taken here (``analytic._units``),
+    and only ``impedance`` and the solves' ``z_entry`` give Z.  The step
+    is odd under x -> -x, zeta -> -zeta, so that is the mirror's walk,
+    and no mirror is built.  On the stepper the walk is one trajectory
+    of zeta alone, bridged for psi only where t or psi (``psi``) is
+    asked for.  Signed zeros follow the mirror's walk as well: a zero
+    part of the chain's num comes from a cancellation, +0 on both walks,
+    so each part of num is negated as 0.0 minus it, which keeps it +0
+    where unary minus gives -0; the stepper's zeta takes unary minus.
     """
 
     def __init__(self, pot: Potential, side: Side, cfg: IntegrationConfig, params: ModelParams):
-        self.pot, self.cfg, self.params = pot, cfg, params
+        self.pot, self.cfg = pot, cfg
+        self.c, self.w = _units(params)
         self.right = side is Side.RIGHT
         if self.right:
             self.u_in, self.u_far = pot.right_level, pot.left_level
@@ -159,28 +155,28 @@ class _Incidence:
 
     def __call__(self, e: float, bridge: bool = False) -> tuple:
         """The walk at e: (r, tau, num, den, lead_in, lead_far), with
-        ``lead_in`` and ``lead_far`` the (z, gamma) of the two leads
-        (``analytic._constants``, which raises where e is degenerate with
-        either).  The far lead's z is carried to the entry edge along the
-        chain (``analytic._chain``), or with ``force_numeric`` along one
-        Riccati trajectory (den = 1): Z(entry) = num / den in the frame of
-        ``side``.  r and tau are ``_reflect``'s; tau is None on the stepper
-        unless ``bridge`` asks for psi(far) / psi(entry), the far end of
-        the trajectory's own field (``psi``), which r does not need."""
-        params = self.params
-        lead_in = _constants(e, self.u_in, params)  # degenerate e == u_in raises here
-        lead_far = _constants(e, self.u_far, params)
+        ``lead_in`` and ``lead_far`` the characteristic impedances k of
+        the two leads (``analytic._constants``, which raises where e is
+        degenerate with either).  The far lead's k is carried to the
+        entry edge along the chain (``analytic._chain``), or with
+        ``force_numeric`` along one Riccati trajectory (den = 1):
+        zeta(entry) = num / den in the frame of ``side``.  r and tau are
+        ``_reflect``'s; tau is None on the stepper unless ``bridge`` asks
+        for psi(far) / psi(entry), the far end of the trajectory's own
+        field (``psi``), which r does not need."""
+        lead_in = _constants(e, self.u_in, self.c)  # degenerate e == u_in raises here
+        lead_far = _constants(e, self.u_far, self.c)
         if self.steps is None:
             xs, zs = self.trajectory(e)
             z = zs[-1] if self.right else zs[0]
             num, den = (-z if self.right else z), 1.0
             ratio = self.psi(e, xs, zs)[0 if self.right else -1] if bridge else None
         elif self.right:
-            num, den, ratio = _chain(self.steps, e, -lead_far[0], params)
+            num, den, ratio = _chain(self.steps, e, -lead_far, self.c)
             num = complex(0.0 - num.real, 0.0 - num.imag)
         else:
-            num, den, ratio = _chain(self.steps, e, lead_far[0], params)
-        return (*_reflect(lead_in[0], num, den, ratio), num, den, lead_in, lead_far)
+            num, den, ratio = _chain(self.steps, e, lead_far, self.c)
+        return (*_reflect(lead_in, num, den, ratio), num, den, lead_in, lead_far)
 
     def many(self, es: np.ndarray) -> tuple:
         """The scalar call over an energy array, from one
@@ -192,18 +188,17 @@ class _Incidence:
 
         from ._arrays import _chain_many, _region_constants_many
 
-        params = self.params
-        z1, gamma1, degenerate1 = _region_constants_many(es, self.u_in, params)
-        z2, gamma2, degenerate2 = _region_constants_many(es, self.u_far, params)
+        k1, degenerate1 = _region_constants_many(es, self.u_in, self.c)
+        k2, degenerate2 = _region_constants_many(es, self.u_far, self.c)
         if self.right:
-            num, den, ratio, ok = _chain_many(self.steps, es, -z2, params)
+            num, den, ratio, ok = _chain_many(self.steps, es, -k2, self.c)
             num = 0.0 - num  # numpy negates each part as 0.0 minus it
         else:
-            num, den, ratio, ok = _chain_many(self.steps, es, z2, params)
+            num, den, ratio, ok = _chain_many(self.steps, es, k2, self.c)
         with np.errstate(all="ignore"):
-            r, tau = _reflect(z1, num, den, ratio)
+            r, tau = _reflect(k1, num, den, ratio)
         ok &= ~degenerate1 & ~degenerate2 & np.isfinite(r)
-        return r, tau, num, den, (z1, gamma1), (z2, gamma2), ok
+        return r, tau, num, den, k1, k2, ok
 
     def reflection(self, e: float) -> complex | None:
         """r at e from the scalar call; None where it raises a SolverError
@@ -235,8 +230,13 @@ class _Incidence:
         return rs
 
     def impedance(self, e: float, grid: list[float]) -> list[complex]:
-        """Z at each point of ``grid`` (ascending from a to b, both ends
-        on it): the chain's (``profile``), or with ``force_numeric`` the
+        """Z at each point of ``grid``: ``zeta``'s values over w."""
+        w = self.w
+        return [_from_zeta(z, w) for z in self.zeta(e, grid)]
+
+    def zeta(self, e: float, grid: list[float]) -> list[complex]:
+        """zeta = w Z at each point of ``grid`` (ascending from a to b, both
+        ends on it): the chain's (``profile``), or with ``force_numeric`` the
         trajectory read at the grid, whose end samples also stand for the
         grid's points on a or b."""
         if self.steps is not None:
@@ -253,13 +253,12 @@ class _Incidence:
         Raises EvanescentIncidenceError below the incidence lead."""
         if e < self.u_in:
             raise EvanescentIncidenceError(f"energy {e} below incidence lead {self.u_in}")
-        params = self.params
-        zs, psi = (self.impedance(e, grid), None) if self.steps is None else self.profile(e, grid)
+        zs, psi = (self.zeta(e, grid), None) if self.steps is None else self.profile(e, grid)
         z = -zs[-1] if self.right else zs[0]
-        r = _reflect(_constants(e, self.u_in, params)[0], z, 1.0, None)[0]
-        k1 = math.sqrt(2.0 * params.mass * (e - self.u_in)) / params.hbar
+        k1 = _constants(e, self.u_in, self.c)
+        r = _reflect(k1, z, 1.0, None)[0]
         try:
-            psi_in = (1.0 + r) * cmath.exp(1j * k1 * self.x_in)
+            psi_in = (1.0 + r) * cmath.exp(1j * k1.real * self.x_in)
         except ValueError:  # cmath.exp of an infinite lead phase k x
             raise NonFiniteStateError(f"lead phase overflows at energy {e}") from None
         return self.psi(e, grid, zs, psi_in) if psi is None else [psi_in * p for p in psi]
@@ -272,31 +271,31 @@ class _Incidence:
         if self.right:
             xs, zs = xs[::-1], zs[::-1]
         psi = [psi_in]
-        for q in _bridge(self.pot, e, xs, zs, self.params):
+        for q in _bridge(self.pot, e, xs, zs, self.c):
             psi.append(psi[-1] * q)
         if not all(map(cmath.isfinite, psi)):
             raise NonFiniteStateError(f"psi along the trajectory is not finite at energy {e}")
         return psi[::-1] if self.right else psi
 
     def profile(self, e: float, grid: list[float]) -> tuple[list[complex], list[complex]]:
-        """Z and psi at each point of ``grid`` (ascending from a to b) on
-        the chain, in the potential's own frame: the walk from the far
-        edge, anchored at the far lead's z as ``trajectory`` is, cut at
+        """zeta and psi at each point of ``grid`` (ascending from a to b)
+        on the chain, in the potential's own frame: the walk from the far
+        edge, anchored at the far lead's k as ``trajectory`` is, cut at
         the grid points in one pass (``analytic._cut``), a sampled
         potential's sub-slab maps from one pass too.  Each piece's (num,
-        den, r) gives Z at its end, num / den, and psi at its start over
-        psi at its end, r / den; psi is relative to psi at the entry edge.
-        A psi-node exactly at a grid point raises TransformPoleError, and
-        a psi that is not finite NonFiniteStateError."""
-        params = self.params
-        z = _constants(e, self.u_far, params)[0]
+        den, r) gives zeta at its end, num / den, and psi at its start
+        over psi at its end, r / den; psi is relative to psi at the entry
+        edge.  A psi-node exactly at a grid point raises
+        TransformPoleError, and a psi that is not finite
+        NonFiniteStateError."""
+        z = _constants(e, self.u_far, self.c)
         pieces = _cut(self.pot, grid if self.right else grid[::-1])
         if isinstance(self.pot, SampledPotential):
-            pieces = _linear_walks(pieces, e, params)
+            pieces = _linear_walks(pieces, e, self.c)
         zs = [-z if self.right else z]
         ratios = []
         for piece in pieces:
-            num, den, r = _chain(piece, e, zs[-1], params)
+            num, den, r = _chain(piece, e, zs[-1], self.c)
             zs.append(_divide(num, den))
             ratios.append(r / den)
         psi = [1.0 + 0j] * len(zs)
@@ -311,18 +310,19 @@ class _Incidence:
 
     def trajectory(self, e: float, grid=None) -> tuple:
         """The Riccati trajectory of the walk at e, anchored at the far
-        lead's z, in the potential's own frame, as the lists (xs, zs) of
-        ``riccati._trajectory``, read at the points of ``grid`` where one
-        is given (``analytic._read``): the entry edge is its first sample
-        for left incidence, and its last, Z negated, for right."""
+        lead's k, in the potential's own frame, as the lists (xs, zs) of
+        ``riccati._trajectory`` (zeta), read at the points of ``grid``
+        where one is given (``analytic._read``): the entry edge is its
+        first sample for left incidence, and its last, zeta negated, for
+        right."""
         from .riccati import _trajectory
 
-        z_far = _constants(e, self.u_far, self.params)[0]
+        z_far = _constants(e, self.u_far, self.c)
         (start, end), anchor = self.ends, -z_far if self.right else z_far
-        xs, zs = _trajectory(self.pot, e, start, anchor, end, self.cfg, self.params)
+        xs, zs = _trajectory(self.pot, e, start, anchor, end, self.cfg, self.c, self.w)
         if grid is None:
             return xs, zs
-        return _read(self.pot, e, xs, zs, grid, self.params)
+        return _read(self.pot, e, xs, zs, grid, self.c)
 
 
 def _reflect(z1, num, den, ratio) -> tuple:
@@ -358,16 +358,16 @@ def solve_scattering(
     walk = _Incidence(pot, side, cfg, params)
     if e < walk.u_in:
         raise EvanescentIncidenceError(f"energy {e} below incidence lead {walk.u_in}")
-    r, tau, num, den, (z1, gamma1), (z2, gamma2) = walk(e, bridge=True)
+    r, tau, num, den, k1, k2 = walk(e, bridge=True)
     big_r = abs(r) ** 2
     try:
-        psi_b = tau * cmath.exp(1j * gamma1.imag * walk.x_in)
+        psi_b = tau * cmath.exp(1j * k1.real * walk.x_in)
         if e > walk.u_far:
-            t = psi_b * cmath.exp(-1j * gamma2.imag * walk.x_far)
-            if walk.steps is None:  # the stepper's: the current at Z(entry) = num
-                big_t = 4.0 * z1.real * num.real / abs(z1 + num) ** 2
+            t = psi_b * cmath.exp(-1j * k2.real * walk.x_far)
+            if walk.steps is None:  # the stepper's: the current at zeta(entry) = num
+                big_t = 4.0 * k1.real * num.real / abs(k1 + num) ** 2
             else:
-                big_t = (z2.real / z1.real) * abs(t) ** 2
+                big_t = (k2.real / k1.real) * abs(t) ** 2
             evan = False
         else:
             t = psi_b  # tail amplitude at b: psi(x >= b) = t exp(-kappa2 (x - b))
@@ -375,7 +375,7 @@ def solve_scattering(
             evan = True
     except ValueError:  # cmath.exp of an infinite lead phase k x
         raise NonFiniteStateError(f"lead phase overflows at energy {e}") from None
-    z_entry = num / den
+    z_entry = _from_zeta(num / den, walk.w)
     if not all(map(cmath.isfinite, (r, t, big_r, big_t, z_entry))):
         raise NonFiniteStateError(f"amplitudes are not finite at energy {e}")
     return ScatteringResult(
@@ -403,17 +403,20 @@ def _sweep_chain(
     import numpy as np
 
     walk = _Incidence(pot, side, cfg, params)
-    r, tau, num, den, (z1, gamma1), (z2, gamma2), ok = walk.many(e)
+    r, tau, num, den, k1, k2, ok = walk.many(e)
     far_propagating = e > walk.u_far
     with np.errstate(all="ignore"):
+        # zeta(entry) over w, part by part
         z_entry = num / den
-        psi_b = tau * np.exp(1j * gamma1.imag * walk.x_in)
+        z_entry.real /= walk.w
+        z_entry.imag /= walk.w
+        psi_b = tau * np.exp(1j * k1.real * walk.x_in)
         big_r = np.abs(r) ** 2
         t = np.where(
-            far_propagating, psi_b * np.exp(-1j * gamma2.imag * walk.x_far), psi_b
+            far_propagating, psi_b * np.exp(-1j * k2.real * walk.x_far), psi_b
         )
         big_t = np.where(
-            far_propagating, (z2.real / z1.real) * np.abs(t) ** 2, 0.0
+            far_propagating, (k2.real / k1.real) * np.abs(t) ** 2, 0.0
         )
         ok &= (e >= walk.u_in) & np.isfinite(t) & np.isfinite(big_r)
         ok &= np.isfinite(big_t) & np.isfinite(z_entry)
@@ -481,10 +484,12 @@ def energy_sweep(
     """
     batched = _array_pass(pot)
     e = _energy_array(energies) if batched else _energy_list(energies)
+    out, redo = [None] * len(e), range(len(e))
     if batched and not cfg.force_numeric:
-        out, redo = _sweep_chain(pot, e, side, cfg, params)
-    else:
-        out, redo = [None] * len(e), range(len(e))
+        # units no walk can carry (``analytic._units``) leave every point
+        # to the solve, which records their error
+        with suppress(NonFiniteStateError):
+            out, redo = _sweep_chain(pot, e, side, cfg, params)
     for i in redo:
         e_i = float(e[i])
         try:

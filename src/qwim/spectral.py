@@ -65,7 +65,7 @@ from enum import Enum
 from functools import partial
 
 from ._optimize import brentq, minimize_scalar
-from .analytic import _array_pass, _bridge, _chain, _real_walk, _steps
+from .analytic import _array_pass, _bridge, _chain, _from_zeta, _real_walk, _steps, _units
 from .errors import (
     BracketingExhaustedError,
     EmptyWindowError,
@@ -117,74 +117,77 @@ class _Ends:
     """The left- and the right-anchored solution at one probe, set up
     once for a whole search.
 
-    The slab lists from each end to the probe are built here.  Below
-    both leads the two decaying solutions are real, and ``walk(e)``
-    carries them along the lists by ``analytic._real_walk``, once per
-    energy: (p, d, nodes) of each, (p, d) a positive multiple of
-    (psi, dpsi/ds) at the probe with s the distance walked from the
-    anchor, psi = 1 and dpsi/ds = kappa = sqrt(2m max(u - e, 0)) / hbar
-    at the lead of level u (kappa = 0, the threshold anchor, at the
-    lead's level).  That one walk serves both the node count and W.
+    The units (``analytic._units``) and the slab lists from each end to
+    the probe are taken here, and the walks carry zeta = (m/hbar) Z.
+    Below both leads the two decaying solutions are real, and
+    ``walk(e)`` carries them along the lists by ``analytic._real_walk``,
+    once per energy: (p, d, nodes) of each, (p, d) a positive multiple
+    of (psi, dpsi/ds) at the probe with s the distance walked from the
+    anchor, psi = 1 and dpsi/ds = kappa = sqrt(c max(u - e, 0)) at the
+    lead of level u (kappa = 0, the threshold anchor, at the lead's
+    level).  That one walk serves both the node count and W.
 
     Called with an energy, it gives the ends W reads (``_wronskian``):
     the walk's on the chain; with ``force_numeric`` the Riccati
     equation is integrated instead, and each end is (p, p y, None), y
-    the real psi'/psi = i (m/hbar) Z in the walk's direction at the
+    the real psi'/psi = i zeta in the walk's direction at the
     trajectory's end and p the sign of psi(probe) / psi(anchor), the
     product of the signs of the trajectory's interval psi ratios
     (``analytic._bridge``).  A product of signs cannot underflow across
     a thick barrier as one of the ratios themselves can.  The lists and
     their walks then serve the node count alone.  ``impedances(e)``
-    gives ``impedance_mismatch`` the complex Z+ and Z- at any energy.
+    gives ``impedance_mismatch`` the complex zeta+ and zeta- at any
+    energy.
     """
 
     def __init__(self, pot, probe_x, cfg, params):
         if not pot.a < probe_x < pot.b:
             raise ValueError(f"probe {probe_x} outside the open interval ({pot.a}, {pot.b})")
-        self.pot, self.probe_x, self.cfg, self.params = pot, probe_x, cfg, params
+        self.pot, self.probe_x, self.cfg = pot, probe_x, cfg
+        self.c, self.w = _units(params)
         self.levels = pot.left_level, pot.right_level
         self.slabs = _steps(pot, pot.a, probe_x), _steps(pot, pot.b, probe_x)
         self.walked = {}
 
     def _anchors(self, e):
-        """Z at a and at b: the decaying tails below a lead's level, the
-        scattering anchors above it, and the threshold anchor Z = 0 at
-        it."""
-        (u_a, u_b), m = self.levels, self.params.mass
-        z_a = -complex(0.0, math.sqrt(2.0 * (u_a - e) / m)) if e < u_a else (
-            complex(math.sqrt(2.0 * (e - u_a) / m), 0.0))
-        z_b = complex(0.0, math.sqrt(2.0 * (u_b - e) / m)) if e < u_b else (
-            complex(math.sqrt(2.0 * (e - u_b) / m), 0.0))
+        """zeta at a and at b: the decaying tails below a lead's level,
+        the scattering anchors above it, and the threshold anchor zeta = 0
+        at it."""
+        (u_a, u_b), c = self.levels, self.c
+        z_a = -complex(0.0, math.sqrt(c * (u_a - e))) if e < u_a else (
+            complex(math.sqrt(c * (e - u_a)), 0.0))
+        z_b = complex(0.0, math.sqrt(c * (u_b - e))) if e < u_b else (
+            complex(math.sqrt(c * (e - u_b)), 0.0))
         return z_a, z_b
 
     def impedances(self, e):
-        """Z+ and Z- at the probe, the scattering anchors above a lead:
-        each end's (num, den) of ``analytic._chain`` (Z = num / den), or
-        the stepper's (Z, 1) with ``force_numeric``."""
-        (left, right), params = self.slabs, self.params
+        """zeta+ and zeta- at the probe, the scattering anchors above a
+        lead: each end's (num, den) of ``analytic._chain``
+        (zeta = num / den), or the stepper's (zeta, 1) with
+        ``force_numeric``."""
+        (left, right), c = self.slabs, self.c
         z_a, z_b = self._anchors(e)
         if self.cfg.force_numeric:
             plus, minus = self._trajectories(e, z_a, z_b)
             return (plus[1][-1], 1.0), (minus[1][0], 1.0)
-        return _chain(left, e, z_a, params)[:2], _chain(right, e, z_b, params)[:2]
+        return _chain(left, e, z_a, c)[:2], _chain(right, e, z_b, c)[:2]
 
     def _trajectories(self, e, z_a, z_b):
         from .riccati import _trajectory
 
-        pot, cfg, params = self.pot, self.cfg, self.params
-        return (_trajectory(pot, e, pot.a, z_a, self.probe_x, cfg, params),
-                _trajectory(pot, e, pot.b, z_b, self.probe_x, cfg, params))
+        pot, cfg, c, w = self.pot, self.cfg, self.c, self.w
+        return (_trajectory(pot, e, pot.a, z_a, self.probe_x, cfg, c, w),
+                _trajectory(pot, e, pot.b, z_b, self.probe_x, cfg, c, w))
 
     def walk(self, e):
         """Both real walks at e (``analytic._real_walk``), each energy
         walked once."""
         ends = self.walked.get(e)
         if ends is None:
-            (left, right), (u_a, u_b), params = self.slabs, self.levels, self.params
-            c2, hbar = 2.0 * params.mass, params.hbar
+            (left, right), (u_a, u_b), c = self.slabs, self.levels, self.c
             ends = self.walked[e] = (
-                _real_walk(left, e, math.sqrt(c2 * (u_a - e if u_a > e else 0.0)) / hbar, params),
-                _real_walk(right, e, math.sqrt(c2 * (u_b - e if u_b > e else 0.0)) / hbar, params),
+                _real_walk(left, e, math.sqrt(c * (u_a - e if u_a > e else 0.0)), c),
+                _real_walk(right, e, math.sqrt(c * (u_b - e if u_b > e else 0.0)), c),
             )
         return ends
 
@@ -192,12 +195,10 @@ class _Ends:
         if not self.cfg.force_numeric:
             return self.walk(e)
         plus, minus = self._trajectories(e, *self._anchors(e))
-        pot, params = self.pot, self.params
-        c = params.mass / params.hbar
-        # psi'/psi = i (m/hbar) Z in each walk's direction, and the sign
-        # of psi at the probe
-        y1, y2 = -c * plus[1][-1].imag, c * minus[1][0].imag
-        p1, p2 = (_sign(_bridge(pot, e, xs, zs, params)) for xs, zs in (plus, minus))
+        # psi'/psi = i zeta in each walk's direction, and the sign of psi
+        # at the probe
+        y1, y2 = -plus[1][-1].imag, minus[1][0].imag
+        p1, p2 = (_sign(_bridge(self.pot, e, xs, zs, self.c)) for xs, zs in (plus, minus))
         return (p1, p1 * y1, None), (p2, p2 * y2, None)
 
     def count(self, e: float) -> int:
@@ -272,14 +273,15 @@ def impedance_mismatch(
     Python floats.
     """
     require_finite("energy and probe", e, probe_x)
-    (n1, d1), (n2, d2) = _Ends(pot, float(probe_x), cfg, params).impedances(float(e))
+    ends = _Ends(pot, float(probe_x), cfg, params)
+    (n1, d1), (n2, d2) = ends.impedances(float(e))
     try:
         d = complex(n1 / d1 - n2 / d2)
     except ZeroDivisionError:
         d = math.nan
     if not cmath.isfinite(d):
         raise TransformPoleError(f"psi-node at the probe {probe_x}: D has a pole")
-    return d
+    return _from_zeta(d, ends.w)
 
 
 def _default_probe(pot: Potential) -> float:
@@ -326,12 +328,12 @@ def find_bound_states(
             f"no interior region below the leads (floor {floor} >= ceiling {ceil})"
         )
     probe = probe_x if probe_x is not None else _default_probe(pot)
+    ends = _Ends(pot, probe, cfg, params)
     # wavenumber scale of the window: psi' / (sigma psi) is of order one
-    sigma = math.sqrt(2.0 * params.mass * (ceil - floor)) / params.hbar
+    sigma = math.sqrt(ends.c * (ceil - floor))
     if not math.isfinite(sigma):
         raise NonFiniteStateError(f"bound window ({floor}, {ceil}) overflows")
 
-    ends = _Ends(pot, probe, cfg, params)
     # a search walks many energies: on a sampled potential, numpy's
     # sub-slab series serve them
     _array_pass(pot)
@@ -446,6 +448,8 @@ def find_resonances(
             f"window starts at {e_min}, at or below incidence lead"
         )
     edge = pot.b if side is Side.RIGHT else pot.a
+    # energy tolerances in units of hbar^2 / m = 2 / c: one search in any units
+    xtol, xatol = 1e-14 * (2.0 / walk.c), 1e-12 * (2.0 / walk.c)
 
     def modulus(e: float):
         r = walk.reflection(e)
@@ -470,7 +474,7 @@ def find_resonances(
         found = []
         for comp in comps:
             try:
-                e_root = brentq(partial(component, comp), a, b, xtol=1e-14, rtol=8.9e-16)
+                e_root = brentq(partial(component, comp), a, b, xtol=xtol, rtol=8.9e-16)
             except ValueError:
                 continue
             found.append((float(e_root), modulus(e_root)))
@@ -493,7 +497,6 @@ def find_resonances(
 
     energies: list[float] = []
     residuals: list[float] = []
-    xatol = 1e-12
     for i in range(1, len(scan) - 1):
         e_m, r_m = scan[i]
         if not (r_m < scan[i - 1][1] and r_m < scan[i + 1][1]):

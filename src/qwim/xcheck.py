@@ -23,7 +23,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from ._optimize import brentq
-from .analytic import _bridge
+from .analytic import _bridge, _units
 from .errors import (
     DegenerateEnergyError,
     EvanescentIncidenceError,
@@ -282,7 +282,9 @@ def reconstruct_wavefunction(
     import numpy as np
 
     xs = traj.xs
-    ratios = _bridge(traj.potential, traj.energy, xs.tolist(), traj.zs.tolist(), traj.params)
+    c, w = _units(traj.params)
+    zeta = (np.ascontiguousarray(traj.zs, dtype=complex).view(float) * w).view(complex)  # by parts
+    ratios = _bridge(traj.potential, traj.energy, xs.tolist(), zeta.tolist(), c)
     with np.errstate(all="ignore"):
         psi = np.cumprod(np.array([psi_start, *ratios], dtype=complex))
     if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):

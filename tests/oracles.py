@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from qwim._arrays import _linear_maps
-from qwim.analytic import _SATURATION_CUT, _steps, region_constants
+from qwim.analytic import _SATURATION_CUT, _steps, _units, region_constants
 from qwim.errors import EvanescentIncidenceError
 from qwim.model import ModelParams, Side
 from qwim.riccati import ImpedanceTrajectory
@@ -23,6 +23,11 @@ from qwim.xcheck import reconstruct_wavefunction
 TOL_ALG = 1e-10
 # Flux bookkeeping (R + T = 1 and friends) holds to this.
 TOL_FLUX = 1e-10
+
+
+def to_zeta(z: complex, w: float) -> complex:
+    """zeta = w Z, part by part, as the package takes it at its edge."""
+    return complex(z.real * w, z.imag * w)
 
 
 def _slab(z: complex, gamma: complex, z_at: complex, dx: float) -> tuple[complex, complex, complex]:
@@ -179,10 +184,11 @@ def _cumulative_nonuniform_simpson(xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     return out
 
 
-def _psi_ratios(slabs: np.ndarray, z: np.ndarray, e: float, params: ModelParams) -> np.ndarray:
+def _psi_ratios(slabs: np.ndarray, z: np.ndarray, e: float, c: float) -> np.ndarray:
     """psi(end) / psi(start) across each row of a linear slab array (rows
-    (u_start, slope, dx)) at one energy, each row walked on its own from
-    Z = z[row] at its start, all rows in one array pass.
+    (u_start, slope, dx)) at one energy, with c = 2m/hbar^2, each row
+    walked on its own from zeta = z[row] at its start, all rows in one
+    array pass.
 
     Each row's sub-slab maps of ``_arrays._linear_maps`` are applied
     undivided, (num, den) -> (kfp den + gp num, f den + gk num) from
@@ -191,7 +197,7 @@ def _psi_ratios(slabs: np.ndarray, z: np.ndarray, e: float, params: ModelParams)
     row: one array step advances every row that has a sub-slab at that
     place.
     """
-    count, maps = _linear_maps(slabs, np.array([e]), params)
+    count, maps = _linear_maps(slabs, np.array([e]), c)
     first = np.cumsum(count) - count
     num, den = z.astype(complex), np.ones(len(count), dtype=complex)
     k0 = 0
@@ -222,9 +228,12 @@ def _bridge(traj: ImpedanceTrajectory) -> np.ndarray:
     interval's midpoint in the slab list of the walk from xs[0] to
     xs[-1], a constant slab a row of slope 0, all taken by the Taylor
     sub-slab maps of ``_psi_ratios``.  Each walks from the end with the
-    larger |Z|, anchored at the trajectory's Z there.
+    larger |Z|, anchored at the trajectory's zeta = (m/hbar) Z there.
     """
-    xs, zs = traj.xs, traj.zs
+    c, w = _units(traj.params)
+    xs, zs = traj.xs, traj.zs.astype(complex)
+    zs.real *= w
+    zs.imag *= w
     rows = np.array(_steps(traj.potential, float(xs[0]), float(xs[-1])), dtype=float)
     u0, slope, dx = rows.T if rows.shape[1] == 3 else (rows[:, 0], np.zeros(len(rows)), rows[:, 1])
     start = np.cumsum(np.concatenate(([xs[0]], dx[:-1])))
@@ -238,6 +247,6 @@ def _bridge(traj: ImpedanceTrajectory) -> np.ndarray:
         np.stack([u_start, slope, dx], axis=1),
         np.stack([u_end, slope, -dx], axis=1),
     )
-    den = _psi_ratios(slabs, np.where(forward, zs[:-1], zs[1:]), traj.energy, traj.params)
+    den = _psi_ratios(slabs, np.where(forward, zs[:-1], zs[1:]), traj.energy, c)
     with np.errstate(all="ignore"):
         return np.where(forward, den, 1.0 / den)

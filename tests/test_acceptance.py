@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwim.analytic import _bridge, _real_walk, _steps, layer_transform, region_constants
+from qwim.analytic import _bridge, _real_walk, _steps, _units, layer_transform, region_constants
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, Side
 from qwim.riccati import IntegrationConfig, right_anchor, z_minus
 from qwim.scattering import solve_scattering
@@ -130,10 +130,10 @@ def test_criterion_06_riccati_vs_layer_chain():
         if wants_pole:
             # through the poles in W: psi changes sign across an interval
             # of the bridge at each node the real walk's Sturm count crosses
-            params = ModelParams()
-            ratios = _bridge(pot, e, traj.xs.tolist(), traj.zs.tolist(), params)
-            kappa = math.sqrt(2.0 * (pot.right_level - e))
-            nodes = _real_walk(_steps(pot, pot.b, pot.a), e, kappa, params)[2]
+            c = _units(ModelParams())[0]  # zeta = (m/hbar) Z is Z here
+            ratios = _bridge(pot, e, traj.xs.tolist(), traj.zs.tolist(), c)
+            kappa = math.sqrt(c * (pot.right_level - e))
+            nodes = _real_walk(_steps(pot, pot.b, pot.a), e, kappa, c)[2]
             assert sum(q.real < 0.0 for q in ratios) == nodes == 2
 
 

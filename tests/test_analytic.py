@@ -16,11 +16,13 @@ from qwim.analytic import (
     _constants,
     _cut,
     _divide,
+    _from_zeta,
     _linear_steps,
     _linear_twin,
     _psi_growth_entry,
     _real_walk,
     _steps,
+    _units,
     barrier_closed_forms,
     layer_transform,
     propagate_impedance,
@@ -35,7 +37,7 @@ from qwim.errors import (
 )
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential
 
-from oracles import TOL_ALG, TOL_FLUX, _slab, step_reflection
+from oracles import TOL_ALG, TOL_FLUX, _slab, step_reflection, to_zeta
 
 # Entry impedance of the barrier u=1 on a 2-long slab at E=0.5 terminated
 # by the matched load z=1, frozen from a (psi, psi') propagator-matrix
@@ -158,22 +160,26 @@ def test_psi_growth_factor_thick_slab_decay():
 
 @pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])
 def test_slab_views_match_the_stepwise_slab(params):
-    # each view is a one-slab _chain walk: bit for bit the closed slab
-    # step, propagating and evanescent, thick (saturated) slabs included,
-    # dx of both signs; the entry-side growth factor is the cosh/sinh form
+    # each view is a one-slab _chain walk in zeta = w Z: bit for bit the
+    # closed slab step of the slab's k and i k from w Z, its impedance
+    # over w, propagating and evanescent, thick (saturated) slabs
+    # included, dx of both signs; the entry-side growth factor is the
+    # cosh/sinh form
     rng = np.random.default_rng(47)
+    c, w = _units(params)
     saturated = 0
     for _ in range(800):
         e, u = (float(v) for v in rng.uniform(-4.0, 4.0, 2))
         rc = region_constants(e, u, params)
+        k = _constants(e, u, c)
         z_at = complex(rng.normal(), rng.normal())
         dx = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
         length = abs(dx)
         saturated += abs((rc.gamma * dx).real) > 300.0
-        want = _divide(*_slab(rc.z, rc.gamma, z_at, dx)[:2])
+        want = _from_zeta(_divide(*_slab(k, 1j * k, to_zeta(z_at, w), dx)[:2]), w)
         assert repr(propagate_impedance(rc, z_at, dx)) == repr(want)
-        num, den, f = _slab(rc.z, rc.gamma, z_at, -length)
-        assert repr(layer_transform(rc, z_at, length)) == repr(_divide(num, den))
+        num, den, f = _slab(k, 1j * k, to_zeta(z_at, w), -length)
+        assert repr(layer_transform(rc, z_at, length)) == repr(_from_zeta(_divide(num, den), w))
         assert repr(psi_growth_factor(rc, z_at, length)) == repr(_divide(f, den))
         g = rc.gamma * length
         if abs(g.real) < 30.0:
@@ -273,7 +279,7 @@ def test_chain_matches_chain_many(random_stack_instances):
     # the scalar walker against its array twin on the conftest stacks and
     # on thick (saturated) slabs, from both ends, at bound (E < 0) and
     # scattering energies, at every level (the linear limit) and beside it
-    params = ModelParams()
+    c = _units(ModelParams())[0]
     stacks = [pot for pot, _ in random_stack_instances]
     stacks += [
         PiecewisePotential(
@@ -291,13 +297,13 @@ def test_chain_matches_chain_many(random_stack_instances):
     for pot in stacks:
         levels = {pot.left_level, pot.right_level, *(s.u for s in pot.segments)}
         es = np.array(sorted({*grid, *levels, *(u + 1e-13 for u in levels)}))
-        z = _region_constants_many(es, 0.0, params)[0]  # the leads' z
-        # (num, den) compare as one vector, den scaled by a velocity
-        scale = np.sqrt(2.0 * np.max([np.abs(es - u) for u in levels], axis=0) / params.mass)
+        z = _region_constants_many(es, 0.0, c)[0]  # the leads' k
+        # (num, den) compare as one vector, den scaled by a wavenumber
+        scale = np.sqrt(c * np.max([np.abs(es - u) for u in levels], axis=0))
         for slabs, from_left in _walks(pot):
             anchor = np.where(es < 0.0, -z, z) if from_left else z
-            num, den, r, ok = _chain_many(slabs, es, anchor, params)
-            want = np.array([_chain(slabs, e, complex(a), params) for e, a in zip(es.tolist(), anchor)])
+            num, den, r, ok = _chain_many(slabs, es, anchor, c)
+            want = np.array([_chain(slabs, e, complex(a), c) for e, a in zip(es.tolist(), anchor)])
             assert ok.all()
             norm = np.hypot(np.abs(want[:, 0]), scale * np.abs(want[:, 1]))
             # numpy's complex multiply and divide round differently from
@@ -311,14 +317,15 @@ def test_chain_matches_chain_many(random_stack_instances):
 
 
 def test_chain_many_flags_where_chain_raises():
-    params = ModelParams()
+    c = _units(ModelParams())[0]
     # an anchor that puts an exact psi-node at the first interface, and a
-    # level whose z overflows
+    # level whose k overflows
     node = PiecewisePotential(0.0, (PotentialSegment(0.0, 0.7, -1.0), PotentialSegment(0.7, 1.5, 0.4)), 0.0)
-    z, gamma = _constants(1.0, -1.0, params)
+    z = _constants(1.0, -1.0, c)
+    gamma = 1j * z
     c1, c2 = cmath.cosh(gamma * 0.7), cmath.sinh(gamma * 0.7)
     z_node = -z * c1 / c2
-    assert _chain(_steps(node, node.a, 0.7), 1.0, z_node, params)[1] == 0
+    assert _chain(_steps(node, node.a, 0.7), 1.0, z_node, c)[1] == 0
     deep = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 0.5), PotentialSegment(1.0, 2.0, -1e308)), 0.0)
     es = np.array([0.25, 1.0, 1.5])
     for pot, anchor, error in (
@@ -327,10 +334,10 @@ def test_chain_many_flags_where_chain_raises():
     ):
         raised = 0
         for slabs, _ in _walks(pot):
-            ok = _chain_many(slabs, es, anchor, params)[3]
+            ok = _chain_many(slabs, es, anchor, c)[3]
             for e, good in zip(es.tolist(), ok.tolist()):
                 try:
-                    _chain(slabs, e, anchor, params)
+                    _chain(slabs, e, anchor, c)
                 except error:
                     raised += 1
                     assert not good, (pot, slabs, e)
@@ -343,15 +350,15 @@ def _stack(segments, left=0.0, right=0.0):
     return PiecewisePotential(left, tuple(PotentialSegment(*s) for s in segments), right)
 
 
-def _stepwise_chain(slabs, e, z_anchor, params):
-    """A constant-slab walk one ``_constants`` / ``_slab`` / ``_divide``
-    step at a time, with the psi-nodes it crosses: (num, den, r, nodes).
+def _stepwise_chain(slabs, e, z_anchor, c):
+    """A constant-slab walk in zeta, with c = 2m/hbar^2, one
+    ``_constants`` / ``_slab`` / ``_divide`` step at a time, with the
+    psi-nodes it crosses: (num, den, r, nodes).
     A propagating slab turns the Pruefer angle by k |dx| from its start
     angle; any other slab holds one node at most, where psi changes sign
     across it.  A list of sub-slab maps (kfp, gp, f, gk) is walked one
     ``_divide`` at a time, each map holding one node at most."""
     num, den, r, nodes = z_anchor, 1.0, 1.0, 0
-    i_m = 1j * (params.mass / params.hbar)
     if slabs and len(slabs[0]) == 4:
         for kfp, gp, f, gk in slabs:
             z_at, r = _divide(num, den), r / den
@@ -361,15 +368,16 @@ def _stepwise_chain(slabs, e, z_anchor, params):
     for u, dx in slabs:
         z_at, ratio = _divide(num, den), r / den
         try:
-            z, gamma = _constants(e, u, params)
+            z = _constants(e, u, c)
         except DegenerateEnergyError:
-            num, den, r = z_at, 1.0 + z_at * (i_m * dx), ratio
+            num, den, r = z_at, 1.0 + z_at * (1j * dx), ratio
             nodes += den.real <= 0.0
             continue
+        gamma = 1j * z
         num, den, f = _slab(z, gamma, z_at, dx)
         r = ratio * f
         if e > u:
-            k, slope = gamma.imag, math.copysign(1.0, dx) * (i_m * z_at).real
+            k, slope = gamma.imag, math.copysign(1.0, dx) * (1j * z_at).real
             if slope < 0.0:
                 nodes += 1 + math.floor((k * abs(dx) - math.atan2(k, -slope)) / math.pi)
             else:
@@ -392,6 +400,7 @@ def test_inline_walk_matches_stepwise_walk(random_stack_instances, params):
     # slab-level steps, from both ends, with real (bound) and complex
     # anchors; and the real walk of a bound anchor crosses the nodes the
     # stepwise walk counts
+    c = _units(params)[0]
     stacks = [pot for pot, _ in random_stack_instances[:25]]
     stacks += [
         _stack([(0.0, length, 1.0), (length, length + 1.0, -2.0), (length + 1.0, 2.0 * length + 1.0, 1.0)])
@@ -404,18 +413,15 @@ def test_inline_walk_matches_stepwise_walk(random_stack_instances, params):
         es = sorted({*grid, *levels, *(u + 1e-13 for u in levels)})
         for slabs, from_left in _walks(pot):
             for e in es:
-                saturated += any(
-                    math.sqrt(2.0 * params.mass * max(u - e, 0.0)) / params.hbar * abs(dx) > 300.0
-                    for u, dx in slabs
-                )
+                saturated += any(math.sqrt(c * max(u - e, 0.0)) * abs(dx) > 300.0 for u, dx in slabs)
                 tail = math.sqrt(abs(e) + 0.1)
                 for anchor in (0.8 - 0.3j, (-1j if from_left else 1j) * tail):
-                    want = _stepwise_chain(slabs, e, anchor, params)
-                    assert _bits(_chain(slabs, e, anchor, params)) == _bits(want[:3])
+                    want = _stepwise_chain(slabs, e, anchor, c)
+                    assert _bits(_chain(slabs, e, anchor, c)) == _bits(want[:3])
                     checked += 1
                 # want is the bound anchor's walk; the real walk starts the
-                # same solution at dpsi/ds / psi = i (m/hbar) Z along the walk
-                nodes = _real_walk(slabs, e, params.mass / params.hbar * tail, params)[2]
+                # same solution at dpsi/ds / psi = i zeta along the walk
+                nodes = _real_walk(slabs, e, tail, c)[2]
                 assert nodes == want[3], (pot, from_left, e)
                 crossed += nodes
     assert checked > 8000 and saturated > 50 and crossed > 1000
@@ -424,9 +430,10 @@ def test_inline_walk_matches_stepwise_walk(random_stack_instances, params):
 def test_inline_walk_raises_as_stepwise_walk():
     # a psi-node at an interface before the end and a level whose z
     # overflows raise the same typed errors on both walks
-    params = ModelParams()
+    c = _units(ModelParams())[0]
     node = _stack([(0.0, 0.7, -1.0), (0.7, 1.5, 0.4)])
-    z, gamma = _constants(1.0, -1.0, params)
+    z = _constants(1.0, -1.0, c)
+    gamma = 1j * z
     z_node = -z * cmath.cosh(gamma * 0.7) / cmath.sinh(gamma * 0.7)
     deep = _stack([(0.0, 1.0, 0.5), (1.0, 2.0, -1e308)])
     for slabs, anchor, error in (
@@ -435,29 +442,29 @@ def test_inline_walk_raises_as_stepwise_walk():
         (_steps(deep, deep.b, deep.a), 0.3 - 0.2j, NonFiniteStateError),
     ):
         with pytest.raises(error):
-            _stepwise_chain(slabs, 1.0, anchor, params)
+            _stepwise_chain(slabs, 1.0, anchor, c)
         with pytest.raises(error):
-            _chain(slabs, 1.0, anchor, params)
+            _chain(slabs, 1.0, anchor, c)
     # the real walk counts that node (psi = sin(k (0.7 - x)) / sin(0.7 k)
     # crosses 0 at the interface and once in all), and raises on the
     # overflowing level whatever its anchor
     y_node = (1j * z_node).real
-    assert _real_walk(_steps(node, node.a, node.b), 1.0, y_node, params)[2] == 1
+    assert _real_walk(_steps(node, node.a, node.b), 1.0, y_node, c)[2] == 1
     for slabs in (_steps(deep, deep.a, deep.b), _steps(deep, deep.b, deep.a)):
         for y in (0.0, 0.3, -1e300):
             with pytest.raises(NonFiniteStateError):
-                _real_walk(slabs, 1.0, y, params)
-    # values that overflow on the way (z ~ 1e150 against an anchor of
+                _real_walk(slabs, 1.0, y, c)
+    # values that overflow on the way (k ~ 1e150 against an anchor of
     # 1e300) fail the final check of the walk itself
     with pytest.raises(NonFiniteStateError):
-        _chain([(0.0, 1.0), (0.2, 1.0)], 1.0, 1e300 + 0j, ModelParams(mass=1e-300))
+        _chain([(0.0, 1.0), (0.2, 1.0)], 1.0, 1e300 + 0j, 2e300)
 
 
 def test_real_walk_keeps_a_psi_that_only_decays():
     # psi = exp(-2 s) across a barrier 200 long at kappa = 2: the growing
     # part is exactly 0 and exp(-2 kappa h) underflows, and the step
     # still ends on psi's own direction, dpsi/ds = -2 psi, not on 0 / 0
-    p, d, nodes = _real_walk([(3.0, 200.0)], 1.0, -2.0, ModelParams())
+    p, d, nodes = _real_walk([(3.0, 200.0)], 1.0, -2.0, _units(ModelParams())[0])
     assert p > 0.0 and d == -2.0 * p and nodes == 0
 
 
@@ -490,9 +497,9 @@ def test_real_walk_matches_chain_and_stepwise_count(sampled, cells, lead, where,
     # piecewise lists (thick, saturated and slab-level slabs) and sampled
     # ones, from either end, at energies between the floor and the
     # starting lead (at its level the threshold anchor 0), at a level and
-    # one ulp beside it: dpsi/ds / psi is i (m/hbar) num / den along the
+    # one ulp beside it: dpsi/ds / psi is i zeta = i num / den along the
     # walk to rounding, and the nodes are the stepwise walk's
-    params = ModelParams(hbar=0.7, mass=1.9) if scaled else ModelParams()
+    c = _units(ModelParams(hbar=0.7, mass=1.9) if scaled else ModelParams())[0]
     x, points = 0.0, [0.0]
     for length, _ in cells:
         x += length
@@ -514,22 +521,21 @@ def test_real_walk_matches_chain_and_stepwise_count(sampled, cells, lead, where,
     assume(floor <= e <= lead)
     reach = to * (pot.b - pot.a)
     slabs = _steps(pot, pot.a, pot.a + reach) if from_left else _steps(pot, pot.b, pot.b - reach)
-    m, hbar = params.mass, params.hbar
-    tail = math.sqrt(2.0 * (lead - e) / m)
+    tail = math.sqrt(c * (lead - e))
     z_anchor = -1j * tail if from_left else 1j * tail
-    p, d, nodes = _real_walk(slabs, e, m / hbar * tail, params)
-    maps = list(_linear_steps(slabs, e, params)[1]) if sampled else slabs
+    p, d, nodes = _real_walk(slabs, e, tail, c)
+    maps = list(_linear_steps(slabs, e, c)[1]) if sampled else slabs
     try:
-        num, den, _ = _chain(slabs, e, z_anchor, params)
-        want = _stepwise_chain(maps, e, z_anchor, params)[3]
+        num, den, _ = _chain(slabs, e, z_anchor, c)
+        want = _stepwise_chain(maps, e, z_anchor, c)[3]
     except TransformPoleError:
         # a psi-node exactly on an interior step end: the complex walks
         # stop there, where the real walk goes on
         return
-    y = (1j * m / hbar * num / den).real if den else math.inf
+    y = (1j * num / den).real if den else math.inf
     y = y if from_left else -y
     # wavenumber scale of the walk, and the psi, dpsi/ds vectors at its end
-    sigma = max(math.sqrt(2.0 * m * max(abs(e - u) for u in [lead, *levels])) / hbar, 1.0 / x)
+    sigma = max(math.sqrt(c * max(abs(e - u) for u in [lead, *levels])), 1.0 / x)
     chain_end = (0.0, 1.0) if math.isinf(y) else (1.0, y / sigma)
     assert _angle((p, d / sigma), chain_end) <= 1e-12
     assert nodes == want
@@ -573,15 +579,15 @@ def test_sampled_slab_lists_cover_the_samples():
     # the mirror's walk from its right end is the walk from a with every
     # step and slope negated, and with Z negated it carries the same
     # values: right incidence builds no mirror
-    params = ModelParams()
+    c = _units(ModelParams())[0]
     for p in (pot, stack):
         mirror = p.mirrored()
         own, theirs = _steps(p, p.a, p.b), _steps(mirror, mirror.b, mirror.a)
         assert [(s[0], *(-v for v in s[1:])) for s in own] == theirs
         for e in (-0.7, 0.4, 1.9, 3.3):
-            z = _constants(e, p.left_level, params)[0]
-            num, den, r = _chain(own, e, -z, params)
-            assert (-num, den, r) == _chain(theirs, e, z, params)
+            z = _constants(e, p.left_level, c)
+            num, den, r = _chain(own, e, -z, c)
+            assert (-num, den, r) == _chain(theirs, e, z, c)
 
 
 def _drawn_potential(pieces, last, leads, start, sampled):
@@ -695,6 +701,7 @@ def test_a_join_within_join_tol_is_one_float_for_every_walk(d):
 def test_flat_linear_slabs_match_constant_slabs(params):
     # slope 0: a flat run of samples walks like one constant slab, through
     # thick evanescent and propagating runs and at the level itself
+    c = _units(params)[0]
     anchor = 0.8 - 0.3j
     for level, length in ((1.0, 2.0), (3.0, 9.0), (-2.0, 5.0)):
         xs = np.linspace(0.0, length, 7)
@@ -702,8 +709,8 @@ def test_flat_linear_slabs_match_constant_slabs(params):
         stack = PiecewisePotential(0.0, (PotentialSegment(0.0, length, level),), 0.0)
         for e in (0.4, 1.7, level):
             for x_to, from_left in ((length, True), (0.0, False), (0.3 * length, True), (0.3 * length, False)):
-                want = _ends(_chain(_steps(stack, 0.0 if from_left else length, x_to), e, anchor, params))
-                got = _ends(_chain(_steps(sampled, 0.0 if from_left else length, x_to), e, anchor, params))
+                want = _ends(_chain(_steps(stack, 0.0 if from_left else length, x_to), e, anchor, c))
+                got = _ends(_chain(_steps(sampled, 0.0 if from_left else length, x_to), e, anchor, c))
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-13 * abs(w), (level, length, e, x_to, from_left)
 
@@ -711,16 +718,16 @@ def test_flat_linear_slabs_match_constant_slabs(params):
 def test_linear_chain_matches_chain_many():
     # the scalar sub-slab walk against its array twin, from both ends, at
     # bound and scattering energies and at a sample level (A = 0)
-    params = ModelParams()
+    c = _units(ModelParams())[0]
     for pot in (_gaussian(), _gaussian(n=201, amplitude=2.5, span=8.0), _gaussian(n=9, amplitude=-30.0)):
         es = np.array(sorted({*np.linspace(-3.9, 8.0, 61).tolist(), pot.us[3], pot.us[4]}))
-        z = _region_constants_many(es, 0.0, params)[0]
+        z = _region_constants_many(es, 0.0, c)[0]
         for slabs, from_left in _walks(pot):
             anchor = np.where(es < 0.0, -z, z) if from_left else z
-            num, den, r, ok = _chain_many(slabs, es, anchor, params)
+            num, den, r, ok = _chain_many(slabs, es, anchor, c)
             assert ok.all()
             for i, e in enumerate(es.tolist()):
-                want = _ends(_chain(slabs, e, complex(anchor[i]), params))
+                want = _ends(_chain(slabs, e, complex(anchor[i]), c))
                 got = _ends((num[i], den[i], r[i]))
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-12 * abs(w), (len(pot.xs), from_left, e)
@@ -729,14 +736,14 @@ def test_linear_chain_matches_chain_many():
 def test_linear_maps_are_taken_in_bounded_blocks(monkeypatch):
     # 600 long and 5 high: thousands of sub-slabs a walk; with 256 cells a
     # chunk, no series call sees more, and the chained values agree
-    params = ModelParams()
+    c = _units(ModelParams())[0]
     xs = np.linspace(0.0, 600.0, 31)
     pot = SampledPotential(tuple(xs), tuple(5.0 + 0.5 * np.sin(xs)), 0.0, 0.0)
     slabs = _steps(pot, pot.b, pot.a)
     es = np.linspace(0.5, 4.0, 40)
-    z = _region_constants_many(es, 0.0, params)[0]
-    whole = _chain_many(slabs, es, z, params)
-    scalar = [_chain(slabs, e, complex(a), params) for e, a in zip(es.tolist(), z)]
+    z = _region_constants_many(es, 0.0, c)[0]
+    whole = _chain_many(slabs, es, z, c)
+    scalar = [_chain(slabs, e, complex(a), c) for e, a in zip(es.tolist(), z)]
     cells = []
     series = _arrays._series
 
@@ -746,10 +753,10 @@ def test_linear_maps_are_taken_in_bounded_blocks(monkeypatch):
 
     monkeypatch.setattr(_arrays, "_series", recorded)
     monkeypatch.setattr(_arrays, "_BATCH_CELLS", 256)
-    split = _chain_many(slabs, es, z, params)
+    split = _chain_many(slabs, es, z, c)
     assert len(cells) > 100 and max(cells) <= 256
     cells.clear()
-    split_scalar = [_chain(slabs, e, complex(a), params) for e, a in zip(es.tolist()[:3], z)]
+    split_scalar = [_chain(slabs, e, complex(a), c) for e, a in zip(es.tolist()[:3], z)]
     assert len(cells) > 10 and max(cells) <= 256
     assert whole[3].all() and split[3].all()
     # psi across 600 of barrier falls by e^-1600 or more: the ratios
@@ -768,14 +775,14 @@ def test_linear_maps_are_taken_in_bounded_blocks(monkeypatch):
 )
 def test_linear_split_count_overflow_raises_typed(xs, us):
     # a split count that is not finite, or past any walk a run can take
-    params = ModelParams()
+    c = _units(ModelParams())[0]
     pot = SampledPotential(xs, us, 0.0, 0.0)
     for slabs in (_steps(pot, pot.a, pot.b), _steps(pot, pot.b, pot.a)):
         with pytest.raises(NonFiniteStateError):
-            _chain(slabs, 0.5, 1.0 + 0j, params)
+            _chain(slabs, 0.5, 1.0 + 0j, c)
         with pytest.raises(NonFiniteStateError):
-            _linear_twin(slabs, 0.5, params)
-        ok = _chain_many(slabs, np.array([0.5, 1.0]), 1.0 + 0j, params)[3]
+            _linear_twin(slabs, 0.5, c)
+        ok = _chain_many(slabs, np.array([0.5, 1.0]), 1.0 + 0j, c)[3]
         assert not ok.any()
 
 
@@ -795,11 +802,11 @@ def _twin_potentials():
     return pots
 
 
-def _twin_walks(pot, e, params):
+def _twin_walks(pot, e, c):
     """Walks at e with their physical anchors: from the far lead to the
     entry edge, both ways and from past both ends, above the leads; from
     the decaying tails to a probe below them."""
-    z = _constants(e, 0.0, params)[0]
+    z = _constants(e, 0.0, c)
     if e > 0.0:
         return [(_steps(pot, pot.b, pot.a), z), (_steps(pot, pot.a, pot.b), -z),
                 (_steps(pot, pot.b + 1.0, pot.a - 1.0), z)]
@@ -808,18 +815,18 @@ def _twin_walks(pot, e, params):
             (_steps(pot, pot.a - 1.0, probe), -z)]
 
 
-def _twin_gaps(slabs, e, anchor, params):
+def _twin_gaps(slabs, e, anchor, c):
     """The twin against numpy's series on one walk: (counts agree, the
     largest gap of each map column in ulps of the column's largest entry,
     the gap of Z at the walk's end relative to the larger of |Z| and the
     lead's |z|, that of the psi ratio relative to it, the sub-slabs
     walked)."""
     eps = np.finfo(float).eps
-    count, twin = _linear_twin(slabs, e, params)
-    want_count, maps = _arrays._linear_steps(slabs, e, params)
+    count, twin = _linear_twin(slabs, e, c)
+    want_count, maps = _arrays._linear_steps(slabs, e, c)
     twin, maps = np.array(list(twin)), np.array(list(maps))
     columns = np.max(np.abs(twin - maps), axis=0) / (eps * np.max(np.abs(maps), axis=0))
-    (z1, p1), (z2, p2) = (_ends(_chain(list(m), e, anchor, params)) for m in (twin, maps))
+    (z1, p1), (z2, p2) = (_ends(_chain(list(m), e, anchor, c)) for m in (twin, maps))
     dz = abs(z1 - z2) / max(abs(z2), abs(anchor))
     return count == want_count, columns, dz, abs(p1 - p2) / abs(p2), len(maps)
 
@@ -832,14 +839,15 @@ def test_linear_twin_matches_numpys_series(params):
     # everywhere, maps within a few ulps, and the chain's Z and psi ratio
     # within the rounding of the maps walked: an ulp a sub-slab, and 3e-14
     # at least (the largest gap here is 1.7e-14, over 89 sub-slabs)
+    c = _units(params)[0]
     for pot in _twin_potentials():
         level = pot.us[(len(pot.us) - 1) * 2 // 3]
         energies = [0.7, 3.1, level, level * (1.0 + 1e-9) + 1e-12, 300.0]
         if min(pot.us) < 0.0:
             energies += [0.5 * min(pot.us), 0.9 * min(pot.us)]
         for e in energies:
-            for slabs, anchor in _twin_walks(pot, e, params):
-                same, columns, dz, dpsi, walked = _twin_gaps(slabs, e, anchor, params)
+            for slabs, anchor in _twin_walks(pot, e, c):
+                same, columns, dz, dpsi, walked = _twin_gaps(slabs, e, anchor, c)
                 tol = 2e-16 * max(150, walked)
                 assert same and max(columns) <= 4.0 and dz <= tol and dpsi <= tol, (
                     len(pot.us), e, columns, dz, dpsi, walked
@@ -853,10 +861,10 @@ def test_linear_twin_on_a_deep_steep_line():
     # three walks, numpy's Z and psi ratio are off by up to 8.4e-15 and
     # 2.5e-14, the twin's by up to 3.2e-13 and 3.7e-13; the maps agree to
     # a few ulps
-    params = ModelParams()
+    c = _units(ModelParams())[0]
     pot = SampledPotential((0.0, 1.0, 1.000001, 2.0), (0.0, 0.0, -1e4, -1e4), 0.0, 0.0)
-    for slabs, anchor in _twin_walks(pot, 0.7, params):
-        same, columns, dz, dpsi, walked = _twin_gaps(slabs, 0.7, anchor, params)
+    for slabs, anchor in _twin_walks(pot, 0.7, c):
+        same, columns, dz, dpsi, walked = _twin_gaps(slabs, 0.7, anchor, c)
         assert same and max(columns) <= 4.0 and dz <= 1e-12 and dpsi <= 1e-12
         assert walked > 141
 
@@ -865,7 +873,7 @@ def test_linear_twin_split_counts_at_the_cap():
     # a flat slab split into exactly _MAX_SUBSLABS sub-slabs walks; one
     # more raises, from numpy's series and from the twin alike, before a
     # map is made
-    params = ModelParams()
+    c = _units(ModelParams())[0]
     e = 0.5
     for n, raises in ((_MAX_SUBSLABS, False), (_MAX_SUBSLABS + 1, True)):
         # dx sqrt(2 (u - e)) = n, on a unit-length slab
@@ -873,6 +881,6 @@ def test_linear_twin_split_counts_at_the_cap():
         for split in (_linear_twin, _arrays._linear_steps):
             if raises:
                 with pytest.raises(NonFiniteStateError):
-                    split(slabs, e, params)
+                    split(slabs, e, c)
             else:
-                assert sum(split(slabs, e, params)[0]) == n
+                assert sum(split(slabs, e, c)[0]) == n

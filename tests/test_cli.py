@@ -724,7 +724,7 @@ def test_numeric_profile_reads_the_chain_field(random_stack_instances):
             walk = _Incidence(pot, side, cfg, params)
             xs, zs = walk.trajectory(e)
             own = errors(walk, e, xs, zs)[0]
-            read_xs, read_zs = _read(pot, e, xs, zs, grid, params)
+            read_xs, read_zs = _read(pot, e, xs, zs, grid, walk.c)
             assert read_xs == grid
             psi_error, z_error = errors(walk, e, read_xs, read_zs)
             assert psi_error < VALIDATE_DELTA_TOL or psi_error <= 1.01 * own, (pot, e, side)
@@ -1143,6 +1143,29 @@ def test_spectral_commands_import_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] 0 0 3"
+
+
+def test_units_past_the_float_range_fail_alike_on_both_kinds(tmp_path):
+    # at hbar 1e200 2m / hbar^2 underflows to 0: bound exited 3 on the
+    # piecewise well (0, 2, -1) and printed an empty spectrum on the same
+    # well sampled; the units' edge now fails both, and every verb gives
+    # both kinds one exit code (sweep records the error at each point)
+    piecewise = {"kind": "piecewise", "left_level": 0.0, "right_level": 0.0,
+                 "segments": [{"x_start": 0.0, "x_end": 2.0, "u": -1.0}]}
+    sampled = {"kind": "sampled", "left_level": 0.0, "right_level": 0.0,
+               "samples": [[0.0, -1.0], [2.0, -1.0]]}
+    specs = [write_spec(tmp_path, {"params": {"hbar": 1e200, "mass": 1.0}, "potential": pot}, f"{name}.json")
+             for name, pot in (("piecewise", piecewise), ("sampled", sampled))]
+    verbs = [["bound"], ["scatter", "--energy", "0.5"], ["sweep", "--emin", "0.1", "--emax", "2", "--points", "3"],
+             ["resonances", "--emin", "0.1", "--emax", "2"], ["profile", "--energy", "0.5", "--points", "9"],
+             ["validate", "--energy", "0.5"]]
+    with ThreadPoolExecutor(2) as pool:
+        procs = list(pool.map(lambda args: run_cli(*args), [[*v, "--spec", spec] for v in verbs for spec in specs]))
+    for verb, (piecewise, sampled) in zip(verbs, zip(procs[::2], procs[1::2])):
+        assert piecewise.returncode == sampled.returncode == (0 if verb[0] == "sweep" else 3), verb
+        if verb[0] == "bound":
+            assert piecewise.stderr == sampled.stderr and "NonFiniteState" in sampled.stderr
+    assert all(row.endswith("\tNonFiniteState") for proc in procs[4:6] for row in proc.stdout.splitlines()[1:])
 
 
 def test_out_of_range_hbar_never_ends_in_a_traceback(tmp_path):

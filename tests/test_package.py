@@ -212,3 +212,38 @@ def test_bench_tracer_targets_resolve():
             missing.append(span)
     assert tracer.TARGETS
     assert missing == []
+
+
+def test_units_are_read_once_at_the_edge():
+    # results depend on hbar and m only through c = 2m/hbar^2 and
+    # w = m/hbar, which analytic._units takes once at the edge of every
+    # public solve: only it, the model and the spec reader that build the
+    # units, and xcheck's independent oracles read .hbar or .mass, and no
+    # private walker of analytic, _arrays or riccati takes ``params``
+    oracles = {"_wavevector", "_slab", "_square_well_theta0", "square_well_eigenvalues",
+               "schrodinger_residual"}
+    readers = set()
+    for path in Path(qwim.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(node, ast.Attribute) and node.attr in ("hbar", "mass")
+                       for node in ast.walk(func)):
+                    readers.add((path.stem, func.name))
+    readers = {(stem, name) for stem, name in readers if stem not in ("model", "specfile")}
+    assert readers == {("analytic", "_units"), *(("xcheck", name) for name in oracles)}
+    from qwim import _arrays, analytic, riccati
+
+    walkers = {
+        analytic: ["_constants", "_chain", "_real_walk", "_linear_twin", "_linear_steps",
+                   "_linear_walks", "_phase", "_bridge", "_read"],
+        riccati: ["_trajectory"],
+        _arrays: ["_linear_maps", "_region_constants_many", "_chain_many", "_slabs_many",
+                  "_bridge_many", "_read_many"],
+    }
+    for module, names in walkers.items():
+        private = [name for name, f in vars(module).items()
+                   if name.startswith("_") and inspect.isfunction(f) and f.__module__ == module.__name__]
+        assert set(names) <= set(private)
+        takes = [name for name in private if "params" in inspect.signature(getattr(module, name)).parameters]
+        assert takes == (["_units"] if module is analytic else []), module.__name__

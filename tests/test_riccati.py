@@ -13,7 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwim import _arrays, analytic
-from qwim.analytic import _bridge, _chain, _real_walk, _steps, layer_transform, propagate_impedance, region_constants
+from qwim.analytic import (
+    _BRIDGE_PHASE,
+    _bridge,
+    _chain,
+    _from_zeta,
+    _real_walk,
+    _steps,
+    _units,
+    layer_transform,
+    propagate_impedance,
+    region_constants,
+)
 from qwim.errors import (
     EvanescentIncidenceError,
     NonFiniteInputError,
@@ -40,8 +51,12 @@ from qwim.scattering import _Incidence, solve_scattering
 from qwim.spectral import impedance_mismatch
 from qwim.xcheck import transfer_matrix_solve
 
+from oracles import to_zeta
+
 
 TIGHT = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
+# c = 2m/hbar^2 of hbar = m = 1, where zeta = (m/hbar) Z is Z
+C = _units(ModelParams())[0]
 
 
 @pytest.mark.parametrize(
@@ -130,8 +145,8 @@ def test_many_pole_crossings_full_reflection():
     assert abs(traj.zs[0] - want) < 1e-8 * (1.0 + abs(want))
     # the switch engaged: psi changes sign across an interval of the
     # bridge once per node, as often as the real walk's Sturm count crosses
-    ratios = _bridge(pot, e, traj.xs.tolist(), traj.zs.tolist(), ModelParams())
-    nodes = _real_walk(_steps(pot, 6.0, 0.0), e, math.sqrt(2.0 * (5.0 - e)), ModelParams())[2]
+    ratios = _bridge(pot, e, traj.xs.tolist(), traj.zs.tolist(), C)
+    nodes = _real_walk(_steps(pot, 6.0, 0.0), e, math.sqrt(C * (5.0 - e)), C)[2]
     assert sum(q.real < 0.0 for q in ratios) == nodes == 2
 
 
@@ -346,21 +361,22 @@ def _tableau_step(f, x, y, h, f0):
     return y5, err, f_new
 
 
-def _reference_slab(ufunc, e, x0, end, z, threshold, cfg, params, max_step, out):
-    """One slab as qwim integrates it, with RHS closures and a step
-    function: one fresh start at x0, then steps to the slab's end.
-    W takes over above |Z| = threshold and Z again below half of it.
-    Appends the accepted samples to ``out`` and returns Z at the end."""
-    c_pot, c_imp = 2.0 / params.hbar, params.mass / params.hbar
+def _reference_slab(ufunc, e, x0, end, z, threshold, cfg, c, w, max_step, out):
+    """One slab as qwim integrates it, in zeta = w Z with c = 2m/hbar^2,
+    with RHS closures and a step function: one fresh start at x0, then
+    steps to the slab's end.  W = 1 / zeta takes over above |zeta| =
+    threshold and zeta again below half of it; the absolute tolerance is
+    abs_tol on Z or on 1 / Z.  Appends the accepted samples to ``out``
+    and returns zeta at the end."""
     switch_back = 2.0 / threshold if threshold else math.inf
     in_w = abs(z) > threshold
 
     def f(x, state):  # the tuple RHS, (y',)
         y = state[0]
-        i_pot, i_imp = 1j * (c_pot * (e - ufunc(x))), 1j * c_imp
+        i_pot = 1j * (c * (e - ufunc(x)))
         if in_w:
-            return (i_imp - i_pot * (y * y),)
-        return (i_pot - i_imp * (y * y),)
+            return (1j - i_pot * (y * y),)
+        return (i_pot - 1j * (y * y),)
 
     def restart():
         state = (1.0 / z if in_w else z,)
@@ -375,7 +391,7 @@ def _reference_slab(ufunc, e, x0, end, z, threshold, cfg, params, max_step, out)
         new, err, f_new = _tableau_step(f, x, state, h, f0)
         if not cmath.isfinite(new[0]):
             raise NonFiniteStateError(f"non-finite state near x={x}")
-        tol = cfg.abs_tol + cfg.rel_tol * max(abs(state[0]), abs(new[0]))
+        tol = (cfg.abs_tol / w if in_w else cfg.abs_tol * w) + cfg.rel_tol * max(abs(state[0]), abs(new[0]))
         norm = max(0.0, abs(err[0]) / tol)
         if norm > 1.0:
             h *= max(0.2, 0.9 * norm ** -0.2)
@@ -402,12 +418,14 @@ def _reference_slab(ufunc, e, x0, end, z, threshold, cfg, params, max_step, out)
     return z
 
 
-def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params):
-    """(xs, zs) in integration order from the reference slab loop: the
-    slabs of ``_steps`` from anchor to target, each ended at its join,
-    the next interface of the potential the walk meets (the target for
-    the last).  Each slab's switch is pole_threshold times
-    sqrt(2 max|E - U| / m) over the slab."""
+def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, c, w):
+    """(xs, zs) in integration order, zeta from a zeta anchor, from the
+    reference slab loop: the slabs of ``_steps`` from anchor to target,
+    each ended at its join, the next interface of the potential the walk
+    meets (the target for the last).  Each slab's switch is
+    pole_threshold times sqrt(c max|E - U|) over the slab, and an
+    evanescent slab's steps are at most 0.999 _BRIDGE_PHASE / sqrt(c
+    (max U - E))."""
     max_step = cfg.max_step if cfg.max_step is not None else abs(target_x - anchor_x) / 50.0
     sgn = 1.0 if target_x > anchor_x else -1.0
     lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
@@ -418,22 +436,24 @@ def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params):
     z, x0 = anchor_z, anchor_x
     for slab, end in zip(slabs, joins + [target_x]):
         u0, slope = slab[0], slab[1] if len(slab) == 3 else 0.0
-        reach = max(abs(e - u0), abs(e - (u0 + slope * slab[-1])))
-        threshold = cfg.pole_threshold * math.sqrt(2.0 / params.mass) * math.sqrt(reach)
+        u1 = u0 + slope * slab[-1]
+        threshold = cfg.pole_threshold * math.sqrt(c) * math.sqrt(max(abs(e - u0), abs(e - u1)))
+        top = max(u0, u1) - e
+        cap = min(max_step, 0.999 * _BRIDGE_PHASE / math.sqrt(c * top)) if top > 0.0 else max_step
 
         def ufunc(x, u0=u0, slope=slope, xa=x0):
             return u0 + slope * (x - xa) if slope else u0
 
-        z = _reference_slab(ufunc, e, x0, end, z, threshold, cfg, params, max_step, out)
+        z = _reference_slab(ufunc, e, x0, end, z, threshold, cfg, c, w, cap, out)
         x0 = end
     return out
 
 
-def _reference_read(pot, e, samples, grid, params):
-    """``samples`` ((x, Z) ascending) read at the points of ``grid``
-    strictly inside them, each point walked alone: Z of a sample it lies
-    on, or the chain's walk from the end of its interval with the larger
-    |Z| (the second at a tie)."""
+def _reference_read(pot, e, samples, grid, c):
+    """``samples`` ((x, zeta) ascending) read at the points of ``grid``
+    strictly inside them, each point walked alone: zeta of a sample it
+    lies on, or the chain's walk from the end of its interval with the
+    larger |zeta| (the second at a tie)."""
     xs, zs = [x for x, _ in samples], [z for _, z in samples]
     out = [samples[0]]
     for p in sorted(float(g) for g in grid if xs[0] < g < xs[-1]):
@@ -442,7 +462,7 @@ def _reference_read(pot, e, samples, grid, params):
             out.append((p, zs[i]))
             continue
         j = i if abs(zs[i]) > abs(zs[i + 1]) else i + 1
-        num, den, _ = _chain(_steps(pot, xs[j], p), e, zs[j], params)
+        num, den, _ = _chain(_steps(pot, xs[j], p), e, zs[j], c)
         out.append((p, num / den))
     return out + [samples[-1]]
 
@@ -455,8 +475,11 @@ def test_unrolled_step_matches_tableau_loop(sampled, read, threshold):
     # slab by slab, bit for bit over whole trajectories: samples, Z and
     # their number.  Read at a grid, the samples are the grid's points
     # inside the range, and Z at each is the walk from the reference
-    # trajectory's sample with the larger |Z| around it, within 8 ulps
+    # trajectory's sample with the larger |Z| around it, within 8 ulps.
+    # The stepper walks zeta = w Z and the reference does too, each
+    # sample turned to Z as the trajectory turns it
     params = ModelParams(hbar=0.9, mass=1.1)
+    c, w = _units(params)
     cfg = IntegrationConfig(pole_threshold=threshold)
     if sampled:
         xs = np.linspace(0.0, 3.0, 31)
@@ -471,14 +494,14 @@ def test_unrolled_step_matches_tableau_loop(sampled, read, threshold):
     anchor_z = region_constants(e, 0.2, params).z * (1.0 - 0.4j)
     grid = np.linspace(-0.5, 3.5, 57) if read else None
     traj = integrate_impedance(pot, e, anchor_x, anchor_z, target_x, cfg, params, grid=grid)
-    ref = _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, params)
+    ref = _reference_trajectory(pot, e, anchor_x, to_zeta(anchor_z, w), target_x, cfg, c, w)
     if traj.direction is Side.LEFT:
         ref.reverse()
     if read:
-        ref = _reference_read(pot, e, ref, grid, params)
+        ref = _reference_read(pot, e, ref, grid, c)
         assert len(ref) == 2 + sum(min(anchor_x, target_x) < g < max(anchor_x, target_x) for g in grid)
     assert repr(traj.xs.tolist()) == repr([float(x) for x, _ in ref])
-    want = [complex(z) for _, z in ref]
+    want = [_from_zeta(complex(z), w) for _, z in ref]
     if read:
         eps = np.finfo(float).eps
         assert all(abs(g - w) <= 8.0 * eps * abs(w) for g, w in zip(traj.zs.tolist(), want))
@@ -519,7 +542,7 @@ def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
     assert calls["u_at"] == 0
 
 
-def _read_routes(monkeypatch, pot, e, xs, zs, grid, params=ModelParams()):
+def _read_routes(monkeypatch, pot, e, xs, zs, grid, c=C):
     """``analytic._read`` of one trajectory by its array pass and by its
     scalar walk of every point, and the points the array pass left to
     the walk."""
@@ -530,14 +553,14 @@ def _read_routes(monkeypatch, pot, e, xs, zs, grid, params=ModelParams()):
         left.extend(redo)
         return read, redo
 
-    def walk_only(pot, e, xs, zs, points, params):
+    def walk_only(pot, e, xs, zs, points, c):
         return [None] * len(points), range(len(points))
 
     with monkeypatch.context() as m:
         m.setattr(_arrays, "_read_many", recorded)
-        got = analytic._read(pot, e, xs, zs, grid, params)
+        got = analytic._read(pot, e, xs, zs, grid, c)
         m.setattr(_arrays, "_read_many", walk_only)
-        want = analytic._read(pot, e, xs, zs, grid, params)
+        want = analytic._read(pot, e, xs, zs, grid, c)
     return got, want, left
 
 
@@ -593,7 +616,7 @@ def test_read_across_joins_within_join_tol(d, monkeypatch):
         xs, zs = traj.xs.tolist(), traj.zs.tolist()
         assert all(len(walk) == 1 for walk in analytic._cut(pot, xs))
         (got_xs, got), (want_xs, want), left = _read_routes(monkeypatch, pot, e, xs, zs, grid)
-        ref = _reference_read(pot, e, list(zip(xs, zs)), grid, params)
+        ref = _reference_read(pot, e, list(zip(xs, zs)), grid, C)
         on = set(xs)
         assert got_xs == want_xs == [x for x, _ in ref]
         assert left == [k for k, p in enumerate(got_xs[1:-1]) if p in on]
@@ -634,12 +657,12 @@ def test_read_array_pass_finds_each_interval_cell(pot, xs, monkeypatch):
     # interval, bitwise the walk's Z, and leaves to the walk only the
     # points on samples.  With intervals across joins added, it leaves
     # the points inside those too, and takes the rest as before
-    e, params = 0.9, ModelParams()
+    e = 0.9
     zs = [complex(0.6 + 0.1 * k, 0.3 - 0.07 * k) for k in range(len(xs))]
     assert all(len(walk) in (0, 1) for walk in analytic._cut(pot, xs))
     grid = sorted({*xs, *pot.interfaces(), *(0.25 * x0 + 0.75 * x1 for x0, x1 in zip(xs, xs[1:]))})
     (got_xs, got), (want_xs, want), left = _read_routes(monkeypatch, pot, e, xs, zs, grid)
-    ref = _reference_read(pot, e, list(zip(xs, zs)), grid, params)
+    ref = _reference_read(pot, e, list(zip(xs, zs)), grid, C)
     assert got_xs == want_xs == [x for x, _ in ref] and repr(got) == repr(want) == repr([z for _, z in ref])
     assert left == [k for k, p in enumerate(got_xs[1:-1]) if p in set(xs)]
     # every other sample kept: intervals now cross joins
@@ -647,10 +670,10 @@ def test_read_array_pass_finds_each_interval_cell(pot, xs, monkeypatch):
     crossing = [i for i, walk in enumerate(analytic._cut(pot, thin)) if len(walk) > 1]
     assert crossing
     points = [p for p in got_xs if thin[0] < p < thin[-1]]
-    read, redo = _arrays._read_many(pot, e, thin, thin_zs, points, params)
+    read, redo = _arrays._read_many(pot, e, thin, thin_zs, points, C)
     inside = [bisect.bisect_right(thin, p) - 1 for p in points]
     assert redo == [k for k, p in enumerate(points) if p in set(thin) or inside[k] in crossing]
-    ref = _reference_read(pot, e, list(zip(thin, thin_zs)), points, params)[1:-1]
+    ref = _reference_read(pot, e, list(zip(thin, thin_zs)), points, C)[1:-1]
     assert all(read[k] == ref[k][1] for k in range(len(points)) if k not in redo)
 
 
@@ -709,7 +732,7 @@ def test_sampled_read_walks_each_point_alone(side, monkeypatch):
     monkeypatch.setattr(_arrays, "_read_many", no_array_pass)
     monkeypatch.setattr(analytic, "_linear_steps", counted)
     grid = np.linspace(-3.0, 3.0, 401).tolist()
-    got_xs, got = analytic._read(pot, e, *samples, grid, params)
+    got_xs, got = analytic._read(pot, e, *samples, grid, C)
     walked = [p for p in grid[1:-1] if p not in set(samples[0])]
     assert calls == [len(walked)] and 380 < len(walked) < 399 and got_xs == grid
     want = walk.profile(e, grid)[0]

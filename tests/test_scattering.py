@@ -574,18 +574,20 @@ def test_overflowing_level_raises_typed():
         solve_scattering(pot, 1.0)
     out = energy_sweep(pot, [0.5, 1.0])
     assert [r.code for r in out] == ["NonFiniteState", "NonFiniteState"]
-    # hbar = 1e200 overflows hbar ** 2 in 2 m / hbar^2 (OverflowError on a
-    # sampled potential and on the stepper's bridge): that scale is 0
-    # there, and the walks see no potential, as they nearly do
+    # hbar = 1e200 underflows 2 m / hbar^2 to 0: the walks returned R = 0,
+    # T = 1 there, seeing no potential; the units' edge now raises for the
+    # solve, and the sweep records that error at every point, on both
+    # engines and both kinds of potential
     numeric = IntegrationConfig(force_numeric=True)
     well = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, -1.0),), 0.0)
-    for pot, cfg in ((_sampled_well(), IntegrationConfig()), (_sampled_well(), numeric), (well, numeric)):
-        for side in Side:
-            params = ModelParams(hbar=1e200)
-            res = solve_scattering(pot, 0.5, side, cfg, params)
-            out = energy_sweep(pot, [0.5, 1.0], side, cfg, params)
-            for rec in (res, *out):
-                assert rec.big_r == 0.0 and rec.big_t == 1.0 and abs(rec.t - 1.0) < 1e-15
+    for pot in (_sampled_well(), well):
+        for cfg in (IntegrationConfig(), numeric):
+            for side in Side:
+                params = ModelParams(hbar=1e200)
+                with pytest.raises(NonFiniteStateError, match="units"):
+                    solve_scattering(pot, 0.5, side, cfg, params)
+                out = energy_sweep(pot, [0.5, 1.0], side, cfg, params)
+                assert [r.code for r in out] == ["NonFiniteState", "NonFiniteState"]
 
 
 @pytest.mark.parametrize(

@@ -232,14 +232,15 @@ def test_mismatch_many_matches_scalar(random_stack_instances):
     # scattering and evanescent energies, every level (degenerate slabs
     # and leads) and level + 1e-13 (nearly so), for incidence from both
     # sides: the array pass of the resonance scan gives the scalar r.
-    # Unequal leads are degenerate one at a time; with mass 1e-308 a
-    # bare step's z overflows in one lead and not the other between 0.9
-    # and 1.9, where the array r is NaN and no chain flags
+    # Unequal leads are degenerate one at a time; with 2m/hbar^2 = 1e308
+    # a bare step's k overflows in one lead and not the other between
+    # -1.8 and -0.8 and between 1.8 and 2.8, where the array r is NaN and
+    # no chain flags
     cfg, default = IntegrationConfig(), ModelParams()
     grid = np.linspace(-3.5, 8.0, 401).tolist()
     cases = [(pot, default) for pot, _ in random_stack_instances] + [
         (PiecewisePotential(0.4, (PotentialSegment(0.0, 1.0, 2.0),), -0.3), default),
-        (PiecewisePotential(0.0, (), 1.0, step_x=0.5), ModelParams(mass=1e-308)),
+        (PiecewisePotential(0.0, (), 1.0, step_x=0.5), ModelParams(mass=5e307)),
     ]
     for pot, params in cases:
         levels = {pot.left_level, pot.right_level, *(s.u for s in pot.segments)}
@@ -281,7 +282,7 @@ def test_sampled_mismatch_many_matches_scalar():
 def test_reflection_drops_an_r_that_is_not_finite(monkeypatch):
     # a scalar walk that raises nothing but gives Z(a) = NaN
     nan = complex("nan")
-    monkeypatch.setattr(scattering, "_chain", lambda steps, e, z, params: (nan, 1.0, 1.0))
+    monkeypatch.setattr(scattering, "_chain", lambda steps, e, z, c: (nan, 1.0, 1.0))
     walk = _Incidence(barrier(), Side.LEFT, IntegrationConfig(), ModelParams())
     assert walk.reflection(2.0) is None
 
@@ -526,7 +527,7 @@ def test_resonance_objective_keeps_an_exact_zero(monkeypatch):
     monkeypatch.setattr(spectral, "minimize_scalar", recording)
     # scalar chains that leave their anchor as it is: Z(a) = z2, the far
     # lead's impedance, which is z1 (both leads are at 0), so r = 0 exactly
-    monkeypatch.setattr(scattering, "_chain", lambda steps, e, z, params: (z, 1.0, 1.0))
+    monkeypatch.setattr(scattering, "_chain", lambda steps, e, z, c: (z, 1.0, 1.0))
     monkeypatch.setattr(spectral, "SCAN_POINTS", 20)
     find_resonances(pot, 1.0, 13.0)
     assert objectives and objectives[0](2.0) == 0.0
@@ -638,29 +639,23 @@ def test_overflowing_level_raises_typed():
         # spectrum in place of the error
         with pytest.raises(NonFiniteStateError):
             find_resonances(pot, 1.0, 2.0, params=params)
-    # hbar ** 2 in 2 m / hbar^2 underflows at hbar = 1e-200
-    # (ZeroDivisionError) and overflows at 1e200 (OverflowError), on a
-    # sampled potential and the stepper's bridge: past 1e-200 every search
-    # raises typed; past 1e200 the scale is 0, D is finite, and the
-    # searches return, or raise typed where the real walk's phase has no
-    # value (the well's one state lies some 1e-400 below the ceiling)
+    # 2 m / hbar^2 overflows at hbar = 1e-200 and underflows to 0 at
+    # 1e200, on a sampled potential and the stepper's bridge: every search
+    # raises typed at both.  Past 1e200 the searches returned D = -2j and
+    # an empty resonance list, or raised, by the kind of potential (the
+    # well's one state lies some 1e-400 below the ceiling); the units'
+    # edge now raises one error for every search and kind
     sampled = SampledPotential((-3.0, 0.0, 3.0), (0.0, -2.0, 0.0), 0.0, 0.0)
     numeric = IntegrationConfig(force_numeric=True)
-    for pot, cfg in ((sampled, IntegrationConfig()), (sampled, numeric), (well(1.0), numeric)):
-        params = ModelParams(hbar=1e-200)
-        with pytest.raises(NonFiniteStateError):
-            impedance_mismatch(pot, -0.5, 0.5, cfg, params)
-        with pytest.raises(NonFiniteStateError):
-            find_bound_states(pot, cfg, params)
-        with pytest.raises(NonFiniteStateError):
-            find_resonances(pot, 0.1, 2.0, cfg=cfg, params=params)
-        params = ModelParams(hbar=1e200)
-        assert impedance_mismatch(pot, -0.5, 0.5, cfg, params) == -2j
-        assert find_resonances(pot, 0.1, 2.0, cfg=cfg, params=params).energies == []
-        try:
-            find_bound_states(pot, cfg, params)
-        except NonFiniteStateError:
-            pass
+    for pot, cfg in ((sampled, IntegrationConfig()), (sampled, numeric), (well(1.0), numeric),
+                     (well(1.0), IntegrationConfig())):
+        for params in (ModelParams(hbar=1e-200), ModelParams(hbar=1e200)):
+            with pytest.raises(NonFiniteStateError):
+                impedance_mismatch(pot, -0.5, 0.5, cfg, params)
+            with pytest.raises(NonFiniteStateError):
+                find_bound_states(pot, cfg, params)
+            with pytest.raises(NonFiniteStateError):
+                find_resonances(pot, 0.1, 2.0, cfg=cfg, params=params)
 
 
 def test_node_count_past_the_state_bound_raises(monkeypatch):
@@ -694,9 +689,9 @@ def test_search_builds_its_slab_lists_once(monkeypatch):
         return wrapped
 
     def recording(log, f):
-        def wrapped(slabs, e, anchor, params):
+        def wrapped(slabs, e, anchor, c):
             log.append((id(slabs), e))
-            return f(slabs, e, anchor, params)
+            return f(slabs, e, anchor, c)
 
         return wrapped
 

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from qwim import _arrays, analytic, scattering
-from qwim.analytic import _bridge, _chain, _steps, barrier_closed_forms, region_constants
+from qwim.analytic import _bridge, _chain, _steps, _units, barrier_closed_forms, region_constants
 from qwim.errors import (
     DegenerateEnergyError,
     InsufficientSamplesError,
@@ -45,9 +45,11 @@ from qwim.xcheck import (
     transfer_matrix_solve,
 )
 
-from oracles import square_well_eigenfunction, step_reflection
+from oracles import square_well_eigenfunction, step_reflection, to_zeta
 
 TIGHT = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
+# c = 2m/hbar^2 of hbar = m = 1, where zeta = (m/hbar) Z is Z
+C = _units(ModelParams())[0]
 
 # Independent-bisection values for the square well depth 5, width 2.
 WELL_5_2 = [-4.296392637614919, -2.3120970431648895, -0.002009631226663977]
@@ -395,9 +397,10 @@ def _chain_error(traj, prof):
     from b (past a, on through the left lead's slab), scaled to prof's
     psi(b)."""
     pot, e = traj.potential, traj.energy
+    c, w = _units(traj.params)
     exact = []
     for x in traj.xs.tolist():
-        _, den, r = _chain(_steps(pot, pot.b, x), e, complex(traj.zs[-1]), traj.params)
+        _, den, r = _chain(_steps(pot, pot.b, x), e, to_zeta(complex(traj.zs[-1]), w), c)
         exact.append(den / r)
     exact = np.array(exact) * prof.psi[-1]
     return float(np.max(np.abs(prof.psi - exact)) / np.max(np.abs(exact)))
@@ -464,8 +467,9 @@ def _bridge_gap(traj):
     largest gap of an interval's psi ratio, in ulps of that ratio, and
     the number of intervals across which psi changes sign."""
     want = oracles._bridge(traj)
-    got = np.array(_bridge(traj.potential, traj.energy, traj.xs.tolist(), traj.zs.tolist(),
-                           traj.params))
+    c, w = _units(traj.params)
+    got = np.array(_bridge(traj.potential, traj.energy, traj.xs.tolist(),
+                           [to_zeta(z, w) for z in traj.zs.tolist()], c))
     gap = float(np.max(np.abs(got - want) / np.abs(want))) / np.finfo(float).eps
     return gap, int(np.sum(got.real < 0.0))
 
@@ -519,18 +523,18 @@ def test_bridge_walks_an_interval_across_a_join(pot):
     # chain's, with Z at its ends from the chain's walk from b; on the
     # mirror the ends swap, and so does the end the walk starts from.  A
     # repeated sample bridges to ratio 1
-    e, params = 0.7, ModelParams()
+    e = 0.7
     ends = []
     for x in (0.5, 1.5):
-        num, den, r = _chain(_steps(pot, pot.b, x), e, complex(math.sqrt(2.0 * e)), params)
+        num, den, r = _chain(_steps(pot, pot.b, x), e, complex(math.sqrt(2.0 * e)), C)
         ends.append((num / den, den / r))  # Z(x) and psi(x) / psi(b)
     (z0, psi0), (z1, psi1) = ends
     want = psi1 / psi0
-    got = _bridge(pot, e, [0.5, 1.5], [z0, z1], params)[0]
+    got = _bridge(pot, e, [0.5, 1.5], [z0, z1], C)[0]
     assert abs(got - want) <= 1e-14 * abs(want)
-    mirrored = _bridge(pot.mirrored(), e, [-1.5, -0.5], [-z1, -z0], params)[0]
+    mirrored = _bridge(pot.mirrored(), e, [-1.5, -0.5], [-z1, -z0], C)[0]
     assert abs(mirrored - 1.0 / want) <= 1e-14 * abs(1.0 / want)
-    again = _bridge(pot, e, [0.5, 0.5, 1.5], [z0, z0, z1], params)
+    again = _bridge(pot, e, [0.5, 0.5, 1.5], [z0, z0, z1], C)
     assert again[0] == 1.0 and again[1] == got
 
 
@@ -539,7 +543,7 @@ def _walk_only(pot, e, xs, *_):
     return [None] * (len(xs) - 1), range(len(xs) - 1)
 
 
-def _routes(monkeypatch, pot, e, xs, zs, params=ModelParams()):
+def _routes(monkeypatch, pot, e, xs, zs, c=C):
     """``_bridge`` on the same samples by its array pass and by its
     scalar walk of every interval, and the intervals the array pass left
     to the walk."""
@@ -552,9 +556,9 @@ def _routes(monkeypatch, pot, e, xs, zs, params=ModelParams()):
 
     with monkeypatch.context() as m:
         m.setattr(_arrays, "_bridge_many", recorded)
-        got = _bridge(pot, e, xs, zs, params)
+        got = _bridge(pot, e, xs, zs, c)
         m.setattr(_arrays, "_bridge_many", _walk_only)
-        want = _bridge(pot, e, xs, zs, params)
+        want = _bridge(pot, e, xs, zs, c)
     return got, want, left
 
 
@@ -684,7 +688,7 @@ def test_bridge_array_pass_leaves_overflows_to_the_walk(xs, zs, message, monkeyp
         with monkeypatch.context() as m:
             m.setattr(_arrays, "_bridge_many", many)
             with pytest.raises(NonFiniteStateError) as err:
-                _bridge(pot, e, xs, zs, ModelParams())
+                _bridge(pot, e, xs, zs, C)
         assert str(err.value) == message
 
 
@@ -747,10 +751,10 @@ def test_bridge_off_a_saturated_fixed_point(length, want_size, monkeypatch):
     # of 2.4e-140).  The walk back from the lead, along which psi grows,
     # gives the chain's own ratio
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, length, 2.0),), 0.0)
-    e, params = 0.7, ModelParams()
+    e = 0.7
     xs, zs, psi = [1.0, length + 0.5], [], []
     for x in xs:
-        num, den, r = _chain(_steps(pot, pot.b, x), e, complex(math.sqrt(2.0 * e)), params)
+        num, den, r = _chain(_steps(pot, pot.b, x), e, complex(math.sqrt(2.0 * e)), C)
         zs.append(num / den)
         psi.append(den / r)  # psi(x) / psi(b)
     want = psi[1] / psi[0]
@@ -807,7 +811,7 @@ def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
                 assert cuts == [n]
                 xs, zs = walk.trajectory(0.7, grid=grid)
                 cuts.clear()
-                _bridge(pot, 0.7, xs, zs, params)
+                _bridge(pot, 0.7, xs, zs, C)
                 if pot is stack:
                     crossing = [x0 for x0, x1 in zip(xs, xs[1:]) if x0 < 1.0 < x1 or x0 < 2.0 < x1]
                     assert cuts == [4] and len(crossing) == 2 and len(xs) == n
@@ -815,7 +819,7 @@ def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
                     assert cuts == [len(xs)] and len(xs) >= n
             xs, zs = walk.trajectory(0.7)
             cuts.clear()
-            _bridge(pot, 0.7, xs, zs, params)
+            _bridge(pot, 0.7, xs, zs, C)
             assert cuts == ([] if pot is stack else [len(xs)])
 
 
@@ -876,12 +880,16 @@ def test_residual_rejects_noise():
 def test_residual_overflowing_kinetic_scale_raises_typed():
     # hbar^2 / 2m has no float value at hbar 1e200 (hbar ** 2 raised a raw
     # OverflowError), nor at hbar 1e150 with mass 1e-100 (the quotient is
-    # infinite); the reconstruction before it is finite
+    # infinite).  2m / hbar^2 underflows at both, so the trajectory's edge
+    # raises; the residual, checked on a finite profile of unit units,
+    # raises its own typed error
     pot = well(depth=1.0)
+    grid = np.linspace(0.0, 2.0, 41)
+    prof = reconstruct_wavefunction(z_minus(pot, 0.5, grid=grid))
+    assert np.all(np.isfinite(prof.psi))
     for params in (ModelParams(hbar=1e200), ModelParams(hbar=1e150, mass=1e-100)):
-        traj = z_minus(pot, 0.5, params=params, grid=np.linspace(0.0, 2.0, 41))
-        prof = reconstruct_wavefunction(traj)
-        assert np.all(np.isfinite(prof.psi))
+        with pytest.raises(NonFiniteStateError, match="units"):
+            z_minus(pot, 0.5, params=params, grid=grid)
         with pytest.raises(NonFiniteStateError, match="hbar\\^2 / 2m overflows"):
             schrodinger_residual(prof, pot, 0.5, params)
 
