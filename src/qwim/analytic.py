@@ -57,8 +57,9 @@ per energy and end gives both that count and the matching function W
 ``_chain_many`` in :mod:`qwim._arrays` is ``_chain``'s array twin for a
 whole energy grid, with an ``ok`` mask marking the energies where the
 scalar walk would raise.  Energy sweeps and the resonance scan use it
-where numpy is loaded already or the potential is sampled
-(``_array_pass``), and walk the flagged energies again one at a time.
+where numpy is loaded already, or where the potential is sampled and
+its grid's walks cost more than numpy's import (``_array_pass``), and
+walk the flagged energies again one at a time.
 
 A sampled potential is linear between its samples, U = u0 + F s, and
 there psi'' = (A + B s) psi with A = c (u0 - E) and B = c F.  Its slab
@@ -123,6 +124,14 @@ _MAX_SUBSLABS = 1 << 22
 # anchor's error by up to exp(2 sum(kappa |dx|)), so below this bound an
 # anchor exact to rounding gives at most exp(4) eps, about 1.2e-14.
 _BRIDGE_PHASE = 2.0
+# numpy's import, counted in the twin's sub-slab maps (``_linear_twin``):
+# cold, a grid on a sampled potential whose walks take at most this many
+# maps is walked one energy at a time sooner than numpy loads
+# (``_array_pass``).  On a 2-core x86-64 host (Python 3.11.7, numpy
+# 2.4.6) ``import numpy`` took 98-159 ms in five cold starts, and a twin
+# map (its series and chain step) 7.7-11.8 us across a 41-sample
+# Gaussian bump at four energies: about 10^4 maps.
+_IMPORT_MAPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -534,18 +543,18 @@ def _series(a: float, b: float) -> tuple[float, float, float, float]:
     return f, math.fsum(hfp), gh, math.fsum(gp)
 
 
-def _linear_twin(slabs: list[tuple[float, float, float]], e: float, c: float):
-    """``_arrays._linear_steps`` in plain Python: (count, steps), the
-    sub-slabs of each linear slab (u_start, slope, dx) at energy e, with
-    c = 2m/hbar^2, and an iterator of their (kfp, gp, f, gk) in walk
-    order.  The same split
-    (h sqrt(max |A|) <= 1, h |B|^(1/3) <= 1), the same maps from the
-    scalar ``_series``, and the same NonFiniteStateError, raised at the
-    call, where the split count is not finite or exceeds _MAX_SUBSLABS."""
+def _split(slabs: list[tuple[float, float, float]], lo: float, hi: float, c: float):
+    """The split of linear slabs (u_start, slope, dx) for the energies from
+    lo to hi, with c = 2m/hbar^2: (count, total), the sub-slabs of each
+    slab and their sum.  A slab takes n equal sub-slabs of length h with
+    h sqrt(max |A|) <= 1 and h |B|^(1/3) <= 1 at every such energy, |A|
+    taken at the slab's ends and at lo and hi, as ``_arrays._linear_maps``
+    splits a block; a width that is not finite stands for its n, so that
+    total is not finite either."""
     count, total = [], 0.0
     for u0, slope, dx in slabs:
         u1 = u0 + slope * dx
-        reach = max(abs(u0 - e), abs(u1 - e))
+        reach = max(abs(u0 - lo), abs(u1 - lo), abs(u0 - hi), abs(u1 - hi))
         width = abs(dx) * max(math.sqrt(c * reach), _cbrt(abs(c * slope)))
         try:
             n = max(math.ceil(width), 1)
@@ -553,6 +562,17 @@ def _linear_twin(slabs: list[tuple[float, float, float]], e: float, c: float):
             n = width
         count.append(n)
         total += n
+    return count, total
+
+
+def _linear_twin(slabs: list[tuple[float, float, float]], e: float, c: float):
+    """``_arrays._linear_steps`` in plain Python: (count, steps), the
+    sub-slabs of each linear slab (u_start, slope, dx) at energy e, with
+    c = 2m/hbar^2, and an iterator of their (kfp, gp, f, gk) in walk
+    order.  The same split (``_split`` at e alone), the same maps from
+    the scalar ``_series``, and the same NonFiniteStateError, raised at the
+    call, where the split count is not finite or exceeds _MAX_SUBSLABS."""
+    count, total = _split(slabs, e, e, c)
     if not total <= _MAX_SUBSLABS:  # NaN included
         raise NonFiniteStateError(f"linear slabs need {total} sub-slabs at energy {e}")
 
@@ -595,20 +615,34 @@ def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, c: fl
         yield list(islice(steps, sum(islice(counts, len(walk)))))
 
 
-def _array_pass(pot: Potential) -> bool:
-    """Whether work at many energies on ``pot`` (an energy grid, a bound
-    search) takes numpy: an energy grid then takes one array pass
-    (``scattering._Incidence.many``) rather than a walk per energy.  Yes
-    where numpy is loaded already, and on a sampled potential, which
-    loads it here: its many walks then take numpy's sub-slab series,
-    not the slower twin.  Warm, the array pass is the faster; cold, on a
+def _array_pass(pot: Potential, energies: list[float] | None = None,
+                c: float | None = None) -> bool:
+    """Whether work at many energies on ``pot`` takes numpy: an energy
+    grid then takes one array pass (``scattering._Incidence.many``)
+    rather than a walk per energy, and a sampled potential's walks
+    numpy's sub-slab series rather than the slower twin.  Warm, the array
+    pass is the faster, so yes where numpy is loaded already.  Cold, on a
     piecewise potential, numpy's import costs more than walking a grid
-    one energy at a time."""
-    if isinstance(pot, SampledPotential):
-        import numpy  # noqa: F401
-
+    one energy at a time: no.  Cold, on a sampled potential, yes (and
+    numpy is loaded here) only where the grid's walks would take more
+    than _IMPORT_MAPS twin maps: len(energies) walks across [a, b], each
+    split as one block of the grid's energies with c = 2m/hbar^2
+    (``_split``).  An empty grid is no work; ``energies`` None (a bound
+    search, whose walks are counted only as it goes) is unbounded work,
+    and so is a split count that is not finite."""
+    if "numpy" in sys.modules:
         return True
-    return "numpy" in sys.modules
+    if not isinstance(pot, SampledPotential):
+        return False
+    if energies is not None:
+        if not energies:
+            return False
+        per_walk = _split(_steps(pot, pot.a, pot.b), min(energies), max(energies), c)[1]
+        if len(energies) * per_walk <= _IMPORT_MAPS:
+            return False
+    import numpy  # noqa: F401
+
+    return True
 
 
 def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
@@ -705,13 +739,14 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
     kept), and its last sample.  A point on a sample takes that sample's
     zeta; elsewhere zeta is one exact ``_chain`` step on the interval's
     one slab (the stepper ends each slab on its join) from the end with
-    the larger |zeta| (``_bridge``'s rule).  As in ``_bridge``, the steps
-    take one array pass on a piecewise potential with numpy loaded
-    already (``_arrays._read_many``), and the points it leaves cut their
-    interval alone (``_steps``); elsewhere one ``_cut`` of the samples
-    gives every slab, and each point walks alone.  A psi-node on a point
-    raises TransformPoleError, a point that is not finite
-    NonFiniteInputError."""
+    the larger |zeta| (``_bridge``'s rule), or, in an interval across a
+    join, the walk of the slabs from that end to the point.  As in
+    ``_bridge``, the steps take one array pass on a piecewise potential
+    with numpy loaded already (``_arrays._read_many``), and the points it
+    leaves cut their interval alone (``_steps``); elsewhere one ``_cut``
+    of the samples gives every slab, and each point walks alone.  A
+    psi-node on a point raises TransformPoleError, a point that is not
+    finite NonFiniteInputError."""
     points = sorted(grid)
     require_finite("grid points", *points)
     lo, hi = xs[0], xs[-1]
@@ -733,12 +768,17 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
             read[k] = zs[i]
             continue
         j = i if abs(zs[i]) > abs(zs[i + 1]) else i + 1
-        # the interval's one step, (level,) or (u_start, slope), and dx
-        (*step, dx), = _steps(pot, xs[i], xs[i + 1]) if walks is None else walks[i]
-        if sampled and j != i:  # a line walked from its other end
-            step[0] += step[1] * dx
+        walk = _steps(pot, xs[i], xs[i + 1]) if walks is None else walks[i]
+        if len(walk) == 1:
+            # the interval's one step, (level,) or (u_start, slope), and dx
+            (*step, dx), = walk
+            if sampled and j != i:  # a line walked from its other end
+                step[0] += step[1] * dx
+            walk = [(*step, p - xs[j])]
+        else:  # an interval across a join: its slabs from the anchor to p
+            walk = _steps(pot, xs[j], p)
         todo.append((k, j))
-        steps.append([(*step, p - xs[j])])
+        steps.append(walk)
     if sampled:
         steps = _linear_walks(steps, e, c)
     for (k, j), walk in zip(todo, steps):

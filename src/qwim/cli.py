@@ -17,8 +17,11 @@ profile's grid, ``analytic._read``, and the psi bridge of
 ``analytic._bridge``, one point or interval at a time: their array
 passes run only where numpy is loaded already), and grids are Python
 lists.  On a piecewise potential ``sweep``, ``bound`` and
-``resonances`` walk their energies one at a time too and load none; on
-a sampled one they load numpy at set-up for its array series
+``resonances`` walk their energies one at a time too and load none, and
+so do ``sweep`` and ``resonances`` on a sampled one whose walks take
+fewer sub-slab maps than numpy's import costs, and ``sweep`` under
+``--force-numeric``; past that cost, and in ``bound`` on a sampled
+potential, they load numpy for its array series
 (``analytic._array_pass``).  ``profile`` prints the field of one walk
 of ``scattering._Incidence`` on either engine: psi comes from the walk
 that gives Z, so a profile walks once.  ``validate`` checks the

@@ -35,12 +35,15 @@ at a grid's points, and ``wavefunction`` psi per unit incident wave.
 
 Only the functions that take or make arrays import numpy, so work at
 one energy loads none, and neither do a piecewise sweep or resonance
-scan.  The stepper is imported only by ``force_numeric`` walks.
+scan, nor one on a sampled potential whose walks cost less than
+numpy's import.  The stepper is imported only by ``force_numeric``
+walks.
 """
 
 from __future__ import annotations
 
 import cmath
+import sys
 from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from dataclasses import dataclass
@@ -214,13 +217,13 @@ class _Incidence:
 
     def reflections(self, es: list[float]) -> list:
         """``reflection`` at each energy of ``es``.  Where ``_array_pass``
-        allows it, and without ``force_numeric``, the grid takes one array
-        pass (``many``), and every energy it flags is walked again alone,
-        so the energies dropped are exactly those a point-by-point scan
-        drops."""
+        allows it for these energies, and without ``force_numeric``, the
+        grid takes one array pass (``many``), and every energy it flags is
+        walked again alone, so the energies dropped are exactly those a
+        point-by-point scan drops."""
         rs: list = [None] * len(es)
         redo = range(len(es))
-        if not self.cfg.force_numeric and _array_pass(self.pot):
+        if not self.cfg.force_numeric and _array_pass(self.pot, es, self.c):
             import numpy as np
 
             r, *_, ok = self.many(np.array(es, dtype=float))
@@ -391,9 +394,11 @@ def solve_scattering(
 
 
 def _sweep_chain(
-    pot: Potential, e: np.ndarray, side: Side, cfg: IntegrationConfig, params: ModelParams
+    pot: Potential, e: list[float] | np.ndarray, side: Side, cfg: IntegrationConfig,
+    params: ModelParams,
 ) -> tuple[list[ScatteringResult], list[int]]:
-    """``solve_scattering`` along the chain for a whole energy grid.
+    """``solve_scattering`` along the chain for a whole energy grid (a
+    float array, or a list of floats that becomes one).
 
     One ``_chain_many`` pass and the lead formulas as array operations.
     Returns one record per energy and the indices of the flagged points,
@@ -402,6 +407,7 @@ def _sweep_chain(
     """
     import numpy as np
 
+    e = np.asarray(e, dtype=float)
     walk = _Incidence(pot, side, cfg, params)
     r, tau, num, den, k1, k2, ok = walk.many(e)
     far_propagating = e > walk.u_far
@@ -430,7 +436,8 @@ def _sweep_chain(
 
 
 def _energy_array(energies) -> np.ndarray:
-    """The grid of ``energy_sweep`` as a float array, for the array pass."""
+    """The grid of ``energy_sweep`` as a float array: the read where numpy
+    is loaded already."""
     import numpy as np
 
     grid = energies if isinstance(energies, np.ndarray) else list(energies)
@@ -450,7 +457,8 @@ def _energy_array(energies) -> np.ndarray:
 
 def _energy_list(energies) -> list[float]:
     """The grid of ``energy_sweep`` as Python floats, with
-    ``_energy_array``'s checks and error types, without numpy."""
+    ``_energy_array``'s checks and error types, without numpy: the read
+    where numpy is not loaded."""
     from numbers import Complex, Real
 
     grid = list(energies)  # a scalar raises TypeError here
@@ -474,22 +482,27 @@ def energy_sweep(
 
     Points are independent; any point that fails with a solver error
     yields an ``EnergyPointError`` record in place so one bad energy
-    cannot poison the sweep.  Order is preserved.  Where ``_array_pass``
-    allows it, and without ``force_numeric``, the grid is chained in one
-    array pass per slab (per sub-slab on a sampled potential); the points
-    that pass flags are solved again one at a time, so they carry exactly
-    the records ``solve_scattering`` gives.  Elsewhere every point is
-    solved so, one at a time.  A complex grid raises TypeError, as a
-    Python ``complex`` entry does: its imaginary parts would be dropped.
+    cannot poison the sweep.  Order is preserved.  The grid is read
+    once, as an array where numpy is loaded already and as Python floats
+    elsewhere, with the same checks.  Without ``force_numeric``, and where
+    ``_array_pass`` allows it for this grid, it is chained in one array
+    pass per slab (per sub-slab on a sampled potential); the points that
+    pass flags are solved again one at a time, so they carry exactly the
+    records ``solve_scattering`` gives.  Elsewhere every point is solved
+    so, one at a time: on a piecewise potential, or a sampled one below
+    ``_array_pass``'s threshold, in a process without numpy, each record
+    is then ``solve_scattering``'s at its energy.  A complex grid raises
+    TypeError, as a Python ``complex`` entry does: its imaginary parts
+    would be dropped.
     """
-    batched = _array_pass(pot)
-    e = _energy_array(energies) if batched else _energy_list(energies)
+    e = _energy_array(energies) if "numpy" in sys.modules else _energy_list(energies)
     out, redo = [None] * len(e), range(len(e))
-    if batched and not cfg.force_numeric:
+    if not cfg.force_numeric:
         # units no walk can carry (``analytic._units``) leave every point
         # to the solve, which records their error
         with suppress(NonFiniteStateError):
-            out, redo = _sweep_chain(pot, e, side, cfg, params)
+            if _array_pass(pot, e, _units(params)[0]):
+                out, redo = _sweep_chain(pot, e, side, cfg, params)
     for i in redo:
         e_i = float(e[i])
         try:

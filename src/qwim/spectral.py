@@ -29,8 +29,9 @@ vanishes exactly where T = 1.  The search carries the far lead's wave
 through the scattering solve's own helper (``scattering._Incidence``:
 one slab list in the potential's own frame, from either side), scans
 |r| on a grid, in one array pass per slab where numpy is loaded already
-or the potential is sampled (``analytic._array_pass``) and one energy
-at a time elsewhere, and refines each minimum of |r| by Brent's root
+or the potential is sampled and its walks cost more than numpy's
+import (``analytic._array_pass``) and one energy at a time elsewhere,
+and refines each minimum of |r| by Brent's root
 finder on the components of r; the bounded minimiser on |r|^2 runs only
 where their roots do not coincide in a zero of r.
 
@@ -48,12 +49,13 @@ scalar energy at a time in plain real (bound states) or complex
 (resonances) arithmetic, and walk no energy twice: one real walk per
 energy and end serves both the count and W, and the value at a
 returned root or minimum is the one the optimiser computed.  Only the
-resonance scan's array pass
-and sampled potentials use numpy: a search on a sampled potential loads
-it at set-up (``analytic._array_pass``), so that its many walks take
-numpy's sub-slab series, and a search on a piecewise potential loads
-none, ``force_numeric`` or not.  ``impedance_mismatch`` walks one
-energy and loads none on either kind.
+resonance scan's array pass and sampled potentials use numpy: a bound
+search on a sampled potential loads it at set-up
+(``analytic._array_pass``), so that its many walks take numpy's
+sub-slab series, and so does a resonance scan whose walks there cost
+more than numpy's import; a search on a piecewise potential loads none,
+``force_numeric`` or not.  ``impedance_mismatch`` walks one energy and
+loads none on either kind.
 """
 
 from __future__ import annotations
@@ -334,8 +336,8 @@ def find_bound_states(
     if not math.isfinite(sigma):
         raise NonFiniteStateError(f"bound window ({floor}, {ceil}) overflows")
 
-    # a search walks many energies: on a sampled potential, numpy's
-    # sub-slab series serve them
+    # a search walks many energies, counted only as it goes: on a sampled
+    # potential, numpy's sub-slab series serve them
     _array_pass(pot)
     seen: dict[float, float] = {}
 

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -253,13 +254,23 @@ def _main(capsys, *argv):
 
 
 def test_sweep_rows_match_scatter(tmp_path, capsys, random_stack_instances):
-    # a cold sweep on a piecewise spec solves each energy as scatter does,
+    # a cold sweep on a piecewise spec, or on a sampled one whose walks
+    # cost less than numpy's import, solves each energy as scatter does,
     # so its rows are scatter's, digit for digit, from either side.  On
     # the barrier, E = 1.0 is the barrier top, where psi is linear across
-    # the barrier: a finite row like the others
+    # the barrier: a finite row like the others.  The sampled rows are
+    # the twin's sub-slab maps, so scatter runs cold there too (in this
+    # process numpy's series would give them)
     stack = write_spec(tmp_path, _spec_of(random_stack_instances[7][0]))
-    cases = [(str(DOCS / "barrier.json"), "0.5", "1.5"), (stack, "0.5", "4.5")]
-    for (spec, emin, emax), side in itertools.product(cases, ("left", "right")):
+    sampled = write_spec(tmp_path, SAMPLED_DOC, "sampled.json")
+
+    def cold(*argv):
+        proc = run_cli(*argv)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    cases = [(str(DOCS / "barrier.json"), "0.5", "1.5", partial(_main, capsys)),
+             (stack, "0.5", "4.5", partial(_main, capsys)), (sampled, "0.5", "4.5", cold)]
+    for (spec, emin, emax, scatter), side in itertools.product(cases, ("left", "right")):
         proc = run_cli("sweep", "--spec", spec, "--emin", emin, "--emax", emax,
                        "--points", "3", "--side", side)
         assert proc.returncode == 0, proc.stderr
@@ -267,8 +278,7 @@ def test_sweep_rows_match_scatter(tmp_path, capsys, random_stack_instances):
         assert [r[0] for r in rows][::2] == [emin, emax]
         for row in rows:
             assert row[-1] == "-"
-            code, out, _ = _main(capsys, "scatter", "--spec", spec, "--energy", row[0],
-                                 "--side", side)
+            code, out, _ = scatter("scatter", "--spec", spec, "--energy", row[0], "--side", side)
             assert code == 0
             assert out == "\t".join(header[:-1]) + "\n" + "\t".join(row[:-1]) + "\n"
 
@@ -1003,8 +1013,19 @@ def _verb_row(name, argv, loads=()):
                       ["profile", "barrier", "--energy", "1.5", "--mode", mode, "--side", side])
             for mode in ("impedance", "wavefunction") for side in ("left", "right")
         ),
-        _verb_row("sweep-sampled", ["sweep", "sampled", "--emin", "0.5", "--emax", "1.5"],
+        # 50 walks of 40 sub-slab maps are fewer than numpy's import costs
+        # (analytic._IMPORT_MAPS); 300 walks are more
+        _verb_row("sweep-sampled", ["sweep", "sampled", "--emin", "0.5", "--emax", "1.5"]),
+        _verb_row("sweep-sampled-past-import",
+                  ["sweep", "sampled", "--emin", "0.5", "--emax", "1.5", "--points", "300"],
                   loads=("numpy", "qwim._arrays")),
+        *(
+            _verb_row(f"sweep-numeric-sampled-{side}",
+                      ["sweep", "sampled", "--emin", "0.5", "--emax", "1.5", "--points", "300",
+                       "--side", side, "--force-numeric"],
+                      loads=("qwim.riccati",))
+            for side in ("left", "right")
+        ),
         *(
             _verb_row(f"scatter-sampled-{side}",
                       ["scatter", "sampled", "--energy", "1.5", "--side", side])
@@ -1046,8 +1067,10 @@ def test_what_each_verb_loads(tmp_path, argv, loads):
     # plain Python and loads no numpy: the chain's scalar steps, a sampled
     # spec's sub-slab maps by their plain-Python twin, the Riccati
     # stepper's lists and their read at a profile's grid, on either kind
-    # of spec; the grid of a sweep or a search on a sampled spec loads
-    # numpy for its array series
+    # of spec; so does a sweep on a sampled spec whose walks cost less than
+    # numpy's import, and one under --force-numeric whatever its size.  A
+    # larger sweep grid, and a bound search, on a sampled spec load numpy
+    # for its array series
     verb, doc, *rest = argv
     docs = {"sampled": SAMPLED_DOC, "sampled-well": SAMPLED_WELL_DOC}
     spec = write_spec(tmp_path, docs[doc]) if doc in docs else str(DOCS / f"{doc}.json")

@@ -1,6 +1,7 @@
 """The package namespace: what ``import qwim`` loads and exports."""
 
 import ast
+import hashlib
 import importlib.util
 import inspect
 import subprocess
@@ -59,6 +60,42 @@ def test_one_mismatch_loads_no_numpy_where_a_bound_search_does():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False", "True"]
+
+
+@pytest.mark.parametrize("over", [-1, 1], ids=["below", "above"])
+def test_a_cold_sampled_sweep_loads_numpy_past_its_import_cost(over):
+    # a cold sweep on a sampled potential loads numpy only where its walks
+    # take more sub-slab maps than numpy's import costs: here one map a
+    # walk, so a grid of _IMPORT_MAPS - 1 energies walks each by the twin,
+    # as solve_scattering does, and one of _IMPORT_MAPS + 1 takes the
+    # array pass, whose records are those of a sweep with numpy loaded
+    from qwim import SampledPotential, energy_sweep
+    from qwim.analytic import _IMPORT_MAPS, _split, _steps, _units
+
+    pot = SampledPotential((0.0, 0.1), (0.0, 0.5), 0.0, 0.0)
+    n = _IMPORT_MAPS + over
+    grid = [0.5 + i / (n - 1) for i in range(n)]
+    c = _units(qwim.ModelParams())[0]
+    assert _split(_steps(pot, pot.a, pot.b), grid[0], grid[-1], c)[1] == 1
+    code = (
+        "import hashlib, sys\n"
+        "from qwim import SampledPotential, energy_sweep, solve_scattering\n"
+        "pot = SampledPotential((0.0, 0.1), (0.0, 0.5), 0.0, 0.0)\n"
+        f"n = {n}\n"
+        "grid = [0.5 + i / (n - 1) for i in range(n)]\n"
+        "out = energy_sweep(pot, grid)\n"
+        "print('numpy' in sys.modules, hashlib.sha256(repr(out).encode()).hexdigest())\n"
+        f"if {over} < 0:\n"
+        "    print(out == [solve_scattering(pot, e) for e in grid])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded, digest, *pointwise = proc.stdout.split()
+    if over < 0:
+        assert (loaded, pointwise) == ("False", ["True"])
+    else:
+        warm = hashlib.sha256(repr(energy_sweep(pot, grid)).encode()).hexdigest()
+        assert (loaded, digest) == ("True", warm)
 
 
 def test_every_private_name_is_used():

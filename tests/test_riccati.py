@@ -5,7 +5,9 @@ import dataclasses
 import cmath
 import itertools
 import math
+import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -675,6 +677,41 @@ def test_read_array_pass_finds_each_interval_cell(pot, xs, monkeypatch):
     assert redo == [k for k, p in enumerate(points) if p in set(thin) or inside[k] in crossing]
     ref = _reference_read(pot, e, list(zip(thin, thin_zs)), points, C)[1:-1]
     assert all(read[k] == ref[k][1] for k in range(len(points)) if k not in redo)
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [
+        PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 1.5), PotentialSegment(1.0, 2.0, -1.0)),
+                           0.0),
+        SampledPotential((0.0, 0.7, 1.0, 2.0), (1.5, 0.4, -1.0, 0.3), 0.0, 0.0),
+    ],
+    ids=["piecewise", "sampled"],
+)
+@pytest.mark.parametrize("anchor", [0, 1], ids=["from-start", "from-end"])
+def test_read_walks_a_point_across_a_join_from_its_anchor(pot, anchor, monkeypatch):
+    # an interval of samples that crosses joins (0 to 2 here) is no one
+    # slab: each point inside it walks the interval's slabs from the end
+    # with the larger |zeta| to itself, as _reference_read walks it, in a
+    # process without numpy (one cut of the samples, the sub-slab maps by
+    # the twin) and with numpy loaded (the piecewise array pass leaves
+    # these points to that walk).  Warm, a sampled read takes the maps of
+    # all its points from one numpy series, whose stop rests on their
+    # largest term, so it lands within 4 ulps of the walk of each alone.
+    # Both raised a bare ValueError before
+    e, xs = 0.9, [0.0, 2.0]
+    zs = [complex(0.8, 0.2), complex(0.3, -0.1)][::1 if anchor == 0 else -1]
+    grid = [0.35, 0.5, 1.0, 1.5]
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "sys", SimpleNamespace(modules={}, float_info=sys.float_info))
+        want = _reference_read(pot, e, list(zip(xs, zs)), grid, C)
+        assert analytic._read(pot, e, xs, zs, grid, C) == tuple(map(list, zip(*want)))
+    want = _reference_read(pot, e, list(zip(xs, zs)), grid, C)
+    got_xs, got = analytic._read(pot, e, xs, zs, grid, C)
+    assert got_xs == [x for x, _ in want]
+    ulps = 4.0 if isinstance(pot, SampledPotential) else 0.0
+    eps = np.finfo(float).eps
+    assert all(abs(g - w) <= ulps * eps * abs(w) for g, (_, w) in zip(got, want))
 
 
 def test_stepper_guards():

@@ -294,9 +294,10 @@ def _assert_rejected(grid):
 
 @pytest.fixture
 def scalar_sweep(monkeypatch):
-    """Every grid walked one energy at a time, as where numpy is not
-    loaded: the array pass's rule says no."""
-    monkeypatch.setattr(scattering, "_array_pass", lambda pot: False)
+    """Every grid read as Python floats and walked one energy at a time,
+    as where numpy is not loaded: the array pass's rule says no."""
+    monkeypatch.setattr(scattering, "_energy_array", scattering._energy_list)
+    monkeypatch.setattr(scattering, "_array_pass", lambda pot, energies=None, c=None: False)
 
 
 @pytest.mark.parametrize("grid", NON_GRIDS)

@@ -480,7 +480,7 @@ def test_spectra_match_scalar_scan(monkeypatch):
         for (pot, lo, hi), side in itertools.product(searches, (Side.LEFT, Side.RIGHT))
     ]
     batched = [repr(call()) for call in calls]
-    monkeypatch.setattr(scattering, "_array_pass", lambda pot: False)
+    monkeypatch.setattr(scattering, "_array_pass", lambda pot, energies=None, c=None: False)
     monkeypatch.setattr(_Incidence, "many", None)  # the scan takes no array pass
     scalar = [repr(call()) for call in calls]
     assert batched == scalar
