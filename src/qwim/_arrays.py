@@ -247,6 +247,25 @@ def _slabs_many(slabs, es, z, c):
     return num, den, r, ok
 
 
+def _quotient(a, b):
+    """a / b of complex arrays, each entry bitwise CPython's complex
+    division (``_Py_c_quot``, Smith's method): a and b divided through by
+    the part of b larger in size, the real part at a tie, in its order of
+    operations, and NaN where a part of b is NaN.  numpy's own complex
+    division rounds otherwise.  An entry where b is zero, where Python
+    raises, means nothing."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real, by_imag = np.abs(br) >= np.abs(bi), np.abs(bi) >= np.abs(br)
+    with np.errstate(all="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        den = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+        out.real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / den
+        out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / den
+    out[~(by_real | by_imag)] = complex(math.nan, math.nan)
+    return out
+
+
 def _cells(pot, lo, hi):
     """(level, one) of the intervals (lo, hi), lo <= hi, of a piecewise
     potential: the level of the cell (or lead) that holds each lower
@@ -268,8 +287,8 @@ def _bridge_many(pot, e, xs, zs, c):
     second at a tie, ``_bridge``'s rule) and walked back (dx negated)
     from the second end.  dx = xs[i + 1] - xs[i] is bitwise the cut's
     step in either walk direction.  ``ratios`` holds
-    psi(xs[i + 1]) / psi(xs[i]) of each such interval, divided in Python
-    as the walk divides it (numpy's complex division rounds otherwise,
+    psi(xs[i + 1]) / psi(xs[i]) of each such interval, divided as the walk
+    divides it (``_quotient``: numpy's complex division rounds otherwise,
     and its rounding would add up along psi's running product); ``redo``
     lists, in ascending order, the intervals left for the scalar walk:
     repeated samples and those across a join, those the pass marks not
@@ -289,37 +308,39 @@ def _bridge_many(pot, e, xs, zs, c):
     # it from both ends
     ok &= ~(np.sqrt(c * np.maximum(u - e, 0.0)) * np.abs(dx) > _BRIDGE_PHASE)
     # psi(anchor) / psi(other end) = r / den
-    top, bottom = (np.where(fwd, p, q)[ok].tolist() for p, q in ((den, r), (r, den)))
+    top, bottom = (np.where(fwd, p, q)[ok] for p, q in ((den, r), (r, den)))
+    ratio = _quotient(top, bottom)
+    ratio[bottom == 0] = complex(math.inf)
     done = one[ok]
-    ratios = [None] * n
-    for i, t, b in zip(done.tolist(), top, bottom):
-        ratios[i] = t / b if b else complex(math.inf)
+    ratios = np.empty(n, dtype=object)  # None where not done
+    ratios[done] = ratio
     redo = np.ones(n, dtype=bool)
     redo[done] = False
-    return ratios, np.flatnonzero(redo).tolist()
+    return ratios.tolist(), np.flatnonzero(redo).tolist()
 
 
-def _read_many(pot, e, xs, zs, points, c):
+def _read_many(pot, e, xs, zs, points, c, rightward=False):
     """The array pass of ``analytic._read`` on a piecewise potential:
     (read, redo), as ``_bridge_many`` gives (ratios, redo).  Every point
     inside an interval that lies on one cell (``_cells``; every interval
     of a stepper trajectory does) takes its step from the interval's
-    anchor in one ``_slabs_many`` call, Z divided in Python as the walk
-    divides it; ``redo`` lists the points on a sample, in an interval
-    across a join, or flagged by the pass (where the walk raises), in
-    ascending order."""
+    anchor (``analytic._read``'s rule, ``rightward`` its tie) in one
+    ``_slabs_many`` call, Z divided as the walk divides it
+    (``_quotient``); ``redo`` lists the points on a sample, in an
+    interval across a join, or flagged by the pass (where the walk
+    raises), in ascending order."""
     x, z, p = np.fromiter(xs, float, len(xs)), np.fromiter(zs, complex, len(zs)), np.array(points)
     i = np.searchsorted(x, p, side="right") - 1  # xs[i] <= p < xs[i + 1]
     level, one = _cells(pot, x[i], x[i + 1])
     size = np.abs(z)
-    j = np.where(size[i] > size[i + 1], i, i + 1)
+    lower, upper = size[i], size[i + 1]
+    j = np.where((lower > upper) | (rightward & (lower == upper)), i, i + 1)
     take = np.flatnonzero((x[i] != p) & one)
     slabs = np.stack((level[take], (p - x[j])[take]))[:, None, :]
     num, den, _, ok = _slabs_many(slabs, e, z[j[take]], c)
     ok &= den != 0
-    read, done = [None] * len(p), take[ok]
-    for k, a, b in zip(done.tolist(), num[ok].tolist(), den[ok].tolist()):
-        read[k] = a / b
+    read, done = np.empty(len(p), dtype=object), take[ok]  # None where not done
+    read[done] = _quotient(num[ok], den[ok])
     redo = np.ones(len(p), dtype=bool)
     redo[done] = False
-    return read, np.flatnonzero(redo).tolist()
+    return read.tolist(), np.flatnonzero(redo).tolist()

@@ -732,15 +732,19 @@ def _phase(walk: list[tuple[float, ...]], e: float, c: float) -> float:
 
 
 def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
-          c: float) -> tuple[list[float], list[complex]]:
+          c: float, rightward: bool = False) -> tuple[list[float], list[complex]]:
     """A Riccati trajectory (xs ascending, zs its zeta, c = 2m/hbar^2)
     read at the points of ``grid``: (xs, zs) of its first sample, the
     grid's points strictly inside it, ascending (its own floats, repeats
     kept), and its last sample.  A point on a sample takes that sample's
     zeta; elsewhere zeta is one exact ``_chain`` step on the interval's
     one slab (the stepper ends each slab on its join) from the end with
-    the larger |zeta| (``_bridge``'s rule), or, in an interval across a
-    join, the walk of the slabs from that end to the point.  As in
+    the larger |zeta|, or, in an interval across a join, the walk of the
+    slabs from that end to the point.  At a tie it is the end the walk
+    reached first, the second for a walk toward smaller x and the first
+    for one toward larger x (``rightward``): ``_bridge``'s rule on the
+    samples in walk order, so a mirrored walk reads bitwise the mirror's
+    values.  As in
     ``_bridge``, the steps take one array pass on a piecewise potential
     with numpy loaded already (``_arrays._read_many``), and the points it
     leaves cut their interval alone (``_steps``); elsewhere one ``_cut``
@@ -753,13 +757,16 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
     points = points[bisect_right(points, lo):bisect_left(points, hi)]
     sampled = isinstance(pot, SampledPotential)
     if sampled or "numpy" not in sys.modules:
-        walks = _cut(pot, xs)
+        # cut against the walk, so that a mirrored walk cuts the mirror's
+        # steps: each line step starts at U of the interval's upper end
+        # for a walk toward larger x, of its lower end otherwise
+        walks = _cut(pot, xs[::-1])[::-1] if rightward else _cut(pot, xs)
         read, redo = [None] * len(points), range(len(points))
     else:
         from ._arrays import _read_many
 
         walks = None
-        read, redo = _read_many(pot, e, xs, zs, points, c)
+        read, redo = _read_many(pot, e, xs, zs, points, c, rightward)
     todo, steps = [], []
     for k in redo:
         p = points[k]
@@ -767,12 +774,13 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
         if xs[i] == p:
             read[k] = zs[i]
             continue
-        j = i if abs(zs[i]) > abs(zs[i + 1]) else i + 1
+        lower, upper = abs(zs[i]), abs(zs[i + 1])
+        j = i if lower > upper or (rightward and lower == upper) else i + 1
         walk = _steps(pot, xs[i], xs[i + 1]) if walks is None else walks[i]
         if len(walk) == 1:
             # the interval's one step, (level,) or (u_start, slope), and dx
             (*step, dx), = walk
-            if sampled and j != i:  # a line walked from its other end
+            if sampled and j != (i + 1 if rightward else i):  # a line walked from its other end
                 step[0] += step[1] * dx
             walk = [(*step, p - xs[j])]
         else:  # an interval across a join: its slabs from the anchor to p
@@ -780,7 +788,10 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
         todo.append((k, j))
         steps.append(walk)
     if sampled:
-        steps = _linear_walks(steps, e, c)
+        # numpy's series rounds a sub-slab by its place in the pass
+        # (``_arrays._series``' dot product), so a walk toward larger x
+        # passes its points in the order its mirror passes them
+        steps = list(_linear_walks(steps[::-1], e, c))[::-1] if rightward else _linear_walks(steps, e, c)
     for (k, j), walk in zip(todo, steps):
         read[k] = _divide(*_chain(walk, e, zs[j], c)[:2])
     return [lo, *points, hi], [zs[0], *read, zs[-1]]

@@ -92,13 +92,18 @@ class ModelParams:
 class IntegrationConfig:
     """Tolerances and safeguards for the Riccati stepper.
 
+    The stepper (``riccati``) carries zeta = (m/hbar) Z = psi' / (i psi),
+    or W = 1/zeta near a psi-node.  Each step's error, Hairer's DOP853
+    measure, is held below abs_tol + rel_tol max(|y|, |y_new|) for the
+    variable y it carries: ``abs_tol`` is absolute on zeta (an inverse
+    length) and on W (a length), so no choice of hbar and m rescales it.
     ``max_step`` of None means (span / 50) is chosen per call.  When
     ``force_numeric`` is set, higher-level solvers integrate the ODE for
     any potential instead of chaining the exact slab maps.
     ``pole_threshold`` is a multiple of each slab's characteristic
-    impedance |z| = sqrt(2 max|E - U| / m): the stepper carries W = 1/Z
-    where |Z| passes it, and Z again below half of it.  Every number
-    must be finite; ``rel_tol`` may be zero, ``abs_tol``,
+    |k| = sqrt(c max|E - U|), c = 2m/hbar^2: the stepper carries W
+    where |zeta| passes it, and zeta again below half of it.  Every
+    number must be finite; ``rel_tol`` may be zero, ``abs_tol``,
     ``pole_threshold`` and ``max_step`` must be positive.
     """
 

@@ -16,17 +16,31 @@ impedance |k| = sqrt(c max|E - U|), and back to zeta (with hysteresis)
 where |zeta| falls below half of that.  The two terms of zeta' balance
 at |zeta| = |k|, so the switch sits where zeta' turns quadratic, whatever
 the energy scale.  Both read y' = i (a - b y^2), with a and b swapping
-between the modes.  ``abs_tol`` is a tolerance on Z and on 1/Z, so it
-enters as abs_tol w and abs_tol / w.  Stepping is the Dormand-Prince
-5(4) embedded pair (J. Comput. Appl. Math. 6, 19 (1980)) with standard
-PI-free error control, its seven stages written out for the one complex
-state inside ``_trajectory``'s single loop over slabs.  The stepper
-walks the slab list the exact chain walks, ``analytic._steps`` from
-anchor to target: on each slab U is one level or one line, evaluated
-inline at the stages.  Each slab ends on its join, one of the
-potential's ``interfaces()``, so no step straddles a discontinuity, and
-every interval of a trajectory lies on one cell, which the bridge and
-the read of its samples find by one search against the joins where
+between the modes.
+
+Stepping is the Dormand-Prince 8(5,3) pair of DOP853 (Hairer, Norsett &
+Wanner, Solving ODEs I, II.10; Prince & Dormand, J. Comput. Appl. Math.
+7, 67 (1981)): an eighth-order solution from twelve stages, with
+Hairer's error measure from the fifth- and third-order estimates e5 and
+e3, each over abs_tol + rel_tol max(|y|, |y_new|):
+
+    err = |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2),
+
+accepted where err <= 1, and the next step h 0.9 err^(-1/8), the factor
+held to 0.2..5.  A step whose stages overflow is rejected as the
+largest error would be.  ``abs_tol`` bounds the error of zeta = psi' /
+(i psi) and of W = 1/zeta: an inverse length and a length, which no
+choice of hbar and m rescales, so ``force_numeric`` results follow the
+units' scaling law.  The twelve stages are written out for the one
+complex state inside ``_trajectory``'s single loop over slabs; the slope
+at the accepted point, which neither estimate uses, is taken only on
+acceptance and is the next step's first stage.  The stepper walks the
+slab list the exact chain walks, ``analytic._steps`` from anchor to
+target: on each slab U is one level or one line, evaluated inline at
+the eleven distinct stage abscissae.  Each slab ends on its join, one of
+the potential's ``interfaces()``, so no step straddles a discontinuity,
+and every interval of a trajectory lies on one cell, which the bridge
+and the read of its samples find by one search against the joins where
 numpy is loaded (``_arrays._bridge_many``, ``_arrays._read_many``).  On
 an evanescent slab a step's phase stays below ``analytic._BRIDGE_PHASE``,
 so no interval is bridged from both ends.  Each slab starts afresh; a
@@ -112,7 +126,8 @@ def integrate_impedance(
     (``analytic._read``): its samples are the anchor, the grid points
     strictly between anchor and target, and the target, and Z at a grid
     point is one exact slab step from whichever of the two stepper
-    samples around it has the larger |Z|.  ``grid`` must be real and
+    samples around it has the larger |Z|, at a tie the one the walk
+    reached first.  ``grid`` must be real and
     one-dimensional (TypeError otherwise), with finite points
     (NonFiniteInputError); points outside the range are ignored.
     """
@@ -127,9 +142,9 @@ def integrate_impedance(
             raise TypeError(f"grid must be one-dimensional, got shape {points.shape}")
     c, w = _units(params)
     z = complex(anchor_z)
-    xs, zs = _trajectory(pot, e, anchor_x, complex(z.real * w, z.imag * w), target_x, cfg, c, w)
+    xs, zs = _trajectory(pot, e, anchor_x, complex(z.real * w, z.imag * w), target_x, cfg, c)
     if points is not None:
-        xs, zs = _read(pot, float(e), xs, zs, points.tolist(), c)
+        xs, zs = _read(pot, float(e), xs, zs, points.tolist(), c, target_x > anchor_x)
     return ImpedanceTrajectory(
         xs=np.array(xs),
         zs=(np.array(zs, dtype=complex).view(float) / w).view(complex),  # Z = zeta / w by parts
@@ -150,10 +165,9 @@ def _trajectory(
     target_x: float,
     cfg: IntegrationConfig,
     c: float,
-    w: float,
 ) -> tuple[list[float], list[complex]]:
-    """The walk of ``integrate_impedance`` in plain Python, in zeta = w Z
-    from a zeta anchor, with c = 2m/hbar^2 and w = m/hbar: (xs, zs), the
+    """The walk of ``integrate_impedance`` in plain Python, in zeta =
+    (m/hbar) Z from a zeta anchor, with c = 2m/hbar^2: (xs, zs), the
     samples in ascending x and zeta there.  The range is walked along the
     slab list ``analytic._steps(pot, anchor_x, target_x)``, each slab one
     run to its join that starts afresh: a first step of min(cap, slab
@@ -175,12 +189,12 @@ def _trajectory(
     sgn = -1.0 if leftward else 1.0
     lo, hi = min(anchor_x, target_x), max(anchor_x, target_x)
 
-    rel_tol = cfg.rel_tol
-    # abs_tol bounds the error of Z and of 1/Z: on zeta = w Z and W = 1/zeta
-    tol_z, tol_w = cfg.abs_tol * w, cfg.abs_tol / w
+    # abs_tol bounds the error of zeta = psi' / (i psi) and of W = 1/zeta,
+    # an inverse length and a length, which hbar and m do not scale
+    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     # |zeta| over the slab's characteristic |k| at which W takes over
     switch = cfg.pole_threshold * math.sqrt(c)
-    isfinite = cmath.isfinite
+    isfinite, hypot = cmath.isfinite, math.hypot
 
     xs, zs = [anchor_x], [anchor_z]
     z = anchor_z
@@ -234,13 +248,11 @@ def _trajectory(
                 else:
                     p1 = level
                 if in_w:
-                    a1 = a2 = a3 = a4 = a5 = a6 = 1j
-                    b1 = b2 = b3 = b4 = b5 = b6 = p1
-                    abs_tol = tol_w
+                    a1 = a2 = a3 = a4 = a5 = a6 = a7 = a8 = a9 = a10 = a11 = a12 = 1j
+                    b1 = b2 = b3 = b4 = b5 = b6 = b7 = b8 = b9 = b10 = b11 = b12 = p1
                 else:
-                    a1 = a2 = a3 = a4 = a5 = a6 = p1
-                    b1 = b2 = b3 = b4 = b5 = b6 = 1j
-                    abs_tol = tol_z
+                    a1 = a2 = a3 = a4 = a5 = a6 = a7 = a8 = a9 = a10 = a11 = a12 = p1
+                    b1 = b2 = b3 = b4 = b5 = b6 = b7 = b8 = b9 = b10 = b11 = b12 = 1j
                 k1 = a1 - b1 * (y * y)
             # |h| capped by the slab's cap and by what is left of the slab
             m = sgn * h
@@ -251,60 +263,126 @@ def _trajectory(
                 m = rest
             h = sgn * m
             if line:
-                # the line at the five distinct stage abscissae
-                p2 = 1j * (c * (e - (u0 + slope * (x + 0.2 * h - xa))))
-                p3 = 1j * (c * (e - (u0 + slope * (x + 0.3 * h - xa))))
-                p4 = 1j * (c * (e - (u0 + slope * (x + 0.8 * h - xa))))
-                p5 = 1j * (c * (e - (u0 + slope * (x + 8.0 / 9.0 * h - xa))))
-                p6 = 1j * (c * (e - (u0 + slope * (x + h - xa))))
+                # the line at the eleven distinct stage abscissae; the
+                # last, x + h, serves the twelfth stage and the next
+                # step's first
+                p2 = 1j * (c * (e - (u0 + slope * (x + 0.05260015195876773 * h - xa))))
+                p3 = 1j * (c * (e - (u0 + slope * (x + 0.0789002279381516 * h - xa))))
+                p4 = 1j * (c * (e - (u0 + slope * (x + 0.1183503419072274 * h - xa))))
+                p5 = 1j * (c * (e - (u0 + slope * (x + 0.2816496580927726 * h - xa))))
+                p6 = 1j * (c * (e - (u0 + slope * (x + 0.3333333333333333 * h - xa))))
+                p7 = 1j * (c * (e - (u0 + slope * (x + 0.25 * h - xa))))
+                p8 = 1j * (c * (e - (u0 + slope * (x + 0.3076923076923077 * h - xa))))
+                p9 = 1j * (c * (e - (u0 + slope * (x + 0.6512820512820513 * h - xa))))
+                p10 = 1j * (c * (e - (u0 + slope * (x + 0.6 * h - xa))))
+                p11 = 1j * (c * (e - (u0 + slope * (x + 0.8571428571428571 * h - xa))))
+                p12 = 1j * (c * (e - (u0 + slope * (x + h - xa))))
                 if in_w:
-                    b2, b3, b4, b5, b6 = p2, p3, p4, p5, p6
+                    b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = (
+                        p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12)
                 else:
-                    a2, a3, a4, a5, a6 = p2, p3, p4, p5, p6
-            # Dormand-Prince 5(4), the classic ode45 pair.  Each sum runs
-            # left to right along its tableau row, every weight scaled by h
-            # before it meets its stage and the two zero weights (on k2 in
-            # the fifth-order and the error row) left out: bitwise the
-            # generic tableau loop evaluated in that order.  k7, at x + h,
-            # starts the next step (first same as last).
-            y2 = y + (h * 0.2) * k1
+                    a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = (
+                        p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12)
+            # Dormand-Prince 8(5,3), DOP853's pair (Hairer, Norsett &
+            # Wanner, Solving ODEs I, II.10).  Each sum runs left to right
+            # along its tableau row, every weight scaled by h before it
+            # meets its stage and the zero weights left out: bitwise the
+            # generic tableau loop evaluated in that order.  A product is
+            # written stage first, k * (h * w), the same bits as
+            # (h * w) * k, which CPython reaches only after float's own
+            # multiply declines a complex
+            y2 = y + k1 * (h * 0.05260015195876773)
             k2 = a2 - b2 * (y2 * y2)
-            y3 = y + ((h * (3.0 / 40.0)) * k1 + (h * (9.0 / 40.0)) * k2)
+            y3 = y + (k1 * (h * 0.0197250569845379) + k2 * (h * 0.0591751709536137))
             k3 = a3 - b3 * (y3 * y3)
-            y4 = y + (
-                (h * (44.0 / 45.0)) * k1 + (h * (-56.0 / 15.0)) * k2
-                + (h * (32.0 / 9.0)) * k3
-            )
+            y4 = y + (k1 * (h * 0.02958758547680685) + k3 * (h * 0.08876275643042054))
             k4 = a4 - b4 * (y4 * y4)
             y5 = y + (
-                (h * (19372.0 / 6561.0)) * k1 + (h * (-25360.0 / 2187.0)) * k2
-                + (h * (64448.0 / 6561.0)) * k3 + (h * (-212.0 / 729.0)) * k4
+                k1 * (h * 0.2413651341592667) + k3 * (h * -0.8845494793282861)
+                + k4 * (h * 0.924834003261792)
             )
             k5 = a5 - b5 * (y5 * y5)
             y6 = y + (
-                (h * (9017.0 / 3168.0)) * k1 + (h * (-355.0 / 33.0)) * k2
-                + (h * (46732.0 / 5247.0)) * k3 + (h * (49.0 / 176.0)) * k4
-                + (h * (-5103.0 / 18656.0)) * k5
+                k1 * (h * 0.037037037037037035) + k4 * (h * 0.17082860872947386)
+                + k5 * (h * 0.12546768756682242)
             )
             k6 = a6 - b6 * (y6 * y6)
-            y_new = y + (
-                (h * (35.0 / 384.0)) * k1 + (h * (500.0 / 1113.0)) * k3
-                + (h * (125.0 / 192.0)) * k4 + (h * (-2187.0 / 6784.0)) * k5
-                + (h * (11.0 / 84.0)) * k6
+            y7 = y + (
+                k1 * (h * 0.037109375) + k4 * (h * 0.17025221101954405)
+                + k5 * (h * 0.06021653898045596) + k6 * (h * -0.017578125)
             )
-            k7 = a6 - b6 * (y_new * y_new)
-            err_y = (
-                (h * (71.0 / 57600.0)) * k1 + (h * (-71.0 / 16695.0)) * k3
-                + (h * (71.0 / 1920.0)) * k4 + (h * (-17253.0 / 339200.0)) * k5
-                + (h * (22.0 / 525.0)) * k6 + (h * (-1.0 / 40.0)) * k7
+            k7 = a7 - b7 * (y7 * y7)
+            y8 = y + (
+                k1 * (h * 0.03709200011850479) + k4 * (h * 0.17038392571223998)
+                + k5 * (h * 0.10726203044637328) + k6 * (h * -0.015319437748624402)
+                + k7 * (h * 0.008273789163814023)
+            )
+            k8 = a8 - b8 * (y8 * y8)
+            y9 = y + (
+                k1 * (h * 0.6241109587160757) + k4 * (h * -3.3608926294469414)
+                + k5 * (h * -0.868219346841726) + k6 * (h * 27.59209969944671)
+                + k7 * (h * 20.154067550477894) + k8 * (h * -43.48988418106996)
+            )
+            k9 = a9 - b9 * (y9 * y9)
+            y10 = y + (
+                k1 * (h * 0.47766253643826434) + k4 * (h * -2.4881146199716677)
+                + k5 * (h * -0.590290826836843) + k6 * (h * 21.230051448181193)
+                + k7 * (h * 15.279233632882423) + k8 * (h * -33.28821096898486)
+                + k9 * (h * -0.020331201708508627)
+            )
+            k10 = a10 - b10 * (y10 * y10)
+            y11 = y + (
+                k1 * (h * -0.9371424300859873) + k4 * (h * 5.186372428844064)
+                + k5 * (h * 1.0914373489967295) + k6 * (h * -8.149787010746927)
+                + k7 * (h * -18.52006565999696) + k8 * (h * 22.739487099350505)
+                + k9 * (h * 2.4936055526796523) + k10 * (h * -3.0467644718982196)
+            )
+            k11 = a11 - b11 * (y11 * y11)
+            y12 = y + (
+                k1 * (h * 2.273310147516538) + k4 * (h * -10.53449546673725)
+                + k5 * (h * -2.0008720582248625) + k6 * (h * -17.9589318631188)
+                + k7 * (h * 27.94888452941996) + k8 * (h * -2.8589982771350235)
+                + k9 * (h * -8.87285693353063) + k10 * (h * 12.360567175794303)
+                + k11 * (h * 0.6433927460157636)
+            )
+            k12 = a12 - b12 * (y12 * y12)
+            # the eighth-order solution; the third-order estimate shares
+            # the five weights where its row equals it
+            t6 = k6 * (h * 4.450312892752409)
+            t7 = k7 * (h * 1.8915178993145003)
+            t8 = k8 * (h * -5.801203960010585)
+            t10 = k10 * (h * -0.1521609496625161)
+            t11 = k11 * (h * 0.20136540080403034)
+            y_new = y + (
+                k1 * (h * 0.054293734116568765) + t6 + t7 + t8
+                + k9 * (h * 0.3111643669578199) + t10 + t11 + k12 * (h * 0.04471061572777259)
             )
             if not isfinite(y_new):
-                raise NonFiniteStateError(f"non-finite state near x={x}")
+                # stages that overflow reject the step as the largest
+                # error would; a state not finite at the step floor raises
+                h *= 0.2
+                if sgn * h < h_floor:
+                    raise NonFiniteStateError(f"non-finite state near x={x}")
+                continue
+            err5 = (
+                k1 * (h * 0.01312004499419488) + k6 * (h * -1.2251564463762044)
+                + k7 * (h * -0.4957589496572502) + k8 * (h * 1.6643771824549864)
+                + k9 * (h * -0.35032884874997366) + k10 * (h * 0.3341791187130175)
+                + k11 * (h * 0.08192320648511571) + k12 * (h * -0.022355307863886294)
+            )
+            err3 = (
+                k1 * (h * -0.18980075407240762) + t6 + t7 + t8
+                + k9 * (h * -0.4226823213237919) + t10 + t11 + k12 * (h * 0.02265179219836082)
+            )
+            # Hairer's combined estimate |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2),
+            # each error over abs_tol + rel_tol max(|y|, |y_new|) first
             abs_y_new = abs(y_new)
             big = abs_y_new if abs_y_new > abs_y else abs_y
-            norm = abs(err_y) / (abs_tol + rel_tol * big)
+            scale = abs_tol + rel_tol * big
+            e5, e3 = abs(err5) / scale, abs(err3) / scale
+            norm = e5 * (e5 / hypot(e5, 0.1 * e3)) if e5 else 0.0
             if norm > 1.0:
-                f = 0.9 * norm ** -0.2
+                f = 0.9 * norm ** -0.125
                 h *= f if f > 0.2 else 0.2
                 if sgn * h < h_floor:
                     raise StepSizeUnderflowError(f"step underflow near x={x}")
@@ -317,7 +395,9 @@ def _trajectory(
             x += h
             if sgn * (end - x) <= h_floor:
                 x = end  # land exactly on the join
-            y, k1, abs_y = y_new, k7, abs_y_new
+            # the slope at (x + h, y_new), which neither estimate uses,
+            # taken only now: the next step's first stage
+            y, k1, abs_y = y_new, a12 - b12 * (y_new * y_new), abs_y_new
             z = (1.0 / y) if in_w else y
             xs.append(x)
             zs.append(z)
@@ -325,7 +405,7 @@ def _trajectory(
             # least 0.9 and only its cap of 5 applies; a NaN norm, like 0,
             # grows the step five-fold
             if norm > 0.0:
-                f = 0.9 * norm ** -0.2
+                f = 0.9 * norm ** -0.125
                 h *= f if f < 5.0 else 5.0
             else:
                 h *= 5.0

@@ -322,10 +322,10 @@ class _Incidence:
 
         z_far = _constants(e, self.u_far, self.c)
         (start, end), anchor = self.ends, -z_far if self.right else z_far
-        xs, zs = _trajectory(self.pot, e, start, anchor, end, self.cfg, self.c, self.w)
+        xs, zs = _trajectory(self.pot, e, start, anchor, end, self.cfg, self.c)
         if grid is None:
             return xs, zs
-        return _read(self.pot, e, xs, zs, grid, self.c)
+        return _read(self.pot, e, xs, zs, grid, self.c, self.right)
 
 
 def _reflect(z1, num, den, ratio) -> tuple:

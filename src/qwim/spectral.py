@@ -177,9 +177,9 @@ class _Ends:
     def _trajectories(self, e, z_a, z_b):
         from .riccati import _trajectory
 
-        pot, cfg, c, w = self.pot, self.cfg, self.c, self.w
-        return (_trajectory(pot, e, pot.a, z_a, self.probe_x, cfg, c, w),
-                _trajectory(pot, e, pot.b, z_b, self.probe_x, cfg, c, w))
+        pot, cfg, c = self.pot, self.cfg, self.c
+        return (_trajectory(pot, e, pot.a, z_a, self.probe_x, cfg, c),
+                _trajectory(pot, e, pot.b, z_b, self.probe_x, cfg, c))
 
     def walk(self, e):
         """Both real walks at e (``analytic._real_walk``), each energy

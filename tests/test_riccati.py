@@ -1,11 +1,17 @@
 """Adaptive Riccati integration of the impedance ODE."""
 
+import ast
 import bisect
 import dataclasses
+import functools
 import cmath
+import inspect
 import itertools
 import math
+import operator
+import re
 import sys
+import textwrap
 import warnings
 from types import SimpleNamespace
 
@@ -13,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 
-from qwim import _arrays, analytic
+from qwim import _arrays, analytic, riccati
 from qwim.analytic import (
     _BRIDGE_PHASE,
     _bridge,
@@ -304,9 +311,36 @@ def test_sample_count_of_the_stack_30_reconstruction(random_stack_instances):
     # the W switch or the step control shows up here; read at its
     # 1627-point grid, the trajectory is the grid
     pot = random_stack_instances[30][0]
-    assert len(z_minus(pot, 1.0875).xs) == 719
+    assert len(z_minus(pot, 1.0875).xs) == 169
     grid = np.linspace(pot.a, pot.b, 1627)
     assert z_minus(pot, 1.0875, grid=grid).xs.tolist() == grid.tolist()
+
+
+def test_global_error_on_the_conftest_stacks(random_stack_instances):
+    # the 300 trajectories of ROADMAP item 29: the 50 conftest stacks at
+    # E = 0.3, 1.0875 and 2.0 from both sides, default tolerances.  The
+    # stepper's psi at its own samples lies within validate's bound of the
+    # chain's, relative to max |psi|: 2.5e-9 at worst, on stack 21 from
+    # the right at E = 1.0875, which read 3.2e-8 with the Dormand-Prince
+    # 5(4) pair.  R and T of a force_numeric solve lie within 1e-10 of the
+    # chain's (6.8e-11 at worst; 1.7e-10 with the 5(4) pair)
+    from qwim.cli import VALIDATE_DELTA_TOL
+
+    cfg, numeric, params = IntegrationConfig(), IntegrationConfig(force_numeric=True), ModelParams()
+    psi_misses, rt = [], []
+    for n, (pot, _) in enumerate(random_stack_instances):
+        for e, side in itertools.product((0.3, 1.0875, 2.0), Side):
+            walk = _Incidence(pot, side, cfg, params)
+            xs, zs = walk.trajectory(e)
+            exact = walk.profile(e, xs)[1]
+            psi = walk.psi(e, xs, zs)
+            if max(abs(p - q) for p, q in zip(psi, exact)) >= VALIDATE_DELTA_TOL * max(map(abs, exact)):
+                psi_misses.append((n, e, side.value))
+            chain, rk = solve_scattering(pot, e, side), solve_scattering(pot, e, side, numeric)
+            rt.append((max(abs(chain.big_r - rk.big_r), abs(chain.big_t - rk.big_t)), n, e, side.value))
+    assert psi_misses == []
+    worst = max(rt)
+    assert worst[0] <= 1e-10, worst
 
 
 def test_linear_slab_chain_matches_stepper_on_gaussians():
@@ -322,29 +356,13 @@ def test_linear_slab_chain_matches_stepper_on_gaussians():
             assert abs(chain.big_t - rk.big_t) <= 1e-12, (len(pot.xs), e, side)
 
 
-# The generic Dormand-Prince 5(4) stepper over a tuple state, as qwim ran it
-# before the step was unrolled, in the stepper's order of evaluation: the
-# RHS as i a - i b y^2, each weight scaled by h before it meets its stage,
-# zero weights skipped.  The reference the stepper must match bit for bit.
-_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-_A = (
-    (),
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-)
-_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
-_ERR = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
+# The generic DOP853 stepper (Dormand-Prince 8(5,3)) over a tuple state, in
+# the stepper's order of evaluation: the RHS as i a - i b y^2, each weight
+# of scipy's tableau scaled by h before it meets its stage, zero weights
+# skipped.  The reference the stepper must match bit for bit.
+_C = _dop853.C[:_dop853.N_STAGES].tolist()
+_A = [_dop853.A[i, :i].tolist() for i in range(_dop853.N_STAGES)]
+_B, _E5, _E3 = _dop853.B.tolist(), _dop853.E5.tolist(), _dop853.E3.tolist()
 
 
 def _weighted_sum(weights, k, h, j):
@@ -352,24 +370,94 @@ def _weighted_sum(weights, k, h, j):
 
 
 def _tableau_step(f, x, y, h, f0):
+    """(y_new, e5, e3): the eighth-order solution and the fifth- and
+    third-order error estimates; f at (x + h, y_new) is not taken."""
     k = [f0]
-    for i in range(1, 6):
+    for i in range(1, len(_C)):
         yi = tuple(y[j] + _weighted_sum(_A[i], k, h, j) for j in range(len(y)))
         k.append(f(x + _C[i] * h, yi))
-    y5 = tuple(y[j] + _weighted_sum(_B5, k, h, j) for j in range(len(y)))
-    f_new = f(x + h, y5)
-    k.append(f_new)
-    err = tuple(_weighted_sum(_ERR, k, h, j) for j in range(len(y)))
-    return y5, err, f_new
+    new = tuple(y[j] + _weighted_sum(_B, k, h, j) for j in range(len(y)))
+    e5 = tuple(_weighted_sum(_E5, k, h, j) for j in range(len(y)))
+    e3 = tuple(_weighted_sum(_E3, k, h, j) for j in range(len(y)))
+    return new, e5, e3
 
 
-def _reference_slab(ufunc, e, x0, end, z, threshold, cfg, c, w, max_step, out):
-    """One slab as qwim integrates it, in zeta = w Z with c = 2m/hbar^2,
-    with RHS closures and a step function: one fresh start at x0, then
-    steps to the slab's end.  W = 1 / zeta takes over above |zeta| =
-    threshold and zeta again below half of it; the absolute tolerance is
-    abs_tol on Z or on 1 / Z.  Appends the accepted samples to ``out``
-    and returns zeta at the end."""
+def _error_norm(e5, e3, scale):
+    """Hairer's combined estimate |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2) of a
+    one-component state, each error over the step's scale first."""
+    r5, r3 = abs(e5[0]) / scale, abs(e3[0]) / scale
+    return r5 * (r5 / math.hypot(r5, 0.1 * r3)) if r5 else 0.0
+
+
+def _embedded_tableau():
+    """C, A, B, E5 and E3 as the unrolled stepper spells them, read off the
+    source of ``riccati._trajectory``: the abscissa of each stage's line
+    evaluation (none for x + h), the weight of each k_j * (h * w) term of
+    each stage's sum, and those of the eighth-order solution and the two
+    error estimates, a term named once and shared (t_j) resolved to its
+    weight.  Each table has scipy's shape."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(riccati._trajectory)))
+    n = _dop853.N_STAGES
+    c, a = np.zeros(n), np.zeros((n, n))
+    rows = {"y_new": np.zeros(n), "err5": np.zeros(n + 1), "err3": np.zeros(n + 1)}
+    shared = {}
+
+    def term(node):
+        # k_j * (h * w), or the name of one
+        if isinstance(node, ast.Name):
+            return shared[node.id]
+        assert node.left.id.startswith("k") and node.right.left.id == "h"
+        return int(node.left.id[1:]) - 1, ast.literal_eval(node.right.right)
+
+    def terms(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and not (
+                isinstance(node.left, ast.Name) and node.left.id == "y"):
+            return terms(node.left) + [term(node.right)]
+        return [term(node)]
+
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)):
+            continue
+        name, value = node.targets[0].id, node.value
+        if re.fullmatch(r"t\d+", name):
+            shared[name] = term(value)
+        elif re.fullmatch(r"y\d+|y_new", name) and isinstance(value, ast.BinOp):
+            assert value.left.id == "y"
+            row = a[int(name[1:]) - 1] if name != "y_new" else rows[name]
+            for j, w in terms(value.right):
+                row[j] = w
+        elif name in ("err5", "err3"):
+            for j, w in terms(value):
+                rows[name][j] = w
+        elif re.fullmatch(r"p\d+", name) and name != "p1":
+            scaled = [m.left for m in ast.walk(value) if isinstance(m, ast.BinOp) and isinstance(m.op, ast.Mult)
+                      and isinstance(m.right, ast.Name) and m.right.id == "h"]
+            c[int(name[1:]) - 1] = ast.literal_eval(scaled[0]) if scaled else 1.0
+    return c, a, rows["y_new"], rows["err5"], rows["err3"]
+
+
+def test_embedded_tableau_is_scipys():
+    # the unrolled stepper's ~100 literals are scipy's DOP853 tableau bit
+    # for bit, and each row of A sums to its abscissa within the rounding
+    # of its entries
+    got = _embedded_tableau()
+    want = (_dop853.C[:_dop853.N_STAGES], _dop853.A[:_dop853.N_STAGES, :_dop853.N_STAGES],
+            _dop853.B, _dop853.E5, _dop853.E3)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == np.ascontiguousarray(w).tobytes()
+    c, a = got[:2]
+    for i in range(1, len(c)):
+        row = a[i, :i].tolist()
+        assert abs(math.fsum(row) - c[i]) <= sum(map(math.ulp, row)) + math.ulp(c[i]), i
+
+
+def _reference_slab(ufunc, e, x0, end, z, threshold, cfg, c, max_step, out):
+    """One slab as qwim integrates it, in zeta = (m/hbar) Z with
+    c = 2m/hbar^2, with RHS closures and a step function: one fresh start
+    at x0, then steps to the slab's end.  W = 1 / zeta takes over above
+    |zeta| = threshold and zeta again below half of it; the absolute
+    tolerance is abs_tol on zeta or on W.  Appends the accepted samples
+    to ``out`` and returns zeta at the end."""
     switch_back = 2.0 / threshold if threshold else math.inf
     in_w = abs(z) > threshold
 
@@ -390,13 +478,15 @@ def _reference_slab(ufunc, e, x0, end, z, threshold, cfg, c, w, max_step, out):
     state, f0 = restart()
     while sgn * (end - x) > h_floor:
         h = sgn * min(abs(h), max_step, sgn * (end - x))
-        new, err, f_new = _tableau_step(f, x, state, h, f0)
+        new, e5, e3 = _tableau_step(f, x, state, h, f0)
         if not cmath.isfinite(new[0]):
-            raise NonFiniteStateError(f"non-finite state near x={x}")
-        tol = (cfg.abs_tol / w if in_w else cfg.abs_tol * w) + cfg.rel_tol * max(abs(state[0]), abs(new[0]))
-        norm = max(0.0, abs(err[0]) / tol)
+            h *= 0.2
+            if abs(h) < h_floor:
+                raise NonFiniteStateError(f"non-finite state near x={x}")
+            continue
+        norm = _error_norm(e5, e3, cfg.abs_tol + cfg.rel_tol * max(abs(state[0]), abs(new[0])))
         if norm > 1.0:
-            h *= max(0.2, 0.9 * norm ** -0.2)
+            h *= max(0.2, 0.9 * norm ** -0.125)
             if abs(h) < h_floor:
                 raise StepSizeUnderflowError(f"step underflow near x={x}")
             continue
@@ -404,13 +494,14 @@ def _reference_slab(ufunc, e, x0, end, z, threshold, cfg, c, w, max_step, out):
             h *= 0.97
             state, f0 = restart()
             continue
+        # f at (x + h, y_new), the next step's first stage
+        state, f0 = new, f(x + h, new)
         x += h
         if sgn * (end - x) <= h_floor:
             x = end
-        state, f0 = new, f_new
         z = 1.0 / new[0] if in_w else new[0]
         out.append((x, z))
-        h *= min(5.0, max(0.2, 0.9 * norm ** -0.2)) if norm > 0.0 else 5.0
+        h *= min(5.0, max(0.2, 0.9 * norm ** -0.125)) if norm > 0.0 else 5.0
         if not in_w and abs(z) > threshold:
             in_w = True
             state, f0 = restart()
@@ -420,7 +511,7 @@ def _reference_slab(ufunc, e, x0, end, z, threshold, cfg, c, w, max_step, out):
     return z
 
 
-def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, c, w):
+def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, c):
     """(xs, zs) in integration order, zeta from a zeta anchor, from the
     reference slab loop: the slabs of ``_steps`` from anchor to target,
     each ended at its join, the next interface of the potential the walk
@@ -446,16 +537,17 @@ def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, c, w):
         def ufunc(x, u0=u0, slope=slope, xa=x0):
             return u0 + slope * (x - xa) if slope else u0
 
-        z = _reference_slab(ufunc, e, x0, end, z, threshold, cfg, c, w, cap, out)
+        z = _reference_slab(ufunc, e, x0, end, z, threshold, cfg, c, cap, out)
         x0 = end
     return out
 
 
-def _reference_read(pot, e, samples, grid, c):
+def _reference_read(pot, e, samples, grid, c, rightward=False):
     """``samples`` ((x, zeta) ascending) read at the points of ``grid``
     strictly inside them, each point walked alone: zeta of a sample it
     lies on, or the chain's walk from the end of its interval with the
-    larger |zeta| (the second at a tie)."""
+    larger |zeta|, at a tie the one the walk reached first (the second,
+    or the first for a ``rightward`` walk)."""
     xs, zs = [x for x, _ in samples], [z for _, z in samples]
     out = [samples[0]]
     for p in sorted(float(g) for g in grid if xs[0] < g < xs[-1]):
@@ -463,7 +555,8 @@ def _reference_read(pot, e, samples, grid, c):
         if xs[i] == p:
             out.append((p, zs[i]))
             continue
-        j = i if abs(zs[i]) > abs(zs[i + 1]) else i + 1
+        lower, upper = abs(zs[i]), abs(zs[i + 1])
+        j = i if lower > upper or (rightward and lower == upper) else i + 1
         num, den, _ = _chain(_steps(pot, xs[j], p), e, zs[j], c)
         out.append((p, num / den))
     return out + [samples[-1]]
@@ -496,11 +589,11 @@ def test_unrolled_step_matches_tableau_loop(sampled, read, threshold):
     anchor_z = region_constants(e, 0.2, params).z * (1.0 - 0.4j)
     grid = np.linspace(-0.5, 3.5, 57) if read else None
     traj = integrate_impedance(pot, e, anchor_x, anchor_z, target_x, cfg, params, grid=grid)
-    ref = _reference_trajectory(pot, e, anchor_x, to_zeta(anchor_z, w), target_x, cfg, c, w)
+    ref = _reference_trajectory(pot, e, anchor_x, to_zeta(anchor_z, w), target_x, cfg, c)
     if traj.direction is Side.LEFT:
         ref.reverse()
     if read:
-        ref = _reference_read(pot, e, ref, grid, c)
+        ref = _reference_read(pot, e, ref, grid, c, traj.direction is Side.RIGHT)
         assert len(ref) == 2 + sum(min(anchor_x, target_x) < g < max(anchor_x, target_x) for g in grid)
     assert repr(traj.xs.tolist()) == repr([float(x) for x, _ in ref])
     want = [_from_zeta(complex(z), w) for _, z in ref]
@@ -555,7 +648,7 @@ def _read_routes(monkeypatch, pot, e, xs, zs, grid, c=C):
         left.extend(redo)
         return read, redo
 
-    def walk_only(pot, e, xs, zs, points, c):
+    def walk_only(pot, e, xs, zs, points, *_):
         return [None] * len(points), range(len(points))
 
     with monkeypatch.context() as m:
@@ -717,13 +810,26 @@ def test_read_walks_a_point_across_a_join_from_its_anchor(pot, anchor, monkeypat
 def test_stepper_guards():
     # the barrier (0, 2) at height 1: with no relative tolerance and an
     # absolute one far below rounding no step is accepted, and the step
-    # shrinks past its floor; at E = 1e300 the first trial step's state
-    # overflows
+    # shrinks past its floor; at E = 1e300 every trial step's state
+    # overflows, down to the step floor
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0)
     with pytest.raises(StepSizeUnderflowError, match="step underflow near x=2.0"):
         z_minus(pot, 0.5, cfg=IntegrationConfig(rel_tol=0.0, abs_tol=1e-300))
     with pytest.raises(NonFiniteStateError, match="non-finite state near x=2.0"):
         z_minus(pot, 1e300)
+
+
+def test_stages_that_overflow_reject_the_step(random_stack_instances):
+    # zeta carried through its poles (no W switch): conftest stack 8 from
+    # the left at half its lowest level, where the last slab's first
+    # step, 1.26 long from |zeta| = 305, overflowed its later stages and
+    # raised.  The step is rejected and shrunk instead, and zeta at b is
+    # the chain's within 1e-12 relative (2.1e-13)
+    pot = random_stack_instances[8][0]
+    e = 0.5 * min(s.u for s in pot.segments)
+    traj = z_plus(pot, e, IntegrationConfig(pole_threshold=1e9))
+    num, den, _ = _chain(_steps(pot, pot.a, pot.b), e, left_anchor(pot, e, ModelParams()), C)
+    assert abs(traj.zs[-1] - num / den) <= 1e-12 * abs(num / den)
 
 
 def test_stepper_nudges_off_an_exact_node():
@@ -734,8 +840,7 @@ def test_stepper_nudges_off_an_exact_node():
     # again 0.97 times as long.  W stays 1 / Z(0) + i x all the way
     pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 2.0, 1.0),), 0.0)
     h, k = 0.04, 1j
-    step = ((h * (35.0 / 384.0)) * k + (h * (500.0 / 1113.0)) * k + (h * (125.0 / 192.0)) * k
-            + (h * (-2187.0 / 6784.0)) * k + (h * (11.0 / 84.0)) * k)
+    step = functools.reduce(operator.add, ((h * b) * k for b in _B if b))
     z0 = 1.0 / -step
     while 1.0 / z0 != -step:
         z0 = complex(z0.real, math.nextafter(z0.imag, math.inf))

@@ -20,12 +20,12 @@ import conftest
 
 ENERGIES = (0.37, 1.3, 4.1)
 WINDOW = (0.2, 6.0)
-# the stepper with a tolerance that is relative alone: abs_tol is one on
-# Z and on 1/Z, which the scaling law moves apart
-ENGINES = {"chain": IntegrationConfig(), "numeric": IntegrationConfig(force_numeric=True, abs_tol=1e-300)}
+# the stepper on default tolerances: abs_tol is one on zeta = (m/hbar) Z
+# and on 1/zeta, which the scaling law leaves alone
+ENGINES = {"chain": IntegrationConfig(), "numeric": IntegrationConfig(force_numeric=True)}
 # Measured over 40 draws of the units between 1e-30 and 1e30: R, T and
-# |r| within 4.0e-15 of the unit problem's, Z within 5.6e-15 relative,
-# bound energies within 1.0e-15 and resonances within 2.6e-13 of theirs
+# |r| within 4.0e-15 of the unit problem's, Z within 6.5e-15 relative,
+# bound energies within 1.3e-15 and resonances within 2.6e-13 of theirs
 # times hbar^2 / m (the stepper's and the chain's alike)
 BOUND_RT, BOUND_Z, BOUND_STATE, BOUND_RES = 1e-13, 1e-13, 1e-13, 3e-12
 

@@ -706,6 +706,35 @@ def test_bridge_ratio_over_a_zero_bottom_is_infinite_on_both_routes(monkeypatch)
         assert got == want == [complex(math.inf)] and left == [0]
 
 
+def test_quotient_is_pythons_complex_division():
+    # the array passes divide by _arrays._quotient: bitwise Python's
+    # complex division on 20000 seeded pairs, parts from 1e-130 to 1e130
+    # in size, and divisors purely real or imaginary, and on every pair of
+    # parts from 0, -0, 1, -2.5, 1e-300, inf, -inf and NaN (NaN for NaN:
+    # NaN's sign and payload are not compared).  numpy's own division
+    # differs on 42 % of the seeded pairs
+    rng = np.random.default_rng(11)
+
+    def parts(size):
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-130.0, 130.0, size)
+
+    n = 20000
+    a = parts(n) + 1j * parts(n)
+    b = parts(n) + 1j * parts(n)
+    b[: n // 4] = b[: n // 4].real
+    b[n // 4: n // 2] = 1j * b[n // 4: n // 2].imag
+    special = [0.0, -0.0, 1.0, -2.5, 1e-300, math.inf, -math.inf, math.nan]
+    edge = [complex(x, y) for x in special for y in special]
+    pairs = [(p, q) for p, q in zip(a.tolist(), b.tolist())]
+    pairs += [(p, q) for p in edge for q in edge if q != 0]
+    top, bottom = (np.array(side, dtype=complex) for side in zip(*pairs))
+    got = _arrays._quotient(top, bottom).view(float)
+    want = np.array([p / q for p, q in pairs], dtype=complex).view(float)
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), [pairs[i // 2] for i in np.flatnonzero(~same)[:5]]
+    assert np.mean(top[:n] / bottom[:n] != want.view(complex)[:n]) > 0.3
+
+
 @pytest.mark.parametrize("length, n", [(60, 7), (60, 13), (200, 21), (400, 9)])
 def test_bridge_across_long_evanescent_intervals(length, n, monkeypatch):
     # the barrier (0, L) at height 2, E = 0.7, read at n points: psi decays
@@ -765,16 +794,16 @@ def test_bridge_off_a_saturated_fixed_point(length, want_size, monkeypatch):
 
 
 def test_thinned_reconstruction_matches_the_full_one():
-    # every 7th sample of a trajectory: intervals now cross the joins at 1
+    # every 3rd sample of a trajectory: intervals now cross the joins at 1
     # and 2, and each walks across its join
     stack = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 3.0), PotentialSegment(1.0, 2.0, -1.0),
                                      PotentialSegment(2.0, 3.3, 0.5)), 0.0)
     traj = z_minus(stack, 0.7)
-    thin = dataclasses.replace(traj, xs=traj.xs[::7], zs=traj.zs[::7])
+    thin = dataclasses.replace(traj, xs=traj.xs[::3], zs=traj.zs[::3])
     crossed = {j for j in (1.0, 2.0) for x0, x1 in zip(thin.xs, thin.xs[1:]) if x0 < j < x1}
     assert crossed == {1.0, 2.0}
     full, part = reconstruct_wavefunction(traj).psi, reconstruct_wavefunction(thin).psi
-    assert np.max(np.abs(part - full[::7])) <= 1e-10 * np.max(np.abs(full))
+    assert np.max(np.abs(part - full[::3])) <= 1e-10 * np.max(np.abs(full))
 
 
 def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
