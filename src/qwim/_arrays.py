@@ -13,8 +13,12 @@ and takes the units as c = 2m/hbar^2 alone.
 ``_chain_many`` is ``analytic._chain`` over an energy array: one array
 pass per slab (``_slabs_many``) or per linear sub-slab
 (``_linear_many``), with an ``ok`` mask marking the energies where the
-scalar walk would raise.  ``_region_constants_many`` is
-``analytic._constants`` over an array.
+scalar walk would raise.  ``_slabs_many`` takes the tanh step's cosh
+and sinh at every slab-energy entry and patches in the saturated form
+and the linear step at a slab level only where an entry needs one, so
+an ordinary entry keeps its bits whatever else its block holds; its
+recurrence steps in place on its own buffers.
+``_region_constants_many`` is ``analytic._constants`` over an array.
 
 A sampled potential is linear between its samples, U = u0 + F s, and
 there psi'' = (A + B s) psi with A = c (u0 - E) and B = c F.
@@ -173,17 +177,18 @@ def _chain_many(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``analytic._chain`` over an energy array: (num, den, r, ok).
 
-    The slab constants, cosh/sinh and the saturated-branch factors of
-    every slab crossed come from one array pass; the slab-to-slab
-    recurrence is then a few array operations per slab, with
-    ``analytic._chain``'s step arithmetic and its limit at a slab
-    level.  Linear slabs take
-    the sub-slab maps of ``_linear_maps`` instead, split for the range
-    of each block of energies.  ``ok`` is False wherever the scalar walk
-    raises (a zero denominator short of the end, a value that is not
-    finite), and for a whole block whose split count overflows; those
-    entries mean nothing.  Energies are taken in blocks of at most
-    _BATCH_CELLS slab-energy pairs, which bounds the temporaries.
+    The slab constants and cosh/sinh of every slab crossed come from one
+    array pass, with the saturated form and the limit at a slab level
+    patched in only at the entries that take them (``_slabs_many``);
+    the slab-to-slab recurrence is then a few in-place array operations
+    per slab, in ``analytic._chain``'s step arithmetic.  Linear slabs
+    take the sub-slab maps of ``_linear_maps`` instead, split for the
+    range of each block of energies.  ``ok`` is False wherever the
+    scalar walk raises (a zero denominator short of the end, a value
+    that is not finite), and for a whole block whose split count
+    overflows; those entries mean nothing.  Energies are taken in
+    blocks of at most _BATCH_CELLS slab-energy pairs, which bounds the
+    temporaries; a single block is returned as its pass gives it.
     """
     z_anchor = np.broadcast_to(np.asarray(z_anchor, dtype=complex), es.shape)
     block = max(1, _BATCH_CELLS // max(1, len(slabs)))
@@ -195,6 +200,8 @@ def _chain_many(
         walk(slabs, es[i:i + block], z_anchor[i:i + block], c)
         for i in range(0, max(1, len(es)), block)
     ]
+    if len(parts) == 1:
+        return parts[0]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -217,32 +224,45 @@ def _linear_many(slabs, es, z, c):
 
 
 def _slabs_many(slabs, es, z, c):
-    """The array pass of ``_chain_many`` over one block of energies."""
+    """The array pass of ``_chain_many`` over one block of energies.
+
+    Every slab-energy entry takes cosh g and sinh g with f = k; the
+    saturated form (|Re g| > _SATURATION_CUT) and the linear step at a
+    slab level are patched in only where an entry needs them, and an
+    entry that is not patched keeps its bits.  The recurrence steps in
+    place on its own buffers, in ``_chain``'s operand order, so its
+    inputs are never written."""
     u, dx = slabs
     with np.errstate(all="ignore"):
         zs, degenerate = _region_constants_many(es, u, c)
         g = (1j * zs) * dx
+        c1, c2, f = np.cosh(g), np.sinh(g), zs
         sat = np.abs(g.real) > _SATURATION_CUT
-        th = np.sign(g.real) * sat
-        g_cut = np.where(sat, 0.0, g)  # keeps cosh/sinh finite where unused
-        # _chain's saturated form divides through by exp(|Re g|) / 2:
-        # cosh -> 1, sinh -> th, and f gains 2 exp(-th g)
-        c1 = np.where(sat, 1.0, np.cosh(g_cut))
-        c2 = np.where(sat, th, np.sinh(g_cut))
+        if sat.any():
+            # _chain's saturated form divides through by exp(|Re g|) / 2:
+            # cosh -> 1, sinh -> th, and f gains 2 exp(-th g)
+            th = np.sign(g.real) * sat
+            c1, c2 = np.where(sat, 1.0, c1), np.where(sat, th, c2)
+            f = np.where(sat, 2.0 * zs * np.exp(-th * g), zs)
         zc1, zc2 = zs * c1, zs * c2
-        f = np.where(sat, 2.0 * zs * np.exp(-th * g), zs)
         if degenerate.any():
             # _chain's linear step at a slab level: num = zeta,
             # den = 1 + zeta i dx, f = 1
             zs, c1, zc1, f = (np.where(degenerate, 1.0, v) for v in (zs, c1, zc1, f))
             zc2 = np.where(degenerate, 0.0, zc2)
             c2 = np.where(degenerate, 1j * dx, c2)
-        num, den, r = z, np.ones_like(z), np.ones_like(z)
-        for i in range(len(zs)):
-            z, ratio = num / den, r / den
-            num = zs[i] * (z * c1[i] + zc2[i])
-            den = zc1[i] + z * c2[i]
-            r = ratio * f[i]
+        num = np.array(z, dtype=complex)
+        den, r, at = np.ones_like(num), np.ones_like(num), np.empty_like(num)
+        for k, f_k, c1_k, c2_k, zc1_k, zc2_k in zip(zs, f, c1, c2, zc1, zc2):
+            # at = zeta at the slab's start; r / den is the psi ratio so far
+            np.divide(num, den, out=at)
+            np.divide(r, den, out=r)
+            np.multiply(r, f_k, out=r)
+            np.multiply(at, c1_k, out=num)
+            num += zc2_k
+            np.multiply(k, num, out=num)
+            np.multiply(at, c2_k, out=den)
+            den += zc1_k
         ok = np.isfinite(num) & np.isfinite(den) & np.isfinite(r)
     return num, den, r, ok
 

@@ -31,14 +31,14 @@ def _signbit(v: float) -> bool:
     return math.copysign(1.0, v) < 0.0
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int | None = None) -> float:
     """A root of f in [a, b], to within xtol + rtol |root|.
 
     f(a) and f(b) must differ in sign; an end where f is exactly zero is
     returned as it is.  Raises ValueError for ends of the same sign and
-    for a NaN value of f, RuntimeError when ``_MAXITER`` iterations do
-    not converge.  scipy's checks on xtol and rtol are left out: xtol
-    must be positive and rtol at least 4 eps.
+    for a NaN value of f, RuntimeError when ``maxiter`` iterations
+    (``_MAXITER`` by default) do not converge.  scipy's checks on xtol
+    and rtol are left out: xtol must be positive and rtol at least 4 eps.
     """
 
     def call(x):
@@ -57,7 +57,8 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
         return xcur
     if _signbit(fpre) == _signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_MAXITER):
+    maxiter = _MAXITER if maxiter is None else maxiter
+    for _ in range(maxiter):
         if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -97,7 +98,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"failed to converge after {_MAXITER} iterations, value is {xcur}")
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def minimize_scalar(f, lo: float, hi: float, xatol: float) -> float:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
-from ._optimize import brentq, minimize_scalar
+from ._optimize import _MAXITER, brentq, minimize_scalar
 from .analytic import _array_pass, _bridge, _chain, _from_zeta, _real_walk, _steps, _units
 from .errors import (
     BracketingExhaustedError,
@@ -94,6 +94,9 @@ SCAN_POINTS = 400
 # a 2-core x86-64 host, two minutes); a node count past it counts as an
 # overflow.
 MAX_STATES = 1 << 20
+# Absolute tolerance of the bound-state refinement: far below any state
+# but zero itself, so the relative one (8.9e-16) rules.
+_XTOL = 1e-300
 
 
 class SpectrumKind(Enum):
@@ -307,10 +310,12 @@ def find_bound_states(
     same two slab lists (threshold anchors at the ceiling), each energy
     walked once, one real walk per end serving the count and W.  W is
     signed and continuous on both engines (``_Ends``), so its root is
-    the state.  A bracket with more states, or where Brent's method
-    finds no root, is halved by N.  One that float arithmetic cannot
-    halve holds its k states within one float spacing: it reports its
-    upper end k times.  That is a tunnel doublet closer than the spacing
+    the state.  Brent's method may take one iteration per halving from
+    the bracket's width down to its absolute tolerance on top of its own
+    limit.  A bracket with more states, or where Brent's method finds no
+    root, is halved by N.  One that float arithmetic cannot halve holds
+    its k states within one float spacing: it reports its upper end k
+    times.  That is a tunnel doublet closer than the spacing
     for k > 1, and for k = 1 a state that Brent's method could not
     refine (W NaN or of one sign at the floats beside it).
     Residuals are |W| at each energy reported.  A search whose roots do
@@ -365,8 +370,12 @@ def find_bound_states(
         if n_hi <= n_lo:
             continue
         if n_hi - n_lo == 1:
+            # brentq's own limit, plus one iteration per halving from the
+            # bracket's width down to xtol: a state within about 1e-280 of
+            # zero sits in a bracket some 2^520 of its tolerances wide
+            limit = _MAXITER + math.ceil(math.log2(hi - lo) - math.log2(_XTOL))
             try:
-                roots.append(brentq(w_at, lo, hi, xtol=1e-300, rtol=8.9e-16))
+                roots.append(brentq(w_at, lo, hi, xtol=_XTOL, rtol=8.9e-16, maxiter=limit))
                 continue
             except (ValueError, RuntimeError):
                 # ends of one sign, a NaN W, or no convergence in brentq's

@@ -12,6 +12,8 @@ from qwim import _arrays
 from qwim._arrays import _chain_many, _region_constants_many
 from qwim.analytic import (
     _MAX_SUBSLABS,
+    _SATURATION_CUT,
+    EPS_DEGENERATE,
     _chain,
     _constants,
     _cut,
@@ -344,6 +346,153 @@ def test_chain_many_flags_where_chain_raises():
                 else:
                     assert good, (pot, slabs, e)
         assert raised > 0
+
+
+def _masked_slabs_many(slabs, es, z, c):
+    """``_arrays._slabs_many`` with the saturated form masked in over
+    every entry (g cut to 0 where it saturates) and the recurrence on
+    fresh arrays: the form that the patched pass must match bit for bit."""
+    u, dx = slabs
+    with np.errstate(all="ignore"):
+        zs, degenerate = _region_constants_many(es, u, c)
+        g = (1j * zs) * dx
+        sat = np.abs(g.real) > _SATURATION_CUT
+        th = np.sign(g.real) * sat
+        g_cut = np.where(sat, 0.0, g)
+        c1 = np.where(sat, 1.0, np.cosh(g_cut))
+        c2 = np.where(sat, th, np.sinh(g_cut))
+        zc1, zc2 = zs * c1, zs * c2
+        f = np.where(sat, 2.0 * zs * np.exp(-th * g), zs)
+        if degenerate.any():
+            zs, c1, zc1, f = (np.where(degenerate, 1.0, v) for v in (zs, c1, zc1, f))
+            zc2 = np.where(degenerate, 0.0, zc2)
+            c2 = np.where(degenerate, 1j * dx, c2)
+        num, den, r = z, np.ones_like(z), np.ones_like(z)
+        for i in range(len(zs)):
+            z, ratio = num / den, r / den
+            num = zs[i] * (z * c1[i] + zc2[i])
+            den = zc1[i] + z * c2[i]
+            r = ratio * f[i]
+        ok = np.isfinite(num) & np.isfinite(den) & np.isfinite(r)
+    return num, den, r, ok
+
+
+def _slab_blocks(c):
+    """Blocks (slabs, es, z) of the array slab pass that mix ordinary
+    entries with saturated (|Re g| > _SATURATION_CUT) and degenerate ones
+    (E at a level and 1e-13 beside it): slab lists on the energy axis
+    (``_chain_many``'s layout; the thick stacks of
+    ``test_chain_matches_chain_many``) and one slab per entry on the
+    batch axis (``_bridge_many``'s)."""
+    blocks = []
+    for length in (250.0, 400.0):
+        pot = _stack([(0.0, length, 1.0), (length, length + 1.0, -2.0),
+                      (length + 1.0, 2.0 * length + 1.0, 1.0)])
+        es = np.array(sorted({*np.linspace(-3.5, 8.0, 47).tolist(), 1.0, 1.0 + 1e-13, -2.0, -2.0 + 1e-13}))
+        z = _region_constants_many(es, 0.0, c)[0]
+        for slabs, from_left in _walks(pot):
+            rows = np.array(slabs, dtype=float).reshape(-1, 2).T[..., None]
+            blocks.append((rows, es, np.where(es < 0.0, -z, z) if from_left else z))
+    rng = np.random.default_rng(40)
+    e = 0.7
+    plain = [(u, dx) for u, dx in zip(rng.uniform(-3.0, 3.0, 12), rng.uniform(-2.0, 2.0, 12))]
+    sat = [(e + 2.0, 400.0), (e + 2.0, -400.0), (e + 5.0, 150.0), (e + 1.0, -250.0)]
+    degenerate = [(e, 0.5), (e + 1e-13, -0.3), (e - 1e-13, 1.2), (e, -2.0)]
+    entries = plain[:4] + sat[:2] + plain[4:8] + degenerate + plain[8:] + sat[2:]
+    z = rng.uniform(-2.0, 2.0, len(entries)) + 1j * rng.uniform(-2.0, 2.0, len(entries))
+    blocks.append((np.array(entries).T[:, None, :], e, z))
+    return blocks
+
+
+def _entry_kinds(slabs, es, c):
+    """(saturated, degenerate) of each entry of a block: whether some
+    slab takes the saturated form, or the linear step at its level."""
+    u, dx = slabs
+    with np.errstate(all="ignore"):
+        degenerate = np.abs(es - u) <= EPS_DEGENERATE * np.maximum(np.abs(es), np.abs(u))
+        g = 1j * np.sqrt(c * (es - u) + 0j) * dx
+        sat = (np.abs(g.real) > _SATURATION_CUT) & ~degenerate
+    return sat.any(axis=0), degenerate.any(axis=0)
+
+
+def _select(block, keep):
+    """The block of the entries ``keep`` picks."""
+    slabs, es, z = block
+    if np.ndim(es):  # energies on the entry axis
+        return slabs, es[keep], z[keep]
+    return slabs[..., keep], es, z[keep]
+
+
+def _bits(out):
+    return [np.ascontiguousarray(a).tobytes() for a in out]
+
+
+def test_slab_pass_patches_only_its_own_entries():
+    # the saturated and degenerate forms patch in only where an entry
+    # takes them: every entry gives the bits of the masked form, and a
+    # block cut down to the ordinary (or saturated, or degenerate, or no)
+    # entries gives the bits that the mixed block gives there
+    c = _units(ModelParams())[0]
+    kinds = set()
+    for block in _slab_blocks(c):
+        got = _arrays._slabs_many(*block, c)
+        assert _bits(got) == _bits(_masked_slabs_many(*block, c))
+        sat, degenerate = _entry_kinds(block[0], block[1], c)
+        plain = ~sat & ~degenerate
+        assert plain.any() and (sat.any() or degenerate.any())
+        kinds |= {kind for kind, mask in (("sat", sat), ("degenerate", degenerate)) if mask.any()}
+        for keep in (plain, sat & ~degenerate, degenerate, np.zeros_like(plain)):
+            part = _select(block, keep)
+            out = _arrays._slabs_many(*part, c)
+            assert _bits(out) == _bits(a[keep] for a in got)
+            assert _bits(out) == _bits(_masked_slabs_many(*part, c))
+    assert kinds == {"sat", "degenerate"}
+
+
+def test_slab_pass_never_writes_into_its_inputs(monkeypatch):
+    # every array the pass is handed, read-only views included, holds
+    # its bits after each of its four entry points returns
+    c = _units(ModelParams())[0]
+    slabs_many, writeable = _arrays._slabs_many, []
+
+    def checked(*args):
+        before = _bits(args[:3])
+        out = slabs_many(*args)
+        assert _bits(args[:3]) == before
+        writeable.append(args[2].flags.writeable)
+        return out
+
+    monkeypatch.setattr(_arrays, "_slabs_many", checked)
+    for block in _slab_blocks(c):
+        frozen = [np.array(a) for a in block]
+        for a in frozen:
+            a.flags.writeable = False
+        checked(*frozen, c)
+    pot = _stack([(0.0, 250.0, 1.0), (250.0, 251.0, -2.0), (251.0, 252.5, 0.4)], 0.0, 0.3)
+    es = np.array([-2.0, -1.0, 0.3, 0.3 + 1e-13, 0.7, 1.0, 2.5])
+    for slabs, _ in _walks(pot):
+        for anchor in (np.sqrt(c * es + 0j), 1.0 - 0.5j):
+            args = [slabs, es, anchor]
+            before = _bits(np.asarray(a) for a in args)
+            _chain_many(*args, c)
+            assert _bits(np.asarray(a) for a in args) == before
+    assert not all(writeable)  # the broadcast anchor of _chain_many
+    rng = np.random.default_rng(41)
+    xs = np.array(sorted({*np.linspace(pot.a - 1.0, pot.b + 1.0, 31).tolist(), *pot.interfaces()}))
+    zs = rng.uniform(0.1, 2.0, len(xs)) + 1j * rng.uniform(-1.0, 1.0, len(xs))
+    points = rng.uniform(pot.a - 1.0, pot.b + 1.0, 50)
+    for e in (0.45, 1.0, 2.5):
+        args = [xs, zs, points]
+        before = _bits(args)
+        for call in (
+            lambda: _arrays._bridge_many(pot, e, xs, zs, c),
+            lambda: _arrays._read_many(pot, e, xs, zs, points, c),
+            lambda: _arrays._read_many(pot, e, xs, zs, points, c, rightward=True),
+        ):
+            count = len(writeable)
+            call()
+            assert len(writeable) == count + 1
+        assert _bits(args) == before
 
 
 def _stack(segments, left=0.0, right=0.0):

@@ -141,6 +141,16 @@ def test_brentq_errors_match_scipy(f, a, b, maxiter, error, monkeypatch):
         scipy.optimize.brentq(f, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=maxiter)
 
 
+def test_brentq_maxiter_matches_scipy():
+    # the limit as an argument: the same error past it, the same root
+    # within it
+    f = lambda x: x ** 3 - 2.0
+    with pytest.raises(RuntimeError):
+        brentq(f, -1.0, 3.0, 1e-14, 8.9e-16, maxiter=4)
+    want = scipy.optimize.brentq(f, -1.0, 3.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    assert brentq(f, -1.0, 3.0, 1e-14, 8.9e-16, maxiter=200) == want
+
+
 def test_searches_match_scipy_backed_searches(random_wells, monkeypatch):
     barrier = load_spec(str(DOCS / "barrier.json")).potential
     calls = [lambda pot=pot: spectral.find_bound_states(pot) for pot in wells(random_wells)]

@@ -1161,3 +1161,21 @@ def test_bound_search_gives_the_sturm_count_fuzz(slabs, leads, probe, numeric):
     if numeric:
         rk = find_bound_states(pot, cfg=IntegrationConfig(force_numeric=True), probe_x=probe_x)
         np.testing.assert_allclose(rk.energies, res.energies, rtol=0, atol=1e-8)
+
+
+def test_bound_search_refines_a_state_far_inside_a_wide_window(monkeypatch):
+    # the well (0, 1) at depth 3.68e-141 holds one state at -6.8e-282, in
+    # a window some 2^520 of its tolerances wide: brentq refines it in
+    # one call, where an iteration limit of 100 ran out 483 times and the
+    # search halved the window by the node count after each
+    calls, walks = [], []
+    search_brentq, wronskian = spectral.brentq, spectral._wronskian
+    monkeypatch.setattr(spectral, "brentq", lambda *a, **k: calls.append(a) or search_brentq(*a, **k))
+    monkeypatch.setattr(spectral, "_wronskian", lambda *a: walks.append(a) or wronskian(*a))
+    res = find_bound_states(well(3.68e-141, 1.0))
+    # one call that converges: a RuntimeError would halve the window and call again
+    assert len(calls) == 1
+    # Brent's iterates, about one per halving down to the state's tolerance
+    assert len(walks) < 600
+    (e,) = res.energies
+    assert abs(e + 3.68e-141 ** 2 / 2) <= 1e-15 * 3.68e-141 ** 2 / 2
