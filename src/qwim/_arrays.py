@@ -40,6 +40,10 @@ the one-cell intervals of a trajectory, or the points inside them, step
 together through ``_slabs_many`` on its batch axis.  ``_cells`` finds
 the cell of every interval with one ``searchsorted`` of its ends
 against the joins, bitwise the step that ``analytic._cut`` would cut.
+Each takes arrays (or lists) in and gives a complex array out, the
+read its sorted points too, with the indices of the entries it leaves
+to the scalar walk; the caller walks those in one batch and writes
+them in place.
 """
 
 from __future__ import annotations
@@ -286,6 +290,14 @@ def _quotient(a, b):
     return out
 
 
+def _size(z):
+    """|z| of a complex array, bitwise Python's ``abs`` (libm's ``hypot``
+    of the parts), by which the walks pick a bridged or read interval's
+    anchor: numpy's complex absolute value rounds otherwise in about a
+    third of its entries, and would pick the other end at a near tie."""
+    return np.hypot(z.real, z.imag)
+
+
 def _cells(pot, lo, hi):
     """(level, one) of the intervals (lo, hi), lo <= hi, of a piecewise
     potential: the level of the cell (or lead) that holds each lower
@@ -293,33 +305,35 @@ def _cells(pot, lo, hi):
     so that its ``_cut`` walk is the one step (level, dx).  An end on a
     join belongs to the interval's own cell: the lower end is searched
     with side "right", the upper with side "left"."""
-    joins = pot.interfaces()
-    cell = np.searchsorted(joins, lo, side="right")
+    joins = np.array(pot.interfaces())
+    cell = joins.searchsorted(lo, side="right")
     levels = np.array([pot.left_level, *(c[2] for c in pot.cells), pot.right_level])
-    return levels[cell], (cell == np.searchsorted(joins, hi, side="left")) & (lo < hi)
+    return levels[cell], (cell == joins.searchsorted(hi, side="left")) & (lo < hi)
 
 
 def _bridge_many(pot, e, xs, zs, c):
     """The array pass of ``analytic._bridge`` on a piecewise potential:
-    (ratios, redo).  Every interval that lies on one cell (``_cells``)
-    takes its ``_chain`` step in one ``_slabs_many`` call, the intervals
-    on its batch axis, anchored at Z of the end with the larger |Z| (the
-    second at a tie, ``_bridge``'s rule) and walked back (dx negated)
-    from the second end.  dx = xs[i + 1] - xs[i] is bitwise the cut's
-    step in either walk direction.  ``ratios`` holds
-    psi(xs[i + 1]) / psi(xs[i]) of each such interval, divided as the walk
-    divides it (``_quotient``: numpy's complex division rounds otherwise,
-    and its rounding would add up along psi's running product); ``redo``
-    lists, in ascending order, the intervals left for the scalar walk:
+    (ratios, redo), arrays.  ``xs`` and ``zs`` are the samples and their
+    zeta, as arrays or lists.  Every interval that lies on one cell
+    (``_cells``) takes its ``_chain`` step in one ``_slabs_many`` call,
+    the intervals on its batch axis, anchored at zeta of the end with
+    the larger |zeta| (the second at a tie, ``_bridge``'s rule) and
+    walked back (dx negated) from the second end.
+    dx = xs[i + 1] - xs[i] is bitwise the cut's step in either walk
+    direction.  ``ratios`` holds psi(xs[i + 1]) / psi(xs[i]) of each such
+    interval, divided as the walk divides it (``_quotient``: numpy's
+    complex division rounds otherwise, and its rounding would add up
+    along psi's running product); ``redo`` lists, in ascending order, the
+    intervals left for the scalar walk, whose ratios mean nothing:
     repeated samples and those across a join, those the pass marks not
     ``ok`` (where the walk raises), and those whose evanescent phase
     passes ``analytic._BRIDGE_PHASE`` (walked from both ends)."""
-    x, z = np.fromiter(xs, float, len(xs)), np.fromiter(zs, complex, len(zs))
-    n = max(len(x) - 1, 0)
-    level, one = _cells(pot, np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:]))
+    x, z = np.asarray(xs, dtype=float), np.asarray(zs, dtype=complex)
+    x0, x1 = x[:-1], x[1:]
+    level, one = _cells(pot, np.minimum(x0, x1), np.maximum(x0, x1))
     one = np.flatnonzero(one)
-    u, dx = level[one], np.diff(x)[one]
-    size = np.abs(z)
+    u, dx = level[one], (x1 - x0)[one]
+    size = _size(z)
     fwd = (size[:-1] > size[1:])[one]
     anchor = np.where(fwd, z[:-1][one], z[1:][one])
     slabs = np.stack((u, np.where(fwd, dx, -dx)))[:, None, :]
@@ -332,35 +346,51 @@ def _bridge_many(pot, e, xs, zs, c):
     ratio = _quotient(top, bottom)
     ratio[bottom == 0] = complex(math.inf)
     done = one[ok]
-    ratios = np.empty(n, dtype=object)  # None where not done
+    ratios = np.empty(len(x0), dtype=complex)
     ratios[done] = ratio
-    redo = np.ones(n, dtype=bool)
+    redo = np.ones(len(x0), dtype=bool)
     redo[done] = False
-    return ratios.tolist(), np.flatnonzero(redo).tolist()
+    return ratios, np.flatnonzero(redo)
 
 
-def _read_many(pot, e, xs, zs, points, c, rightward=False):
+def _read_many(pot, e, xs, zs, grid, c, rightward=False):
     """The array pass of ``analytic._read`` on a piecewise potential:
-    (read, redo), as ``_bridge_many`` gives (ratios, redo).  Every point
-    inside an interval that lies on one cell (``_cells``; every interval
-    of a stepper trajectory does) takes its step from the interval's
-    anchor (``analytic._read``'s rule, ``rightward`` its tie) in one
-    ``_slabs_many`` call, Z divided as the walk divides it
-    (``_quotient``); ``redo`` lists the points on a sample, in an
-    interval across a join, or flagged by the pass (where the walk
-    raises), in ascending order."""
-    x, z, p = np.fromiter(xs, float, len(xs)), np.fromiter(zs, complex, len(zs)), np.array(points)
-    i = np.searchsorted(x, p, side="right") - 1  # xs[i] <= p < xs[i + 1]
-    level, one = _cells(pot, x[i], x[i + 1])
-    size = np.abs(z)
-    lower, upper = size[i], size[i + 1]
-    j = np.where((lower > upper) | (rightward & (lower == upper)), i, i + 1)
-    take = np.flatnonzero((x[i] != p) & one)
-    slabs = np.stack((level[take], (p - x[j])[take]))[:, None, :]
-    num, den, _, ok = _slabs_many(slabs, e, z[j[take]], c)
+    (xs, zs, redo), arrays, or None where a point of ``grid`` is not
+    finite (``analytic._read`` then names it).  ``xs`` and ``zs`` are the
+    samples and their zeta (lists or arrays), ``grid`` the points, in any
+    order.  The read's samples are the first sample, the grid's points
+    strictly inside the samples, sorted (stably, so a -0.0 keeps its
+    place), and the last sample.  Every point inside an interval that
+    lies on one cell (``_cells``; every interval of a stepper
+    trajectory does) takes its step from the interval's anchor
+    (``analytic._read``'s rule, ``rightward`` its tie) in one
+    ``_slabs_many`` call, zeta divided as the walk divides it
+    (``_quotient``); ``redo`` lists, in ascending order, the read's
+    samples left to the walk, whose zeta means nothing: the points on a
+    sample, in an interval across a join, or flagged by the pass (where
+    the walk raises)."""
+    p = np.sort(np.asarray(grid, dtype=float), kind="stable")
+    if not np.isfinite(p).all():
+        return None
+    x, z = np.asarray(xs, dtype=float), np.asarray(zs, dtype=complex)
+    p = p[p.searchsorted(x[0], side="right"):p.searchsorted(x[-1], side="left")]
+    # each interval's level, whether it lies on one cell, and its anchor
+    level, one = _cells(pot, x[:-1], x[1:])
+    size = _size(z)
+    lower, upper = size[:-1], size[1:]
+    anchor = np.arange(1, len(x)) - ((lower > upper) | (rightward & (lower == upper)))
+    i = x.searchsorted(p, side="right") - 1  # xs[i] <= p < xs[i + 1]
+    take = np.flatnonzero(one[i] & (x[i] != p))
+    i = i[take]
+    j = anchor[i]
+    slabs = np.stack((level[i], p[take] - x[j]))[:, None, :]
+    num, den, _, ok = _slabs_many(slabs, e, z[j], c)
     ok &= den != 0
-    read, done = np.empty(len(p), dtype=object), take[ok]  # None where not done
-    read[done] = _quotient(num[ok], den[ok])
-    redo = np.ones(len(p), dtype=bool)
-    redo[done] = False
-    return read.tolist(), np.flatnonzero(redo).tolist()
+    read_x, read_z = np.empty(len(p) + 2), np.empty(len(p) + 2, dtype=complex)
+    read_x[0], read_x[1:-1], read_x[-1] = x[0], p, x[-1]
+    read_z[0], read_z[-1] = z[0], z[-1]
+    done = take[ok] + 1
+    read_z[done] = _quotient(num[ok], den[ok])
+    redo = np.ones(len(read_x), dtype=bool)
+    redo[done] = redo[0] = redo[-1] = False
+    return read_x, read_z, np.flatnonzero(redo)

@@ -85,8 +85,12 @@ keeps the walk along which |psi| grows; ``_read`` gives zeta at a
 grid's points by the same rule.  On a piecewise potential with numpy
 loaded already, the intervals that lie on one cell (all of a stepper
 trajectory's) take their steps in one array pass
-(``_arrays._bridge_many``, ``_arrays._read_many``); elsewhere one cut of
-the samples gives every interval's walk.
+(``_arrays._bridge_many``, ``_arrays._read_many``), which gives arrays;
+the intervals and points it leaves walk in one batch through the
+scalar tails ``_bridge_walks`` and ``_read_walks``.  Elsewhere one cut
+of the samples gives every interval's walk, all of them take those
+tails, and the results are lists; callers that want lists take an
+array's through ``_listed``.
 
 This module imports no numpy, so work at one energy loads none, on
 either kind of potential.  The adaptive Riccati integrator in
@@ -645,48 +649,58 @@ def _array_pass(pot: Potential, energies: list[float] | None = None,
     return True
 
 
-def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
-            c: float) -> list[complex]:
+def _bridge(pot: Potential, e: float, xs, zs, c: float):
     """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
-    trajectory's samples (xs monotone, zs its zeta there, c = 2m/hbar^2):
-    the ``_chain`` walk of the interval's slabs (its piece of ``_cut`` of
-    the samples, across any join in it), from the end with the larger
-    |zeta| (the second at a tie), anchored at the trajectory's zeta
-    there, so it never divides by a vanishing psi and carries sign flips
-    through nodes.  A repeated sample has ratio 1, a ratio past the float
-    range is infinite, and descending samples give bitwise what the
-    mirror's ascending ones give.
+    trajectory's samples (xs monotone, zs its zeta there, c = 2m/hbar^2;
+    lists, or arrays where numpy is loaded): the ``_chain`` walk of the
+    interval's slabs (its piece of ``_cut`` of the samples, across any
+    join in it), from the end with the larger |zeta| (the second at a
+    tie), anchored at the trajectory's zeta there, so it never divides by
+    a vanishing psi and carries sign flips through nodes.  A repeated
+    sample has ratio 1, a ratio past the float range is infinite, and
+    descending samples give bitwise what the mirror's ascending ones give.
 
     On a piecewise potential with numpy loaded already, the intervals
-    that lie on one cell take one array step together
-    (``_arrays._bridge_many``: the walk's arithmetic, with numpy's
-    complex cosh, sinh and exp, and the walk's own division); those it
-    leaves are cut in one pass over their ends and walk, so errors stay
-    the walk's.  Elsewhere one ``_cut`` of the samples gives every
-    interval's walk, a sampled potential's maps from one
-    ``_linear_walks`` call.
+    that lie on one cell take one array step together, and the ratios
+    come back as a complex array (``_arrays._bridge_many``: the walk's
+    arithmetic, with numpy's complex cosh, sinh and exp, and the walk's
+    own division); those it leaves are cut in one pass over their ends
+    and walk in one batch (``_bridge_walks``), so errors stay the walk's.
+    Elsewhere the ratios are a list: one ``_cut`` of the samples gives
+    every interval's walk, and all of them take that batch."""
+    if isinstance(pot, SampledPotential) or "numpy" not in sys.modules:
+        xs, zs = _listed(xs), _listed(zs)
+        return _bridge_walks(pot, e, _cut(pot, xs), zs[:-1], zs[1:], c)
+    from ._arrays import _bridge_many
+
+    ratios, redo = _bridge_many(pot, e, xs, zs, c)
+    redo = redo.tolist()
+    if redo:
+        # one cut of the intervals left, as (start, end) pairs: every
+        # other piece is one of them, the rest the gaps between them
+        walks = _cut(pot, [float(x) for i in redo for x in xs[i:i + 2]])[::2]
+        ratios[redo] = _bridge_walks(pot, e, walks, [complex(zs[i]) for i in redo],
+                                     [complex(zs[i + 1]) for i in redo], c)
+    return ratios
+
+
+def _bridge_walks(pot: Potential, e: float, walks: list[list[tuple[float, ...]]],
+                  starts: list[complex], ends: list[complex], c: float) -> list[complex]:
+    """The scalar tail of ``_bridge``: the psi ratio psi(end) / psi(start)
+    across each ``_cut`` walk of ``walks``, zeta ``starts`` and ``ends``
+    at its two ends (Python scalars), by ``_bridge``'s rule, the sampled
+    walks' maps from one ``_linear_walks`` call.
 
     A walk the way psi decays multiplies its anchor's error by about
     exp(2 sum(kappa |dx|)), so an interval whose evanescent phase passes
     _BRIDGE_PHASE is walked from both ends, and the walk along which
     |psi| grows more is kept (the first at a tie)."""
     sampled = isinstance(pot, SampledPotential)
-    if sampled or "numpy" not in sys.modules:
-        walks = _cut(pot, xs)
-        ratios, redo = [None] * len(walks), range(len(walks))
-    else:
-        from ._arrays import _bridge_many
-
-        ratios, redo = _bridge_many(pot, e, xs, zs, c)
-        # one cut of the intervals left, as (start, end) pairs: every
-        # other piece is one of them, the rest the gaps between them
-        pairs = [x for i in redo for x in xs[i:i + 2]]
-        walks = dict(zip(redo, _cut(pot, pairs)[::2])) if redo else {}
     # (interval, walked forward, walked from both ends)
     runs = []
-    for i in redo:
-        forward = abs(zs[i]) > abs(zs[i + 1])
-        if _phase(walks[i], e, c) > _BRIDGE_PHASE:
+    for i, walk in enumerate(walks):
+        forward = abs(starts[i]) > abs(ends[i])
+        if _phase(walk, e, c) > _BRIDGE_PHASE:
             runs += (i, forward, True), (i, not forward, True)
         else:
             runs.append((i, forward, False))
@@ -701,9 +715,9 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
         todo.append(walk)
     if sampled:
         todo = _linear_walks(todo, e, c)
-    best = None
+    ratios, best = [None] * len(walks), None
     for (i, forward, both), walk in zip(runs, todo):
-        _, den, r = _chain(walk, e, zs[i] if forward else zs[i + 1], c)
+        _, den, r = _chain(walk, e, starts[i] if forward else ends[i], c)
         if both:
             # psi(other end) / psi(anchor) = den / r: |psi|'s growth along
             # the walk, the first walk's kept unless the second's is larger
@@ -715,6 +729,14 @@ def _bridge(pot: Potential, e: float, xs: list[float], zs: list[complex],
         top, bottom = (den, r) if forward else (r, den)
         ratios[i] = top / bottom if bottom else complex(math.inf)
     return ratios
+
+
+def _listed(values):
+    """``values`` with an array turned into a list of Python floats or
+    complexes (``tolist``), and any other sequence as it is: the list
+    routes and list callers of ``_bridge`` and ``_read`` take their
+    values so, as the walks' scalar arithmetic needs them."""
+    return values.tolist() if hasattr(values, "tolist") else values
 
 
 def _phase(walk: list[tuple[float, ...]], e: float, c: float) -> float:
@@ -732,7 +754,7 @@ def _phase(walk: list[tuple[float, ...]], e: float, c: float) -> float:
 
 
 def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
-          c: float, rightward: bool = False) -> tuple[list[float], list[complex]]:
+          c: float, rightward: bool = False):
     """A Riccati trajectory (xs ascending, zs its zeta, c = 2m/hbar^2)
     read at the points of ``grid``: (xs, zs) of its first sample, the
     grid's points strictly inside it, ascending (its own floats, repeats
@@ -744,32 +766,45 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
     reached first, the second for a walk toward smaller x and the first
     for one toward larger x (``rightward``): ``_bridge``'s rule on the
     samples in walk order, so a mirrored walk reads bitwise the mirror's
-    values.  As in
-    ``_bridge``, the steps take one array pass on a piecewise potential
-    with numpy loaded already (``_arrays._read_many``), and the points it
-    leaves cut their interval alone (``_steps``); elsewhere one ``_cut``
-    of the samples gives every slab, and each point walks alone.  A
-    psi-node on a point raises TransformPoleError, a point that is not
-    finite NonFiniteInputError."""
-    points = sorted(grid)
+    values.  As in ``_bridge``, the steps take one array pass on a
+    piecewise potential with numpy loaded already
+    (``_arrays._read_many``), which gives (xs, zs) as arrays, and the
+    points it leaves walk in one batch (``_read_walks``); elsewhere, and
+    for a grid with a point that is not finite, (xs, zs) are lists, one
+    ``_cut`` of the samples gives every slab, and every point takes that
+    batch.  A psi-node on a point raises TransformPoleError, a point
+    that is not finite NonFiniteInputError."""
+    sampled = isinstance(pot, SampledPotential)
+    if not sampled and "numpy" in sys.modules:
+        from ._arrays import _read_many
+
+        read = _read_many(pot, e, xs, zs, grid, c, rightward)
+        if read is not None:
+            read_xs, read_zs, redo = read
+            read_zs[redo] = _read_walks(pot, e, xs, zs, read_xs[redo].tolist(), c, rightward)
+            return read_xs, read_zs
+    points = sorted(_listed(grid))
     require_finite("grid points", *points)
     lo, hi = xs[0], xs[-1]
     points = points[bisect_right(points, lo):bisect_left(points, hi)]
-    sampled = isinstance(pot, SampledPotential)
-    if sampled or "numpy" not in sys.modules:
-        # cut against the walk, so that a mirrored walk cuts the mirror's
-        # steps: each line step starts at U of the interval's upper end
-        # for a walk toward larger x, of its lower end otherwise
-        walks = _cut(pot, xs[::-1])[::-1] if rightward else _cut(pot, xs)
-        read, redo = [None] * len(points), range(len(points))
-    else:
-        from ._arrays import _read_many
+    # cut against the walk, so that a mirrored walk cuts the mirror's
+    # steps: each line step starts at U of the interval's upper end for a
+    # walk toward larger x, of its lower end otherwise
+    walks = _cut(pot, xs[::-1])[::-1] if rightward else _cut(pot, xs)
+    return [lo, *points, hi], [zs[0], *_read_walks(pot, e, xs, zs, points, c, rightward, walks), zs[-1]]
 
-        walks = None
-        read, redo = _read_many(pot, e, xs, zs, points, c, rightward)
-    todo, steps = [], []
-    for k in redo:
-        p = points[k]
+
+def _read_walks(pot: Potential, e: float, xs: list[float], zs: list[complex],
+                points: list[float], c: float, rightward: bool,
+                walks: list[list[tuple[float, ...]]] | None = None) -> list[complex]:
+    """The scalar tail of ``_read``: zeta at each of ``points``, ascending
+    and inside the samples (xs, zs, lists), by ``_read``'s rule, from the
+    intervals' ``_cut`` walks (``walks``, or each interval cut alone
+    where None), the sampled walks' maps from one ``_linear_walks``
+    call."""
+    sampled = isinstance(pot, SampledPotential)
+    read, todo, steps = [None] * len(points), [], []
+    for k, p in enumerate(points):
         i = bisect_right(xs, p) - 1
         if xs[i] == p:
             read[k] = zs[i]
@@ -794,7 +829,7 @@ def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
         steps = list(_linear_walks(steps[::-1], e, c))[::-1] if rightward else _linear_walks(steps, e, c)
     for (k, j), walk in zip(todo, steps):
         read[k] = _divide(*_chain(walk, e, zs[j], c)[:2])
-    return [lo, *points, hi], [zs[0], *read, zs[-1]]
+    return read
 
 
 def _view(rc: RegionConstants, z_at: complex, dx: float) -> tuple[complex, complex, complex, float]:

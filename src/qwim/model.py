@@ -38,7 +38,11 @@ JOIN_TOL = 1e-12
 
 
 def require_finite(what: str, *values: float) -> None:
-    """Raise NonFiniteInputError if any value is NaN or infinite."""
+    """Raise NonFiniteInputError if any value is NaN or infinite, naming
+    the first such value.  All values are checked in one pass first; only
+    a failing check walks them again to find the one to name."""
+    if all(map(math.isfinite, values)):
+        return
     for v in values:
         if not math.isfinite(v):
             raise NonFiniteInputError(f"{what} must be finite, got {v}")

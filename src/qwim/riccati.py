@@ -64,9 +64,11 @@ This module imports no numpy.  ``_trajectory`` returns plain lists of
 zeta, and the solver paths read them directly: a ``force_numeric``
 solve, the bound search's ``force_numeric`` ends, and the CLI's
 ``profile --force-numeric`` and ``validate``.  ``integrate_impedance``,
-the public entry, checks an array grid, reads the trajectory at it, and
-wraps the lists as the arrays of an ``ImpedanceTrajectory`` of Z,
-loading numpy when it is called.
+the public entry, loads numpy when it is called, checks an array grid,
+and reads the trajectory at it: on a piecewise potential the read's
+array pass gives the ``ImpedanceTrajectory``'s arrays as they are, Z
+divided from zeta in place; elsewhere the read's lists, or the
+trajectory's without a grid, become those arrays.
 """
 
 from __future__ import annotations
@@ -144,10 +146,12 @@ def integrate_impedance(
     z = complex(anchor_z)
     xs, zs = _trajectory(pot, e, anchor_x, complex(z.real * w, z.imag * w), target_x, cfg, c)
     if points is not None:
-        xs, zs = _read(pot, float(e), xs, zs, points.tolist(), c, target_x > anchor_x)
+        xs, zs = _read(pot, float(e), xs, zs, points, c, target_x > anchor_x)
+    zs = np.asarray(zs, dtype=complex)  # a new array either way
+    zs.view(float)[...] /= w  # Z = zeta / w by parts
     return ImpedanceTrajectory(
-        xs=np.array(xs),
-        zs=(np.array(zs, dtype=complex).view(float) / w).view(complex),  # Z = zeta / w by parts
+        xs=np.asarray(xs, dtype=float),
+        zs=zs,
         direction=Side.LEFT if target_x < anchor_x else Side.RIGHT,
         anchor_x=float(anchor_x),
         anchor_z=complex(anchor_z),

@@ -51,7 +51,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .analytic import (
-    _array_pass, _bridge, _chain, _constants, _cut, _divide, _from_zeta, _linear_walks, _read,
+    _array_pass, _bridge, _chain, _constants, _cut, _divide, _from_zeta, _linear_walks, _listed, _read,
     _steps, _units,
 )
 from .errors import (
@@ -274,7 +274,7 @@ class _Incidence:
         if self.right:
             xs, zs = xs[::-1], zs[::-1]
         psi = [psi_in]
-        for q in _bridge(self.pot, e, xs, zs, self.c):
+        for q in _listed(_bridge(self.pot, e, xs, zs, self.c)):
             psi.append(psi[-1] * q)
         if not all(map(cmath.isfinite, psi)):
             raise NonFiniteStateError(f"psi along the trajectory is not finite at energy {e}")
@@ -325,7 +325,7 @@ class _Incidence:
         xs, zs = _trajectory(self.pot, e, start, anchor, end, self.cfg, self.c)
         if grid is None:
             return xs, zs
-        return _read(self.pot, e, xs, zs, grid, self.c, self.right)
+        return tuple(map(_listed, _read(self.pot, e, xs, zs, grid, self.c, self.right)))
 
 
 def _reflect(z1, num, den, ratio) -> tuple:
@@ -357,8 +357,12 @@ def solve_scattering(
     far lead is evanescent), and t the product of the psi bridges.
     """
     require_finite("energy", e)
-    e = float(e)
-    walk = _Incidence(pot, side, cfg, params)
+    return _solve(_Incidence(pot, side, cfg, params), float(e), side)
+
+
+def _solve(walk: _Incidence, e: float, side: Side) -> ScatteringResult:
+    """``solve_scattering`` at a finite float energy along a walk set up
+    from ``side``: the body that a sweep's energies share one walk for."""
     if e < walk.u_in:
         raise EvanescentIncidenceError(f"energy {e} below incidence lead {walk.u_in}")
     r, tau, num, den, k1, k2 = walk(e, bridge=True)
@@ -491,7 +495,9 @@ def energy_sweep(
     records ``solve_scattering`` gives.  Elsewhere every point is solved
     so, one at a time: on a piecewise potential, or a sampled one below
     ``_array_pass``'s threshold, in a process without numpy, each record
-    is then ``solve_scattering``'s at its energy.  A complex grid raises
+    is then ``solve_scattering``'s at its energy.  The points solved one
+    at a time share one walk (``_Incidence``), so the potential is cut
+    into slabs once per sweep, not once per point.  A complex grid raises
     TypeError, as a Python ``complex`` entry does: its imaginary parts
     would be dropped.
     """
@@ -503,10 +509,13 @@ def energy_sweep(
         with suppress(NonFiniteStateError):
             if _array_pass(pot, e, _units(params)[0]):
                 out, redo = _sweep_chain(pot, e, side, cfg, params)
+    walk = None  # set up at the first point left, and again while it raises
     for i in redo:
         e_i = float(e[i])
         try:
-            out[i] = solve_scattering(pot, e_i, side, cfg, params)
+            if walk is None:
+                walk = _Incidence(pot, side, cfg, params)
+            out[i] = _solve(walk, e_i, side)
         except SolverError as exc:
             out[i] = EnergyPointError(e=e_i, code=exc.code, message=str(exc))
     return out

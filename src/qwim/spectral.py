@@ -67,7 +67,7 @@ from enum import Enum
 from functools import partial
 
 from ._optimize import _MAXITER, brentq, minimize_scalar
-from .analytic import _array_pass, _bridge, _chain, _from_zeta, _real_walk, _steps, _units
+from .analytic import _array_pass, _bridge, _chain, _from_zeta, _listed, _real_walk, _steps, _units
 from .errors import (
     BracketingExhaustedError,
     EmptyWindowError,
@@ -203,7 +203,7 @@ class _Ends:
         # psi'/psi = i zeta in each walk's direction, and the sign of psi
         # at the probe
         y1, y2 = -plus[1][-1].imag, minus[1][0].imag
-        p1, p2 = (_sign(_bridge(self.pot, e, xs, zs, self.c)) for xs, zs in (plus, minus))
+        p1, p2 = (_sign(_listed(_bridge(self.pot, e, xs, zs, self.c))) for xs, zs in (plus, minus))
         return (p1, p1 * y1, None), (p2, p2 * y2, None)
 
     def count(self, e: float) -> int:
@@ -299,7 +299,11 @@ def find_bound_states(
     params: ModelParams = ModelParams(),
     probe_x: float | None = None,
 ) -> SpectrumResult:
-    """All bound energies in (min interior U, min lead level).
+    """All bound energies in (min interior U, min lead level), each to
+    Brent's tolerance, relative 8.9e-16 and absolute _XTOL: a state
+    within _XTOL of the ceiling is reported at the ceiling itself.  The
+    well (0, 1) at depth 1e-160 below zero leads holds one state, at
+    about -5e-321, and the search reports it as 0.0.
 
     The Sturm count N(E) of ``_Ends.count`` (N = 0 at the floor) gives
     every state its own bracket, in one loop over a stack of brackets

@@ -273,8 +273,10 @@ def reconstruct_wavefunction(
     Z at one end (``analytic._bridge``), so it carries psi through nodes
     and joins.  numpy is loaded here, so on a piecewise potential the
     intervals that lie on one slab take their steps in one array pass,
-    in the walk's arithmetic; the rest, and a sampled potential's, walk
-    one at a time.  psi keeps the scale psi_start sets at the first sample:
+    in the walk's arithmetic, straight from the trajectory's arrays; the
+    rest, and a sampled potential's, walk one at a time.  The ratios
+    fill psi after psi_start, and ``np.cumprod`` runs in place over it.
+    psi keeps the scale psi_start sets at the first sample:
     given psi there per unit incident wave, the profile is psi per unit
     incident wave (``Normalization.UNIT_INCIDENT``).  Any trajectory has
     an interval to bridge, so two samples are enough.
@@ -284,10 +286,12 @@ def reconstruct_wavefunction(
     xs = traj.xs
     c, w = _units(traj.params)
     zeta = (np.ascontiguousarray(traj.zs, dtype=complex).view(float) * w).view(complex)  # by parts
-    ratios = _bridge(traj.potential, traj.energy, xs.tolist(), zeta.tolist(), c)
+    psi = np.empty(len(xs), dtype=complex)
+    psi[0] = psi_start
+    psi[1:] = _bridge(traj.potential, traj.energy, xs, zeta, c)
     with np.errstate(all="ignore"):
-        psi = np.cumprod(np.array([psi_start, *ratios], dtype=complex))
-    if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
+        np.cumprod(psi, out=psi)
+    if not np.isfinite(psi).all():
         raise NonFiniteStateError("reconstructed psi is not finite")
     return WavefunctionProfile(
         xs=xs.copy(), psi=psi, normalization=Normalization.UNIT_INCIDENT

@@ -1,11 +1,15 @@
 """Shared fixtures: physical parameters and seeded random problem sets."""
 
+import contextlib
 import os
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from qwim import analytic
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment
 from qwim.scattering import solve_scattering
 
@@ -66,3 +70,18 @@ def random_wells():
         (float(rng.uniform(0.3, 30.0)), float(rng.uniform(0.4, 4.0)))
         for _ in range(20)
     ]
+
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """A context manager under which ``qwim.analytic`` sees no numpy
+    loaded: its walks take the routes of a process that has not imported
+    numpy (the list routes of ``_bridge`` and ``_read``, the twin's
+    sub-slab maps), though numpy stays loaded for the test itself."""
+    @contextlib.contextmanager
+    def hidden():
+        with monkeypatch.context() as m:
+            m.setattr(analytic, "sys", SimpleNamespace(modules={}, float_info=sys.float_info))
+            yield
+
+    return hidden

@@ -711,7 +711,7 @@ def test_numeric_profile_reads_the_chain_field(random_stack_instances):
     # at worst, on stack 21 from the right at E = 1.0875, where the
     # Dormand-Prince 5(4) pair's own samples missed it at 3.2e-8).  Z is
     # within 1e-6 of max(|Z|, 1) (6.8e-8 at worst)
-    from qwim.analytic import _read
+    from qwim.analytic import _listed, _read
     from qwim.cli import VALIDATE_DELTA_TOL
     from qwim.model import IntegrationConfig, ModelParams
     from qwim.scattering import _Incidence
@@ -732,7 +732,7 @@ def test_numeric_profile_reads_the_chain_field(random_stack_instances):
         for e, side in itertools.product((0.3, 1.0875, 2.0), Side):
             walk = _Incidence(pot, side, cfg, params)
             xs, zs = walk.trajectory(e)
-            read_xs, read_zs = _read(pot, e, xs, zs, grid, walk.c)
+            read_xs, read_zs = map(_listed, _read(pot, e, xs, zs, grid, walk.c))
             assert read_xs == grid
             psi_error, z_error = errors(walk, e, read_xs, read_zs)
             assert psi_error < VALIDATE_DELTA_TOL, (pot, e, side)

@@ -1,5 +1,7 @@
 """Potential geometry: construction, validation, lookup, mirroring."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from qwim.model import (
     PotentialSegment,
     SampledPotential,
     _linspace,
+    require_finite,
 )
 
 
@@ -222,3 +225,18 @@ def test_linspace_is_numpys_bit_for_bit(span, num):
     got = _linspace(*span, num)
     assert all(type(v) is float for v in got)
     assert [v.hex() for v in got] == [v.hex() for v in np.linspace(*span, num).tolist()]
+
+
+def test_require_finite_names_the_first_bad_value_of_a_long_list():
+    # all values are checked in one pass, and only a failing check walks
+    # them again to name the first bad one: the message is unchanged
+    values = [0.25 * k for k in range(10_000)]
+    require_finite("grid points", *values)
+    values[7_321] = math.nan
+    values[9_000] = math.inf
+    with pytest.raises(NonFiniteInputError) as err:
+        require_finite("grid points", *values)
+    assert str(err.value) == "grid points must be finite, got nan"
+    values[5] = -math.inf
+    with pytest.raises(NonFiniteInputError, match=r"^energy must be finite, got -inf$"):
+        require_finite("energy", *values)

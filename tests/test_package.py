@@ -273,7 +273,7 @@ def test_units_are_read_once_at_the_edge():
 
     walkers = {
         analytic: ["_constants", "_chain", "_real_walk", "_linear_twin", "_linear_steps",
-                   "_linear_walks", "_phase", "_bridge", "_read"],
+                   "_linear_walks", "_phase", "_bridge", "_bridge_walks", "_read", "_read_walks"],
         riccati: ["_trajectory"],
         _arrays: ["_linear_maps", "_region_constants_many", "_chain_many", "_slabs_many",
                   "_bridge_many", "_read_many"],

@@ -10,10 +10,8 @@ import itertools
 import math
 import operator
 import re
-import sys
 import textwrap
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -639,24 +637,26 @@ def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
 
 def _read_routes(monkeypatch, pot, e, xs, zs, grid, c=C):
     """``analytic._read`` of one trajectory by its array pass and by its
-    scalar walk of every point, and the points the array pass left to
-    the walk."""
+    scalar walk of every point, as lists, and the points the array pass
+    left to the walk (indices into the grid's points inside the
+    samples)."""
     many, left = _arrays._read_many, []
 
     def recorded(*args):
-        read, redo = many(*args)
-        left.extend(redo)
-        return read, redo
+        read_xs, read_zs, redo = many(*args)
+        left.extend((redo - 1).tolist())
+        return read_xs, read_zs, redo
 
-    def walk_only(pot, e, xs, zs, points, *_):
-        return [None] * len(points), range(len(points))
+    def walk_only(*args):
+        read_xs, read_zs, _ = many(*args)
+        return read_xs, read_zs, np.arange(1, len(read_xs) - 1)
 
     with monkeypatch.context() as m:
         m.setattr(_arrays, "_read_many", recorded)
         got = analytic._read(pot, e, xs, zs, grid, c)
         m.setattr(_arrays, "_read_many", walk_only)
         want = analytic._read(pot, e, xs, zs, grid, c)
-    return got, want, left
+    return [list(map(analytic._listed, read)) for read in (got, want)] + [left]
 
 
 @pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
@@ -765,11 +765,124 @@ def test_read_array_pass_finds_each_interval_cell(pot, xs, monkeypatch):
     crossing = [i for i, walk in enumerate(analytic._cut(pot, thin)) if len(walk) > 1]
     assert crossing
     points = [p for p in got_xs if thin[0] < p < thin[-1]]
-    read, redo = _arrays._read_many(pot, e, thin, thin_zs, points, C)
+    read_xs, read, redo = _arrays._read_many(pot, e, thin, thin_zs, points, C)
+    assert read_xs[1:-1].tolist() == points
+    read, redo = read[1:-1].tolist(), (redo - 1).tolist()
     inside = [bisect.bisect_right(thin, p) - 1 for p in points]
     assert redo == [k for k, p in enumerate(points) if p in set(thin) or inside[k] in crossing]
     ref = _reference_read(pot, e, list(zip(thin, thin_zs)), points, C)[1:-1]
     assert all(read[k] == ref[k][1] for k in range(len(points)) if k not in redo)
+
+
+def _awkward_grid(pot, xs, rng):
+    """Grid points that every route must read alike: a linspace past both
+    ends, points on the samples and on the joins, repeats, and points
+    just inside the samples' range, shuffled."""
+    near = [xs[0] + 1e-13, xs[-1] - 1e-13, xs[0], xs[-1]]
+    grid = [*np.linspace(pot.a - 0.5, pot.b + 0.5, 157).tolist(), *xs[1:-1:7], *pot.interfaces(), *near]
+    grid += grid[::9]
+    return rng.permutation(grid).tolist()
+
+
+@pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
+def test_warm_read_is_bitwise_the_cold_walk(random_stack_instances, threshold, no_numpy):
+    # the array pass (numpy loaded) against the numpy-free walk of every
+    # point, bitwise, on every fifth conftest stack from both anchors (a
+    # walk toward smaller x and toward larger x, whose ties differ), at
+    # its lowest and highest energy and below the leads, where Z passes
+    # poles (in W mode with threshold 2): points on samples and on
+    # joins, repeated and unsorted points, as a list and as an array;
+    # and the samples thinned, so that intervals cross joins.  The array
+    # route gives arrays, the walk lists
+    cfg = IntegrationConfig(pole_threshold=threshold)
+    rng = np.random.default_rng(41)
+    taken = left = 0
+    for pot, energies in random_stack_instances[::5]:
+        es = [float(energies[0]), float(energies[-1])]
+        floor = min(s.u for s in pot.segments)
+        if floor < 0.0:
+            es.append(0.5 * floor)
+        for e, z in itertools.product(es, (z_minus, z_plus)):
+            traj = z(pot, e, cfg)
+            rightward = traj.direction is Side.RIGHT
+            for xs, zs in ((traj.xs.tolist(), traj.zs.tolist()),
+                           (traj.xs[::3].tolist(), traj.zs[::3].tolist())):
+                grid = _awkward_grid(pot, xs, rng)
+                for points in (grid, np.array(grid)):
+                    warm_xs, warm_zs = analytic._read(pot, e, xs, zs, points, C, rightward)
+                    with no_numpy():
+                        cold = analytic._read(pot, e, xs, zs, points, C, rightward)
+                    assert isinstance(warm_zs, np.ndarray) and type(cold[1]) is list
+                    assert repr((warm_xs.tolist(), warm_zs.tolist())) == repr(cold), (pot, e)
+                    redo = _arrays._read_many(pot, e, xs, zs, points, C, rightward)[2]
+                    taken += len(warm_xs) - 2 - len(redo)
+                    left += len(redo)
+    # most points take the array pass; those on samples or across joins not
+    assert taken > 3 * left > 0
+
+
+def test_read_of_a_grid_that_is_not_finite_takes_the_walks_error():
+    # a grid with a NaN or an infinity is read by the list route, whose
+    # check names the first bad point of the sorted grid
+    traj = z_minus(_STACK, 0.9)
+    xs, zs = traj.xs.tolist(), traj.zs.tolist()
+    for grid, bad in (([0.5, math.nan, 1.5], "nan"), ([math.inf, 0.5, -math.inf], "-inf")):
+        for points in (grid, np.array(grid)):
+            with pytest.raises(NonFiniteInputError, match=f"^grid points must be finite, got {bad}$"):
+                analytic._read(_STACK, 0.9, xs, zs, points, C)
+            with pytest.raises(NonFiniteInputError, match=f"^grid points must be finite, got {bad}$"):
+                z_minus(_STACK, 0.9, grid=points)
+
+
+def test_trajectory_read_and_reconstruction_are_bitwise_cold_and_warm(random_stack_instances, no_numpy):
+    # integrate_impedance on a grid and reconstruct_wavefunction, with the
+    # read and the bridge on their array passes and on the numpy-free
+    # walks: the same xs, Z and psi, bit for bit, on every fifth conftest
+    # stack from both ends, in both modes
+    from qwim.xcheck import reconstruct_wavefunction
+
+    psi_start = 0.5 - 2.0j
+    for (pot, energies), threshold in itertools.product(random_stack_instances[::5], (1e9, 2.0)):
+        cfg = IntegrationConfig(pole_threshold=threshold)
+        grid = np.linspace(pot.a, pot.b, 203)
+        for e, z in itertools.product((float(energies[0]), float(energies[-1])), (z_minus, z_plus)):
+            warm = z(pot, e, cfg, grid=grid)
+            with no_numpy():
+                cold = z(pot, e, cfg, grid=grid)
+                cold_psi = reconstruct_wavefunction(cold, psi_start).psi
+            assert warm.xs.tobytes() == cold.xs.tobytes() and warm.zs.tobytes() == cold.zs.tobytes()
+            psi = reconstruct_wavefunction(warm, psi_start).psi
+            assert psi.tobytes() == cold_psi.tobytes() and psi[0] == psi_start
+
+
+def test_read_and_bridge_at_a_tie_anchor_where_the_walk_does(no_numpy):
+    # samples whose zeta is of one size everywhere: each point is read
+    # from the interval's end the walk reached first, the lower for a
+    # walk toward larger x and the upper otherwise, and each interval
+    # bridged from its second end, on the array passes as on the
+    # numpy-free walk, bit for bit; the two read rules read differently.
+    # numpy's complex absolute value differs from Python's abs in the
+    # last bit on 3 of these 10 samples, and took the other end there
+    e, xs = 0.9, [-1.0, -0.25, 0.0, 0.6, 1.0, 1.8, 2.5, 2.9, 3.0, 3.7]
+    zs = [cmath.rect(1.3, 0.4 + 0.9 * k) for k in range(len(xs))]
+    assert len({abs(z) for z in zs}) == 1
+    grid = np.linspace(-1.0, 3.7, 95).tolist()
+    reads = []
+    for rightward in (False, True):
+        warm = [v.tolist() for v in analytic._read(_STACK, e, xs, zs, grid, C, rightward)]
+        with no_numpy():
+            cold = analytic._read(_STACK, e, xs, zs, grid, C, rightward)
+        assert repr(warm) == repr(list(cold))
+        # the array pass leaves only the points on samples to the walk
+        read_xs, _, redo = _arrays._read_many(_STACK, e, xs, zs, grid, C, rightward)
+        assert read_xs[redo].tolist() == [p for p in grid[1:-1] if p in xs]
+        reads.append(cold[1])
+    assert reads[0] != reads[1]
+    warm = _bridge(_STACK, e, xs, zs, C)
+    with no_numpy():
+        cold = _bridge(_STACK, e, xs, zs, C)
+    assert warm.tobytes() == np.array(cold, dtype=complex).tobytes()
+    assert _arrays._bridge_many(_STACK, e, xs, zs, C)[1].size == 0
 
 
 @pytest.mark.parametrize(
@@ -782,7 +895,7 @@ def test_read_array_pass_finds_each_interval_cell(pot, xs, monkeypatch):
     ids=["piecewise", "sampled"],
 )
 @pytest.mark.parametrize("anchor", [0, 1], ids=["from-start", "from-end"])
-def test_read_walks_a_point_across_a_join_from_its_anchor(pot, anchor, monkeypatch):
+def test_read_walks_a_point_across_a_join_from_its_anchor(pot, anchor, no_numpy):
     # an interval of samples that crosses joins (0 to 2 here) is no one
     # slab: each point inside it walks the interval's slabs from the end
     # with the larger |zeta| to itself, as _reference_read walks it, in a
@@ -795,12 +908,11 @@ def test_read_walks_a_point_across_a_join_from_its_anchor(pot, anchor, monkeypat
     e, xs = 0.9, [0.0, 2.0]
     zs = [complex(0.8, 0.2), complex(0.3, -0.1)][::1 if anchor == 0 else -1]
     grid = [0.35, 0.5, 1.0, 1.5]
-    with monkeypatch.context() as m:
-        m.setattr(analytic, "sys", SimpleNamespace(modules={}, float_info=sys.float_info))
+    with no_numpy():
         want = _reference_read(pot, e, list(zip(xs, zs)), grid, C)
         assert analytic._read(pot, e, xs, zs, grid, C) == tuple(map(list, zip(*want)))
     want = _reference_read(pot, e, list(zip(xs, zs)), grid, C)
-    got_xs, got = analytic._read(pot, e, xs, zs, grid, C)
+    got_xs, got = map(analytic._listed, analytic._read(pot, e, xs, zs, grid, C))
     assert got_xs == [x for x, _ in want]
     ulps = 4.0 if isinstance(pot, SampledPotential) else 0.0
     eps = np.finfo(float).eps

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qwim import _arrays, scattering
+from qwim import _arrays, analytic, scattering
 from qwim.analytic import barrier_closed_forms, region_constants
 from qwim.errors import (
     DegenerateEnergyError,
@@ -313,16 +313,17 @@ def test_scalar_sweep_grid_contracts(scalar_sweep):
 
 
 def test_scalar_sweep_is_solve_scattering(scalar_sweep, random_stack_instances, monkeypatch):
-    # the scalar branch solves every energy alone, so each record is
-    # solve_scattering's, or the point error its SolverError gives, exactly
+    # the scalar branch solves every energy alone, by solve_scattering's
+    # body along the sweep's one walk, so each record is solve_scattering's,
+    # or the point error its SolverError gives, exactly
     calls = []
-    pointwise = scattering.solve_scattering
+    pointwise, body = scattering.solve_scattering, scattering._solve
 
-    def counted(pot, e, *args):
+    def counted(walk, e, *args):
         calls.append(e)
-        return pointwise(pot, e, *args)
+        return body(walk, e, *args)
 
-    monkeypatch.setattr(scattering, "solve_scattering", counted)
+    monkeypatch.setattr(scattering, "_solve", counted)
     cases = [barrier(), step(1.0)] + [pot for pot, _ in random_stack_instances[::5]]
     for pot, side in itertools.product(cases, (Side.LEFT, Side.RIGHT)):
         levels = [pot.left_level, pot.right_level] + [s.u for s in pot.segments]
@@ -340,10 +341,32 @@ def test_scalar_sweep_is_solve_scattering(scalar_sweep, random_stack_instances, 
         assert any(isinstance(w, EnergyPointError) for w in want)
 
 
+def test_scalar_sweep_cuts_its_slab_list_once(scalar_sweep, monkeypatch):
+    # the points of a scalar sweep share one walk: its slab list is cut
+    # once per sweep, not once per point (50 cuts for 50 points before),
+    # on either kind of potential and from either side
+    cuts = []
+    real = analytic._cut
+
+    def counted(pot, points):
+        cuts.append(len(points))
+        return real(pot, points)
+
+    monkeypatch.setattr(analytic, "_cut", counted)
+    xs = np.linspace(-3.0, 3.0, 41)
+    sampled = SampledPotential(tuple(xs), tuple(2.0 * np.exp(-xs ** 2)), 0.0, 0.0)
+    grid = np.linspace(0.3, 4.0, 50).tolist()
+    for pot, side in itertools.product((barrier(), sampled), Side):
+        cuts.clear()
+        records = energy_sweep(pot, grid, side)
+        assert all(isinstance(rec, ScatteringResult) for rec in records)
+        assert cuts == [2]
+
+
 def test_sweep_builds_no_mirror_and_one_record_a_point(monkeypatch):
     # right incidence walks the stack's own slab list: no mirrored stack,
     # no pointwise solve where no point is flagged, one record a point
-    counts = {"mirrored": 0, "solve_scattering": 0, "records": 0}
+    counts = {"mirrored": 0, "solves": 0, "records": 0}
 
     def counting(key, f):
         def wrapped(*args, **kwargs):
@@ -355,15 +378,13 @@ def test_sweep_builds_no_mirror_and_one_record_a_point(monkeypatch):
     monkeypatch.setattr(
         PiecewisePotential, "mirrored", counting("mirrored", PiecewisePotential.mirrored)
     )
-    monkeypatch.setattr(
-        scattering, "solve_scattering", counting("solve_scattering", scattering.solve_scattering)
-    )
+    monkeypatch.setattr(scattering, "_solve", counting("solves", scattering._solve))
     monkeypatch.setattr(
         ScatteringResult, "__init__", counting("records", ScatteringResult.__init__)
     )
     stack, grid = _deep_stack(), np.linspace(1.6, 6.0, 137)
     out = energy_sweep(stack, grid, Side.RIGHT)
-    assert counts == {"mirrored": 0, "solve_scattering": 0, "records": len(grid)}
+    assert counts == {"mirrored": 0, "solves": 0, "records": len(grid)}
     assert all(type(rec) is ScatteringResult and rec.side is Side.RIGHT for rec in out)
 
 
@@ -465,13 +486,13 @@ def test_sampled_split_count_overflow_is_a_point_error():
 
 def test_sampled_energy_sweep_matches_pointwise(monkeypatch):
     calls = []
-    pointwise = scattering.solve_scattering
+    pointwise, body = scattering.solve_scattering, scattering._solve
 
-    def counted(pot, e, *args):
+    def counted(walk, e, *args):
         calls.append(e)
-        return pointwise(pot, e, *args)
+        return body(walk, e, *args)
 
-    monkeypatch.setattr(scattering, "solve_scattering", counted)
+    monkeypatch.setattr(scattering, "_solve", counted)
     units = (ModelParams(), ModelParams(hbar=0.5, mass=2.0))
     for pot, params in zip((_sampled_bump(-2.0, 61, 0.3, -0.4), _sampled_bump(3.0, 23)), units):
         levels = [pot.left_level, pot.right_level, *pot.us]
@@ -702,13 +723,13 @@ def _sweep_cases(case, random_stack_instances):
 )
 def test_energy_sweep_matches_pointwise(case, random_stack_instances, monkeypatch):
     calls = []
-    pointwise = scattering.solve_scattering
+    pointwise, body = scattering.solve_scattering, scattering._solve
 
-    def counted(pot, e, *args):
+    def counted(walk, e, *args):
         calls.append(e)
-        return pointwise(pot, e, *args)
+        return body(walk, e, *args)
 
-    monkeypatch.setattr(scattering, "solve_scattering", counted)
+    monkeypatch.setattr(scattering, "_solve", counted)
     for pot, params in _sweep_cases(case, random_stack_instances):
         levels = [pot.left_level, pot.right_level] + [s.u for s in pot.segments]
         # every level, just above every level, and the node stack's pole

@@ -1179,3 +1179,14 @@ def test_bound_search_refines_a_state_far_inside_a_wide_window(monkeypatch):
     assert len(walks) < 600
     (e,) = res.energies
     assert abs(e + 3.68e-141 ** 2 / 2) <= 1e-15 * 3.68e-141 ** 2 / 2
+
+
+@pytest.mark.parametrize("depth", [1e-160, 1e-200, 1e-250])
+def test_bound_state_within_tolerance_of_a_zero_ceiling_is_reported_there(depth):
+    # the well (0, 1) below zero leads holds one state at about
+    # -depth^2 / 2 (-5e-321, a subnormal, at 1e-160; below the float
+    # range deeper), within _XTOL = 1e-300 of the ceiling: the search
+    # reports it at the ceiling, as its docstring says
+    res = find_bound_states(well(depth, 1.0))
+    assert res.energies == [0.0]
+    assert spectral._XTOL >= depth ** 2

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import oracles
 from qwim import _arrays, analytic, scattering
-from qwim.analytic import _bridge, _chain, _steps, _units, barrier_closed_forms, region_constants
+from qwim.analytic import _BRIDGE_PHASE, _bridge, _chain, _listed, _steps, _units, barrier_closed_forms, region_constants
 from qwim.errors import (
     DegenerateEnergyError,
     InsufficientSamplesError,
@@ -540,18 +541,18 @@ def test_bridge_walks_an_interval_across_a_join(pot):
 
 def _walk_only(pot, e, xs, *_):
     """``_arrays._bridge_many`` that leaves every interval to the walk."""
-    return [None] * (len(xs) - 1), range(len(xs) - 1)
+    return np.empty(len(xs) - 1, dtype=complex), np.arange(len(xs) - 1)
 
 
 def _routes(monkeypatch, pot, e, xs, zs, c=C):
     """``_bridge`` on the same samples by its array pass and by its
-    scalar walk of every interval, and the intervals the array pass left
-    to the walk."""
+    scalar walk of every interval, as lists, and the intervals the array
+    pass left to the walk."""
     many, left = _arrays._bridge_many, []
 
     def recorded(*args):
         ratios, redo = many(*args)
-        left.extend(redo)
+        left.extend(redo.tolist())
         return ratios, redo
 
     with monkeypatch.context() as m:
@@ -559,7 +560,7 @@ def _routes(monkeypatch, pot, e, xs, zs, c=C):
         got = _bridge(pot, e, xs, zs, c)
         m.setattr(_arrays, "_bridge_many", _walk_only)
         want = _bridge(pot, e, xs, zs, c)
-    return got, want, left
+    return _listed(got), _listed(want), left
 
 
 def _ulps(got, want):
@@ -690,6 +691,63 @@ def test_bridge_array_pass_leaves_overflows_to_the_walk(xs, zs, message, monkeyp
             with pytest.raises(NonFiniteStateError) as err:
                 _bridge(pot, e, xs, zs, C)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
+def test_warm_bridge_is_bitwise_the_cold_walk(random_stack_instances, threshold, no_numpy):
+    # the array pass (numpy loaded) against the numpy-free walk of every
+    # interval, bitwise, on every fifth conftest stack from both ends, at
+    # its lowest and highest energy and below the leads, where psi
+    # crosses nodes (in W mode with threshold 2): the stepper's samples
+    # ascending and descending, as lists and as arrays, with a sample
+    # repeated, and thinned so that intervals cross joins and pass
+    # _BRIDGE_PHASE (walked from both ends).  The array route gives a
+    # complex array, the walk a list (whose ratio 1 at a repeated sample
+    # is the float 1.0)
+    cfg = IntegrationConfig(pole_threshold=threshold)
+    taken = left = 0
+    for pot, energies in random_stack_instances[::5]:
+        es = [float(energies[0]), float(energies[-1])]
+        floor = min(s.u for s in pot.segments)
+        if floor < 0.0:
+            es.append(0.5 * floor)
+        for e, z in itertools.product(es, (z_minus, z_plus)):
+            traj = z(pot, e, cfg)
+            xs, zs = traj.xs.tolist(), traj.zs.tolist()
+            k = len(xs) // 2
+            cases = [(xs, zs), (xs[::-1], zs[::-1]), (xs[::5], zs[::5]),
+                     ([*xs[:k], xs[k], *xs[k:]], [*zs[:k], zs[k], *zs[k:]])]
+            for samples in cases:
+                for x, z_ in (samples, tuple(map(np.array, samples))):
+                    warm = _bridge(pot, e, x, z_, C)
+                    with no_numpy():
+                        cold = _bridge(pot, e, x, z_, C)
+                    assert isinstance(warm, np.ndarray) and type(cold) is list
+                    assert warm.tobytes() == np.array(cold, dtype=complex).tobytes(), (pot, e)
+                    redo = _arrays._bridge_many(pot, e, x, z_, C)[1]
+                    taken += len(warm) - len(redo)
+                    left += len(redo)
+    assert taken > 5 * left > 0
+
+
+def test_bridge_past_the_bridge_phase_is_bitwise_the_cold_walk(no_numpy):
+    # intervals on one cell whose evanescent phase passes _BRIDGE_PHASE
+    # are left by the array pass and walked from both ends, the walk
+    # along which |psi| grows kept: bitwise the numpy-free walk, from
+    # either end and in either direction
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 3.0, 5.0), PotentialSegment(3.0, 4.0, -1.0)), 0.0)
+    e, xs = 0.5, [0.0, 1.0, 2.0, 3.0, 3.25, 3.5, 4.0]
+    traj = z_minus(pot, e, grid=np.array(xs))
+    assert traj.xs.tolist() == xs
+    # kappa |dx| = 3 on each interval across the barrier
+    assert math.sqrt(C * (5.0 - e)) > _BRIDGE_PHASE
+    for x, z_ in ((xs, traj.zs.tolist()), (xs[::-1], traj.zs[::-1].tolist())):
+        warm = _bridge(pot, e, x, z_, C)
+        redo = _arrays._bridge_many(pot, e, x, z_, C)[1].tolist()
+        with no_numpy():
+            cold = _bridge(pot, e, x, z_, C)
+        assert warm.tobytes() == np.array(cold, dtype=complex).tobytes()
+        assert redo == ([0, 1, 2] if x is xs else [3, 4, 5])
 
 
 def test_bridge_ratio_over_a_zero_bottom_is_infinite_on_both_routes(monkeypatch):
