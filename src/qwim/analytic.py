@@ -75,8 +75,11 @@ step, so the same walkers carry it.  The maps are real at real E apart
 from the factors i: ``_real_walk`` reads f, f', g and g' off them.
 They come from numpy's array series (``_arrays._linear_maps``) where
 numpy is loaded already, and from its plain-Python twin
-(``_linear_twin``) elsewhere (``_linear_steps``); ``_linear_walks``
-hands out those of several consecutive walks from one call.
+(``_linear_twin``) elsewhere (``_linear_steps``), bit for bit the same:
+each map is a function of its own sub-slab's split, a and b alone
+(``_series``), so a walk gives the same bits cold and warm, whatever
+else shares its pass.  ``_linear_walks`` hands out the maps of several
+consecutive walks from one call.
 
 ``_bridge`` gives the psi ratio across each interval of a Riccati
 trajectory, walking the interval's slabs from the end with the larger
@@ -514,37 +517,44 @@ def _cbrt(x: float) -> float:
 
 
 def _series(a: float, b: float) -> tuple[float, float, float, float]:
-    """``_arrays._series`` for one sub-slab: (f, h f', g / h, g') at s = h
-    of the fundamental pair of psi'' = (A + B s) psi, given a = A h^2 and
-    b = B h^3.  The same recurrence, d_{k+2} = (a d_k + b d_{k-1}) /
-    ((k+1)(k+2)), f and g / h summed term by term from d_{-1} as numpy
-    sums them, h f' and g' (numpy's dot product) rounded once by
-    ``math.fsum``, and the same stop: three terms in a row of the
-    majorant series below 2^-56 max(|a|, |b|), with this sub-slab's |a|
-    and |b| where the array form takes a block's largest.  A sum in term
-    order there would round each term, and its bias, repeated across the
-    sub-slabs of a walk, would carry a walk further from numpy's."""
+    """``_arrays._series`` for one sub-slab, bit for bit: (f, h f', g / h,
+    g') at s = h of the fundamental pair of psi'' = (A + B s) psi, given
+    a = A h^2 and b = B h^3.  The same recurrence, d_{k+2} = (a d_k +
+    b d_{k-1}) / ((k+1)(k+2)), beside its majorant (|a| and |b| in place
+    of a and b, d_0 = d_1 = 1), the same stop: three majorant terms in a
+    row below 2^-56 max(|a|, |b|); and the same sums, of d_k and of
+    k d_k from k = 1, each added one term at a time, smallest first.
+    Neither ``fsum`` nor the builtin ``sum``, which compensates floats
+    from Python 3.12: numpy's sum over rows rounds each addition as it
+    comes, and this order keeps the maps within about an ulp of the
+    exact sums."""
     alpha, beta = abs(a), abs(b)
     tol = 2.0 ** -56 * max(alpha, beta)
-    # the last three terms d_{k-1}, d_k, d_{k+1} of the majorant, f and g
+    # the last three terms d_{k-2}, d_{k-1}, d_k of the majorant, f and g
     m3, m2, m1 = 0.0, 1.0, 1.0
     f3, f2, f1 = 0.0, 1.0, 0.0
     g3, g2, g1 = 0.0, 0.0, 1.0
-    # the sums of d_k from d_{-1} on, and the terms of those of k d_k
-    f, gh, hfp, gp = 1.0, 1.0, [], [1.0]
-    k = 0
+    # the terms d_0, d_1, ... of f and g / h
+    fs, gs = [1.0, 0.0], [0.0, 1.0]
+    f_term, g_term = fs.append, gs.append
+    k = 1
     while m1 > tol or m2 > tol or m3 > tol:
-        q = (k + 1) * (k + 2)
-        m3, m2, m1 = m2, m1, (alpha * m2 + beta * m3) / q
-        w = 1.0 / q
+        w = 1.0 / (k * (k + 1))
+        m3, m2, m1 = m2, m1, (alpha * m2 + beta * m3) * w
         f3, f2, f1 = f2, f1, (a * f2 + b * f3) * w
         g3, g2, g1 = g2, g1, (a * g2 + b * g3) * w
+        f_term(f1)
+        g_term(g1)
         k += 1
-        f += f1
-        hfp.append((k + 1) * f1)
-        gh += g1
-        gp.append((k + 1) * g1)
-    return f, math.fsum(hfp), gh, math.fsum(gp)
+    # from the last term down; -0.0 + x is x, whatever the sign of a zero x
+    f = hfp = gh = gp = -0.0
+    for k in range(k, 0, -1):
+        df, dg = fs[k], gs[k]
+        f += df
+        gh += dg
+        hfp += k * df
+        gp += k * dg
+    return f + fs[0], hfp, gh + gs[0], gp
 
 
 def _split(slabs: list[tuple[float, float, float]], lo: float, hi: float, c: float):
@@ -570,12 +580,14 @@ def _split(slabs: list[tuple[float, float, float]], lo: float, hi: float, c: flo
 
 
 def _linear_twin(slabs: list[tuple[float, float, float]], e: float, c: float):
-    """``_arrays._linear_steps`` in plain Python: (count, steps), the
-    sub-slabs of each linear slab (u_start, slope, dx) at energy e, with
-    c = 2m/hbar^2, and an iterator of their (kfp, gp, f, gk) in walk
-    order.  The same split (``_split`` at e alone), the same maps from
-    the scalar ``_series``, and the same NonFiniteStateError, raised at the
-    call, where the split count is not finite or exceeds _MAX_SUBSLABS."""
+    """``_arrays._linear_steps`` in plain Python, bit for bit: (count,
+    steps), the sub-slabs of each linear slab (u_start, slope, dx) at
+    energy e, with c = 2m/hbar^2, and an iterator of their (kfp, gp, f,
+    gk) in walk order.  The same split (``_split`` at e alone), the same
+    a and b of each sub-slab, the same maps from the scalar ``_series``,
+    with kfp and gk formed from a real quotient and product as numpy
+    forms them, and the same NonFiniteStateError, raised at the call,
+    where the split count is not finite or exceeds _MAX_SUBSLABS."""
     count, total = _split(slabs, e, e, c)
     if not total <= _MAX_SUBSLABS:  # NaN included
         raise NonFiniteStateError(f"linear slabs need {total} sub-slabs at energy {e}")
@@ -584,12 +596,12 @@ def _linear_twin(slabs: list[tuple[float, float, float]], e: float, c: float):
         for (u0, slope, dx), n in zip(slabs, count):
             h = dx / n
             hh = h * h
-            b, ih = c * slope * (hh * h), 1j * h
-            if not ih:  # h underflowed to 0: numpy's maps are NaN there
+            b = c * slope * (hh * h)
+            if not h:  # h underflowed to 0: numpy's maps are NaN there
                 raise NonFiniteStateError(f"linear sub-slab map overflows at energy {e}")
             for i in range(n):
                 f, hfp, gh, gp = _series(c * (u0 + slope * (i * h) - e) * hh, b)
-                yield hfp / ih, gp, f, ih * gh
+                yield complex(0.0, -(hfp / h)), gp, f, complex(0.0, h * gh)
 
     return count, steps()
 
@@ -599,7 +611,7 @@ def _linear_steps(slabs: list[tuple[float, float, float]], e: float, c: float):
     steps) as ``_linear_twin`` gives them: from numpy's array series
     (``_arrays._linear_steps``) where numpy is loaded already, so warm
     walks take it, and from the twin elsewhere, so a cold one-energy
-    walk loads no numpy."""
+    walk loads no numpy.  Both give the same bits."""
     if "numpy" in sys.modules:
         from ._arrays import _linear_steps
 
@@ -823,10 +835,7 @@ def _read_walks(pot: Potential, e: float, xs: list[float], zs: list[complex],
         todo.append((k, j))
         steps.append(walk)
     if sampled:
-        # numpy's series rounds a sub-slab by its place in the pass
-        # (``_arrays._series``' dot product), so a walk toward larger x
-        # passes its points in the order its mirror passes them
-        steps = list(_linear_walks(steps[::-1], e, c))[::-1] if rightward else _linear_walks(steps, e, c)
+        steps = _linear_walks(steps, e, c)
     for (k, j), walk in zip(todo, steps):
         read[k] = _divide(*_chain(walk, e, zs[j], c)[:2])
     return read

@@ -1,7 +1,9 @@
 """Closed-form impedance algebra for constant-potential regions."""
 
 import cmath
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from qwim.analytic import (
     _linear_twin,
     _psi_growth_entry,
     _real_walk,
+    _series,
     _steps,
     _units,
     barrier_closed_forms,
@@ -37,7 +40,7 @@ from qwim.errors import (
     NonFiniteStateError,
     TransformPoleError,
 )
-from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential
+from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential, Side
 
 from oracles import TOL_ALG, TOL_FLUX, _slab, step_reflection, to_zeta
 
@@ -902,6 +905,7 @@ def test_linear_maps_are_taken_in_bounded_blocks(monkeypatch):
 
     monkeypatch.setattr(_arrays, "_series", recorded)
     monkeypatch.setattr(_arrays, "_BATCH_CELLS", 256)
+    monkeypatch.setattr(_arrays, "_SERIES_CELLS", 256)
     split = _chain_many(slabs, es, z, c)
     assert len(cells) > 100 and max(cells) <= 256
     cells.clear()
@@ -938,7 +942,9 @@ def test_linear_split_count_overflow_raises_typed(xs, us):
 def _twin_potentials():
     """Seeded sampled potentials of the benchmark's Riccati shapes: bumps
     and wells of height -3..3 and wells 2..10 deep on 21..201 samples
-    over a span of 4..8, and a line rising by 40 over 1e-3."""
+    over a span of 4..8; a line rising by 40 over 1e-3; and a well of
+    -1e4 reached by a line 1e-6 wide, whose 141 identical sub-slabs at
+    E = 0.7 repeat one map."""
     rng = np.random.default_rng(20261019)
     pots = []
     for amplitude in (*rng.uniform(-3.0, 3.0, 6), *-rng.uniform(2.0, 10.0, 4)):
@@ -948,74 +954,161 @@ def _twin_potentials():
         us = amplitude * np.exp(-xs * xs / (2.0 * sigma * sigma))
         pots.append(SampledPotential(tuple(xs), tuple(us), 0.0, 0.0))
     pots.append(SampledPotential((0.0, 1.0, 1.001, 2.0), (0.0, 0.0, 40.0, 40.0), 0.0, 0.0))
+    pots.append(SampledPotential((0.0, 1.0, 1.000001, 2.0), (0.0, 0.0, -1e4, -1e4), 0.0, 0.0))
     return pots
 
 
-def _twin_walks(pot, e, c):
-    """Walks at e with their physical anchors: from the far lead to the
-    entry edge, both ways and from past both ends, above the leads; from
-    the decaying tails to a probe below them."""
-    z = _constants(e, 0.0, c)
+def _twin_walks(pot, e):
+    """The slab lists of the walks at e: from the far lead to the entry
+    edge, both ways and from past both ends, above the leads; from the
+    tails to a probe below them."""
     if e > 0.0:
-        return [(_steps(pot, pot.b, pot.a), z), (_steps(pot, pot.a, pot.b), -z),
-                (_steps(pot, pot.b + 1.0, pot.a - 1.0), z)]
+        return [_steps(pot, pot.b, pot.a), _steps(pot, pot.a, pot.b), _steps(pot, pot.b + 1.0, pot.a - 1.0)]
     probe = pot.a + 0.6 * (pot.b - pot.a)
-    return [(_steps(pot, pot.a, probe), -z), (_steps(pot, pot.b, probe), z),
-            (_steps(pot, pot.a - 1.0, probe), -z)]
-
-
-def _twin_gaps(slabs, e, anchor, c):
-    """The twin against numpy's series on one walk: (counts agree, the
-    largest gap of each map column in ulps of the column's largest entry,
-    the gap of Z at the walk's end relative to the larger of |Z| and the
-    lead's |z|, that of the psi ratio relative to it, the sub-slabs
-    walked)."""
-    eps = np.finfo(float).eps
-    count, twin = _linear_twin(slabs, e, c)
-    want_count, maps = _arrays._linear_steps(slabs, e, c)
-    twin, maps = np.array(list(twin)), np.array(list(maps))
-    columns = np.max(np.abs(twin - maps), axis=0) / (eps * np.max(np.abs(maps), axis=0))
-    (z1, p1), (z2, p2) = (_ends(_chain(list(m), e, anchor, c)) for m in (twin, maps))
-    dz = abs(z1 - z2) / max(abs(z2), abs(anchor))
-    return count == want_count, columns, dz, abs(p1 - p2) / abs(p2), len(maps)
+    return [_steps(pot, pot.a, probe), _steps(pot, pot.b, probe), _steps(pot, pot.a - 1.0, probe)]
 
 
 @pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])
 def test_linear_twin_matches_numpys_series(params):
-    # the plain-Python sub-slab maps that cold walks take, against numpy's:
-    # scattering energies, at a sample level (A = 0 there) and just beside
-    # it, far above, and for the wells two bound energies; the same split
-    # everywhere, maps within a few ulps, and the chain's Z and psi ratio
-    # within the rounding of the maps walked: an ulp a sub-slab, and 3e-14
-    # at least (the largest gap here is 1.7e-14, over 89 sub-slabs)
+    # the plain-Python sub-slab maps that cold walks take are numpy's, bit
+    # for bit and zero signs included: the same split and the same repr of
+    # every map, on every walk at scattering energies, at a sample level
+    # (A = 0 there) and just beside it, far above, and for the wells two
+    # bound energies.  So every walk and its Z and psi ratio are the same
+    # on both routes.  Against a 200-bit walk of the same split (mpmath,
+    # which is no dependency of the tests), both are off by up to 7.0e-14
+    # in Z and 7.5e-14 in the psi ratio on the deep steep line's three
+    # walks at E = 0.7, where one map's rounding repeats 141 times, and
+    # by 3.1e-15 on the other potentials' walks at E = 0.7 and 3.1
     c = _units(params)[0]
+    walked = 0
     for pot in _twin_potentials():
         level = pot.us[(len(pot.us) - 1) * 2 // 3]
         energies = [0.7, 3.1, level, level * (1.0 + 1e-9) + 1e-12, 300.0]
         if min(pot.us) < 0.0:
             energies += [0.5 * min(pot.us), 0.9 * min(pot.us)]
         for e in energies:
-            for slabs, anchor in _twin_walks(pot, e, c):
-                same, columns, dz, dpsi, walked = _twin_gaps(slabs, e, anchor, c)
-                tol = 2e-16 * max(150, walked)
-                assert same and max(columns) <= 4.0 and dz <= tol and dpsi <= tol, (
-                    len(pot.us), e, columns, dz, dpsi, walked
-                )
+            for slabs in _twin_walks(pot, e):
+                count, twin = _linear_twin(slabs, e, c)
+                want_count, maps = _arrays._linear_steps(slabs, e, c)
+                twin, maps = list(twin), list(maps)
+                assert count == want_count and repr(twin) == repr(maps), (len(pot.us), e)
+                walked += len(maps)
+    assert walked > 20000
 
 
-def test_linear_twin_on_a_deep_steep_line():
-    # a well of -1e4 reached by a line 1e-6 wide: 141 identical sub-slabs
-    # at E = 0.7 repeat one map's rounding, the twin's and numpy's each
-    # their own.  Against a 200-bit walk of the same split, over these
-    # three walks, numpy's Z and psi ratio are off by up to 8.4e-15 and
-    # 2.5e-14, the twin's by up to 3.2e-13 and 3.7e-13; the maps agree to
-    # a few ulps
+def test_sampled_solves_are_bitwise_cold_and_warm(no_numpy):
+    # solve_scattering from both sides and, below the wells' leads,
+    # impedance_mismatch: a process without numpy (the twin's maps) and
+    # one with it (numpy's series) give the same results, repr for repr
+    from qwim.scattering import solve_scattering
+    from qwim.spectral import impedance_mismatch
+
+    for pot in _twin_potentials():
+        for e, side in itertools.product((0.7, 3.1, 11.0, 300.0), Side):
+            warm = solve_scattering(pot, e, side)
+            with no_numpy():
+                cold = solve_scattering(pot, e, side)
+            assert repr(warm) == repr(cold), (len(pot.us), e, side)
+        if min(pot.us) < 0.0:
+            probe = pot.a + 0.6 * (pot.b - pot.a)
+            for e in (0.5 * min(pot.us), 0.9 * min(pot.us)):
+                warm = impedance_mismatch(pot, e, probe)
+                with no_numpy():
+                    cold = impedance_mismatch(pot, e, probe)
+                assert repr(warm) == repr(cold), (len(pot.us), e)
+
+
+def _exact_series(a, b, terms=60):
+    """(f, h f', g / h, g') of ``_series``' recurrence from its first
+    terms, exactly, each as (sum, sum of the terms' sizes), Fractions.
+    With a = A / 2^p and b = B / 2^p, e_k = d_k k! 2^(p k) are integers,
+    e_{k+2} = A 2^p e_k + B k 2^(2p) e_{k-1}, and the sums are over the
+    common denominator n! 2^(p n) of the last term d_n."""
+    ra, rb = Fraction(a), Fraction(b)
+    p = max(ra.denominator, rb.denominator).bit_length() - 1
+    big_a, big_b, last = int(ra * 2 ** p), int(rb * 2 ** p), terms + 1
+    den = math.factorial(last) << (p * last)
+    sums = []
+    for e in ([0, 1, 0], [0, 0, 1 << p]):  # e_{-1}, e_0, e_1 of f and g / h
+        for k in range(terms):
+            e.append((big_a * e[-2] << p) + (big_b * k * e[-3] << (2 * p)))
+        scaled = [x * (math.factorial(last) // math.factorial(k)) << (p * (last - k))
+                  for k, x in enumerate(e[1:])]
+        for weighted in (scaled, [k * x for k, x in enumerate(scaled)]):
+            sums.append((Fraction(sum(weighted), den), Fraction(sum(map(abs, weighted)), den)))
+    return sums
+
+
+def test_series_is_within_about_an_ulp_of_the_exact_sums():
+    # (f, h f', g / h, g') of the one series (numpy's, and the twin's
+    # bits) against the exact sums of the same recurrence's first 60
+    # terms, at seeded (a, b) with |a| and |b| up to 1, 0.3, 1e-3 and
+    # 1e-8, in ulps of the exact sum of the terms' sizes: of the exact
+    # value, where nothing cancels.  h f' = a + b / 2 + ... cancels where
+    # a is near -b / 2.  Measured over these 400 pairs: mean 0.18 / 0.25
+    # / 0.19 / 0.21 and max 0.60 / 1.48 / 0.52 / 0.63 ulp; the bounds are
+    # those, rounded up
+    rng = np.random.default_rng(20261021)
+    a, b = (np.concatenate([rng.uniform(-s, s, 100) for s in (1.0, 0.3, 1e-3, 1e-8)]) for _ in "ab")
+    got = _arrays._series(a, b)
+    errors = [[], [], [], []]
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        values = tuple(float(v[i]) for v in got)
+        assert repr(_series(x, y)) == repr(values)
+        for out, value, (exact, size) in zip(errors, values, _exact_series(x, y)):
+            out.append(float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(size)))))
+    means, worst = [sum(e) / len(e) for e in errors], [max(e) for e in errors]
+    for mean, high, mean_bound, high_bound in zip(means, worst, (0.25, 0.3, 0.25, 0.25), (0.75, 2.0, 0.75, 1.0)):
+        assert mean <= mean_bound and high <= high_bound, (means, worst)
+
+
+def _series_bits(a, b):
+    """``_arrays._series`` of (a, b) as the bytes of its four outputs,
+    one row of bytes per entry of ``a``."""
+    return np.stack([np.broadcast_to(v, a.shape).view(np.int64) for v in _arrays._series(a, b)], axis=-1)
+
+
+def test_series_entries_do_not_depend_on_their_place():
+    # an entry's bits from the array series depend on its own (a, b)
+    # alone: rows of (a, b) shuffled, reversed and cut down, at |a| and
+    # |b| up to 1, 0.3, 1e-3, 1e-8 and at zeros of either sign, give each
+    # entry the bits it has alone, which are the twin's.  In the last
+    # three rows, cut down, a = 0.1 and a = b = 0.0126 (b = 0.0126 in the
+    # row) make the count of the block's largest pair one short of the
+    # second entry's own, and the block takes one more term
+    rng = np.random.default_rng(20261022)
+    a = np.concatenate([rng.uniform(-s, s, (30, 3)) for s in (1.0, 0.3, 1e-3, 1e-8)]
+                       + [[[0.0, -0.0, 1e-300], [-0.0, 0.0, -5e-324], [0.1, 0.012589254117941675, -0.1]]])
+    b = np.concatenate([rng.uniform(-s, s, (30, 1)) for s in (1.0, 0.3, 1e-3, 1e-8)]
+                       + [[[-0.0], [0.0], [0.012589254117941675]]])
+    whole = _series_bits(a, b)
+    for i, j in itertools.product(range(len(a)), range(3)):
+        alone = _series_bits(a[i:i + 1, j:j + 1], b[i:i + 1])
+        twin = np.array(_series(float(a[i, j]), float(b[i, 0]))).view(np.int64)
+        assert whole[i, j].tolist() == alone[0, 0].tolist() == twin.tolist(), (a[i, j], b[i, 0])
+    for order in (rng.permutation(len(a)), np.arange(len(a))[::-1], np.arange(7), np.arange(120, 123)):
+        assert (_series_bits(a[order], b[order]) == whole[order]).all()
+
+
+def test_linear_maps_do_not_depend_on_the_chunks(monkeypatch):
+    # a sweep's sub-slab maps cut into chunks of 7, 64 or 1 sub-slabs are
+    # those of one chunk, bit for bit: the walk from the far lead across
+    # the 84-sample bump and across the deep steep line, at 40 energies
     c = _units(ModelParams())[0]
-    pot = SampledPotential((0.0, 1.0, 1.000001, 2.0), (0.0, 0.0, -1e4, -1e4), 0.0, 0.0)
-    for slabs, anchor in _twin_walks(pot, 0.7, c):
-        same, columns, dz, dpsi, walked = _twin_gaps(slabs, 0.7, anchor, c)
-        assert same and max(columns) <= 4.0 and dz <= 1e-12 and dpsi <= 1e-12
-        assert walked > 141
+    es = np.linspace(0.2, 30.0, 40)
+    for pot in (_twin_potentials()[1], _twin_potentials()[-1]):
+        slabs = np.array(_steps(pot, pot.b, pot.a))
+
+        def maps(cells):
+            monkeypatch.setattr(_arrays, "_SERIES_CELLS", cells)
+            return [np.concatenate(m) for m in zip(*_arrays._linear_maps(slabs, es, c)[1])]
+
+        whole = maps(1 << 30)
+        assert len(whole[0]) > 64
+        for cells in (7 * len(es), 64 * len(es), 1):
+            for got, want in zip(maps(cells), whole):
+                assert got.tobytes() == want.tobytes(), (len(pot.us), cells)
 
 
 def test_linear_twin_split_counts_at_the_cap():

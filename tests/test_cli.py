@@ -258,19 +258,14 @@ def test_sweep_rows_match_scatter(tmp_path, capsys, random_stack_instances):
     # cost less than numpy's import, solves each energy as scatter does,
     # so its rows are scatter's, digit for digit, from either side.  On
     # the barrier, E = 1.0 is the barrier top, where psi is linear across
-    # the barrier: a finite row like the others.  The sampled rows are
-    # the twin's sub-slab maps, so scatter runs cold there too (in this
-    # process numpy's series would give them)
+    # the barrier: a finite row like the others.  The sampled rows take
+    # the twin's sub-slab maps, and scatter in this process numpy's
+    # series, which gives the same bits
     stack = write_spec(tmp_path, _spec_of(random_stack_instances[7][0]))
     sampled = write_spec(tmp_path, SAMPLED_DOC, "sampled.json")
-
-    def cold(*argv):
-        proc = run_cli(*argv)
-        return proc.returncode, proc.stdout, proc.stderr
-
-    cases = [(str(DOCS / "barrier.json"), "0.5", "1.5", partial(_main, capsys)),
-             (stack, "0.5", "4.5", partial(_main, capsys)), (sampled, "0.5", "4.5", cold)]
-    for (spec, emin, emax, scatter), side in itertools.product(cases, ("left", "right")):
+    scatter = partial(_main, capsys)
+    cases = [(str(DOCS / "barrier.json"), "0.5", "1.5"), (stack, "0.5", "4.5"), (sampled, "0.5", "4.5")]
+    for (spec, emin, emax), side in itertools.product(cases, ("left", "right")):
         proc = run_cli("sweep", "--spec", spec, "--emin", emin, "--emax", emax,
                        "--points", "3", "--side", side)
         assert proc.returncode == 0, proc.stderr

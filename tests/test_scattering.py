@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qwim import _arrays, analytic, scattering
 from qwim.analytic import barrier_closed_forms, region_constants
@@ -18,6 +20,7 @@ from qwim.errors import (
     EvanescentIncidenceError,
     NonFiniteInputError,
     NonFiniteStateError,
+    QwimError,
     SolverError,
 )
 from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential, Side
@@ -28,7 +31,7 @@ from qwim.scattering import (
     energy_sweep,
     solve_scattering,
 )
-from qwim.spectral import find_resonances
+from qwim.spectral import find_resonances, impedance_mismatch
 from qwim.xcheck import transfer_matrix_solve
 
 from oracles import NoCurrentError, constant_current_diagnostic, current_profile
@@ -823,3 +826,47 @@ def test_current_profile_is_flat():
     traj = z_minus(pot, e, cfg=IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13))
     j = current_profile(traj, 1.0 + 0j)
     assert np.max(np.abs(j - np.mean(j))) < 1e-8 * np.mean(j)
+
+
+def _outcome(call):
+    """A call's result, or the QwimError it raises."""
+    try:
+        return call()
+    except QwimError as err:
+        return err
+
+
+# the no_numpy fixture's context manager patches anew on every entry, so
+# one fixture serves every example
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    height=st.floats(-12.0, 12.0),
+    samples=st.integers(2, 60),
+    span=st.floats(0.2, 8.0),
+    width=st.floats(0.1, 2.0),
+    leads=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    e=st.floats(-12.0, 40.0),
+    probe=st.floats(0.05, 0.95),
+)
+# a flat line at the leads' level, whose maps the two series once rounded apart
+@example(height=0.0, samples=2, span=1.0, width=1.0, leads=(0.0, 0.0), e=1.0, probe=0.5)
+def test_sampled_routes_agree_fuzz(no_numpy, height, samples, span, width, leads, e, probe):
+    # a drawn sampled well or bump (a Gaussian of the height and width on
+    # evenly spaced samples over the span) between drawn leads, at an
+    # energy above or below them: solve_scattering from either side and
+    # impedance_mismatch at a drawn probe give the same repr, or raise
+    # the same error, with numpy loaded and in a process without it; and
+    # R + T = 1 wherever a solve returns
+    xs = np.linspace(-0.5 * span, 0.5 * span, samples)
+    pot = SampledPotential(tuple(xs), tuple(height * np.exp(-0.5 * (xs / width) ** 2)), *leads)
+    x = pot.a + probe * (pot.b - pot.a)
+    calls = [lambda side=side: solve_scattering(pot, e, side) for side in Side]
+    calls.append(lambda: impedance_mismatch(pot, e, x))
+    for call in calls:
+        warm = _outcome(call)
+        with no_numpy():
+            cold = _outcome(call)
+        assert repr(warm) == repr(cold)
+        if isinstance(warm, ScatteringResult):
+            assert abs(warm.big_r + warm.big_t - 1.0) <= 1e-12

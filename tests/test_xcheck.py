@@ -695,35 +695,39 @@ def test_bridge_array_pass_leaves_overflows_to_the_walk(xs, zs, message, monkeyp
 
 @pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
 def test_warm_bridge_is_bitwise_the_cold_walk(random_stack_instances, threshold, no_numpy):
-    # the array pass (numpy loaded) against the numpy-free walk of every
+    # the warm bridge (numpy loaded) against the numpy-free walk of every
     # interval, bitwise, on every fifth conftest stack from both ends, at
     # its lowest and highest energy and below the leads, where psi
-    # crosses nodes (in W mode with threshold 2): the stepper's samples
-    # ascending and descending, as lists and as arrays, with a sample
-    # repeated, and thinned so that intervals cross joins and pass
-    # _BRIDGE_PHASE (walked from both ends).  The array route gives a
+    # crosses nodes (in W mode with threshold 2), and on a sampled bump
+    # and well: the stepper's samples ascending and descending, as lists
+    # and as arrays, with a sample repeated, and thinned so that
+    # intervals cross joins and pass _BRIDGE_PHASE (walked from both
+    # ends).  On a stack the warm bridge takes the array pass and gives a
     # complex array, the walk a list (whose ratio 1 at a repeated sample
-    # is the float 1.0)
+    # is the float 1.0); on a sampled potential both walk, the warm one
+    # with numpy's sub-slab series
     cfg = IntegrationConfig(pole_threshold=threshold)
+    cases = [(pot, [float(es[0]), float(es[-1])], min(s.u for s in pot.segments))
+             for pot, es in random_stack_instances[::5]]
+    cases += [(_gaussian(3.0, 41), [0.7, 2.9], 0.0), (_gaussian(-12.0, 61), [0.7], -12.0)]
     taken = left = 0
-    for pot, energies in random_stack_instances[::5]:
-        es = [float(energies[0]), float(energies[-1])]
-        floor = min(s.u for s in pot.segments)
+    for pot, es, floor in cases:
+        sampled = isinstance(pot, SampledPotential)
         if floor < 0.0:
             es.append(0.5 * floor)
         for e, z in itertools.product(es, (z_minus, z_plus)):
             traj = z(pot, e, cfg)
             xs, zs = traj.xs.tolist(), traj.zs.tolist()
             k = len(xs) // 2
-            cases = [(xs, zs), (xs[::-1], zs[::-1]), (xs[::5], zs[::5]),
-                     ([*xs[:k], xs[k], *xs[k:]], [*zs[:k], zs[k], *zs[k:]])]
-            for samples in cases:
-                for x, z_ in (samples, tuple(map(np.array, samples))):
-                    warm = _bridge(pot, e, x, z_, C)
-                    with no_numpy():
-                        cold = _bridge(pot, e, x, z_, C)
-                    assert isinstance(warm, np.ndarray) and type(cold) is list
-                    assert warm.tobytes() == np.array(cold, dtype=complex).tobytes(), (pot, e)
+            samples = [(xs, zs), (xs[::-1], zs[::-1]), (xs[::5], zs[::5]),
+                       ([*xs[:k], xs[k], *xs[k:]], [*zs[:k], zs[k], *zs[k:]])]
+            for x, z_ in itertools.chain(samples, (tuple(map(np.array, p)) for p in samples)):
+                warm = _bridge(pot, e, x, z_, C)
+                with no_numpy():
+                    cold = _bridge(pot, e, x, z_, C)
+                assert type(cold) is list and isinstance(warm, list if sampled else np.ndarray)
+                assert np.array(warm, dtype=complex).tobytes() == np.array(cold, dtype=complex).tobytes(), (pot, e)
+                if not sampled:
                     redo = _arrays._bridge_many(pot, e, x, z_, C)[1]
                     taken += len(warm) - len(redo)
                     left += len(redo)
