@@ -997,6 +997,24 @@ def test_linear_twin_matches_numpys_series(params):
     assert walked > 20000
 
 
+def test_linear_twin_on_a_deep_steep_line():
+    # a well of -1e4 reached by a line 1e-6 wide: 141 identical sub-slabs
+    # at E = 0.7 repeat one map's rounding.  The twin's maps are numpy's,
+    # repr for repr, so the walks' Z and psi ratio are the same on both
+    # routes; their gap to a 200-bit walk is in the twin test's comment
+    c = _units(ModelParams())[0]
+    pot = SampledPotential((0.0, 1.0, 1.000001, 2.0), (0.0, 0.0, -1e4, -1e4), 0.0, 0.0)
+    z = _constants(0.7, 0.0, c)
+    for slabs, anchor in zip(_twin_walks(pot, 0.7), (z, -z, z)):
+        count, twin = _linear_twin(slabs, 0.7, c)
+        want_count, maps = _arrays._linear_steps(slabs, 0.7, c)
+        twin, maps = list(twin), list(maps)
+        assert count == want_count and repr(twin) == repr(maps)
+        assert len(maps) > 141
+        ends = [_ends(_chain(m, 0.7, anchor, c)) for m in (twin, maps)]
+        assert repr(ends[0]) == repr(ends[1])
+
+
 def test_sampled_solves_are_bitwise_cold_and_warm(no_numpy):
     # solve_scattering from both sides and, below the wells' leads,
     # impedance_mismatch: a process without numpy (the twin's maps) and
