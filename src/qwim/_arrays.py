@@ -5,8 +5,9 @@ This is the only qwim module that the chain pulls numpy in through, and
 it is imported on first use: by ``scattering``'s energy sweeps and the
 resonance scan where they take the array pass (``analytic._array_pass``),
 by ``analytic._chain`` when it walks linear (sampled) slabs with numpy
-loaded already, and by ``analytic._bridge`` and ``analytic._read`` on a
-piecewise potential's trajectory.  Work at one energy never loads it.
+loaded already, and by the walks of ``analytic._bridge`` and
+``analytic._read`` (``analytic._anchored``) on a piecewise potential's
+trajectory.  Work at one energy never loads it.
 Like the scalar walkers, every function here walks zeta = (m/hbar) Z
 and takes the units as c = 2m/hbar^2 alone.
 
@@ -38,16 +39,18 @@ with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
 step in ``analytic._chain``.  ``_linear_steps`` hands those maps to the
 scalar walker at one energy.
 
-``_bridge_many`` and ``_read_many`` are the array passes of
-``analytic._bridge`` and ``analytic._read`` on a piecewise potential:
-the one-cell intervals of a trajectory, or the points inside them, step
-together through ``_slabs_many`` on its batch axis.  ``_cells`` finds
-the cell of every interval with one ``searchsorted`` of its ends
-against the joins, bitwise the step that ``analytic._cut`` would cut.
-Each takes arrays (or lists) in and gives a complex array out, the
-read its sorted points too, with the indices of the entries it leaves
-to the scalar walk; the caller walks those in one batch and writes
-them in place.
+``_anchored_many`` is the array pass of ``analytic._anchored``, the
+walk from a sample that both ``analytic._bridge`` and ``analytic._read``
+take, on a piecewise potential: the walks (from an anchor, at zeta
+there, to a target) step together through ``_slabs_many`` on its batch
+axis, one step each.  ``_cells`` finds the cell of every walk with one
+``searchsorted`` of its ends against the joins, bitwise the step that
+``analytic._cut`` would cut where the walk lies on that cell.  It takes
+arrays in and gives arrays (num, den, r) out, with the indices of the
+walks it leaves to the scalar walk (those not on one cell among them);
+the caller walks those in one batch and writes them in place.
+``_size`` and ``_quotient`` are Python's abs and complex division over
+arrays, by which the walks pick their anchors and divide.
 """
 
 from __future__ import annotations
@@ -363,86 +366,21 @@ def _cells(pot, lo, hi):
     return levels[cell], (cell == joins.searchsorted(hi, side="left")) & (lo < hi)
 
 
-def _bridge_many(pot, e, xs, zs, c):
-    """The array pass of ``analytic._bridge`` on a piecewise potential:
-    (ratios, redo), arrays.  ``xs`` and ``zs`` are the samples and their
-    zeta, as arrays or lists.  Every interval that lies on one cell
-    (``_cells``) takes its ``_chain`` step in one ``_slabs_many`` call,
-    the intervals on its batch axis, anchored at zeta of the end with
-    the larger |zeta| (the second at a tie, ``_bridge``'s rule) and
-    walked back (dx negated) from the second end.
-    dx = xs[i + 1] - xs[i] is bitwise the cut's step in either walk
-    direction.  ``ratios`` holds psi(xs[i + 1]) / psi(xs[i]) of each such
-    interval, divided as the walk divides it (``_quotient``: numpy's
-    complex division rounds otherwise, and its rounding would add up
-    along psi's running product); ``redo`` lists, in ascending order, the
-    intervals left for the scalar walk, whose ratios mean nothing:
-    repeated samples and those across a join, those the pass marks not
-    ``ok`` (where the walk raises), and those whose evanescent phase
-    passes ``analytic._BRIDGE_PHASE`` (walked from both ends)."""
-    x, z = np.asarray(xs, dtype=float), np.asarray(zs, dtype=complex)
-    x0, x1 = x[:-1], x[1:]
-    level, one = _cells(pot, np.minimum(x0, x1), np.maximum(x0, x1))
-    one = np.flatnonzero(one)
-    u, dx = level[one], (x1 - x0)[one]
-    size = _size(z)
-    fwd = (size[:-1] > size[1:])[one]
-    anchor = np.where(fwd, z[:-1][one], z[1:][one])
-    slabs = np.stack((u, np.where(fwd, dx, -dx)))[:, None, :]
-    _, den, r, ok = _slabs_many(slabs, e, anchor, c)
-    # analytic._phase of each interval: past _BRIDGE_PHASE the walk takes
-    # it from both ends
-    ok &= ~(np.sqrt(c * np.maximum(u - e, 0.0)) * np.abs(dx) > _BRIDGE_PHASE)
-    # psi(anchor) / psi(other end) = r / den
-    top, bottom = (np.where(fwd, p, q)[ok] for p, q in ((den, r), (r, den)))
-    ratio = _quotient(top, bottom)
-    ratio[bottom == 0] = complex(math.inf)
-    done = one[ok]
-    ratios = np.empty(len(x0), dtype=complex)
-    ratios[done] = ratio
-    redo = np.ones(len(x0), dtype=bool)
-    redo[done] = False
-    return ratios, np.flatnonzero(redo)
-
-
-def _read_many(pot, e, xs, zs, grid, c, rightward=False):
-    """The array pass of ``analytic._read`` on a piecewise potential:
-    (xs, zs, redo), arrays, or None where a point of ``grid`` is not
-    finite (``analytic._read`` then names it).  ``xs`` and ``zs`` are the
-    samples and their zeta (lists or arrays), ``grid`` the points, in any
-    order.  The read's samples are the first sample, the grid's points
-    strictly inside the samples, sorted (stably, so a -0.0 keeps its
-    place), and the last sample.  Every point inside an interval that
-    lies on one cell (``_cells``; every interval of a stepper
-    trajectory does) takes its step from the interval's anchor
-    (``analytic._read``'s rule, ``rightward`` its tie) in one
-    ``_slabs_many`` call, zeta divided as the walk divides it
-    (``_quotient``); ``redo`` lists, in ascending order, the read's
-    samples left to the walk, whose zeta means nothing: the points on a
-    sample, in an interval across a join, or flagged by the pass (where
-    the walk raises)."""
-    p = np.sort(np.asarray(grid, dtype=float), kind="stable")
-    if not np.isfinite(p).all():
-        return None
-    x, z = np.asarray(xs, dtype=float), np.asarray(zs, dtype=complex)
-    p = p[p.searchsorted(x[0], side="right"):p.searchsorted(x[-1], side="left")]
-    # each interval's level, whether it lies on one cell, and its anchor
-    level, one = _cells(pot, x[:-1], x[1:])
-    size = _size(z)
-    lower, upper = size[:-1], size[1:]
-    anchor = np.arange(1, len(x)) - ((lower > upper) | (rightward & (lower == upper)))
-    i = x.searchsorted(p, side="right") - 1  # xs[i] <= p < xs[i + 1]
-    take = np.flatnonzero(one[i] & (x[i] != p))
-    i = i[take]
-    j = anchor[i]
-    slabs = np.stack((level[i], p[take] - x[j]))[:, None, :]
-    num, den, _, ok = _slabs_many(slabs, e, z[j], c)
-    ok &= den != 0
-    read_x, read_z = np.empty(len(p) + 2), np.empty(len(p) + 2, dtype=complex)
-    read_x[0], read_x[1:-1], read_x[-1] = x[0], p, x[-1]
-    read_z[0], read_z[-1] = z[0], z[-1]
-    done = take[ok] + 1
-    read_z[done] = _quotient(num[ok], den[ok])
-    redo = np.ones(len(read_x), dtype=bool)
-    redo[done] = redo[0] = redo[-1] = False
-    return read_x, read_z, np.flatnonzero(redo)
+def _anchored_many(pot, e, starts, zetas, ends, c):
+    """The array pass of ``analytic._anchored`` on a piecewise potential:
+    (num, den, r, redo), arrays.  ``starts``, ``zetas`` and ``ends`` are
+    float, complex and float arrays, a walk from each start, anchored at
+    its zeta, to its end.  Every walk takes one ``_chain`` step on the
+    cell that holds its lower end (``_cells``), dx = end - start (bitwise
+    the cut's), in one ``_slabs_many`` call, the walks on its batch axis;
+    ``redo`` lists, in ascending order, the walks left to the scalar
+    tail, whose entries mean nothing: those of no length or across a
+    join, those the pass marks not ``ok`` (where the walk raises), and
+    those whose evanescent phase passes ``analytic._BRIDGE_PHASE``
+    (``analytic._bridge`` walks those from both ends)."""
+    level, one = _cells(pot, np.minimum(starts, ends), np.maximum(starts, ends))
+    dx = ends - starts
+    # analytic._phase of the one-cell walks
+    one &= ~(np.sqrt(c * np.maximum(level - e, 0.0)) * np.abs(dx) > _BRIDGE_PHASE)
+    num, den, r, ok = _slabs_many(np.stack((level, dx))[:, None, :], e, zetas, c)
+    return num, den, r, np.flatnonzero(~(one & ok))

@@ -26,8 +26,9 @@ scattering, resonances and ``impedance_mismatch``; ``_real_walk(slabs,
 e, y_anchor, c)`` steps the real solution of the bound-state search.
 ``_cut`` alone cuts a potential into slabs, at any monotone points in
 one pass; ``_steps``, its walk between two points, builds the searches'
-lists, once per stack and end, the stepper's, and those of the points
-that the array pass of ``_read`` leaves to the walk.  Each constant
+lists, once per stack and end, the stepper's, and those of the anchored
+walks (``_anchored``) that cross a join short of the longest walk from
+their start.  Each constant
 slab is one step of the tanh addition law: it maps zeta(x) to
 zeta(x + dx) and gives the psi ratio across the step over the same
 denominator.  Where E equals a slab's level psi is linear across it,
@@ -81,19 +82,20 @@ each map is a function of its own sub-slab's split, a and b alone
 else shares its pass.  ``_linear_walks`` hands out the maps of several
 consecutive walks from one call.
 
-``_bridge`` gives the psi ratio across each interval of a Riccati
-trajectory, walking the interval's slabs from the end with the larger
-|zeta|, and a long evanescent interval from both ends, of which it
-keeps the walk along which |psi| grows; ``_read`` gives zeta at a
-grid's points by the same rule.  On a piecewise potential with numpy
-loaded already, the intervals that lie on one cell (all of a stepper
+psi and zeta come back from a Riccati trajectory by one walk,
+``_anchored``: from a sample, anchored at the trajectory's zeta there,
+the ``_chain`` walk of its own ``_steps`` to a target.  ``_bridge``
+walks each interval from the end with the larger |zeta| to the other,
+and a long evanescent interval from both ends, keeping the walk along
+which |psi| grows, and keeps the psi ratio r / den; ``_read`` walks to
+each grid point from the end of its interval with the larger |zeta|
+and keeps zeta = num / den.  On a piecewise potential with numpy
+loaded already, the walks that lie on one cell (all of a stepper
 trajectory's) take their steps in one array pass
-(``_arrays._bridge_many``, ``_arrays._read_many``), which gives arrays;
-the intervals and points it leaves walk in one batch through the
-scalar tails ``_bridge_walks`` and ``_read_walks``.  Elsewhere one cut
-of the samples gives every interval's walk, all of them take those
-tails, and the results are lists; callers that want lists take an
-array's through ``_listed``.
+(``_arrays._anchored_many``), which gives arrays; the walks it leaves
+take the scalar tail in one batch.  Elsewhere every walk takes that
+tail, cut in one pass per walk direction, and the results are lists;
+callers that want lists take an array's through ``_listed``.
 
 This module imports no numpy, so work at one energy loads none, on
 either kind of potential.  The adaptive Riccati integrator in
@@ -664,83 +666,95 @@ def _array_pass(pot: Potential, energies: list[float] | None = None,
 def _bridge(pot: Potential, e: float, xs, zs, c: float):
     """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
     trajectory's samples (xs monotone, zs its zeta there, c = 2m/hbar^2;
-    lists, or arrays where numpy is loaded): the ``_chain`` walk of the
-    interval's slabs (its piece of ``_cut`` of the samples, across any
-    join in it), from the end with the larger |zeta| (the second at a
+    lists, or arrays where numpy is loaded): the walk across the interval
+    (``_anchored``) from the end with the larger |zeta| (the second at a
     tie), anchored at the trajectory's zeta there, so it never divides by
-    a vanishing psi and carries sign flips through nodes.  A repeated
-    sample has ratio 1, a ratio past the float range is infinite, and
-    descending samples give bitwise what the mirror's ascending ones give.
+    a vanishing psi and carries sign flips through nodes; the walk's r /
+    den is psi(start) / psi(end), and den / r is kept where it starts at
+    xs[i].  A walk the way psi decays multiplies its anchor's error by
+    about exp(2 sum(kappa |dx|)), so an interval whose evanescent phase
+    passes _BRIDGE_PHASE is walked from its other end too, and the walk
+    along which |psi| grows more is kept (the first at a tie).  A
+    repeated sample has ratio 1, a ratio past the float range is
+    infinite, and descending samples give bitwise what the mirror's
+    ascending ones give.  The ratios are a complex array on a piecewise
+    potential with numpy loaded already, and a list elsewhere
+    (``_samples``)."""
+    xs, zs = _samples(pot, xs, zs)
+    first = _larger(zs, False)
+    x0, x1, z0, z1 = xs[:-1], xs[1:], zs[:-1], zs[1:]
+    starts, ends = _where(first, x0, x1), _where(first, x1, x0)
+    _, den, r, far = _anchored(pot, e, starts, _where(first, z0, z1), ends, c)
+    top, bottom = _where(first, den, r), _where(first, r, den)
+    if far:
+        _, back_den, back_r, _ = _anchored(
+            pot, e, [float(ends[i]) for i in far], [complex(z1[i] if first[i] else z0[i]) for i in far],
+            [float(starts[i]) for i in far], c)
+        for i, d, q in zip(far, back_den, back_r):
+            # |psi|'s growth along each walk, psi(end) / psi(start) = den / r
+            if _growth(d, q) > _growth(complex(den[i]), complex(r[i])):
+                top[i], bottom[i] = (q, d) if first[i] else (d, q)
+    return _quotients(top, bottom)
 
-    On a piecewise potential with numpy loaded already, the intervals
-    that lie on one cell take one array step together, and the ratios
-    come back as a complex array (``_arrays._bridge_many``: the walk's
-    arithmetic, with numpy's complex cosh, sinh and exp, and the walk's
-    own division); those it leaves are cut in one pass over their ends
-    and walk in one batch (``_bridge_walks``), so errors stay the walk's.
-    Elsewhere the ratios are a list: one ``_cut`` of the samples gives
-    every interval's walk, and all of them take that batch."""
+
+def _growth(den: complex, r: complex) -> float:
+    """|psi(end) / psi(start)| of a walk, |den| / |r| (infinite at r = 0)."""
+    return abs(den) / abs(r) if r else math.inf
+
+
+def _read(pot: Potential, e: float, xs, zs, grid, c: float, rightward: bool = False):
+    """A Riccati trajectory (xs ascending, zs its zeta, c = 2m/hbar^2)
+    read at the points of ``grid``: (xs, zs) of its first sample, the
+    grid's points strictly inside it, ascending (its own floats, repeats
+    kept), and its last sample.  A point on a sample takes that sample's
+    zeta; elsewhere zeta is num / den of the walk (``_anchored``) to the
+    point from the end of its interval with the larger |zeta|: at a tie
+    the end the walk reached first, the second for a walk toward smaller
+    x and the first for one toward larger x (``rightward``), so a
+    mirrored walk reads bitwise the mirror's values.  (xs, zs) are
+    arrays on a piecewise potential with numpy loaded already
+    (``_samples``), and lists elsewhere and for a grid with a point that
+    is not finite.  A psi-node on a point raises TransformPoleError, a
+    point that is not finite NonFiniteInputError."""
+    xs, zs = _samples(pot, xs, zs)
+    if not isinstance(xs, list):
+        import numpy as np
+
+        points = np.sort(np.asarray(grid, dtype=float), kind="stable")  # stable: a -0.0 keeps its place
+        if np.isfinite(points).all():
+            points = points[points.searchsorted(xs[0], side="right"):points.searchsorted(xs[-1], side="left")]
+            i = xs.searchsorted(points, side="right") - 1  # xs[i] <= point < xs[i + 1]
+            j = i + 1 - _larger(zs, rightward)[i]
+            read, walked = zs[i], np.flatnonzero(xs[i] != points)
+            read[walked] = _zetas(*_anchored(pot, e, xs[j[walked]], zs[j[walked]], points[walked], c)[:2])
+            return np.concatenate(([xs[0]], points, [xs[-1]])), np.concatenate(([zs[0]], read, [zs[-1]]))
+        xs, zs = xs.tolist(), zs.tolist()
+    points = sorted(_listed(grid))
+    require_finite("grid points", *points)
+    points = points[bisect_right(points, xs[0]):bisect_left(points, xs[-1])]
+    first, read, walked = _larger(zs, rightward), [], []
+    for k, p in enumerate(points):
+        i = bisect_right(xs, p) - 1
+        read.append(zs[i])
+        if xs[i] != p:
+            walked.append((k, i + 1 - first[i]))
+    num, den = _anchored(pot, e, [xs[j] for _, j in walked], [zs[j] for _, j in walked],
+                         [points[k] for k, _ in walked], c)[:2]
+    for (k, _), z in zip(walked, _zetas(num, den)):
+        read[k] = z
+    return [xs[0], *points, xs[-1]], [zs[0], *read, zs[-1]]
+
+
+def _samples(pot: Potential, xs, zs):
+    """A trajectory's samples and zeta as ``_bridge`` and ``_read`` walk
+    them: float and complex arrays on a piecewise potential where numpy
+    is loaded already, for the array pass of ``_anchored``, and lists of
+    Python numbers elsewhere, so work at one energy loads no numpy."""
     if isinstance(pot, SampledPotential) or "numpy" not in sys.modules:
-        xs, zs = _listed(xs), _listed(zs)
-        return _bridge_walks(pot, e, _cut(pot, xs), zs[:-1], zs[1:], c)
-    from ._arrays import _bridge_many
+        return _listed(xs), _listed(zs)
+    import numpy as np
 
-    ratios, redo = _bridge_many(pot, e, xs, zs, c)
-    redo = redo.tolist()
-    if redo:
-        # one cut of the intervals left, as (start, end) pairs: every
-        # other piece is one of them, the rest the gaps between them
-        walks = _cut(pot, [float(x) for i in redo for x in xs[i:i + 2]])[::2]
-        ratios[redo] = _bridge_walks(pot, e, walks, [complex(zs[i]) for i in redo],
-                                     [complex(zs[i + 1]) for i in redo], c)
-    return ratios
-
-
-def _bridge_walks(pot: Potential, e: float, walks: list[list[tuple[float, ...]]],
-                  starts: list[complex], ends: list[complex], c: float) -> list[complex]:
-    """The scalar tail of ``_bridge``: the psi ratio psi(end) / psi(start)
-    across each ``_cut`` walk of ``walks``, zeta ``starts`` and ``ends``
-    at its two ends (Python scalars), by ``_bridge``'s rule, the sampled
-    walks' maps from one ``_linear_walks`` call.
-
-    A walk the way psi decays multiplies its anchor's error by about
-    exp(2 sum(kappa |dx|)), so an interval whose evanescent phase passes
-    _BRIDGE_PHASE is walked from both ends, and the walk along which
-    |psi| grows more is kept (the first at a tie)."""
-    sampled = isinstance(pot, SampledPotential)
-    # (interval, walked forward, walked from both ends)
-    runs = []
-    for i, walk in enumerate(walks):
-        forward = abs(starts[i]) > abs(ends[i])
-        if _phase(walk, e, c) > _BRIDGE_PHASE:
-            runs += (i, forward, True), (i, not forward, True)
-        else:
-            runs.append((i, forward, False))
-    todo = []
-    for i, forward, _ in runs:
-        walk = walks[i]
-        if not forward:  # walked back, each step from its other end
-            if sampled:
-                walk = [(u + slope * dx, slope, -dx) for u, slope, dx in reversed(walk)]
-            else:
-                walk = [(u, -dx) for u, dx in reversed(walk)]
-        todo.append(walk)
-    if sampled:
-        todo = _linear_walks(todo, e, c)
-    ratios, best = [None] * len(walks), None
-    for (i, forward, both), walk in zip(runs, todo):
-        _, den, r = _chain(walk, e, starts[i] if forward else ends[i], c)
-        if both:
-            # psi(other end) / psi(anchor) = den / r: |psi|'s growth along
-            # the walk, the first walk's kept unless the second's is larger
-            growth = abs(den) / abs(r) if r else math.inf
-            if ratios[i] is not None and not growth > best:
-                continue
-            best = growth
-        # psi(anchor) / psi(other end) = r / den
-        top, bottom = (den, r) if forward else (r, den)
-        ratios[i] = top / bottom if bottom else complex(math.inf)
-    return ratios
+    return np.asarray(xs, dtype=float), np.asarray(zs, dtype=complex)
 
 
 def _listed(values):
@@ -749,6 +763,106 @@ def _listed(values):
     routes and list callers of ``_bridge`` and ``_read`` take their
     values so, as the walks' scalar arithmetic needs them."""
     return values.tolist() if hasattr(values, "tolist") else values
+
+
+def _larger(zs, tie: bool):
+    """Whether each interval of samples with zeta ``zs`` (a list or an
+    array) is walked from its first end: where |zeta| is larger there
+    than at its second end, or as large and ``tie``.  An array's sizes
+    are Python's ``abs`` too (``_arrays._size``), so that both routes
+    pick the same end at a near tie."""
+    if isinstance(zs, list):
+        sizes = list(map(abs, zs))
+        return [p > q or (tie and p == q) for p, q in zip(sizes, sizes[1:])]
+    from ._arrays import _size
+
+    sizes = _size(zs)
+    return (sizes[:-1] > sizes[1:]) | (tie & (sizes[:-1] == sizes[1:]))
+
+
+def _where(mask, p, q):
+    """p where ``mask`` holds and q elsewhere, entry by entry: lists, or
+    arrays (numpy's ``where``)."""
+    if isinstance(mask, list):
+        return [a if m else b for m, a, b in zip(mask, p, q)]
+    import numpy as np
+
+    return np.where(mask, p, q)
+
+
+def _quotients(tops, bottoms):
+    """tops / bottoms entry by entry, infinite where a bottom is zero: a
+    list of lists, and an array of arrays, each entry bitwise Python's
+    complex division (``_arrays._quotient``)."""
+    if isinstance(tops, list):
+        return [t / b if b else complex(math.inf) for t, b in zip(tops, bottoms)]
+    from ._arrays import _quotient
+
+    out = _quotient(tops, bottoms)
+    out[bottoms == 0] = complex(math.inf)
+    return out
+
+
+def _zetas(num, den):
+    """zeta = num / den at the end of each walk (``_quotients``); a den of
+    zero, a psi-node there, raises TransformPoleError."""
+    if 0 in den:
+        _divide(0j, 0)  # raises
+    return _quotients(num, den)
+
+
+def _anchored(pot: Potential, e: float, starts, zetas, ends, c: float):
+    """The ``_chain`` walk from each of ``starts``, anchored at zeta
+    ``zetas`` there, to the matching one of ``ends``, with c = 2m/hbar^2:
+    (num, den, r, far), ``far`` the indices of the walks whose evanescent
+    phase (``_phase``) passes _BRIDGE_PHASE.  Each walk is bitwise that of
+    its own ``_steps``.
+
+    Arrays (``_samples``) take one array pass first
+    (``_arrays._anchored_many``: a walk on one cell is one step, with
+    numpy's complex cosh, sinh and exp), which gives arrays; the walks it
+    leaves take the scalar tail below in one batch, so errors stay the
+    walk's.  Lists take that tail whole, and give lists.  The tail cuts
+    its walks in one ``_cut`` pass per direction: the walks that share a
+    start and a direction are pieces of the longest of them (the grid
+    points of a read's interval), and the longest walks of one direction
+    do not overlap (``_bridge``'s and ``_read``'s do not).  A shorter
+    walk on one slab takes that slab's step to its own end, and one
+    across a join its own ``_steps``.  A sampled potential's walks take
+    their sub-slab maps from one ``_linear_walks`` call."""
+    if not isinstance(starts, list):
+        from ._arrays import _anchored_many
+
+        num, den, r, redo = _anchored_many(pot, e, starts, zetas, ends, c)
+        far = []
+        if redo.size:
+            redo = redo.tolist()
+            *tail, far = _anchored(pot, e, starts[redo].tolist(), zetas[redo].tolist(), ends[redo].tolist(), c)
+            num[redo], den[redo], r[redo] = tail
+            far = [redo[i] for i in far]
+        return num, den, r, far
+    longest = {}
+    for a, t in zip(starts, ends):
+        if t > a and t > longest.get((a, True), a) or t < a and t < longest.get((a, False), a):
+            longest[a, t > a] = t
+    cuts = {}
+    for forward in (True, False):
+        keys = sorted((key for key in longest if key[1] == forward), reverse=not forward)
+        if keys:
+            cuts.update(zip(keys, _cut(pot, [x for key in keys for x in (key[0], longest[key])])[::2]))
+    walks = []
+    for a, t in zip(starts, ends):
+        walk = cuts[a, t > a] if t != a else []
+        if len(walk) == 1:  # one slab: its step to t
+            walk = [(*walk[0][:-1], t - a)]
+        elif walk and t != longest[a, t > a]:  # across a join, short of the longest
+            walk = _steps(pot, a, t)
+        walks.append(walk)
+    far = [i for i, walk in enumerate(walks) if _phase(walk, e, c) > _BRIDGE_PHASE]
+    if isinstance(pot, SampledPotential):
+        walks = _linear_walks(walks, e, c)
+    steps = [_chain(walk, e, z, c) for walk, z in zip(walks, zetas)]
+    return [s[0] for s in steps], [s[1] for s in steps], [s[2] for s in steps], far
 
 
 def _phase(walk: list[tuple[float, ...]], e: float, c: float) -> float:
@@ -763,82 +877,6 @@ def _phase(walk: list[tuple[float, ...]], e: float, c: float) -> float:
         if u > e:
             phase += math.sqrt(c * (u - e)) * abs(dx)
     return phase
-
-
-def _read(pot: Potential, e: float, xs: list[float], zs: list[complex], grid,
-          c: float, rightward: bool = False):
-    """A Riccati trajectory (xs ascending, zs its zeta, c = 2m/hbar^2)
-    read at the points of ``grid``: (xs, zs) of its first sample, the
-    grid's points strictly inside it, ascending (its own floats, repeats
-    kept), and its last sample.  A point on a sample takes that sample's
-    zeta; elsewhere zeta is one exact ``_chain`` step on the interval's
-    one slab (the stepper ends each slab on its join) from the end with
-    the larger |zeta|, or, in an interval across a join, the walk of the
-    slabs from that end to the point.  At a tie it is the end the walk
-    reached first, the second for a walk toward smaller x and the first
-    for one toward larger x (``rightward``): ``_bridge``'s rule on the
-    samples in walk order, so a mirrored walk reads bitwise the mirror's
-    values.  As in ``_bridge``, the steps take one array pass on a
-    piecewise potential with numpy loaded already
-    (``_arrays._read_many``), which gives (xs, zs) as arrays, and the
-    points it leaves walk in one batch (``_read_walks``); elsewhere, and
-    for a grid with a point that is not finite, (xs, zs) are lists, one
-    ``_cut`` of the samples gives every slab, and every point takes that
-    batch.  A psi-node on a point raises TransformPoleError, a point
-    that is not finite NonFiniteInputError."""
-    sampled = isinstance(pot, SampledPotential)
-    if not sampled and "numpy" in sys.modules:
-        from ._arrays import _read_many
-
-        read = _read_many(pot, e, xs, zs, grid, c, rightward)
-        if read is not None:
-            read_xs, read_zs, redo = read
-            read_zs[redo] = _read_walks(pot, e, xs, zs, read_xs[redo].tolist(), c, rightward)
-            return read_xs, read_zs
-    points = sorted(_listed(grid))
-    require_finite("grid points", *points)
-    lo, hi = xs[0], xs[-1]
-    points = points[bisect_right(points, lo):bisect_left(points, hi)]
-    # cut against the walk, so that a mirrored walk cuts the mirror's
-    # steps: each line step starts at U of the interval's upper end for a
-    # walk toward larger x, of its lower end otherwise
-    walks = _cut(pot, xs[::-1])[::-1] if rightward else _cut(pot, xs)
-    return [lo, *points, hi], [zs[0], *_read_walks(pot, e, xs, zs, points, c, rightward, walks), zs[-1]]
-
-
-def _read_walks(pot: Potential, e: float, xs: list[float], zs: list[complex],
-                points: list[float], c: float, rightward: bool,
-                walks: list[list[tuple[float, ...]]] | None = None) -> list[complex]:
-    """The scalar tail of ``_read``: zeta at each of ``points``, ascending
-    and inside the samples (xs, zs, lists), by ``_read``'s rule, from the
-    intervals' ``_cut`` walks (``walks``, or each interval cut alone
-    where None), the sampled walks' maps from one ``_linear_walks``
-    call."""
-    sampled = isinstance(pot, SampledPotential)
-    read, todo, steps = [None] * len(points), [], []
-    for k, p in enumerate(points):
-        i = bisect_right(xs, p) - 1
-        if xs[i] == p:
-            read[k] = zs[i]
-            continue
-        lower, upper = abs(zs[i]), abs(zs[i + 1])
-        j = i if lower > upper or (rightward and lower == upper) else i + 1
-        walk = _steps(pot, xs[i], xs[i + 1]) if walks is None else walks[i]
-        if len(walk) == 1:
-            # the interval's one step, (level,) or (u_start, slope), and dx
-            (*step, dx), = walk
-            if sampled and j != (i + 1 if rightward else i):  # a line walked from its other end
-                step[0] += step[1] * dx
-            walk = [(*step, p - xs[j])]
-        else:  # an interval across a join: its slabs from the anchor to p
-            walk = _steps(pot, xs[j], p)
-        todo.append((k, j))
-        steps.append(walk)
-    if sampled:
-        steps = _linear_walks(steps, e, c)
-    for (k, j), walk in zip(todo, steps):
-        read[k] = _divide(*_chain(walk, e, zs[j], c)[:2])
-    return read
 
 
 def _view(rc: RegionConstants, z_at: complex, dx: float) -> tuple[complex, complex, complex, float]:

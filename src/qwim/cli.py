@@ -12,11 +12,11 @@ Riccati stepper, the cross-checks) when it runs.  Work at one energy
 loads no numpy: ``scatter``, ``profile`` and ``validate``, on either
 kind of potential, with ``--force-numeric`` or not, walk in plain
 Python (the chain's steps, a sampled potential's sub-slab maps by their
-plain-Python twin, the Riccati stepper's lists and their read at a
-profile's grid, ``analytic._read``, and the psi bridge of
-``analytic._bridge``, one point or interval at a time: their array
-passes run only where numpy is loaded already), and grids are Python
-lists.  On a piecewise potential ``sweep``, ``bound`` and
+plain-Python twin, the Riccati stepper's lists, and the one walk from
+a stepper sample that both reads them at a profile's grid,
+``analytic._read``, and bridges psi across them, ``analytic._bridge``:
+its array pass runs only where numpy is loaded already), and grids are
+Python lists.  On a piecewise potential ``sweep``, ``bound`` and
 ``resonances`` walk their energies one at a time too and load none, and
 so do ``sweep`` and ``resonances`` on a sampled one whose walks take
 fewer sub-slab maps than numpy's import costs, and ``sweep`` under

@@ -39,9 +39,10 @@ slab list the exact chain walks, ``analytic._steps`` from anchor to
 target: on each slab U is one level or one line, evaluated inline at
 the eleven distinct stage abscissae.  Each slab ends on its join, one of
 the potential's ``interfaces()``, so no step straddles a discontinuity,
-and every interval of a trajectory lies on one cell, which the bridge
-and the read of its samples find by one search against the joins where
-numpy is loaded (``_arrays._bridge_many``, ``_arrays._read_many``).  On
+and every interval of a trajectory lies on one cell, which the walks of
+the bridge and the read of its samples (``analytic._anchored``) find by
+one search against the joins where numpy is loaded
+(``_arrays._anchored_many``).  On
 an evanescent slab a step's phase stays below ``analytic._BRIDGE_PHASE``,
 so no interval is bridged from both ends.  Each slab starts afresh; a
 slab shorter than the step floor is crossed in one exact slab step
@@ -56,9 +57,11 @@ anchor as a Python complex, so every step runs on plain Python scalars
 whatever numeric type the caller passes; a non-finite energy or end
 raises NonFiniteInputError.
 
-The trajectory is zeta alone.  psi comes back from it exactly, one slab
-step per sample interval (``analytic._bridge``), and R and T from zeta
-at the entry edge (``scattering.solve_scattering``).
+The trajectory is zeta alone.  psi comes back from it exactly, one
+chain walk across each sample interval from the sample with the larger
+|zeta| (``analytic._bridge``), zeta at a grid's points by the same walk
+to each point (``analytic._read``), and R and T from zeta at the entry
+edge (``scattering.solve_scattering``).
 
 This module imports no numpy.  ``_trajectory`` returns plain lists of
 zeta, and the solver paths read them directly: a ``force_numeric``

@@ -450,9 +450,10 @@ def find_resonances(
     minimiser and drops that component's root; where r has a value at
     no scan energy, the walk's error at the first one is raised.
     Accepts energies where |r| < RESONANCE_TOL, and reports |r| as the
-    residual: R = |r|^2 comes from the same walk.  A window with R < 1e-12 at every scan
-    point (no structure at all) is flagged transparent and returns no
-    discrete energies.  ``probe_x`` of the result is the entry edge.
+    residual: R = |r|^2 comes from the same walk.  A potential whose
+    cells and leads all sit at one level reflects nothing at any energy:
+    it is flagged transparent, with no scan and no discrete energies.
+    ``probe_x`` of the result is the entry edge.
     """
     require_finite("window bounds", e_min, e_max)
     if not e_min < e_max:
@@ -463,6 +464,11 @@ def find_resonances(
             f"window starts at {e_min}, at or below incidence lead"
         )
     edge = pot.b if side is Side.RIGHT else pot.a
+    if len({pot.left_level, pot.right_level, *(u for cell in pot.cells for u in cell[2:])}) == 1:
+        # r is 0 at every energy only on a flat line, which a scan of R
+        # cannot tell from structure finer than its grid
+        return SpectrumResult(kind=SpectrumKind.RESONANCE, energies=[], residuals=[], probe_x=edge,
+                              transparent=True)
     # energy tolerances in units of hbar^2 / m = 2 / c: one search in any units
     xtol, xatol = 1e-14 * (2.0 / walk.c), 1e-12 * (2.0 / walk.c)
 
@@ -501,14 +507,6 @@ def find_resonances(
         # r has a value nowhere in the window: the scalar walk at one
         # energy raises the SolverError that dropped every scan point
         walk(grid[0])
-    if len(scan) == len(grid) and all(r ** 2 < 1e-12 for _, r in scan):
-        return SpectrumResult(
-            kind=SpectrumKind.RESONANCE,
-            energies=[],
-            residuals=[],
-            probe_x=edge,
-            transparent=True,
-        )
 
     energies: list[float] = []
     residuals: list[float] = []

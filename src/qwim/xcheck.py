@@ -269,12 +269,13 @@ def reconstruct_wavefunction(
     """Rebuild psi on the trajectory grid from sampled Z.
 
     psi is the running product of the intervals' psi ratios, each the
-    exact chain's walk across its interval, anchored at the trajectory's
-    Z at one end (``analytic._bridge``), so it carries psi through nodes
-    and joins.  numpy is loaded here, so on a piecewise potential the
-    intervals that lie on one slab take their steps in one array pass,
-    in the walk's arithmetic, straight from the trajectory's arrays; the
-    rest, and a sampled potential's, walk one at a time.  The ratios
+    exact chain's walk across its interval from the end with the larger
+    |Z|, anchored at the trajectory's Z there (``analytic._bridge``), so
+    it carries psi through nodes and joins.  numpy is loaded here, so on
+    a piecewise potential the walks that lie on one slab take their
+    steps in one array pass, in the walk's arithmetic, straight from the
+    trajectory's arrays (``analytic._anchored``); the rest, and a sampled
+    potential's, take the scalar walk in one batch.  The ratios
     fill psi after psi_start, and ``np.cumprod`` runs in place over it.
     psi keeps the scale psi_start sets at the first sample:
     given psi there per unit incident wave, the profile is psi per unit

@@ -7,13 +7,14 @@ collect it.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 
 import numpy as np
 
 from qwim._arrays import _linear_maps
-from qwim.analytic import _SATURATION_CUT, _steps, _units, region_constants
+from qwim.analytic import _BRIDGE_PHASE, _SATURATION_CUT, _chain, _phase, _steps, _units, region_constants
 from qwim.errors import EvanescentIncidenceError
 from qwim.model import ModelParams, Side
 from qwim.riccati import ImpedanceTrajectory
@@ -250,3 +251,50 @@ def _bridge(traj: ImpedanceTrajectory) -> np.ndarray:
     den = _psi_ratios(slabs, np.where(forward, zs[:-1], zs[1:]), traj.energy, c)
     with np.errstate(all="ignore"):
         return np.where(forward, den, 1.0 / den)
+
+
+def reference_read(pot, e, samples, grid, c, rightward=False):
+    """``samples`` ((x, zeta) ascending) read at the points of ``grid``
+    strictly inside them, each point walked alone: zeta of a sample it
+    lies on, or the chain's walk (its own ``_steps``) from the end of its
+    interval with the larger |zeta|, at a tie the one the walk reached
+    first (the second, or the first for a ``rightward`` walk): the
+    reference of ``analytic._read``."""
+    xs, zs = [x for x, _ in samples], [z for _, z in samples]
+    out = [samples[0]]
+    for p in sorted(float(g) for g in grid if xs[0] < g < xs[-1]):
+        i = bisect.bisect_right(xs, p) - 1
+        if xs[i] == p:
+            out.append((p, zs[i]))
+            continue
+        lower, upper = abs(zs[i]), abs(zs[i + 1])
+        j = i if lower > upper or (rightward and lower == upper) else i + 1
+        num, den, _ = _chain(_steps(pot, xs[j], p), e, zs[j], c)
+        out.append((p, num / den))
+    return out + [samples[-1]]
+
+
+def reference_bridge(pot, e, xs, zs, c):
+    """psi(xs[i + 1]) / psi(xs[i]) of each interval of monotone samples
+    (lists), each walked alone: the chain's walk (its own ``_steps``) from
+    the end with the larger |zeta| (the second at a tie) to the other,
+    and where its evanescent phase passes _BRIDGE_PHASE from the other
+    end too, the walk along which |psi| grows more kept (the first at a
+    tie); infinite where the ratio's bottom is 0.  The reference of
+    ``analytic._bridge``."""
+    out = []
+    for i in range(len(xs) - 1):
+        ends = (i, i + 1) if abs(zs[i]) > abs(zs[i + 1]) else (i + 1, i)
+        walks = [ends]
+        if _phase(_steps(pot, xs[ends[0]], xs[ends[1]]), e, c) > _BRIDGE_PHASE:
+            walks.append(ends[::-1])
+        best = None
+        for a, t in walks:
+            _, den, r = _chain(_steps(pot, xs[a], xs[t]), e, zs[a], c)
+            growth = abs(den) / abs(r) if r else math.inf
+            if best is None or growth > best[0]:
+                # psi(a) / psi(t) = r / den
+                best = growth, (den, r) if a == i else (r, den)
+        top, bottom = best[1]
+        out.append(top / bottom if bottom else complex(math.inf))
+    return out

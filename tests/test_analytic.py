@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from qwim import _arrays
+from qwim import _arrays, analytic
 from qwim._arrays import _chain_many, _region_constants_many
 from qwim.analytic import (
     _MAX_SUBSLABS,
@@ -40,9 +40,10 @@ from qwim.errors import (
     NonFiniteStateError,
     TransformPoleError,
 )
-from qwim.model import ModelParams, PiecewisePotential, PotentialSegment, SampledPotential, Side
+from qwim.model import IntegrationConfig, ModelParams, PiecewisePotential, PotentialSegment, SampledPotential, Side
+from qwim.scattering import _Incidence
 
-from oracles import TOL_ALG, TOL_FLUX, _slab, step_reflection, to_zeta
+from oracles import TOL_ALG, TOL_FLUX, _slab, reference_bridge, reference_read, step_reflection, to_zeta
 
 # Entry impedance of the barrier u=1 on a 2-long slab at E=0.5 terminated
 # by the matched load z=1, frozen from a (psi, psi') propagator-matrix
@@ -386,7 +387,7 @@ def _slab_blocks(c):
     (E at a level and 1e-13 beside it): slab lists on the energy axis
     (``_chain_many``'s layout; the thick stacks of
     ``test_chain_matches_chain_many``) and one slab per entry on the
-    batch axis (``_bridge_many``'s)."""
+    batch axis (``_anchored_many``'s)."""
     blocks = []
     for length in (250.0, 400.0):
         pot = _stack([(0.0, length, 1.0), (length, length + 1.0, -2.0),
@@ -484,18 +485,17 @@ def test_slab_pass_never_writes_into_its_inputs(monkeypatch):
     xs = np.array(sorted({*np.linspace(pot.a - 1.0, pot.b + 1.0, 31).tolist(), *pot.interfaces()}))
     zs = rng.uniform(0.1, 2.0, len(xs)) + 1j * rng.uniform(-1.0, 1.0, len(xs))
     points = rng.uniform(pot.a - 1.0, pot.b + 1.0, 50)
+    # the bridge's walks across each interval, both ways, and a read's
+    # from the nearest sample below each point
+    below = xs[np.clip(xs.searchsorted(points) - 1, 0, None)]
+    near = zs[np.clip(xs.searchsorted(points) - 1, 0, None)]
+    before = _bits([xs, zs, points, below, near])
     for e in (0.45, 1.0, 2.5):
-        args = [xs, zs, points]
-        before = _bits(args)
-        for call in (
-            lambda: _arrays._bridge_many(pot, e, xs, zs, c),
-            lambda: _arrays._read_many(pot, e, xs, zs, points, c),
-            lambda: _arrays._read_many(pot, e, xs, zs, points, c, rightward=True),
-        ):
+        for args in ([xs[:-1], zs[:-1], xs[1:]], [xs[1:], zs[1:], xs[:-1]], [below, near, points]):
             count = len(writeable)
-            call()
+            _arrays._anchored_many(pot, e, *args, c)
             assert len(writeable) == count + 1
-        assert _bits(args) == before
+        assert _bits([xs, zs, points, below, near]) == before
 
 
 def _stack(segments, left=0.0, right=0.0):
@@ -791,6 +791,21 @@ def test_slab_lists_walk_between_any_two_points(pieces, last, leads, start, samp
         x += dx
 
 
+def _picked(pot, picks):
+    """The points of ``picks``: a fraction of [a, b] (past a or b in a
+    lead), the i-th join or sample abscissa (a and b among them), or,
+    for None, the last point again."""
+    edges, points = pot.interfaces(), []
+    for pick in picks:
+        if pick is None:
+            points.append(points[-1] if points else pot.b)
+        elif isinstance(pick, int):
+            points.append(edges[pick % len(edges)])
+        else:
+            points.append(pot.a + pick * (pot.b - pot.a))
+    return points
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(
     pieces=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8),
@@ -811,19 +826,100 @@ def test_cut_is_bitwise_one_walk_per_pair(pieces, last, leads, start, sampled, p
     # list of its own walk bit for bit (repr is exact and tells -0.0 from
     # 0.0), and none where a point repeats
     pot = _drawn_potential(pieces, last, leads, start, sampled)
-    edges = pot.interfaces()
-    points = []
-    for pick in picks:
-        if pick is None:
-            points.append(points[-1] if points else pot.b)
-        elif isinstance(pick, int):
-            points.append(edges[pick % len(edges)])
-        else:
-            points.append(pot.a + pick * (pot.b - pot.a))
-    points.sort(reverse=backward)
+    points = sorted(_picked(pot, picks), reverse=backward)
     cut = _cut(pot, points)
     assert repr(cut) == repr([_steps(pot, p, q) for p, q in zip(points, points[1:])])
     assert all(steps == [] for steps, p, q in zip(cut, points, points[1:]) if p == q)
+
+
+def _outcome(call):
+    """``call()``'s value, or the type and message of its error."""
+    try:
+        return call()
+    except (NonFiniteStateError, TransformPoleError) as err:
+        return type(err), str(err)
+
+
+def _bits_of(values):
+    """The bits of a list or array of complex values."""
+    return np.array(values, dtype=complex).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pieces=st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+    last=st.floats(-3.0, 3.0),
+    leads=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    sampled=st.booleans(),
+    picks=st.lists(st.one_of(st.floats(-0.5, 1.5), st.integers(0, 8), st.none()), min_size=2, max_size=10),
+    # zeta's parts from one of four pairs, each part of either sign: ties
+    # in |zeta| are exact
+    zetas=st.lists(st.tuples(st.sampled_from([(0.3, 1.1), (1.4, 0.2), (0.05, 0.02), (2.5, -3.0)]),
+                             st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+                   min_size=10, max_size=10),
+    grid=st.lists(st.one_of(st.floats(-0.6, 1.6), st.integers(0, 8), st.none()), max_size=12),
+    e=st.floats(-3.5, 4.0),
+    rightward=st.booleans(),
+)
+# repeated samples, intervals across two joins, an interval on the
+# level-3 barrier whose phase sqrt(2 (3 + 2)) 1.5 = 4.7 passes _BRIDGE_PHASE
+@example(pieces=[(1.5, 3.0), (0.5, -1.0), (1.0, 0.5)], last=0.0, leads=(0.0, 0.2), sampled=False,
+         picks=[0.0, 0.0, 0.5, 1, None, 0.95, 1.2], grid=[0.1, 0.3, 3, 0.6, 0.6, 1.3, -0.2],
+         zetas=[((0.3, 1.1), 1.0, 1.0)] * 10, e=-2.0, rightward=True)
+@example(pieces=[(1.5, 3.0), (0.5, -1.0), (1.0, 0.5)], last=0.0, leads=(0.0, 0.2), sampled=True,
+         picks=[0.0, 0.0, 0.5, 1, None, 0.95, 1.2], grid=[0.1, 0.3, 3, 0.6, 0.6, 1.3, -0.2],
+         zetas=[((0.3, 1.1), 1.0, -1.0), ((1.4, 0.2), -1.0, 1.0)] * 5, e=-2.0, rightward=False)
+def test_bridges_and_reads_walk_from_their_anchors(pieces, last, leads, sampled, picks, zetas, grid, e,
+                                                   rightward, no_numpy):
+    # samples with repeats, on joins and past a and b, zeta of tied
+    # sizes, and grid points inside, on samples, repeated and unsorted:
+    # the bridge (ascending and descending) and the read (either tie
+    # rule) with numpy loaded (piecewise: the array pass) give the bits of
+    # the numpy-free walk, which gives those of each walk alone
+    # (oracles.reference_bridge, reference_read), and the mirror's
+    # bridge and read give the mirror's bits
+    pot = _drawn_potential(pieces, last, leads, 0.0, sampled)
+    mirror, c = pot.mirrored(), _units(ModelParams())[0]
+    xs = sorted(_picked(pot, picks))
+    zs = [complex(re * a, im * b) for (a, b), re, im in zetas[:len(xs)]]
+    points = _picked(pot, grid) + xs[1::2]
+    for x, z in ((xs, zs), (xs[::-1], zs[::-1])):
+        warm = _outcome(lambda: _bits_of(analytic._bridge(pot, e, x, z, c)))
+        with no_numpy():
+            cold = _outcome(lambda: _bits_of(analytic._bridge(pot, e, x, z, c)))
+        assert warm == cold
+        assert cold == _outcome(lambda: _bits_of(reference_bridge(pot, e, x, z, c)))
+        assert cold == _outcome(lambda: _bits_of(analytic._bridge(mirror, e, [-v for v in x], [-w for w in z], c)))
+
+    def read(pot, xs, zs, points, rightward):
+        read_xs, read_zs = analytic._read(pot, e, xs, zs, points, c, rightward)
+        return analytic._listed(read_xs), _bits_of(read_zs)
+
+    warm = _outcome(lambda: read(pot, xs, zs, points, rightward))
+    with no_numpy():
+        cold = _outcome(lambda: read(pot, xs, zs, points, rightward))
+    assert warm == cold
+    want = _outcome(lambda: list(zip(*reference_read(pot, e, list(zip(xs, zs)), points, c, rightward))))
+    assert cold == (want if isinstance(want, tuple) else (list(want[0]), _bits_of(want[1])))
+    # a point on a repeated sample takes the zeta of its last copy, which
+    # the mirror sees first: the mirror's read is of distinct samples
+    xs, zs = map(list, zip(*dict(zip(xs, zs)).items()))
+    own = _outcome(lambda: read(pot, xs, zs, points, rightward))
+    back = _outcome(lambda: read(mirror, [-v for v in xs[::-1]], [-w for w in zs[::-1]],
+                                 [-p for p in points], not rightward))
+    if type(back[0]) is list:
+        back = ([-v for v in back[0][::-1]], _bits_of(-np.frombuffer(back[1], dtype=complex)[::-1]))
+    assert back == own
+    # a stepper trajectory above the leads, read at the points: within ten
+    # times the stepper's relative tolerance of the chain's zeta (the
+    # largest seen was 4.4e-10 of max(1, |zeta|) in 300 draws)
+    cfg = IntegrationConfig()
+    walk = _Incidence(pot, Side.LEFT if rightward else Side.RIGHT, cfg, ModelParams())
+    e = max(leads) + 0.5 + 0.5 * abs(e)
+    got_xs, got = walk.trajectory(e, grid=points + np.linspace(pot.a, pot.b, 7).tolist())
+    want = walk.profile(e, got_xs)[0]
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 10.0 * cfg.rel_tol * max(1.0, *map(abs, want))
 
 
 @pytest.mark.parametrize("d", [5e-13, -5e-13], ids=["overlap", "gap"])

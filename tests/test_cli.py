@@ -347,6 +347,21 @@ def test_resonances_transparent_note(tmp_path):
     assert rows == []
 
 
+def test_resonances_wide_window_is_not_transparent(tmp_path):
+    # the barrier reflects R(0.5) = 0.929, yet all 400 scan energies of
+    # (0.01, 1e8] lie past E = 2.5e5, where R < 1e-12: transparency is a
+    # property of the potential (one level everywhere), not of the scan,
+    # so the window is searched and no note is printed
+    spec = write_spec(tmp_path, BARRIER_DOC)
+    _, rows = rows_of(run_cli("scatter", "--spec", spec, "--energy", "0.5").stdout)
+    assert abs(float(rows[0][5]) - 0.929) < 1e-3
+    proc = run_cli("resonances", "--spec", spec, "--emin", "0.01", "--emax", "1e8")
+    assert proc.returncode == 0
+    assert "transparent" not in proc.stderr
+    _, rows = rows_of(proc.stdout)
+    assert rows and all(float(row[2]) < 1e-8 for row in rows)
+
+
 def test_profile_impedance_free_line(tmp_path):
     doc = json.loads(json.dumps(BARRIER_DOC))
     doc["potential"]["segments"][0]["u"] = 0.0

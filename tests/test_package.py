@@ -273,10 +273,10 @@ def test_units_are_read_once_at_the_edge():
 
     walkers = {
         analytic: ["_constants", "_chain", "_real_walk", "_linear_twin", "_linear_steps",
-                   "_linear_walks", "_phase", "_bridge", "_bridge_walks", "_read", "_read_walks"],
+                   "_linear_walks", "_phase", "_bridge", "_read", "_anchored"],
         riccati: ["_trajectory"],
         _arrays: ["_linear_maps", "_region_constants_many", "_chain_many", "_slabs_many",
-                  "_bridge_many", "_read_many"],
+                  "_anchored_many"],
     }
     for module, names in walkers.items():
         private = [name for name, f in vars(module).items()
@@ -284,3 +284,22 @@ def test_units_are_read_once_at_the_edge():
         assert set(names) <= set(private)
         takes = [name for name in private if "params" in inspect.signature(getattr(module, name)).parameters]
         assert takes == (["_units"] if module is analytic else []), module.__name__
+
+
+def test_one_array_pass_serves_bridges_and_reads():
+    # the psi bridge and the grid read walk through one anchored-step
+    # walk (analytic._anchored) and its one array pass
+    # (_arrays._anchored_many): the slab pass has two users, the energy
+    # grid's chain and that pass, and the cell search, Python's abs over
+    # an array and Python's complex division over arrays one each
+    users = {}
+    for path in Path(qwim.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                            else node.name if isinstance(node, ast.alias) else None)
+                    if name in ("_slabs_many", "_cells", "_size", "_quotient") and name != func.name:
+                        users.setdefault(name, set()).add(func.name)
+    assert users == {"_slabs_many": {"_chain_many", "_anchored_many"}, "_cells": {"_anchored_many"},
+                     "_size": {"_larger"}, "_quotient": {"_quotients"}}

@@ -58,7 +58,7 @@ from qwim.scattering import _Incidence, solve_scattering
 from qwim.spectral import impedance_mismatch
 from qwim.xcheck import transfer_matrix_solve
 
-from oracles import to_zeta
+from oracles import reference_read, to_zeta
 
 
 TIGHT = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13)
@@ -540,26 +540,6 @@ def _reference_trajectory(pot, e, anchor_x, anchor_z, target_x, cfg, c):
     return out
 
 
-def _reference_read(pot, e, samples, grid, c, rightward=False):
-    """``samples`` ((x, zeta) ascending) read at the points of ``grid``
-    strictly inside them, each point walked alone: zeta of a sample it
-    lies on, or the chain's walk from the end of its interval with the
-    larger |zeta|, at a tie the one the walk reached first (the second,
-    or the first for a ``rightward`` walk)."""
-    xs, zs = [x for x, _ in samples], [z for _, z in samples]
-    out = [samples[0]]
-    for p in sorted(float(g) for g in grid if xs[0] < g < xs[-1]):
-        i = bisect.bisect_right(xs, p) - 1
-        if xs[i] == p:
-            out.append((p, zs[i]))
-            continue
-        lower, upper = abs(zs[i]), abs(zs[i + 1])
-        j = i if lower > upper or (rightward and lower == upper) else i + 1
-        num, den, _ = _chain(_steps(pot, xs[j], p), e, zs[j], c)
-        out.append((p, num / den))
-    return out + [samples[-1]]
-
-
 @pytest.mark.parametrize("threshold", [1e9, 1e-3, 2.0], ids=["Z", "W", "switch"])
 @pytest.mark.parametrize("read", [False, True], ids=["plain", "grid"])
 @pytest.mark.parametrize("sampled", [False, True], ids=["const", "sampled"])
@@ -591,7 +571,7 @@ def test_unrolled_step_matches_tableau_loop(sampled, read, threshold):
     if traj.direction is Side.LEFT:
         ref.reverse()
     if read:
-        ref = _reference_read(pot, e, ref, grid, c, traj.direction is Side.RIGHT)
+        ref = reference_read(pot, e, ref, grid, c, traj.direction is Side.RIGHT)
         assert len(ref) == 2 + sum(min(anchor_x, target_x) < g < max(anchor_x, target_x) for g in grid)
     assert repr(traj.xs.tolist()) == repr([float(x) for x, _ in ref])
     want = [_from_zeta(complex(z), w) for _, z in ref]
@@ -604,9 +584,10 @@ def test_unrolled_step_matches_tableau_loop(sampled, read, threshold):
 
 def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
     # one cut by the stepper (its _steps), whatever the grid's size, and
-    # one by the read of a grid on a sampled potential; a piecewise read
-    # takes each interval's slab off its cell (_arrays._read_many) and
-    # cuts nothing.  No u_at at any slab, step, stage or grid point
+    # one per walk direction by the read of a grid on a sampled potential
+    # (analytic._anchored); a piecewise read takes each interval's slab
+    # off its cell (_arrays._anchored_many) and cuts nothing.  No u_at at
+    # any slab, step, stage or grid point
     calls = {"_cut": 0, "u_at": 0}
     real_cut = analytic._cut
 
@@ -625,7 +606,7 @@ def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
             PotentialSegment(1.5, 2.1, 2.4))
     xs = np.linspace(0.0, 2.1, 9)
     for pot, read_cuts in ((PiecewisePotential(0.0, segs, 0.0), 0),
-                           (SampledPotential(tuple(xs), tuple(np.cos(3.0 * xs)), 0.0, 0.0), 1)):
+                           (SampledPotential(tuple(xs), tuple(np.cos(3.0 * xs)), 0.0, 0.0), 2)):
         calls["_cut"] = 0
         z_minus(pot, 1.9)
         assert calls["_cut"] == 1
@@ -640,23 +621,33 @@ def _read_routes(monkeypatch, pot, e, xs, zs, grid, c=C):
     scalar walk of every point, as lists, and the points the array pass
     left to the walk (indices into the grid's points inside the
     samples)."""
-    many, left = _arrays._read_many, []
+    got, taken, _ = _taken(monkeypatch, analytic._read, pot, e, xs, zs, grid, c)
+    with monkeypatch.context() as m:
+        m.setattr(_arrays, "_anchored_many", _walk_only)
+        want = analytic._read(pot, e, xs, zs, grid, c)
+    got, want = [list(map(analytic._listed, read)) for read in (got, want)]
+    return got, want, [k for k, p in enumerate(got[0][1:-1]) if p not in taken]
 
-    def recorded(*args):
-        read_xs, read_zs, redo = many(*args)
-        left.extend((redo - 1).tolist())
-        return read_xs, read_zs, redo
 
-    def walk_only(*args):
-        read_xs, read_zs, _ = many(*args)
-        return read_xs, read_zs, np.arange(1, len(read_xs) - 1)
+def _walk_only(pot, e, starts, *_):
+    """``_arrays._anchored_many`` that leaves every walk to the scalar tail."""
+    return (*np.empty((3, len(starts)), dtype=complex), np.arange(len(starts)))
+
+
+def _taken(monkeypatch, call, *args):
+    """``call(*args)``, the set of the ends of the walks that its array
+    pass took (a read's points), and the ends of those it left."""
+    many, taken, left = _arrays._anchored_many, set(), []
+
+    def recorded(pot, e, starts, zetas, ends, c):
+        out = many(pot, e, starts, zetas, ends, c)
+        taken.update(np.delete(ends, out[3]).tolist())
+        left.extend(ends[out[3]].tolist())
+        return out
 
     with monkeypatch.context() as m:
-        m.setattr(_arrays, "_read_many", recorded)
-        got = analytic._read(pot, e, xs, zs, grid, c)
-        m.setattr(_arrays, "_read_many", walk_only)
-        want = analytic._read(pot, e, xs, zs, grid, c)
-    return [list(map(analytic._listed, read)) for read in (got, want)] + [left]
+        m.setattr(_arrays, "_anchored_many", recorded)
+        return call(*args), taken, left
 
 
 @pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
@@ -711,7 +702,7 @@ def test_read_across_joins_within_join_tol(d, monkeypatch):
         xs, zs = traj.xs.tolist(), traj.zs.tolist()
         assert all(len(walk) == 1 for walk in analytic._cut(pot, xs))
         (got_xs, got), (want_xs, want), left = _read_routes(monkeypatch, pot, e, xs, zs, grid)
-        ref = _reference_read(pot, e, list(zip(xs, zs)), grid, C)
+        ref = reference_read(pot, e, list(zip(xs, zs)), grid, C)
         on = set(xs)
         assert got_xs == want_xs == [x for x, _ in ref]
         assert left == [k for k, p in enumerate(got_xs[1:-1]) if p in on]
@@ -757,7 +748,7 @@ def test_read_array_pass_finds_each_interval_cell(pot, xs, monkeypatch):
     assert all(len(walk) in (0, 1) for walk in analytic._cut(pot, xs))
     grid = sorted({*xs, *pot.interfaces(), *(0.25 * x0 + 0.75 * x1 for x0, x1 in zip(xs, xs[1:]))})
     (got_xs, got), (want_xs, want), left = _read_routes(monkeypatch, pot, e, xs, zs, grid)
-    ref = _reference_read(pot, e, list(zip(xs, zs)), grid, C)
+    ref = reference_read(pot, e, list(zip(xs, zs)), grid, C)
     assert got_xs == want_xs == [x for x, _ in ref] and repr(got) == repr(want) == repr([z for _, z in ref])
     assert left == [k for k, p in enumerate(got_xs[1:-1]) if p in set(xs)]
     # every other sample kept: intervals now cross joins
@@ -765,12 +756,19 @@ def test_read_array_pass_finds_each_interval_cell(pot, xs, monkeypatch):
     crossing = [i for i, walk in enumerate(analytic._cut(pot, thin)) if len(walk) > 1]
     assert crossing
     points = [p for p in got_xs if thin[0] < p < thin[-1]]
-    read_xs, read, redo = _arrays._read_many(pot, e, thin, thin_zs, points, C)
+    (read_xs, read), taken, _ = _taken(monkeypatch, analytic._read, pot, e, thin, thin_zs, points, C)
     assert read_xs[1:-1].tolist() == points
-    read, redo = read[1:-1].tolist(), (redo - 1).tolist()
+    read = read[1:-1].tolist()
     inside = [bisect.bisect_right(thin, p) - 1 for p in points]
-    assert redo == [k for k, p in enumerate(points) if p in set(thin) or inside[k] in crossing]
-    ref = _reference_read(pot, e, list(zip(thin, thin_zs)), points, C)[1:-1]
+    sizes = [abs(z) for z in thin_zs]
+    anchors = [thin[i] if sizes[i] > sizes[i + 1] else thin[i + 1] for i in inside]
+    redo = [k for k, p in enumerate(points) if p not in taken]
+    # a point whose walk from its anchor stays on one cell is no longer
+    # left to the walk because its interval crosses a join
+    assert redo == [k for k, p in enumerate(points) if p in set(thin) or len(_steps(pot, anchors[k], p)) > 1]
+    assert any(inside[k] in crossing for k in range(len(points)) if k not in redo)
+    assert any(inside[k] in crossing for k in redo)
+    ref = reference_read(pot, e, list(zip(thin, thin_zs)), points, C)[1:-1]
     assert all(read[k] == ref[k][1] for k in range(len(points)) if k not in redo)
 
 
@@ -785,7 +783,7 @@ def _awkward_grid(pot, xs, rng):
 
 
 @pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
-def test_warm_read_is_bitwise_the_cold_walk(random_stack_instances, threshold, no_numpy):
+def test_warm_read_is_bitwise_the_cold_walk(random_stack_instances, threshold, no_numpy, monkeypatch):
     # the warm read (numpy loaded) against the numpy-free walk of every
     # point, bitwise, on every fifth conftest stack and every eighth
     # seeded Gaussian from both anchors (a walk toward smaller x and
@@ -813,14 +811,15 @@ def test_warm_read_is_bitwise_the_cold_walk(random_stack_instances, threshold, n
                            (traj.xs[::3].tolist(), traj.zs[::3].tolist())):
                 grid = _awkward_grid(pot, xs, rng)
                 for points in (grid, np.array(grid)):
-                    warm_xs, warm_zs = analytic._read(pot, e, xs, zs, points, C, rightward)
+                    (warm_xs, warm_zs), by_pass, _ = _taken(
+                        monkeypatch, analytic._read, pot, e, xs, zs, points, C, rightward)
                     with no_numpy():
                         cold = analytic._read(pot, e, xs, zs, points, C, rightward)
                     assert type(cold[1]) is list and isinstance(warm_zs, list if sampled else np.ndarray)
                     warm = (analytic._listed(warm_xs), analytic._listed(warm_zs))
                     assert repr(warm) == repr(cold), (pot, e)
                     if not sampled:
-                        redo = _arrays._read_many(pot, e, xs, zs, points, C, rightward)[2]
+                        redo = [p for p in warm[0][1:-1] if p not in by_pass]
                         taken += len(warm_xs) - 2 - len(redo)
                         left += len(redo)
     # most points take the array pass; those on samples or across joins not
@@ -861,7 +860,7 @@ def test_trajectory_read_and_reconstruction_are_bitwise_cold_and_warm(random_sta
             assert psi.tobytes() == cold_psi.tobytes() and psi[0] == psi_start
 
 
-def test_read_and_bridge_at_a_tie_anchor_where_the_walk_does(no_numpy):
+def test_read_and_bridge_at_a_tie_anchor_where_the_walk_does(no_numpy, monkeypatch):
     # samples whose zeta is of one size everywhere: each point is read
     # from the interval's end the walk reached first, the lower for a
     # walk toward larger x and the upper otherwise, and each interval
@@ -875,20 +874,20 @@ def test_read_and_bridge_at_a_tie_anchor_where_the_walk_does(no_numpy):
     grid = np.linspace(-1.0, 3.7, 95).tolist()
     reads = []
     for rightward in (False, True):
-        warm = [v.tolist() for v in analytic._read(_STACK, e, xs, zs, grid, C, rightward)]
+        read, taken, _ = _taken(monkeypatch, analytic._read, _STACK, e, xs, zs, grid, C, rightward)
+        warm = [v.tolist() for v in read]
         with no_numpy():
             cold = analytic._read(_STACK, e, xs, zs, grid, C, rightward)
         assert repr(warm) == repr(list(cold))
         # the array pass leaves only the points on samples to the walk
-        read_xs, _, redo = _arrays._read_many(_STACK, e, xs, zs, grid, C, rightward)
-        assert read_xs[redo].tolist() == [p for p in grid[1:-1] if p in xs]
+        assert [p for p in warm[0][1:-1] if p not in taken] == [p for p in grid[1:-1] if p in xs]
         reads.append(cold[1])
     assert reads[0] != reads[1]
-    warm = _bridge(_STACK, e, xs, zs, C)
+    warm, _, left = _taken(monkeypatch, _bridge, _STACK, e, xs, zs, C)
     with no_numpy():
         cold = _bridge(_STACK, e, xs, zs, C)
     assert warm.tobytes() == np.array(cold, dtype=complex).tobytes()
-    assert _arrays._bridge_many(_STACK, e, xs, zs, C)[1].size == 0
+    assert left == []
 
 
 @pytest.mark.parametrize(
@@ -904,19 +903,20 @@ def test_read_and_bridge_at_a_tie_anchor_where_the_walk_does(no_numpy):
 def test_read_walks_a_point_across_a_join_from_its_anchor(pot, anchor, no_numpy):
     # an interval of samples that crosses joins (0 to 2 here) is no one
     # slab: each point inside it walks the interval's slabs from the end
-    # with the larger |zeta| to itself, as _reference_read walks it, in a
-    # process without numpy (one cut of the samples, the sub-slab maps by
-    # the twin) and with numpy loaded (the piecewise array pass leaves
-    # these points to that walk), bit for bit.  Warm, a sampled read takes
+    # with the larger |zeta| to itself, as reference_read walks it, in a
+    # process without numpy (one cut per walk direction, the sub-slab
+    # maps by the twin) and with numpy loaded (the piecewise array pass
+    # takes the walks on one cell and leaves the rest to that walk), bit
+    # for bit.  Warm, a sampled read takes
     # the maps of all its points from one numpy series, and each map is
     # that of its own sub-slab alone.  Both raised a bare ValueError before
     e, xs = 0.9, [0.0, 2.0]
     zs = [complex(0.8, 0.2), complex(0.3, -0.1)][::1 if anchor == 0 else -1]
     grid = [0.35, 0.5, 1.0, 1.5]
     with no_numpy():
-        want = _reference_read(pot, e, list(zip(xs, zs)), grid, C)
+        want = reference_read(pot, e, list(zip(xs, zs)), grid, C)
         assert analytic._read(pot, e, xs, zs, grid, C) == tuple(map(list, zip(*want)))
-    want = _reference_read(pot, e, list(zip(xs, zs)), grid, C)
+    want = reference_read(pot, e, list(zip(xs, zs)), grid, C)
     got_xs, got = map(analytic._listed, analytic._read(pot, e, xs, zs, grid, C))
     assert got_xs == [x for x, _ in want]
     assert repr(got) == repr([w for _, w in want])
@@ -986,7 +986,7 @@ def test_sampled_read_walks_each_point_alone(side, monkeypatch):
         calls.append(len(args[0]))
         return real(*args)
 
-    monkeypatch.setattr(_arrays, "_read_many", no_array_pass)
+    monkeypatch.setattr(_arrays, "_anchored_many", no_array_pass)
     monkeypatch.setattr(analytic, "_linear_steps", counted)
     grid = np.linspace(-3.0, 3.0, 401).tolist()
     got_xs, got = analytic._read(pot, e, *samples, grid, C)

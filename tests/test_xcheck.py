@@ -539,26 +539,34 @@ def test_bridge_walks_an_interval_across_a_join(pot):
     assert again[0] == 1.0 and again[1] == got
 
 
-def _walk_only(pot, e, xs, *_):
-    """``_arrays._bridge_many`` that leaves every interval to the walk."""
-    return np.empty(len(xs) - 1, dtype=complex), np.arange(len(xs) - 1)
+def _walk_only(pot, e, starts, *_):
+    """``_arrays._anchored_many`` that leaves every walk to the scalar tail."""
+    return (*np.empty((3, len(starts)), dtype=complex), np.arange(len(starts)))
+
+
+def _left(monkeypatch, pot, e, xs, zs, c=C):
+    """``_bridge`` on the samples by its array pass, and the intervals the
+    pass left to the scalar tail (the bridge walks interval i as the
+    pass's entry i)."""
+    many, left = _arrays._anchored_many, []
+
+    def recorded(*args):
+        out = many(*args)
+        left.extend(out[3].tolist())
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(_arrays, "_anchored_many", recorded)
+        return _bridge(pot, e, xs, zs, c), left
 
 
 def _routes(monkeypatch, pot, e, xs, zs, c=C):
     """``_bridge`` on the same samples by its array pass and by its
     scalar walk of every interval, as lists, and the intervals the array
     pass left to the walk."""
-    many, left = _arrays._bridge_many, []
-
-    def recorded(*args):
-        ratios, redo = many(*args)
-        left.extend(redo.tolist())
-        return ratios, redo
-
+    got, left = _left(monkeypatch, pot, e, xs, zs, c)
     with monkeypatch.context() as m:
-        m.setattr(_arrays, "_bridge_many", recorded)
-        got = _bridge(pot, e, xs, zs, c)
-        m.setattr(_arrays, "_bridge_many", _walk_only)
+        m.setattr(_arrays, "_anchored_many", _walk_only)
         want = _bridge(pot, e, xs, zs, c)
     return _listed(got), _listed(want), left
 
@@ -685,16 +693,16 @@ def test_bridge_array_pass_leaves_overflows_to_the_walk(xs, zs, message, monkeyp
     e = float(message.rsplit(" ", 1)[1])
     # after an interval on the left lead, which the array pass takes
     xs, zs = [-1.0, -0.9, *xs], [1.0 + 0j, 1.0 + 0j, *zs]
-    for many in (_arrays._bridge_many, _walk_only):
+    for many in (_arrays._anchored_many, _walk_only):
         with monkeypatch.context() as m:
-            m.setattr(_arrays, "_bridge_many", many)
+            m.setattr(_arrays, "_anchored_many", many)
             with pytest.raises(NonFiniteStateError) as err:
                 _bridge(pot, e, xs, zs, C)
         assert str(err.value) == message
 
 
 @pytest.mark.parametrize("threshold", [1e9, 2.0], ids=["Z", "W"])
-def test_warm_bridge_is_bitwise_the_cold_walk(random_stack_instances, threshold, no_numpy):
+def test_warm_bridge_is_bitwise_the_cold_walk(random_stack_instances, threshold, no_numpy, monkeypatch):
     # the warm bridge (numpy loaded) against the numpy-free walk of every
     # interval, bitwise, on every fifth conftest stack from both ends, at
     # its lowest and highest energy and below the leads, where psi
@@ -722,19 +730,18 @@ def test_warm_bridge_is_bitwise_the_cold_walk(random_stack_instances, threshold,
             samples = [(xs, zs), (xs[::-1], zs[::-1]), (xs[::5], zs[::5]),
                        ([*xs[:k], xs[k], *xs[k:]], [*zs[:k], zs[k], *zs[k:]])]
             for x, z_ in itertools.chain(samples, (tuple(map(np.array, p)) for p in samples)):
-                warm = _bridge(pot, e, x, z_, C)
+                warm, redo = _left(monkeypatch, pot, e, x, z_)
                 with no_numpy():
                     cold = _bridge(pot, e, x, z_, C)
                 assert type(cold) is list and isinstance(warm, list if sampled else np.ndarray)
                 assert np.array(warm, dtype=complex).tobytes() == np.array(cold, dtype=complex).tobytes(), (pot, e)
                 if not sampled:
-                    redo = _arrays._bridge_many(pot, e, x, z_, C)[1]
                     taken += len(warm) - len(redo)
                     left += len(redo)
     assert taken > 5 * left > 0
 
 
-def test_bridge_past_the_bridge_phase_is_bitwise_the_cold_walk(no_numpy):
+def test_bridge_past_the_bridge_phase_is_bitwise_the_cold_walk(no_numpy, monkeypatch):
     # intervals on one cell whose evanescent phase passes _BRIDGE_PHASE
     # are left by the array pass and walked from both ends, the walk
     # along which |psi| grows kept: bitwise the numpy-free walk, from
@@ -746,8 +753,7 @@ def test_bridge_past_the_bridge_phase_is_bitwise_the_cold_walk(no_numpy):
     # kappa |dx| = 3 on each interval across the barrier
     assert math.sqrt(C * (5.0 - e)) > _BRIDGE_PHASE
     for x, z_ in ((xs, traj.zs.tolist()), (xs[::-1], traj.zs[::-1].tolist())):
-        warm = _bridge(pot, e, x, z_, C)
-        redo = _arrays._bridge_many(pot, e, x, z_, C)[1].tolist()
+        warm, redo = _left(monkeypatch, pot, e, x, z_)
         with no_numpy():
             cold = _bridge(pot, e, x, z_, C)
         assert warm.tobytes() == np.array(cold, dtype=complex).tobytes()
@@ -870,11 +876,12 @@ def test_thinned_reconstruction_matches_the_full_one():
 
 def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
     # the chain's profile cuts its grid once, however many points there
-    # are.  The psi bridge cuts a sampled potential's trajectory once; on
-    # a piecewise stack it takes each interval's slab off its cell
-    # (_arrays._bridge_many) and cuts only the intervals it leaves to the
-    # walk, in one pass over their ends: none of a stepper trajectory,
-    # and those of a grid read that cross a join
+    # are.  The psi bridge cuts a sampled potential's trajectory in one
+    # pass per walk direction, over the ends of the walks across its
+    # intervals (analytic._anchored); on a piecewise stack it takes each
+    # interval's slab off its cell (_arrays._anchored_many) and cuts only
+    # the intervals it leaves to the walk, so: none of a stepper
+    # trajectory, and those of a grid read that cross a join
     from qwim.model import _linspace
     from qwim.scattering import _Incidence
 
@@ -901,17 +908,20 @@ def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
                 walk.profile(0.7, grid)
                 assert cuts == [n]
                 xs, zs = walk.trajectory(0.7, grid=grid)
+                # intervals walked from both ends, in one more pass per direction
+                far = [w for w in analytic._cut(pot, xs) if analytic._phase(w, 0.7, C) > _BRIDGE_PHASE]
                 cuts.clear()
                 _bridge(pot, 0.7, xs, zs, C)
+                assert len(cuts) <= (4 if far else 2)
                 if pot is stack:
                     crossing = [x0 for x0, x1 in zip(xs, xs[1:]) if x0 < 1.0 < x1 or x0 < 2.0 < x1]
-                    assert cuts == [4] and len(crossing) == 2 and len(xs) == n
+                    assert sum(cuts) == 4 and len(crossing) == 2 and len(xs) == n and not far
                 else:
-                    assert cuts == [len(xs)] and len(xs) >= n
+                    assert sum(cuts) == 2 * (len(xs) - 1 + len(far)) and len(xs) >= n
             xs, zs = walk.trajectory(0.7)
             cuts.clear()
             _bridge(pot, 0.7, xs, zs, C)
-            assert cuts == ([] if pot is stack else [len(xs)])
+            assert cuts == [] if pot is stack else len(cuts) <= 2 and sum(cuts) == 2 * (len(xs) - 1)
 
 
 def test_reconstruct_defaults_to_unit_incident():
