@@ -6,8 +6,8 @@ it is imported on first use: by ``scattering``'s energy sweeps and the
 resonance scan where they take the array pass (``analytic._array_pass``),
 by ``analytic._chain`` when it walks linear (sampled) slabs with numpy
 loaded already, and by the walks of ``analytic._bridge`` and
-``analytic._read`` (``analytic._anchored``) on a piecewise potential's
-trajectory.  Work at one energy never loads it.
+``analytic._read`` on a piecewise potential's trajectory.  Work at one
+energy never loads it.
 Like the scalar walkers, every function here walks zeta = (m/hbar) Z
 and takes the units as c = 2m/hbar^2 alone.
 
@@ -39,16 +39,14 @@ with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
 step in ``analytic._chain``.  ``_linear_steps`` hands those maps to the
 scalar walker at one energy.
 
-``_anchored_many`` is the array pass of ``analytic._anchored``, the
-walk from a sample that both ``analytic._bridge`` and ``analytic._read``
-take, on a piecewise potential: the walks (from an anchor, at zeta
-there, to a target) step together through ``_slabs_many`` on its batch
-axis, one step each.  ``_cells`` finds the cell of every walk with one
-``searchsorted`` of its ends against the joins, bitwise the step that
-``analytic._cut`` would cut where the walk lies on that cell.  It takes
-arrays in and gives arrays (num, den, r) out, with the indices of the
-walks it leaves to the scalar walk (those not on one cell among them);
-the caller walks those in one batch and writes them in place.
+``_anchored_many`` is the array pass of the walk from a sample that
+both ``analytic._bridge`` and ``analytic._read`` take, on a piecewise
+potential: the walks (from an anchor, at zeta there, to a target) step
+together through ``_slabs_many`` on its batch axis, one step each, on
+the cell that ``_cells`` finds with one ``searchsorted`` against the
+joins.  It gives arrays (num, den, r), the indices of the walks it
+leaves to the scalar tail and each walk's level, from which the bridge
+finds its long evanescent intervals.
 ``_size`` and ``_quotient`` are Python's abs and complex division over
 arrays, by which the walks pick their anchors and divide.
 """
@@ -60,7 +58,7 @@ import math
 
 import numpy as np
 
-from .analytic import _BRIDGE_PHASE, _MAX_SUBSLABS, _SATURATION_CUT, EPS_DEGENERATE
+from .analytic import _MAX_SUBSLABS, _SATURATION_CUT, EPS_DEGENERATE
 from .errors import NonFiniteStateError
 
 # Slab-energy pairs per array pass of _chain_many.
@@ -367,20 +365,14 @@ def _cells(pot, lo, hi):
 
 
 def _anchored_many(pot, e, starts, zetas, ends, c):
-    """The array pass of ``analytic._anchored`` on a piecewise potential:
-    (num, den, r, redo), arrays.  ``starts``, ``zetas`` and ``ends`` are
-    float, complex and float arrays, a walk from each start, anchored at
-    its zeta, to its end.  Every walk takes one ``_chain`` step on the
-    cell that holds its lower end (``_cells``), dx = end - start (bitwise
-    the cut's), in one ``_slabs_many`` call, the walks on its batch axis;
-    ``redo`` lists, in ascending order, the walks left to the scalar
-    tail, whose entries mean nothing: those of no length or across a
-    join, those the pass marks not ``ok`` (where the walk raises), and
-    those whose evanescent phase passes ``analytic._BRIDGE_PHASE``
-    (``analytic._bridge`` walks those from both ends)."""
+    """The array pass of the walks of ``analytic._bridge`` and
+    ``analytic._read``: (num, den, r, redo, level), arrays, of a walk from
+    each of ``starts`` anchored at ``zetas`` to ``ends``.  Each takes one
+    ``_chain`` step on the cell that holds its lower end (``_cells``; its
+    ``level``), dx = end - start (bitwise the cut's), in one
+    ``_slabs_many`` call; ``redo`` lists, ascending, the walks left to
+    the scalar tail, whose entries mean nothing: those of no length or
+    across a join, and those the pass marks not ``ok``."""
     level, one = _cells(pot, np.minimum(starts, ends), np.maximum(starts, ends))
-    dx = ends - starts
-    # analytic._phase of the one-cell walks
-    one &= ~(np.sqrt(c * np.maximum(level - e, 0.0)) * np.abs(dx) > _BRIDGE_PHASE)
-    num, den, r, ok = _slabs_many(np.stack((level, dx))[:, None, :], e, zetas, c)
-    return num, den, r, np.flatnonzero(~(one & ok))
+    num, den, r, ok = _slabs_many(np.stack((level, ends - starts))[:, None, :], e, zetas, c)
+    return num, den, r, np.flatnonzero(~(one & ok)), level

@@ -26,9 +26,9 @@ scattering, resonances and ``impedance_mismatch``; ``_real_walk(slabs,
 e, y_anchor, c)`` steps the real solution of the bound-state search.
 ``_cut`` alone cuts a potential into slabs, at any monotone points in
 one pass; ``_steps``, its walk between two points, builds the searches'
-lists, once per stack and end, the stepper's, and those of the anchored
-walks (``_anchored``) that cross a join short of the longest walk from
-their start.  Each constant
+lists, once per stack and end, the stepper's, and those of the walks
+from a sample (``_walks``) that cross a join short of the farthest
+walk from their start.  Each constant
 slab is one step of the tanh addition law: it maps zeta(x) to
 zeta(x + dx) and gives the psi ratio across the step over the same
 denominator.  Where E equals a slab's level psi is linear across it,
@@ -82,20 +82,15 @@ each map is a function of its own sub-slab's split, a and b alone
 else shares its pass.  ``_linear_walks`` hands out the maps of several
 consecutive walks from one call.
 
-psi and zeta come back from a Riccati trajectory by one walk,
-``_anchored``: from a sample, anchored at the trajectory's zeta there,
-the ``_chain`` walk of its own ``_steps`` to a target.  ``_bridge``
-walks each interval from the end with the larger |zeta| to the other,
-and a long evanescent interval from both ends, keeping the walk along
-which |psi| grows, and keeps the psi ratio r / den; ``_read`` walks to
-each grid point from the end of its interval with the larger |zeta|
-and keeps zeta = num / den.  On a piecewise potential with numpy
-loaded already, the walks that lie on one cell (all of a stepper
-trajectory's) take their steps in one array pass
-(``_arrays._anchored_many``), which gives arrays; the walks it leaves
-take the scalar tail in one batch.  Elsewhere every walk takes that
-tail, cut in one pass per walk direction, and the results are lists;
-callers that want lists take an array's through ``_listed``.
+psi and zeta come back from a Riccati trajectory by one walk, from a
+sample at the trajectory's zeta there to a target: ``_bridge`` walks
+each interval from the end with the larger |zeta| and keeps the psi
+ratio r / den, ``_read`` walks to each grid point from that end of its
+interval and keeps zeta = num / den.  Where numpy is loaded already, a
+piecewise potential's walks that lie on one cell take one array pass
+(``_arrays._anchored_many``); the rest take the scalar tail in one
+batch, one ``_cut`` of their ends (``_walks``) and one ``_chain`` each
+(``_anchored``).  Callers that want lists take arrays via ``_listed``.
 
 This module imports no numpy, so work at one energy loads none, on
 either kind of potential.  The adaptive Riccati integrator in
@@ -667,33 +662,56 @@ def _bridge(pot: Potential, e: float, xs, zs, c: float):
     """psi(xs[i + 1]) / psi(xs[i]) across each interval of a Riccati
     trajectory's samples (xs monotone, zs its zeta there, c = 2m/hbar^2;
     lists, or arrays where numpy is loaded): the walk across the interval
-    (``_anchored``) from the end with the larger |zeta| (the second at a
-    tie), anchored at the trajectory's zeta there, so it never divides by
-    a vanishing psi and carries sign flips through nodes; the walk's r /
-    den is psi(start) / psi(end), and den / r is kept where it starts at
-    xs[i].  A walk the way psi decays multiplies its anchor's error by
-    about exp(2 sum(kappa |dx|)), so an interval whose evanescent phase
-    passes _BRIDGE_PHASE is walked from its other end too, and the walk
-    along which |psi| grows more is kept (the first at a tie).  A
-    repeated sample has ratio 1, a ratio past the float range is
-    infinite, and descending samples give bitwise what the mirror's
-    ascending ones give.  The ratios are a complex array on a piecewise
-    potential with numpy loaded already, and a list elsewhere
-    (``_samples``)."""
+    from the end with the larger |zeta| (the second at a tie), anchored
+    at the trajectory's zeta there, so it never divides by a vanishing
+    psi and carries sign flips through nodes.  A repeated sample has
+    ratio 1, a ratio past the float range is infinite, and descending
+    samples give bitwise what the mirror's ascending ones give.  On a
+    piecewise potential with numpy loaded already the walks take the
+    array pass (``_arrays._anchored_many``) and the ratios are an array;
+    the intervals it leaves, and those it took whose evanescent phase
+    passes _BRIDGE_PHASE, take the scalar tail (``_bridged``), which
+    every interval takes elsewhere, where the ratios are a list."""
     xs, zs = _samples(pot, xs, zs)
     first = _larger(zs, False)
     x0, x1, z0, z1 = xs[:-1], xs[1:], zs[:-1], zs[1:]
-    starts, ends = _where(first, x0, x1), _where(first, x1, x0)
-    _, den, r, far = _anchored(pot, e, starts, _where(first, z0, z1), ends, c)
+    if isinstance(xs, list):
+        return _bridged(pot, e, x0, x1, z0, z1, first, c)
+    import numpy as np
+
+    from ._arrays import _anchored_many
+
+    starts, ends = np.where(first, x0, x1), np.where(first, x1, x0)
+    _, den, r, redo, level = _anchored_many(pot, e, starts, np.where(first, z0, z1), ends, c)
+    ratios = _quotients(np.where(first, den, r), np.where(first, r, den))
+    # _phase of the one-cell walks
+    far = np.sqrt(c * np.maximum(level - e, 0.0)) * np.abs(ends - starts) > _BRIDGE_PHASE
+    far[redo] = True
+    redo = np.flatnonzero(far)
+    if redo.size:
+        ratios[redo] = _bridged(pot, e, *(v[redo].tolist() for v in (x0, x1, z0, z1, first)), c)
+    return ratios
+
+
+def _bridged(pot: Potential, e: float, x0: list[float], x1: list[float], z0: list[complex],
+             z1: list[complex], first: list[bool], c: float) -> list[complex]:
+    """The scalar tail of ``_bridge``: psi(x1) / psi(x0) of each interval,
+    zeta (z0, z1) at its ends, walked from its first end where ``first``
+    holds.  A walk the way psi decays multiplies its anchor's error by
+    about exp(2 sum(kappa |dx|)), so an interval whose evanescent phase
+    (``_phase``) passes _BRIDGE_PHASE is walked from its other end too,
+    off the same cut (``_turned``), and the walk along which |psi| grows
+    more is kept (the first at a tie)."""
+    ends = _where(first, x1, x0)
+    walks = _walks(pot, _where(first, x0, x1), ends)
+    far = [i for i, walk in enumerate(walks) if _phase(walk, e, c) > _BRIDGE_PHASE]
+    _, den, r = _anchored(pot, e, walks + [_turned(pot, walks[i], ends[i]) for i in far],
+                          _where(first, z0, z1) + [z1[i] if first[i] else z0[i] for i in far], c)
     top, bottom = _where(first, den, r), _where(first, r, den)
-    if far:
-        _, back_den, back_r, _ = _anchored(
-            pot, e, [float(ends[i]) for i in far], [complex(z1[i] if first[i] else z0[i]) for i in far],
-            [float(starts[i]) for i in far], c)
-        for i, d, q in zip(far, back_den, back_r):
-            # |psi|'s growth along each walk, psi(end) / psi(start) = den / r
-            if _growth(d, q) > _growth(complex(den[i]), complex(r[i])):
-                top[i], bottom[i] = (q, d) if first[i] else (d, q)
+    for k, i in enumerate(far, len(first)):
+        # |psi|'s growth along each walk, psi(end) / psi(start) = den / r
+        if _growth(den[k], r[k]) > _growth(den[i], r[i]):
+            top[i], bottom[i] = (r[k], den[k]) if first[i] else (den[k], r[k])
     return _quotients(top, bottom)
 
 
@@ -707,26 +725,35 @@ def _read(pot: Potential, e: float, xs, zs, grid, c: float, rightward: bool = Fa
     read at the points of ``grid``: (xs, zs) of its first sample, the
     grid's points strictly inside it, ascending (its own floats, repeats
     kept), and its last sample.  A point on a sample takes that sample's
-    zeta; elsewhere zeta is num / den of the walk (``_anchored``) to the
-    point from the end of its interval with the larger |zeta|: at a tie
-    the end the walk reached first, the second for a walk toward smaller
-    x and the first for one toward larger x (``rightward``), so a
-    mirrored walk reads bitwise the mirror's values.  (xs, zs) are
-    arrays on a piecewise potential with numpy loaded already
-    (``_samples``), and lists elsewhere and for a grid with a point that
-    is not finite.  A psi-node on a point raises TransformPoleError, a
-    point that is not finite NonFiniteInputError."""
+    zeta; elsewhere zeta is num / den of the walk to the point from the
+    end of its interval with the larger |zeta|: at a tie the end the walk
+    reached first, the second for a walk toward smaller x and the first
+    for one toward larger x (``rightward``), so a mirrored walk reads
+    bitwise the mirror's values.  The walks take ``_bridge``'s routes,
+    and (xs, zs) are arrays where they take the array pass, lists
+    elsewhere and for a grid with a point that is not finite.  A
+    psi-node on a point raises TransformPoleError, a point that is not
+    finite NonFiniteInputError."""
     xs, zs = _samples(pot, xs, zs)
     if not isinstance(xs, list):
         import numpy as np
+
+        from ._arrays import _anchored_many
 
         points = np.sort(np.asarray(grid, dtype=float), kind="stable")  # stable: a -0.0 keeps its place
         if np.isfinite(points).all():
             points = points[points.searchsorted(xs[0], side="right"):points.searchsorted(xs[-1], side="left")]
             i = xs.searchsorted(points, side="right") - 1  # xs[i] <= point < xs[i + 1]
-            j = i + 1 - _larger(zs, rightward)[i]
-            read, walked = zs[i], np.flatnonzero(xs[i] != points)
-            read[walked] = _zetas(*_anchored(pot, e, xs[j[walked]], zs[j[walked]], points[walked], c)[:2])
+            walked = np.flatnonzero(xs[i] != points)
+            j = (i + 1 - _larger(zs, rightward)[i])[walked]
+            num, den, _, redo, _ = _anchored_many(pot, e, xs[j], zs[j], points[walked], c)
+            if redo.size:
+                starts, zetas, ends = (v.tolist() for v in (xs[j[redo]], zs[j[redo]], points[walked[redo]]))
+                num[redo], den[redo], _ = _anchored(pot, e, _walks(pot, starts, ends), zetas, c)
+            if 0 in den:
+                _divide(0j, 0)  # raises
+            read = zs[i]
+            read[walked] = _quotients(num, den)
             return np.concatenate(([xs[0]], points, [xs[-1]])), np.concatenate(([zs[0]], read, [zs[-1]]))
         xs, zs = xs.tolist(), zs.tolist()
     points = sorted(_listed(grid))
@@ -738,18 +765,16 @@ def _read(pot: Potential, e: float, xs, zs, grid, c: float, rightward: bool = Fa
         read.append(zs[i])
         if xs[i] != p:
             walked.append((k, i + 1 - first[i]))
-    num, den = _anchored(pot, e, [xs[j] for _, j in walked], [zs[j] for _, j in walked],
-                         [points[k] for k, _ in walked], c)[:2]
-    for (k, _), z in zip(walked, _zetas(num, den)):
-        read[k] = z
+    walks = _walks(pot, [xs[j] for _, j in walked], [points[k] for k, _ in walked])
+    for (k, _), num, den in zip(walked, *_anchored(pot, e, walks, [zs[j] for _, j in walked], c)[:2]):
+        read[k] = _divide(num, den)
     return [xs[0], *points, xs[-1]], [zs[0], *read, zs[-1]]
 
 
 def _samples(pot: Potential, xs, zs):
-    """A trajectory's samples and zeta as ``_bridge`` and ``_read`` walk
-    them: float and complex arrays on a piecewise potential where numpy
-    is loaded already, for the array pass of ``_anchored``, and lists of
-    Python numbers elsewhere, so work at one energy loads no numpy."""
+    """(xs, zs) as ``_bridge`` and ``_read`` walk them: arrays for the
+    array pass on a piecewise potential where numpy is loaded already,
+    and lists of Python numbers elsewhere."""
     if isinstance(pot, SampledPotential) or "numpy" not in sys.modules:
         return _listed(xs), _listed(zs)
     import numpy as np
@@ -759,18 +784,14 @@ def _samples(pot: Potential, xs, zs):
 
 def _listed(values):
     """``values`` with an array turned into a list of Python floats or
-    complexes (``tolist``), and any other sequence as it is: the list
-    routes and list callers of ``_bridge`` and ``_read`` take their
-    values so, as the walks' scalar arithmetic needs them."""
+    complexes (``tolist``), and any other sequence as it is."""
     return values.tolist() if hasattr(values, "tolist") else values
 
 
 def _larger(zs, tie: bool):
     """Whether each interval of samples with zeta ``zs`` (a list or an
-    array) is walked from its first end: where |zeta| is larger there
-    than at its second end, or as large and ``tie``.  An array's sizes
-    are Python's ``abs`` too (``_arrays._size``), so that both routes
-    pick the same end at a near tie."""
+    array) is walked from its first end: where |zeta| is larger there, or
+    as large and ``tie``; an array's |zeta| is Python's (``_arrays._size``)."""
     if isinstance(zs, list):
         sizes = list(map(abs, zs))
         return [p > q or (tie and p == q) for p, q in zip(sizes, sizes[1:])]
@@ -780,14 +801,9 @@ def _larger(zs, tie: bool):
     return (sizes[:-1] > sizes[1:]) | (tie & (sizes[:-1] == sizes[1:]))
 
 
-def _where(mask, p, q):
-    """p where ``mask`` holds and q elsewhere, entry by entry: lists, or
-    arrays (numpy's ``where``)."""
-    if isinstance(mask, list):
-        return [a if m else b for m, a, b in zip(mask, p, q)]
-    import numpy as np
-
-    return np.where(mask, p, q)
+def _where(mask: list[bool], p: list, q: list) -> list:
+    """p where ``mask`` holds and q elsewhere, entry by entry."""
+    return [a if m else b for m, a, b in zip(mask, p, q)]
 
 
 def _quotients(tops, bottoms):
@@ -803,66 +819,75 @@ def _quotients(tops, bottoms):
     return out
 
 
-def _zetas(num, den):
-    """zeta = num / den at the end of each walk (``_quotients``); a den of
-    zero, a psi-node there, raises TransformPoleError."""
-    if 0 in den:
-        _divide(0j, 0)  # raises
-    return _quotients(num, den)
-
-
-def _anchored(pot: Potential, e: float, starts, zetas, ends, c: float):
-    """The ``_chain`` walk from each of ``starts``, anchored at zeta
-    ``zetas`` there, to the matching one of ``ends``, with c = 2m/hbar^2:
-    (num, den, r, far), ``far`` the indices of the walks whose evanescent
-    phase (``_phase``) passes _BRIDGE_PHASE.  Each walk is bitwise that of
-    its own ``_steps``.
-
-    Arrays (``_samples``) take one array pass first
-    (``_arrays._anchored_many``: a walk on one cell is one step, with
-    numpy's complex cosh, sinh and exp), which gives arrays; the walks it
-    leaves take the scalar tail below in one batch, so errors stay the
-    walk's.  Lists take that tail whole, and give lists.  The tail cuts
-    its walks in one ``_cut`` pass per direction: the walks that share a
-    start and a direction are pieces of the longest of them (the grid
-    points of a read's interval), and the longest walks of one direction
-    do not overlap (``_bridge``'s and ``_read``'s do not).  A shorter
-    walk on one slab takes that slab's step to its own end, and one
-    across a join its own ``_steps``.  A sampled potential's walks take
-    their sub-slab maps from one ``_linear_walks`` call."""
-    if not isinstance(starts, list):
-        from ._arrays import _anchored_many
-
-        num, den, r, redo = _anchored_many(pot, e, starts, zetas, ends, c)
-        far = []
-        if redo.size:
-            redo = redo.tolist()
-            *tail, far = _anchored(pot, e, starts[redo].tolist(), zetas[redo].tolist(), ends[redo].tolist(), c)
-            num[redo], den[redo], r[redo] = tail
-            far = [redo[i] for i in far]
-        return num, den, r, far
-    longest = {}
+def _walks(pot: Potential, starts: list[float], ends: list[float]) -> list[list[tuple[float, ...]]]:
+    """The ``_cut`` walk from each of ``starts`` to its end, each bitwise
+    its own ``_steps``, from one ``_cut`` pass.  The walks come in order
+    along x, either way, and a run of walks from one start one way (a
+    read's points in one interval) are pieces of the farthest of them;
+    the runs' spans may touch but not overlap.  A walk toward smaller x
+    is its span turned (``_turned``); a shorter walk takes the first
+    slab's step to its end, or, across a join, its own ``_steps``."""
+    runs, of, run = [], [], None  # [start, toward larger x, farthest end, walk]
     for a, t in zip(starts, ends):
-        if t > a and t > longest.get((a, True), a) or t < a and t < longest.get((a, False), a):
-            longest[a, t > a] = t
-    cuts = {}
-    for forward in (True, False):
-        keys = sorted((key for key in longest if key[1] == forward), reverse=not forward)
-        if keys:
-            cuts.update(zip(keys, _cut(pot, [x for key in keys for x in (key[0], longest[key])])[::2]))
+        if t == a:
+            run = None
+        elif run is not None and run[0] == a and run[1] == (t > a):
+            if t > run[2] if run[1] else t < run[2]:
+                run[2] = t
+        else:
+            run = [a, t > a, t, None]
+            runs.append(run)
+        of.append(run)
+    spans = [(run[0], run[2]) if run[1] else (run[2], run[0]) for run in runs]
+    points = []
+    for k in range(len(runs)) if not runs or spans[0] <= spans[-1] else range(len(runs) - 1, -1, -1):
+        lo, hi = spans[k]
+        if not points or points[-1] < lo:
+            points.append(lo)
+        assert points[-1] == lo, "walks out of order or overlapping"
+        runs[k][3] = len(points) - 1
+        points.append(hi)
+    cuts = _cut(pot, points)
+    for run in runs:
+        run[3] = cuts[run[3]] if run[1] else _turned(pot, cuts[run[3]], run[0])
     walks = []
-    for a, t in zip(starts, ends):
-        walk = cuts[a, t > a] if t != a else []
-        if len(walk) == 1:  # one slab: its step to t
-            walk = [(*walk[0][:-1], t - a)]
-        elif walk and t != longest[a, t > a]:  # across a join, short of the longest
-            walk = _steps(pot, a, t)
-        walks.append(walk)
-    far = [i for i, walk in enumerate(walks) if _phase(walk, e, c) > _BRIDGE_PHASE]
+    for a, t, run in zip(starts, ends, of):
+        if run is None or t == run[2]:
+            walks.append(run[3] if run else [])
+        else:
+            walk = run[3]
+            walks.append([(*walk[0][:-1], t - a)] if len(walk) == 1 else _steps(pot, a, t))
+    return walks
+
+
+def _turned(pot: Potential, walk: list[tuple[float, ...]], x: float) -> list[tuple[float, ...]]:
+    """A ``_cut`` walk walked back from x, its end: bitwise ``_steps`` from
+    x to its start, a line step starting at U from the end of its cell
+    where it enters, as ``_cut`` takes it."""
+    if not walk or len(walk[0]) == 2:
+        return [(u, -dx) for u, dx in reversed(walk)]
+    xs, us, n = pot.xs, pot.us, len(pot.xs)
+    # the sample at the end of each cell where the turned walk enters it
+    step = 1 if walk[0][2] < 0 else -1
+    k = bisect_right(xs, x) - 1 if step > 0 else bisect_left(xs, x)
+    turned = []
+    for u, slope, dx in reversed(walk):
+        if 0 <= k < n and 0 <= k + step < n:  # a cell, not a lead
+            u = us[k] if turned or x == xs[k] or not slope else us[k] + slope * (x - xs[k])
+        turned.append((u, slope, -dx))
+        k += step
+    return turned
+
+
+def _anchored(pot: Potential, e: float, walks: list[list[tuple[float, ...]]],
+              zetas: list[complex], c: float):
+    """Lists (num, den, r) of the ``_chain`` walk of each of ``walks``
+    anchored at its zeta, a sampled potential's sub-slab maps from one
+    ``_linear_walks`` call: the scalar tail of ``_bridge`` and ``_read``."""
     if isinstance(pot, SampledPotential):
         walks = _linear_walks(walks, e, c)
     steps = [_chain(walk, e, z, c) for walk, z in zip(walks, zetas)]
-    return [s[0] for s in steps], [s[1] for s in steps], [s[2] for s in steps], far
+    return [s[0] for s in steps], [s[1] for s in steps], [s[2] for s in steps]
 
 
 def _phase(walk: list[tuple[float, ...]], e: float, c: float) -> float:

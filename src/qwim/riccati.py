@@ -40,11 +40,11 @@ target: on each slab U is one level or one line, evaluated inline at
 the eleven distinct stage abscissae.  Each slab ends on its join, one of
 the potential's ``interfaces()``, so no step straddles a discontinuity,
 and every interval of a trajectory lies on one cell, which the walks of
-the bridge and the read of its samples (``analytic._anchored``) find by
-one search against the joins where numpy is loaded
-(``_arrays._anchored_many``).  On
-an evanescent slab a step's phase stays below ``analytic._BRIDGE_PHASE``,
-so no interval is bridged from both ends.  Each slab starts afresh; a
+the bridge and the read of its samples (``analytic._bridge``,
+``analytic._read``) find by one search against the joins where numpy is
+loaded (``_arrays._anchored_many``).  On an evanescent slab a step's
+phase stays below ``analytic._BRIDGE_PHASE``, so no interval is bridged
+from both ends.  Each slab starts afresh; a
 slab shorter than the step floor is crossed in one exact slab step
 (``analytic._chain``).  The stepper knows no output grid: values at a
 grid's points are read off its samples (``analytic._read``).

@@ -450,9 +450,10 @@ def find_resonances(
     minimiser and drops that component's root; where r has a value at
     no scan energy, the walk's error at the first one is raised.
     Accepts energies where |r| < RESONANCE_TOL, and reports |r| as the
-    residual: R = |r|^2 comes from the same walk.  A potential whose
-    cells and leads all sit at one level reflects nothing at any energy:
-    it is flagged transparent, with no scan and no discrete energies.
+    residual: R = |r|^2 comes from the same walk; where the scan's |r| is
+    below RESONANCE_TOL at both ends of a bracket, only agreeing roots
+    do.  A potential whose cells and leads all sit at one level reflects
+    nothing at any energy: it is flagged transparent, with no scan.
     ``probe_x`` of the result is the entry edge.
     """
     require_finite("window bounds", e_min, e_max)
@@ -521,6 +522,8 @@ def find_resonances(
         # zero there to float resolution and the minimiser is not run
         agree = found and len(found) == 2 and abs(found[0][0] - found[1][0]) <= xatol
         if not (agree and min(r for _, r in found) < RESONANCE_TOL):
+            if max(scan[i - 1][1], scan[i + 1][1]) < RESONANCE_TOL:
+                continue  # a minimum of an |r| this small is no zero unless the roots agree
             e_opt = minimize_scalar(squared, lo, hi, xatol=xatol)
             windows = () if found is not None else _windows(e_opt, lo, hi, xatol)
             # its answer first: a root replaces it only with a smaller |r|

@@ -274,7 +274,7 @@ def reconstruct_wavefunction(
     it carries psi through nodes and joins.  numpy is loaded here, so on
     a piecewise potential the walks that lie on one slab take their
     steps in one array pass, in the walk's arithmetic, straight from the
-    trajectory's arrays (``analytic._anchored``); the rest, and a sampled
+    trajectory's arrays (``_arrays._anchored_many``); the rest, and a sampled
     potential's, take the scalar walk in one batch.  The ratios
     fill psi after psi_start, and ``np.cumprod`` runs in place over it.
     psi keeps the scale psi_start sets at the first sample:

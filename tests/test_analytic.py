@@ -830,6 +830,20 @@ def test_cut_is_bitwise_one_walk_per_pair(pieces, last, leads, start, sampled, p
     cut = _cut(pot, points)
     assert repr(cut) == repr([_steps(pot, p, q) for p, q in zip(points, points[1:])])
     assert all(steps == [] for steps, p, q in zip(cut, points, points[1:]) if p == q)
+    # each walk turned at its end is the reverse pair's own walk
+    turned = [analytic._turned(pot, steps, q) for steps, q in zip(cut, points[1:])]
+    assert repr(turned) == repr([_steps(pot, q, p) for p, q in zip(points, points[1:])])
+
+
+def test_walks_refuse_overlapping_spans():
+    # the walks of one batch share one cut only where the farthest walks
+    # from each start, either way, do not overlap
+    pot = _stack([(0.0, 1.0, 1.0), (1.0, 2.0, -1.0)])
+    walks = analytic._walks(pot, [0.0, 0.0, 2.0, 2.0], [0.4, 1.5, 1.5, 1.6])
+    assert repr(walks) == repr([_steps(pot, 0.0, 0.4), _steps(pot, 0.0, 1.5),
+                                _steps(pot, 2.0, 1.5), _steps(pot, 2.0, 1.6)])
+    with pytest.raises(AssertionError, match="overlapping"):
+        analytic._walks(pot, [0.0, 2.0], [1.5, 1.0])
 
 
 def _outcome(call):

@@ -273,7 +273,8 @@ def test_units_are_read_once_at_the_edge():
 
     walkers = {
         analytic: ["_constants", "_chain", "_real_walk", "_linear_twin", "_linear_steps",
-                   "_linear_walks", "_phase", "_bridge", "_read", "_anchored"],
+                   "_linear_walks", "_phase", "_bridge", "_bridged", "_read", "_walks",
+                   "_turned", "_anchored"],
         riccati: ["_trajectory"],
         _arrays: ["_linear_maps", "_region_constants_many", "_chain_many", "_slabs_many",
                   "_anchored_many"],
@@ -287,9 +288,9 @@ def test_units_are_read_once_at_the_edge():
 
 
 def test_one_array_pass_serves_bridges_and_reads():
-    # the psi bridge and the grid read walk through one anchored-step
-    # walk (analytic._anchored) and its one array pass
-    # (_arrays._anchored_many): the slab pass has two users, the energy
+    # the psi bridge and the grid read walk through one array pass
+    # (_arrays._anchored_many) and one scalar tail (analytic._walks and
+    # analytic._anchored): the slab pass has two users, the energy
     # grid's chain and that pass, and the cell search, Python's abs over
     # an array and Python's complex division over arrays one each
     users = {}

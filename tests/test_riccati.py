@@ -584,10 +584,10 @@ def test_unrolled_step_matches_tableau_loop(sampled, read, threshold):
 
 def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
     # one cut by the stepper (its _steps), whatever the grid's size, and
-    # one per walk direction by the read of a grid on a sampled potential
-    # (analytic._anchored); a piecewise read takes each interval's slab
-    # off its cell (_arrays._anchored_many) and cuts nothing.  No u_at at
-    # any slab, step, stage or grid point
+    # one by the read of a grid on a sampled potential (analytic._walks);
+    # a piecewise read takes each interval's slab off its cell
+    # (_arrays._anchored_many) and cuts nothing.  No u_at at any slab,
+    # step, stage or grid point
     calls = {"_cut": 0, "u_at": 0}
     real_cut = analytic._cut
 
@@ -606,7 +606,7 @@ def test_potential_is_cut_into_slabs_once_per_trajectory(monkeypatch):
             PotentialSegment(1.5, 2.1, 2.4))
     xs = np.linspace(0.0, 2.1, 9)
     for pot, read_cuts in ((PiecewisePotential(0.0, segs, 0.0), 0),
-                           (SampledPotential(tuple(xs), tuple(np.cos(3.0 * xs)), 0.0, 0.0), 2)):
+                           (SampledPotential(tuple(xs), tuple(np.cos(3.0 * xs)), 0.0, 0.0), 1)):
         calls["_cut"] = 0
         z_minus(pot, 1.9)
         assert calls["_cut"] == 1
@@ -631,7 +631,7 @@ def _read_routes(monkeypatch, pot, e, xs, zs, grid, c=C):
 
 def _walk_only(pot, e, starts, *_):
     """``_arrays._anchored_many`` that leaves every walk to the scalar tail."""
-    return (*np.empty((3, len(starts)), dtype=complex), np.arange(len(starts)))
+    return (*np.empty((3, len(starts)), dtype=complex), np.arange(len(starts)), np.full(len(starts), np.nan))
 
 
 def _taken(monkeypatch, call, *args):

@@ -594,6 +594,23 @@ def test_asymmetric_double_barrier_has_no_exact_resonance():
     assert not res.transparent
 
 
+def test_asymmetric_double_barrier_has_no_resonance_far_above_it():
+    # far above the barriers r ~ dU / E stays below RESONANCE_TOL at every
+    # scan energy, and its minima are near misses: none is a zero of r
+    pot = PiecewisePotential(
+        0.0,
+        (
+            PotentialSegment(0.0, 0.5, 2.0),
+            PotentialSegment(0.5, 1.5, 0.0),
+            PotentialSegment(1.5, 2.2, 3.0),
+        ),
+        0.0,
+    )
+    res = find_resonances(pot, 1e7, 1e8)
+    assert res.energies == []
+    assert not res.transparent
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "call",

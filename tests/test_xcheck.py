@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from qwim import _arrays, analytic, scattering
-from qwim.analytic import _BRIDGE_PHASE, _bridge, _chain, _listed, _steps, _units, barrier_closed_forms, region_constants
+from qwim.analytic import _BRIDGE_PHASE, _bridge, _chain, _listed, _phase, _steps, _units, barrier_closed_forms, region_constants
 from qwim.errors import (
     DegenerateEnergyError,
     InsufficientSamplesError,
@@ -541,18 +541,21 @@ def test_bridge_walks_an_interval_across_a_join(pot):
 
 def _walk_only(pot, e, starts, *_):
     """``_arrays._anchored_many`` that leaves every walk to the scalar tail."""
-    return (*np.empty((3, len(starts)), dtype=complex), np.arange(len(starts)))
+    return (*np.empty((3, len(starts)), dtype=complex), np.arange(len(starts)), np.full(len(starts), np.nan))
 
 
 def _left(monkeypatch, pot, e, xs, zs, c=C):
-    """``_bridge`` on the samples by its array pass, and the intervals the
-    pass left to the scalar tail (the bridge walks interval i as the
-    pass's entry i)."""
+    """``_bridge`` on the samples by its array pass, and the intervals it
+    left to the scalar tail (the bridge walks interval i as the pass's
+    entry i): those the pass left, and those it took whose evanescent
+    phase passes _BRIDGE_PHASE (walked from both ends in the tail)."""
     many, left = _arrays._anchored_many, []
 
-    def recorded(*args):
-        out = many(*args)
-        left.extend(out[3].tolist())
+    def recorded(pot, e, starts, zetas, ends, c):
+        out = many(pot, e, starts, zetas, ends, c)
+        redo, level = set(out[3].tolist()), out[4].tolist()
+        left.extend(i for i in range(len(starts)) if i in redo
+                    or _phase([(level[i], float(ends[i] - starts[i]))], e, c) > _BRIDGE_PHASE)
         return out
 
     with monkeypatch.context() as m:
@@ -876,12 +879,11 @@ def test_thinned_reconstruction_matches_the_full_one():
 
 def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
     # the chain's profile cuts its grid once, however many points there
-    # are.  The psi bridge cuts a sampled potential's trajectory in one
-    # pass per walk direction, over the ends of the walks across its
-    # intervals (analytic._anchored); on a piecewise stack it takes each
-    # interval's slab off its cell (_arrays._anchored_many) and cuts only
-    # the intervals it leaves to the walk, so: none of a stepper
-    # trajectory, and those of a grid read that cross a join
+    # are.  The psi bridge cuts a sampled potential's trajectory once; on
+    # a piecewise stack it takes each interval's slab off its cell
+    # (_arrays._anchored_many) and cuts only the intervals it leaves to
+    # the walk, in one pass over their ends (analytic._walks): none of a
+    # stepper trajectory, and those of a grid read that cross a join
     from qwim.model import _linspace
     from qwim.scattering import _Incidence
 
@@ -908,20 +910,18 @@ def test_profile_and_bridge_cut_their_points_in_one_pass(monkeypatch):
                 walk.profile(0.7, grid)
                 assert cuts == [n]
                 xs, zs = walk.trajectory(0.7, grid=grid)
-                # intervals walked from both ends, in one more pass per direction
-                far = [w for w in analytic._cut(pot, xs) if analytic._phase(w, 0.7, C) > _BRIDGE_PHASE]
                 cuts.clear()
                 _bridge(pot, 0.7, xs, zs, C)
-                assert len(cuts) <= (4 if far else 2)
                 if pot is stack:
-                    crossing = [x0 for x0, x1 in zip(xs, xs[1:]) if x0 < 1.0 < x1 or x0 < 2.0 < x1]
-                    assert sum(cuts) == 4 and len(crossing) == 2 and len(xs) == n and not far
+                    crossing = [(x0, x1) for x0, x1 in zip(xs, xs[1:]) if x0 < 1.0 < x1 or x0 < 2.0 < x1]
+                    # an end that two of them share is cut once
+                    assert cuts == [len({*itertools.chain(*crossing)})] and len(crossing) == 2 and len(xs) == n
                 else:
-                    assert sum(cuts) == 2 * (len(xs) - 1 + len(far)) and len(xs) >= n
+                    assert cuts == [len(xs)] and len(xs) >= n
             xs, zs = walk.trajectory(0.7)
             cuts.clear()
             _bridge(pot, 0.7, xs, zs, C)
-            assert cuts == [] if pot is stack else len(cuts) <= 2 and sum(cuts) == 2 * (len(xs) - 1)
+            assert cuts == ([] if pot is stack else [len(xs)])
 
 
 def test_reconstruct_defaults_to_unit_incident():
