@@ -37,7 +37,9 @@ maps across the sub-slab exactly as
 
 with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
 step in ``analytic._chain``.  ``_linear_steps`` hands those maps to the
-scalar walker at one energy.
+scalar walkers at one energy: ``analytic._chain`` walks a linear slab
+list through it, or the maps themselves, and ``analytic._real_walk``
+takes the maps alone, as ``analytic._linear_walks`` gives them.
 
 ``_anchored_many`` is the array pass of the walk from a sample that
 both ``analytic._bridge`` and ``analytic._read`` take, on a piecewise
@@ -54,7 +56,6 @@ arrays, by which the walks pick their anchors and divide.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -326,20 +327,29 @@ def _slabs_many(slabs, es, z, c):
 
 def _quotient(a, b):
     """a / b of complex arrays, each entry bitwise CPython's complex
-    division (``_Py_c_quot``, Smith's method): a and b divided through by
-    the part of b larger in size, the real part at a tie, in its order of
-    operations, and NaN where a part of b is NaN.  numpy's own complex
-    division rounds otherwise.  An entry where b is zero, where Python
-    raises, means nothing."""
+    division (``_Py_c_quot``, Smith's method) but for a NaN's sign and
+    payload: a and b divided through by the part of b larger in size, the
+    real part at a tie, and NaN where a part of b is NaN.  numpy's own
+    complex division rounds otherwise.  An entry where b is zero, where
+    Python raises, means nothing.
+
+    b's parts, and a's with them, are swapped once where the imaginary
+    part is the larger, so that one division gives the ratio and one
+    product each of a's parts: both of Python's branches are then
+    (a1 + a2 ratio) / den, sums whose order does not change their bits,
+    and a difference kept in its branch's operand order, which keeps the
+    sign of a zero."""
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real, by_imag = np.abs(br) >= np.abs(bi), np.abs(bi) >= np.abs(br)
+    by_real = np.abs(br) >= np.abs(bi)  # False where a part of b is NaN: the ratio is NaN
     with np.errstate(all="ignore"):
-        ratio = np.where(by_real, bi / br, br / bi)
-        den = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
+        a1, a2 = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
+        ratio = small / big
+        den = big + small * ratio
+        p1 = a1 * ratio
         out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-        out.real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / den
-        out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / den
-    out[~(by_real | by_imag)] = complex(math.nan, math.nan)
+        np.divide(a1 + a2 * ratio, den, out=out.real)
+        np.divide(np.where(by_real, a2 - p1, p1 - a2), den, out=out.imag)
     return out
 
 

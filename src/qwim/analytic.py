@@ -73,14 +73,16 @@ each sub-slab as
 
 with psi(start) / psi(end) = 1 / den: the shape of a constant slab's
 step, so the same walkers carry it.  The maps are real at real E apart
-from the factors i: ``_real_walk`` reads f, f', g and g' off them.
-They come from numpy's array series (``_arrays._linear_maps``) where
-numpy is loaded already, and from its plain-Python twin
-(``_linear_twin``) elsewhere (``_linear_steps``), bit for bit the same:
-each map is a function of its own sub-slab's split, a and b alone
-(``_series``), so a walk gives the same bits cold and warm, whatever
-else shares its pass.  ``_linear_walks`` hands out the maps of several
-consecutive walks from one call.
+from the factors i: ``_real_walk`` walks a list of them and reads f,
+f', g and g' off each.  They come from numpy's array series
+(``_arrays._linear_maps``) where numpy is loaded already, and from its
+plain-Python twin (``_linear_twin``) elsewhere (``_linear_steps``), bit
+for bit the same: each map is a function of its own sub-slab's split, a
+and b alone (``_series``), so a walk gives the same bits cold and warm,
+whatever else shares its pass.  ``_linear_walks`` hands out the maps of
+several consecutive walks from one call: both ends of a bound search at
+one energy (``spectral._Ends``), and the scalar tail of a batch of
+walks from samples.
 
 psi and zeta come back from a Riccati trajectory by one walk, from a
 sample at the trajectory's zeta there to a target: ``_bridge`` walks
@@ -385,8 +387,9 @@ def _real_walk(
     c: float,
 ) -> tuple[float, float, int]:
     """Carry a real solution anchored at one end of a slab list
-    (``_steps``) across it, at a real e, with c = 2m/hbar^2, and count
-    its psi-nodes: the bound-state search's walk.
+    (``_steps``), or of its sub-slab maps, across it, at a real e, with
+    c = 2m/hbar^2, and count its psi-nodes: the bound-state search's
+    walk.
 
     With s the distance walked, the solution starts at psi = 1,
     dpsi/ds = ``y_anchor`` (a decaying tail's kappa, where
@@ -409,12 +412,15 @@ def _real_walk(
     exp(g), and nothing overflows (past _SATURATION_CUT exp(-2 g) is
     below rounding: the saturated form).  Where A is 0 the step is over
     cosh(g) - sinh(g) instead, B alone, so that an underflowing
-    exp(-2 g) cannot lose psi.  A linear sub-slab takes the real
-    content of its ``_linear_steps`` map, (f, f', g, g') in the walk's
-    direction.  Each step starts from the last one's (den, num) scaled
-    to p = 1, or to (p, d) = (0, 1) where den is exactly 0 (a psi-node
-    on the step's start), with psi's sign kept aside: nothing is
-    divided by a vanishing psi, and nothing underflows.
+    exp(-2 g) cannot lose psi.  On a sampled potential the walk takes
+    the sub-slab maps at e, (kfp, gp, f, gk) of ``_linear_walks`` or
+    ``_linear_steps``, in place of the linear slabs, and each sub-slab
+    its map's real content, (f, f', g, g') in the walk's direction: the
+    sign of g (gk = i g), as g / h > 0 on every sub-slab.  Each step
+    starts from the last one's (den, num) scaled to p = 1, or to
+    (p, d) = (0, 1) where den is exactly 0 (a psi-node on the step's
+    start), with psi's sign kept aside: nothing is divided by a
+    vanishing psi, and nothing underflows.
 
     The count takes each psi-node once, on the half-open step
     (start, end].  A propagating slab turns the Pruefer angle theta
@@ -429,11 +435,11 @@ def _real_walk(
     Raises NonFiniteStateError where a value overflows.
     """
     den, num, neg, nodes = 1.0, y_anchor, False, 0
-    if slabs and len(slabs[0]) == 3:
+    if slabs and len(slabs[0]) > 2:
         # g and f' of a complex map (kfp, gp, f, gk) = (-i f', g', f, i g)
-        # in the walk's direction
-        fwd = 1.0 if slabs[0][2] > 0.0 else -1.0
-        for kfp, gp, f, gk in _linear_steps(slabs, e, c)[1]:
+        # in the walk's direction, the sign of g = h (g / h)
+        fwd = 1.0 if slabs[0][3].imag > 0.0 else -1.0
+        for kfp, gp, f, gk in slabs:
             if den:
                 p, d = 1.0, num / den
                 if den < 0.0:
@@ -619,9 +625,10 @@ def _linear_steps(slabs: list[tuple[float, float, float]], e: float, c: float):
 def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, c: float):
     """``_linear_steps`` for consecutive linear slab lists at one energy,
     from one pass: yields each list's maps in turn, as a list that
-    ``_chain`` walks as it walks the slabs.  One ``_linear_steps`` call
-    serves them all, where a walk of each would make one numpy pass per
-    list."""
+    ``_chain`` walks as it walks the slabs, and ``_real_walk`` in their
+    place.  One ``_linear_steps`` call serves them all, where a walk of
+    each would make one numpy pass per list: a map depends on its own
+    sub-slab alone, so each list's maps are bitwise its own call's."""
     count, steps = _linear_steps([slab for walk in walks for slab in walk], e, c)
     counts = iter(count)
     for walk in walks:
@@ -725,15 +732,17 @@ def _read(pot: Potential, e: float, xs, zs, grid, c: float, rightward: bool = Fa
     read at the points of ``grid``: (xs, zs) of its first sample, the
     grid's points strictly inside it, ascending (its own floats, repeats
     kept), and its last sample.  A point on a sample takes that sample's
-    zeta; elsewhere zeta is num / den of the walk to the point from the
-    end of its interval with the larger |zeta|: at a tie the end the walk
-    reached first, the second for a walk toward smaller x and the first
-    for one toward larger x (``rightward``), so a mirrored walk reads
-    bitwise the mirror's values.  The walks take ``_bridge``'s routes,
-    and (xs, zs) are arrays where they take the array pass, lists
-    elsewhere and for a grid with a point that is not finite.  A
-    psi-node on a point raises TransformPoleError, a point that is not
-    finite NonFiniteInputError."""
+    zeta, on a repeated sample that of the copy the walk reached first;
+    elsewhere zeta is num / den of the walk to the point from the end of
+    its interval with the larger |zeta|, at a tie the end the walk
+    reached first.  That is the last copy and the second end for a walk
+    toward smaller x, the first copy and the first end for one toward
+    larger x (``rightward``), so the mirror's read (samples and points
+    negated, the other rule) is bitwise the mirror of the read.  The
+    walks take ``_bridge``'s routes, and (xs, zs) are arrays where they
+    take the array pass, lists elsewhere and for a grid with a point
+    that is not finite.  A psi-node on a point raises TransformPoleError,
+    a point that is not finite NonFiniteInputError."""
     xs, zs = _samples(pot, xs, zs)
     if not isinstance(xs, list):
         import numpy as np
@@ -743,9 +752,13 @@ def _read(pot: Potential, e: float, xs, zs, grid, c: float, rightward: bool = Fa
         points = np.sort(np.asarray(grid, dtype=float), kind="stable")  # stable: a -0.0 keeps its place
         if np.isfinite(points).all():
             points = points[points.searchsorted(xs[0], side="right"):points.searchsorted(xs[-1], side="left")]
-            i = xs.searchsorted(points, side="right") - 1  # xs[i] <= point < xs[i + 1]
+            # the copy of a sample a point lies on that the walk reaches
+            # first; elsewhere the upper (rightward) or lower end of its
+            # interval
+            i = xs.searchsorted(points, side="left" if rightward else "right") - (not rightward)
             walked = np.flatnonzero(xs[i] != points)
-            j = (i + 1 - _larger(zs, rightward)[i])[walked]
+            lower = i[walked] - rightward
+            j = lower + 1 - _larger(zs, rightward)[lower]
             num, den, _, redo, _ = _anchored_many(pot, e, xs[j], zs[j], points[walked], c)
             if redo.size:
                 starts, zetas, ends = (v.tolist() for v in (xs[j[redo]], zs[j[redo]], points[walked[redo]]))
@@ -760,10 +773,12 @@ def _read(pot: Potential, e: float, xs, zs, grid, c: float, rightward: bool = Fa
     require_finite("grid points", *points)
     points = points[bisect_right(points, xs[0]):bisect_left(points, xs[-1])]
     first, read, walked = _larger(zs, rightward), [], []
+    find = bisect_left if rightward else bisect_right
     for k, p in enumerate(points):
-        i = bisect_right(xs, p) - 1
+        i = find(xs, p) - (not rightward)  # as the array route finds it
         read.append(zs[i])
         if xs[i] != p:
+            i -= rightward  # the interval's lower end
             walked.append((k, i + 1 - first[i]))
     walks = _walks(pot, [xs[j] for _, j in walked], [points[k] for k, _ in walked])
     for (k, _), num, den in zip(walked, *_anchored(pot, e, walks, [zs[j] for _, j in walked], c)[:2]):

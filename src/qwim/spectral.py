@@ -54,8 +54,10 @@ search on a sampled potential loads it at set-up
 (``analytic._array_pass``), so that its many walks take numpy's
 sub-slab series, and so does a resonance scan whose walks there cost
 more than numpy's import; a search on a piecewise potential loads none,
-``force_numeric`` or not.  ``impedance_mismatch`` walks one energy and
-loads none on either kind.
+``force_numeric`` or not.  On a sampled potential both ends' sub-slab
+maps at one energy come from one series pass (``analytic._linear_walks``),
+for the bound search and ``impedance_mismatch`` alike.
+``impedance_mismatch`` walks one energy and loads none on either kind.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ from enum import Enum
 from functools import partial
 
 from ._optimize import _MAXITER, brentq, minimize_scalar
-from .analytic import _array_pass, _bridge, _chain, _from_zeta, _listed, _real_walk, _steps, _units
+from .analytic import (
+    _array_pass, _bridge, _chain, _from_zeta, _linear_walks, _listed, _real_walk, _steps, _units,
+)
 from .errors import (
     BracketingExhaustedError,
     EmptyWindowError,
@@ -80,6 +84,7 @@ from .model import (
     IntegrationConfig,
     ModelParams,
     Potential,
+    SampledPotential,
     Side,
     _linspace,
     require_finite,
@@ -124,6 +129,10 @@ class _Ends:
 
     The units (``analytic._units``) and the slab lists from each end to
     the probe are taken here, and the walks carry zeta = (m/hbar) Z.
+    So is the route of the lists an energy walks (``lists``), once for
+    the search and never per energy: the slab lists themselves, or on a
+    sampled potential both ends' sub-slab maps at the energy, from one
+    series pass (``_SampledEnds``, which construction picks there).
     Below both leads the two decaying solutions are real, and
     ``walk(e)`` carries them along the lists by ``analytic._real_walk``,
     once per energy: (p, d, nodes) of each, (p, d) a positive multiple
@@ -145,6 +154,10 @@ class _Ends:
     energy.
     """
 
+    def __new__(cls, pot, *args):
+        # the route, chosen here once for the search, never per energy
+        return super().__new__(_SampledEnds if isinstance(pot, SampledPotential) else cls)
+
     def __init__(self, pot, probe_x, cfg, params):
         if not pot.a < probe_x < pot.b:
             raise ValueError(f"probe {probe_x} outside the open interval ({pot.a}, {pot.b})")
@@ -153,6 +166,10 @@ class _Ends:
         self.levels = pot.left_level, pot.right_level
         self.slabs = _steps(pot, pot.a, probe_x), _steps(pot, pot.b, probe_x)
         self.walked = {}
+
+    def lists(self, e):
+        """The two lists walked at e, left and right: the slab lists."""
+        return self.slabs
 
     def _anchors(self, e):
         """zeta at a and at b: the decaying tails below a lead's level,
@@ -170,11 +187,11 @@ class _Ends:
         lead: each end's (num, den) of ``analytic._chain``
         (zeta = num / den), or the stepper's (zeta, 1) with
         ``force_numeric``."""
-        (left, right), c = self.slabs, self.c
         z_a, z_b = self._anchors(e)
         if self.cfg.force_numeric:
             plus, minus = self._trajectories(e, z_a, z_b)
             return (plus[1][-1], 1.0), (minus[1][0], 1.0)
+        (left, right), c = self.lists(e), self.c
         return _chain(left, e, z_a, c)[:2], _chain(right, e, z_b, c)[:2]
 
     def _trajectories(self, e, z_a, z_b):
@@ -185,8 +202,8 @@ class _Ends:
                 _trajectory(pot, e, pot.b, z_b, self.probe_x, cfg, c))
 
     def walk(self, e):
-        """Both real walks at e (``analytic._real_walk``), each energy
-        walked once."""
+        """Both real walks at e (``analytic._real_walk``) along the slab
+        lists, each energy walked once."""
         ends = self.walked.get(e)
         if ends is None:
             (left, right), (u_a, u_b), c = self.slabs, self.levels, self.c
@@ -224,6 +241,29 @@ class _Ends:
         a1, a2 = max(abs(p1), abs(d1)) or 1.0, max(abs(p2), abs(d2)) or 1.0
         p1, d1, p2, d2 = p1 / a1, d1 / a1, p2 / a2, d2 / a2
         return nodes1 + nodes2 + ((d1 * p2 + d2 * p1) * (p1 * p2) < 0.0)
+
+
+class _SampledEnds(_Ends):
+    """``_Ends`` on a sampled potential, which ``_Ends`` builds there: the
+    lists walked at an energy are both ends' sub-slab maps at it, from
+    one series pass (``analytic._linear_walks``), which ``_real_walk``
+    and ``_chain`` walk as they would the slabs, bit for bit.
+    ``_Ends.walk`` reads the slab lists with no call, as a piecewise
+    search's energy takes only a few us; this ``walk`` walks ``lists(e)``."""
+
+    def lists(self, e):
+        """Both ends' sub-slab maps at e, left and right."""
+        return _linear_walks(self.slabs, e, self.c)
+
+    def walk(self, e):
+        ends = self.walked.get(e)
+        if ends is None:
+            (left, right), (u_a, u_b), c = self.lists(e), self.levels, self.c
+            ends = self.walked[e] = (
+                _real_walk(left, e, math.sqrt(c * (u_a - e if u_a > e else 0.0)), c),
+                _real_walk(right, e, math.sqrt(c * (u_b - e if u_b > e else 0.0)), c),
+            )
+        return ends
 
 
 def _sign(ratios: list[complex]) -> float:

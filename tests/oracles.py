@@ -256,16 +256,17 @@ def _bridge(traj: ImpedanceTrajectory) -> np.ndarray:
 def reference_read(pot, e, samples, grid, c, rightward=False):
     """``samples`` ((x, zeta) ascending) read at the points of ``grid``
     strictly inside them, each point walked alone: zeta of a sample it
-    lies on, or the chain's walk (its own ``_steps``) from the end of its
-    interval with the larger |zeta|, at a tie the one the walk reached
-    first (the second, or the first for a ``rightward`` walk): the
-    reference of ``analytic._read``."""
+    lies on (of a repeated one, the copy the walk reached first: the last,
+    or the first for a ``rightward`` walk), or the chain's walk (its own
+    ``_steps``) from the end of its interval with the larger |zeta|, at a
+    tie the one the walk reached first (the second, or the first for a
+    ``rightward`` walk): the reference of ``analytic._read``."""
     xs, zs = [x for x, _ in samples], [z for _, z in samples]
     out = [samples[0]]
     for p in sorted(float(g) for g in grid if xs[0] < g < xs[-1]):
         i = bisect.bisect_right(xs, p) - 1
         if xs[i] == p:
-            out.append((p, zs[i]))
+            out.append((p, zs[bisect.bisect_left(xs, p)] if rightward else zs[i]))
             continue
         lower, upper = abs(zs[i]), abs(zs[i + 1])
         j = i if lower > upper or (rightward and lower == upper) else i + 1

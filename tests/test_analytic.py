@@ -675,8 +675,8 @@ def test_real_walk_matches_chain_and_stepwise_count(sampled, cells, lead, where,
     slabs = _steps(pot, pot.a, pot.a + reach) if from_left else _steps(pot, pot.b, pot.b - reach)
     tail = math.sqrt(c * (lead - e))
     z_anchor = -1j * tail if from_left else 1j * tail
-    p, d, nodes = _real_walk(slabs, e, tail, c)
     maps = list(_linear_steps(slabs, e, c)[1]) if sampled else slabs
+    p, d, nodes = _real_walk(maps, e, tail, c)
     try:
         num, den, _ = _chain(slabs, e, z_anchor, c)
         want = _stepwise_chain(maps, e, z_anchor, c)[3]
@@ -916,9 +916,8 @@ def test_bridges_and_reads_walk_from_their_anchors(pieces, last, leads, sampled,
     assert warm == cold
     want = _outcome(lambda: list(zip(*reference_read(pot, e, list(zip(xs, zs)), points, c, rightward))))
     assert cold == (want if isinstance(want, tuple) else (list(want[0]), _bits_of(want[1])))
-    # a point on a repeated sample takes the zeta of its last copy, which
-    # the mirror sees first: the mirror's read is of distinct samples
-    xs, zs = map(list, zip(*dict(zip(xs, zs)).items()))
+    # a point on a repeated sample takes the zeta of the copy the walk
+    # reached first, which is the copy the mirror's walk reaches first
     own = _outcome(lambda: read(pot, xs, zs, points, rightward))
     back = _outcome(lambda: read(mirror, [-v for v in xs[::-1]], [-w for w in zs[::-1]],
                                  [-p for p in points], not rightward))

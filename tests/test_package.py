@@ -292,7 +292,10 @@ def test_one_array_pass_serves_bridges_and_reads():
     # (_arrays._anchored_many) and one scalar tail (analytic._walks and
     # analytic._anchored): the slab pass has two users, the energy
     # grid's chain and that pass, and the cell search, Python's abs over
-    # an array and Python's complex division over arrays one each
+    # an array and Python's complex division over arrays one each.  The
+    # sub-slab maps at one energy are made for the chain walking a
+    # linear slab list and for several walks at once (_linear_walks),
+    # whose maps the real walk takes: it makes none of its own
     users = {}
     for path in Path(qwim.__file__).parent.glob("*.py"):
         for func in ast.walk(ast.parse(path.read_text())):
@@ -300,7 +303,9 @@ def test_one_array_pass_serves_bridges_and_reads():
                 for node in ast.walk(func):
                     name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
                             else node.name if isinstance(node, ast.alias) else None)
-                    if name in ("_slabs_many", "_cells", "_size", "_quotient") and name != func.name:
+                    if (name in ("_slabs_many", "_cells", "_size", "_quotient", "_linear_steps")
+                            and name != func.name):
                         users.setdefault(name, set()).add(func.name)
     assert users == {"_slabs_many": {"_chain_many", "_anchored_many"}, "_cells": {"_anchored_many"},
-                     "_size": {"_larger"}, "_quotient": {"_quotients"}}
+                     "_size": {"_larger"}, "_quotient": {"_quotients"},
+                     "_linear_steps": {"_chain", "_linear_walks"}}

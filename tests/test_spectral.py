@@ -322,6 +322,43 @@ def test_sampled_search_counts_a_node_on_a_sample():
     np.testing.assert_allclose(res.energies, default.energies, rtol=0, atol=1e-14)
 
 
+def test_sampled_ends_take_both_maps_from_one_series_pass(monkeypatch):
+    # on a sampled potential both ends' sub-slab maps at one energy come
+    # from one numpy series pass: a warm impedance_mismatch makes one
+    # _arrays._series call, a bound search one per two real walks, and the
+    # mismatch is bitwise that of the two ends walked alone
+    from qwim import _arrays
+    from qwim.analytic import _chain, _steps, _units
+
+    series, walked = [], []
+
+    def counted(log, f):
+        def wrapped(*args):
+            log.append(None)
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(_arrays, "_series", counted(series, _arrays._series))
+    monkeypatch.setattr(spectral, "_real_walk", counted(walked, spectral._real_walk))
+    cfg, params = IntegrationConfig(), ModelParams(hbar=0.7, mass=1.9)
+    c, w = _units(params)
+    for pot, probe in ((_sampled_well(), 0.3), (_sampled_well(9.0, 81, 0.5, -0.3), -0.61)):
+        for e in (-2.5, -0.1, 0.7):
+            series.clear()
+            d = impedance_mismatch(pot, e, probe, cfg, params)
+            assert len(series) == 1
+            anchors = _Ends(pot, probe, cfg, params)._anchors(e)
+            (n1, d1), (n2, d2) = (_chain(_steps(pot, end, probe), e, z, c)[:2]
+                                  for end, z in zip((pot.a, pot.b), anchors))
+            want = complex(n1 / d1 - n2 / d2)
+            assert repr(d) == repr(complex(want.real / w, want.imag / w))
+        series.clear()
+        assert find_bound_states(pot).energies
+        assert walked and len(walked) == 2 * len(series)
+        walked.clear()
+
+
 # Random wells 3, 6, 10 and 11 of the benchmark's spectra pool (segments,
 # then bound energies frozen from an independent Sturm node-count
 # bisection to float resolution).  D has a pole wherever a solution has
