@@ -74,13 +74,14 @@ each sub-slab as
 with psi(start) / psi(end) = 1 / den: the shape of a constant slab's
 step, so the same walkers carry it.  The maps are real at real E apart
 from the factors i: ``_real_walk`` walks a list of them and reads f,
-f', g and g' off each.  They come from numpy's array series
-(``_arrays._linear_maps``) where numpy is loaded already, and from its
-plain-Python twin (``_linear_twin``) elsewhere (``_linear_steps``), bit
-for bit the same: each map is a function of its own sub-slab's split, a
-and b alone (``_series``), so a walk gives the same bits cold and warm,
-whatever else shares its pass.  ``_linear_walks`` hands out the maps of
-several consecutive walks from one call: both ends of a bound search at
+f', g and g' off each.  ``_linear_walks`` is their one scalar source:
+it takes them from numpy's array series (``_arrays._linear_maps``)
+where numpy is loaded already, and from its plain-Python twin
+(``_linear_twin``) elsewhere, bit for bit the same: each map is a
+function of its own sub-slab's split, a and b alone (``_series``), so a
+walk gives the same bits cold and warm, whatever else shares its pass.
+It hands out the maps of several consecutive walks from one pass: a
+linear slab list that ``_chain`` walks, both ends of a bound search at
 one energy (``spectral._Ends``), and the scalar tail of a batch of
 walks from samples.
 
@@ -321,10 +322,9 @@ def _chain(
     A slab whose level equals e (to EPS_DEGENERATE) carries psi linearly,
     the k -> 0 limit of the step divided by k: num = zeta,
     den = 1 + i zeta dx, f = 1.  A list of linear slabs is walked one
-    sub-slab map of ``_linear_steps`` at a time:
+    sub-slab map of ``_linear_walks`` at a time:
     num = -i f' + g' zeta and den = f + i g zeta, with f = 1; a list of
-    those maps themselves at e, (kfp, gp, f, gk), is walked as given
-    (``_linear_walks``).
+    those maps themselves at e, (kfp, gp, f, gk), is walked as given.
     Returns the last step undivided, (num, den, r), with r the product of
     the f: zeta(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so
     a psi-node at x_to is no error (one before it raises
@@ -335,7 +335,7 @@ def _chain(
     num, den, r = z_anchor, 1.0, 1.0
     if slabs and len(slabs[0]) > 2:
         if len(slabs[0]) == 3:
-            slabs = _linear_steps(slabs, e, c)[1]
+            slabs = next(_linear_walks([slabs], e, c))
         for kfp, gp, f, gk in slabs:
             z_at, r = _divide(num, den), r / den
             num, den = kfp + gp * z_at, f + gk * z_at
@@ -413,10 +413,10 @@ def _real_walk(
     below rounding: the saturated form).  Where A is 0 the step is over
     cosh(g) - sinh(g) instead, B alone, so that an underflowing
     exp(-2 g) cannot lose psi.  On a sampled potential the walk takes
-    the sub-slab maps at e, (kfp, gp, f, gk) of ``_linear_walks`` or
-    ``_linear_steps``, in place of the linear slabs, and each sub-slab
-    its map's real content, (f, f', g, g') in the walk's direction: the
-    sign of g (gk = i g), as g / h > 0 on every sub-slab.  Each step
+    the sub-slab maps at e, (kfp, gp, f, gk) of ``_linear_walks``, in
+    place of the linear slabs, and each sub-slab its map's real content,
+    (f, f', g, g') in the walk's direction: the sign of g (gk = i g), as
+    g / h > 0 on every sub-slab.  Each step
     starts from the last one's (den, num) scaled to p = 1, or to
     (p, d) = (0, 1) where den is exactly 0 (a psi-node on the step's
     start), with psi's sign kept aside: nothing is divided by a
@@ -609,57 +609,48 @@ def _linear_twin(slabs: list[tuple[float, float, float]], e: float, c: float):
     return count, steps()
 
 
-def _linear_steps(slabs: list[tuple[float, float, float]], e: float, c: float):
-    """The sub-slab maps of a linear slab list at one energy, (count,
-    steps) as ``_linear_twin`` gives them: from numpy's array series
-    (``_arrays._linear_steps``) where numpy is loaded already, so warm
-    walks take it, and from the twin elsewhere, so a cold one-energy
-    walk loads no numpy.  Both give the same bits."""
+def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, c: float):
+    """The sub-slab maps of consecutive linear slab lists at one energy,
+    from one pass: yields each list's maps in turn, as a list that
+    ``_chain`` walks as it walks the slabs, and ``_real_walk`` in their
+    place.  The pass is numpy's array series (``_arrays._linear_steps``)
+    where numpy is loaded already, so warm walks take it, and the twin
+    (``_linear_twin``) elsewhere, so a cold one-energy walk loads no
+    numpy; both give the same bits.  One pass serves every list, where a
+    walk of each would make one numpy pass per list: a map depends on
+    its own sub-slab alone, so each list's maps are bitwise its own
+    pass's.  The split's checks run at the first list."""
+    slabs = [slab for walk in walks for slab in walk]
     if "numpy" in sys.modules:
         from ._arrays import _linear_steps
 
-        return _linear_steps(slabs, e, c)
-    return _linear_twin(slabs, e, c)
-
-
-def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, c: float):
-    """``_linear_steps`` for consecutive linear slab lists at one energy,
-    from one pass: yields each list's maps in turn, as a list that
-    ``_chain`` walks as it walks the slabs, and ``_real_walk`` in their
-    place.  One ``_linear_steps`` call serves them all, where a walk of
-    each would make one numpy pass per list: a map depends on its own
-    sub-slab alone, so each list's maps are bitwise its own call's."""
-    count, steps = _linear_steps([slab for walk in walks for slab in walk], e, c)
+        count, steps = _linear_steps(slabs, e, c)
+    else:
+        count, steps = _linear_twin(slabs, e, c)
     counts = iter(count)
     for walk in walks:
         yield list(islice(steps, sum(islice(counts, len(walk)))))
 
 
-def _array_pass(pot: Potential, energies: list[float] | None = None,
-                c: float | None = None) -> bool:
-    """Whether work at many energies on ``pot`` takes numpy: an energy
-    grid then takes one array pass (``scattering._Incidence.many``)
-    rather than a walk per energy, and a sampled potential's walks
-    numpy's sub-slab series rather than the slower twin.  Warm, the array
-    pass is the faster, so yes where numpy is loaded already.  Cold, on a
-    piecewise potential, numpy's import costs more than walking a grid
-    one energy at a time: no.  Cold, on a sampled potential, yes (and
-    numpy is loaded here) only where the grid's walks would take more
-    than _IMPORT_MAPS twin maps: len(energies) walks across [a, b], each
-    split as one block of the grid's energies with c = 2m/hbar^2
-    (``_split``).  An empty grid is no work; ``energies`` None (a bound
-    search, whose walks are counted only as it goes) is unbounded work,
-    and so is a split count that is not finite."""
+def _array_pass(pot: Potential, energies: list[float], c: float) -> bool:
+    """Whether an energy grid on ``pot`` takes numpy: one array pass
+    (``scattering._Incidence.many``) rather than a walk per energy, and
+    on a sampled potential numpy's sub-slab series rather than the
+    slower twin.  Warm, the array pass is the faster, so yes where numpy
+    is loaded already.  Cold, on a piecewise potential, numpy's import
+    costs more than walking a grid one energy at a time: no.  Cold, on a
+    sampled potential, yes (and numpy is loaded here) only where the
+    grid's walks would take more than _IMPORT_MAPS twin maps:
+    len(energies) walks across [a, b], each split as one block of the
+    grid's energies with c = 2m/hbar^2 (``_split``).  An empty grid is no
+    work, and a split count that is not finite is unbounded work."""
     if "numpy" in sys.modules:
         return True
-    if not isinstance(pot, SampledPotential):
+    if not isinstance(pot, SampledPotential) or not energies:
         return False
-    if energies is not None:
-        if not energies:
-            return False
-        per_walk = _split(_steps(pot, pot.a, pot.b), min(energies), max(energies), c)[1]
-        if len(energies) * per_walk <= _IMPORT_MAPS:
-            return False
+    per_walk = _split(_steps(pot, pot.a, pot.b), min(energies), max(energies), c)[1]
+    if len(energies) * per_walk <= _IMPORT_MAPS:
+        return False
     import numpy  # noqa: F401
 
     return True

@@ -20,14 +20,14 @@ Python lists.  On a piecewise potential ``sweep``, ``bound`` and
 ``resonances`` walk their energies one at a time too and load none, and
 so do ``sweep`` and ``resonances`` on a sampled one whose walks take
 fewer sub-slab maps than numpy's import costs, and ``sweep`` under
-``--force-numeric``; past that cost, and in ``bound`` on a sampled
-potential, they load numpy for its array series
-(``analytic._array_pass``).  ``profile`` prints the field of one walk
-of ``scattering._Incidence`` on either engine: psi comes from the walk
-that gives Z, so a profile walks once.  ``validate`` checks the
-impedance path's R and T against the transfer-matrix oracle's, and the
-psi of the Riccati stepper's walk against the exact chain's at the
-stepper's own samples, all to one bound.
+``--force-numeric``; past that cost (``analytic._array_pass``), and in
+``bound`` on a sampled potential, they load numpy for its array series.
+``profile`` prints the field of one walk of ``scattering._Incidence``
+on either engine: psi comes from the walk that gives Z, so a profile
+walks once.  ``validate`` checks the impedance path's R and T against
+the transfer-matrix oracle's, and the psi of the Riccati stepper's walk
+against the exact chain's at the stepper's own samples, all to one
+bound.
 """
 
 from __future__ import annotations

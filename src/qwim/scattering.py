@@ -398,21 +398,21 @@ def _solve(walk: _Incidence, e: float, side: Side) -> ScatteringResult:
 
 
 def _sweep_chain(
-    pot: Potential, e: list[float] | np.ndarray, side: Side, cfg: IntegrationConfig,
-    params: ModelParams,
+    walk: _Incidence, e: list[float] | np.ndarray, side: Side,
 ) -> tuple[list[ScatteringResult], list[int]]:
-    """``solve_scattering`` along the chain for a whole energy grid (a
-    float array, or a list of floats that becomes one).
+    """``solve_scattering`` along the chain of ``walk``, set up from
+    ``side``, for a whole energy grid (a float array, or a list of
+    floats that becomes one).
 
     One ``_chain_many`` pass and the lead formulas as array operations.
     Returns one record per energy and the indices of the flagged points,
     where the scalar solve raises or the array pass is not finite; their
-    records mean nothing and the caller solves them one at a time.
+    records mean nothing and the caller solves them one at a time, along
+    the same walk.
     """
     import numpy as np
 
     e = np.asarray(e, dtype=float)
-    walk = _Incidence(pot, side, cfg, params)
     r, tau, num, den, k1, k2, ok = walk.many(e)
     far_propagating = e > walk.u_far
     with np.errstate(all="ignore"):
@@ -496,20 +496,24 @@ def energy_sweep(
     so, one at a time: on a piecewise potential, or a sampled one below
     ``_array_pass``'s threshold, in a process without numpy, each record
     is then ``solve_scattering``'s at its energy.  The points solved one
-    at a time share one walk (``_Incidence``), so the potential is cut
-    into slabs once per sweep, not once per point.  A complex grid raises
+    at a time share one walk (``_Incidence``), the array pass's where it
+    ran, so the potential is cut into slabs once per sweep, not once per
+    point.  A complex grid raises
     TypeError, as a Python ``complex`` entry does: its imaginary parts
     would be dropped.
     """
     e = _energy_array(energies) if "numpy" in sys.modules else _energy_list(energies)
     out, redo = [None] * len(e), range(len(e))
+    # the array pass's walk, or one set up at the first point left, and
+    # again while it raises
+    walk = None
     if not cfg.force_numeric:
         # units no walk can carry (``analytic._units``) leave every point
         # to the solve, which records their error
         with suppress(NonFiniteStateError):
             if _array_pass(pot, e, _units(params)[0]):
-                out, redo = _sweep_chain(pot, e, side, cfg, params)
-    walk = None  # set up at the first point left, and again while it raises
+                walk = _Incidence(pot, side, cfg, params)
+                out, redo = _sweep_chain(walk, e, side)
     for i in redo:
         e_i = float(e[i])
         try:

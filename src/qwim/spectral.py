@@ -50,13 +50,13 @@ scalar energy at a time in plain real (bound states) or complex
 energy and end serves both the count and W, and the value at a
 returned root or minimum is the one the optimiser computed.  Only the
 resonance scan's array pass and sampled potentials use numpy: a bound
-search on a sampled potential loads it at set-up
-(``analytic._array_pass``), so that its many walks take numpy's
-sub-slab series, and so does a resonance scan whose walks there cost
-more than numpy's import; a search on a piecewise potential loads none,
-``force_numeric`` or not.  On a sampled potential both ends' sub-slab
-maps at one energy come from one series pass (``analytic._linear_walks``),
-for the bound search and ``impedance_mismatch`` alike.
+search on a sampled potential loads it at set-up, as its walks are
+counted only as it goes, so that they take numpy's sub-slab series,
+and so does a resonance scan whose walks there cost more than numpy's
+import; a search on a piecewise potential loads none, ``force_numeric``
+or not.  On a sampled potential both ends' sub-slab maps at one energy
+come from one series pass (``analytic._linear_walks``), for the bound
+search and ``impedance_mismatch`` alike.
 ``impedance_mismatch`` walks one energy and loads none on either kind.
 """
 
@@ -70,7 +70,7 @@ from functools import partial
 
 from ._optimize import _MAXITER, brentq, minimize_scalar
 from .analytic import (
-    _array_pass, _bridge, _chain, _from_zeta, _linear_walks, _listed, _real_walk, _steps, _units,
+    _bridge, _chain, _from_zeta, _linear_walks, _listed, _real_walk, _steps, _units,
 )
 from .errors import (
     BracketingExhaustedError,
@@ -129,10 +129,11 @@ class _Ends:
 
     The units (``analytic._units``) and the slab lists from each end to
     the probe are taken here, and the walks carry zeta = (m/hbar) Z.
-    So is the route of the lists an energy walks (``lists``), once for
-    the search and never per energy: the slab lists themselves, or on a
-    sampled potential both ends' sub-slab maps at the energy, from one
-    series pass (``_SampledEnds``, which construction picks there).
+    So is whether the potential is sampled (``sampled``), which picks
+    the lists an energy walks: the slab lists themselves, or both ends'
+    sub-slab maps at the energy, from one series pass
+    (``analytic._linear_walks``), which ``_real_walk`` and ``_chain``
+    walk as they would the slabs, bit for bit.
     Below both leads the two decaying solutions are real, and
     ``walk(e)`` carries them along the lists by ``analytic._real_walk``,
     once per energy: (p, d, nodes) of each, (p, d) a positive multiple
@@ -154,10 +155,6 @@ class _Ends:
     energy.
     """
 
-    def __new__(cls, pot, *args):
-        # the route, chosen here once for the search, never per energy
-        return super().__new__(_SampledEnds if isinstance(pot, SampledPotential) else cls)
-
     def __init__(self, pot, probe_x, cfg, params):
         if not pot.a < probe_x < pot.b:
             raise ValueError(f"probe {probe_x} outside the open interval ({pot.a}, {pot.b})")
@@ -165,11 +162,8 @@ class _Ends:
         self.c, self.w = _units(params)
         self.levels = pot.left_level, pot.right_level
         self.slabs = _steps(pot, pot.a, probe_x), _steps(pot, pot.b, probe_x)
+        self.sampled = isinstance(pot, SampledPotential)
         self.walked = {}
-
-    def lists(self, e):
-        """The two lists walked at e, left and right: the slab lists."""
-        return self.slabs
 
     def _anchors(self, e):
         """zeta at a and at b: the decaying tails below a lead's level,
@@ -191,7 +185,9 @@ class _Ends:
         if self.cfg.force_numeric:
             plus, minus = self._trajectories(e, z_a, z_b)
             return (plus[1][-1], 1.0), (minus[1][0], 1.0)
-        (left, right), c = self.lists(e), self.c
+        (left, right), c = self.slabs, self.c
+        if self.sampled:
+            left, right = _linear_walks(self.slabs, e, c)
         return _chain(left, e, z_a, c)[:2], _chain(right, e, z_b, c)[:2]
 
     def _trajectories(self, e, z_a, z_b):
@@ -202,11 +198,13 @@ class _Ends:
                 _trajectory(pot, e, pot.b, z_b, self.probe_x, cfg, c))
 
     def walk(self, e):
-        """Both real walks at e (``analytic._real_walk``) along the slab
+        """Both real walks at e (``analytic._real_walk``) along the
         lists, each energy walked once."""
         ends = self.walked.get(e)
         if ends is None:
             (left, right), (u_a, u_b), c = self.slabs, self.levels, self.c
+            if self.sampled:
+                left, right = _linear_walks(self.slabs, e, c)
             ends = self.walked[e] = (
                 _real_walk(left, e, math.sqrt(c * (u_a - e if u_a > e else 0.0)), c),
                 _real_walk(right, e, math.sqrt(c * (u_b - e if u_b > e else 0.0)), c),
@@ -225,7 +223,7 @@ class _Ends:
 
     def count(self, e: float) -> int:
         """N(e) for e in (floor, ceiling]: the number of bound states
-        below e, by Sturm oscillation along the two slab lists.
+        below e, by Sturm oscillation along the two lists.
 
         The two decaying solutions cross n+ and n- psi-nodes on their way
         to the probe (``walk``).  With their Pruefer angles at the probe
@@ -241,29 +239,6 @@ class _Ends:
         a1, a2 = max(abs(p1), abs(d1)) or 1.0, max(abs(p2), abs(d2)) or 1.0
         p1, d1, p2, d2 = p1 / a1, d1 / a1, p2 / a2, d2 / a2
         return nodes1 + nodes2 + ((d1 * p2 + d2 * p1) * (p1 * p2) < 0.0)
-
-
-class _SampledEnds(_Ends):
-    """``_Ends`` on a sampled potential, which ``_Ends`` builds there: the
-    lists walked at an energy are both ends' sub-slab maps at it, from
-    one series pass (``analytic._linear_walks``), which ``_real_walk``
-    and ``_chain`` walk as they would the slabs, bit for bit.
-    ``_Ends.walk`` reads the slab lists with no call, as a piecewise
-    search's energy takes only a few us; this ``walk`` walks ``lists(e)``."""
-
-    def lists(self, e):
-        """Both ends' sub-slab maps at e, left and right."""
-        return _linear_walks(self.slabs, e, self.c)
-
-    def walk(self, e):
-        ends = self.walked.get(e)
-        if ends is None:
-            (left, right), (u_a, u_b), c = self.lists(e), self.levels, self.c
-            ends = self.walked[e] = (
-                _real_walk(left, e, math.sqrt(c * (u_a - e if u_a > e else 0.0)), c),
-                _real_walk(right, e, math.sqrt(c * (u_b - e if u_b > e else 0.0)), c),
-            )
-        return ends
 
 
 def _sign(ratios: list[complex]) -> float:
@@ -385,9 +360,10 @@ def find_bound_states(
     if not math.isfinite(sigma):
         raise NonFiniteStateError(f"bound window ({floor}, {ceil}) overflows")
 
-    # a search walks many energies, counted only as it goes: on a sampled
-    # potential, numpy's sub-slab series serve them
-    _array_pass(pot)
+    if ends.sampled:
+        # a search walks many energies, counted only as it goes: numpy's
+        # sub-slab series serve them
+        import numpy  # noqa: F401
     seen: dict[float, float] = {}
 
     def w_at(e: float) -> float:

@@ -21,8 +21,8 @@ from qwim.analytic import (
     _cut,
     _divide,
     _from_zeta,
-    _linear_steps,
     _linear_twin,
+    _linear_walks,
     _psi_growth_entry,
     _real_walk,
     _series,
@@ -620,6 +620,19 @@ def test_real_walk_keeps_a_psi_that_only_decays():
     assert p > 0.0 and d == -2.0 * p and nodes == 0
 
 
+def test_real_walk_steps_on_from_a_psi_node_on_a_map():
+    # the sub-slab map of a quarter turn, f = g' = 0, g = 1, f' = -1 in
+    # the walk's direction (psi, dpsi/ds) -> (dpsi/ds, -psi), hand-built
+    # for a rightward and a leftward walk: from (1, 0) one map ends
+    # exactly on a psi-node, counted once, and the next map starts from
+    # it, (p, d) = (0, 1) with the sign of dpsi/ds = -1 kept aside, and
+    # ends on psi = -1
+    c = _units(ModelParams())[0]
+    for quarter in ((1j, 0.0, 0.0, 1j), (-1j, 0.0, 0.0, -1j)):
+        assert _real_walk([quarter], 0.0, 0.0, c) == (0.0, -1.0, 1)
+        assert _real_walk([quarter, quarter], 0.0, 0.0, c) == (-1.0, 0.0, 1)
+
+
 def _angle(u, v):
     """The sine of the angle between the 2-vectors u and v."""
     return abs(u[0] * v[1] - u[1] * v[0]) / (math.hypot(*u) * math.hypot(*v))
@@ -675,7 +688,7 @@ def test_real_walk_matches_chain_and_stepwise_count(sampled, cells, lead, where,
     slabs = _steps(pot, pot.a, pot.a + reach) if from_left else _steps(pot, pot.b, pot.b - reach)
     tail = math.sqrt(c * (lead - e))
     z_anchor = -1j * tail if from_left else 1j * tail
-    maps = list(_linear_steps(slabs, e, c)[1]) if sampled else slabs
+    maps = next(_linear_walks([slabs], e, c)) if sampled else slabs
     p, d, nodes = _real_walk(maps, e, tail, c)
     try:
         num, den, _ = _chain(slabs, e, z_anchor, c)

@@ -38,6 +38,7 @@ from qwim.errors import (
     NonFiniteStateError,
     SolverError,
     StepSizeUnderflowError,
+    TransformPoleError,
 )
 from qwim.model import (
     ModelParams,
@@ -772,6 +773,31 @@ def test_read_array_pass_finds_each_interval_cell(pot, xs, monkeypatch):
     assert all(read[k] == ref[k][1] for k in range(len(points)) if k not in redo)
 
 
+def test_read_raises_on_a_psi_node_at_a_grid_point(monkeypatch):
+    # the walk to a grid point ends on a psi-node there: on the level
+    # slab (0, 1) at E = 0.5, zeta = 2i carried from 0 to 0.5 gives
+    # den = 1 + 2i (0.5i) = 0 exactly.  The array read, which takes that
+    # walk in its pass, and the list read raise the same
+    # TransformPoleError
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 0.5),), 0.0)
+    passes, many = [], _arrays._anchored_many
+
+    def counted(*args):
+        passes.append(args[4].tolist())
+        return many(*args)
+
+    monkeypatch.setattr(_arrays, "_anchored_many", counted)
+    messages = []
+    for listed in (False, True):
+        with monkeypatch.context() as m:
+            if listed:
+                m.setattr(analytic, "_samples", lambda pot, xs, zs: (list(xs), list(zs)))
+            with pytest.raises(TransformPoleError) as err:
+                analytic._read(pot, 0.5, [0.0, 1.0], [2j, 0.1 + 0j], [0.5], C)
+        messages.append(str(err.value))
+    assert passes == [[0.5]] and messages[0] == messages[1]
+
+
 def _awkward_grid(pot, xs, rng):
     """Grid points that every route must read alike: a linspace past both
     ends, points on the samples and on the joins, repeats, and points
@@ -980,14 +1006,14 @@ def test_sampled_read_walks_each_point_alone(side, monkeypatch):
     params, e = ModelParams(), 1.3
     walk = _Incidence(pot, side, IntegrationConfig(force_numeric=True), params)
     samples = walk.trajectory(e)
-    calls, real = [], analytic._linear_steps
+    calls, real = [], _arrays._linear_steps
 
     def counted(*args):
         calls.append(len(args[0]))
         return real(*args)
 
     monkeypatch.setattr(_arrays, "_anchored_many", no_array_pass)
-    monkeypatch.setattr(analytic, "_linear_steps", counted)
+    monkeypatch.setattr(_arrays, "_linear_steps", counted)
     grid = np.linspace(-3.0, 3.0, 401).tolist()
     got_xs, got = analytic._read(pot, e, *samples, grid, C)
     walked = [p for p in grid[1:-1] if p not in set(samples[0])]

@@ -300,7 +300,7 @@ def scalar_sweep(monkeypatch):
     """Every grid read as Python floats and walked one energy at a time,
     as where numpy is not loaded: the array pass's rule says no."""
     monkeypatch.setattr(scattering, "_energy_array", scattering._energy_list)
-    monkeypatch.setattr(scattering, "_array_pass", lambda pot, energies=None, c=None: False)
+    monkeypatch.setattr(scattering, "_array_pass", lambda pot, energies, c: False)
 
 
 @pytest.mark.parametrize("grid", NON_GRIDS)
@@ -364,6 +364,28 @@ def test_scalar_sweep_cuts_its_slab_list_once(scalar_sweep, monkeypatch):
         records = energy_sweep(pot, grid, side)
         assert all(isinstance(rec, ScatteringResult) for rec in records)
         assert cuts == [2]
+
+
+def test_array_sweep_cuts_its_slab_list_once(monkeypatch):
+    # the points an array-route sweep flags are solved along the sweep's
+    # own walk: one slab list per sweep (two before, the second for the
+    # flagged point), and the flagged point's record is still the error
+    # solve_scattering raises there (E at the leads' level)
+    cuts = []
+    real = scattering._steps
+
+    def counted(pot, x_from, x_to):
+        cuts.append((x_from, x_to))
+        return real(pot, x_from, x_to)
+
+    monkeypatch.setattr(scattering, "_steps", counted)
+    pot = PiecewisePotential(0.0, (PotentialSegment(0.0, 1.0, 1.0), PotentialSegment(1.0, 2.0, 0.3)), 0.0)
+    records = energy_sweep(pot, [0.0, 0.5, 0.7])
+    assert cuts == [(2.0, 0.0)]
+    with pytest.raises(DegenerateEnergyError) as err:
+        solve_scattering(pot, 0.0)
+    assert records[0] == EnergyPointError(e=0.0, code=err.value.code, message=str(err.value))
+    assert all(isinstance(rec, ScatteringResult) for rec in records[1:])
 
 
 def test_sweep_builds_no_mirror_and_one_record_a_point(monkeypatch):

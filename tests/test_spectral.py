@@ -173,6 +173,37 @@ def test_sampled_well_close_to_sharp_well():
     np.testing.assert_allclose(res.energies, WELL_5_2, rtol=0, atol=1e-4)
 
 
+def test_bound_search_takes_a_w_it_cannot_evaluate_as_nan(monkeypatch):
+    # where the ends raise a SolverError, W is NaN: Brent's method gives
+    # up on that bracket and the node count halves it.  The well -4.5 on
+    # (0, 1) holds one state, at about 0.36 of its depth above the floor.
+    # With W failing at the ceiling the state is refined in (floor,
+    # midpoint) instead; with W failing everywhere the node count alone
+    # places it, within a few float spacings, with a NaN residual
+    pot = well(4.5, 1.0)
+    want = find_bound_states(pot).energies
+    assert len(want) == 1 and -4.5 < want[0] < -2.25
+    real, asked = _Ends.__call__, []
+
+    def failing(at):
+        def call(ends, e):
+            asked.append(e)
+            if at is None or e == at:
+                raise NonFiniteStateError(f"no W at {e}")
+            return real(ends, e)
+
+        return call
+
+    monkeypatch.setattr(_Ends, "__call__", failing(0.0))
+    res = find_bound_states(pot)
+    assert 0.0 in asked and res.residuals[0] < 1e-12
+    assert abs(res.energies[0] - want[0]) <= 4.0 * math.ulp(want[0])
+    monkeypatch.setattr(_Ends, "__call__", failing(None))
+    res = find_bound_states(pot)
+    assert math.isnan(res.residuals[0])
+    assert abs(res.energies[0] - want[0]) <= 4.0 * math.ulp(want[0])
+
+
 def test_count_mismatch_raises(monkeypatch):
     # a node count that is not monotone (here N jumps by 3 on a window
     # about the first bisection point, -2.5) hands the bisection brackets
@@ -517,7 +548,7 @@ def test_spectra_match_scalar_scan(monkeypatch):
         for (pot, lo, hi), side in itertools.product(searches, (Side.LEFT, Side.RIGHT))
     ]
     batched = [repr(call()) for call in calls]
-    monkeypatch.setattr(scattering, "_array_pass", lambda pot, energies=None, c=None: False)
+    monkeypatch.setattr(scattering, "_array_pass", lambda pot, energies, c: False)
     monkeypatch.setattr(_Incidence, "many", None)  # the scan takes no array pass
     scalar = [repr(call()) for call in calls]
     assert batched == scalar
