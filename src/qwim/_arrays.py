@@ -4,7 +4,7 @@ trajectory's intervals, and the exact maps of linear sub-slabs.
 This is the only qwim module that the chain pulls numpy in through, and
 it is imported on first use: by ``scattering``'s energy sweeps and the
 resonance scan where they take the array pass (``analytic._array_pass``),
-by ``analytic._linear_walks`` for a sampled potential's walks with numpy
+by ``analytic._sub_slab_maps`` for a sampled potential's walks with numpy
 loaded already, and by the walks of ``analytic._bridge`` and
 ``analytic._read`` on a piecewise potential's trajectory.  Work at one
 energy never loads it.
@@ -37,9 +37,10 @@ maps across the sub-slab exactly as
 
 with psi(start) / psi(end) = 1 / den, the shape of a constant slab's
 step in ``analytic._chain``.  ``_linear_steps`` makes those maps at one
-energy for ``analytic._linear_walks``, the scalar walkers' one source
-of them: ``analytic._chain`` and ``analytic._real_walk`` walk the lists
-of maps it hands out.
+energy for ``analytic._sub_slab_maps``, the scalar walkers' one source
+of them: ``analytic._chain`` walks them as they are made, and
+``analytic._real_walk`` takes them as ``analytic._linear_walks`` lists
+them.
 
 ``_anchored_many`` is the array pass of the walk from a sample that
 both ``analytic._bridge`` and ``analytic._read`` take, on a piecewise
@@ -201,11 +202,11 @@ def _linear_maps(slabs: np.ndarray, es: np.ndarray, c: float):
 
 def _linear_steps(slabs: list[tuple[float, float, float]], e: float, c: float):
     """The sub-slab maps of a linear slab list at one energy, for
-    ``analytic._linear_walks`` where numpy is loaded: (count, steps), a
+    ``analytic._sub_slab_maps`` where numpy is loaded: (count, steps), a
     list of the sub-slabs of each slab and an iterator of their (kfp,
-    gp, f, gk) as Python numbers in walk order.  ``_linear_maps``'
-    checks run at the call.  ``analytic._linear_twin`` is its
-    plain-Python twin."""
+    gp, f, gk) as Python numbers in walk order, made a chunk at a time
+    as they are used.  ``_linear_maps``' checks run at the call.
+    ``analytic._linear_twin`` is its plain-Python twin."""
     flat = np.fromiter(itertools.chain.from_iterable(slabs), float, 3 * len(slabs))
     count, maps = _linear_maps(flat.reshape(-1, 3), np.array([e]), c)
     return count.tolist(), itertools.chain.from_iterable(

@@ -74,16 +74,17 @@ each sub-slab as
 with psi(start) / psi(end) = 1 / den: the shape of a constant slab's
 step, so the same walkers carry it.  The maps are real at real E apart
 from the factors i: ``_real_walk`` walks a list of them and reads f,
-f', g and g' off each.  ``_linear_walks`` is their one scalar source:
+f', g and g' off each.  ``_sub_slab_maps`` is their one scalar source:
 it takes them from numpy's array series (``_arrays._linear_maps``)
 where numpy is loaded already, and from its plain-Python twin
 (``_linear_twin``) elsewhere, bit for bit the same: each map is a
 function of its own sub-slab's split, a and b alone (``_series``), so a
 walk gives the same bits cold and warm, whatever else shares its pass.
-It hands out the maps of several consecutive walks from one pass: a
-linear slab list that ``_chain`` walks, both ends of a bound search at
-one energy (``spectral._Ends``), and the scalar tail of a batch of
-walks from samples.
+``_chain`` walks a linear slab list's maps as they are made, and
+``_linear_walks`` hands out the maps of several consecutive walks from
+one pass: both ends of a bound search at one energy
+(``spectral._Ends``), and the scalar tail of a batch of walks from
+samples.
 
 psi and zeta come back from a Riccati trajectory by one walk, from a
 sample at the trajectory's zeta there to a target: ``_bridge`` walks
@@ -322,9 +323,10 @@ def _chain(
     A slab whose level equals e (to EPS_DEGENERATE) carries psi linearly,
     the k -> 0 limit of the step divided by k: num = zeta,
     den = 1 + i zeta dx, f = 1.  A list of linear slabs is walked one
-    sub-slab map of ``_linear_walks`` at a time:
+    sub-slab map of ``_sub_slab_maps`` at a time, as the maps are made:
     num = -i f' + g' zeta and den = f + i g zeta, with f = 1; a list of
-    those maps themselves at e, (kfp, gp, f, gk), is walked as given.
+    those maps themselves at e, (kfp, gp, f, gk), is walked as given
+    (``_linear_walks``).
     Returns the last step undivided, (num, den, r), with r the product of
     the f: zeta(x_to) = num / den and psi(anchor) / psi(x_to) = r / den, so
     a psi-node at x_to is no error (one before it raises
@@ -335,7 +337,7 @@ def _chain(
     num, den, r = z_anchor, 1.0, 1.0
     if slabs and len(slabs[0]) > 2:
         if len(slabs[0]) == 3:
-            slabs = next(_linear_walks([slabs], e, c))
+            slabs = _sub_slab_maps(slabs, e, c)[1]
         for kfp, gp, f, gk in slabs:
             z_at, r = _divide(num, den), r / den
             num, den = kfp + gp * z_at, f + gk * z_at
@@ -609,24 +611,28 @@ def _linear_twin(slabs: list[tuple[float, float, float]], e: float, c: float):
     return count, steps()
 
 
-def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, c: float):
-    """The sub-slab maps of consecutive linear slab lists at one energy,
-    from one pass: yields each list's maps in turn, as a list that
-    ``_chain`` walks as it walks the slabs, and ``_real_walk`` in their
-    place.  The pass is numpy's array series (``_arrays._linear_steps``)
-    where numpy is loaded already, so warm walks take it, and the twin
-    (``_linear_twin``) elsewhere, so a cold one-energy walk loads no
-    numpy; both give the same bits.  One pass serves every list, where a
-    walk of each would make one numpy pass per list: a map depends on
-    its own sub-slab alone, so each list's maps are bitwise its own
-    pass's.  The split's checks run at the first list."""
-    slabs = [slab for walk in walks for slab in walk]
+def _sub_slab_maps(slabs: list[tuple[float, float, float]], e: float, c: float):
+    """The sub-slab maps of a linear slab list at one energy, (count,
+    steps) as ``_linear_twin`` gives them, the steps made as they are
+    used: from numpy's array series (``_arrays._linear_steps``) where
+    numpy is loaded already, so warm walks take it, and from the twin
+    elsewhere, so a cold one-energy walk loads no numpy.  Both give the
+    same bits."""
     if "numpy" in sys.modules:
         from ._arrays import _linear_steps
 
-        count, steps = _linear_steps(slabs, e, c)
-    else:
-        count, steps = _linear_twin(slabs, e, c)
+        return _linear_steps(slabs, e, c)
+    return _linear_twin(slabs, e, c)
+
+
+def _linear_walks(walks: list[list[tuple[float, float, float]]], e: float, c: float):
+    """``_sub_slab_maps`` for consecutive linear slab lists at one
+    energy, from one pass: yields each list's maps in turn, as a list
+    that ``_chain`` walks as it walks the slabs, and ``_real_walk`` in
+    their place.  One call serves them all, where a walk of each would
+    make one numpy pass per list: a map depends on its own sub-slab
+    alone, so each list's maps are bitwise its own call's."""
+    count, steps = _sub_slab_maps([slab for walk in walks for slab in walk], e, c)
     counts = iter(count)
     for walk in walks:
         yield list(islice(steps, sum(islice(counts, len(walk)))))

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1059,6 +1060,26 @@ def test_linear_split_count_overflow_raises_typed(xs, us):
             _linear_twin(slabs, 0.5, c)
         ok = _chain_many(slabs, np.array([0.5, 1.0]), 1.0 + 0j, c)[3]
         assert not ok.any()
+
+
+def test_chain_walks_linear_maps_as_they_are_made():
+    # a walk across a sampled well at a high energy takes some 10^5
+    # sub-slab maps, a list of which would hold some 200 bytes a map:
+    # the chain walks them as numpy's series makes them, a chunk at a
+    # time, so its peak memory stays far below the list's
+    c = _units(ModelParams())[0]
+    xs = [-3.0 + 0.1 * i for i in range(61)]
+    pot = SampledPotential(tuple(xs), tuple(-12.0 * math.exp(-x * x / 2) for x in xs), 0.0, 0.0)
+    slabs, e = _steps(pot, pot.a, pot.b), 2e8
+    total = analytic._split(slabs, e, e, c)[1]
+    assert total > 100_000
+    tracemalloc.start()
+    try:
+        _chain(slabs, e, complex(math.sqrt(c * e)), c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * total
 
 
 def _twin_potentials():

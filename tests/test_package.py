@@ -272,8 +272,9 @@ def test_units_are_read_once_at_the_edge():
     from qwim import _arrays, analytic, riccati
 
     walkers = {
-        analytic: ["_constants", "_chain", "_real_walk", "_linear_twin", "_linear_walks", "_phase",
-                   "_bridge", "_bridged", "_read", "_walks", "_turned", "_anchored"],
+        analytic: ["_constants", "_chain", "_real_walk", "_linear_twin", "_sub_slab_maps",
+                   "_linear_walks", "_phase", "_bridge", "_bridged", "_read", "_walks", "_turned",
+                   "_anchored"],
         riccati: ["_trajectory"],
         _arrays: ["_linear_maps", "_region_constants_many", "_chain_many", "_slabs_many",
                   "_anchored_many"],
@@ -293,9 +294,11 @@ def test_one_array_pass_serves_bridges_and_reads():
     # grid's chain and that pass, and the cell search, Python's abs over
     # an array and Python's complex division over arrays one each.  The
     # sub-slab maps at one energy, numpy's or the twin's, have one scalar
-    # source (_linear_walks), whose maps the chain and the real walk
-    # take: neither makes its own.  The bound search's ends are one
-    # class, its route an attribute, not a subclass
+    # source (_sub_slab_maps), which the chain walking a linear slab list
+    # and the lists of several walks at once (_linear_walks) take; the
+    # real walk takes those lists and makes no maps of its own.  The
+    # bound search's ends are one class, its route an attribute, not a
+    # subclass
     users = {}
     for path in Path(qwim.__file__).parent.glob("*.py"):
         for func in ast.walk(ast.parse(path.read_text())):
@@ -303,12 +306,14 @@ def test_one_array_pass_serves_bridges_and_reads():
                 for node in ast.walk(func):
                     name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
                             else node.name if isinstance(node, ast.alias) else None)
-                    if (name in ("_slabs_many", "_cells", "_size", "_quotient", "_linear_steps", "_linear_twin")
+                    if (name in ("_slabs_many", "_cells", "_size", "_quotient", "_linear_steps", "_linear_twin",
+                                 "_sub_slab_maps")
                             and name != func.name):
                         users.setdefault(name, set()).add(func.name)
     assert users == {"_slabs_many": {"_chain_many", "_anchored_many"}, "_cells": {"_anchored_many"},
                      "_size": {"_larger"}, "_quotient": {"_quotients"},
-                     "_linear_steps": {"_linear_walks"}, "_linear_twin": {"_linear_walks"}}
+                     "_linear_steps": {"_sub_slab_maps"}, "_linear_twin": {"_sub_slab_maps"},
+                     "_sub_slab_maps": {"_chain", "_linear_walks"}}
     from qwim import spectral
 
     assert [name for name, cls in inspect.getmembers(spectral, inspect.isclass)
