@@ -24,12 +24,13 @@ recurrence steps in place on its own buffers.
 A sampled potential is linear between its samples, U = u0 + F s, and
 there psi'' = (A + B s) psi with A = c (u0 - E) and B = c F.
 ``_linear_maps`` splits each sample interval into sub-slabs of length h
-with h sqrt(max |A|) <= 1 and h |B|^(1/3) <= 1.  There the Taylor
-series of the fundamental pair f, g (f = g' = 1, f' = g = 0 at the
-start) converges in under 30 terms with no cancellation (``_series``),
-each entry stopped by its own majorant and summed smallest term first,
-so that a sub-slab's map is a function of its own a = A h^2 and
-b = B h^3 alone, bit for bit the plain-Python twin's
+with h sqrt(max |A|) <= 1 and h^3 |B| <= 1, by ``analytic._split``'s
+rule, so that |a| = |A| h^2 and |b| = |B| h^3 are at most one.  There
+the Taylor series of the fundamental pair f, g (f = g' = 1, f' = g = 0
+at the start) is below rounding past its term d_28 (``_SERIES_TERMS``)
+with no cancellation (``_series``): every entry takes those terms,
+summed smallest first, so that a sub-slab's map is a function of its
+own a and b alone, bit for bit the plain-Python twin's
 (``analytic._series``), wherever the sub-slab sits in a pass; and zeta
 maps across the sub-slab exactly as
 
@@ -60,40 +61,34 @@ import itertools
 
 import numpy as np
 
-from .analytic import _MAX_SUBSLABS, _SATURATION_CUT, EPS_DEGENERATE
+from .analytic import _MAX_SUBSLABS, _SATURATION_CUT, _SERIES_TERMS, EPS_DEGENERATE
 from .errors import NonFiniteStateError
 
 # Slab-energy pairs per array pass of _chain_many.
 _BATCH_CELLS = 1 << 15
 # Sub-slab-energy pairs per chunk of linear sub-slab maps.  A smaller
-# chunk than _BATCH_CELLS keeps ``_series``' block (three values per
+# chunk than _BATCH_CELLS keeps ``_series``' block (two values per
 # entry and term) nearer the cache: warm sweeps of a 61-sample Gaussian
-# well at 200 and 1000 energies took 7-23 % less time at 8192 than at
-# 32768 on a 2-core x86-64 host.
+# well at 200 and 1000 energies from 0.2 to 20 took 12-19 % less time
+# at 8192 than at 32768 on a 2-core x86-64 host.
 _SERIES_CELLS = 1 << 13
-# d_1, d_0 and d_{-1} of f, g / h and the majorant (``_series``)
-_START = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+# d_1, d_0 and d_{-1} of f and g / h (``_series``)
+_START = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
 
 
 def _series(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """(f, h f', g / h, g') at s = h of the fundamental pair of
     psi'' = (A + B s) psi, f(0) = g'(0) = 1 and f'(0) = g(0) = 0, given
     a = A h^2 and b = B h^3 (arrays that broadcast, |a| and |b| at most
-    about one).  Each entry is a function of its own a and b alone,
-    bitwise ``analytic._series`` of them, wherever it sits in the arrays.
+    about one, as ``analytic._split`` makes them).  Each entry is a
+    function of its own a and b alone, bitwise ``analytic._series`` of
+    them, wherever it sits in the arrays.
 
     The Taylor coefficients of either solution obey
     c_{k+2} = (A c_k + B c_{k-1}) / ((k+1)(k+2)), so d_k = c_k h^k obey
-    it with a and b.  Each entry stops where three terms in a row of its
-    own majorant series (|a| and |b| in place of a and b, d_0 = d_1 = 1)
-    are below 2^-56 max(|a|, |b|): under 30 terms, with no cancellation
-    beyond that of cos(1).  The majorant is a third row of the
-    recurrence, and an entry's terms past its stop are set to -0.0,
-    which adds nothing, not even to a zero's sign.  The block takes the
-    majorant's count at the largest |a| and the largest |b|, and one
-    more term while an entry's own stop lies past it: the count at the
-    largest pair can fall one short of an entry's (a = 0.1 and
-    a = b = 0.0126, with b = 0.0126, in one block).
+    it with a and b.  Every entry takes the terms d_0 to d_{_SERIES_TERMS},
+    past which the series is below rounding wherever |a| and |b| are at
+    most one, with no cancellation beyond that of cos(1).
 
     d_k sits in row -2 - k, the last term in row 0, so a sum over rows
     adds each output's terms (d_k, and k d_k from k = 1) smallest first,
@@ -103,40 +98,25 @@ def _series(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     shape = np.broadcast(a, b).shape
-    # a, b and their sizes, the majorant's coefficients, as three rows of
-    # the block's shape (a product with a broadcast operand takes numpy's
-    # slower strided loop)
-    aa, bb = np.empty((3,) + shape), np.empty((3,) + shape)
-    aa[:2], bb[:2] = a, b
-    tol = np.maximum(np.abs(aa[0], out=aa[2]), np.abs(bb[0], out=bb[2]))
-    tol *= 2.0 ** -56
-    alpha, beta = float(np.max(aa[2])), float(np.max(bb[2]))
-    top = 2.0 ** -56 * max(alpha, beta)
-    m3, m2, m1, n = 0.0, 1.0, 1.0, 0
-    while m1 > top or m2 > top or m3 > top:
-        n += 1
-        m3, m2, m1 = m2, m1, (alpha * m2 + beta * m3) / (n * (n + 1))
+    # a and b, each as two rows of the block's shape, beside each other
+    # as d_{k-1} and d_{k-2} are (a product with a broadcast operand takes
+    # numpy's slower strided loop)
+    ab = np.empty((2, 2) + shape)
+    ab[0], ab[1] = a, b
     tail = (1,) * len(shape)
-    # d[-2 - k] holds d_k of f, g / h and the majorant, d[-1] d_{-1} = 0
-    d = np.empty((n + 3, 3) + shape)
-    d[-3:] = _START.reshape((3, 3) + tail)
-    scratch, k = np.empty((3,) + shape), 0
-    while True:
-        for k in range(k + 1, len(d) - 2):
-            j = len(d) - 3 - k
-            new = np.multiply(aa, d[j + 2], out=d[j])
-            new += np.multiply(bb, d[j + 3], out=scratch)
-            new *= 1.0 / (k * (k + 1))
-        # a term is taken where one of the three majorant terms below it
-        # passes its entry's bound: past the top row, one more row
-        over = d[:, 2] > tol
-        if not (over[0] | over[1] | over[2]).any():
-            break
-        d = np.concatenate((np.empty_like(d[:1]), d))
-    np.copyto(d[:-3, :2], -0.0, where=~(over[1:-2] | over[2:-1] | over[3:])[:, None])
-    s0 = d[:-1, :2].sum(axis=0)
-    terms = d[:-2, :2]
-    terms *= np.arange(len(d) - 2, 0, -1.0).reshape((-1, 1) + tail)
+    # d[-2 - k] holds d_k of f and g / h, d[-1] d_{-1} = 0
+    d = np.empty((_SERIES_TERMS + 2, 2) + shape)
+    d[-3:] = _START.reshape((3, 2) + tail)
+    scratch = np.empty((2, 2) + shape)
+    for k in range(1, _SERIES_TERMS):
+        j = _SERIES_TERMS - 1 - k
+        # a d_{k-1} and b d_{k-2}, then their sum, into d_{k+1}
+        np.multiply(ab, d[j + 2:j + 4], out=scratch)
+        new = np.add(scratch[0], scratch[1], out=d[j])
+        new *= 1.0 / (k * (k + 1))
+    s0 = d[:-1].sum(axis=0)
+    terms = d[:-2]
+    terms *= np.arange(_SERIES_TERMS, 0, -1.0).reshape((-1, 1) + tail)
     s1 = terms.sum(axis=0)
     return s0[0], s1[0], s0[1], s1[1]
 
@@ -152,8 +132,9 @@ def _linear_maps(slabs: np.ndarray, es: np.ndarray, c: float):
     (kfp + gp zeta) / (f + gk zeta), over the same denominator as the psi
     ratio psi(start) / psi(end) = 1 / (f + gk zeta).
 
-    Each slab is split into n equal sub-slabs of length h, so that
-    h sqrt(max |A|) <= 1 and h |B|^(1/3) <= 1 for every energy, with
+    Each slab is split into the least number n of equal sub-slabs of
+    length h with h sqrt(max |A|) <= 1 and h^3 |B| <= 1 for every
+    energy, by ``analytic._split``'s rule and arithmetic, with
     psi'' = (A + B s) psi, A = c (U - E) at the start of the sub-slab,
     B = c slope and c = 2m/hbar^2.  The fundamental pair f, g comes from
     ``_series``; gp = g', and kfp = -i f' and gk = i g are formed from
@@ -170,8 +151,12 @@ def _linear_maps(slabs: np.ndarray, es: np.ndarray, c: float):
             np.maximum(np.abs(u0 - lo), np.abs(u0 - hi)),
             np.maximum(np.abs(u1 - lo), np.abs(u1 - hi)),
         )
-        width = np.abs(dx) * np.maximum(np.sqrt(c * reach), np.cbrt(np.abs(c * slope)))
-        count = np.maximum(np.ceil(width), 1.0)
+        size = np.abs(dx)
+        cube = c * np.abs(slope) * size * size * size
+        # analytic._cube_count
+        n = np.rint(cube ** (1.0 / 3.0))
+        n += n * n * n < cube
+        count = np.maximum(np.maximum(np.ceil(size * np.sqrt(c * reach)), n), 1.0)
         total = float(np.sum(count))
     if not total <= _MAX_SUBSLABS:  # NaN included
         raise NonFiniteStateError(

@@ -136,10 +136,21 @@ _BRIDGE_PHASE = 2.0
 # cold, a grid on a sampled potential whose walks take at most this many
 # maps is walked one energy at a time sooner than numpy loads
 # (``_array_pass``).  On a 2-core x86-64 host (Python 3.11.7, numpy
-# 2.4.6) ``import numpy`` took 98-159 ms in five cold starts, and a twin
-# map (its series and chain step) 7.7-11.8 us across a 41-sample
-# Gaussian bump at four energies: about 10^4 maps.
+# 2.4.6) ``import numpy`` took 98-192 ms over 13 cold starts, and a
+# twin map (its series of 28 terms and chain step) 7.8-9.1 us across a
+# 41-sample Gaussian bump at four energies: 1.1-2.5 x 10^4 maps, of
+# which the count takes the low end.
 _IMPORT_MAPS = 10_000
+# The last term d_28 of every sub-slab's series (``_series``): where
+# |a| = |b| = 1, the bound of the split (``_split``), its majorant series
+# (|a| and |b| in place of a and b, d_0 = d_1 = 1) has three terms in a
+# row below 2^-56 from d_28 on, as it has up to |a| = |b| = 1.1.
+_SERIES_TERMS = 28
+# The twin's recurrence factors 1 / (k (k + 1)), k = 1 to 27, and its
+# sums' weights k = 28 down to 1, as floats (``_series``): read from
+# tuples, they cost the twin about a fifth less time than computed
+_SERIES_FACTORS = tuple(1.0 / (k * (k + 1)) for k in range(1, _SERIES_TERMS))
+_SERIES_WEIGHTS = tuple(float(k) for k in range(_SERIES_TERMS, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -513,48 +524,32 @@ def _real_walk(
     return (-den, -num, nodes) if neg else (den, num, nodes)
 
 
-def _cbrt(x: float) -> float:
-    """The cube root of x >= 0: x ** (1/3) and one Newton step, within
-    an ulp of numpy's ``cbrt`` (``math.cbrt`` is newer than Python 3.10,
-    and further from it)."""
-    y = x ** (1.0 / 3.0)
-    return y - (y * y * y - x) / (3.0 * y * y) if 0.0 < y < math.inf else y
-
-
 def _series(a: float, b: float) -> tuple[float, float, float, float]:
     """``_arrays._series`` for one sub-slab, bit for bit: (f, h f', g / h,
     g') at s = h of the fundamental pair of psi'' = (A + B s) psi, given
-    a = A h^2 and b = B h^3.  The same recurrence, d_{k+2} = (a d_k +
-    b d_{k-1}) / ((k+1)(k+2)), beside its majorant (|a| and |b| in place
-    of a and b, d_0 = d_1 = 1), the same stop: three majorant terms in a
-    row below 2^-56 max(|a|, |b|); and the same sums, of d_k and of
-    k d_k from k = 1, each added one term at a time, smallest first.
-    Neither ``fsum`` nor the builtin ``sum``, which compensates floats
-    from Python 3.12: numpy's sum over rows rounds each addition as it
-    comes, and this order keeps the maps within about an ulp of the
-    exact sums."""
-    alpha, beta = abs(a), abs(b)
-    tol = 2.0 ** -56 * max(alpha, beta)
-    # the last three terms d_{k-2}, d_{k-1}, d_k of the majorant, f and g
-    m3, m2, m1 = 0.0, 1.0, 1.0
+    a = A h^2 and b = B h^3 with |a| and |b| at most about one (``_split``).
+    The same recurrence, d_{k+2} = (a d_k + b d_{k-1}) / ((k+1)(k+2)),
+    run to the same last term d_{_SERIES_TERMS}, and the same sums, of
+    d_k and of k d_k from k = 1, each added one term at a time, smallest
+    first.  Neither ``fsum`` nor the builtin ``sum``, which compensates
+    floats from Python 3.12: numpy's sum over rows rounds each addition
+    as it comes, and this order keeps the maps within about an ulp of
+    the exact sums."""
+    # the last three terms d_{k-2}, d_{k-1}, d_k of f and g
     f3, f2, f1 = 0.0, 1.0, 0.0
     g3, g2, g1 = 0.0, 0.0, 1.0
     # the terms d_0, d_1, ... of f and g / h
     fs, gs = [1.0, 0.0], [0.0, 1.0]
     f_term, g_term = fs.append, gs.append
-    k = 1
-    while m1 > tol or m2 > tol or m3 > tol:
-        w = 1.0 / (k * (k + 1))
-        m3, m2, m1 = m2, m1, (alpha * m2 + beta * m3) * w
+    for w in _SERIES_FACTORS:
         f3, f2, f1 = f2, f1, (a * f2 + b * f3) * w
         g3, g2, g1 = g2, g1, (a * g2 + b * g3) * w
         f_term(f1)
         g_term(g1)
-        k += 1
-    # from the last term down; -0.0 + x is x, whatever the sign of a zero x
+    # from the last term down to d_1; -0.0 + x is x, whatever the sign of
+    # a zero x
     f = hfp = gh = gp = -0.0
-    for k in range(k, 0, -1):
-        df, dg = fs[k], gs[k]
+    for k, df, dg in zip(_SERIES_WEIGHTS, reversed(fs), reversed(gs)):
         f += df
         gh += dg
         hfp += k * df
@@ -562,23 +557,38 @@ def _series(a: float, b: float) -> tuple[float, float, float, float]:
     return f + fs[0], hfp, gh + gs[0], gp
 
 
+def _cube_count(cube: float) -> float:
+    """The least n >= 0 with n n n >= cube >= 0 in float products, as
+    ``_arrays._linear_maps`` finds it: the cube root rounded to an
+    integer, and one step up.  The root is within about 1e-15 of the
+    exact one, relative, so that integer is the least n or one short of
+    it for every count up to _MAX_SUBSLABS, however the root rounds.  A
+    cube root alone can round apart in numpy and in Python, and split a
+    slab apart."""
+    n = float(round(cube ** (1.0 / 3.0)))
+    return n + 1.0 if n * n * n < cube else n
+
+
 def _split(slabs: list[tuple[float, float, float]], lo: float, hi: float, c: float):
     """The split of linear slabs (u_start, slope, dx) for the energies from
     lo to hi, with c = 2m/hbar^2: (count, total), the sub-slabs of each
-    slab and their sum.  A slab takes n equal sub-slabs of length h with
-    h sqrt(max |A|) <= 1 and h |B|^(1/3) <= 1 at every such energy, |A|
-    taken at the slab's ends and at lo and hi, as ``_arrays._linear_maps``
-    splits a block; a width that is not finite stands for its n, so that
-    total is not finite either."""
+    slab and their sum.  A slab takes the least number n of equal
+    sub-slabs of length h = dx / n with h sqrt(max |A|) <= 1 and
+    h^3 |B| <= 1, that is n^3 >= |dx|^3 |B| (``_cube_count``), at every
+    such energy, |A| taken at the slab's ends and at lo and hi, as
+    ``_arrays._linear_maps`` splits a block: so |a| and |b| of every
+    sub-slab are at most one but for rounding.  A width or cube that is
+    not finite stands for its n, so that total is not finite either."""
     count, total = [], 0.0
     for u0, slope, dx in slabs:
         u1 = u0 + slope * dx
         reach = max(abs(u0 - lo), abs(u1 - lo), abs(u0 - hi), abs(u1 - hi))
-        width = abs(dx) * max(math.sqrt(c * reach), _cbrt(abs(c * slope)))
+        size = abs(dx)
+        width, cube = size * math.sqrt(c * reach), c * abs(slope) * size * size * size
         try:
-            n = max(math.ceil(width), 1)
-        except (OverflowError, ValueError):  # an infinite or NaN width
-            n = width
+            n = max(math.ceil(width), int(_cube_count(cube)), 1)
+        except (OverflowError, ValueError):  # an infinite or NaN width or cube
+            n = width + cube
         count.append(n)
         total += n
     return count, total

@@ -486,8 +486,10 @@ def find_resonances(
         # cannot tell from structure finer than its grid
         return SpectrumResult(kind=SpectrumKind.RESONANCE, energies=[], residuals=[], probe_x=edge,
                               transparent=True)
-    # energy tolerances in units of hbar^2 / m = 2 / c: one search in any units
-    xtol, xatol = 1e-14 * (2.0 / walk.c), 1e-12 * (2.0 / walk.c)
+    # energy tolerances relative to the window's size in energy: one
+    # search in any units and at any length scale, where E goes as 1 / x^2
+    scale = max(abs(e_min), abs(e_max))
+    xtol, xatol = 1e-14 * scale, 1e-12 * scale
 
     def modulus(e: float):
         r = walk.reflection(e)

@@ -16,6 +16,7 @@ from qwim._arrays import _chain_many, _region_constants_many
 from qwim.analytic import (
     _MAX_SUBSLABS,
     _SATURATION_CUT,
+    _SERIES_TERMS,
     EPS_DEGENERATE,
     _chain,
     _constants,
@@ -1111,14 +1112,32 @@ def _twin_walks(pot, e):
     return [_steps(pot, pot.a, probe), _steps(pot, pot.b, probe), _steps(pot, pot.a - 1.0, probe)]
 
 
+def _boundary_slabs(c):
+    """Linear slabs (u_start, slope, dx), each with an energy on it, whose
+    split the slope sets at a width |dx| (c |slope|)^(1/3) of one but for
+    rounding: the slab of a solve whose cold and warm walks once split it
+    apart (at c = 2), and 60 seeded ones with dx = +-1 / cbrt(c |slope|).
+    The slope alone sets a split only at one or two sub-slabs (the level
+    reaches |slope dx| / 2 from E at least), and at two only with E at
+    the middle: here E lies 0.3 to 0.7 of the way along, at 0.2 to 5."""
+    rng = np.random.default_rng(20261046)
+    cases = [((0.0, 4.739633773609405, 0.4725071735202575), 1.1197554789446662)]
+    for _ in range(60):
+        slope, e = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 50.0)), float(rng.uniform(0.2, 5.0))
+        dx = float(rng.choice((-1.0, 1.0)) / np.cbrt(c * abs(slope)))
+        cases.append(((e - slope * dx * float(rng.uniform(0.3, 0.7)), slope, dx), e))
+    return cases
+
+
 @pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])
 def test_linear_twin_matches_numpys_series(params):
     # the plain-Python sub-slab maps that cold walks take are numpy's, bit
     # for bit and zero signs included: the same split and the same repr of
     # every map, on every walk at scattering energies, at a sample level
     # (A = 0 there) and just beside it, far above, and for the wells two
-    # bound energies.  So every walk and its Z and psi ratio are the same
-    # on both routes.  Against a 200-bit walk of the same split (mpmath,
+    # bound energies, and on the slabs whose split the slope's cube root
+    # sets at an integer.  So every walk and its Z and psi ratio are the
+    # same on both routes.  Against a 200-bit walk of the same split (mpmath,
     # which is no dependency of the tests), both are off by up to 7.0e-14
     # in Z and 7.5e-14 in the psi ratio on the deep steep line's three
     # walks at E = 0.7, where one map's rounding repeats 141 times, and
@@ -1138,6 +1157,10 @@ def test_linear_twin_matches_numpys_series(params):
                 assert count == want_count and repr(twin) == repr(maps), (len(pot.us), e)
                 walked += len(maps)
     assert walked > 20000
+    for slab, e in _boundary_slabs(c):
+        count, twin = _linear_twin([slab], e, c)
+        want_count, maps = _arrays._linear_steps([slab], e, c)
+        assert count == want_count and repr(list(twin)) == repr(list(maps)), (slab, e)
 
 
 def test_linear_twin_on_a_deep_steep_line():
@@ -1161,9 +1184,19 @@ def test_linear_twin_on_a_deep_steep_line():
 def test_sampled_solves_are_bitwise_cold_and_warm(no_numpy):
     # solve_scattering from both sides and, below the wells' leads,
     # impedance_mismatch: a process without numpy (the twin's maps) and
-    # one with it (numpy's series) give the same results, repr for repr
+    # one with it (numpy's series) give the same results, repr for repr,
+    # on the boundary slabs too, each a potential of two samples
     from qwim.scattering import solve_scattering
     from qwim.spectral import impedance_mismatch
+
+    c = _units(ModelParams())[0]
+    for (u0, slope, dx), e in _boundary_slabs(c):
+        pot = SampledPotential((0.0, abs(dx)), (u0, u0 + slope * abs(dx)), 0.0, 0.0)
+        for side in Side:
+            warm = solve_scattering(pot, e, side)
+            with no_numpy():
+                cold = solve_scattering(pot, e, side)
+            assert repr(warm) == repr(cold), (u0, slope, dx, e, side)
 
     for pot in _twin_potentials():
         for e, side in itertools.product((0.7, 3.1, 11.0, 300.0), Side):
@@ -1178,6 +1211,55 @@ def test_sampled_solves_are_bitwise_cold_and_warm(no_numpy):
                 with no_numpy():
                     cold = impedance_mismatch(pot, e, probe)
                 assert repr(warm) == repr(cold), (len(pot.us), e)
+
+
+@pytest.mark.parametrize("params", [ModelParams(), ModelParams(hbar=0.7, mass=1.9)], ids=["unit", "scaled"])
+def test_every_sub_slab_is_within_the_series_bound(monkeypatch, params):
+    # every sub-slab that either route's split makes has |a| and |b| at
+    # most one but for a few ulps, the bound that _SERIES_TERMS is taken
+    # at: on the twin's walks at single energies, on numpy's over them
+    # and over blocks of 40 energies from 0.2 to 30, and on the boundary
+    # slabs.  Measured: |a| at most 1 and |b| at most 1 + 1 ulp
+    c = _units(params)[0]
+    sizes = {"twin": [0.0, 0.0], "numpy": [0.0, 0.0]}
+
+    def recorded(route, series):
+        def series_of(a, b):
+            sizes[route][0] = max(sizes[route][0], float(np.max(np.abs(a))))
+            sizes[route][1] = max(sizes[route][1], float(np.max(np.abs(b))))
+            return series(a, b)
+        return series_of
+
+    monkeypatch.setattr(analytic, "_series", recorded("twin", _series))
+    monkeypatch.setattr(_arrays, "_series", recorded("numpy", _arrays._series))
+    cases = [([slab], e) for slab, e in _boundary_slabs(c)]
+    for pot in _twin_potentials():
+        energies = [0.7, 3.1, 300.0] + ([0.5 * min(pot.us), 0.9 * min(pot.us)] if min(pot.us) < 0.0 else [])
+        cases += [(slabs, e) for e in energies for slabs in _twin_walks(pot, e)]
+        for slabs in _twin_walks(pot, 1.0):
+            for _ in _arrays._linear_maps(np.array(slabs), np.linspace(0.2, 30.0, 40), c)[1]:
+                pass
+    for slabs, e in cases:
+        list(_linear_twin(slabs, e, c)[1])
+        list(_arrays._linear_steps(slabs, e, c)[1])
+    assert sizes["twin"][0] > 0.99 and sizes["twin"][1] > 0.99
+    for route in sizes.values():
+        assert max(route) <= 1.0 + 4 * 2.0 ** -52, sizes
+
+
+def test_series_terms_are_the_majorants_at_the_split_bound():
+    # _SERIES_TERMS is where the majorant series at |a| = |b| = 1 (d_0 =
+    # d_1 = 1, d_{k+2} = (|a| d_k + |b| d_{k-1}) / ((k+1)(k+2))) first has
+    # three terms in a row below 2^-56 max(|a|, |b|), as it is at 1.1: a
+    # sub-slab a few ulps past the split's bound needs no more terms
+    def last(size):
+        m, k = [0.0, 1.0, 1.0], 1
+        while max(m[-3:]) > 2.0 ** -56 * size:
+            m.append((size * m[-2] + size * m[-3]) / (k * (k + 1)))
+            k += 1
+        return k
+
+    assert last(1.0) == last(1.1) == _SERIES_TERMS == 28
 
 
 def _exact_series(a, b, terms=60):
@@ -1233,11 +1315,9 @@ def _series_bits(a, b):
 def test_series_entries_do_not_depend_on_their_place():
     # an entry's bits from the array series depend on its own (a, b)
     # alone: rows of (a, b) shuffled, reversed and cut down, at |a| and
-    # |b| up to 1, 0.3, 1e-3, 1e-8 and at zeros of either sign, give each
-    # entry the bits it has alone, which are the twin's.  In the last
-    # three rows, cut down, a = 0.1 and a = b = 0.0126 (b = 0.0126 in the
-    # row) make the count of the block's largest pair one short of the
-    # second entry's own, and the block takes one more term
+    # |b| up to 1, 0.3, 1e-3, 1e-8, at zeros of either sign, subnormals
+    # and sizes mixed in a row, give each entry the bits it has alone,
+    # which are the twin's
     rng = np.random.default_rng(20261022)
     a = np.concatenate([rng.uniform(-s, s, (30, 3)) for s in (1.0, 0.3, 1e-3, 1e-8)]
                        + [[[0.0, -0.0, 1e-300], [-0.0, 0.0, -5e-324], [0.1, 0.012589254117941675, -0.1]]])

@@ -318,3 +318,30 @@ def test_one_array_pass_serves_bridges_and_reads():
 
     assert [name for name, cls in inspect.getmembers(spectral, inspect.isclass)
             if issubclass(cls, spectral._Ends) and cls is not spectral._Ends] == []
+
+
+def test_both_series_run_a_fixed_number_of_terms():
+    # numpy's sub-slab series and its plain-Python twin take the same
+    # number of terms at every (a, b): no loop but a for loop over
+    # something that a and b do not enter, no branch or comparison that
+    # could stop a term early or drop one, so neither's term count can
+    # depend on its block.  No cube root splits a slab either: numpy's
+    # and Python's round apart
+    from qwim import _arrays, analytic
+
+    stops = (ast.While, ast.If, ast.IfExp, ast.Compare, ast.Break, ast.Continue)
+    for module in (analytic, _arrays):
+        func = ast.parse(inspect.getsource(module._series)).body[0]
+        data = {arg.arg for arg in func.args.args}
+        assert data == {"a", "b"}
+        loops = [node for node in ast.walk(func) if isinstance(node, ast.For)]
+        assert loops, module.__name__
+        for node in ast.walk(func):
+            assert not isinstance(node, stops), module.__name__
+        for loop in loops:
+            names = {n.id for n in ast.walk(loop.iter) if isinstance(n, ast.Name)}
+            assert not names & data, module.__name__
+    for path in Path(qwim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            assert name not in ("cbrt", "_cbrt"), path.name

@@ -81,6 +81,18 @@ def test_mismatch_probe_must_be_interior():
         impedance_mismatch(well(), -1.0, 2.5)
 
 
+def test_mismatch_at_a_node_on_the_probe_is_a_pole():
+    # the well (-1, 1) 10 deep has its odd state's node at its middle; at
+    # this energy, the bound search's for that state, the walks from both
+    # tails to the probe 0 end on psi = 0 exactly (den = 0j), and D's
+    # pole is TransformPoleError.  A probe beside the node has a finite D
+    pot = PiecewisePotential(0.0, (PotentialSegment(-1.0, 1.0, -10.0),), 0.0)
+    e = -6.779060021410409
+    with pytest.raises(TransformPoleError, match="psi-node at the probe"):
+        impedance_mismatch(pot, e, 0.0)
+    assert abs(impedance_mismatch(pot, e, 0.1)) < 1e-12
+
+
 def test_mismatch_at_a_lead_level_takes_the_threshold_anchor():
     # a lead at level e anchors at Z = 0, the limit of its decaying tail,
     # on both engines: the bound search's W at the window ceiling
@@ -580,6 +592,29 @@ def test_failed_evaluation_in_resonance_refinement_is_skipped(monkeypatch):
     res = find_resonances(pot, 1.0, 13.0)
     assert clean.energies[0] == pytest.approx(2.2337005501361697, abs=1e-12)
     assert res.energies == clean.energies[1:]
+
+
+def test_resonance_brackets_whose_ends_fail_take_the_minimiser(monkeypatch):
+    # the scalar walk fails at every scan energy, where the scan itself
+    # (one array pass) has r: no bracket's components can be compared at
+    # its ends, and each resonance comes from the minimiser and the
+    # windows about its answer instead, within 1e-12 of the clean search's
+    pot = load_spec(str(_DOCS / "barrier.json")).potential
+    clean = find_resonances(pot, 1.0, 13.0)
+    grid = set(spectral._linspace(1.0, 13.0, spectral.SCAN_POINTS + 1)[1:])
+    real, failed = _Incidence.__call__, []
+
+    def failing(walk, e, bridge=False):
+        if e in grid:
+            failed.append(e)
+            raise TransformPoleError("no r here")
+        return real(walk, e, bridge)
+
+    monkeypatch.setattr(_Incidence, "__call__", failing)
+    res = find_resonances(pot, 1.0, 13.0)
+    assert len(failed) == 2 * len(clean.energies) == 6
+    np.testing.assert_allclose(res.energies, clean.energies, rtol=0, atol=1e-12)
+    assert max(res.residuals) < RESONANCE_TOL
 
 
 def test_resonance_objective_keeps_an_exact_zero(monkeypatch):
